@@ -26,13 +26,16 @@ lint:
 # whenever the serving path changes. The `./...` pattern covers every
 # package, including internal/automata (compiler singleflight hammer) and
 # internal/automata/cache (LRU hammer) — the tests that only prove
-# anything under -race.
+# anything under -race. internal/mediator runs again at -count=3
+# -cpu=1,2: its part-slot singleflight is scheduling-sensitive, and one
+# pass at one GOMAXPROCS proves little about it.
 test:
 	go test ./...
 
 race:
 	go vet ./...
 	go test -race ./...
+	go test -race -count=3 -cpu=1,2 ./internal/mediator/
 
 # Robustness battery: fault injection (wire faults, scripted source
 # failures), circuit-breaker state machine, budget degradation, and the

@@ -22,7 +22,7 @@ const (
 	// OpInfer posts a DTD + view definition to /infer (inference as a
 	// service, the CPU-bound request class).
 	OpInfer OpKind = "infer"
-	// OpInvalidate flushes the materialization cache, forcing the next
+	// OpInvalidate flushes every cached view part, forcing the next
 	// materialize/query to re-fetch every source.
 	OpInvalidate OpKind = "invalidate"
 	// OpInvalidateSource delta-invalidates one randomly chosen source

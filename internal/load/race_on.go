@@ -3,7 +3,7 @@
 package load
 
 // raceEnabled reports whether this binary was built with the race
-// detector. Latency-sensitive tests relax their SLO ceilings under it:
-// the detector slows the in-process stack by 5-20x, so ceilings tuned
-// for native speed would only measure the instrumentation.
+// detector. The chaos campaign widens its tail-latency slack under it:
+// the detector slows the in-process stack by 5-20x, so a slack tuned for
+// native speed would only measure the instrumentation.
 const raceEnabled = true

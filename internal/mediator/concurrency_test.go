@@ -3,6 +3,7 @@ package mediator
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,6 +43,13 @@ func (g *gatedSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 }
 
 func (g *gatedSource) Schema() *dtd.DTD { return g.dtd }
+
+// sameChildren reports whether two view documents are built from the very
+// same cached part results (element identity, not just equal content):
+// every materialization gets a fresh root, the elements under it are shared.
+func sameChildren(a, b *xmlmodel.Document) bool {
+	return len(a.Root.Children) > 0 && slices.Equal(a.Root.Children, b.Root.Children)
+}
 
 func newGatedMediator(t *testing.T) (*Mediator, *gatedSource) {
 	t.Helper()
@@ -87,8 +95,8 @@ func TestSingleflightMaterialize(t *testing.T) {
 		if err != nil {
 			t.Fatalf("caller %d: %v", i, err)
 		}
-		if docs[i] != docs[0] {
-			t.Fatalf("caller %d got a different document: dedup failed", i)
+		if !sameChildren(docs[i], docs[0]) {
+			t.Fatalf("caller %d got different part results: dedup failed", i)
 		}
 	}
 	if got := src.fetches.Load(); got != 1 {
@@ -176,6 +184,134 @@ func TestMaterializeFollowerCancellation(t *testing.T) {
 	close(src.gate)
 	if err := <-done; err != nil {
 		t.Fatalf("leader: %v", err)
+	}
+}
+
+// matResult carries one materialization's outcome out of its goroutine.
+type matResult struct {
+	doc *xmlmodel.Document
+	err error
+}
+
+// waitJoined blocks until n materialization calls have joined a running
+// part computation (joins are counted when they happen, not on return).
+func waitJoined(t *testing.T, m *Mediator, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for m.Stats().SingleflightDedups < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("joins = %d, want %d", m.Stats().SingleflightDedups, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFollowerSurvivesLeaderCancellation: a caller that joined a part
+// computation must not inherit the cancellation of the caller running it
+// (a hedged request whose other leg won, a client that hung up). The
+// leader gets its own cancellation; the follower, whose context is alive,
+// computes the part itself.
+func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
+	m, src := newGatedMediator(t)
+
+	lctx, lcancel := context.WithCancel(context.Background())
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := m.Materialize(lctx, "members")
+		leaderDone <- err
+	}()
+	<-src.entered
+	followerDone := make(chan matResult, 1)
+	go func() {
+		doc, err := m.Materialize(context.Background(), "members")
+		followerDone <- matResult{doc, err}
+	}()
+	waitJoined(t, m, 1)
+
+	lcancel()
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader: err = %v, want its own cancellation", err)
+	}
+	close(src.gate)
+	got := <-followerDone
+	if got.err != nil {
+		t.Fatalf("follower inherited the leader's failure: %v", got.err)
+	}
+	if n := len(got.doc.Root.Children); n != 2 {
+		t.Errorf("follower document has %d members, want the complete 2", n)
+	}
+	if n := src.fetches.Load(); n != 2 {
+		t.Errorf("fetches = %d, want 2 (the leader's abandoned one, the follower's own)", n)
+	}
+}
+
+// failOnRelease is a wrapper whose Fetch blocks until released and then
+// fails hard.
+type failOnRelease struct {
+	dtd     *dtd.DTD
+	release chan struct{}
+}
+
+func (f *failOnRelease) Name() string { return "failing" }
+
+func (f *failOnRelease) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
+	select {
+	case <-f.release:
+		return nil, errFetch
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+func (f *failOnRelease) Schema() *dtd.DTD { return f.dtd }
+
+// TestFollowerSurvivesSiblingInducedCancellation is the same defect reached
+// without any client going away: caller A's part 1 fails hard, which
+// cancels A's own fetch of part 0 — while caller B, whose mask drops part
+// 1, is waiting on that very fetch. A fails with the root cause; B's view
+// of the world has no failing part and must succeed.
+func TestFollowerSurvivesSiblingInducedCancellation(t *testing.T) {
+	m, src := newGatedMediator(t)
+	failing := &failOnRelease{dtd: src.dtd, release: make(chan struct{})}
+	if err := m.AddSource(failing); err != nil {
+		t.Fatal(err)
+	}
+	part := xmas.MustParse(`v = SELECT X WHERE <department> X:<professor|gradStudent/> </department>`)
+	v, err := m.DefineUnionView("both", []ViewPart{
+		{Source: "gated", Query: part}, {Source: "failing", Query: part},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	aDone := make(chan error, 1)
+	go func() {
+		_, err := m.Materialize(ctx, "both")
+		aDone <- err
+	}()
+	<-src.entered
+	bDone := make(chan matResult, 1)
+	go func() {
+		doc, _, err := m.materializeMasked(ctx, v, []bool{true, false})
+		bDone <- matResult{doc, err}
+	}()
+	waitJoined(t, m, 1)
+
+	close(failing.release)
+	if err := <-aDone; !errors.Is(err, errFetch) {
+		t.Fatalf("A: err = %v, want the root cause %v", err, errFetch)
+	}
+	close(src.gate)
+	got := <-bDone
+	if got.err != nil {
+		t.Fatalf("B inherited A's sibling-induced cancellation: %v", got.err)
+	}
+	if n := len(got.doc.Root.Children); n != 2 {
+		t.Errorf("B's document has %d members, want part 0's 2", n)
+	}
+	if n := src.fetches.Load(); n != 2 {
+		t.Errorf("gated fetches = %d, want 2 (A's cancelled one, B's own)", n)
 	}
 }
 

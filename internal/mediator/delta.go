@@ -1,27 +1,25 @@
 // Delta maintenance: per-source invalidation over the static view→source
 // dependency index. Invalidate (mediator.go) remains the blunt instrument —
-// every generation bumps, every cache clears. InvalidateSource is the
-// scoped form: it bumps one source's generation and the generations of the
-// views that transitively depend on it (through views re-exported as
-// sources of this same mediator via AsSource), so the next materialization
-// of an affected view recomputes only the parts over the invalidated
-// source and serves every other part from the part cache — answers stay
-// bit-identical to full rematerialization (differential-tested).
+// every source generation bumps, every slot empties. InvalidateSource is
+// the scoped form: it bumps the generation of one source and of the views
+// re-exported as sources (AsSource) that transitively depend on it, and
+// nothing else — the generation fence makes exactly the part slots over
+// those sources stale, so the next materialization of an affected view
+// recomputes only them and serves every other part from its slot. Answers
+// stay bit-identical to full rematerialization (differential-tested).
 package mediator
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // InvalidateSource announces a change of one source: view parts over it
 // (directly, or through stacked views of this mediator) become stale,
 // while every other cached part result stays valid. It returns the sorted
-// names of the affected views — the ones whose materializations were
-// dropped — and ErrUnknownSource when no such source is registered.
-// In-flight materializations of affected views are detached exactly as in
-// Invalidate: they answer their waiting callers but are not cached.
+// names of the affected views and ErrUnknownSource when no such source is
+// registered. Running computations of the stale parts are detached exactly
+// as in Invalidate: they answer their waiting callers but are not kept.
 func (m *Mediator) InvalidateSource(source string) ([]string, error) {
 	m.mu.Lock()
 	if _, ok := m.wrappers[source]; !ok {
@@ -35,18 +33,11 @@ func (m *Mediator) InvalidateSource(source string) ([]string, error) {
 		src := work[len(work)-1]
 		work = work[:len(work)-1]
 		m.srcGen[src]++
-		for key, ent := range m.partCache {
-			if ent.source == src {
-				delete(m.partCache, key)
-			}
-		}
 		for vn := range m.deps[src] {
 			if affected[vn] {
 				continue
 			}
 			affected[vn] = true
-			m.viewGen[vn]++
-			m.dropViewCachesLocked(vn)
 			// Transitive closure through stacked mediators: a view exposed
 			// with AsSource is itself a source of this mediator, so views
 			// over it inherit the staleness.
@@ -66,28 +57,4 @@ func (m *Mediator) InvalidateSource(source string) ([]string, error) {
 	}
 	sort.Strings(views)
 	return views, nil
-}
-
-// dropViewCachesLocked removes the view's materializations (full and every
-// pruned mask) and detaches its in-flight evaluations. m.mu must be held.
-func (m *Mediator) dropViewCachesLocked(view string) {
-	for key := range m.matCache {
-		if cacheKeyView(key) == view {
-			delete(m.matCache, key)
-		}
-	}
-	for key := range m.inflight {
-		if cacheKeyView(key) == view {
-			delete(m.inflight, key)
-		}
-	}
-}
-
-// cacheKeyView extracts the view name from a maskKey: the bare name for
-// the full materialization, the prefix before the NUL for masked ones.
-func cacheKeyView(key string) string {
-	if i := strings.IndexByte(key, 0); i >= 0 {
-		return key[:i]
-	}
-	return key
 }

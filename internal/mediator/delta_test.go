@@ -220,14 +220,19 @@ func TestInvalidateSourceTransitive(t *testing.T) {
 	}
 }
 
-// TestPartCacheSharedAcrossMasks checks the mask-free part-cache key: a
+// TestPartCacheSharedAcrossMasks checks that part slots are mask-free: a
 // masked (pruned) materialization that evaluated part 0 leaves a part
-// result the full materialization reuses without re-fetching.
+// result the full materialization reuses without re-fetching — and that
+// this is all the mediator keeps, however many masks are served.
 func TestPartCacheSharedAcrossMasks(t *testing.T) {
 	ctx := context.Background()
 	m, faults := newDeltaMediator(t, 2, "all")
+	v, err := m.View("all")
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	if _, _, err := m.materializeMasked(ctx, "all", []bool{true, false}); err != nil {
+	if _, _, err := m.materializeMasked(ctx, v, []bool{true, false}); err != nil {
 		t.Fatal(err)
 	}
 	if got := fetchCounts(faults); got[0] != 1 || got[1] != 0 {
@@ -239,34 +244,71 @@ func TestPartCacheSharedAcrossMasks(t *testing.T) {
 	if got := fetchCounts(faults); got[0] != 1 || got[1] != 1 {
 		t.Fatalf("fetches after full materialization = %v, want [1 1] (part 0 reused)", got)
 	}
-}
 
-// TestInvalidateSourceDropsMaskedMaterializations: every cached mask of an
-// affected view is dropped, not just the bare-name entry.
-func TestInvalidateSourceDropsMaskedMaterializations(t *testing.T) {
-	ctx := context.Background()
-	m, _ := newDeltaMediator(t, 2, "all")
-	if _, _, err := m.materializeMasked(ctx, "all", []bool{true, false}); err != nil {
+	// Bounded memory: every non-empty mask of a k-part view plus the full
+	// view costs one fetch per source and k slots, not one entry per mask.
+	const k = 6
+	m, faults = newDeltaMediator(t, k, "all")
+	if v, err = m.View("all"); err != nil {
 		t.Fatal(err)
 	}
+	slotCount := func() int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		n := 0
+		for _, slots := range m.slots {
+			n += len(slots)
+		}
+		return n
+	}
+	if got := slotCount(); got != k {
+		t.Fatalf("slots before any materialization = %d, want %d", got, k)
+	}
+	masks := func(fn func(mask int, keep []bool)) {
+		for mask := 1; mask < 1<<k; mask++ {
+			keep := make([]bool, k)
+			for i := range keep {
+				keep[i] = mask&(1<<i) != 0
+			}
+			fn(mask, keep)
+		}
+	}
+	masks(func(mask int, keep []bool) {
+		if _, _, err := m.materializeMasked(ctx, v, keep); err != nil {
+			t.Fatalf("mask %06b: %v", mask, err)
+		}
+	})
 	if _, err := m.Materialize(ctx, "all"); err != nil {
 		t.Fatal(err)
 	}
-	m.mu.Lock()
-	cached := len(m.matCache)
-	m.mu.Unlock()
-	if cached != 2 {
-		t.Fatalf("matCache entries = %d, want 2 (full + one mask)", cached)
+	for i, n := range fetchCounts(faults) {
+		if n != 1 {
+			t.Errorf("s%d fetched %d times over %d masks, want 1", i, n, 1<<k)
+		}
 	}
-	if _, err := m.InvalidateSource("s0"); err != nil {
-		t.Fatal(err)
+	if got := slotCount(); got != k {
+		t.Errorf("slots after every mask = %d, want %d", got, k)
 	}
-	m.mu.Lock()
-	cached = len(m.matCache)
-	m.mu.Unlock()
-	if cached != 0 {
-		t.Fatalf("matCache entries after InvalidateSource = %d, want 0", cached)
-	}
+
+	// Under any mask, an invalidation of s0 refetches exactly part 0.
+	masks(func(mask int, keep []bool) {
+		if _, err := m.InvalidateSource("s0"); err != nil {
+			t.Fatal(err)
+		}
+		before := fetchCounts(faults)
+		if _, _, err := m.materializeMasked(ctx, v, keep); err != nil {
+			t.Fatalf("mask %06b: %v", mask, err)
+		}
+		for i, n := range fetchCounts(faults) {
+			want := before[i]
+			if i == 0 && keep[0] {
+				want++
+			}
+			if n != want {
+				t.Errorf("mask %06b after InvalidateSource(s0): s%d fetches %d -> %d, want %d", mask, i, before[i], n, want)
+			}
+		}
+	})
 }
 
 // TestInvalidateSourceLeavesOtherViewsCached: a view with no part over the

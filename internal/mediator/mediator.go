@@ -13,18 +13,26 @@
 // scenario of integrating many sites; their view DTD is the combination of
 // the per-source inferred s-DTDs.
 //
-// The serving path is built for concurrent use: materializations are
-// deduplicated per view (N concurrent cache misses evaluate the view
-// once), cache write-backs are guarded by a generation counter so an
-// Invalidate during an in-flight evaluation can never be overwritten by
-// the stale result, and every data-touching operation takes a
-// context.Context that cancels remote fetches.
+// The serving path is built for concurrent use on one cache, one fence and
+// one lock rule. The only cached data are per-part results: every part of
+// a defined view owns one slot (Mediator.slots), so the cache is bounded by
+// the view definitions, and a view document is always a fresh
+// concatenation, in part order, of its kept parts' slots. The only fence is
+// the source generation (Mediator.srcGen): a part result is usable exactly
+// while its source's generation is the one its fetch started under, so a
+// result that raced an invalidation answers the callers already waiting on
+// it and nothing else. Mediator.mu guards the registry and the slots and is
+// never held across a fetch or an evaluation. Concurrent callers needing
+// the same part share one computation (whatever their prune masks), and
+// every data-touching operation takes a context.Context that cancels
+// remote fetches.
 package mediator
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -160,7 +168,7 @@ type QueryStats struct {
 	// contribute to this query's answer and were therefore never fetched
 	// (sorted, deduplicated). Pruning is NOT degradation: the answer is
 	// exactly what the unpruned evaluation would produce, so it does not
-	// set Degraded, does not trip breakers, and prunes are cacheable.
+	// set Degraded and does not trip breakers.
 	// internal/serve surfaces this as X-Mix-Pruned-Sources.
 	PrunedSources []string
 	// StaleSources names the sources whose parts were served from a
@@ -186,43 +194,47 @@ type MaterializeInfo struct {
 	// PrunedSources names the sources whose parts were skipped by
 	// query-time satisfiability pruning (sorted). Unlike DegradedSources
 	// this is a correctness-preserving omission — the skipped parts were
-	// proven empty for the query at hand — so pruned materializations are
-	// cached (under a mask-specific key) and are not marked Degraded.
+	// proven empty for the query at hand — so the kept parts are cached as
+	// in any materialization and the result is not marked Degraded.
 	PrunedSources []string
 	// StaleSources names the sources whose parts came from a ReplicaSet's
 	// last-known-good document (sorted): every replica failed, so the part
-	// is present and DTD-valid but possibly outdated. Stale
-	// materializations are never cached — the next one retries the
-	// replicas — and are not marked Degraded (nothing is missing).
+	// is present and DTD-valid but possibly outdated. A stale part is
+	// never cached — the next materialization retries the replicas — and
+	// does not mark the result Degraded (nothing is missing).
 	StaleSources []string
 }
 
-// inflightCall is one in-progress materialization; followers wait on done
-// and read doc/info/err, which are written exactly once before done is
-// closed.
-type inflightCall struct {
-	gen  uint64 // the view's generation when the evaluation started
+// partCalc is one computation of a view part — fetch its source, evaluate
+// its query — in progress or finished. It is what a part's slot holds:
+// while it runs, callers needing the part wait on done; once finished, a
+// calc left in its slot is the part's cached result. res is written
+// exactly once, before done is closed, and res.children is immutable from
+// then on (readers concatenate into a fresh root).
+type partCalc struct {
+	gen  uint64 // the source's generation when the fetch started
 	done chan struct{}
-	doc  *xmlmodel.Document
-	info *MaterializeInfo
-	err  error
+	res  partResult
+	// abandoned: the calc failed after the ctx of the caller running it had
+	// ended, so the failure is that caller's, not the source's.
+	abandoned bool
 }
 
-// partCacheKey identifies one view part's cached result. It is mask-free
-// on purpose: a pruned materialization and the full one share the same
-// per-part results, so computing either warms the other.
-type partCacheKey struct {
-	view string
-	part int
+func (c *partCalc) finished() bool {
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
 }
 
-// partEntry is one view part's cached evaluation result, valid exactly
-// while its source's generation still equals gen. The children slice is
-// immutable after insertion (evaluate concatenates into a fresh root).
-type partEntry struct {
-	gen      uint64
-	source   string
+// partResult is what one part contributes to a materialization.
+type partResult struct {
 	children []*xmlmodel.Element
+	err      error
+	dropped  bool // the source's breaker is open: the part is omitted (degraded view)
+	stale    bool // children come from a last-known-good document (ReplicaSet)
 }
 
 // Mediator hosts wrappers and views.
@@ -232,21 +244,15 @@ type Mediator struct {
 	mu       sync.Mutex
 	wrappers map[string]Wrapper
 	views    map[string]*View
-	matCache map[string]*xmlmodel.Document
-	inflight map[string]*inflightCall
-	// viewGen and srcGen are the delta-maintenance generations. srcGen[s]
-	// counts invalidations of source s; a part result cached under an older
-	// source generation is stale. viewGen[v] counts invalidations touching
-	// view v; a materialization started under an older view generation must
-	// not populate matCache — its result may predate the source change the
-	// invalidation announced. Invalidate bumps everything; InvalidateSource
-	// bumps one source and the views that transitively depend on it.
-	viewGen map[string]uint64
-	srcGen  map[string]uint64
-	// partCache holds per-part evaluation results so an invalidation of one
-	// source recomputes only the parts over that source; every other part
-	// of the affected views is served from here (see evaluate).
-	partCache map[partCacheKey]partEntry
+	// srcGen[s] counts invalidations of source s. Invalidate bumps every
+	// source; InvalidateSource bumps one source and, transitively, the views
+	// re-exported as sources that depend on it.
+	srcGen map[string]uint64
+	// slots holds, per view, one slot per part (created in DefineUnionView):
+	// the part's latest calc, usable — as a cached result once finished, as
+	// a computation to wait on until then — while calc.gen equals the
+	// source's generation. It is the only evaluated data the mediator keeps.
+	slots map[string][]*partCalc
 	// deps is the static view→source dependency index, inverted: for each
 	// source name, the set of views with at least one part over it. Built
 	// at view-definition time; InvalidateSource walks it (transitively,
@@ -265,15 +271,12 @@ type Mediator struct {
 // New creates an empty mediator.
 func New(name string) *Mediator {
 	return &Mediator{
-		name:      name,
-		wrappers:  map[string]Wrapper{},
-		views:     map[string]*View{},
-		matCache:  map[string]*xmlmodel.Document{},
-		inflight:  map[string]*inflightCall{},
-		viewGen:   map[string]uint64{},
-		srcGen:    map[string]uint64{},
-		partCache: map[partCacheKey]partEntry{},
-		deps:      map[string]map[string]bool{},
+		name:     name,
+		wrappers: map[string]Wrapper{},
+		views:    map[string]*View{},
+		srcGen:   map[string]uint64{},
+		slots:    map[string][]*partCalc{},
+		deps:     map[string]map[string]bool{},
 	}
 }
 
@@ -415,6 +418,7 @@ func (m *Mediator) DefineUnionView(name string, parts []ViewPart) (*View, error)
 		v.DegradedReason = ex.Error()
 	}
 	m.views[name] = v
+	m.slots[name] = make([]*partCalc, len(v.Parts))
 	for _, p := range v.Parts {
 		if m.deps[p.Source] == nil {
 			m.deps[p.Source] = map[string]bool{}
@@ -452,11 +456,11 @@ func (m *Mediator) Views() []string {
 }
 
 // Materialize evaluates the view against its sources and returns the view
-// document. Results are cached until Invalidate. Concurrent calls for the
-// same view are deduplicated: one caller evaluates, the rest wait for its
-// result (or their own ctx). A stale evaluation — one that started before
-// an Invalidate — is returned to its callers but never written back to the
-// cache.
+// document: a fresh root over the cached part results, which stay valid
+// until their source is invalidated. Concurrent calls share part
+// computations: one caller fetches and evaluates a part, the rest wait for
+// its result (or their own ctx). A result whose source was invalidated
+// while it was being computed is returned to its callers but not kept.
 func (m *Mediator) Materialize(ctx context.Context, viewName string) (*xmlmodel.Document, error) {
 	doc, _, err := m.MaterializeInfo(ctx, viewName)
 	return doc, err
@@ -465,333 +469,309 @@ func (m *Mediator) Materialize(ctx context.Context, viewName string) (*xmlmodel.
 // MaterializeInfo is Materialize plus a report of how the materialization
 // went: a view over a breaker-open source (see BreakerSource) is served
 // without that source's parts — degraded availability instead of a failed
-// view — and the info says so. Degraded documents are never cached, so the
+// view — and the info says so. A dropped part is never cached, so the
 // first materialization after the breaker closes is complete again.
 func (m *Mediator) MaterializeInfo(ctx context.Context, viewName string) (*xmlmodel.Document, *MaterializeInfo, error) {
-	return m.materializeMasked(ctx, viewName, nil)
+	v, err := m.View(viewName)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m.materializeMasked(ctx, v, keepAll(v))
 }
 
-// maskKey is the materialization-cache key for a (view, keep-mask) pair.
-// The full view keeps its historical bare-name key; pruned variants get a
-// composite key so a prune for one query can never serve another query's
-// (or the full) materialization.
-func maskKey(viewName string, keep []bool) string {
-	if keep == nil {
-		return viewName
-	}
-	b := make([]byte, 0, len(viewName)+1+len(keep))
-	b = append(b, viewName...)
-	b = append(b, 0)
-	for _, k := range keep {
-		if k {
-			b = append(b, '1')
-		} else {
-			b = append(b, '0')
-		}
-	}
-	return string(b)
-}
+// keepAll is the keep mask of an unpruned materialization.
+func keepAll(v *View) []bool { return slices.Repeat([]bool{true}, len(v.Parts)) }
 
-// materializeMasked is MaterializeInfo restricted to the parts selected by
-// keep (nil keeps everything). Skipped parts are never fetched — that is
-// the point of pruning — and the result is cached under a mask-specific
-// key with the same singleflight/generation discipline as the full view.
-func (m *Mediator) materializeMasked(ctx context.Context, viewName string, keep []bool) (*xmlmodel.Document, *MaterializeInfo, error) {
-	key := maskKey(viewName, keep)
+// materializeMasked builds the view document from the parts selected by
+// keep, concatenated in part order so the document is deterministic
+// regardless of scheduling. Masked-out parts are never fetched — no
+// goroutine, no breaker interaction, no retry; that is the point of
+// pruning. Under m.mu each kept part is resolved to its slot's calc: a
+// finished one is reused without touching the source (delta maintenance:
+// after InvalidateSource only the parts over that source are stale), a
+// running one is joined, and a stale or empty slot gets a new calc this
+// call runs. The first part failure cancels this call's sibling fetches —
+// except a breaker-open rejection (ErrBreakerOpen), which drops just that
+// part and lets the siblings complete: a dead source degrades the view,
+// it does not take it down.
+func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool) (*xmlmodel.Document, *MaterializeInfo, error) {
+	type plannedPart struct {
+		calc      *partCalc
+		lead, hit bool // this call runs calc / calc had finished when planned
+		w         Wrapper
+		res       partResult
+	}
+	parts := make([]plannedPart, len(v.Parts))
+	var leads, joins int
 	m.mu.Lock()
-	v, ok := m.views[viewName]
-	if !ok {
-		m.mu.Unlock()
-		return nil, nil, fmt.Errorf("mediator: %w %s", ErrUnknownView, viewName)
-	}
-	pruned := prunedSources(v, keep)
-	if doc, ok := m.matCache[key]; ok {
-		m.mu.Unlock()
-		m.stats.add(&m.stats.cacheHits, 1)
-		obs.AddEvent(ctx, "materialize.cache_hit", obs.String("view", viewName))
-		return doc, &MaterializeInfo{PrunedSources: pruned}, nil
-	}
-	if c, ok := m.inflight[key]; ok {
-		m.mu.Unlock()
-		m.stats.add(&m.stats.dedups, 1)
-		obs.AddEvent(ctx, "materialize.singleflight_join", obs.String("view", viewName))
-		select {
-		case <-c.done:
-			return c.doc, c.info, c.err
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+	for i := range v.Parts {
+		if !keep[i] {
+			continue
+		}
+		p := &parts[i]
+		p.calc, p.lead = m.claimLocked(v, i)
+		p.w = m.wrappers[v.Parts[i].Source]
+		switch {
+		case p.lead:
+			leads++
+		case p.calc.finished():
+			p.hit, p.res = true, p.calc.res
+		default:
+			joins++
 		}
 	}
-	wrappers := make([]Wrapper, len(v.Parts))
-	for i, p := range v.Parts {
-		wrappers[i] = m.wrappers[p.Source]
-	}
-	call := &inflightCall{gen: m.viewGen[viewName], done: make(chan struct{})}
-	m.inflight[key] = call
 	m.mu.Unlock()
 
-	m.stats.add(&m.stats.cacheMisses, 1)
-	mctx, span := obs.StartSpan(ctx, "materialize",
-		obs.String("view", viewName), obs.Int("parts", int64(len(v.Parts))))
-	if len(pruned) > 0 {
-		span.SetAttr(obs.String("pruned_sources", strings.Join(pruned, ",")))
+	// The plan makes every call exactly one of miss, join or hit; a join is
+	// counted now, while the computation it waits on is still running.
+	pruned := prunedSources(v, keep)
+	var span *obs.Span
+	switch {
+	case leads > 0:
+		m.stats.add(&m.stats.cacheMisses, 1)
+		ctx, span = obs.StartSpan(ctx, "materialize",
+			obs.String("view", v.Name), obs.Int("parts", int64(len(v.Parts))))
+		if len(pruned) > 0 {
+			span.SetAttr(obs.String("pruned_sources", strings.Join(pruned, ",")))
+		}
+		defer span.End()
+	case joins > 0:
+		m.stats.add(&m.stats.dedups, 1)
+		obs.AddEvent(ctx, "materialize.singleflight_join", obs.String("view", v.Name))
+	default:
+		m.stats.add(&m.stats.cacheHits, 1)
+		obs.AddEvent(ctx, "materialize.cache_hit", obs.String("view", v.Name))
 	}
+
 	start := time.Now()
-	doc, info, err := m.evaluate(mctx, v, wrappers, keep)
-	m.stats.recordMaterialize(viewName, time.Since(start))
-	if err == nil && info.Degraded {
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := range parts {
+		if !keep[i] || parts[i].hit {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, p *plannedPart) {
+			defer wg.Done()
+			p.res = m.resolvePart(pctx, v, i, p.w, p.calc, p.lead)
+			if p.res.err != nil {
+				cancel() // abandon sibling fetches: the view cannot complete
+			}
+		}(i, &parts[i])
+	}
+	wg.Wait()
+	if leads > 0 {
+		m.stats.recordMaterialize(v.Name, time.Since(start))
+	}
+
+	// Prefer a root-cause error over a sibling's induced cancellation.
+	var firstErr error
+	for _, p := range parts {
+		if p.res.err != nil && (firstErr == nil ||
+			errors.Is(firstErr, context.Canceled) && !errors.Is(p.res.err, context.Canceled)) {
+			firstErr = p.res.err
+		}
+	}
+	if firstErr != nil {
+		if span != nil {
+			span.SetAttr(obs.String("error", firstErr.Error()))
+		}
+		return nil, nil, firstErr
+	}
+
+	info := &MaterializeInfo{PrunedSources: pruned}
+	root := &xmlmodel.Element{Name: v.Name}
+	for i, p := range parts {
+		if !keep[i] {
+			continue
+		}
+		src := v.Parts[i].Source
+		if p.res.dropped {
+			info.Degraded = true
+			info.DegradedSources = append(info.DegradedSources, src)
+			continue
+		}
+		if p.res.stale && !slices.Contains(info.StaleSources, src) {
+			info.StaleSources = append(info.StaleSources, src)
+		}
+		root.Children = append(root.Children, p.res.children...)
+	}
+	sort.Strings(info.DegradedSources)
+	sort.Strings(info.StaleSources)
+	if info.Degraded {
 		m.stats.add(&m.stats.degradedMaterializations, 1)
-		span.Event("materialize.degraded",
+		obs.AddEvent(ctx, "materialize.degraded",
 			obs.String("dropped_sources", strings.Join(info.DegradedSources, ",")))
 	}
-	if err == nil && len(info.StaleSources) > 0 {
+	if len(info.StaleSources) > 0 {
 		m.stats.add(&m.stats.staleMaterializations, 1)
-		span.Event("materialize.stale",
+		obs.AddEvent(ctx, "materialize.stale",
 			obs.String("stale_sources", strings.Join(info.StaleSources, ",")))
 	}
-	if err != nil {
-		span.SetAttr(obs.String("error", err.Error()))
+	if leads > 0 {
+		var reused, recomputed []string
+		for i, p := range parts {
+			switch {
+			case p.hit:
+				reused = append(reused, v.Parts[i].Source)
+			case p.lead && !p.res.dropped:
+				recomputed = append(recomputed, v.Parts[i].Source)
+			}
+		}
+		m.stats.add(&m.stats.partsReused, int64(len(reused)))
+		m.stats.add(&m.stats.partsRecomputed, int64(len(recomputed)))
+		obs.AddEvent(ctx, "materialize.delta",
+			obs.String("reused", strings.Join(reused, ",")),
+			obs.String("recomputed", strings.Join(recomputed, ",")))
 	}
-	span.End()
+	return &xmlmodel.Document{DocType: v.Name, Root: root}, info, nil
+}
 
-	call.doc, call.info, call.err = doc, info, err
-	stale := false
+// claimLocked resolves part i of v to the calc that answers it. The slot's
+// calc does while it is at the source's current generation — finished, it
+// is the cached result; running, it is joined. Otherwise (empty slot, or a
+// calc that predates an invalidation and must gain no new waiters) a new
+// calc takes the slot and the caller must run it (lead). m.mu must be held.
+func (m *Mediator) claimLocked(v *View, i int) (c *partCalc, lead bool) {
+	gen := m.srcGen[v.Parts[i].Source]
+	slots := m.slots[v.Name]
+	if c := slots[i]; c != nil && c.gen == gen {
+		return c, false
+	}
+	slots[i] = &partCalc{gen: gen, done: make(chan struct{})}
+	return slots[i], true
+}
+
+// resolvePart returns part i's result for one caller: it runs c when the
+// caller leads it, and otherwise waits for c or for the caller's own ctx —
+// a waiter that gives up does not disturb the calc. A calc that failed
+// because the caller running it gave up (that caller's client left, or a
+// sibling part of its materialization failed) says nothing about the
+// source, so a waiter whose own ctx is alive claims the part again instead
+// of inheriting the cancellation.
+func (m *Mediator) resolvePart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc, lead bool) partResult {
+	for {
+		if lead {
+			m.runPart(ctx, v, i, w, c)
+			return c.res
+		}
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+			return partResult{err: ctx.Err()}
+		}
+		if !c.abandoned || ctx.Err() != nil {
+			return c.res
+		}
+		m.mu.Lock()
+		c, lead = m.claimLocked(v, i)
+		m.mu.Unlock()
+		if lead {
+			m.stats.add(&m.stats.cacheMisses, 1) // a computation the plan did not foresee
+		}
+	}
+}
+
+// runPart computes c, publishes the result to its waiters and decides
+// whether c stays in its slot as the part's cached result: only a
+// complete, live result whose source generation is unchanged since the
+// fetch started does. This is the one write-back rule — it is why degraded
+// parts do not outlive the outage that dropped them, last-known-good parts
+// are retried rather than pinned, and an invalidation is never overwritten
+// by a result that predates it.
+func (m *Mediator) runPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) {
+	c.res = evalPart(ctx, v, i, w)
+	c.abandoned = c.res.err != nil && ctx.Err() != nil
+	complete := c.res.err == nil && !c.res.dropped && !c.res.stale
 	m.mu.Lock()
-	// The entry may already have been detached by Invalidate; only remove
-	// it when it is still ours, and only cache complete results from the
-	// current generation (the stale write-back guard; degraded documents
-	// must not outlive the outage that shaped them, and last-known-good
-	// parts must be retried, not pinned). Pruned-but-complete results are
-	// cached: the omission is a proof, not an outage.
-	if m.inflight[key] == call {
-		delete(m.inflight, key)
+	current := m.srcGen[v.Parts[i].Source] == c.gen
+	// Invalidate may already have emptied the slot, and a later caller may
+	// have claimed it since: only remove c while the slot is still c's.
+	if slots := m.slots[v.Name]; !(complete && current) && slots[i] == c {
+		slots[i] = nil
 	}
-	cacheable := err == nil && !info.Degraded && len(info.StaleSources) == 0
-	if cacheable && call.gen == m.viewGen[viewName] {
-		m.matCache[key] = doc
-	} else if cacheable {
-		stale = true
-	}
+	close(c.done)
 	m.mu.Unlock()
-	close(call.done)
-	if stale {
+	if complete && !current {
 		m.stats.add(&m.stats.staleDiscards, 1)
 	}
-	return doc, info, err
+}
+
+// evalPart fetches part i's source and evaluates the part query over it.
+func evalPart(ctx context.Context, v *View, i int, w Wrapper) (res partResult) {
+	p := v.Parts[i]
+	// One span per source fetch: the trace of a slow or degraded request
+	// shows which source stalled (fault injection, retries) or was dropped
+	// by its breaker.
+	fctx, fspan := obs.StartSpan(ctx, "source.fetch", obs.String("source", p.Source))
+	var doc *xmlmodel.Document
+	var err error
+	// Prefer the stale-aware fetch when the wrapper offers one (ReplicaSet):
+	// a last-known-good answer flows through with its marker instead of
+	// being indistinguishable from a live one.
+	if sf, ok := w.(StaleFetcher); ok {
+		doc, res.stale, err = sf.FetchStale(fctx)
+		if err == nil && res.stale {
+			fspan.Event("source.stale_serve", obs.String("source", p.Source))
+		}
+	} else {
+		doc, err = w.Fetch(fctx)
+	}
+	if errors.Is(err, ErrBreakerOpen) {
+		fspan.Event("breaker.open_drop", obs.String("source", p.Source))
+		fspan.End()
+		return partResult{dropped: true}
+	}
+	if err != nil {
+		fspan.SetAttr(obs.String("error", err.Error()))
+		fspan.End()
+		return partResult{err: fmt.Errorf("mediator: fetching %s: %w", p.Source, err)}
+	}
+	fspan.End()
+	_, espan := obs.StartSpan(ctx, "part.eval", obs.String("source", p.Source))
+	part, err := engine.Eval(p.Query, doc)
+	espan.End()
+	if err != nil {
+		return partResult{err: fmt.Errorf("mediator: evaluating view %s over %s: %v", v.Name, p.Source, err)}
+	}
+	res.children = part.Root.Children
+	return res
 }
 
 // prunedSources lists the source names of masked-out parts, sorted and
 // deduplicated (a source is pruned only if every one of its parts is).
 func prunedSources(v *View, keep []bool) []string {
-	if keep == nil {
-		return nil
-	}
-	kept := map[string]bool{}
-	masked := map[string]bool{}
-	for i, p := range v.Parts {
-		if keep[i] {
-			kept[p.Source] = true
-		} else {
-			masked[p.Source] = true
-		}
-	}
 	var out []string
-	for s := range masked {
-		if !kept[s] {
-			out = append(out, s)
+	for i, p := range v.Parts {
+		if keep[i] || slices.Contains(out, p.Source) {
+			continue
+		}
+		kept := false
+		for j, q := range v.Parts {
+			kept = kept || keep[j] && q.Source == p.Source
+		}
+		if !kept {
+			out = append(out, p.Source)
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// evaluate runs the view's parts concurrently — each against its own
-// source — and concatenates the results in part order, so the view
-// document is deterministic regardless of scheduling. The first part
-// failure cancels the sibling fetches — except a breaker-open rejection
-// (ErrBreakerOpen), which drops just that source's parts and lets the
-// siblings complete: a dead source degrades the view, it does not take it
-// down. Parts masked out by keep (nil keeps all) are never fetched at
-// all — no goroutine, no breaker interaction, no retry.
-//
-// Delta maintenance happens here: a part whose cached result is still
-// current (partCache entry at the source's present generation) is reused
-// without touching the source; only stale or uncached parts fetch and
-// evaluate, and their fresh results are written back under a per-part
-// generation guard so a concurrent InvalidateSource can never be
-// overwritten by a result that predates it.
-func (m *Mediator) evaluate(ctx context.Context, v *View, wrappers []Wrapper, keep []bool) (*xmlmodel.Document, *MaterializeInfo, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type partPlan struct {
-		reuse    bool
-		children []*xmlmodel.Element
-		startGen uint64
-	}
-	plans := make([]partPlan, len(v.Parts))
-	m.mu.Lock()
-	for i, p := range v.Parts {
-		if keep != nil && !keep[i] {
-			continue
-		}
-		if ent, ok := m.partCache[partCacheKey{view: v.Name, part: i}]; ok && ent.gen == m.srcGen[p.Source] {
-			plans[i] = partPlan{reuse: true, children: ent.children}
-			continue
-		}
-		plans[i].startGen = m.srcGen[p.Source]
-	}
-	m.mu.Unlock()
-	type partResult struct {
-		children []*xmlmodel.Element
-		err      error
-		dropped  bool
-		stale    bool
-	}
-	results := make([]partResult, len(v.Parts))
-	var wg sync.WaitGroup
-	for i := range v.Parts {
-		if keep != nil && !keep[i] {
-			continue
-		}
-		if plans[i].reuse {
-			results[i].children = plans[i].children
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p := v.Parts[i]
-			// One span per source fetch: the trace of a slow or degraded
-			// request shows which source stalled (fault injection, retries)
-			// or was dropped by its breaker.
-			fctx, fspan := obs.StartSpan(ctx, "source.fetch", obs.String("source", p.Source))
-			var doc *xmlmodel.Document
-			var err error
-			// Prefer the stale-aware fetch when the wrapper offers one
-			// (ReplicaSet): a last-known-good answer flows through with its
-			// marker instead of being indistinguishable from a live one.
-			if sf, ok := wrappers[i].(StaleFetcher); ok {
-				var stale bool
-				doc, stale, err = sf.FetchStale(fctx)
-				if err == nil && stale {
-					results[i].stale = true
-					fspan.Event("source.stale_serve", obs.String("source", p.Source))
-				}
-			} else {
-				doc, err = wrappers[i].Fetch(fctx)
-			}
-			if errors.Is(err, ErrBreakerOpen) {
-				fspan.Event("breaker.open_drop", obs.String("source", p.Source))
-				fspan.End()
-				results[i].dropped = true
-				return
-			}
-			if err != nil {
-				fspan.SetAttr(obs.String("error", err.Error()))
-				fspan.End()
-				results[i].err = fmt.Errorf("mediator: fetching %s: %w", p.Source, err)
-				cancel() // abandon sibling fetches: the view cannot complete
-				return
-			}
-			fspan.End()
-			_, espan := obs.StartSpan(ctx, "part.eval", obs.String("source", p.Source))
-			part, err := engine.Eval(p.Query, doc)
-			espan.End()
-			if err != nil {
-				results[i].err = fmt.Errorf("mediator: evaluating view %s over %s: %v", v.Name, p.Source, err)
-				cancel()
-				return
-			}
-			results[i].children = part.Root.Children
-			if results[i].stale {
-				// A stale (last-known-good) part must not enter the part
-				// cache: the next materialization should retry the replicas,
-				// not inherit the outage.
-				return
-			}
-			// Per-part stale write-back guard: cache only results whose
-			// source generation is unchanged since the fetch started.
-			m.mu.Lock()
-			if m.srcGen[p.Source] == plans[i].startGen {
-				m.partCache[partCacheKey{view: v.Name, part: i}] = partEntry{
-					gen: plans[i].startGen, source: p.Source, children: part.Root.Children,
-				}
-			}
-			m.mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	// Prefer a root-cause error over a sibling's induced cancellation.
-	var firstErr error
-	for _, r := range results {
-		if r.err != nil && !errors.Is(r.err, context.Canceled) {
-			firstErr = r.err
-			break
-		}
-	}
-	if firstErr == nil {
-		for _, r := range results {
-			if r.err != nil {
-				firstErr = r.err
-				break
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	info := &MaterializeInfo{PrunedSources: prunedSources(v, keep)}
-	root := &xmlmodel.Element{Name: v.Name}
-	var reused, recomputed []string
-	staleSet := map[string]bool{}
-	for i, r := range results {
-		if keep != nil && !keep[i] {
-			continue
-		}
-		if r.dropped {
-			info.Degraded = true
-			info.DegradedSources = append(info.DegradedSources, v.Parts[i].Source)
-			continue
-		}
-		if r.stale {
-			staleSet[v.Parts[i].Source] = true
-		}
-		if plans[i].reuse {
-			reused = append(reused, v.Parts[i].Source)
-		} else {
-			recomputed = append(recomputed, v.Parts[i].Source)
-		}
-		root.Children = append(root.Children, r.children...)
-	}
-	sort.Strings(info.DegradedSources)
-	for s := range staleSet {
-		info.StaleSources = append(info.StaleSources, s)
-	}
-	sort.Strings(info.StaleSources)
-	m.stats.add(&m.stats.partsReused, int64(len(reused)))
-	m.stats.add(&m.stats.partsRecomputed, int64(len(recomputed)))
-	obs.AddEvent(ctx, "materialize.delta",
-		obs.String("reused", strings.Join(reused, ",")),
-		obs.String("recomputed", strings.Join(recomputed, ",")))
-	return &xmlmodel.Document{DocType: v.Name, Root: root}, info, nil
-}
-
-// Invalidate drops the materialization and part caches entirely (a change
-// of unknown extent). In-flight evaluations are detached: they still
-// answer the callers already waiting on them, but their results are not
-// cached. For a change scoped to one source, InvalidateSource (delta.go)
-// recomputes only the dependent view parts instead.
+// Invalidate announces a change of unknown extent: every source generation
+// bumps and every slot empties. Running calcs are thereby detached — they
+// still answer the callers already waiting on them, but gain no new
+// waiters and are not kept. For a change scoped to one source,
+// InvalidateSource (delta.go) recomputes only the dependent view parts.
 func (m *Mediator) Invalidate() {
 	m.mu.Lock()
 	for s := range m.wrappers {
 		m.srcGen[s]++
 	}
-	for vn := range m.views {
-		m.viewGen[vn]++
+	for _, slots := range m.slots {
+		clear(slots)
 	}
-	m.matCache = map[string]*xmlmodel.Document{}
-	m.partCache = map[partCacheKey]partEntry{}
-	m.inflight = map[string]*inflightCall{}
 	m.mu.Unlock()
 	m.stats.add(&m.stats.invalidations, 1)
 }
@@ -803,9 +783,13 @@ func (m *Mediator) Invalidate() {
 // fatal — the unsimplified query is evaluated instead — but it is recorded
 // in QueryStats.SimplifierError and the mediator stats.
 func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*xmlmodel.Document, *QueryStats, error) {
-	v, err := m.View(viewName)
-	if err != nil {
-		return nil, nil, err
+	// One critical section reads everything the query depends on.
+	m.mu.Lock()
+	v, ok := m.views[viewName]
+	pruning, limits := !m.noPrune, m.inferLimits
+	m.mu.Unlock()
+	if !ok {
+		return nil, nil, fmt.Errorf("mediator: %w %s", ErrUnknownView, viewName)
 	}
 	ctx, span := obs.StartSpan(ctx, "query", obs.String("view", viewName))
 	defer span.End()
@@ -829,19 +813,25 @@ func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*
 		m.stats.add(&m.stats.simplifierErrors, 1)
 		span.Event("query.simplifier_error", obs.String("error", serr.Error()))
 	}
-	keep, pruned := m.pruneParts(ctx, v, sq)
+	var keep []bool
+	pruned := 0
+	if pruning {
+		keep, pruned = pruneParts(ctx, v, sq, limits)
+	} else {
+		keep = keepAll(v)
+	}
 	if pruned > 0 {
 		m.stats.add(&m.stats.partsPruned, int64(pruned))
 		span.SetAttr(obs.Int("parts_pruned", int64(pruned)))
 	}
-	if keep != nil && allFalse(keep) {
+	if pruned == len(v.Parts) {
 		// Every part refuted: the answer is empty without touching any
 		// source — same shape as the unsatisfiable fast path above.
 		stats.PrunedSources = prunedSources(v, keep)
 		span.Event("query.all_parts_pruned")
 		return engine.EmptyResult(q), stats, nil
 	}
-	doc, info, err := m.materializeMasked(ctx, viewName, keep)
+	doc, info, err := m.materializeMasked(ctx, v, keep)
 	if err != nil {
 		return nil, nil, err
 	}

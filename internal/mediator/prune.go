@@ -42,12 +42,12 @@ func (m *Mediator) PruningEnabled() bool {
 }
 
 // pruneParts decides, for each part of the view, whether the simplified
-// query provably cannot touch it. It returns a keep mask (nil when nothing
-// is pruned, so the caller hits the full-view materialization cache) plus
-// the number of pruned parts.
+// query provably cannot touch it. It returns the keep mask plus the number
+// of pruned parts. Verdict computation runs under limits (the mediator's
+// inference budget; zero: unlimited): exhaustion yields Unknown, and
+// Unknown means fetch.
 //
-// Pruning declines conservatively:
-//   - when disabled;
+// Pruning declines conservatively (Query does not call it when disabled):
 //   - when the pick variable binds the query root: the answer then embeds
 //     the root's full child list, so omitting parts would change it;
 //   - when the query root has no child conditions: every child list
@@ -57,26 +57,18 @@ func (m *Mediator) PruningEnabled() bool {
 //
 // A part whose definition-time Class is Unsatisfiable is pruned without
 // consulting the verdict cache: it is empty for every query.
-func (m *Mediator) pruneParts(ctx context.Context, v *View, q *xmas.Query) (keep []bool, pruned int) {
-	if !m.PruningEnabled() {
-		return nil, 0
-	}
+func pruneParts(ctx context.Context, v *View, q *xmas.Query, limits budget.Limits) (keep []bool, pruned int) {
+	keep = keepAll(v)
 	root := q.Root
 	if root == nil || root.Var == q.PickVar || root.IDVar == q.PickVar {
-		return nil, 0
+		return keep, 0
 	}
 	probes := rootProbes(q)
 	if probes == nil && !anyStaticallyEmpty(v) {
-		return nil, 0
+		return keep, 0
 	}
-	// Verdict computation runs under the mediator's inference budget (when
-	// set): exhaustion yields Unknown, and Unknown means fetch.
-	if m.InferenceBudget() != (budget.Limits{}) {
-		ctx = budget.NewContext(ctx, budget.New(m.InferenceBudget()))
-	}
-	keep = make([]bool, len(v.Parts))
-	for i := range v.Parts {
-		keep[i] = true
+	if limits != (budget.Limits{}) {
+		ctx = budget.NewContext(ctx, budget.New(limits))
 	}
 	for i, p := range v.Parts {
 		if p.Class == infer.Unsatisfiable {
@@ -104,20 +96,7 @@ func (m *Mediator) pruneParts(ctx context.Context, v *View, q *xmas.Query) (keep
 				obs.String("source", p.Source), obs.String("reason", "verdict_unsatisfiable"))
 		}
 	}
-	if pruned == 0 {
-		return nil, 0
-	}
 	return keep, pruned
-}
-
-// allFalse reports whether every part was pruned.
-func allFalse(keep []bool) bool {
-	for _, k := range keep {
-		if k {
-			return false
-		}
-	}
-	return true
 }
 
 // anyStaticallyEmpty reports whether some part was classified

@@ -133,8 +133,8 @@ func TestPruneUnionQueryZeroFetch(t *testing.T) {
 		t.Error("first query must miss the verdict cache")
 	}
 
-	// Re-asking hits both the verdict cache and the mask-keyed
-	// materialization cache: no verdict recomputation, no fetches.
+	// Re-asking hits both the verdict cache and the kept part's slot: no
+	// verdict recomputation, no fetches.
 	hitsBefore := m.Stats().PruneVerdictCache.Hits
 	// QueryUnsimplified above refetched the full view (both sources);
 	// from here on the counts must not move.
@@ -227,15 +227,15 @@ func TestPrunePartsAllFalse(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := xmas.MustParse(`r = SELECT X WHERE <cat> X:<item><shelf/></item> </cat>`)
-	keep, pruned := m.pruneParts(context.Background(), v, q)
-	if pruned != 2 || !allFalse(keep) {
+	keep, pruned := pruneParts(context.Background(), v, q, m.InferenceBudget())
+	if pruned != 2 || keep[0] || keep[1] {
 		t.Errorf("pruned = %d, keep = %v, want both parts refuted", pruned, keep)
 	}
 
 	// A query whose pick binds the view root must never be pruned: the
 	// answer embeds the root's full child list.
 	qRoot := xmas.MustParse(`r = SELECT X WHERE X:<cat> <item/> </cat>`)
-	if keep, pruned := m.pruneParts(context.Background(), v, qRoot); keep != nil || pruned != 0 {
+	if keep, pruned := pruneParts(context.Background(), v, qRoot, m.InferenceBudget()); !keep[0] || !keep[1] || pruned != 0 {
 		t.Errorf("root-binding query pruned: keep=%v pruned=%d", keep, pruned)
 	}
 }

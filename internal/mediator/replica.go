@@ -37,7 +37,7 @@ const (
 // StaleFetcher is optionally implemented by wrappers that can fall back
 // to a last-known-good document when the live source is unreachable. The
 // bool result marks the document as stale: still valid under the source's
-// DTD, but possibly outdated. Mediator.evaluate prefers FetchStale over
+// DTD, but possibly outdated. The mediator prefers FetchStale over
 // Fetch so staleness propagates into MaterializeInfo.StaleSources (and
 // from there to the X-Mix-Stale-Sources response header) instead of being
 // silently absorbed.

@@ -18,7 +18,8 @@ type ViewStats struct {
 	Queries int64 `json:"queries"`
 	// QueryNanos is the total wall-clock time spent in those calls.
 	QueryNanos int64 `json:"query_nanos"`
-	// Materializations counts actual view evaluations (cache misses).
+	// Materializations counts materializations that computed at least one
+	// part (cache misses).
 	Materializations int64 `json:"materializations"`
 	// MaterializeNanos is the total wall-clock time spent evaluating.
 	MaterializeNanos int64 `json:"materialize_nanos"`
@@ -35,11 +36,16 @@ type ViewStats struct {
 // exposed over HTTP at GET /metrics (internal/serve) and via expvar
 // (cmd/mixserve).
 type Stats struct {
-	// CacheHits / CacheMisses count Materialize calls answered from /
-	// missing the materialization cache. SingleflightDedups counts calls
-	// that joined an already in-flight evaluation instead of starting
-	// their own; StaleDiscards counts evaluations that completed after an
-	// Invalidate and were therefore not written back.
+	// Every materialization (Materialize call, or the masked one under a
+	// Query) is counted once, by what it found in the part slots:
+	// CacheHits when every kept part's result was cached, CacheMisses when
+	// it had to compute at least one part itself, SingleflightDedups when
+	// it computed nothing but waited on a part another call was already
+	// computing — counted when it starts waiting, not when it returns. (A
+	// waiter that takes over a part its computing caller abandoned adds a
+	// miss.) StaleDiscards counts part results that completed after an
+	// invalidation of their source and were therefore returned to their
+	// waiters but not kept.
 	CacheHits          int64 `json:"cache_hits"`
 	CacheMisses        int64 `json:"cache_misses"`
 	SingleflightDedups int64 `json:"singleflight_dedups"`
@@ -49,9 +55,9 @@ type Stats struct {
 	// maintained invalidations, as opposed to the global Invalidations).
 	SourceInvalidations int64 `json:"source_invalidations"`
 
-	// PartsRecomputed / PartsReused count view parts evaluated against
-	// their source vs. served from the per-part delta cache during
-	// materializations. Their ratio is the figure of merit of delta
+	// PartsRecomputed / PartsReused count, over the materializations that
+	// missed, the view parts evaluated against their source vs. served
+	// from their slot. Their ratio is the figure of merit of delta
 	// maintenance: under invalidate-source traffic most parts should be
 	// reused, not refetched.
 	PartsRecomputed int64 `json:"parts_recomputed"`
@@ -74,7 +80,8 @@ type Stats struct {
 	DegradedViews     int64 `json:"degraded_views"`
 	BudgetExhaustions int64 `json:"budget_exhaustions"`
 	// DegradedMaterializations counts materializations served without the
-	// parts of breaker-open sources (partial, uncached view documents).
+	// parts of breaker-open sources (partial view documents; the dropped
+	// parts are not cached).
 	DegradedMaterializations int64 `json:"degraded_materializations"`
 
 	// BreakerTrips / BreakerRejections sum the circuit-breaker counters of

@@ -188,14 +188,14 @@ func (h *Handler) writePrometheus(w http.ResponseWriter) {
 	st := h.m.Stats()
 	mw := obs.NewMetricWriter(w)
 
-	mw.Counter("mix_cache_hits_total", "Materializations answered from the cache.", float64(st.CacheHits))
-	mw.Counter("mix_cache_misses_total", "Materializations that evaluated the view.", float64(st.CacheMisses))
-	mw.Counter("mix_singleflight_dedups_total", "Materialize calls that joined an in-flight evaluation.", float64(st.SingleflightDedups))
-	mw.Counter("mix_stale_discards_total", "Evaluations discarded because the view was invalidated mid-flight.", float64(st.StaleDiscards))
+	mw.Counter("mix_cache_hits_total", "Materializations whose every kept part was cached.", float64(st.CacheHits))
+	mw.Counter("mix_cache_misses_total", "Materializations that computed at least one view part.", float64(st.CacheMisses))
+	mw.Counter("mix_singleflight_dedups_total", "Materializations that computed nothing but waited on a part computation already running, counted on joining.", float64(st.SingleflightDedups))
+	mw.Counter("mix_stale_discards_total", "Part results not kept because their source was invalidated mid-flight.", float64(st.StaleDiscards))
 	mw.Counter("mix_invalidations_total", "View cache invalidations.", float64(st.Invalidations))
 	mw.Counter("mix_source_invalidations_total", "Per-source (delta) cache invalidations.", float64(st.SourceInvalidations))
-	mw.Counter("mix_parts_recomputed_total", "View parts evaluated against their source during materializations.", float64(st.PartsRecomputed))
-	mw.Counter("mix_parts_reused_total", "View parts served from the per-part delta cache during materializations.", float64(st.PartsReused))
+	mw.Counter("mix_parts_recomputed_total", "View parts evaluated against their source during materializations that missed.", float64(st.PartsRecomputed))
+	mw.Counter("mix_parts_reused_total", "View parts served from their cache slot during materializations that missed.", float64(st.PartsReused))
 	mw.Counter("mix_simplifier_pruned_total", "Query conditions pruned by the DTD-based simplifier.", float64(st.SimplifierPruned))
 	mw.Counter("mix_simplifier_dropped_total", "Names dropped by the DTD-based simplifier.", float64(st.SimplifierDropped))
 	mw.Counter("mix_simplifier_skips_total", "Queries answered as unsatisfiable without touching data.", float64(st.SimplifierSkips))

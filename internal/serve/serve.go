@@ -16,7 +16,7 @@
 //	GET  /debug/trace               ring buffer of recent request traces
 //	POST /infer                     body: DOCTYPE + XMAS query; response:
 //	                                inferred s-DTD, plain DTD, classification
-//	POST /invalidate                flush the materialization cache; with
+//	POST /invalidate                flush every cached view part; with
 //	                                a {"source": name} JSON body, delta-
 //	                                invalidate just that source's views
 //
