@@ -57,6 +57,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseDTD$$' -fuzztime $(FUZZTIME) ./
 	go test -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME) ./
 	go test -run '^$$' -fuzz '^FuzzParseContentModel$$' -fuzztime $(FUZZTIME) ./
+	go test -run '^$$' -fuzz '^FuzzMarshalRoundTrip$$' -fuzztime $(FUZZTIME) ./
 
 # Everything a change should pass before review: tier-1 build/vet/test,
 # staticcheck, the -race suite, the -race robustness battery, and bounded

@@ -14,9 +14,11 @@ package mix_test
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	mix "repro"
+	"repro/internal/xmlmodel"
 )
 
 const d1Bench = `<!DOCTYPE department [
@@ -361,6 +363,59 @@ func BenchmarkParseDocument(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// serializerDoc collects generated D1 departments (IDs assigned) under one
+// root until the document serializes to at least size bytes.
+func serializerDoc(b *testing.B, size int) *mix.Element {
+	src := mix.MustDTD(d1Bench)
+	root := &mix.Element{Name: "corpus"}
+	for seed, n := int64(1), 0; n < size; seed++ {
+		g, err := mix.NewGenerator(src, mix.GenOptions{Seed: seed, LengthBias: 0.2, AssignIDs: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		dept := g.Document().Root
+		root.Children = append(root.Children, dept)
+		n += len(xmlmodel.MarshalElement(dept, 2))
+	}
+	return root
+}
+
+// benchSerializer times serialize on a 32 KiB and a 660 KB document.
+func benchSerializer(b *testing.B, serialize func(root *mix.Element)) {
+	for _, s := range []struct {
+		name string
+		size int
+	}{{"32KiB", 32 << 10}, {"660KB", 660_000}} {
+		b.Run(s.name, func(b *testing.B) {
+			root := serializerDoc(b, s.size)
+			b.SetBytes(int64(len(xmlmodel.MarshalElement(root, 2))))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serialize(root)
+			}
+		})
+	}
+}
+
+var benchSink string
+
+// BenchmarkMarshalElement measures the serializer building an answer as a
+// string: one exactly-sized buffer and its string, whatever the size.
+func BenchmarkMarshalElement(b *testing.B) {
+	benchSerializer(b, func(root *mix.Element) { benchSink = xmlmodel.MarshalElement(root, 2) })
+}
+
+// BenchmarkWriteElement measures the serving path's serializer: the same
+// bytes streamed through the pooled buffer, no answer-sized allocation.
+func BenchmarkWriteElement(b *testing.B) {
+	benchSerializer(b, func(root *mix.Element) {
+		if err := xmlmodel.WriteElement(io.Discard, root, 2); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 // BenchmarkE13Compose measures the composition rewrite itself.

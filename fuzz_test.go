@@ -1,10 +1,12 @@
 package mix_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	mix "repro"
+	"repro/internal/xmlmodel"
 )
 
 // Native fuzz targets for every textual front end. Under plain `go test`
@@ -136,6 +138,42 @@ func FuzzParseContentModel(f *testing.F) {
 		}
 		if back.String() != e.String() {
 			t.Fatalf("printer not a fixed point: %q -> %q -> %q", input, e, back)
+		}
+	})
+}
+
+// FuzzMarshalRoundTrip aims arbitrary IDs and text at the serializer's
+// escaper: the streamed and the built serializations agree byte for byte,
+// and the output parses back to the document that went in — up to the
+// parser trimming text, and reading blank text as empty content.
+func FuzzMarshalRoundTrip(f *testing.F) {
+	f.Add("p1", "CS <&> lab", 2)
+	f.Add(`a"b'c`, `"quoted" & 'single'`, -1)
+	f.Add("&amp;", "&lt;not an entity&gt;", 0)
+	f.Add("", "", 1)
+	f.Add("<>", "]]> \u2615 \xff", 7)
+	f.Fuzz(func(t *testing.T, id, text string, indent int) {
+		indent = max(-1, min(indent, 8))
+		leaf := &mix.Element{Name: "leaf", ID: id, IsText: true, Text: text}
+		doc := &mix.Document{DocType: "r", Root: &mix.Element{Name: "r", ID: id, Children: []*mix.Element{
+			leaf, {Name: "empty"}, {Name: "nest", Children: []*mix.Element{leaf, leaf}},
+		}}}
+		out := xmlmodel.Marshal(doc, indent)
+		var streamed bytes.Buffer
+		if err := xmlmodel.WriteElement(&streamed, doc.Root, indent); err != nil {
+			t.Fatal(err)
+		}
+		if built := xmlmodel.MarshalElement(doc.Root, indent); streamed.String() != built || !strings.HasSuffix(out, built) {
+			t.Fatalf("WriteElement, MarshalElement and Marshal disagree:\n%q\n%q\n%q", streamed.String(), built, out)
+		}
+		back, _, err := mix.ParseDocument(out)
+		if err != nil {
+			t.Fatalf("re-parse failed: %v\nrendered: %q", err, out)
+		}
+		leaf.Text = strings.TrimSpace(text)
+		leaf.IsText = leaf.Text != ""
+		if !back.Root.Equal(doc.Root) || back.DocType != doc.DocType {
+			t.Fatalf("round trip changed the document\nid %q text %q\nrendered: %q", id, text, out)
 		}
 	})
 }

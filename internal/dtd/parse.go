@@ -206,6 +206,6 @@ func MarshalDocument(doc *xmlmodel.Document, d *DTD, indent int) string {
 		b.WriteString(d.String())
 		b.WriteByte('\n')
 	}
-	b.WriteString(xmlmodel.MarshalElement(doc.Root, indent))
+	_ = xmlmodel.WriteElement(&b, doc.Root, indent) // a Builder's Write never fails
 	return b.String()
 }

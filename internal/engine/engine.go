@@ -21,6 +21,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/xmas"
@@ -32,12 +33,6 @@ import (
 // the pick-variable binds to, in document order. An unsatisfied condition
 // yields an empty view, not an error.
 func Eval(q *xmas.Query, doc *xmlmodel.Document) (*xmlmodel.Document, error) {
-	if errs := q.Validate(); len(errs) > 0 {
-		return nil, fmt.Errorf("engine: invalid query: %v", errs[0])
-	}
-	if doc == nil || doc.Root == nil {
-		return nil, fmt.Errorf("engine: empty document")
-	}
 	picks, err := EvalElements(q, doc)
 	if err != nil {
 		return nil, err
@@ -62,6 +57,12 @@ func EmptyResult(q *xmas.Query) *xmlmodel.Document {
 // EvalElements returns the elements (of the original document, not copies)
 // that the pick-variable binds to, in document order.
 func EvalElements(q *xmas.Query, doc *xmlmodel.Document) ([]*xmlmodel.Element, error) {
+	if errs := q.Validate(); len(errs) > 0 {
+		return nil, fmt.Errorf("engine: invalid query: %v", errs[0])
+	}
+	if doc == nil || doc.Root == nil {
+		return nil, fmt.Errorf("engine: empty document")
+	}
 	path, err := q.PathToPick()
 	if err != nil {
 		return nil, err
@@ -69,14 +70,21 @@ func EvalElements(q *xmas.Query, doc *xmlmodel.Document) ([]*xmlmodel.Element, e
 	m := &matcher{q: q, feasible: map[feasKey]bool{}}
 	pickCond := path[len(path)-1]
 
-	// Enumerate candidate pick elements, order them by document position
-	// (depth-first, left-to-right — the grouping order of Section 2.1),
-	// then verify a full anchored embedding for each.
-	docPos := map[*xmlmodel.Element]int{}
-	pos := 0
-	doc.Root.Walk(func(e *xmlmodel.Element) bool { docPos[e] = pos; pos++; return true })
-	cands := dedupeInOrder(m.candidates(path, doc.Root))
-	sort.Slice(cands, func(i, j int) bool { return docPos[cands[i]] < docPos[cands[j]] })
+	// Enumerate candidate pick elements in document order (depth-first,
+	// left-to-right — the grouping order of Section 2.1), then verify a
+	// full anchored embedding for each. Plain steps take each element's
+	// matching children in turn, which keeps candidates distinct and in
+	// order; a recursive step can reach an element along two chains and
+	// out of order, so only then are they deduplicated and sorted by their
+	// position in the document.
+	cands := m.candidates(path, doc.Root)
+	if slices.ContainsFunc(path, func(c *xmas.Cond) bool { return c.Recursive }) {
+		docPos := map[*xmlmodel.Element]int{}
+		pos := 0
+		doc.Root.Walk(func(e *xmlmodel.Element) bool { docPos[e] = pos; pos++; return true })
+		cands = dedupeInOrder(cands)
+		sort.Slice(cands, func(i, j int) bool { return docPos[cands[i]] < docPos[cands[j]] })
+	}
 
 	var picks []*xmlmodel.Element
 	for _, cand := range cands {
@@ -119,43 +127,41 @@ type matcher struct {
 // name-structure grounds alone (ancestor side conditions are verified later
 // by the anchored embedding).
 func (m *matcher) candidates(path []*xmas.Cond, root *xmlmodel.Element) []*xmlmodel.Element {
-	cur := []*xmlmodel.Element{}
+	var cur []*xmlmodel.Element
 	if path[0].MatchesName(root.Name) {
-		cur = m.expandRecursive(path[0], root)
+		cur = m.expand(nil, path[0], root)
 	}
 	for _, step := range path[1:] {
 		var next []*xmlmodel.Element
 		for _, e := range cur {
 			for _, k := range e.Children {
 				if step.MatchesName(k.Name) {
-					next = append(next, m.expandRecursive(step, k)...)
+					next = m.expand(next, step, k)
 				}
 			}
 		}
-		cur = dedupeInOrder(next)
+		if step.Recursive {
+			// Two elements of cur, one below the other, reach the same chains.
+			next = dedupeInOrder(next)
+		}
+		cur = next
 	}
 	return cur
 }
 
-// expandRecursive returns e itself for plain steps; for a recursive step it
-// returns every element reachable from e by a downward chain of elements
-// matching the step's names (including e), in document order.
-func (m *matcher) expandRecursive(step *xmas.Cond, e *xmlmodel.Element) []*xmlmodel.Element {
-	if !step.Recursive {
-		return []*xmlmodel.Element{e}
-	}
-	var out []*xmlmodel.Element
-	var walk func(x *xmlmodel.Element)
-	walk = func(x *xmlmodel.Element) {
-		out = append(out, x)
-		for _, k := range x.Children {
+// expand appends e to dst and, for a recursive step, every element
+// reachable from e by a downward chain of elements matching the step's
+// names, in document order.
+func (m *matcher) expand(dst []*xmlmodel.Element, step *xmas.Cond, e *xmlmodel.Element) []*xmlmodel.Element {
+	dst = append(dst, e)
+	if step.Recursive {
+		for _, k := range e.Children {
 			if step.MatchesName(k.Name) {
-				walk(k)
+				dst = m.expand(dst, step, k)
 			}
 		}
 	}
-	walk(e)
-	return out
+	return dst
 }
 
 func dedupeInOrder(es []*xmlmodel.Element) []*xmlmodel.Element {
@@ -271,7 +277,7 @@ func (m *matcher) assignChildren(conds []*xmas.Cond, kids []*xmlmodel.Element, i
 		if !c.Qualifier && used[j] {
 			continue
 		}
-		if !m.quickName(c, k) {
+		if !c.MatchesName(k.Name) { // the cheapest pruning test
 			continue
 		}
 		if m.embed(c, k, en) {
@@ -298,14 +304,6 @@ func (m *matcher) unbindSubtree(c *xmas.Cond, en *env) {
 	for _, v := range c.Vars() {
 		delete(en.vars, v)
 	}
-}
-
-// quickName is the cheapest pruning test.
-func (m *matcher) quickName(c *xmas.Cond, e *xmlmodel.Element) bool {
-	if c.Recursive {
-		return c.MatchesName(e.Name)
-	}
-	return c.MatchesName(e.Name)
 }
 
 // structuralOK reports whether c can match e ignoring variables, anchors

@@ -782,6 +782,12 @@ func (m *Mediator) Invalidate() {
 // conditions are pruned before evaluation. A simplifier failure is not
 // fatal — the unsimplified query is evaluated instead — but it is recorded
 // in QueryStats.SimplifierError and the mediator stats.
+//
+// The result's root is new; the elements under it are the picked elements
+// of the cached view parts themselves, not copies — as the documents
+// Materialize returns share them. Cached elements are immutable: callers
+// read and serialize the result and must not modify anything below its
+// root.
 func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*xmlmodel.Document, *QueryStats, error) {
 	// One critical section reads everything the query depends on.
 	m.mu.Lock()
@@ -839,10 +845,12 @@ func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*
 	stats.DegradedSources = info.DegradedSources
 	stats.PrunedSources = info.PrunedSources
 	stats.StaleSources = info.StaleSources
-	res, err := engine.Eval(sq, doc)
+	picks, err := engine.EvalElements(sq, doc)
 	if err != nil {
 		return nil, nil, err
 	}
+	res := engine.EmptyResult(sq)
+	res.Root.Children = picks
 	return res, stats, nil
 }
 

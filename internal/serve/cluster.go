@@ -12,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mediator"
 	"repro/internal/xmas"
-	"repro/internal/xmlmodel"
 )
 
 // WithCluster puts the handler in cluster mode: view requests the local
@@ -113,8 +112,7 @@ func (h *Handler) forwardView(w http.ResponseWriter, fwd *cluster.Forward, ctx c
 	}
 	h.setForwardHeaders(w, fi, fwd, stale)
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	io.WriteString(w, fwd.SchemaText())
-	io.WriteString(w, xmlmodel.MarshalElement(doc.Root, 2))
+	writeAnswer(w, fwd.SchemaText(), doc.Root)
 }
 
 // forwardQuery answers POST /views/{name}/query for a non-owned view:
@@ -139,14 +137,18 @@ func (h *Handler) forwardQuery(w http.ResponseWriter, r *http.Request, fwd *clus
 		h.forwardError(w, fwd.View(), err)
 		return
 	}
-	res, err := engine.Eval(q, doc)
+	// The fetched document is read-only here, so the answer's root holds
+	// the picked elements themselves, as Mediator.Query's does.
+	picks, err := engine.EvalElements(q, doc)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	root := engine.EmptyResult(q).Root
+	root.Children = picks
 	h.setForwardHeaders(w, fi, fwd, stale)
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	io.WriteString(w, xmlmodel.MarshalElement(res.Root, 2))
+	writeAnswer(w, "", root)
 }
 
 // forwardDTD answers GET /views/{name}/dtd with the owner's DTD text

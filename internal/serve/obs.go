@@ -45,6 +45,10 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// Unwrap lets http.ResponseController reach the underlying writer's
+// optional methods (flush, deadlines) through the wrapper.
+func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
+
 // Flush forwards to the underlying writer when it supports streaming.
 func (sw *statusWriter) Flush() {
 	if f, ok := sw.ResponseWriter.(http.Flusher); ok {

@@ -582,3 +582,26 @@ picked = SELECT X WHERE <e2eObsRoot> X:<e2eObsItem><e2eObsName></e2eObsName></> 
 		t.Errorf("access log lacks an ERROR line for the 500:\n%s", logs)
 	}
 }
+
+// deadlineRecorder is a ResponseWriter with one of the optional methods
+// http.ResponseController looks for behind an Unwrap chain.
+type deadlineRecorder struct {
+	*httptest.ResponseRecorder
+	deadline time.Time
+}
+
+func (d *deadlineRecorder) SetWriteDeadline(t time.Time) error { d.deadline = t; return nil }
+
+// The middleware's writer must not hide the connection's optional methods
+// from a handler that uses http.ResponseController.
+func TestStatusWriterUnwraps(t *testing.T) {
+	under := &deadlineRecorder{ResponseRecorder: httptest.NewRecorder()}
+	sw := &statusWriter{ResponseWriter: under}
+	when := time.Unix(1, 0)
+	if err := http.NewResponseController(sw).SetWriteDeadline(when); err != nil {
+		t.Fatalf("SetWriteDeadline through statusWriter: %v", err)
+	}
+	if !under.deadline.Equal(when) {
+		t.Errorf("the deadline did not reach the underlying writer")
+	}
+}

@@ -229,7 +229,7 @@ func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
 	setDegradedHeaders(w, v, info)
 	setStaleHeader(w, info.StaleSources)
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	io.WriteString(w, mediatorMarshal(doc, v))
+	writeAnswer(w, dtdText(v.DTD), doc.Root)
 }
 
 // setStaleHeader advertises last-known-good parts on a view response:
@@ -264,14 +264,20 @@ func setDegradedHeaders(w http.ResponseWriter, v *mediator.View, info *mediator.
 	}
 }
 
-// mediatorMarshal inlines the inferred DTD so clients receive a valid
-// (DTD-carrying) document, per Definition 2.4.
-func mediatorMarshal(doc *xmlmodel.Document, v *mediator.View) string {
-	var b strings.Builder
-	b.WriteString(v.DTD.String())
-	b.WriteByte('\n')
-	b.WriteString(xmlmodel.MarshalElement(doc.Root, 2))
-	return b.String()
+// dtdText is a view's inferred DTD as served, alone by /dtd and ahead of
+// the document by the view itself.
+func dtdText(d *dtd.DTD) string { return d.String() + "\n" }
+
+// writeAnswer sends an XML answer: the text of the DTD the document is
+// valid against when the answer carries one (a view document does, per
+// Definition 2.4; a query result does not), then the document, serialized
+// straight into w. No copy of the answer is built. A write error means the
+// client has gone, and there is nobody left to tell.
+func writeAnswer(w io.Writer, schema string, root *xmlmodel.Element) {
+	if schema != "" {
+		io.WriteString(w, schema)
+	}
+	_ = xmlmodel.WriteElement(w, root, 2)
 }
 
 func (h *Handler) getViewDTD(w http.ResponseWriter, r *http.Request) {
@@ -287,7 +293,7 @@ func (h *Handler) getViewDTD(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/xml-dtd; charset=utf-8")
-	fmt.Fprintln(w, v.DTD)
+	io.WriteString(w, dtdText(v.DTD))
 }
 
 func (h *Handler) getViewSDTD(w http.ResponseWriter, r *http.Request) {
@@ -414,7 +420,7 @@ func (h *Handler) postQuery(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	setStaleHeader(w, stats.StaleSources)
-	io.WriteString(w, xmlmodel.MarshalElement(doc.Root, 2))
+	writeAnswer(w, "", doc.Root)
 }
 
 // postInfer is inference as a service: the request body is a DOCTYPE

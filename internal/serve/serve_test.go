@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -319,5 +321,43 @@ func TestQueryEndpointPrunedSourcesHeader(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Mix-Degraded"); got != "" {
 		t.Errorf("X-Mix-Degraded = %q set on a pruned (exact) response", got)
+	}
+}
+
+// The handlers stream their answers; what arrives must still be, byte for
+// byte, the inferred DTD's text followed by the document's serialization.
+func TestAnswersAreTheSerializersBytes(t *testing.T) {
+	srv, m := newServerAndMediator(t)
+	ctx := context.Background()
+	v, err := m.View("members")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := m.Materialize(ctx, "members")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, body, _ := get(t, srv.URL+"/views/members"); body != dtd.MarshalDocument(doc, v.DTD, 2) {
+		t.Errorf("GET view body:\n%s\nwant:\n%s", body, dtd.MarshalDocument(doc, v.DTD, 2))
+	}
+	if _, body, _ := get(t, srv.URL+"/views/members/dtd"); body != v.DTD.String()+"\n" {
+		t.Errorf("GET dtd body %q, want %q", body, v.DTD.String()+"\n")
+	}
+	q := `profs = SELECT X WHERE <members> X:<professor><publication/></professor> </members>`
+	want, err := m.QueryUnsimplified(ctx, "members", xmas.MustParse(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/views/members/query", "text/plain", strings.NewReader(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(body) != dtd.MarshalDocument(want, nil, 2) {
+		t.Errorf("POST query body:\n%s\nwant:\n%s", body, dtd.MarshalDocument(want, nil, 2))
 	}
 }

@@ -256,7 +256,5 @@ func (e *Element) ChildNames() []string {
 // String renders the element as compact XML. It is intended for error
 // messages and tests; use Marshal for full serialization control.
 func (e *Element) String() string {
-	var b strings.Builder
-	writeXML(&b, e, -1, 0)
-	return b.String()
+	return render("", e, -1)
 }

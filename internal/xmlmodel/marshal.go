@@ -1,7 +1,8 @@
 package xmlmodel
 
 import (
-	"strings"
+	"io"
+	"sync"
 )
 
 // Marshal serializes the document as XML. When indent is negative the
@@ -10,73 +11,175 @@ import (
 // DOCTYPE declaration is emitted only when doctype is non-empty; callers
 // that want the internal subset inline should use dtd.MarshalDocument.
 func Marshal(d *Document, indent int) string {
-	var b strings.Builder
-	if d.DocType != "" {
-		b.WriteString("<!DOCTYPE ")
-		b.WriteString(d.DocType)
-		b.WriteString(">")
-		if indent >= 0 {
-			b.WriteByte('\n')
-		}
+	if d.DocType == "" {
+		return MarshalElement(d.Root, indent)
 	}
-	writeXML(&b, d.Root, indent, 0)
+	prefix := "<!DOCTYPE " + d.DocType + ">"
 	if indent >= 0 {
-		b.WriteByte('\n')
+		prefix += "\n"
 	}
-	return b.String()
+	return render(prefix, d.Root, indent)
 }
 
 // MarshalElement serializes a single element subtree as XML.
 func MarshalElement(e *Element, indent int) string {
-	var b strings.Builder
-	writeXML(&b, e, indent, 0)
-	if indent >= 0 {
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return render("", e, indent)
 }
 
-func writeXML(b *strings.Builder, e *Element, indent, level int) {
-	pad := func(l int) {
-		if indent >= 0 {
-			b.WriteString(strings.Repeat(" ", indent*l))
+// WriteElement writes what MarshalElement returns to w without building
+// it: the bytes pass through a pooled buffer of fixed size that is written
+// to w each time it fills. The buffer never grows, so a response in flight
+// holds writeBufSize bytes whatever the size of its answer. It returns the
+// first error from w.
+func WriteElement(w io.Writer, e *Element, indent int) error {
+	_, err := stream(w, e, indent)
+	return err
+}
+
+// writeBufSize is large enough that a 200 KB answer reaches the socket in
+// a handful of writes and small enough to hold one per response in flight.
+const writeBufSize = 32 << 10
+
+var writeBufs = sync.Pool{New: func() any { return new([writeBufSize]byte) }}
+
+// stream serializes e to w through a pooled buffer; it returns the number
+// of bytes produced and the first error from w.
+func stream(w io.Writer, e *Element, indent int) (int, error) {
+	buf := writeBufs.Get().(*[writeBufSize]byte)
+	defer writeBufs.Put(buf)
+	o := emitter{buf: buf[:0], w: w}
+	o.element(e, indent)
+	o.drain()
+	return o.drained, o.err
+}
+
+// render returns prefix followed by e's serialization. A first pass only
+// counts, so the result costs one exactly-sized buffer and its string.
+func render(prefix string, e *Element, indent int) string {
+	size, _ := stream(io.Discard, e, indent)
+	o := emitter{buf: append(make([]byte, 0, len(prefix)+size), prefix...)}
+	o.element(e, indent)
+	return string(o.buf)
+}
+
+// emitter is where appendXML puts bytes. With w nil they accumulate in
+// buf, which grows; otherwise buf keeps its capacity and is written to w
+// whenever the next byte would not fit.
+type emitter struct {
+	buf     []byte
+	w       io.Writer
+	drained int   // bytes handed to w so far
+	err     error // first error from w; later output is dropped
+}
+
+func (o *emitter) drain() {
+	if o.err == nil {
+		_, o.err = o.w.Write(o.buf)
+	}
+	o.drained += len(o.buf)
+	o.buf = o.buf[:0]
+}
+
+// str is small enough to inline; what does not fit is overflow's.
+func (o *emitter) str(s string) {
+	if len(s) > cap(o.buf)-len(o.buf) {
+		o.overflow(s)
+		return
+	}
+	o.buf = append(o.buf, s...)
+}
+
+// overflow lets a growing buffer grow; a fixed one it fills with as much of
+// s as fits and drains, until the rest of s fits.
+func (o *emitter) overflow(s string) {
+	if o.w != nil {
+		for len(s) > cap(o.buf)-len(o.buf) {
+			n := cap(o.buf) - len(o.buf)
+			o.buf = append(o.buf, s[:n]...)
+			s = s[n:]
+			o.drain()
 		}
 	}
-	pad(level)
-	b.WriteByte('<')
-	b.WriteString(e.Name)
-	if e.ID != "" {
-		b.WriteString(` id="`)
-		b.WriteString(escapeAttr(e.ID))
-		b.WriteByte('"')
+	o.buf = append(o.buf, s...)
+}
+
+// escaped copies s with the markup characters replaced by entity
+// references: & < > in text, and " too inside an attribute value.
+func (o *emitter) escaped(s string, attr bool) {
+	from := 0
+	for i := 0; i < len(s); i++ {
+		var ref string
+		switch s[i] {
+		case '&':
+			ref = "&amp;"
+		case '<':
+			ref = "&lt;"
+		case '>':
+			ref = "&gt;"
+		case '"':
+			if !attr {
+				continue
+			}
+			ref = "&quot;"
+		default:
+			continue
+		}
+		o.str(s[from:i])
+		o.str(ref)
+		from = i + 1
 	}
-	b.WriteByte('>')
+	o.str(s[from:])
+}
+
+const spaces = "                                                                "
+
+func (o *emitter) pad(n int) {
+	for ; n > len(spaces); n -= len(spaces) {
+		o.str(spaces)
+	}
+	if n > 0 {
+		o.str(spaces[:n])
+	}
+}
+
+// element emits e as a whole serialization: indented output ends with a
+// newline, compact output does not.
+func (o *emitter) element(e *Element, indent int) {
+	o.appendXML(e, indent, 0)
+	if indent >= 0 {
+		o.str("\n")
+	}
+}
+
+// appendXML emits e's subtree; it is the one place that knows what a
+// serialized element looks like. A negative indent is compact output,
+// otherwise each child sits on its own line, indent spaces per level deep.
+func (o *emitter) appendXML(e *Element, indent, level int) {
+	o.pad(indent * level)
+	o.str("<")
+	o.str(e.Name)
+	if e.ID != "" {
+		o.str(` id="`)
+		o.escaped(e.ID, true)
+		o.str(`"`)
+	}
+	o.str(">")
 	switch {
 	case e.IsText:
-		b.WriteString(escapeText(e.Text))
+		o.escaped(e.Text, false)
 	case len(e.Children) > 0:
 		if indent >= 0 {
-			b.WriteByte('\n')
+			o.str("\n")
 		}
 		for _, k := range e.Children {
-			writeXML(b, k, indent, level+1)
+			o.appendXML(k, indent, level+1)
 			if indent >= 0 {
-				b.WriteByte('\n')
+				o.str("\n")
 			}
 		}
-		pad(level)
+		o.pad(indent * level)
 	}
-	b.WriteString("</")
-	b.WriteString(e.Name)
-	b.WriteByte('>')
-}
-
-func escapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
-
-func escapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
+	o.str("</")
+	o.str(e.Name)
+	o.str(">")
 }

@@ -396,10 +396,3 @@ func unescape(s string) (string, error) {
 	}
 	return b.String(), nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
