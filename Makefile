@@ -26,16 +26,18 @@ lint:
 # whenever the serving path changes. The `./...` pattern covers every
 # package, including internal/automata (compiler singleflight hammer) and
 # internal/automata/cache (LRU hammer) — the tests that only prove
-# anything under -race. internal/mediator runs again at -count=3
-# -cpu=1,2: its part-slot singleflight is scheduling-sensitive, and one
-# pass at one GOMAXPROCS proves little about it.
+# anything under -race. internal/mediator, internal/serve and
+# internal/engine run again at -count=3 -cpu=1,2: the part-slot
+# singleflight and the handlers above it are scheduling-sensitive, and the
+# repeat keeps every test of the three independent of what ran before it
+# (process-wide caches, shared fixtures).
 test:
 	go test ./...
 
 race:
 	go vet ./...
 	go test -race ./...
-	go test -race -count=3 -cpu=1,2 ./internal/mediator/
+	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/
 
 # Robustness battery: fault injection (wire faults, scripted source
 # failures), circuit-breaker state machine, budget degradation, and the

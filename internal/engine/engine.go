@@ -17,12 +17,21 @@
 // The condition tree must embed starting at the document root: the root
 // condition constrains the root element, as in the paper's examples where
 // the outermost <department> condition describes the source document type.
+//
+// Evaluation is one depth-first walk of the document. A path condition —
+// one between the root condition and the pick condition — can only ever
+// bind an ancestor-or-self of the picked element, so the walk carries the
+// path conditions that can sit on the element it is visiting and decides
+// their side conditions there, by a memoized structural check: no candidate
+// is ever re-embedded from the root. Only a query with "!=" constraints
+// verifies each admissible pick by a backtracking embedding, and that one is
+// anchored to the walk's ancestor chain: a path condition goes straight to
+// its one admissible child.
 package engine
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/xmas"
 	"repro/internal/xmlmodel"
@@ -38,8 +47,11 @@ func Eval(q *xmas.Query, doc *xmlmodel.Document) (*xmlmodel.Document, error) {
 		return nil, err
 	}
 	out := EmptyResult(q)
-	for _, e := range picks {
-		out.Root.Children = append(out.Root.Children, e.Clone())
+	if len(picks) > 0 {
+		out.Root.Children = make([]*xmlmodel.Element, len(picks))
+		for i, e := range picks {
+			out.Root.Children[i] = e.Clone()
+		}
 	}
 	return out, nil
 }
@@ -56,7 +68,25 @@ func EmptyResult(q *xmas.Query) *xmlmodel.Document {
 
 // EvalElements returns the elements (of the original document, not copies)
 // that the pick-variable binds to, in document order.
+//
+// The walk (visit) carries the set of path conditions that can sit on the
+// element it is visiting, so picks come out in document order, each once,
+// recursive steps included. The side conditions of a path condition are
+// matched once per element it sits on, and again only for the few children
+// that matching claimed. Without "!=" that decides the query in
+// O(document × condition); with "!=" each structurally admissible pick is
+// then verified by an embedding anchored to its ancestor chain (embed).
 func EvalElements(q *xmas.Query, doc *xmlmodel.Document) ([]*xmlmodel.Element, error) {
+	m, err := run(q, doc)
+	if err != nil {
+		return nil, err
+	}
+	return m.picks, nil
+}
+
+// run evaluates the query and returns the matcher with its picks (and,
+// for the complexity tests, its visit count).
+func run(q *xmas.Query, doc *xmlmodel.Document) (*matcher, error) {
 	if errs := q.Validate(); len(errs) > 0 {
 		return nil, fmt.Errorf("engine: invalid query: %v", errs[0])
 	}
@@ -67,42 +97,22 @@ func EvalElements(q *xmas.Query, doc *xmlmodel.Document) ([]*xmlmodel.Element, e
 	if err != nil {
 		return nil, err
 	}
-	m := &matcher{q: q, feasible: map[feasKey]bool{}}
-	pickCond := path[len(path)-1]
-
-	// Enumerate candidate pick elements in document order (depth-first,
-	// left-to-right — the grouping order of Section 2.1), then verify a
-	// full anchored embedding for each. Plain steps take each element's
-	// matching children in turn, which keeps candidates distinct and in
-	// order; a recursive step can reach an element along two chains and
-	// out of order, so only then are they deduplicated and sorted by their
-	// position in the document.
-	cands := m.candidates(path, doc.Root)
-	if slices.ContainsFunc(path, func(c *xmas.Cond) bool { return c.Recursive }) {
-		docPos := map[*xmlmodel.Element]int{}
-		pos := 0
-		doc.Root.Walk(func(e *xmlmodel.Element) bool { docPos[e] = pos; pos++; return true })
-		cands = dedupeInOrder(cands)
-		sort.Slice(cands, func(i, j int) bool { return docPos[cands[i]] < docPos[cands[j]] })
+	m := &matcher{q: q, path: path}
+	if len(q.Neq) > 0 {
+		m.deep = map[*xmas.Cond]bool{}
+		m.markDeep(q.Root)
 	}
-
-	var picks []*xmlmodel.Element
-	for _, cand := range cands {
-		m.anchorCond = pickCond
-		m.anchorElem = cand
-		env := &env{vars: map[string]*xmlmodel.Element{}, neq: q.Neq}
-		if m.embed(q.Root, doc.Root, env) {
-			picks = append(picks, cand)
-		}
+	if path[0].MatchesName(doc.Root.Name) {
+		m.steps = append(m.steps, step{i: 0})
+		m.chain = append(m.chain, link{doc.Root, 0})
+		m.visit(doc.Root, 0)
 	}
-	return picks, nil
+	return m, nil
 }
 
 // Matches reports whether the query's condition embeds into the document at
-// all (i.e. whether the view would be non-empty for at least one binding,
-// or — for queries whose pick condition is optional — whether the root
-// condition holds). It is used by tests and by the mediator's classifier
-// cross-checks.
+// all, i.e. whether the view would be non-empty. It is used by tests and by
+// the mediator's classifier cross-checks.
 func Matches(q *xmas.Query, doc *xmlmodel.Document) bool {
 	picks, err := EvalElements(q, doc)
 	return err == nil && len(picks) > 0
@@ -113,224 +123,178 @@ type feasKey struct {
 	e *xmlmodel.Element
 }
 
-type matcher struct {
-	q          *xmas.Query
-	anchorCond *xmas.Cond
-	anchorElem *xmlmodel.Element
-	// feasible caches structural matches ignoring anchors and !=
-	// constraints; it prunes the backtracking search.
-	feasible map[feasKey]bool
+// step is one path condition that can sit on the element being visited:
+// the conditions above it embed along the element's ancestors.
+type step struct {
+	i    int  // index into matcher.path
+	here bool // its side conditions hold at the element with no child reserved
 }
 
-// candidates walks the path conditions down the document and returns, in
-// document order, every element that could bind the pick-variable on
-// name-structure grounds alone (ancestor side conditions are verified later
-// by the anchored embedding).
-func (m *matcher) candidates(path []*xmas.Cond, root *xmlmodel.Element) []*xmlmodel.Element {
-	var cur []*xmlmodel.Element
-	if path[0].MatchesName(root.Name) {
-		cur = m.expand(nil, path[0], root)
+// link is one element of the ancestor chain of the element being visited.
+type link struct {
+	e   *xmlmodel.Element
+	idx int // position among its parent's children
+}
+
+type matcher struct {
+	q     *xmas.Query
+	path  []*xmas.Cond // root condition … pick condition
+	picks []*xmlmodel.Element
+	// steps is a stack of step sets, one per element on the walk's current
+	// branch; chain holds those elements, root first.
+	steps []step
+	chain []link
+	// used is the scratch stack of child indexes claimed by assign.
+	used []int
+	// feasible memoizes structuralOK for conditions that have children; it
+	// is made when first needed, sized by the root's fan-out.
+	feasible map[feasKey]bool
+	// deep marks, for queries with "!=" only, the conditions an anchored
+	// embedding must really embed: path conditions and those with a
+	// "!="-constrained variable somewhere below. The rest are decided by
+	// structuralOK. env holds the embedding's bindings so far, frames and
+	// claims its suspended sibling assignments.
+	deep   map[*xmas.Cond]bool
+	env    []binding
+	frames []frame
+	claims []claim
+	// visits counts (condition, element) pairs examined. Production pays
+	// for the increments on purpose: the complexity tests assert on the walk
+	// that serves answers, not on an instrumented copy of it.
+	visits int
+}
+
+// visit walks the subtree of e; m.steps[lo:] is the set of path conditions
+// that can sit on e, ascending. A recursive step stays on every child it
+// names. A step whose side conditions hold at e moves its successor onto
+// each child the successor names — unless matching the side conditions
+// claimed that very child, in which case they are matched again with the
+// child reserved. The last step makes e a pick if the pick condition's own
+// subconditions hold.
+func (m *matcher) visit(e *xmlmodel.Element, lo int) {
+	hi, base, last := len(m.steps), len(m.used), len(m.path)-1
+	descend := false
+	for s := lo; s < hi; s++ {
+		m.visits++
+		i := m.steps[s].i
+		c := m.path[i]
+		if i == last {
+			if m.structuralHere(c, e) && (len(m.q.Neq) == 0 || m.embed(m.q.Root, m.chain[0].e, 0, -1)) {
+				m.picks = append(m.picks, e)
+			}
+		} else if m.assign(c.Children, m.path[i+1], e.Children, len(m.used)) {
+			m.steps[s].here = true // and its claims stay on m.used[base:]
+		}
+		descend = descend || c.Recursive || m.steps[s].here
 	}
-	for _, step := range path[1:] {
-		var next []*xmlmodel.Element
-		for _, e := range cur {
-			for _, k := range e.Children {
-				if step.MatchesName(k.Name) {
-					next = m.expand(next, step, k)
+	if descend {
+		for j, k := range e.Children {
+			for s := lo; s < hi; s++ {
+				m.visits++
+				st := m.steps[s]
+				if c := m.path[st.i]; c.Recursive && c.MatchesName(k.Name) {
+					m.push(hi, st.i)
+				}
+				if st.here && m.path[st.i+1].MatchesName(k.Name) && m.sideOK(st.i, e, j, base) {
+					m.push(hi, st.i+1)
 				}
 			}
-		}
-		if step.Recursive {
-			// Two elements of cur, one below the other, reach the same chains.
-			next = dedupeInOrder(next)
-		}
-		cur = next
-	}
-	return cur
-}
-
-// expand appends e to dst and, for a recursive step, every element
-// reachable from e by a downward chain of elements matching the step's
-// names, in document order.
-func (m *matcher) expand(dst []*xmlmodel.Element, step *xmas.Cond, e *xmlmodel.Element) []*xmlmodel.Element {
-	dst = append(dst, e)
-	if step.Recursive {
-		for _, k := range e.Children {
-			if step.MatchesName(k.Name) {
-				dst = m.expand(dst, step, k)
+			if len(m.steps) > hi {
+				m.chain = append(m.chain, link{k, j})
+				m.visit(k, hi)
+				m.chain = m.chain[:len(m.chain)-1]
+				m.steps = m.steps[:hi]
 			}
 		}
 	}
-	return dst
+	m.used = m.used[:base]
 }
 
-func dedupeInOrder(es []*xmlmodel.Element) []*xmlmodel.Element {
-	seen := map[*xmlmodel.Element]bool{}
-	out := es[:0:0]
-	for _, e := range es {
-		if !seen[e] {
-			seen[e] = true
-			out = append(out, e)
-		}
+// push adds path index i to the step set being built at m.steps[hi:]; the
+// set is built in ascending order, so a duplicate can only be its tail.
+func (m *matcher) push(hi, i int) {
+	if n := len(m.steps); n == hi || m.steps[n-1].i != i {
+		m.steps = append(m.steps, step{i: i})
 	}
-	return out
 }
 
-// env tracks variable bindings during an embedding attempt and checks the
-// "!=" constraints incrementally: a violation is detected as soon as both
-// sides of a pair are bound.
-type env struct {
-	vars map[string]*xmlmodel.Element
-	neq  [][2]string
-}
-
-func (v *env) bind(name string, e *xmlmodel.Element) bool {
-	if name == "" {
+// sideOK reports whether the side conditions of path[i] still hold at e
+// when child j is taken by path[i+1]: trivially when no step's matching
+// claimed j (m.used[base:]), by matching again with j reserved otherwise.
+func (m *matcher) sideOK(i int, e *xmlmodel.Element, j, base int) bool {
+	if !slices.Contains(m.used[base:], j) {
 		return true
 	}
-	v.vars[name] = e
-	for _, pair := range v.neq {
-		a, aok := v.vars[pair[0]]
-		b, bok := v.vars[pair[1]]
-		if aok && bok && a == b {
-			return false
-		}
-	}
-	return true
+	from := len(m.used)
+	m.used = append(m.used, j)
+	ok := m.assign(m.path[i].Children, m.path[i+1], e.Children, from)
+	m.used = m.used[:from]
+	return ok
 }
 
-func (v *env) unbind(name string) {
-	if name != "" {
-		delete(v.vars, name)
-	}
-}
-
-// embed attempts to match condition c at element e under the current
-// environment, with the anchored condition forced onto the anchored
-// element.
-func (m *matcher) embed(c *xmas.Cond, e *xmlmodel.Element, en *env) bool {
-	if c == m.anchorCond && e != m.anchorElem {
-		return false
-	}
-	if !m.structuralOK(c, e) {
-		return false
-	}
-	if c.Recursive {
-		return m.embedRecursiveCond(c, e, en)
-	}
-	return m.embedHere(c, e, en)
-}
-
-// embedRecursiveCond matches a recursive condition: its subconditions hold
-// at e, or the condition re-embeds at a child of e with a matching name.
-// The anchor applies to the element where the subconditions finally hold.
-func (m *matcher) embedRecursiveCond(c *xmas.Cond, e *xmlmodel.Element, en *env) bool {
-	if m.embedHere(c, e, en) {
+// assign finds an injective assignment of the conditions, except skip, to
+// children that structurally satisfy them, avoiding the child indexes in
+// m.used[from:] and leaving its own claims there on success. Qualifier
+// conditions are existential: they need a witness but claim no child, so
+// they never compete with siblings (or each other).
+func (m *matcher) assign(conds []*xmas.Cond, skip *xmas.Cond, kids []*xmlmodel.Element, from int) bool {
+	if len(conds) == 0 {
 		return true
 	}
-	for _, k := range e.Children {
-		if c.MatchesName(k.Name) && m.structuralOK(c, k) && m.embedRecursiveCond(c, k, en) {
+	c, rest := conds[0], conds[1:]
+	if c == skip {
+		return m.assign(rest, skip, kids, from)
+	}
+	for j, k := range kids {
+		m.visits++
+		if !m.structuralOK(c, k) || (!c.Qualifier && slices.Contains(m.used[from:], j)) {
+			continue
+		}
+		if c.Qualifier {
+			return m.assign(rest, skip, kids, from)
+		}
+		m.used = append(m.used, j)
+		if m.assign(rest, skip, kids, from) {
 			return true
 		}
+		m.used = m.used[:len(m.used)-1]
 	}
 	return false
 }
 
-// embedHere binds c's variables to e and matches c's subconditions against
-// distinct children of e.
-func (m *matcher) embedHere(c *xmas.Cond, e *xmlmodel.Element, en *env) bool {
-	if c == m.anchorCond && e != m.anchorElem {
-		return false
-	}
-	if c.HasText {
-		return e.IsText && e.Text == c.Text
-	}
-	if !en.bind(c.Var, e) {
-		en.unbind(c.Var)
-		return false
-	}
-	if !en.bind(c.IDVar, e) {
-		en.unbind(c.Var)
-		en.unbind(c.IDVar)
-		return false
-	}
-	if m.assignChildren(c.Children, e.Children, 0, map[int]bool{}, en) {
-		return true
-	}
-	en.unbind(c.Var)
-	en.unbind(c.IDVar)
-	return false
-}
-
-// assignChildren finds an injective assignment of the non-qualifier
-// conditions to the children, each assigned pair embedding successfully.
-// Qualifier conditions are existential: they must embed into some child
-// but do not consume it, so they never compete with siblings (or each
-// other) for a witness. They still take part in the backtracking so that
-// a variable bound under a qualifier can drive "!=" constraints.
-func (m *matcher) assignChildren(conds []*xmas.Cond, kids []*xmlmodel.Element, i int, used map[int]bool, en *env) bool {
-	if i == len(conds) {
-		return true
-	}
-	c := conds[i]
-	for j, k := range kids {
-		if !c.Qualifier && used[j] {
-			continue
-		}
-		if !c.MatchesName(k.Name) { // the cheapest pruning test
-			continue
-		}
-		if m.embed(c, k, en) {
-			if !c.Qualifier {
-				used[j] = true
-			}
-			if m.assignChildren(conds, kids, i+1, used, en) {
-				return true
-			}
-			if !c.Qualifier {
-				used[j] = false
-			}
-			// embed left bindings in place on success only; on the failed
-			// continuation we must undo them.
-			m.unbindSubtree(c, en)
-		}
-	}
-	return false
-}
-
-// unbindSubtree clears every variable bound anywhere under c; used when
-// backtracking over a previously successful partial embedding.
-func (m *matcher) unbindSubtree(c *xmas.Cond, en *env) {
-	for _, v := range c.Vars() {
-		delete(en.vars, v)
-	}
-}
-
-// structuralOK reports whether c can match e ignoring variables, anchors
-// and != constraints — a necessary condition used to prune backtracking.
-// Results are memoized across the whole evaluation.
+// structuralOK reports whether c can match at e, or for a recursive c
+// along a chain below e, ignoring variables, anchors and != constraints.
+// Leaf and text conditions are one comparison; conditions with children
+// are memoized across the whole evaluation.
 func (m *matcher) structuralOK(c *xmas.Cond, e *xmlmodel.Element) bool {
 	if !c.MatchesName(e.Name) {
 		return false
+	}
+	if len(c.Children) == 0 {
+		return m.structuralHere(c, e)
 	}
 	key := feasKey{c, e}
 	if v, ok := m.feasible[key]; ok {
 		return v
 	}
-	m.feasible[key] = true // assume feasible on cycles (recursive conds revisit)
 	ok := m.structuralHere(c, e)
 	if !ok && c.Recursive {
 		for _, k := range e.Children {
-			if c.MatchesName(k.Name) && m.structuralOK(c, k) {
+			if m.structuralOK(c, k) {
 				ok = true
 				break
 			}
 		}
 	}
+	if m.feasible == nil {
+		m.feasible = make(map[feasKey]bool, len(m.chain[0].e.Children))
+	}
 	m.feasible[key] = ok
 	return ok
 }
 
+// structuralHere is structuralOK without the name test and the chain: c's
+// subconditions hold on distinct children of e.
 func (m *matcher) structuralHere(c *xmas.Cond, e *xmlmodel.Element) bool {
 	if c.HasText {
 		return e.IsText && e.Text == c.Text
@@ -341,42 +305,165 @@ func (m *matcher) structuralHere(c *xmas.Cond, e *xmlmodel.Element) bool {
 	if e.IsText {
 		return false
 	}
-	// Injective feasibility via backtracking on the (small) bipartite
-	// compatibility relation. Qualifier children are existential and do
-	// not consume a child slot.
-	var rec func(i int, used map[int]bool) bool
-	rec = func(i int, used map[int]bool) bool {
-		if i == len(c.Children) {
-			return true
-		}
-		cc := c.Children[i]
-		for j, k := range e.Children {
-			if (!cc.Qualifier && used[j]) || !cc.MatchesName(k.Name) {
-				continue
-			}
-			if !m.structuralMatchChild(cc, k) {
-				continue
-			}
-			if cc.Qualifier {
-				return rec(i+1, used)
-			}
-			used[j] = true
-			if rec(i+1, used) {
-				return true
-			}
-			used[j] = false
-		}
-		return false
-	}
-	return rec(0, map[int]bool{})
+	from := len(m.used)
+	ok := m.assign(c.Children, nil, e.Children, from)
+	m.used = m.used[:from]
+	return ok
 }
 
-func (m *matcher) structuralMatchChild(c *xmas.Cond, e *xmlmodel.Element) bool {
-	if c.Recursive {
-		return m.structuralOK(c, e)
+// binding is one variable bound during an anchored embedding.
+type binding struct {
+	name string
+	e    *xmlmodel.Element
+}
+
+// markDeep fills m.deep for the subtree of c and reports whether c is in it.
+func (m *matcher) markDeep(c *xmas.Cond) bool {
+	constrained := func(p [2]string) bool {
+		return p[0] == c.Var || p[1] == c.Var || p[0] == c.IDVar || p[1] == c.IDVar
 	}
-	if !c.MatchesName(e.Name) {
+	deep := slices.Contains(m.path, c) || slices.ContainsFunc(m.q.Neq, constrained)
+	for _, k := range c.Children {
+		deep = m.markDeep(k) || deep
+	}
+	if deep {
+		m.deep[c] = true
+	}
+	return deep
+}
+
+// bind records name -> e unless a "!=" forbids it: a constraint is checked
+// as soon as both of its sides are bound.
+func (m *matcher) bind(name string, e *xmlmodel.Element) bool {
+	if name == "" {
+		return true
+	}
+	for _, b := range m.env {
+		if b.e == e && (slices.Contains(m.q.Neq, [2]string{name, b.name}) || slices.Contains(m.q.Neq, [2]string{b.name, name})) {
+			return false
+		}
+	}
+	m.env = append(m.env, binding{name, e})
+	return true
+}
+
+// frame is a suspended assignChildren: the conditions still to place on
+// children of e (at depth d) once the condition before them is embedded.
+// Frames and claims link by index into matcher stacks: nothing is allocated.
+type frame struct {
+	conds []*xmas.Cond
+	e     *xmlmodel.Element
+	d     int
+	used  int // newest claim on e's children, -1 for none
+	then  int // the frame to resume after this one, -1 to succeed
+}
+
+// claim is one child index taken by an earlier sibling condition.
+type claim struct{ j, prev int }
+
+// resume continues the embedding at frame f.
+func (m *matcher) resume(f int) bool {
+	if f < 0 {
+		return true
+	}
+	fr := m.frames[f]
+	return m.assignChildren(fr.conds, fr.e, fr.d, fr.used, fr.then)
+}
+
+// embed enumerates the embeddings of the deep condition c on e (at depth d
+// of the document; the caller has matched the name) or, for a recursive c,
+// along a chain below e, resuming frame then under each until one attempt
+// reports true. Enumerating, instead of committing to a subtree's first
+// embedding, lets a variable bound under one sibling be re-bound when a "!="
+// with a later sibling fails. Path conditions are anchored: they follow the
+// walk's ancestor chain (span), the pick condition onto its last element.
+func (m *matcher) embed(c *xmas.Cond, e *xmlmodel.Element, d, then int) bool {
+	m.visits++
+	if !m.structuralOK(c, e) {
 		return false
 	}
-	return m.structuralOK(c, e)
+	if m.embedHere(c, e, d, then) {
+		return true
+	}
+	if c.Recursive {
+		for j, hi := m.span(c, e, d); j < hi; j++ {
+			if k := e.Children[j]; c.MatchesName(k.Name) && m.embed(c, k, d+1, then) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// embedHere binds c's variables to e, embeds c's subconditions on distinct
+// children of e and resumes then; the bindings last for that attempt only.
+// (A text condition has no subconditions, and embed has compared its text.)
+func (m *matcher) embedHere(c *xmas.Cond, e *xmlmodel.Element, d, then int) bool {
+	if c == m.path[len(m.path)-1] && d != len(m.chain)-1 {
+		return false
+	}
+	n := len(m.env)
+	ok := m.bind(c.Var, e) && m.bind(c.IDVar, e) && m.assignChildren(c.Children, e, d, -1, then)
+	m.env = m.env[:n]
+	return ok
+}
+
+// span returns the range of indexes of the children of e (at depth d) that
+// c may take: all of them, except that a path condition can only bind an
+// ancestor-or-self of the anchored element — the one child on the chain.
+func (m *matcher) span(c *xmas.Cond, e *xmlmodel.Element, d int) (lo, hi int) {
+	if !slices.Contains(m.path, c) {
+		return 0, len(e.Children)
+	}
+	if d+1 >= len(m.chain) {
+		return 0, 0
+	}
+	return m.chain[d+1].idx, m.chain[d+1].idx + 1
+}
+
+// assignChildren extends the embedding with conds on distinct children of
+// e not claimed through used (qualifiers claim none), then resumes then. A
+// condition that is not deep cannot influence a "!=": any structurally fitting
+// child serves, and for a qualifier one witness is as good as another.
+func (m *matcher) assignChildren(conds []*xmas.Cond, e *xmlmodel.Element, d, used, then int) bool {
+	if len(conds) == 0 {
+		return m.resume(then)
+	}
+	c, nf, nc := conds[0], len(m.frames), len(m.claims)
+	for j, hi := m.span(c, e, d); j < hi; j++ {
+		k := e.Children[j]
+		if !c.MatchesName(k.Name) || (!c.Qualifier && m.claimed(used, j)) {
+			continue
+		}
+		next := used
+		if !c.Qualifier {
+			m.claims = append(m.claims, claim{j, used})
+			next = nc
+		}
+		ok, done := false, false
+		if m.deep[c] {
+			m.frames = append(m.frames, frame{conds[1:], e, d, next, then})
+			ok = m.embed(c, k, d+1, nf)
+			m.frames = m.frames[:nf]
+			done = ok
+		} else if m.structuralOK(c, k) {
+			ok = m.assignChildren(conds[1:], e, d, next, then)
+			done = ok || c.Qualifier
+		}
+		m.claims = m.claims[:nc]
+		if done {
+			return ok
+		}
+	}
+	return false
+}
+
+// claimed reports whether child index j is on the claim list ending at used.
+func (m *matcher) claimed(used, j int) bool {
+	for ; used >= 0; used = m.claims[used].prev {
+		if m.claims[used].j == j {
+			return true
+		}
+	}
+	return false
 }

@@ -11,11 +11,11 @@ import (
 
 // referenceEval is an independent, brute-force implementation of the
 // pick-element semantics: it enumerates every embedding of the condition
-// tree (sibling conditions on pairwise-distinct children, recursive steps
-// expanded by chain, != constraints on the final assignment) and collects
-// the pick bindings. Exponential and only fit for tiny inputs — which is
-// exactly what a differential-testing oracle should be: too simple to
-// share bugs with the optimized engine.
+// tree (sibling conditions on pairwise-distinct children, qualifiers on any
+// child, recursive steps expanded by chain, != constraints on the final
+// assignment) and collects the pick bindings. Exponential and only fit for
+// tiny inputs — which is exactly what a differential-testing oracle should
+// be: too simple to share bugs with the optimized engine.
 func referenceEval(q *xmas.Query, doc *xmlmodel.Document) []*xmlmodel.Element {
 	path, err := q.PathToPick()
 	if err != nil {
@@ -90,12 +90,17 @@ func embedHereRef(c *xmas.Cond, e *xmlmodel.Element) []assignment {
 			return []assignment{cp}
 		}
 		var out []assignment
+		// A qualifier needs a witness but claims no child: it may share one
+		// with a sibling condition or with another qualifier.
+		claims := !c.Children[i].Qualifier
 		for j, k := range e.Children {
-			if used[j] {
+			if claims && used[j] {
 				continue
 			}
 			for _, sub := range embeddings(c.Children[i], k) {
-				used[j] = true
+				if claims {
+					used[j] = true
+				}
 				merged := assignment{}
 				for a, b := range acc {
 					merged[a] = b
@@ -104,7 +109,9 @@ func embedHereRef(c *xmas.Cond, e *xmlmodel.Element) []assignment {
 					merged[a] = b
 				}
 				out = append(out, rec(i+1, merged)...)
-				used[j] = false
+				if claims {
+					used[j] = false
+				}
 			}
 		}
 		return out

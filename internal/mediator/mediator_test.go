@@ -387,3 +387,114 @@ func TestFailingWrapperSurfacesErrors(t *testing.T) {
 		t.Errorf("unsatisfiable query should bypass the source: err=%v stats=%+v", err, stats)
 	}
 }
+
+// viewIDs defines the view, materializes it, holds the result to both
+// inferred DTDs and returns the IDs of its elements (name=text where an
+// element has no ID).
+func viewIDs(t *testing.T, m *Mediator, source, query string) string {
+	t.Helper()
+	v, err := m.DefineView(source, xmas.MustParse(query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := m.Materialize(context.Background(), v.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.DTD.Validate(doc); err != nil {
+		t.Errorf("%s: view DTD rejects its own view: %v", v.Name, err)
+	}
+	if err := v.SDTD.Satisfies(doc); err != nil {
+		t.Errorf("%s: view s-DTD rejects its own view: %v", v.Name, err)
+	}
+	return idList(doc)
+}
+
+func idList(doc *xmlmodel.Document) string {
+	var ids []string
+	for _, e := range doc.Root.Children {
+		if e.ID == "" {
+			ids = append(ids, e.Name+"="+e.Text)
+		} else {
+			ids = append(ids, e.ID)
+		}
+	}
+	return strings.Join(ids, ",")
+}
+
+// TestEngineSemanticsAtTheMediator pins, one layer up, the three answers
+// the engine's anchored evaluation corrected (engine package comment,
+// DESIGN.md §5i): the inferred view DTDs must still describe the answers,
+// and what cannot reach a view definition must stay refused there.
+func TestEngineSemanticsAtTheMediator(t *testing.T) {
+	m := newDeptMediator(t)
+	// A "!=" between a variable under a qualifier and the pick no longer
+	// depends on where the qualifier is declared: either way A can be the
+	// other publication. (Declared first, it used to commit A to a1 and
+	// lose a1 as a pick.)
+	for _, q := range []string{
+		`qualFirst = SELECT X WHERE <department> [<professor> <publication id=A/> </professor>] <professor> X:<publication/> </professor> </department> AND A != X`,
+		`qualLast = SELECT X WHERE <department> <professor> X:<publication/> </professor> [<professor> <publication id=A/> </professor>] </department> AND A != X`,
+	} {
+		if got := viewIDs(t, m, "cs-dept", q); got != "a1,a2" {
+			t.Errorf("%s\n  picks %q, want a1,a2", q, got)
+		}
+	}
+	// A text condition binds its variables: no publication has a second
+	// title for X once the qualifier's witness holds the one titled t1.
+	// (The variable used to stay unbound, the "!=" unchecked.)
+	if got := viewIDs(t, m, "cs-dept", `titles = SELECT X WHERE <department> <professor> <publication> [<title id=A>t1</title>] X:<title/> </publication> </professor> </department> AND A != X`); got != "" {
+		t.Errorf("titles: picks %q, want none", got)
+	}
+
+	// A recursive pick binds every element of its chain — but only ever in
+	// a query: a recursive view definition is refused at inference, so no
+	// view DTD and no cached part is built from such an answer.
+	book, err := dtd.Parse(`<!DOCTYPE book [
+  <!ELEMENT book (section+)>
+  <!ELEMENT section (title, section*)>
+  <!ELEMENT title (#PCDATA)>
+]>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bookDoc, _, err := xmlmodel.Parse(`<book>
+  <section id="s1"><title>a</title>
+    <section id="s11"><title>b</title>
+      <section id="s111"><title>c</title></section>
+    </section>
+  </section>
+  <section id="s2"><title>d</title></section>
+</book>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewStaticSource("book", bookDoc, book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddSource(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DefineView("book", xmas.MustParse(`deep = SELECT X WHERE <book> X:<section*/> </book>`)); err == nil || !strings.Contains(err.Error(), "recursive") {
+		t.Errorf("recursive view definition: err = %v, want infer's refusal", err)
+	}
+	if got := viewIDs(t, m, "book", `top = SELECT X WHERE <book> X:<section/> </book>`); got != "s1,s2" {
+		t.Fatalf("top: picks %q", got)
+	}
+	q := xmas.MustParse(`all = SELECT X WHERE <top> X:<section*/> </top>`)
+	res, _, err := m.Query(context.Background(), "top", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := idList(res); got != "s1,s11,s111,s2" {
+		t.Errorf("recursive pick over the view: %q, want the whole chains s1,s11,s111,s2", got)
+	}
+	base, err := m.QueryUnsimplified(context.Background(), "top", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !base.Root.Equal(res.Root) {
+		t.Error("baseline and simplified disagree on the recursive pick")
+	}
+}

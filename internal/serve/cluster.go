@@ -66,7 +66,9 @@ func (h *Handler) forwarded(w http.ResponseWriter, r *http.Request, name string)
 // misdirection is visible end to end.
 func (h *Handler) forwardError(w http.ResponseWriter, name string, err error) {
 	status := http.StatusBadGateway
-	if strings.Contains(err.Error(), "421") {
+	// The owner's status as HTTPSource reports it ("GET url: 421: body") —
+	// not any "421", which an ephemeral port of a dead owner also contains.
+	if strings.Contains(err.Error(), ": 421: ") {
 		status = http.StatusMisdirectedRequest
 	}
 	http.Error(w, fmt.Sprintf("cluster: forwarding view %q failed: %v", name, err), status)

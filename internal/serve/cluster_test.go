@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -277,5 +278,20 @@ func TestClusterUnknownViewStays404(t *testing.T) {
 	code, _, _ := get(t, fwd.URL+"/views/nonexistent")
 	if code != http.StatusNotFound {
 		t.Errorf("unknown view: %d, want 404", code)
+	}
+}
+
+// TestForwardErrorStatus: only the owner's own 421 stays a 421; an owner
+// that is down is a 502 whatever digits its address happens to contain.
+func TestForwardErrorStatus(t *testing.T) {
+	for msg, want := range map[string]int{
+		`GET http://127.0.0.1:8080/views/members: 421: loop detected`:                                       http.StatusMisdirectedRequest,
+		`Get "http://127.0.0.1:42177/views/members": dial tcp 127.0.0.1:42177: connect: connection refused`: http.StatusBadGateway,
+	} {
+		rec := httptest.NewRecorder()
+		(&Handler{}).forwardError(rec, "members", errors.New(msg))
+		if rec.Code != want {
+			t.Errorf("%s: status %d, want %d", msg, rec.Code, want)
+		}
 	}
 }

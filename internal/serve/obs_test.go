@@ -14,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/automata"
 	"repro/internal/budget"
 	"repro/internal/dtd"
+	"repro/internal/infer"
 	"repro/internal/mediator"
 	"repro/internal/obs"
 	"repro/internal/xmas"
@@ -424,6 +426,10 @@ func TestDebugTraceRingConcurrent(t *testing.T) {
 // trace ring, the Prometheus exposition, and the access log all tell the
 // same story under the same trace IDs.
 func TestEndToEndObservability(t *testing.T) {
+	// The "cold compile must charge" assertions below need cold process-wide
+	// caches, whatever ran before (an earlier test, or -count=2's first pass).
+	automata.PurgeCache()
+	infer.PurgeSatisfiabilityCache()
 	d, err := dtd.Parse(d1Text)
 	if err != nil {
 		t.Fatal(err)
