@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet lint race fault fuzz check bench bench-compare bench-prune bench-stream bench-serve bench-cluster load-smoke chaos cluster-smoke experiments cover clean fmt ci
+.PHONY: all build test vet lint race metrics-golden fault fuzz check bench bench-compare bench-prune bench-stream bench-serve bench-cluster load-smoke chaos cluster-smoke experiments cover clean fmt ci
 
 all: build vet test
 
@@ -26,10 +26,11 @@ lint:
 # whenever the serving path changes. The `./...` pattern covers every
 # package, including internal/automata (compiler singleflight hammer) and
 # internal/automata/cache (LRU hammer) — the tests that only prove
-# anything under -race. internal/mediator, internal/serve and
-# internal/engine run again at -count=3 -cpu=1,2: the part-slot
-# singleflight and the handlers above it are scheduling-sensitive, and the
-# repeat keeps every test of the three independent of what ran before it
+# anything under -race. internal/mediator, internal/serve, internal/engine
+# and internal/cluster run again at -count=3 -cpu=1,2: the part-slot
+# singleflight, the handlers above it and the forward transports (hedged
+# owner fetches, per-view build slots) are scheduling-sensitive, and the
+# repeat keeps every test of the four independent of what ran before it
 # (process-wide caches, shared fixtures).
 test:
 	go test ./...
@@ -37,7 +38,15 @@ test:
 race:
 	go vet ./...
 	go test -race ./...
-	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/
+	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
+
+# Rewrite internal/serve/testdata/metrics.golden — every /metrics family's
+# name, help and type, every series' labels, every JSON key — from what the
+# handler serves now. `go test ./...` (and so `make test`) compares against
+# the file; run this only when the metrics surface is meant to change, and
+# review the diff like an API change.
+metrics-golden:
+	go test -run '^TestMetricsGolden$$' ./internal/serve/ -update
 
 # Robustness battery: fault injection (wire faults, scripted source
 # failures), circuit-breaker state machine, budget degradation, and the

@@ -25,20 +25,24 @@ var ErrComputePanic = errors.New("cache: computation panicked")
 
 // Stats is a point-in-time snapshot of a cache's counters. Hits + Misses +
 // Dedups equals the number of GetOrCompute calls; Misses equals the number
-// of times the compute function actually ran.
+// of times the compute function actually ran. The metric/help tags declare
+// the /metrics series of the compiled-automata cache, this package's first
+// user (see obs.MetricWriter.Struct); another cache reporting a Stats
+// re-declares the fields it wants series for, as mediator.Stats does for the
+// verdict cache.
 type Stats struct {
 	// Hits counts lookups answered by a resident entry.
-	Hits int64 `json:"hits"`
+	Hits int64 `json:"hits" metric:"mix_automata_cache_hits_total" help:"Compiled-automata cache hits."`
 	// Misses counts lookups that ran the compute function.
-	Misses int64 `json:"misses"`
+	Misses int64 `json:"misses" metric:"mix_automata_cache_misses_total" help:"Compiled-automata cache misses."`
 	// Dedups counts lookups that joined another goroutine's in-flight
 	// computation of the same key instead of starting their own
 	// (singleflight): at most one compute runs per key at any moment.
-	Dedups int64 `json:"dedups"`
+	Dedups int64 `json:"dedups" metric:"mix_automata_cache_dedups_total" help:"Compiled-automata cache singleflight joins."`
 	// Evictions counts entries dropped by the LRU bound.
-	Evictions int64 `json:"evictions"`
+	Evictions int64 `json:"evictions" metric:"mix_automata_cache_evictions_total" help:"Compiled-automata cache evictions."`
 	// Size is the current number of resident entries; Capacity the bound.
-	Size     int `json:"size"`
+	Size     int `json:"size" metric:"mix_automata_cache_size" help:"Entries currently in the compiled-automata cache."`
 	Capacity int `json:"capacity"`
 }
 

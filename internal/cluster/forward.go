@@ -147,18 +147,12 @@ func (f *Forward) SchemaText() string { return f.sources[0].SchemaText() }
 // its validated last-known-good copy.
 func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 	f.node.forwarded.Add(1)
-	if sf, ok := f.wrapper.(mediator.StaleFetcher); ok {
-		doc, stale, err := sf.FetchStale(ctx)
-		if err != nil {
-			f.node.forwardErrors.Add(1)
-		}
-		return doc, stale, err
-	}
+	ctx, stale := mediator.WithStaleNote(ctx)
 	doc, err := f.wrapper.Fetch(ctx)
 	if err != nil {
 		f.node.forwardErrors.Add(1)
 	}
-	return doc, false, err
+	return doc, stale.Load(), err
 }
 
 // GetPath passes a sibling endpoint of the view (e.g. "/sdtd") through to
@@ -180,11 +174,12 @@ func (f *Forward) GetPath(ctx context.Context, suffix string) (string, error) {
 // Status reports per-owner replica health for replicated forwards (nil
 // for single-owner forwards, which have no health machinery).
 func (f *Forward) Status() []mediator.ReplicaStatus {
-	if rr, ok := f.wrapper.(mediator.ReplicaReporter); ok {
-		st := rr.ReplicaStatus()
-		return st.Replicas
+	var rep mediator.SourceReport
+	rep.Collect(f.wrapper)
+	if len(rep.Replicas) == 0 {
+		return nil
 	}
-	return nil
+	return rep.Replicas[0].Replicas
 }
 
 // ForwardedViews returns the sorted views with a cached forward — the

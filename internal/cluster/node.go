@@ -266,17 +266,19 @@ func (n *Node) Topology() Topology {
 	return t
 }
 
-// Metrics is the cluster section of /metrics (JSON) and the source of the
-// mix_cluster_* Prometheus series.
+// Metrics is the cluster section of /metrics: the JSON as tagged, and the
+// mix_cluster_* Prometheus series its metric/help tags declare (emitted by
+// obs.MetricWriter.Struct under a node label; the ring shares are a
+// labelled family internal/serve spells out).
 type Metrics struct {
 	Self          string          `json:"self"`
-	Nodes         int             `json:"nodes"`
-	VirtualNodes  int             `json:"virtual_nodes"`
-	OwnedViews    int             `json:"owned_views"`
-	ForwardViews  int             `json:"forward_views"`
-	Forwarded     int64           `json:"forwarded_requests"`
-	ForwardErrors int64           `json:"forward_errors"`
-	LoopRejected  int64           `json:"loop_rejected"`
+	Nodes         int             `json:"nodes" metric:"mix_cluster_nodes" help:"Mediator nodes in the cluster ring."`
+	VirtualNodes  int             `json:"virtual_nodes" metric:"mix_cluster_virtual_nodes" help:"Virtual nodes per member on the consistent-hash ring."`
+	OwnedViews    int             `json:"owned_views" metric:"mix_cluster_owned_views" help:"Cluster views this node owns (serves locally)."`
+	ForwardViews  int             `json:"forward_views" metric:"mix_cluster_forward_views" help:"Cluster views with a built peer-forward transport."`
+	Forwarded     int64           `json:"forwarded_requests" metric:"mix_cluster_forwarded_total" help:"Requests forwarded to peer mediator nodes."`
+	ForwardErrors int64           `json:"forward_errors" metric:"mix_cluster_forward_errors_total" help:"Forwarded requests that failed (builds and fetches)."`
+	LoopRejected  int64           `json:"loop_rejected" metric:"mix_cluster_loop_rejected_total" help:"Requests rejected by the forwarding loop guard (421)."`
 	Ring          []NodeRingStats `json:"ring"`
 }
 

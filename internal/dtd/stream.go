@@ -12,11 +12,11 @@ import (
 
 // StreamStats is a snapshot of the process-wide streaming-validation
 // counters: documents validated, scanner events consumed, input bytes
-// covered. internal/serve surfaces them at /metrics.
+// covered. internal/serve surfaces them at /metrics, as the tags declare.
 type StreamStats struct {
-	Documents int64 `json:"documents"`
-	Events    int64 `json:"events"`
-	Bytes     int64 `json:"bytes"`
+	Documents int64 `json:"documents" metric:"mix_stream_validated_documents_total" help:"Documents validated by the streaming (tree-free) validator."`
+	Events    int64 `json:"events" metric:"mix_stream_validated_events_total" help:"Scanner events consumed by the streaming validator."`
+	Bytes     int64 `json:"bytes" metric:"mix_stream_validated_bytes_total" help:"Input bytes covered by the streaming validator."`
 }
 
 var streamDocuments, streamEvents, streamBytes atomic.Int64

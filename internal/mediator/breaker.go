@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dtd"
@@ -18,14 +18,6 @@ import (
 // from the union view (a degraded but fast materialization) instead of
 // failing the whole view.
 var ErrBreakerOpen = errors.New("mediator: circuit breaker open")
-
-// BreakerCounter is optionally implemented by wrappers that guard a source
-// with a circuit breaker (BreakerSource); Mediator.Stats sums these into
-// Stats.BreakerTrips / Stats.BreakerRejections.
-type BreakerCounter interface {
-	BreakerTrips() int64
-	BreakerRejections() int64
-}
 
 // BreakerOptions configures a circuit breaker.
 type BreakerOptions struct {
@@ -53,35 +45,26 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 	return o
 }
 
-type breakerState int
-
-const (
-	breakerClosed breakerState = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
 // Breaker is a per-source circuit breaker: closed (calls flow, consecutive
 // failures counted) → open (calls rejected for the cooldown) → half-open
 // (exactly one probe call allowed; its success closes the breaker, its
-// failure re-opens it). Safe for concurrent use.
+// failure re-opens it). It is the replica health state machine (health.go)
+// read as closed = healthy or suspect, open = ejected, half-open = probing,
+// plus the two counters below. Safe for concurrent use.
 type Breaker struct {
-	opts BreakerOptions
-
-	mu       sync.Mutex
-	state    breakerState
-	failures int
-	openedAt time.Time
-	probing  bool // a half-open probe is in flight
-
-	trips      int64
-	rejections int64
+	h          *health
+	trips      atomic.Int64
+	rejections atomic.Int64
 }
 
 // NewBreaker builds a breaker with the given options (zero values get
-// defaults).
+// defaults). The health options are final as written: a breaker may open on
+// the first failure, which HealthOptions' own defaulting would widen.
 func NewBreaker(opts BreakerOptions) *Breaker {
-	return &Breaker{opts: opts.withDefaults()}
+	o := opts.withDefaults()
+	return &Breaker{h: &health{opts: HealthOptions{
+		SuspectAfter: 1, EjectAfter: o.Threshold, EjectCooldown: o.Cooldown, Clock: o.Clock,
+	}}}
 }
 
 // Allow reports whether a call may proceed. Open breakers reject with
@@ -89,71 +72,34 @@ func NewBreaker(opts BreakerOptions) *Breaker {
 // caller is let through as the half-open probe; its Record outcome decides
 // whether the breaker closes or re-opens.
 func (b *Breaker) Allow() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return nil
-	case breakerOpen:
-		if b.opts.Clock().Sub(b.openedAt) >= b.opts.Cooldown {
-			b.state = breakerHalfOpen
-			b.probing = true
-			return nil
-		}
-		b.rejections++
-		return ErrBreakerOpen
-	default: // half-open
-		if b.probing {
-			b.rejections++
-			return ErrBreakerOpen
-		}
-		b.probing = true
-		return nil
+	_, err := b.allow()
+	return err
+}
+
+// allow is Allow, also telling the caller whether it holds the probe slot.
+func (b *Breaker) allow() (probe bool, err error) {
+	ok, probe := b.h.acquire()
+	if !ok {
+		b.rejections.Add(1)
+		return false, ErrBreakerOpen
 	}
+	return probe, nil
 }
 
 // Record reports the outcome of an allowed call. ctx-cancellation errors
 // should not be fed to Record (they say nothing about the source's health);
 // BreakerSource filters them out.
 func (b *Breaker) Record(failed bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !failed {
-		b.state = breakerClosed
-		b.failures = 0
-		b.probing = false
-		return
-	}
-	switch b.state {
-	case breakerHalfOpen:
-		// Probe failed: back to open, cooldown restarts.
-		b.state = breakerOpen
-		b.openedAt = b.opts.Clock()
-		b.probing = false
-		b.trips++
-	case breakerClosed:
-		b.failures++
-		if b.failures >= b.opts.Threshold {
-			b.state = breakerOpen
-			b.openedAt = b.opts.Clock()
-			b.trips++
-		}
+	if b.h.record(failed) {
+		b.trips.Add(1)
 	}
 }
 
 // Trips returns the number of closed/half-open → open transitions.
-func (b *Breaker) Trips() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
-}
+func (b *Breaker) Trips() int64 { return b.trips.Load() }
 
 // Rejections returns the number of calls rejected with ErrBreakerOpen.
-func (b *Breaker) Rejections() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.rejections
-}
+func (b *Breaker) Rejections() int64 { return b.rejections.Load() }
 
 // BreakerSource wraps a Wrapper with a circuit breaker: after Threshold
 // consecutive Fetch failures the source is considered dead and further
@@ -185,32 +131,32 @@ func (s *BreakerSource) Schema() *dtd.DTD { return s.inner.Schema() }
 // caller's context (cancellation, deadline it imposed) is not held against
 // the source.
 func (s *BreakerSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
-	if err := s.b.Allow(); err != nil {
+	probe, err := s.b.allow()
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", s.inner.Name(), err)
 	}
 	doc, err := s.inner.Fetch(ctx)
 	if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-		// The caller went away; the source's health is unknown. Release the
-		// half-open probe slot without changing state.
-		s.b.mu.Lock()
-		s.b.probing = false
-		s.b.mu.Unlock()
+		// The caller went away; the source's health is unknown. Give a held
+		// half-open probe slot back without judging the source.
+		if probe {
+			s.b.h.releaseProbe()
+		}
 		return nil, err
 	}
 	s.b.Record(err != nil)
 	return doc, err
 }
 
-// Retries implements RetryCounter when the wrapped source does.
-func (s *BreakerSource) Retries() int64 {
-	if rc, ok := s.inner.(RetryCounter); ok {
-		return rc.Retries()
-	}
-	return 0
+// Report implements Reporter.
+func (s *BreakerSource) Report(r *SourceReport) {
+	r.BreakerTrips += s.b.Trips()
+	r.BreakerRejections += s.b.Rejections()
+	r.Collect(s.inner)
 }
 
-// BreakerTrips implements BreakerCounter.
+// BreakerTrips returns the breaker's own trip count.
 func (s *BreakerSource) BreakerTrips() int64 { return s.b.Trips() }
 
-// BreakerRejections implements BreakerCounter.
+// BreakerRejections returns the breaker's own rejection count.
 func (s *BreakerSource) BreakerRejections() int64 { return s.b.Rejections() }

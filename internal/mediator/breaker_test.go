@@ -146,8 +146,8 @@ func (s *flakySource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 }
 
 // breakerScenario wires a union view over a healthy department source and
-// a breaker-guarded flaky twin.
-func breakerScenario(t *testing.T) (*Mediator, *flakySource, *testClock) {
+// a breaker-guarded flaky twin, registered as wrap makes it (nil: as is).
+func breakerScenario(t *testing.T, wrap func(Wrapper) Wrapper) (*Mediator, *flakySource, *BreakerSource, *testClock) {
 	t.Helper()
 	m := newDeptMediator(t)
 	inner := staticDeptSource(t)
@@ -155,7 +155,11 @@ func breakerScenario(t *testing.T) (*Mediator, *flakySource, *testClock) {
 	flaky := &flakySource{inner: inner}
 	clk := &testClock{}
 	bs := NewBreakerSource(flaky, BreakerOptions{Threshold: 1, Cooldown: time.Minute, Clock: clk.Now})
-	if err := m.AddSource(bs); err != nil {
+	var registered Wrapper = bs
+	if wrap != nil {
+		registered = wrap(bs)
+	}
+	if err := m.AddSource(registered); err != nil {
 		t.Fatal(err)
 	}
 	profQ := `SELECT X WHERE <department> X:<professor/> </department>`
@@ -165,15 +169,23 @@ func breakerScenario(t *testing.T) (*Mediator, *flakySource, *testClock) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return m, flaky, clk
+	return m, flaky, bs, clk
 }
 
 // TestUnionViewDegradesOnOpenBreaker: with the breaker open, the dead
 // source's parts are dropped — the view materializes degraded instead of
 // failing — the degraded document is never cached, and completeness (plus
-// caching) returns once the source heals and the probe succeeds.
+// caching) returns once the source heals and the probe succeeds. A decorator
+// above the breaker changes none of it, nor hides the breaker's counters.
 func TestUnionViewDegradesOnOpenBreaker(t *testing.T) {
-	m, flaky, clk := breakerScenario(t)
+	t.Run("registered", func(t *testing.T) { testDegradesOnOpenBreaker(t, nil) })
+	t.Run("under a FaultSource", func(t *testing.T) {
+		testDegradesOnOpenBreaker(t, func(w Wrapper) Wrapper { return NewFaultSource(w) })
+	})
+}
+
+func testDegradesOnOpenBreaker(t *testing.T, wrap func(Wrapper) Wrapper) {
+	m, flaky, bs, clk := breakerScenario(t, wrap)
 	ctx := context.Background()
 	flaky.setFailing(true)
 
@@ -210,6 +222,10 @@ func TestUnionViewDegradesOnOpenBreaker(t *testing.T) {
 	}
 	if st.BreakerTrips < 1 || st.BreakerRejections < 2 {
 		t.Errorf("trips/rejections = %d/%d, want >=1/>=2", st.BreakerTrips, st.BreakerRejections)
+	}
+	if st.BreakerTrips != bs.BreakerTrips() || st.BreakerRejections != bs.BreakerRejections() {
+		t.Errorf("trips/rejections = %d/%d in Stats, %d/%d in the breaker",
+			st.BreakerTrips, st.BreakerRejections, bs.BreakerTrips(), bs.BreakerRejections())
 	}
 
 	// Heal the source, pass the cooldown: the probe succeeds and the view
@@ -332,7 +348,7 @@ func TestBreakerHalfOpenSingleProbeConcurrent(t *testing.T) {
 // TestQueryReportsDegraded: the Query path must propagate the degraded
 // flag of the materialization it ran against into QueryStats.
 func TestQueryReportsDegraded(t *testing.T) {
-	m, flaky, _ := breakerScenario(t)
+	m, flaky, _, _ := breakerScenario(t, nil)
 	ctx := context.Background()
 	flaky.setFailing(true)
 	if _, _, err := m.MaterializeInfo(ctx, "allProfs"); err == nil {

@@ -50,7 +50,7 @@ func (m *Mediator) InvalidateSource(source string) ([]string, error) {
 		}
 	}
 	m.mu.Unlock()
-	m.stats.add(&m.stats.sourceInvalidations, 1)
+	m.stats.add(&m.stats.SourceInvalidations, 1)
 	views := make([]string, 0, len(affected))
 	for vn := range affected {
 		views = append(views, vn)

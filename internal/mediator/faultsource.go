@@ -89,13 +89,8 @@ func (s *FaultSource) Name() string { return s.inner.Name() }
 // Schema implements Wrapper.
 func (s *FaultSource) Schema() *dtd.DTD { return s.inner.Schema() }
 
-// Retries implements RetryCounter when the wrapped source does.
-func (s *FaultSource) Retries() int64 {
-	if rc, ok := s.inner.(RetryCounter); ok {
-		return rc.Retries()
-	}
-	return 0
-}
+// Report implements Reporter: a FaultSource counts nothing of its own.
+func (s *FaultSource) Report(r *SourceReport) { r.Collect(s.inner) }
 
 // Fetch implements Wrapper, consuming the next script entry.
 func (s *FaultSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {

@@ -3,7 +3,7 @@ package mediator
 import (
 	"context"
 	"net/http"
-	"strings"
+	"slices"
 	"sync"
 )
 
@@ -24,10 +24,10 @@ const ForwardHeader = "X-Mix-Forwarded"
 //     header on every request it makes while the ForwardInfo is on the
 //     context — including through a ReplicaSet, whose replica fetches
 //     inherit the caller's context.
-//   - Response side: the X-Mix-Degraded/Pruned/Stale source taxonomy and
-//     the peer's own X-Mix-Forwarded echo are captured from successful
-//     responses, so the forwarding node can pass the owner's headers
-//     through to its client instead of erasing them at the hop.
+//   - Response side: the Provenance (X-Mix-Degraded/Pruned/Stale source
+//     taxonomy) and the peer's own X-Mix-Forwarded echo are captured from
+//     successful responses, so the forwarding node can pass the owner's
+//     headers through to its client instead of erasing them at the hop.
 //
 // The capture is mutex-guarded because hedged reads may have two replica
 // requests in flight; whichever responses arrive are recorded (the
@@ -38,12 +38,9 @@ type ForwardInfo struct {
 	// It is fixed before the fetch starts and read-only afterwards.
 	Hops []string
 
-	mu              sync.Mutex
-	degraded        bool
-	degradedSources []string
-	prunedSources   []string
-	staleSources    []string
-	via             []string
+	mu   sync.Mutex
+	prov Provenance
+	via  []string
 }
 
 // forwardKey is the context key for a *ForwardInfo.
@@ -65,78 +62,27 @@ func ForwardInfoFrom(ctx context.Context) *ForwardInfo {
 func (fi *ForwardInfo) record(h http.Header) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	if h.Get("X-Mix-Degraded") == "true" {
-		fi.degraded = true
-	}
-	fi.degradedSources = mergeCSV(fi.degradedSources, h.Get("X-Mix-Degraded-Sources"))
-	fi.prunedSources = mergeCSV(fi.prunedSources, h.Get("X-Mix-Pruned-Sources"))
-	fi.staleSources = mergeCSV(fi.staleSources, h.Get("X-Mix-Stale-Sources"))
+	fi.prov.FromHeaders(h)
 	if v := h.Get(ForwardHeader); v != "" {
 		fi.via = splitCSV(v)
 	}
 }
 
-// Degraded reports whether any recorded peer response was degraded.
-func (fi *ForwardInfo) Degraded() bool {
+// Provenance returns the union of the recorded peer responses' provenance.
+func (fi *ForwardInfo) Provenance() Provenance {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	return fi.degraded
-}
-
-// DegradedSources returns the union of recorded degraded-source lists.
-func (fi *ForwardInfo) DegradedSources() []string {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return append([]string(nil), fi.degradedSources...)
-}
-
-// PrunedSources returns the union of recorded pruned-source lists.
-func (fi *ForwardInfo) PrunedSources() []string {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return append([]string(nil), fi.prunedSources...)
-}
-
-// StaleSources returns the union of recorded stale-source lists.
-func (fi *ForwardInfo) StaleSources() []string {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return append([]string(nil), fi.staleSources...)
+	return Provenance{
+		Degraded:        fi.prov.Degraded,
+		DegradedSources: slices.Clone(fi.prov.DegradedSources),
+		PrunedSources:   slices.Clone(fi.prov.PrunedSources),
+		StaleSources:    slices.Clone(fi.prov.StaleSources),
+	}
 }
 
 // Via returns the peer's echoed hop path, if any response carried one.
 func (fi *ForwardInfo) Via() []string {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	return append([]string(nil), fi.via...)
-}
-
-// mergeCSV appends the comma-separated names of csv to have, keeping the
-// result duplicate-free and insertion-ordered.
-func mergeCSV(have []string, csv string) []string {
-	if csv == "" {
-		return have
-	}
-	seen := map[string]bool{}
-	for _, n := range have {
-		seen[n] = true
-	}
-	for _, n := range splitCSV(csv) {
-		if !seen[n] {
-			seen[n] = true
-			have = append(have, n)
-		}
-	}
-	return have
-}
-
-// splitCSV splits a comma-separated header value, trimming blanks.
-func splitCSV(csv string) []string {
-	var out []string
-	for _, p := range strings.Split(csv, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+	return slices.Clone(fi.via)
 }

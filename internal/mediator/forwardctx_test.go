@@ -38,16 +38,17 @@ func TestForwardInfoRecord(t *testing.T) {
 	h2.Set(ForwardHeader, " a , b , c ")
 	fi.record(h2)
 
-	if !fi.Degraded() {
+	p := fi.Provenance()
+	if !p.Degraded {
 		t.Error("degraded flag should be sticky after the first response")
 	}
-	if got := fmt.Sprint(fi.DegradedSources()); got != "[s1 s2 s3]" {
+	if got := fmt.Sprint(p.DegradedSources); got != "[s1 s2 s3]" {
 		t.Errorf("degraded sources = %s, want [s1 s2 s3]", got)
 	}
-	if got := fmt.Sprint(fi.PrunedSources()); got != "[p1]" {
+	if got := fmt.Sprint(p.PrunedSources); got != "[p1]" {
 		t.Errorf("pruned sources = %s", got)
 	}
-	if got := fmt.Sprint(fi.StaleSources()); got != "[st1]" {
+	if got := fmt.Sprint(p.StaleSources); got != "[st1]" {
 		t.Errorf("stale sources = %s", got)
 	}
 	if got := fmt.Sprint(fi.Via()); got != "[a b c]" {
@@ -68,12 +69,11 @@ func TestForwardInfoRecordConcurrent(t *testing.T) {
 			h.Set("X-Mix-Degraded", "true")
 			h.Set("X-Mix-Stale-Sources", fmt.Sprintf("r%d", i%2))
 			fi.record(h)
-			_ = fi.StaleSources()
-			_ = fi.Degraded()
+			_ = fi.Provenance()
 		}(i)
 	}
 	wg.Wait()
-	if got := len(fi.StaleSources()); got != 2 {
+	if got := len(fi.Provenance().StaleSources); got != 2 {
 		t.Errorf("stale union has %d entries, want 2 (r0, r1)", got)
 	}
 }

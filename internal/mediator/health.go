@@ -5,20 +5,21 @@ import (
 	"time"
 )
 
-// ReplicaState is the health of one replica inside a ReplicaSet. It is
-// the breaker state machine (closed/open/half-open) with one extra rung:
-// Suspect sits between Healthy and Ejected so a single failure demotes a
-// replica in the hedging order before repeated failures eject it
-// entirely.
+// ReplicaState is the health of one replica inside a ReplicaSet — and,
+// read as closed/open/half-open, of the source behind a Breaker, which runs
+// on the same machine (breaker.go). It is the circuit-breaker cycle with
+// one extra rung: Suspect sits between Healthy and Ejected so a single
+// failure demotes a replica in the hedging order before repeated failures
+// eject it entirely.
 //
 //	Healthy --failure--> Suspect --failures--> Ejected
 //	   ^                                          | cooldown
 //	   |                                          v
 //	   +------------- probe succeeds -------- Probing
 //
-// Probing mirrors the breaker's half-open state: exactly one in-flight
-// probe per ejected replica; its success restores Healthy, its failure
-// re-ejects and restarts the cooldown.
+// Probing is the half-open state: exactly one in-flight probe per ejected
+// replica; its success restores Healthy, its failure re-ejects and restarts
+// the cooldown.
 type ReplicaState int
 
 const (
@@ -117,39 +118,44 @@ func (h *health) acquire() (ok, probe bool) {
 	}
 }
 
-// record reports the outcome of an admitted fetch. Success restores
-// Healthy from any state; failure walks Healthy → Suspect → Ejected by
-// the configured thresholds, and re-ejects a failed probe with a fresh
-// cooldown. Caller-context cancellations must not be fed here — use
-// releaseProbe for those.
-func (h *health) record(failed bool) {
+// record reports the outcome of an admitted fetch, and whether it ejected
+// the replica. Success restores Healthy from any state; failure walks
+// Healthy → Suspect → Ejected by the configured thresholds, and re-ejects a
+// failed probe with a fresh cooldown. A failure that arrives while the
+// replica is already ejected — a fetch admitted before the ejection — is not
+// held against it twice: it neither counts nor restarts the cooldown.
+// Caller-context cancellations must not be fed here — use releaseProbe for
+// those.
+func (h *health) record(failed bool) (ejected bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !failed {
+	switch {
+	case !failed:
 		h.state = ReplicaHealthy
 		h.failures = 0
-		return
+	case h.state == ReplicaEjected:
+		// late: admitted before the ejection that already answered it
+	case h.state == ReplicaProbing:
+		ejected = true
+	default:
+		h.failures++
+		if h.failures >= h.opts.EjectAfter {
+			ejected = true
+		} else if h.failures >= h.opts.SuspectAfter {
+			h.state = ReplicaSuspect
+		}
 	}
-	if h.state == ReplicaProbing {
+	if ejected {
 		h.state = ReplicaEjected
 		h.ejectedAt = h.opts.Clock()
-		return
 	}
-	h.failures++
-	switch {
-	case h.failures >= h.opts.EjectAfter:
-		h.state = ReplicaEjected
-		h.ejectedAt = h.opts.Clock()
-	case h.failures >= h.opts.SuspectAfter:
-		h.state = ReplicaSuspect
-	}
+	return ejected
 }
 
 // releaseProbe returns a probe slot without judging the replica: the
 // caller's context died mid-probe, so its health is unknown. The replica
 // goes back to Ejected with its original cooldown timestamp, making the
-// next acquire immediately eligible to probe again (mirrors
-// BreakerSource's probing-flag release).
+// next acquire immediately eligible to probe again.
 func (h *health) releaseProbe() {
 	h.mu.Lock()
 	if h.state == ReplicaProbing {

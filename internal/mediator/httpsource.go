@@ -195,8 +195,11 @@ func (s *HTTPSource) Name() string { return s.name }
 func (s *HTTPSource) Schema() *dtd.DTD { return s.schema }
 
 // Retries reports the total number of transient-failure retries this
-// source has performed; Mediator.Stats sums it into Stats.Retries.
+// source has performed.
 func (s *HTTPSource) Retries() int64 { return s.retries.Load() }
+
+// Report implements Reporter.
+func (s *HTTPSource) Report(r *SourceReport) { r.Retries += s.Retries() }
 
 // Fetch implements Wrapper: it retrieves the materialized remote view and
 // validates it against the remote-provided schema before handing it to the

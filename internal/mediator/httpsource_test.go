@@ -110,9 +110,13 @@ func TestHTTPSourceRetriesThenSucceeds(t *testing.T) {
 	if got := src.Retries(); got != 2 {
 		t.Errorf("retries = %d, want 2", got)
 	}
-	// The retry counter feeds Mediator.Stats.
+	// The retry counter feeds Mediator.Stats, from the bottom of a stack.
+	rs, err := NewReplicaSet("remote", []Wrapper{src}, ReplicaSetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := New("portal")
-	if err := m.AddSource(src); err != nil {
+	if err := m.AddSource(NewFaultSource(NewBreakerSource(rs, BreakerOptions{}))); err != nil {
 		t.Fatal(err)
 	}
 	if st := m.Stats(); st.Retries != 2 {

@@ -60,7 +60,11 @@ var (
 // Wrapper is the interface a source exports to the mediator: data plus
 // schema, both in the XML model ("wrappers conceptually export the source
 // data translated into" the common model; here the model is XML+DTD rather
-// than TSIMMIS's OEM).
+// than TSIMMIS's OEM). That is the whole contract. What a wrapper counts
+// (retries, breaker trips, replica health) travels through the one optional
+// interface Reporter, and a ReplicaSet serving its last known good document
+// says so on the fetch context (WithStaleNote) — both pass through any stack
+// of decorators.
 type Wrapper interface {
 	// Name identifies the source within the mediator.
 	Name() string
@@ -69,12 +73,6 @@ type Wrapper interface {
 	Fetch(ctx context.Context) (*xmlmodel.Document, error)
 	// Schema returns the source DTD.
 	Schema() *dtd.DTD
-}
-
-// RetryCounter is optionally implemented by wrappers that retry transient
-// failures (HTTPSource); Mediator.Stats sums these into Stats.Retries.
-type RetryCounter interface {
-	Retries() int64
 }
 
 // StaticSource is an in-memory wrapper over a fixed document.
@@ -159,50 +157,16 @@ type QueryStats struct {
 	// mistake a broken simplifier (zero pruning, zero skips) for a fast
 	// one; internal/serve surfaces this as X-Mix-Simplifier-Error.
 	SimplifierError string
-	// Degraded / DegradedSources report that the materialization this query
-	// ran against dropped the parts of breaker-open sources (see
-	// MaterializeInfo); internal/serve surfaces this as X-Mix-Degraded.
-	Degraded        bool
-	DegradedSources []string
-	// PrunedSources names the sources whose parts were proven unable to
-	// contribute to this query's answer and were therefore never fetched
-	// (sorted, deduplicated). Pruning is NOT degradation: the answer is
-	// exactly what the unpruned evaluation would produce, so it does not
-	// set Degraded and does not trip breakers.
-	// internal/serve surfaces this as X-Mix-Pruned-Sources.
-	PrunedSources []string
-	// StaleSources names the sources whose parts were served from a
-	// last-known-good document because every replica was down (see
-	// ReplicaSet). Disjoint from both DegradedSources (those parts are
-	// *missing*; stale parts are present but possibly outdated) and
-	// PrunedSources (those are exact). internal/serve surfaces this as
-	// X-Mix-Stale-Sources.
-	StaleSources []string
+	// Provenance is that of the materialization the query ran against (or,
+	// when every part was pruned, just the pruned sources); internal/serve
+	// surfaces it as the X-Mix-Degraded/-Pruned-Sources/-Stale-Sources
+	// headers.
+	Provenance
 }
 
-// MaterializeInfo reports how a materialization went beyond its document:
-// whether breaker-open sources forced a degraded (partial) view.
+// MaterializeInfo reports how a materialization went beyond its document.
 type MaterializeInfo struct {
-	// Degraded is true when at least one part was dropped because its
-	// source's circuit breaker was open. The returned document then misses
-	// that source's elements — still sound against the view DTD whenever
-	// the per-part lists are independently optional, and never cached, so
-	// the next materialization after the breaker closes is complete.
-	Degraded bool
-	// DegradedSources names the sources whose parts were dropped, sorted.
-	DegradedSources []string
-	// PrunedSources names the sources whose parts were skipped by
-	// query-time satisfiability pruning (sorted). Unlike DegradedSources
-	// this is a correctness-preserving omission — the skipped parts were
-	// proven empty for the query at hand — so the kept parts are cached as
-	// in any materialization and the result is not marked Degraded.
-	PrunedSources []string
-	// StaleSources names the sources whose parts came from a ReplicaSet's
-	// last-known-good document (sorted): every replica failed, so the part
-	// is present and DTD-valid but possibly outdated. A stale part is
-	// never cached — the next materialization retries the replicas — and
-	// does not mark the result Degraded (nothing is missing).
-	StaleSources []string
+	Provenance
 }
 
 // partCalc is one computation of a view part — fetch its source, evaluate
@@ -426,8 +390,8 @@ func (m *Mediator) DefineUnionView(name string, parts []ViewPart) (*View, error)
 		m.deps[p.Source][name] = true
 	}
 	if v.Degraded {
-		m.stats.add(&m.stats.degradedViews, 1)
-		m.stats.add(&m.stats.budgetExhaustions, 1)
+		m.stats.add(&m.stats.DegradedViews, 1)
+		m.stats.add(&m.stats.BudgetExhaustions, 1)
 	}
 	return v, nil
 }
@@ -528,7 +492,7 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool) 
 	var span *obs.Span
 	switch {
 	case leads > 0:
-		m.stats.add(&m.stats.cacheMisses, 1)
+		m.stats.add(&m.stats.CacheMisses, 1)
 		ctx, span = obs.StartSpan(ctx, "materialize",
 			obs.String("view", v.Name), obs.Int("parts", int64(len(v.Parts))))
 		if len(pruned) > 0 {
@@ -536,10 +500,10 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool) 
 		}
 		defer span.End()
 	case joins > 0:
-		m.stats.add(&m.stats.dedups, 1)
+		m.stats.add(&m.stats.SingleflightDedups, 1)
 		obs.AddEvent(ctx, "materialize.singleflight_join", obs.String("view", v.Name))
 	default:
-		m.stats.add(&m.stats.cacheHits, 1)
+		m.stats.add(&m.stats.CacheHits, 1)
 		obs.AddEvent(ctx, "materialize.cache_hit", obs.String("view", v.Name))
 	}
 
@@ -580,7 +544,7 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool) 
 		return nil, nil, firstErr
 	}
 
-	info := &MaterializeInfo{PrunedSources: pruned}
+	info := &MaterializeInfo{Provenance{PrunedSources: pruned}}
 	root := &xmlmodel.Element{Name: v.Name}
 	for i, p := range parts {
 		if !keep[i] {
@@ -600,12 +564,12 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool) 
 	sort.Strings(info.DegradedSources)
 	sort.Strings(info.StaleSources)
 	if info.Degraded {
-		m.stats.add(&m.stats.degradedMaterializations, 1)
+		m.stats.add(&m.stats.DegradedMaterializations, 1)
 		obs.AddEvent(ctx, "materialize.degraded",
 			obs.String("dropped_sources", strings.Join(info.DegradedSources, ",")))
 	}
 	if len(info.StaleSources) > 0 {
-		m.stats.add(&m.stats.staleMaterializations, 1)
+		m.stats.add(&m.stats.StaleMaterializations, 1)
 		obs.AddEvent(ctx, "materialize.stale",
 			obs.String("stale_sources", strings.Join(info.StaleSources, ",")))
 	}
@@ -619,8 +583,8 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool) 
 				recomputed = append(recomputed, v.Parts[i].Source)
 			}
 		}
-		m.stats.add(&m.stats.partsReused, int64(len(reused)))
-		m.stats.add(&m.stats.partsRecomputed, int64(len(recomputed)))
+		m.stats.add(&m.stats.PartsReused, int64(len(reused)))
+		m.stats.add(&m.stats.PartsRecomputed, int64(len(recomputed)))
 		obs.AddEvent(ctx, "materialize.delta",
 			obs.String("reused", strings.Join(reused, ",")),
 			obs.String("recomputed", strings.Join(recomputed, ",")))
@@ -668,7 +632,7 @@ func (m *Mediator) resolvePart(ctx context.Context, v *View, i int, w Wrapper, c
 		c, lead = m.claimLocked(v, i)
 		m.mu.Unlock()
 		if lead {
-			m.stats.add(&m.stats.cacheMisses, 1) // a computation the plan did not foresee
+			m.stats.add(&m.stats.CacheMisses, 1) // a computation the plan did not foresee
 		}
 	}
 }
@@ -694,7 +658,7 @@ func (m *Mediator) runPart(ctx context.Context, v *View, i int, w Wrapper, c *pa
 	close(c.done)
 	m.mu.Unlock()
 	if complete && !current {
-		m.stats.add(&m.stats.staleDiscards, 1)
+		m.stats.add(&m.stats.StaleDiscards, 1)
 	}
 }
 
@@ -705,18 +669,13 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper) (res partResult) {
 	// shows which source stalled (fault injection, retries) or was dropped
 	// by its breaker.
 	fctx, fspan := obs.StartSpan(ctx, "source.fetch", obs.String("source", p.Source))
-	var doc *xmlmodel.Document
-	var err error
-	// Prefer the stale-aware fetch when the wrapper offers one (ReplicaSet):
-	// a last-known-good answer flows through with its marker instead of
-	// being indistinguishable from a live one.
-	if sf, ok := w.(StaleFetcher); ok {
-		doc, res.stale, err = sf.FetchStale(fctx)
-		if err == nil && res.stale {
-			fspan.Event("source.stale_serve", obs.String("source", p.Source))
-		}
-	} else {
-		doc, err = w.Fetch(fctx)
+	// A last-known-good answer, from a ReplicaSet anywhere in w's stack,
+	// comes back with its note instead of being indistinguishable from a
+	// live one.
+	fctx, stale := WithStaleNote(fctx)
+	doc, err := w.Fetch(fctx)
+	if res.stale = err == nil && stale.Load(); res.stale {
+		fspan.Event("source.stale_serve", obs.String("source", p.Source))
 	}
 	if errors.Is(err, ErrBreakerOpen) {
 		fspan.Event("breaker.open_drop", obs.String("source", p.Source))
@@ -773,7 +732,7 @@ func (m *Mediator) Invalidate() {
 		clear(slots)
 	}
 	m.mu.Unlock()
-	m.stats.add(&m.stats.invalidations, 1)
+	m.stats.add(&m.stats.Invalidations, 1)
 }
 
 // Query runs a pick-element query against a view. The query is first
@@ -816,7 +775,7 @@ func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*
 		sq = simplified
 	} else {
 		stats.SimplifierError = serr.Error()
-		m.stats.add(&m.stats.simplifierErrors, 1)
+		m.stats.add(&m.stats.SimplifierErrors, 1)
 		span.Event("query.simplifier_error", obs.String("error", serr.Error()))
 	}
 	var keep []bool
@@ -827,7 +786,7 @@ func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*
 		keep = keepAll(v)
 	}
 	if pruned > 0 {
-		m.stats.add(&m.stats.partsPruned, int64(pruned))
+		m.stats.add(&m.stats.PartsPruned, int64(pruned))
 		span.SetAttr(obs.Int("parts_pruned", int64(pruned)))
 	}
 	if pruned == len(v.Parts) {
@@ -841,10 +800,7 @@ func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.Degraded = info.Degraded
-	stats.DegradedSources = info.DegradedSources
-	stats.PrunedSources = info.PrunedSources
-	stats.StaleSources = info.StaleSources
+	stats.Provenance = info.Provenance
 	picks, err := engine.EvalElements(sq, doc)
 	if err != nil {
 		return nil, nil, err

@@ -34,21 +34,19 @@ const (
 	hedgeSampleFloor = 20
 )
 
-// StaleFetcher is optionally implemented by wrappers that can fall back
-// to a last-known-good document when the live source is unreachable. The
-// bool result marks the document as stale: still valid under the source's
-// DTD, but possibly outdated. The mediator prefers FetchStale over
-// Fetch so staleness propagates into MaterializeInfo.StaleSources (and
-// from there to the X-Mix-Stale-Sources response header) instead of being
-// silently absorbed.
-type StaleFetcher interface {
-	FetchStale(ctx context.Context) (*xmlmodel.Document, bool, error)
-}
+// staleNoteKey is the context key of a fetch's stale note.
+type staleNoteKey struct{}
 
-// ReplicaReporter is optionally implemented by wrappers that manage
-// replicas (ReplicaSet); Mediator.Stats and /readyz collect these.
-type ReplicaReporter interface {
-	ReplicaStatus() ReplicaSetStatus
+// WithStaleNote returns a context for one source fetch and the note a
+// ReplicaSet sets when, every replica having failed, it answers that fetch
+// with its last known good document: still valid under the source's DTD,
+// but possibly outdated. The note rides the context, not the result, so it
+// survives whatever decorators sit between the caller and the ReplicaSet;
+// the mediator reads it into Provenance.StaleSources (and from there the
+// X-Mix-Stale-Sources response header) and does not cache the part.
+func WithStaleNote(ctx context.Context) (context.Context, *atomic.Bool) {
+	note := new(atomic.Bool)
+	return context.WithValue(ctx, staleNoteKey{}, note), note
 }
 
 // ReplicaStatus is the health snapshot of one replica.
@@ -141,7 +139,7 @@ func (o ReplicaSetOptions) withDefaults() ReplicaSetOptions {
 // dry they are denied (counted, never blocking the primary), so a
 // brownout cannot be amplified into a retry storm. When every reachable
 // replica fails, the last known good document (DTD-validated at store
-// time) is served with an explicit stale marker via FetchStale.
+// time) is served and the fetch's stale note set (WithStaleNote).
 type ReplicaSet struct {
 	name     string
 	schema   *dtd.DTD
@@ -204,13 +202,6 @@ func (r *ReplicaSet) Schema() *dtd.DTD { return r.schema }
 // HTTPSources and for metrics).
 func (r *ReplicaSet) Budget() *RetryBudget { return r.budget }
 
-// Fetch implements Wrapper. The stale marker is dropped: callers that
-// care use FetchStale (the mediator's evaluate path does).
-func (r *ReplicaSet) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
-	doc, _, err := r.FetchStale(ctx)
-	return doc, err
-}
-
 // launchKind tags why an attempt was started, for win accounting.
 type launchKind int
 
@@ -226,10 +217,10 @@ type attemptResult struct {
 	err  error
 }
 
-// FetchStale implements StaleFetcher: it fetches from the healthiest
-// replica with hedging and failover, and reports stale=true when the
-// returned document is the last known good rather than a live answer.
-func (r *ReplicaSet) FetchStale(ctx context.Context) (*xmlmodel.Document, bool, error) {
+// Fetch implements Wrapper: it fetches from the healthiest replica with
+// hedging and failover, and sets the context's stale note when the returned
+// document is the last known good rather than a live answer.
+func (r *ReplicaSet) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -277,7 +268,7 @@ func (r *ReplicaSet) FetchStale(ctx context.Context) (*xmlmodel.Document, bool, 
 					obs.AddEvent(ctx, "replica.hedge_win", obs.String("source", r.name))
 				}
 				r.storeLKG(res.doc)
-				return res.doc, false, nil
+				return res.doc, nil
 			}
 			lastErr = res.err
 			// Failover: the attempt failed, try the next candidate — extra
@@ -308,7 +299,7 @@ func (r *ReplicaSet) FetchStale(ctx context.Context) (*xmlmodel.Document, bool, 
 				obs.AddEvent(ctx, "replica.hedge", obs.String("source", r.name))
 			}
 		case <-ctx.Done():
-			return nil, false, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 }
@@ -394,9 +385,9 @@ func (r *ReplicaSet) storeLKG(doc *xmlmodel.Document) {
 }
 
 // staleOrErr is the all-replicas-failed terminal: the last known good
-// document with the stale marker when stale serving is on and one exists,
-// the error otherwise.
-func (r *ReplicaSet) staleOrErr(ctx context.Context, cause error) (*xmlmodel.Document, bool, error) {
+// document, noted stale, when stale serving is on and one exists, the error
+// otherwise.
+func (r *ReplicaSet) staleOrErr(ctx context.Context, cause error) (*xmlmodel.Document, error) {
 	if !r.opts.DisableStaleServe {
 		r.mu.Lock()
 		doc := r.lkg
@@ -404,10 +395,13 @@ func (r *ReplicaSet) staleOrErr(ctx context.Context, cause error) (*xmlmodel.Doc
 		if doc != nil {
 			r.staleServes.Add(1)
 			obs.AddEvent(ctx, "replica.stale_serve", obs.String("source", r.name))
-			return doc, true, nil
+			if note, _ := ctx.Value(staleNoteKey{}).(*atomic.Bool); note != nil {
+				note.Store(true)
+			}
+			return doc, nil
 		}
 	}
-	return nil, false, fmt.Errorf("mediator: source %s: all replicas failed: %w", r.name, cause)
+	return nil, fmt.Errorf("mediator: source %s: all replicas failed: %w", r.name, cause)
 }
 
 // HasLastKnownGood reports whether a stale fallback document is cached.
@@ -469,7 +463,7 @@ func (r *ReplicaSet) RunHealthChecks(ctx context.Context, interval, timeout time
 	}
 }
 
-// ReplicaStatus implements ReplicaReporter.
+// ReplicaStatus snapshots the set's health, counters and budget.
 func (r *ReplicaSet) ReplicaStatus() ReplicaSetStatus {
 	st := ReplicaSetStatus{
 		Source:           r.name,
@@ -503,36 +497,12 @@ func (r *ReplicaSet) ReplicaStatus() ReplicaSetStatus {
 	return st
 }
 
-// Retries implements RetryCounter by summing the replicas' own counters,
-// so a ReplicaSet of HTTPSources keeps feeding Stats.Retries.
-func (r *ReplicaSet) Retries() int64 {
-	var n int64
+// Report implements Reporter: the set's status, then what its replicas
+// report (a ReplicaSet of HTTPSources keeps feeding Stats.Retries, one of
+// BreakerSources the breaker counters).
+func (r *ReplicaSet) Report(rep *SourceReport) {
+	rep.Replicas = append(rep.Replicas, r.ReplicaStatus())
 	for _, w := range r.replicas {
-		if rc, ok := w.(RetryCounter); ok {
-			n += rc.Retries()
-		}
+		rep.Collect(w)
 	}
-	return n
-}
-
-// BreakerTrips implements BreakerCounter by summing replica breakers.
-func (r *ReplicaSet) BreakerTrips() int64 {
-	var n int64
-	for _, w := range r.replicas {
-		if bc, ok := w.(BreakerCounter); ok {
-			n += bc.BreakerTrips()
-		}
-	}
-	return n
-}
-
-// BreakerRejections implements BreakerCounter.
-func (r *ReplicaSet) BreakerRejections() int64 {
-	var n int64
-	for _, w := range r.replicas {
-		if bc, ok := w.(BreakerCounter); ok {
-			n += bc.BreakerRejections()
-		}
-	}
-	return n
 }

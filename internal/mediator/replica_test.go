@@ -65,6 +65,14 @@ func (s *replicaStub) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	return s.inner.Fetch(ctx)
 }
 
+// fetchNoted fetches from w as the mediator does — under a stale note — and
+// returns the note beside the result.
+func fetchNoted(ctx context.Context, w Wrapper) (*xmlmodel.Document, bool, error) {
+	ctx, stale := WithStaleNote(ctx)
+	doc, err := w.Fetch(ctx)
+	return doc, stale.Load(), err
+}
+
 // TestReplicaSetRejectsMismatchedDTD: replicas must be interchangeable —
 // a replica whose DTD describes a different document language is rejected
 // at registration, by name.
@@ -104,7 +112,7 @@ func TestReplicaSetFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, stale, err := rs.FetchStale(context.Background())
+	doc, stale, err := fetchNoted(context.Background(), rs)
 	if err != nil || stale {
 		t.Fatalf("fetch = stale=%v, %v; want a live failover success", stale, err)
 	}
@@ -124,7 +132,7 @@ func TestReplicaSetFailover(t *testing.T) {
 
 	// Next fetch goes straight to the healthy replica: suspect sorts last.
 	before := b.fetches.Load()
-	if _, _, err := rs.FetchStale(context.Background()); err != nil {
+	if _, _, err := fetchNoted(context.Background(), rs); err != nil {
 		t.Fatal(err)
 	}
 	if b.fetches.Load() != before+1 {
@@ -146,7 +154,7 @@ func TestReplicaSetHedgeWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	doc, stale, err := rs.FetchStale(context.Background())
+	doc, stale, err := fetchNoted(context.Background(), rs)
 	if err != nil || stale {
 		t.Fatalf("fetch = stale=%v, %v", stale, err)
 	}
@@ -185,7 +193,7 @@ func TestReplicaSetHedgeDeniedWhenBudgetDry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, stale, err := rs.FetchStale(context.Background())
+	doc, stale, err := fetchNoted(context.Background(), rs)
 	if err != nil || stale || doc == nil {
 		t.Fatalf("fetch = %v, stale=%v, %v", doc, stale, err)
 	}
@@ -211,19 +219,19 @@ func TestReplicaSetStaleServing(t *testing.T) {
 	// No last known good yet: a total outage is an error.
 	a.set(true, 0)
 	b.set(true, 0)
-	if _, _, err := rs.FetchStale(context.Background()); err == nil {
+	if _, _, err := fetchNoted(context.Background(), rs); err == nil {
 		t.Fatal("outage with no last-known-good must fail")
 	}
 
 	// Warm the cache, then fail everything: the stale copy is served.
 	a.set(false, 0)
 	b.set(false, 0)
-	if _, stale, err := rs.FetchStale(context.Background()); err != nil || stale {
+	if _, stale, err := fetchNoted(context.Background(), rs); err != nil || stale {
 		t.Fatalf("warmup = stale=%v, %v", stale, err)
 	}
 	a.set(true, 0)
 	b.set(true, 0)
-	doc, stale, err := rs.FetchStale(context.Background())
+	doc, stale, err := fetchNoted(context.Background(), rs)
 	if err != nil {
 		t.Fatalf("outage with a last-known-good must stale-serve: %v", err)
 	}
@@ -250,12 +258,12 @@ func TestReplicaSetStaleServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := rs2.FetchStale(context.Background()); err != nil {
+	if _, _, err := fetchNoted(context.Background(), rs2); err != nil {
 		t.Fatal(err)
 	}
 	a2.set(true, 0)
 	b2.set(true, 0)
-	if _, _, err := rs2.FetchStale(context.Background()); err == nil ||
+	if _, _, err := fetchNoted(context.Background(), rs2); err == nil ||
 		!strings.Contains(err.Error(), "all replicas failed") {
 		t.Fatalf("err = %v, want all-replicas-failed (stale serving disabled)", err)
 	}
@@ -277,14 +285,14 @@ func TestReplicaSetLKGMustValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := rs.FetchStale(context.Background()); err != nil {
+	if _, _, err := fetchNoted(context.Background(), rs); err != nil {
 		t.Fatalf("the live answer itself is passed through: %v", err)
 	}
 	if rs.HasLastKnownGood() {
 		t.Fatal("an invalid document must not become the last known good")
 	}
 	a.set(true, 0)
-	if _, _, err := rs.FetchStale(context.Background()); err == nil {
+	if _, _, err := fetchNoted(context.Background(), rs); err == nil {
 		t.Fatal("outage must fail: the invalid document was not cached")
 	}
 }
@@ -314,12 +322,12 @@ func TestReplicaSetEjectionAndRecovery(t *testing.T) {
 			t.Fatalf("state = %q, want %q", st.Replicas[0].State, want)
 		}
 	}
-	if _, _, err := rs.FetchStale(ctx); err == nil {
+	if _, _, err := fetchNoted(ctx, rs); err == nil {
 		t.Fatal("failing replica must fail the fetch")
 	}
 	wantState("suspect") // SuspectAfter default 1
 	for i := 0; i < 2; i++ {
-		if _, _, err := rs.FetchStale(ctx); err == nil {
+		if _, _, err := fetchNoted(ctx, rs); err == nil {
 			t.Fatal("failing replica must fail the fetch")
 		}
 	}
@@ -327,7 +335,7 @@ func TestReplicaSetEjectionAndRecovery(t *testing.T) {
 
 	// Within the cooldown the replica is not even contacted.
 	before := a.fetches.Load()
-	if _, _, err := rs.FetchStale(ctx); err == nil ||
+	if _, _, err := fetchNoted(ctx, rs); err == nil ||
 		!strings.Contains(err.Error(), "every replica ejected") {
 		t.Fatalf("err = %v, want every-replica-ejected", err)
 	}
@@ -341,7 +349,7 @@ func TestReplicaSetEjectionAndRecovery(t *testing.T) {
 
 	// Past the cooldown, a failed probe re-ejects with a fresh cooldown.
 	clk.Advance(time.Minute)
-	if _, _, err := rs.FetchStale(ctx); err == nil {
+	if _, _, err := fetchNoted(ctx, rs); err == nil {
 		t.Fatal("failed probe must fail the fetch")
 	}
 	wantState("ejected")
@@ -350,7 +358,7 @@ func TestReplicaSetEjectionAndRecovery(t *testing.T) {
 	// healthy again.
 	a.set(false, 0)
 	clk.Advance(time.Minute)
-	doc, stale, err := rs.FetchStale(ctx)
+	doc, stale, err := fetchNoted(ctx, rs)
 	if err != nil || stale || doc == nil {
 		t.Fatalf("recovery probe = %v, stale=%v, %v", doc, stale, err)
 	}
@@ -378,7 +386,7 @@ func TestReplicaSetCheckReplicas(t *testing.T) {
 	}
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, _, err := rs.FetchStale(ctx); err == nil {
+		if _, _, err := fetchNoted(ctx, rs); err == nil {
 			t.Fatal("failing replica must fail the fetch")
 		}
 	}
@@ -414,8 +422,22 @@ func TestReplicaSetCheckReplicas(t *testing.T) {
 // total replica outage turns into a complete, DTD-valid answer marked in
 // MaterializeInfo.StaleSources and QueryStats.StaleSources (disjoint from
 // Degraded), the stale materialization is never cached, and live serving
-// (plus caching) resumes once a replica heals.
+// (plus caching) resumes once a replica heals. All of it holds wherever the
+// ReplicaSet sits in the source's decorator stack: the stale note and the
+// set's report pass through every wrapper above it.
 func TestReplicaSetMediatorStaleFlow(t *testing.T) {
+	breaker := func(w Wrapper) Wrapper { return NewBreakerSource(w, BreakerOptions{}) }
+	for name, wrap := range map[string]func(Wrapper) Wrapper{
+		"bare":          func(w Wrapper) Wrapper { return w },
+		"fault":         func(w Wrapper) Wrapper { return NewFaultSource(w) },
+		"breaker":       breaker,
+		"fault+breaker": func(w Wrapper) Wrapper { return NewFaultSource(breaker(w)) },
+	} {
+		t.Run(name, func(t *testing.T) { testStaleFlow(t, wrap) })
+	}
+}
+
+func testStaleFlow(t *testing.T, wrap func(Wrapper) Wrapper) {
 	a, b := newReplicaStub(t, "r0"), newReplicaStub(t, "r1")
 	// EjectAfter is set high so the repeated outage materializations keep
 	// the replicas suspect rather than ejected — ejection/cooldown timing
@@ -428,7 +450,7 @@ func TestReplicaSetMediatorStaleFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New("campus")
-	if err := m.AddSource(rs); err != nil {
+	if err := m.AddSource(wrap(rs)); err != nil {
 		t.Fatal(err)
 	}
 	profQ := `SELECT X WHERE <department> X:<professor/> </department>`
@@ -474,15 +496,24 @@ func TestReplicaSetMediatorStaleFlow(t *testing.T) {
 	if st.CacheHits != hitsBefore {
 		t.Error("stale documents must never be cached")
 	}
-	if st.StaleMaterializations < 2 {
-		t.Errorf("stale materializations = %d, want >= 2", st.StaleMaterializations)
+	if st.StaleMaterializations != 2 {
+		t.Errorf("stale materializations = %d, want 2", st.StaleMaterializations)
 	}
-	if st.StaleServes < 2 {
-		t.Errorf("stale serves = %d, want >= 2", st.StaleServes)
+	// The mediator's totals are the set's own counts, and its snapshot is
+	// the set's own status.
+	own := rs.ReplicaStatus()
+	if own.StaleServes != 2 || st.StaleServes != own.StaleServes {
+		t.Errorf("stale serves = %d in Stats, %d in the set; want 2 in both", st.StaleServes, own.StaleServes)
 	}
-	rst, ok := st.Replicas["dept-rs"]
-	if !ok || rst.StaleServes < 2 || !rst.HasLastKnownGood {
+	if rst, ok := st.Replicas["dept-rs"]; !ok || rst.StaleServes != own.StaleServes || !rst.HasLastKnownGood {
 		t.Errorf("stats replicas = %+v; want the dept-rs snapshot with its stale serves", st.Replicas)
+	}
+	if _, ok := m.ReplicaStatuses()["dept-rs"]; !ok {
+		t.Error("ReplicaStatuses (the /readyz input) must see the set")
+	}
+	if st.BreakerTrips != 0 || st.BreakerRejections != 0 {
+		t.Errorf("breaker trips/rejections = %d/%d; a stale serve is an answer, not a failure",
+			st.BreakerTrips, st.BreakerRejections)
 	}
 
 	// The query path carries the marker too.
@@ -492,11 +523,16 @@ func TestReplicaSetMediatorStaleFlow(t *testing.T) {
 		t.Fatalf("query stats = %+v, %v; want the stale marker", qs, err)
 	}
 
-	// Heal: live again, and cacheable again.
+	// Heal: the replicas are asked again — the outdated document was not
+	// pinned in the slot — and the live answer is cacheable again.
 	a.set(false, 0)
 	b.set(false, 0)
+	fetchesBefore := a.fetches.Load() + b.fetches.Load()
 	if _, info, err = m.MaterializeInfo(ctx, "profs"); err != nil || len(info.StaleSources) != 0 {
 		t.Fatalf("healed materialize = %+v, %v", info, err)
+	}
+	if a.fetches.Load()+b.fetches.Load() == fetchesBefore {
+		t.Error("the healed replicas must be fetched again")
 	}
 	if _, info, err = m.MaterializeInfo(ctx, "profs"); err != nil || len(info.StaleSources) != 0 {
 		t.Fatalf("cached read = %+v, %v", info, err)
@@ -515,7 +551,7 @@ func TestReplicaSetConcurrentFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := rs.FetchStale(context.Background()); err != nil {
+	if _, _, err := fetchNoted(context.Background(), rs); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -536,7 +572,7 @@ func TestReplicaSetConcurrentFetch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 25; j++ {
-				doc, _, err := rs.FetchStale(context.Background())
+				doc, _, err := fetchNoted(context.Background(), rs)
 				if err != nil {
 					t.Errorf("fetch: %v", err)
 					return

@@ -34,7 +34,11 @@ type ViewStats struct {
 
 // Stats is a point-in-time snapshot of the mediator's serving counters,
 // exposed over HTTP at GET /metrics (internal/serve) and via expvar
-// (cmd/mixserve).
+// (cmd/mixserve). A scalar is declared here and nowhere else: the field
+// holds the number (the live one, in statsCounters), its json tag is the
+// JSON name, and its metric and help tags are the Prometheus series
+// (obs.MetricWriter.Struct derives the kind from the name). Adding a counter
+// is adding one tagged field and the line that increments it.
 type Stats struct {
 	// Every materialization (Materialize call, or the masked one under a
 	// Query) is counted once, by what it found in the part slots:
@@ -46,62 +50,62 @@ type Stats struct {
 	// miss.) StaleDiscards counts part results that completed after an
 	// invalidation of their source and were therefore returned to their
 	// waiters but not kept.
-	CacheHits          int64 `json:"cache_hits"`
-	CacheMisses        int64 `json:"cache_misses"`
-	SingleflightDedups int64 `json:"singleflight_dedups"`
-	StaleDiscards      int64 `json:"stale_discards"`
-	Invalidations      int64 `json:"invalidations"`
+	CacheHits          int64 `json:"cache_hits" metric:"mix_cache_hits_total" help:"Materializations whose every kept part was cached."`
+	CacheMisses        int64 `json:"cache_misses" metric:"mix_cache_misses_total" help:"Materializations that computed at least one view part."`
+	SingleflightDedups int64 `json:"singleflight_dedups" metric:"mix_singleflight_dedups_total" help:"Materializations that computed nothing but waited on a part computation already running, counted on joining."`
+	StaleDiscards      int64 `json:"stale_discards" metric:"mix_stale_discards_total" help:"Part results not kept because their source was invalidated mid-flight."`
+	Invalidations      int64 `json:"invalidations" metric:"mix_invalidations_total" help:"View cache invalidations."`
 	// SourceInvalidations counts InvalidateSource calls (scoped, delta-
 	// maintained invalidations, as opposed to the global Invalidations).
-	SourceInvalidations int64 `json:"source_invalidations"`
+	SourceInvalidations int64 `json:"source_invalidations" metric:"mix_source_invalidations_total" help:"Per-source (delta) cache invalidations."`
 
 	// PartsRecomputed / PartsReused count, over the materializations that
 	// missed, the view parts evaluated against their source vs. served
 	// from their slot. Their ratio is the figure of merit of delta
 	// maintenance: under invalidate-source traffic most parts should be
 	// reused, not refetched.
-	PartsRecomputed int64 `json:"parts_recomputed"`
-	PartsReused     int64 `json:"parts_reused"`
+	PartsRecomputed int64 `json:"parts_recomputed" metric:"mix_parts_recomputed_total" help:"View parts evaluated against their source during materializations that missed."`
+	PartsReused     int64 `json:"parts_reused" metric:"mix_parts_reused_total" help:"View parts served from their cache slot during materializations that missed."`
 
 	// Simplifier totals across all queries (Section 4.2's side effects).
-	SimplifierPruned  int64 `json:"simplifier_pruned"`
-	SimplifierDropped int64 `json:"simplifier_dropped"`
-	SimplifierSkips   int64 `json:"simplifier_skips"`
-	SimplifierErrors  int64 `json:"simplifier_errors"`
+	SimplifierPruned  int64 `json:"simplifier_pruned" metric:"mix_simplifier_pruned_total" help:"Query conditions pruned by the DTD-based simplifier."`
+	SimplifierDropped int64 `json:"simplifier_dropped" metric:"mix_simplifier_dropped_total" help:"Names dropped by the DTD-based simplifier."`
+	SimplifierSkips   int64 `json:"simplifier_skips" metric:"mix_simplifier_skips_total" help:"Queries answered as unsatisfiable without touching data."`
+	SimplifierErrors  int64 `json:"simplifier_errors" metric:"mix_simplifier_errors_total" help:"Queries that fell back to the unsimplified path."`
 
-	// Retries sums the transient-failure retries of all registered
-	// wrappers that expose a RetryCounter (HTTPSource).
-	Retries int64 `json:"retries"`
+	// Retries sums the transient-failure retries of the registered sources'
+	// wrappers (HTTPSource), wherever in a decorator stack they sit — as do
+	// the breaker and replica totals below; see SourceReport.
+	Retries int64 `json:"retries" metric:"mix_wrapper_retries_total" help:"Transient-failure retries across retry-aware wrappers."`
 
 	// DegradedViews counts view definitions whose DTD inference exhausted
 	// its budget and registered a sound-but-looser DTD;
 	// BudgetExhaustions counts budget-exhaustion events observed by the
 	// mediator (currently one per degraded view definition).
-	DegradedViews     int64 `json:"degraded_views"`
-	BudgetExhaustions int64 `json:"budget_exhaustions"`
+	DegradedViews     int64 `json:"degraded_views" metric:"mix_degraded_views_total" help:"View definitions registered with a budget-degraded DTD."`
+	BudgetExhaustions int64 `json:"budget_exhaustions" metric:"mix_budget_exhaustions_total" help:"Inference budget exhaustion events."`
 	// DegradedMaterializations counts materializations served without the
 	// parts of breaker-open sources (partial view documents; the dropped
 	// parts are not cached).
-	DegradedMaterializations int64 `json:"degraded_materializations"`
+	DegradedMaterializations int64 `json:"degraded_materializations" metric:"mix_degraded_materializations_total" help:"Materializations served without breaker-open sources."`
 
-	// BreakerTrips / BreakerRejections sum the circuit-breaker counters of
-	// all registered wrappers that expose a BreakerCounter (BreakerSource):
-	// transitions to the open state, and fetches rejected while open.
-	BreakerTrips      int64 `json:"breaker_trips"`
-	BreakerRejections int64 `json:"breaker_rejections"`
+	// BreakerTrips / BreakerRejections sum the circuit-breaker counters
+	// (BreakerSource): transitions to the open state, and fetches rejected
+	// while open.
+	BreakerTrips      int64 `json:"breaker_trips" metric:"mix_breaker_trips_total" help:"Circuit-breaker transitions to the open state."`
+	BreakerRejections int64 `json:"breaker_rejections" metric:"mix_breaker_rejections_total" help:"Fetches rejected by an open circuit breaker."`
 
-	// Replica-tier totals, summed over all registered wrappers that expose
-	// a ReplicaReporter (ReplicaSet): hedged reads launched / won / denied
-	// by the retry budget, failover launches, and fetches answered from a
-	// last-known-good document. StaleMaterializations counts
-	// materializations that included at least one stale part (uncached,
-	// surfaced as X-Mix-Stale-Sources).
-	HedgedFetches         int64 `json:"hedged_fetches"`
-	HedgeWins             int64 `json:"hedge_wins"`
-	HedgesDenied          int64 `json:"hedges_denied"`
-	Failovers             int64 `json:"failovers"`
-	StaleServes           int64 `json:"stale_serves"`
-	StaleMaterializations int64 `json:"stale_materializations"`
+	// Replica-tier totals, summed over every ReplicaSet: hedged reads
+	// launched / won / denied by the retry budget, failover launches, and
+	// fetches answered from a last-known-good document.
+	// StaleMaterializations counts materializations that included at least
+	// one stale part (uncached, surfaced as X-Mix-Stale-Sources).
+	HedgedFetches         int64 `json:"hedged_fetches" metric:"mix_hedged_fetches_total" help:"Hedged reads launched across replica sets."`
+	HedgeWins             int64 `json:"hedge_wins" metric:"mix_hedge_wins_total" help:"Fetches won by a hedge or failover rather than the primary."`
+	HedgesDenied          int64 `json:"hedges_denied" metric:"mix_hedges_denied_total" help:"Hedges denied because the retry budget was dry."`
+	Failovers             int64 `json:"failovers" metric:"mix_replica_failovers_total" help:"Failover fetches launched after a replica failure."`
+	StaleServes           int64 `json:"stale_serves" metric:"mix_stale_serves_total" help:"Fetches answered from a last-known-good document."`
+	StaleMaterializations int64 `json:"stale_materializations" metric:"mix_stale_materializations_total" help:"Materializations containing at least one stale part."`
 	// Replicas holds the per-source replica-set status snapshots, keyed by
 	// source name.
 	Replicas map[string]ReplicaSetStatus `json:"replicas,omitempty"`
@@ -110,12 +114,12 @@ type Stats struct {
 	// pruning (see prune.go) — sources never fetched because the query was
 	// proven unable to touch them. Pruning preserves answers exactly, so
 	// this is a pure saving, not a degradation.
-	PartsPruned int64 `json:"parts_pruned"`
+	PartsPruned int64 `json:"parts_pruned" metric:"mix_parts_pruned_total" help:"View parts skipped by query-time satisfiability pruning (sources never fetched)."`
 	// PruneVerdictCache snapshots the process-wide satisfiability-verdict
 	// cache (infer.SatisfiabilityCacheStats): hits are queries whose
 	// prune decision cost one lookup; misses include every Unknown verdict
 	// recomputation, since Unknown is deliberately never cached.
-	PruneVerdictCache cache.Stats `json:"prune_verdict_cache"`
+	PruneVerdictCache verdictCacheStats `json:"prune_verdict_cache"`
 
 	// StreamValidation snapshots the process-wide streaming-validation
 	// counters (dtd.StreamValidationStats): documents, scanner events and
@@ -132,21 +136,29 @@ type Stats struct {
 	Views map[string]ViewStats `json:"views"`
 }
 
-// statsCounters is the mutable backing store for Stats. It has its own
-// mutex and its methods never touch Mediator.mu, so callers may invoke
-// them while holding it (the reverse — holding statsCounters.mu while
-// taking Mediator.mu — never happens).
+// verdictCacheStats is a cache.Stats snapshot under the verdict cache's own
+// series: cache.Stats declares the compiled-automata cache's, and this
+// cache's are not those with another prefix (mix_prune_verdict_cache_size,
+// and no series for dedups and evictions). Same fields, same JSON.
+type verdictCacheStats struct {
+	Hits      int64 `json:"hits" metric:"mix_prune_verdict_hits_total" help:"Satisfiability-verdict cache hits."`
+	Misses    int64 `json:"misses" metric:"mix_prune_verdict_misses_total" help:"Satisfiability-verdict cache misses (includes uncacheable Unknown verdicts)."`
+	Dedups    int64 `json:"dedups"`
+	Evictions int64 `json:"evictions"`
+	Size      int   `json:"size" metric:"mix_prune_verdict_cache_size" help:"Entries currently in the satisfiability-verdict cache."`
+	Capacity  int   `json:"capacity"`
+}
+
+// statsCounters is the mutable backing store for Stats: the counters the
+// mediator itself increments live in the embedded Stats value (its other
+// fields are filled in per snapshot), the per-view ones beside it. It has
+// its own mutex and its methods never touch Mediator.mu, so callers may
+// invoke them while holding it (the reverse — holding statsCounters.mu
+// while taking Mediator.mu — never happens).
 type statsCounters struct {
 	mu sync.Mutex
-
-	cacheHits, cacheMisses, dedups, staleDiscards, invalidations int64
-	sourceInvalidations, partsRecomputed, partsReused            int64
-	simplifierPruned, simplifierDropped, simplifierSkips         int64
-	simplifierErrors                                             int64
-	degradedViews, budgetExhaustions, degradedMaterializations   int64
-	staleMaterializations                                        int64
-	partsPruned                                                  int64
-	views                                                        map[string]*ViewStats
+	Stats
+	views map[string]*ViewStats
 	// hists holds the live per-view histograms backing the snapshot
 	// fields of ViewStats (the snapshot struct carries copies).
 	hists map[string]*viewHists
@@ -209,42 +221,22 @@ func (s *statsCounters) recordMaterialize(view string, d time.Duration) {
 
 func (s *statsCounters) recordSimplify(pruned, dropped int, skipped bool) {
 	s.mu.Lock()
-	s.simplifierPruned += int64(pruned)
-	s.simplifierDropped += int64(dropped)
+	s.SimplifierPruned += int64(pruned)
+	s.SimplifierDropped += int64(dropped)
 	if skipped {
-		s.simplifierSkips++
+		s.SimplifierSkips++
 	}
 	s.mu.Unlock()
 }
 
-// Stats returns a consistent snapshot of the serving counters plus the
-// summed retry counts of retry-aware wrappers.
+// Stats returns a consistent snapshot of the serving counters, plus the
+// process-wide cache and validation counters and what the registered
+// sources' wrappers report.
 func (m *Mediator) Stats() Stats {
 	s := &m.stats
 	s.mu.Lock()
-	out := Stats{
-		CacheHits:                s.cacheHits,
-		CacheMisses:              s.cacheMisses,
-		SingleflightDedups:       s.dedups,
-		StaleDiscards:            s.staleDiscards,
-		Invalidations:            s.invalidations,
-		SourceInvalidations:      s.sourceInvalidations,
-		PartsRecomputed:          s.partsRecomputed,
-		PartsReused:              s.partsReused,
-		SimplifierPruned:         s.simplifierPruned,
-		SimplifierDropped:        s.simplifierDropped,
-		SimplifierSkips:          s.simplifierSkips,
-		SimplifierErrors:         s.simplifierErrors,
-		DegradedViews:            s.degradedViews,
-		BudgetExhaustions:        s.budgetExhaustions,
-		DegradedMaterializations: s.degradedMaterializations,
-		StaleMaterializations:    s.staleMaterializations,
-		PartsPruned:              s.partsPruned,
-		StreamValidation:         dtd.StreamValidationStats(),
-		AutomataCache:            automata.CacheStats(),
-		PruneVerdictCache:        infer.SatisfiabilityCacheStats(),
-		Views:                    make(map[string]ViewStats, len(s.views)),
-	}
+	out := s.Stats
+	out.Views = make(map[string]ViewStats, len(s.views))
 	for name, vs := range s.views {
 		snap := *vs
 		if vh, ok := s.hists[name]; ok {
@@ -254,52 +246,78 @@ func (m *Mediator) Stats() Stats {
 		out.Views[name] = snap
 	}
 	s.mu.Unlock()
+	out.StreamValidation = dtd.StreamValidationStats()
+	out.AutomataCache = automata.CacheStats()
+	out.PruneVerdictCache = verdictCacheStats(infer.SatisfiabilityCacheStats())
 
-	m.mu.Lock()
-	wrappers := make([]Wrapper, 0, len(m.wrappers))
-	for _, w := range m.wrappers {
-		wrappers = append(wrappers, w)
+	rep := m.sourceReport()
+	out.Retries = rep.Retries
+	out.BreakerTrips = rep.BreakerTrips
+	out.BreakerRejections = rep.BreakerRejections
+	for _, rs := range rep.Replicas {
+		out.HedgedFetches += rs.HedgedFetches
+		out.HedgeWins += rs.HedgeWins
+		out.HedgesDenied += rs.HedgesDenied
+		out.Failovers += rs.Failovers
+		out.StaleServes += rs.StaleServes
 	}
-	m.mu.Unlock()
-	for _, w := range wrappers {
-		if rc, ok := w.(RetryCounter); ok {
-			out.Retries += rc.Retries()
-		}
-		if bc, ok := w.(BreakerCounter); ok {
-			out.BreakerTrips += bc.BreakerTrips()
-			out.BreakerRejections += bc.BreakerRejections()
-		}
-		if rr, ok := w.(ReplicaReporter); ok {
-			rs := rr.ReplicaStatus()
-			out.HedgedFetches += rs.HedgedFetches
-			out.HedgeWins += rs.HedgeWins
-			out.HedgesDenied += rs.HedgesDenied
-			out.Failovers += rs.Failovers
-			out.StaleServes += rs.StaleServes
-			if out.Replicas == nil {
-				out.Replicas = map[string]ReplicaSetStatus{}
-			}
-			out.Replicas[rs.Source] = rs
-		}
+	out.Replicas = rep.replicasBySource()
+	return out
+}
+
+// ReplicaStatuses snapshots every replica set among the registered sources,
+// keyed by source name (the /readyz readiness probe evaluates these).
+func (m *Mediator) ReplicaStatuses() map[string]ReplicaSetStatus {
+	return m.sourceReport().replicasBySource()
+}
+
+// SourceReport is what the wrappers of a source count, summed over a
+// decorator stack: each wrapper that counts something, or wraps another
+// wrapper, implements Reporter.
+type SourceReport struct {
+	Retries           int64
+	BreakerTrips      int64
+	BreakerRejections int64
+	// Replicas has one status per ReplicaSet, outermost first.
+	Replicas []ReplicaSetStatus
+}
+
+// Reporter is the one optional interface beside Wrapper. Report adds the
+// wrapper's own figures to r and hands r to every wrapper it wraps
+// (r.Collect), so no decorator hides what sits below it.
+type Reporter interface {
+	Report(r *SourceReport)
+}
+
+// Collect adds what w reports, if it reports anything, to r.
+func (r *SourceReport) Collect(w Wrapper) {
+	if rep, ok := w.(Reporter); ok {
+		rep.Report(r)
+	}
+}
+
+func (r *SourceReport) replicasBySource() map[string]ReplicaSetStatus {
+	if len(r.Replicas) == 0 {
+		return nil
+	}
+	out := make(map[string]ReplicaSetStatus, len(r.Replicas))
+	for _, rs := range r.Replicas {
+		out[rs.Source] = rs
 	}
 	return out
 }
 
-// ReplicaStatuses snapshots every registered replica-aware wrapper, keyed
-// by source name (the /readyz readiness probe evaluates these).
-func (m *Mediator) ReplicaStatuses() map[string]ReplicaSetStatus {
+// sourceReport collects the reports of every registered source.
+func (m *Mediator) sourceReport() *SourceReport {
 	m.mu.Lock()
 	wrappers := make([]Wrapper, 0, len(m.wrappers))
 	for _, w := range m.wrappers {
 		wrappers = append(wrappers, w)
 	}
 	m.mu.Unlock()
-	out := map[string]ReplicaSetStatus{}
+	rep := &SourceReport{}
 	for _, w := range wrappers {
-		if rr, ok := w.(ReplicaReporter); ok {
-			rs := rr.ReplicaStatus()
-			out[rs.Source] = rs
-		}
+		rep.Collect(w)
 	}
-	return out
+	return rep
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"reflect"
 	"strconv"
 	"strings"
 )
@@ -111,15 +111,36 @@ func (m *MetricWriter) Histogram(name, help string, s HistogramSnapshot, labels 
 	m.printf("%s_count%s %d\n", name, labelString(labels), cum)
 }
 
-// CounterMap emits one sample per map entry with the given label name,
-// in sorted key order (deterministic exposition).
-func (m *MetricWriter) CounterMap(name, help, labelName string, values map[string]int64, labels ...Label) {
-	keys := make([]string, 0, len(values))
-	for k := range values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		m.Counter(name, help, float64(values[k]), append(append([]Label(nil), labels...), Label{labelName, k})...)
+// Struct emits the scalar series a struct declares on its fields — the one
+// place such a series is declared, beside the JSON name of the number it
+// reports:
+//
+//	Hits int64 `json:"hits" metric:"mix_cache_hits_total" help:"..."`
+//
+// A name ending in _total is a counter (the Prometheus convention), any
+// other a gauge. Fields are emitted in declaration order, struct-typed
+// fields are descended into, and fields without a metric tag (labels, and
+// the maps and slices behind labelled families, which their owners emit in
+// explicit loops) are skipped. labels are put on every sample.
+func (m *MetricWriter) Struct(v any, labels ...Label) {
+	rv := reflect.ValueOf(v)
+	rt := rv.Type()
+	for i := 0; i < rt.NumField(); i++ {
+		f, fv := rt.Field(i), rv.Field(i)
+		name, declared := f.Tag.Lookup("metric")
+		switch {
+		case declared:
+			emit := m.Gauge
+			if strings.HasSuffix(name, "_total") {
+				emit = m.Counter
+			}
+			if fv.CanInt() {
+				emit(name, f.Tag.Get("help"), float64(fv.Int()), labels...)
+			} else {
+				emit(name, f.Tag.Get("help"), fv.Float(), labels...)
+			}
+		case fv.Kind() == reflect.Struct && f.IsExported():
+			m.Struct(fv.Interface(), labels...)
+		}
 	}
 }

@@ -112,20 +112,36 @@ func TestMetricWriterHistogramCumulative(t *testing.T) {
 	}
 }
 
-func TestMetricWriterCounterMapDeterministic(t *testing.T) {
-	emit := func() string {
-		var b strings.Builder
-		mw := NewMetricWriter(&b)
-		mw.CounterMap("m_total", "help", "view", map[string]int64{"b": 2, "a": 1, "c": 3})
-		return b.String()
+// TestMetricWriterStruct: a series is declared by its field's tags — kind
+// from the name, nested structs descended into, untagged fields skipped.
+func TestMetricWriterStruct(t *testing.T) {
+	type inner struct {
+		Size int `json:"size" metric:"m_size" help:"Entries."`
 	}
-	first := emit()
-	for i := 0; i < 5; i++ {
-		if emit() != first {
-			t.Fatal("CounterMap output must be deterministic across map iteration orders")
-		}
+	var b strings.Builder
+	mw := NewMetricWriter(&b)
+	mw.Struct(struct {
+		Self   string
+		Hits   int64   `metric:"m_hits_total" help:"Hits."`
+		Share  float64 `metric:"m_share" help:"Share."`
+		Inner  inner
+		ByView map[string]int64
+		hidden inner
+	}{Self: "n", Hits: 3, Share: 0.5, Inner: inner{Size: 7}}, Label{"node", "n"})
+	if err := mw.Err(); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(first, `m_total{view="a"} 1`) {
-		t.Errorf("missing sample: %s", first)
+	const want = `# HELP m_hits_total Hits.
+# TYPE m_hits_total counter
+m_hits_total{node="n"} 3
+# HELP m_share Share.
+# TYPE m_share gauge
+m_share{node="n"} 0.5
+# HELP m_size Entries.
+# TYPE m_size gauge
+m_size{node="n"} 7
+`
+	if b.String() != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", b.String(), want)
 	}
 }

@@ -86,20 +86,11 @@ func (h *Handler) setForwardHeaders(w http.ResponseWriter, fi *mediator.ForwardI
 		path = fi.Hops
 	}
 	w.Header().Set(mediator.ForwardHeader, strings.Join(path, ","))
-	if fi.Degraded() {
-		w.Header().Set("X-Mix-Degraded", "true")
-		if ds := fi.DegradedSources(); len(ds) > 0 {
-			w.Header().Set("X-Mix-Degraded-Sources", strings.Join(ds, ","))
-		}
-	}
-	if ps := fi.PrunedSources(); len(ps) > 0 {
-		w.Header().Set("X-Mix-Pruned-Sources", strings.Join(ps, ","))
-	}
-	staleSources := fi.StaleSources()
+	p := fi.Provenance()
 	if stale {
-		staleSources = append(staleSources, fwd.SourceName())
+		p.StaleSources = append(p.StaleSources, fwd.SourceName())
 	}
-	setStaleHeader(w, staleSources)
+	p.SetHeaders(w.Header())
 }
 
 // forwardView answers GET /views/{name} for a non-owned view: fetch the

@@ -143,12 +143,12 @@ func TestPostInferDegraded(t *testing.T) {
 	}
 }
 
-// TestSetDegradedHeadersMaterialization: the shared header helper must
+// TestSetProvenanceHeadersMaterialization: the shared header helper must
 // advertise breaker-degraded materializations (sources dropped) the same
 // way it advertises budget-degraded inference.
-func TestSetDegradedHeadersMaterialization(t *testing.T) {
+func TestSetProvenanceHeadersMaterialization(t *testing.T) {
 	rec := httptest.NewRecorder()
-	setDegradedHeaders(rec, &mediator.View{}, &mediator.MaterializeInfo{
+	setProvenanceHeaders(rec, &mediator.View{}, mediator.Provenance{
 		Degraded:        true,
 		DegradedSources: []string{"siteA", "siteB"},
 	})
@@ -161,7 +161,7 @@ func TestSetDegradedHeadersMaterialization(t *testing.T) {
 
 	// Neither degraded: no headers.
 	rec = httptest.NewRecorder()
-	setDegradedHeaders(rec, &mediator.View{}, &mediator.MaterializeInfo{})
+	setProvenanceHeaders(rec, &mediator.View{}, mediator.Provenance{})
 	if rec.Header().Get("X-Mix-Degraded") != "" {
 		t.Error("healthy responses must not carry X-Mix-Degraded")
 	}

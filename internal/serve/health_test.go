@@ -32,9 +32,15 @@ func (f *flakyWrapper) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	return f.doc, nil
 }
 
+// decorated registers a ReplicaSet the way a fault campaign does: under a
+// (here fault-free) FaultSource. What the set reports and notes must reach
+// the handlers through it.
+func decorated(w mediator.Wrapper) mediator.Wrapper { return mediator.NewFaultSource(w) }
+
 // replicaFixture builds a mediator whose single source is a ReplicaSet of
-// two flaky replicas under the union view "profs", served over HTTP.
-func replicaFixture(t *testing.T, opts mediator.ReplicaSetOptions) (*httptest.Server, *mediator.Mediator, []*flakyWrapper) {
+// two flaky replicas — registered as wrap makes it (nil: as is) — under the
+// union view "profs", served over HTTP.
+func replicaFixture(t *testing.T, opts mediator.ReplicaSetOptions, wrap func(mediator.Wrapper) mediator.Wrapper) (*httptest.Server, *mediator.Mediator, []*flakyWrapper) {
 	t.Helper()
 	d, err := dtd.Parse(d1Text)
 	if err != nil {
@@ -53,8 +59,12 @@ func replicaFixture(t *testing.T, opts mediator.ReplicaSetOptions) (*httptest.Se
 	if err != nil {
 		t.Fatal(err)
 	}
+	var registered mediator.Wrapper = rs
+	if wrap != nil {
+		registered = wrap(rs)
+	}
 	m := mediator.New("campus")
-	if err := m.AddSource(rs); err != nil {
+	if err := m.AddSource(registered); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.DefineUnionView("profs", []mediator.ViewPart{{
@@ -113,14 +123,20 @@ func TestReadyzNoViews(t *testing.T) {
 // TestReadyzReplicaOutage: a source whose every replica is ejected and
 // that has no stale fallback makes the instance not-ready; the same
 // outage with a warmed last-known-good (and stale serving on) keeps it
-// ready, because that is exactly the mode it would answer in.
+// ready, because that is exactly the mode it would answer in. Where the set
+// sits in its source's decorator stack makes no difference.
 func TestReadyzReplicaOutage(t *testing.T) {
+	t.Run("registered", func(t *testing.T) { testReadyzReplicaOutage(t, nil) })
+	t.Run("under a decorator", func(t *testing.T) { testReadyzReplicaOutage(t, decorated) })
+}
+
+func testReadyzReplicaOutage(t *testing.T, wrap func(mediator.Wrapper) mediator.Wrapper) {
 	health := mediator.HealthOptions{SuspectAfter: 1, EjectAfter: 2}
 
 	// No stale fallback: ejecting every replica flips readiness.
 	srv, _, flakies := replicaFixture(t, mediator.ReplicaSetOptions{
 		HedgeDelay: -1, DisableStaleServe: true, Health: health,
-	})
+	}, wrap)
 	setFailing(flakies, true)
 	for i := 0; i < 2; i++ {
 		if code, _, _ := get(t, srv.URL+"/views/profs"); code < 500 {
@@ -138,7 +154,7 @@ func TestReadyzReplicaOutage(t *testing.T) {
 	// Stale fallback available: still ready through the same outage.
 	srv2, _, flakies2 := replicaFixture(t, mediator.ReplicaSetOptions{
 		HedgeDelay: -1, Health: health,
-	})
+	}, wrap)
 	if code, _, _ := get(t, srv2.URL+"/views/profs"); code != http.StatusOK {
 		t.Fatalf("warmup = %d", code)
 	}
@@ -162,10 +178,15 @@ func TestReadyzReplicaOutage(t *testing.T) {
 // the view and the query endpoints — and without X-Mix-Degraded, which
 // means something else (missing parts).
 func TestStaleHeaderOnViewAndQuery(t *testing.T) {
+	t.Run("registered", func(t *testing.T) { testStaleHeaderOnViewAndQuery(t, nil) })
+	t.Run("under a decorator", func(t *testing.T) { testStaleHeaderOnViewAndQuery(t, decorated) })
+}
+
+func testStaleHeaderOnViewAndQuery(t *testing.T, wrap func(mediator.Wrapper) mediator.Wrapper) {
 	srv, m, flakies := replicaFixture(t, mediator.ReplicaSetOptions{
 		HedgeDelay: -1,
 		Health:     mediator.HealthOptions{EjectAfter: 100},
-	})
+	}, wrap)
 	code, _, hdr := get(t, srv.URL+"/views/profs")
 	if code != http.StatusOK || hdr.Get("X-Mix-Stale-Sources") != "" {
 		t.Fatalf("warm view = %d, stale=%q", code, hdr.Get("X-Mix-Stale-Sources"))

@@ -187,36 +187,16 @@ func wantsPrometheus(r *http.Request) bool {
 
 // writePrometheus renders the same counters the JSON snapshot carries —
 // plus the HTTP-layer histograms only this handler sees — in Prometheus
-// text exposition format 0.0.4.
+// text exposition format 0.0.4. The scalar series come from the snapshot
+// structs' own field tags (obs.MetricWriter.Struct); only the labelled
+// families — per replica, per view, per route, ring share — are spelled out
+// here.
 func (h *Handler) writePrometheus(w http.ResponseWriter) {
 	st := h.m.Stats()
 	mw := obs.NewMetricWriter(w)
 
-	mw.Counter("mix_cache_hits_total", "Materializations whose every kept part was cached.", float64(st.CacheHits))
-	mw.Counter("mix_cache_misses_total", "Materializations that computed at least one view part.", float64(st.CacheMisses))
-	mw.Counter("mix_singleflight_dedups_total", "Materializations that computed nothing but waited on a part computation already running, counted on joining.", float64(st.SingleflightDedups))
-	mw.Counter("mix_stale_discards_total", "Part results not kept because their source was invalidated mid-flight.", float64(st.StaleDiscards))
-	mw.Counter("mix_invalidations_total", "View cache invalidations.", float64(st.Invalidations))
-	mw.Counter("mix_source_invalidations_total", "Per-source (delta) cache invalidations.", float64(st.SourceInvalidations))
-	mw.Counter("mix_parts_recomputed_total", "View parts evaluated against their source during materializations that missed.", float64(st.PartsRecomputed))
-	mw.Counter("mix_parts_reused_total", "View parts served from their cache slot during materializations that missed.", float64(st.PartsReused))
-	mw.Counter("mix_simplifier_pruned_total", "Query conditions pruned by the DTD-based simplifier.", float64(st.SimplifierPruned))
-	mw.Counter("mix_simplifier_dropped_total", "Names dropped by the DTD-based simplifier.", float64(st.SimplifierDropped))
-	mw.Counter("mix_simplifier_skips_total", "Queries answered as unsatisfiable without touching data.", float64(st.SimplifierSkips))
-	mw.Counter("mix_simplifier_errors_total", "Queries that fell back to the unsimplified path.", float64(st.SimplifierErrors))
-	mw.Counter("mix_wrapper_retries_total", "Transient-failure retries across retry-aware wrappers.", float64(st.Retries))
-	mw.Counter("mix_degraded_views_total", "View definitions registered with a budget-degraded DTD.", float64(st.DegradedViews))
-	mw.Counter("mix_budget_exhaustions_total", "Inference budget exhaustion events.", float64(st.BudgetExhaustions))
-	mw.Counter("mix_degraded_materializations_total", "Materializations served without breaker-open sources.", float64(st.DegradedMaterializations))
-	mw.Counter("mix_breaker_trips_total", "Circuit-breaker transitions to the open state.", float64(st.BreakerTrips))
-	mw.Counter("mix_breaker_rejections_total", "Fetches rejected by an open circuit breaker.", float64(st.BreakerRejections))
-
-	mw.Counter("mix_hedged_fetches_total", "Hedged reads launched across replica sets.", float64(st.HedgedFetches))
-	mw.Counter("mix_hedge_wins_total", "Fetches won by a hedge or failover rather than the primary.", float64(st.HedgeWins))
-	mw.Counter("mix_hedges_denied_total", "Hedges denied because the retry budget was dry.", float64(st.HedgesDenied))
-	mw.Counter("mix_replica_failovers_total", "Failover fetches launched after a replica failure.", float64(st.Failovers))
-	mw.Counter("mix_stale_serves_total", "Fetches answered from a last-known-good document.", float64(st.StaleServes))
-	mw.Counter("mix_stale_materializations_total", "Materializations containing at least one stale part.", float64(st.StaleMaterializations))
+	// Every scalar series is declared on the Stats field that holds it.
+	mw.Struct(st)
 
 	// Per-replica health gauges: numeric state (0 healthy, 1 suspect,
 	// 2 ejected, 3 probing) plus the per-set budget level, sorted for
@@ -236,24 +216,6 @@ func (h *Handler) writePrometheus(w http.ResponseWriter) {
 		mw.Gauge("mix_replica_available", "Replicas currently taking traffic (healthy or suspect).", float64(rs.Available), srcLabel)
 		mw.Gauge("mix_retry_budget_tokens", "Retry-budget tokens remaining for the source.", rs.BudgetTokens, srcLabel)
 	}
-
-	ac := st.AutomataCache
-	mw.Counter("mix_automata_cache_hits_total", "Compiled-automata cache hits.", float64(ac.Hits))
-	mw.Counter("mix_automata_cache_misses_total", "Compiled-automata cache misses.", float64(ac.Misses))
-	mw.Counter("mix_automata_cache_dedups_total", "Compiled-automata cache singleflight joins.", float64(ac.Dedups))
-	mw.Counter("mix_automata_cache_evictions_total", "Compiled-automata cache evictions.", float64(ac.Evictions))
-	mw.Gauge("mix_automata_cache_size", "Entries currently in the compiled-automata cache.", float64(ac.Size))
-
-	sv := st.StreamValidation
-	mw.Counter("mix_stream_validated_documents_total", "Documents validated by the streaming (tree-free) validator.", float64(sv.Documents))
-	mw.Counter("mix_stream_validated_events_total", "Scanner events consumed by the streaming validator.", float64(sv.Events))
-	mw.Counter("mix_stream_validated_bytes_total", "Input bytes covered by the streaming validator.", float64(sv.Bytes))
-
-	pc := st.PruneVerdictCache
-	mw.Counter("mix_parts_pruned_total", "View parts skipped by query-time satisfiability pruning (sources never fetched).", float64(st.PartsPruned))
-	mw.Counter("mix_prune_verdict_hits_total", "Satisfiability-verdict cache hits.", float64(pc.Hits))
-	mw.Counter("mix_prune_verdict_misses_total", "Satisfiability-verdict cache misses (includes uncacheable Unknown verdicts).", float64(pc.Misses))
-	mw.Gauge("mix_prune_verdict_cache_size", "Entries currently in the satisfiability-verdict cache.", float64(pc.Size))
 
 	// Per-view counters and latency histograms, sorted for stable output.
 	views := make([]string, 0, len(st.Views))
@@ -305,14 +267,7 @@ func (h *Handler) writePrometheus(w http.ResponseWriter) {
 	// Cluster tier: ring shares and forwarding counters (cluster mode only).
 	if h.cluster != nil {
 		cm := h.cluster.Metrics()
-		selfLabel := obs.Label{Name: "node", Value: cm.Self}
-		mw.Gauge("mix_cluster_nodes", "Mediator nodes in the cluster ring.", float64(cm.Nodes), selfLabel)
-		mw.Gauge("mix_cluster_virtual_nodes", "Virtual nodes per member on the consistent-hash ring.", float64(cm.VirtualNodes), selfLabel)
-		mw.Gauge("mix_cluster_owned_views", "Cluster views this node owns (serves locally).", float64(cm.OwnedViews), selfLabel)
-		mw.Gauge("mix_cluster_forward_views", "Cluster views with a built peer-forward transport.", float64(cm.ForwardViews), selfLabel)
-		mw.Counter("mix_cluster_forwarded_total", "Requests forwarded to peer mediator nodes.", float64(cm.Forwarded), selfLabel)
-		mw.Counter("mix_cluster_forward_errors_total", "Forwarded requests that failed (builds and fetches).", float64(cm.ForwardErrors), selfLabel)
-		mw.Counter("mix_cluster_loop_rejected_total", "Requests rejected by the forwarding loop guard (421).", float64(cm.LoopRejected), selfLabel)
+		mw.Struct(cm, obs.Label{Name: "node", Value: cm.Self})
 		for _, ns := range cm.Ring {
 			mw.Gauge("mix_cluster_ring_share", "Fraction of the hash space owned per node.", ns.Share,
 				obs.Label{Name: "node", Value: ns.Node})

@@ -226,42 +226,31 @@ func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	setDegradedHeaders(w, v, info)
-	setStaleHeader(w, info.StaleSources)
+	setProvenanceHeaders(w, v, info.Provenance)
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 	writeAnswer(w, dtdText(v.DTD), doc.Root)
 }
 
-// setStaleHeader advertises last-known-good parts on a view response:
-// X-Mix-Stale-Sources lists sources whose every replica was down, served
-// from the ReplicaSet's validated last-known-good document. The answer is
-// complete and DTD-valid — nothing is missing, unlike X-Mix-Degraded-
-// Sources — but those parts may be outdated; the three source lists
-// (pruned, degraded, stale) are pairwise disjoint by construction.
-func setStaleHeader(w http.ResponseWriter, stale []string) {
-	if len(stale) > 0 {
-		w.Header().Set("X-Mix-Stale-Sources", strings.Join(stale, ","))
+// setProvenanceHeaders advertises on a view response how the answer departs
+// from a complete, live, tightly typed one. X-Mix-Degraded is "true"
+// whenever either the view's DTD inference was budget-degraded (sound but
+// loose, see internal/budget; X-Mix-Degraded-Reason says why) or this
+// materialization dropped the parts of breaker-open sources
+// (X-Mix-Degraded-Sources). X-Mix-Pruned-Sources lists sources proven unable
+// to contribute and never fetched — unlike X-Mix-Degraded this does not
+// change the answer — and X-Mix-Stale-Sources the sources whose every
+// replica was down, served from a validated last-known-good document:
+// nothing is missing, but those parts may be outdated. Clients that care
+// about tightness, completeness or freshness can react; everyone else still
+// gets a well-formed, DTD-sound document.
+func setProvenanceHeaders(w http.ResponseWriter, v *mediator.View, p mediator.Provenance) {
+	if v.Degraded {
+		w.Header().Set("X-Mix-Degraded", "true")
+		if v.DegradedReason != "" {
+			w.Header().Set("X-Mix-Degraded-Reason", v.DegradedReason)
+		}
 	}
-}
-
-// setDegradedHeaders advertises degraded service on a view response:
-// X-Mix-Degraded is "true" whenever either the view's DTD inference was
-// budget-degraded (sound but loose, see internal/budget) or this
-// materialization dropped the parts of breaker-open sources; the companion
-// headers say why. Clients that care about tightness or completeness can
-// react; everyone else still gets a well-formed, DTD-sound document.
-func setDegradedHeaders(w http.ResponseWriter, v *mediator.View, info *mediator.MaterializeInfo) {
-	degraded := v.Degraded || (info != nil && info.Degraded)
-	if !degraded {
-		return
-	}
-	w.Header().Set("X-Mix-Degraded", "true")
-	if v.Degraded && v.DegradedReason != "" {
-		w.Header().Set("X-Mix-Degraded-Reason", v.DegradedReason)
-	}
-	if info != nil && info.Degraded {
-		w.Header().Set("X-Mix-Degraded-Sources", strings.Join(info.DegradedSources, ","))
-	}
+	p.SetHeaders(w.Header())
 }
 
 // dtdText is a view's inferred DTD as served, alone by /dtd and ahead of
@@ -401,6 +390,11 @@ func (h *Handler) postQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
+	v, err := h.m.View(name)
+	if err != nil {
+		http.Error(w, err.Error(), statusFor(err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 	w.Header().Set("X-Mix-Skipped", fmt.Sprint(stats.SkippedUnsatisfiable))
 	w.Header().Set("X-Mix-Pruned", fmt.Sprint(stats.PrunedConditions))
@@ -408,18 +402,7 @@ func (h *Handler) postQuery(w http.ResponseWriter, r *http.Request) {
 	if stats.SimplifierError != "" {
 		w.Header().Set("X-Mix-Simplifier-Error", stats.SimplifierError)
 	}
-	if len(stats.PrunedSources) > 0 {
-		// Pruned sources were proven unable to contribute and never fetched;
-		// unlike X-Mix-Degraded this does not change the answer.
-		w.Header().Set("X-Mix-Pruned-Sources", strings.Join(stats.PrunedSources, ","))
-	}
-	if v, verr := h.m.View(name); verr == nil {
-		setDegradedHeaders(w, v, &mediator.MaterializeInfo{
-			Degraded:        stats.Degraded,
-			DegradedSources: stats.DegradedSources,
-		})
-	}
-	setStaleHeader(w, stats.StaleSources)
+	setProvenanceHeaders(w, v, stats.Provenance)
 	writeAnswer(w, "", doc.Root)
 }
 
