@@ -38,7 +38,7 @@ test:
 race:
 	go vet ./...
 	go test -race ./...
-	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/
+	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/automata/...
 
 # Rewrite internal/serve/testdata/metrics.golden — every /metrics family's
 # name, help and type, every series' labels, every JSON key — from what the
@@ -82,10 +82,9 @@ check: all lint race fault
 bench:
 	go test -bench=. -benchmem ./
 
-# Archive the compiled-automata cache benchmarks (cold vs warm, setKey
-# legacy vs current) as machine-readable JSON, including the cold/warm
-# speedup factors. Compare BENCH_automata.json across commits to track the
-# cache's figure of merit.
+# Archive the compiled-automata cache benchmarks (cold vs warm) as
+# machine-readable JSON, including the cold/warm speedup factors. Compare
+# BENCH_automata.json across commits to track the cache's figure of merit.
 bench-compare:
 	go test -run '^$$' -bench . -benchmem ./internal/automata | go run ./cmd/benchjson | tee BENCH_automata.json
 

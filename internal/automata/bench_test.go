@@ -1,9 +1,7 @@
 package automata
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/regex"
@@ -137,23 +135,6 @@ func (p *modelParser) atom() regex.Expr {
 	return regex.Nm(p.s[start:p.i])
 }
 
-// legacySetKey is the pre-optimization implementation (fresh allocations
-// per call, absolute varints); the benchmark pair below proves the
-// setKeyer rewrite, which the subset construction calls once per
-// discovered transition.
-func legacySetKey(set map[int]bool) string {
-	ids := make([]int, 0, len(set))
-	for s := range set {
-		ids = append(ids, s)
-	}
-	sort.Ints(ids)
-	buf := make([]byte, 0, 4*len(ids))
-	for _, id := range ids {
-		buf = binary.AppendUvarint(buf, uint64(id))
-	}
-	return string(buf)
-}
-
 func benchSets() []map[int]bool {
 	sets := make([]map[int]bool, 16)
 	for i := range sets {
@@ -164,14 +145,6 @@ func benchSets() []map[int]bool {
 		sets[i] = set
 	}
 	return sets
-}
-
-func BenchmarkSetKeyLegacy(b *testing.B) {
-	sets := benchSets()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = legacySetKey(sets[i%len(sets)])
-	}
 }
 
 func BenchmarkSetKey(b *testing.B) {

@@ -53,10 +53,9 @@ func TestDFABudgetExhaustionNotCached(t *testing.T) {
 // of starved and unlimited compiles of the same expression from many
 // goroutines (run under -race): no goroutine may see a wrong result shape,
 // and the cache must end up holding the real DFA. Starved callers either
-// fail with exhaustion (possibly via a singleflight leader's outcome) or
-// win a cache hit; funded callers may transiently share a starved leader's
-// failure, but an immediate retry must succeed because failures are never
-// cached.
+// fail with their own exhaustion or win a cache hit; a funded caller always
+// succeeds, because a flight that fails fails its leader only — a joiner
+// computes under its own budget.
 func TestDFABudgetConcurrentStarvedAndFunded(t *testing.T) {
 	cp := NewCompiler(64)
 	e := mp(blowupExpr)
@@ -76,13 +75,8 @@ func TestDFABudgetConcurrentStarvedAndFunded(t *testing.T) {
 					}
 				} else {
 					d, err := cp.DFABudget(e, nil)
-					if err != nil {
-						// Shared a starved leader's flight; the retry runs
-						// against a clean key.
-						d, err = cp.DFABudget(e, nil)
-					}
 					if err != nil || d == nil || d.IsEmpty() {
-						t.Errorf("funded compile failed twice: %v", err)
+						t.Errorf("funded compile failed: %v", err)
 					}
 				}
 			}

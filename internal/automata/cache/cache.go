@@ -35,9 +35,9 @@ type Stats struct {
 	Hits int64 `json:"hits" metric:"mix_automata_cache_hits_total" help:"Compiled-automata cache hits."`
 	// Misses counts lookups that ran the compute function.
 	Misses int64 `json:"misses" metric:"mix_automata_cache_misses_total" help:"Compiled-automata cache misses."`
-	// Dedups counts lookups that joined another goroutine's in-flight
-	// computation of the same key instead of starting their own
-	// (singleflight): at most one compute runs per key at any moment.
+	// Dedups counts lookups answered by another goroutine's in-flight
+	// computation of the same key instead of their own (singleflight): at
+	// most one compute runs per key at any moment.
 	Dedups int64 `json:"dedups" metric:"mix_automata_cache_dedups_total" help:"Compiled-automata cache singleflight joins."`
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions int64 `json:"evictions" metric:"mix_automata_cache_evictions_total" help:"Compiled-automata cache evictions."`
@@ -103,26 +103,37 @@ func (c *Cache) Get(key string) (any, bool) {
 }
 
 // GetOrCompute returns the cached value for key, computing and inserting
-// it on a miss. Concurrent calls for the same key run compute exactly once;
-// the others block and share the result (and its error). Errors are not
-// cached: a failed computation leaves the key absent so a later call
-// retries. A panicking compute cannot poison the key either: the flight is
-// failed with ErrComputePanic for its waiters, removed so future calls
+// it on a miss. Concurrent calls for the same key run compute once and share
+// a successful result. An error is the leader's own — its budget ran out,
+// its context was cancelled — so it is neither cached nor shared: a joiner
+// whose flight failed starts over and runs its own compute (or joins the
+// next flight), and is counted as the hit, miss or dedup it ends up being.
+// A panicking compute cannot poison the key either: the flight is failed
+// with ErrComputePanic for its waiters, who do return that (the computation
+// itself is broken, not the leader's allowance), removed so future calls
 // retry, and the panic then continues in the computing goroutine.
 func (c *Cache) GetOrCompute(key string, compute func() (any, error)) (any, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.hits++
-		c.order.MoveToFront(el)
-		v := el.Value.(*entry).val
-		c.mu.Unlock()
-		return v, nil
-	}
-	if f, ok := c.inflight[key]; ok {
+	for {
+		if el, ok := c.entries[key]; ok {
+			c.hits++
+			c.order.MoveToFront(el)
+			v := el.Value.(*entry).val
+			c.mu.Unlock()
+			return v, nil
+		}
+		f, ok := c.inflight[key]
+		if !ok {
+			break
+		}
 		c.dedups++
 		c.mu.Unlock()
 		f.wg.Wait()
-		return f.val, f.err
+		if f.err == nil || f.err == ErrComputePanic {
+			return f.val, f.err
+		}
+		c.mu.Lock()
+		c.dedups--
 	}
 	c.misses++
 	f := &call{}
@@ -147,8 +158,9 @@ func (c *Cache) GetOrCompute(key string, compute func() (any, error)) (any, erro
 	}()
 	f.val, f.err = compute()
 	completed = true
-	f.wg.Done()
 
+	// The flight is gone before its waiters wake, so one that starts over
+	// finds the entry or a clean key, never this flight again.
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if f.err == nil {
@@ -167,6 +179,7 @@ func (c *Cache) GetOrCompute(key string, compute func() (any, error)) (any, erro
 		}
 	}
 	c.mu.Unlock()
+	f.wg.Done()
 	return f.val, f.err
 }
 

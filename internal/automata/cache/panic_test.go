@@ -69,11 +69,12 @@ func TestPanicFailsWaitersAndPropagates(t *testing.T) {
 	}
 }
 
-// TestErrorFailsWaitersNotCached is the error-path twin: a compute that
-// returns an error (budget exhaustion, cancellation) while joiners wait
-// must hand the same error to every joiner, cache nothing, and allow a
-// clean recompute — the cache must never remember a cancelled compile.
-func TestErrorFailsWaitersNotCached(t *testing.T) {
+// TestErrorIsTheLeadersOwn is the error-path twin: a compute that returns an
+// error (budget exhaustion, cancellation) while joiners wait fails the
+// leader only. Every joiner starts over with its own compute — one of them
+// leads, the rest share its success — nothing of the failed flight is
+// cached, and every call is still counted exactly once.
+func TestErrorIsTheLeadersOwn(t *testing.T) {
 	c := New(8)
 	exhausted := errors.New("budget exhausted mid-compile")
 	entered := make(chan struct{})
@@ -93,15 +94,16 @@ func TestErrorFailsWaitersNotCached(t *testing.T) {
 
 	const joiners = 3
 	var wg sync.WaitGroup
-	var wrong int32
+	var wrong, computes int32
 	for i := 0; i < joiners; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := c.GetOrCompute("k", func() (any, error) { return "fresh", nil })
-			// A joiner either shares the leader's failure or — having
-			// arrived after the flight was torn down — recomputes cleanly.
-			if err != nil && !errors.Is(err, exhausted) {
+			v, err := c.GetOrCompute("k", func() (any, error) {
+				atomic.AddInt32(&computes, 1)
+				return "fresh", nil
+			})
+			if err != nil || v != "fresh" {
 				atomic.AddInt32(&wrong, 1)
 			}
 		}()
@@ -117,15 +119,19 @@ func TestErrorFailsWaitersNotCached(t *testing.T) {
 		t.Fatalf("leader err = %v, want the exhaustion error", leaderErr)
 	}
 	if wrong != 0 {
-		t.Fatalf("%d joiners saw an unrelated error", wrong)
+		t.Fatalf("%d joiners inherited the leader's failure instead of computing for themselves", wrong)
 	}
-
-	// Nothing may be resident unless a post-teardown joiner recomputed.
-	if v, ok := c.Get("k"); ok && v != "fresh" {
-		t.Fatalf("cached value %v can only come from a clean recompute", v)
+	if computes < 1 {
+		t.Fatal("no joiner ran its own compute")
 	}
-	v, err := c.GetOrCompute("k", func() (any, error) { return "fresh", nil })
-	if err != nil || v != "fresh" {
-		t.Fatalf("retry after failure = %v, %v; want fresh", v, err)
+	if v, ok := c.Get("k"); !ok || v != "fresh" {
+		t.Fatalf("resident value = %v, %v; want a joiner's fresh result", v, ok)
+	}
+	st := c.Stats()
+	if st.Hits+st.Misses+st.Dedups != 1+joiners {
+		t.Errorf("hits(%d)+misses(%d)+dedups(%d) != %d calls", st.Hits, st.Misses, st.Dedups, 1+joiners)
+	}
+	if st.Misses != 1+int64(computes) {
+		t.Errorf("misses = %d, want one per compute run (%d)", st.Misses, 1+computes)
 	}
 }

@@ -2,6 +2,7 @@ package automata
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/automata/cache"
 	"repro/internal/budget"
@@ -13,19 +14,25 @@ import (
 // witnesses) funnels through a Compiler that memoizes minimized DFAs and
 // decision results in a shared, concurrency-safe LRU. The same content
 // models recur constantly — every document validated against a view DTD
-// replays the view's models, every Reduce replays the containment checks of
-// its alternatives, every Tighter decision replays both DTDs' models — so
-// compiling each model once and reusing it everywhere converts the
-// dominant cost of the serving path into a hash lookup.
+// replays the view's models, every Tighter decision replays both DTDs'
+// models — so compiling each model once and reusing it everywhere converts
+// the dominant cost of the serving path into a hash lookup.
+//
+// Syntax comes before automata: a containment or equivalence question the
+// two trees decide on their own (containsSyntactic — equal trees, a
+// nullability difference, a name the other side never mentions) is answered
+// without a key, a lookup or a compile, which is what the pairwise
+// absorption of Reduce asks almost exclusively on real content models. Only
+// a question the trees leave open reaches the cache.
 //
 // Cache keys are canonical serializations of the expression: the DFA tier
 // keys on regex.Key(regex.Simplify(e)), so syntactic variants with the same
 // simplified form (the normal output of inference, which simplifies
 // aggressively) share one compiled automaton; the decision tier keys on the
-// raw regex.Key, so repeated identical questions cost two encodes and one
-// lookup, with equivalence keys normalized to be order-independent. All
-// keys live in one LRU (namespaced by a leading opcode byte), so a single
-// capacity bounds total memory.
+// raw regex.Key, so a repeated identical question costs one encode of the
+// pair and one lookup, with equivalence keys normalized to be
+// order-independent. All keys live in one LRU (namespaced by a leading
+// opcode byte), so a single capacity bounds total memory.
 
 // DefaultCacheCapacity bounds the process-wide default compiler. Entries
 // are minimized DFAs of DTD content models — typically a few dozen states —
@@ -120,12 +127,9 @@ func (cp *Compiler) DFA(e regex.Expr) *DFA {
 }
 
 // DFABudget is DFA under a resource budget. Cache hits cost nothing; a
-// cold compile charges per subset-construction state. On exhaustion the
-// error propagates to every singleflight waiter and nothing is cached —
-// the key stays absent so a later call (with a fresh budget) retries.
-// Waiters that joined the flight share the leader's budget outcome; that
-// asymmetry is inherent to deduplicated computation and resolves on
-// retry.
+// cold compile charges per subset-construction state. On exhaustion
+// nothing is cached and only the caller whose budget it was fails: a
+// singleflight waiter compiles under its own budget instead.
 func (cp *Compiler) DFABudget(e regex.Expr, bud *budget.Budget) (*DFA, error) {
 	canon := regex.Simplify(e)
 	key := string(opDFA) + regex.Key(canon)
@@ -191,7 +195,21 @@ func (cp *Compiler) Witness(a, b regex.Expr) []regex.Name {
 // WitnessBudget is Witness under a resource budget: the two compilations
 // and the difference product all charge.
 func (cp *Compiler) WitnessBudget(a, b regex.Expr, bud *budget.Budget) ([]regex.Name, error) {
-	key := string(AppendKeys([]byte{opWitness}, a, b))
+	w, err := cp.witness(a, b, bud)
+	if err != nil || w == nil {
+		return nil, err
+	}
+	// Copy so callers own (and may mutate) their word; the empty witness
+	// must stay non-nil — nil means "contained".
+	return append(make([]regex.Name, 0, len(w)), w...), nil
+}
+
+// witness returns the cached, shared witness word of (a, b): nil when
+// L(a) ⊆ L(b). The key is built once, from a buffer sized for the content
+// models inference asks about.
+func (cp *Compiler) witness(a, b regex.Expr, bud *budget.Budget) ([]regex.Name, error) {
+	var buf [256]byte
+	key := string(AppendKeys(append(buf[:0], opWitness), a, b))
 	v, err := cp.c.GetOrCompute(key, func() (any, error) {
 		alpha := unionAlphabet(a, b)
 		da, err := cp.DFABudget(a, bud)
@@ -215,36 +233,83 @@ func (cp *Compiler) WitnessBudget(a, b regex.Expr, bud *budget.Budget) ([]regex.
 	if err != nil {
 		return nil, err
 	}
-	w := v.(witnessResult).word
-	if w == nil {
-		return nil, nil
-	}
-	// Copy so callers own (and may mutate) their word; the empty witness
-	// must stay non-nil — nil means "contained".
-	return append(make([]regex.Name, 0, len(w)), w...), nil
+	return v.(witnessResult).word, nil
 }
 
-// Contains reports L(a) ⊆ L(b), cached.
+// containsSyntactic is the front door of containment: it answers L(a) ⊆ L(b)
+// when the two trees alone decide it — exactly, in both directions — and
+// reports decided = false otherwise. Equal trees denote equal languages.
+// ε ∈ L(a) \ L(b) is read off Nullable, which is exact. And an expression
+// without Fail has no subexpression with an empty language, so by induction
+// every atom of a lies on some word of L(a): a name that b never mentions
+// puts that word outside L(b). Real content models are overwhelmingly
+// duplicate-free or disjunction-capsuled (PAPERS.md: XPath Satisfiability …
+// Tractable, Simple Schemas for Unordered XML), and the alternatives Reduce
+// compares on those differ in exactly these two ways.
+func containsSyntactic(a, b regex.Expr) (contained, decided bool) {
+	switch {
+	case regex.Equal(a, b):
+		return true, true
+	case regex.Nullable(a) && !regex.Nullable(b):
+		return false, true
+	case failFree(a) && !mentionsAll(b, a):
+		return false, true
+	}
+	return false, false
+}
+
+// leaves reports that ok holds of every leaf of e; an empty alternation,
+// which denotes ∅, counts as a Fail leaf.
+func leaves(e regex.Expr, ok func(regex.Expr) bool) bool {
+	switch v := e.(type) {
+	case regex.Concat:
+		return !slices.ContainsFunc(v.Items, func(it regex.Expr) bool { return !leaves(it, ok) })
+	case regex.Alt:
+		if len(v.Items) == 0 {
+			return ok(regex.Fail{})
+		}
+		return !slices.ContainsFunc(v.Items, func(it regex.Expr) bool { return !leaves(it, ok) })
+	case regex.Star:
+		return leaves(v.Sub, ok)
+	case regex.Plus:
+		return leaves(v.Sub, ok)
+	case regex.Opt:
+		return leaves(v.Sub, ok)
+	}
+	return ok(e)
+}
+
+func failFree(e regex.Expr) bool {
+	return leaves(e, func(l regex.Expr) bool { return !regex.IsFail(l) })
+}
+
+// mentionsAll reports that every name occurring in a occurs in b.
+func mentionsAll(b, a regex.Expr) bool {
+	return leaves(a, func(l regex.Expr) bool {
+		_, isAtom := l.(regex.Atom)
+		return !isAtom || !leaves(b, func(m regex.Expr) bool { return m != l })
+	})
+}
+
+// Contains reports L(a) ⊆ L(b): from the trees when they decide it,
+// otherwise as "no witness exists" from the witness cache.
 func (cp *Compiler) Contains(a, b regex.Expr) bool {
-	// Piggybacks on the witness cache: the answer is "no witness exists".
-	key := string(AppendKeys([]byte{opWitness}, a, b))
-	if v, ok := cp.c.Get(key); ok {
-		return v.(witnessResult).word == nil
+	contained, err := cp.ContainsBudget(a, b, nil)
+	if err != nil {
+		// Unreachable: a nil budget never exhausts.
+		panic(err)
 	}
-	return cp.Witness(a, b) == nil
+	return contained
 }
 
-// ContainsBudget is Contains under a resource budget.
+// ContainsBudget is Contains under a resource budget; a question the trees
+// decide charges nothing.
 func (cp *Compiler) ContainsBudget(a, b regex.Expr, bud *budget.Budget) (bool, error) {
-	key := string(AppendKeys([]byte{opWitness}, a, b))
-	if v, ok := cp.c.Get(key); ok {
-		return v.(witnessResult).word == nil, nil
+	if contained, decided := containsSyntactic(a, b); decided {
+		return contained, nil
 	}
-	w, err := cp.WitnessBudget(a, b, bud)
-	if err != nil {
-		return false, err
-	}
-	return w == nil, nil
+	w, err := cp.witness(a, b, bud)
+	return err == nil && w == nil, err
 }
 
 // Equivalent reports L(a) = L(b), cached under an order-normalized key so
@@ -258,23 +323,30 @@ func (cp *Compiler) Equivalent(a, b regex.Expr) bool {
 	return eq
 }
 
-// EquivalentBudget is Equivalent under a resource budget.
+// EquivalentBudget is Equivalent under a resource budget. Either direction
+// refuted by the trees answers without a key; the cached automaton decides
+// only pairs the trees leave open both ways.
 func (cp *Compiler) EquivalentBudget(a, b regex.Expr, bud *budget.Budget) (bool, error) {
-	ka, kb := regex.Key(a), regex.Key(b)
-	if ka == kb {
-		return true, nil // identical trees denote identical languages
+	ab, abDecided := containsSyntactic(a, b)
+	ba, baDecided := containsSyntactic(b, a)
+	if abDecided || baDecided {
+		// Decided and contained means equal trees; anything else decided is
+		// a refutation of one direction.
+		return ab && ba, nil
 	}
+	ka, kb := regex.Key(a), regex.Key(b)
 	if kb < ka {
 		ka, kb = kb, ka
 		a, b = b, a
 	}
 	key := string(opEquiv) + ka + kb
 	v, err := cp.c.GetOrCompute(key, func() (any, error) {
-		ab, err := cp.ContainsBudget(a, b, bud)
-		if err != nil || !ab {
+		w, err := cp.witness(a, b, bud)
+		if err != nil || w != nil {
 			return false, err
 		}
-		return cp.ContainsBudget(b, a, bud)
+		w, err = cp.witness(b, a, bud)
+		return err == nil && w == nil, err
 	})
 	if err != nil {
 		return false, err
@@ -306,6 +378,9 @@ func AppendKeys(dst []byte, exprs ...regex.Expr) []byte {
 // names unknown to d go to a fresh dead state. When the alphabets coincide
 // the original DFA is returned unchanged. The result accepts exactly L(d).
 func extendTo(d *DFA, alphabet []regex.Name) *DFA {
+	if slices.Equal(alphabet, d.Alphabet) {
+		return d
+	}
 	idx := make(map[regex.Name]int, len(alphabet))
 	alpha := make([]regex.Name, 0, len(alphabet))
 	for _, n := range alphabet {
@@ -314,17 +389,8 @@ func extendTo(d *DFA, alphabet []regex.Name) *DFA {
 			alpha = append(alpha, n)
 		}
 	}
-	if len(alpha) == len(d.Alphabet) {
-		same := true
-		for i := range alpha {
-			if alpha[i] != d.Alphabet[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return d
-		}
+	if slices.Equal(alpha, d.Alphabet) {
+		return d
 	}
 	for _, n := range d.Alphabet {
 		if _, ok := idx[n]; !ok {

@@ -1,8 +1,6 @@
 package automata
 
 import (
-	"fmt"
-
 	"repro/internal/budget"
 	"repro/internal/regex"
 )
@@ -16,15 +14,18 @@ import (
 //     into the paper's compact forms;
 //   - a trailing "?" or "+" made redundant by nullability disappears (via
 //     the regex constructors);
-//   - the result is verified equivalent to the input (a Reduce bug would
-//     otherwise silently corrupt inferred DTDs), falling back to the
-//     syntactic simplification on mismatch.
+//   - a result that dropped an alternative is verified equivalent to the
+//     input (a Reduce bug would otherwise silently corrupt inferred DTDs),
+//     falling back to the syntactic simplification on mismatch; a Reduce
+//     that dropped nothing returns that simplification as it is.
 //
 // Reduce is meant for the moderately sized expressions that inference
-// produces; it runs containment checks pairwise over alternatives. Very
-// large expressions (as arise when unioning views over a hundred sources)
-// would make the pairwise pass quadratic in automata constructions, so
-// Reduce degrades to the syntactic simplifier beyond a size threshold.
+// produces; it runs containment checks pairwise over alternatives, each
+// through the syntactic front door of ContainsBudget first, so only pairs
+// over one alphabet with equal nullability cost an automaton. Very large
+// expressions (as arise when unioning views over a hundred sources) would
+// still make the pairwise pass quadratic, so Reduce degrades to the
+// syntactic simplifier beyond a size threshold.
 func Reduce(e regex.Expr) regex.Expr {
 	return ReduceBudget(e, nil)
 }
@@ -33,9 +34,9 @@ func Reduce(e regex.Expr) regex.Expr {
 // optimization — its output is language-equivalent to its input — so
 // budget exhaustion never errors: it falls back to the syntactic
 // simplification, exactly as the size limit does. The budget is charged
-// by the containment checks of the absorption pass and by the final
-// equivalence verification, which are where semantic reduction compiles
-// automata.
+// by the containment checks the front door leaves to the automaton and by
+// the equivalence verification of a reduction that dropped something; a
+// reduction that changes nothing charges nothing.
 func ReduceBudget(e regex.Expr, bud *budget.Budget) regex.Expr {
 	if bud.Err() != nil {
 		// Already exhausted: even the syntactic simplifier is too much work
@@ -51,8 +52,27 @@ func ReduceBudget(e regex.Expr, bud *budget.Budget) regex.Expr {
 		// Already exhausted: stay on the syntactic path.
 		return simplified
 	}
-	reduced, err := reduce(simplified, bud)
-	if err != nil {
+	// One copy-on-write pass that drops absorbed alternatives: a subtree
+	// none was dropped from is returned as it is, and only the spine above
+	// a dropped alternative is rebuilt.
+	var err error
+	dropAbsorbed := regex.Rewriter{Alt: func(items []regex.Expr, kept bool) regex.Expr {
+		var absorbed []regex.Expr
+		if err == nil {
+			absorbed, err = absorb(items, bud)
+		}
+		switch {
+		case err != nil:
+			return regex.Bot() // abandoned: the pass is discarded below
+		case kept && len(absorbed) == len(items):
+			return nil
+		}
+		return regex.Or(absorbed...)
+	}}
+	reduced, kept := dropAbsorbed.Rewrite(simplified)
+	if err != nil || kept {
+		// The budget ran out on the way, or nothing was absorbed and there
+		// is no rewrite to verify.
 		return simplified
 	}
 	out := regex.Simplify(reduced)
@@ -69,62 +89,16 @@ func ReduceBudget(e regex.Expr, bud *budget.Budget) regex.Expr {
 // on; larger inputs get only syntactic simplification.
 const reduceSizeLimit = 512
 
-func reduce(e regex.Expr, bud *budget.Budget) (regex.Expr, error) {
-	switch v := e.(type) {
-	case regex.Empty, regex.Fail, regex.Atom:
-		return e, nil
-	case regex.Star:
-		s, err := reduce(v.Sub, bud)
-		if err != nil {
-			return nil, err
-		}
-		return regex.Rep(s), nil
-	case regex.Plus:
-		s, err := reduce(v.Sub, bud)
-		if err != nil {
-			return nil, err
-		}
-		return regex.Rep1(s), nil
-	case regex.Opt:
-		s, err := reduce(v.Sub, bud)
-		if err != nil {
-			return nil, err
-		}
-		return regex.Maybe(s), nil
-	case regex.Concat:
-		items := make([]regex.Expr, len(v.Items))
-		for i, it := range v.Items {
-			s, err := reduce(it, bud)
-			if err != nil {
-				return nil, err
-			}
-			items[i] = s
-		}
-		return regex.Cat(items...), nil
-	case regex.Alt:
-		items := make([]regex.Expr, len(v.Items))
-		for i, it := range v.Items {
-			s, err := reduce(it, bud)
-			if err != nil {
-				return nil, err
-			}
-			items[i] = s
-		}
-		items, err := absorb(items, bud)
-		if err != nil {
-			return nil, err
-		}
-		return regex.Or(items...), nil
-	}
-	panic(fmt.Sprintf("automata: unknown node %T", e))
-}
-
-// absorb drops alternatives whose language is contained in another's.
+// absorb drops alternatives whose language is contained in another's; when
+// none is, it returns items itself. Each ordered pair goes through
+// ContainsBudget's syntactic front door; only a pair the trees leave open
+// costs a cache key, and a compile when it is cold.
 func absorb(items []regex.Expr, bud *budget.Budget) ([]regex.Expr, error) {
 	keep := make([]bool, len(items))
 	for i := range keep {
 		keep[i] = true
 	}
+	dropped := 0
 	for i := range items {
 		if !keep[i] {
 			continue
@@ -139,10 +113,14 @@ func absorb(items []regex.Expr, bud *budget.Budget) ([]regex.Expr, error) {
 			}
 			if contained {
 				keep[j] = false
+				dropped++
 			}
 		}
 	}
-	out := items[:0:0]
+	if dropped == 0 {
+		return items, nil
+	}
+	out := make([]regex.Expr, 0, len(items)-dropped)
 	for i, it := range items {
 		if keep[i] {
 			out = append(out, it)

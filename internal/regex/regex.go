@@ -16,8 +16,9 @@
 package regex
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -40,6 +41,11 @@ func (n Name) String() string {
 		return n.Base
 	}
 	return fmt.Sprintf("%s^%d", n.Base, n.Tag)
+}
+
+// Compare orders names by base, then tag.
+func (n Name) Compare(m Name) int {
+	return cmp.Or(strings.Compare(n.Base, m.Base), cmp.Compare(n.Tag, m.Tag))
 }
 
 // Expr is a regular expression over Names. Expressions are immutable:
@@ -336,79 +342,173 @@ func Nullable(e Expr) bool {
 
 // Names returns the set of names occurring in e, sorted by base then tag.
 func Names(e Expr) []Name {
-	set := map[Name]bool{}
-	collectNames(e, set)
-	out := make([]Name, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Base != out[j].Base {
-			return out[i].Base < out[j].Base
-		}
-		return out[i].Tag < out[j].Tag
-	})
-	return out
+	out := appendNames(make([]Name, 0, 8), e)
+	slices.SortFunc(out, Name.Compare)
+	return slices.Compact(out)
 }
 
-func collectNames(e Expr, set map[Name]bool) {
+func appendNames(dst []Name, e Expr) []Name {
 	switch v := e.(type) {
 	case Atom:
-		set[v.Name] = true
+		return append(dst, v.Name)
 	case Concat:
 		for _, it := range v.Items {
-			collectNames(it, set)
+			dst = appendNames(dst, it)
 		}
 	case Alt:
 		for _, it := range v.Items {
-			collectNames(it, set)
+			dst = appendNames(dst, it)
 		}
 	case Star:
-		collectNames(v.Sub, set)
+		return appendNames(dst, v.Sub)
 	case Plus:
-		collectNames(v.Sub, set)
+		return appendNames(dst, v.Sub)
 	case Opt:
-		collectNames(v.Sub, set)
+		return appendNames(dst, v.Sub)
 	}
+	return dst
 }
 
 // Image strips specialization tags from every name in e (Definition 3.9).
 func Image(e Expr) Expr {
-	return Map(e, func(n Name) Expr { return Nm(n.Base) })
+	return Rename(e, func(n Name) Name { return N(n.Base) })
 }
 
-// Map rebuilds e with every atom replaced by f(name). Structure nodes are
-// rebuilt through the smart constructors, so identities are applied. Map is
-// the workhorse behind Image, one-level extension (Definition 4.3) and the
-// substitution steps of the list-inference algorithm (Appendix B).
+// Map rebuilds e with every atom replaced by f(name); a nil f(name) keeps
+// the atom. Structure nodes are rebuilt through the smart constructors, so
+// identities are applied; a subtree in which f changed no atom and no
+// identity applies is returned as it is, not copied. Map is the workhorse
+// behind one-level extension (Definition 4.3) and the substitution steps of
+// the list-inference algorithm (Appendix B).
 func Map(e Expr, f func(Name) Expr) Expr {
+	out, _ := (&Rewriter{Atom: f}).Rewrite(e)
+	return out
+}
+
+// Rename is Map for a substitution of names by names. An atom f maps to
+// itself is kept, not re-boxed, so renaming nothing allocates nothing.
+func Rename(e Expr, f func(Name) Name) Expr {
+	return Map(e, func(n Name) Expr {
+		if m := f(n); m != n {
+			return Atom{Name: m}
+		}
+		return nil
+	})
+}
+
+// Rewriter is one bottom-up, copy-on-write pass over an expression: Map,
+// Simplify's rounds and automata.Reduce are each one. Atom replaces a name
+// (nil function or nil result: keep the atom). Cat and Alt build the node
+// over the rewritten items of a sequence or alternation; kept says the items
+// are the node's own slice, none rewritten, and only then may the result be
+// nil, which keeps the node. The defaults are the smart constructors.
+// Repetitions go through Rep, Rep1 and Maybe.
+type Rewriter struct {
+	Atom     func(Name) Expr
+	Cat, Alt func(items []Expr, kept bool) Expr
+}
+
+// Rewrite returns the rewritten e; kept reports that it is e itself, no
+// rewrite and no constructor identity having applied anywhere in it.
+func (r *Rewriter) Rewrite(e Expr) (_ Expr, kept bool) {
 	switch v := e.(type) {
-	case Empty:
-		return Empty{}
-	case Fail:
-		return Fail{}
 	case Atom:
-		return f(v.Name)
-	case Concat:
-		items := make([]Expr, len(v.Items))
-		for i, it := range v.Items {
-			items[i] = Map(it, f)
+		if r.Atom == nil {
+			return e, true
 		}
-		return Cat(items...)
-	case Alt:
-		items := make([]Expr, len(v.Items))
-		for i, it := range v.Items {
-			items[i] = Map(it, f)
+		a := r.Atom(v.Name)
+		if a == nil || a == e {
+			return e, true
 		}
-		return Or(items...)
+		return a, false
 	case Star:
-		return Rep(Map(v.Sub, f))
+		return r.unary(e, v.Sub, Rep, false)
 	case Plus:
-		return Rep1(Map(v.Sub, f))
+		return r.unary(e, v.Sub, Rep1, true)
 	case Opt:
-		return Maybe(Map(v.Sub, f))
+		return r.unary(e, v.Sub, Maybe, true)
+	case Concat:
+		return r.nary(e, v.Items, r.Cat, catKept)
+	case Alt:
+		return r.nary(e, v.Items, r.Alt, orKept)
 	}
-	panic(fmt.Sprintf("regex: unknown node %T", e))
+	return e, true
+}
+
+// unary keeps a repetition whose operand was kept and is one the
+// constructor would only wrap again.
+func (r *Rewriter) unary(e, sub Expr, wrap func(Expr) Expr, dropsNullable bool) (Expr, bool) {
+	s, kept := r.Rewrite(sub)
+	if kept && bare(s) && !(dropsNullable && Nullable(s)) {
+		return e, true
+	}
+	return wrap(s), false
+}
+
+// nary rewrites the items, copying the slice at the first one that did not
+// come back as itself, and hands them to build.
+func (r *Rewriter) nary(e Expr, items []Expr, build, deflt func([]Expr, bool) Expr) (Expr, bool) {
+	out, kept := items, true
+	for i, it := range items {
+		x, same := r.Rewrite(it)
+		if same {
+			continue
+		}
+		if kept {
+			out, kept = slices.Clone(items), false
+		}
+		out[i] = x
+	}
+	if build == nil {
+		build = deflt
+	}
+	if b := build(out, kept); b != nil {
+		return b, false
+	}
+	return e, true
+}
+
+// bare reports that e is neither a constant nor under a repetition
+// operator, so Rep wraps it (and Rep1 and Maybe do unless it is nullable).
+func bare(e Expr) bool {
+	switch e.(type) {
+	case Empty, Fail, Star, Plus, Opt:
+		return false
+	}
+	return true
+}
+
+// catKept is Cat(items...), or nil when that is the node already held: kept
+// items that Cat would neither drop nor flatten.
+func catKept(items []Expr, kept bool) Expr {
+	for _, it := range items {
+		switch it.(type) {
+		case Empty, Fail, Concat:
+			kept = false
+		}
+	}
+	if kept && len(items) >= 2 {
+		return nil
+	}
+	return Cat(items...)
+}
+
+// orKept is Or(items...), or nil when that is the node already held: kept
+// items that Or would neither drop, flatten nor deduplicate. On kept
+// subtrees syntactic equality and equality of the rendered text, which Or
+// keys on, coincide, so nothing needs rendering to know.
+func orKept(items []Expr, kept bool) Expr {
+	for i, it := range items {
+		switch it.(type) {
+		case Fail, Alt:
+			kept = false
+		}
+		kept = kept && !slices.ContainsFunc(items[:i], func(prev Expr) bool { return Equal(prev, it) })
+	}
+	if kept && len(items) >= 2 {
+		return nil
+	}
+	return Or(items...)
 }
 
 // Equal reports syntactic equality of two expressions. It compares

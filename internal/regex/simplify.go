@@ -1,6 +1,6 @@
 package regex
 
-import "fmt"
+import "slices"
 
 // Simplify rewrites e into a smaller equivalent expression using algebraic
 // identities. It performs only language-preserving syntactic rewrites (the
@@ -10,8 +10,8 @@ import "fmt"
 // into the readable "publication, publication+" form.
 func Simplify(e Expr) Expr {
 	for i := 0; i < 16; i++ { // bounded fixpoint; rewrites strictly shrink in practice
-		next := simplifyOnce(e)
-		if Equal(next, e) {
+		next, kept := simplifyOnce.Rewrite(e)
+		if kept || Equal(next, e) {
 			return next
 		}
 		e = next
@@ -19,46 +19,60 @@ func Simplify(e Expr) Expr {
 	return e
 }
 
-func simplifyOnce(e Expr) Expr {
-	switch v := e.(type) {
-	case Empty, Fail, Atom:
-		return e
-	case Star:
-		return Rep(simplifyOnce(v.Sub))
-	case Plus:
-		return Rep1(simplifyOnce(v.Sub))
-	case Opt:
-		return Maybe(simplifyOnce(v.Sub))
-	case Concat:
-		items := make([]Expr, len(v.Items))
-		for i, it := range v.Items {
-			items[i] = simplifyOnce(it)
+// simplifyOnce is one bottom-up round of rewrites. Being a Rewriter it is
+// copy-on-write: a round over an expression no rewrite applies to returns
+// the expression itself and allocates nothing.
+var simplifyOnce = Rewriter{
+	Cat: func(items []Expr, kept bool) Expr {
+		if kept && !fusible(items) {
+			return catKept(items, kept)
 		}
-		items = fuseAdjacent(items)
-		return Cat(items...)
-	case Alt:
-		items := make([]Expr, len(v.Items))
-		hasEps := false
-		for i, it := range v.Items {
-			items[i] = simplifyOnce(it)
-			if _, ok := items[i].(Empty); ok {
-				hasEps = true
-			}
+		return Cat(fuseAdjacent(items)...)
+	},
+	Alt: func(items []Expr, kept bool) Expr {
+		if kept && !absorbable(items) {
+			return orKept(items, kept)
 		}
+		hasEps := slices.ContainsFunc(items, IsEmptyExpr)
 		items = absorbAlternatives(items)
-		if hasEps {
-			// ε | r1 | r2  =  (r1 | r2)?
-			rest := items[:0:0]
-			for _, it := range items {
-				if _, ok := it.(Empty); !ok {
-					rest = append(rest, it)
-				}
-			}
-			return Maybe(Or(rest...))
+		if !hasEps {
+			return Or(items...)
 		}
-		return Or(items...)
+		// ε | r1 | r2  =  (r1 | r2)?
+		rest := items[:0:0]
+		for _, it := range items {
+			if !IsEmptyExpr(it) {
+				rest = append(rest, it)
+			}
+		}
+		return Maybe(Or(rest...))
+	},
+}
+
+// fusible reports that fuseAdjacent would merge two neighbours.
+func fusible(items []Expr) bool {
+	for i := 1; i < len(items); i++ {
+		if Equal(toOccurrence(items[i-1]).body, toOccurrence(items[i]).body) {
+			return true
+		}
 	}
-	panic(fmt.Sprintf("regex: unknown node %T", e))
+	return false
+}
+
+// absorbable reports that the Alt rewrites have something to do: an ε
+// alternative to turn into "?", or one alternative subsuming another.
+func absorbable(items []Expr) bool {
+	for i, a := range items {
+		if IsEmptyExpr(a) {
+			return true
+		}
+		for j, b := range items {
+			if i != j && subsumes(a, b) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // occurrence is a run of a common body expression with a repetition range:

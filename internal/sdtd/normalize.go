@@ -55,11 +55,11 @@ func (s *SDTD) NormalizeBudget(bud *budget.Budget) *SDTD {
 	}
 
 	rewrite := func(e regex.Expr) regex.Expr {
-		return regex.Map(e, func(n Name) regex.Expr {
+		return regex.Rename(e, func(n Name) Name {
 			if r, ok := rep[n]; ok {
-				return regex.At(r)
+				return r
 			}
-			return regex.At(n)
+			return n
 		})
 	}
 
@@ -137,7 +137,7 @@ func (s *SDTD) NormalizeBudget(bud *budget.Budget) *SDTD {
 			out.Declare(tn, t)
 			continue
 		}
-		model := regex.Map(t.Model, func(m Name) regex.Expr { return regex.At(target(m)) })
+		model := regex.Rename(t.Model, target)
 		out.Declare(tn, dtd.M(automata.ReduceBudget(model, bud)))
 	}
 	return out
