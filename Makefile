@@ -31,14 +31,16 @@ lint:
 # singleflight, the handlers above it and the forward transports (hedged
 # owner fetches, per-view build slots) are scheduling-sensitive, and the
 # repeat keeps every test of the four independent of what ran before it
-# (process-wide caches, shared fixtures).
+# (process-wide caches, shared fixtures). internal/xmlmodel rides along:
+# its trees are arrays shared between elements, and the ownership tests
+# (slab_test.go) are what says the sharing stops there.
 test:
 	go test ./...
 
 race:
 	go vet ./...
 	go test -race ./...
-	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/automata/...
+	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/automata/...
 
 # Rewrite internal/serve/testdata/metrics.golden — every /metrics family's
 # name, help and type, every series' labels, every JSON key — from what the

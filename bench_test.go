@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	mix "repro"
+	"repro/internal/load"
 	"repro/internal/xmlmodel"
 )
 
@@ -360,6 +361,22 @@ func BenchmarkParseDocument(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := mix.ParseDocument(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkParseFamilyDocument is the same front end on the shape a source
+// fetch parses: a 16 KiB document of an internal/load family, IDs on every
+// element, entity-free texts. Its allocs/op is per document, not per node
+// (TestParseAllocations holds it there).
+func BenchmarkParseFamilyDocument(b *testing.B) {
+	text := familyText(b, load.FamilyOptional, 16<<10, plainPool)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := xmlmodel.Parse(text); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,21 +14,25 @@ import (
 // explores further. The invariants: parsers never panic, and anything that
 // parses must re-parse from its own rendering.
 
+// parseDocumentSeeds is FuzzParseDocument's committed corpus; the parser
+// differential (parse_ref_test.go) runs over it too.
+var parseDocumentSeeds = []string{
+	`<a/>`,
+	`<a id="1"><b>text</b></a>`,
+	`<?xml version="1.0"?><!DOCTYPE a [ <!ELEMENT a (b*)> <!ELEMENT b (#PCDATA)> ]><a><b>x</b></a>`,
+	`<a>&lt;&amp;&gt;&#65;</a>`,
+	`<a><b/><b></b></a>`,
+	`<!-- c --><a/>`,
+	`<a`, `<a></b>`, `<a>mixed<b/></a>`, ``,
+	d1Bench + "\n<department></department>",
+}
+
 func FuzzParseDocument(f *testing.F) {
-	seeds := []string{
-		`<a/>`,
-		`<a id="1"><b>text</b></a>`,
-		`<?xml version="1.0"?><!DOCTYPE a [ <!ELEMENT a (b*)> <!ELEMENT b (#PCDATA)> ]><a><b>x</b></a>`,
-		`<a>&lt;&amp;&gt;&#65;</a>`,
-		`<a><b/><b></b></a>`,
-		`<!-- c --><a/>`,
-		`<a`, `<a></b>`, `<a>mixed<b/></a>`, ``,
-		d1Bench + "\n<department></department>",
-	}
-	for _, s := range seeds {
+	for _, s := range parseDocumentSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
+		checkParseAgainstReference(t, input)
 		doc, d, err := mix.ParseDocument(input)
 		if err != nil {
 			return

@@ -46,14 +46,11 @@ func Eval(q *xmas.Query, doc *xmlmodel.Document) (*xmlmodel.Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := EmptyResult(q)
-	if len(picks) > 0 {
-		out.Root.Children = make([]*xmlmodel.Element, len(picks))
-		for i, e := range picks {
-			out.Root.Children[i] = e.Clone()
-		}
-	}
-	return out, nil
+	// One Clone of the whole result, not one per pick: the view document
+	// is two arrays however many elements were picked, and shares no
+	// Element with doc.
+	root := xmlmodel.Element{Name: q.Name, Children: picks}
+	return &xmlmodel.Document{DocType: q.Name, Root: root.Clone()}, nil
 }
 
 // EmptyResult returns the view document Eval produces when no element

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -74,6 +75,11 @@ type HTTPSource struct {
 	// response is bit-identical to the owner's even if a parse/print
 	// round trip of the DTD were ever to normalize formatting.
 	rawDTD string
+	// okSubset is the text of the last payload DOCTYPE internal subset
+	// that dtd.ParseSubset accepted (a private copy: a substring would pin
+	// its payload). Fetch re-parses a payload's subset only when its text
+	// differs: whether a subset parses depends on nothing but that text.
+	okSubset atomic.Pointer[string]
 	// sleep waits between retries (honoring ctx); tests inject a stub to
 	// observe the requested delays without actually waiting.
 	sleep func(ctx context.Context, d time.Duration) error
@@ -207,7 +213,10 @@ func (s *HTTPSource) Report(r *SourceReport) { r.Retries += s.Retries() }
 // compiled DFAs run over the payload in O(depth) memory — so an oversized
 // or invalid remote document is rejected without ever building its tree;
 // only payloads that pass are parsed into the tree the mediator
-// materializes.
+// materializes. A payload whose own DOCTYPE subset is malformed fails the
+// fetch too; the DTD that subset declares is never used (the schema is the
+// one fetched at construction), so a subset whose text matches the last
+// one that parsed cleanly is not parsed again.
 func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	body, err := s.get(ctx, s.viewURL)
 	if err != nil {
@@ -220,11 +229,20 @@ func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 		}
 		return nil, fmt.Errorf("mediator: remote view violates its own DTD: %w", err)
 	}
-	doc, _, err := dtd.ParseDocument(body)
+	doc, dt, err := xmlmodel.Parse(body)
 	if err != nil {
 		// Unreachable in practice: the streaming scan accepts the same
 		// grammar the tree parser does.
 		return nil, fmt.Errorf("mediator: remote view unparseable: %w", err)
+	}
+	if dt != nil {
+		if ok := s.okSubset.Load(); ok == nil || *ok != dt.Internal {
+			if _, err := dtd.ParseSubset(dt.Root, dt.Internal); err != nil {
+				return nil, fmt.Errorf("mediator: remote view unparseable: %w", err)
+			}
+			subset := strings.Clone(dt.Internal)
+			s.okSubset.Store(&subset)
+		}
 	}
 	return doc, nil
 }
@@ -303,20 +321,47 @@ func (s *HTTPSource) tryGet(ctx context.Context, url string) (string, int, error
 		return "", 0, err
 	}
 	defer resp.Body.Close()
-	// Read one byte past the limit: exactly-at-the-limit bodies are legal,
-	// and anything longer is detected as oversized rather than silently
-	// truncated into a parse failure on a cut-off document.
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
+	body, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
-		return "", 0, err
-	}
-	if len(body) > maxResponseBytes {
-		return "", resp.StatusCode, ErrBodyTooLarge
+		return "", resp.StatusCode, err
 	}
 	if fi != nil && resp.StatusCode == http.StatusOK {
 		// Capture the peer's pruned/degraded/stale taxonomy so the
 		// forwarding node passes it through instead of erasing it.
 		fi.record(resp.Header)
 	}
-	return string(body), resp.StatusCode, nil
+	return body, resp.StatusCode, nil
+}
+
+// readBufs pools the chunk readBody reads through, as xmlmodel pools the
+// one WriteElement writes through: a body costs its own bytes only.
+var readBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// readBody reads a response body into one string, once: the buffer is
+// sized up front when the peer declared a length within the limit (and
+// grows by doubling when it did not), and is handed back as the string
+// without a copy. It reads one byte past the limit: exactly-at-the-limit
+// bodies are legal, and anything longer is detected as oversized rather
+// than silently truncated into a parse failure on a cut-off document.
+func readBody(r io.Reader, contentLength int64) (string, error) {
+	var b strings.Builder
+	if 0 < contentLength && contentLength <= maxResponseBytes {
+		b.Grow(int(contentLength))
+	}
+	buf := readBufs.Get().(*[32 << 10]byte)
+	defer readBufs.Put(buf)
+	for b.Len() <= maxResponseBytes {
+		n, err := r.Read(buf[:min(len(buf), maxResponseBytes+1-b.Len())])
+		b.Write(buf[:n])
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return "", err
+		}
+	}
+	if b.Len() > maxResponseBytes {
+		return "", ErrBodyTooLarge
+	}
+	return b.String(), nil
 }

@@ -129,6 +129,10 @@ type View struct {
 	// tightened per Section 4).
 	SDTD *sdtd.SDTD
 	DTD  *dtd.DTD
+	// DTDText is DTD as internal/serve sends it — alone by /dtd, ahead of
+	// the document by the view itself — rendered once, here at definition:
+	// a view's DTD never changes.
+	DTDText string
 	// Class classifies the view against the source DTDs; Unsatisfiable
 	// views are always empty.
 	Class infer.Class
@@ -376,6 +380,7 @@ func (m *Mediator) DefineUnionView(name string, parts []ViewPart) (*View, error)
 		}
 	}
 	v.DTD = plain
+	v.DTDText = plain.String() + "\n"
 	if ex := bud.Exhausted(); ex != nil && !v.Degraded {
 		// The per-part inferences finished but the final merge degraded.
 		v.Degraded = true

@@ -228,7 +228,7 @@ func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
 	}
 	setProvenanceHeaders(w, v, info.Provenance)
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	writeAnswer(w, dtdText(v.DTD), doc.Root)
+	writeAnswer(w, v.DTDText, doc.Root)
 }
 
 // setProvenanceHeaders advertises on a view response how the answer departs
@@ -252,10 +252,6 @@ func setProvenanceHeaders(w http.ResponseWriter, v *mediator.View, p mediator.Pr
 	}
 	p.SetHeaders(w.Header())
 }
-
-// dtdText is a view's inferred DTD as served, alone by /dtd and ahead of
-// the document by the view itself.
-func dtdText(d *dtd.DTD) string { return d.String() + "\n" }
 
 // writeAnswer sends an XML answer: the text of the DTD the document is
 // valid against when the answer carries one (a view document does, per
@@ -282,7 +278,7 @@ func (h *Handler) getViewDTD(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/xml-dtd; charset=utf-8")
-	io.WriteString(w, dtdText(v.DTD))
+	io.WriteString(w, v.DTDText)
 }
 
 func (h *Handler) getViewSDTD(w http.ResponseWriter, r *http.Request) {

@@ -12,6 +12,15 @@
 // documents belong to the same structural class when they are identical
 // after abstracting away PCDATA values and IDs. StructureKey computes a
 // canonical fingerprint of an element's structural class.
+//
+// Memory. Parse builds a document per document, not per node: its Elements
+// and child lists are carved out of a few arrays, and a Name — and a Text
+// that needed no entity decoding — is a substring of the input. Any one
+// element of a parsed document therefore keeps the document alive: the
+// arrays it and its descendants were carved from, and the input text. A
+// child list always has cap == len, so appending to one reallocates that
+// list and never touches a neighbour's. Clone copies a subtree into arrays
+// of its own size, by the same rules (DESIGN.md §5j).
 package xmlmodel
 
 import (
@@ -64,19 +73,55 @@ func NewText(name, text string) *Element {
 	return &Element{Name: name, IsText: true, Text: text}
 }
 
-// Clone returns a deep copy of the element, preserving IDs.
+// Clone returns a deep copy of the element, preserving IDs. The copy shares
+// no Element and no child list with the original — only strings, which are
+// immutable — so either may be mutated without the other noticing. It is
+// built per subtree, not per node: the subtree is counted once and copied
+// into one []Element and one []*Element, each child list carved with
+// cap == len so that appending to it reallocates instead of overwriting
+// the next list. Like a parsed document, a clone is therefore kept alive
+// as a whole by any one of its elements.
 func (e *Element) Clone() *Element {
 	if e == nil {
 		return nil
 	}
-	c := &Element{Name: e.Name, ID: e.ID, IsText: e.IsText, Text: e.Text}
-	if len(e.Children) > 0 {
-		c.Children = make([]*Element, len(e.Children))
-		for i, k := range e.Children {
-			c.Children[i] = k.Clone()
+	elems, kids := e.count()
+	c := cloner{elems: slab[Element]{free: make([]Element, elems)}, kids: slab[*Element]{free: make([]*Element, kids)}}
+	return c.copy(e)
+}
+
+// count returns the number of elements and of child-list slots in the
+// subtree rooted at e.
+func (e *Element) count() (elems, kids int) {
+	elems, kids = 1, len(e.Children)
+	for _, k := range e.Children {
+		if k != nil {
+			ke, kk := k.count()
+			elems, kids = elems+ke, kids+kk
 		}
 	}
-	return c
+	return elems, kids
+}
+
+// cloner carves a Clone out of two slabs that were made the subtree's
+// size, so neither ever allocates a second chunk.
+type cloner struct {
+	elems slab[Element]
+	kids  slab[*Element]
+}
+
+func (c *cloner) copy(e *Element) *Element {
+	out := &c.elems.take(1, 0)[0]
+	*out = Element{Name: e.Name, ID: e.ID, IsText: e.IsText, Text: e.Text}
+	if n := len(e.Children); n > 0 {
+		out.Children = c.kids.take(n, 0)
+		for i, k := range e.Children {
+			if k != nil {
+				out.Children[i] = c.copy(k)
+			}
+		}
+	}
+	return out
 }
 
 // Equal reports whether two elements are identical, including IDs and

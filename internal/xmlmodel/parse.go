@@ -38,6 +38,7 @@ func Parse(input string) (*Document, *Doctype, error) {
 	p := &parser{src: input}
 	p.skipProlog()
 	dt := p.doctype
+	p.left = startTagBound(p.src[p.pos:])
 	root, err := p.parseElement()
 	if err != nil {
 		return nil, nil, err
@@ -57,6 +58,7 @@ func Parse(input string) (*Document, *Doctype, error) {
 func ParseElement(input string) (*Element, error) {
 	p := &parser{src: input}
 	p.skipWS()
+	p.left = startTagBound(p.src[p.pos:])
 	e, err := p.parseElement()
 	if err != nil {
 		return nil, err
@@ -77,6 +79,62 @@ type parser struct {
 	pos     int
 	depth   int
 	doctype *Doctype
+
+	// The tree is built per document, not per node: elements and child
+	// lists are carved out of chunked slabs. The children of every open
+	// element wait on one stack and are copied out, exactly sized, when
+	// their parent closes.
+	elems slab[Element]
+	kids  slab[*Element]
+	stack []*Element
+	// left is an upper bound on the start tags in the unread input (see
+	// startTagBound), counted once and decremented per element: no chunk
+	// is sized past it, so a well-formed document's slabs end full.
+	left int
+}
+
+// Slab chunks double from minChunk to maxChunk, so the chunk being filled
+// is never larger than what the input has already earned by parsing
+// cleanly: a hostile body fails having allocated a constant, whatever
+// startTagBound made of it.
+const (
+	minChunk = 8
+	maxChunk = 1024
+)
+
+// slab hands out sub-slices of chunks it allocates by the doubling rule.
+type slab[T any] struct {
+	free []T
+	next int
+}
+
+// take returns n fresh zeroed Ts with cap == len, so that an append to
+// what it returns reallocates instead of overwriting a neighbour. bound
+// caps a new chunk (but never below n).
+func (s *slab[T]) take(n, bound int) []T {
+	if n > len(s.free) {
+		s.next = min(max(2*s.next, minChunk), maxChunk)
+		s.free = make([]T, max(n, min(s.next, bound)))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// startTagBound counts the '<' of s that can open an element, those not
+// followed by '/', '!' or '?': an upper bound on the elements in s.
+func startTagBound(s string) int {
+	n := 0
+	for {
+		i := strings.IndexByte(s, '<')
+		if i < 0 {
+			return n
+		}
+		s = s[i+1:]
+		if s == "" || (s[0] != '/' && s[0] != '!' && s[0] != '?') {
+			n++
+		}
+	}
 }
 
 func (p *parser) eof() bool { return p.pos >= len(p.src) }
@@ -153,7 +211,6 @@ func (p *parser) parseDoctype() {
 	root := p.readName()
 	dt := &Doctype{Root: root}
 	// Scan to the end of the declaration, capturing an internal subset.
-	depth := 0
 	for p.pos < len(p.src) {
 		c := p.src[p.pos]
 		if c == '[' {
@@ -177,7 +234,7 @@ func (p *parser) parseDoctype() {
 			p.pos = i
 			continue
 		}
-		if c == '>' && depth == 0 {
+		if c == '>' {
 			p.pos++
 			break
 		}
@@ -213,8 +270,6 @@ func (p *parser) parseElement() (*Element, error) {
 	if p.depth >= maxParseDepth {
 		return nil, p.errf("element nesting exceeds %d levels", maxParseDepth)
 	}
-	p.depth++
-	defer func() { p.depth-- }()
 	if p.eof() || p.src[p.pos] != '<' {
 		return nil, p.errf("expected '<'")
 	}
@@ -223,7 +278,9 @@ func (p *parser) parseElement() (*Element, error) {
 	if name == "" {
 		return nil, p.errf("expected element name")
 	}
-	e := &Element{Name: name}
+	e := &p.elems.take(1, p.left)[0]
+	p.left--
+	e.Name = name
 	// Attributes: only id is kept; others are accepted and dropped.
 	for {
 		p.skipWS()
@@ -256,9 +313,17 @@ func (p *parser) parseElement() (*Element, error) {
 			e.ID = val
 		}
 	}
-	// Content: element content or character content, never mixed.
-	var text strings.Builder
+	// Content: element content or character content, never mixed. The
+	// text is its chunks concatenated and trimmed; blank chunks before the
+	// first non-blank one would be trimmed away, so they are dropped here,
+	// and content that is a single chunk (no comment splits it) is never
+	// copied: without entities it is a substring of the input, which
+	// every Name keeps alive anyway.
+	var text string
+	var split strings.Builder
 	sawText := false
+	base := len(p.stack)
+	p.depth++
 	for {
 		if p.eof() {
 			return nil, p.errf("unterminated element <%s>", name)
@@ -290,7 +355,7 @@ func (p *parser) parseElement() (*Element, error) {
 			if err != nil {
 				return nil, err
 			}
-			e.Children = append(e.Children, child)
+			p.stack = append(p.stack, child)
 			continue
 		}
 		// Character data.
@@ -298,17 +363,32 @@ func (p *parser) parseElement() (*Element, error) {
 		if err != nil {
 			return nil, err
 		}
-		if strings.TrimSpace(chunk) != "" {
+		switch {
+		case sawText:
+			if split.Len() == 0 {
+				split.WriteString(text)
+			}
+			split.WriteString(chunk)
+		case strings.TrimSpace(chunk) != "":
 			sawText = true
+			text = chunk
 		}
-		text.WriteString(chunk)
+	}
+	p.depth--
+	if n := len(p.stack) - base; n > 0 {
+		e.Children = p.kids.take(n, len(p.stack)+p.left)
+		copy(e.Children, p.stack[base:])
+		p.stack = p.stack[:base]
 	}
 	if sawText {
 		if len(e.Children) > 0 {
 			return nil, p.errf("mixed content in <%s> is not supported by the model (Section 2)", name)
 		}
+		if split.Len() > 0 {
+			text = split.String()
+		}
 		e.IsText = true
-		e.Text = strings.TrimSpace(text.String())
+		e.Text = strings.TrimSpace(text)
 	}
 	return e, nil
 }
