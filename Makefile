@@ -28,19 +28,22 @@ lint:
 # internal/automata/cache (LRU hammer) — the tests that only prove
 # anything under -race. internal/mediator, internal/serve, internal/engine
 # and internal/cluster run again at -count=3 -cpu=1,2: the part-slot
-# singleflight, the handlers above it and the forward transports (hedged
-# owner fetches, per-view build slots) are scheduling-sensitive, and the
-# repeat keeps every test of the four independent of what ran before it
-# (process-wide caches, shared fixtures). internal/xmlmodel rides along:
-# its trees are arrays shared between elements, and the ownership tests
-# (slab_test.go) are what says the sharing stops there.
+# singleflight, the query-plan memo, the handlers above them and the forward
+# transports (hedged owner fetches, per-view build slots) are
+# scheduling-sensitive, and the repeat keeps every test of the four
+# independent of what ran before it (process-wide caches, shared fixtures).
+# internal/xmlmodel rides along: its trees are arrays shared between
+# elements, and the ownership tests (slab_test.go) are what says the sharing
+# stops there. internal/infer too: a kept plan is its analysis run once, and
+# the refinement fan-out under it takes the serial path at -cpu=1 and the
+# goroutine path at -cpu=2.
 test:
 	go test ./...
 
 race:
 	go vet ./...
 	go test -race ./...
-	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/automata/...
+	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/...
 
 # Rewrite internal/serve/testdata/metrics.golden — every /metrics family's
 # name, help and type, every series' labels, every JSON key — from what the

@@ -55,6 +55,13 @@ func SimplifyQuery(q *xmas.Query, src *dtd.DTD) (*xmas.Query, *SimplifyReport, e
 	}
 	in := &inferencer{ctx: context.Background(), src: src, q: q, nextTag: map[string]int{}, full: map[*xmas.Cond]map[string]*spec{}}
 	rep.Class = in.queryClass()
+	if err := in.err(); err != nil {
+		// A refinement worker panicked (fanOut recovered it): the specs it
+		// left behind are inert Unsatisfiable placeholders, and a class read
+		// off them would answer the query with the empty result. Everything
+		// below reads memoized specs only, so this is the one check.
+		return nil, nil, err
+	}
 	if rep.Class == Unsatisfiable {
 		return out, rep, nil
 	}

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dtd"
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/regex"
 	"repro/internal/xmas"
 	"repro/internal/xmlmodel"
 )
@@ -202,5 +204,28 @@ func TestSimplifyPrunesGuaranteedQualifier(t *testing.T) {
 	item2 := out2.Root.Children[0]
 	if len(item2.Children) != 1 || !item2.Children[0].Qualifier {
 		t.Errorf("qualifier lost: %s", out2)
+	}
+}
+
+// TestSimplifyReturnsWorkerPanic: a panic fanOut recovers while the root is
+// being refined leaves an inert Unsatisfiable placeholder where the root's
+// spec should be. SimplifyQuery must report the panic, not read the
+// placeholder as "this query is provably empty" — the mediator would answer
+// the empty result without touching a source. The content model below
+// passes DTD.Check (no name in it is undeclared) and panics regex's tree
+// walks on its nil item.
+func TestSimplifyReturnsWorkerPanic(t *testing.T) {
+	d := mustDTD(t, `<!DOCTYPE r [ <!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)> ]>`)
+	d.Types["r"] = dtd.M(regex.Concat{Items: []regex.Expr{regex.Atom{Name: regex.N("a")}, nil}})
+	if errs := d.Check(); len(errs) > 0 {
+		t.Fatalf("the crafted DTD must get past Check to reach the fan-out: %v", errs)
+	}
+	q := xmas.MustParse(`v = SELECT X WHERE <r> X:<a/> </r>`)
+	out, rep, err := SimplifyQuery(q, d)
+	if err == nil {
+		t.Fatalf("worker panic swallowed: query %v, report %+v", out, rep)
+	}
+	if !strings.Contains(err.Error(), `panic refining element "r"`) {
+		t.Errorf("error %q must name the element whose refinement panicked", err)
 	}
 }

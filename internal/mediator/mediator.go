@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/automata/cache"
 	"repro/internal/budget"
 	"repro/internal/dtd"
 	"repro/internal/engine"
@@ -232,6 +233,9 @@ type Mediator struct {
 	// noPrune disables query-time per-part satisfiability pruning (see
 	// prune.go; default: pruning on).
 	noPrune bool
+	// plans memoizes the static analysis of each distinct (view, query) —
+	// see plan.go. It is the mediator's own, so it dies with it.
+	plans *cache.Cache
 
 	stats statsCounters
 }
@@ -245,6 +249,7 @@ func New(name string) *Mediator {
 		srcGen:   map[string]uint64{},
 		slots:    map[string][]*partCalc{},
 		deps:     map[string]map[string]bool{},
+		plans:    cache.New(planMemoCapacity),
 	}
 }
 
@@ -745,7 +750,9 @@ func (m *Mediator) Invalidate() {
 // the empty result without materializing the view, and valid side
 // conditions are pruned before evaluation. A simplifier failure is not
 // fatal — the unsimplified query is evaluated instead — but it is recorded
-// in QueryStats.SimplifierError and the mediator stats.
+// in QueryStats.SimplifierError and the mediator stats. That analysis runs
+// once per distinct query (plan.go); a repeated query looks its plan up and
+// goes straight to the kept parts and the engine.
 //
 // The result's root is new; the elements under it are the picked elements
 // of the cached view parts themselves, not copies — as the documents
@@ -765,43 +772,47 @@ func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*
 	defer span.End()
 	start := time.Now()
 	defer func() { m.stats.recordQuery(viewName, time.Since(start)) }()
-	stats := &QueryStats{}
-	sq := q
-	if simplified, rep, serr := infer.SimplifyQuery(q, v.DTD); serr == nil {
-		stats.PrunedConditions = rep.PrunedConditions
-		stats.DroppedNames = rep.DroppedNames
-		m.stats.recordSimplify(rep.PrunedConditions, rep.DroppedNames, rep.Class == infer.Unsatisfiable)
-		span.SetAttr(obs.Int("pruned", int64(rep.PrunedConditions)), obs.Int("dropped", int64(rep.DroppedNames)))
-		if rep.Class == infer.Unsatisfiable {
+	plan, hit, err := m.planFor(ctx, v, q, pruning, limits)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The plan says what the analysis concluded; counting it, and telling
+	// the trace, is this request's.
+	span.SetAttr(obs.Bool("plan_hit", hit))
+	stats := &QueryStats{
+		PrunedConditions: plan.prunedConditions,
+		DroppedNames:     plan.droppedNames,
+		SimplifierError:  plan.simplifierError,
+	}
+	sq := plan.query
+	if plan.simplifierError != "" {
+		sq = q
+		m.stats.add(&m.stats.SimplifierErrors, 1)
+		span.Event("query.simplifier_error", obs.String("error", plan.simplifierError))
+	} else {
+		m.stats.recordSimplify(plan.prunedConditions, plan.droppedNames, plan.unsatisfiable)
+		span.SetAttr(obs.Int("pruned", int64(plan.prunedConditions)), obs.Int("dropped", int64(plan.droppedNames)))
+		if plan.unsatisfiable {
 			stats.SkippedUnsatisfiable = true
 			span.Event("query.skipped_unsatisfiable")
 			return engine.EmptyResult(q), stats, nil
 		}
-		sq = simplified
-	} else {
-		stats.SimplifierError = serr.Error()
-		m.stats.add(&m.stats.SimplifierErrors, 1)
-		span.Event("query.simplifier_error", obs.String("error", serr.Error()))
 	}
-	var keep []bool
-	pruned := 0
-	if pruning {
-		keep, pruned = pruneParts(ctx, v, sq, limits)
-	} else {
-		keep = keepAll(v)
-	}
-	if pruned > 0 {
+	if pruned := len(plan.pruned); pruned > 0 {
 		m.stats.add(&m.stats.PartsPruned, int64(pruned))
 		span.SetAttr(obs.Int("parts_pruned", int64(pruned)))
+		for _, p := range plan.pruned {
+			span.Event("query.part_pruned", obs.String("source", p.source), obs.String("reason", p.reason))
+		}
+		if pruned == len(v.Parts) {
+			// Every part refuted: the answer is empty without touching any
+			// source — same shape as the unsatisfiable fast path above.
+			stats.PrunedSources = prunedSources(v, plan.keep)
+			span.Event("query.all_parts_pruned")
+			return engine.EmptyResult(q), stats, nil
+		}
 	}
-	if pruned == len(v.Parts) {
-		// Every part refuted: the answer is empty without touching any
-		// source — same shape as the unsatisfiable fast path above.
-		stats.PrunedSources = prunedSources(v, keep)
-		span.Event("query.all_parts_pruned")
-		return engine.EmptyResult(q), stats, nil
-	}
-	doc, info, err := m.materializeMasked(ctx, v, keep)
+	doc, info, err := m.materializeMasked(ctx, v, plan.keep)
 	if err != nil {
 		return nil, nil, err
 	}

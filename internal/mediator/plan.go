@@ -1,0 +1,125 @@
+package mediator
+
+import (
+	"context"
+	"encoding/binary"
+	"errors"
+
+	"repro/internal/budget"
+	"repro/internal/infer"
+	"repro/internal/xmas"
+)
+
+// The query-plan memo.
+//
+// What static analysis concludes about a query against a view — how the view
+// DTD simplifies it (or refutes it), and which parts their DTDs prove it
+// cannot touch — depends on the query, the view DTD and the part DTDs and on
+// nothing else. A view's DTDs are fixed at definition and views cannot be
+// redefined, so the conclusion is computed once per distinct (view, query)
+// and every later request reads it: Mediator.plans is one cache.Cache (its
+// LRU bound, its singleflight) owned by the mediator, and the analysis is its
+// compute function — there is no second path beside it and no switch.
+//
+// Nothing invalidates a plan. Invalidate and InvalidateSource announce that
+// a source's *data* changed, which a plan never looked at; what is refetched
+// is decided by the part slots' source-generation fence alone.
+//
+// What is never kept: a plan whose simplification failed, and a plan in
+// which some satisfiability verdict was Unknown. A definitive verdict is a
+// proof under any budget; an Unknown is one budget's opinion, and keeping it
+// would shadow the proof a later, larger budget reaches — the rule, and the
+// not-cached-on-error mechanism, of infer.SatisfiabilityCached.
+
+// planMemoCapacity bounds the plans a mediator keeps. A plan is a simplified
+// copy of its query and a mask over the view's parts; the distinct queries
+// of a serving workload number in the dozens per view.
+const planMemoCapacity = 1024
+
+// queryPlan is the analysis of one query against one view. Once kept it is
+// shared by every request that repeats the query and is never written again.
+type queryPlan struct {
+	// query is what the engine evaluates: the simplified query, or nil when
+	// the simplifier failed (simplifierError says how) and the request's own
+	// query stands in.
+	query *xmas.Query
+	// unsatisfiable: the view DTD refutes the query; the answer is empty and
+	// no part is looked at.
+	unsatisfiable                  bool
+	prunedConditions, droppedNames int
+	simplifierError                string
+	// keep masks the parts to materialize; pruned names the others, in part
+	// order, each with the reason it is provably irrelevant.
+	keep   []bool
+	pruned []prunedPart
+}
+
+// prunedPart is one part a plan leaves out of the materialization.
+type prunedPart struct {
+	source, reason string
+}
+
+// errPlanNotKept is what the memo's compute returns beside a plan that must
+// not stay resident: the cache stores no errored computation, and a joiner
+// of a failed flight starts over with its own analysis.
+var errPlanNotKept = errors.New("mediator: query plan not kept")
+
+// planFor returns the plan of q against v, from the memo when the query was
+// analysed before. hit reports that this call ran no analysis (it found the
+// plan resident, or joined the caller computing it). The pruning setting is
+// part of the key: a plan made with pruning on is not the plan of the same
+// query with pruning off.
+func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, pruning bool, limits budget.Limits) (plan *queryPlan, hit bool, err error) {
+	var buf [256]byte
+	key := buf[:0]
+	if pruning {
+		key = append(key, 'p')
+	} else {
+		key = append(key, 'n')
+	}
+	key = binary.AppendUvarint(key, uint64(len(v.Name)))
+	key = append(key, v.Name...)
+	key = q.AppendKey(key)
+
+	var fresh *queryPlan // set when this call ran the analysis itself
+	cached, err := m.plans.GetOrCompute(string(key), func() (any, error) {
+		var unknown bool
+		fresh, unknown = analyse(ctx, v, q, pruning, limits)
+		if unknown || fresh.simplifierError != "" {
+			return nil, errPlanNotKept
+		}
+		return fresh, nil
+	})
+	switch {
+	case fresh != nil:
+		return fresh, false, nil
+	case err != nil:
+		return nil, false, err // the analysis this call joined panicked
+	}
+	return cached.(*queryPlan), true, nil
+}
+
+// analyse is the memo's compute function, the whole static analysis of one
+// query: simplify it against the view DTD, then test the simplified query's
+// root conditions against each part's DTD. unknown reports that some verdict
+// was infer.VerdictUnknown.
+func analyse(ctx context.Context, v *View, q *xmas.Query, pruning bool, limits budget.Limits) (plan *queryPlan, unknown bool) {
+	plan = &queryPlan{}
+	sq := q
+	if simplified, rep, err := infer.SimplifyQuery(q, v.DTD); err != nil {
+		plan.simplifierError = err.Error()
+	} else {
+		plan.prunedConditions, plan.droppedNames = rep.PrunedConditions, rep.DroppedNames
+		if rep.Class == infer.Unsatisfiable {
+			plan.unsatisfiable = true
+			return plan, false
+		}
+		plan.query, sq = simplified, simplified
+	}
+	if !pruning {
+		plan.keep = keepAll(v)
+		return plan, false
+	}
+	plan.keep, plan.pruned, unknown = pruneParts(ctx, v, sq, limits)
+	return plan, unknown
+}

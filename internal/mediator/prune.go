@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/infer"
-	"repro/internal/obs"
 	"repro/internal/xmas"
 )
 
@@ -22,8 +21,9 @@ import (
 //
 // The test is infer.SatisfiabilityCached: proofs of unsatisfiability only
 // (Unknown and Satisfiable both mean "fetch"), with verdicts cached on the
-// query-skeleton × DTD key, so the per-query cost after warmup is a cache
-// lookup per (condition, part) pair.
+// query-skeleton × DTD key, so the first time a query is asked costs a cache
+// lookup per (condition, part) pair — and the mask then stays in the query's
+// plan (plan.go), so a repeat costs none.
 
 // SetPruning enables or disables query-time per-part pruning (enabled by
 // default). QueryUnsimplified is never pruned regardless of this setting —
@@ -42,12 +42,13 @@ func (m *Mediator) PruningEnabled() bool {
 }
 
 // pruneParts decides, for each part of the view, whether the simplified
-// query provably cannot touch it. It returns the keep mask plus the number
-// of pruned parts. Verdict computation runs under limits (the mediator's
-// inference budget; zero: unlimited): exhaustion yields Unknown, and
-// Unknown means fetch.
+// query provably cannot touch it. It returns the keep mask, the pruned parts
+// in part order, and whether some verdict came back Unknown (such a mask is
+// sound — Unknown means fetch — but only one budget's opinion, so the plan
+// made from it is not kept). Verdict computation runs under limits (the
+// mediator's inference budget; zero: unlimited): exhaustion yields Unknown.
 //
-// Pruning declines conservatively (Query does not call it when disabled):
+// Pruning declines conservatively (analyse does not call it when disabled):
 //   - when the pick variable binds the query root: the answer then embeds
 //     the root's full child list, so omitting parts would change it;
 //   - when the query root has no child conditions: every child list
@@ -57,15 +58,15 @@ func (m *Mediator) PruningEnabled() bool {
 //
 // A part whose definition-time Class is Unsatisfiable is pruned without
 // consulting the verdict cache: it is empty for every query.
-func pruneParts(ctx context.Context, v *View, q *xmas.Query, limits budget.Limits) (keep []bool, pruned int) {
+func pruneParts(ctx context.Context, v *View, q *xmas.Query, limits budget.Limits) (keep []bool, pruned []prunedPart, unknown bool) {
 	keep = keepAll(v)
 	root := q.Root
 	if root == nil || root.Var == q.PickVar || root.IDVar == q.PickVar {
-		return keep, 0
+		return keep, nil, false
 	}
 	probes := rootProbes(q)
 	if probes == nil && !anyStaticallyEmpty(v) {
-		return keep, 0
+		return keep, nil, false
 	}
 	if limits != (budget.Limits{}) {
 		ctx = budget.NewContext(ctx, budget.New(limits))
@@ -73,9 +74,7 @@ func pruneParts(ctx context.Context, v *View, q *xmas.Query, limits budget.Limit
 	for i, p := range v.Parts {
 		if p.Class == infer.Unsatisfiable {
 			keep[i] = false
-			pruned++
-			obs.AddEvent(ctx, "query.part_pruned",
-				obs.String("source", p.Source), obs.String("reason", "static_unsatisfiable"))
+			pruned = append(pruned, prunedPart{p.Source, "static_unsatisfiable"})
 			continue
 		}
 		if p.DTD == nil || probes == nil {
@@ -85,18 +84,17 @@ func pruneParts(ctx context.Context, v *View, q *xmas.Query, limits budget.Limit
 		for _, probe := range probes {
 			verdict, _ := infer.SatisfiabilityCached(ctx, probe, p.DTD)
 			if verdict != infer.VerdictUnsatisfiable {
+				unknown = unknown || verdict == infer.VerdictUnknown
 				refuted = false
 				break
 			}
 		}
 		if refuted {
 			keep[i] = false
-			pruned++
-			obs.AddEvent(ctx, "query.part_pruned",
-				obs.String("source", p.Source), obs.String("reason", "verdict_unsatisfiable"))
+			pruned = append(pruned, prunedPart{p.Source, "verdict_unsatisfiable"})
 		}
 	}
-	return keep, pruned
+	return keep, pruned, unknown
 }
 
 // anyStaticallyEmpty reports whether some part was classified

@@ -133,9 +133,9 @@ func TestPruneUnionQueryZeroFetch(t *testing.T) {
 		t.Error("first query must miss the verdict cache")
 	}
 
-	// Re-asking hits both the verdict cache and the kept part's slot: no
-	// verdict recomputation, no fetches.
-	hitsBefore := m.Stats().PruneVerdictCache.Hits
+	// Re-asking is a plan hit on the kept part's slot: no analysis, no
+	// verdict lookup at all, no fetches.
+	before := m.Stats()
 	// QueryUnsimplified above refetched the full view (both sources);
 	// from here on the counts must not move.
 	fetchesA, fetchesB := fsA.Fetches(), fsB.Fetches()
@@ -149,8 +149,14 @@ func TestPruneUnionQueryZeroFetch(t *testing.T) {
 	if len(qs2.PrunedSources) != 1 || qs2.PrunedSources[0] != "libB" {
 		t.Errorf("repeat PrunedSources = %v", qs2.PrunedSources)
 	}
-	if got := m.Stats().PruneVerdictCache.Hits; got <= hitsBefore {
-		t.Errorf("verdict cache hits = %d, want > %d", got, hitsBefore)
+	after := m.Stats()
+	if after.PlanHits != before.PlanHits+1 || after.PlanMisses != before.PlanMisses {
+		t.Errorf("repeat must be a plan hit: hits %d -> %d, misses %d -> %d",
+			before.PlanHits, after.PlanHits, before.PlanMisses, after.PlanMisses)
+	}
+	lookups := func(s Stats) int64 { return s.PruneVerdictCache.Hits + s.PruneVerdictCache.Misses }
+	if lookups(after) != lookups(before) {
+		t.Errorf("repeat looked verdicts up: %d -> %d lookups, want none", lookups(before), lookups(after))
 	}
 	if got := fsA.Fetches(); got != fetchesA {
 		t.Errorf("repeat query refetched libA: %d -> %d", fetchesA, got)
@@ -227,16 +233,16 @@ func TestPrunePartsAllFalse(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := xmas.MustParse(`r = SELECT X WHERE <cat> X:<item><shelf/></item> </cat>`)
-	keep, pruned := pruneParts(context.Background(), v, q, m.InferenceBudget())
-	if pruned != 2 || keep[0] || keep[1] {
-		t.Errorf("pruned = %d, keep = %v, want both parts refuted", pruned, keep)
+	keep, pruned, unknown := pruneParts(context.Background(), v, q, m.InferenceBudget())
+	if len(pruned) != 2 || keep[0] || keep[1] || unknown {
+		t.Errorf("pruned = %v, keep = %v, unknown = %v, want both parts refuted", pruned, keep, unknown)
 	}
 
 	// A query whose pick binds the view root must never be pruned: the
 	// answer embeds the root's full child list.
 	qRoot := xmas.MustParse(`r = SELECT X WHERE X:<cat> <item/> </cat>`)
-	if keep, pruned := pruneParts(context.Background(), v, qRoot, m.InferenceBudget()); !keep[0] || !keep[1] || pruned != 0 {
-		t.Errorf("root-binding query pruned: keep=%v pruned=%d", keep, pruned)
+	if keep, pruned, _ := pruneParts(context.Background(), v, qRoot, m.InferenceBudget()); !keep[0] || !keep[1] || len(pruned) != 0 {
+		t.Errorf("root-binding query pruned: keep=%v pruned=%v", keep, pruned)
 	}
 }
 

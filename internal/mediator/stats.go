@@ -121,6 +121,17 @@ type Stats struct {
 	// recomputation, since Unknown is deliberately never cached.
 	PruneVerdictCache verdictCacheStats `json:"prune_verdict_cache"`
 
+	// PlanHits / PlanMisses / PlanCacheSize snapshot this mediator's
+	// query-plan memo (plan.go): a hit is a query whose simplification and
+	// prune verdicts cost one lookup, a miss is an analysis that ran — once
+	// per distinct (view, query), and again for every plan that is not kept
+	// (simplifier error, Unknown verdict). A query that joined an analysis
+	// already running is neither. On a workload of repeated queries the
+	// verdict cache above goes quiet: no lookup is made at all.
+	PlanHits      int64 `json:"plan_hits" metric:"mix_query_plan_hits_total" help:"Queries answered from a kept query plan (no simplification, no verdict lookup)."`
+	PlanMisses    int64 `json:"plan_misses" metric:"mix_query_plan_misses_total" help:"Query analyses run (includes plans not kept: simplifier errors, Unknown verdicts)."`
+	PlanCacheSize int64 `json:"plan_cache_size" metric:"mix_query_plan_cache_size" help:"Query plans currently kept."`
+
 	// StreamValidation snapshots the process-wide streaming-validation
 	// counters (dtd.StreamValidationStats): documents, scanner events and
 	// input bytes validated without tree construction.
@@ -249,6 +260,8 @@ func (m *Mediator) Stats() Stats {
 	out.StreamValidation = dtd.StreamValidationStats()
 	out.AutomataCache = automata.CacheStats()
 	out.PruneVerdictCache = verdictCacheStats(infer.SatisfiabilityCacheStats())
+	plans := m.plans.Stats()
+	out.PlanHits, out.PlanMisses, out.PlanCacheSize = plans.Hits, plans.Misses, int64(plans.Size)
 
 	rep := m.sourceReport()
 	out.Retries = rep.Retries

@@ -45,6 +45,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -392,9 +393,9 @@ func (h *Handler) postQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	w.Header().Set("X-Mix-Skipped", fmt.Sprint(stats.SkippedUnsatisfiable))
-	w.Header().Set("X-Mix-Pruned", fmt.Sprint(stats.PrunedConditions))
-	w.Header().Set("X-Mix-Dropped-Names", fmt.Sprint(stats.DroppedNames))
+	w.Header().Set("X-Mix-Skipped", strconv.FormatBool(stats.SkippedUnsatisfiable))
+	w.Header().Set("X-Mix-Pruned", strconv.Itoa(stats.PrunedConditions))
+	w.Header().Set("X-Mix-Dropped-Names", strconv.Itoa(stats.DroppedNames))
 	if stats.SimplifierError != "" {
 		w.Header().Set("X-Mix-Simplifier-Error", stats.SimplifierError)
 	}

@@ -35,6 +35,7 @@
 package xmas
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -318,4 +319,66 @@ func (c *Cond) Clone() *Cond {
 		out.Children = append(out.Children, k.Clone())
 	}
 	return out
+}
+
+// AppendKey appends to dst an encoding of every field of the query tree and
+// returns the extended slice: two queries get equal encodings exactly when
+// their trees are equal, sibling order, variable names and text values
+// included. Every string is length-framed and every list count-framed (a
+// prefix code, like regex.AppendKey), so the encoding stays injective when
+// something is put in front of it or behind it. A field added to Query or
+// Cond belongs here as it belongs in Clone (TestKeyCoversEveryField counts
+// them).
+func (q *Query) AppendKey(dst []byte) []byte {
+	dst = appendKeyString(dst, q.Name)
+	dst = appendKeyString(dst, q.PickVar)
+	dst = binary.AppendUvarint(dst, uint64(len(q.Neq)))
+	for _, pair := range q.Neq {
+		dst = appendKeyString(dst, pair[0])
+		dst = appendKeyString(dst, pair[1])
+	}
+	return q.Root.appendKey(dst)
+}
+
+// Flag bits of a condition's key; keyNilCond stands for a missing condition
+// and is no combination of the others.
+const (
+	keyRecursive byte = 1 << iota
+	keyHasText
+	keyQualifier
+	keyNilCond byte = 0xff
+)
+
+func (c *Cond) appendKey(dst []byte) []byte {
+	if c == nil {
+		return append(dst, keyNilCond)
+	}
+	var flags byte
+	if c.Recursive {
+		flags |= keyRecursive
+	}
+	if c.HasText {
+		flags |= keyHasText
+	}
+	if c.Qualifier {
+		flags |= keyQualifier
+	}
+	dst = append(dst, flags)
+	dst = binary.AppendUvarint(dst, uint64(len(c.Names)))
+	for _, n := range c.Names {
+		dst = appendKeyString(dst, n)
+	}
+	dst = appendKeyString(dst, c.Var)
+	dst = appendKeyString(dst, c.IDVar)
+	dst = appendKeyString(dst, c.Text)
+	dst = binary.AppendUvarint(dst, uint64(len(c.Children)))
+	for _, k := range c.Children {
+		dst = k.appendKey(dst)
+	}
+	return dst
+}
+
+func appendKeyString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
 }
