@@ -36,14 +36,16 @@ lint:
 # elements, and the ownership tests (slab_test.go) are what says the sharing
 # stops there. internal/infer too: a kept plan is its analysis run once, and
 # the refinement fan-out under it takes the serial path at -cpu=1 and the
-# goroutine path at -cpu=2.
+# goroutine path at -cpu=2. internal/load last: its one open-loop dispatcher
+# is shared by all three campaigns, and whether a slot is free at an
+# operation's turn — sent or shed — is decided by the scheduler.
 test:
 	go test ./...
 
 race:
 	go vet ./...
 	go test -race ./...
-	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/...
+	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/
 
 # Rewrite internal/serve/testdata/metrics.golden — every /metrics family's
 # name, help and type, every series' labels, every JSON key — from what the

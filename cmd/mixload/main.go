@@ -74,80 +74,88 @@ func main() {
 	clusterPhase := flag.Duration("cluster-phase", 2*time.Second, "duration of each cluster load phase")
 	flag.Parse()
 
-	if *clusterMode {
-		runCluster(load.ClusterOptions{
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	// Each mode runs its campaign; what follows the switch is shared.
+	var (
+		rep  report
+		pass bool
+		err  error
+	)
+	switch {
+	case *clusterMode:
+		var r *load.ClusterReport
+		r, err = load.RunCluster(ctx, load.ClusterOptions{
 			Seed:       *seed,
 			Nodes:      *clusterNodes,
 			Views:      *clusterViews,
 			Replicated: *clusterReplicated,
 			RPS:        *rps,
 			Phase:      *clusterPhase,
-		}, *out, *quiet)
-		return
-	}
-
-	if *chaos {
-		runChaos(load.ChaosOptions{
+		})
+		rep, pass = r, err == nil && r.Pass
+	case *chaos:
+		var r *load.ChaosReport
+		r, err = load.RunChaos(ctx, load.ChaosOptions{
 			Seed:     *seed,
 			Sources:  *sources,
 			Replicas: *replicas,
 			RPS:      *rps,
 			Phase:    *chaosPhase,
-		}, *out, *quiet)
-		return
-	}
-
-	opts := load.Options{
-		Seed:          *seed,
-		Sources:       *sources,
-		Depth:         *depth,
-		Width:         *width,
-		DocMaxDepth:   *docDepth,
-		DocLengthBias: *docBias,
-		RPS:           *rps,
-		Duration:      *duration,
-		MaxInFlight:   *maxInFlight,
-		Target:        *target,
-		View:          *view,
-		FaultRate:     *faults,
-		FaultMaxDelay: *faultDelay,
-		Breakers:      *breakers,
-		NoPrune:       *noPrune,
-		PruneCompare:  *pruneCompare,
-		SLO: load.SLO{
-			P95:          *sloP95,
-			P99:          *sloP99,
-			MaxErrorRate: *sloErrRate,
-			MaxShedRate:  *sloShedRate,
-			ExpectFaults: *faults > 0,
-		},
-	}
-	if *familiesFlag != "" {
-		for _, name := range strings.Split(*familiesFlag, ",") {
-			f, err := load.ParseFamily(strings.TrimSpace(name))
+		})
+		rep, pass = r, err == nil && r.Pass
+	default:
+		opts := load.Options{
+			Seed:          *seed,
+			Sources:       *sources,
+			Depth:         *depth,
+			Width:         *width,
+			DocMaxDepth:   *docDepth,
+			DocLengthBias: *docBias,
+			RPS:           *rps,
+			Duration:      *duration,
+			MaxInFlight:   *maxInFlight,
+			Target:        *target,
+			View:          *view,
+			FaultRate:     *faults,
+			FaultMaxDelay: *faultDelay,
+			Breakers:      *breakers,
+			NoPrune:       *noPrune,
+			PruneCompare:  *pruneCompare,
+			SLO: load.SLO{
+				P95:          *sloP95,
+				P99:          *sloP99,
+				MaxErrorRate: *sloErrRate,
+				MaxShedRate:  *sloShedRate,
+				ExpectFaults: *faults > 0,
+			},
+		}
+		if *familiesFlag != "" {
+			for _, name := range strings.Split(*familiesFlag, ",") {
+				f, err := load.ParseFamily(strings.TrimSpace(name))
+				if err != nil {
+					fatal(err)
+				}
+				opts.Families = append(opts.Families, f)
+			}
+		}
+		if *mixFlag != "" {
+			mix, err := load.ParseMix(*mixFlag)
 			if err != nil {
 				fatal(err)
 			}
-			opts.Families = append(opts.Families, f)
+			opts.Mix = mix
 		}
-	}
-	if *mixFlag != "" {
-		mix, err := load.ParseMix(*mixFlag)
-		if err != nil {
-			fatal(err)
+		h, herr := load.NewHarness(opts)
+		if herr != nil {
+			fatal(herr)
 		}
-		opts.Mix = mix
+		defer h.Close()
+		var r *load.Report
+		r, err = h.Run(ctx)
+		rep, pass = r, err == nil && r.Pass
 	}
-
-	h, err := load.NewHarness(opts)
-	if err != nil {
-		fatal(err)
-	}
-	defer h.Close()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	rep, err := h.Run(ctx)
 	if err != nil {
 		fatal(err)
 	}
@@ -159,56 +167,16 @@ func main() {
 	if !*quiet {
 		fmt.Println(rep.Summary())
 	}
-	if !rep.Pass {
+	if !pass {
 		os.Exit(1)
 	}
 }
 
-// runChaos executes the replica chaos campaign and exits with the same
-// status convention as a load run: 0 on pass, 1 on check failure, 2 on
-// harness error.
-func runChaos(opts load.ChaosOptions, out string, quiet bool) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	rep, err := load.RunChaos(ctx, opts)
-	if err != nil {
-		fatal(err)
-	}
-	if out != "" {
-		if err := rep.WriteFile(out); err != nil {
-			fatal(err)
-		}
-	}
-	if !quiet {
-		fmt.Println(rep.Summary())
-	}
-	if !rep.Pass {
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
-
-// runCluster executes the cluster smoke campaign (see load.RunCluster)
-// with the same exit-status convention.
-func runCluster(opts load.ClusterOptions, out string, quiet bool) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	rep, err := load.RunCluster(ctx, opts)
-	if err != nil {
-		fatal(err)
-	}
-	if out != "" {
-		if err := rep.WriteFile(out); err != nil {
-			fatal(err)
-		}
-	}
-	if !quiet {
-		fmt.Println(rep.Summary())
-	}
-	if !rep.Pass {
-		os.Exit(1)
-	}
-	os.Exit(0)
+// report is what every campaign hands back: something to archive and
+// something to print.
+type report interface {
+	WriteFile(path string) error
+	Summary() string
 }
 
 func fatal(err error) {

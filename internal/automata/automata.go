@@ -332,20 +332,10 @@ func (d *DFA) shortestAccepting() []regex.Name {
 	return nil
 }
 
-// boolOp combines two DFAs over identical alphabets with a boolean
-// combiner on acceptance (product construction).
-func boolOp(a, b *DFA, f func(bool, bool) bool) *DFA {
-	d, err := boolOpBudget(a, b, f, nil)
-	if err != nil {
-		// Unreachable: a nil budget never exhausts.
-		panic(err)
-	}
-	return d
-}
-
-// boolOpBudget is boolOp under a resource budget: each product state
-// charges, so quadratic-in-theory products that explode in practice stop
-// at the budget instead of exhausting memory.
+// boolOpBudget combines two DFAs over identical alphabets with a boolean
+// combiner on acceptance (product construction) under a resource budget:
+// each product state charges, so quadratic-in-theory products that explode
+// in practice stop at the budget instead of exhausting memory.
 func boolOpBudget(a, b *DFA, f func(bool, bool) bool, bud *budget.Budget) (*DFA, error) {
 	if len(a.Alphabet) != len(b.Alphabet) {
 		panic("automata: product over different alphabets")
@@ -477,15 +467,9 @@ func (d *DFA) RestrictTo(allowed func(regex.Name) bool) *DFA {
 	return out
 }
 
-// ContainsDFA reports whether L(a) ⊆ L(b) for two DFAs over the same
-// alphabet.
-func ContainsDFA(a, b *DFA) bool {
-	diff := boolOp(a, b, func(x, y bool) bool { return x && !y })
-	return !diff.Accept[diff.Start] && diff.shortestAccepting() == nil
-}
-
-// ContainsDFABudget is ContainsDFA under a resource budget; the product
-// construction charges per state.
+// ContainsDFABudget reports whether L(a) ⊆ L(b) for two DFAs over the same
+// alphabet, under a resource budget; the product construction charges per
+// state.
 func ContainsDFABudget(a, b *DFA, bud *budget.Budget) (bool, error) {
 	diff, err := boolOpBudget(a, b, func(x, y bool) bool { return x && !y }, bud)
 	if err != nil {

@@ -57,9 +57,6 @@ func NewCompiler(capacity int) *Compiler {
 // IsEmpty/MatchExpr and the Compiled* helpers.
 var defaultCompiler = NewCompiler(DefaultCacheCapacity)
 
-// DefaultCompiler returns the process-wide compiler instance.
-func DefaultCompiler() *Compiler { return defaultCompiler }
-
 // CacheStats returns the counters of the default compiler's cache.
 func CacheStats() cache.Stats { return defaultCompiler.Stats() }
 
@@ -86,7 +83,11 @@ func CompiledBudget(e regex.Expr, bud *budget.Budget) (*DFA, error) {
 	return defaultCompiler.DFABudget(e, bud)
 }
 
-// CompiledAlphabetBudget is CompiledAlphabet under a resource budget.
+// CompiledAlphabetBudget returns the cached DFA for e extended to the given
+// alphabet (which must contain every name of e), under a resource budget.
+// The expensive part — Thompson construction, subset construction,
+// minimization — is cached independently of the alphabet; the extension is
+// a cheap table re-index.
 func CompiledAlphabetBudget(e regex.Expr, alphabet []regex.Name, bud *budget.Budget) (*DFA, error) {
 	return defaultCompiler.DFAAlphabetBudget(e, alphabet, bud)
 }
@@ -99,14 +100,6 @@ func ContainsBudget(a, b regex.Expr, bud *budget.Budget) (bool, error) {
 // EquivalentBudget is Equivalent under a resource budget.
 func EquivalentBudget(a, b regex.Expr, bud *budget.Budget) (bool, error) {
 	return defaultCompiler.EquivalentBudget(a, b, bud)
-}
-
-// CompiledAlphabet returns the cached DFA for e extended to the given
-// alphabet (which must contain every name of e). The expensive part —
-// Thompson construction, subset construction, minimization — is cached
-// independently of the alphabet; the extension is a cheap table re-index.
-func CompiledAlphabet(e regex.Expr, alphabet []regex.Name) *DFA {
-	return defaultCompiler.DFAAlphabet(e, alphabet)
 }
 
 // Stats returns the compiler cache counters.
@@ -153,13 +146,8 @@ func (cp *Compiler) DFABudget(e regex.Expr, bud *budget.Budget) (*DFA, error) {
 	return v.(*DFA), nil
 }
 
-// DFAAlphabet is DFA extended to a larger alphabet (see CompiledAlphabet).
-func (cp *Compiler) DFAAlphabet(e regex.Expr, alphabet []regex.Name) *DFA {
-	return extendTo(cp.DFA(e), alphabet)
-}
-
-// DFAAlphabetBudget is DFAAlphabet under a resource budget (the alphabet
-// extension itself is linear and uncharged).
+// DFAAlphabetBudget is DFABudget extended to a larger alphabet (see
+// CompiledAlphabetBudget; the extension itself is linear and uncharged).
 func (cp *Compiler) DFAAlphabetBudget(e regex.Expr, alphabet []regex.Name, bud *budget.Budget) (*DFA, error) {
 	d, err := cp.DFABudget(e, bud)
 	if err != nil {

@@ -86,13 +86,24 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// ringHash is FNV-1a 64: fast, allocation-free, and stable across
-// processes and Go versions (unlike maphash, which is seeded per process
-// — exactly what a distributed assignment must not be).
+// ringHash is FNV-1a 64 passed through the murmur3 64-bit finalizer. Both
+// halves are allocation-free and stable across processes and Go versions
+// (unlike maphash, which is seeded per process — exactly what a
+// distributed assignment must not be). The finalizer is what makes the ring
+// shard: bare FNV-1a ends in one multiply by a 40-bit prime, so keys that
+// differ only in their last byte ("shard0" … "shard9") land within ~2^44 of
+// each other on a 2^64 ring — inside one virtual node's arc, hence on one
+// owner. fmix64 spreads every input bit over the whole word.
 func ringHash(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	k := h.Sum64()
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
 }
 
 // Nodes returns the sorted member names.

@@ -46,27 +46,40 @@ func TestRingDeterministic(t *testing.T) {
 }
 
 // TestRingGoldenAssignment pins a handful of concrete assignments. FNV-1a
-// over "node#i" is stable across Go versions and platforms; if this test
-// ever fails, the ring function changed and every running fleet would
-// disagree with a newly deployed node — treat it as a wire-format break,
-// not a test to update casually.
+// plus the fmix64 finalizer over "node#i" is stable across Go versions and
+// platforms; if this test ever fails, the ring function changed and every
+// running fleet would disagree with a newly deployed node — treat it as a
+// wire-format break, not a test to update casually. (It was updated once,
+// on purpose: bare FNV-1a put shard0–shard3 all on node1, and this test
+// pinned that. The second half is there so a golden can never again pin a
+// ring that does not shard.)
 func TestRingGoldenAssignment(t *testing.T) {
 	r, err := NewRing([]string{"node0", "node1", "node2"}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	expect := map[string]string{
-		"shard0":  "node1",
-		"shard1":  "node1",
+		"shard0":  "node2",
+		"shard1":  "node0",
 		"shard2":  "node1",
 		"shard3":  "node1",
-		"members": "node0",
-		"profs":   "node1",
+		"members": "node2",
+		"profs":   "node0",
 	}
 	for k, w := range expect {
 		if got := r.Owner(k); got != w {
 			t.Errorf("Owner(%q) = %s, want %s", k, got, w)
 		}
+	}
+	if got, want := fmt.Sprint(r.Owners("shard0", 2)), "[node2 node0]"; got != want {
+		t.Errorf("Owners(shard0, 2) = %s, want %s", got, want)
+	}
+	distinct := map[string]bool{}
+	for i := 0; i < 8; i++ {
+		distinct[r.Owner(fmt.Sprintf("shard%d", i))] = true
+	}
+	if len(distinct) < 2 {
+		t.Errorf("shard0..shard7 all land on one owner %v: keys differing in their last byte must spread", distinct)
 	}
 }
 

@@ -2,23 +2,17 @@ package load
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/gen"
 	"repro/internal/mediator"
 	"repro/internal/serve"
-	"repro/internal/xmas"
 )
 
 // ClusterOptions configures a cluster smoke campaign (RunCluster): an
@@ -83,6 +77,10 @@ type ClusterPhase struct {
 	// Forwarded counts responses carrying an X-Mix-Forwarded hop path —
 	// answers that crossed at least one node boundary.
 	Forwarded int64 `json:"forwarded"`
+	// shed counts the phase's requests the open loop dropped because every
+	// in-flight slot was taken; the summary shows it, the archive's keys
+	// stay as they are.
+	shed int
 }
 
 // ClusterReport is one campaign's archived result (CLUSTER_report.json).
@@ -122,25 +120,8 @@ type ClusterReport struct {
 	Pass   bool       `json:"pass"`
 }
 
-// WriteJSON writes the report as indented JSON.
-func (r *ClusterReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // WriteFile archives the report (CLUSTER_report.json).
-func (r *ClusterReport) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+func (r *ClusterReport) WriteFile(path string) error { return writeFile(path, r) }
 
 // Summary renders a short human-readable digest of the campaign.
 func (r *ClusterReport) Summary() string {
@@ -151,95 +132,50 @@ func (r *ClusterReport) Summary() string {
 	if r.FirstMismatch != "" {
 		fmt.Fprintf(&b, "    first: %s\n", r.FirstMismatch)
 	}
-	fmt.Fprintf(&b, "  load:      n=%-5d err=%-3d forwarded=%d\n", r.Load.Requests, r.Load.Errors, r.Load.Forwarded)
-	fmt.Fprintf(&b, "  survivors: n=%-5d err=%-3d forwarded=%d\n", r.Survivors.Requests, r.Survivors.Errors, r.Survivors.Forwarded)
+	fmt.Fprintf(&b, "  load:      n=%-5d err=%-3d shed=%-3d forwarded=%d\n", r.Load.Requests, r.Load.Errors, r.Load.shed, r.Load.Forwarded)
+	fmt.Fprintf(&b, "  survivors: n=%-5d err=%-3d shed=%-3d forwarded=%d\n", r.Survivors.Requests, r.Survivors.Errors, r.Survivors.shed, r.Survivors.Forwarded)
 	fmt.Fprintf(&b, "  orphans:   %d probes, %d with wrong status\n", r.OrphanProbes, r.OrphanBadStatus)
-	verdict := "PASS"
-	if !r.Pass {
-		verdict = "FAIL"
-	}
-	fmt.Fprintf(&b, "cluster: %s", verdict)
-	for _, c := range r.Checks {
-		if !c.Pass {
-			fmt.Fprintf(&b, "\n  FAIL %s: actual %.6g, limit %.6g", c.Name, c.Actual, c.Limit)
-		}
-	}
-	return b.String()
+	return b.String() + trailer("cluster", r.Checks, r.Pass)
 }
 
-// lateHandler lets an httptest server start (fixing its URL, which the
-// ring configuration needs) before the handler behind it exists.
-type lateHandler struct {
-	inner atomic.Pointer[http.Handler]
-}
-
-func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if h := l.inner.Load(); h != nil {
-		(*h).ServeHTTP(w, r)
-		return
-	}
-	http.Error(w, "cluster fixture: node not wired yet", http.StatusServiceUnavailable)
-}
-
-// clusterNodeFix is one fleet member: its mediator (owned views only),
-// its cluster brain, and its server.
+// clusterNodeFix is one fleet member: its cluster brain and the server in
+// front of its mediator (owned views only).
 type clusterNodeFix struct {
 	name string
-	med  *mediator.Mediator
 	node *cluster.Node
-	late *lateHandler
 	srv  *httptest.Server
 }
 
 // clusterFixture owns the fleet, the single-node reference, and the
 // synthesized views.
 type clusterFixture struct {
-	opts      ClusterOptions
-	views     []string       // view names, index-aligned with sources
-	sources   []*Source      // one synthesized source per view
-	rf        map[string]int // view -> replication factor
-	queries   map[string][]string
-	nodes     []*clusterNodeFix
-	single    *httptest.Server // the reference mediator
-	singleMed *mediator.Mediator
-	client    *http.Client
+	servers
+	views   []string  // view names, index-aligned with sources
+	sources []*Source // one synthesized source per view
+	queries map[string][]string
+	nodes   []*clusterNodeFix
+	single  *httptest.Server // the reference mediator
 }
 
-func (f *clusterFixture) close() {
-	for _, n := range f.nodes {
-		if n.srv != nil {
-			n.srv.Close()
-		}
-	}
-	if f.single != nil {
-		f.single.Close()
-	}
-}
-
-func newClusterFixture(o ClusterOptions) (*clusterFixture, error) {
-	f := &clusterFixture{
-		opts:    o,
-		rf:      map[string]int{},
-		queries: map[string][]string{},
-		client:  &http.Client{Timeout: 10 * time.Second},
-	}
-	fams := Families()
-	for i := 0; i < o.Views; i++ {
-		srcName := fmt.Sprintf("src%d", i)
-		view := fmt.Sprintf("shard%d", i)
-		src, err := BuildSource(srcName, SourceOptions{
-			Schema: SchemaOptions{Seed: o.Seed + int64(i), Family: fams[i%len(fams)]},
-			Gen:    gen.Options{MaxDepth: 6, LengthBias: 0.3, AssignIDs: true},
-		})
+func newClusterFixture(o ClusterOptions) (_ *clusterFixture, err error) {
+	f := &clusterFixture{queries: map[string][]string{}}
+	defer func() {
 		if err != nil {
 			f.close()
+		}
+	}()
+	viewsCfg := map[string]int{} // view -> replication factor
+	for i := 0; i < o.Views; i++ {
+		view := fmt.Sprintf("shard%d", i)
+		src, err := fleetSource(fmt.Sprintf("src%d", i), o.Seed, i)
+		if err != nil {
 			return nil, err
 		}
 		f.sources = append(f.sources, src)
 		f.views = append(f.views, view)
-		f.rf[view] = 1
+		viewsCfg[view] = 1
 		if i < o.Replicated {
-			f.rf[view] = 2
+			viewsCfg[view] = 2
 		}
 		// Two probes per view: the identity pick, and a qualified pick
 		// naming a child that really occurs in this view's entries, so
@@ -255,30 +191,26 @@ func newClusterFixture(o ClusterOptions) (*clusterFixture, error) {
 	}
 
 	// The single-node reference: every source, every view, no cluster.
-	f.singleMed = mediator.New("single")
-	if err := f.defineAll(f.singleMed, nil); err != nil {
-		f.close()
+	single := mediator.New("single")
+	if err := f.defineAll(single, nil); err != nil {
 		return nil, err
 	}
-	f.single = httptest.NewServer(serve.New(f.singleMed))
+	f.single = httptest.NewServer(serve.New(single))
+	f.servers = append(f.servers, f.single)
 
-	// Fleet: start the servers first (the ring needs the URLs), then give
-	// every node the identical cluster configuration, then wire each
-	// node's handler — mediator with owned views only, forwarding for the
-	// rest.
+	// Fleet: bind every node's listener first (the ring configuration needs
+	// all the URLs), then give each node the identical configuration, a
+	// mediator with its owned views only and forwarding for the rest — and
+	// only then start serving.
 	urls := map[string]string{}
 	for i := 0; i < o.Nodes; i++ {
-		n := &clusterNodeFix{name: fmt.Sprintf("node%d", i), late: &lateHandler{}}
-		n.srv = httptest.NewServer(n.late)
+		n := &clusterNodeFix{name: fmt.Sprintf("node%d", i), srv: httptest.NewUnstartedServer(nil)}
 		f.nodes = append(f.nodes, n)
-		urls[n.name] = n.srv.URL
-	}
-	viewsCfg := map[string]int{}
-	for _, v := range f.views {
-		viewsCfg[v] = f.rf[v]
+		f.servers = append(f.servers, n.srv)
+		urls[n.name] = "http://" + n.srv.Listener.Addr().String()
 	}
 	for _, n := range f.nodes {
-		node, err := cluster.NewNode(cluster.Config{
+		n.node, err = cluster.NewNode(cluster.Config{
 			Self:         n.name,
 			Nodes:        urls,
 			VirtualNodes: o.VirtualNodes,
@@ -286,17 +218,14 @@ func newClusterFixture(o ClusterOptions) (*clusterFixture, error) {
 			Budget:       mediator.NewRetryBudget(mediator.RetryBudgetOptions{Capacity: 50, RefillPerSecond: 25}),
 		})
 		if err != nil {
-			f.close()
 			return nil, err
 		}
-		n.node = node
-		n.med = mediator.New(n.name)
-		if err := f.defineAll(n.med, node); err != nil {
-			f.close()
+		med := mediator.New(n.name)
+		if err := f.defineAll(med, n.node); err != nil {
 			return nil, err
 		}
-		var h http.Handler = serve.New(n.med, serve.WithCluster(node))
-		n.late.inner.Store(&h)
+		n.srv.Config.Handler = serve.New(med, serve.WithCluster(n.node))
+		n.srv.Start()
 	}
 	return f, nil
 }
@@ -306,75 +235,115 @@ func newClusterFixture(o ClusterOptions) (*clusterFixture, error) {
 // cluster mode.
 func (f *clusterFixture) defineAll(m *mediator.Mediator, node *cluster.Node) error {
 	for i, src := range f.sources {
-		wrapper, err := mediator.NewStaticSource(src.Name, src.Doc, src.DTD)
+		part, err := addStatic(m, src, nil)
 		if err != nil {
 			return err
 		}
-		if err := m.AddSource(wrapper); err != nil {
-			return err
-		}
-		view := f.views[i]
-		if node != nil && !node.Owns(view) {
+		if node != nil && !node.Owns(f.views[i]) {
 			continue
 		}
-		if _, err := m.DefineUnionView(view, []mediator.ViewPart{{
-			Source: src.Name,
-			Query:  xmas.MustParse(fmt.Sprintf(`SELECT X WHERE <%s> X:<entry/> </%s>`, src.Name, src.Name)),
-		}}); err != nil {
+		if _, err := m.DefineUnionView(f.views[i], []mediator.ViewPart{part}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// fetch issues one request and returns status, the forwarded hop path
-// header, and the body.
-func (f *clusterFixture) fetch(ctx context.Context, method, url, body string) (int, string, string, error) {
-	var rd io.Reader
-	if body != "" {
-		rd = strings.NewReader(body)
+// probes enumerates every endpoint whose answer must not depend on the
+// node asked: each view's document, DTDs, outline and queries, and the
+// merged view listing.
+func (f *clusterFixture) probes() []Op {
+	var out []Op
+	for _, view := range f.views {
+		for _, suffix := range []string{"", "/dtd", "/sdtd", "/outline"} {
+			out = append(out, Op{Method: http.MethodGet, Path: "/views/" + view + suffix})
+		}
+		for _, q := range f.queries[view] {
+			out = append(out, Op{Method: http.MethodPost, Path: "/views/" + view + "/query", Body: q})
+		}
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return 0, "", "", err
-	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return 0, "", "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return 0, "", "", err
-	}
-	return resp.StatusCode, resp.Header.Get(mediator.ForwardHeader), string(b), nil
+	return append(out, Op{Method: http.MethodGet, Path: "/views"})
 }
 
-// endpointProbe is one comparable request shape against a view.
-type endpointProbe struct {
-	label  string
-	method string
-	path   string
-	body   string
+// equivalence asks every node for every probe and counts the answers that
+// are not byte-for-byte the single-node reference's. It also eagerly builds
+// every forward, so the kill phase exercises failover on warm transports,
+// as a fleet that has been serving traffic would.
+func (f *clusterFixture) equivalence(ctx context.Context, rep *ClusterReport) {
+	mismatch := func(p Op, where, format string, args ...any) {
+		rep.Mismatches++
+		if rep.FirstMismatch == "" {
+			rep.FirstMismatch = fmt.Sprintf("%s %s on %s: ", p.Method, p.Path, where) + fmt.Sprintf(format, args...)
+		}
+	}
+	for _, p := range f.probes() {
+		ref, err := send(ctx, p.Method, f.single.URL+p.Path, p.Body)
+		if err != nil {
+			mismatch(p, "the single-node reference", "%v", err)
+			continue
+		}
+		for _, n := range f.nodes {
+			rep.EquivalenceChecks++
+			got, err := send(ctx, p.Method, n.srv.URL+p.Path, p.Body)
+			switch {
+			case err != nil:
+				mismatch(p, n.name, "%v", err)
+			case got.status != ref.status:
+				mismatch(p, n.name, "status %d, reference %d", got.status, ref.status)
+			case got.body != ref.body:
+				mismatch(p, n.name, "body diverges from reference (%d vs %d bytes): %s",
+					len(got.body), len(ref.body), firstDiff(got.body, ref.body))
+			}
+		}
+	}
 }
 
-// probesFor enumerates the comparable endpoints of one view.
-func (f *clusterFixture) probesFor(view string) []endpointProbe {
-	probes := []endpointProbe{
-		{label: "view", method: http.MethodGet, path: "/views/" + view},
-		{label: "dtd", method: http.MethodGet, path: "/views/" + view + "/dtd"},
-		{label: "sdtd", method: http.MethodGet, path: "/views/" + view + "/sdtd"},
-		{label: "outline", method: http.MethodGet, path: "/views/" + view + "/outline"},
+// traffic is a phase of open-loop mixed traffic: GETs and queries spread
+// round-robin over the given nodes and views, read off into out.
+func (f *clusterFixture) traffic(name string, enter func(), nodes []*clusterNodeFix, views []string, out *ClusterPhase) phase {
+	var requests, failed, forwarded atomic.Int64
+	p := phase{
+		name:  name,
+		enter: enter,
+		fire: func(ctx context.Context, i int) {
+			view := views[i/2%len(views)]
+			method, path, body := http.MethodGet, "/views/"+view, ""
+			if i%2 == 0 {
+				method, path, body = http.MethodPost, path+"/query", f.queries[view][0]
+			}
+			resp, err := send(ctx, method, nodes[i%len(nodes)].srv.URL+path, body)
+			requests.Add(1)
+			if err != nil || resp.status != http.StatusOK {
+				failed.Add(1)
+			}
+			if resp.header.Get(mediator.ForwardHeader) != "" {
+				forwarded.Add(1)
+			}
+		},
+		exit: func(_ context.Context, shed int) {
+			*out = ClusterPhase{Requests: requests.Load(), Errors: failed.Load(), Forwarded: forwarded.Load(), shed: shed}
+		},
 	}
-	for qi, q := range f.queries[view] {
-		probes = append(probes, endpointProbe{
-			label:  fmt.Sprintf("query%d", qi),
-			method: http.MethodPost,
-			path:   "/views/" + view + "/query",
-			body:   q,
-		})
+	if len(nodes) == 0 || len(views) == 0 {
+		p.fire = nil // nobody left to ask, or nothing left to ask for
 	}
-	return probes
+	return p
+}
+
+// pickVictim chooses the node to kill: among the owners of view 0 (the
+// replicated one, when any view is), the first that is also the only owner
+// of another view — killing it makes one view fail over to its surviving
+// owner, orphans another, and leaves the rest untouched, all three outcomes
+// in one run. Failing that, view 0's primary.
+func pickVictim(views []string, owners map[string][]string) string {
+	for _, candidate := range owners[views[0]] {
+		for _, v := range views[1:] {
+			if slices.Equal(owners[v], []string{candidate}) {
+				return candidate
+			}
+		}
+	}
+	return owners[views[0]][0]
 }
 
 // RunCluster executes the cluster smoke campaign and evaluates its
@@ -398,206 +367,77 @@ func RunCluster(ctx context.Context, opts ClusterOptions) (*ClusterReport, error
 		PhaseSeconds: o.Phase.Seconds(),
 		Assignments:  map[string][]string{},
 	}
+	primaries := map[string]bool{}
 	for _, v := range f.views {
 		rep.Assignments[v] = f.nodes[0].node.Owners(v)
+		primaries[rep.Assignments[v][0]] = true
 	}
+	rep.Victim = pickVictim(f.views, rep.Assignments)
 
-	// Phase 1: bit-identical equivalence. Every node × every view ×
-	// every endpoint must answer byte-for-byte what the single-node
-	// reference answers; this also eagerly builds every forward, so the
-	// kill phase exercises failover on warm transports, as a fleet that
-	// has been serving traffic would.
-	mismatch := func(desc string) {
-		rep.Mismatches++
-		if rep.FirstMismatch == "" {
-			rep.FirstMismatch = desc
-		}
-	}
-	for _, view := range f.views {
-		for _, p := range f.probesFor(view) {
-			refStatus, _, refBody, err := f.fetch(ctx, p.method, f.single.URL+p.path, p.body)
-			if err != nil {
-				return rep, fmt.Errorf("load: single-node reference %s %s: %w", p.method, p.path, err)
-			}
-			for _, n := range f.nodes {
-				rep.EquivalenceChecks++
-				status, _, body, err := f.fetch(ctx, p.method, n.srv.URL+p.path, p.body)
-				switch {
-				case err != nil:
-					mismatch(fmt.Sprintf("%s %s on %s: %v", p.method, p.path, n.name, err))
-				case status != refStatus:
-					mismatch(fmt.Sprintf("%s %s on %s: status %d, reference %d", p.method, p.path, n.name, status, refStatus))
-				case body != refBody:
-					mismatch(fmt.Sprintf("%s %s on %s: body diverges from reference (%d vs %d bytes): %s",
-						p.method, p.path, n.name, len(body), len(refBody), firstDiff(body, refBody)))
-				}
-			}
-		}
-	}
-	// The merged view listing is also node-independent.
-	_, _, refList, err := f.fetch(ctx, http.MethodGet, f.single.URL+"/views", "")
-	if err != nil {
-		return rep, err
-	}
-	for _, n := range f.nodes {
-		rep.EquivalenceChecks++
-		if _, _, list, err := f.fetch(ctx, http.MethodGet, n.srv.URL+"/views", ""); err != nil || list != refList {
-			mismatch(fmt.Sprintf("GET /views on %s diverges from reference", n.name))
-		}
-	}
-
-	// Phase 2: open-loop mixed traffic across the whole fleet.
-	rep.Load = f.drive(ctx, o, f.nodes, f.views)
-
-	// Phase 3: kill one node — the first owner of the first replicated
-	// view if any view is replicated (so the kill exercises owner
-	// failover), otherwise the owner of view 0.
-	victimName := f.nodes[0].node.Owners(f.views[0])[0]
-	if o.Replicated > 0 {
-		victimName = rep.Assignments[f.views[0]][0]
-	}
-	rep.Victim = victimName
+	// Who and what is left once the victim is gone. Views with a live owner
+	// must keep answering with zero errors; the victim's unreplicated views
+	// are probed separately for the error taxonomy.
 	var victim *clusterNodeFix
 	var survivors []*clusterNodeFix
 	for _, n := range f.nodes {
-		if n.name == victimName {
+		if n.name == rep.Victim {
 			victim = n
 		} else {
 			survivors = append(survivors, n)
 		}
 	}
-	victim.srv.CloseClientConnections()
-	victim.srv.Close()
-
-	// Views the survivors must keep answering with zero errors: every
-	// view with at least one live owner. The victim's unreplicated views
-	// are probed separately for the error taxonomy.
 	var served, orphaned []string
 	for _, v := range f.views {
-		alive := false
-		for _, owner := range rep.Assignments[v] {
-			if owner != victimName {
-				alive = true
-			}
-		}
-		if alive {
-			served = append(served, v)
-		} else {
+		if slices.Equal(rep.Assignments[v], []string{rep.Victim}) {
 			orphaned = append(orphaned, v)
+		} else {
+			served = append(served, v)
 		}
 	}
-	sort.Strings(orphaned)
-	rep.Survivors = f.drive(ctx, o, survivors, served)
 
-	// Orphaned views: a fast, clearly-attributed 502 from every survivor
-	// — the forwarding error taxonomy, not a hang and not a bogus 200.
-	for _, v := range orphaned {
-		for _, n := range survivors {
-			rep.OrphanProbes++
-			status, _, body, err := f.fetch(ctx, http.MethodGet, n.srv.URL+"/views/"+v, "")
-			if err != nil || status != http.StatusBadGateway || !strings.Contains(body, "cluster: forwarding view") {
-				rep.OrphanBadStatus++
+	err = runPhases(ctx, o.RPS, o.Phase, []phase{
+		{name: "equivalence", exit: func(ctx context.Context, _ int) { f.equivalence(ctx, rep) }},
+		f.traffic("load", nil, f.nodes, f.views, &rep.Load),
+		f.traffic("survivors", func() {
+			victim.srv.CloseClientConnections()
+			victim.srv.Close()
+		}, survivors, served, &rep.Survivors),
+		// A fast, clearly-attributed 502 from every survivor — the
+		// forwarding error taxonomy, not a hang and not a bogus 200.
+		{name: "orphans", exit: func(ctx context.Context, _ int) {
+			for _, v := range orphaned {
+				for _, n := range survivors {
+					rep.OrphanProbes++
+					resp, err := send(ctx, http.MethodGet, n.srv.URL+"/views/"+v, "")
+					if err != nil || resp.status != http.StatusBadGateway || !strings.Contains(resp.body, "cluster: forwarding view") {
+						rep.OrphanBadStatus++
+					}
+				}
 			}
-		}
+		}},
+	})
+	if err != nil {
+		return rep, err
 	}
 
-	if ctx.Err() != nil {
-		return rep, ctx.Err()
-	}
-
-	rep.Pass = true
-	add := func(name string, limit, actual float64, pass bool) {
-		rep.Checks = append(rep.Checks, SLOCheck{Name: name, Limit: limit, Actual: actual, Pass: pass})
-		if !pass {
-			rep.Pass = false
-		}
-	}
-	add("equivalence.mismatches", 0, float64(rep.Mismatches), rep.Mismatches == 0)
-	add("equivalence.checks", float64(o.Nodes*o.Views), float64(rep.EquivalenceChecks),
-		rep.EquivalenceChecks >= int64(o.Nodes*o.Views))
-	add("load.errors", 0, float64(rep.Load.Errors), rep.Load.Errors == 0)
-	add("load.forwarded", 1, float64(rep.Load.Forwarded), rep.Load.Forwarded >= 1)
-	add("survivors.errors", 0, float64(rep.Survivors.Errors), rep.Survivors.Errors == 0)
-	add("orphans.bad_status", 0, float64(rep.OrphanBadStatus), rep.OrphanBadStatus == 0)
+	v := newVerdict(&rep.Checks, &rep.Pass)
+	v.atLeast("assignments.distinct_primaries", float64(min(2, o.Nodes, o.Views)), float64(len(primaries)))
+	v.atMost("equivalence.mismatches", 0, float64(rep.Mismatches))
+	v.atLeast("equivalence.checks", float64(o.Nodes*o.Views), float64(rep.EquivalenceChecks))
+	v.atMost("load.errors", 0, float64(rep.Load.Errors))
+	v.atLeast("load.forwarded", 1, float64(rep.Load.Forwarded))
+	v.atMost("survivors.errors", 0, float64(rep.Survivors.Errors))
+	v.atMost("orphans.bad_status", 0, float64(rep.OrphanBadStatus))
 	return rep, nil
-}
-
-// drive runs the open-loop stream for the phase duration, spreading GETs
-// and queries round-robin over the given nodes and views.
-func (f *clusterFixture) drive(ctx context.Context, o ClusterOptions, nodes []*clusterNodeFix, views []string) ClusterPhase {
-	var requests, errCount, forwarded atomic.Int64
-	interval := time.Duration(float64(time.Second) / o.RPS)
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	sem := make(chan struct{}, 32)
-	var wg sync.WaitGroup
-	ticker := time.NewTicker(interval)
-	deadline := time.NewTimer(o.Phase)
-	var i atomic.Int64
-loop:
-	for {
-		select {
-		case <-ctx.Done():
-			break loop
-		case <-deadline.C:
-			break loop
-		case <-ticker.C:
-			select {
-			case sem <- struct{}{}:
-			default:
-				continue // saturated: open loop sheds rather than queues
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				k := i.Add(1)
-				n := nodes[int(k)%len(nodes)]
-				view := views[int(k/2)%len(views)]
-				method, path, body := http.MethodGet, "/views/"+view, ""
-				if k%2 == 0 {
-					method, path = http.MethodPost, "/views/"+view+"/query"
-					body = f.queries[view][0]
-				}
-				status, via, _, err := f.fetch(ctx, method, n.srv.URL+path, body)
-				requests.Add(1)
-				if err != nil || status != http.StatusOK {
-					errCount.Add(1)
-				}
-				if via != "" {
-					forwarded.Add(1)
-				}
-			}()
-		}
-	}
-	ticker.Stop()
-	deadline.Stop()
-	wg.Wait()
-	return ClusterPhase{Requests: requests.Load(), Errors: errCount.Load(), Forwarded: forwarded.Load()}
 }
 
 // firstDiff locates the first divergent byte of two strings, with a
 // little context — enough to diagnose a mismatch from the report alone.
 func firstDiff(a, b string) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < min(len(a), len(b)); i++ {
 		if a[i] != b[i] {
-			lo := i - 20
-			if lo < 0 {
-				lo = 0
-			}
-			hiA, hiB := i+20, i+20
-			if hiA > len(a) {
-				hiA = len(a)
-			}
-			if hiB > len(b) {
-				hiB = len(b)
-			}
-			return fmt.Sprintf("at byte %d: %q vs %q", i, a[lo:hiA], b[lo:hiB])
+			lo := max(i-20, 0)
+			return fmt.Sprintf("at byte %d: %q vs %q", i, a[lo:min(i+20, len(a))], b[lo:min(i+20, len(b))])
 		}
 	}
 	return fmt.Sprintf("length %d vs %d", len(a), len(b))

@@ -2,14 +2,14 @@ package load
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -114,21 +114,18 @@ func (o Options) withDefaults() Options {
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 250 * time.Millisecond
 	}
-	o.SLO = o.SLO.withDefaults()
 	return o
 }
 
 // Harness owns one load run's fixtures: the synthesized fleet, the
-// mediator under test (in-process mode), the HTTP client aimed at it, and
-// the payload pools the planner draws from.
+// mediator under test and its server (in-process mode), and the payload
+// pools the planner draws from.
 type Harness struct {
 	opts    Options
 	sources []*Source
-	faults  []*mediator.FaultSource
 	med     *mediator.Mediator // nil in remote mode
 	server  *httptest.Server   // nil in remote mode
 	base    string
-	client  *http.Client
 	pools   *payloads
 }
 
@@ -140,7 +137,7 @@ type Harness struct {
 // running mixserve and derives its probe pool from the remote view DTD.
 func NewHarness(opts Options) (*Harness, error) {
 	opts = opts.withDefaults()
-	h := &Harness{opts: opts, client: &http.Client{Timeout: 30 * time.Second}}
+	h := &Harness{opts: opts}
 	if opts.Target != "" {
 		if opts.FaultRate > 0 || opts.Breakers || opts.PruneCompare || opts.NoPrune {
 			return nil, fmt.Errorf("load: fault injection, breakers and pruning control need in-process sources; they cannot drive a remote target")
@@ -173,10 +170,6 @@ func (h *Harness) Close() {
 // it to cross-check corpora determinism and schema soundness.
 func (h *Harness) Sources() []*Source { return h.sources }
 
-// Mediator exposes the in-process mediator under test (nil in remote
-// mode).
-func (h *Harness) Mediator() *mediator.Mediator { return h.med }
-
 // Plan returns the run's deterministic operation stream.
 func (h *Harness) Plan() []Op {
 	return plan(h.opts.Seed, h.opts.RPS, h.opts.Duration, h.opts.Mix, h.pools)
@@ -193,8 +186,7 @@ func (h *Harness) buildFleet() error {
 	var parts []mediator.ViewPart
 	scriptLen := int(o.RPS*o.Duration.Seconds()) + 1
 	for i := 0; i < o.Sources; i++ {
-		name := fmt.Sprintf("site%d", i)
-		src, err := BuildSource(name, SourceOptions{
+		src, err := BuildSource(fmt.Sprintf("site%d", i), SourceOptions{
 			Schema: SchemaOptions{
 				Seed:   o.Seed + int64(i),
 				Family: o.Families[i%len(o.Families)],
@@ -211,27 +203,20 @@ func (h *Harness) buildFleet() error {
 			return err
 		}
 		h.sources = append(h.sources, src)
-		wrapper, err := mediator.NewStaticSource(name, src.Doc, src.DTD)
+		part, err := addStatic(h.med, src, func(w mediator.Wrapper) mediator.Wrapper {
+			if o.FaultRate > 0 {
+				w = mediator.NewFaultSource(w, mediator.RandomFaults(
+					o.Seed+int64(i), scriptLen, o.FaultRate, o.FaultMaxDelay, ErrFaultInjected)...)
+			}
+			if o.Breakers {
+				w = mediator.NewBreakerSource(w, mediator.BreakerOptions{Cooldown: o.BreakerCooldown})
+			}
+			return w
+		})
 		if err != nil {
 			return err
 		}
-		var w mediator.Wrapper = wrapper
-		if o.FaultRate > 0 {
-			fs := mediator.NewFaultSource(w, mediator.RandomFaults(
-				o.Seed+int64(i), scriptLen, o.FaultRate, o.FaultMaxDelay, ErrFaultInjected)...)
-			h.faults = append(h.faults, fs)
-			w = fs
-		}
-		if o.Breakers {
-			w = mediator.NewBreakerSource(w, mediator.BreakerOptions{Cooldown: o.BreakerCooldown})
-		}
-		if err := h.med.AddSource(w); err != nil {
-			return err
-		}
-		parts = append(parts, mediator.ViewPart{
-			Source: name,
-			Query:  xmas.MustParse(fmt.Sprintf(`SELECT X WHERE <%s> X:<entry/> </%s>`, name, name)),
-		})
+		parts = append(parts, part)
 	}
 	if _, err := h.med.DefineUnionView(o.View, parts); err != nil {
 		return err
@@ -284,27 +269,14 @@ func (h *Harness) buildPools() *payloads {
 // per-request errors. Servers predating the probes return 404, which is
 // tolerated — the DTD fetch in buildRemotePools is then the only gate.
 func (h *Harness) preflight() error {
-	resp, err := h.client.Get(h.base + "/healthz")
-	if err != nil {
-		return fmt.Errorf("load: remote target liveness probe: %w", err)
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
-		return fmt.Errorf("load: remote target /healthz: %s", resp.Status)
-	}
-	resp, err = h.client.Get(h.base + "/readyz")
-	if err != nil {
-		return fmt.Errorf("load: remote target readiness probe: %w", err)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
-		return fmt.Errorf("load: remote target not ready: %s: %s",
-			resp.Status, strings.TrimSpace(string(body)))
+	for _, probe := range []string{"/healthz", "/readyz"} {
+		resp, err := send(context.Background(), http.MethodGet, h.base+probe, "")
+		if err != nil {
+			return fmt.Errorf("load: remote target %s probe: %w", probe, err)
+		}
+		if resp.status != http.StatusOK && resp.status != http.StatusNotFound {
+			return fmt.Errorf("load: remote target %s: status %d: %s", probe, resp.status, strings.TrimSpace(resp.body))
+		}
 	}
 	return nil
 }
@@ -313,19 +285,14 @@ func (h *Harness) preflight() error {
 // probes from its root content model.
 func (h *Harness) buildRemotePools() error {
 	view := h.opts.View
-	resp, err := h.client.Get(h.base + "/views/" + view + "/dtd")
+	resp, err := send(context.Background(), http.MethodGet, h.base+"/views/"+view+"/dtd", "")
 	if err != nil {
 		return fmt.Errorf("load: fetching remote view DTD: %w", err)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if err != nil {
-		return err
+	if resp.status != http.StatusOK {
+		return fmt.Errorf("load: remote view DTD: status %d: %s", resp.status, strings.TrimSpace(resp.body))
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("load: remote view DTD: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	d, err := dtd.Parse(string(body))
+	d, err := dtd.Parse(resp.body)
 	if err != nil {
 		return fmt.Errorf("load: remote view DTD unparseable: %w", err)
 	}
@@ -345,33 +312,20 @@ func (h *Harness) buildRemotePools() error {
 	if len(p.qualified) == 0 {
 		p.qualified = p.plain
 	}
-	p.sources = h.fetchRemoteSources()
+	// The remote fleet (GET /sources, one name per line) is the
+	// invalidate-source pool. A failure leaves it empty — the op then
+	// degrades to a global invalidate rather than failing the harness over
+	// an optional endpoint.
+	if resp, err := send(context.Background(), http.MethodGet, h.base+"/sources", ""); err == nil && resp.status == http.StatusOK {
+		for _, line := range strings.Split(resp.body, "\n") {
+			if line = strings.TrimSpace(line); line != "" {
+				p.sources = append(p.sources, line)
+			}
+		}
+	}
 	p.infer = inferPool(h.opts.Seed)
 	h.pools = p
 	return nil
-}
-
-// fetchRemoteSources lists the remote fleet (GET /sources, one name per
-// line) for the invalidate-source pool. Failures leave the pool empty —
-// the op then degrades to a global invalidate rather than failing the
-// harness over an optional endpoint.
-func (h *Harness) fetchRemoteSources() []string {
-	resp, err := h.client.Get(h.base + "/sources")
-	if err != nil {
-		return nil
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var out []string
-	for _, line := range strings.Split(string(body), "\n") {
-		if line = strings.TrimSpace(line); line != "" {
-			out = append(out, line)
-		}
-	}
-	return out
 }
 
 // inferPool synthesizes small /infer payloads: a DTD (DOCTYPE text)
@@ -390,45 +344,21 @@ func inferPool(seed int64) []string {
 }
 
 // modelNames collects the distinct atom names of a content model in
-// first-occurrence order.
+// first-occurrence order: one pass of the regex package's own rewriter that
+// keeps every atom it is shown.
 func modelNames(e regex.Expr) []string {
 	var out []string
-	seen := map[string]bool{}
-	var walk func(regex.Expr)
-	walk = func(e regex.Expr) {
-		switch v := e.(type) {
-		case regex.Atom:
-			if !seen[v.Name.Base] {
-				seen[v.Name.Base] = true
-				out = append(out, v.Name.Base)
-			}
-		case regex.Concat:
-			for _, it := range v.Items {
-				walk(it)
-			}
-		case regex.Alt:
-			for _, it := range v.Items {
-				walk(it)
-			}
-		case regex.Star:
-			walk(v.Sub)
-		case regex.Plus:
-			walk(v.Sub)
-		case regex.Opt:
-			walk(v.Sub)
+	(&regex.Rewriter{Atom: func(n regex.Name) regex.Expr {
+		if !slices.Contains(out, n.Base) {
+			out = append(out, n.Base)
 		}
-	}
-	if e != nil {
-		walk(e)
-	}
+		return nil
+	}}).Rewrite(e)
 	return out
 }
 
-// Run executes the open-loop stream and returns the evaluated report.
-// The schedule never waits for completions: each op is dispatched at its
-// planned time if an in-flight slot is free, and shed (counted, not sent)
-// otherwise, so an overloaded server shows up as latency and shed in the
-// report instead of silently stretching the run.
+// Run executes the open-loop stream (openLoop: each op at its planned
+// time, or shed) and returns the evaluated report.
 func (h *Harness) Run(ctx context.Context) (*Report, error) {
 	ops := h.Plan()
 	rep := newReport(h.opts)
@@ -444,57 +374,27 @@ func (h *Harness) Run(ctx context.Context) (*Report, error) {
 		recs[k] = &opRecord{hist: obs.NewHistogram()}
 	}
 
-	slots := make(chan struct{}, h.opts.MaxInFlight)
-	var wg sync.WaitGroup
 	start := time.Now()
-	timer := time.NewTimer(0)
-	defer timer.Stop()
-	if !timer.Stop() {
-		<-timer.C
-	}
-
-dispatch:
-	for i := range ops {
-		op := &ops[i]
-		wait := time.Until(start.Add(op.At))
-		if wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				break dispatch
-			}
-		} else if ctx.Err() != nil {
-			break dispatch
+	shed := openLoop(ctx, len(ops), func(i int) time.Duration { return ops[i].At }, h.opts.MaxInFlight, func(i int) {
+		op, rec := &ops[i], recs[ops[i].Kind]
+		t0 := time.Now()
+		resp, err := send(ctx, op.Method, h.base+op.Path, op.Body)
+		rec.hist.Observe(time.Since(t0))
+		rec.count.Add(1)
+		if err != nil || resp.status >= 400 {
+			rec.errs.Add(1)
 		}
-		rec := recs[op.Kind]
-		select {
-		case slots <- struct{}{}:
-		default:
-			rec.shed.Add(1)
-			continue
+		if resp.header.Get("X-Mix-Pruned-Sources") != "" {
+			rec.pruned.Add(1)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-slots }()
-			t0 := time.Now()
-			status, hdr, err := h.do(ctx, op)
-			rec.hist.Observe(time.Since(t0))
-			rec.count.Add(1)
-			if err != nil || status >= 400 {
-				rec.errs.Add(1)
-			}
-			if hdr.Get("X-Mix-Pruned-Sources") != "" {
-				rec.pruned.Add(1)
-			}
-			if hdr.Get("X-Mix-Degraded") == "true" {
-				rec.degraded.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
+		if resp.header.Get("X-Mix-Degraded") == "true" {
+			rec.degraded.Add(1)
+		}
+	})
 	elapsed := time.Since(start)
+	for _, i := range shed {
+		recs[ops[i].Kind].shed.Add(1)
+	}
 
 	rep.Planned = int64(len(ops))
 	rep.ElapsedSeconds = elapsed.Seconds()
@@ -520,8 +420,16 @@ dispatch:
 		rep.AchievedRPS = float64(rep.Requests) / elapsed.Seconds()
 	}
 
-	if err := h.scrape(ctx, rep); err != nil {
-		return nil, err
+	// The server's own /metrics snapshot rides in the report.
+	resp, err := send(ctx, http.MethodGet, h.base+"/metrics", "")
+	if err == nil && resp.status != http.StatusOK {
+		err = fmt.Errorf("status %d", resp.status)
+	}
+	if err == nil {
+		err = json.Unmarshal([]byte(resp.body), &rep.Server)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("load: scraping /metrics: %w", err)
 	}
 	if h.opts.PruneCompare {
 		pc, err := h.pruneCompare(ctx)
@@ -534,42 +442,6 @@ dispatch:
 	return rep, ctx.Err()
 }
 
-// do issues one op's HTTP request and drains the response.
-func (h *Harness) do(ctx context.Context, op *Op) (int, http.Header, error) {
-	var body io.Reader
-	if op.Body != "" {
-		body = strings.NewReader(op.Body)
-	}
-	req, err := http.NewRequestWithContext(ctx, op.Method, h.base+op.Path, body)
-	if err != nil {
-		return 0, http.Header{}, err
-	}
-	resp, err := h.client.Do(req)
-	if err != nil {
-		return 0, http.Header{}, err
-	}
-	defer resp.Body.Close()
-	_, err = io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, resp.Header, err
-}
-
-// scrape pulls the server's /metrics snapshot into the report.
-func (h *Harness) scrape(ctx context.Context, rep *Report) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.base+"/metrics", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := h.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("load: scraping /metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("load: scraping /metrics: %s", resp.Status)
-	}
-	return decodeStats(resp.Body, &rep.Server)
-}
-
 // pruneCompare answers every distinct query of the pools against two
 // fresh mediators over the same corpora — pruning on and pruning off —
 // and counts answer mismatches (there must be none: pruning is proof-
@@ -580,22 +452,14 @@ func (h *Harness) pruneCompare(ctx context.Context) (*PruneCompare, error) {
 		m.SetPruning(prune)
 		var parts []mediator.ViewPart
 		for _, s := range h.sources {
-			w, err := mediator.NewStaticSource(s.Name, s.Doc, s.DTD)
+			part, err := addStatic(m, s, nil)
 			if err != nil {
 				return nil, err
 			}
-			if err := m.AddSource(w); err != nil {
-				return nil, err
-			}
-			parts = append(parts, mediator.ViewPart{
-				Source: s.Name,
-				Query:  xmas.MustParse(fmt.Sprintf(`SELECT X WHERE <%s> X:<entry/> </%s>`, s.Name, s.Name)),
-			})
+			parts = append(parts, part)
 		}
-		if _, err := m.DefineUnionView(h.opts.View, parts); err != nil {
-			return nil, err
-		}
-		return m, nil
+		_, err := m.DefineUnionView(h.opts.View, parts)
+		return m, err
 	}
 	pruned, err := build(true)
 	if err != nil {

@@ -3,6 +3,7 @@ package load
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 )
@@ -74,13 +75,7 @@ func ParseMix(s string) ([]MixEntry, error) {
 		if _, err := fmt.Sscanf(weightStr, "%d", &weight); err != nil {
 			return nil, fmt.Errorf("load: bad weight in mix entry %q", part)
 		}
-		known := false
-		for _, k := range OpKinds() {
-			if string(k) == kind {
-				known = true
-			}
-		}
-		if !known {
+		if !slices.Contains(OpKinds(), OpKind(kind)) {
 			return nil, fmt.Errorf("load: unknown op kind %q in mix", kind)
 		}
 		if weight < 0 {

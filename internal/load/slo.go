@@ -1,10 +1,8 @@
 package load
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/mediator"
@@ -147,82 +145,48 @@ func newReport(o Options) *Report {
 // Evaluate runs the SLO assertions over the report, filling SLO and Pass.
 func (r *Report) Evaluate(slo SLO) {
 	slo = slo.withDefaults()
-	r.SLO = nil
-	r.Pass = true
-	add := func(name string, limit, actual float64, pass bool) {
-		r.SLO = append(r.SLO, SLOCheck{Name: name, Limit: limit, Actual: actual, Pass: pass})
-		if !pass {
-			r.Pass = false
-		}
-	}
-
+	v := newVerdict(&r.SLO, &r.Pass)
 	for _, k := range OpKinds() {
 		st, ok := r.Ops[string(k)]
 		if !ok || st.Count == 0 {
 			continue
 		}
 		if slo.P95 != Unchecked {
-			p95 := st.Latency.P95
-			add(fmt.Sprintf("%s.p95_seconds", k), slo.P95.Seconds(), p95, p95 <= slo.P95.Seconds())
+			v.atMost(fmt.Sprintf("%s.p95_seconds", k), slo.P95.Seconds(), st.Latency.P95)
 		}
 		if slo.P99 != Unchecked {
-			p99 := st.Latency.P99
-			add(fmt.Sprintf("%s.p99_seconds", k), slo.P99.Seconds(), p99, p99 <= slo.P99.Seconds())
+			v.atMost(fmt.Sprintf("%s.p99_seconds", k), slo.P99.Seconds(), st.Latency.P99)
 		}
 	}
 	if slo.MaxErrorRate != UncheckedRate {
-		add("error_rate", slo.MaxErrorRate, r.ErrorRate, r.ErrorRate <= slo.MaxErrorRate)
+		v.atMost("error_rate", slo.MaxErrorRate, r.ErrorRate)
 	}
 	if slo.MaxShedRate != UncheckedRate && r.Planned > 0 {
-		shedRate := float64(r.Shed) / float64(r.Planned)
-		add("shed_rate", slo.MaxShedRate, shedRate, shedRate <= slo.MaxShedRate)
+		v.atMost("shed_rate", slo.MaxShedRate, float64(r.Shed)/float64(r.Planned))
 	}
 	if !slo.ExpectFaults {
 		// A fault-free run must see no degraded serving anywhere: the
 		// scraped server counters are the ground truth the response
 		// headers can only sample.
-		add("server.degraded_materializations", 0, float64(r.Server.DegradedMaterializations),
-			r.Server.DegradedMaterializations == 0)
-		add("server.breaker_trips", 0, float64(r.Server.BreakerTrips), r.Server.BreakerTrips == 0)
-		add("server.breaker_rejections", 0, float64(r.Server.BreakerRejections), r.Server.BreakerRejections == 0)
+		v.atMost("server.degraded_materializations", 0, float64(r.Server.DegradedMaterializations))
+		v.atMost("server.breaker_trips", 0, float64(r.Server.BreakerTrips))
+		v.atMost("server.breaker_rejections", 0, float64(r.Server.BreakerRejections))
 		var degraded int64
 		for _, st := range r.Ops {
 			degraded += st.DegradedResponses
 		}
-		add("client.degraded_responses", 0, float64(degraded), degraded == 0)
+		v.atMost("client.degraded_responses", 0, float64(degraded))
 	}
 	if r.PruneCompare != nil {
-		add("prune_compare.mismatches", 0, float64(r.PruneCompare.Mismatches), r.PruneCompare.Mismatches == 0)
+		v.atMost("prune_compare.mismatches", 0, float64(r.PruneCompare.Mismatches))
 	}
 }
 
 // WriteJSON writes the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *Report) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // WriteFile archives the report (BENCH_serve.json).
-func (r *Report) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// decodeStats parses a /metrics JSON snapshot.
-func decodeStats(r io.Reader, into *mediator.Stats) error {
-	if err := json.NewDecoder(r).Decode(into); err != nil {
-		return fmt.Errorf("load: decoding /metrics snapshot: %w", err)
-	}
-	return nil
-}
+func (r *Report) WriteFile(path string) error { return writeFile(path, r) }
 
 // Summary renders a short human-readable digest of the run.
 func (r *Report) Summary() string {
@@ -246,19 +210,5 @@ func (r *Report) Summary() string {
 		out += fmt.Sprintf("  prune-compare: %d queries (%d pruned), %d mismatches\n",
 			r.PruneCompare.Queries, r.PruneCompare.PrunedQueries, r.PruneCompare.Mismatches)
 	}
-	verdict := "PASS"
-	if !r.Pass {
-		verdict = "FAIL"
-	}
-	out += fmt.Sprintf("SLO: %s", verdict)
-	for _, c := range r.SLO {
-		if !c.Pass {
-			out += fmt.Sprintf("\n  FAIL %s: actual %.6g > limit %.6g", c.Name, c.Actual, c.Limit)
-		}
-	}
-	return out
-}
-
-func fmtSeconds(s float64) string {
-	return time.Duration(s * float64(time.Second)).Round(10 * time.Microsecond).String()
+	return out + trailer("SLO", r.SLO, r.Pass)
 }

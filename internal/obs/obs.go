@@ -27,10 +27,7 @@
 // tracing on" checks.
 package obs
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Attr is one key/value annotation on a span or event. Values are kept
 // as generated strings so trace snapshots marshal without reflection
@@ -51,9 +48,4 @@ func Int(key string, value int64) Attr {
 // Bool builds a boolean attribute.
 func Bool(key string, value bool) Attr {
 	return Attr{Key: key, Value: strconv.FormatBool(value)}
-}
-
-// Any builds an attribute from any value via fmt.
-func Any(key string, value any) Attr {
-	return Attr{Key: key, Value: fmt.Sprint(value)}
 }

@@ -75,10 +75,6 @@ func spanFromContext(ctx context.Context) *Span {
 	return s
 }
 
-// ContextSpan returns the current span of the context, or nil when the
-// request is untraced.
-func ContextSpan(ctx context.Context) *Span { return spanFromContext(ctx) }
-
 // TraceID returns the trace ID carried by the context, or "" when the
 // request is untraced.
 func TraceID(ctx context.Context) string { return spanFromContext(ctx).TraceID() }

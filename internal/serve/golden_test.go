@@ -84,7 +84,7 @@ func jsonSurface(t *testing.T, text string) string {
 // text and type, every series' labels, every key of the JSON snapshot — for
 // a fixed single-node scenario (a static source, a replica set, both hit by
 // views and a query) and for a cluster-mode forwarder. Dashboards, alert
-// rules, load.decodeStats and mixserve's expvar read these names; a change
+// rules, load.Harness.Run's scrape and mixserve's expvar read these names; a change
 // to how metrics are declared must leave the file untouched. Regenerate
 // deliberately with `make metrics-golden`.
 func TestMetricsGolden(t *testing.T) {

@@ -284,20 +284,6 @@ func (e *Element) AssignIDs(prefix string) error {
 	return nil
 }
 
-// ChildNames returns the sequence of names of e's children. This is the
-// word that a DTD content model must accept for e to satisfy the DTD
-// (Definition 2.3, condition 2).
-func (e *Element) ChildNames() []string {
-	if e.IsText {
-		return nil
-	}
-	out := make([]string, len(e.Children))
-	for i, k := range e.Children {
-		out[i] = k.Name
-	}
-	return out
-}
-
 // String renders the element as compact XML. It is intended for error
 // messages and tests; use Marshal for full serialization control.
 func (e *Element) String() string {
