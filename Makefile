@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet lint race metrics-golden fault fuzz check bench bench-compare bench-prune bench-stream bench-serve bench-cluster load-smoke chaos cluster-smoke experiments cover clean fmt ci
+.PHONY: all build test vet lint race allocs metrics-golden fault fuzz check bench bench-compare bench-prune bench-stream bench-serve bench-cluster load-smoke chaos cluster-smoke experiments cover clean fmt ci
 
 all: build vet test
 
@@ -47,6 +47,17 @@ race:
 	go test -race ./...
 	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/
 
+# Every allocation ratchet in the tree, by one name and without -race: a
+# binary built with the race detector allocates differently (escape
+# analysis and inlining change, sync.Pool drops at random), so a count that
+# holds there says little about the binary we ship, and a ratchet that only
+# fails without it must not be able to hide behind `make race`. The pattern
+# is "Alloc" plus the names of the AllocsPerRun tests that do not say it;
+# the root package's TestAllocsTargetRunsEveryAllocationRatchet (itself
+# selected) fails when a test that counts allocations matches neither.
+allocs:
+	go test -count=1 -run 'Alloc|ZeroCopy|RenderedOnce|SizedFromTheDeclaredLength|NeverReachesTheAutomaton' ./...
+
 # Rewrite internal/serve/testdata/metrics.golden — every /metrics family's
 # name, help and type, every series' labels, every JSON key — from what the
 # handler serves now. `go test ./...` (and so `make test`) compares against
@@ -78,12 +89,12 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzMarshalRoundTrip$$' -fuzztime $(FUZZTIME) ./
 
 # Everything a change should pass before review: tier-1 build/vet/test,
-# staticcheck, the -race suite, the -race robustness battery, and bounded
-# fuzzing of the parsers — the same gates the CI workflow's blocking jobs
-# run (ci.yml: test, lint, race, fault), so a green `make check` predicts
-# a green CI run up to the long campaigns (cover/load-smoke/chaos/
-# cluster-smoke, which `make ci` adds).
-check: all lint race fault
+# the allocation ratchets, staticcheck, the -race suite, the -race
+# robustness battery, and bounded fuzzing of the parsers — the same gates
+# the CI workflow's blocking jobs run (ci.yml: test, lint, race, fault), so
+# a green `make check` predicts a green CI run up to the long campaigns
+# (cover/load-smoke/chaos/cluster-smoke, which `make ci` adds).
+check: all allocs lint race fault
 	$(MAKE) fuzz FUZZTIME=5s
 
 bench:

@@ -63,6 +63,14 @@ func FuzzParseDTD(f *testing.F) {
 		`<!DOCTYPE r [ <!ELEMENT r (a,,b)> ]>`,
 		`<!DOCTYPE r [`,
 		``,
+		// A '>' or "]>" that ends nothing: inside a skipped declaration's
+		// literal, a comment, an external identifier.
+		`<!DOCTYPE r [ <!ATTLIST r x CDATA "p>q"> <!ELEMENT r (#PCDATA)> ]>`,
+		`<!DOCTYPE r [ <!ENTITY e 'x>y'> <!ELEMENT r (s*)> <!ELEMENT s EMPTY> ]>`,
+		`<!DOCTYPE r [ <!-- ]> --> <!ELEMENT r (#PCDATA)> ]>`,
+		`<!DOCTYPE r SYSTEM "a[1]>.dtd" [ <!ELEMENT r (#PCDATA)> ] >`,
+		`<!DOCTYPE r [ <!ELEMENT r (#PCDATA)> ]> trailing`,
+		`<!DOCTYPE r [ <!ELEMENT r (#PCDATA)> ]`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -72,11 +80,18 @@ func FuzzParseDTD(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// Every content model reads the same to the reference parser and
+		// renders the same through the reference renderer.
+		for _, n := range d.Names() {
+			if ty := d.Types[n]; !ty.PCDATA {
+				checkModelAgainstReference(t, ty.Model.String())
+			}
+		}
 		back, err := mix.ParseDTD(d.String())
 		if err != nil {
 			t.Fatalf("re-parse failed: %v\nrendered:\n%s", err, d)
 		}
-		if back.Root != d.Root || len(back.Types) != len(d.Types) {
+		if back.Root != d.Root || len(back.Types) != len(d.Types) || back.String() != d.String() {
 			t.Fatalf("round trip changed the DTD\noriginal: %q", input)
 		}
 	})
@@ -132,17 +147,8 @@ func FuzzParseContentModel(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		e, err := mix.ParseContentModel(input)
-		if err != nil {
-			return
-		}
-		back, err := mix.ParseContentModel(e.String())
-		if err != nil {
-			t.Fatalf("re-parse failed: %v (rendered %q)", err, e)
-		}
-		if back.String() != e.String() {
-			t.Fatalf("printer not a fixed point: %q -> %q -> %q", input, e, back)
-		}
+		// Parser and renderer differentials, and the print→parse fixed point.
+		checkModelAgainstReference(t, input)
 	})
 }
 

@@ -33,10 +33,23 @@ type Type struct {
 
 // String renders the type in content-model syntax.
 func (t Type) String() string {
+	var buf [128]byte
+	return string(t.AppendText(buf[:0]))
+}
+
+// AppendText appends what String returns to dst.
+func (t Type) AppendText(dst []byte) []byte {
 	if t.PCDATA {
-		return "(#PCDATA)"
+		return append(dst, "(#PCDATA)"...)
 	}
-	return "(" + t.Model.String() + ")"
+	return append(regex.AppendString(append(dst, '('), t.Model), ')')
+}
+
+// AppendElementDecl appends the declaration line of name, as a DOCTYPE's
+// internal subset carries it, to dst.
+func AppendElementDecl(dst []byte, name regex.Name, t Type) []byte {
+	dst = regex.AppendName(append(dst, "  <!ELEMENT "...), name)
+	return append(t.AppendText(append(dst, ' ')), ">\n"...)
 }
 
 // PC is the PCDATA type constant.
@@ -73,7 +86,10 @@ func (d *DTD) Declare(name string, t Type) {
 // Names returns the declared names in declaration order. Mutating the
 // result does not affect the DTD. When the order must be rebuilt (Types
 // populated directly), the document type sorts first, then alphabetically.
-func (d *DTD) Names() []string {
+func (d *DTD) Names() []string { return append([]string(nil), d.names()...) }
+
+// names is Names without the copy, for the package's own loops.
+func (d *DTD) names() []string {
 	if len(d.order) != len(d.Types) {
 		d.order = d.order[:0]
 		for n := range d.Types {
@@ -87,7 +103,7 @@ func (d *DTD) Names() []string {
 			return a < b
 		})
 	}
-	return append([]string(nil), d.order...)
+	return d.order
 }
 
 // Clone returns a deep-enough copy (expressions are immutable and shared).
@@ -101,13 +117,20 @@ func (d *DTD) Clone() *DTD {
 
 // String serializes the DTD as a DOCTYPE declaration with internal subset.
 func (d *DTD) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "<!DOCTYPE %s [\n", d.Root)
-	for _, n := range d.Names() {
-		fmt.Fprintf(&b, "  <!ELEMENT %s %s>\n", n, d.Types[n])
+	// 96 bytes a declaration is more than the schemas we serve need, so
+	// rendering one allocates this buffer and the string and nothing else;
+	// a longer DTD costs a regrowth.
+	return string(d.AppendText(make([]byte, 0, 64+96*len(d.Types))))
+}
+
+// AppendText appends what String returns to dst and allocates nothing when
+// dst has the room.
+func (d *DTD) AppendText(dst []byte) []byte {
+	dst = append(append(append(dst, "<!DOCTYPE "...), d.Root...), " [\n"...)
+	for _, n := range d.names() {
+		dst = AppendElementDecl(dst, regex.N(n), d.Types[n])
 	}
-	b.WriteString("]>")
-	return b.String()
+	return append(dst, "]>"...)
 }
 
 // dfa returns the compiled automaton for name's content model, backed by
@@ -334,7 +357,8 @@ func (d *DTD) Check() []error {
 	if _, ok := d.Types[d.Root]; !ok {
 		errs = append(errs, fmt.Errorf("dtd: document type %s is not declared", d.Root))
 	}
-	for _, n := range d.Names() {
+	refs := make([]regex.Name, 0, 16)
+	for _, n := range d.names() {
 		t := d.Types[n]
 		if t.PCDATA {
 			continue
@@ -343,7 +367,8 @@ func (d *DTD) Check() []error {
 			errs = append(errs, fmt.Errorf("dtd: element %s has neither PCDATA nor a content model", n))
 			continue
 		}
-		for _, m := range regex.Names(t.Model) {
+		refs = regex.AppendNames(refs[:0], t.Model)
+		for _, m := range refs {
 			if m.Tag != 0 {
 				errs = append(errs, fmt.Errorf("dtd: element %s references tagged name %s; tags belong to s-DTDs", n, m))
 			}

@@ -286,3 +286,64 @@ func TestValidateCacheInvalidation(t *testing.T) {
 		t.Error("validation must see the new content model")
 	}
 }
+
+// A '>' inside a quoted literal of a declaration the parser skips does not
+// end the declaration.
+func TestParseSkipsQuotedLiterals(t *testing.T) {
+	for _, skipped := range []string{
+		`<!ATTLIST a x CDATA "p>q">`,
+		`<!ENTITY e "x>y">`,
+		`<!ENTITY e 'it"s > that'>`,
+		`<!ATTLIST a x CDATA "]>">`,
+	} {
+		d, err := Parse(`<!DOCTYPE a [ <!ELEMENT a (b*)> ` + skipped + ` <!ELEMENT b (#PCDATA)> ]>`)
+		if err != nil {
+			t.Errorf("with %s: %v", skipped, err)
+			continue
+		}
+		if got := strings.Join(d.Names(), " "); got != "a b" {
+			t.Errorf("with %s: declared %q, want a and b", skipped, got)
+		}
+	}
+	if _, err := Parse(`<!DOCTYPE a [ <!ATTLIST a x CDATA "p>q> <!ELEMENT a (#PCDATA)> ]>`); err == nil {
+		t.Error("an unterminated literal should fail the parse")
+	}
+}
+
+// The DOCTYPE ends at the "]>" its markup closes with, and nowhere else: not
+// at one inside a comment, a processing instruction or a literal, and not at
+// a ']' that no '>' follows. Parse takes nothing after it; ParsePrefix hands
+// it back.
+func TestDoctypeEnd(t *testing.T) {
+	const decl = `<!ELEMENT r (#PCDATA)>`
+	for _, c := range []struct{ text, rest string }{
+		{`<!DOCTYPE r [ ` + decl + ` ]>`, ``},
+		{`<!DOCTYPE r [ ` + decl + ` ]>` + "\n\t ", "\n\t "},
+		{`<!DOCTYPE r [ <!-- ]> --> ` + decl + ` ]> v = SELECT X`, ` v = SELECT X`},
+		{`<!DOCTYPE r [ <?pi ]> ?> ` + decl + ` ] > rest ]>`, ` rest ]>`},
+		{`<!DOCTYPE r SYSTEM "a[1]>.dtd" [ ` + decl + ` ]>rest`, `rest`},
+		{`<!DOCTYPE r PUBLIC '>' "[">rest`, `rest`},
+		{`  <!DOCTYPE r>`, ``},
+	} {
+		d, rest, err := ParsePrefix(c.text)
+		if err != nil || d.Root != "r" || rest != c.rest {
+			t.Errorf("ParsePrefix(%q) = %v, %q, %v; want rest %q", c.text, d, rest, err, c.rest)
+		}
+		if _, err := Parse(c.text); (err == nil) != (strings.TrimSpace(c.rest) == "") {
+			t.Errorf("Parse(%q): %v, with %q after the declaration", c.text, err, c.rest)
+		}
+	}
+	for _, bad := range []string{
+		`<!DOCTYPE r [ ` + decl + ` ]`,                  // no '>'
+		`<!DOCTYPE r [ ` + decl + ` ] junk>`,            // something between ']' and '>'
+		`<!DOCTYPE r [ ` + decl + ` ]> trailing junk`,   // Parse only: text after the end
+		`<!DOCTYPE r [ ` + decl + ` <!-- ]> `,           // the only "]>" is in an open comment
+		`<!DOCTYPE r`,                                   // no '>' and no subset
+		`<!DOCTYPE r SYSTEM "x.dtd>`,                    // open literal
+		`<!DOCTYPE r [ ` + decl + ` ]> <!DOCTYPE s []>`, // two declarations
+	} {
+		if d, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) = %v, want an error", bad, d)
+		}
+	}
+}

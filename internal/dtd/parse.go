@@ -9,36 +9,53 @@ import (
 	"repro/internal/xmlmodel"
 )
 
-// Parse parses a DTD given as either a bare internal subset
-// ("<!ELEMENT a (b, c)> ...") with the document type supplied separately
-// via ParseSubset, or a full DOCTYPE declaration
-// ("<!DOCTYPE root [ <!ELEMENT ...> ]>").
+// Parse parses a full DOCTYPE declaration
+// ("<!DOCTYPE root [ <!ELEMENT ...> ]>"); a bare internal subset goes to
+// ParseSubset, with the document type supplied separately. Only blank text
+// may follow the declaration.
 func Parse(input string) (*DTD, error) {
-	s := strings.TrimSpace(input)
+	d, rest, err := ParsePrefix(input)
+	if err == nil && strings.TrimSpace(rest) != "" {
+		return nil, fmt.Errorf("dtd: unexpected content after the DOCTYPE declaration: %.40q", rest)
+	}
+	return d, err
+}
+
+// ParsePrefix parses the DOCTYPE declaration that text starts with and
+// returns what follows its closing '>' (in an /infer request, the view
+// definition). The declaration ends where its markup says it does: a ']' or
+// '>' inside a comment, a processing instruction or a quoted literal does
+// not count.
+func ParsePrefix(text string) (d *DTD, rest string, err error) {
+	s := strings.TrimLeftFunc(text, unicode.IsSpace)
 	if !strings.HasPrefix(s, "<!DOCTYPE") {
-		return nil, fmt.Errorf("dtd: input does not start with <!DOCTYPE (use ParseSubset for bare element declarations)")
+		return nil, "", fmt.Errorf("dtd: input does not start with <!DOCTYPE (use ParseSubset for bare element declarations)")
 	}
-	s = strings.TrimPrefix(s, "<!DOCTYPE")
-	s = strings.TrimLeft(s, " \t\r\n")
-	i := 0
-	for i < len(s) && !strings.ContainsRune(" \t\r\n[>", rune(s[i])) {
-		i++
+	s = strings.TrimLeft(s[len("<!DOCTYPE"):], xmlSpace)
+	i := strings.IndexAny(s, xmlSpace+"[>")
+	if i < 0 {
+		i = len(s)
 	}
-	root := s[:i]
+	root, s := s[:i], s[i:]
 	if root == "" {
-		return nil, fmt.Errorf("dtd: missing document type name in DOCTYPE")
+		return nil, "", fmt.Errorf("dtd: missing document type name in DOCTYPE")
 	}
-	s = s[i:]
-	open := strings.IndexByte(s, '[')
-	if open < 0 {
+	// An external identifier's literals may hold either character.
+	if i = indexUnquoted(s, "[>"); i < 0 {
+		return nil, "", fmt.Errorf("dtd: unterminated DOCTYPE declaration")
+	}
+	if s[i] == '>' {
 		// DOCTYPE with no internal subset: an empty DTD.
-		return New(root), nil
+		return New(root), s[i+1:], nil
 	}
-	closeIdx := strings.LastIndexByte(s, ']')
-	if closeIdx < open {
-		return nil, fmt.Errorf("dtd: unterminated internal subset")
+	d, s, err = parseSubset(root, s[i+1:])
+	if err != nil {
+		return nil, "", err
 	}
-	return ParseSubset(root, s[open+1:closeIdx])
+	if s = strings.TrimLeft(strings.TrimPrefix(s, "]"), xmlSpace); !strings.HasPrefix(s, ">") {
+		return nil, "", fmt.Errorf("dtd: unterminated internal subset")
+	}
+	return d, s[1:], nil
 }
 
 // ParseSubset parses the internal subset of a DOCTYPE declaration: a
@@ -49,44 +66,55 @@ func Parse(input string) (*DTD, error) {
 // model (Section 2). ANY is expanded per Remark 1 as (n1 | ... | nk)* over
 // all declared names, in a second pass.
 func ParseSubset(root, subset string) (*DTD, error) {
-	d := New(root)
+	d, rest, err := parseSubset(root, subset)
+	if err == nil && rest != "" {
+		return nil, fmt.Errorf("dtd: unexpected content in internal subset: %.40q", rest)
+	}
+	return d, err
+}
+
+// parseSubset parses declarations up to the end of s or to a ']' between
+// two of them — the one that closes the subset — and returns s from there.
+// Being the parser, it is also the only scanner that knows where a subset
+// ends.
+func parseSubset(root, s string) (*DTD, string, error) {
+	// Counting the keyword sizes the tables; it is a hint, a comment may
+	// hold one too.
+	decls := strings.Count(s, "<!ELEMENT")
+	d := &DTD{Root: root, Types: make(map[string]Type, decls), order: make([]string, 0, decls)}
+	var models regex.Parser // one for the document: its atoms are shared
 	var anyNames []string
-	rest := subset
 	for {
-		rest = skipSubsetMisc(rest)
-		if rest == "" {
+		s = skipSubsetMisc(s)
+		if s == "" || s[0] == ']' {
 			break
 		}
-		if !strings.HasPrefix(rest, "<!") {
-			return nil, fmt.Errorf("dtd: unexpected content in internal subset: %.40q", rest)
+		if !strings.HasPrefix(s, "<!") {
+			return nil, "", fmt.Errorf("dtd: unexpected content in internal subset: %.40q", s)
 		}
-		end := strings.IndexByte(rest, '>')
+		end := indexUnquoted(s, ">")
 		if end < 0 {
-			return nil, fmt.Errorf("dtd: unterminated declaration: %.40q", rest)
+			return nil, "", fmt.Errorf("dtd: unterminated declaration: %.40q", s)
 		}
-		decl := rest[2:end]
-		rest = rest[end+1:]
-		fields := strings.Fields(decl)
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
+		decl := s[2:end]
+		s = s[end+1:]
+		keyword, body := cutField(decl)
+		switch keyword {
+		case "": // "<!>" declares nothing
 		case "ELEMENT":
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("dtd: malformed element declaration <!%s>", decl)
+			name, spec := cutField(body)
+			if spec == "" {
+				return nil, "", fmt.Errorf("dtd: malformed element declaration <!%s>", decl)
 			}
-			name := fields[1]
 			if !isXMLName(name) {
-				return nil, fmt.Errorf("dtd: %q is not a valid element name", name)
+				return nil, "", fmt.Errorf("dtd: %q is not a valid element name", name)
 			}
 			if _, dup := d.Types[name]; dup {
-				return nil, fmt.Errorf("dtd: element %s declared twice", name)
+				return nil, "", fmt.Errorf("dtd: element %s declared twice", name)
 			}
-			spec := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(decl), "ELEMENT"))
-			spec = strings.TrimSpace(strings.TrimPrefix(spec, name))
-			t, isAny, err := parseSpec(name, spec)
+			t, isAny, err := parseSpec(&models, name, strings.TrimSpace(spec))
 			if err != nil {
-				return nil, err
+				return nil, "", err
 			}
 			if isAny {
 				anyNames = append(anyNames, name)
@@ -95,13 +123,13 @@ func ParseSubset(root, subset string) (*DTD, error) {
 		case "ATTLIST", "ENTITY", "NOTATION":
 			// Outside the model; skipped deliberately.
 		default:
-			return nil, fmt.Errorf("dtd: unsupported declaration <!%s ...>", fields[0])
+			return nil, "", fmt.Errorf("dtd: unsupported declaration <!%s ...>", keyword)
 		}
 	}
 	// Expand ANY per Remark 1: the macro (n1 | ... | nk)* over all names.
 	if len(anyNames) > 0 {
 		alts := make([]regex.Expr, 0, len(d.Types))
-		for _, n := range d.Names() {
+		for _, n := range d.order {
 			alts = append(alts, regex.Nm(n))
 		}
 		anyModel := regex.Rep(regex.Or(alts...))
@@ -109,12 +137,43 @@ func ParseSubset(root, subset string) (*DTD, error) {
 			d.Types[n] = M(anyModel)
 		}
 	}
-	return d, nil
+	return d, s, nil
+}
+
+// xmlSpace is the white space of XML (production S).
+const xmlSpace = " \t\r\n"
+
+// cutField splits s into its first blank-delimited field and what follows
+// the blanks after it.
+func cutField(s string) (field, rest string) {
+	s = strings.TrimLeft(s, xmlSpace)
+	if i := strings.IndexAny(s, xmlSpace); i >= 0 {
+		return s[:i], strings.TrimLeft(s[i:], xmlSpace)
+	}
+	return s, ""
+}
+
+// indexUnquoted returns the index of the first byte of s that is one of
+// stops and outside a quoted literal, or -1.
+func indexUnquoted(s, stops string) int {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\'':
+			end := strings.IndexByte(s[i+1:], c)
+			if end < 0 {
+				return -1
+			}
+			i += end + 1
+		case strings.IndexByte(stops, c) >= 0:
+			return i
+		}
+	}
+	return -1
 }
 
 // parseSpec parses the content specification of an ELEMENT declaration.
-func parseSpec(name, spec string) (Type, bool, error) {
-	switch strings.TrimSpace(spec) {
+func parseSpec(models *regex.Parser, name, spec string) (Type, bool, error) {
+	switch spec {
 	case "EMPTY":
 		// The paper excludes EMPTY elements (Section 2, requirement 3); we
 		// accept the declaration and model it as empty element content, the
@@ -123,22 +182,19 @@ func parseSpec(name, spec string) (Type, bool, error) {
 	case "ANY":
 		return Type{}, true, nil
 	}
-	s := strings.TrimSpace(spec)
-	if strings.HasPrefix(s, "(") && strings.Contains(s, "#PCDATA") {
-		inner := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(s, "("), ")"))
+	if strings.HasPrefix(spec, "(") && strings.Contains(spec, "#PCDATA") {
+		inner := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(spec, "("), ")"))
 		if inner == "#PCDATA" {
 			return PC(), false, nil
 		}
 		return Type{}, false, fmt.Errorf("dtd: element %s: mixed content %q is outside the model (Section 2)", name, spec)
 	}
-	e, err := regex.Parse(s)
+	if strings.Contains(spec, "^") { // in a model that parses, a caret is a tag
+		return Type{}, false, fmt.Errorf("dtd: element %s: tagged names are not allowed in a plain DTD: %s", name, spec)
+	}
+	e, err := models.Parse(spec)
 	if err != nil {
 		return Type{}, false, fmt.Errorf("dtd: element %s: %v", name, err)
-	}
-	for _, n := range regex.Names(e) {
-		if n.Tag != 0 {
-			return Type{}, false, fmt.Errorf("dtd: element %s: tagged name %s not allowed in a plain DTD", name, n)
-		}
 	}
 	return M(e), false, nil
 }

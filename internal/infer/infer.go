@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -200,39 +201,11 @@ func InferContext(ctx context.Context, q *xmas.Query, src *dtd.DTD) (*Result, er
 			defer b.SetObserver(nil)
 		}
 	}
-	in := &inferencer{
-		ctx:      ctx,
-		bud:      budget.FromContext(ctx),
-		src:      src,
-		q:        q,
-		nextTag:  map[string]int{},
-		full:     map[*xmas.Cond]map[string]*spec{},
-		degraded: map[string]bool{},
-	}
-	path, err := q.PathToPick()
+	in := newInferencer(ctx, q, src)
+	view, err := in.specialized()
 	if err != nil {
 		return nil, err
 	}
-
-	// Result-list type inference (Section 4.4) yields the content model of
-	// the view's top element over the pick specializations.
-	listType := in.inferList(path)
-	if err := in.err(); err != nil {
-		// Cancelled or panicked mid-fan-out: specs may be half-computed;
-		// bail before assembling anything from them.
-		return nil, err
-	}
-
-	// Assemble the specialized view DTD.
-	view := sdtd.New(regex.N(q.Name))
-	view.Declare(regex.N(q.Name), dtd.M(automata.ReduceBudget(listType, in.bud)))
-	pick := path[len(path)-1]
-	in.declareSubtree(view, pick)
-	if err := in.err(); err != nil {
-		return nil, err
-	}
-	in.pull(view)
-	pruneUnreachable(view)
 	view = view.NormalizeBudget(in.bud)
 
 	plain, events, err := view.MergeBudget(in.bud)
@@ -270,6 +243,48 @@ func InferContext(ctx context.Context, q *xmas.Query, src *dtd.DTD) (*Result, er
 			obs.Int("loose_names", int64(len(res.DegradedNames))))
 	}
 	return res, nil
+}
+
+func newInferencer(ctx context.Context, q *xmas.Query, src *dtd.DTD) *inferencer {
+	return &inferencer{
+		ctx:      ctx,
+		bud:      budget.FromContext(ctx),
+		src:      src,
+		q:        q,
+		nextTag:  map[string]int{},
+		full:     map[*xmas.Cond]map[string]*spec{},
+		degraded: map[string]bool{},
+	}
+}
+
+// specialized assembles the view's s-DTD as refinement leaves it: every
+// reachable type declared, the specializations not yet normalized.
+func (in *inferencer) specialized() (*sdtd.SDTD, error) {
+	path, err := in.q.PathToPick()
+	if err != nil {
+		return nil, err
+	}
+
+	// Result-list type inference (Section 4.4) yields the content model of
+	// the view's top element over the pick specializations.
+	listType := in.inferList(path)
+	if err := in.err(); err != nil {
+		// Cancelled or panicked mid-fan-out: specs may be half-computed;
+		// bail before assembling anything from them.
+		return nil, err
+	}
+
+	// Assemble the specialized view DTD.
+	view := sdtd.New(regex.N(in.q.Name))
+	view.Declare(regex.N(in.q.Name), dtd.M(automata.ReduceBudget(listType, in.bud)))
+	pick := path[len(path)-1]
+	in.declareSubtree(view, pick)
+	if err := in.err(); err != nil {
+		return nil, err
+	}
+	in.pull(view)
+	pruneUnreachable(view)
+	return view, nil
 }
 
 // effNames returns the names the condition can match among the DTD's
@@ -692,17 +707,18 @@ func (in *inferencer) declareSubtree(view *sdtd.SDTD, c *xmas.Cond) {
 // not yet declared, its source definition into the view s-DTD — the "pull"
 // step of Figure 2 that completes the view DTD with the unrefined types.
 func (in *inferencer) pull(view *sdtd.SDTD) {
+	var missing []regex.Name
+	refs := make([]regex.Name, 0, 16)
 	for {
-		var missing []regex.Name
-		seen := map[regex.Name]bool{}
+		missing = missing[:0]
 		for _, n := range view.Names() {
 			t := view.Types[n]
 			if t.PCDATA || t.Model == nil {
 				continue
 			}
-			for _, m := range regex.Names(t.Model) {
-				if _, declared := view.Types[m]; !declared && !seen[m] {
-					seen[m] = true
+			refs = regex.AppendNames(refs[:0], t.Model)
+			for _, m := range refs {
+				if _, declared := view.Types[m]; !declared && !slices.Contains(missing, m) {
 					missing = append(missing, m)
 				}
 			}
@@ -731,6 +747,7 @@ func (in *inferencer) pull(view *sdtd.SDTD) {
 func pruneUnreachable(view *sdtd.SDTD) {
 	reach := map[regex.Name]bool{view.Root: true}
 	work := []regex.Name{view.Root}
+	refs := make([]regex.Name, 0, 16)
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -738,7 +755,8 @@ func pruneUnreachable(view *sdtd.SDTD) {
 		if !ok || t.PCDATA || t.Model == nil {
 			continue
 		}
-		for _, m := range regex.Names(t.Model) {
+		refs = regex.AppendNames(refs[:0], t.Model)
+		for _, m := range refs {
 			if !reach[m] {
 				reach[m] = true
 				work = append(work, m)

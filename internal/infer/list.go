@@ -189,6 +189,7 @@ func NaiveInfer(q *xmas.Query, src *dtd.DTD) (*dtd.DTD, error) {
 	// Copy every type reachable from the picked names.
 	work := append([]string(nil), names...)
 	seen := map[string]bool{}
+	refs := make([]regex.Name, 0, 16)
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -202,7 +203,8 @@ func NaiveInfer(q *xmas.Query, src *dtd.DTD) (*dtd.DTD, error) {
 		}
 		out.Declare(n, t)
 		if !t.PCDATA {
-			for _, m := range regex.Names(t.Model) {
+			refs = regex.AppendNames(refs[:0], t.Model)
+			for _, m := range refs {
 				work = append(work, m.Base)
 			}
 		}

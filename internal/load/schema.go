@@ -199,10 +199,10 @@ func declareRecursiveText(d *dtd.DTD, width int) {
 	for _, m := range markup {
 		mix = append(mix, regex.Nm(m))
 	}
-	content := regex.Star{Sub: regex.Alt{Items: mix}}
-	d.Declare("description", dtd.M(regex.Alt{Items: []regex.Expr{regex.Nm("txt"), regex.Nm("parlist")}}))
+	content := regex.Star{Sub: regex.Or(mix...)}
+	d.Declare("description", dtd.M(regex.Or(regex.Nm("txt"), regex.Nm("parlist"))))
 	d.Declare("parlist", dtd.M(regex.Plus{Sub: regex.Nm("listitem")}))
-	d.Declare("listitem", dtd.M(regex.Alt{Items: []regex.Expr{regex.Nm("txt"), regex.Nm("parlist")}}))
+	d.Declare("listitem", dtd.M(regex.Or(regex.Nm("txt"), regex.Nm("parlist"))))
 	d.Declare("txt", dtd.M(content))
 	for _, m := range markup {
 		d.Declare(m, dtd.M(content))
@@ -257,10 +257,10 @@ func declareDisjunction(d *dtd.DTD, width int) {
 			venues[j] = regex.Nm(c)
 			declareLeaf(d, c)
 		}
-		d.Declare(v, dtd.M(regex.Concat{Items: []regex.Expr{regex.Nm("title"), regex.Alt{Items: venues}}}))
+		d.Declare(v, dtd.M(regex.Concat{Items: []regex.Expr{regex.Nm("title"), regex.Or(venues...)}}))
 		declareLeaf(d, "title")
 	}
-	d.Declare("kind", dtd.M(regex.Alt{Items: variants}))
+	d.Declare("kind", dtd.M(regex.Or(variants...)))
 }
 
 // declareAuctions emits the cross-link shape: auctions point at entries

@@ -19,18 +19,7 @@ import (
 //
 // EMPTY and FAIL denote ε and ∅ and exist mainly for tests and tool input;
 // DTD files use the standard forms. Whitespace is insignificant.
-func Parse(input string) (Expr, error) {
-	p := &rparser{src: input}
-	e, err := p.parseAlt()
-	if err != nil {
-		return nil, err
-	}
-	p.ws()
-	if p.pos != len(p.src) {
-		return nil, p.errf("unexpected %q", p.src[p.pos:])
-	}
-	return e, nil
-}
+func Parse(input string) (Expr, error) { return new(Parser).Parse(input) }
 
 // MustParse is Parse that panics on error; for tests and package literals.
 func MustParse(input string) Expr {
@@ -45,17 +34,42 @@ func MustParse(input string) Expr {
 // recursive and must reject adversarial "(((((…" inputs gracefully.
 const maxNesting = 2048
 
-type rparser struct {
+// Parser parses content models; the zero value is ready. One Parser serves
+// all the models of a document, one Parse at a time, and what it keeps
+// between calls is why a document costs per declaration and not per token:
+// operands wait on one stack and are copied out, exactly sized, only into a
+// sequence or alternation that has at least two of them, and every distinct
+// name is boxed into an Atom once, all its occurrences sharing the box —
+// expressions are immutable, so they cannot tell.
+type Parser struct {
 	src   string
 	pos   int
 	depth int
+	stack []Expr
+	atoms map[Name]Expr
 }
 
-func (p *rparser) errf(format string, args ...any) error {
+// Parse parses one expression, as the package's Parse does.
+func (p *Parser) Parse(input string) (Expr, error) {
+	p.src, p.pos, p.depth, p.stack = input, 0, 0, p.stack[:0]
+	if p.stack == nil {
+		p.stack = make([]Expr, 0, 16)
+	}
+	if err := p.parseAlt(); err != nil {
+		return nil, err
+	}
+	p.ws()
+	if p.pos != len(p.src) {
+		return nil, p.errf("unexpected %q", p.src[p.pos:])
+	}
+	return p.stack[0], nil
+}
+
+func (p *Parser) errf(format string, args ...any) error {
 	return fmt.Errorf("regex: parse error at offset %d: %s", p.pos, fmt.Sprintf(format, args...))
 }
 
-func (p *rparser) ws() {
+func (p *Parser) ws() {
 	for p.pos < len(p.src) {
 		switch p.src[p.pos] {
 		case ' ', '\t', '\n', '\r':
@@ -66,116 +80,92 @@ func (p *rparser) ws() {
 	}
 }
 
-func (p *rparser) peek() byte {
+func (p *Parser) peek() byte {
 	if p.pos < len(p.src) {
 		return p.src[p.pos]
 	}
 	return 0
 }
 
-func (p *rparser) parseAlt() (Expr, error) {
-	first, err := p.parseCat()
-	if err != nil {
-		return nil, err
-	}
-	items := []Expr{first}
+// Each parse function leaves its result on top of the stack.
+
+func (p *Parser) parseAlt() error { return p.parseList('|', (*Parser).parseCat, Or) }
+func (p *Parser) parseCat() error { return p.parseList(',', (*Parser).parseUnary, Cat) }
+
+// parseList parses item { sep item } and replaces the items it stacked, when
+// they are two or more, by build over a copy of exactly them.
+func (p *Parser) parseList(sep byte, item func(*Parser) error, build func(...Expr) Expr) error {
+	base := len(p.stack)
 	for {
+		if err := item(p); err != nil {
+			return err
+		}
 		p.ws()
-		if p.peek() != '|' {
+		if p.peek() != sep {
 			break
 		}
 		p.pos++
-		next, err := p.parseCat()
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, next)
 	}
-	if len(items) == 1 {
-		return items[0], nil
+	if items := p.stack[base:]; len(items) > 1 {
+		p.stack = append(p.stack[:base], build(copyUpTo(items, len(items))...))
 	}
-	return Or(items...), nil
+	return nil
 }
 
-func (p *rparser) parseCat() (Expr, error) {
-	first, err := p.parseUnary()
-	if err != nil {
-		return nil, err
+func (p *Parser) parseUnary() error {
+	if err := p.parsePrimary(); err != nil {
+		return err
 	}
-	items := []Expr{first}
-	for {
-		p.ws()
-		if p.peek() != ',' {
-			break
-		}
-		p.pos++
-		next, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, next)
-	}
-	if len(items) == 1 {
-		return items[0], nil
-	}
-	return Cat(items...), nil
-}
-
-func (p *rparser) parseUnary() (Expr, error) {
-	e, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
+	top := &p.stack[len(p.stack)-1]
 	for {
 		p.ws()
 		switch p.peek() {
 		case '*':
-			p.pos++
-			e = Rep(e)
+			*top = Rep(*top)
 		case '+':
-			p.pos++
-			e = Rep1(e)
+			*top = Rep1(*top)
 		case '?':
-			p.pos++
-			e = Maybe(e)
+			*top = Maybe(*top)
 		default:
-			return e, nil
+			return nil
 		}
+		p.pos++
 	}
 }
 
-func (p *rparser) parsePrimary() (Expr, error) {
+func (p *Parser) parsePrimary() error {
 	p.ws()
 	if p.pos >= len(p.src) {
-		return nil, p.errf("unexpected end of expression")
+		return p.errf("unexpected end of expression")
 	}
 	if p.peek() == '(' {
 		if p.depth >= maxNesting {
-			return nil, p.errf("parenthesis nesting exceeds %d levels", maxNesting)
+			return p.errf("parenthesis nesting exceeds %d levels", maxNesting)
 		}
 		p.depth++
 		p.pos++
-		e, err := p.parseAlt()
+		err := p.parseAlt()
 		p.depth--
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p.ws()
 		if p.peek() != ')' {
-			return nil, p.errf("expected ')'")
+			return p.errf("expected ')'")
 		}
 		p.pos++
-		return e, nil
+		return nil
 	}
 	name := p.readName()
-	if name == "" {
-		return nil, p.errf("expected name, '(' or keyword")
-	}
 	switch name {
+	case "":
+		return p.errf("expected name, '(' or keyword")
 	case "EMPTY":
-		return Empty{}, nil
+		p.stack = append(p.stack, Empty{})
+		return nil
 	case "FAIL":
-		return Fail{}, nil
+		p.stack = append(p.stack, Fail{})
+		return nil
 	}
 	tag := 0
 	if p.peek() == '^' {
@@ -185,18 +175,28 @@ func (p *rparser) parsePrimary() (Expr, error) {
 			p.pos++
 		}
 		if p.pos == start {
-			return nil, p.errf("expected tag number after '^'")
+			return p.errf("expected tag number after '^'")
 		}
 		t, err := strconv.Atoi(p.src[start:p.pos])
 		if err != nil {
-			return nil, p.errf("bad tag: %v", err)
+			return p.errf("bad tag: %v", err)
 		}
 		tag = t
 	}
-	return Atom{Name: Name{Base: name, Tag: tag}}, nil
+	n := Name{Base: name, Tag: tag}
+	a, ok := p.atoms[n]
+	if !ok {
+		if p.atoms == nil {
+			p.atoms = map[Name]Expr{}
+		}
+		a = Atom{Name: n}
+		p.atoms[n] = a
+	}
+	p.stack = append(p.stack, a)
+	return nil
 }
 
-func (p *rparser) readName() string {
+func (p *Parser) readName() string {
 	start := p.pos
 	for p.pos < len(p.src) {
 		r, sz := utf8.DecodeRuneInString(p.src[p.pos:])

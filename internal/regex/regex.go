@@ -13,12 +13,18 @@
 // A Name carries a specialization tag (Definition 3.8); tag 0 is the plain,
 // untagged name, written without a superscript. Image strips tags
 // (Definition 3.9).
+//
+// Ownership: expressions are immutable, item slices included, and Cat and
+// Or may build their node over the very slice they are called with
+// (Cat(parts...)): from then on it belongs to the result, and the caller
+// must not write to it nor append into its spare capacity.
 package regex
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -40,7 +46,17 @@ func (n Name) String() string {
 	if n.Tag == 0 {
 		return n.Base
 	}
-	return fmt.Sprintf("%s^%d", n.Base, n.Tag)
+	var buf [64]byte
+	return string(AppendName(buf[:0], n))
+}
+
+// AppendName appends the rendering of n to dst.
+func AppendName(dst []byte, n Name) []byte {
+	dst = append(dst, n.Base...)
+	if n.Tag != 0 {
+		dst = strconv.AppendInt(append(dst, '^'), int64(n.Tag), 10)
+	}
+	return dst
 }
 
 // Compare orders names by base, then tag.
@@ -71,7 +87,9 @@ type Atom struct{ Name Name }
 // Concat is the sequence r1, r2, ..., rn.
 type Concat struct{ Items []Expr }
 
-// Alt is the union r1 | r2 | ... | rn.
+// Alt is the union r1 | r2 | ... | rn. Or builds it with no two items Equal
+// and relies on that of every Alt it is handed, so code builds unions with
+// Or, not as literals (one with duplicates only prints them).
 type Alt struct{ Items []Expr }
 
 // Star is r*.
@@ -92,45 +110,63 @@ func (Opt) prec() int    { return 3 }
 func (Concat) prec() int { return 2 }
 func (Alt) prec() int    { return 1 }
 
-func (Empty) String() string { return "EMPTY" }
-func (Fail) String() string  { return "FAIL" }
-func (a Atom) String() string {
-	return a.Name.String()
+func (e Empty) String() string  { return text(e) }
+func (e Fail) String() string   { return text(e) }
+func (e Atom) String() string   { return text(e) }
+func (e Concat) String() string { return text(e) }
+func (e Alt) String() string    { return text(e) }
+func (e Star) String() string   { return text(e) }
+func (e Plus) String() string   { return text(e) }
+func (e Opt) String() string    { return text(e) }
+
+func text(e Expr) string {
+	var buf [128]byte
+	return string(AppendString(buf[:0], e))
 }
 
-func paren(e Expr, min int) string {
-	s := e.String()
+// AppendString appends e in DTD content-model syntax to dst: what String
+// returns, without the string. A sequence or alternation with no items
+// renders as the constant it denotes (EMPTY, FAIL).
+func AppendString(dst []byte, e Expr) []byte { return appendExpr(dst, e, 0) }
+
+// appendExpr parenthesizes e when it binds looser than min.
+func appendExpr(dst []byte, e Expr, min int) []byte {
 	if e.prec() < min {
-		return "(" + s + ")"
+		return append(appendExpr(append(dst, '('), e, 0), ')')
 	}
-	return s
+	switch v := e.(type) {
+	case Empty:
+		return append(dst, "EMPTY"...)
+	case Fail:
+		return append(dst, "FAIL"...)
+	case Atom:
+		return AppendName(dst, v.Name)
+	case Concat:
+		return appendItems(dst, v.Items, 3, ", ", "EMPTY")
+	case Alt:
+		return appendItems(dst, v.Items, 2, " | ", "FAIL")
+	case Star:
+		return append(appendExpr(dst, v.Sub, 4), '*')
+	case Plus:
+		return append(appendExpr(dst, v.Sub, 4), '+')
+	case Opt:
+		return append(appendExpr(dst, v.Sub, 4), '?')
+	}
+	panic(fmt.Sprintf("regex: unknown node %T", e))
 }
 
-func (c Concat) String() string {
-	if len(c.Items) == 0 {
-		return "EMPTY"
+func appendItems(dst []byte, items []Expr, min int, sep, none string) []byte {
+	if len(items) == 0 {
+		return append(dst, none...)
 	}
-	parts := make([]string, len(c.Items))
-	for i, it := range c.Items {
-		parts[i] = paren(it, 3)
+	for i, it := range items {
+		if i > 0 {
+			dst = append(dst, sep...)
+		}
+		dst = appendExpr(dst, it, min)
 	}
-	return strings.Join(parts, ", ")
+	return dst
 }
-
-func (a Alt) String() string {
-	if len(a.Items) == 0 {
-		return "FAIL"
-	}
-	parts := make([]string, len(a.Items))
-	for i, it := range a.Items {
-		parts[i] = paren(it, 2)
-	}
-	return strings.Join(parts, " | ")
-}
-
-func (s Star) String() string { return paren(s.Sub, 4) + "*" }
-func (p Plus) String() string { return paren(p.Sub, 4) + "+" }
-func (o Opt) String() string  { return paren(o.Sub, 4) + "?" }
 
 // Constructors. Cat and Or flatten nested nodes and apply the cheap
 // identities involving Empty and Fail so that intermediate results stay
@@ -153,27 +189,30 @@ func At(n Name) Expr { return Atom{Name: n} }
 
 // Cat builds the concatenation of the given expressions, flattening nested
 // concatenations, dropping ε items, and collapsing to Fail when any item is
-// Fail (concatenation with the empty language is empty).
+// Fail (concatenation with the empty language is empty). When nothing needs
+// flattening or dropping the node is built over items itself, which the
+// caller must then leave alone, like any other part of an expression.
 func Cat(items ...Expr) Expr {
-	var out []Expr
-	for _, it := range items {
-		switch v := it.(type) {
-		case Fail:
-			return Fail{}
-		case Empty:
-			// skip
-		case Concat:
-			for _, sub := range v.Items {
-				if _, isFail := sub.(Fail); isFail {
-					return Fail{}
-				}
-				if _, isEps := sub.(Empty); isEps {
-					continue
-				}
-				out = append(out, sub)
+	out, own := items, false // until own, the result so far is items[:i]
+	for i, it := range items {
+		subs := items[i : i+1]
+		if c, nested := it.(Concat); nested {
+			subs = c.Items
+			if !own {
+				out, own = copyUpTo(items, i), true
 			}
-		default:
-			out = append(out, it)
+		}
+		for _, e := range subs {
+			if isFail(e) {
+				return Fail{}
+			}
+			drop := IsEmptyExpr(e)
+			if drop && !own {
+				out, own = copyUpTo(items, i), true
+			}
+			if own && !drop {
+				out = append(out, e)
+			}
 		}
 	}
 	switch len(out) {
@@ -186,29 +225,32 @@ func Cat(items ...Expr) Expr {
 }
 
 // Or builds the union of the given expressions, flattening nested unions
-// and dropping Fail items (union with the empty language is identity).
-// Syntactically duplicate alternatives are deduplicated.
+// and dropping Fail items (union with the empty language is identity) and
+// alternatives Equal to an earlier one. A nested union's items differ among
+// themselves (see Alt) and are compared with what came before it only, which
+// keeps a union accumulated one alternative at a time quadratic. Like Cat,
+// Or builds the node over items itself when it can.
 func Or(items ...Expr) Expr {
-	var out []Expr
-	seen := map[string]bool{}
-	add := func(e Expr) {
-		if _, isFail := e.(Fail); isFail {
-			return
+	out, own := items, false // until own, the result so far is items[:i]
+	for i, it := range items {
+		before, subs := out, items[i:i+1]
+		if !own {
+			before = items[:i]
 		}
-		k := e.String()
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		out = append(out, e)
-	}
-	for _, it := range items {
-		if v, ok := it.(Alt); ok {
-			for _, sub := range v.Items {
-				add(sub)
+		if a, nested := it.(Alt); nested {
+			subs = a.Items
+			if !own {
+				out, own = copyUpTo(items, i), true
 			}
-		} else {
-			add(it)
+		}
+		for _, e := range subs {
+			drop := isFail(e) || containsEqual(before, e)
+			if drop && !own {
+				out, own = copyUpTo(items, i), true
+			}
+			if own && !drop {
+				out = append(out, e)
+			}
 		}
 	}
 	switch len(out) {
@@ -218,6 +260,19 @@ func Or(items ...Expr) Expr {
 		return out[0]
 	}
 	return Alt{Items: out}
+}
+
+func copyUpTo(items []Expr, i int) []Expr {
+	return append(make([]Expr, 0, len(items)), items[:i]...)
+}
+
+func containsEqual(items []Expr, e Expr) bool {
+	for _, it := range items {
+		if Equal(it, e) {
+			return true
+		}
+	}
+	return false
 }
 
 // Rep builds r*, applying Star identities (ε* = ε, ∅* = ε, (r*)* = r*,
@@ -341,10 +396,15 @@ func Nullable(e Expr) bool {
 }
 
 // Names returns the set of names occurring in e, sorted by base then tag.
-func Names(e Expr) []Name {
-	out := appendNames(make([]Name, 0, 8), e)
-	slices.SortFunc(out, Name.Compare)
-	return slices.Compact(out)
+func Names(e Expr) []Name { return AppendNames(make([]Name, 0, 8), e) }
+
+// AppendNames appends Names(e) to dst: a loop over many expressions reuses
+// one slice (dst[:0]) where Names would allocate one per expression.
+func AppendNames(dst []Name, e Expr) []Name {
+	from := len(dst)
+	dst = appendNames(dst, e)
+	slices.SortFunc(dst[from:], Name.Compare)
+	return dst[:from+len(slices.Compact(dst[from:]))]
 }
 
 func appendNames(dst []Name, e Expr) []Name {
@@ -494,16 +554,14 @@ func catKept(items []Expr, kept bool) Expr {
 }
 
 // orKept is Or(items...), or nil when that is the node already held: kept
-// items that Or would neither drop, flatten nor deduplicate. On kept
-// subtrees syntactic equality and equality of the rendered text, which Or
-// keys on, coincide, so nothing needs rendering to know.
+// items that Or would neither drop, flatten nor deduplicate.
 func orKept(items []Expr, kept bool) Expr {
 	for i, it := range items {
 		switch it.(type) {
 		case Fail, Alt:
 			kept = false
 		}
-		kept = kept && !slices.ContainsFunc(items[:i], func(prev Expr) bool { return Equal(prev, it) })
+		kept = kept && !containsEqual(items[:i], it)
 	}
 	if kept && len(items) >= 2 {
 		return nil
@@ -582,11 +640,15 @@ func Enumerate(e Expr, maxLen, limit int) [][]Name {
 }
 
 func wordKey(w []Name) string {
-	parts := make([]string, len(w))
+	var buf [128]byte
+	key := buf[:0]
 	for i, n := range w {
-		parts[i] = n.String()
+		if i > 0 {
+			key = append(key, ' ')
+		}
+		key = AppendName(key, n)
 	}
-	return strings.Join(parts, " ")
+	return string(key)
 }
 
 // wordsOfLen returns words of exactly length l in L(e), up to limit.

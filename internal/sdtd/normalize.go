@@ -1,7 +1,7 @@
 package sdtd
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/automata"
 	"repro/internal/budget"
@@ -31,124 +31,101 @@ func (s *SDTD) Normalize() *SDTD {
 // collapsed — a larger but equally correct s-DTD), and content-model
 // reduction falls back to syntactic simplification.
 func (s *SDTD) NormalizeBudget(bud *budget.Budget) *SDTD {
+	// The bookkeeping is dense: names holds the declared names sorted, so
+	// the specializations of a base are one run of it in tag order, and
+	// rep[i] is the position of the representative of names[i]'s class —
+	// its lowest tag, hence its first member.
 	names := s.Names()
-	// class representative for each name; start: coarsest plausible
-	// partition keyed by (base, kind).
-	rep := map[Name]Name{}
-	classOf := map[string][]Name{}
-	keyOf := func(n Name) string {
-		t := s.Types[n]
-		if t.PCDATA {
-			return n.Base + "\x00pcdata"
-		}
-		return n.Base + "\x00model"
-	}
-	for _, n := range names {
-		k := keyOf(n)
-		classOf[k] = append(classOf[k], n)
-	}
-	for _, members := range classOf {
-		r := lowestTag(members)
-		for _, n := range members {
-			rep[n] = r
-		}
-	}
-
-	rewrite := func(e regex.Expr) regex.Expr {
-		return regex.Rename(e, func(n Name) Name {
-			if r, ok := rep[n]; ok {
-				return r
+	slices.SortFunc(names, Name.Compare)
+	index := func(n Name) (int, bool) { return slices.BinarySearchFunc(names, n, Name.Compare) }
+	types := make([]dtd.Type, len(names))
+	rep := make([]int32, len(names))
+	// Start from the coarsest plausible partition: one class per base and
+	// kind (PCDATA or model).
+	for i, n := range names {
+		types[i], rep[i] = s.Types[n], int32(i)
+		for j := i - 1; j >= 0 && names[j].Base == n.Base; j-- {
+			if types[j].PCDATA == types[i].PCDATA {
+				rep[i] = rep[j]
+				break
 			}
-			return n
-		})
+		}
+	}
+	toRep := func(n Name) Name {
+		if i, ok := index(n); ok {
+			return names[rep[i]]
+		}
+		return n
 	}
 
+	var heads, leave []int32 // a round's classes; the members leaving one of them
 	for changed := true; changed; {
 		changed = false
-		// Group current classes.
-		groups := map[Name][]Name{}
-		for _, n := range names {
-			groups[rep[n]] = append(groups[rep[n]], n)
+		heads = heads[:0]
+		for i := range rep {
+			if rep[i] == int32(i) && !types[i].PCDATA { // all PCDATA specializations are equivalent
+				heads = append(heads, int32(i))
+			}
 		}
-		for r, members := range groups {
-			if len(members) < 2 {
-				continue
-			}
-			if s.Types[r].PCDATA {
-				continue // all PCDATA specializations are equivalent
-			}
-			// Split members by equivalence with the representative under
-			// the current identification.
-			base := rewrite(s.Types[r].Model)
-			var stay, leave []Name
-			for _, n := range members {
-				same := n == r
-				if !same {
-					eq, err := automata.EquivalentBudget(base, rewrite(s.Types[n].Model), bud)
-					same = err == nil && eq
+		for _, r := range heads {
+			// Split the members by equivalence with the representative
+			// under the current identification. The leavers become one
+			// new class, refined further in later rounds if needed — once
+			// the whole class is compared: toRep reads rep, and every member
+			// must be renamed under the partition the representative was.
+			var base regex.Expr
+			leave = leave[:0]
+			for i := int(r) + 1; i < len(names) && names[i].Base == names[r].Base; i++ {
+				if rep[i] != r {
+					continue
 				}
-				if same {
-					stay = append(stay, n)
-				} else {
-					leave = append(leave, n)
+				if base == nil {
+					base = regex.Rename(types[r].Model, toRep)
+				}
+				if eq, err := automata.EquivalentBudget(base, regex.Rename(types[i].Model, toRep), bud); err != nil || !eq {
+					leave = append(leave, int32(i))
 				}
 			}
-			if len(leave) == 0 {
-				continue
-			}
-			changed = true
-			// Leavers get their own class(es); a single new class here is
-			// refined further in later rounds if needed.
-			nr := lowestTag(leave)
-			for _, n := range leave {
-				rep[n] = nr
+			for _, i := range leave {
+				rep[i], changed = leave[0], true
 			}
 		}
 	}
 
 	// Renumber surviving representatives densely per base from 0 (an s-DTD
 	// is self-contained; tag numbers carry no meaning beyond identity).
-	survivors := map[string][]Name{}
-	for _, n := range names {
-		r := rep[n]
-		if r == n {
-			survivors[n.Base] = append(survivors[n.Base], n)
+	tag := make([]int, len(names))
+	for i, next := 0, 0; i < len(names); i++ {
+		if i > 0 && names[i].Base != names[i-1].Base {
+			next = 0
+		}
+		if rep[i] == int32(i) {
+			tag[i] = next
+			next++
 		}
 	}
-	final := map[Name]Name{}
-	for base, reps := range survivors {
-		sort.Slice(reps, func(i, j int) bool { return reps[i].Tag < reps[j].Tag })
-		for i, r := range reps {
-			final[r] = Name{Base: base, Tag: i}
+	target := func(n Name) Name {
+		if i, ok := index(n); ok {
+			return Name{Base: n.Base, Tag: tag[rep[i]]}
 		}
+		return n
 	}
-	target := func(n Name) Name { return final[rep[n]] }
 
+	// A class is declared where its first member was, with that member's
+	// type.
 	out := New(target(s.Root))
-	seen := map[Name]bool{}
-	for _, n := range names {
-		tn := target(n)
-		if seen[tn] {
+	declared := make([]bool, len(names))
+	for _, n := range s.names() {
+		i, _ := index(n)
+		if declared[rep[i]] {
 			continue
 		}
-		seen[tn] = true
-		t := s.Types[n]
-		if t.PCDATA {
-			out.Declare(tn, t)
-			continue
+		declared[rep[i]] = true
+		t := types[i]
+		if !t.PCDATA {
+			t = dtd.M(automata.ReduceBudget(regex.Rename(t.Model, target), bud))
 		}
-		model := regex.Rename(t.Model, target)
-		out.Declare(tn, dtd.M(automata.ReduceBudget(model, bud)))
+		out.Declare(target(n), t)
 	}
 	return out
-}
-
-func lowestTag(members []Name) Name {
-	r := members[0]
-	for _, n := range members[1:] {
-		if n.Tag < r.Tag {
-			r = n
-		}
-	}
-	return r
 }

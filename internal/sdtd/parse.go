@@ -36,7 +36,8 @@ func Parse(input string) (*SDTD, error) {
 	if rootTok == "" {
 		return nil, fmt.Errorf("sdtd: missing document type name")
 	}
-	root, err := parseTaggedName(rootTok)
+	var models regex.Parser // one for the document: its atoms are shared
+	root, err := parseTaggedName(&models, rootTok)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +78,7 @@ func Parse(input string) (*SDTD, error) {
 		if sp < 0 {
 			return nil, fmt.Errorf("sdtd: malformed declaration %q", decl)
 		}
-		name, err := parseTaggedName(decl[:sp])
+		name, err := parseTaggedName(&models, decl[:sp])
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +91,7 @@ func Parse(input string) (*SDTD, error) {
 			out.Declare(name, dtd.PC())
 			continue
 		}
-		model, err := regex.Parse(spec)
+		model, err := models.Parse(spec)
 		if err != nil {
 			return nil, fmt.Errorf("sdtd: %s: %v", name, err)
 		}
@@ -102,8 +103,8 @@ func Parse(input string) (*SDTD, error) {
 	return out, nil
 }
 
-func parseTaggedName(tok string) (Name, error) {
-	e, err := regex.Parse(tok)
+func parseTaggedName(models *regex.Parser, tok string) (Name, error) {
+	e, err := models.Parse(tok)
 	if err != nil {
 		return Name{}, fmt.Errorf("sdtd: bad name %q: %v", tok, err)
 	}

@@ -19,7 +19,6 @@ package sdtd
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/automata"
 	"repro/internal/budget"
@@ -60,7 +59,10 @@ func (s *SDTD) Declare(n Name, t dtd.Type) {
 // Names returns the declared tagged names in declaration order. When the
 // order must be rebuilt (after deletions) it is recomputed with the
 // document type first, then alphabetically.
-func (s *SDTD) Names() []Name {
+func (s *SDTD) Names() []Name { return append([]Name(nil), s.names()...) }
+
+// names is Names without the copy, for the package's own loops.
+func (s *SDTD) names() []Name {
 	if len(s.order) != len(s.Types) {
 		s.order = s.order[:0]
 		for n := range s.Types {
@@ -77,7 +79,7 @@ func (s *SDTD) Names() []Name {
 			return a.Tag < b.Tag
 		})
 	}
-	return append([]Name(nil), s.order...)
+	return s.order
 }
 
 // Specializations returns the tags declared for a base name, sorted. This
@@ -106,13 +108,17 @@ func (s *SDTD) Clone() *SDTD {
 // rendered with DOCTYPE-like syntax so it remains machine-readable:
 // tags are printed with a caret.
 func (s *SDTD) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "<!DOCTYPE %s [\n", s.Root)
-	for _, n := range s.Names() {
-		fmt.Fprintf(&b, "  <!ELEMENT %s %s>\n", n, s.Types[n])
+	return string(s.AppendText(make([]byte, 0, 64+96*len(s.Types)))) // sized as (*dtd.DTD).String is
+}
+
+// AppendText appends what String returns to dst and allocates nothing when
+// dst has the room.
+func (s *SDTD) AppendText(dst []byte) []byte {
+	dst = append(regex.AppendName(append(dst, "<!DOCTYPE "...), s.Root), " [\n"...)
+	for _, n := range s.names() {
+		dst = dtd.AppendElementDecl(dst, n, s.Types[n])
 	}
-	b.WriteString("]>")
-	return b.String()
+	return append(dst, "]>"...)
 }
 
 // Check verifies that every tagged name referenced in a type is declared.
@@ -121,7 +127,8 @@ func (s *SDTD) Check() []error {
 	if _, ok := s.Types[s.Root]; !ok {
 		errs = append(errs, fmt.Errorf("sdtd: document type %s is not declared", s.Root))
 	}
-	for _, n := range s.Names() {
+	refs := make([]Name, 0, 16)
+	for _, n := range s.names() {
 		t := s.Types[n]
 		if t.PCDATA {
 			continue
@@ -130,7 +137,8 @@ func (s *SDTD) Check() []error {
 			errs = append(errs, fmt.Errorf("sdtd: %s has neither PCDATA nor a model", n))
 			continue
 		}
-		for _, m := range regex.Names(t.Model) {
+		refs = regex.AppendNames(refs[:0], t.Model)
+		for _, m := range refs {
 			if _, ok := s.Types[m]; !ok {
 				errs = append(errs, fmt.Errorf("sdtd: %s references undeclared name %s", n, m))
 			}

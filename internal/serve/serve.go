@@ -414,18 +414,12 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	text := string(body)
-	cut := strings.Index(text, "]>")
-	if cut < 0 {
-		http.Error(w, "body must be a DOCTYPE declaration followed by a XMAS query", http.StatusBadRequest)
-		return
-	}
-	src, err := dtd.Parse(text[:cut+2])
+	src, query, err := dtd.ParsePrefix(string(body))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, "body must be a DOCTYPE declaration followed by a XMAS query: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	q, err := xmas.Parse(text[cut+2:])
+	q, err := xmas.Parse(query)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -446,20 +440,22 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Mix-Degraded-Reason", res.DegradedReason)
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "-- specialized view DTD")
-	fmt.Fprintln(w, res.SDTD)
-	fmt.Fprintln(w, "-- plain view DTD")
-	fmt.Fprintln(w, res.DTD)
-	fmt.Fprintf(w, "-- classification: %s\n", res.Class)
+	// One buffer, one write. Two view DTDs seldom outgrow twice the request.
+	out := make([]byte, 0, 256+2*len(body))
+	out = append(out, "-- specialized view DTD\n"...)
+	out = append(res.SDTD.AppendText(out), "\n-- plain view DTD\n"...)
+	out = append(res.DTD.AppendText(out), "\n-- classification: "...)
+	out = append(append(out, res.Class.String()...), '\n')
 	if res.Degraded {
-		fmt.Fprintf(w, "-- degraded: %s (sound but not tightest; loose names: %s)\n",
+		out = fmt.Appendf(out, "-- degraded: %s (sound but not tightest; loose names: %s)\n",
 			res.DegradedReason, strings.Join(res.DegradedNames, ", "))
 	}
 	for _, ev := range res.Merges {
 		if ev.Distinct {
-			fmt.Fprintf(w, "-- warning: %s\n", ev)
+			out = fmt.Appendf(out, "-- warning: %s\n", ev)
 		}
 	}
+	w.Write(out)
 }
 
 // statusFor maps lookup failures to 404 via the mediator's sentinel
