@@ -157,7 +157,9 @@ cluster-smoke:
 
 # Archive the cluster-tier benchmarks (ForwardHop: Cold = first forwarded
 # request, peer transport built from scratch including the owner DTD round
-# trip; Warm = cached transport, one owner round trip; RingOwner[sRep...]:
+# trip; Warm = cached transport, one owner round trip that finds the owner's
+# document unchanged (304); Changed = the same with the owner invalidated
+# before every request, so the document is shipped; RingOwner[sRep...]:
 # view-to-owner lookups) as JSON with the cold/warm factor. Compare
 # BENCH_cluster.json across commits to track the forward hop's overhead.
 bench-cluster:

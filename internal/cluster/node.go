@@ -277,6 +277,7 @@ type Metrics struct {
 	OwnedViews    int             `json:"owned_views" metric:"mix_cluster_owned_views" help:"Cluster views this node owns (serves locally)."`
 	ForwardViews  int             `json:"forward_views" metric:"mix_cluster_forward_views" help:"Cluster views with a built peer-forward transport."`
 	Forwarded     int64           `json:"forwarded_requests" metric:"mix_cluster_forwarded_total" help:"Requests forwarded to peer mediator nodes."`
+	NotModified   int64           `json:"forwarded_not_modified" metric:"mix_cluster_forwarded_not_modified_total" help:"Owner fetches of the built forward transports answered 304 Not Modified (the owner's document was unchanged and not shipped)."`
 	ForwardErrors int64           `json:"forward_errors" metric:"mix_cluster_forward_errors_total" help:"Forwarded requests that failed (builds and fetches)."`
 	LoopRejected  int64           `json:"loop_rejected" metric:"mix_cluster_loop_rejected_total" help:"Requests rejected by the forwarding loop guard (421)."`
 	Ring          []NodeRingStats `json:"ring"`
@@ -284,14 +285,26 @@ type Metrics struct {
 
 // Metrics snapshots the node's forwarding counters and ring shares.
 func (n *Node) Metrics() Metrics {
-	built := len(n.ForwardedViews())
+	var built []*Forward
+	n.mu.Lock()
+	for _, s := range n.slots {
+		if f := s.fwd.Load(); f != nil {
+			built = append(built, f)
+		}
+	}
+	n.mu.Unlock()
+	var rep mediator.SourceReport
+	for _, f := range built {
+		rep.Collect(f.wrapper)
+	}
 	return Metrics{
 		Self:          n.cfg.Self,
 		Nodes:         len(n.cfg.Nodes),
 		VirtualNodes:  n.ring.VirtualNodes(),
 		OwnedViews:    len(n.OwnedViews()),
-		ForwardViews:  built,
+		ForwardViews:  len(built),
 		Forwarded:     n.forwarded.Load(),
+		NotModified:   rep.NotModified,
 		ForwardErrors: n.forwardErrors.Load(),
 		LoopRejected:  n.loopRejected.Load(),
 		Ring:          n.ring.Stats(),

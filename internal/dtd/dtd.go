@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/automata"
 	"repro/internal/regex"
@@ -63,11 +64,18 @@ type DTD struct {
 	// Root is the document type d_root: the required name of the root
 	// element of any document valid under this DTD.
 	Root string
-	// Types maps each declared name to its type.
+	// Types maps each declared name to its type. Once the DTD validates
+	// documents, change a declaration with Declare, not in place:
+	// ValidateStream remembers what it resolved for a name, and Declare is
+	// what makes it forget.
 	Types map[string]Type
 
 	// order preserves declaration order for deterministic serialization.
 	order []string
+	// streamTypes is ValidateStream's memo (stream.go): the validation plan
+	// of every name a validated document has used so far, in a map that is
+	// never written once published.
+	streamTypes atomic.Pointer[map[string]streamType]
 }
 
 // New returns an empty DTD with the given document type.
@@ -81,6 +89,9 @@ func (d *DTD) Declare(name string, t Type) {
 		d.order = append(d.order, name)
 	}
 	d.Types[name] = t
+	if d.streamTypes.Load() != nil { // a DTD under construction has no memo to drop
+		d.streamTypes.Store(nil)
+	}
 }
 
 // Names returns the declared names in declaration order. Mutating the

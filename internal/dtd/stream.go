@@ -34,9 +34,10 @@ func StreamValidationStats() StreamStats {
 // building a tree: a SAX-style scan (xmlmodel.Scanner) drives the
 // compiled content-model DFAs directly, one explicit stack frame per open
 // element. Memory is O(depth) and the allocation count is independent of
-// document size — the per-call costs are the frame stack and one
-// automata-cache lookup per distinct element name — so arbitrarily large
-// source payloads validate without being materialized.
+// document size — the per-call cost is the frame stack; what a name
+// resolves to (one automata-cache lookup) is remembered on the DTD, so it
+// is paid per DTD, not per document — so arbitrarily large source payloads
+// validate without being materialized.
 //
 // It accepts exactly the documents that Parse plus Validate accept, and
 // rejects exactly the ones they reject (property-tested); only error
@@ -46,7 +47,7 @@ func StreamValidationStats() StreamStats {
 func (d *DTD) ValidateStream(input string) error {
 	streamDocuments.Add(1)
 	streamBytes.Add(int64(len(input)))
-	v := streamValidator{d: d, types: make(map[string]streamType, len(d.Types))}
+	v := streamValidator{d: d, stack: make([]streamFrame, 0, 16)} // deeper documents regrow it
 	sc := xmlmodel.NewScanner(input)
 	events := int64(0)
 	err := func() error {
@@ -98,20 +99,27 @@ type streamFrame struct {
 
 type streamValidator struct {
 	d     *DTD
-	types map[string]streamType
 	stack []streamFrame
 }
 
-// typeOf resolves the validation plan for a name, memoized per call so the
-// hot loop never re-derives an automata-cache key: the first occurrence of
-// a name costs one (process-wide cached) Compiled lookup, every later one
-// is a map read. Compilation stays lazy — a declared-but-unused
-// pathological content model costs nothing, exactly as in tree validation.
-func (v *streamValidator) typeOf(name string) (streamType, bool) {
-	if st, ok := v.types[name]; ok {
-		return st, true
+// streamTypeOf resolves the validation plan for a name, memoized on the DTD
+// so the hot loop never re-derives an automata-cache key: the first
+// occurrence of a name in any document validated against d costs one
+// (process-wide cached) Compiled lookup, every later one, in this document
+// or the next, is a map read. Compilation stays lazy — a declared-but-unused
+// pathological content model costs nothing, exactly as in tree validation —
+// and an undeclared name is not remembered, so documents cannot grow the
+// memo past the declarations. Concurrent validators share it without a lock:
+// a published map is never written; adding a name publishes a copy, and a
+// copy that loses the race is built again from the winner's.
+func (d *DTD) streamTypeOf(name string) (streamType, bool) {
+	known := d.streamTypes.Load()
+	if known != nil {
+		if st, ok := (*known)[name]; ok {
+			return st, true
+		}
 	}
-	t, ok := v.d.Types[name]
+	t, ok := d.Types[name]
 	if !ok {
 		return streamType{}, false
 	}
@@ -119,8 +127,19 @@ func (v *streamValidator) typeOf(name string) (streamType, bool) {
 	if !t.PCDATA {
 		st.dfa = automata.Compiled(t.Model)
 	}
-	v.types[name] = st
-	return st, true
+	for {
+		next := make(map[string]streamType, len(d.Types))
+		if known != nil {
+			for n, k := range *known {
+				next[n] = k
+			}
+		}
+		next[name] = st
+		if d.streamTypes.CompareAndSwap(known, &next) {
+			return st, true
+		}
+		known = d.streamTypes.Load()
+	}
 }
 
 func (v *streamValidator) open(name string) error {
@@ -128,7 +147,7 @@ func (v *streamValidator) open(name string) error {
 		return &ValidationError{Path: "/" + name,
 			Msg: fmt.Sprintf("root element is %s, document type requires %s", name, v.d.Root)}
 	}
-	st, declared := v.typeOf(name)
+	st, declared := v.d.streamTypeOf(name)
 	idx := 0
 	if len(v.stack) > 0 {
 		parent := &v.stack[len(v.stack)-1]

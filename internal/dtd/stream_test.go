@@ -2,8 +2,10 @@ package dtd
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/regex"
 	"repro/internal/xmlmodel"
 )
 
@@ -90,5 +92,65 @@ func TestStreamValidationStatsAdvance(t *testing.T) {
 	}
 	if after.Events <= before.Events {
 		t.Errorf("Events did not advance: %d -> %d", before.Events, after.Events)
+	}
+}
+
+// What a name resolves to is remembered on the DTD, not per document: only
+// the names documents have used are resolved (a declared-but-unused model is
+// never compiled), an undeclared name is not remembered, and Declare makes
+// the DTD forget.
+func TestStreamTypesAreTheDTDs(t *testing.T) {
+	d := parseD1(t)
+	if d.streamTypes.Load() != nil {
+		t.Fatal("a DTD that validated nothing resolved something")
+	}
+	if err := d.ValidateStream(validDoc); err != nil {
+		t.Fatal(err)
+	}
+	known := d.streamTypes.Load()
+	if known == nil || len(*known) == 0 {
+		t.Fatal("nothing was remembered")
+	}
+	if _, resolved := (*known)["course"]; resolved || len(*known) >= len(d.Types) {
+		t.Errorf("%d of %d names resolved, course among them: %v — the document uses no course", len(*known), len(d.Types), resolved)
+	}
+	if err := d.ValidateStream(validDoc); err != nil || d.streamTypes.Load() != known {
+		t.Errorf("the same document again: err %v, memo republished: %v", err, d.streamTypes.Load() != known)
+	}
+	if err := d.ValidateStream(`<department><name>CS</name><dean>who</dean></department>`); err == nil {
+		t.Error("an undeclared element passed")
+	}
+	if _, remembered := (*d.streamTypes.Load())["dean"]; remembered {
+		t.Error("an undeclared name was remembered")
+	}
+
+	// Redeclared, a name validates under its new type.
+	d.Declare("name", M(regex.Nm("course")))
+	if err := d.ValidateStream(validDoc); err == nil || !strings.Contains(err.Error(), "has character content") {
+		t.Errorf("after Declare the old plan still validates: %v", err)
+	}
+}
+
+// Meaningful under -race: validators of one DTD value publish into its memo
+// concurrently and lose nothing.
+func TestStreamTypesConcurrently(t *testing.T) {
+	d := parseD1(t)
+	docs := []string{validDoc, `<department><name>CS</name></department>`, `<course>c</course>`}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				err := d.ValidateStream(docs[(g+i)%len(docs)])
+				if ((g+i)%len(docs) == 0) != (err == nil) {
+					t.Errorf("document %d: %v", (g+i)%len(docs), err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := d.ValidateStream(validDoc); err != nil {
+		t.Error(err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mediator"
 	"repro/internal/serve"
+	"repro/internal/xmlmodel"
 )
 
 // ClusterOptions configures a cluster smoke campaign (RunCluster): an
@@ -21,7 +22,10 @@ import (
 // the identical sources and views. The campaign asserts the distributed
 // tier's contract: every response from every node is bit-identical to
 // the single node's; sustained mixed traffic across the fleet sees zero
-// errors; and killing one node leaves views it does not own serving with
+// errors, and its forwarders revalidate the owners' unchanged documents
+// (304) instead of downloading them again; a source that changes under an
+// owner-side invalidation shows its new version on every forwarder's very
+// next read; and killing one node leaves views it does not own serving with
 // zero errors, fails replicated views over to the surviving owner, and
 // turns its unreplicated views into fast, clearly-attributed 502s — the
 // error taxonomy, not hangs.
@@ -77,6 +81,10 @@ type ClusterPhase struct {
 	// Forwarded counts responses carrying an X-Mix-Forwarded hop path —
 	// answers that crossed at least one node boundary.
 	Forwarded int64 `json:"forwarded"`
+	// NotModified counts, over the phase, the owner fetches of the nodes'
+	// forward transports that an owner answered 304: forwarded reads that
+	// found the owner's document as the forwarder last saw it.
+	NotModified int64 `json:"not_modified"`
 	// shed counts the phase's requests the open loop dropped because every
 	// in-flight slot was taken; the summary shows it, the archive's keys
 	// stay as they are.
@@ -110,6 +118,13 @@ type ClusterReport struct {
 	Load      ClusterPhase `json:"load"`
 	Survivors ClusterPhase `json:"survivors"`
 
+	// RevalidationReads / StaleReads cover the moment between the two: every
+	// source flips to its second version and is invalidated on every node,
+	// then every non-owner is read, document and query. A read that is not
+	// byte-for-byte the reference's answer over the new version is stale.
+	RevalidationReads int64 `json:"revalidation_reads"`
+	StaleReads        int64 `json:"stale_reads"`
+
 	// OrphanProbes / OrphanBadStatus cover the victim's unreplicated
 	// views after the kill: every probe must complete with 502 (a clear
 	// forwarding error), never hang or 200.
@@ -132,8 +147,9 @@ func (r *ClusterReport) Summary() string {
 	if r.FirstMismatch != "" {
 		fmt.Fprintf(&b, "    first: %s\n", r.FirstMismatch)
 	}
-	fmt.Fprintf(&b, "  load:      n=%-5d err=%-3d shed=%-3d forwarded=%d\n", r.Load.Requests, r.Load.Errors, r.Load.shed, r.Load.Forwarded)
-	fmt.Fprintf(&b, "  survivors: n=%-5d err=%-3d shed=%-3d forwarded=%d\n", r.Survivors.Requests, r.Survivors.Errors, r.Survivors.shed, r.Survivors.Forwarded)
+	fmt.Fprintf(&b, "  load:      n=%-5d err=%-3d shed=%-3d forwarded=%d not-modified=%d\n", r.Load.Requests, r.Load.Errors, r.Load.shed, r.Load.Forwarded, r.Load.NotModified)
+	fmt.Fprintf(&b, "  revalidation: %d reads after a change of every source, %d stale\n", r.RevalidationReads, r.StaleReads)
+	fmt.Fprintf(&b, "  survivors: n=%-5d err=%-3d shed=%-3d forwarded=%d not-modified=%d\n", r.Survivors.Requests, r.Survivors.Errors, r.Survivors.shed, r.Survivors.Forwarded, r.Survivors.NotModified)
 	fmt.Fprintf(&b, "  orphans:   %d probes, %d with wrong status\n", r.OrphanProbes, r.OrphanBadStatus)
 	return b.String() + trailer("cluster", r.Checks, r.Pass)
 }
@@ -152,9 +168,30 @@ type clusterFixture struct {
 	servers
 	views   []string  // view names, index-aligned with sources
 	sources []*Source // one synthesized source per view
+	// seconds[i] is the second version of sources[i]: its entries (the
+	// root's leading children; an idref-shaped root has its auctions after
+	// them) last first — as valid under the DTD as the first.
+	seconds []*xmlmodel.Document
 	queries map[string][]string
 	nodes   []*clusterNodeFix
 	single  *httptest.Server // the reference mediator
+	// second makes every mediator's copy of every source serve its second
+	// version.
+	second atomic.Bool
+}
+
+// twoVersions is a source with a second version behind a switch.
+type twoVersions struct {
+	mediator.Wrapper // the first version, and the name and schema of both
+	alt              mediator.Wrapper
+	second           *atomic.Bool
+}
+
+func (s twoVersions) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
+	if s.second.Load() {
+		return s.alt.Fetch(ctx)
+	}
+	return s.Wrapper.Fetch(ctx)
 }
 
 func newClusterFixture(o ClusterOptions) (_ *clusterFixture, err error) {
@@ -172,6 +209,14 @@ func newClusterFixture(o ClusterOptions) (_ *clusterFixture, err error) {
 			return nil, err
 		}
 		f.sources = append(f.sources, src)
+		kids := slices.Clone(src.Doc.Root.Children)
+		entries := 0
+		for entries < len(kids) && kids[entries].Name == "entry" {
+			entries++
+		}
+		slices.Reverse(kids[:entries])
+		f.seconds = append(f.seconds, &xmlmodel.Document{DocType: src.Doc.DocType,
+			Root: &xmlmodel.Element{Name: src.Doc.Root.Name, Children: kids}})
 		f.views = append(f.views, view)
 		viewsCfg[view] = 1
 		if i < o.Replicated {
@@ -235,7 +280,13 @@ func newClusterFixture(o ClusterOptions) (_ *clusterFixture, err error) {
 // cluster mode.
 func (f *clusterFixture) defineAll(m *mediator.Mediator, node *cluster.Node) error {
 	for i, src := range f.sources {
-		part, err := addStatic(m, src, nil)
+		alt, err := mediator.NewStaticSource(src.Name, f.seconds[i], src.DTD)
+		if err != nil {
+			return err
+		}
+		part, err := addStatic(m, src, func(w mediator.Wrapper) mediator.Wrapper {
+			return twoVersions{Wrapper: w, alt: alt, second: &f.second}
+		})
 		if err != nil {
 			return err
 		}
@@ -302,9 +353,15 @@ func (f *clusterFixture) equivalence(ctx context.Context, rep *ClusterReport) {
 // round-robin over the given nodes and views, read off into out.
 func (f *clusterFixture) traffic(name string, enter func(), nodes []*clusterNodeFix, views []string, out *ClusterPhase) phase {
 	var requests, failed, forwarded atomic.Int64
+	var notModifiedBefore int64
 	p := phase{
-		name:  name,
-		enter: enter,
+		name: name,
+		enter: func() {
+			if enter != nil {
+				enter()
+			}
+			notModifiedBefore = notModified(nodes)
+		},
 		fire: func(ctx context.Context, i int) {
 			view := views[i/2%len(views)]
 			method, path, body := http.MethodGet, "/views/"+view, ""
@@ -321,13 +378,69 @@ func (f *clusterFixture) traffic(name string, enter func(), nodes []*clusterNode
 			}
 		},
 		exit: func(_ context.Context, shed int) {
-			*out = ClusterPhase{Requests: requests.Load(), Errors: failed.Load(), Forwarded: forwarded.Load(), shed: shed}
+			*out = ClusterPhase{Requests: requests.Load(), Errors: failed.Load(), Forwarded: forwarded.Load(),
+				NotModified: notModified(nodes) - notModifiedBefore, shed: shed}
 		},
 	}
 	if len(nodes) == 0 || len(views) == 0 {
 		p.fire = nil // nobody left to ask, or nothing left to ask for
 	}
 	return p
+}
+
+// notModified sums the nodes' counts of owner fetches answered 304.
+func notModified(nodes []*clusterNodeFix) (n int64) {
+	for _, node := range nodes {
+		n += node.node.Metrics().NotModified
+	}
+	return n
+}
+
+// revalidation changes every source under the fleet's feet and reads every
+// view through every node that does not own it, at once: each source flips
+// to its second version and is invalidated on every node (and on the
+// reference), then each forwarder is asked for the document and for a query
+// answer. The forwarders hold the owners' previous documents and the tags
+// they came under; an answer that is not the reference's over the new
+// version — or a reference that did not change — is a stale read.
+func (f *clusterFixture) revalidation(ctx context.Context, rep *ClusterReport) {
+	before := map[string]string{}
+	for _, view := range f.views {
+		if ref, err := send(ctx, http.MethodGet, f.single.URL+"/views/"+view, ""); err == nil {
+			before[view] = ref.body
+		}
+	}
+	f.second.Store(true)
+	for i := range f.sources {
+		body := fmt.Sprintf(`{"source": %q}`, f.sources[i].Name)
+		for _, srv := range f.servers { // the reference and every node
+			if resp, err := send(ctx, http.MethodPost, srv.URL+"/invalidate", body); err != nil || resp.status != http.StatusOK {
+				rep.StaleReads++ // an invalidation that did not land leaves every read of it stale
+			}
+		}
+	}
+	for _, view := range f.views {
+		for _, p := range []Op{
+			{Method: http.MethodGet, Path: "/views/" + view},
+			{Method: http.MethodPost, Path: "/views/" + view + "/query", Body: f.queries[view][0]},
+		} {
+			ref, err := send(ctx, p.Method, f.single.URL+p.Path, p.Body)
+			if err != nil || ref.status != http.StatusOK || p.Method == http.MethodGet && ref.body == before[view] {
+				rep.StaleReads++
+				continue
+			}
+			for _, n := range f.nodes {
+				if n.node.Owns(view) {
+					continue
+				}
+				rep.RevalidationReads++
+				got, err := send(ctx, p.Method, n.srv.URL+p.Path, p.Body)
+				if err != nil || got.status != http.StatusOK || got.body != ref.body || got.header.Get(mediator.ForwardHeader) == "" {
+					rep.StaleReads++
+				}
+			}
+		}
+	}
 }
 
 // pickVictim chooses the node to kill: among the owners of view 0 (the
@@ -398,6 +511,7 @@ func RunCluster(ctx context.Context, opts ClusterOptions) (*ClusterReport, error
 	err = runPhases(ctx, o.RPS, o.Phase, []phase{
 		{name: "equivalence", exit: func(ctx context.Context, _ int) { f.equivalence(ctx, rep) }},
 		f.traffic("load", nil, f.nodes, f.views, &rep.Load),
+		{name: "revalidation", exit: func(ctx context.Context, _ int) { f.revalidation(ctx, rep) }},
 		f.traffic("survivors", func() {
 			victim.srv.CloseClientConnections()
 			victim.srv.Close()
@@ -426,6 +540,8 @@ func RunCluster(ctx context.Context, opts ClusterOptions) (*ClusterReport, error
 	v.atLeast("equivalence.checks", float64(o.Nodes*o.Views), float64(rep.EquivalenceChecks))
 	v.atMost("load.errors", 0, float64(rep.Load.Errors))
 	v.atLeast("load.forwarded", 1, float64(rep.Load.Forwarded))
+	v.atLeast("load.not_modified", 1, float64(rep.Load.NotModified))
+	v.atMost("revalidation.stale_reads", 0, float64(rep.StaleReads))
 	v.atMost("survivors.errors", 0, float64(rep.Survivors.Errors))
 	v.atMost("orphans.bad_status", 0, float64(rep.OrphanBadStatus))
 	return rep, nil

@@ -14,7 +14,8 @@ import (
 // campaign — the same harness `make cluster-smoke` gates CI on, with
 // phases short enough for a unit test. The checks inside the report ARE
 // the assertions (bit-equivalence with the single-node mediator, zero
-// errors fleet-wide, kill-one-node survival, orphan error taxonomy);
+// errors fleet-wide, revalidated hops and fresh reads after a change,
+// kill-one-node survival, orphan error taxonomy);
 // the test additionally pins the report's structural contract.
 func TestRunClusterSmoke(t *testing.T) {
 	if testing.Short() {
@@ -37,6 +38,12 @@ func TestRunClusterSmoke(t *testing.T) {
 	if rep.Load.Requests == 0 || rep.Load.Forwarded == 0 {
 		t.Errorf("load phase drove %d requests, %d forwarded — forwarding never exercised",
 			rep.Load.Requests, rep.Load.Forwarded)
+	}
+	if rep.Load.NotModified == 0 {
+		t.Error("no forwarded read of the load phase was answered 304: the hop never revalidated")
+	}
+	if rep.RevalidationReads < int64(rep.Views) || rep.StaleReads != 0 {
+		t.Errorf("after every source changed: %d forwarded reads, %d stale", rep.RevalidationReads, rep.StaleReads)
 	}
 	if rep.Survivors.Requests == 0 || rep.Survivors.Errors != 0 {
 		t.Errorf("survivor phase: %d requests, %d errors", rep.Survivors.Requests, rep.Survivors.Errors)

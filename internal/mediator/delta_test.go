@@ -232,7 +232,7 @@ func TestPartCacheSharedAcrossMasks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := m.materializeMasked(ctx, v, []bool{true, false}); err != nil {
+	if _, _, err := m.materializeMasked(ctx, v, []bool{true, false}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if got := fetchCounts(faults); got[0] != 1 || got[1] != 0 {
@@ -274,7 +274,7 @@ func TestPartCacheSharedAcrossMasks(t *testing.T) {
 		}
 	}
 	masks(func(mask int, keep []bool) {
-		if _, _, err := m.materializeMasked(ctx, v, keep); err != nil {
+		if _, _, err := m.materializeMasked(ctx, v, keep, ""); err != nil {
 			t.Fatalf("mask %06b: %v", mask, err)
 		}
 	})
@@ -296,7 +296,7 @@ func TestPartCacheSharedAcrossMasks(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := fetchCounts(faults)
-		if _, _, err := m.materializeMasked(ctx, v, keep); err != nil {
+		if _, _, err := m.materializeMasked(ctx, v, keep, ""); err != nil {
 			t.Fatalf("mask %06b: %v", mask, err)
 		}
 		for i, n := range fetchCounts(faults) {

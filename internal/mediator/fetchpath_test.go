@@ -162,8 +162,10 @@ func TestFetchAllocations(t *testing.T) {
 	if large-small > 40 {
 		t.Errorf("fetching %d bytes costs %v allocs more than fetching %d (%v, %v): the cost follows the document", largeSize, large-small, smallSize, large, small)
 	}
-	if small > 250 {
-		t.Errorf("a warm fetch of %d bytes: %v allocs, want ≤ 250", smallSize, small)
+	// Measured 102 (112 under -race): the stream validator's per-name plans
+	// are the DTD's now, not each document's.
+	if small > 130 {
+		t.Errorf("a warm fetch of %d bytes: %v allocs, want ≤ 130", smallSize, small)
 	}
 }
 

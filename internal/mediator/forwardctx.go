@@ -27,7 +27,10 @@ const ForwardHeader = "X-Mix-Forwarded"
 //   - Response side: the Provenance (X-Mix-Degraded/Pruned/Stale source
 //     taxonomy) and the peer's own X-Mix-Forwarded echo are captured from
 //     successful responses, so the forwarding node can pass the owner's
-//     headers through to its client instead of erasing them at the hop.
+//     headers through to its client instead of erasing them at the hop —
+//     and, from a fetch that returned a document, the tag the peer sent
+//     that document under, so the forwarding node's answer carries the
+//     owner's validator.
 //
 // The capture is mutex-guarded because hedged reads may have two replica
 // requests in flight; whichever responses arrive are recorded (the
@@ -41,6 +44,12 @@ type ForwardInfo struct {
 	mu   sync.Mutex
 	prov Provenance
 	via  []string
+	// tag is the peer's ETag of the one document fetched under this info;
+	// docs counts the documents. Two documents under different tags (hedged
+	// owners both answered) leave no tag: which one is served is not known
+	// here.
+	tag  string
+	docs int
 }
 
 // forwardKey is the context key for a *ForwardInfo.
@@ -78,6 +87,31 @@ func (fi *ForwardInfo) Provenance() Provenance {
 		PrunedSources:   slices.Clone(fi.prov.PrunedSources),
 		StaleSources:    slices.Clone(fi.prov.StaleSources),
 	}
+}
+
+// noteDocument records that a fetch under fi returned a document the peer
+// sent (or confirmed) under tag, "" when it sent none. Nil-safe.
+func (fi *ForwardInfo) noteDocument(tag string) {
+	if fi == nil {
+		return
+	}
+	fi.mu.Lock()
+	if fi.docs == 0 {
+		fi.tag = tag
+	} else if fi.tag != tag {
+		fi.tag = ""
+	}
+	fi.docs++
+	fi.mu.Unlock()
+}
+
+// Tag returns the peer's validator of the document fetched under fi, or ""
+// when there is none to relay: the peer sent no ETag, no document was
+// fetched, or more than one was, under different tags.
+func (fi *ForwardInfo) Tag() string {
+	fi.mu.Lock()
+	defer fi.mu.Unlock()
+	return fi.tag
 }
 
 // Via returns the peer's echoed hop path, if any response carried one.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/dtd"
+	"repro/internal/obs"
 	"repro/internal/xmlmodel"
 )
 
@@ -46,6 +47,20 @@ const (
 // It is not retryable: the remote will answer the same way again.
 var ErrBodyTooLarge = errors.New("response body exceeds 16 MiB limit")
 
+// StatusError is a remote's answer with a status the request cannot use:
+// anything but 200 (and 304 to a conditional request). Callers that route on
+// the upstream status — internal/serve keeps a peer's 421 a 421 — take it
+// from here with errors.As, not from the message.
+type StatusError struct {
+	URL    string
+	Status int
+	Body   string // trimmed
+}
+
+func (e *StatusError) Error() string {
+	return fmt.Sprintf("GET %s: %d: %s", e.URL, e.Status, e.Body)
+}
+
 // HTTPSource is a wrapper over a remote mediator view served over HTTP
 // (see internal/serve): the distributed form of mediator stacking. The
 // remote view's *inferred* DTD becomes this source's schema — exactly the
@@ -70,6 +85,12 @@ type HTTPSource struct {
 	maxBackoff  time.Duration
 	retryBudget *RetryBudget
 	retries     atomic.Int64
+	// kept is the last document the remote sent under an ETag, with that
+	// tag: one pair, swapped whole, stored only once the document had passed
+	// every check of Fetch. The next Fetch asks with the tag, and a 304
+	// answers it with the document. A remote that sends no ETag leaves it nil.
+	kept        atomic.Pointer[keptDocument]
+	notModified atomic.Int64
 	// rawDTD is the remote /dtd response exactly as received. The cluster
 	// tier serves it verbatim on forwarded DTD requests, so a forwarded
 	// response is bit-identical to the owner's even if a parse/print
@@ -83,6 +104,12 @@ type HTTPSource struct {
 	// sleep waits between retries (honoring ctx); tests inject a stub to
 	// observe the requested delays without actually waiting.
 	sleep func(ctx context.Context, d time.Duration) error
+}
+
+// keptDocument is a validated document and the tag the remote sent it under.
+type keptDocument struct {
+	tag string
+	doc *xmlmodel.Document
 }
 
 // HTTPOption configures an HTTPSource.
@@ -166,10 +193,11 @@ func NewHTTPSourceContext(ctx context.Context, client *http.Client, baseURL, vie
 	for _, opt := range opts {
 		opt(s)
 	}
-	body, err := s.get(ctx, s.viewURL+"/dtd")
+	resp, err := s.get(ctx, s.viewURL+"/dtd", "")
 	if err != nil {
 		return nil, fmt.Errorf("mediator: fetching remote view DTD: %w", err)
 	}
+	body := resp.body
 	d, err := dtd.Parse(body)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: remote view DTD unparseable: %w", err)
@@ -190,7 +218,8 @@ func (s *HTTPSource) SchemaText() string { return s.rawDTD }
 // cluster tier uses it to pass through endpoints whose payload the
 // forwarding node cannot reconstruct from the schema and document alone.
 func (s *HTTPSource) GetPath(ctx context.Context, suffix string) (string, error) {
-	return s.get(ctx, s.viewURL+suffix)
+	resp, err := s.get(ctx, s.viewURL+suffix, "")
+	return resp.body, err
 }
 
 // Name implements Wrapper; it is the view's URL, which doubles as a
@@ -205,7 +234,10 @@ func (s *HTTPSource) Schema() *dtd.DTD { return s.schema }
 func (s *HTTPSource) Retries() int64 { return s.retries.Load() }
 
 // Report implements Reporter.
-func (s *HTTPSource) Report(r *SourceReport) { r.Retries += s.Retries() }
+func (s *HTTPSource) Report(r *SourceReport) {
+	r.Retries += s.Retries()
+	r.NotModified += s.notModified.Load()
+}
 
 // Fetch implements Wrapper: it retrieves the materialized remote view and
 // validates it against the remote-provided schema before handing it to the
@@ -217,11 +249,29 @@ func (s *HTTPSource) Report(r *SourceReport) { r.Retries += s.Retries() }
 // fetch too; the DTD that subset declares is never used (the schema is the
 // one fetched at construction), so a subset whose text matches the last
 // one that parsed cleanly is not parsed again.
+//
+// The hop revalidates: when the remote sent the last document under an
+// ETag, Fetch asks with it (If-None-Match), and a 304 is answered with that
+// document — the one that passed all of the above when it arrived; what
+// Fetch returns is read-only to every caller, so it can be returned again.
+// Every Fetch still asks the remote, so nothing is served that the remote
+// would not serve now.
 func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
-	body, err := s.get(ctx, s.viewURL)
+	kept, held := s.kept.Load(), ""
+	if kept != nil {
+		held = kept.tag
+	}
+	resp, err := s.get(ctx, s.viewURL, held)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: fetching remote view: %w", err)
 	}
+	if resp.status == http.StatusNotModified {
+		s.notModified.Add(1)
+		obs.SetAttr(ctx, obs.Bool("not_modified", true))
+		ForwardInfoFrom(ctx).noteDocument(kept.tag)
+		return kept.doc, nil
+	}
+	body := resp.body
 	if err := s.schema.ValidateStream(body); err != nil {
 		var perr *xmlmodel.ParseError
 		if errors.As(err, &perr) {
@@ -244,7 +294,20 @@ func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 			s.okSubset.Store(&subset)
 		}
 	}
+	if resp.etag != "" {
+		s.kept.Store(&keptDocument{tag: resp.etag, doc: doc})
+	} else if kept != nil {
+		s.kept.Store(nil)
+	}
+	ForwardInfoFrom(ctx).noteDocument(resp.etag)
 	return doc, nil
+}
+
+// response is what one GET brought back.
+type response struct {
+	status int
+	body   string
+	etag   string
 }
 
 // get performs a GET with bounded retries: transport errors and 5xx
@@ -252,40 +315,43 @@ func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 // equal-jitter randomization so a fleet of sources retrying the same dead
 // remote does not synchronize) and retry up to maxRetries times; any
 // other non-200, and an oversized body (ErrBodyTooLarge), fail
-// immediately. Cancellation of ctx cuts both the in-flight request (via
-// the request context) and the backoff sleeps.
-func (s *HTTPSource) get(ctx context.Context, url string) (string, error) {
+// immediately with a *StatusError. A non-empty held makes the request
+// conditional (If-None-Match), and only then is a 304 an answer; one nobody
+// asked for fails like any other unusable status. Cancellation of ctx cuts
+// both the in-flight request (via the request context) and the backoff
+// sleeps.
+func (s *HTTPSource) get(ctx context.Context, url, held string) (response, error) {
 	var lastErr error
 	backoff := s.backoff
 	if backoff > s.maxBackoff {
 		backoff = s.maxBackoff
 	}
 	for attempt := 0; ; attempt++ {
-		body, status, err := s.tryGet(ctx, url)
+		resp, err := s.tryGet(ctx, url, held)
 		switch {
 		case errors.Is(err, ErrBodyTooLarge):
-			return "", fmt.Errorf("GET %s: %w", url, err)
+			return response{}, fmt.Errorf("GET %s: %w", url, err)
 		case err != nil:
 			lastErr = err
-		case status == http.StatusOK:
-			return body, nil
-		case status >= 500:
-			lastErr = fmt.Errorf("GET %s: %d: %s", url, status, strings.TrimSpace(body))
+		case resp.status == http.StatusOK, resp.status == http.StatusNotModified && held != "":
+			return resp, nil
+		case resp.status >= 500:
+			lastErr = &StatusError{URL: url, Status: resp.status, Body: strings.TrimSpace(resp.body)}
 		default:
-			return "", fmt.Errorf("GET %s: %d: %s", url, status, strings.TrimSpace(body))
+			return response{}, &StatusError{URL: url, Status: resp.status, Body: strings.TrimSpace(resp.body)}
 		}
 		// Give up without sleeping when no retry can follow: the retry
 		// count is exhausted, the caller's context is already done (a
 		// cancelled fetch must not burn a full backoff first), or the
 		// retry budget is dry (a brownout must not be amplified).
 		if attempt >= s.maxRetries || ctx.Err() != nil {
-			return "", lastErr
+			return response{}, lastErr
 		}
 		if s.retryBudget != nil && !s.retryBudget.Allow() {
-			return "", lastErr
+			return response{}, lastErr
 		}
 		if s.sleep(ctx, jitter(backoff)) != nil {
-			return "", lastErr
+			return response{}, lastErr
 		}
 		if backoff <= s.maxBackoff/2 {
 			backoff *= 2 // doubling past maxBackoff/2 would exceed the cap
@@ -305,10 +371,10 @@ func jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-func (s *HTTPSource) tryGet(ctx context.Context, url string) (string, int, error) {
+func (s *HTTPSource) tryGet(ctx context.Context, url, held string) (response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return "", 0, err
+		return response{}, err
 	}
 	fi := ForwardInfoFrom(ctx)
 	if fi != nil && len(fi.Hops) > 0 {
@@ -316,21 +382,29 @@ func (s *HTTPSource) tryGet(ctx context.Context, url string) (string, int, error
 		// loops (421, not retried — the path would be the same next time).
 		req.Header.Set(ForwardHeader, strings.Join(fi.Hops, ","))
 	}
+	if held != "" {
+		req.Header.Set("If-None-Match", held)
+	}
+	if id := obs.TraceID(ctx); id != "" {
+		// The peer adopts it (obs.StartRequest): both ends of the hop file
+		// their trace under one ID.
+		req.Header.Set(obs.TraceHeader, id)
+	}
 	resp, err := s.client.Do(req)
 	if err != nil {
-		return "", 0, err
+		return response{}, err
 	}
 	defer resp.Body.Close()
 	body, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
-		return "", resp.StatusCode, err
+		return response{status: resp.StatusCode}, err
 	}
-	if fi != nil && resp.StatusCode == http.StatusOK {
+	if fi != nil && (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified) {
 		// Capture the peer's pruned/degraded/stale taxonomy so the
 		// forwarding node passes it through instead of erasing it.
 		fi.record(resp.Header)
 	}
-	return body, resp.StatusCode, nil
+	return response{status: resp.StatusCode, body: body, etag: resp.Header.Get("ETag")}, nil
 }
 
 // readBufs pools the chunk readBody reads through, as xmlmodel pools the

@@ -147,6 +147,9 @@ type View struct {
 	Degraded        bool
 	DegradedReason  string
 	DegradedSources []string
+
+	// tagPrefix is everything of the view's tags but the generations (tag.go).
+	tagPrefix string
 }
 
 // QueryStats reports how a query against a view was executed.
@@ -172,6 +175,13 @@ type QueryStats struct {
 // MaterializeInfo reports how a materialization went beyond its document.
 type MaterializeInfo struct {
 	Provenance
+	// Tag identifies the document's content (tag.go). Only a complete
+	// materialization has one: every part of the view, none dropped, none
+	// stale. Equal tags mean byte-equal documents.
+	Tag string
+	// NotModified: the caller's tag (MaterializeIfChanged) is still the
+	// view's, so no document was built; Tag is that tag.
+	NotModified bool
 }
 
 // partCalc is one computation of a view part — fetch its source, evaluate
@@ -196,6 +206,15 @@ func (c *partCalc) finished() bool {
 	default:
 		return false
 	}
+}
+
+// plannedPart is one kept part of a materialization under way.
+type plannedPart struct {
+	calc      *partCalc
+	lead, hit bool // this call runs calc / calc had finished when planned
+	w         Wrapper
+	res       partResult
+	gen       uint64 // of the calc res came from (what the tag says)
 }
 
 // partResult is what one part contributes to a materialization.
@@ -236,6 +255,8 @@ type Mediator struct {
 	// plans memoizes the static analysis of each distinct (view, query) —
 	// see plan.go. It is the mediator's own, so it dies with it.
 	plans *cache.Cache
+	// nonce sets this mediator's tags apart from every other's (tag.go).
+	nonce string
 
 	stats statsCounters
 }
@@ -250,6 +271,7 @@ func New(name string) *Mediator {
 		slots:    map[string][]*partCalc{},
 		deps:     map[string]map[string]bool{},
 		plans:    cache.New(planMemoCapacity),
+		nonce:    newNonce(),
 	}
 }
 
@@ -327,7 +349,7 @@ func (m *Mediator) DefineUnionView(name string, parts []ViewPart) (*View, error)
 	if _, dup := m.views[name]; dup {
 		return nil, fmt.Errorf("mediator: view %s already defined", name)
 	}
-	v := &View{Name: name}
+	v := &View{Name: name, tagPrefix: tagPrefixFor(m.nonce, name)}
 	// One budget for the whole view definition: the parts share the limits,
 	// so a pathological source DTD cannot starve its siblings of nothing —
 	// whatever it consumes, the remaining parts degrade soundly too.
@@ -446,40 +468,47 @@ func (m *Mediator) Materialize(ctx context.Context, viewName string) (*xmlmodel.
 // view — and the info says so. A dropped part is never cached, so the
 // first materialization after the breaker closes is complete again.
 func (m *Mediator) MaterializeInfo(ctx context.Context, viewName string) (*xmlmodel.Document, *MaterializeInfo, error) {
+	return m.MaterializeIfChanged(ctx, viewName, "")
+}
+
+// MaterializeIfChanged is MaterializeInfo for a caller that may already hold
+// the document: ifNoneMatch is the value of an If-None-Match header (see
+// TagListed). When it names the tag the view's materialization would carry
+// now — every part cached, at its source's current generation — no document
+// is built: the result is a nil document and an info saying NotModified.
+// That is decided where a cache hit is, and counted and traced as one.
+func (m *Mediator) MaterializeIfChanged(ctx context.Context, viewName, ifNoneMatch string) (*xmlmodel.Document, *MaterializeInfo, error) {
 	v, err := m.View(viewName)
 	if err != nil {
 		return nil, nil, err
 	}
-	return m.materializeMasked(ctx, v, keepAll(v))
+	return m.materializeMasked(ctx, v, nil, ifNoneMatch)
 }
 
-// keepAll is the keep mask of an unpruned materialization.
+// keepAll is the keep mask of a query's materialization that prunes nothing.
 func keepAll(v *View) []bool { return slices.Repeat([]bool{true}, len(v.Parts)) }
 
 // materializeMasked builds the view document from the parts selected by
 // keep, concatenated in part order so the document is deterministic
 // regardless of scheduling. Masked-out parts are never fetched — no
 // goroutine, no breaker interaction, no retry; that is the point of
-// pruning. Under m.mu each kept part is resolved to its slot's calc: a
-// finished one is reused without touching the source (delta maintenance:
-// after InvalidateSource only the parts over that source are stale), a
-// running one is joined, and a stale or empty slot gets a new calc this
-// call runs. The first part failure cancels this call's sibling fetches —
-// except a breaker-open rejection (ErrBreakerOpen), which drops just that
-// part and lets the siblings complete: a dead source degrades the view,
-// it does not take it down.
-func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool) (*xmlmodel.Document, *MaterializeInfo, error) {
-	type plannedPart struct {
-		calc      *partCalc
-		lead, hit bool // this call runs calc / calc had finished when planned
-		w         Wrapper
-		res       partResult
-	}
+// pruning. A nil keep is the whole view, and only then does the result carry
+// a tag (or come back NotModified, when ifNoneMatch names it): a query's
+// materialization, masked or not, renders none. Under m.mu each kept part
+// is resolved to its slot's calc: a finished one is reused without touching
+// the source (delta maintenance: after InvalidateSource only the parts over
+// that source are stale), a running one is joined, and a stale or empty slot
+// gets a new calc this call runs. The first part failure cancels this
+// call's sibling fetches — except a breaker-open rejection
+// (ErrBreakerOpen), which drops just that part and lets the siblings
+// complete: a dead source degrades the view, it does not take it down.
+func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool, ifNoneMatch string) (*xmlmodel.Document, *MaterializeInfo, error) {
+	whole := keep == nil
 	parts := make([]plannedPart, len(v.Parts))
 	var leads, joins int
 	m.mu.Lock()
 	for i := range v.Parts {
-		if !keep[i] {
+		if !whole && !keep[i] {
 			continue
 		}
 		p := &parts[i]
@@ -489,7 +518,7 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool) 
 		case p.lead:
 			leads++
 		case p.calc.finished():
-			p.hit, p.res = true, p.calc.res
+			p.hit, p.res, p.gen = true, p.calc.res, p.calc.gen
 		default:
 			joins++
 		}
@@ -515,6 +544,14 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool) 
 	default:
 		m.stats.add(&m.stats.CacheHits, 1)
 		obs.AddEvent(ctx, "materialize.cache_hit", obs.String("view", v.Name))
+		// Every part a finished calc of its source's current generation (and
+		// a calc still in its slot when finished is complete — runPart): the
+		// critical section has established what the document would be.
+		if whole && ifNoneMatch != "" {
+			if tag := v.tagOf(parts); TagListed(ifNoneMatch, tag) {
+				return nil, &MaterializeInfo{Tag: tag, NotModified: true}, nil
+			}
+		}
 	}
 
 	start := time.Now()
@@ -522,13 +559,13 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool) 
 	defer cancel()
 	var wg sync.WaitGroup
 	for i := range parts {
-		if !keep[i] || parts[i].hit {
+		if !whole && !keep[i] || parts[i].hit {
 			continue
 		}
 		wg.Add(1)
 		go func(i int, p *plannedPart) {
 			defer wg.Done()
-			p.res = m.resolvePart(pctx, v, i, p.w, p.calc, p.lead)
+			p.res, p.gen = m.resolvePart(pctx, v, i, p.w, p.calc, p.lead)
 			if p.res.err != nil {
 				cancel() // abandon sibling fetches: the view cannot complete
 			}
@@ -554,10 +591,10 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool) 
 		return nil, nil, firstErr
 	}
 
-	info := &MaterializeInfo{Provenance{PrunedSources: pruned}}
+	info := &MaterializeInfo{Provenance: Provenance{PrunedSources: pruned}}
 	root := &xmlmodel.Element{Name: v.Name}
 	for i, p := range parts {
-		if !keep[i] {
+		if !whole && !keep[i] {
 			continue
 		}
 		src := v.Parts[i].Source
@@ -573,6 +610,9 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool) 
 	}
 	sort.Strings(info.DegradedSources)
 	sort.Strings(info.StaleSources)
+	if whole && !info.Degraded && len(info.StaleSources) == 0 {
+		info.Tag = v.tagOf(parts)
+	}
 	if info.Degraded {
 		m.stats.add(&m.stats.DegradedMaterializations, 1)
 		obs.AddEvent(ctx, "materialize.degraded",
@@ -623,20 +663,22 @@ func (m *Mediator) claimLocked(v *View, i int) (c *partCalc, lead bool) {
 // because the caller running it gave up (that caller's client left, or a
 // sibling part of its materialization failed) says nothing about the
 // source, so a waiter whose own ctx is alive claims the part again instead
-// of inheriting the cancellation.
-func (m *Mediator) resolvePart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc, lead bool) partResult {
+// of inheriting the cancellation. The generation returned is that of the
+// calc the result came from — the one the caller ended on, not necessarily
+// the one it was planned with.
+func (m *Mediator) resolvePart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc, lead bool) (partResult, uint64) {
 	for {
 		if lead {
 			m.runPart(ctx, v, i, w, c)
-			return c.res
+			return c.res, c.gen
 		}
 		select {
 		case <-c.done:
 		case <-ctx.Done():
-			return partResult{err: ctx.Err()}
+			return partResult{err: ctx.Err()}, 0
 		}
 		if !c.abandoned || ctx.Err() != nil {
-			return c.res
+			return c.res, c.gen
 		}
 		m.mu.Lock()
 		c, lead = m.claimLocked(v, i)
@@ -711,6 +753,9 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper) (res partResult) {
 // prunedSources lists the source names of masked-out parts, sorted and
 // deduplicated (a source is pruned only if every one of its parts is).
 func prunedSources(v *View, keep []bool) []string {
+	if keep == nil {
+		return nil // the whole view
+	}
 	var out []string
 	for i, p := range v.Parts {
 		if keep[i] || slices.Contains(out, p.Source) {
@@ -812,7 +857,7 @@ func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*
 			return engine.EmptyResult(q), stats, nil
 		}
 	}
-	doc, info, err := m.materializeMasked(ctx, v, plan.keep)
+	doc, info, err := m.materializeMasked(ctx, v, plan.keep, "")
 	if err != nil {
 		return nil, nil, err
 	}

@@ -376,6 +376,12 @@ func (r *ReplicaSet) storeLKG(doc *xmlmodel.Document) {
 	if r.opts.DisableStaleServe || doc == nil {
 		return
 	}
+	r.mu.Lock()
+	same := r.lkg == doc
+	r.mu.Unlock()
+	if same {
+		return // a replica confirmed (304) the document already checked and kept
+	}
 	if r.schema != nil && r.schema.Validate(doc) != nil {
 		return
 	}

@@ -77,6 +77,10 @@ type Stats struct {
 	// wrappers (HTTPSource), wherever in a decorator stack they sit — as do
 	// the breaker and replica totals below; see SourceReport.
 	Retries int64 `json:"retries" metric:"mix_wrapper_retries_total" help:"Transient-failure retries across retry-aware wrappers."`
+	// NotModified sums the fetches a remote answered 304 Not Modified: the
+	// wrapper (HTTPSource) returned the document it had already validated
+	// and nothing was shipped, scanned or parsed.
+	NotModified int64 `json:"not_modified" metric:"mix_wrapper_not_modified_total" help:"Remote fetches answered 304 Not Modified (the validated document was reused)."`
 
 	// DegradedViews counts view definitions whose DTD inference exhausted
 	// its budget and registered a sound-but-looser DTD;
@@ -265,6 +269,7 @@ func (m *Mediator) Stats() Stats {
 
 	rep := m.sourceReport()
 	out.Retries = rep.Retries
+	out.NotModified = rep.NotModified
 	out.BreakerTrips = rep.BreakerTrips
 	out.BreakerRejections = rep.BreakerRejections
 	for _, rs := range rep.Replicas {
@@ -289,6 +294,7 @@ func (m *Mediator) ReplicaStatuses() map[string]ReplicaSetStatus {
 // wrapper, implements Reporter.
 type SourceReport struct {
 	Retries           int64
+	NotModified       int64
 	BreakerTrips      int64
 	BreakerRejections int64
 	// Replicas has one status per ReplicaSet, outermost first.

@@ -75,6 +75,11 @@ func spanFromContext(ctx context.Context) *Span {
 	return s
 }
 
+// TraceHeader is the HTTP header that carries a trace ID: internal/serve
+// reads and echoes it, and a mediator fetching from a peer (HTTPSource)
+// sends its own, so the two ends of a hop share one ID.
+const TraceHeader = "X-Mix-Trace-Id"
+
 // TraceID returns the trace ID carried by the context, or "" when the
 // request is untraced.
 func TraceID(ctx context.Context) string { return spanFromContext(ctx).TraceID() }
@@ -146,6 +151,12 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context
 // when the request is untraced.
 func AddEvent(ctx context.Context, name string, attrs ...Attr) {
 	spanFromContext(ctx).Event(name, attrs...)
+}
+
+// SetAttr attaches attributes to the context's current span; no-op when
+// the request is untraced.
+func SetAttr(ctx context.Context, attrs ...Attr) {
+	spanFromContext(ctx).SetAttr(attrs...)
 }
 
 // AddCount adds n to a coalesced counter on the context's current span.

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -66,9 +67,10 @@ func (h *Handler) forwarded(w http.ResponseWriter, r *http.Request, name string)
 // misdirection is visible end to end.
 func (h *Handler) forwardError(w http.ResponseWriter, name string, err error) {
 	status := http.StatusBadGateway
-	// The owner's status as HTTPSource reports it ("GET url: 421: body") —
-	// not any "421", which an ephemeral port of a dead owner also contains.
-	if strings.Contains(err.Error(), ": 421: ") {
+	// The owner's status as HTTPSource reports it — not any "421" in the
+	// text, which a dead owner's ephemeral port or a view's name can hold.
+	var upstream *mediator.StatusError
+	if errors.As(err, &upstream) && upstream.Status == http.StatusMisdirectedRequest {
 		status = http.StatusMisdirectedRequest
 	}
 	http.Error(w, fmt.Sprintf("cluster: forwarding view %q failed: %v", name, err), status)
@@ -96,14 +98,23 @@ func (h *Handler) setForwardHeaders(w http.ResponseWriter, fi *mediator.ForwardI
 // forwardView answers GET /views/{name} for a non-owned view: fetch the
 // owner-materialized document (validated in flight against the owner's
 // inferred DTD) and serve it under the owner's DTD text, byte-for-byte
-// what the owner itself would have served.
-func (h *Handler) forwardView(w http.ResponseWriter, fwd *cluster.Forward, ctx context.Context, fi *mediator.ForwardInfo) {
+// what the owner itself would have served — under the owner's ETag too, so
+// a client's If-None-Match gets the 304 here that it would get there. A
+// last-known-good serve relays no tag: no owner vouched for it.
+func (h *Handler) forwardView(w http.ResponseWriter, r *http.Request, fwd *cluster.Forward, ctx context.Context, fi *mediator.ForwardInfo) {
 	doc, stale, err := fwd.Fetch(ctx)
 	if err != nil {
 		h.forwardError(w, fwd.View(), err)
 		return
 	}
 	h.setForwardHeaders(w, fi, fwd, stale)
+	tag := fi.Tag()
+	if stale {
+		tag = ""
+	}
+	if notModified(w, tag, tag != "" && mediator.TagListed(r.Header.Get("If-None-Match"), tag)) {
+		return
+	}
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 	writeAnswer(w, fwd.SchemaText(), doc.Root)
 }

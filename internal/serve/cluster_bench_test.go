@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -69,5 +70,68 @@ func BenchmarkForwardHopWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchGet(b, front.URL+"/views/members")
+	}
+}
+
+// BenchmarkForwardHopChanged is the other side of the warm hop: the owner's
+// source is invalidated before every request, so the forwarder's conditional
+// fetch finds a new tag each time and the owner's document is shipped,
+// validated and parsed — what every warm hop cost before the hop revalidated.
+func BenchmarkForwardHopChanged(b *testing.B) {
+	owner, med := newServerAndMediator(b)
+	front := httptest.NewServer(New(mediator.New("bench-med"), WithCluster(benchForwarder(b, owner.URL))))
+	defer front.Close()
+	benchGet(b, front.URL+"/views/members")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := med.InvalidateSource("cs-dept"); err != nil {
+			b.Fatal(err)
+		}
+		benchGet(b, front.URL+"/views/members")
+	}
+}
+
+// TestForwardHopNotModifiedAllocs ratchets the revalidated hop: a warm
+// forwarded GET and a warm forwarded query, the owner's document unchanged,
+// counted from the forwarder's handler in (the owner answers over loopback in
+// this process, so its 304 is in the count too). Measured 165 and 180 (176
+// and 189 under -race, which `make race` runs this with); the same requests
+// against an owner invalidated every time measure 241 and 256.
+func TestForwardHopNotModifiedAllocs(t *testing.T) {
+	owner, _ := newServerAndMediator(t)
+	node, err := cluster.NewNode(cluster.Config{
+		Self:   "beta",
+		Nodes:  map[string]string{"alpha": owner.URL, "beta": ""},
+		Pinned: map[string][]string{"members": {"alpha"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(mediator.New("beta-med"), WithCluster(node))
+	const q = `r = SELECT P WHERE <members> P:<professor/> </members>`
+	for _, c := range []struct {
+		name, method, path, body string
+		ceiling                  float64
+	}{
+		{"GET", http.MethodGet, "/views/members", "", 185},
+		{"query", http.MethodPost, "/views/members/query", q, 200},
+	} {
+		do := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+			if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
+				t.Fatalf("%s: %d %s", c.name, rec.Code, rec.Body)
+			}
+		}
+		do() // builds the transport, fetches the document, keeps the pair
+		before := node.Metrics().NotModified
+		n := testing.AllocsPerRun(50, do)
+		if got := node.Metrics().NotModified - before; got != 51 {
+			t.Fatalf("%s: %d of 51 forwarded reads were not modified", c.name, got)
+		}
+		t.Logf("warm forwarded %s: %v allocs", c.name, n)
+		if n > c.ceiling {
+			t.Errorf("warm forwarded %s: %v allocs, want ≤ %v", c.name, n, c.ceiling)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -281,17 +282,41 @@ func TestClusterUnknownViewStays404(t *testing.T) {
 	}
 }
 
-// TestForwardErrorStatus: only the owner's own 421 stays a 421; an owner
-// that is down is a 502 whatever digits its address happens to contain.
+// TestForwardErrorStatus: only the owner's own 421 stays a 421, and it is
+// read off the typed upstream status, however deeply wrapped — never off the
+// text, where an address, a port or a view's name can say "421" too.
 func TestForwardErrorStatus(t *testing.T) {
-	for msg, want := range map[string]int{
-		`GET http://127.0.0.1:8080/views/members: 421: loop detected`:                                       http.StatusMisdirectedRequest,
-		`Get "http://127.0.0.1:42177/views/members": dial tcp 127.0.0.1:42177: connect: connection refused`: http.StatusBadGateway,
+	upstream := func(status int, body string) error {
+		return &mediator.StatusError{URL: "http://127.0.0.1:8080/views/members", Status: status, Body: body}
+	}
+	for _, c := range []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"the owner's 421", upstream(421, "loop detected"), http.StatusMisdirectedRequest},
+		{"the owner's 421, wrapped as a replicated forward's fetch wraps it",
+			fmt.Errorf("mediator: source cluster:members: all replicas failed: %w",
+				fmt.Errorf("mediator: fetching remote view: %w", upstream(421, "loop detected"))),
+			http.StatusMisdirectedRequest},
+		{"the owner's 404", upstream(404, "unknown view"), http.StatusBadGateway},
+		{"the owner's 503 whose body says 421", upstream(503, "upstream said: 421: no"), http.StatusBadGateway},
+		{"a dead owner on a port with 421 in it",
+			errors.New(`Get "http://127.0.0.1:42177/views/members": dial tcp 127.0.0.1:42177: connect: connection refused`),
+			http.StatusBadGateway},
+		{"a view whose name spells the old pattern",
+			&mediator.StatusError{URL: "http://127.0.0.1:8080/views/a: 421: b", Status: 500, Body: "x"}, http.StatusBadGateway},
+		{"the old message text, untyped",
+			errors.New(`GET http://127.0.0.1:8080/views/a: 421: b: 421: loop detected`), http.StatusBadGateway},
 	} {
 		rec := httptest.NewRecorder()
-		(&Handler{}).forwardError(rec, "members", errors.New(msg))
-		if rec.Code != want {
-			t.Errorf("%s: status %d, want %d", msg, rec.Code, want)
+		(&Handler{}).forwardError(rec, "members", c.err)
+		if rec.Code != c.want {
+			t.Errorf("%s (%v): status %d, want %d", c.name, c.err, rec.Code, c.want)
 		}
+	}
+	// The message a typed error renders is the one the untyped one had.
+	if got, want := upstream(421, "loop detected").Error(), `GET http://127.0.0.1:8080/views/members: 421: loop detected`; got != want {
+		t.Errorf("StatusError renders %q, want %q", got, want)
 	}
 }

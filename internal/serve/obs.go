@@ -18,7 +18,7 @@ import (
 // caller — or an upstream proxy — can correlate its own logs with the
 // mediator's; otherwise a fresh ID is minted. The header is set on every
 // response, including errors, degraded responses and 404s.
-const TraceHeader = "X-Mix-Trace-Id"
+const TraceHeader = obs.TraceHeader
 
 // statusWriter captures the status code and body size for the access log
 // and the per-route metrics. WriteHeader/Write keep http.ResponseWriter

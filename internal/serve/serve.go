@@ -3,7 +3,9 @@
 // be accessed by queries", Section 2.1). Endpoints:
 //
 //	GET  /views                     list views (text)
-//	GET  /views/{name}              the materialized view document (XML)
+//	GET  /views/{name}              the materialized view document (XML),
+//	                                under an ETag when complete and live;
+//	                                If-None-Match is answered 304
 //	GET  /views/{name}/dtd          the inferred plain view DTD
 //	GET  /views/{name}/sdtd         the inferred specialized view DTD
 //	POST /views/{name}/query        body: a XMAS query; response: view XML
@@ -214,10 +216,10 @@ func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
 	if fwd, ctx, fi, done := h.forwarded(w, r, name); done {
 		return
 	} else if fwd != nil {
-		h.forwardView(w, fwd, ctx, fi)
+		h.forwardView(w, r, fwd, ctx, fi)
 		return
 	}
-	doc, info, err := h.m.MaterializeInfo(r.Context(), name)
+	doc, info, err := h.m.MaterializeIfChanged(r.Context(), name, r.Header.Get("If-None-Match"))
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
 		return
@@ -228,8 +230,25 @@ func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	setProvenanceHeaders(w, v, info.Provenance)
+	if notModified(w, info.Tag, info.NotModified) {
+		return
+	}
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 	writeAnswer(w, v.DTDText, doc.Root)
+}
+
+// notModified finishes the validator's part of a GET /views/{name} answer,
+// the same on an owner and on a forwarder: the document's tag, when it has
+// one, goes out as the ETag, and a request whose If-None-Match named it is
+// answered 304 — the headers set so far, no body. It reports whether it did.
+func notModified(w http.ResponseWriter, tag string, matched bool) bool {
+	if tag != "" {
+		w.Header().Set("ETag", tag)
+	}
+	if matched {
+		w.WriteHeader(http.StatusNotModified)
+	}
+	return matched
 }
 
 // setProvenanceHeaders advertises on a view response how the answer departs

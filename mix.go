@@ -112,7 +112,8 @@ type (
 	// Budget is a live, chargeable resource budget built from BudgetLimits.
 	Budget = budget.Budget
 	// MaterializeInfo reports whether a materialization dropped the parts
-	// of breaker-open sources (degraded availability).
+	// of breaker-open sources (degraded availability), and carries the tag
+	// that identifies a complete one's content (the ETag of the view's URL).
 	MaterializeInfo = mediator.MaterializeInfo
 	// BreakerOptions configures a per-source circuit breaker.
 	BreakerOptions = mediator.BreakerOptions
