@@ -51,12 +51,12 @@ race:
 # binary built with the race detector allocates differently (escape
 # analysis and inlining change, sync.Pool drops at random), so a count that
 # holds there says little about the binary we ship, and a ratchet that only
-# fails without it must not be able to hide behind `make race`. The pattern
-# is "Alloc" plus the names of the AllocsPerRun tests that do not say it;
-# the root package's TestAllocsTargetRunsEveryAllocationRatchet (itself
-# selected) fails when a test that counts allocations matches neither.
+# fails without it must not be able to hide behind `make race`. A test that
+# calls testing.AllocsPerRun says "Alloc" in its name; the root package's
+# TestAllocsTargetRunsEveryAllocationRatchet (itself selected) fails on one
+# that does not.
 allocs:
-	go test -count=1 -run 'Alloc|ZeroCopy|RenderedOnce|SizedFromTheDeclaredLength|NeverReachesTheAutomaton' ./...
+	go test -count=1 -run Alloc ./...
 
 # Rewrite internal/serve/testdata/metrics.golden — every /metrics family's
 # name, help and type, every series' labels, every JSON key — from what the

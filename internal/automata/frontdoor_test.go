@@ -188,13 +188,13 @@ func TestContainsSyntacticStaysSilent(t *testing.T) {
 // keep flags).
 const reduceAllocCeiling = 2
 
-// TestReduceOfSimpleModelsNeverReachesTheAutomaton is the ratchet: the two
+// TestReduceOfSimpleModelsAllocatesNoAutomaton is the ratchet: the two
 // shapes that dominate real content models — a starred disjunction of
 // distinct names, a sequence ending in one — reduce without a cache key,
 // lookup or compile, and within a fixed allocation ceiling. It fails when
 // the automaton comes back into absorb or ReduceBudget starts verifying
 // no-op rewrites again.
-func TestReduceOfSimpleModelsNeverReachesTheAutomaton(t *testing.T) {
+func TestReduceOfSimpleModelsAllocatesNoAutomaton(t *testing.T) {
 	for _, src := range []string{
 		"(n1 | n2 | n3 | n4 | n5 | n6 | n7 | n8)*",
 		"title, (v0 | v1 | v2 | v3 | v4 | v5 | v6 | v7)",

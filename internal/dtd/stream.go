@@ -45,38 +45,53 @@ func StreamValidationStats() StreamStats {
 // violation in document order while the tree validator reports the first
 // in preorder.
 func (d *DTD) ValidateStream(input string) error {
+	return d.validateScan(xmlmodel.NewScanner(input), len(input))
+}
+
+// ParseValid is ValidateStream and xmlmodel.Parse in one pass over input:
+// the same scan, with the tree built along the way. It fails where, and
+// as, ValidateStream fails, and the tree of the input before that point
+// is dropped: a rejected document costs what its valid prefix earned.
+func (d *DTD) ParseValid(input string) (*xmlmodel.Document, *xmlmodel.Doctype, error) {
+	sc := xmlmodel.NewTreeScanner(input)
+	if err := d.validateScan(sc, len(input)); err != nil {
+		return nil, nil, err
+	}
+	return sc.Document(), sc.Doctype(), nil
+}
+
+// validateScan is the one event loop: it runs sc over its size-byte input
+// to the end or to the first event the DTD rejects.
+func (d *DTD) validateScan(sc *xmlmodel.Scanner, size int) error {
 	streamDocuments.Add(1)
-	streamBytes.Add(int64(len(input)))
+	streamBytes.Add(int64(size))
 	v := streamValidator{d: d, stack: make([]streamFrame, 0, 16)} // deeper documents regrow it
-	sc := xmlmodel.NewScanner(input)
-	events := int64(0)
-	err := func() error {
-		for {
-			ev, err := sc.Next()
-			if err != nil {
-				return err
-			}
-			events++
-			switch ev.Kind {
-			case xmlmodel.EventStart:
-				if err := v.open(ev.Name); err != nil {
-					return err
-				}
-			case xmlmodel.EventText:
-				if err := v.text(); err != nil {
-					return err
-				}
-			case xmlmodel.EventEnd:
-				if err := v.close(); err != nil {
-					return err
-				}
-			case xmlmodel.EventEOF:
-				return nil
-			}
-		}
-	}()
-	streamEvents.Add(events)
+	err := v.run(sc)
+	streamEvents.Add(v.events)
 	return err
+}
+
+func (v *streamValidator) run(sc *xmlmodel.Scanner) error {
+	for {
+		ev, err := sc.Next()
+		if err != nil {
+			return err
+		}
+		v.events++
+		switch ev.Kind {
+		case xmlmodel.EventStart:
+			err = v.open(ev.Name)
+		case xmlmodel.EventText:
+			err = v.text()
+		case xmlmodel.EventEnd:
+			err = v.close()
+		case xmlmodel.EventEOF:
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // streamType is the per-name validation plan: PCDATA or a compiled DFA.
@@ -98,8 +113,9 @@ type streamFrame struct {
 }
 
 type streamValidator struct {
-	d     *DTD
-	stack []streamFrame
+	d      *DTD
+	stack  []streamFrame
+	events int64
 }
 
 // streamTypeOf resolves the validation plan for a name, memoized on the DTD

@@ -5,11 +5,13 @@
 // accepts — over generated valid corpora, over seeded byte-level
 // mutations of them, and over documents an order of magnitude larger than
 // anything the unit tests touch — with an allocation count independent of
-// document size.
+// document size. ParseValid, the same scan with the tree built along the
+// way, is held on the same inputs to the two passes it fuses.
 package dtd_test
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -56,6 +58,32 @@ func treeVerdict(d *dtd.DTD, src string) error {
 	return d.Validate(doc)
 }
 
+// checkFused holds ParseValid to the two passes it fuses, on one input: it
+// fails exactly when ValidateStream fails, with an equal error and no tree,
+// and otherwise returns the tree and the DOCTYPE Parse returns.
+func checkFused(t *testing.T, d *dtd.DTD, src string) {
+	t.Helper()
+	serr := d.ValidateStream(src)
+	doc, dt, ferr := d.ParseValid(src)
+	if !reflect.DeepEqual(ferr, serr) {
+		t.Errorf("ParseValid fails with %#v, ValidateStream with %#v, on %.80q", ferr, serr, src)
+	}
+	if ferr != nil {
+		if doc != nil || dt != nil {
+			t.Errorf("ParseValid failed and returned a document, on %.80q", src)
+		}
+		return
+	}
+	pdoc, pdt, perr := xmlmodel.Parse(src)
+	if perr != nil {
+		t.Fatalf("ParseValid accepts what Parse rejects (%v): %.80q", perr, src)
+	}
+	if !doc.Root.Equal(pdoc.Root) || doc.DocType != pdoc.DocType || !reflect.DeepEqual(dt, pdt) {
+		t.Errorf("ParseValid's document differs from Parse's on %.80q\n got %s %+v\nwant %s %+v",
+			src, xmlmodel.Marshal(doc, -1), dt, xmlmodel.Marshal(pdoc, -1), pdt)
+	}
+}
+
 // TestStreamTreeAgreementOnCorpora checks the positive half of the
 // property: every generated-valid document is stream-accepted.
 func TestStreamTreeAgreementOnCorpora(t *testing.T) {
@@ -76,6 +104,8 @@ func TestStreamTreeAgreementOnCorpora(t *testing.T) {
 			if serr := d.ValidateStream(src); serr != nil {
 				t.Errorf("%s doc %d: stream rejected what tree accepts: %v", pd.name, i, serr)
 			}
+			checkFused(t, d, src)
+			checkFused(t, d, pd.text+"\n"+src)
 		}
 	}
 }
@@ -103,6 +133,7 @@ func TestStreamTreeAgreementUnderMutation(t *testing.T) {
 			src := xmlmodel.MarshalElement(doc.Root, 0)
 			for m := 0; m < 25; m++ {
 				mut := mutate(rng, src, alphabet)
+				checkFused(t, d, mut)
 				terr := treeVerdict(d, mut)
 				serr := d.ValidateStream(mut)
 				if (terr == nil) != (serr == nil) {

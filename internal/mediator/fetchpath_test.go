@@ -162,17 +162,61 @@ func TestFetchAllocations(t *testing.T) {
 	if large-small > 40 {
 		t.Errorf("fetching %d bytes costs %v allocs more than fetching %d (%v, %v): the cost follows the document", largeSize, large-small, smallSize, large, small)
 	}
-	// Measured 102 (112 under -race): the stream validator's per-name plans
-	// are the DTD's now, not each document's.
-	if small > 130 {
-		t.Errorf("a warm fetch of %d bytes: %v allocs, want ≤ 130", smallSize, small)
+	// Measured 99 (108 under -race): one scan validates the body and builds
+	// its tree.
+	if small > 115 {
+		t.Errorf("a warm fetch of %d bytes: %v allocs, want ≤ 115", smallSize, small)
+	}
+}
+
+// cannedRemote answers every GET from memory, with the length declared: the
+// round trip costs the same few allocations whatever the body's size.
+type cannedRemote map[string]string
+
+func (c cannedRemote) RoundTrip(r *http.Request) (*http.Response, error) {
+	body := c[r.URL.Path]
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Request: r,
+		Body: io.NopCloser(strings.NewReader(body)), ContentLength: int64(len(body))}, nil
+}
+
+// A body that fails costs what its valid prefix earned: one that violates
+// the DTD at its first child — a name its parent's content model does not
+// mention; one the model mentions elsewhere is only found out when the
+// parent closes — is dropped there, and what follows that child is read
+// off the socket and never scanned.
+func TestFetchOfAViolatingBodyAllocationsIgnoreItsSize(t *testing.T) {
+	measure := func(size int) float64 {
+		var b strings.Builder
+		b.WriteString(d1Text + "\n<department><title>no department has one</title>")
+		for b.Len() < size {
+			b.WriteString("<course>c</course>")
+		}
+		b.WriteString("</department>")
+		client := &http.Client{Transport: cannedRemote{"/views/v/dtd": d1Text, "/views/v": b.String()}}
+		src, err := NewHTTPSource(client, "http://remote", "v", WithRetries(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(30, func() {
+			if _, err := src.Fetch(context.Background()); err == nil || !strings.Contains(err.Error(), "violates its own DTD") {
+				t.Fatalf("fetch of a violating body: %v", err)
+			}
+		})
+	}
+	small, large := measure(16<<10), measure(1<<20)
+	t.Logf("16 KiB: %v allocs; 1 MiB: %v allocs", small, large)
+	// Measured 31 and 32 or 33 (up to 6 apart under -race): the collections
+	// a 1 MiB body brings on empty the pool readBody's chunk comes from. The
+	// tree of the 1 MiB would be some 90 allocations.
+	if large > small+10 {
+		t.Errorf("a violating body of 1 MiB costs %v allocs, one of 16 KiB %v: the cost follows the body", large, small)
 	}
 }
 
 // The body costs its own bytes when the peer declared its length: one
 // buffer, sized up front, handed back as the string. A declared length
 // beyond the limit sizes nothing (the limit-plus-one read finds out).
-func TestReadBodyIsSizedFromTheDeclaredLength(t *testing.T) {
+func TestReadBodyAllocatesTheDeclaredLength(t *testing.T) {
 	body := strings.Repeat("x", 1<<20)
 	for _, c := range []struct {
 		name     string

@@ -241,14 +241,14 @@ func (s *HTTPSource) Report(r *SourceReport) {
 
 // Fetch implements Wrapper: it retrieves the materialized remote view and
 // validates it against the remote-provided schema before handing it to the
-// local mediator (never trust the wire). Validation is streaming — the
-// compiled DFAs run over the payload in O(depth) memory — so an oversized
-// or invalid remote document is rejected without ever building its tree;
-// only payloads that pass are parsed into the tree the mediator
-// materializes. A payload whose own DOCTYPE subset is malformed fails the
-// fetch too; the DTD that subset declares is never used (the schema is the
-// one fetched at construction), so a subset whose text matches the last
-// one that parsed cleanly is not parsed again.
+// local mediator (never trust the wire). The body is scanned once: the
+// compiled DFAs run over the same events the tree is built from
+// (dtd.ParseValid), so a body that is malformed or violates the DTD fails
+// at that event, having cost the tree of what came before it and no more.
+// A payload whose own DOCTYPE subset is malformed fails the fetch too; the
+// DTD that subset declares is never used (the schema is the one fetched at
+// construction), so a subset whose text matches the last one that parsed
+// cleanly is not parsed again.
 //
 // The hop revalidates: when the remote sent the last document under an
 // ETag, Fetch asks with it (If-None-Match), and a 304 is answered with that
@@ -271,18 +271,12 @@ func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 		ForwardInfoFrom(ctx).noteDocument(kept.tag)
 		return kept.doc, nil
 	}
-	body := resp.body
-	if err := s.schema.ValidateStream(body); err != nil {
-		var perr *xmlmodel.ParseError
-		if errors.As(err, &perr) {
-			return nil, fmt.Errorf("mediator: remote view unparseable: %w", err)
-		}
-		return nil, fmt.Errorf("mediator: remote view violates its own DTD: %w", err)
-	}
-	doc, dt, err := xmlmodel.Parse(body)
+	doc, dt, err := s.schema.ParseValid(resp.body)
 	if err != nil {
-		// Unreachable in practice: the streaming scan accepts the same
-		// grammar the tree parser does.
+		var verr *dtd.ValidationError
+		if errors.As(err, &verr) {
+			return nil, fmt.Errorf("mediator: remote view violates its own DTD: %w", err)
+		}
 		return nil, fmt.Errorf("mediator: remote view unparseable: %w", err)
 	}
 	if dt != nil {

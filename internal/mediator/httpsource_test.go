@@ -365,16 +365,21 @@ func TestHTTPSourceCancelledContextNoSleep(t *testing.T) {
 }
 
 // TestHTTPSourceStreamValidatesBody: the fetch path validates the remote
-// body with the streaming validator before any tree is built, so a
-// DTD-violating payload and a malformed one fail with distinct errors
-// (and a violating one is rejected without retries — the remote would
-// answer the same way again).
+// body in the scan that builds its tree, and names a failure by what the
+// body is: one that violates the DTD (a *dtd.ValidationError) and one that
+// is not a document of the model at all — malformed, or using an entity,
+// which fails as a plain error and not as a ParseError — fail with distinct
+// errors (and neither is retried — the remote would answer the same way
+// again).
 func TestHTTPSourceStreamValidatesBody(t *testing.T) {
 	cases := []struct {
 		name, body, want string
 	}{
 		{"violates DTD", remoteDTD + "\n<members><student>bo</student></members>", "violates its own DTD"},
+		{"violates a content model", remoteDTD + "\n<members><professor>ana</professor><members/></members>", "violates its own DTD"},
+		{"mixed content", remoteDTD + "\n<members>ana<professor>bo</professor></members>", "violates its own DTD"},
 		{"malformed", remoteDTD + "\n<members><professor>ana</members>", "unparseable"},
+		{"unknown entity", remoteDTD + "\n<members><professor>ana&nbsp;b</professor></members>", "unparseable"},
 	}
 	for _, c := range cases {
 		var calls atomic.Int64

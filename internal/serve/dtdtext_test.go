@@ -58,7 +58,7 @@ func (w *discard) WriteHeader(int)                   {}
 func (w *discard) Write(p []byte) (int, error)       { w.n += len(p); return len(p), nil }
 func (w *discard) WriteString(s string) (int, error) { w.n += len(s); return len(s), nil }
 
-func TestViewDTDIsRenderedOnce(t *testing.T) {
+func TestViewDTDAllocationsAreRenderedOnce(t *testing.T) {
 	for _, path := range []string{"/views/v", "/views/v/dtd"} {
 		measure := func(width int) (allocs float64, dtdBytes int) {
 			h, v := wideHandler(t, width)

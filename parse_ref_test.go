@@ -389,7 +389,9 @@ func refUnescape(s string) (string, error) {
 
 // checkParseAgainstReference holds both parser entry points to the
 // reference on one input: equal trees and DOCTYPE on success, and errors
-// that agree in text and, for a ParseError, in Offset, Line and Msg.
+// that agree in text and, for a ParseError, in Offset, Line and Msg. A
+// Scanner that builds nothing is held to Parse on the same input: the same
+// DOCTYPE, and the same error or none.
 func checkParseAgainstReference(t *testing.T, input string) {
 	t.Helper()
 	sameError := func(what string, got, want error) bool {
@@ -416,6 +418,15 @@ func checkParseAgainstReference(t *testing.T, input string) {
 		if (dt == nil) != (refDt == nil) || (dt != nil && *dt != *refDt) {
 			t.Errorf("Parse: DOCTYPE %+v, reference %+v", dt, refDt)
 		}
+	}
+	sc := xmlmodel.NewScanner(input)
+	var scanErr error
+	for ev := (xmlmodel.Event{}); scanErr == nil && ev.Kind != xmlmodel.EventEOF; {
+		ev, scanErr = sc.Next()
+	}
+	sameError("Scanner", scanErr, err)
+	if sdt := sc.Doctype(); err == nil && ((sdt == nil) != (dt == nil) || (dt != nil && *sdt != *dt)) {
+		t.Errorf("Scanner: DOCTYPE %+v, Parse %+v", sdt, dt)
 	}
 	e, err := xmlmodel.ParseElement(input)
 	refE, refErr := refParseElement(input)
@@ -513,6 +524,22 @@ func TestParserMatchesReference(t *testing.T) {
 		"wide":                           "<r>" + strings.Repeat("<a>x</a><b/>", 3000) + "</r>",
 		"wide, failing late":             "<r>" + strings.Repeat("<a>x</a>", 3000) + "<",
 		"non-ASCII names":                `<données id="é"><naïve>☕</naïve></données>`,
+		"one text child":                 `<a><b>x</b></a>`,
+		"mixed, one letter first":        `<a>x<b/></a>`,
+		"mixed, one letter last":         `<a><b/>x</a>`,
+		"blanks around a child":          `<a>  <b/>  </a>`,
+		"anonymous end tag of a child":   `<a><b>x</></a>`,
+		"unknown entity, bogus":          `<a>&bogus;</a>`,
+		"unterminated root":              `<a>x`,
+		"ignorable whitespace":           `<root> <x/> <x/> </root>`,
+		"blank entity then child":        `<a>&#32;<b/></a>`,
+		"mixed, entity then child":       `<a>&#65;<b/></a>`,
+		"child closed by its parent":     `<a><b></a>`,
+		"trailing element":               `<a></a><b/>`,
+		"reference past U+10FFFF":        `<a>&#x110000;</a>`,
+		"self-closing with attributes":   `<a foo="1" id="i"/>`,
+		"unterminated comment, no end":   `<a><!-- no end`,
+		"single-quoted attribute":        `<a b='q'><c/></a>`,
 	}
 	for name, input := range hand {
 		t.Run(name, func(t *testing.T) { checkParseAgainstReference(t, input) })

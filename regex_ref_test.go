@@ -502,9 +502,13 @@ func TestOrEqualDedupMatchesStringDedup(t *testing.T) {
 
 // Cat and Or build their node over the slice they are handed when it needs
 // no flattening or dropping, and over a copy otherwise: the argument is
-// never written to.
+// never written to. The other way round, a caller that writes to the slice
+// afterwards changes exactly the results built over it — those whose items
+// are the arguments, all of them, as passed — which is why their doc
+// comments tell the caller to leave a passed slice alone.
 func TestCatOrLeaveTheirArgumentAlone(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	aliased := 0
 	for i := 0; i < 2000; i++ {
 		items := make([]regex.Expr, rng.Intn(6))
 		for j := range items {
@@ -512,10 +516,31 @@ func TestCatOrLeaveTheirArgumentAlone(t *testing.T) {
 		}
 		before := slices.Clone(items)
 		for _, build := range []func(...regex.Expr) regex.Expr{regex.Cat, regex.Or} {
-			build(items...)
+			got := build(items...)
 			if !slices.EqualFunc(items, before, regex.Equal) {
 				t.Fatalf("constructor rewrote its argument: %v, was %v", items, before)
 			}
+			var kept []regex.Expr
+			switch n := got.(type) {
+			case regex.Concat:
+				kept = n.Items
+			case regex.Alt:
+				kept = n.Items
+			}
+			asPassed := len(items) >= 2 && slices.EqualFunc(kept, items, regex.Equal)
+			rendered := got.String()
+			for j := range items {
+				items[j] = regex.Nm("overwritten")
+			}
+			if changed := got.String() != rendered; changed != asPassed {
+				t.Fatalf("built from %v: %s became %s when the argument was overwritten; nothing flattened or dropped: %v", before, rendered, got, asPassed)
+			} else if changed {
+				aliased++
+			}
+			copy(items, before)
 		}
+	}
+	if aliased < 100 || aliased > 3900 {
+		t.Errorf("%d of 4000 results were built over their argument: the test no longer sees both kinds", aliased)
 	}
 }
