@@ -115,8 +115,11 @@ bench-prune:
 
 # Archive the streaming-validation and delta-maintenance benchmarks
 # (ValidateDoc: Cold = tree parse + validate, Warm = streaming validator;
-# InvalidateMix: Cold = global invalidate, Warm = per-source delta
-# invalidate) as JSON with the cold/warm speedup factors. Compare
+# InvalidateMix: Cold = global invalidate after every source changed,
+# Warm = per-source delta invalidate of the one source that changed,
+# Unchanged = global invalidate after nothing changed: every refetch
+# returns the document held and every part is carried over, unpaired) as
+# JSON with the cold/warm speedup factors. Compare
 # BENCH_stream.json across commits — `benchjson -compare old.json
 # new.json` is the mechanical ratchet.
 bench-stream:

@@ -293,7 +293,7 @@ func TestFollowerSurvivesSiblingInducedCancellation(t *testing.T) {
 	<-src.entered
 	bDone := make(chan matResult, 1)
 	go func() {
-		doc, _, err := m.materializeMasked(ctx, v, []bool{true, false}, "")
+		doc, _, err := m.materializeMasked(ctx, v, []bool{true, false}, nil, "")
 		bDone <- matResult{doc, err}
 	}()
 	waitJoined(t, m, 1)

@@ -1,12 +1,14 @@
 // Delta maintenance: per-source invalidation over the static view→source
 // dependency index. Invalidate (mediator.go) remains the blunt instrument —
-// every source generation bumps, every slot empties. InvalidateSource is
-// the scoped form: it bumps the generation of one source and of the views
-// re-exported as sources (AsSource) that transitively depend on it, and
-// nothing else — the generation fence makes exactly the part slots over
-// those sources stale, so the next materialization of an affected view
-// recomputes only them and serves every other part from its slot. Answers
-// stay bit-identical to full rematerialization (differential-tested).
+// every source generation bumps. InvalidateSource is the scoped form: it
+// bumps the generation of one source and of the views re-exported as sources
+// (AsSource) that transitively depend on it, and nothing else — the
+// generation fence makes exactly the part slots over those sources stale, so
+// the next materialization of an affected view refetches only them and
+// serves every other part from its slot. The two differ in which
+// generations they bump and in nothing else; what a refetch then costs is
+// decided by what it brings back (evalPart). Answers stay bit-identical to
+// full rematerialization (differential-tested).
 package mediator
 
 import (

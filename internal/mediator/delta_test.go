@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dtd"
+	"repro/internal/obs"
 	"repro/internal/xmas"
 	"repro/internal/xmlmodel"
 )
@@ -63,6 +66,19 @@ func newDeltaMediator(t testing.TB, nSources int, view string) (*Mediator, []*Fa
 		t.Fatal(err)
 	}
 	return m, faults
+}
+
+// setDeltaDoc makes source i of a newDeltaMediator serve the department
+// deptDocN(n) from now on: a StaticSource changes by having its Doc replaced,
+// never by being written to. The caller invalidates, and runs no read
+// meanwhile.
+func setDeltaDoc(t testing.TB, faults []*FaultSource, i, n int) {
+	t.Helper()
+	doc, _, err := xmlmodel.Parse(deptDocN(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults[i].inner.(*StaticSource).Doc = doc
 }
 
 func fetchCounts(faults []*FaultSource) []int64 {
@@ -232,7 +248,7 @@ func TestPartCacheSharedAcrossMasks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := m.materializeMasked(ctx, v, []bool{true, false}, ""); err != nil {
+	if _, _, err := m.materializeMasked(ctx, v, []bool{true, false}, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	if got := fetchCounts(faults); got[0] != 1 || got[1] != 0 {
@@ -274,7 +290,7 @@ func TestPartCacheSharedAcrossMasks(t *testing.T) {
 		}
 	}
 	masks(func(mask int, keep []bool) {
-		if _, _, err := m.materializeMasked(ctx, v, keep, ""); err != nil {
+		if _, _, err := m.materializeMasked(ctx, v, keep, nil, ""); err != nil {
 			t.Fatalf("mask %06b: %v", mask, err)
 		}
 	})
@@ -296,7 +312,7 @@ func TestPartCacheSharedAcrossMasks(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := fetchCounts(faults)
-		if _, _, err := m.materializeMasked(ctx, v, keep, ""); err != nil {
+		if _, _, err := m.materializeMasked(ctx, v, keep, nil, ""); err != nil {
 			t.Fatalf("mask %06b: %v", mask, err)
 		}
 		for i, n := range fetchCounts(faults) {
@@ -343,41 +359,179 @@ func TestInvalidateSourceLeavesOtherViewsCached(t *testing.T) {
 	}
 }
 
-// BenchmarkInvalidateMixCold is the pre-delta refresh story — a global
-// invalidate before every materialization, so every source re-fetches.
-// BenchmarkInvalidateMixWarm invalidates one rotating source per cycle,
-// the traffic InvalidateSource is built for. benchjson pairs them in
-// BENCH_stream.json (make bench-stream).
-func BenchmarkInvalidateMixCold(b *testing.B) {
+// A part whose refetch returned the document its slot held is carried over,
+// and says so everywhere an operator looks: the source.fetch span is marked
+// unchanged, no part.eval span follows it, materialize.delta lists the part
+// as revalidated (and still as recomputed), and the counter moves. The part
+// that did change reads as it always did.
+func TestRevalidatedPartIsTracedAndCounted(t *testing.T) {
+	m, faults := newDeltaMediator(t, 2, "all")
 	ctx := context.Background()
-	m, _ := newDeltaMediator(b, 8, "all")
+	first, err := m.Materialize(ctx, "all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	setDeltaDoc(t, faults, 1, 5)
+	m.Invalidate()
+	tracer := obs.NewTracer(2)
+	tctx, root := tracer.StartRequest(ctx, "test", "")
+	second, err := m.Materialize(tctx, "all")
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Root.Children[0] != first.Root.Children[0] || second.Root.Children[1] == first.Root.Children[1] {
+		t.Errorf("s0's pick carried over: %v; s1's evaluated anew: %v",
+			second.Root.Children[0] == first.Root.Children[0], second.Root.Children[1] != first.Root.Children[1])
+	}
+	if st := m.Stats(); st.PartsRevalidated != 1 || st.PartsRecomputed != 4 {
+		t.Errorf("%d parts revalidated, %d recomputed; want 1 and 4", st.PartsRevalidated, st.PartsRecomputed)
+	}
+	tr := tracer.Traces(0)[0]
+	unchanged, evals := map[string]bool{}, []string{}
+	for _, sp := range tr.Spans {
+		src := ""
+		for _, a := range sp.Attrs {
+			if a.Key == "source" {
+				src = a.Value
+			}
+		}
+		switch sp.Name {
+		case "source.fetch":
+			unchanged[src] = slices.Contains(sp.Attrs, obs.Bool("unchanged", true))
+		case "part.eval":
+			evals = append(evals, src)
+		}
+	}
+	if !unchanged["s0"] || unchanged["s1"] || fmt.Sprint(evals) != "[s1]" {
+		t.Errorf("source.fetch unchanged: %v, part.eval spans: %v; want s0 only, and [s1]", unchanged, evals)
+	}
+	var delta *obs.Event
+	for i, ev := range tr.Span("materialize").Events {
+		if ev.Name == "materialize.delta" {
+			delta = &tr.Span("materialize").Events[i]
+		}
+	}
+	if delta == nil || !slices.Contains(delta.Attrs, obs.String("revalidated", "s0")) || !slices.Contains(delta.Attrs, obs.String("recomputed", "s0,s1")) {
+		t.Errorf("materialize.delta: %+v, want revalidated=s0 and recomputed=s0,s1", delta)
+	}
+}
+
+// A last-known-good document is not the source's answer. When it is the very
+// document the slot was evaluated from — a ReplicaSet keeps the one it last
+// handed out — the part is still not carried over: it is served stale,
+// untagged and uncounted, and is not kept.
+func TestStaleServeIsNeverCarried(t *testing.T) {
+	d, err := dtd.Parse(d1Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, err := xmlmodel.Parse(deptDocN(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewStaticSource("dept", doc, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("injected")
+	replica := NewFaultSource(src, Fault{}, Fault{Err: boom})
+	set, err := NewReplicaSet("dept", []Wrapper{replica}, ReplicaSetOptions{HedgeDelay: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New("m")
+	if err := m.AddSource(set); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DefineView("dept", xmas.MustParse(`v = SELECT X WHERE <department> X:<professor/> </department>`)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	_, live, err := m.MaterializeInfo(ctx, "v")
+	if err != nil || live.Tag == "" {
+		t.Fatalf("live read: %+v, %v", live, err)
+	}
+	m.Invalidate()
+	_, stale, err := m.MaterializeIfChanged(ctx, "v", live.Tag)
+	if err != nil || len(stale.StaleSources) != 1 || stale.Tag != "" || stale.NotModified {
+		t.Fatalf("read while the replica fails: %+v, %v; want a stale, untagged document", stale, err)
+	}
+	if st := m.Stats(); st.PartsRevalidated != 0 || st.StaleServes != 1 {
+		t.Errorf("%d parts revalidated, %d stale serves; want 0 and 1", st.PartsRevalidated, st.StaleServes)
+	}
+	// The replica is back with the same document: the stale result was not
+	// kept, so there is nothing to carry — the part is evaluated, at the
+	// invalidation's generation.
+	_, back, err := m.MaterializeInfo(ctx, "v")
+	if err != nil || len(back.StaleSources) != 0 || !strings.HasSuffix(back.Tag, `-1"`) {
+		t.Errorf("read after the replica came back: %+v, %v", back, err)
+	}
+}
+
+// The InvalidateMix benchmarks price one invalidation and the
+// materialization after it, three ways. Cold is the pre-delta refresh story:
+// a global invalidate over sources that all changed, so every part is
+// refetched and evaluated again. Warm invalidates one rotating source, which
+// changed — the traffic InvalidateSource is built for. benchjson pairs the
+// two in BENCH_stream.json (make bench-stream). Unchanged is Cold over
+// sources that did not change: every refetch returns the document its slot
+// holds and every result is carried over. A source changes by alternating
+// between two parsed copies of its document: what tells a refetch that it
+// must evaluate is the document's identity.
+func benchmarkInvalidateMix(b *testing.B, cycle func(m *Mediator, flip func(src int), i int) error) {
+	ctx := context.Background()
+	m, faults := newDeltaMediator(b, 8, "all")
+	docs := make([][2]*xmlmodel.Document, len(faults))
+	for s, f := range faults {
+		src := f.inner.(*StaticSource)
+		other, _, err := xmlmodel.Parse(deptDocN(s))
+		if err != nil {
+			b.Fatal(err)
+		}
+		docs[s] = [2]*xmlmodel.Document{src.Doc, other}
+	}
+	flips := make([]int, len(faults))
+	flip := func(s int) {
+		flips[s]++
+		faults[s].inner.(*StaticSource).Doc = docs[s][flips[s]%2]
+	}
 	if _, err := m.Materialize(ctx, "all"); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Invalidate()
+		if err := cycle(m, flip, i); err != nil {
+			b.Fatal(err)
+		}
 		if _, err := m.Materialize(ctx, "all"); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+func BenchmarkInvalidateMixCold(b *testing.B) {
+	benchmarkInvalidateMix(b, func(m *Mediator, flip func(int), i int) error {
+		for s := 0; s < 8; s++ {
+			flip(s)
+		}
+		m.Invalidate()
+		return nil
+	})
+}
+
 func BenchmarkInvalidateMixWarm(b *testing.B) {
-	ctx := context.Background()
-	m, _ := newDeltaMediator(b, 8, "all")
-	if _, err := m.Materialize(ctx, "all"); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.InvalidateSource(fmt.Sprintf("s%d", i%8)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.Materialize(ctx, "all"); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarkInvalidateMix(b, func(m *Mediator, flip func(int), i int) error {
+		flip(i % 8)
+		_, err := m.InvalidateSource(fmt.Sprintf("s%d", i%8))
+		return err
+	})
+}
+
+func BenchmarkInvalidateMixUnchanged(b *testing.B) {
+	benchmarkInvalidateMix(b, func(m *Mediator, flip func(int), i int) error {
+		m.Invalidate()
+		return nil
+	})
 }

@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"repro/internal/dtd"
+	"repro/internal/xmas"
+	"repro/internal/xmlmodel"
 )
 
 // HTTPSource.Fetch's way from the socket to a document: the body is read
@@ -146,15 +148,21 @@ func TestFetchSubsetMemoConcurrently(t *testing.T) {
 // document may add a few slab chunks, not its elements.
 func TestFetchAllocations(t *testing.T) {
 	measure := func(profs int) (allocs float64, size int) {
-		body := deptBody(d1Text, profs)
-		src := scriptedRemote(t, func() string { return body })
+		// Two bodies a byte apart, in turn: a fetch that brought back the
+		// bytes it holds would skip everything measured here.
+		bodies := []string{deptBody(d1Text, profs), strings.Replace(deptBody(d1Text, profs), "<name>CS", "<name>EE", 1)}
+		turn := 0
+		src := scriptedRemote(t, func() string { turn++; return bodies[turn%2] })
+		var last *xmlmodel.Document
 		fetch := func() {
-			if _, err := src.Fetch(context.Background()); err != nil {
-				t.Fatal(err)
+			doc, err := src.Fetch(context.Background())
+			if err != nil || doc == last {
+				t.Fatalf("fetch of a changed body: err %v, the held document again: %v", err, doc == last)
 			}
+			last = doc
 		}
 		fetch() // warm: connection, compiled automata, the subset memo
-		return testing.AllocsPerRun(30, fetch), len(body)
+		return testing.AllocsPerRun(30, fetch), len(bodies[0])
 	}
 	small, smallSize := measure(60)
 	large, largeSize := measure(240)
@@ -162,8 +170,8 @@ func TestFetchAllocations(t *testing.T) {
 	if large-small > 40 {
 		t.Errorf("fetching %d bytes costs %v allocs more than fetching %d (%v, %v): the cost follows the document", largeSize, large-small, smallSize, large, small)
 	}
-	// Measured 99 (108 under -race): one scan validates the body and builds
-	// its tree.
+	// Measured 100 (109 under -race): one scan validates the body and builds
+	// its tree, and the triple Fetch holds on to is one more object.
 	if small > 115 {
 		t.Errorf("a warm fetch of %d bytes: %v allocs, want ≤ 115", smallSize, small)
 	}
@@ -249,5 +257,159 @@ func TestReadBodyAllocatesTheDeclaredLength(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
 		t.Errorf("a declared length past the limit made a 4-byte body allocate %d bytes", grew)
+	}
+}
+
+// deptBodyOfSize is deptBody grown to at least size bytes; salt tells two
+// bodies of one size apart.
+func deptBodyOfSize(size int, salt string) string {
+	per := len(deptBody("", 1)) - len(deptBody("", 0))
+	return strings.Replace(deptBody(d1Text, size/per+1), "<name>CS</name>", "<name>CS"+salt+"</name>", 1)
+}
+
+// cannedSource is an HTTPSource over a cannedRemote serving body as view v.
+func cannedSource(t *testing.T, body string) (*HTTPSource, cannedRemote) {
+	t.Helper()
+	remote := cannedRemote{"/views/v/dtd": d1Text, "/views/v": body}
+	src, err := NewHTTPSource(&http.Client{Transport: remote}, "http://remote", "v", WithRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src, remote
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes one
+// call of f allocates, after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// A fetch that brings back the bytes already held costs the round trip and
+// the body it had to read to find that out: the same allocations whatever
+// the size, and no bytes beyond the body — no scan, no tree.
+func TestRefetchOfUnchangedBytesAllocations(t *testing.T) {
+	measure := func(size int) (allocs, extra float64) {
+		body := deptBodyOfSize(size, "")
+		src, _ := cannedSource(t, body)
+		first := mustFetch(t, src)
+		fetch := func() {
+			if doc, err := src.Fetch(context.Background()); err != nil || doc != first {
+				t.Fatalf("refetch of the held bytes: same document %v, err %v", doc == first, err)
+			}
+		}
+		return testing.AllocsPerRun(30, fetch), bytesPerRun(30, fetch) - float64(len(body))
+	}
+	small, smallExtra := measure(16 << 10)
+	large, largeExtra := measure(1 << 20)
+	t.Logf("16 KiB: %v allocs, %.0f bytes beyond the body; 1 MiB: %v allocs, %.0f bytes beyond the body", small, smallExtra, large, largeExtra)
+	// Measured 11 and 11; a collection the 1 MiB bodies bring on may empty
+	// the pool readBody's chunk comes from.
+	if large > small+3 {
+		t.Errorf("refetching 1 MiB of held bytes costs %v allocs, 16 KiB %v: the cost follows the body", large, small)
+	}
+	// The tree of the 16 KiB body alone is some 55 kB, of the 1 MiB some 3.5 MB.
+	for _, extra := range []float64{smallExtra, largeExtra} {
+		if extra > 40<<10 {
+			t.Errorf("a refetch of held bytes allocated %.0f bytes beyond the body, want the round trip's few (and a pooled 32 KiB chunk at most)", extra)
+		}
+	}
+}
+
+// refreshedView is a mediator with one view, "people", over one canned
+// remote whose body is body.
+func refreshedView(t *testing.T, body string) (*Mediator, *HTTPSource, cannedRemote) {
+	t.Helper()
+	src, remote := cannedSource(t, body)
+	m := New("portal")
+	if err := m.AddSource(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DefineView(src.Name(), xmas.MustParse(`people = SELECT P WHERE <department> P:<professor/> </department>`)); err != nil {
+		t.Fatal(err)
+	}
+	return m, src, remote
+}
+
+// A part whose source changed costs one tree: the body, and the scan that
+// validates it and builds the document the slot then picks from. The picks
+// are that document's elements — a second tree (the copy engine.Eval makes)
+// would put the materialization near twice the parse.
+func TestRefreshedPartAllocatesOneTree(t *testing.T) {
+	ctx := context.Background()
+	bodies := []string{deptBodyOfSize(16<<10, "a"), deptBodyOfSize(16<<10, "b")}
+	d, err := dtd.Parse(d1Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parse := bytesPerRun(30, func() {
+		if _, _, err := d.ParseValid(bodies[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	m, src, remote := refreshedView(t, bodies[0])
+	turn := 0
+	refresh := bytesPerRun(30, func() {
+		turn++
+		remote["/views/v"] = bodies[turn%2]
+		if _, err := m.InvalidateSource(src.Name()); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := m.Materialize(ctx, "people")
+		if err != nil || !strings.Contains(doc.Root.Children[0].Children[0].Text, "F0") {
+			t.Fatalf("materialization of the changed source: %v", err)
+		}
+	})
+	st := m.Stats()
+	if st.PartsRevalidated != 0 || st.UnchangedBodies != 0 || st.PartsRecomputed != 31 {
+		t.Fatalf("every refresh was to change the source: %d recomputed, %d revalidated, %d unchanged bodies",
+			st.PartsRecomputed, st.PartsRevalidated, st.UnchangedBodies)
+	}
+	budget := 1.25 * (parse + float64(len(bodies[0])))
+	t.Logf("ParseValid %.0f bytes, body %d; a refreshed part %.0f bytes (budget %.0f)", parse, len(bodies[0]), refresh, budget)
+	if refresh > budget {
+		t.Errorf("a refreshed part allocates %.0f bytes, want ≤ %.0f = 1.25 × (ParseValid's %.0f + the body's %d): there is a second tree",
+			refresh, budget, parse, len(bodies[0]))
+	}
+}
+
+// An invalidation that changed nothing costs the question: one round trip
+// and one body per source, compared and dropped. Nothing is scanned,
+// evaluated or copied, so the allocation count is the same for a view over
+// 16 KiB and over 1 MiB.
+func TestNoOpInvalidationAllocations(t *testing.T) {
+	ctx := context.Background()
+	measure := func(size int) float64 {
+		m, _, _ := refreshedView(t, deptBodyOfSize(size, ""))
+		first, info, err := m.MaterializeInfo(ctx, "people")
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 20
+		allocs := testing.AllocsPerRun(runs, func() {
+			m.Invalidate()
+			doc, again, err := m.MaterializeInfo(ctx, "people")
+			if err != nil || again.Tag != info.Tag || doc.Root.Children[0] != first.Root.Children[0] {
+				t.Fatalf("after a no-op invalidation: err %v, tag %s (was %s), same elements %v",
+					err, again.Tag, info.Tag, err == nil && doc.Root.Children[0] == first.Root.Children[0])
+			}
+		})
+		st := m.Stats()
+		if st.PartsRevalidated != runs+1 || st.PartsRecomputed != runs+2 || st.UnchangedBodies != runs+1 {
+			t.Errorf("%d bytes: %d parts revalidated, %d recomputed, %d unchanged bodies; want %d, %d, %d",
+				size, st.PartsRevalidated, st.PartsRecomputed, st.UnchangedBodies, runs+1, runs+2, runs+1)
+		}
+		return allocs
+	}
+	small, large := measure(16<<10), measure(1<<20)
+	t.Logf("16 KiB: %v allocs; 1 MiB: %v allocs", small, large)
+	if large > small+3 {
+		t.Errorf("a no-op invalidation over 1 MiB costs %v allocs, over 16 KiB %v: the cost follows the document", large, small)
 	}
 }

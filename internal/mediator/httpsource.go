@@ -85,12 +85,14 @@ type HTTPSource struct {
 	maxBackoff  time.Duration
 	retryBudget *RetryBudget
 	retries     atomic.Int64
-	// kept is the last document the remote sent under an ETag, with that
-	// tag: one pair, swapped whole, stored only once the document had passed
-	// every check of Fetch. The next Fetch asks with the tag, and a 304
-	// answers it with the document. A remote that sends no ETag leaves it nil.
-	kept        atomic.Pointer[keptDocument]
-	notModified atomic.Int64
+	// kept is the last body that passed every check of Fetch, with the
+	// document built from it and the tag the remote sent it under ("" when
+	// it sent none): one triple, swapped whole. It is what the next Fetch
+	// revalidates against — a 304 to the tag, or a 200 with the same bytes,
+	// is answered with the document.
+	kept            atomic.Pointer[keptDocument]
+	notModified     atomic.Int64
+	unchangedBodies atomic.Int64
 	// rawDTD is the remote /dtd response exactly as received. The cluster
 	// tier serves it verbatim on forwarded DTD requests, so a forwarded
 	// response is bit-identical to the owner's even if a parse/print
@@ -106,10 +108,12 @@ type HTTPSource struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// keptDocument is a validated document and the tag the remote sent it under.
+// keptDocument is a validated document, the body it was built from (which
+// its names and texts alias, so holding it retains nothing more) and the tag
+// the remote last sent that body under. Never written once stored.
 type keptDocument struct {
-	tag string
-	doc *xmlmodel.Document
+	tag, body string
+	doc       *xmlmodel.Document
 }
 
 // HTTPOption configures an HTTPSource.
@@ -237,6 +241,7 @@ func (s *HTTPSource) Retries() int64 { return s.retries.Load() }
 func (s *HTTPSource) Report(r *SourceReport) {
 	r.Retries += s.Retries()
 	r.NotModified += s.notModified.Load()
+	r.UnchangedBodies += s.unchangedBodies.Load()
 }
 
 // Fetch implements Wrapper: it retrieves the materialized remote view and
@@ -250,12 +255,14 @@ func (s *HTTPSource) Report(r *SourceReport) {
 // construction), so a subset whose text matches the last one that parsed
 // cleanly is not parsed again.
 //
-// The hop revalidates: when the remote sent the last document under an
-// ETag, Fetch asks with it (If-None-Match), and a 304 is answered with that
-// document — the one that passed all of the above when it arrived; what
-// Fetch returns is read-only to every caller, so it can be returned again.
-// Every Fetch still asks the remote, so nothing is served that the remote
-// would not serve now.
+// The hop revalidates, by the tag when the remote sends one and by the bytes
+// always: Fetch asks with the held tag (If-None-Match), and a 304 — or a 200
+// whose body is the held one, byte for byte — is answered with the held
+// document, the one that passed all of the above when it arrived. Returning
+// the same *Document as last time is how a wrapper says "unchanged"
+// (Wrapper), and it is safe because what Fetch returns is read-only to
+// everyone. Every Fetch still asks the remote, so nothing is served that the
+// remote would not serve now.
 func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	kept, held := s.kept.Load(), ""
 	if kept != nil {
@@ -265,13 +272,31 @@ func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mediator: fetching remote view: %w", err)
 	}
-	if resp.status == http.StatusNotModified {
+	switch {
+	case resp.status == http.StatusNotModified:
 		s.notModified.Add(1)
 		obs.SetAttr(ctx, obs.Bool("not_modified", true))
-		ForwardInfoFrom(ctx).noteDocument(kept.tag)
-		return kept.doc, nil
+	case kept != nil && resp.body == kept.body:
+		s.unchangedBodies.Add(1)
+		if resp.etag != kept.tag {
+			kept = &keptDocument{tag: resp.etag, body: kept.body, doc: kept.doc}
+			s.kept.Store(kept)
+		}
+	default:
+		doc, err := s.check(resp.body)
+		if err != nil {
+			return nil, err
+		}
+		kept = &keptDocument{tag: resp.etag, body: resp.body, doc: doc}
+		s.kept.Store(kept)
 	}
-	doc, dt, err := s.schema.ParseValid(resp.body)
+	ForwardInfoFrom(ctx).noteDocument(kept.tag)
+	return kept.doc, nil
+}
+
+// check is everything a body must pass before its document is handed out.
+func (s *HTTPSource) check(body string) (*xmlmodel.Document, error) {
+	doc, dt, err := s.schema.ParseValid(body)
 	if err != nil {
 		var verr *dtd.ValidationError
 		if errors.As(err, &verr) {
@@ -288,12 +313,6 @@ func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 			s.okSubset.Store(&subset)
 		}
 	}
-	if resp.etag != "" {
-		s.kept.Store(&keptDocument{tag: resp.etag, doc: doc})
-	} else if kept != nil {
-		s.kept.Store(nil)
-	}
-	ForwardInfoFrom(ctx).noteDocument(resp.etag)
 	return doc, nil
 }
 

@@ -21,11 +21,13 @@
 // the source generation (Mediator.srcGen): a part result is usable exactly
 // while its source's generation is the one its fetch started under, so a
 // result that raced an invalidation answers the callers already waiting on
-// it and nothing else. Mediator.mu guards the registry and the slots and is
-// never held across a fetch or an evaluation. Concurrent callers needing
-// the same part share one computation (whatever their prune masks), and
-// every data-touching operation takes a context.Context that cancels
-// remote fetches.
+// it and nothing else. An invalidation is a question, not a change: the
+// fetch it forces answers it, and a part whose source hands back the very
+// document its slot was evaluated from keeps its result. Mediator.mu guards
+// the registry and the slots and is never held across a fetch or an
+// evaluation. Concurrent callers needing the same part share one computation
+// (whatever their prune masks), and every data-touching operation takes a
+// context.Context that cancels remote fetches.
 package mediator
 
 import (
@@ -71,12 +73,23 @@ type Wrapper interface {
 	Name() string
 	// Fetch returns the source's current document. Implementations that
 	// touch the network must honor ctx cancellation.
+	//
+	// The document is read-only from the moment it is returned — to the
+	// mediator, which evaluates over it and keeps the picked elements
+	// themselves in its part slots, to every reader of a view or an answer,
+	// and to the wrapper too: a source that changes returns a new document.
+	// Returning the same *Document as the last time therefore says
+	// "unchanged", and the mediator takes it at its word: the part is not
+	// evaluated again and the view's tag (tag.go) does not move.
 	Fetch(ctx context.Context) (*xmlmodel.Document, error)
 	// Schema returns the source DTD.
 	Schema() *dtd.DTD
 }
 
-// StaticSource is an in-memory wrapper over a fixed document.
+// StaticSource is an in-memory wrapper over a fixed document. The document
+// was validated once, by NewStaticSource, and is shared with everything
+// evaluated from it, so it is never modified in place: a source that changes
+// has its Doc replaced by another document (and is then invalidated).
 type StaticSource struct {
 	SourceName string
 	Doc        *xmlmodel.Document
@@ -148,7 +161,7 @@ type View struct {
 	DegradedReason  string
 	DegradedSources []string
 
-	// tagPrefix is everything of the view's tags but the generations (tag.go).
+	// tagPrefix is everything of the view's tags but the versions (tag.go).
 	tagPrefix string
 }
 
@@ -191,7 +204,13 @@ type MaterializeInfo struct {
 // exactly once, before done is closed, and res.children is immutable from
 // then on (readers concatenate into a fresh root).
 type partCalc struct {
-	gen  uint64 // the source's generation when the fetch started
+	gen uint64 // the source's generation when the fetch started
+	// prev is the finished — hence complete — calc this one took the slot
+	// from, if any: what the part was before the invalidation that asks
+	// whether it changed. Set by claimLocked, read by the caller running the
+	// calc, and dropped (under m.mu) when the calc finishes, so a slot never
+	// holds more than one result.
+	prev *partCalc
 	done chan struct{}
 	res  partResult
 	// abandoned: the calc failed after the ctx of the caller running it had
@@ -214,15 +233,22 @@ type plannedPart struct {
 	lead, hit bool // this call runs calc / calc had finished when planned
 	w         Wrapper
 	res       partResult
-	gen       uint64 // of the calc res came from (what the tag says)
 }
 
 // partResult is what one part contributes to a materialization.
 type partResult struct {
+	// children are the elements the part query picks from doc — elements of
+	// doc itself, not copies (documents from Wrapper.Fetch are read-only).
 	children []*xmlmodel.Element
-	err      error
-	dropped  bool // the source's breaker is open: the part is omitted (degraded view)
-	stale    bool // children come from a last-known-good document (ReplicaSet)
+	doc      *xmlmodel.Document
+	// ver is the content version: the generation of the calc that evaluated
+	// children. It is the calc's own generation unless the fetch returned the
+	// predecessor's document and the result was carried over — then it is an
+	// earlier one — and it is what a tag says.
+	ver     uint64
+	err     error
+	dropped bool // the source's breaker is open: the part is omitted (degraded view)
+	stale   bool // children come from a last-known-good document (ReplicaSet)
 }
 
 // Mediator hosts wrappers and views.
@@ -239,7 +265,9 @@ type Mediator struct {
 	// slots holds, per view, one slot per part (created in DefineUnionView):
 	// the part's latest calc, usable — as a cached result once finished, as
 	// a computation to wait on until then — while calc.gen equals the
-	// source's generation. It is the only evaluated data the mediator keeps.
+	// source's generation, and after that only as what the refetch is
+	// compared with (partCalc.prev). It is the only evaluated data the
+	// mediator keeps.
 	slots map[string][]*partCalc
 	// deps is the static view→source dependency index, inverted: for each
 	// source name, the set of views with at least one part over it. Built
@@ -473,16 +501,17 @@ func (m *Mediator) MaterializeInfo(ctx context.Context, viewName string) (*xmlmo
 
 // MaterializeIfChanged is MaterializeInfo for a caller that may already hold
 // the document: ifNoneMatch is the value of an If-None-Match header (see
-// TagListed). When it names the tag the view's materialization would carry
-// now — every part cached, at its source's current generation — no document
-// is built: the result is a nil document and an info saying NotModified.
-// That is decided where a cache hit is, and counted and traced as one.
+// TagListed). When it names the tag the view's materialization carries now
+// no document is built: the result is a nil document and an info saying
+// NotModified. With every part cached that is a cache hit, and counted and
+// traced as one; after an invalidation it costs the refetches that find the
+// sources unchanged, and is the miss it was.
 func (m *Mediator) MaterializeIfChanged(ctx context.Context, viewName, ifNoneMatch string) (*xmlmodel.Document, *MaterializeInfo, error) {
 	v, err := m.View(viewName)
 	if err != nil {
 		return nil, nil, err
 	}
-	return m.materializeMasked(ctx, v, nil, ifNoneMatch)
+	return m.materializeMasked(ctx, v, nil, nil, ifNoneMatch)
 }
 
 // keepAll is the keep mask of a query's materialization that prunes nothing.
@@ -494,15 +523,16 @@ func keepAll(v *View) []bool { return slices.Repeat([]bool{true}, len(v.Parts)) 
 // goroutine, no breaker interaction, no retry; that is the point of
 // pruning. A nil keep is the whole view, and only then does the result carry
 // a tag (or come back NotModified, when ifNoneMatch names it): a query's
-// materialization, masked or not, renders none. Under m.mu each kept part
-// is resolved to its slot's calc: a finished one is reused without touching
-// the source (delta maintenance: after InvalidateSource only the parts over
-// that source are stale), a running one is joined, and a stale or empty slot
-// gets a new calc this call runs. The first part failure cancels this
-// call's sibling fetches — except a breaker-open rejection
-// (ErrBreakerOpen), which drops just that part and lets the siblings
-// complete: a dead source degrades the view, it does not take it down.
-func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool, ifNoneMatch string) (*xmlmodel.Document, *MaterializeInfo, error) {
+// materialization, masked or not, renders none; pruned is the plan's list of
+// the sources it masks out. Under m.mu each kept part is resolved to its
+// slot's calc: a finished one is reused without touching the source (delta
+// maintenance: after InvalidateSource only the parts over that source are
+// stale), a running one is joined, and a stale or empty slot gets a new calc
+// this call runs. The first part failure cancels this call's sibling fetches
+// — except a breaker-open rejection (ErrBreakerOpen), which drops just that
+// part and lets the siblings complete: a dead source degrades the view, it
+// does not take it down.
+func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool, pruned []string, ifNoneMatch string) (*xmlmodel.Document, *MaterializeInfo, error) {
 	whole := keep == nil
 	parts := make([]plannedPart, len(v.Parts))
 	var leads, joins int
@@ -518,7 +548,7 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool, 
 		case p.lead:
 			leads++
 		case p.calc.finished():
-			p.hit, p.res, p.gen = true, p.calc.res, p.calc.gen
+			p.hit, p.res = true, p.calc.res
 		default:
 			joins++
 		}
@@ -527,7 +557,6 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool, 
 
 	// The plan makes every call exactly one of miss, join or hit; a join is
 	// counted now, while the computation it waits on is still running.
-	pruned := prunedSources(v, keep)
 	var span *obs.Span
 	switch {
 	case leads > 0:
@@ -544,55 +573,18 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool, 
 	default:
 		m.stats.add(&m.stats.CacheHits, 1)
 		obs.AddEvent(ctx, "materialize.cache_hit", obs.String("view", v.Name))
-		// Every part a finished calc of its source's current generation (and
-		// a calc still in its slot when finished is complete — runPart): the
-		// critical section has established what the document would be.
-		if whole && ifNoneMatch != "" {
-			if tag := v.tagOf(parts); TagListed(ifNoneMatch, tag) {
-				return nil, &MaterializeInfo{Tag: tag, NotModified: true}, nil
-			}
-		}
 	}
 
-	start := time.Now()
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := range parts {
-		if !whole && !keep[i] || parts[i].hit {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, p *plannedPart) {
-			defer wg.Done()
-			p.res, p.gen = m.resolvePart(pctx, v, i, p.w, p.calc, p.lead)
-			if p.res.err != nil {
-				cancel() // abandon sibling fetches: the view cannot complete
+	if leads+joins > 0 {
+		if err := m.resolveParts(ctx, v, parts, leads > 0); err != nil {
+			if span != nil {
+				span.SetAttr(obs.String("error", err.Error()))
 			}
-		}(i, &parts[i])
-	}
-	wg.Wait()
-	if leads > 0 {
-		m.stats.recordMaterialize(v.Name, time.Since(start))
-	}
-
-	// Prefer a root-cause error over a sibling's induced cancellation.
-	var firstErr error
-	for _, p := range parts {
-		if p.res.err != nil && (firstErr == nil ||
-			errors.Is(firstErr, context.Canceled) && !errors.Is(p.res.err, context.Canceled)) {
-			firstErr = p.res.err
+			return nil, nil, err
 		}
-	}
-	if firstErr != nil {
-		if span != nil {
-			span.SetAttr(obs.String("error", firstErr.Error()))
-		}
-		return nil, nil, firstErr
 	}
 
 	info := &MaterializeInfo{Provenance: Provenance{PrunedSources: pruned}}
-	root := &xmlmodel.Element{Name: v.Name}
 	for i, p := range parts {
 		if !whole && !keep[i] {
 			continue
@@ -601,18 +593,12 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool, 
 		if p.res.dropped {
 			info.Degraded = true
 			info.DegradedSources = append(info.DegradedSources, src)
-			continue
-		}
-		if p.res.stale && !slices.Contains(info.StaleSources, src) {
+		} else if p.res.stale && !slices.Contains(info.StaleSources, src) {
 			info.StaleSources = append(info.StaleSources, src)
 		}
-		root.Children = append(root.Children, p.res.children...)
 	}
 	sort.Strings(info.DegradedSources)
 	sort.Strings(info.StaleSources)
-	if whole && !info.Degraded && len(info.StaleSources) == 0 {
-		info.Tag = v.tagOf(parts)
-	}
 	if info.Degraded {
 		m.stats.add(&m.stats.DegradedMaterializations, 1)
 		obs.AddEvent(ctx, "materialize.degraded",
@@ -623,37 +609,109 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool, 
 		obs.AddEvent(ctx, "materialize.stale",
 			obs.String("stale_sources", strings.Join(info.StaleSources, ",")))
 	}
-	if leads > 0 {
-		var reused, recomputed []string
-		for i, p := range parts {
-			switch {
-			case p.hit:
-				reused = append(reused, v.Parts[i].Source)
-			case p.lead && !p.res.dropped:
-				recomputed = append(recomputed, v.Parts[i].Source)
-			}
+	if whole && !info.Degraded && len(info.StaleSources) == 0 {
+		// Every part a complete, live result — cached, joined, evaluated or
+		// carried over: what the document is has been established, and a
+		// caller that already holds it is not built another.
+		info.Tag = v.tagOf(parts)
+		if ifNoneMatch != "" && TagListed(ifNoneMatch, info.Tag) {
+			info.NotModified = true
+			return nil, info, nil
 		}
-		m.stats.add(&m.stats.PartsReused, int64(len(reused)))
-		m.stats.add(&m.stats.PartsRecomputed, int64(len(recomputed)))
-		obs.AddEvent(ctx, "materialize.delta",
-			obs.String("reused", strings.Join(reused, ",")),
-			obs.String("recomputed", strings.Join(recomputed, ",")))
+	}
+	root := &xmlmodel.Element{Name: v.Name}
+	for _, p := range parts {
+		root.Children = append(root.Children, p.res.children...) // none for a masked-out or dropped part
 	}
 	return &xmlmodel.Document{DocType: v.Name, Root: root}, info, nil
+}
+
+// resolveParts gives every planned part that is not a hit its result: the
+// ones this call leads are run, the others waited for, side by side. The
+// error is the first root-cause failure (a sibling's induced cancellation
+// only when there is no other). led says this call leads at least one part:
+// it is then the materialization that missed, timed and accounted for as
+// one — which parts it reused, which it refetched, and which of those came
+// back unchanged.
+func (m *Mediator) resolveParts(ctx context.Context, v *View, parts []plannedPart, led bool) error {
+	start := time.Now()
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := range parts {
+		if parts[i].calc == nil || parts[i].hit {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, p *plannedPart) {
+			defer wg.Done()
+			p.res = m.resolvePart(pctx, v, i, p.w, p.calc, p.lead)
+			if p.res.err != nil {
+				cancel() // abandon sibling fetches: the view cannot complete
+			}
+		}(i, &parts[i])
+	}
+	wg.Wait()
+	if led {
+		m.stats.recordMaterialize(v.Name, time.Since(start))
+	}
+	if err := firstPartError(parts); err != nil || !led {
+		return err
+	}
+	var reused, recomputed, revalidated []string
+	for i, p := range parts {
+		switch {
+		case p.hit:
+			reused = append(reused, v.Parts[i].Source)
+		case p.lead && !p.res.dropped:
+			recomputed = append(recomputed, v.Parts[i].Source)
+			if p.res.ver != p.calc.gen { // carried over, not evaluated
+				revalidated = append(revalidated, v.Parts[i].Source)
+			}
+		}
+	}
+	m.stats.add(&m.stats.PartsReused, int64(len(reused)))
+	m.stats.add(&m.stats.PartsRecomputed, int64(len(recomputed)))
+	m.stats.add(&m.stats.PartsRevalidated, int64(len(revalidated)))
+	obs.AddEvent(ctx, "materialize.delta",
+		obs.String("reused", strings.Join(reused, ",")),
+		obs.String("recomputed", strings.Join(recomputed, ",")),
+		obs.String("revalidated", strings.Join(revalidated, ",")))
+	return nil
+}
+
+// firstPartError prefers a root-cause error over a sibling's induced
+// cancellation.
+func firstPartError(parts []plannedPart) error {
+	var first error
+	for _, p := range parts {
+		if p.res.err != nil && (first == nil ||
+			errors.Is(first, context.Canceled) && !errors.Is(p.res.err, context.Canceled)) {
+			first = p.res.err
+		}
+	}
+	return first
 }
 
 // claimLocked resolves part i of v to the calc that answers it. The slot's
 // calc does while it is at the source's current generation — finished, it
 // is the cached result; running, it is joined. Otherwise (empty slot, or a
 // calc that predates an invalidation and must gain no new waiters) a new
-// calc takes the slot and the caller must run it (lead). m.mu must be held.
+// calc takes the slot and the caller must run it (lead). A finished calc it
+// displaces goes with it as prev: a calc still in its slot when finished is
+// complete (runPart), so that is the part as it was before the invalidation.
+// m.mu must be held.
 func (m *Mediator) claimLocked(v *View, i int) (c *partCalc, lead bool) {
 	gen := m.srcGen[v.Parts[i].Source]
 	slots := m.slots[v.Name]
-	if c := slots[i]; c != nil && c.gen == gen {
-		return c, false
+	old := slots[i]
+	if old != nil && old.gen == gen {
+		return old, false
 	}
-	slots[i] = &partCalc{gen: gen, done: make(chan struct{})}
+	if old != nil && !old.finished() {
+		old = nil
+	}
+	slots[i] = &partCalc{gen: gen, prev: old, done: make(chan struct{})}
 	return slots[i], true
 }
 
@@ -663,22 +721,22 @@ func (m *Mediator) claimLocked(v *View, i int) (c *partCalc, lead bool) {
 // because the caller running it gave up (that caller's client left, or a
 // sibling part of its materialization failed) says nothing about the
 // source, so a waiter whose own ctx is alive claims the part again instead
-// of inheriting the cancellation. The generation returned is that of the
-// calc the result came from — the one the caller ended on, not necessarily
-// the one it was planned with.
-func (m *Mediator) resolvePart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc, lead bool) (partResult, uint64) {
+// of inheriting the cancellation. The result, and so the version in it, is
+// that of the calc the caller ended on, not necessarily the one it was
+// planned with.
+func (m *Mediator) resolvePart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc, lead bool) partResult {
 	for {
 		if lead {
 			m.runPart(ctx, v, i, w, c)
-			return c.res, c.gen
+			return c.res
 		}
 		select {
 		case <-c.done:
 		case <-ctx.Done():
-			return partResult{err: ctx.Err()}, 0
+			return partResult{err: ctx.Err()}
 		}
 		if !c.abandoned || ctx.Err() != nil {
-			return c.res, c.gen
+			return c.res
 		}
 		m.mu.Lock()
 		c, lead = m.claimLocked(v, i)
@@ -697,13 +755,14 @@ func (m *Mediator) resolvePart(ctx context.Context, v *View, i int, w Wrapper, c
 // are retried rather than pinned, and an invalidation is never overwritten
 // by a result that predates it.
 func (m *Mediator) runPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) {
-	c.res = evalPart(ctx, v, i, w)
+	c.res = evalPart(ctx, v, i, w, c)
 	c.abandoned = c.res.err != nil && ctx.Err() != nil
 	complete := c.res.err == nil && !c.res.dropped && !c.res.stale
 	m.mu.Lock()
+	c.prev = nil
 	current := m.srcGen[v.Parts[i].Source] == c.gen
-	// Invalidate may already have emptied the slot, and a later caller may
-	// have claimed it since: only remove c while the slot is still c's.
+	// A later caller may have claimed the slot since an invalidation
+	// detached c: only remove c while the slot is still c's.
 	if slots := m.slots[v.Name]; !(complete && current) && slots[i] == c {
 		slots[i] = nil
 	}
@@ -714,8 +773,13 @@ func (m *Mediator) runPart(ctx context.Context, v *View, i int, w Wrapper, c *pa
 	}
 }
 
-// evalPart fetches part i's source and evaluates the part query over it.
-func evalPart(ctx context.Context, v *View, i int, w Wrapper) (res partResult) {
+// evalPart fetches the source of part i for calc c and evaluates the part
+// query over the document — unless that is the very document c's predecessor
+// was evaluated from (Wrapper.Fetch: the same document says "unchanged"), in
+// which case c takes over the predecessor's picks and its version, and
+// nothing is evaluated or allocated. The picks are elements of the document
+// itself: the slot and the source's validator share one tree.
+func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res partResult) {
 	p := v.Parts[i]
 	// One span per source fetch: the trace of a slow or degraded request
 	// shows which source stalled (fault injection, retries) or was dropped
@@ -739,14 +803,21 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper) (res partResult) {
 		fspan.End()
 		return partResult{err: fmt.Errorf("mediator: fetching %s: %w", p.Source, err)}
 	}
+	res.doc, res.ver = doc, c.gen
+	// A last-known-good document is not the source's answer: never carried.
+	if prev := c.prev; prev != nil && prev.res.doc == doc && !res.stale {
+		fspan.SetAttr(obs.Bool("unchanged", true))
+		fspan.End()
+		res.children, res.ver = prev.res.children, prev.res.ver
+		return res
+	}
 	fspan.End()
 	_, espan := obs.StartSpan(ctx, "part.eval", obs.String("source", p.Source))
-	part, err := engine.Eval(p.Query, doc)
+	res.children, err = engine.EvalElements(p.Query, doc)
 	espan.End()
 	if err != nil {
 		return partResult{err: fmt.Errorf("mediator: evaluating view %s over %s: %v", v.Name, p.Source, err)}
 	}
-	res.children = part.Root.Children
 	return res
 }
 
@@ -774,17 +845,16 @@ func prunedSources(v *View, keep []bool) []string {
 }
 
 // Invalidate announces a change of unknown extent: every source generation
-// bumps and every slot empties. Running calcs are thereby detached — they
-// still answer the callers already waiting on them, but gain no new
-// waiters and are not kept. For a change scoped to one source,
-// InvalidateSource (delta.go) recomputes only the dependent view parts.
+// bumps, which is all it takes — the fence detaches every slot's calc. A
+// running one still answers the callers already waiting on it, but gains no
+// new waiters and is not kept; a finished one waits in its slot for the
+// refetch that says whether its part changed at all (evalPart).
+// InvalidateSource (delta.go) is the same for one source and what depends
+// on it.
 func (m *Mediator) Invalidate() {
 	m.mu.Lock()
 	for s := range m.wrappers {
 		m.srcGen[s]++
-	}
-	for _, slots := range m.slots {
-		clear(slots)
 	}
 	m.mu.Unlock()
 	m.stats.add(&m.stats.Invalidations, 1)
@@ -852,12 +922,12 @@ func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*
 		if pruned == len(v.Parts) {
 			// Every part refuted: the answer is empty without touching any
 			// source — same shape as the unsatisfiable fast path above.
-			stats.PrunedSources = prunedSources(v, plan.keep)
+			stats.PrunedSources = plan.prunedSources
 			span.Event("query.all_parts_pruned")
 			return engine.EmptyResult(q), stats, nil
 		}
 	}
-	doc, info, err := m.materializeMasked(ctx, v, plan.keep, "")
+	doc, info, err := m.materializeMasked(ctx, v, plan.keep, plan.prunedSources, "")
 	if err != nil {
 		return nil, nil, err
 	}

@@ -52,6 +52,9 @@ type queryPlan struct {
 	// order, each with the reason it is provably irrelevant.
 	keep   []bool
 	pruned []prunedPart
+	// prunedSources names, sorted, the sources keep leaves no part of: what
+	// every answer under this plan reports as its pruned sources.
+	prunedSources []string
 }
 
 // prunedPart is one part a plan leaves out of the materialization.
@@ -121,5 +124,6 @@ func analyse(ctx context.Context, v *View, q *xmas.Query, pruning bool, limits b
 		return plan, false
 	}
 	plan.keep, plan.pruned, unknown = pruneParts(ctx, v, sq, limits)
+	plan.prunedSources = prunedSources(v, plan.keep)
 	return plan, unknown
 }

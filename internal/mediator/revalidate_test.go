@@ -18,8 +18,9 @@ import (
 	"repro/internal/xmlmodel"
 )
 
-// The hop revalidates: HTTPSource keeps the last document a remote sent
-// under an ETag, asks with the tag, and a 304 is answered with the document.
+// The hop revalidates: HTTPSource keeps the last body that passed its checks,
+// with its document and the tag it came under; it asks with the tag, and a
+// 304 — or the same bytes again — is answered with the document.
 
 // taggingRemote serves view v as a mixserve that tags its documents would:
 // the current body under the current ETag, 304 to a request that names it.
@@ -231,63 +232,124 @@ func TestHTTPSourceRetriesAConditionalFetch(t *testing.T) {
 	}
 }
 
-// Nothing is retained for a remote that sends no ETag, and nothing is asked
-// of it; one that stops sending them is forgotten.
-func TestHTTPSourceRetainsNothingWithoutAnETag(t *testing.T) {
+// An untagged remote is revalidated by its bytes: nothing is asked of it, the
+// body is read, and a body equal to the held one is answered with the held
+// document — exactly as a 304 is. One byte of difference is a new document,
+// checked in full; a body that fails a check never replaces the held triple;
+// and a remote that starts or stops sending ETags keeps working.
+func TestHTTPSourceRevalidatesAnUntaggedRemoteByItsBytes(t *testing.T) {
 	rm, src := newTaggingRemote(t, WithRetries(0))
 	rm.set("", membersBody("ana"))
+	validated := dtd.StreamValidationStats().Documents
 	a, b := mustFetch(t, src), mustFetch(t, src)
-	if a == b || src.kept.Load() != nil || rm.asked.Load() != "" || rm.full.Load() != 2 {
-		t.Errorf("no ETag: same document %v, kept %v, asked %q, %d full responses",
-			a == b, src.kept.Load(), rm.asked.Load(), rm.full.Load())
+	if a != b || rm.asked.Load() != "" || rm.full.Load() != 2 {
+		t.Fatalf("equal bytes: same document %v, asked %q, %d full responses", a == b, rm.asked.Load(), rm.full.Load())
 	}
-	rm.set(`"v1"`, membersBody("ana"))
-	mustFetch(t, src)
-	if src.kept.Load() == nil {
-		t.Fatal("a tagged document was not kept")
+	if kept := src.kept.Load(); kept == nil || kept.tag != "" || kept.body != membersBody("ana") || kept.doc != a {
+		t.Errorf("held triple: %+v", kept)
 	}
-	rm.set("", membersBody("ana"))
-	mustFetch(t, src)
-	if src.kept.Load() != nil {
-		t.Error("the pair outlived the remote's ETags")
+	if got := dtd.StreamValidationStats().Documents - validated; got != 1 {
+		t.Errorf("%d documents validated for two fetches of the same bytes, want 1", got)
+	}
+	var rep SourceReport
+	rep.Collect(NewFaultSource(src))
+	if rep.UnchangedBodies != 1 || rep.NotModified != 0 {
+		t.Errorf("SourceReport: %d unchanged bodies, %d not modified; want 1 and 0", rep.UnchangedBodies, rep.NotModified)
+	}
+
+	// One byte different: a full check, and the triple is replaced.
+	rm.set("", membersBody("anb"))
+	c := mustFetch(t, src)
+	if c == a || c.Root.Children[0].Text != "anb" {
+		t.Fatalf("one byte different: same document %v, text %q", c == a, c.Root.Children[0].Text)
+	}
+	if got := dtd.StreamValidationStats().Documents - validated; got != 2 {
+		t.Errorf("%d documents validated, want 2: the differing body was not checked in full", got)
+	}
+	if kept := src.kept.Load(); kept.doc != c || kept.body != membersBody("anb") {
+		t.Errorf("held triple after the change: %+v", kept)
+	}
+
+	// What fails a check is not held, and does not unseat what is.
+	rm.set("", remoteDTD+"\n<members><gradStudent>x</gradStudent></members>")
+	if _, err := src.Fetch(context.Background()); err == nil {
+		t.Fatal("a body that violates the DTD passed")
+	}
+	if kept := src.kept.Load(); kept.doc != c {
+		t.Errorf("a failed body replaced the held triple: %+v", kept)
+	}
+	rm.set("", membersBody("anb"))
+	if again := mustFetch(t, src); again != c {
+		t.Error("the held bytes came back and built another document")
+	}
+
+	// The remote starts sending ETags: the same bytes are the same document,
+	// now held under the tag, and the next fetch asks with it.
+	rm.set(`"v1"`, membersBody("anb"))
+	if again := mustFetch(t, src); again != c || src.kept.Load().tag != `"v1"` {
+		t.Errorf("first tagged answer: same document %v, held tag %q", again == c, src.kept.Load().tag)
+	}
+	if again := mustFetch(t, src); again != c || rm.asked.Load() != `"v1"` || rm.notModified.Load() != 1 {
+		t.Errorf("tagged: same document %v, asked %q, %d not modified", again == c, rm.asked.Load(), rm.notModified.Load())
+	}
+	// And stops: the fetch that finds out still carries the old tag, the
+	// full answer it gets is compared, and nothing is asked afterwards.
+	rm.set("", membersBody("anb"))
+	if again := mustFetch(t, src); again != c || src.kept.Load().tag != "" {
+		t.Errorf("first untagged answer: same document %v, held tag %q", again == c, src.kept.Load().tag)
+	}
+	if again := mustFetch(t, src); again != c || rm.asked.Load() != "" {
+		t.Errorf("untagged again: same document %v, asked %q", again == c, rm.asked.Load())
+	}
+	if got := dtd.StreamValidationStats().Documents - validated; got != 3 { // ana, anb, the violating body
+		t.Errorf("%d documents validated over the whole test, want 3", got)
 	}
 }
 
-// Fetches that race a changing remote store their pairs in any order; each
-// pair is whole, so whichever is left, the next fetch asks with its tag and
-// ends on the remote's current document. Meaningful under -race.
+// Fetches that race a changing remote store their triples in any order; each
+// is whole, so whichever is left, the next fetch revalidates against it — by
+// its tag, or by its bytes when the remote sends none — and ends on the
+// remote's current document. Meaningful under -race.
 func TestHTTPSourceRacingFetchesConverge(t *testing.T) {
-	rm, src := newTaggingRemote(t, WithRetries(0))
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				if g == 0 {
-					rm.set(fmt.Sprintf(`"r%d"`, i), membersBody(fmt.Sprintf("p%d", i)))
-				}
-				if _, err := src.Fetch(context.Background()); err != nil {
-					t.Error(err)
-					return
-				}
-				if kept := src.kept.Load(); kept != nil && len(kept.doc.Root.Children) != 1 {
-					t.Errorf("a kept document has %d children", len(kept.doc.Root.Children))
-				}
+	for _, tagged := range []bool{true, false} {
+		tag := func(name string) string {
+			if !tagged {
+				return ""
 			}
-		}(g)
-	}
-	wg.Wait()
-	rm.set(`"final"`, membersBody("zed"))
-	last := mustFetch(t, src)
-	if got := last.Root.Children[0].Text; got != "zed" {
-		t.Errorf("after the race the fetch returned %q, want the remote's current document", got)
-	}
-	if kept := src.kept.Load(); kept == nil || kept.tag != `"final"` || kept.doc != last {
-		t.Errorf("kept pair: %+v", kept)
-	}
-	if again := mustFetch(t, src); again != last {
-		t.Error("the converged pair was not reused")
+			return `"` + name + `"`
+		}
+		rm, src := newTaggingRemote(t, WithRetries(0))
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 25; i++ {
+					if g == 0 {
+						rm.set(tag(fmt.Sprintf("r%d", i)), membersBody(fmt.Sprintf("p%d", i)))
+					}
+					if _, err := src.Fetch(context.Background()); err != nil {
+						t.Error(err)
+						return
+					}
+					if kept := src.kept.Load(); kept != nil && len(kept.doc.Root.Children) != 1 {
+						t.Errorf("a kept document has %d children", len(kept.doc.Root.Children))
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		rm.set(tag("final"), membersBody("zed"))
+		last := mustFetch(t, src)
+		if got := last.Root.Children[0].Text; got != "zed" {
+			t.Errorf("tagged %v: after the race the fetch returned %q, want the remote's current document", tagged, got)
+		}
+		if kept := src.kept.Load(); kept == nil || kept.tag != tag("final") || kept.body != membersBody("zed") || kept.doc != last {
+			t.Errorf("tagged %v: kept triple: %+v", tagged, kept)
+		}
+		if again := mustFetch(t, src); again != last {
+			t.Errorf("tagged %v: the converged triple was not reused", tagged)
+		}
 	}
 }
 

@@ -66,6 +66,10 @@ type Stats struct {
 	// reused, not refetched.
 	PartsRecomputed int64 `json:"parts_recomputed" metric:"mix_parts_recomputed_total" help:"View parts evaluated against their source during materializations that missed."`
 	PartsReused     int64 `json:"parts_reused" metric:"mix_parts_reused_total" help:"View parts served from their cache slot during materializations that missed."`
+	// PartsRevalidated counts, among PartsRecomputed, the parts whose
+	// refetch returned the document their slot already held: the result was
+	// carried over, nothing was evaluated and the view's tag did not move.
+	PartsRevalidated int64 `json:"parts_revalidated" metric:"mix_parts_revalidated_total" help:"Refetched view parts whose source returned the document already held (result carried over, not evaluated)."`
 
 	// Simplifier totals across all queries (Section 4.2's side effects).
 	SimplifierPruned  int64 `json:"simplifier_pruned" metric:"mix_simplifier_pruned_total" help:"Query conditions pruned by the DTD-based simplifier."`
@@ -81,6 +85,10 @@ type Stats struct {
 	// wrapper (HTTPSource) returned the document it had already validated
 	// and nothing was shipped, scanned or parsed.
 	NotModified int64 `json:"not_modified" metric:"mix_wrapper_not_modified_total" help:"Remote fetches answered 304 Not Modified (the validated document was reused)."`
+	// UnchangedBodies sums the fetches a remote answered in full with the
+	// bytes the wrapper already held: the body was read and compared, and
+	// the validated document was returned again.
+	UnchangedBodies int64 `json:"unchanged_bodies" metric:"mix_wrapper_unchanged_bodies_total" help:"Remote fetches answered 200 with the body already held (the validated document was reused)."`
 
 	// DegradedViews counts view definitions whose DTD inference exhausted
 	// its budget and registered a sound-but-looser DTD;
@@ -270,6 +278,7 @@ func (m *Mediator) Stats() Stats {
 	rep := m.sourceReport()
 	out.Retries = rep.Retries
 	out.NotModified = rep.NotModified
+	out.UnchangedBodies = rep.UnchangedBodies
 	out.BreakerTrips = rep.BreakerTrips
 	out.BreakerRejections = rep.BreakerRejections
 	for _, rs := range rep.Replicas {
@@ -295,6 +304,7 @@ func (m *Mediator) ReplicaStatuses() map[string]ReplicaSetStatus {
 type SourceReport struct {
 	Retries           int64
 	NotModified       int64
+	UnchangedBodies   int64
 	BreakerTrips      int64
 	BreakerRejections int64
 	// Replicas has one status per ReplicaSet, outermost first.

@@ -14,18 +14,36 @@ import (
 //
 // A complete materialization — every part of the view, none dropped, none
 // served from a last-known-good copy — carries a tag: the mediator's nonce,
-// the view's name and, part by part, the source generation of the calc the
-// part's result came from. It identifies the document's content. A view's
-// definition never changes; a calc's result never changes once published;
-// and at most one complete calc per (part, generation) ever exists — a
-// complete calc keeps its slot, and so keeps every later claim from making
-// another, until its source's generation moves on, after which no calc of
-// the old generation is claimed again (one that failed, was dropped or came
-// back stale is replaced at the same generation, but reaches no tagged
-// document). Generations are counted per Mediator value and start at zero,
-// hence the nonce: a restarted process, or a second mediator, never repeats
-// a tag. internal/serve sends the tag as the ETag of GET /views/{name};
-// HTTPSource holds it with the document it validated and asks with it.
+// the view's name and, part by part, the content version (partResult.ver) of
+// the part's result: the source generation of the calc that evaluated it.
+// The tag identifies the document's content, by this argument.
+//
+// A view's definition never changes, and a calc's result never changes once
+// published. A complete calc either evaluated its part — then its version
+// is its own generation — or carried its predecessor's result over, picks
+// and version both (evalPart). At most one complete calc per (part,
+// generation) ever evaluates: a complete calc keeps its slot, and so keeps
+// every later claim from making another, until its source's generation moves
+// on, after which no calc of the old generation is claimed again (one that
+// failed, was dropped or came back stale is replaced at the same generation,
+// but reaches no tagged document and is nobody's predecessor). So, by
+// induction along the chain of predecessors, every complete result of a part
+// that says version g holds the very picks the one calc that evaluated at
+// generation g made: equal tags mean the same elements in the same order.
+//
+// The other direction is the sources' to keep. A tag outlives an
+// invalidation exactly when every refetch the invalidation forced returned
+// the document the slot already held, and a document a wrapper hands out is
+// never written again (Wrapper.Fetch) — so the picks a carried version names
+// are the picks an evaluation of the source's current document would make.
+// A source that changed returns another document; its part is evaluated at
+// the invalidation's generation, which no earlier tag of this mediator says
+// in that position.
+//
+// Generations are counted per Mediator value and start at zero, hence the
+// nonce: a restarted process, or a second mediator, never repeats a tag.
+// internal/serve sends the tag as the ETag of GET /views/{name}; HTTPSource
+// holds it with the document it validated and asks with it.
 
 // newNonce draws the random part of a mediator's tags.
 func newNonce() string {
@@ -37,7 +55,7 @@ func newNonce() string {
 	return hex.EncodeToString(b[:])
 }
 
-// tagPrefixFor renders everything of view name's tags but the generations,
+// tagPrefixFor renders everything of view name's tags but the versions,
 // once, at definition. The name is escaped into the characters an entity
 // tag may hold; neither part contains a comma.
 func tagPrefixFor(nonce, name string) string {
@@ -52,7 +70,7 @@ func (v *View) tagOf(parts []plannedPart) string {
 		if i > 0 {
 			buf = append(buf, '.')
 		}
-		buf = strconv.AppendUint(buf, parts[i].gen, 10)
+		buf = strconv.AppendUint(buf, parts[i].res.ver, 10)
 	}
 	return string(append(buf, '"'))
 }

@@ -38,10 +38,13 @@ func TestTagListed(t *testing.T) {
 	}
 }
 
-// A tag follows the generations: it holds while nothing is invalidated, a
-// caller that names it gets no document (and is counted as the cache hit it
-// is), an invalidation of any of the view's sources changes it, and a query
-// never makes one.
+// A tag follows the generations of what was evaluated, not of what was
+// asked: it holds while nothing is invalidated, a caller that names it gets
+// no document (and is counted as the cache hit it is), an invalidation of a
+// source that changed moves it to that invalidation's generation, an
+// invalidation — of one source or of all — that finds every source unchanged
+// leaves it where it was and the caller that names it is still told "not
+// modified", and a query never makes one.
 func TestTagFollowsGenerations(t *testing.T) {
 	ctx := context.Background()
 	m, faults := newDeltaMediator(t, 3, "u")
@@ -67,6 +70,8 @@ func TestTagFollowsGenerations(t *testing.T) {
 			before.CacheHits, after.CacheHits, before.CacheMisses, after.CacheMisses)
 	}
 
+	// s1 changes: its part is refetched, evaluated, and the tag says so.
+	setDeltaDoc(t, faults, 1, 7)
 	if _, err := m.InvalidateSource("s1"); err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +83,50 @@ func TestTagFollowsGenerations(t *testing.T) {
 	if now := fetchCounts(faults); now[0] != fetched[0] || now[1] != fetched[1]+1 || now[2] != fetched[2] {
 		t.Errorf("fetches %v → %v, want only s1 refetched", fetched, now)
 	}
+	for i := range faults {
+		setDeltaDoc(t, faults, i, 10+i)
+	}
 	m.Invalidate()
 	if _, info, _ = m.MaterializeIfChanged(ctx, "u", info.Tag); info.NotModified || !strings.HasSuffix(info.Tag, `1.2.1"`) {
-		t.Errorf("after Invalidate: %+v", info)
+		t.Errorf("after Invalidate over changed sources: %+v", info)
+	}
+
+	// The other direction: nothing changed, so every refetch finds the
+	// document its slot holds, nothing is evaluated and the tag stays — the
+	// misses are misses, and their answer is still "not modified".
+	held, before := info.Tag, m.Stats()
+	fetched = fetchCounts(faults)
+	if _, err := m.InvalidateSource("s2"); err != nil {
+		t.Fatal(err)
+	}
+	doc, info, err = m.MaterializeIfChanged(ctx, "u", held)
+	if err != nil || doc != nil || !info.NotModified || info.Tag != held {
+		t.Errorf("after a no-op InvalidateSource(s2): doc %v, info %+v, err %v", doc != nil, info, err)
+	}
+	m.Invalidate()
+	doc, info, err = m.MaterializeInfo(ctx, "u")
+	if err != nil || doc == nil || info.NotModified || info.Tag != held {
+		t.Errorf("after a no-op Invalidate: doc %v, info %+v, err %v; want a document under %s", doc != nil, info, err, held)
+	}
+	if _, info, _ = m.MaterializeIfChanged(ctx, "u", held); !info.NotModified {
+		t.Errorf("the tag a no-op Invalidate left alone is not honoured: %+v", info)
+	}
+	if now := fetchCounts(faults); now[0] != fetched[0]+1 || now[1] != fetched[1]+1 || now[2] != fetched[2]+2 {
+		t.Errorf("fetches %v → %v: an invalidation is answered by a fetch, changed or not", fetched, now)
+	}
+	after := m.Stats()
+	if got := after.PartsRevalidated - before.PartsRevalidated; got != 4 {
+		t.Errorf("PartsRevalidated advanced by %d, want 4 (s2, then all three)", got)
+	}
+	if recomputed := after.PartsRecomputed - before.PartsRecomputed; recomputed != 4 || after.CacheMisses != before.CacheMisses+2 {
+		t.Errorf("PartsRecomputed advanced by %d and misses by %d, want 4 and 2: a revalidated part is a recomputed one",
+			recomputed, after.CacheMisses-before.CacheMisses)
 	}
 
 	// A query's materialization, even one that keeps every part, has no tag
 	// and honours none.
 	v, _ := m.View("u")
-	if doc, masked, err := m.materializeMasked(ctx, v, keepAll(v), info.Tag); err != nil || doc == nil || masked.Tag != "" || masked.NotModified {
+	if doc, masked, err := m.materializeMasked(ctx, v, keepAll(v), nil, held); err != nil || doc == nil || masked.Tag != "" || masked.NotModified {
 		t.Errorf("a query's materialization: doc %v, info %+v, err %v", doc != nil, masked, err)
 	}
 

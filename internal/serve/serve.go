@@ -5,7 +5,10 @@
 //	GET  /views                     list views (text)
 //	GET  /views/{name}              the materialized view document (XML),
 //	                                under an ETag when complete and live;
-//	                                If-None-Match is answered 304
+//	                                If-None-Match is answered 304. The
+//	                                ETag names content, not invalidations:
+//	                                it survives a POST /invalidate that
+//	                                finds every source unchanged
 //	GET  /views/{name}/dtd          the inferred plain view DTD
 //	GET  /views/{name}/sdtd         the inferred specialized view DTD
 //	POST /views/{name}/query        body: a XMAS query; response: view XML
@@ -18,9 +21,9 @@
 //	GET  /debug/trace               ring buffer of recent request traces
 //	POST /infer                     body: DOCTYPE + XMAS query; response:
 //	                                inferred s-DTD, plain DTD, classification
-//	POST /invalidate                flush every cached view part; with
-//	                                a {"source": name} JSON body, delta-
-//	                                invalidate just that source's views
+//	POST /invalidate                have every cached view part ask its
+//	                                source again; with a {"source": name}
+//	                                JSON body, just that source's parts
 //
 // Queries posted to a view are answered through the mediator's
 // DTD-simplifying path; the X-Mix-Skipped/X-Mix-Pruned response headers
