@@ -38,14 +38,16 @@ lint:
 # the refinement fan-out under it takes the serial path at -cpu=1 and the
 # goroutine path at -cpu=2. internal/load last: its one open-loop dispatcher
 # is shared by all three campaigns, and whether a slot is free at an
-# operation's turn — sent or shed — is decided by the scheduler.
+# operation's turn — sent or shed — is decided by the scheduler. internal/obs
+# because a request's trace is one record that every part goroutine of the
+# request writes, and that /debug/trace reads while they do.
 test:
 	go test ./...
 
 race:
 	go vet ./...
 	go test -race ./...
-	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/
+	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/ ./internal/obs/
 
 # Every allocation ratchet in the tree, by one name and without -race: a
 # binary built with the race detector allocates differently (escape

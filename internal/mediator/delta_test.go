@@ -417,6 +417,42 @@ func TestRevalidatedPartIsTracedAndCounted(t *testing.T) {
 	}
 }
 
+// A view wider than a trace's span cap (obs: 512) is answered in full and
+// traced up to the cap: one materialize span, then source.fetch and part.eval
+// spans while there is room, the rest counted as dropped — 2 spans a part
+// were opened, so kept + dropped says how many — and none of the kept ones
+// hangs from a span that is not in the trace.
+func TestWideViewTraceIsCapped(t *testing.T) {
+	const parts = 300
+	m, _ := newDeltaMediator(t, parts, "wide")
+	tracer := obs.NewTracer(1)
+	ctx, root := tracer.StartRequest(context.Background(), "test", "")
+	doc, err := m.Materialize(ctx, "wide")
+	root.End()
+	if err != nil || len(doc.Root.Children) != parts {
+		t.Fatalf("wide view: %v, %d children, want %d", err, len(doc.Root.Children), parts)
+	}
+	tr := tracer.Traces(0)[0]
+	if len(tr.Spans) != 512 || int(tr.DroppedSpans) != 2+2*parts-512 {
+		t.Fatalf("%d spans kept, %d dropped; want 512 and %d", len(tr.Spans), tr.DroppedSpans, 2+2*parts-512)
+	}
+	mat := tr.Span("materialize")
+	for _, sp := range tr.Spans {
+		if sp.ParentID >= sp.SpanID || (sp.Name != "test" && sp.Name != "materialize" && sp.ParentID != mat.SpanID) {
+			t.Fatalf("span %d (%s) hangs from %d", sp.SpanID, sp.Name, sp.ParentID)
+		}
+	}
+	var delta *obs.Event
+	for i, ev := range mat.Events {
+		if ev.Name == "materialize.delta" {
+			delta = &mat.Events[i]
+		}
+	}
+	if delta == nil || len(delta.Attrs) != 3 {
+		t.Errorf("materialize.delta must survive the cap: %+v", mat.Events)
+	}
+}
+
 // A last-known-good document is not the source's answer. When it is the very
 // document the slot was evaluated from — a ReplicaSet keeps the one it last
 // handed out — the part is still not carried over: it is served stale,

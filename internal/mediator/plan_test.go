@@ -49,8 +49,8 @@ func TestPlanHitAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("a plan hit: %v allocs; the warm pruned query around it: %v", allocs, read)
-	if read > 24 { // measured 22; 26 when the read listed the pruned sources itself
-		t.Errorf("a warm pruned query costs %.0f allocations, want <= 24", read)
+	if read > 22 { // measured 20; 22 while an untraced call site still built its attribute list, 26 when the read listed the pruned sources itself
+		t.Errorf("a warm pruned query costs %.0f allocations, want <= 22", read)
 	}
 }
 

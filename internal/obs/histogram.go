@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"maps"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -136,4 +138,52 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		return lo + (ub-lo)*frac
 	}
 	return s.Bounds[len(s.Bounds)-1]
+}
+
+// HistogramSet is a set of histograms by name, for names drawn from a small
+// set that is fixed in practice (route patterns, span names) but not in
+// principle (a client picks the HTTP method): a name's first Get takes a lock
+// and copies the map, every later one is a load and a map read — no lock, no
+// allocation — and once max names are taken the rest share "other".
+type HistogramSet struct {
+	max    int
+	mu     sync.Mutex // serializes growth
+	byName atomic.Pointer[map[string]*Histogram]
+}
+
+// NewHistogramSet returns an empty set that will hold up to limit names
+// (and "other").
+func NewHistogramSet(limit int) *HistogramSet {
+	s := &HistogramSet{max: limit}
+	s.byName.Store(&map[string]*Histogram{})
+	return s
+}
+
+// Get returns the histogram of name, made on first use.
+func (s *HistogramSet) Get(name string) *Histogram {
+	if h := (*s.byName.Load())[name]; h != nil {
+		return h
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := *s.byName.Load()
+	if old[name] == nil && len(old) >= s.max {
+		name = "other"
+	}
+	if h := old[name]; h != nil {
+		return h
+	}
+	grown := maps.Clone(old)
+	grown[name] = NewHistogram()
+	s.byName.Store(&grown)
+	return grown[name]
+}
+
+// Snapshot copies every histogram of the set, by name.
+func (s *HistogramSet) Snapshot() map[string]HistogramSnapshot {
+	out := map[string]HistogramSnapshot{}
+	for name, h := range *s.byName.Load() {
+		out[name] = h.Snapshot()
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -86,5 +87,39 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	wg.Wait()
 	if s := h.Snapshot(); s.Count != workers*per {
 		t.Errorf("count = %d, want %d", s.Count, workers*per)
+	}
+}
+
+// TestHistogramSetConcurrentFirstSight: goroutines meeting the same new
+// names at once all get the one histogram per name — no observation lands in
+// a map that lost the race to be stored — and names past the limit share
+// "other".
+func TestHistogramSetConcurrentFirstSight(t *testing.T) {
+	const workers, names, limit = 8, 12, 10
+	s := NewHistogramSet(limit)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < names; i++ {
+				s.Get(fmt.Sprintf("n%02d", i)).Observe(time.Millisecond)
+			}
+		}()
+	}
+	wg.Wait()
+	snap := s.Snapshot()
+	if len(snap) != limit+1 {
+		t.Fatalf("%d names, want %d and other", len(snap), limit)
+	}
+	var total int64
+	for name, h := range snap {
+		total += h.Count
+		if name != "other" && h.Count != workers {
+			t.Errorf("%s: %d observations, want %d", name, h.Count, workers)
+		}
+	}
+	if total != workers*names || snap["other"].Count != workers*(names-limit) {
+		t.Errorf("%d observations (%d under other), want %d (%d)", total, snap["other"].Count, workers*names, workers*(names-limit))
 	}
 }

@@ -94,9 +94,10 @@ func BenchmarkForwardHopChanged(b *testing.B) {
 // TestForwardHopNotModifiedAllocs ratchets the revalidated hop: a warm
 // forwarded GET and a warm forwarded query, the owner's document unchanged,
 // counted from the forwarder's handler in (the owner answers over loopback in
-// this process, so its 304 is in the count too). Measured 165 and 180 (176
-// and 189 under -race, which `make race` runs this with); the same requests
-// against an owner invalidated every time measure 241 and 256.
+// this process, so its 304 is in the count too — and its trace: a hop is two
+// traced requests). Measured 135 and 150 (144 and 157 under -race, which
+// `make race` runs this with), ceilings + 10 %; they were 165 and 180 while a
+// trace was an object per span and a copy per End.
 func TestForwardHopNotModifiedAllocs(t *testing.T) {
 	owner, _ := newServerAndMediator(t)
 	node, err := cluster.NewNode(cluster.Config{
@@ -113,8 +114,8 @@ func TestForwardHopNotModifiedAllocs(t *testing.T) {
 		name, method, path, body string
 		ceiling                  float64
 	}{
-		{"GET", http.MethodGet, "/views/members", "", 185},
-		{"query", http.MethodPost, "/views/members/query", q, 200},
+		{"GET", http.MethodGet, "/views/members", "", 148},
+		{"query", http.MethodPost, "/views/members/query", q, 165},
 	} {
 		do := func() {
 			rec := httptest.NewRecorder()

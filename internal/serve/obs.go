@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,7 +19,8 @@ import (
 // Incoming values (if well-formed, see obs.ValidTraceID) are honored so a
 // caller — or an upstream proxy — can correlate its own logs with the
 // mediator's; otherwise a fresh ID is minted. The header is set on every
-// response, including errors, degraded responses and 404s.
+// response of a traced request, including errors, degraded responses and
+// 404s; a handler built WithTracer(nil) has no ID to give and sends none.
 const TraceHeader = obs.TraceHeader
 
 // statusWriter captures the status code and body size for the access log
@@ -61,8 +64,14 @@ func (sw *statusWriter) Flush() {
 // X-Mix-Trace-Id, records the per-route latency histogram and status
 // counter, and emits one structured access-log line per request.
 func (h *Handler) serveObserved(w http.ResponseWriter, r *http.Request) {
-	ctx, span := h.tracer.StartRequest(r.Context(), "http "+r.Method, r.Header.Get(TraceHeader))
-	w.Header().Set(TraceHeader, span.TraceID())
+	name, ok := rootSpanNames[r.Method]
+	if !ok {
+		name = "http " + r.Method
+	}
+	ctx, span := h.tracer.StartRequest(r.Context(), name, r.Header.Get(TraceHeader))
+	if id := span.TraceID(); id != "" {
+		w.Header().Set(TraceHeader, id)
+	}
 	sw := &statusWriter{ResponseWriter: w}
 	r2 := r.WithContext(ctx)
 
@@ -101,6 +110,10 @@ func (h *Handler) serveObserved(w http.ResponseWriter, r *http.Request) {
 	)
 }
 
+// rootSpanNames are "http <method>", built per request only for a method
+// this server does not route.
+var rootSpanNames = map[string]string{http.MethodGet: "http GET", http.MethodPost: "http POST", http.MethodHead: "http HEAD"}
+
 // slogLevelFor maps a response status to a log level so server errors
 // stand out in the access log without a separate error path.
 func slogLevelFor(status int) slog.Level {
@@ -116,14 +129,9 @@ func slogLevelFor(status int) slog.Level {
 
 func (h *Handler) recordRequest(pattern string, status int, d time.Duration) {
 	h.reqMu.Lock()
-	hist, ok := h.reqHists[pattern]
-	if !ok {
-		hist = obs.NewHistogram()
-		h.reqHists[pattern] = hist
-	}
-	h.reqCodes[pattern+"|"+strconv.Itoa(status)]++
+	h.reqCodes[reqCode{pattern, status}]++
 	h.reqMu.Unlock()
-	hist.Observe(d)
+	h.reqHists.Get(pattern).Observe(d)
 }
 
 // getDebugTrace serves the tracer's ring of recent traces as JSON,
@@ -233,22 +241,16 @@ func (h *Handler) writePrometheus(w http.ResponseWriter) {
 	}
 
 	// HTTP layer: per-route latency histograms and per-status counters.
+	hists := h.reqHists.Snapshot()
 	h.reqMu.Lock()
-	patterns := make([]string, 0, len(h.reqHists))
-	for p := range h.reqHists {
-		patterns = append(patterns, p)
-	}
-	hists := make(map[string]obs.HistogramSnapshot, len(h.reqHists))
-	for p, hist := range h.reqHists {
-		hists[p] = hist.Snapshot()
-	}
 	codes := make(map[string]int64, len(h.reqCodes))
 	for k, v := range h.reqCodes {
-		codes[k] = v
+		// Joined here, at scrape time, and sorted joined, as the series
+		// always were.
+		codes[k.pattern+"|"+strconv.Itoa(k.status)] = v
 	}
 	h.reqMu.Unlock()
-	sort.Strings(patterns)
-	for _, p := range patterns {
+	for _, p := range slices.Sorted(maps.Keys(hists)) {
 		mw.Histogram("mix_http_request_duration_seconds", "HTTP request latency per route pattern.", hists[p],
 			obs.Label{Name: "pattern", Value: p})
 	}
@@ -276,6 +278,11 @@ func (h *Handler) writePrometheus(w http.ResponseWriter) {
 
 	tr := h.tracer
 	mw.Counter("mix_traces_recorded_total", "Request traces recorded into the /debug/trace ring.", float64(tr.Recorded()))
+	spans := tr.SpanDurations()
+	for _, name := range slices.Sorted(maps.Keys(spans)) {
+		mw.Histogram("mix_span_duration_seconds", "Duration of ended trace spans per span name.", spans[name],
+			obs.Label{Name: "span", Value: name})
+	}
 	if err := mw.Err(); err != nil {
 		// The response is already partially written; nothing useful to do
 		// beyond noting it (typically a disconnected scraper).

@@ -79,11 +79,21 @@ type Handler struct {
 
 	// reqHists holds one latency histogram per route pattern, created on
 	// first hit (the route set is small and fixed).
-	reqMu    sync.Mutex
-	reqHists map[string]*obs.Histogram
-	// reqCodes counts responses per "pattern|status" for the Prometheus
+	reqHists *obs.HistogramSet
+	// reqCodes counts responses per pattern and status for the Prometheus
 	// exposition's mix_http_requests_total.
-	reqCodes map[string]int64
+	reqMu    sync.Mutex
+	reqCodes map[reqCode]int64
+}
+
+// maxRoutePatterns bounds reqHists: well above the route table (plus
+// "unmatched"), which is what r.Pattern is drawn from.
+const maxRoutePatterns = 64
+
+// reqCode is one series of mix_http_requests_total.
+type reqCode struct {
+	pattern string
+	status  int
 }
 
 // Option configures the handler.
@@ -106,8 +116,8 @@ func New(m *mediator.Mediator, opts ...Option) *Handler {
 		mux:      http.NewServeMux(),
 		tracer:   obs.NewTracer(DefaultTraceCapacity),
 		logger:   obs.DiscardLogger(),
-		reqHists: map[string]*obs.Histogram{},
-		reqCodes: map[string]int64{},
+		reqHists: obs.NewHistogramSet(maxRoutePatterns),
+		reqCodes: map[reqCode]int64{},
 	}
 	for _, o := range opts {
 		o(h)
@@ -347,14 +357,16 @@ func (h *Handler) getMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
+	out := struct {
+		mediator.Stats
+		Spans   map[string]obs.HistogramSnapshot `json:"spans,omitempty"`
+		Cluster *cluster.Metrics                 `json:"cluster,omitempty"`
+	}{Stats: h.m.Stats(), Spans: h.tracer.SpanDurations()}
 	if h.cluster != nil {
-		_ = enc.Encode(struct {
-			mediator.Stats
-			Cluster cluster.Metrics `json:"cluster"`
-		}{h.m.Stats(), h.cluster.Metrics()})
-		return
+		cm := h.cluster.Metrics()
+		out.Cluster = &cm
 	}
-	_ = enc.Encode(h.m.Stats())
+	_ = enc.Encode(out)
 }
 
 // getViewOutline serves the structure display of the DTD-based query

@@ -1,0 +1,281 @@
+package serve
+
+import (
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/mediator"
+	"repro/internal/obs"
+	"repro/internal/xmlmodel"
+)
+
+var updateTraceGolden = flag.Bool("update-trace-golden", false,
+	"rewrite testdata/debug_trace.golden (run this at the parent commit, never on the change under test)")
+
+// The only parts of /debug/trace that differ run to run, once the caller
+// names its traces: wall-clock times and durations.
+var traceTimes = regexp.MustCompile(`"(start|time)": "[^"]*"|"duration_nanos": \d+`)
+
+// serveOnce sends one request straight into h, traced under traceID when set.
+func serveOnce(h http.Handler, method, path, body, traceID string) *httptest.ResponseRecorder {
+	r := httptest.NewRequest(method, path, strings.NewReader(body))
+	if traceID != "" {
+		r.Header.Set(TraceHeader, traceID)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, r)
+	return rec
+}
+
+// TestDebugTraceGolden pins the bytes of GET /debug/trace — key order,
+// indentation, span order, attribute rendering, omitted-when-empty fields —
+// for a scripted pair: a query that misses (plan analysis, materialization,
+// fetch, evaluation) and the same query again (plan hit, cache hit), then a
+// 404. Times are masked; everything else is what the handler wrote. The file
+// is generated at the parent commit of a change to tracing, so a rewrite of
+// how traces are stored has to render what the old one did.
+func TestDebugTraceGolden(t *testing.T) {
+	srv, m := newServerAndMediator(t)
+	srv.Close()
+	h := New(m, WithTracer(obs.NewTracer(8)))
+	const q = `r = SELECT P WHERE <members> P:<professor/> </members>`
+	for _, id := range []string{"golden-miss", "golden-hit"} {
+		if rec := serveOnce(h, http.MethodPost, "/views/members/query", q, id); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", id, rec.Code, rec.Body)
+		}
+	}
+	if rec := serveOnce(h, http.MethodGet, "/views/nosuch", "", "golden-404"); rec.Code != http.StatusNotFound {
+		t.Fatalf("golden-404: %d %s", rec.Code, rec.Body)
+	}
+	rec := serveOnce(h, http.MethodGet, "/debug/trace", "", "golden-read")
+	got := traceTimes.ReplaceAllStringFunc(rec.Body.String(), func(m string) string {
+		return m[:strings.Index(m, ": ")+2] + "0"
+	})
+
+	const path = "testdata/debug_trace.golden"
+	if *updateTraceGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("/debug/trace differs from %s\n--- got\n%s\n--- want\n%s", path, got, want)
+	}
+}
+
+// threePartNode is a mediator serving view "u" over three in-memory
+// departments, each wrapped by wrap when it is set.
+func threePartNode(t testing.TB, wrap func(mediator.Wrapper) mediator.Wrapper) *mediator.Mediator {
+	t.Helper()
+	srcs, _ := staticDepartments(t)
+	m := mediator.New("node")
+	var names []string
+	for _, s := range srcs {
+		var w mediator.Wrapper = s
+		if wrap != nil {
+			w = wrap(s)
+		}
+		if err := m.AddSource(w); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, s.Name())
+	}
+	mustDefine(t, m, "u", names, func(int) string { return professorsOf("department") })
+	return m
+}
+
+// TestTracedRequestAllocations ratchets what tracing costs a request: the
+// same warm reads of a three-part view through a handler with the default
+// tracer and through one with none. The difference is the trace record, the
+// root span's context, the minted ID, its header slot, and one context per
+// child span — nothing per attribute, per event or per End; measured 5 and 4
+// (24 and 14 when a trace was an object per span and a copy per End). The
+// absolute ceilings are the handler's whole budget, httptest's request and
+// recorder in the count: measured 64 and 38 (65 and 40 under -race), + 10 %.
+func TestTracedRequestAllocations(t *testing.T) {
+	m := threePartNode(t, nil)
+	traced, untraced := New(m), New(m, WithTracer(nil))
+	for _, c := range []struct {
+		name, method, path, body string
+		maxDiff, ceiling         float64
+	}{
+		{"query", http.MethodPost, "/views/u/query", unchangedQueries[1], 6, 70},
+		{"GET", http.MethodGet, "/views/u", "", 5, 42},
+	} {
+		count := func(h http.Handler) float64 {
+			do := func() {
+				if rec := serveOnce(h, c.method, c.path, c.body, ""); rec.Code != http.StatusOK || rec.Body.Len() == 0 {
+					t.Fatalf("%s: %d %s", c.name, rec.Code, rec.Body)
+				}
+			}
+			do() // materializes the view, keeps the plan
+			return testing.AllocsPerRun(100, do)
+		}
+		on, off := count(traced), count(untraced)
+		t.Logf("warm %s: %v allocs traced, %v untraced", c.name, on, off)
+		if on-off > c.maxDiff {
+			t.Errorf("warm %s: tracing costs %v allocations (%v vs %v), want ≤ %v", c.name, on-off, on, off, c.maxDiff)
+		}
+		if on > c.ceiling {
+			t.Errorf("warm %s: %v allocs traced, want ≤ %v", c.name, on, c.ceiling)
+		}
+	}
+}
+
+// TestNoTraceHeaderWithoutTracer: a handler built WithTracer(nil) has no
+// trace ID, and must not send an empty X-Mix-Trace-Id for one — not on a
+// 200, not on a 404, not on a degraded answer, not when the caller sent an
+// ID of its own.
+func TestNoTraceHeaderWithoutTracer(t *testing.T) {
+	srv, m := newServerAndMediator(t)
+	srv.Close()
+	degraded, dm := newDegradedServer(t)
+	degraded.Close()
+	for _, c := range []struct {
+		name, path string
+		h          http.Handler
+		status     int
+	}{
+		{"200", "/views/members", New(m, WithTracer(nil)), http.StatusOK},
+		{"404", "/views/nosuch", New(m, WithTracer(nil)), http.StatusNotFound},
+		{"degraded", "/views/blow", New(dm, WithTracer(nil)), http.StatusOK},
+	} {
+		for _, id := range []string{"", "caller-7"} {
+			rec := serveOnce(c.h, http.MethodGet, c.path, "", id)
+			if rec.Code != c.status {
+				t.Fatalf("%s: %d %s", c.name, rec.Code, rec.Body)
+			}
+			if c.name == "degraded" && rec.Header().Get("X-Mix-Degraded") != "true" {
+				t.Fatal("the degraded case must be degraded")
+			}
+			if vals, ok := rec.Header()[TraceHeader]; ok {
+				t.Errorf("%s (caller's ID %q): untraced response carries %s: %q", c.name, id, TraceHeader, vals)
+			}
+		}
+	}
+}
+
+// leakySource hands every Fetch's context — the source.fetch span's — to
+// whoever listens, the way a hedge's losing attempt keeps it.
+type leakySource struct {
+	mediator.Wrapper
+	leaked chan context.Context
+}
+
+func (s leakySource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
+	s.leaked <- ctx
+	return s.Wrapper.Fetch(ctx)
+}
+
+// TestDebugTraceWhileLateSpansWrite: the obs-level hammer
+// (obs.TestLateWritersStayInTheirOwnTrace) through the handler. Every request
+// invalidates and reads a three-part view, so its trace overflows its record
+// and its fetch contexts leak; goroutines keep writing through those contexts
+// long after the requests returned, the eight-slot ring wraps dozens of times,
+// and GET /debug/trace is read throughout. Every response is valid JSON, every
+// trace in it is whole, and no value written for one request's trace shows up
+// under another's ID.
+func TestDebugTraceWhileLateSpansWrite(t *testing.T) {
+	const requests = 150
+	// One send per part per request: a Fetch never waits for the writers.
+	leaked := make(chan context.Context, requests*unchangedSources)
+	m := threePartNode(t, func(w mediator.Wrapper) mediator.Wrapper { return leakySource{w, leaked} })
+	h := New(m, WithTracer(obs.NewTracer(8)))
+
+	var readers, writers sync.WaitGroup
+	stop := make(chan struct{})
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var p debugTracePayload
+			rec := serveOnce(h, http.MethodGet, "/debug/trace", "", "reader")
+			if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
+				t.Errorf("/debug/trace is not JSON: %v", err)
+				return
+			}
+			for _, ts := range p.Traces {
+				for i, sp := range ts.Spans {
+					if sp.SpanID != int64(i+1) || sp.ParentID >= sp.SpanID {
+						t.Errorf("trace %s: span %d has id %d, parent %d", ts.TraceID, i, sp.SpanID, sp.ParentID)
+					}
+					attrs := sp.Attrs
+					for _, ev := range sp.Events {
+						attrs = append(attrs, ev.Attrs...)
+					}
+					for _, a := range attrs {
+						if a.Key == "meant_for" && a.Value != ts.TraceID {
+							t.Errorf("trace %s holds a value written for %s", ts.TraceID, a.Value)
+						}
+					}
+				}
+			}
+		}
+	}()
+	for w := 0; w < 3; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for ctx := range leaked {
+				id := obs.TraceID(ctx)
+				for k := 0; k < 4; k++ {
+					obs.AddEvent(ctx, "late", obs.String("meant_for", id), obs.Int("k", int64(k)))
+					obs.SetAttr(ctx, obs.String("meant_for", id))
+					_, sp := obs.StartSpan(ctx, "late.span", obs.String("meant_for", id))
+					sp.End()
+				}
+			}
+		}()
+	}
+	for i := 0; i < requests; i++ {
+		if rec := serveOnce(h, http.MethodPost, "/invalidate", "", ""); rec.Code != http.StatusNoContent {
+			t.Fatalf("invalidate: %d", rec.Code)
+		}
+		if rec := serveOnce(h, http.MethodGet, "/views/u", "", fmt.Sprintf("req-%d", i)); rec.Code != http.StatusOK {
+			t.Fatalf("read %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	close(leaked)
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+}
+
+// BenchmarkServeWarmQuery is the price of tracing, one `go test -bench` away:
+// the same warm query of a three-part view through a handler with the default
+// tracer and through one with none.
+func BenchmarkServeWarmQuery(b *testing.B) {
+	m := threePartNode(b, nil)
+	for _, c := range []struct {
+		name string
+		h    http.Handler
+	}{{"traced", New(m)}, {"untraced", New(m, WithTracer(nil))}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if rec := serveOnce(c.h, http.MethodPost, "/views/u/query", unchangedQueries[1], ""); rec.Code != http.StatusOK {
+					b.Fatalf("%d %s", rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}

@@ -91,7 +91,7 @@ func (f *unchangedFixture) invalidate(t *testing.T, global bool, sources []int) 
 	}
 }
 
-func mustDefine(t *testing.T, m *mediator.Mediator, view string, sources []string, part func(i int) string) {
+func mustDefine(t testing.TB, m *mediator.Mediator, view string, sources []string, part func(i int) string) {
 	t.Helper()
 	var parts []mediator.ViewPart
 	for i, s := range sources {
@@ -107,7 +107,7 @@ func professorsOf(root string) string {
 }
 
 // staticDepartments are three StaticSources whose Doc set replaces.
-func staticDepartments(t *testing.T) ([]*mediator.StaticSource, func(i int, ver int64)) {
+func staticDepartments(t testing.TB) ([]*mediator.StaticSource, func(i int, ver int64)) {
 	t.Helper()
 	d, err := dtd.Parse(d1Text)
 	if err != nil {
