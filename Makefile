@@ -76,8 +76,8 @@ metrics-golden:
 fault:
 	go test -race -run 'Fault|Breaker|Degrad|FanOut|Panic|Budget' \
 		./internal/mediator/ ./internal/infer/ ./internal/tightness/ \
-		./internal/automata/... ./internal/serve/ ./internal/budget/ \
-		./internal/load/
+		./internal/automata/... ./internal/sdtd/ ./internal/serve/ \
+		./internal/budget/ ./internal/load/
 
 # Short, bounded runs of every fuzz target against the parsers. Each
 # target gets FUZZTIME (default 10s); crashes land in testdata/fuzz as

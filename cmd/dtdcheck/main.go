@@ -67,14 +67,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var bud *mix.Budget
-		if limits := limitsOf(); !limits.Unlimited() {
-			// One budget covers the whole comparison (both directions):
-			// tightness is a decision and cannot soundly degrade, so
-			// exhaustion is reported as "undecided" with a distinct exit
-			// status rather than a wrong answer.
-			bud = mix.NewBudget(limits)
-		}
+		// One budget (nil without -budget-* flags) covers the whole
+		// comparison, both directions: tightness is a decision and cannot
+		// soundly degrade, so exhaustion is reported as "undecided" with a
+		// distinct exit status rather than a wrong answer.
+		bud := limitsOf().Budget()
 		if *traceRun {
 			// The comparison runs through budget charge sites, not through
 			// a context, so the root span observes the budget directly; an

@@ -52,10 +52,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ctx := context.Background()
-	if limits := limitsOf(); !limits.Unlimited() {
-		ctx = mix.BudgetContext(ctx, mix.NewBudget(limits))
-	}
+	ctx := mix.BudgetContext(context.Background(), limitsOf().Budget())
 	var tracer *obs.Tracer
 	var root *obs.Span
 	if *traceRun {

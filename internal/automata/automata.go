@@ -13,6 +13,12 @@
 // Construction is Thompson NFA → subset construction → (optionally) Moore
 // minimization. DFAs are always complete: every state has a transition for
 // every alphabet symbol, with a non-accepting dead state absorbing the rest.
+//
+// Subset construction is exponential in the worst case, so every function
+// that can build or walk a product takes a *budget.Budget as its last
+// parameter, charges it per state and returns its exhaustion error. There
+// is one function per question: nil is the unlimited budget and never
+// fails, so a caller that wants no limit says so with a visible nil.
 package automata
 
 import (
@@ -176,34 +182,19 @@ func (k *setKeyer) key(set map[int]bool) string {
 }
 
 // FromExpr compiles e into a complete DFA over the alphabet of names
-// occurring in e.
-func FromExpr(e regex.Expr) *DFA {
-	return FromExprAlphabet(e, regex.Names(e))
-}
-
-// FromExprBudget is FromExpr with a resource budget (see
-// FromExprAlphabetBudget).
-func FromExprBudget(e regex.Expr, bud *budget.Budget) (*DFA, error) {
-	return FromExprAlphabetBudget(e, regex.Names(e), bud)
+// occurring in e (see FromExprAlphabet).
+func FromExpr(e regex.Expr, bud *budget.Budget) (*DFA, error) {
+	return FromExprAlphabet(e, regex.Names(e), bud)
 }
 
 // FromExprAlphabet compiles e over the given alphabet, which must contain
 // every name of e (symbols outside the alphabet cannot be represented).
-func FromExprAlphabet(e regex.Expr, alphabet []regex.Name) *DFA {
-	d, err := FromExprAlphabetBudget(e, alphabet, nil)
-	if err != nil {
-		// Unreachable: a nil budget never exhausts.
-		panic(err)
-	}
-	return d
-}
-
-// FromExprAlphabetBudget is FromExprAlphabet under a resource budget:
-// every subset-construction state charges the budget, so a pathological
+// Every subset-construction state charges the budget, so a pathological
 // expression (the paper's exponential-blowup shapes) aborts with the
 // budget's exhaustion error instead of constructing an arbitrarily large
-// automaton. A nil budget never fails.
-func FromExprAlphabetBudget(e regex.Expr, alphabet []regex.Name, bud *budget.Budget) (*DFA, error) {
+// automaton. A nil budget is unlimited and never fails — here and in every
+// function of this package that takes one.
+func FromExprAlphabet(e regex.Expr, alphabet []regex.Name, bud *budget.Budget) (*DFA, error) {
 	idx := map[regex.Name]int{}
 	alpha := make([]regex.Name, 0, len(alphabet))
 	for _, n := range alphabet {
@@ -289,13 +280,13 @@ func (d *DFA) Match(word []regex.Name) bool {
 
 // IsEmpty reports whether the DFA accepts no word at all.
 func (d *DFA) IsEmpty() bool {
-	return d.shortestAccepting() == nil && !d.Accept[d.Start]
+	return d.ShortestAccepted() == nil
 }
 
-// shortestAccepting returns the BFS parent chain to the closest accepting
-// state, or nil when none is reachable. The empty word is represented by a
-// non-nil empty slice when the start state accepts.
-func (d *DFA) shortestAccepting() []regex.Name {
+// ShortestAccepted returns a shortest word of the DFA's language (the BFS
+// parent chain to the closest accepting state), or nil when the language is
+// empty. The empty word is a non-nil empty slice.
+func (d *DFA) ShortestAccepted() []regex.Name {
 	type crumb struct {
 		prev int
 		sym  int
@@ -332,11 +323,11 @@ func (d *DFA) shortestAccepting() []regex.Name {
 	return nil
 }
 
-// boolOpBudget combines two DFAs over identical alphabets with a boolean
-// combiner on acceptance (product construction) under a resource budget:
-// each product state charges, so quadratic-in-theory products that explode
-// in practice stop at the budget instead of exhausting memory.
-func boolOpBudget(a, b *DFA, f func(bool, bool) bool, bud *budget.Budget) (*DFA, error) {
+// boolOp combines two DFAs over identical alphabets with a boolean combiner
+// on acceptance (product construction): each product state charges the
+// budget, so quadratic-in-theory products that explode in practice stop at
+// it instead of exhausting memory.
+func boolOp(a, b *DFA, f func(bool, bool) bool, bud *budget.Budget) (*DFA, error) {
 	if len(a.Alphabet) != len(b.Alphabet) {
 		panic("automata: product over different alphabets")
 	}
@@ -407,31 +398,31 @@ func unionAlphabet(exprs ...regex.Expr) []regex.Name {
 // Contains reports whether L(a) ⊆ L(b) — expression a is at least as tight
 // as b in the sense of Definition 3.3. Compilation and the decision itself
 // are memoized in the default compiler cache.
-func Contains(a, b regex.Expr) bool {
-	return defaultCompiler.Contains(a, b)
+func Contains(a, b regex.Expr, bud *budget.Budget) (bool, error) {
+	return defaultCompiler.Contains(a, b, bud)
 }
 
 // Witness returns a shortest word in L(a) \ L(b), or nil when L(a) ⊆ L(b).
 // The empty word is returned as a non-nil empty slice. Cached.
-func Witness(a, b regex.Expr) []regex.Name {
-	return defaultCompiler.Witness(a, b)
+func Witness(a, b regex.Expr, bud *budget.Budget) ([]regex.Name, error) {
+	return defaultCompiler.Witness(a, b, bud)
 }
 
 // Equivalent reports whether L(a) = L(b). Cached, symmetric.
-func Equivalent(a, b regex.Expr) bool {
-	return defaultCompiler.Equivalent(a, b)
+func Equivalent(a, b regex.Expr, bud *budget.Budget) (bool, error) {
+	return defaultCompiler.Equivalent(a, b, bud)
 }
 
 // IsEmpty reports whether L(e) = ∅ (semantic fail). Uses the cached DFA.
-func IsEmpty(e regex.Expr) bool {
-	return defaultCompiler.IsEmpty(e)
+func IsEmpty(e regex.Expr, bud *budget.Budget) (bool, error) {
+	return defaultCompiler.IsEmpty(e, bud)
 }
 
 // MatchExpr reports whether the word is in L(e), matching against the
 // cached compiled DFA: the first call per expression compiles, every later
 // call is a lookup plus a linear scan of the word.
-func MatchExpr(e regex.Expr, word []regex.Name) bool {
-	return defaultCompiler.Match(e, word)
+func MatchExpr(e regex.Expr, word []regex.Name, bud *budget.Budget) (bool, error) {
+	return defaultCompiler.Match(e, word, bud)
 }
 
 // RestrictTo returns a DFA for the sub-language of d consisting of words
@@ -467,15 +458,14 @@ func (d *DFA) RestrictTo(allowed func(regex.Name) bool) *DFA {
 	return out
 }
 
-// ContainsDFABudget reports whether L(a) ⊆ L(b) for two DFAs over the same
-// alphabet, under a resource budget; the product construction charges per
-// state.
-func ContainsDFABudget(a, b *DFA, bud *budget.Budget) (bool, error) {
-	diff, err := boolOpBudget(a, b, func(x, y bool) bool { return x && !y }, bud)
+// ContainsDFA reports whether L(a) ⊆ L(b) for two DFAs over the same
+// alphabet; the product construction charges the budget per state.
+func ContainsDFA(a, b *DFA, bud *budget.Budget) (bool, error) {
+	diff, err := boolOp(a, b, func(x, y bool) bool { return x && !y }, bud)
 	if err != nil {
 		return false, err
 	}
-	return !diff.Accept[diff.Start] && diff.shortestAccepting() == nil, nil
+	return diff.ShortestAccepted() == nil, nil
 }
 
 // Minimize returns the Moore-minimized equivalent of d, restricted to

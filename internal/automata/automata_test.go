@@ -10,6 +10,14 @@ import (
 
 func mp(s string) regex.Expr { return regex.MustParse(s) }
 
+// must unwraps an answer asked with a nil budget, which cannot fail.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestMatchBasics(t *testing.T) {
 	cases := []struct {
 		re    string
@@ -39,7 +47,7 @@ func TestMatchBasics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("word %q: %v", c.word, err)
 		}
-		d := FromExpr(mp(c.re))
+		d := must(FromExpr(mp(c.re), nil))
 		if got := d.Match(w); got != c.match {
 			t.Errorf("Match(%s, %q) = %v, want %v", c.re, c.word, got, c.match)
 		}
@@ -47,7 +55,7 @@ func TestMatchBasics(t *testing.T) {
 }
 
 func TestMatchOutOfAlphabet(t *testing.T) {
-	d := FromExpr(mp("a*"))
+	d := must(FromExpr(mp("a*"), nil))
 	w, _ := regex.ParseWord("a z a")
 	if d.Match(w) {
 		t.Error("word with foreign name must not match")
@@ -63,7 +71,7 @@ func TestIsEmpty(t *testing.T) {
 		{"a, FAIL", true}, {"FAIL | b", false}, {"(FAIL)+", true},
 	}
 	for _, c := range cases {
-		if got := IsEmpty(mp(c.re)); got != c.want {
+		if got := must(IsEmpty(mp(c.re), nil)); got != c.want {
 			t.Errorf("IsEmpty(%s) = %v, want %v", c.re, got, c.want)
 		}
 	}
@@ -90,22 +98,22 @@ func TestContainment(t *testing.T) {
 		{"(prolog, ((prolog|conclusion)*, conclusion)?)?", "(prolog|conclusion)*", true},
 	}
 	for _, c := range cases {
-		if got := Contains(mp(c.a), mp(c.b)); got != c.want {
+		if got := must(Contains(mp(c.a), mp(c.b), nil)); got != c.want {
 			t.Errorf("Contains(%s, %s) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestWitness(t *testing.T) {
-	w := Witness(mp("a*"), mp("a+"))
+	w := must(Witness(mp("a*"), mp("a+"), nil))
 	if w == nil || len(w) != 0 {
 		t.Errorf("Witness(a*, a+) = %v, want empty word", w)
 	}
-	w = Witness(mp("a, b | a, c"), mp("a, b"))
+	w = must(Witness(mp("a, b | a, c"), mp("a, b"), nil))
 	if w == nil || len(w) != 2 || w[1].Base != "c" {
 		t.Errorf("Witness = %v, want [a c]", w)
 	}
-	if w := Witness(mp("a"), mp("a|b")); w != nil {
+	if w := must(Witness(mp("a"), mp("a|b"), nil)); w != nil {
 		t.Errorf("Witness of contained languages = %v, want nil", w)
 	}
 }
@@ -124,7 +132,7 @@ func TestEquivalent(t *testing.T) {
 		{"a, b", "b, a", false},
 	}
 	for _, c := range cases {
-		if got := Equivalent(mp(c.a), mp(c.b)); got != c.want {
+		if got := must(Equivalent(mp(c.a), mp(c.b), nil)); got != c.want {
 			t.Errorf("Equivalent(%s, %s) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
@@ -132,11 +140,11 @@ func TestEquivalent(t *testing.T) {
 
 func TestMinimize(t *testing.T) {
 	// (a|b)* has a 1-state minimal DFA; a long unfolded form must reduce.
-	d := FromExpr(mp("(a|b)*, (a|b)*, (a|b)*")).Minimize()
+	d := must(FromExpr(mp("(a|b)*, (a|b)*, (a|b)*"), nil)).Minimize()
 	if d.NumStates() != 1 {
 		t.Errorf("minimal states = %d, want 1", d.NumStates())
 	}
-	d2 := FromExpr(mp("a, a | a, b")).Minimize()
+	d2 := must(FromExpr(mp("a, a | a, b"), nil)).Minimize()
 	// States: start, after-a, accept, dead = 4.
 	if d2.NumStates() != 4 {
 		t.Errorf("minimal states = %d, want 4", d2.NumStates())
@@ -144,14 +152,14 @@ func TestMinimize(t *testing.T) {
 	// Minimization preserves the language.
 	for _, word := range []string{"", "a", "a a", "a b", "b", "a a a"} {
 		w, _ := regex.ParseWord(word)
-		if FromExpr(mp("a, a | a, b")).Match(w) != d2.Match(w) {
+		if must(FromExpr(mp("a, a | a, b"), nil)).Match(w) != d2.Match(w) {
 			t.Errorf("Minimize changed acceptance of %q", word)
 		}
 	}
 }
 
 func TestRestrictTo(t *testing.T) {
-	d := FromExpr(mp("a, (b | c)"))
+	d := must(FromExpr(mp("a, (b | c)"), nil))
 	r := d.RestrictTo(func(n regex.Name) bool { return n.Base != "c" })
 	ab, _ := regex.ParseWord("a b")
 	ac, _ := regex.ParseWord("a c")
@@ -164,12 +172,12 @@ func TestRestrictTo(t *testing.T) {
 }
 
 func TestDistToAccept(t *testing.T) {
-	d := FromExpr(mp("a, b, c"))
+	d := must(FromExpr(mp("a, b, c"), nil))
 	dist := d.DistToAccept()
 	if dist[d.Start] != 3 {
 		t.Errorf("dist from start = %d, want 3", dist[d.Start])
 	}
-	dead := FromExpr(mp("FAIL"))
+	dead := must(FromExpr(mp("FAIL"), nil))
 	for _, v := range dead.DistToAccept() {
 		if v != -1 {
 			t.Errorf("FAIL automaton must have no accepting distance, got %d", v)
@@ -207,7 +215,7 @@ func TestQuickMatchAgreesWithEnumeration(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := randomExpr(r, 4)
-		d := FromExpr(e)
+		d := must(FromExpr(e, nil))
 		// Every enumerated word must match.
 		for _, w := range regex.Enumerate(e, 4, 60) {
 			if !d.Match(w) {
@@ -226,7 +234,7 @@ func TestQuickMatchAgreesWithEnumeration(t *testing.T) {
 				items[j] = regex.At(word[j])
 			}
 			single := regex.Cat(items...)
-			if d.Match(word) != Contains(single, e) {
+			if d.Match(word) != must(Contains(single, e, nil)) {
 				t.Logf("seed %d: match/containment disagree on %v vs %s", seed, word, e)
 				return false
 			}
@@ -244,7 +252,7 @@ func TestQuickSimplifyPreservesLanguage(t *testing.T) {
 	f := func(seed int64) bool {
 		e := randomExpr(rand.New(rand.NewSource(seed)), 5)
 		s := regex.Simplify(e)
-		if !Equivalent(e, s) {
+		if !must(Equivalent(e, s, nil)) {
 			t.Logf("seed %d: Simplify(%s) = %s changed the language", seed, e, s)
 			return false
 		}
@@ -259,7 +267,7 @@ func TestQuickMinimizePreservesLanguage(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := randomExpr(r, 4)
-		d := FromExpr(e)
+		d := must(FromExpr(e, nil))
 		m := d.Minimize()
 		if m.NumStates() > d.NumStates() {
 			return false
@@ -289,18 +297,18 @@ func TestQuickWitnessIsRealCounterexample(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a := randomExpr(r, 4)
 		b := randomExpr(r, 4)
-		w := Witness(a, b)
+		w := must(Witness(a, b, nil))
 		if w == nil {
 			// Containment claimed: spot-check with enumeration.
 			for _, word := range regex.Enumerate(a, 4, 50) {
-				if !MatchExpr(b, word) {
+				if !must(MatchExpr(b, word, nil)) {
 					t.Logf("seed %d: claimed containment but %v ∈ a \\ b", seed, word)
 					return false
 				}
 			}
 			return true
 		}
-		if !MatchExpr(a, w) || MatchExpr(b, w) {
+		if !must(MatchExpr(a, w, nil)) || must(MatchExpr(b, w, nil)) {
 			t.Logf("seed %d: witness %v not a counterexample for %s vs %s", seed, w, a, b)
 			return false
 		}
@@ -318,7 +326,7 @@ func TestQuickDFAAgreesWithDerivatives(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := randomExpr(r, 5)
-		d := FromExpr(e)
+		d := must(FromExpr(e, nil))
 		for i := 0; i < 20; i++ {
 			n := r.Intn(6)
 			w := make([]regex.Name, n)

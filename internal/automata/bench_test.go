@@ -165,7 +165,7 @@ func BenchmarkCompileCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		PurgeCache()
 		for _, m := range models {
-			Compiled(m)
+			must(Compiled(m, nil))
 		}
 	}
 }
@@ -175,13 +175,13 @@ func BenchmarkCompileCold(b *testing.B) {
 func BenchmarkCompileWarm(b *testing.B) {
 	models := benchModels()
 	for _, m := range models {
-		Compiled(m)
+		must(Compiled(m, nil))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, m := range models {
-			Compiled(m)
+			must(Compiled(m, nil))
 		}
 	}
 }
@@ -195,7 +195,7 @@ func BenchmarkContainsCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		PurgeCache()
 		for _, m := range models {
-			Contains(m, regex.Rep(m))
+			must(Contains(m, regex.Rep(m), nil))
 		}
 	}
 }
@@ -203,13 +203,13 @@ func BenchmarkContainsCold(b *testing.B) {
 func BenchmarkContainsWarm(b *testing.B) {
 	models := benchModels()
 	for _, m := range models {
-		Contains(m, regex.Rep(m))
+		must(Contains(m, regex.Rep(m), nil))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, m := range models {
-			Contains(m, regex.Rep(m))
+			must(Contains(m, regex.Rep(m), nil))
 		}
 	}
 }
@@ -232,7 +232,7 @@ func BenchmarkEquivalentCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		PurgeCache()
 		for _, p := range pairs {
-			Equivalent(p[0], p[1])
+			must(Equivalent(p[0], p[1], nil))
 		}
 	}
 }
@@ -240,13 +240,13 @@ func BenchmarkEquivalentCold(b *testing.B) {
 func BenchmarkEquivalentWarm(b *testing.B) {
 	pairs := equivalentPairs()
 	for _, p := range pairs {
-		Equivalent(p[0], p[1])
+		must(Equivalent(p[0], p[1], nil))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pairs {
-			Equivalent(p[0], p[1])
+			must(Equivalent(p[0], p[1], nil))
 		}
 	}
 }
@@ -263,10 +263,10 @@ func BenchmarkValidateWarm(b *testing.B) {
 		regex.N("publication"), regex.N("project"), regex.N("publication"),
 		regex.N("gradStudent"),
 	}
-	MatchExpr(model, word)
+	must(MatchExpr(model, word, nil))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatchExpr(model, word)
+		must(MatchExpr(model, word, nil))
 	}
 }

@@ -21,7 +21,7 @@ func TestDFABudgetExhaustionNotCached(t *testing.T) {
 	e := mp(blowupExpr)
 
 	tiny := budget.New(budget.Limits{MaxStates: 2})
-	if _, err := cp.DFABudget(e, tiny); err == nil {
+	if _, err := cp.DFA(e, tiny); err == nil {
 		t.Fatal("starved compile must fail")
 	} else if tiny.Exhausted() == nil {
 		t.Fatalf("failure must be a budget exhaustion, got %v", err)
@@ -30,7 +30,7 @@ func TestDFABudgetExhaustionNotCached(t *testing.T) {
 		t.Fatalf("failed compile cached %d entries, want 0", st.Size)
 	}
 
-	d, err := cp.DFABudget(e, nil)
+	d, err := cp.DFA(e, nil)
 	if err != nil {
 		t.Fatalf("unbudgeted retry failed: %v", err)
 	}
@@ -40,7 +40,7 @@ func TestDFABudgetExhaustionNotCached(t *testing.T) {
 
 	// Resident now: the same starved budget is satisfied from cache.
 	tiny2 := budget.New(budget.Limits{MaxStates: 2})
-	d2, err := cp.DFABudget(e, tiny2)
+	d2, err := cp.DFA(e, tiny2)
 	if err != nil {
 		t.Fatalf("cached lookup must not charge the budget: %v", err)
 	}
@@ -69,12 +69,12 @@ func TestDFABudgetConcurrentStarvedAndFunded(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				if w%2 == 0 {
 					b := budget.New(budget.Limits{MaxStates: 2})
-					d, err := cp.DFABudget(e, b)
+					d, err := cp.DFA(e, b)
 					if err == nil && (d == nil || d.IsEmpty()) {
 						t.Error("starved success must be a real cached DFA")
 					}
 				} else {
-					d, err := cp.DFABudget(e, nil)
+					d, err := cp.DFA(e, nil)
 					if err != nil || d == nil || d.IsEmpty() {
 						t.Errorf("funded compile failed: %v", err)
 					}
@@ -84,22 +84,22 @@ func TestDFABudgetConcurrentStarvedAndFunded(t *testing.T) {
 	}
 	wg.Wait()
 
-	if _, err := cp.DFABudget(e, budget.New(budget.Limits{MaxStates: 2})); err != nil {
+	if _, err := cp.DFA(e, budget.New(budget.Limits{MaxStates: 2})); err != nil {
 		t.Fatalf("DFA must be resident after the hammer, got %v", err)
 	}
 }
 
 // TestReduceBudgetFallsBack: reduction is an optimization, so exhaustion
-// must not error — ReduceBudget degrades to the syntactic simplification
+// must not error — Reduce degrades to the syntactic simplification
 // and its output stays language-equivalent to the input.
 func TestReduceBudgetFallsBack(t *testing.T) {
 	e := mp("(a | a, b | a) , (c | c)")
 	starved := budget.New(budget.Limits{MaxStates: 1})
-	got := ReduceBudget(e, starved)
+	got := Reduce(e, starved)
 	if got == nil {
-		t.Fatal("ReduceBudget returned nil")
+		t.Fatal("Reduce returned nil")
 	}
-	if !Equivalent(got, e) {
+	if !must(Equivalent(got, e, nil)) {
 		t.Fatalf("fallback output %s is not equivalent to input %s", got, e)
 	}
 }

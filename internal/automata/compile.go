@@ -72,34 +72,20 @@ func ResetCacheStats() { defaultCompiler.c.ResetStats() }
 // Compiled returns the cached minimized DFA for e over the alphabet of
 // names occurring in (the simplified form of) e. For repeated matching this
 // replaces FromExpr(e): first use compiles, every later use — from any
-// goroutine — is a lookup.
-func Compiled(e regex.Expr) *DFA { return defaultCompiler.DFA(e) }
-
-// CompiledBudget is Compiled under a resource budget: a cached DFA is
-// returned for free, a cold compile charges the budget and fails with its
-// exhaustion error instead of completing a blowup. Failed compiles are
-// never cached, so a later call with a fresh budget recomputes cleanly.
-func CompiledBudget(e regex.Expr, bud *budget.Budget) (*DFA, error) {
-	return defaultCompiler.DFABudget(e, bud)
+// goroutine — is a lookup. A cached DFA is returned for free; a cold compile
+// charges the budget and fails with its exhaustion error instead of
+// completing a blowup. Failed compiles are never cached, so a later call
+// with a fresh budget recomputes cleanly.
+func Compiled(e regex.Expr, bud *budget.Budget) (*DFA, error) {
+	return defaultCompiler.DFA(e, bud)
 }
 
-// CompiledAlphabetBudget returns the cached DFA for e extended to the given
-// alphabet (which must contain every name of e), under a resource budget.
-// The expensive part — Thompson construction, subset construction,
-// minimization — is cached independently of the alphabet; the extension is
-// a cheap table re-index.
-func CompiledAlphabetBudget(e regex.Expr, alphabet []regex.Name, bud *budget.Budget) (*DFA, error) {
-	return defaultCompiler.DFAAlphabetBudget(e, alphabet, bud)
-}
-
-// ContainsBudget is Contains under a resource budget.
-func ContainsBudget(a, b regex.Expr, bud *budget.Budget) (bool, error) {
-	return defaultCompiler.ContainsBudget(a, b, bud)
-}
-
-// EquivalentBudget is Equivalent under a resource budget.
-func EquivalentBudget(a, b regex.Expr, bud *budget.Budget) (bool, error) {
-	return defaultCompiler.EquivalentBudget(a, b, bud)
+// CompiledAlphabet returns the cached DFA for e extended to the given
+// alphabet (which must contain every name of e). The expensive part —
+// Thompson construction, subset construction, minimization — is cached
+// independently of the alphabet; the extension is a cheap table re-index.
+func CompiledAlphabet(e regex.Expr, alphabet []regex.Name, bud *budget.Budget) (*DFA, error) {
+	return defaultCompiler.DFAAlphabet(e, alphabet, bud)
 }
 
 // Stats returns the compiler cache counters.
@@ -109,25 +95,15 @@ func (cp *Compiler) Stats() cache.Stats { return cp.c.Stats() }
 func (cp *Compiler) Purge() { cp.c.Purge() }
 
 // DFA returns the minimized DFA of e, compiling it at most once per
-// canonical (simplified) form.
-func (cp *Compiler) DFA(e regex.Expr) *DFA {
-	d, err := cp.DFABudget(e, nil)
-	if err != nil {
-		// Unreachable: a nil budget never exhausts.
-		panic(err)
-	}
-	return d
-}
-
-// DFABudget is DFA under a resource budget. Cache hits cost nothing; a
-// cold compile charges per subset-construction state. On exhaustion
-// nothing is cached and only the caller whose budget it was fails: a
-// singleflight waiter compiles under its own budget instead.
-func (cp *Compiler) DFABudget(e regex.Expr, bud *budget.Budget) (*DFA, error) {
+// canonical (simplified) form. Cache hits cost nothing; a cold compile
+// charges per subset-construction state. On exhaustion nothing is cached
+// and only the caller whose budget it was fails: a singleflight waiter
+// compiles under its own budget instead.
+func (cp *Compiler) DFA(e regex.Expr, bud *budget.Budget) (*DFA, error) {
 	canon := regex.Simplify(e)
 	key := string(opDFA) + regex.Key(canon)
 	v, err := cp.c.GetOrCompute(key, func() (any, error) {
-		d, err := FromExprBudget(canon, bud)
+		d, err := FromExpr(canon, bud)
 		if err != nil {
 			return nil, err
 		}
@@ -146,10 +122,10 @@ func (cp *Compiler) DFABudget(e regex.Expr, bud *budget.Budget) (*DFA, error) {
 	return v.(*DFA), nil
 }
 
-// DFAAlphabetBudget is DFABudget extended to a larger alphabet (see
-// CompiledAlphabetBudget; the extension itself is linear and uncharged).
-func (cp *Compiler) DFAAlphabetBudget(e regex.Expr, alphabet []regex.Name, bud *budget.Budget) (*DFA, error) {
-	d, err := cp.DFABudget(e, bud)
+// DFAAlphabet is DFA extended to a larger alphabet (see CompiledAlphabet;
+// the extension itself is linear and uncharged).
+func (cp *Compiler) DFAAlphabet(e regex.Expr, alphabet []regex.Name, bud *budget.Budget) (*DFA, error) {
+	d, err := cp.DFA(e, bud)
 	if err != nil {
 		return nil, err
 	}
@@ -170,19 +146,9 @@ type witnessResult struct{ word []regex.Name }
 // Witness returns a shortest word in L(a) \ L(b), or nil when L(a) ⊆ L(b)
 // (the empty word is a non-nil empty slice). Results are cached per raw
 // (a, b) key; the underlying DFAs are cached per canonical form, so even a
-// cold witness for a known pair of models skips compilation.
-func (cp *Compiler) Witness(a, b regex.Expr) []regex.Name {
-	w, err := cp.WitnessBudget(a, b, nil)
-	if err != nil {
-		// Unreachable: a nil budget never exhausts.
-		panic(err)
-	}
-	return w
-}
-
-// WitnessBudget is Witness under a resource budget: the two compilations
-// and the difference product all charge.
-func (cp *Compiler) WitnessBudget(a, b regex.Expr, bud *budget.Budget) ([]regex.Name, error) {
+// cold witness for a known pair of models skips compilation. The two
+// compilations and the difference product all charge the budget.
+func (cp *Compiler) Witness(a, b regex.Expr, bud *budget.Budget) ([]regex.Name, error) {
 	w, err := cp.witness(a, b, bud)
 	if err != nil || w == nil {
 		return nil, err
@@ -200,23 +166,20 @@ func (cp *Compiler) witness(a, b regex.Expr, bud *budget.Budget) ([]regex.Name, 
 	key := string(AppendKeys(append(buf[:0], opWitness), a, b))
 	v, err := cp.c.GetOrCompute(key, func() (any, error) {
 		alpha := unionAlphabet(a, b)
-		da, err := cp.DFABudget(a, bud)
+		da, err := cp.DFA(a, bud)
 		if err != nil {
 			return nil, err
 		}
-		db, err := cp.DFABudget(b, bud)
+		db, err := cp.DFA(b, bud)
 		if err != nil {
 			return nil, err
 		}
-		diff, err := boolOpBudget(extendTo(da, alpha), extendTo(db, alpha),
+		diff, err := boolOp(extendTo(da, alpha), extendTo(db, alpha),
 			func(x, y bool) bool { return x && !y }, bud)
 		if err != nil {
 			return nil, err
 		}
-		if diff.Accept[diff.Start] {
-			return witnessResult{word: []regex.Name{}}, nil
-		}
-		return witnessResult{word: diff.shortestAccepting()}, nil
+		return witnessResult{word: diff.ShortestAccepted()}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -280,19 +243,9 @@ func mentionsAll(b, a regex.Expr) bool {
 }
 
 // Contains reports L(a) ⊆ L(b): from the trees when they decide it,
-// otherwise as "no witness exists" from the witness cache.
-func (cp *Compiler) Contains(a, b regex.Expr) bool {
-	contained, err := cp.ContainsBudget(a, b, nil)
-	if err != nil {
-		// Unreachable: a nil budget never exhausts.
-		panic(err)
-	}
-	return contained
-}
-
-// ContainsBudget is Contains under a resource budget; a question the trees
-// decide charges nothing.
-func (cp *Compiler) ContainsBudget(a, b regex.Expr, bud *budget.Budget) (bool, error) {
+// otherwise as "no witness exists" from the witness cache. A question the
+// trees decide charges nothing.
+func (cp *Compiler) Contains(a, b regex.Expr, bud *budget.Budget) (bool, error) {
 	if contained, decided := containsSyntactic(a, b); decided {
 		return contained, nil
 	}
@@ -301,20 +254,10 @@ func (cp *Compiler) ContainsBudget(a, b regex.Expr, bud *budget.Budget) (bool, e
 }
 
 // Equivalent reports L(a) = L(b), cached under an order-normalized key so
-// Equivalent(a, b) and Equivalent(b, a) share one entry.
-func (cp *Compiler) Equivalent(a, b regex.Expr) bool {
-	eq, err := cp.EquivalentBudget(a, b, nil)
-	if err != nil {
-		// Unreachable: a nil budget never exhausts.
-		panic(err)
-	}
-	return eq
-}
-
-// EquivalentBudget is Equivalent under a resource budget. Either direction
+// Equivalent(a, b) and Equivalent(b, a) share one entry. Either direction
 // refuted by the trees answers without a key; the cached automaton decides
 // only pairs the trees leave open both ways.
-func (cp *Compiler) EquivalentBudget(a, b regex.Expr, bud *budget.Budget) (bool, error) {
+func (cp *Compiler) Equivalent(a, b regex.Expr, bud *budget.Budget) (bool, error) {
 	ab, abDecided := containsSyntactic(a, b)
 	ba, baDecided := containsSyntactic(b, a)
 	if abDecided || baDecided {
@@ -344,13 +287,15 @@ func (cp *Compiler) EquivalentBudget(a, b regex.Expr, bud *budget.Budget) (bool,
 
 // IsEmpty reports L(e) = ∅ using the cached DFA (the emptiness walk on a
 // minimized automaton is O(states)).
-func (cp *Compiler) IsEmpty(e regex.Expr) bool {
-	return cp.DFA(e).IsEmpty()
+func (cp *Compiler) IsEmpty(e regex.Expr, bud *budget.Budget) (bool, error) {
+	d, err := cp.DFA(e, bud)
+	return err == nil && d.IsEmpty(), err
 }
 
 // Match reports word ∈ L(e) using the cached DFA.
-func (cp *Compiler) Match(e regex.Expr, word []regex.Name) bool {
-	return cp.DFA(e).Match(word)
+func (cp *Compiler) Match(e regex.Expr, word []regex.Name, bud *budget.Budget) (bool, error) {
+	d, err := cp.DFA(e, bud)
+	return err == nil && d.Match(word), err
 }
 
 // AppendKeys appends the raw regex.Key bytecodes of the expressions to dst.

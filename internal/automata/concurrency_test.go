@@ -39,7 +39,7 @@ func TestConcurrentCompilerSingleflight(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				e := pool[wr.Intn(exprs)]
 				word := randWord(wr)
-				if cp.Match(e, word) != regex.MatchDeriv(e, word) {
+				if must(cp.Match(e, word, nil)) != regex.MatchDeriv(e, word) {
 					errs <- "concurrent Match diverged from the derivative matcher"
 					return
 				}
@@ -87,11 +87,11 @@ func TestConcurrentDecisionOps(t *testing.T) {
 		truthContains[i] = make([]bool, exprs)
 		truthEquiv[i] = make([]bool, exprs)
 		for j := range pool {
-			truthContains[i][j] = serial.Contains(pool[i], pool[j])
-			truthEquiv[i][j] = serial.Equivalent(pool[i], pool[j])
+			truthContains[i][j] = must(serial.Contains(pool[i], pool[j], nil))
+			truthEquiv[i][j] = must(serial.Equivalent(pool[i], pool[j], nil))
 			// The workers also ask for witnesses, which a syntactically
 			// decided Contains never computes: warm them for a fair count.
-			serial.Witness(pool[i], pool[j])
+			must(serial.Witness(pool[i], pool[j], nil))
 		}
 	}
 
@@ -106,15 +106,15 @@ func TestConcurrentDecisionOps(t *testing.T) {
 			wr := rand.New(rand.NewSource(seed))
 			for n := 0; n < 150; n++ {
 				i, j := wr.Intn(exprs), wr.Intn(exprs)
-				if cp.Contains(pool[i], pool[j]) != truthContains[i][j] {
+				if must(cp.Contains(pool[i], pool[j], nil)) != truthContains[i][j] {
 					errs <- "concurrent Contains diverged from serial result"
 					return
 				}
-				if cp.Equivalent(pool[i], pool[j]) != truthEquiv[i][j] {
+				if must(cp.Equivalent(pool[i], pool[j], nil)) != truthEquiv[i][j] {
 					errs <- "concurrent Equivalent diverged from serial result"
 					return
 				}
-				if (cp.Witness(pool[i], pool[j]) == nil) != truthContains[i][j] {
+				if (must(cp.Witness(pool[i], pool[j], nil)) == nil) != truthContains[i][j] {
 					errs <- "concurrent Witness disagrees with Contains"
 					return
 				}

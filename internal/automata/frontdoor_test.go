@@ -21,7 +21,7 @@ func absorbByAutomaton(cp *Compiler, items []regex.Expr) []regex.Expr {
 			continue
 		}
 		for j := range items {
-			if i != j && keep[j] && cp.Witness(items[j], items[i]) == nil {
+			if i != j && keep[j] && must(cp.Witness(items[j], items[i], nil)) == nil {
 				keep[j] = false
 			}
 		}
@@ -67,7 +67,7 @@ func reduceByAutomaton(cp *Compiler, e regex.Expr) regex.Expr {
 		return e
 	}
 	out := regex.Simplify(rebuild(simplified))
-	if cp.Witness(out, e) != nil || cp.Witness(e, out) != nil {
+	if must(cp.Witness(out, e, nil)) != nil || must(cp.Witness(e, out, nil)) != nil {
 		return simplified
 	}
 	return out
@@ -126,7 +126,7 @@ func TestReduceAgreesWithAutomaton(t *testing.T) {
 		if r.Intn(2) == 0 {
 			e = regex.Alt{Items: randAlternatives(r)}
 		}
-		if got, want := Reduce(e), reduceByAutomaton(ref, e); !regex.Equal(got, want) {
+		if got, want := Reduce(e, nil), reduceByAutomaton(ref, e); !regex.Equal(got, want) {
 			t.Fatalf("case %d: Reduce(%s) = %s, the all-automaton Reduce returns %s", i, e, got, want)
 		}
 	}
@@ -149,7 +149,7 @@ func TestContainsSyntacticIsExact(t *testing.T) {
 			continue
 		}
 		decidedCount++
-		if want := ref.Witness(a, b) == nil; contained != want {
+		if want := must(ref.Witness(a, b, nil)) == nil; contained != want {
 			t.Fatalf("case %d: containsSyntactic(%s, %s) = %v, the automaton says %v", i, a, b, contained, want)
 		}
 	}
@@ -177,7 +177,7 @@ func TestContainsSyntacticStaysSilent(t *testing.T) {
 		if contained, decided := containsSyntactic(c.a, c.b); decided {
 			t.Errorf("containsSyntactic(%s, %s) decided %v; only the automaton can know", c.a, c.b, contained)
 		}
-		if got := NewCompiler(16).Contains(c.a, c.b); got != c.want {
+		if got := must(NewCompiler(16).Contains(c.a, c.b, nil)); got != c.want {
 			t.Errorf("Contains(%s, %s) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
@@ -192,7 +192,7 @@ const reduceAllocCeiling = 2
 // shapes that dominate real content models — a starred disjunction of
 // distinct names, a sequence ending in one — reduce without a cache key,
 // lookup or compile, and within a fixed allocation ceiling. It fails when
-// the automaton comes back into absorb or ReduceBudget starts verifying
+// the automaton comes back into absorb or Reduce starts verifying
 // no-op rewrites again.
 func TestReduceOfSimpleModelsAllocatesNoAutomaton(t *testing.T) {
 	for _, src := range []string{
@@ -202,13 +202,13 @@ func TestReduceOfSimpleModelsAllocatesNoAutomaton(t *testing.T) {
 		e := mp(src)
 		PurgeCache()
 		ResetCacheStats()
-		if got := Reduce(e); !regex.Equal(got, e) {
+		if got := Reduce(e, nil); !regex.Equal(got, e) {
 			t.Errorf("Reduce(%s) = %s, want it unchanged", src, got)
 		}
 		if st := CacheStats(); st.Hits+st.Misses+st.Dedups != 0 || st.Size != 0 {
 			t.Errorf("Reduce(%s) asked the automata cache: %+v", src, st)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { Reduce(e) }); allocs > reduceAllocCeiling {
+		if allocs := testing.AllocsPerRun(100, func() { Reduce(e, nil) }); allocs > reduceAllocCeiling {
 			t.Errorf("Reduce(%s) allocates %.0f times, ceiling %d", src, allocs, reduceAllocCeiling)
 		}
 	}

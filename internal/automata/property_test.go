@@ -108,7 +108,7 @@ func TestPropertyMatchAgainstDerivative(t *testing.T) {
 	for i := 0; i < propertyCases; i++ {
 		e := randExpr(r, 3)
 		for _, w := range sampleWords(r, e) {
-			got := MatchExpr(e, w)
+			got := must(MatchExpr(e, w, nil))
 			want := regex.MatchDeriv(e, w)
 			if got != want {
 				t.Fatalf("case %d: MatchExpr(%s, %v) = %v, derivative says %v", i, e, w, got, want)
@@ -125,14 +125,14 @@ func TestPropertyContainsWitnessAgainstDerivative(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	for i := 0; i < propertyCases; i++ {
 		a, b := randExpr(r, 3), randExpr(r, 3)
-		if Contains(a, b) {
+		if must(Contains(a, b, nil)) {
 			for _, w := range regex.Enumerate(a, 4, 5) {
 				if !regex.MatchDeriv(b, w) {
 					t.Fatalf("case %d: Contains(%s, %s) but derivative rejects %v in the superset", i, a, b, w)
 				}
 			}
 		} else {
-			w := Witness(a, b)
+			w := must(Witness(a, b, nil))
 			if w == nil {
 				t.Fatalf("case %d: !Contains(%s, %s) but Witness is nil", i, a, b)
 			}
@@ -153,10 +153,10 @@ func TestPropertyEquivalentConsistent(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	for i := 0; i < propertyCases; i++ {
 		a, b := randExpr(r, 3), randExpr(r, 3)
-		if got, want := Equivalent(a, b), Contains(a, b) && Contains(b, a); got != want {
+		if got, want := must(Equivalent(a, b, nil)), must(Contains(a, b, nil)) && must(Contains(b, a, nil)); got != want {
 			t.Fatalf("case %d: Equivalent(%s, %s) = %v, mutual containment says %v", i, a, b, got, want)
 		}
-		if !Equivalent(a, regex.Simplify(a)) {
+		if !must(Equivalent(a, regex.Simplify(a), nil)) {
 			t.Fatalf("case %d: Simplify changed the language of %s (got %s)", i, a, regex.Simplify(a))
 		}
 	}
@@ -170,8 +170,8 @@ func TestPropertyReducePreservesLanguage(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	for i := 0; i < propertyCases; i++ {
 		e := randExpr(r, 3)
-		red := Reduce(e)
-		if !Equivalent(e, red) {
+		red := Reduce(e, nil)
+		if !must(Equivalent(e, red, nil)) {
 			t.Fatalf("case %d: Reduce changed the language: %s -> %s", i, e, red)
 		}
 		for _, w := range sampleWords(r, e) {
@@ -188,8 +188,8 @@ func TestPropertyIsEmptyAgainstWitness(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
 	for i := 0; i < propertyCases; i++ {
 		e := randExpr(r, 3)
-		empty := IsEmpty(e)
-		if w := Witness(e, regex.Bot()); (w == nil) != empty {
+		empty := must(IsEmpty(e, nil))
+		if w := must(Witness(e, regex.Bot(), nil)); (w == nil) != empty {
 			t.Fatalf("case %d: IsEmpty(%s) = %v but Witness against ∅ = %v", i, e, empty, w)
 		}
 		if empty && len(regex.Enumerate(e, 4, 1)) != 0 {
@@ -213,7 +213,7 @@ func TestPropertyCanonicalKeySharesDFA(t *testing.T) {
 			continue // simplifier normalizes them apart; not this test's concern
 		}
 		shared++
-		if Compiled(e) != Compiled(variant) {
+		if must(Compiled(e, nil)) != must(Compiled(variant, nil)) {
 			t.Fatalf("case %d: %s and its single-item-concat wrapper compiled to distinct DFAs", i, e)
 		}
 	}

@@ -21,23 +21,19 @@ import (
 //
 // Reduce is meant for the moderately sized expressions that inference
 // produces; it runs containment checks pairwise over alternatives, each
-// through the syntactic front door of ContainsBudget first, so only pairs
+// through the syntactic front door of Contains first, so only pairs
 // over one alphabet with equal nullability cost an automaton. Very large
 // expressions (as arise when unioning views over a hundred sources) would
 // still make the pairwise pass quadratic, so Reduce degrades to the
 // syntactic simplifier beyond a size threshold.
-func Reduce(e regex.Expr) regex.Expr {
-	return ReduceBudget(e, nil)
-}
-
-// ReduceBudget is Reduce under a resource budget. Reduction is purely an
-// optimization — its output is language-equivalent to its input — so
-// budget exhaustion never errors: it falls back to the syntactic
-// simplification, exactly as the size limit does. The budget is charged
-// by the containment checks the front door leaves to the automaton and by
-// the equivalence verification of a reduction that dropped something; a
-// reduction that changes nothing charges nothing.
-func ReduceBudget(e regex.Expr, bud *budget.Budget) regex.Expr {
+//
+// Reduction is purely an optimization — its output is language-equivalent
+// to its input — so budget exhaustion never errors: it falls back to the
+// syntactic simplification, exactly as the size limit does. The budget is
+// charged by the containment checks the front door leaves to the automaton
+// and by the equivalence verification of a reduction that dropped something;
+// a reduction that changes nothing charges nothing.
+func Reduce(e regex.Expr, bud *budget.Budget) regex.Expr {
 	if bud.Err() != nil {
 		// Already exhausted: even the syntactic simplifier is too much work
 		// for an expression we only keep because degradation is loose — the
@@ -76,7 +72,7 @@ func ReduceBudget(e regex.Expr, bud *budget.Budget) regex.Expr {
 		return simplified
 	}
 	out := regex.Simplify(reduced)
-	eq, err := EquivalentBudget(out, e, bud)
+	eq, err := Equivalent(out, e, bud)
 	if err != nil || !eq {
 		// Defensive: never trade correctness for brevity (and never let a
 		// half-checked rewrite through on exhaustion).
@@ -91,7 +87,7 @@ const reduceSizeLimit = 512
 
 // absorb drops alternatives whose language is contained in another's; when
 // none is, it returns items itself. Each ordered pair goes through
-// ContainsBudget's syntactic front door; only a pair the trees leave open
+// Contains's syntactic front door; only a pair the trees leave open
 // costs a cache key, and a compile when it is cold.
 func absorb(items []regex.Expr, bud *budget.Budget) ([]regex.Expr, error) {
 	keep := make([]bool, len(items))
@@ -107,7 +103,7 @@ func absorb(items []regex.Expr, bud *budget.Budget) ([]regex.Expr, error) {
 			if i == j || !keep[j] {
 				continue
 			}
-			contained, err := ContainsBudget(items[j], items[i], bud)
+			contained, err := Contains(items[j], items[i], bud)
 			if err != nil {
 				return nil, err
 			}

@@ -334,8 +334,9 @@ func runE11(w io.Writer, cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	inferredTighter, _ := tightness.Tighter(v.DTD, guideDTD)
-	guideTighter, _ := tightness.Tighter(guideDTD, v.DTD)
+	// Unlimited (nil): an experiment over the paper's own schema.
+	inferredTighter, _, _ := tightness.Tighter(v.DTD, guideDTD, nil)
+	guideTighter, _, _ := tightness.Tighter(guideDTD, v.DTD, nil)
 	t.add("inferred DTD ⊆ dataguide schema", fmt.Sprint(inferredTighter))
 	t.add("dataguide schema ⊆ inferred DTD", fmt.Sprint(guideTighter))
 	t.write(w, "    ")

@@ -65,7 +65,7 @@ func Occurrences(model regex.Expr) map[string]Occurs {
 }
 
 func occursOf(model regex.Expr, target regex.Name) Occurs {
-	d := automata.FromExpr(model)
+	d, _ := automata.FromExpr(model, nil) // interactive summary of one model: unlimited, cannot fail
 	ti, ok := d.SymbolIndex(target)
 	if !ok {
 		return Occurs{}

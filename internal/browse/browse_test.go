@@ -170,7 +170,8 @@ func TestBuilderWhereAtLeastSemantics(t *testing.T) {
 }
 
 func regexEquiv(a, b regex.Expr) bool {
-	return automata.Equivalent(a, b)
+	eq, _ := automata.Equivalent(a, b, nil)
+	return eq
 }
 
 func TestBuilderErrors(t *testing.T) {

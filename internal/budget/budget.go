@@ -25,7 +25,12 @@
 // cheap sound path.
 //
 // The nil *Budget is valid everywhere and means "unlimited"; threading a
-// budget through existing code therefore never needs nil checks.
+// budget through existing code therefore never needs nil checks. A budget
+// travels one of two ways, decided by the callee's signature: a function
+// that takes a context reads it from there (NewContext/FromContext) and
+// honours cancellation too; a function that does not takes it as its last
+// parameter. No function has an unbudgeted twin: unlimited is a nil
+// argument, and Limits.Budget makes it from limits that limit nothing.
 package budget
 
 import (
@@ -103,6 +108,16 @@ type Limits struct {
 // Unlimited reports whether every resource is unconstrained.
 func (l Limits) Unlimited() bool {
 	return l.Deadline == 0 && l.MaxStates == 0 && l.MaxClasses == 0 && l.MaxRefineSteps == 0
+}
+
+// Budget returns New(l), or nil — the unlimited budget — when l limits
+// nothing: the one place "limits → maybe-nil budget" is spelled, so code
+// that runs without limits allocates nothing and charges nothing.
+func (l Limits) Budget() *Budget {
+	if l.Unlimited() {
+		return nil
+	}
+	return New(l)
 }
 
 // Usage is a point-in-time snapshot of a budget's consumption.

@@ -148,9 +148,11 @@ func (d *DTD) AppendText(dst []byte) []byte {
 // the process-wide compiled-automata cache. Unlike the per-DTD map it
 // replaced, the shared cache is concurrency-safe, so concurrent validation
 // against the same DTD value needs no cloning; it also survives Declare
-// (keys are content models, not names).
+// (keys are content models, not names). Validation has no budget to spend:
+// the compile is lazy, once per model, and unlimited.
 func (d *DTD) dfa(name string) *automata.DFA {
-	return automata.Compiled(d.Types[name].Model)
+	m, _ := automata.Compiled(d.Types[name].Model, nil) // a nil budget cannot fail
+	return m
 }
 
 // ValidationError reports why an element fails Definition 2.3.
@@ -258,7 +260,12 @@ func Equivalent(a, b *DTD) bool {
 		if (ta.Model == nil) != (tb.Model == nil) {
 			return false
 		}
-		if ta.Model != nil && !automata.Equivalent(ta.Model, tb.Model) {
+		if ta.Model == nil {
+			continue
+		}
+		// Unbudgeted: the DTDs compared are the operator's own (replicas of
+		// one source), and a nil budget cannot fail.
+		if eq, _ := automata.Equivalent(ta.Model, tb.Model, nil); !eq {
 			return false
 		}
 	}

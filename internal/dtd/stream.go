@@ -141,7 +141,7 @@ func (d *DTD) streamTypeOf(name string) (streamType, bool) {
 	}
 	st := streamType{pcdata: t.PCDATA, t: t}
 	if !t.PCDATA {
-		st.dfa = automata.Compiled(t.Model)
+		st.dfa, _ = automata.Compiled(t.Model, nil) // unlimited, as in dfa: cannot fail
 	}
 	for {
 		next := make(map[string]streamType, len(d.Types))

@@ -187,9 +187,11 @@ func (g *Generator) policy(name string) *policy {
 	if p, ok := g.policies[name]; ok {
 		return p
 	}
-	// Restrict to realizable names so walks never enter dead symbols.
-	d := automata.FromExpr(g.dtd.Types[name].Model).
-		RestrictTo(func(n regex.Name) bool { return g.cost[n.Base] >= 0 })
+	// Restrict to realizable names so walks never enter dead symbols. The
+	// generator is an offline tool over DTDs of the caller's choosing: no
+	// budget, and a nil one cannot fail.
+	d, _ := automata.FromExpr(g.dtd.Types[name].Model, nil)
+	d = d.RestrictTo(func(n regex.Name) bool { return g.cost[n.Base] >= 0 })
 	p := &policy{dfa: d, dist: d.DistToAccept()}
 	p.r = g.completionCost(d)
 	p.next = g.forcedMoves(d, p.r)

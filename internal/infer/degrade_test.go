@@ -183,7 +183,7 @@ func TestBudgetedInferenceSoundAndNeverTighter(t *testing.T) {
 			}
 			// (c) never tighter than the full result: every document the
 			// full DTD admits, the degraded DTD admits too.
-			if ok, w := tightness.Tighter(full.DTD, res.DTD); !ok {
+			if ok, w, _ := tightness.Tighter(full.DTD, res.DTD, nil); !ok {
 				t.Fatalf("round %d states=%d: degraded DTD is tighter than the full one (witness: %s)\nfull:\n%s\ndegraded:\n%s\nquery:\n%s\ndtd:\n%s",
 					round, maxStates, w, full.DTD, res.DTD, q, d)
 			}

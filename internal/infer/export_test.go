@@ -15,7 +15,7 @@ import (
 // The paper's running examples.
 const D1Text, D11Text, Q2Text, Q3Text = d1Text, d11Text, q2Text, q3Text
 
-// Specialized is the s-DTD InferContext hands to NormalizeBudget.
+// Specialized is the s-DTD InferContext hands to Normalize.
 func Specialized(q *xmas.Query, src *dtd.DTD) (*sdtd.SDTD, error) {
 	return newInferencer(context.Background(), q, src).specialized()
 }

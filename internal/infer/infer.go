@@ -206,9 +206,9 @@ func InferContext(ctx context.Context, q *xmas.Query, src *dtd.DTD) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	view = view.NormalizeBudget(in.bud)
+	view = view.Normalize(in.bud)
 
-	plain, events, err := view.MergeBudget(in.bud)
+	plain, events, err := view.Merge(in.bud)
 	if err != nil {
 		return nil, fmt.Errorf("infer: %v", err)
 	}
@@ -276,7 +276,7 @@ func (in *inferencer) specialized() (*sdtd.SDTD, error) {
 
 	// Assemble the specialized view DTD.
 	view := sdtd.New(regex.N(in.q.Name))
-	view.Declare(regex.N(in.q.Name), dtd.M(automata.ReduceBudget(listType, in.bud)))
+	view.Declare(regex.N(in.q.Name), dtd.M(automata.Reduce(listType, in.bud)))
 	pick := path[len(path)-1]
 	in.declareSubtree(view, pick)
 	if err := in.err(); err != nil {
@@ -441,7 +441,7 @@ func (in *inferencer) computeSpec(c *xmas.Cond, children []*xmas.Cond, sels []ch
 				degraded = true
 				break
 			}
-			t = automata.ReduceBudget(Refine(t, cs.sel), in.bud)
+			t = automata.Reduce(Refine(t, cs.sel), in.bud)
 			if regex.IsFail(t) {
 				break
 			}
@@ -631,7 +631,7 @@ func refinementIsValid(model regex.Expr, sels []childSel, bud *budget.Budget) bo
 	if regex.Size(img)+regex.Size(model) > validityCheckSizeLimit {
 		return false // conservative
 	}
-	contained, err := automata.ContainsBudget(model, img, bud)
+	contained, err := automata.Contains(model, img, bud)
 	return err == nil && contained
 }
 
@@ -640,7 +640,7 @@ func refinementIsValid(model regex.Expr, sels []childSel, bud *budget.Budget) bo
 // compilation is the expensive part, so it is budgeted; an exhausted
 // budget returns an error and the caller answers conservatively.
 func atLeastOccurrences(model regex.Expr, bases map[string]bool, k int, bud *budget.Budget) (bool, error) {
-	d, err := automata.CompiledBudget(model, bud)
+	d, err := automata.Compiled(model, bud)
 	if err != nil {
 		return false, err
 	}

@@ -15,7 +15,7 @@ import (
 	"repro/internal/xmas"
 )
 
-// refNormalize is (*sdtd.SDTD).NormalizeBudget as it was when its
+// refNormalize is (*sdtd.SDTD).Normalize as it was when its
 // bookkeeping was six maps — classOf, rep, groups, survivors, final, seen —
 // kept as the reference the dense version is compared against. The
 // partition refinement is the same; the maps made the order in which
@@ -64,7 +64,7 @@ func refNormalize(s *sdtd.SDTD, bud *budget.Budget) *sdtd.SDTD {
 			for _, n := range members {
 				same := n == r
 				if !same {
-					eq, err := automata.EquivalentBudget(base, rewrite(s.Types[n].Model), bud)
+					eq, err := automata.Equivalent(base, rewrite(s.Types[n].Model), bud)
 					same = err == nil && eq
 				}
 				if !same {
@@ -108,7 +108,7 @@ func refNormalize(s *sdtd.SDTD, bud *budget.Budget) *sdtd.SDTD {
 			out.Declare(tn, t)
 			continue
 		}
-		out.Declare(tn, dtd.M(automata.ReduceBudget(regex.Rename(t.Model, target), bud)))
+		out.Declare(tn, dtd.M(automata.Reduce(regex.Rename(t.Model, target), bud)))
 	}
 	return out
 }
@@ -172,7 +172,7 @@ WHERE <department> <gradStudent> <publication> P:<title|author/> </publication> 
 	return out
 }
 
-// TestNormalizeMatchesReference: the dense NormalizeBudget answers what the
+// TestNormalizeMatchesReference: the dense Normalize answers what the
 // map version answers, to the byte, on what inference asks it — without a
 // budget, and with one that was spent before the call, where every
 // equivalence the syntax does not settle counts as a difference and nothing
@@ -186,7 +186,7 @@ func TestNormalizeMatchesReference(t *testing.T) {
 	collapsed := 0
 	for name, s := range specializedCases(t) {
 		for _, bud := range []func() *budget.Budget{func() *budget.Budget { return nil }, spent} {
-			got, want := s.NormalizeBudget(bud()), refNormalize(s, bud())
+			got, want := s.Normalize(bud()), refNormalize(s, bud())
 			if got.String() != want.String() {
 				t.Errorf("%s (budget %v):\n%s\nthe reference:\n%s\nfrom:\n%s", name, bud() != nil, got, want, s)
 			}
@@ -227,7 +227,7 @@ func TestNormalizeMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := s.NormalizeBudget(nil), refNormalize(s, nil); got.String() != want.String() {
+		if got, want := s.Normalize(nil), refNormalize(s, nil); got.String() != want.String() {
 			t.Errorf("normalized:\n%s\nthe reference:\n%s\nfrom:\n%s", got, want, s)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/automata/cache"
-	"repro/internal/budget"
 	"repro/internal/dtd"
 	"repro/internal/regex"
 	"repro/internal/xmas"
@@ -87,15 +86,7 @@ func Satisfiability(ctx context.Context, q *xmas.Query, src *dtd.DTD) Verdict {
 // larger budget might still prove unsatisfiability, and Unknown keeps the
 // verdict out of the cache).
 func satisfiabilityFull(ctx context.Context, q *xmas.Query, src *dtd.DTD) Verdict {
-	in := &inferencer{
-		ctx:      ctx,
-		bud:      budget.FromContext(ctx),
-		src:      src,
-		q:        q,
-		nextTag:  map[string]int{},
-		full:     map[*xmas.Cond]map[string]*spec{},
-		degraded: map[string]bool{},
-	}
+	in := newInferencer(ctx, q, src)
 	cls := in.queryClass()
 	if err := in.err(); err != nil {
 		return VerdictUnknown

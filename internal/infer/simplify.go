@@ -39,6 +39,17 @@ type SimplifyReport struct {
 //
 // The returned query is a rewritten clone; the input is not modified.
 func SimplifyQuery(q *xmas.Query, src *dtd.DTD) (*xmas.Query, *SimplifyReport, error) {
+	return SimplifyQueryContext(context.Background(), q, src)
+}
+
+// SimplifyQueryContext is SimplifyQuery with cancellation and budgeting, as
+// InferContext is Infer's: a cancelled ctx returns its error, and a budget
+// attached to it (budget.NewContext) bounds the automata work. Exhaustion is
+// not an error and never unsound — a degraded specialization classifies
+// Satisfiable, so nothing is dropped on its account, and a prunability check
+// the budget could not finish prunes nothing — but the rewrite is then one
+// budget's opinion: a caller that memoizes it checks the budget first.
+func SimplifyQueryContext(ctx context.Context, q *xmas.Query, src *dtd.DTD) (*xmas.Query, *SimplifyReport, error) {
 	if errs := q.Validate(); len(errs) > 0 {
 		return nil, nil, fmt.Errorf("infer: invalid query: %v", errs[0])
 	}
@@ -53,13 +64,14 @@ func SimplifyQuery(q *xmas.Query, src *dtd.DTD) (*xmas.Query, *SimplifyReport, e
 		rep.Class = Satisfiable
 		return out, rep, nil
 	}
-	in := &inferencer{ctx: context.Background(), src: src, q: q, nextTag: map[string]int{}, full: map[*xmas.Cond]map[string]*spec{}}
+	in := newInferencer(ctx, q, src)
 	rep.Class = in.queryClass()
 	if err := in.err(); err != nil {
-		// A refinement worker panicked (fanOut recovered it): the specs it
-		// left behind are inert Unsatisfiable placeholders, and a class read
-		// off them would answer the query with the empty result. Everything
-		// below reads memoized specs only, so this is the one check.
+		// A refinement worker panicked (fanOut recovered it) or ctx was
+		// cancelled under the fan-out: the specs left behind are inert
+		// Unsatisfiable placeholders, and a class read off them would answer
+		// the query with the empty result. Everything below reads memoized
+		// specs only, so this is the one check.
 		return nil, nil, err
 	}
 	if rep.Class == Unsatisfiable {
@@ -163,8 +175,8 @@ func isPrunable(in *inferencer, parent, child *xmas.Cond) bool {
 		if regex.IsFail(refined) {
 			return false
 		}
-		if !automata.Equivalent(regex.Image(refined), t.Model) {
-			return false
+		if eq, err := automata.Equivalent(regex.Image(refined), t.Model, in.bud); err != nil || !eq {
+			return false // not proven within the budget: keep the condition
 		}
 	}
 	return true

@@ -1,9 +1,13 @@
 package infer
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/automata"
+	"repro/internal/budget"
 	"repro/internal/dtd"
 	"repro/internal/engine"
 	"repro/internal/gen"
@@ -227,5 +231,56 @@ func TestSimplifyReturnsWorkerPanic(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `panic refining element "r"`) {
 		t.Errorf("error %q must name the element whose refinement panicked", err)
+	}
+}
+
+// TestSimplifyBudgetExhaustedPrunesNothing: pruning the publication test of
+// TestSimplifyPrunesValidCondition rests on an automaton (the refined model's
+// image is equivalent to publication+'s, which no tree comparison shows), so
+// a budget decides whether it happens. One state is spent during
+// classification — the degradation path, which must record the element, not
+// panic on it — and one state short of enough is spent in the prunability
+// check itself. Either way the budget ends exhausted, nothing is pruned,
+// nothing is dropped, and no error is returned: a sound answer, for the
+// caller not to memoize. A cancelled context is an error.
+func TestSimplifyBudgetExhaustedPrunesNothing(t *testing.T) {
+	q := xmas.MustParse(`v = SELECT X WHERE <department> X:<professor><publication/></professor> </department>`)
+	d := mustDTD(t, d1Text)
+	run := func(ctx context.Context, l budget.Limits) (*SimplifyReport, *budget.Budget) {
+		t.Helper()
+		automata.PurgeCache() // a resident DFA is free, and would hide the charge
+		bud := budget.New(l)
+		out, rep, err := SimplifyQueryContext(budget.NewContext(ctx, bud), q, d)
+		if err != nil {
+			t.Fatalf("limits %+v: exhaustion must degrade, not fail: %v", l, err)
+		}
+		if rep.PrunedConditions == 0 && out.String() != q.String() {
+			t.Errorf("limits %+v: nothing pruned, but the query changed:\n%s", l, out)
+		}
+		return rep, bud
+	}
+	ctx := context.Background()
+	full, counted := run(ctx, budget.Limits{})
+	need := counted.Usage().States
+	if full.PrunedConditions != 1 || need == 0 {
+		t.Fatalf("fixture: unlimited run pruned %d conditions for %d states; want 1, on the word of an automaton", full.PrunedConditions, need)
+	}
+	for _, states := range []int64{1, need - 1} {
+		rep, bud := run(ctx, budget.Limits{MaxStates: states})
+		if bud.Exhausted() == nil {
+			t.Errorf("MaxStates %d of %d: budget not exhausted (usage %+v)", states, need, bud.Usage())
+		}
+		if rep.PrunedConditions != 0 || rep.DroppedNames != 0 || rep.Class == Unsatisfiable {
+			t.Errorf("MaxStates %d of %d: report %+v; want nothing pruned, dropped or refuted", states, need, rep)
+		}
+	}
+	if rep, bud := run(ctx, budget.Limits{MaxStates: need}); bud.Exhausted() != nil || *rep != *full {
+		t.Errorf("MaxStates %d: report %+v, exhausted %v; want the unlimited run's %+v", need, rep, bud.Exhausted(), full)
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if out, rep, err := SimplifyQueryContext(cancelled, q, d); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled context: query %v, report %+v, err %v; want context.Canceled", out, rep, err)
 	}
 }

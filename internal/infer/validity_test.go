@@ -19,7 +19,7 @@ func refinementIsValidBySpec(model regex.Expr, sels []childSel) bool {
 			return false
 		}
 	}
-	return automata.Contains(model, regex.Image(t))
+	return must(automata.Contains(model, regex.Image(t), nil))
 }
 
 func mkSel(tag int, bases ...string) childSel {

@@ -72,13 +72,13 @@ func TestInferTextPathAllocations(t *testing.T) {
 				for _, n := range view.Names() {
 					ty := view.Types[n]
 					if !ty.PCDATA {
-						ty = dtd.M(automata.ReduceBudget(regex.Rename(ty.Model, same), nil))
+						ty = dtd.M(automata.Reduce(regex.Rename(ty.Model, same), nil))
 					}
 					out.Declare(n, ty)
 				}
 			})
-			if got, limit := testing.AllocsPerRun(20, func() { view.NormalizeBudget(nil) }), output+12; got > limit {
-				t.Errorf("%s/%d: NormalizeBudget allocates %.0f times, its output alone %.0f, limit %.0f", fam, size, got, output, limit)
+			if got, limit := testing.AllocsPerRun(20, func() { view.Normalize(nil) }), output+12; got > limit {
+				t.Errorf("%s/%d: Normalize allocates %.0f times, its output alone %.0f, limit %.0f", fam, size, got, output, limit)
 			}
 		}
 	}

@@ -381,10 +381,7 @@ func (m *Mediator) DefineUnionView(name string, parts []ViewPart) (*View, error)
 	// One budget for the whole view definition: the parts share the limits,
 	// so a pathological source DTD cannot starve its siblings of nothing —
 	// whatever it consumes, the remaining parts degrade soundly too.
-	var bud *budget.Budget
-	if m.inferLimits != (budget.Limits{}) {
-		bud = budget.New(m.inferLimits)
-	}
+	bud := m.inferLimits.Budget()
 	inferCtx := budget.NewContext(context.Background(), bud)
 	var partSDTDs []*sdtd.SDTD
 	var classes []infer.Class
@@ -420,12 +417,12 @@ func (m *Mediator) DefineUnionView(name string, parts []ViewPart) (*View, error)
 			v.Class = c
 		}
 	}
-	union, err := UnionSDTDs(regex.N(name), partSDTDs)
+	union, err := UnionSDTDs(regex.N(name), partSDTDs, bud)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: view %s: %v", name, err)
 	}
 	v.SDTD = union
-	plain, events, err := union.MergeBudget(bud)
+	plain, events, err := union.Merge(bud)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: view %s: %v", name, err)
 	}
@@ -437,7 +434,8 @@ func (m *Mediator) DefineUnionView(name string, parts []ViewPart) (*View, error)
 	v.DTD = plain
 	v.DTDText = plain.String() + "\n"
 	if ex := bud.Exhausted(); ex != nil && !v.Degraded {
-		// The per-part inferences finished but the final merge degraded.
+		// The per-part inferences finished but the union or the final merge
+		// degraded.
 		v.Degraded = true
 		v.DegradedReason = ex.Error()
 	}

@@ -25,11 +25,12 @@ import (
 // a source's *data* changed, which a plan never looked at; what is refetched
 // is decided by the part slots' source-generation fence alone.
 //
-// What is never kept: a plan whose simplification failed, and a plan in
-// which some satisfiability verdict was Unknown. A definitive verdict is a
-// proof under any budget; an Unknown is one budget's opinion, and keeping it
-// would shadow the proof a later, larger budget reaches — the rule, and the
-// not-cached-on-error mechanism, of infer.SatisfiabilityCached.
+// What is never kept: a plan whose simplification failed, a plan in which
+// some satisfiability verdict was Unknown, and a plan whose analysis
+// exhausted its budget. A definitive verdict is a proof under any budget; an
+// Unknown, like a simplification cut short, is one budget's opinion, and
+// keeping it would shadow the proof a later, larger budget reaches — the
+// rule, and the not-cached-on-error mechanism, of infer.SatisfiabilityCached.
 
 // planMemoCapacity bounds the plans a mediator keeps. A plan is a simplified
 // copy of its query and a mask over the view's parts; the distinct queries
@@ -86,8 +87,18 @@ func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, pruning 
 
 	var fresh *queryPlan // set when this call ran the analysis itself
 	cached, err := m.plans.GetOrCompute(string(key), func() (any, error) {
-		var unknown bool
-		fresh, unknown = analyse(ctx, v, q, pruning, limits)
+		// One budget for the whole analysis, from the mediator's limits (nil
+		// when it sets none); analyse reads it from its context.
+		bud := limits.Budget()
+		plan, unknown, err := analyse(budget.NewContext(ctx, bud), v, q, pruning)
+		if err != nil {
+			return nil, err
+		}
+		fresh = plan
+		if bud.Exhausted() != nil {
+			m.stats.add(&m.stats.BudgetExhaustions, 1)
+			unknown = true
+		}
 		if unknown || fresh.simplifierError != "" {
 			return nil, errPlanNotKept
 		}
@@ -97,33 +108,36 @@ func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, pruning 
 	case fresh != nil:
 		return fresh, false, nil
 	case err != nil:
-		return nil, false, err // the analysis this call joined panicked
+		return nil, false, err // ctx was cancelled, or the analysis this call joined panicked
 	}
 	return cached.(*queryPlan), true, nil
 }
 
 // analyse is the memo's compute function, the whole static analysis of one
 // query: simplify it against the view DTD, then test the simplified query's
-// root conditions against each part's DTD. unknown reports that some verdict
-// was infer.VerdictUnknown.
-func analyse(ctx context.Context, v *View, q *xmas.Query, pruning bool, limits budget.Limits) (plan *queryPlan, unknown bool) {
+// root conditions against each part's DTD — both under the budget ctx
+// carries and only while ctx lives (its cancellation is the one error).
+// unknown reports that some verdict was infer.VerdictUnknown.
+func analyse(ctx context.Context, v *View, q *xmas.Query, pruning bool) (plan *queryPlan, unknown bool, err error) {
 	plan = &queryPlan{}
 	sq := q
-	if simplified, rep, err := infer.SimplifyQuery(q, v.DTD); err != nil {
+	switch simplified, rep, err := infer.SimplifyQueryContext(ctx, q, v.DTD); {
+	case ctx.Err() != nil:
+		return nil, false, ctx.Err()
+	case err != nil:
 		plan.simplifierError = err.Error()
-	} else {
+	case rep.Class == infer.Unsatisfiable:
+		plan.unsatisfiable = true
+		return plan, false, nil
+	default:
 		plan.prunedConditions, plan.droppedNames = rep.PrunedConditions, rep.DroppedNames
-		if rep.Class == infer.Unsatisfiable {
-			plan.unsatisfiable = true
-			return plan, false
-		}
 		plan.query, sq = simplified, simplified
 	}
 	if !pruning {
 		plan.keep = keepAll(v)
-		return plan, false
+		return plan, false, nil
 	}
-	plan.keep, plan.pruned, unknown = pruneParts(ctx, v, sq, limits)
+	plan.keep, plan.pruned, unknown = pruneParts(ctx, v, sq)
 	plan.prunedSources = prunedSources(v, plan.keep)
-	return plan, unknown
+	return plan, unknown, nil
 }

@@ -253,7 +253,7 @@ func TestPlanWithUnknownVerdictNotKept(t *testing.T) {
 	}
 	m.SetInferenceBudget(budget.Limits{MaxRefineSteps: 1})
 	v, _ := m.View("cat")
-	if _, _, unknown := pruneParts(ctx, v, xmas.MustParse(text), m.InferenceBudget()); !unknown {
+	if _, _, unknown := pruneParts(budget.NewContext(ctx, m.InferenceBudget().Budget()), v, xmas.MustParse(text)); !unknown {
 		t.Fatal("fixture: the tiny budget must leave the prune verdict Unknown")
 	}
 	for i := 1; i <= 3; i++ {

@@ -3,7 +3,6 @@ package mediator
 import (
 	"context"
 
-	"repro/internal/budget"
 	"repro/internal/infer"
 	"repro/internal/xmas"
 )
@@ -45,8 +44,8 @@ func (m *Mediator) PruningEnabled() bool {
 // query provably cannot touch it. It returns the keep mask, the pruned parts
 // in part order, and whether some verdict came back Unknown (such a mask is
 // sound — Unknown means fetch — but only one budget's opinion, so the plan
-// made from it is not kept). Verdict computation runs under limits (the
-// mediator's inference budget; zero: unlimited): exhaustion yields Unknown.
+// made from it is not kept). Verdict computation runs under the budget ctx
+// carries (analyse's; none: unlimited): exhaustion yields Unknown.
 //
 // Pruning declines conservatively (analyse does not call it when disabled):
 //   - when the pick variable binds the query root: the answer then embeds
@@ -58,7 +57,7 @@ func (m *Mediator) PruningEnabled() bool {
 //
 // A part whose definition-time Class is Unsatisfiable is pruned without
 // consulting the verdict cache: it is empty for every query.
-func pruneParts(ctx context.Context, v *View, q *xmas.Query, limits budget.Limits) (keep []bool, pruned []prunedPart, unknown bool) {
+func pruneParts(ctx context.Context, v *View, q *xmas.Query) (keep []bool, pruned []prunedPart, unknown bool) {
 	keep = keepAll(v)
 	root := q.Root
 	if root == nil || root.Var == q.PickVar || root.IDVar == q.PickVar {
@@ -67,9 +66,6 @@ func pruneParts(ctx context.Context, v *View, q *xmas.Query, limits budget.Limit
 	probes := rootProbes(q)
 	if probes == nil && !anyStaticallyEmpty(v) {
 		return keep, nil, false
-	}
-	if limits != (budget.Limits{}) {
-		ctx = budget.NewContext(ctx, budget.New(limits))
 	}
 	for i, p := range v.Parts {
 		if p.Class == infer.Unsatisfiable {

@@ -233,7 +233,7 @@ func TestPrunePartsAllFalse(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := xmas.MustParse(`r = SELECT X WHERE <cat> X:<item><shelf/></item> </cat>`)
-	keep, pruned, unknown := pruneParts(context.Background(), v, q, m.InferenceBudget())
+	keep, pruned, unknown := pruneParts(context.Background(), v, q)
 	if len(pruned) != 2 || keep[0] || keep[1] || unknown {
 		t.Errorf("pruned = %v, keep = %v, unknown = %v, want both parts refuted", pruned, keep, unknown)
 	}
@@ -241,7 +241,7 @@ func TestPrunePartsAllFalse(t *testing.T) {
 	// A query whose pick binds the view root must never be pruned: the
 	// answer embeds the root's full child list.
 	qRoot := xmas.MustParse(`r = SELECT X WHERE X:<cat> <item/> </cat>`)
-	if keep, pruned, _ := pruneParts(context.Background(), v, qRoot, m.InferenceBudget()); !keep[0] || !keep[1] || len(pruned) != 0 {
+	if keep, pruned, _ := pruneParts(context.Background(), v, qRoot); !keep[0] || !keep[1] || len(pruned) != 0 {
 		t.Errorf("root-binding query pruned: keep=%v pruned=%v", keep, pruned)
 	}
 }

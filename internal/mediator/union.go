@@ -3,6 +3,7 @@ package mediator
 import (
 	"fmt"
 
+	"repro/internal/budget"
 	"repro/internal/dtd"
 	"repro/internal/regex"
 	"repro/internal/sdtd"
@@ -14,10 +15,11 @@ import (
 // order). Same-named types from different sources may genuinely differ —
 // site A's professor need not look like site B's — so every part type is
 // re-tagged into a fresh specialization of the union s-DTD, and the final
-// Normalize pass collapses the ones that turn out to be equivalent. This
-// is precisely where s-DTDs shine: a plain DTD would be forced to merge
-// the sources' types immediately and lose tightness.
-func UnionSDTDs(root regex.Name, parts []*sdtd.SDTD) (*sdtd.SDTD, error) {
+// Normalize pass, under the view definition's budget, collapses the ones
+// that turn out to be equivalent (exhaustion keeps the unproven ones apart:
+// sound, looser). This is precisely where s-DTDs shine: a plain DTD would be
+// forced to merge the sources' types immediately and lose tightness.
+func UnionSDTDs(root regex.Name, parts []*sdtd.SDTD, bud *budget.Budget) (*sdtd.SDTD, error) {
 	out := sdtd.New(root)
 	nextTag := map[string]int{}
 	var rootModels []regex.Expr
@@ -59,7 +61,7 @@ func UnionSDTDs(root regex.Name, parts []*sdtd.SDTD) (*sdtd.SDTD, error) {
 	}
 	out.Declare(root, dtd.M(regex.Simplify(regex.Cat(rootModels...))))
 	// Reorder so the root is declared first (cosmetic but deterministic).
-	normalized := out.Normalize()
+	normalized := out.Normalize(bud)
 	if errs := normalized.Check(); len(errs) > 0 {
 		return nil, fmt.Errorf("mediator: union s-DTD inconsistent: %v", errs[0])
 	}

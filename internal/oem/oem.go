@@ -248,5 +248,5 @@ func guideModel(n *GuideNode, tags map[*GuideNode][]regex.Name) regex.Expr {
 // schema-like artifact a dataguide supports; merge events report where
 // same-label nodes with different shapes collapsed.
 func (dg *DataGuide) ToDTD() (*dtd.DTD, []sdtd.MergeEvent, error) {
-	return dg.ToSDTD().Merge()
+	return dg.ToSDTD().Merge(nil) // a dataguide is built from data, not from a hostile schema
 }

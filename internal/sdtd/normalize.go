@@ -21,16 +21,12 @@ import (
 // with all same-base, same-kind (PCDATA vs model) names identified, then
 // split classes whose members' types differ as languages when every atom is
 // rewritten to its class representative; repeat to fixpoint.
-func (s *SDTD) Normalize() *SDTD {
-	return s.NormalizeBudget(nil)
-}
-
-// NormalizeBudget is Normalize under a resource budget. Exhaustion
-// degrades rather than errors: an equivalence check that cannot complete
-// treats the two specializations as distinct (they are simply not
-// collapsed — a larger but equally correct s-DTD), and content-model
-// reduction falls back to syntactic simplification.
-func (s *SDTD) NormalizeBudget(bud *budget.Budget) *SDTD {
+//
+// Budget exhaustion degrades rather than errors: an equivalence check that
+// cannot complete treats the two specializations as distinct (they are
+// simply not collapsed — a larger but equally correct s-DTD), and
+// content-model reduction falls back to syntactic simplification.
+func (s *SDTD) Normalize(bud *budget.Budget) *SDTD {
 	// The bookkeeping is dense: names holds the declared names sorted, so
 	// the specializations of a base are one run of it in tag order, and
 	// rep[i] is the position of the representative of names[i]'s class —
@@ -82,7 +78,7 @@ func (s *SDTD) NormalizeBudget(bud *budget.Budget) *SDTD {
 				if base == nil {
 					base = regex.Rename(types[r].Model, toRep)
 				}
-				if eq, err := automata.EquivalentBudget(base, regex.Rename(types[i].Model, toRep), bud); err != nil || !eq {
+				if eq, err := automata.Equivalent(base, regex.Rename(types[i].Model, toRep), bud); err != nil || !eq {
 					leave = append(leave, int32(i))
 				}
 			}
@@ -123,7 +119,7 @@ func (s *SDTD) NormalizeBudget(bud *budget.Budget) *SDTD {
 		declared[rep[i]] = true
 		t := types[i]
 		if !t.PCDATA {
-			t = dtd.M(automata.ReduceBudget(regex.Rename(t.Model, target), bud))
+			t = dtd.M(automata.Reduce(regex.Rename(t.Model, target), bud))
 		}
 		out.Declare(target(n), t)
 	}

@@ -13,7 +13,9 @@
 // distinction), the Merge algorithm that converts an s-DTD back to a plain
 // DTD while signalling the tightness lost (Section 4.3), and a
 // normalization pass that collapses redundant specializations (the
-// publication² ≡ publication¹ phenomenon of footnote 8).
+// publication² ≡ publication¹ phenomenon of footnote 8). Normalize and
+// Merge decide language equivalences, so each takes the caller's budget
+// (nil: unlimited) and degrades soundly when it runs out.
 package sdtd
 
 import (
@@ -149,9 +151,11 @@ func (s *SDTD) Check() []error {
 
 // dfa returns the compiled automaton for n's content model, backed by the
 // process-wide compiled-automata cache (concurrency-safe; shared across
-// s-DTD values with the same models).
+// s-DTD values with the same models). Satisfaction is a check of a document
+// against models inference already built, so it runs unbudgeted.
 func (s *SDTD) dfa(n Name) *automata.DFA {
-	return automata.Compiled(s.Types[n].Model)
+	d, _ := automata.Compiled(s.Types[n].Model, nil) // a nil budget cannot fail
+	return d
 }
 
 // MergeEvent records one merge performed by Merge: several specializations
@@ -178,16 +182,13 @@ func (e MergeEvent) String() string {
 // same base name are unioned. The returned events signal each collapsed
 // name. Merging a PCDATA specialization with an element-content
 // specialization is impossible in a plain DTD and yields an error.
-func (s *SDTD) Merge() (*dtd.DTD, []MergeEvent, error) {
-	return s.MergeBudget(nil)
-}
-
-// MergeBudget is Merge under a resource budget. Exhaustion degrades
-// rather than errors: content-model reduction falls back to the syntactic
-// simplification (language-preserving), and an image-equivalence check
-// that cannot complete conservatively reports the merge as Distinct —
-// claiming information *may* have been lost is sound, the reverse is not.
-func (s *SDTD) MergeBudget(bud *budget.Budget) (*dtd.DTD, []MergeEvent, error) {
+//
+// Budget exhaustion degrades rather than errors: content-model reduction
+// falls back to the syntactic simplification (language-preserving), and an
+// image-equivalence check that cannot complete conservatively reports the
+// merge as Distinct — claiming information *may* have been lost is sound,
+// the reverse is not.
+func (s *SDTD) Merge(bud *budget.Budget) (*dtd.DTD, []MergeEvent, error) {
 	out := dtd.New(s.Root.Base)
 	var events []MergeEvent
 	byBase := map[string][]Name{}
@@ -205,7 +206,7 @@ func (s *SDTD) MergeBudget(bud *budget.Budget) (*dtd.DTD, []MergeEvent, error) {
 			if t.PCDATA {
 				out.Declare(base, dtd.PC())
 			} else {
-				out.Declare(base, dtd.M(automata.ReduceBudget(regex.Image(t.Model), bud)))
+				out.Declare(base, dtd.M(automata.Reduce(regex.Image(t.Model), bud)))
 			}
 			continue
 		}
@@ -231,13 +232,13 @@ func (s *SDTD) MergeBudget(bud *budget.Budget) (*dtd.DTD, []MergeEvent, error) {
 		}
 		distinct := false
 		for _, im := range images[1:] {
-			eq, err := automata.EquivalentBudget(images[0], im, bud)
+			eq, err := automata.Equivalent(images[0], im, bud)
 			if err != nil || !eq {
 				distinct = true
 				break
 			}
 		}
-		out.Declare(base, dtd.M(automata.ReduceBudget(regex.Or(images...), bud)))
+		out.Declare(base, dtd.M(automata.Reduce(regex.Or(images...), bud)))
 		events = append(events, MergeEvent{Base: base, Tags: tags, Distinct: distinct})
 	}
 	return out, events, nil
@@ -395,7 +396,7 @@ func (s *SDTD) SatisfiesWeak(doc *xmlmodel.Document) error {
 			}
 			d, cached := imageDFAs[n]
 			if !cached {
-				d = automata.FromExpr(regex.Image(t.Model))
+				d, _ = automata.FromExpr(regex.Image(t.Model), nil) // a nil budget cannot fail
 				imageDFAs[n] = d
 			}
 			word := make([]regex.Name, len(e.Children))

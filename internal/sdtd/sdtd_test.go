@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/automata"
+	"repro/internal/budget"
 	"repro/internal/dtd"
 	"repro/internal/regex"
 	"repro/internal/xmlmodel"
@@ -141,16 +142,16 @@ func TestSatisfiesElementAs(t *testing.T) {
 // publications" and which signals non-tightness for publication.
 func TestMergeD4(t *testing.T) {
 	s := buildD4()
-	plain, events, err := s.Merge()
+	plain, events, err := s.Merge(nil)
 	if err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
 	wantProf := regex.MustParse("firstName, lastName, publication, publication, publication*, teaches")
-	if !automata.Equivalent(plain.Types["professor"].Model, wantProf) {
+	if eq, _ := automata.Equivalent(plain.Types["professor"].Model, wantProf, nil); !eq {
 		t.Errorf("merged professor = %s, want ≡ %s", plain.Types["professor"].Model, wantProf)
 	}
 	wantPub := regex.MustParse("(title, author+, (journal|conference)) | (title, author+, journal)")
-	if !automata.Equivalent(plain.Types["publication"].Model, wantPub) {
+	if eq, _ := automata.Equivalent(plain.Types["publication"].Model, wantPub, nil); !eq {
 		t.Errorf("merged publication = %s", plain.Types["publication"].Model)
 	}
 	var pubEvent *MergeEvent
@@ -176,7 +177,7 @@ func TestMergeD4(t *testing.T) {
 func TestMergeSoundness(t *testing.T) {
 	// Any document satisfying the s-DTD must satisfy the merged DTD.
 	s := buildD4()
-	plain, _, err := s.Merge()
+	plain, _, err := s.Merge(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestMergePCDATAConflict(t *testing.T) {
 	s.Declare(regex.N("a"), dtd.PC())
 	s.Declare(regex.T("a", 1), dtd.M(regex.MustParse("b")))
 	s.Declare(regex.N("b"), dtd.PC())
-	if _, _, err := s.Merge(); err == nil {
+	if _, _, err := s.Merge(nil); err == nil {
 		t.Error("PCDATA/model conflict must be an error")
 	}
 }
@@ -206,7 +207,7 @@ func TestMergePCDATASpecializations(t *testing.T) {
 	s.Declare(regex.N("r"), dtd.M(regex.MustParse("a, a^1")))
 	s.Declare(regex.N("a"), dtd.PC())
 	s.Declare(regex.T("a", 1), dtd.PC())
-	plain, events, err := s.Merge()
+	plain, events, err := s.Merge(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestNormalizeCollapsesFootnote8(t *testing.T) {
 	s.Declare(regex.T("publication", 2), dtd.M(regex.MustParse("title, author+, journal")))
 	s.Types[regex.N("gradStudent")] = dtd.M(regex.MustParse(
 		"firstName, lastName, publication*, publication^1, publication*, publication^2, publication*"))
-	n := s.Normalize()
+	n := s.Normalize(nil)
 	if got := len(n.Specializations("publication")); got != 2 {
 		t.Fatalf("publication specializations after Normalize = %d, want 2\n%s", got, n)
 	}
@@ -248,7 +249,7 @@ func TestNormalizeCollapsesFootnote8(t *testing.T) {
 
 func TestNormalizeKeepsDistinctTags(t *testing.T) {
 	s := buildD4()
-	n := s.Normalize()
+	n := s.Normalize(nil)
 	if got := len(n.Specializations("publication")); got != 2 {
 		t.Errorf("distinct specializations must survive, got %d", got)
 	}
@@ -261,9 +262,51 @@ func TestNormalizeRecursiveEquivalence(t *testing.T) {
 	s.Declare(regex.N("r"), dtd.M(regex.MustParse("a | a^1")))
 	s.Declare(regex.N("a"), dtd.M(regex.MustParse("a?")))
 	s.Declare(regex.T("a", 1), dtd.M(regex.MustParse("a^1?")))
-	n := s.Normalize()
+	n := s.Normalize(nil)
 	if got := len(n.Specializations("a")); got != 1 {
 		t.Errorf("recursively equivalent tags should collapse, got %d\n%s", got, n)
+	}
+}
+
+// TestNormalizeMergeUnderExhaustedBudgetStaySound: two specializations whose
+// equivalence only an automaton shows, under the one budget a view definition
+// shares between Normalize and Merge. Unlimited, they collapse and nothing is
+// reported. Exhausted, they stay apart and the merge says Distinct — "may have
+// lost information" is the sound answer to a question left open — while the
+// merged type still denotes the same language: looser bookkeeping, same
+// documents, no error.
+func TestNormalizeMergeUnderExhaustedBudgetStaySound(t *testing.T) {
+	s := New(regex.N("r"))
+	s.Declare(regex.N("r"), dtd.M(regex.MustParse("m, m^1")))
+	s.Declare(regex.N("m"), dtd.M(regex.MustParse("(a, b*)*")))
+	s.Declare(regex.T("m", 1), dtd.M(regex.MustParse("(a+, b*)*")))
+	s.Declare(regex.N("a"), dtd.PC())
+	s.Declare(regex.N("b"), dtd.PC())
+	want := s.Types[regex.N("m")].Model
+
+	for _, c := range []struct {
+		bud      *budget.Budget
+		specs    int
+		distinct bool
+	}{{nil, 1, false}, {budget.New(budget.Limits{MaxStates: 1}), 2, true}} {
+		automata.PurgeCache() // a resident DFA is free under any budget
+		n := s.Normalize(c.bud)
+		if got := len(n.Specializations("m")); got != c.specs {
+			t.Errorf("budget %v: %d specializations of m, want %d\n%s", c.bud.Usage(), got, c.specs, n)
+		}
+		plain, events, err := n.Merge(c.bud)
+		if err != nil {
+			t.Fatalf("budget %v: Merge: %v", c.bud.Usage(), err)
+		}
+		if (c.bud.Exhausted() != nil) != c.distinct {
+			t.Errorf("budget %v: exhausted = %v, want %v", c.bud.Usage(), c.bud.Exhausted(), c.distinct)
+		}
+		if c.distinct != (len(events) == 1 && events[0].Base == "m" && events[0].Distinct) {
+			t.Errorf("budget %v: merge events %v, want m reported distinct: %v", c.bud.Usage(), events, c.distinct)
+		}
+		if eq, _ := automata.Equivalent(plain.Types["m"].Model, want, nil); !eq {
+			t.Errorf("budget %v: merged m = %s, not the language of %s", c.bud.Usage(), plain.Types["m"].Model, want)
+		}
 	}
 }
 

@@ -460,10 +460,7 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	// Inference-as-a-service runs under the mediator's configured budget:
 	// a hostile or pathological posted DTD must not pin a serving CPU.
-	var bud *budget.Budget
-	if limits := h.m.InferenceBudget(); limits != (budget.Limits{}) {
-		bud = budget.New(limits)
-	}
+	bud := h.m.InferenceBudget().Budget()
 	res, err := infer.InferContext(budget.NewContext(r.Context(), bud), q, src)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)

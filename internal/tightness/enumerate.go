@@ -449,7 +449,7 @@ func MeasureDTD(viewDTD *dtd.DTD, q *xmas.Query, src *dtd.DTD, viewBound, srcBou
 // classes are enumerated from the merged plain DTD and filtered by strict
 // s-DTD satisfaction, then tested for achievability.
 func MeasureSDTD(viewSDTD *sdtd.SDTD, q *xmas.Query, src *dtd.DTD, viewBound, srcBound, limit int) (*PrecisionReport, error) {
-	merged, _, err := viewSDTD.Merge()
+	merged, _, err := viewSDTD.Merge(nil) // bounded by limit, not by a budget
 	if err != nil {
 		return nil, err
 	}

@@ -69,21 +69,13 @@ func (w *Witness) String() string {
 // reachable name with content models restricted to d1's realizable names
 // (declared-but-unrealizable names cannot occur in any finite document and
 // must not produce spurious witnesses).
-func Tighter(d1, d2 *dtd.DTD) (bool, *Witness) {
-	ok, w, err := TighterBudget(d1, d2, nil)
-	if err != nil {
-		// Impossible: a nil budget never exhausts.
-		panic(err)
-	}
-	return ok, w
-}
-
-// TighterBudget is Tighter under a resource budget (see internal/budget):
-// the per-name DFA compilations and containment checks charge the budget,
-// and exhaustion returns an error — the comparison is a decision, so
-// unlike inference it cannot soundly degrade; callers treat "could not
-// decide within budget" explicitly (dtdcheck exits with a distinct code).
-func TighterBudget(d1, d2 *dtd.DTD, bud *budget.Budget) (bool, *Witness, error) {
+//
+// The per-name DFA compilations and containment checks charge the budget
+// (see internal/budget; nil is unlimited and never errors), and exhaustion
+// returns an error — the comparison is a decision, so unlike inference it
+// cannot soundly degrade; callers treat "could not decide within budget"
+// explicitly (dtdcheck exits with a distinct code).
+func Tighter(d1, d2 *dtd.DTD, bud *budget.Budget) (bool, *Witness, error) {
 	real1 := d1.Realizable()
 	if !real1[d1.Root] {
 		// No document satisfies d1 at all; vacuously tighter.
@@ -109,16 +101,16 @@ func TighterBudget(d1, d2 *dtd.DTD, bud *budget.Budget) (bool, *Witness, error) 
 			continue
 		}
 		alpha := unionAlpha(t1.Model, t2.Model)
-		a1raw, err := automata.CompiledAlphabetBudget(t1.Model, alpha, bud)
+		a1raw, err := automata.CompiledAlphabet(t1.Model, alpha, bud)
 		if err != nil {
 			return false, nil, err
 		}
 		a1 := a1raw.RestrictTo(func(m regex.Name) bool { return real1[m.Base] })
-		a2, err := automata.CompiledAlphabetBudget(t2.Model, alpha, bud)
+		a2, err := automata.CompiledAlphabet(t2.Model, alpha, bud)
 		if err != nil {
 			return false, nil, err
 		}
-		contained, err := automata.ContainsDFABudget(a1, a2, bud)
+		contained, err := automata.ContainsDFA(a1, a2, bud)
 		if err != nil {
 			return false, nil, err
 		}
@@ -132,17 +124,18 @@ func TighterBudget(d1, d2 *dtd.DTD, bud *budget.Budget) (bool, *Witness, error) 
 }
 
 // Equivalent reports whether the two DTDs describe exactly the same set of
-// documents.
+// documents. Like StrictlyTighter it is an offline check and runs unlimited
+// (a nil budget cannot fail).
 func Equivalent(d1, d2 *dtd.DTD) bool {
-	a, _ := Tighter(d1, d2)
-	b, _ := Tighter(d2, d1)
+	a, _, _ := Tighter(d1, d2, nil)
+	b, _, _ := Tighter(d2, d1, nil)
 	return a && b
 }
 
 // StrictlyTighter reports d1 tighter than d2 but not vice versa.
 func StrictlyTighter(d1, d2 *dtd.DTD) bool {
-	a, _ := Tighter(d1, d2)
-	b, _ := Tighter(d2, d1)
+	a, _, _ := Tighter(d1, d2, nil)
+	b, _, _ := Tighter(d2, d1, nil)
 	return a && !b
 }
 
@@ -165,11 +158,10 @@ func reachableRealizable(d *dtd.DTD, real map[string]bool, bud *budget.Budget) (
 		// realizable names syntactically present — is exact here because
 		// any realizable name in some accepted word of the restricted
 		// model does occur in a document.
-		dfa, err := automata.FromExprBudget(t.Model, bud)
+		restricted, err := realizableDFA(t.Model, real, bud)
 		if err != nil {
 			return nil, err
 		}
-		restricted := dfa.RestrictTo(func(m regex.Name) bool { return real[m.Base] })
 		for _, m := range regex.Names(t.Model) {
 			if !real[m.Base] || seen[m.Base] {
 				continue
@@ -181,6 +173,16 @@ func reachableRealizable(d *dtd.DTD, real map[string]bool, bud *budget.Budget) (
 		}
 	}
 	return out, nil
+}
+
+// realizableDFA compiles model and redirects to a dead state every
+// transition on a name outside real, one no finite document can carry.
+func realizableDFA(model regex.Expr, real map[string]bool, bud *budget.Budget) (*automata.DFA, error) {
+	d, err := automata.FromExpr(model, bud)
+	if err != nil {
+		return nil, err
+	}
+	return d.RestrictTo(func(m regex.Name) bool { return real[m.Base] }), nil
 }
 
 // occursInLanguage reports whether some accepted word of the DFA contains

@@ -46,10 +46,10 @@ func mustDTD(t *testing.T, s string) *dtd.DTD {
 func TestTighterBasics(t *testing.T) {
 	a := mustDTD(t, `<!DOCTYPE r [ <!ELEMENT r (x, x)> <!ELEMENT x (#PCDATA)> ]>`)
 	b := mustDTD(t, `<!DOCTYPE r [ <!ELEMENT r (x+)> <!ELEMENT x (#PCDATA)> ]>`)
-	if ok, w := Tighter(a, b); !ok {
+	if ok, w, _ := Tighter(a, b, nil); !ok {
 		t.Errorf("x,x must be tighter than x+: %v", w)
 	}
-	if ok, _ := Tighter(b, a); ok {
+	if ok, _, _ := Tighter(b, a, nil); ok {
 		t.Error("x+ is not tighter than x,x")
 	}
 	if !StrictlyTighter(a, b) || StrictlyTighter(b, a) {
@@ -66,31 +66,31 @@ func TestTighterBasics(t *testing.T) {
 func TestTighterWitnesses(t *testing.T) {
 	a := mustDTD(t, `<!DOCTYPE r [ <!ELEMENT r (x*)> <!ELEMENT x (#PCDATA)> ]>`)
 	b := mustDTD(t, `<!DOCTYPE r [ <!ELEMENT r (x+)> <!ELEMENT x (#PCDATA)> ]>`)
-	ok, w := Tighter(a, b)
+	ok, w, _ := Tighter(a, b, nil)
 	if ok || w == nil || w.Name != "r" || len(w.Word) != 0 {
 		t.Errorf("want empty-word witness at r, got ok=%v w=%v", ok, w)
 	}
 	// Root mismatch.
 	c := mustDTD(t, `<!DOCTYPE z [ <!ELEMENT z (x*)> <!ELEMENT x (#PCDATA)> ]>`)
-	if ok, w := Tighter(a, c); ok || w == nil || !strings.Contains(w.Reason, "document types differ") {
+	if ok, w, _ := Tighter(a, c, nil); ok || w == nil || !strings.Contains(w.Reason, "document types differ") {
 		t.Errorf("root mismatch: %v %v", ok, w)
 	}
 	// Name undeclared in the looser DTD: a witness must be produced (the
 	// content-model check catches it first, with the offending word).
 	d := mustDTD(t, `<!DOCTYPE r [ <!ELEMENT r (y*)> <!ELEMENT y (#PCDATA)> ]>`)
-	if ok, w := Tighter(a, d); ok || w == nil || w.Name != "r" {
+	if ok, w, _ := Tighter(a, d, nil); ok || w == nil || w.Name != "r" {
 		t.Errorf("undeclared: %v %v", ok, w)
 	}
 	// When the content models agree, the undeclared-name check fires.
 	a2 := mustDTD(t, `<!DOCTYPE r [ <!ELEMENT r (x*)> <!ELEMENT x (#PCDATA)> ]>`)
 	d2 := dtd.New("r")
 	d2.Declare("r", dtd.M(regex.MustParse("x*")))
-	if ok, w := Tighter(a2, d2); ok || w == nil || !strings.Contains(w.Reason, "not declared") {
+	if ok, w, _ := Tighter(a2, d2, nil); ok || w == nil || !strings.Contains(w.Reason, "not declared") {
 		t.Errorf("undeclared2: %v %v", ok, w)
 	}
 	// PCDATA vs model mismatch.
 	e := mustDTD(t, `<!DOCTYPE r [ <!ELEMENT r (x*)> <!ELEMENT x (r?)> ]>`)
-	if ok, w := Tighter(a, e); ok || w == nil || !strings.Contains(w.Reason, "kind mismatch") {
+	if ok, w, _ := Tighter(a, e, nil); ok || w == nil || !strings.Contains(w.Reason, "kind mismatch") {
 		t.Errorf("kind: %v %v", ok, w)
 	}
 }
@@ -102,12 +102,12 @@ func TestTighterIgnoresUnrealizableNames(t *testing.T) {
 	  <!ELEMENT r (x | loop)> <!ELEMENT x (#PCDATA)> <!ELEMENT loop (loop)>
 	]>`)
 	b := mustDTD(t, `<!DOCTYPE r [ <!ELEMENT r (x)> <!ELEMENT x (#PCDATA)> ]>`)
-	if ok, w := Tighter(a, b); !ok {
+	if ok, w, _ := Tighter(a, b, nil); !ok {
 		t.Errorf("unrealizable branch must not produce a witness: %v", w)
 	}
 	// A DTD with an unrealizable root is vacuously tighter than anything.
 	v := mustDTD(t, `<!DOCTYPE loop [ <!ELEMENT loop (loop)> ]>`)
-	if ok, _ := Tighter(v, b); !ok {
+	if ok, _, _ := Tighter(v, b, nil); !ok {
 		t.Error("empty tree language is tighter than everything")
 	}
 }

@@ -3,7 +3,6 @@ package tightness
 import (
 	"fmt"
 
-	"repro/internal/automata"
 	"repro/internal/dtd"
 	"repro/internal/infer"
 	"repro/internal/regex"
@@ -18,7 +17,7 @@ import (
 // element named w.Name, give that element the witness word as children,
 // and complete every other required position minimally.
 func WitnessDocument(d1, d2 *dtd.DTD) (*xmlmodel.Document, error) {
-	ok, w := Tighter(d1, d2)
+	ok, w, _ := Tighter(d1, d2, nil) // a certificate is built offline: unlimited, cannot fail
 	if ok {
 		return nil, nil
 	}
@@ -154,7 +153,7 @@ func (b *minBuilder) nextStep(from, target string) (string, error) {
 		if t.PCDATA {
 			continue
 		}
-		restricted := automata.FromExpr(t.Model).RestrictTo(func(m regex.Name) bool { return real[m.Base] })
+		restricted, _ := realizableDFA(t.Model, real, nil) // a nil budget cannot fail
 		for _, m := range regex.Names(t.Model) {
 			if !real[m.Base] || seen[m.Base] {
 				continue
@@ -184,49 +183,10 @@ func (b *minBuilder) shortWord(model regex.Expr, must *string) ([]regex.Name, er
 	if must != nil {
 		m = infer.RefineName(m, *must)
 	}
-	dfa := automata.FromExpr(m).RestrictTo(func(n regex.Name) bool { return real[n.Base] })
-	word := shortestAcceptingWord(dfa)
+	dfa, _ := realizableDFA(m, real, nil) // a nil budget cannot fail
+	word := dfa.ShortestAccepted()
 	if word == nil {
 		return nil, fmt.Errorf("tightness: no realizable word for model %s", model)
 	}
 	return word, nil
-}
-
-// shortestAcceptingWord is a BFS for the shortest accepted word.
-func shortestAcceptingWord(d *automata.DFA) []regex.Name {
-	type crumb struct {
-		prev int
-		sym  int
-	}
-	if d.Accept[d.Start] {
-		return []regex.Name{}
-	}
-	seen := make([]bool, d.NumStates())
-	from := make([]crumb, d.NumStates())
-	seen[d.Start] = true
-	queue := []int{d.Start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for ai := 0; ai < len(d.Alphabet); ai++ {
-			next := d.Trans[cur][ai]
-			if seen[next] {
-				continue
-			}
-			seen[next] = true
-			from[next] = crumb{cur, ai}
-			if d.Accept[next] {
-				var rev []regex.Name
-				for s := next; s != d.Start; s = from[s].prev {
-					rev = append(rev, d.Alphabet[from[s].sym])
-				}
-				for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-					rev[i], rev[j] = rev[j], rev[i]
-				}
-				return rev
-			}
-			queue = append(queue, next)
-		}
-	}
-	return nil
 }

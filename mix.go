@@ -324,13 +324,16 @@ func EmptyResult(q *Query) *Document { return engine.EmptyResult(q) }
 
 // Tighter decides Definition 3.2: every document satisfying d1 satisfies
 // d2. The witness explains a negative answer.
-func Tighter(d1, d2 *DTD) (bool, *TightnessWitness) { return tightness.Tighter(d1, d2) }
+func Tighter(d1, d2 *DTD) (bool, *TightnessWitness) {
+	ok, w, _ := tightness.Tighter(d1, d2, nil) // unlimited: cannot fail
+	return ok, w
+}
 
 // TighterBudget is Tighter under a resource budget. The decision cannot
 // soundly degrade, so budget exhaustion returns an error ("could not
 // decide within budget") that callers must treat explicitly.
 func TighterBudget(d1, d2 *DTD, b *Budget) (bool, *TightnessWitness, error) {
-	return tightness.TighterBudget(d1, d2, b)
+	return tightness.Tighter(d1, d2, b)
 }
 
 // EquivalentDTDs reports that two DTDs describe the same document set.
@@ -344,7 +347,10 @@ func WitnessDocument(d1, d2 *DTD) (*Document, error) {
 }
 
 // EquivalentModels reports language equality of two content models.
-func EquivalentModels(a, b Expr) bool { return automata.Equivalent(a, b) }
+func EquivalentModels(a, b Expr) bool {
+	eq, _ := automata.Equivalent(a, b, nil) // unlimited: cannot fail
+	return eq
+}
 
 // AutomataCacheStats snapshots the process-wide compiled-automata cache
 // counters (hits, misses, singleflight dedups, evictions, size): every
