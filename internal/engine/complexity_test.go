@@ -58,7 +58,7 @@ func TestVisitsGrowLinearly(t *testing.T) {
 		q := xmas.MustParse(s.query)
 		prev := 0
 		for _, n := range ladder {
-			m, err := run(q, entriesDoc(n))
+			m, err := runQuery(q, entriesDoc(n))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestVisitsWithAncestorSideConditions(t *testing.T) {
 			doc := entriesDoc(n)
 			doc.Root.Children[n-1].Children[0].Text = "last"
 			doc.Root.Children = append(doc.Root.Children, xmlmodel.NewText("trailer", "z"))
-			m, err := run(q, doc)
+			m, err := runQuery(q, doc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,4 +135,13 @@ func BenchmarkEvalElements(b *testing.B) {
 			})
 		}
 	}
+}
+
+// runQuery is one evaluation with its matcher (for the visit count).
+func runQuery(q *xmas.Query, doc *xmlmodel.Document) (*matcher, error) {
+	p, err := Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.run(doc.Root, nil), nil
 }

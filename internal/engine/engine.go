@@ -74,37 +74,70 @@ func EmptyResult(q *xmas.Query) *xmlmodel.Document {
 // O(document × condition); with "!=" each structurally admissible pick is
 // then verified by an embedding anchored to its ancestor chain (embed).
 func EvalElements(q *xmas.Query, doc *xmlmodel.Document) ([]*xmlmodel.Element, error) {
-	m, err := run(q, doc)
+	p, err := Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	return m.picks, nil
+	return p.EvalElements(doc)
 }
 
-// run evaluates the query and returns the matcher with its picks (and,
-// for the complexity tests, its visit count).
-func run(q *xmas.Query, doc *xmlmodel.Document) (*matcher, error) {
+// Prepared is a validated query with what every evaluation of it needs and
+// the query alone decides; never written after Prepare, it may be shared.
+type Prepared struct {
+	q    *xmas.Query
+	path []*xmas.Cond // root condition … pick condition
+	// deep marks, for queries with "!=" only, the conditions an anchored
+	// embedding must really embed: path conditions and those with a "!="-
+	// constrained variable somewhere below. structuralOK decides the rest.
+	deep map[*xmas.Cond]bool
+}
+
+// Prepare validates q, which must not be modified afterwards.
+func Prepare(q *xmas.Query) (*Prepared, error) {
 	if errs := q.Validate(); len(errs) > 0 {
 		return nil, fmt.Errorf("engine: invalid query: %v", errs[0])
-	}
-	if doc == nil || doc.Root == nil {
-		return nil, fmt.Errorf("engine: empty document")
 	}
 	path, err := q.PathToPick()
 	if err != nil {
 		return nil, err
 	}
-	m := &matcher{q: q, path: path}
+	p := &Prepared{q: q, path: path}
 	if len(q.Neq) > 0 {
-		m.deep = map[*xmas.Cond]bool{}
-		m.markDeep(q.Root)
+		p.deep = map[*xmas.Cond]bool{}
+		p.markDeep(q.Root)
 	}
-	if path[0].MatchesName(doc.Root.Name) {
+	return p, nil
+}
+
+// EvalElements is the package's EvalElements less its per-query work.
+func (p *Prepared) EvalElements(doc *xmlmodel.Document) ([]*xmlmodel.Element, error) {
+	if doc == nil || doc.Root == nil {
+		return nil, fmt.Errorf("engine: empty document")
+	}
+	return p.run(doc.Root, nil).picks, nil
+}
+
+// EvalSplit evaluates over root, whose children are several runs one after
+// another — run i ends before child ends[i] — in one walk (one matcher, one
+// memo, one pick list) and says where each run's picks end: those below run i's
+// children are picks[cuts[i-1]:cuts[i]]. (No caller's query can pick root itself.)
+func (p *Prepared) EvalSplit(root *xmlmodel.Element, ends []int) (picks []*xmlmodel.Element, cuts []int) {
+	m := p.run(root, ends)
+	for len(m.cuts) < len(ends) { // the runs the root-level loop never reached
+		m.cuts = append(m.cuts, len(m.picks))
+	}
+	return m.picks, m.cuts
+}
+
+// run is one evaluation; the complexity tests read the matcher's visit count.
+func (p *Prepared) run(root *xmlmodel.Element, ends []int) *matcher {
+	m := &matcher{Prepared: p, ends: ends, cuts: make([]int, 0, len(ends))}
+	if p.path[0].MatchesName(root.Name) {
 		m.steps = append(m.steps, step{i: 0})
-		m.chain = append(m.chain, link{doc.Root, 0})
-		m.visit(doc.Root, 0)
+		m.chain = append(m.chain, link{root, 0})
+		m.visit(root, 0)
 	}
-	return m, nil
+	return m
 }
 
 // Matches reports whether the query's condition embeds into the document at
@@ -134,9 +167,9 @@ type link struct {
 }
 
 type matcher struct {
-	q     *xmas.Query
-	path  []*xmas.Cond // root condition … pick condition
-	picks []*xmlmodel.Element
+	*Prepared
+	picks      []*xmlmodel.Element
+	ends, cuts []int // EvalSplit's: the root-level loop cuts at each run's end
 	// steps is a stack of step sets, one per element on the walk's current
 	// branch; chain holds those elements, root first.
 	steps []step
@@ -146,12 +179,8 @@ type matcher struct {
 	// feasible memoizes structuralOK for conditions that have children; it
 	// is made when first needed, sized by the root's fan-out.
 	feasible map[feasKey]bool
-	// deep marks, for queries with "!=" only, the conditions an anchored
-	// embedding must really embed: path conditions and those with a
-	// "!="-constrained variable somewhere below. The rest are decided by
-	// structuralOK. env holds the embedding's bindings so far, frames and
-	// claims its suspended sibling assignments.
-	deep   map[*xmas.Cond]bool
+	// env holds an anchored embedding's bindings so far, frames and claims
+	// its suspended sibling assignments.
 	env    []binding
 	frames []frame
 	claims []claim
@@ -186,6 +215,9 @@ func (m *matcher) visit(e *xmlmodel.Element, lo int) {
 	}
 	if descend {
 		for j, k := range e.Children {
+			for lo == 0 && len(m.cuts) < len(m.ends) && m.ends[len(m.cuts)] <= j {
+				m.cuts = append(m.cuts, len(m.picks)) // only the root's steps start at 0
+			}
 			for s := lo; s < hi; s++ {
 				m.visits++
 				st := m.steps[s]
@@ -314,17 +346,17 @@ type binding struct {
 	e    *xmlmodel.Element
 }
 
-// markDeep fills m.deep for the subtree of c and reports whether c is in it.
-func (m *matcher) markDeep(c *xmas.Cond) bool {
-	constrained := func(p [2]string) bool {
-		return p[0] == c.Var || p[1] == c.Var || p[0] == c.IDVar || p[1] == c.IDVar
+// markDeep fills p.deep for the subtree of c and reports whether c is in it.
+func (p *Prepared) markDeep(c *xmas.Cond) bool {
+	constrained := func(ne [2]string) bool {
+		return ne[0] == c.Var || ne[1] == c.Var || ne[0] == c.IDVar || ne[1] == c.IDVar
 	}
-	deep := slices.Contains(m.path, c) || slices.ContainsFunc(m.q.Neq, constrained)
+	deep := slices.Contains(p.path, c) || slices.ContainsFunc(p.q.Neq, constrained)
 	for _, k := range c.Children {
-		deep = m.markDeep(k) || deep
+		deep = p.markDeep(k) || deep
 	}
 	if deep {
-		m.deep[c] = true
+		p.deep[c] = true
 	}
 	return deep
 }

@@ -60,10 +60,7 @@ func Compose(viewDef, q *xmas.Query) (*xmas.Query, error) {
 	if !root.MatchesName(viewDef.Name) {
 		return nil, ErrEmptyComposition // the view document root never matches
 	}
-	if root.Var != "" || root.IDVar != "" || root.HasText {
-		return nil, ErrNotComposable
-	}
-	if len(root.Children) != 1 {
+	if root.Var != "" || root.IDVar != "" || root.HasText || !rootChildrenAlone(q) {
 		return nil, ErrNotComposable
 	}
 	c := root.Children[0]
@@ -187,6 +184,16 @@ func Compose(viewDef, q *xmas.Query) (*xmas.Query, error) {
 		return nil, fmt.Errorf("mediator: composed query invalid: %v", errs[0])
 	}
 	return out, nil
+}
+
+// rootChildrenAlone reports whether q takes the document root's children one
+// at a time: its root condition is no recursive step and has exactly one
+// subcondition, with the pick variable bound below it. An embedding then lies,
+// but for the root, in one root child's subtree, "!=" variables and all: the
+// subcondition is all q says about a view member (Compose), and q's picks over
+// the runs of any split of the root's children concatenate (DESIGN §5l).
+func rootChildrenAlone(q *xmas.Query) bool {
+	return !q.Root.Recursive && len(q.Root.Children) == 1 && q.Root.Var != q.PickVar
 }
 
 // nameOverlap reports whether two conditions could match a common element

@@ -293,8 +293,8 @@ func TestFollowerSurvivesSiblingInducedCancellation(t *testing.T) {
 	<-src.entered
 	bDone := make(chan matResult, 1)
 	go func() {
-		doc, _, err := m.materializeMasked(ctx, v, []bool{true, false}, nil, "")
-		bDone <- matResult{doc, err}
+		parts, _, err := m.resolveMasked(ctx, v, []bool{true, false}, nil, "")
+		bDone <- matResult{viewDocument(v, parts), err}
 	}()
 	waitJoined(t, m, 1)
 

@@ -248,7 +248,7 @@ func TestPartCacheSharedAcrossMasks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := m.materializeMasked(ctx, v, []bool{true, false}, nil, ""); err != nil {
+	if _, _, err := m.resolveMasked(ctx, v, []bool{true, false}, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	if got := fetchCounts(faults); got[0] != 1 || got[1] != 0 {
@@ -290,7 +290,7 @@ func TestPartCacheSharedAcrossMasks(t *testing.T) {
 		}
 	}
 	masks(func(mask int, keep []bool) {
-		if _, _, err := m.materializeMasked(ctx, v, keep, nil, ""); err != nil {
+		if _, _, err := m.resolveMasked(ctx, v, keep, nil, ""); err != nil {
 			t.Fatalf("mask %06b: %v", mask, err)
 		}
 	})
@@ -312,7 +312,7 @@ func TestPartCacheSharedAcrossMasks(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := fetchCounts(faults)
-		if _, _, err := m.materializeMasked(ctx, v, keep, nil, ""); err != nil {
+		if _, _, err := m.resolveMasked(ctx, v, keep, nil, ""); err != nil {
 			t.Fatalf("mask %06b: %v", mask, err)
 		}
 		for i, n := range fetchCounts(faults) {
@@ -570,4 +570,125 @@ func BenchmarkInvalidateMixUnchanged(b *testing.B) {
 		m.Invalidate()
 		return nil
 	})
+}
+
+// newStack builds three mediators on top of one another in one process: the
+// bottom one is a newDeltaMediator over three sources, each upper one has
+// the view below it as its only source (AsSource) and picks its professors.
+func newStack(t testing.TB) (levels [3]*Mediator, views [3]string, faults []*FaultSource) {
+	t.Helper()
+	levels[0], faults = newDeltaMediator(t, 3, "low")
+	views = [3]string{"low", "mid", "top"}
+	for i := 1; i < 3; i++ {
+		below, err := levels[i-1].AsSource(views[i-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels[i] = New(views[i])
+		if err := levels[i].AddSource(below); err != nil {
+			t.Fatal(err)
+		}
+		def := fmt.Sprintf(`%s = SELECT X WHERE <%s> X:<professor/> </%s>`, views[i], views[i-1], views[i-1])
+		if _, err := levels[i].DefineView(below.Name(), xmas.MustParse(def)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return levels, views, faults
+}
+
+// A stacked mediator obeys the identity rule: the view below hands out the
+// document it handed out last while its tag holds, so an invalidation at the
+// bottom that changed nothing is answered, level by level, by refetches that
+// find their document — no part is evaluated and no query is asked again,
+// anywhere in the stack. One that did change a source evaluates, at every
+// level, exactly the part that holds it.
+func TestStackedInvalidationEvaluatesOnlyWhatChanged(t *testing.T) {
+	levels, views, faults := newStack(t)
+	ask := func(i int) (string, []string) {
+		t.Helper()
+		tracer := obs.NewTracer(1)
+		ctx, root := tracer.StartRequest(context.Background(), "test", "")
+		q := fmt.Sprintf(`r = SELECT P WHERE <%s> P:<professor><teaches/></professor> </%s>`, views[i], views[i])
+		res, _, err := levels[i].Query(ctx, views[i], xmas.MustParse(q))
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var evals []string
+		for _, sp := range tracer.Traces(0)[0].Spans {
+			if sp.Name == "part.eval" {
+				evals = append(evals, sp.Attrs[0].Value)
+			}
+		}
+		return xmlmodel.MarshalElement(res.Root, 0), evals
+	}
+	invalidateUp := func() {
+		t.Helper()
+		if _, err := levels[0].InvalidateSource("s1"); err != nil {
+			t.Fatal(err)
+		}
+		levels[1].Invalidate()
+		levels[2].Invalidate()
+	}
+	var first [3]string
+	for i := range levels {
+		first[i], _ = ask(i)
+	}
+	evaluated := func() (n [3]int64) {
+		for i, m := range levels {
+			n[i] = m.Stats().AnswerPartsEvaluated
+		}
+		return n
+	}
+	before := evaluated()
+
+	invalidateUp()
+	for i := 2; i >= 0; i-- { // the top first: its read is the one that walks the whole stack
+		if got, evals := ask(i); got != first[i] || len(evals) != 0 {
+			t.Errorf("level %d after a no-op invalidation: part.eval spans %v, same answer %v; want none and true", i, evals, got == first[i])
+		}
+	}
+	if after := evaluated(); after != before {
+		t.Errorf("answers evaluated per level %v → %v after a no-op invalidation, want no move", before, after)
+	}
+	if got := fetchCounts(faults); got[0] != 1 || got[1] != 2 || got[2] != 1 {
+		t.Errorf("fetches %v, want [1 2 1]: the question did reach the bottom", got)
+	}
+
+	setDeltaDoc(t, faults, 1, 77)
+	invalidateUp()
+	got, evals := ask(2)
+	if want := []string{"s1", "delta/low", "mid/mid"}; !slices.Equal(evals, want) || !strings.Contains(got, "Prof77") {
+		t.Errorf("after s1 changed: part.eval spans %v, want %v, one per level; answer %s", evals, want, got)
+	}
+	if after := evaluated(); after[2] != before[2]+1 {
+		t.Errorf("the top level evaluated %d answers, want 1", after[2]-before[2])
+	}
+}
+
+// BenchmarkStackedInvalidateUnchanged prices InvalidateMixUnchanged through
+// a three-level in-process stack: every level is asked again and every level
+// finds the document it held.
+func BenchmarkStackedInvalidateUnchanged(b *testing.B) {
+	ctx := context.Background()
+	levels, views, _ := newStack(b)
+	if _, err := levels[2].Materialize(ctx, views[2]); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range levels {
+			m.Invalidate()
+		}
+		if _, err := levels[2].Materialize(ctx, views[2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	for i, m := range levels {
+		if st := m.Stats(); st.PartsRevalidated != st.PartsRecomputed-int64(len(m.Sources())) {
+			b.Errorf("level %d: %d of %d refetched parts revalidated; only the first materialization evaluates", i, st.PartsRevalidated, st.PartsRecomputed)
+		}
+	}
 }

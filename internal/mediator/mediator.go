@@ -14,9 +14,10 @@
 // the per-source inferred s-DTDs.
 //
 // The serving path is built for concurrent use on one cache, one fence and
-// one lock rule. The only cached data are per-part results: every part of
-// a defined view owns one slot (Mediator.slots), so the cache is bounded by
-// the view definitions, and a view document is always a fresh
+// one lock rule. The only cached data are per-part results — a part's picks
+// and what the last queries picked from them: every part of a defined view
+// owns one slot (Mediator.slots), so the cache is bounded by the view
+// definitions, and a view document or an answer is always a fresh
 // concatenation, in part order, of its kept parts' slots. The only fence is
 // the source generation (Mediator.srcGen): a part result is usable exactly
 // while its source's generation is the one its fetch started under, so a
@@ -38,6 +39,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/automata/cache"
@@ -132,7 +134,8 @@ type ViewPart struct {
 	DTD *dtd.DTD
 	// Class is the part's classification against its source DTD; an
 	// Unsatisfiable part is always empty and always prunable.
-	Class infer.Class
+	Class    infer.Class
+	prepared *engine.Prepared // Query as the engine evaluates it, readied once
 }
 
 // View is a registered view: its definition and the DTDs inferred for it.
@@ -233,6 +236,8 @@ type plannedPart struct {
 	lead, hit bool // this call runs calc / calc had finished when planned
 	w         Wrapper
 	res       partResult
+	answer    []*xmlmodel.Element // what a query picks below res.children (answerByPart) …
+	answered  bool                // … as res.answers had it
 }
 
 // partResult is what one part contributes to a materialization.
@@ -241,6 +246,7 @@ type partResult struct {
 	// doc itself, not copies (documents from Wrapper.Fetch are read-only).
 	children []*xmlmodel.Element
 	doc      *xmlmodel.Document
+	answers  *answerMemo // what queries picked from children: made and handed on with them
 	// ver is the content version: the generation of the calc that evaluated
 	// children. It is the calc's own generation unless the fetch returned the
 	// predecessor's document and the result was carried over — then it is an
@@ -406,7 +412,11 @@ func (m *Mediator) DefineUnionView(name string, parts []ViewPart) (*View, error)
 			v.NonTight = true
 		}
 		classes = append(classes, res.Class)
-		v.Parts = append(v.Parts, ViewPart{Source: p.Source, Query: q, DTD: res.DTD, Class: res.Class})
+		prepared, err := engine.Prepare(q)
+		if err != nil {
+			return nil, fmt.Errorf("mediator: view %s over %s: %v", name, p.Source, err)
+		}
+		v.Parts = append(v.Parts, ViewPart{Source: p.Source, Query: q, DTD: res.DTD, Class: res.Class, prepared: prepared})
 	}
 	// Union classification: the view is guaranteed non-empty when some
 	// part's condition is valid; possibly non-empty when some part is
@@ -482,7 +492,8 @@ func (m *Mediator) Views() []string {
 // until their source is invalidated. Concurrent calls share part
 // computations: one caller fetches and evaluates a part, the rest wait for
 // its result (or their own ctx). A result whose source was invalidated
-// while it was being computed is returned to its callers but not kept.
+// while it was being computed is never served again: if complete, it stays
+// in its slot only as what the refetch is compared with (runPart).
 func (m *Mediator) Materialize(ctx context.Context, viewName string) (*xmlmodel.Document, error) {
 	doc, _, err := m.MaterializeInfo(ctx, viewName)
 	return doc, err
@@ -509,15 +520,19 @@ func (m *Mediator) MaterializeIfChanged(ctx context.Context, viewName, ifNoneMat
 	if err != nil {
 		return nil, nil, err
 	}
-	return m.materializeMasked(ctx, v, nil, nil, ifNoneMatch)
+	parts, info, err := m.resolveMasked(ctx, v, nil, nil, ifNoneMatch)
+	if err != nil || info.NotModified {
+		return nil, info, err
+	}
+	return viewDocument(v, parts), info, nil
 }
 
 // keepAll is the keep mask of a query's materialization that prunes nothing.
 func keepAll(v *View) []bool { return slices.Repeat([]bool{true}, len(v.Parts)) }
 
-// materializeMasked builds the view document from the parts selected by
-// keep, concatenated in part order so the document is deterministic
-// regardless of scheduling. Masked-out parts are never fetched — no
+// resolveMasked gives the parts of v selected by keep their results, which
+// a view document or a query's answer is then put together from in part
+// order, whatever the scheduling. Masked-out parts are never fetched — no
 // goroutine, no breaker interaction, no retry; that is the point of
 // pruning. A nil keep is the whole view, and only then does the result carry
 // a tag (or come back NotModified, when ifNoneMatch names it): a query's
@@ -530,7 +545,7 @@ func keepAll(v *View) []bool { return slices.Repeat([]bool{true}, len(v.Parts)) 
 // — except a breaker-open rejection (ErrBreakerOpen), which drops just that
 // part and lets the siblings complete: a dead source degrades the view, it
 // does not take it down.
-func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool, pruned []string, ifNoneMatch string) (*xmlmodel.Document, *MaterializeInfo, error) {
+func (m *Mediator) resolveMasked(ctx context.Context, v *View, keep []bool, pruned []string, ifNoneMatch string) ([]plannedPart, *MaterializeInfo, error) {
 	whole := keep == nil
 	parts := make([]plannedPart, len(v.Parts))
 	var leads, joins int
@@ -612,16 +627,18 @@ func (m *Mediator) materializeMasked(ctx context.Context, v *View, keep []bool, 
 		// carried over: what the document is has been established, and a
 		// caller that already holds it is not built another.
 		info.Tag = v.tagOf(parts)
-		if ifNoneMatch != "" && TagListed(ifNoneMatch, info.Tag) {
-			info.NotModified = true
-			return nil, info, nil
-		}
+		info.NotModified = TagListed(ifNoneMatch, info.Tag)
 	}
+	return parts, info, nil
+}
+
+// viewDocument concatenates the resolved parts under a fresh root.
+func viewDocument(v *View, parts []plannedPart) *xmlmodel.Document {
 	root := &xmlmodel.Element{Name: v.Name}
 	for _, p := range parts {
 		root.Children = append(root.Children, p.res.children...) // none for a masked-out or dropped part
 	}
-	return &xmlmodel.Document{DocType: v.Name, Root: root}, info, nil
+	return &xmlmodel.Document{DocType: v.Name, Root: root}
 }
 
 // resolveParts gives every planned part that is not a hit its result: the
@@ -746,12 +763,12 @@ func (m *Mediator) resolvePart(ctx context.Context, v *View, i int, w Wrapper, c
 }
 
 // runPart computes c, publishes the result to its waiters and decides
-// whether c stays in its slot as the part's cached result: only a
-// complete, live result whose source generation is unchanged since the
-// fetch started does. This is the one write-back rule — it is why degraded
-// parts do not outlive the outage that dropped them, last-known-good parts
-// are retried rather than pinned, and an invalidation is never overwritten
-// by a result that predates it.
+// whether c stays in its slot: only a complete, live result does — as the
+// part's cached result while its source generation is unchanged since the
+// fetch started, and after that as what the refetch is compared with. This
+// is the one write-back rule — it is why degraded parts do not outlive the
+// outage that dropped them, last-known-good parts are retried rather than
+// pinned, and an invalidation is never overwritten by what predates it.
 func (m *Mediator) runPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) {
 	c.res = evalPart(ctx, v, i, w, c)
 	c.abandoned = c.res.err != nil && ctx.Err() != nil
@@ -761,7 +778,7 @@ func (m *Mediator) runPart(ctx context.Context, v *View, i int, w Wrapper, c *pa
 	current := m.srcGen[v.Parts[i].Source] == c.gen
 	// A later caller may have claimed the slot since an invalidation
 	// detached c: only remove c while the slot is still c's.
-	if slots := m.slots[v.Name]; !(complete && current) && slots[i] == c {
+	if slots := m.slots[v.Name]; !complete && slots[i] == c {
 		slots[i] = nil
 	}
 	close(c.done)
@@ -774,7 +791,7 @@ func (m *Mediator) runPart(ctx context.Context, v *View, i int, w Wrapper, c *pa
 // evalPart fetches the source of part i for calc c and evaluates the part
 // query over the document — unless that is the very document c's predecessor
 // was evaluated from (Wrapper.Fetch: the same document says "unchanged"), in
-// which case c takes over the predecessor's picks and its version, and
+// which case c takes over the predecessor's picks, version and answers, and
 // nothing is evaluated or allocated. The picks are elements of the document
 // itself: the slot and the source's validator share one tree.
 func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res partResult) {
@@ -806,12 +823,13 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res 
 	if prev := c.prev; prev != nil && prev.res.doc == doc && !res.stale {
 		fspan.SetAttr(obs.Bool("unchanged", true))
 		fspan.End()
-		res.children, res.ver = prev.res.children, prev.res.ver
+		res.children, res.ver, res.answers = prev.res.children, prev.res.ver, prev.res.answers
 		return res
 	}
 	fspan.End()
 	_, espan := obs.StartSpan(ctx, "part.eval", obs.String("source", p.Source))
-	res.children, err = engine.EvalElements(p.Query, doc)
+	res.children, err = p.prepared.EvalElements(doc)
+	res.answers = new(answerMemo)
 	espan.End()
 	if err != nil {
 		return partResult{err: fmt.Errorf("mediator: evaluating view %s over %s: %v", v.Name, p.Source, err)}
@@ -864,8 +882,8 @@ func (m *Mediator) Invalidate() {
 // conditions are pruned before evaluation. A simplifier failure is not
 // fatal — the unsimplified query is evaluated instead — but it is recorded
 // in QueryStats.SimplifierError and the mediator stats. That analysis runs
-// once per distinct query (plan.go); a repeated query looks its plan up and
-// goes straight to the kept parts and the engine.
+// once per distinct query (plan.go); a repeated query looks its plan up, and
+// asks the engine only about the kept parts it has not asked (answerByPart).
 //
 // The result's root is new; the elements under it are the picked elements
 // of the cached view parts themselves, not copies — as the documents
@@ -897,9 +915,7 @@ func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*
 		DroppedNames:     plan.droppedNames,
 		SimplifierError:  plan.simplifierError,
 	}
-	sq := plan.query
 	if plan.simplifierError != "" {
-		sq = q
 		m.stats.add(&m.stats.SimplifierErrors, 1)
 		span.Event("query.simplifier_error", obs.String("error", plan.simplifierError))
 	} else {
@@ -925,18 +941,70 @@ func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*
 			return engine.EmptyResult(q), stats, nil
 		}
 	}
-	doc, info, err := m.materializeMasked(ctx, v, plan.keep, plan.prunedSources, "")
+	parts, info, err := m.resolveMasked(ctx, v, plan.keep, plan.prunedSources, "")
 	if err != nil {
 		return nil, nil, err
 	}
 	stats.Provenance = info.Provenance
-	picks, err := engine.EvalElements(sq, doc)
-	if err != nil {
+	res := engine.EmptyResult(q)
+	if plan.byPart && !info.Degraded && len(info.StaleSources) == 0 {
+		res.Root.Children = m.answerByPart(span, v, plan, parts)
+	} else if res.Root.Children, err = plan.prepared.EvalElements(viewDocument(v, parts)); err != nil {
 		return nil, nil, err
 	}
-	res := engine.EmptyResult(sq)
-	res.Root.Children = picks
 	return res, stats, nil
+}
+
+// answerByPart puts together the answer of a byPart plan over parts that are
+// all complete, live results: what each part's memo says the plan picks below
+// its children, and for the parts whose memo does not know the plan one walk
+// over a root of just their children, which the memos then keep.
+func (m *Mediator) answerByPart(span *obs.Span, v *View, plan *queryPlan, parts []plannedPart) []*xmlmodel.Element {
+	reused, total := 0, 0
+	m.mu.Lock()
+	for i := range parts {
+		if p := &parts[i]; p.calc != nil { // else masked out
+			if j := slices.Index(p.res.answers.plans[:], plan); j >= 0 {
+				p.answer, p.answered = p.res.answers.picks[j], true
+				reused, total = reused+1, total+len(p.answer)
+			}
+		}
+	}
+	m.mu.Unlock()
+	evaluated := len(parts) - len(plan.pruned) - reused
+	if evaluated > 0 {
+		root, ends := &xmlmodel.Element{Name: v.Name}, make([]int, len(parts))
+		for i := range parts {
+			if !parts[i].answered {
+				root.Children = append(root.Children, parts[i].res.children...) // none of a masked-out part
+			}
+			ends[i] = len(root.Children)
+		}
+		picks, cuts := plan.prepared.EvalSplit(root, ends)
+		total += len(picks)
+		lo := 0
+		for i, hi := range cuts {
+			if p := &parts[i]; p.calc != nil && !p.answered {
+				p.answer = append([]*xmlmodel.Element(nil), picks[lo:hi]...) // a copy: a memo keeps no other part's elements alive
+			}
+			lo = hi
+		}
+		m.mu.Lock()
+		for i := range parts {
+			if p, a := &parts[i], parts[i].res.answers; p.calc != nil && !p.answered {
+				a.plans[a.next], a.picks[a.next], a.next = plan, p.answer, (a.next+1)%answerMemoPlans
+			}
+		}
+		m.mu.Unlock()
+		m.stats.add(&m.stats.AnswerPartsEvaluated, int64(evaluated))
+	}
+	out := slices.Grow([]*xmlmodel.Element(nil), total) // nil when nothing is picked, like the engine's
+	for i := range parts {
+		out = append(out, parts[i].answer...)
+	}
+	m.stats.add(&m.stats.AnswerPartsReused, int64(reused))
+	span.SetAttr(obs.Int("answer_reused", int64(reused)), obs.Int("answer_evaluated", int64(evaluated)))
+	return out
 }
 
 // QueryUnsimplified evaluates the query against the view without the
@@ -957,18 +1025,33 @@ func (m *Mediator) AsSource(viewName string) (Wrapper, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &viewSource{m: m, v: v}, nil
+	s := &viewSource{m: m, v: v}
+	s.held.Store(&keptDocument{}) // no tag: nothing held yet
+	return s, nil
 }
 
 type viewSource struct {
 	m *Mediator
 	v *View
+	// held is the last tagged document handed out, and handed out again while
+	// its tag is the view's: how a stacked mediator hears "unchanged".
+	held atomic.Pointer[keptDocument]
 }
 
 func (s *viewSource) Name() string { return s.m.name + "/" + s.v.Name }
 
 func (s *viewSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
-	return s.m.Materialize(ctx, s.v.Name)
+	held := s.held.Load()
+	doc, info, err := s.m.MaterializeIfChanged(ctx, s.v.Name, held.tag)
+	switch {
+	case err != nil:
+		return nil, err
+	case info.NotModified:
+		return held.doc, nil
+	case info.Tag != "": // a degraded or stale document has none and is never held
+		s.held.Store(&keptDocument{tag: info.Tag, doc: doc})
+	}
+	return doc, nil
 }
 
 func (s *viewSource) Schema() *dtd.DTD { return s.v.DTD }

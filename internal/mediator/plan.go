@@ -6,8 +6,10 @@ import (
 	"errors"
 
 	"repro/internal/budget"
+	"repro/internal/engine"
 	"repro/internal/infer"
 	"repro/internal/xmas"
+	"repro/internal/xmlmodel"
 )
 
 // The query-plan memo.
@@ -40,10 +42,12 @@ const planMemoCapacity = 1024
 // queryPlan is the analysis of one query against one view. Once kept it is
 // shared by every request that repeats the query and is never written again.
 type queryPlan struct {
-	// query is what the engine evaluates: the simplified query, or nil when
-	// the simplifier failed (simplifierError says how) and the request's own
-	// query stands in.
-	query *xmas.Query
+	// prepared is what the engine evaluates: the simplified query, or the
+	// request's own when the simplifier failed (simplifierError says how).
+	prepared *engine.Prepared
+	// byPart: the plan is kept and its query takes the view's members one at
+	// a time (rootChildrenAlone), so the part slots remember its answer.
+	byPart bool
 	// unsatisfiable: the view DTD refutes the query; the answer is empty and
 	// no part is looked at.
 	unsatisfiable                  bool
@@ -56,6 +60,21 @@ type queryPlan struct {
 	// prunedSources names, sorted, the sources keep leaves no part of: what
 	// every answer under this plan reports as its pruned sources.
 	prunedSources []string
+}
+
+// answerMemoPlans bounds an answerMemo: benchmark/'s pools hold 15 to 20
+// distinct queries per view (measured), and a view cycling through more hot
+// plans than this is evaluated per read, as every query was before the memo.
+const answerMemoPlans = 32
+
+// answerMemo is what the last plans that asked picked from the children of
+// one part result alone, the oldest replaced first (answerByPart). It is
+// made with the children and handed on exactly as they are (evalPart), so it
+// dies with their document. Mediator.mu guards it.
+type answerMemo struct {
+	plans [answerMemoPlans]*queryPlan
+	picks [answerMemoPlans][]*xmlmodel.Element
+	next  int
 }
 
 // prunedPart is one part a plan leaves out of the materialization.
@@ -100,6 +119,7 @@ func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, pruning 
 			unknown = true
 		}
 		if unknown || fresh.simplifierError != "" {
+			fresh.byPart = false // no slot would be asked for its answer again
 			return nil, errPlanNotKept
 		}
 		return fresh, nil
@@ -131,8 +151,12 @@ func analyse(ctx context.Context, v *View, q *xmas.Query, pruning bool) (plan *q
 		return plan, false, nil
 	default:
 		plan.prunedConditions, plan.droppedNames = rep.PrunedConditions, rep.DroppedNames
-		plan.query, sq = simplified, simplified
+		sq = simplified
 	}
+	if plan.prepared, err = engine.Prepare(sq); err != nil {
+		return nil, false, err
+	}
+	plan.byPart = rootChildrenAlone(sq)
 	if !pruning {
 		plan.keep = keepAll(v)
 		return plan, false, nil

@@ -48,8 +48,8 @@ type Stats struct {
 	// computing — counted when it starts waiting, not when it returns. (A
 	// waiter that takes over a part its computing caller abandoned adds a
 	// miss.) StaleDiscards counts part results that completed after an
-	// invalidation of their source and were therefore returned to their
-	// waiters but not kept.
+	// invalidation of their source: returned to their waiters and kept only
+	// as what the refetch is compared with, never served again.
 	CacheHits          int64 `json:"cache_hits" metric:"mix_cache_hits_total" help:"Materializations whose every kept part was cached."`
 	CacheMisses        int64 `json:"cache_misses" metric:"mix_cache_misses_total" help:"Materializations that computed at least one view part."`
 	SingleflightDedups int64 `json:"singleflight_dedups" metric:"mix_singleflight_dedups_total" help:"Materializations that computed nothing but waited on a part computation already running, counted on joining."`
@@ -143,6 +143,10 @@ type Stats struct {
 	PlanHits      int64 `json:"plan_hits" metric:"mix_query_plan_hits_total" help:"Queries answered from a kept query plan (no simplification, no verdict lookup)."`
 	PlanMisses    int64 `json:"plan_misses" metric:"mix_query_plan_misses_total" help:"Query analyses run (includes plans not kept: simplifier errors, Unknown verdicts)."`
 	PlanCacheSize int64 `json:"plan_cache_size" metric:"mix_query_plan_cache_size" help:"Query plans currently kept."`
+	// AnswerPartsReused / AnswerPartsEvaluated count, over the queries answered
+	// part by part (answerByPart), the parts taken from their slot's memo vs. walked.
+	AnswerPartsReused    int64 `json:"answer_parts_reused" metric:"mix_answer_parts_reused_total" help:"View parts whose picks for a query came from the part slot's answer memo."`
+	AnswerPartsEvaluated int64 `json:"answer_parts_evaluated" metric:"mix_answer_parts_evaluated_total" help:"View parts a query was evaluated over because their slot had no answer for it."`
 
 	// StreamValidation snapshots the process-wide streaming-validation
 	// counters (dtd.StreamValidationStats): documents, scanner events and

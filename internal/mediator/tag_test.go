@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -126,8 +127,8 @@ func TestTagFollowsGenerations(t *testing.T) {
 	// A query's materialization, even one that keeps every part, has no tag
 	// and honours none.
 	v, _ := m.View("u")
-	if doc, masked, err := m.materializeMasked(ctx, v, keepAll(v), nil, held); err != nil || doc == nil || masked.Tag != "" || masked.NotModified {
-		t.Errorf("a query's materialization: doc %v, info %+v, err %v", doc != nil, masked, err)
+	if parts, masked, err := m.resolveMasked(ctx, v, keepAll(v), nil, held); err != nil || len(parts) != 3 || masked.Tag != "" || masked.NotModified {
+		t.Errorf("a query's materialization: %d parts, info %+v, err %v", len(parts), masked, err)
 	}
 
 	other, _ := newDeltaMediator(t, 3, "u")
@@ -192,6 +193,91 @@ func TestTagNamesTheCalcTheJoinerEndedOn(t *testing.T) {
 	}
 	if !strings.HasSuffix(later.Tag, `-1"`) || got.info.Tag != later.Tag {
 		t.Errorf("the follower's tag is %s, the tag of the calc it ran is %s", got.info.Tag, later.Tag)
+	}
+}
+
+// heldGatedSource is a static source whose first Fetch waits at a gate.
+type heldGatedSource struct {
+	*StaticSource
+	entered, gate chan struct{}
+	fetches       atomic.Int64
+}
+
+func (s *heldGatedSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
+	if s.fetches.Add(1) == 1 {
+		close(s.entered)
+		<-s.gate
+	}
+	return s.StaticSource.Fetch(ctx)
+}
+
+// A complete result that raced an invalidation answers the callers waiting
+// on it and stays in its slot as predecessor material only. It is never a
+// hit — the next read fetches — but when that fetch brings back the document
+// the raced result was evaluated from, its picks, its version and its answers
+// are carried over: nothing is evaluated twice, and the tag says the
+// generation that did evaluate.
+func TestRacedResultStaysAsPredecessor(t *testing.T) {
+	d, err := dtd.Parse(d1Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, err := xmlmodel.Parse(deptDocN(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, err := NewStaticSource("held", doc, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &heldGatedSource{StaticSource: static, entered: make(chan struct{}), gate: make(chan struct{})}
+	m := New("m")
+	if err := m.AddSource(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DefineView("held", xmas.MustParse(`v = SELECT X WHERE <department> X:<professor|gradStudent/> </department>`)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := xmas.MustParse(`r = SELECT P WHERE <v> P:<professor/> </v>`)
+	type answer struct {
+		doc *xmlmodel.Document
+		err error
+	}
+	raced := make(chan answer, 1)
+	go func() {
+		res, _, err := m.Query(ctx, "v", q)
+		raced <- answer{res, err}
+	}()
+	<-src.entered
+	m.Invalidate() // the fetch under way now predates an invalidation
+	close(src.gate)
+	first := <-raced
+	if first.err != nil || len(first.doc.Root.Children) != 1 {
+		t.Fatalf("the read that raced: %+v", first)
+	}
+	m.mu.Lock()
+	kept := m.slots["v"][0]
+	gen := m.srcGen["held"]
+	m.mu.Unlock()
+	if st := m.Stats(); st.StaleDiscards != 1 || kept == nil || !kept.finished() || kept.gen == gen {
+		t.Fatalf("%d stale discards, slot %+v at source generation %d; want 1, and the raced calc of generation 0 in its slot", st.StaleDiscards, kept, gen)
+	}
+
+	again, _, err := m.Query(ctx, "v", q)
+	if err != nil || !slices.Equal(again.Root.Children, first.doc.Root.Children) {
+		t.Fatalf("the read after it: %v, %v; want the very picks of the raced read", again, err)
+	}
+	st := m.Stats()
+	if src.fetches.Load() != 2 || st.CacheHits != 0 {
+		t.Errorf("%d fetches, %d cache hits; want 2 and 0: a raced result is never served again", src.fetches.Load(), st.CacheHits)
+	}
+	if st.PartsRevalidated != 1 || st.AnswerPartsEvaluated != 1 || st.AnswerPartsReused != 1 {
+		t.Errorf("%d parts revalidated, %d answers evaluated, %d reused; want 1, 1, 1: the refetch found the raced result's document",
+			st.PartsRevalidated, st.AnswerPartsEvaluated, st.AnswerPartsReused)
+	}
+	if _, info, err := m.MaterializeInfo(ctx, "v"); err != nil || !strings.HasSuffix(info.Tag, `-0"`) {
+		t.Errorf("tag %v (%v): want the generation the picks were evaluated at, 0", info, err)
 	}
 }
 
