@@ -51,7 +51,7 @@ func TestAllocsTargetRunsEveryAllocationRatchet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ratchets < 23 {
-		t.Errorf("found %d allocation ratchets, want the tree's 23 or more: the walk missed some", ratchets)
+	if ratchets < 24 {
+		t.Errorf("found %d allocation ratchets, want the tree's 24 or more: the walk missed some", ratchets)
 	}
 }

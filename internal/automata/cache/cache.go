@@ -164,23 +164,38 @@ func (c *Cache) GetOrCompute(key string, compute func() (any, error)) (any, erro
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if f.err == nil {
-		// A racing Purge/insert may have slipped in while computing; keep
-		// the invariant "one element per key" by checking again.
-		if el, ok := c.entries[key]; ok {
-			c.order.MoveToFront(el)
-		} else {
-			c.entries[key] = c.order.PushFront(&entry{key: key, val: f.val})
-			for c.order.Len() > c.capacity {
-				oldest := c.order.Back()
-				c.order.Remove(oldest)
-				delete(c.entries, oldest.Value.(*entry).key)
-				c.evictions++
-			}
-		}
+		c.insertLocked(key, f.val)
 	}
 	c.mu.Unlock()
 	f.wg.Done()
 	return f.val, f.err
+}
+
+// insertLocked makes val resident under key unless something already is
+// (a racing Purge and insert may have slipped in while it was computed: one
+// element per key), evicting the least recently used past capacity.
+func (c *Cache) insertLocked(key string, val any) {
+	if el, ok := c.entries[key]; ok {
+		c.order.MoveToFront(el)
+		return
+	}
+	c.entries[key] = c.order.PushFront(&entry{key: key, val: val})
+	for c.order.Len() > c.capacity {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*entry).key)
+		c.evictions++
+	}
+}
+
+// Put makes val resident under key, as a computation that returned it would
+// have, without being one: no hit, miss or dedup is counted. It is Get's
+// counterpart, for a second name of a value that GetOrCompute already holds
+// under its own. A key that is resident keeps its value.
+func (c *Cache) Put(key string, val any) {
+	c.mu.Lock()
+	c.insertLocked(key, val)
+	c.mu.Unlock()
 }
 
 // Purge drops every resident entry (in-flight computations finish but are

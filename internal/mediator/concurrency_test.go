@@ -294,7 +294,7 @@ func TestFollowerSurvivesSiblingInducedCancellation(t *testing.T) {
 	bDone := make(chan matResult, 1)
 	go func() {
 		parts, _, err := m.resolveMasked(ctx, v, []bool{true, false}, nil, "")
-		bDone <- matResult{viewDocument(v, parts), err}
+		bDone <- matResult{viewDocument(v.Name, parts), err}
 	}()
 	waitJoined(t, m, 1)
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -291,6 +292,23 @@ func bytesPerRun(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
+// leastBytesPerRun is bytesPerRun taken run by run, the cheapest reported: what
+// a call of f has to allocate. The mean also pays for what a sync.Pool lost —
+// HTTPSource's 32 KiB read chunk, which a collection empties and a -race
+// build drops on one Put in four — and that is not the code's to answer for.
+func leastBytesPerRun(runs int, f func()) float64 {
+	f()
+	least := math.MaxFloat64
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, float64(after.TotalAlloc-before.TotalAlloc))
+	}
+	return least
+}
+
 // A fetch that brings back the bytes already held costs the round trip and
 // the body it had to read to find that out: the same allocations whatever
 // the size, and no bytes beyond the body — no scan, no tree.
@@ -355,7 +373,7 @@ func TestRefreshedPartAllocatesOneTree(t *testing.T) {
 	})
 	m, src, remote := refreshedView(t, bodies[0])
 	turn := 0
-	refresh := bytesPerRun(30, func() {
+	refresh := leastBytesPerRun(30, func() {
 		turn++
 		remote["/views/v"] = bodies[turn%2]
 		if _, err := m.InvalidateSource(src.Name()); err != nil {

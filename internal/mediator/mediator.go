@@ -35,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -166,6 +167,9 @@ type View struct {
 
 	// tagPrefix is everything of the view's tags but the versions (tag.go).
 	tagPrefix string
+	// whole is the plan of the view's own document, every member of every
+	// part: a part slot remembers it like any other answer.
+	whole *queryPlan
 }
 
 // QueryStats reports how a query against a view was executed.
@@ -236,8 +240,10 @@ type plannedPart struct {
 	lead, hit bool // this call runs calc / calc had finished when planned
 	w         Wrapper
 	res       partResult
-	answer    []*xmlmodel.Element // what a query picks below res.children (answerByPart) …
-	answered  bool                // … as res.answers had it
+	picks     []*xmlmodel.Element // res.children, or what a plan picks below them (answerByPart) …
+	slot      int                 // … from this entry of res.answers, when not negative …
+	bytes     []byte              // … with what they serialize to, when the slot keeps that …
+	render    bool                // … or this read is to make it
 }
 
 // partResult is what one part contributes to a materialization.
@@ -383,7 +389,8 @@ func (m *Mediator) DefineUnionView(name string, parts []ViewPart) (*View, error)
 	if _, dup := m.views[name]; dup {
 		return nil, fmt.Errorf("mediator: view %s already defined", name)
 	}
-	v := &View{Name: name, tagPrefix: tagPrefixFor(m.nonce, name)}
+	v := &View{Name: name, tagPrefix: tagPrefixFor(m.nonce, name),
+		whole: &queryPlan{root: &xmlmodel.Element{Name: name}}}
 	// One budget for the whole view definition: the parts share the limits,
 	// so a pathological source DTD cannot starve its siblings of nothing —
 	// whatever it consumes, the remaining parts degrade soundly too.
@@ -516,15 +523,51 @@ func (m *Mediator) MaterializeInfo(ctx context.Context, viewName string) (*xmlmo
 // traced as one; after an invalidation it costs the refetches that find the
 // sources unchanged, and is the miss it was.
 func (m *Mediator) MaterializeIfChanged(ctx context.Context, viewName, ifNoneMatch string) (*xmlmodel.Document, *MaterializeInfo, error) {
+	a, info, err := m.viewAnswer(ctx, viewName, ifNoneMatch, false)
+	if a.parts == nil { // an error, or NotModified
+		return nil, info, err
+	}
+	return viewDocument(viewName, a.parts), info, nil
+}
+
+// ViewAnswer is MaterializeIfChanged for a caller that sends the document: no
+// root is built, and a part sent twice before brings its bytes.
+func (m *Mediator) ViewAnswer(ctx context.Context, viewName, ifNoneMatch string) (Answer, *MaterializeInfo, error) {
+	return m.viewAnswer(ctx, viewName, ifNoneMatch, true)
+}
+
+func (m *Mediator) viewAnswer(ctx context.Context, viewName, ifNoneMatch string, bytes bool) (Answer, *MaterializeInfo, error) {
 	v, err := m.View(viewName)
 	if err != nil {
-		return nil, nil, err
+		return Answer{}, nil, err
 	}
 	parts, info, err := m.resolveMasked(ctx, v, nil, nil, ifNoneMatch)
 	if err != nil || info.NotModified {
-		return nil, info, err
+		return Answer{View: v}, info, err
 	}
-	return viewDocument(v, parts), info, nil
+	if bytes && info.Tag != "" { // else a part is dropped or stale, and no slot remembers this
+		m.answerByPart(nil, v, v.whole, parts, true)
+	}
+	return Answer{View: v, root: v.whole.root, parts: parts}, info, nil
+}
+
+// Answer is a query's answer, or a view's document, for a caller that sends
+// it: the shell whose tags enclose it and, part by part, what goes between
+// them — elements, and where the part's slot keeps them, their bytes.
+type Answer struct {
+	View  *View
+	root  *xmlmodel.Element
+	parts []plannedPart
+}
+
+// answerIndent is how deep internal/serve indents, and so a slot's bytes are.
+const answerIndent = 2
+
+func (a *Answer) run(i int) ([]*xmlmodel.Element, []byte) { return a.parts[i].picks, a.parts[i].bytes }
+
+// Write sends the answer as xmlmodel.WriteElement would send its document.
+func (a *Answer) Write(w io.Writer) error {
+	return xmlmodel.WriteRuns(w, a.root, answerIndent, len(a.parts), a.run)
 }
 
 // keepAll is the keep mask of a query's materialization that prunes nothing.
@@ -603,6 +646,7 @@ func (m *Mediator) resolveMasked(ctx context.Context, v *View, keep []bool, prun
 			continue
 		}
 		src := v.Parts[i].Source
+		parts[i].picks = p.res.children
 		if p.res.dropped {
 			info.Degraded = true
 			info.DegradedSources = append(info.DegradedSources, src)
@@ -633,12 +677,22 @@ func (m *Mediator) resolveMasked(ctx context.Context, v *View, keep []bool, prun
 }
 
 // viewDocument concatenates the resolved parts under a fresh root.
-func viewDocument(v *View, parts []plannedPart) *xmlmodel.Document {
-	root := &xmlmodel.Element{Name: v.Name}
-	for _, p := range parts {
-		root.Children = append(root.Children, p.res.children...) // none for a masked-out or dropped part
+func viewDocument(name string, parts []plannedPart) *xmlmodel.Document {
+	return &xmlmodel.Document{DocType: name, Root: &xmlmodel.Element{Name: name, Children: concat(parts)}}
+}
+
+// concat lists what the parts' runs hold (their children, or what answerByPart
+// put in their place) exactly sized: nil when there is nothing, as the engine's.
+func concat(parts []plannedPart) []*xmlmodel.Element {
+	n := 0
+	for i := range parts {
+		n += len(parts[i].picks)
 	}
-	return &xmlmodel.Document{DocType: v.Name, Root: root}
+	out := slices.Grow([]*xmlmodel.Element(nil), n)
+	for i := range parts {
+		out = append(out, parts[i].picks...)
+	}
+	return out
 }
 
 // resolveParts gives every planned part that is not a hit its result: the
@@ -891,25 +945,44 @@ func (m *Mediator) Invalidate() {
 // read and serialize the result and must not modify anything below its
 // root.
 func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*xmlmodel.Document, *QueryStats, error) {
+	a, stats, err := m.answer(ctx, viewName, q, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	res := engine.EmptyResult(q)
+	res.Root.Children = concat(a.parts)
+	return res, stats, nil
+}
+
+// Answer is Query for a caller that holds the query as the text it arrived in
+// and sends the answer: a text seen before is not parsed (plan.go), no root and
+// no pick list are built, and a part asked twice before brings its bytes.
+func (m *Mediator) Answer(ctx context.Context, viewName string, text []byte) (Answer, *QueryStats, error) {
+	return m.answer(ctx, viewName, nil, text)
+}
+
+// answer is Query and Answer: q, or when q is nil the query text spells.
+func (m *Mediator) answer(ctx context.Context, viewName string, q *xmas.Query, text []byte) (Answer, *QueryStats, error) {
 	// One critical section reads everything the query depends on.
 	m.mu.Lock()
 	v, ok := m.views[viewName]
 	pruning, limits := !m.noPrune, m.inferLimits
 	m.mu.Unlock()
 	if !ok {
-		return nil, nil, fmt.Errorf("mediator: %w %s", ErrUnknownView, viewName)
+		return Answer{}, nil, fmt.Errorf("mediator: %w %s", ErrUnknownView, viewName)
 	}
 	ctx, span := obs.StartSpan(ctx, "query", obs.String("view", viewName))
 	defer span.End()
 	start := time.Now()
 	defer func() { m.stats.recordQuery(viewName, time.Since(start)) }()
-	plan, hit, err := m.planFor(ctx, v, q, pruning, limits)
+	plan, hit, byText, err := m.planFor(ctx, v, q, text, pruning, limits)
 	if err != nil {
-		return nil, nil, err
+		return Answer{}, nil, err
 	}
 	// The plan says what the analysis concluded; counting it, and telling
 	// the trace, is this request's.
-	span.SetAttr(obs.Bool("plan_hit", hit))
+	span.SetAttr(obs.Bool("plan_hit", hit), obs.Bool("plan_text_hit", byText))
+	a := Answer{View: v, root: plan.root}
 	stats := &QueryStats{
 		PrunedConditions: plan.prunedConditions,
 		DroppedNames:     plan.droppedNames,
@@ -924,7 +997,7 @@ func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*
 		if plan.unsatisfiable {
 			stats.SkippedUnsatisfiable = true
 			span.Event("query.skipped_unsatisfiable")
-			return engine.EmptyResult(q), stats, nil
+			return a, stats, nil
 		}
 	}
 	if pruned := len(plan.pruned); pruned > 0 {
@@ -938,73 +1011,112 @@ func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*
 			// source — same shape as the unsatisfiable fast path above.
 			stats.PrunedSources = plan.prunedSources
 			span.Event("query.all_parts_pruned")
-			return engine.EmptyResult(q), stats, nil
+			return a, stats, nil
 		}
 	}
 	parts, info, err := m.resolveMasked(ctx, v, plan.keep, plan.prunedSources, "")
 	if err != nil {
-		return nil, nil, err
+		return Answer{}, nil, err
 	}
 	stats.Provenance = info.Provenance
-	res := engine.EmptyResult(q)
 	if plan.byPart && !info.Degraded && len(info.StaleSources) == 0 {
-		res.Root.Children = m.answerByPart(span, v, plan, parts)
-	} else if res.Root.Children, err = plan.prepared.EvalElements(viewDocument(v, parts)); err != nil {
-		return nil, nil, err
+		m.answerByPart(span, v, plan, parts, q == nil)
+		a.parts = parts
+		return a, stats, nil
 	}
-	return res, stats, nil
+	picks, err := plan.prepared.EvalElements(viewDocument(v.Name, parts))
+	if err != nil {
+		return Answer{}, nil, err
+	}
+	a.parts = []plannedPart{{picks: picks}} // the walk's picks are not of one part or another
+	return a, stats, nil
 }
 
-// answerByPart puts together the answer of a byPart plan over parts that are
-// all complete, live results: what each part's memo says the plan picks below
-// its children, and for the parts whose memo does not know the plan one walk
-// over a root of just their children, which the memos then keep.
-func (m *Mediator) answerByPart(span *obs.Span, v *View, plan *queryPlan, parts []plannedPart) []*xmlmodel.Element {
-	reused, total := 0, 0
+// answerByPart gives parts — all complete, live results — what plan picks
+// below each: what the part's memo says, and for the parts whose memo does not
+// know the plan one walk over a root of just their children, which the memos
+// then keep. For a caller that sends bytes, an entry found a second time is
+// rendered — outside m.mu: racing renders make identical bytes and the last
+// store wins — and one found after that brings them.
+func (m *Mediator) answerByPart(span *obs.Span, v *View, plan *queryPlan, parts []plannedPart, bytes bool) {
+	var reused, copied, rendered, copiedBytes, renderedBytes int
 	m.mu.Lock()
 	for i := range parts {
-		if p := &parts[i]; p.calc != nil { // else masked out
-			if j := slices.Index(p.res.answers.plans[:], plan); j >= 0 {
-				p.answer, p.answered = p.res.answers.picks[j], true
-				reused, total = reused+1, total+len(p.answer)
-			}
+		p, a := &parts[i], parts[i].res.answers
+		if p.slot = -1; p.calc != nil { // else masked out
+			p.slot = slices.Index(a.plans[:], plan)
+		}
+		if p.slot < 0 {
+			continue
+		}
+		p.picks, reused = a.picks[p.slot], reused+1
+		switch {
+		case !bytes || len(p.picks) == 0:
+		case a.bytes != nil && a.bytes[p.slot] != nil:
+			p.bytes = a.bytes[p.slot]
+			copied, copiedBytes = copied+1, copiedBytes+len(p.bytes)
+		case a.found&(1<<p.slot) != 0:
+			p.render, rendered = true, rendered+1
+		default:
+			a.found |= 1 << p.slot
 		}
 	}
 	m.mu.Unlock()
 	evaluated := len(parts) - len(plan.pruned) - reused
-	if evaluated > 0 {
+	if evaluated > 0 && plan.prepared != nil { // a view's own plan picks every member: the run as it is
 		root, ends := &xmlmodel.Element{Name: v.Name}, make([]int, len(parts))
 		for i := range parts {
-			if !parts[i].answered {
+			if parts[i].slot < 0 {
 				root.Children = append(root.Children, parts[i].res.children...) // none of a masked-out part
 			}
 			ends[i] = len(root.Children)
 		}
 		picks, cuts := plan.prepared.EvalSplit(root, ends)
-		total += len(picks)
 		lo := 0
 		for i, hi := range cuts {
-			if p := &parts[i]; p.calc != nil && !p.answered {
-				p.answer = append([]*xmlmodel.Element(nil), picks[lo:hi]...) // a copy: a memo keeps no other part's elements alive
+			if p := &parts[i]; p.calc != nil && p.slot < 0 {
+				p.picks = append([]*xmlmodel.Element(nil), picks[lo:hi]...) // a copy: a memo keeps no other part's elements alive
 			}
 			lo = hi
 		}
+	}
+	for i := range parts {
+		if p := &parts[i]; p.render {
+			p.bytes = xmlmodel.MarshalElements(p.picks, answerIndent, 1)
+			renderedBytes += len(p.bytes)
+		}
+	}
+	if evaluated+rendered > 0 {
 		m.mu.Lock()
 		for i := range parts {
-			if p, a := &parts[i], parts[i].res.answers; p.calc != nil && !p.answered {
-				a.plans[a.next], a.picks[a.next], a.next = plan, p.answer, (a.next+1)%answerMemoPlans
+			switch p, a := &parts[i], parts[i].res.answers; {
+			case p.calc == nil:
+			case p.slot < 0: // evaluated: the oldest entry goes, bytes and all
+				a.plans[a.next], a.picks[a.next], a.found = plan, p.picks, a.found&^(1<<a.next)
+				if a.bytes != nil {
+					a.bytes[a.next] = nil
+				}
+				a.next = (a.next + 1) % answerMemoPlans
+			case p.render && a.plans[p.slot] == plan: // else replaced meanwhile
+				if a.bytes == nil {
+					a.bytes = new([answerMemoPlans][]byte)
+				}
+				a.bytes[p.slot] = p.bytes
 			}
 		}
 		m.mu.Unlock()
+	}
+	if plan.prepared != nil {
 		m.stats.add(&m.stats.AnswerPartsEvaluated, int64(evaluated))
+		m.stats.add(&m.stats.AnswerPartsReused, int64(reused))
 	}
-	out := slices.Grow([]*xmlmodel.Element(nil), total) // nil when nothing is picked, like the engine's
-	for i := range parts {
-		out = append(out, parts[i].answer...)
-	}
-	m.stats.add(&m.stats.AnswerPartsReused, int64(reused))
 	span.SetAttr(obs.Int("answer_reused", int64(reused)), obs.Int("answer_evaluated", int64(evaluated)))
-	return out
+	if bytes { // how the parts are sent; a trace record has room for 13 attributes
+		m.stats.add(&m.stats.AnswerBytesCopied, int64(copiedBytes))
+		m.stats.add(&m.stats.AnswerBytesRendered, int64(renderedBytes))
+		span.SetNonZero(obs.Int("answer_copied", int64(copied)), obs.Int("answer_rendered", int64(rendered)),
+			obs.Int("answer_streamed", int64(len(parts)-len(plan.pruned)-copied-rendered)))
+	}
 }
 
 // QueryUnsimplified evaluates the query against the view without the

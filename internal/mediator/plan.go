@@ -23,6 +23,12 @@ import (
 // LRU bound, its singleflight) owned by the mediator, and the analysis is its
 // compute function — there is no second path beside it and no switch.
 //
+// A request that arrives as text (Mediator.Answer) looks its plan up by that
+// text first: a kept plan is also in the memo under "t", the canonical key's
+// prefix (pruning flag, view) and the raw body — put there, not computed, by
+// the request that parsed the text. Two spellings of one query are two
+// aliases of one plan.
+//
 // Nothing invalidates a plan. Invalidate and InvalidateSource announce that
 // a source's *data* changed, which a plan never looked at; what is refetched
 // is decided by the part slots' source-generation fence alone.
@@ -42,8 +48,12 @@ const planMemoCapacity = 1024
 // queryPlan is the analysis of one query against one view. Once kept it is
 // shared by every request that repeats the query and is never written again.
 type queryPlan struct {
+	// root is the answer's shell, engine.EmptyResult's: named, childless,
+	// shared by every answer written under the plan and read only.
+	root *xmlmodel.Element
 	// prepared is what the engine evaluates: the simplified query, or the
-	// request's own when the simplifier failed (simplifierError says how).
+	// request's own when the simplifier failed (simplifierError says how);
+	// nil in a view's own plan (View.whole), which picks every member.
 	prepared *engine.Prepared
 	// byPart: the plan is kept and its query takes the view's members one at
 	// a time (rootChildrenAlone), so the part slots remember its answer.
@@ -70,10 +80,15 @@ const answerMemoPlans = 32
 // answerMemo is what the last plans that asked picked from the children of
 // one part result alone, the oldest replaced first (answerByPart). It is
 // made with the children and handed on exactly as they are (evalPart), so it
-// dies with their document. Mediator.mu guards it.
+// dies with their document. bytes[j], made with the array by the first render,
+// is what picks[j] serialize to under an answer's root (answerIndent, depth
+// 1); found has bit j set once entry j was found by a read that sends bytes.
+// Mediator.mu guards it.
 type answerMemo struct {
 	plans [answerMemoPlans]*queryPlan
 	picks [answerMemoPlans][]*xmlmodel.Element
+	bytes *[answerMemoPlans][]byte
+	found uint32
 	next  int
 }
 
@@ -87,12 +102,16 @@ type prunedPart struct {
 // of a failed flight starts over with its own analysis.
 var errPlanNotKept = errors.New("mediator: query plan not kept")
 
-// planFor returns the plan of q against v, from the memo when the query was
-// analysed before. hit reports that this call ran no analysis (it found the
-// plan resident, or joined the caller computing it). The pruning setting is
-// part of the key: a plan made with pruning on is not the plan of the same
-// query with pruning off.
-func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, pruning bool, limits budget.Limits) (plan *queryPlan, hit bool, err error) {
+// QueryTextError is xmas.Parse's error for the text given to Mediator.Answer.
+type QueryTextError struct{ error }
+
+// planFor returns the plan of q — when q is nil, of the query text spells —
+// against v, from the memo when the query was analysed before. hit reports
+// that this call ran no analysis (it found the plan resident, or joined the
+// caller computing it), byText that it parsed nothing either. The pruning
+// setting is part of both keys: a plan made with pruning on is not the plan
+// of the same query with pruning off.
+func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, text []byte, pruning bool, limits budget.Limits) (plan *queryPlan, hit, byText bool, err error) {
 	var buf [256]byte
 	key := buf[:0]
 	if pruning {
@@ -102,6 +121,17 @@ func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, pruning 
 	}
 	key = binary.AppendUvarint(key, uint64(len(v.Name)))
 	key = append(key, v.Name...)
+	var alias string
+	if q == nil {
+		alias = "t" + string(key) + string(text) // no canonical key begins with t
+		if cached, ok := m.plans.Get(alias); ok {
+			m.stats.add(&m.stats.PlanTextHits, 1)
+			return cached.(*queryPlan), true, true, nil
+		}
+		if q, err = xmas.Parse(string(text)); err != nil {
+			return nil, false, false, QueryTextError{err}
+		}
+	}
 	key = q.AppendKey(key)
 
 	var fresh *queryPlan // set when this call ran the analysis itself
@@ -126,11 +156,16 @@ func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, pruning 
 	})
 	switch {
 	case fresh != nil:
-		return fresh, false, nil
+		plan = fresh
 	case err != nil:
-		return nil, false, err // ctx was cancelled, or the analysis this call joined panicked
+		return nil, false, false, err // ctx was cancelled, or the analysis this call joined panicked
+	default:
+		plan, hit = cached.(*queryPlan), true
 	}
-	return cached.(*queryPlan), true, nil
+	if alias != "" && err == nil { // the plan is kept
+		m.plans.Put(alias, plan)
+	}
+	return plan, hit, false, nil
 }
 
 // analyse is the memo's compute function, the whole static analysis of one
@@ -139,7 +174,7 @@ func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, pruning 
 // carries and only while ctx lives (its cancellation is the one error).
 // unknown reports that some verdict was infer.VerdictUnknown.
 func analyse(ctx context.Context, v *View, q *xmas.Query, pruning bool) (plan *queryPlan, unknown bool, err error) {
-	plan = &queryPlan{}
+	plan = &queryPlan{root: engine.EmptyResult(q).Root}
 	sq := q
 	switch simplified, rep, err := infer.SimplifyQueryContext(ctx, q, v.DTD); {
 	case ctx.Err() != nil:

@@ -31,18 +31,18 @@ func TestPlanHitAllocs(t *testing.T) {
 	}
 	ctx := context.Background()
 	q := xmas.MustParse(qBooksText)
-	if _, hit, err := m.planFor(ctx, v, q, true, budget.Limits{}); err != nil || hit {
+	if _, hit, _, err := m.planFor(ctx, v, q, nil, true, budget.Limits{}); err != nil || hit {
 		t.Fatalf("first ask: hit=%v err=%v, want an analysis", hit, err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, hit, err := m.planFor(ctx, v, q, true, budget.Limits{}); err != nil || !hit {
+		if _, hit, _, err := m.planFor(ctx, v, q, nil, true, budget.Limits{}); err != nil || !hit {
 			t.Fatalf("repeat: hit=%v err=%v, want a plan hit", hit, err)
 		}
 	})
 	if allocs > 2 { // measured 1
 		t.Errorf("planning a repeated query costs %.0f allocations, want <= 2", allocs)
 	}
-	plan, _, _ := m.planFor(ctx, v, q, true, budget.Limits{})
+	plan, _, _, _ := m.planFor(ctx, v, q, nil, true, budget.Limits{})
 	read := testing.AllocsPerRun(200, func() {
 		if _, qs, err := m.Query(ctx, "cat", q); err != nil || len(qs.PrunedSources) != 1 || &qs.PrunedSources[0] != &plan.prunedSources[0] {
 			t.Fatalf("warm pruned query: stats %+v, err %v; want the plan's own list of pruned sources", qs, err)

@@ -140,13 +140,23 @@ type Stats struct {
 	// (simplifier error, Unknown verdict). A query that joined an analysis
 	// already running is neither. On a workload of repeated queries the
 	// verdict cache above goes quiet: no lookup is made at all.
+	// PlanTextHits counts, among PlanHits, the queries that found their plan
+	// by their text (Mediator.Answer); the texts are entries of PlanCacheSize.
 	PlanHits      int64 `json:"plan_hits" metric:"mix_query_plan_hits_total" help:"Queries answered from a kept query plan (no simplification, no verdict lookup)."`
+	PlanTextHits  int64 `json:"plan_text_hits" metric:"mix_query_plan_text_hits_total" help:"Queries whose kept plan was found by the request's own text (not parsed either)."`
 	PlanMisses    int64 `json:"plan_misses" metric:"mix_query_plan_misses_total" help:"Query analyses run (includes plans not kept: simplifier errors, Unknown verdicts)."`
-	PlanCacheSize int64 `json:"plan_cache_size" metric:"mix_query_plan_cache_size" help:"Query plans currently kept."`
+	PlanCacheSize int64 `json:"plan_cache_size" metric:"mix_query_plan_cache_size" help:"Entries of the query-plan memo: kept plans and the request texts that name them."`
 	// AnswerPartsReused / AnswerPartsEvaluated count, over the queries answered
 	// part by part (answerByPart), the parts taken from their slot's memo vs. walked.
 	AnswerPartsReused    int64 `json:"answer_parts_reused" metric:"mix_answer_parts_reused_total" help:"View parts whose picks for a query came from the part slot's answer memo."`
 	AnswerPartsEvaluated int64 `json:"answer_parts_evaluated" metric:"mix_answer_parts_evaluated_total" help:"View parts a query was evaluated over because their slot had no answer for it."`
+
+	// AnswerBytesRendered / AnswerBytesCopied count the bytes sent from a part
+	// slot's kept serialization, by the read that made it and by every read
+	// after; AnswerBytesHeld is what the slots hold now.
+	AnswerBytesRendered int64 `json:"answer_bytes_rendered" metric:"mix_answer_bytes_rendered_total" help:"Bytes serialized into a part slot, to be kept beside the picks they are of."`
+	AnswerBytesCopied   int64 `json:"answer_bytes_copied" metric:"mix_answer_bytes_copied_total" help:"Bytes sent from a part slot's kept serialization instead of being serialized."`
+	AnswerBytesHeld     int64 `json:"answer_bytes_held" metric:"mix_answer_bytes_held" help:"Serialized bytes the part slots hold now."`
 
 	// StreamValidation snapshots the process-wide streaming-validation
 	// counters (dtd.StreamValidationStats): documents, scanner events and
@@ -277,7 +287,21 @@ func (m *Mediator) Stats() Stats {
 	out.AutomataCache = automata.CacheStats()
 	out.PruneVerdictCache = verdictCacheStats(infer.SatisfiabilityCacheStats())
 	plans := m.plans.Stats()
-	out.PlanHits, out.PlanMisses, out.PlanCacheSize = plans.Hits, plans.Misses, int64(plans.Size)
+	out.PlanHits, out.PlanMisses, out.PlanCacheSize = plans.Hits+out.PlanTextHits, plans.Misses, int64(plans.Size)
+	m.mu.Lock()
+	for _, slots := range m.slots {
+		for _, c := range slots {
+			if c != nil && !c.finished() {
+				c = c.prev // what the slot holds while c runs
+			}
+			if c != nil && c.res.answers != nil && c.res.answers.bytes != nil {
+				for _, b := range c.res.answers.bytes {
+					out.AnswerBytesHeld += int64(len(b))
+				}
+			}
+		}
+	}
+	m.mu.Unlock()
 
 	rep := m.sourceReport()
 	out.Retries = rep.Retries

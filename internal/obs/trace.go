@@ -177,15 +177,22 @@ func (t *Tracer) StartRequest(ctx context.Context, name, traceID string) (contex
 // so does a span past maxSpansPerTrace, and what is opened or recorded
 // under it falls to the nearest ancestor that exists.
 func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
-	parent := spanFromContext(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	sp := parent.tr.newSpan(name, parent.id, attrs)
+	sp := StartLeaf(ctx, name, attrs...)
 	if sp == nil {
 		return ctx, nil
 	}
 	return context.WithValue(ctx, ctxKey{}, sp), sp
+}
+
+// StartLeaf is StartSpan for an operation under which nothing is opened or
+// recorded through a context: the span gets none of its own, which is the one
+// allocation a child span costs.
+func StartLeaf(ctx context.Context, name string, attrs ...Attr) *Span {
+	parent := spanFromContext(ctx)
+	if parent == nil {
+		return nil
+	}
+	return parent.tr.newSpan(name, parent.id, attrs)
 }
 
 // AddEvent records a discrete event on the context's current span; no-op
@@ -279,6 +286,16 @@ func (s *Span) SetAttr(attrs ...Attr) {
 	s.tr.mu.Lock()
 	s.tr.addAttrs(s.id, attrs)
 	s.tr.mu.Unlock()
+}
+
+// SetNonZero is SetAttr for counts of which only the ones that are not zero
+// are worth their place in the record.
+func (s *Span) SetNonZero(counts ...Attr) {
+	for _, a := range counts {
+		if a.num != 0 {
+			s.SetAttr(a)
+		}
+	}
 }
 
 // Event records a discrete timestamped event, subject to the per-span

@@ -13,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mediator"
 	"repro/internal/xmas"
+	"repro/internal/xmlmodel"
 )
 
 // WithCluster puts the handler in cluster mode: view requests the local
@@ -116,7 +117,7 @@ func (h *Handler) forwardView(w http.ResponseWriter, r *http.Request, fwd *clust
 		return
 	}
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	writeAnswer(w, fwd.SchemaText(), doc.Root)
+	writeAnswer(ctx, w, fwd.SchemaText(), func(w io.Writer) error { return xmlmodel.WriteElement(w, doc.Root, 2) })
 }
 
 // forwardQuery answers POST /views/{name}/query for a non-owned view:
@@ -126,9 +127,8 @@ func (h *Handler) forwardView(w http.ResponseWriter, r *http.Request, fwd *clust
 // the simplifier stat headers (X-Mix-Skipped and friends) are absent,
 // since no simplification ran here; X-Mix-Forwarded marks the difference.
 func (h *Handler) forwardQuery(w http.ResponseWriter, r *http.Request, fwd *cluster.Forward, ctx context.Context, fi *mediator.ForwardInfo) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	q, err := xmas.Parse(string(body))
@@ -152,7 +152,7 @@ func (h *Handler) forwardQuery(w http.ResponseWriter, r *http.Request, fwd *clus
 	root.Children = picks
 	h.setForwardHeaders(w, fi, fwd, stale)
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	writeAnswer(w, "", root)
+	writeAnswer(ctx, w, "", func(w io.Writer) error { return xmlmodel.WriteElement(w, root, 2) })
 }
 
 // forwardDTD answers GET /views/{name}/dtd with the owner's DTD text

@@ -59,11 +59,11 @@ func (sw *statusWriter) Flush() {
 	}
 }
 
-// serveObserved is the observability middleware wrapping the mux: it
-// opens the request's root span (honoring an incoming trace ID), echoes
-// X-Mix-Trace-Id, records the per-route latency histogram and status
-// counter, and emits one structured access-log line per request.
-func (h *Handler) serveObserved(w http.ResponseWriter, r *http.Request) {
+// ServeHTTP implements http.Handler. It is the observability middleware
+// wrapping the mux: it opens the request's root span (honoring an incoming
+// trace ID), echoes X-Mix-Trace-Id, records the per-route latency histogram
+// and status counter, and emits one structured access-log line per request.
+func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	name, ok := rootSpanNames[r.Method]
 	if !ok {
 		name = "http " + r.Method

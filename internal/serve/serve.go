@@ -43,6 +43,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -62,7 +63,6 @@ import (
 	"repro/internal/mediator"
 	"repro/internal/obs"
 	"repro/internal/xmas"
-	"repro/internal/xmlmodel"
 )
 
 // Handler wraps a mediator as an http.Handler.
@@ -151,9 +151,8 @@ func New(m *mediator.Mediator, opts ...Option) *Handler {
 // over that source; see Mediator.InvalidateSource), and the response names
 // the affected views. An unknown source is a 404.
 func (h *Handler) postInvalidate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	if strings.TrimSpace(string(body)) == "" {
@@ -186,13 +185,6 @@ func (h *Handler) postInvalidate(w http.ResponseWriter, r *http.Request) {
 
 // Tracer returns the handler's request tracer (the /debug/trace source).
 func (h *Handler) Tracer() *obs.Tracer { return h.tracer }
-
-// ServeHTTP implements http.Handler: every request runs inside a trace
-// span, gets its X-Mix-Trace-Id echoed, is access-logged, and lands in
-// the per-route latency histograms. See obs.go for the middleware.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.serveObserved(w, r)
-}
 
 func (h *Handler) listViews(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -232,22 +224,17 @@ func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
 		h.forwardView(w, r, fwd, ctx, fi)
 		return
 	}
-	doc, info, err := h.m.MaterializeIfChanged(r.Context(), name, r.Header.Get("If-None-Match"))
+	a, info, err := h.m.ViewAnswer(r.Context(), name, r.Header.Get("If-None-Match"))
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	v, err := h.m.View(name)
-	if err != nil {
-		http.Error(w, err.Error(), statusFor(err))
-		return
-	}
-	setProvenanceHeaders(w, v, info.Provenance)
+	setProvenanceHeaders(w, a.View, info.Provenance)
 	if notModified(w, info.Tag, info.NotModified) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	writeAnswer(w, v.DTDText, doc.Root)
+	writeAnswer(r.Context(), w, a.View.DTDText, a.Write)
 }
 
 // notModified finishes the validator's part of a GET /views/{name} answer,
@@ -289,13 +276,32 @@ func setProvenanceHeaders(w http.ResponseWriter, v *mediator.View, p mediator.Pr
 // writeAnswer sends an XML answer: the text of the DTD the document is
 // valid against when the answer carries one (a view document does, per
 // Definition 2.4; a query result does not), then the document, serialized
-// straight into w. No copy of the answer is built. A write error means the
-// client has gone, and there is nobody left to tell.
-func writeAnswer(w io.Writer, schema string, root *xmlmodel.Element) {
+// straight into w or, where a part slot holds its bytes, those (write). No
+// copy of the answer is built. A write error means the client has gone, and
+// there is nobody left to tell. The span is a leaf: a write records nothing.
+func writeAnswer(ctx context.Context, w io.Writer, schema string, write func(io.Writer) error) {
+	span := obs.StartLeaf(ctx, "serialize")
 	if schema != "" {
 		io.WriteString(w, schema)
 	}
-	_ = xmlmodel.WriteElement(w, root, 2)
+	_ = write(w)
+	span.End()
+}
+
+// maxBody bounds a request body. A longer one is refused (413), not cut: the
+// prefix of a query is another query.
+const maxBody = 1 << 20
+
+// readBody reads the request's body, or answers the error and returns false.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1)) // one past tells
+	switch {
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	case len(body) > maxBody:
+		http.Error(w, "request body exceeds 1 MiB", http.StatusRequestEntityTooLarge)
+	}
+	return body, err == nil && len(body) <= maxBody
 }
 
 func (h *Handler) getViewDTD(w http.ResponseWriter, r *http.Request) {
@@ -406,22 +412,11 @@ func (h *Handler) postQuery(w http.ResponseWriter, r *http.Request) {
 		h.forwardQuery(w, r, fwd, ctx, fi)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
-	q, err := xmas.Parse(string(body))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	doc, stats, err := h.m.Query(r.Context(), name, q)
-	if err != nil {
-		http.Error(w, err.Error(), statusFor(err))
-		return
-	}
-	v, err := h.m.View(name)
+	a, stats, err := h.m.Answer(r.Context(), name, body)
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
 		return
@@ -433,8 +428,8 @@ func (h *Handler) postQuery(w http.ResponseWriter, r *http.Request) {
 	if stats.SimplifierError != "" {
 		w.Header().Set("X-Mix-Simplifier-Error", stats.SimplifierError)
 	}
-	setProvenanceHeaders(w, v, stats.Provenance)
-	writeAnswer(w, "", doc.Root)
+	setProvenanceHeaders(w, a.View, stats.Provenance)
+	writeAnswer(r.Context(), w, "", a.Write)
 }
 
 // postInfer is inference as a service: the request body is a DOCTYPE
@@ -443,9 +438,8 @@ func (h *Handler) postQuery(w http.ResponseWriter, r *http.Request) {
 // plain view DTD, and the classification, separated by "-- " marker lines
 // (the format of cmd/mixinfer).
 func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	src, query, err := dtd.ParsePrefix(string(body))
@@ -491,11 +485,15 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 
 // statusFor maps lookup failures to 404 via the mediator's sentinel
 // errors (message-text matching would misroute a source or view whose
-// name happens to contain "unknown view"); everything else — engine
-// failures, remote fetch errors — is a 500.
+// name happens to contain "unknown view") and a text that is no query to
+// 400; everything else — engine failures, remote fetch errors — is a 500.
 func statusFor(err error) int {
-	if errors.Is(err, mediator.ErrUnknownView) || errors.Is(err, mediator.ErrUnknownSource) {
+	var text mediator.QueryTextError
+	switch {
+	case errors.Is(err, mediator.ErrUnknownView) || errors.Is(err, mediator.ErrUnknownSource):
 		return http.StatusNotFound
+	case errors.As(err, &text):
+		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
 }

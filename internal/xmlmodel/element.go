@@ -287,5 +287,5 @@ func (e *Element) AssignIDs(prefix string) error {
 // String renders the element as compact XML. It is intended for error
 // messages and tests; use Marshal for full serialization control.
 func (e *Element) String() string {
-	return render("", e, -1)
+	return string(render("", []*Element{e}, -1, 0))
 }

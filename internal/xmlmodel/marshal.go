@@ -18,12 +18,18 @@ func Marshal(d *Document, indent int) string {
 	if indent >= 0 {
 		prefix += "\n"
 	}
-	return render(prefix, d.Root, indent)
+	return string(render(prefix, []*Element{d.Root}, indent, 0))
 }
 
 // MarshalElement serializes a single element subtree as XML.
 func MarshalElement(e *Element, indent int) string {
-	return render("", e, indent)
+	return string(render("", []*Element{e}, indent, 0))
+}
+
+// MarshalElements returns, exactly sized, what WriteElement writes for es as
+// consecutive children level deep: a child's bytes depend on its depth alone.
+func MarshalElements(es []*Element, indent, level int) []byte {
+	return render("", es, indent, level)
 }
 
 // WriteElement writes what MarshalElement returns to w without building
@@ -32,8 +38,41 @@ func MarshalElement(e *Element, indent int) string {
 // holds writeBufSize bytes whatever the size of its answer. It returns the
 // first error from w.
 func WriteElement(w io.Writer, e *Element, indent int) error {
-	_, err := stream(w, e, indent)
+	_, err := stream(w, []*Element{e}, indent, 0)
 	return err
+}
+
+// WriteRuns writes what WriteElement writes for root had it the elements of
+// run(0) … run(n-1) for children (its own are not looked at). A run that
+// brings its bytes — kept, when not nil, is MarshalElements(es, indent, 1) —
+// is one Write of them; the rest pass through the buffer.
+func WriteRuns(w io.Writer, root *Element, indent, n int, run func(int) (es []*Element, kept []byte)) error {
+	buf := writeBufs.Get().(*[writeBufSize]byte)
+	defer writeBufs.Put(buf)
+	o := emitter{buf: buf[:0], w: w}
+	o.openTag(root)
+	childless := true
+	for i := 0; i < n; i++ {
+		es, kept := run(i)
+		if len(es) == 0 {
+			continue
+		}
+		if childless && indent >= 0 {
+			o.str("\n")
+		}
+		childless = false
+		if kept == nil {
+			o.elements(es, indent, 1)
+		} else if o.drain(); o.err == nil {
+			_, o.err = w.Write(kept)
+		}
+	}
+	o.closeTag(root)
+	if indent >= 0 {
+		o.str("\n")
+	}
+	o.drain()
+	return o.err
 }
 
 // writeBufSize is large enough that a 200 KB answer reaches the socket in
@@ -42,24 +81,24 @@ const writeBufSize = 32 << 10
 
 var writeBufs = sync.Pool{New: func() any { return new([writeBufSize]byte) }}
 
-// stream serializes e to w through a pooled buffer; it returns the number
-// of bytes produced and the first error from w.
-func stream(w io.Writer, e *Element, indent int) (int, error) {
+// stream serializes es, siblings level deep, to w through a pooled buffer; it
+// returns the number of bytes produced and the first error from w.
+func stream(w io.Writer, es []*Element, indent, level int) (int, error) {
 	buf := writeBufs.Get().(*[writeBufSize]byte)
 	defer writeBufs.Put(buf)
 	o := emitter{buf: buf[:0], w: w}
-	o.element(e, indent)
+	o.elements(es, indent, level)
 	o.drain()
 	return o.drained, o.err
 }
 
-// render returns prefix followed by e's serialization. A first pass only
-// counts, so the result costs one exactly-sized buffer and its string.
-func render(prefix string, e *Element, indent int) string {
-	size, _ := stream(io.Discard, e, indent)
+// render returns prefix followed by the serialization of es. A first pass
+// only counts, so the result is one exactly-sized buffer.
+func render(prefix string, es []*Element, indent, level int) []byte {
+	size, _ := stream(io.Discard, es, indent, level)
 	o := emitter{buf: append(make([]byte, 0, len(prefix)+size), prefix...)}
-	o.element(e, indent)
-	return string(o.buf)
+	o.elements(es, indent, level)
+	return o.buf
 }
 
 // emitter is where appendXML puts bytes. With w nil they accumulate in
@@ -73,7 +112,7 @@ type emitter struct {
 }
 
 func (o *emitter) drain() {
-	if o.err == nil {
+	if o.err == nil && len(o.buf) > 0 {
 		_, o.err = o.w.Write(o.buf)
 	}
 	o.drained += len(o.buf)
@@ -142,12 +181,14 @@ func (o *emitter) pad(n int) {
 	}
 }
 
-// element emits e as a whole serialization: indented output ends with a
-// newline, compact output does not.
-func (o *emitter) element(e *Element, indent int) {
-	o.appendXML(e, indent, 0)
-	if indent >= 0 {
-		o.str("\n")
+// elements emits es as siblings level deep, a whole serialization at level
+// 0. Indented, each ends its line; compact output has no newline anywhere.
+func (o *emitter) elements(es []*Element, indent, level int) {
+	for _, e := range es {
+		o.appendXML(e, indent, level)
+		if indent >= 0 {
+			o.str("\n")
+		}
 	}
 }
 
@@ -156,6 +197,22 @@ func (o *emitter) element(e *Element, indent int) {
 // otherwise each child sits on its own line, indent spaces per level deep.
 func (o *emitter) appendXML(e *Element, indent, level int) {
 	o.pad(indent * level)
+	o.openTag(e)
+	switch {
+	case e.IsText:
+		o.escaped(e.Text, false)
+	case len(e.Children) > 0:
+		if indent >= 0 {
+			o.str("\n")
+		}
+		o.elements(e.Children, indent, level+1)
+		o.pad(indent * level)
+	}
+	o.closeTag(e)
+}
+
+// openTag and closeTag are appendXML's, apart for WriteRuns.
+func (o *emitter) openTag(e *Element) {
 	o.str("<")
 	o.str(e.Name)
 	if e.ID != "" {
@@ -164,21 +221,9 @@ func (o *emitter) appendXML(e *Element, indent, level int) {
 		o.str(`"`)
 	}
 	o.str(">")
-	switch {
-	case e.IsText:
-		o.escaped(e.Text, false)
-	case len(e.Children) > 0:
-		if indent >= 0 {
-			o.str("\n")
-		}
-		for _, k := range e.Children {
-			o.appendXML(k, indent, level+1)
-			if indent >= 0 {
-				o.str("\n")
-			}
-		}
-		o.pad(indent * level)
-	}
+}
+
+func (o *emitter) closeTag(e *Element) {
 	o.str("</")
 	o.str(e.Name)
 	o.str(">")
