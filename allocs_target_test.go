@@ -51,7 +51,7 @@ func TestAllocsTargetRunsEveryAllocationRatchet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ratchets < 24 {
-		t.Errorf("found %d allocation ratchets, want the tree's 24 or more: the walk missed some", ratchets)
+	if ratchets < 26 {
+		t.Errorf("found %d allocation ratchets, want the tree's 26 or more: the walk missed some", ratchets)
 	}
 }

@@ -173,11 +173,12 @@ func (c *Cache) GetOrCompute(key string, compute func() (any, error)) (any, erro
 
 // insertLocked makes val resident under key unless something already is
 // (a racing Purge and insert may have slipped in while it was computed: one
-// element per key), evicting the least recently used past capacity.
-func (c *Cache) insertLocked(key string, val any) {
+// element per key), evicting the least recently used past capacity. It
+// reports whether val is what the key now holds.
+func (c *Cache) insertLocked(key string, val any) bool {
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
-		return
+		return false
 	}
 	c.entries[key] = c.order.PushFront(&entry{key: key, val: val})
 	for c.order.Len() > c.capacity {
@@ -186,16 +187,31 @@ func (c *Cache) insertLocked(key string, val any) {
 		delete(c.entries, oldest.Value.(*entry).key)
 		c.evictions++
 	}
+	return true
 }
 
 // Put makes val resident under key, as a computation that returned it would
 // have, without being one: no hit, miss or dedup is counted. It is Get's
 // counterpart, for a second name of a value that GetOrCompute already holds
-// under its own. A key that is resident keeps its value.
-func (c *Cache) Put(key string, val any) {
+// under its own, or for a value computed outside the cache. A key that is
+// resident keeps its value, and Put reports false.
+func (c *Cache) Put(key string, val any) bool {
 	c.mu.Lock()
-	c.insertLocked(key, val)
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	return c.insertLocked(key, val)
+}
+
+// Values returns the resident values, most recently used first, without
+// touching their recency: what a holder that accounts for the size of its
+// entries sums when it is asked.
+func (c *Cache) Values() []any {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]any, 0, c.order.Len())
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*entry).val)
+	}
+	return out
 }
 
 // Purge drops every resident entry (in-flight computations finish but are

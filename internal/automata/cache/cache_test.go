@@ -214,3 +214,32 @@ func TestCapacityClamp(t *testing.T) {
 		t.Errorf("capacity = %d, want clamp to 1", got)
 	}
 }
+
+// TestPutAndValues: Put counts nothing, says whether its value is the one
+// now held (a resident key keeps what it had), evicts like any insert, and
+// Values lists what is resident, most recent first, without touching recency.
+func TestPutAndValues(t *testing.T) {
+	c := New(2)
+	if !c.Put("a", 1) || !c.Put("b", 2) {
+		t.Fatal("Put into free room must store")
+	}
+	if c.Put("a", 9) {
+		t.Error("Put over a resident key must report false")
+	}
+	if v, _ := c.Get("a"); v != 1 {
+		t.Errorf("a = %v, want the first value kept", v)
+	}
+	if got := fmt.Sprint(c.Values()); got != "[1 2]" {
+		t.Errorf("Values = %s, want [1 2]", got)
+	}
+	c.Values()
+	if !c.Put("c", 3) { // b is the least recently used: Values moved nothing
+		t.Fatal("Put past capacity must store")
+	}
+	if _, ok := c.Get("b"); ok {
+		t.Error("b must have been evicted")
+	}
+	if st := c.Stats(); st.Hits+st.Misses+st.Dedups != 0 || st.Evictions != 1 || st.Size != 2 {
+		t.Errorf("stats = %+v, want no lookups counted, 1 eviction, size 2", st)
+	}
+}

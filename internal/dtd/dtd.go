@@ -79,8 +79,12 @@ type DTD struct {
 }
 
 // New returns an empty DTD with the given document type.
-func New(root string) *DTD {
-	return &DTD{Root: root, Types: map[string]Type{}}
+func New(root string) *DTD { return NewSized(root, 0) }
+
+// NewSized is New with room for n declarations, for a caller that knows how
+// many are coming: the tables are not grown from empty.
+func NewSized(root string, n int) *DTD {
+	return &DTD{Root: root, Types: make(map[string]Type, n), order: make([]string, 0, n)}
 }
 
 // Declare adds or replaces the type of a name, keeping declaration order.

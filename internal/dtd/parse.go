@@ -81,7 +81,7 @@ func parseSubset(root, s string) (*DTD, string, error) {
 	// Counting the keyword sizes the tables; it is a hint, a comment may
 	// hold one too.
 	decls := strings.Count(s, "<!ELEMENT")
-	d := &DTD{Root: root, Types: make(map[string]Type, decls), order: make([]string, 0, decls)}
+	d := NewSized(root, decls)
 	var models regex.Parser // one for the document: its atoms are shared
 	var anyNames []string
 	for {

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,8 +24,8 @@ func TestFanOutRecoversPanicWithLabel(t *testing.T) {
 	in.mu.Lock()
 	err := in.panicErr
 	in.mu.Unlock()
-	if err == nil {
-		t.Fatal("worker panic must be recorded as an error")
+	if !errors.Is(err, ErrWorkerPanic) {
+		t.Fatalf("worker panic must be recorded as an ErrWorkerPanic, got %v", err)
 	}
 	if !strings.Contains(err.Error(), `"author"`) {
 		t.Errorf("error %q must name the panicking element", err)

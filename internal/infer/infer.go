@@ -27,6 +27,12 @@ import (
 // tightest DTD at all.
 var ErrRecursivePath = errors.New("infer: view has a recursive path expression; no tightest DTD may exist (Section 3.4)")
 
+// ErrWorkerPanic is wrapped by the error of an inference or simplification
+// that failed because a refinement worker panicked — this program's fault,
+// where every other error but the context's own is the input's. The wrapping
+// error ("infer: panic refining element …") names the element and the panic.
+var ErrWorkerPanic = errors.New("infer: panic")
+
 // Class is the side-effect classification of Section 4.2: how a tree
 // condition relates to the source DTD.
 type Class int
@@ -275,7 +281,9 @@ func (in *inferencer) specialized() (*sdtd.SDTD, error) {
 	}
 
 	// Assemble the specialized view DTD.
-	view := sdtd.New(regex.N(in.q.Name))
+	// Sized by the source: the view declares the names under the pick, their
+	// specializations, and the view's own.
+	view := sdtd.NewSized(regex.N(in.q.Name), len(in.src.Types))
 	view.Declare(regex.N(in.q.Name), dtd.M(automata.Reduce(listType, in.bud)))
 	pick := path[len(path)-1]
 	in.declareSubtree(view, pick)
@@ -514,7 +522,7 @@ func (in *inferencer) fanOut(n int, label func(i int) string, f func(i int)) {
 	run := func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
-				in.recordPanic(fmt.Errorf("infer: panic refining element %q: %v", label(i), r))
+				in.recordPanic(fmt.Errorf("%w refining element %q: %v", ErrWorkerPanic, label(i), r))
 			}
 		}()
 		f(i)

@@ -229,7 +229,7 @@ func TestSimplifyReturnsWorkerPanic(t *testing.T) {
 	if err == nil {
 		t.Fatalf("worker panic swallowed: query %v, report %+v", out, rep)
 	}
-	if !strings.Contains(err.Error(), `panic refining element "r"`) {
+	if !errors.Is(err, ErrWorkerPanic) || !strings.Contains(err.Error(), `panic refining element "r"`) {
 		t.Errorf("error %q must name the element whose refinement panicked", err)
 	}
 }

@@ -68,7 +68,7 @@ func TestInferTextPathAllocations(t *testing.T) {
 			view := res.SDTD
 			same := func(n regex.Name) regex.Name { return n }
 			output := testing.AllocsPerRun(20, func() {
-				out := sdtd.New(view.Root)
+				out := sdtd.NewSized(view.Root, len(view.Types))
 				for _, n := range view.Names() {
 					ty := view.Types[n]
 					if !ty.PCDATA {

@@ -109,7 +109,7 @@ func (s *SDTD) Normalize(bud *budget.Budget) *SDTD {
 
 	// A class is declared where its first member was, with that member's
 	// type.
-	out := New(target(s.Root))
+	out := NewSized(target(s.Root), len(names))
 	declared := make([]bool, len(names))
 	for _, n := range s.names() {
 		i, _ := index(n)

@@ -46,8 +46,11 @@ type SDTD struct {
 }
 
 // New returns an empty s-DTD with the given document type.
-func New(root Name) *SDTD {
-	return &SDTD{Root: root, Types: map[Name]dtd.Type{}}
+func New(root Name) *SDTD { return NewSized(root, 0) }
+
+// NewSized is New with room for n declarations (see dtd.NewSized).
+func NewSized(root Name, n int) *SDTD {
+	return &SDTD{Root: root, Types: make(map[Name]dtd.Type, n), order: make([]Name, 0, n)}
 }
 
 // Declare adds or replaces a tagged type definition.
@@ -189,7 +192,7 @@ func (e MergeEvent) String() string {
 // merge as Distinct — claiming information *may* have been lost is sound,
 // the reverse is not.
 func (s *SDTD) Merge(bud *budget.Budget) (*dtd.DTD, []MergeEvent, error) {
-	out := dtd.New(s.Root.Base)
+	out := dtd.NewSized(s.Root.Base, len(s.Types)) // one declaration a base: no more
 	var events []MergeEvent
 	byBase := map[string][]Name{}
 	var bases []string

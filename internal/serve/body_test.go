@@ -65,3 +65,60 @@ func TestOversizedBodiesAreRefused(t *testing.T) {
 		t.Errorf("a query followed by a MiB of padding and more: status %d, want 413", rec.Code)
 	}
 }
+
+// unread fails the test when anybody reads it.
+type unread struct{ t *testing.T }
+
+func (u unread) Read([]byte) (int, error) {
+	u.t.Error("the body was read")
+	return 0, io.EOF
+}
+
+// TestReadBodyAllocationsDeclaredAndChunked: a body whose length the request
+// declares is read into one buffer of that length — one allocation where
+// io.ReadAll's growth from 512 bytes took five for 2 KB — and refused unread
+// when the length alone is too much; a chunked body (length -1) gives the same
+// bytes the old way; and a body shorter than it declared is a 400, not a
+// prefix.
+func TestReadBodyAllocationsDeclaredAndChunked(t *testing.T) {
+	text := strings.Repeat("0123456789abcdef", 128) // 2 KiB
+	request := func(body io.Reader, length int64) *http.Request {
+		r := httptest.NewRequest(http.MethodPost, "/infer", body)
+		r.ContentLength = length
+		return r
+	}
+	for _, c := range []struct {
+		name   string
+		r      *http.Request
+		status int
+	}{
+		{"declared", request(strings.NewReader(text), int64(len(text))), 0},
+		{"chunked", request(unsized{strings.NewReader(text)}, -1), 0},
+		{"empty", request(http.NoBody, 0), 0},
+		{"declared too long", request(unread{t}, maxBody+1), http.StatusRequestEntityTooLarge},
+		{"chunked too long", request(unsized{strings.NewReader(strings.Repeat(" ", maxBody+1))}, -1), http.StatusRequestEntityTooLarge},
+		{"shorter than declared", request(strings.NewReader(text), int64(len(text))+1), http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		body, ok := readBody(rec, c.r)
+		switch {
+		case c.status != 0:
+			if ok || rec.Code != c.status {
+				t.Errorf("%s: accepted %v, status %d, want a refusal with %d", c.name, ok, rec.Code, c.status)
+			}
+		case !ok || (c.name != "empty" && string(body) != text) || (c.name == "empty" && len(body) != 0):
+			t.Errorf("%s: accepted %v, %d bytes read, status %d", c.name, ok, len(body), rec.Code)
+		}
+	}
+
+	rd := strings.NewReader(text)
+	r := request(rd, int64(len(text)))
+	if got := testing.AllocsPerRun(50, func() {
+		rd.Reset(text)
+		if body, ok := readBody(nil, r); !ok || len(body) != len(text) {
+			t.Fatal("not read")
+		}
+	}); got != 1 {
+		t.Errorf("a declared 2 KiB body is read in %v allocations, want 1", got)
+	}
+}

@@ -205,6 +205,7 @@ func (h *Handler) writePrometheus(w http.ResponseWriter) {
 
 	// Every scalar series is declared on the Stats field that holds it.
 	mw.Struct(st)
+	mw.Struct(h.inferMemoStats())
 
 	// Per-replica health gauges: numeric state (0 healthy, 1 suspect,
 	// 2 ejected, 3 probing) plus the per-set budget level, sorted for

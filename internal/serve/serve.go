@@ -21,6 +21,8 @@
 //	GET  /debug/trace               ring buffer of recent request traces
 //	POST /infer                     body: DOCTYPE + XMAS query; response:
 //	                                inferred s-DTD, plain DTD, classification
+//	                                — for a body seen before, the bytes
+//	                                written the first time
 //	POST /invalidate                have every cached view part ask its
 //	                                source again; with a {"source": name}
 //	                                JSON body, just that source's parts
@@ -54,7 +56,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/automata/cache"
 	"repro/internal/browse"
 	"repro/internal/budget"
 	"repro/internal/cluster"
@@ -84,6 +88,13 @@ type Handler struct {
 	// exposition's mix_http_requests_total.
 	reqMu    sync.Mutex
 	reqCodes map[reqCode]int64
+
+	// inferred is the inference memo: a POST /infer body → the keptInference
+	// answered to it (postInfer). It is the handler's, not the process's: a
+	// new handler has inferred nothing yet.
+	inferred *cache.Cache
+	// What the memo did, for inferMemoStats.
+	inferHits, inferKept, inferNotKeptDegraded atomic.Int64
 }
 
 // maxRoutePatterns bounds reqHists: well above the route table (plus
@@ -118,6 +129,7 @@ func New(m *mediator.Mediator, opts ...Option) *Handler {
 		logger:   obs.DiscardLogger(),
 		reqHists: obs.NewHistogramSet(maxRoutePatterns),
 		reqCodes: map[reqCode]int64{},
+		inferred: cache.New(inferMemoEntries),
 	}
 	for _, o := range opts {
 		o(h)
@@ -289,19 +301,40 @@ func writeAnswer(ctx context.Context, w io.Writer, schema string, write func(io.
 }
 
 // maxBody bounds a request body. A longer one is refused (413), not cut: the
-// prefix of a query is another query.
-const maxBody = 1 << 20
+// prefix of a query is another query. The inference memo holds at most
+// inferMemoEntries answers of at most maxInferMemoEntry bytes, request text
+// and response together — 16 MiB whatever is posted.
+const (
+	maxBody           = 1 << 20
+	inferMemoEntries  = 256
+	maxInferMemoEntry = 64 << 10
+)
 
 // readBody reads the request's body, or answers the error and returns false.
+// A declared length is refused before a byte is read when it is too long, and
+// read into one buffer of its size otherwise; only a body of unknown length
+// (chunked) is read until it ends or proves too long.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1)) // one past tells
+	var body []byte
+	var err error
+	n := r.ContentLength
+	switch {
+	case n > maxBody:
+	case n >= 0:
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	default:
+		body, err = io.ReadAll(io.LimitReader(r.Body, maxBody+1)) // one past tells
+	}
 	switch {
 	case err != nil:
 		http.Error(w, err.Error(), http.StatusBadRequest)
-	case len(body) > maxBody:
+	case n > maxBody || len(body) > maxBody:
 		http.Error(w, "request body exceeds 1 MiB", http.StatusRequestEntityTooLarge)
+	default:
+		return body, true
 	}
-	return body, err == nil && len(body) <= maxBody
+	return nil, false
 }
 
 func (h *Handler) getViewDTD(w http.ResponseWriter, r *http.Request) {
@@ -365,9 +398,10 @@ func (h *Handler) getMetrics(w http.ResponseWriter, r *http.Request) {
 	enc.SetIndent("", "  ")
 	out := struct {
 		mediator.Stats
+		inferMemoStats
 		Spans   map[string]obs.HistogramSnapshot `json:"spans,omitempty"`
 		Cluster *cluster.Metrics                 `json:"cluster,omitempty"`
-	}{Stats: h.m.Stats(), Spans: h.tracer.SpanDurations()}
+	}{Stats: h.m.Stats(), inferMemoStats: h.inferMemoStats(), Spans: h.tracer.SpanDurations()}
 	if h.cluster != nil {
 		cm := h.cluster.Metrics()
 		out.Cluster = &cm
@@ -437,12 +471,27 @@ func (h *Handler) postQuery(w http.ResponseWriter, r *http.Request) {
 // definition; the response contains the specialized view DTD, the merged
 // plain view DTD, and the classification, separated by "-- " marker lines
 // (the format of cmd/mixinfer).
+//
+// Inference is a function of that text alone, so a text seen before is
+// answered with the bytes written the first time: nothing is parsed and no
+// algorithm runs. What is kept is a complete, tight answer — never a degraded
+// one (one budget's opinion, as in Mediator.planFor), never an error, and not
+// an entry over maxInferMemoEntry. Two first requests for one text may both
+// compute; their bytes are equal and the first Put stays.
 func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	src, query, err := dtd.ParsePrefix(string(body))
+	text := string(body)
+	if kept, ok := h.inferred.Get(text); ok {
+		h.inferHits.Add(1)
+		obs.SetAttr(r.Context(), obs.String("infer_memo", "hit"))
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Write(kept.(*keptInference).out)
+		return
+	}
+	src, query, err := dtd.ParsePrefix(text)
 	if err != nil {
 		http.Error(w, "body must be a DOCTYPE declaration followed by a XMAS query: "+err.Error(), http.StatusBadRequest)
 		return
@@ -457,7 +506,7 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 	bud := h.m.InferenceBudget().Budget()
 	res, err := infer.InferContext(budget.NewContext(r.Context(), bud), q, src)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		http.Error(w, err.Error(), inferStatusFor(err))
 		return
 	}
 	if res.Degraded {
@@ -481,6 +530,56 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Write(out)
+
+	memo := "not_kept"
+	switch size := len(text) + len(out); {
+	case res.Degraded:
+		h.inferNotKeptDegraded.Add(1)
+	case size > maxInferMemoEntry:
+	case h.inferred.Put(text, &keptInference{out: out, size: size}):
+		h.inferKept.Add(1)
+		memo = "kept"
+	}
+	obs.SetAttr(r.Context(), obs.String("infer_memo", memo))
+}
+
+// keptInference is an entry of the inference memo: the response written for
+// the request text it is kept under, never written again, and the bytes the
+// two take together.
+type keptInference struct {
+	out  []byte
+	size int
+}
+
+// inferMemoStats is the inference memo's part of /metrics, JSON keys and
+// Prometheus series declared on the fields like mediator.Stats's.
+type inferMemoStats struct {
+	Hits            int64 `json:"infer_memo_hits" metric:"mix_infer_memo_hits_total" help:"POST /infer requests answered with the bytes kept for their text (nothing parsed, no inference run)."`
+	Kept            int64 `json:"infer_memo_kept" metric:"mix_infer_memo_kept_total" help:"Inference answers kept under their request text."`
+	NotKeptDegraded int64 `json:"infer_memo_not_kept_degraded" metric:"mix_infer_memo_not_kept_degraded_total" help:"Inference answers not kept because the inference budget ran out (sound but loose; recomputed on a repeat)."`
+	BytesHeld       int64 `json:"infer_memo_bytes_held" metric:"mix_infer_memo_bytes_held" help:"Request and response bytes the inference memo holds now."`
+}
+
+func (h *Handler) inferMemoStats() inferMemoStats {
+	st := inferMemoStats{Hits: h.inferHits.Load(), Kept: h.inferKept.Load(), NotKeptDegraded: h.inferNotKeptDegraded.Load()}
+	for _, kept := range h.inferred.Values() {
+		st.BytesHeld += int64(kept.(*keptInference).size)
+	}
+	return st
+}
+
+// inferStatusFor tells whose fault a failed inference is. A recovered worker
+// panic is the server's (500) and a request context that ended is nobody's
+// text's (503); whatever else InferContext reports — a recursive path, an
+// inconsistent DTD, a view name that collides — is what was posted (422).
+func inferStatusFor(err error) int {
+	switch {
+	case errors.Is(err, infer.ErrWorkerPanic):
+		return http.StatusInternalServerError
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusUnprocessableEntity
 }
 
 // statusFor maps lookup failures to 404 via the mediator's sentinel

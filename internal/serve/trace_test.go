@@ -41,7 +41,8 @@ func serveOnce(h http.Handler, method, path, body, traceID string) *httptest.Res
 // indentation, span order, attribute rendering, omitted-when-empty fields —
 // for a scripted pair: a query that misses (plan analysis, materialization,
 // fetch, evaluation) and the same query again (plan hit, cache hit), then a
-// 404. Times are masked; everything else is what the handler wrote. The file
+// 404, then an inference and its repeat (found by its text: no infer span).
+// Times are masked; everything else is what the handler wrote. The file
 // is generated at the parent commit of a change to tracing, so a rewrite of
 // how traces are stored has to render what the old one did.
 func TestDebugTraceGolden(t *testing.T) {
@@ -56,6 +57,11 @@ func TestDebugTraceGolden(t *testing.T) {
 	}
 	if rec := serveOnce(h, http.MethodGet, "/views/nosuch", "", "golden-404"); rec.Code != http.StatusNotFound {
 		t.Fatalf("golden-404: %d %s", rec.Code, rec.Body)
+	}
+	for _, id := range []string{"golden-infer", "golden-infer-again"} {
+		if rec := serveOnce(h, http.MethodPost, "/infer", d1Text+"\nv = SELECT P WHERE <department> P:<professor/> </department>", id); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", id, rec.Code, rec.Body)
+		}
 	}
 	rec := serveOnce(h, http.MethodGet, "/debug/trace", "", "golden-read")
 	got := traceTimes.ReplaceAllStringFunc(rec.Body.String(), func(m string) string {
@@ -260,6 +266,45 @@ func TestDebugTraceWhileLateSpansWrite(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
+}
+
+// TestTraceSaysWhatTheInferMemoDid: the root span of a POST /infer says
+// whether the answer was inferred and kept, found, or inferred and not kept (it
+// degraded), and a found one has no infer span under it: nothing was inferred.
+func TestTraceSaysWhatTheInferMemoDid(t *testing.T) {
+	_, dm := newDegradedServer(t)
+	for _, c := range []struct {
+		name, body string
+		m          *mediator.Mediator
+		memo       []string
+	}{
+		{"tight", d1Text + "\nv = SELECT P WHERE <department> P:<professor/> </department>", mediator.New("node"), []string{"kept", "hit", "hit"}},
+		{"degraded", blowupDTDText() + "\n" + blowupQueryText, dm, []string{"not_kept", "not_kept"}},
+	} {
+		tracer := obs.NewTracer(8)
+		h := New(c.m, WithTracer(tracer))
+		for i, want := range c.memo {
+			if rec := serveOnce(h, http.MethodPost, "/infer", c.body, ""); rec.Code != http.StatusOK {
+				t.Fatalf("%s, post %d: %d %s", c.name, i, rec.Code, rec.Body)
+			}
+			trace := tracer.Traces(1)[0]
+			var got string
+			for _, a := range trace.Spans[0].Attrs {
+				if a.Key == "infer_memo" {
+					got = a.Value
+				}
+			}
+			if got != want {
+				t.Errorf("%s, post %d: root span says infer_memo=%q, want %q", c.name, i, got, want)
+			}
+			if inferred := trace.Span("infer") != nil; inferred != (want != "hit") {
+				t.Errorf("%s, post %d (%s): an infer span was opened: %v", c.name, i, want, inferred)
+			}
+		}
+		if n := tracer.SpanDurations()["infer"].Count; n != int64(len(c.memo))-int64(strings.Count(strings.Join(c.memo, " "), "hit")) {
+			t.Errorf("%s: mix_span_duration_seconds{span=\"infer\"} counts %d runs over %v", c.name, n, c.memo)
+		}
+	}
 }
 
 // BenchmarkServeWarmQuery is the price of tracing, one `go test -bench` away:
