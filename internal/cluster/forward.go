@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/dtd"
 	"repro/internal/mediator"
@@ -31,6 +32,9 @@ type Forward struct {
 	// incomplete Forward is served but not cached, so the missing owners
 	// are retried on the next request.
 	complete bool
+	// answers is the picks memo of the document Fetch last returned (see
+	// answer.go); Fetch replaces it when the document changes.
+	answers atomic.Pointer[heldAnswers]
 }
 
 // Forward returns the transport for a view this node does not own,
@@ -144,15 +148,20 @@ func (f *Forward) SchemaText() string { return f.sources[0].SchemaText() }
 
 // Fetch retrieves the owner-materialized view document. The returned bool
 // reports stale service: every owner was down and the ReplicaSet served
-// its validated last-known-good copy.
+// its validated last-known-good copy. A document other than the last one
+// returned starts an empty picks memo, and the last one's memo is dropped.
 func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 	f.node.forwarded.Add(1)
 	ctx, stale := mediator.WithStaleNote(ctx)
 	doc, err := f.wrapper.Fetch(ctx)
 	if err != nil {
 		f.node.forwardErrors.Add(1)
+		return nil, false, err
 	}
-	return doc, stale.Load(), err
+	if held := f.answers.Load(); held == nil || held.doc != doc {
+		f.answers.Store(&heldAnswers{doc: doc})
+	}
+	return doc, stale.Load(), nil
 }
 
 // GetPath passes a sibling endpoint of the view (e.g. "/sdtd") through to

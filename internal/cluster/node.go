@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/automata/cache"
 	"repro/internal/mediator"
 )
 
@@ -68,9 +69,16 @@ type Node struct {
 	mu    sync.Mutex
 	slots map[string]*forwardSlot
 
-	forwarded     atomic.Int64
-	forwardErrors atomic.Int64
-	loopRejected  atomic.Int64
+	// plans is the forwarded-query plan memo: a query text → its *Plan (see
+	// answer.go).
+	plans *cache.Cache
+
+	forwarded        atomic.Int64
+	forwardErrors    atomic.Int64
+	loopRejected     atomic.Int64
+	planHits         atomic.Int64
+	answersReused    atomic.Int64
+	answersEvaluated atomic.Int64
 }
 
 // forwardSlot serializes construction of one view's Forward so a burst of
@@ -115,7 +123,8 @@ func NewNode(cfg Config) (*Node, error) {
 	if client == nil {
 		client = &http.Client{Timeout: mediator.DefaultHTTPTimeout}
 	}
-	return &Node{cfg: cfg, ring: ring, client: client, slots: map[string]*forwardSlot{}}, nil
+	return &Node{cfg: cfg, ring: ring, client: client, slots: map[string]*forwardSlot{},
+		plans: cache.New(forwardPlanCapacity)}, nil
 }
 
 // Self returns this node's name.
@@ -271,16 +280,19 @@ func (n *Node) Topology() Topology {
 // obs.MetricWriter.Struct under a node label; the ring shares are a
 // labelled family internal/serve spells out).
 type Metrics struct {
-	Self          string          `json:"self"`
-	Nodes         int             `json:"nodes" metric:"mix_cluster_nodes" help:"Mediator nodes in the cluster ring."`
-	VirtualNodes  int             `json:"virtual_nodes" metric:"mix_cluster_virtual_nodes" help:"Virtual nodes per member on the consistent-hash ring."`
-	OwnedViews    int             `json:"owned_views" metric:"mix_cluster_owned_views" help:"Cluster views this node owns (serves locally)."`
-	ForwardViews  int             `json:"forward_views" metric:"mix_cluster_forward_views" help:"Cluster views with a built peer-forward transport."`
-	Forwarded     int64           `json:"forwarded_requests" metric:"mix_cluster_forwarded_total" help:"Requests forwarded to peer mediator nodes."`
-	NotModified   int64           `json:"forwarded_not_modified" metric:"mix_cluster_forwarded_not_modified_total" help:"Owner fetches of the built forward transports answered 304 Not Modified (the owner's document was unchanged and not shipped)."`
-	ForwardErrors int64           `json:"forward_errors" metric:"mix_cluster_forward_errors_total" help:"Forwarded requests that failed (builds and fetches)."`
-	LoopRejected  int64           `json:"loop_rejected" metric:"mix_cluster_loop_rejected_total" help:"Requests rejected by the forwarding loop guard (421)."`
-	Ring          []NodeRingStats `json:"ring"`
+	Self             string          `json:"self"`
+	Nodes            int             `json:"nodes" metric:"mix_cluster_nodes" help:"Mediator nodes in the cluster ring."`
+	VirtualNodes     int             `json:"virtual_nodes" metric:"mix_cluster_virtual_nodes" help:"Virtual nodes per member on the consistent-hash ring."`
+	OwnedViews       int             `json:"owned_views" metric:"mix_cluster_owned_views" help:"Cluster views this node owns (serves locally)."`
+	ForwardViews     int             `json:"forward_views" metric:"mix_cluster_forward_views" help:"Cluster views with a built peer-forward transport."`
+	Forwarded        int64           `json:"forwarded_requests" metric:"mix_cluster_forwarded_total" help:"Requests forwarded to peer mediator nodes."`
+	NotModified      int64           `json:"forwarded_not_modified" metric:"mix_cluster_forwarded_not_modified_total" help:"Owner fetches of the built forward transports answered 304 Not Modified (the owner's document was unchanged and not shipped)."`
+	ForwardErrors    int64           `json:"forward_errors" metric:"mix_cluster_forward_errors_total" help:"Forwarded requests that failed (builds and fetches)."`
+	LoopRejected     int64           `json:"loop_rejected" metric:"mix_cluster_loop_rejected_total" help:"Requests rejected by the forwarding loop guard (421)."`
+	PlanHits         int64           `json:"forward_plan_hits" metric:"mix_cluster_forward_plan_hits_total" help:"Forwarded queries whose text found its plan (nothing parsed or prepared)."`
+	AnswersReused    int64           `json:"forwarded_answers_reused" metric:"mix_cluster_forwarded_answers_reused_total" help:"Forwarded queries answered with the picks kept beside the unchanged owner document (nothing walked)."`
+	AnswersEvaluated int64           `json:"forwarded_answers_evaluated" metric:"mix_cluster_forwarded_answers_evaluated_total" help:"Forwarded queries answered by walking the owner document."`
+	Ring             []NodeRingStats `json:"ring"`
 }
 
 // Metrics snapshots the node's forwarding counters and ring shares.
@@ -298,15 +310,18 @@ func (n *Node) Metrics() Metrics {
 		rep.Collect(f.wrapper)
 	}
 	return Metrics{
-		Self:          n.cfg.Self,
-		Nodes:         len(n.cfg.Nodes),
-		VirtualNodes:  n.ring.VirtualNodes(),
-		OwnedViews:    len(n.OwnedViews()),
-		ForwardViews:  len(built),
-		Forwarded:     n.forwarded.Load(),
-		NotModified:   rep.NotModified,
-		ForwardErrors: n.forwardErrors.Load(),
-		LoopRejected:  n.loopRejected.Load(),
-		Ring:          n.ring.Stats(),
+		Self:             n.cfg.Self,
+		Nodes:            len(n.cfg.Nodes),
+		VirtualNodes:     n.ring.VirtualNodes(),
+		OwnedViews:       len(n.OwnedViews()),
+		ForwardViews:     len(built),
+		Forwarded:        n.forwarded.Load(),
+		NotModified:      rep.NotModified,
+		ForwardErrors:    n.forwardErrors.Load(),
+		LoopRejected:     n.loopRejected.Load(),
+		PlanHits:         n.planHits.Load(),
+		AnswersReused:    n.answersReused.Load(),
+		AnswersEvaluated: n.answersEvaluated.Load(),
+		Ring:             n.ring.Stats(),
 	}
 }

@@ -150,7 +150,7 @@ func (d *DTD) streamTypeOf(name string) (streamType, bool) {
 				next[n] = k
 			}
 		}
-		next[name] = st
+		next[strings.Clone(name)] = st // name is a slice of the input: a key must not pin it
 		if d.streamTypes.CompareAndSwap(known, &next) {
 			return st, true
 		}

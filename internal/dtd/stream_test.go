@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/regex"
 	"repro/internal/xmlmodel"
@@ -122,6 +123,24 @@ func TestStreamTypesAreTheDTDs(t *testing.T) {
 	}
 	if _, remembered := (*d.streamTypes.Load())["dean"]; remembered {
 		t.Error("an undeclared name was remembered")
+	}
+
+	// A name met first in a document is remembered by a copy: a key that
+	// were a slice of the input would keep the whole input alive (an
+	// HTTPSource body, up to 16 MiB) as long as the DTD.
+	input := strings.Replace(validDoc, "</department>", "<course>c</course></department>", 1)
+	if err := d.ValidateStream(input); err != nil {
+		t.Fatal(err)
+	}
+	known = d.streamTypes.Load()
+	if _, resolved := (*known)["course"]; !resolved {
+		t.Fatal("a name met first in the input was not remembered")
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(input)))
+	for name := range *known {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(name))); lo <= p && p < lo+uintptr(len(input)) {
+			t.Errorf("the memo key %q lies inside the input it was met in", name)
+		}
 	}
 
 	// Redeclared, a name validates under its new type.

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dtd"
 	"repro/internal/xmas"
@@ -238,7 +239,7 @@ func TestReadBodyAllocatesTheDeclaredLength(t *testing.T) {
 		var got string
 		n := testing.AllocsPerRun(10, func() {
 			var err error
-			if got, err = readBody(strings.NewReader(body), c.declared); err != nil {
+			if got, err = readBody(strings.NewReader(body), c.declared, ""); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -251,13 +252,62 @@ func TestReadBodyAllocatesTheDeclaredLength(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got, err := readBody(strings.NewReader("tiny"), maxResponseBytes+1)
+	got, err := readBody(strings.NewReader("tiny"), maxResponseBytes+1, "")
 	runtime.ReadMemStats(&after)
 	if err != nil || got != "tiny" {
 		t.Fatalf("readBody = %q, %v", got, err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
 		t.Errorf("a declared length past the limit made a 4-byte body allocate %d bytes", grew)
+	}
+}
+
+// A body is compared with the held one as it arrives: one equal to it is the
+// held string itself and costs nothing, any other is the bytes sent — copied
+// from the first byte that differs, never aliasing what is held — whether
+// the peer declared its length or not.
+func TestReadBodyOfTheHeldBodyAllocs(t *testing.T) {
+	held := strings.Repeat("<p>abc</p>", 10<<10) // 100 KiB: four reads of the pooled chunk
+	flip := func(i int) string {
+		b := []byte(held)
+		b[i] ^= 1
+		return string(b)
+	}
+	for _, c := range []struct{ name, body string }{
+		{"equal", held},
+		{"differs at the first byte", flip(0)},
+		{"differs at the last byte", flip(len(held) - 1)},
+		{"shorter", held[:len(held)-1]},
+		{"longer", held + "<p/>"},
+	} {
+		for _, declared := range []bool{true, false} {
+			name := c.name
+			length := int64(len(c.body))
+			if !declared {
+				name += ", unknown length"
+				length = -1
+			}
+			body := strings.Clone(c.body) // what the wire brings is never the held string
+			r := strings.NewReader(body)
+			var got string
+			allocs := testing.AllocsPerRun(10, func() {
+				r.Reset(body)
+				var err error
+				if got, err = readBody(r, length, held); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			})
+			if got != c.body {
+				t.Errorf("%s: %d bytes read, not the %d sent", name, len(got), len(c.body))
+			}
+			heldItself := unsafe.StringData(got) == unsafe.StringData(held)
+			if equal := c.body == held; heldItself != equal {
+				t.Errorf("%s: the held string returned: %v", name, heldItself)
+			}
+			if c.body == held && allocs != 0 {
+				t.Errorf("%s: %v allocs, want none", name, allocs)
+			}
+		}
 	}
 }
 
@@ -309,11 +359,11 @@ func leastBytesPerRun(runs int, f func()) float64 {
 	return least
 }
 
-// A fetch that brings back the bytes already held costs the round trip and
-// the body it had to read to find that out: the same allocations whatever
-// the size, and no bytes beyond the body — no scan, no tree.
+// A fetch that brings back the bytes already held costs the round trip: the
+// same allocations whatever the size, and not even the body — it is compared
+// with the held one as it is read, not copied — let alone a scan or a tree.
 func TestRefetchOfUnchangedBytesAllocations(t *testing.T) {
-	measure := func(size int) (allocs, extra float64) {
+	measure := func(size int) (allocs, bytes float64) {
 		body := deptBodyOfSize(size, "")
 		src, _ := cannedSource(t, body)
 		first := mustFetch(t, src)
@@ -322,20 +372,21 @@ func TestRefetchOfUnchangedBytesAllocations(t *testing.T) {
 				t.Fatalf("refetch of the held bytes: same document %v, err %v", doc == first, err)
 			}
 		}
-		return testing.AllocsPerRun(30, fetch), bytesPerRun(30, fetch) - float64(len(body))
+		return testing.AllocsPerRun(30, fetch), leastBytesPerRun(30, fetch)
 	}
-	small, smallExtra := measure(16 << 10)
-	large, largeExtra := measure(1 << 20)
-	t.Logf("16 KiB: %v allocs, %.0f bytes beyond the body; 1 MiB: %v allocs, %.0f bytes beyond the body", small, smallExtra, large, largeExtra)
-	// Measured 11 and 11; a collection the 1 MiB bodies bring on may empty
+	small, smallBytes := measure(16 << 10)
+	large, largeBytes := measure(1 << 20)
+	t.Logf("16 KiB: %v allocs, %.0f bytes; 1 MiB: %v allocs, %.0f bytes", small, smallBytes, large, largeBytes)
+	// Measured 10 and 10; a collection the 1 MiB bodies bring on may empty
 	// the pool readBody's chunk comes from.
 	if large > small+3 {
 		t.Errorf("refetching 1 MiB of held bytes costs %v allocs, 16 KiB %v: the cost follows the body", large, small)
 	}
-	// The tree of the 16 KiB body alone is some 55 kB, of the 1 MiB some 3.5 MB.
-	for _, extra := range []float64{smallExtra, largeExtra} {
-		if extra > 40<<10 {
-			t.Errorf("a refetch of held bytes allocated %.0f bytes beyond the body, want the round trip's few (and a pooled 32 KiB chunk at most)", extra)
+	// The copy of the 16 KiB body alone is 16 kB, its tree some 55 kB; of the
+	// 1 MiB, 1 MB and some 3.5 MB.
+	for _, bytes := range []float64{smallBytes, largeBytes} {
+		if bytes > 8<<10 {
+			t.Errorf("a refetch of held bytes allocated %.0f bytes, want the round trip's few: the body was copied", bytes)
 		}
 	}
 }

@@ -92,3 +92,16 @@ func TestSplitAndMergeCSV(t *testing.T) {
 		t.Errorf("mergeCSV = %v, want insertion-ordered dedupe [a b c d]", got)
 	}
 }
+
+// A response without provenance headers — every forwarded fetch of a
+// complete, live owner answer — merges nothing and allocates nothing.
+func TestFromHeadersOfAbsentHeadersAllocs(t *testing.T) {
+	h := http.Header{"Content-Type": {"application/xml"}}
+	p := Provenance{StaleSources: []string{"kept"}}
+	if n := testing.AllocsPerRun(100, func() { p.FromHeaders(h) }); n != 0 {
+		t.Errorf("FromHeaders of absent headers: %v allocs, want 0", n)
+	}
+	if p.Degraded || len(p.DegradedSources)+len(p.PrunedSources) != 0 || fmt.Sprint(p.StaleSources) != "[kept]" {
+		t.Errorf("absent headers changed the provenance: %+v", p)
+	}
+}

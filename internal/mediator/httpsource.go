@@ -197,7 +197,7 @@ func NewHTTPSourceContext(ctx context.Context, client *http.Client, baseURL, vie
 	for _, opt := range opts {
 		opt(s)
 	}
-	resp, err := s.get(ctx, s.viewURL+"/dtd", "")
+	resp, err := s.get(ctx, s.viewURL+"/dtd", nil)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: fetching remote view DTD: %w", err)
 	}
@@ -222,7 +222,7 @@ func (s *HTTPSource) SchemaText() string { return s.rawDTD }
 // cluster tier uses it to pass through endpoints whose payload the
 // forwarding node cannot reconstruct from the schema and document alone.
 func (s *HTTPSource) GetPath(ctx context.Context, suffix string) (string, error) {
-	resp, err := s.get(ctx, s.viewURL+suffix, "")
+	resp, err := s.get(ctx, s.viewURL+suffix, nil)
 	return resp.body, err
 }
 
@@ -264,11 +264,8 @@ func (s *HTTPSource) Report(r *SourceReport) {
 // everyone. Every Fetch still asks the remote, so nothing is served that the
 // remote would not serve now.
 func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
-	kept, held := s.kept.Load(), ""
-	if kept != nil {
-		held = kept.tag
-	}
-	resp, err := s.get(ctx, s.viewURL, held)
+	kept := s.kept.Load()
+	resp, err := s.get(ctx, s.viewURL, kept)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: fetching remote view: %w", err)
 	}
@@ -328,12 +325,13 @@ type response struct {
 // equal-jitter randomization so a fleet of sources retrying the same dead
 // remote does not synchronize) and retry up to maxRetries times; any
 // other non-200, and an oversized body (ErrBodyTooLarge), fail
-// immediately with a *StatusError. A non-empty held makes the request
-// conditional (If-None-Match), and only then is a 304 an answer; one nobody
-// asked for fails like any other unusable status. Cancellation of ctx cuts
-// both the in-flight request (via the request context) and the backoff
-// sleeps.
-func (s *HTTPSource) get(ctx context.Context, url, held string) (response, error) {
+// immediately with a *StatusError. A held document (nil for none) makes the
+// request conditional (If-None-Match) when it has a tag, and only then is a
+// 304 an answer; one nobody asked for fails like any other unusable status.
+// Its body is what the response's is compared with as it is read (readBody).
+// Cancellation of ctx cuts both the in-flight request (via the request
+// context) and the backoff sleeps.
+func (s *HTTPSource) get(ctx context.Context, url string, held *keptDocument) (response, error) {
 	var lastErr error
 	backoff := s.backoff
 	if backoff > s.maxBackoff {
@@ -346,7 +344,7 @@ func (s *HTTPSource) get(ctx context.Context, url, held string) (response, error
 			return response{}, fmt.Errorf("GET %s: %w", url, err)
 		case err != nil:
 			lastErr = err
-		case resp.status == http.StatusOK, resp.status == http.StatusNotModified && held != "":
+		case resp.status == http.StatusOK, resp.status == http.StatusNotModified && held != nil && held.tag != "":
 			return resp, nil
 		case resp.status >= 500:
 			lastErr = &StatusError{URL: url, Status: resp.status, Body: strings.TrimSpace(resp.body)}
@@ -384,7 +382,7 @@ func jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-func (s *HTTPSource) tryGet(ctx context.Context, url, held string) (response, error) {
+func (s *HTTPSource) tryGet(ctx context.Context, url string, held *keptDocument) (response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return response{}, err
@@ -395,8 +393,12 @@ func (s *HTTPSource) tryGet(ctx context.Context, url, held string) (response, er
 		// loops (421, not retried — the path would be the same next time).
 		req.Header.Set(ForwardHeader, strings.Join(fi.Hops, ","))
 	}
-	if held != "" {
-		req.Header.Set("If-None-Match", held)
+	heldBody := ""
+	if held != nil {
+		heldBody = held.body
+		if held.tag != "" {
+			req.Header.Set("If-None-Match", held.tag)
+		}
 	}
 	if id := obs.TraceID(ctx); id != "" {
 		// The peer adopts it (obs.StartRequest): both ends of the hop file
@@ -408,7 +410,7 @@ func (s *HTTPSource) tryGet(ctx context.Context, url, held string) (response, er
 		return response{}, err
 	}
 	defer resp.Body.Close()
-	body, err := readBody(resp.Body, resp.ContentLength)
+	body, err := readBody(resp.Body, resp.ContentLength, heldBody)
 	if err != nil {
 		return response{status: resp.StatusCode}, err
 	}
@@ -430,16 +432,42 @@ var readBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
 // without a copy. It reads one byte past the limit: exactly-at-the-limit
 // bodies are legal, and anything longer is detected as oversized rather
 // than silently truncated into a parse failure on a cut-off document.
-func readBody(r io.Reader, contentLength int64) (string, error) {
+//
+// held is the body the source holds ("" for none). While what arrives is
+// held's prefix — a declared length other than held's rules that out at once
+// — it is compared, not copied: a body equal to held is returned as held
+// itself, and only the first differing byte copies the prefix read so far
+// and goes on as above.
+func readBody(r io.Reader, contentLength int64, held string) (string, error) {
 	var b strings.Builder
+	size := 0 // the declared length, when it is within the limit
 	if 0 < contentLength && contentLength <= maxResponseBytes {
-		b.Grow(int(contentLength))
+		size = int(contentLength)
+	}
+	// same is how much of held the body has matched, uncopied; -1 once the
+	// body is being copied.
+	same := -1
+	if held != "" && (contentLength < 0 || contentLength == int64(len(held))) {
+		same = 0
+	} else {
+		b.Grow(size)
 	}
 	buf := readBufs.Get().(*[32 << 10]byte)
 	defer readBufs.Put(buf)
-	for b.Len() <= maxResponseBytes {
-		n, err := r.Read(buf[:min(len(buf), maxResponseBytes+1-b.Len())])
-		b.Write(buf[:n])
+	for read := 0; read <= maxResponseBytes; {
+		n, err := r.Read(buf[:min(len(buf), maxResponseBytes+1-read)])
+		read += n
+		switch chunk := buf[:n]; {
+		case same < 0:
+			b.Write(chunk)
+		case n <= len(held)-same && held[same:same+n] == string(chunk):
+			same += n
+		default:
+			b.Grow(max(size, same+n))
+			b.WriteString(held[:same])
+			b.Write(chunk)
+			same = -1
+		}
 		if err == io.EOF {
 			break
 		}
@@ -447,7 +475,12 @@ func readBody(r io.Reader, contentLength int64) (string, error) {
 			return "", err
 		}
 	}
-	if b.Len() > maxResponseBytes {
+	switch {
+	case same == len(held):
+		return held, nil
+	case same >= 0: // a prefix of held, and a shorter body
+		return strings.Clone(held[:same]), nil
+	case b.Len() > maxResponseBytes:
 		return "", ErrBodyTooLarge
 	}
 	return b.String(), nil

@@ -482,6 +482,15 @@ func (m *Mediator) View(name string) (*View, error) {
 	return v, nil
 }
 
+// HasView reports whether a view is registered, building nothing: the
+// question a cluster node asks of every request before it forwards one.
+func (m *Mediator) HasView(name string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.views[name]
+	return ok
+}
+
 // Views lists registered view names, sorted.
 func (m *Mediator) Views() []string {
 	m.mu.Lock()

@@ -102,8 +102,12 @@ type prunedPart struct {
 // of a failed flight starts over with its own analysis.
 var errPlanNotKept = errors.New("mediator: query plan not kept")
 
-// QueryTextError is xmas.Parse's error for the text given to Mediator.Answer.
-type QueryTextError struct{ error }
+// QueryTextError is xmas.Parse's error for the text given to Mediator.Answer
+// (or forwarded to a cluster node's plan memo): the request's fault, a 400.
+type QueryTextError struct{ Err error }
+
+func (e QueryTextError) Error() string { return e.Err.Error() }
+func (e QueryTextError) Unwrap() error { return e.Err }
 
 // planFor returns the plan of q — when q is nil, of the query text spells —
 // against v, from the memo when the query was analysed before. hit reports
@@ -129,7 +133,7 @@ func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, text []b
 			return cached.(*queryPlan), true, true, nil
 		}
 		if q, err = xmas.Parse(string(text)); err != nil {
-			return nil, false, false, QueryTextError{err}
+			return nil, false, false, QueryTextError{Err: err}
 		}
 	}
 	key = q.AppendKey(key)

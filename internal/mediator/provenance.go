@@ -65,8 +65,12 @@ func (p *Provenance) FromHeaders(h http.Header) {
 }
 
 // mergeCSV appends the comma-separated names of csv to have, keeping the
-// result duplicate-free and insertion-ordered.
+// result duplicate-free and insertion-ordered. A header the peer did not send
+// merges nothing and costs nothing.
 func mergeCSV(have []string, csv string) []string {
+	if csv == "" {
+		return have
+	}
 	for _, n := range splitCSV(csv) {
 		if !slices.Contains(have, n) {
 			have = append(have, n)

@@ -10,9 +10,8 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/engine"
 	"repro/internal/mediator"
-	"repro/internal/xmas"
+	"repro/internal/obs"
 	"repro/internal/xmlmodel"
 )
 
@@ -39,7 +38,7 @@ func (h *Handler) forwarded(w http.ResponseWriter, r *http.Request, name string)
 	if h.cluster == nil {
 		return nil, nil, nil, false
 	}
-	if _, err := h.m.View(name); err == nil {
+	if h.m.HasView(name) {
 		return nil, nil, nil, false // locally defined: serve it here
 	}
 	if !h.cluster.Knows(name) {
@@ -126,14 +125,19 @@ func (h *Handler) forwardView(w http.ResponseWriter, r *http.Request, fwd *clust
 // simplification are answer-preserving by the differential tests — though
 // the simplifier stat headers (X-Mix-Skipped and friends) are absent,
 // since no simplification ran here; X-Mix-Forwarded marks the difference.
+//
+// The text finds its plan in the node's memo (a repeat parses nothing), and
+// over a document the owner said is unchanged the plan finds its picks beside
+// it (a repeat walks nothing); the fetch itself is never skipped, so nothing
+// is served that the owner would not serve now.
 func (h *Handler) forwardQuery(w http.ResponseWriter, r *http.Request, fwd *cluster.Forward, ctx context.Context, fi *mediator.ForwardInfo) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	q, err := xmas.Parse(string(body))
+	plan, err := h.cluster.Plan(string(body))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
 	doc, stale, err := fwd.Fetch(ctx)
@@ -143,13 +147,16 @@ func (h *Handler) forwardQuery(w http.ResponseWriter, r *http.Request, fwd *clus
 	}
 	// The fetched document is read-only here, so the answer's root holds
 	// the picked elements themselves, as Mediator.Query's does.
-	picks, err := engine.EvalElements(q, doc)
+	root, reused, err := fwd.Answer(plan, doc)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	root := engine.EmptyResult(q).Root
-	root.Children = picks
+	answer := "evaluated"
+	if reused {
+		answer = "reused"
+	}
+	obs.SetAttr(ctx, obs.String("forwarded_answer", answer))
 	h.setForwardHeaders(w, fi, fwd, stale)
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 	writeAnswer(ctx, w, "", func(w io.Writer) error { return xmlmodel.WriteElement(w, root, 2) })

@@ -95,9 +95,12 @@ func BenchmarkForwardHopChanged(b *testing.B) {
 // forwarded GET and a warm forwarded query, the owner's document unchanged,
 // counted from the forwarder's handler in (the owner answers over loopback in
 // this process, so its 304 is in the count too — and its trace: a hop is two
-// traced requests). Measured 135 and 150 (144 and 157 under -race, which
-// `make race` runs this with), ceilings + 10 %; they were 165 and 180 while a
-// trace was an object per span and a copy per End.
+// traced requests). The query finds its plan by its text and its picks beside
+// the unchanged document: it parses nothing and walks nothing. Measured 129
+// and 128 (136 and 135 under -race, which `make race` runs this with),
+// ceilings + 10 %; they were 135 and 150 while the forwarder parsed and
+// walked every query, 165 and 180 while a trace was an object per span and a
+// copy per End.
 func TestForwardHopNotModifiedAllocs(t *testing.T) {
 	owner, _ := newServerAndMediator(t)
 	node, err := cluster.NewNode(cluster.Config{
@@ -114,8 +117,8 @@ func TestForwardHopNotModifiedAllocs(t *testing.T) {
 		name, method, path, body string
 		ceiling                  float64
 	}{
-		{"GET", http.MethodGet, "/views/members", "", 148},
-		{"query", http.MethodPost, "/views/members/query", q, 165},
+		{"GET", http.MethodGet, "/views/members", "", 142},
+		{"query", http.MethodPost, "/views/members/query", q, 141},
 	} {
 		do := func() {
 			rec := httptest.NewRecorder()
@@ -125,10 +128,15 @@ func TestForwardHopNotModifiedAllocs(t *testing.T) {
 			}
 		}
 		do() // builds the transport, fetches the document, keeps the pair
-		before := node.Metrics().NotModified
+		before := node.Metrics()
 		n := testing.AllocsPerRun(50, do)
-		if got := node.Metrics().NotModified - before; got != 51 {
+		after := node.Metrics()
+		if got := after.NotModified - before.NotModified; got != 51 {
 			t.Fatalf("%s: %d of 51 forwarded reads were not modified", c.name, got)
+		}
+		if c.body != "" && (after.PlanHits-before.PlanHits != 51 || after.AnswersReused-before.AnswersReused != 51) {
+			t.Fatalf("%s: %d plan hits and %d reused answers in 51 reads", c.name,
+				after.PlanHits-before.PlanHits, after.AnswersReused-before.AnswersReused)
 		}
 		t.Logf("warm forwarded %s: %v allocs", c.name, n)
 		if n > c.ceiling {

@@ -34,6 +34,13 @@ func (s *swapHandler) set(h http.Handler) { s.h.Store(&h) }
 // everything.
 func forwarderFor(t *testing.T, ownerURL, view string) *httptest.Server {
 	t.Helper()
+	srv, _, _ := forwarderNode(t, ownerURL, view)
+	return srv
+}
+
+// forwarderNode is forwarderFor with the node and handler behind the server.
+func forwarderNode(t *testing.T, ownerURL, view string) (*httptest.Server, *cluster.Node, *Handler) {
+	t.Helper()
 	node, err := cluster.NewNode(cluster.Config{
 		Self:   "beta",
 		Nodes:  map[string]string{"alpha": ownerURL, "beta": ""},
@@ -42,9 +49,10 @@ func forwarderFor(t *testing.T, ownerURL, view string) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(mediator.New("beta-med"), WithCluster(node)))
+	h := New(mediator.New("beta-med"), WithCluster(node))
+	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
-	return srv
+	return srv, node, h
 }
 
 // TestClusterForwardBitIdentical: every view endpoint of a non-owner

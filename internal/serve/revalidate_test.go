@@ -132,13 +132,18 @@ func condGet(t *testing.T, url, ifNoneMatch string) (int, string, http.Header) {
 // Forwarded GETs and query answers stay byte-identical to the owner's while
 // the owner's document changes under it — by source, wholesale, and across a
 // restart that resets every generation — and an unchanged document is not
-// shipped again.
+// shipped again. The forwarder plans the query's text once and walks each
+// document it is handed once: a repeat over an unchanged document reuses the
+// picks, the first query over a changed one walks it.
 func TestForwardedAnswersFollowTheOwner(t *testing.T) {
 	owner := newChangingOwner(t)
-	fwd := forwarderFor(t, owner.srv.URL, "members")
+	fwd, node, h := forwarderNode(t, owner.srv.URL, "members")
 	const q = `r = SELECT P WHERE <members> P:<professor/> </members>`
-	same := func(step string) {
+	// same reads the view and asks q on both nodes; the forwarder's one query
+	// must move its counters by exactly hits, reused and evaluated.
+	same := func(step string, hits, reused, evaluated int64) {
 		t.Helper()
+		before := node.Metrics()
 		ownCode, ownBody, ownHdr := get(t, owner.srv.URL+"/views/members")
 		fwdCode, fwdBody, fwdHdr := get(t, fwd.URL+"/views/members")
 		if ownCode != 200 || fwdCode != 200 || ownBody != fwdBody {
@@ -155,36 +160,155 @@ func TestForwardedAnswersFollowTheOwner(t *testing.T) {
 		if ownCode != 200 || fwdCode != 200 || ownBody != fwdBody {
 			t.Fatalf("%s: query owner %d, forwarder %d, identical %v", step, ownCode, fwdCode, ownBody == fwdBody)
 		}
+		after := node.Metrics()
+		if got := [3]int64{after.PlanHits - before.PlanHits, after.AnswersReused - before.AnswersReused,
+			after.AnswersEvaluated - before.AnswersEvaluated}; got != [3]int64{hits, reused, evaluated} {
+			t.Errorf("%s: plan hits, answers reused, answers evaluated moved by %v, want %v", step, got, [3]int64{hits, reused, evaluated})
+		}
+		want := "evaluated"
+		if reused == 1 {
+			want = "reused"
+		}
+		if attr := rootAttr(h, "forwarded_answer"); attr != want {
+			t.Errorf("%s: the forwarder's request span says forwarded_answer=%q, want %q", step, attr, want)
+		}
 	}
-	same("first contact")
+	same("first contact", 0, 0, 1)
 	owner.counts.take()
-	same("unchanged")
-	if full, notModified := owner.counts.take(); full != 1 || notModified != 2 {
-		// The test's own GET of the owner is the 200; the forwarder's two
-		// fetches (its GET, its query) found nothing new.
-		t.Errorf("an unchanged owner answered %d × 200 and %d × 304, want 1 and 2", full, notModified)
+	same("unchanged", 1, 1, 0)
+	same("a repeat", 1, 1, 0)
+	if full, notModified := owner.counts.take(); full != 2 || notModified != 4 {
+		// The test's own GETs of the owner are the 200s; the forwarder's
+		// fetches (its GET, its query, twice) found nothing new.
+		t.Errorf("an unchanged owner answered %d × 200 and %d × 304, want 2 and 4", full, notModified)
 	}
 
+	// Each change: the forwarder's GET brings the new document, and its query
+	// — revalidated, the same document — walks it once.
 	owner.src.version.Add(1)
 	if _, err := owner.med.InvalidateSource("cs-dept"); err != nil {
 		t.Fatal(err)
 	}
-	same("after InvalidateSource")
+	same("after InvalidateSource", 1, 0, 1)
 	owner.src.version.Add(1)
 	owner.med.Invalidate()
-	same("after Invalidate")
+	same("after Invalidate", 1, 0, 1)
 	if full, notModified := owner.counts.take(); full != 4 || notModified != 2 {
 		// Per step: the test's GET and the forwarder's first fetch ship the
 		// new document, its second fetch revalidates it.
 		t.Errorf("two changes: %d × 200 and %d × 304, want 4 and 2", full, notModified)
 	}
+	same("after Invalidate, unchanged", 1, 1, 0)
 
 	// A restarted owner counts its generations from zero again, over a
 	// changed source: the tag the forwarder holds must not match by accident.
 	owner.src.version.Add(1)
 	owner.restart(t)
-	same("after a restart")
-	same("after a restart, unchanged")
+	same("after a restart", 1, 0, 1)
+	same("after a restart, unchanged", 1, 1, 0)
+
+	// A text that does not parse is the client's fault, on both nodes alike,
+	// and leaves no plan behind to be found.
+	before := node.Metrics()
+	for i := 0; i < 2; i++ {
+		ownCode, ownBody := postBody(t, owner.srv.URL+"/views/members/query", "r = SELECT")
+		fwdCode, fwdBody := postBody(t, fwd.URL+"/views/members/query", "r = SELECT")
+		if ownCode != http.StatusBadRequest || fwdCode != ownCode || fwdBody != ownBody {
+			t.Errorf("an unparseable text, try %d: owner %d %q, forwarder %d %q", i, ownCode, ownBody, fwdCode, fwdBody)
+		}
+	}
+	if after := node.Metrics(); after.PlanHits != before.PlanHits || after.AnswersReused+after.AnswersEvaluated != before.AnswersReused+before.AnswersEvaluated {
+		t.Errorf("an unparseable text found a plan (%d hits) or was answered", after.PlanHits-before.PlanHits)
+	}
+}
+
+// rootAttr is the value of key on the root span of h's newest trace.
+func rootAttr(h *Handler, key string) string {
+	for _, tr := range h.Tracer().Traces(1) {
+		for _, a := range tr.Spans[0].Attrs {
+			if a.Key == key {
+				return a.Value
+			}
+		}
+	}
+	return ""
+}
+
+// Meaningful under -race: forwarded readers share the plan memo and the
+// picks memo while the owner's document changes under them, and every answer
+// is byte for byte the owner's answer of one of the versions.
+func TestForwardedReadersDuringOwnerChanges(t *testing.T) {
+	owner := newChangingOwner(t)
+	fwd, node, _ := forwarderNode(t, owner.srv.URL, "members")
+	queries := []string{
+		`r = SELECT P WHERE <members> P:<professor/> </members>`,
+		`r = SELECT G WHERE <members> G:<gradStudent/> </members>`,
+		`r = SELECT P WHERE <members> <professor> P:<publication/> </professor> </members>`,
+	}
+	const versions = 4
+	// The owner's answers per version, asked before the race: a version's
+	// document depends on nothing else.
+	var want [versions][]string
+	for v := range want {
+		owner.src.version.Store(int64(v))
+		owner.med.Invalidate()
+		for _, q := range queries {
+			code, body := postBody(t, owner.srv.URL+"/views/members/query", q)
+			if code != 200 {
+				t.Fatalf("owner, version %d: %d %s", v, code, body)
+			}
+			want[v] = append(want[v], body)
+		}
+	}
+	owner.src.version.Store(0)
+	owner.med.Invalidate()
+	const readers, reads = 4, 24
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				qi := (g + i) % len(queries)
+				resp, err := http.Post(fwd.URL+"/views/members/query", "text/plain", strings.NewReader(queries[qi]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				known := false
+				for v := range want {
+					known = known || string(body) == want[v][qi]
+				}
+				if resp.StatusCode != 200 || !known {
+					t.Errorf("reader %d, read %d: %d, not the owner's answer of any version:\n%s", g, i, resp.StatusCode, body)
+					return
+				}
+			}
+		}(g)
+	}
+	for v := 1; v < versions; v++ {
+		owner.src.version.Store(int64(v))
+		if _, err := owner.med.InvalidateSource("cs-dept"); err != nil {
+			t.Fatal(err)
+		}
+		get(t, fwd.URL+"/views/members")
+	}
+	wg.Wait()
+
+	m := node.Metrics()
+	// Two first requests for one text may both plan it; no text is planned
+	// by more than every reader.
+	if m.AnswersReused+m.AnswersEvaluated != readers*reads ||
+		m.PlanHits < int64(readers*reads-readers*len(queries)) || m.PlanHits > int64(readers*reads-len(queries)) {
+		t.Errorf("%d reused + %d evaluated answers for %d reads, %d plan hits", m.AnswersReused, m.AnswersEvaluated, readers*reads, m.PlanHits)
+	}
+	for qi, q := range queries {
+		if code, body := postBody(t, fwd.URL+"/views/members/query", q); code != 200 || body != want[versions-1][qi] {
+			t.Errorf("after the changes, query %d: %d, the owner's last answer: %v", qi, code, body == want[versions-1][qi])
+		}
+	}
 }
 
 // A client's conditional GET is answered alike by owner and forwarder: 304
