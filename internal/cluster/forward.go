@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dtd"
 	"repro/internal/mediator"
+	"repro/internal/obs"
 	"repro/internal/xmlmodel"
 )
 
@@ -35,6 +36,8 @@ type Forward struct {
 	// answers is the picks memo of the document Fetch last returned (see
 	// answer.go); Fetch replaces it when the document changes.
 	answers atomic.Pointer[heldAnswers]
+	// slot is the view's, where its lease lives (lease.go).
+	slot *forwardSlot
 }
 
 // Forward returns the transport for a view this node does not own,
@@ -55,7 +58,7 @@ func (n *Node) Forward(ctx context.Context, view string) (*Forward, error) {
 	if f := slot.fwd.Load(); f != nil {
 		return f, nil
 	}
-	f, err := n.buildForward(ctx, view)
+	f, err := n.buildForward(ctx, view, slot)
 	if err != nil {
 		n.forwardErrors.Add(1)
 		return nil, err
@@ -66,7 +69,7 @@ func (n *Node) Forward(ctx context.Context, view string) (*Forward, error) {
 	return f, nil
 }
 
-func (n *Node) buildForward(ctx context.Context, view string) (*Forward, error) {
+func (n *Node) buildForward(ctx context.Context, view string, slot *forwardSlot) (*Forward, error) {
 	owners := n.Owners(view)
 	var peers []string
 	for _, o := range owners {
@@ -107,6 +110,7 @@ func (n *Node) buildForward(ctx context.Context, view string) (*Forward, error) 
 		owners:   owners,
 		sources:  sources,
 		complete: len(sources) == len(peers),
+		slot:     slot,
 	}
 	if len(sources) == 1 {
 		f.wrapper = sources[0]
@@ -150,18 +154,45 @@ func (f *Forward) SchemaText() string { return f.sources[0].SchemaText() }
 // reports stale service: every owner was down and the ReplicaSet served
 // its validated last-known-good copy. A document other than the last one
 // returned starts an empty picks memo, and the last one's memo is dropped.
+//
+// While a lease on the view runs (lease.go), Fetch asks nobody: it returns
+// the leased document and replays into the context's ForwardInfo the tag
+// and provenance its fetch captured. Otherwise it asks the owner, and keeps
+// the lease a complete, live answer was granted with — for its term counted
+// from before the request went out, unless a revocation arrived meanwhile.
+// The root span says which: forward_fetch=leased, not_modified (the owner's
+// document as held) or changed.
 func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
-	f.node.forwarded.Add(1)
-	ctx, stale := mediator.WithStaleNote(ctx)
-	doc, err := f.wrapper.Fetch(ctx)
+	n := f.node
+	n.forwarded.Add(1)
+	fi := mediator.ForwardInfoFrom(ctx)
+	sent := n.now()
+	if l := f.slot.leased(sent); l != nil {
+		n.leaseHits.Add(1)
+		fi.Replay(l.captured)
+		obs.SetAttr(ctx, obs.String("forward_fetch", "leased"))
+		return l.doc, false, nil
+	}
+	epoch := f.slot.epoch.Load()
+	fetchCtx, stale := mediator.WithStaleNote(ctx)
+	doc, err := f.wrapper.Fetch(fetchCtx)
 	if err != nil {
-		f.node.forwardErrors.Add(1)
+		n.forwardErrors.Add(1)
 		return nil, false, err
 	}
+	fetched := "not_modified"
 	if held := f.answers.Load(); held == nil || held.doc != doc {
 		f.answers.Store(&heldAnswers{doc: doc})
+		fetched = "changed"
 	}
-	return doc, stale.Load(), nil
+	obs.SetAttr(ctx, obs.String("forward_fetch", fetched))
+	if isStale := stale.Load(); isStale || fi == nil {
+		return doc, isStale, nil
+	}
+	if term := min(fi.Lease(), LeaseTerm); term > 0 {
+		f.slot.install(epoch, &heldLease{doc: doc, captured: fi.Capture(), expires: sent.Add(term)})
+	}
+	return doc, false, nil
 }
 
 // GetPath passes a sibling endpoint of the view (e.g. "/sdtd") through to

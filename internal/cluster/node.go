@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/automata/cache"
 	"repro/internal/mediator"
@@ -73,21 +74,39 @@ type Node struct {
 	// answer.go).
 	plans *cache.Cache
 
-	forwarded        atomic.Int64
-	forwardErrors    atomic.Int64
-	loopRejected     atomic.Int64
-	planHits         atomic.Int64
-	answersReused    atomic.Int64
-	answersEvaluated atomic.Int64
+	// grants are the leases this node gave as an owner (lease.go), started
+	// when it began to give them. now and sleep are the clock leases are
+	// counted and waited out on.
+	grants  grants
+	started time.Time
+	now     func() time.Time
+	sleep   func(time.Duration)
+
+	forwarded            atomic.Int64
+	forwardErrors        atomic.Int64
+	loopRejected         atomic.Int64
+	planHits             atomic.Int64
+	answersReused        atomic.Int64
+	answersEvaluated     atomic.Int64
+	leaseHits            atomic.Int64
+	leasesGranted        atomic.Int64
+	revocationsSent      atomic.Int64
+	revocationsWaitedOut atomic.Int64
 }
 
 // forwardSlot serializes construction of one view's Forward so a burst of
 // first requests builds the peer transports once, not once per request.
 // The built Forward publishes through an atomic pointer so metrics reads
-// never block behind a slow in-flight build.
+// never block behind a slow in-flight build. The slot also holds the view's
+// lease (lease.go), which outlives a Forward that was not cached: epoch moves
+// with every revocation, and lease is written under leaseMu.
 type forwardSlot struct {
 	mu  sync.Mutex
 	fwd atomic.Pointer[Forward]
+
+	leaseMu sync.Mutex
+	epoch   atomic.Uint64
+	lease   atomic.Pointer[heldLease]
 }
 
 // NewNode validates the configuration and builds the ring.
@@ -124,7 +143,8 @@ func NewNode(cfg Config) (*Node, error) {
 		client = &http.Client{Timeout: mediator.DefaultHTTPTimeout}
 	}
 	return &Node{cfg: cfg, ring: ring, client: client, slots: map[string]*forwardSlot{},
-		plans: cache.New(forwardPlanCapacity)}, nil
+		plans: cache.New(forwardPlanCapacity), grants: grants{views: map[string]*viewGrants{}},
+		started: time.Now(), now: time.Now, sleep: time.Sleep}, nil
 }
 
 // Self returns this node's name.
@@ -280,19 +300,23 @@ func (n *Node) Topology() Topology {
 // obs.MetricWriter.Struct under a node label; the ring shares are a
 // labelled family internal/serve spells out).
 type Metrics struct {
-	Self             string          `json:"self"`
-	Nodes            int             `json:"nodes" metric:"mix_cluster_nodes" help:"Mediator nodes in the cluster ring."`
-	VirtualNodes     int             `json:"virtual_nodes" metric:"mix_cluster_virtual_nodes" help:"Virtual nodes per member on the consistent-hash ring."`
-	OwnedViews       int             `json:"owned_views" metric:"mix_cluster_owned_views" help:"Cluster views this node owns (serves locally)."`
-	ForwardViews     int             `json:"forward_views" metric:"mix_cluster_forward_views" help:"Cluster views with a built peer-forward transport."`
-	Forwarded        int64           `json:"forwarded_requests" metric:"mix_cluster_forwarded_total" help:"Requests forwarded to peer mediator nodes."`
-	NotModified      int64           `json:"forwarded_not_modified" metric:"mix_cluster_forwarded_not_modified_total" help:"Owner fetches of the built forward transports answered 304 Not Modified (the owner's document was unchanged and not shipped)."`
-	ForwardErrors    int64           `json:"forward_errors" metric:"mix_cluster_forward_errors_total" help:"Forwarded requests that failed (builds and fetches)."`
-	LoopRejected     int64           `json:"loop_rejected" metric:"mix_cluster_loop_rejected_total" help:"Requests rejected by the forwarding loop guard (421)."`
-	PlanHits         int64           `json:"forward_plan_hits" metric:"mix_cluster_forward_plan_hits_total" help:"Forwarded queries whose text found its plan (nothing parsed or prepared)."`
-	AnswersReused    int64           `json:"forwarded_answers_reused" metric:"mix_cluster_forwarded_answers_reused_total" help:"Forwarded queries answered with the picks kept beside the unchanged owner document (nothing walked)."`
-	AnswersEvaluated int64           `json:"forwarded_answers_evaluated" metric:"mix_cluster_forwarded_answers_evaluated_total" help:"Forwarded queries answered by walking the owner document."`
-	Ring             []NodeRingStats `json:"ring"`
+	Self                 string          `json:"self"`
+	Nodes                int             `json:"nodes" metric:"mix_cluster_nodes" help:"Mediator nodes in the cluster ring."`
+	VirtualNodes         int             `json:"virtual_nodes" metric:"mix_cluster_virtual_nodes" help:"Virtual nodes per member on the consistent-hash ring."`
+	OwnedViews           int             `json:"owned_views" metric:"mix_cluster_owned_views" help:"Cluster views this node owns (serves locally)."`
+	ForwardViews         int             `json:"forward_views" metric:"mix_cluster_forward_views" help:"Cluster views with a built peer-forward transport."`
+	Forwarded            int64           `json:"forwarded_requests" metric:"mix_cluster_forwarded_total" help:"Requests forwarded to peer mediator nodes."`
+	NotModified          int64           `json:"forwarded_not_modified" metric:"mix_cluster_forwarded_not_modified_total" help:"Owner fetches of the built forward transports answered 304 Not Modified (the owner's document was unchanged and not shipped)."`
+	ForwardErrors        int64           `json:"forward_errors" metric:"mix_cluster_forward_errors_total" help:"Forwarded requests that failed (builds and fetches)."`
+	LoopRejected         int64           `json:"loop_rejected" metric:"mix_cluster_loop_rejected_total" help:"Requests rejected by the forwarding loop guard (421)."`
+	PlanHits             int64           `json:"forward_plan_hits" metric:"mix_cluster_forward_plan_hits_total" help:"Forwarded queries whose text found its plan (nothing parsed or prepared)."`
+	AnswersReused        int64           `json:"forwarded_answers_reused" metric:"mix_cluster_forwarded_answers_reused_total" help:"Forwarded queries answered with the picks kept beside the unchanged owner document (nothing walked)."`
+	AnswersEvaluated     int64           `json:"forwarded_answers_evaluated" metric:"mix_cluster_forwarded_answers_evaluated_total" help:"Forwarded queries answered by walking the owner document."`
+	LeaseHits            int64           `json:"lease_hits" metric:"mix_cluster_lease_hits_total" help:"Forwarded reads answered from a running lease on the owner's document (no round trip)."`
+	LeasesGranted        int64           `json:"leases_granted" metric:"mix_cluster_leases_granted_total" help:"Leases this node granted as an owner: a member's view GET answered with a complete, live document."`
+	RevocationsSent      int64           `json:"revocations_sent" metric:"mix_cluster_revocations_sent_total" help:"Lease revocations this node sent to holders before acknowledging an invalidation."`
+	RevocationsWaitedOut int64           `json:"revocations_waited_out" metric:"mix_cluster_revocations_waited_out_total" help:"Sent revocations the holder did not acknowledge, waited out to the end of its lease."`
+	Ring                 []NodeRingStats `json:"ring"`
 }
 
 // Metrics snapshots the node's forwarding counters and ring shares.
@@ -310,18 +334,22 @@ func (n *Node) Metrics() Metrics {
 		rep.Collect(f.wrapper)
 	}
 	return Metrics{
-		Self:             n.cfg.Self,
-		Nodes:            len(n.cfg.Nodes),
-		VirtualNodes:     n.ring.VirtualNodes(),
-		OwnedViews:       len(n.OwnedViews()),
-		ForwardViews:     len(built),
-		Forwarded:        n.forwarded.Load(),
-		NotModified:      rep.NotModified,
-		ForwardErrors:    n.forwardErrors.Load(),
-		LoopRejected:     n.loopRejected.Load(),
-		PlanHits:         n.planHits.Load(),
-		AnswersReused:    n.answersReused.Load(),
-		AnswersEvaluated: n.answersEvaluated.Load(),
-		Ring:             n.ring.Stats(),
+		Self:                 n.cfg.Self,
+		Nodes:                len(n.cfg.Nodes),
+		VirtualNodes:         n.ring.VirtualNodes(),
+		OwnedViews:           len(n.OwnedViews()),
+		ForwardViews:         len(built),
+		Forwarded:            n.forwarded.Load(),
+		NotModified:          rep.NotModified,
+		ForwardErrors:        n.forwardErrors.Load(),
+		LoopRejected:         n.loopRejected.Load(),
+		PlanHits:             n.planHits.Load(),
+		AnswersReused:        n.answersReused.Load(),
+		AnswersEvaluated:     n.answersEvaluated.Load(),
+		LeaseHits:            n.leaseHits.Load(),
+		LeasesGranted:        n.leasesGranted.Load(),
+		RevocationsSent:      n.revocationsSent.Load(),
+		RevocationsWaitedOut: n.revocationsWaitedOut.Load(),
+		Ring:                 n.ring.Stats(),
 	}
 }

@@ -22,13 +22,13 @@ import (
 // the identical sources and views. The campaign asserts the distributed
 // tier's contract: every response from every node is bit-identical to
 // the single node's; sustained mixed traffic across the fleet sees zero
-// errors, and its forwarders revalidate the owners' unchanged documents
-// (304) instead of downloading them again; a source that changes under an
-// owner-side invalidation shows its new version on every forwarder's very
+// errors, and its forwarders answer the owners' unchanged documents without
+// downloading them again (a lease hit or a 304); a source that changes under
+// an owner-side invalidation shows its new version on every forwarder's very
 // next read; and killing one node leaves views it does not own serving with
-// zero errors, fails replicated views over to the surviving owner, and
-// turns its unreplicated views into fast, clearly-attributed 502s — the
-// error taxonomy, not hangs.
+// zero errors, fails replicated views over to the surviving owner, and —
+// once the dead owner's leases have run out — turns its unreplicated views
+// into fast, clearly-attributed 502s: the error taxonomy, not hangs.
 type ClusterOptions struct {
 	// Seed fixes the synthesized views and corpora.
 	Seed int64
@@ -85,6 +85,9 @@ type ClusterPhase struct {
 	// forward transports that an owner answered 304: forwarded reads that
 	// found the owner's document as the forwarder last saw it.
 	NotModified int64 `json:"not_modified"`
+	// LeaseHits counts, over the phase, the forwarded reads answered from a
+	// running lease on the owner's document, without asking the owner.
+	LeaseHits int64 `json:"lease_hits"`
 	// shed counts the phase's requests the open loop dropped because every
 	// in-flight slot was taken; the summary shows it, the archive's keys
 	// stay as they are.
@@ -126,8 +129,9 @@ type ClusterReport struct {
 	StaleReads        int64 `json:"stale_reads"`
 
 	// OrphanProbes / OrphanBadStatus cover the victim's unreplicated
-	// views after the kill: every probe must complete with 502 (a clear
-	// forwarding error), never hang or 200.
+	// views once cluster.LeaseTerm has passed since the kill: every probe
+	// must complete with 502 (a clear forwarding error), never hang or
+	// 200. Within the term a forwarder may still answer from its lease.
 	OrphanProbes    int64 `json:"orphan_probes"`
 	OrphanBadStatus int64 `json:"orphan_bad_status"`
 
@@ -147,9 +151,9 @@ func (r *ClusterReport) Summary() string {
 	if r.FirstMismatch != "" {
 		fmt.Fprintf(&b, "    first: %s\n", r.FirstMismatch)
 	}
-	fmt.Fprintf(&b, "  load:      n=%-5d err=%-3d shed=%-3d forwarded=%d not-modified=%d\n", r.Load.Requests, r.Load.Errors, r.Load.shed, r.Load.Forwarded, r.Load.NotModified)
+	fmt.Fprintf(&b, "  load:      n=%-5d err=%-3d shed=%-3d forwarded=%d not-modified=%d lease-hits=%d\n", r.Load.Requests, r.Load.Errors, r.Load.shed, r.Load.Forwarded, r.Load.NotModified, r.Load.LeaseHits)
 	fmt.Fprintf(&b, "  revalidation: %d reads after a change of every source, %d stale\n", r.RevalidationReads, r.StaleReads)
-	fmt.Fprintf(&b, "  survivors: n=%-5d err=%-3d shed=%-3d forwarded=%d not-modified=%d\n", r.Survivors.Requests, r.Survivors.Errors, r.Survivors.shed, r.Survivors.Forwarded, r.Survivors.NotModified)
+	fmt.Fprintf(&b, "  survivors: n=%-5d err=%-3d shed=%-3d forwarded=%d not-modified=%d lease-hits=%d\n", r.Survivors.Requests, r.Survivors.Errors, r.Survivors.shed, r.Survivors.Forwarded, r.Survivors.NotModified, r.Survivors.LeaseHits)
 	fmt.Fprintf(&b, "  orphans:   %d probes, %d with wrong status\n", r.OrphanProbes, r.OrphanBadStatus)
 	return b.String() + trailer("cluster", r.Checks, r.Pass)
 }
@@ -353,14 +357,14 @@ func (f *clusterFixture) equivalence(ctx context.Context, rep *ClusterReport) {
 // round-robin over the given nodes and views, read off into out.
 func (f *clusterFixture) traffic(name string, enter func(), nodes []*clusterNodeFix, views []string, out *ClusterPhase) phase {
 	var requests, failed, forwarded atomic.Int64
-	var notModifiedBefore int64
+	var before cluster.Metrics
 	p := phase{
 		name: name,
 		enter: func() {
 			if enter != nil {
 				enter()
 			}
-			notModifiedBefore = notModified(nodes)
+			before = sumMetrics(nodes)
 		},
 		fire: func(ctx context.Context, i int) {
 			view := views[i/2%len(views)]
@@ -378,8 +382,9 @@ func (f *clusterFixture) traffic(name string, enter func(), nodes []*clusterNode
 			}
 		},
 		exit: func(_ context.Context, shed int) {
+			after := sumMetrics(nodes)
 			*out = ClusterPhase{Requests: requests.Load(), Errors: failed.Load(), Forwarded: forwarded.Load(),
-				NotModified: notModified(nodes) - notModifiedBefore, shed: shed}
+				NotModified: after.NotModified - before.NotModified, LeaseHits: after.LeaseHits - before.LeaseHits, shed: shed}
 		},
 	}
 	if len(nodes) == 0 || len(views) == 0 {
@@ -388,21 +393,25 @@ func (f *clusterFixture) traffic(name string, enter func(), nodes []*clusterNode
 	return p
 }
 
-// notModified sums the nodes' counts of owner fetches answered 304.
-func notModified(nodes []*clusterNodeFix) (n int64) {
+// sumMetrics sums the nodes' counts of owner fetches answered 304 and of
+// reads answered from a lease.
+func sumMetrics(nodes []*clusterNodeFix) (sum cluster.Metrics) {
 	for _, node := range nodes {
-		n += node.node.Metrics().NotModified
+		m := node.node.Metrics()
+		sum.NotModified += m.NotModified
+		sum.LeaseHits += m.LeaseHits
 	}
-	return n
+	return sum
 }
 
 // revalidation changes every source under the fleet's feet and reads every
 // view through every node that does not own it, at once: each source flips
 // to its second version and is invalidated on every node (and on the
 // reference), then each forwarder is asked for the document and for a query
-// answer. The forwarders hold the owners' previous documents and the tags
-// they came under; an answer that is not the reference's over the new
-// version — or a reference that did not change — is a stale read.
+// answer. The forwarders hold the owners' previous documents, the tags
+// they came under and, most of them, running leases on them; an answer that
+// is not the reference's over the new version — or a reference that did not
+// change — is a stale read.
 func (f *clusterFixture) revalidation(ctx context.Context, rep *ClusterReport) {
 	before := map[string]string{}
 	for _, view := range f.views {
@@ -499,6 +508,7 @@ func RunCluster(ctx context.Context, opts ClusterOptions) (*ClusterReport, error
 			survivors = append(survivors, n)
 		}
 	}
+	var killed time.Time
 	var served, orphaned []string
 	for _, v := range f.views {
 		if slices.Equal(rep.Assignments[v], []string{rep.Victim}) {
@@ -515,10 +525,17 @@ func RunCluster(ctx context.Context, opts ClusterOptions) (*ClusterReport, error
 		f.traffic("survivors", func() {
 			victim.srv.CloseClientConnections()
 			victim.srv.Close()
+			killed = time.Now()
 		}, survivors, served, &rep.Survivors),
 		// A fast, clearly-attributed 502 from every survivor — the
-		// forwarding error taxonomy, not a hang and not a bogus 200.
+		// forwarding error taxonomy, not a hang and not a bogus 200 — once
+		// every lease the victim granted has run out.
 		{name: "orphans", exit: func(ctx context.Context, _ int) {
+			select {
+			case <-time.After(time.Until(killed.Add(cluster.LeaseTerm))):
+			case <-ctx.Done():
+				return
+			}
 			for _, v := range orphaned {
 				for _, n := range survivors {
 					rep.OrphanProbes++
@@ -540,7 +557,7 @@ func RunCluster(ctx context.Context, opts ClusterOptions) (*ClusterReport, error
 	v.atLeast("equivalence.checks", float64(o.Nodes*o.Views), float64(rep.EquivalenceChecks))
 	v.atMost("load.errors", 0, float64(rep.Load.Errors))
 	v.atLeast("load.forwarded", 1, float64(rep.Load.Forwarded))
-	v.atLeast("load.not_modified", 1, float64(rep.Load.NotModified))
+	v.atLeast("load.bodiless_forwards", 1, float64(rep.Load.NotModified+rep.Load.LeaseHits))
 	v.atMost("revalidation.stale_reads", 0, float64(rep.StaleReads))
 	v.atMost("survivors.errors", 0, float64(rep.Survivors.Errors))
 	v.atMost("orphans.bad_status", 0, float64(rep.OrphanBadStatus))

@@ -4,7 +4,9 @@ import (
 	"context"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync"
+	"time"
 )
 
 // ForwardHeader is the hop-path header of the cluster tier. A mediator
@@ -15,6 +17,12 @@ import (
 // ring configuration can produce. Responses echo the final path so a
 // client can see which nodes served its request.
 const ForwardHeader = "X-Mix-Forwarded"
+
+// LeaseHeader is the cluster tier's grant. An owner answering a cluster
+// member's GET /views/{name} with a complete, live document sends, under
+// it, the term in milliseconds for which it will not acknowledge an
+// invalidation of the view before telling that member (internal/cluster).
+const LeaseHeader = "X-Mix-Lease"
 
 // ForwardInfo rides the context through a forwarded fetch. It plays two
 // roles:
@@ -30,7 +38,7 @@ const ForwardHeader = "X-Mix-Forwarded"
 //     headers through to its client instead of erasing them at the hop —
 //     and, from a fetch that returned a document, the tag the peer sent
 //     that document under, so the forwarding node's answer carries the
-//     owner's validator.
+//     owner's validator, and the lease it was granted with.
 //
 // The capture is mutex-guarded because hedged reads may have two replica
 // requests in flight; whichever responses arrive are recorded (the
@@ -44,12 +52,23 @@ type ForwardInfo struct {
 	mu   sync.Mutex
 	prov Provenance
 	via  []string
-	// tag is the peer's ETag of the one document fetched under this info;
-	// docs counts the documents. Two documents under different tags (hedged
-	// owners both answered) leave no tag: which one is served is not known
-	// here.
+	// tag is the peer's ETag of the one document fetched under this info,
+	// and lease the term the peer granted with it; docs counts the
+	// documents. Two documents under different tags (hedged owners both
+	// answered) leave neither: which one is served is not known here.
+	tag   string
+	lease time.Duration
+	docs  int
+}
+
+// Captured is what a fetch under a ForwardInfo brought back besides the
+// document: the tag, the peer's provenance and its hop path. A cluster lease
+// keeps it beside the document and replays it on every read it answers, so
+// those answers carry the headers the owner's did.
+type Captured struct {
 	tag  string
-	docs int
+	prov Provenance
+	via  []string
 }
 
 // forwardKey is the context key for a *ForwardInfo.
@@ -90,18 +109,61 @@ func (fi *ForwardInfo) Provenance() Provenance {
 }
 
 // noteDocument records that a fetch under fi returned a document the peer
-// sent (or confirmed) under tag, "" when it sent none. Nil-safe.
-func (fi *ForwardInfo) noteDocument(tag string) {
+// sent (or confirmed) under tag, "" when it sent none, granting a lease of
+// the given term (0 for none). Nil-safe.
+func (fi *ForwardInfo) noteDocument(tag string, lease time.Duration) {
 	if fi == nil {
 		return
 	}
 	fi.mu.Lock()
 	if fi.docs == 0 {
-		fi.tag = tag
+		fi.tag, fi.lease = tag, lease
 	} else if fi.tag != tag {
-		fi.tag = ""
+		fi.tag, fi.lease = "", 0
 	}
 	fi.docs++
+	fi.mu.Unlock()
+}
+
+// leaseOf reads the term a peer's response grants (LeaseHeader), 0 for none.
+func leaseOf(h http.Header) time.Duration {
+	ms, err := strconv.Atoi(h.Get(LeaseHeader))
+	if err != nil || ms <= 0 {
+		return 0
+	}
+	return time.Duration(ms) * time.Millisecond
+}
+
+// Lease returns the term the peer granted with the document fetched under
+// fi: 0 when it granted none, or when more than one document was fetched
+// under different tags.
+func (fi *ForwardInfo) Lease() time.Duration {
+	fi.mu.Lock()
+	defer fi.mu.Unlock()
+	return fi.lease
+}
+
+// Capture returns what Replay needs to answer as the fetch under fi did.
+func (fi *ForwardInfo) Capture() Captured {
+	return Captured{tag: fi.Tag(), prov: fi.Provenance(), via: fi.Via()}
+}
+
+// Replay makes fi read as if a fetch under it had brought back c: one
+// document, under c's tag and with c's provenance and hop path. Nil-safe.
+// c's lists are shared, clipped so that nothing appended to fi reaches them.
+func (fi *ForwardInfo) Replay(c Captured) {
+	if fi == nil {
+		return
+	}
+	fi.mu.Lock()
+	fi.tag, fi.lease, fi.docs = c.tag, 0, 1
+	fi.prov = Provenance{
+		Degraded:        c.prov.Degraded,
+		DegradedSources: slices.Clip(c.prov.DegradedSources),
+		PrunedSources:   slices.Clip(c.prov.PrunedSources),
+		StaleSources:    slices.Clip(c.prov.StaleSources),
+	}
+	fi.via = slices.Clip(c.via)
 	fi.mu.Unlock()
 }
 

@@ -287,7 +287,7 @@ func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 		kept = &keptDocument{tag: resp.etag, body: resp.body, doc: doc}
 		s.kept.Store(kept)
 	}
-	ForwardInfoFrom(ctx).noteDocument(kept.tag)
+	ForwardInfoFrom(ctx).noteDocument(kept.tag, resp.lease)
 	return kept.doc, nil
 }
 
@@ -313,11 +313,13 @@ func (s *HTTPSource) check(body string) (*xmlmodel.Document, error) {
 	return doc, nil
 }
 
-// response is what one GET brought back.
+// response is what one GET brought back. lease is the term a cluster owner
+// granted with it, read only for a forwarded fetch.
 type response struct {
 	status int
 	body   string
 	etag   string
+	lease  time.Duration
 }
 
 // get performs a GET with bounded retries: transport errors and 5xx
@@ -414,12 +416,14 @@ func (s *HTTPSource) tryGet(ctx context.Context, url string, held *keptDocument)
 	if err != nil {
 		return response{status: resp.StatusCode}, err
 	}
+	out := response{status: resp.StatusCode, body: body, etag: resp.Header.Get("ETag")}
 	if fi != nil && (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified) {
 		// Capture the peer's pruned/degraded/stale taxonomy so the
 		// forwarding node passes it through instead of erasing it.
 		fi.record(resp.Header)
+		out.lease = leaseOf(resp.Header)
 	}
-	return response{status: resp.StatusCode, body: body, etag: resp.Header.Get("ETag")}, nil
+	return out, nil
 }
 
 // readBufs pools the chunk readBody reads through, as xmlmodel pools the

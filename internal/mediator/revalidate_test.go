@@ -383,7 +383,54 @@ func TestForwardInfoRelaysOneTag(t *testing.T) {
 		t.Errorf("the conflict did not stick: %q", fi.Tag())
 	}
 	var none *ForwardInfo
-	none.noteDocument(`"x"`) // a fetch outside any forward
+	none.noteDocument(`"x"`, time.Second) // a fetch outside any forward
+}
+
+// A lease travels with the document it was granted with, on a 200 and on a
+// 304 alike, and goes where the tag goes when two documents disagree; what a
+// fetch captured replays as if the fetch had happened again.
+func TestForwardInfoCarriesTheLease(t *testing.T) {
+	rm, src := newTaggingRemote(t, WithRetries(0))
+	rm.before = func(w http.ResponseWriter, r *http.Request) bool {
+		w.Header().Set(LeaseHeader, "1000")
+		w.Header().Set("X-Mix-Pruned-Sources", "archive")
+		w.Header().Set(ForwardHeader, "me,owner")
+		return false
+	}
+	fetchUnder := func(fi *ForwardInfo) {
+		t.Helper()
+		if _, err := src.Fetch(WithForwardInfo(context.Background(), fi)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, step := range []string{"a 200", "a 304"} {
+		fi := &ForwardInfo{Hops: []string{"me"}}
+		fetchUnder(fi)
+		if fi.Lease() != time.Second || fi.Tag() != `"v1"` {
+			t.Errorf("after %s: lease %v under %q", step, fi.Lease(), fi.Tag())
+		}
+	}
+	if rm.notModified.Load() != 1 {
+		t.Fatalf("%d not modified, want 1", rm.notModified.Load())
+	}
+
+	fi := &ForwardInfo{Hops: []string{"me"}}
+	fetchUnder(fi)
+	c := fi.Capture()
+	rm.set(`"v2"`, membersBody("bo"))
+	fetchUnder(fi)
+	if fi.Lease() != 0 || fi.Tag() != "" {
+		t.Errorf("two documents, two tags: lease %v under %q", fi.Lease(), fi.Tag())
+	}
+
+	replayed := &ForwardInfo{Hops: []string{"me"}}
+	replayed.Replay(c)
+	if replayed.Tag() != `"v1"` || replayed.Lease() != 0 ||
+		fmt.Sprint(replayed.Provenance().PrunedSources, replayed.Via()) != "[archive] [me owner]" {
+		t.Errorf("replayed: tag %q, lease %v, provenance %+v, via %v", replayed.Tag(), replayed.Lease(), replayed.Provenance(), replayed.Via())
+	}
+	var none *ForwardInfo
+	none.Replay(c) // a read outside any forward
 }
 
 // A fetch carries its trace across the hop, and says on its span when the

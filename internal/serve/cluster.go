@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"repro/internal/cluster"
@@ -128,8 +129,10 @@ func (h *Handler) forwardView(w http.ResponseWriter, r *http.Request, fwd *clust
 //
 // The text finds its plan in the node's memo (a repeat parses nothing), and
 // over a document the owner said is unchanged the plan finds its picks beside
-// it (a repeat walks nothing); the fetch itself is never skipped, so nothing
-// is served that the owner would not serve now.
+// it (a repeat walks nothing). While the owner's lease on the document runs
+// the fetch asks nobody; the owner takes the lease back before it
+// acknowledges an invalidation, so nothing is served that an owner which
+// acknowledged one would not serve now.
 func (h *Handler) forwardQuery(w http.ResponseWriter, r *http.Request, fwd *cluster.Forward, ctx context.Context, fi *mediator.ForwardInfo) {
 	body, ok := readBody(w, r)
 	if !ok {
@@ -182,6 +185,35 @@ func (h *Handler) forwardPath(w http.ResponseWriter, fwd *cluster.Forward, ctx c
 	h.setForwardHeaders(w, fi, fwd, false)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, body)
+}
+
+// grant leases the answered view to the member that asked for it — only a
+// complete, live answer (one with a tag, 200 or 304, over a tightly inferred
+// DTD) and only if no revocation of the view passed since offer was read.
+func (h *Handler) grant(w http.ResponseWriter, offer cluster.Offer, v *mediator.View, info *mediator.MaterializeInfo) {
+	if info.Tag != "" && !v.Degraded && h.cluster.Grant(offer) {
+		w.Header().Set(mediator.LeaseHeader, leaseTermMillis)
+	}
+}
+
+// leaseTermMillis is the LeaseHeader value: the term, in milliseconds.
+var leaseTermMillis = strconv.FormatInt(cluster.LeaseTerm.Milliseconds(), 10)
+
+// postRevoke is the lease holder's side of an owner's revocation: the leases
+// on the named views are dropped, and every fetch of them in flight is fenced
+// off, before the 204 that acknowledges it.
+func (h *Handler) postRevoke(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	var rev cluster.Revocation
+	if err := json.Unmarshal(body, &rev); err != nil {
+		http.Error(w, fmt.Sprintf("invalid revocation body: %v", err), http.StatusBadRequest)
+		return
+	}
+	h.cluster.Revoked(rev.Views...)
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // getCluster serves the topology: the static cluster view (members, per-

@@ -91,56 +91,57 @@ func BenchmarkForwardHopChanged(b *testing.B) {
 	}
 }
 
-// TestForwardHopNotModifiedAllocs ratchets the revalidated hop: a warm
-// forwarded GET and a warm forwarded query, the owner's document unchanged,
-// counted from the forwarder's handler in (the owner answers over loopback in
-// this process, so its 304 is in the count too — and its trace: a hop is two
-// traced requests). The query finds its plan by its text and its picks beside
-// the unchanged document: it parses nothing and walks nothing. Measured 129
-// and 128 (136 and 135 under -race, which `make race` runs this with),
-// ceilings + 10 %; they were 135 and 150 while the forwarder parsed and
-// walked every query, 165 and 180 while a trace was an object per span and a
-// copy per End.
+// TestForwardHopNotModifiedAllocs ratchets the forwarded read of an unchanged
+// owner document, counted from the forwarder's handler in: a GET and a query
+// answered from the lease a cluster owner granted (no round trip), and the
+// same once the lease is gone, when the forwarder asks the owner and is
+// answered 304 with a new grant (the owner answers over loopback in this
+// process, so its 304 and its trace are in the count too). The lease is taken
+// away by a revocation before each of those reads, which costs what its end
+// by expiry costs. The query finds its plan by its text and its picks beside
+// the unchanged document either way. Measured 35, 34, 133 and 132 (37, 35,
+// 141 and 139 under -race, which `make race` runs this with), ceilings
+// + 10 %; a warm forwarded read was 129 and 128 while every one asked the
+// owner, 135 and 150 while the forwarder parsed and walked every query, 165
+// and 180 while a trace was an object per span and a copy per End.
 func TestForwardHopNotModifiedAllocs(t *testing.T) {
-	owner, _ := newServerAndMediator(t)
-	node, err := cluster.NewNode(cluster.Config{
-		Self:   "beta",
-		Nodes:  map[string]string{"alpha": owner.URL, "beta": ""},
-		Pinned: map[string][]string{"members": {"alpha"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := New(mediator.New("beta-med"), WithCluster(node))
+	p := newLeasedPair(t, 0)
 	const q = `r = SELECT P WHERE <members> P:<professor/> </members>`
 	for _, c := range []struct {
 		name, method, path, body string
+		leased                   bool
 		ceiling                  float64
 	}{
-		{"GET", http.MethodGet, "/views/members", "", 142},
-		{"query", http.MethodPost, "/views/members/query", q, 141},
+		{"leased GET", http.MethodGet, "/views/members", "", true, 39},
+		{"leased query", http.MethodPost, "/views/members/query", q, true, 38},
+		{"GET after the lease", http.MethodGet, "/views/members", "", false, 147},
+		{"query after the lease", http.MethodPost, "/views/members/query", q, false, 146},
 	} {
 		do := func() {
+			if !c.leased {
+				p.fwdNode.Revoked("members")
+			}
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+			p.fwdH.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
 			if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
 				t.Fatalf("%s: %d %s", c.name, rec.Code, rec.Body)
 			}
 		}
 		do() // builds the transport, fetches the document, keeps the pair
-		before := node.Metrics()
+		before := p.fwdNode.Metrics()
 		n := testing.AllocsPerRun(50, do)
-		after := node.Metrics()
-		if got := after.NotModified - before.NotModified; got != 51 {
-			t.Fatalf("%s: %d of 51 forwarded reads were not modified", c.name, got)
+		after := p.fwdNode.Metrics()
+		hits, notModified := after.LeaseHits-before.LeaseHits, after.NotModified-before.NotModified
+		if c.leased && (hits != 51 || notModified != 0) || !c.leased && (hits != 0 || notModified != 51) {
+			t.Fatalf("%s: %d lease hits and %d not modified in 51 reads", c.name, hits, notModified)
 		}
 		if c.body != "" && (after.PlanHits-before.PlanHits != 51 || after.AnswersReused-before.AnswersReused != 51) {
 			t.Fatalf("%s: %d plan hits and %d reused answers in 51 reads", c.name,
 				after.PlanHits-before.PlanHits, after.AnswersReused-before.AnswersReused)
 		}
-		t.Logf("warm forwarded %s: %v allocs", c.name, n)
+		t.Logf("forwarded %s: %v allocs", c.name, n)
 		if n > c.ceiling {
-			t.Errorf("warm forwarded %s: %v allocs, want ≤ %v", c.name, n, c.ceiling)
+			t.Errorf("forwarded %s: %v allocs, want ≤ %v", c.name, n, c.ceiling)
 		}
 	}
 }

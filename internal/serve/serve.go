@@ -26,6 +26,9 @@
 //	POST /invalidate                have every cached view part ask its
 //	                                source again; with a {"source": name}
 //	                                JSON body, just that source's parts
+//	POST /cluster/revoke            (cluster mode) body: {"views": [...]};
+//	                                an owner takes back this node's leases
+//	                                on those views, acknowledged with 204
 //
 // Queries posted to a view are answered through the mediator's
 // DTD-simplifying path; the X-Mix-Skipped/X-Mix-Pruned response headers
@@ -151,6 +154,7 @@ func New(m *mediator.Mediator, opts ...Option) *Handler {
 	h.mux.HandleFunc("POST /invalidate", h.postInvalidate)
 	if h.cluster != nil {
 		h.mux.HandleFunc("GET /cluster", h.getCluster)
+		h.mux.HandleFunc("POST "+cluster.RevokePath, h.postRevoke)
 	}
 	return h
 }
@@ -161,7 +165,10 @@ func New(m *mediator.Mediator, opts ...Option) *Handler {
 // JSON body announces a change scoped to one source: only the views
 // transitively depending on it recompute (and of those, only the parts
 // over that source; see Mediator.InvalidateSource), and the response names
-// the affected views. An unknown source is a 404.
+// the affected views. An unknown source is a 404. In cluster mode the
+// answer waits until every member holding a lease on an affected view has
+// given it back or run out of it (cluster.Node.Revoke): after a 2xx no
+// forwarder serves the document the invalidation replaced.
 func (h *Handler) postInvalidate(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
@@ -169,6 +176,9 @@ func (h *Handler) postInvalidate(w http.ResponseWriter, r *http.Request) {
 	}
 	if strings.TrimSpace(string(body)) == "" {
 		h.m.Invalidate()
+		if h.cluster != nil {
+			h.cluster.RevokeAll(r.Context())
+		}
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
@@ -187,6 +197,9 @@ func (h *Handler) postInvalidate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
 		return
+	}
+	if h.cluster != nil {
+		h.cluster.Revoke(r.Context(), views...)
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	_ = json.NewEncoder(w).Encode(struct {
@@ -236,12 +249,20 @@ func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
 		h.forwardView(w, r, fwd, ctx, fi)
 		return
 	}
+	var offer cluster.Offer
+	leasable := false
+	if h.cluster != nil {
+		offer, leasable = h.cluster.Offer(name, r.Header.Get(mediator.ForwardHeader))
+	}
 	a, info, err := h.m.ViewAnswer(r.Context(), name, r.Header.Get("If-None-Match"))
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
 	setProvenanceHeaders(w, a.View, info.Provenance)
+	if leasable {
+		h.grant(w, offer, a.View, info)
+	}
 	if notModified(w, info.Tag, info.NotModified) {
 		return
 	}
