@@ -40,7 +40,10 @@ lint:
 # is shared by all three campaigns, and whether a slot is free at an
 # operation's turn — sent or shed — is decided by the scheduler. internal/obs
 # because a request's trace is one record that every part goroutine of the
-# request writes, and that /debug/trace reads while they do.
+# request writes, and that /debug/trace reads while they do. The last line
+# repeats the tests of the answer memo — one type on both sides of the cluster
+# hop, shared by readers while documents, leases and renders race — twenty
+# times.
 test:
 	go test ./...
 
@@ -48,6 +51,7 @@ race:
 	go vet ./...
 	go test -race ./...
 	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/ ./internal/obs/
+	go test -race -count=20 -cpu=1,2 -run 'Answer|Forward|Lease|Memo' ./internal/mediator/ ./internal/cluster/ ./internal/serve/
 
 # Every allocation ratchet in the tree, by one name and without -race: a
 # binary built with the race detector allocates differently (escape

@@ -251,7 +251,7 @@ func TestQuickMatchAgreesWithEnumeration(t *testing.T) {
 func TestQuickSimplifyPreservesLanguage(t *testing.T) {
 	f := func(seed int64) bool {
 		e := randomExpr(rand.New(rand.NewSource(seed)), 5)
-		s := regex.Simplify(e)
+		s := regex.Simplify(e, nil)
 		if !must(Equivalent(e, s, nil)) {
 			t.Logf("seed %d: Simplify(%s) = %s changed the language", seed, e, s)
 			return false

@@ -100,7 +100,7 @@ func (cp *Compiler) Purge() { cp.c.Purge() }
 // and only the caller whose budget it was fails: a singleflight waiter
 // compiles under its own budget instead.
 func (cp *Compiler) DFA(e regex.Expr, bud *budget.Budget) (*DFA, error) {
-	canon := regex.Simplify(e)
+	canon := regex.Simplify(e, nil) // the key: a hit costs nothing, a cold compile its states
 	key := string(opDFA) + regex.Key(canon)
 	v, err := cp.c.GetOrCompute(key, func() (any, error) {
 		d, err := FromExpr(canon, bud)

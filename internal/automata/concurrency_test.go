@@ -20,7 +20,7 @@ func TestConcurrentCompilerSingleflight(t *testing.T) {
 	canonical := map[string]bool{}
 	for i := range pool {
 		pool[i] = randExpr(r, 3)
-		canonical[regex.Key(regex.Simplify(pool[i]))] = true
+		canonical[regex.Key(regex.Simplify(pool[i], nil))] = true
 	}
 
 	cp := NewCompiler(DefaultCacheCapacity)

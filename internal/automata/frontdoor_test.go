@@ -39,7 +39,7 @@ func absorbByAutomaton(cp *Compiler, items []regex.Expr) []regex.Expr {
 // rebuilt through the constructors, every pair decided by the automaton,
 // every result — rewritten or not — verified against the input.
 func reduceByAutomaton(cp *Compiler, e regex.Expr) regex.Expr {
-	simplified := regex.Simplify(e)
+	simplified := regex.Simplify(e, nil)
 	if regex.Size(simplified) > reduceSizeLimit {
 		return simplified
 	}
@@ -66,7 +66,7 @@ func reduceByAutomaton(cp *Compiler, e regex.Expr) regex.Expr {
 		}
 		return e
 	}
-	out := regex.Simplify(rebuild(simplified))
+	out := regex.Simplify(rebuild(simplified), nil)
 	if must(cp.Witness(out, e, nil)) != nil || must(cp.Witness(e, out, nil)) != nil {
 		return simplified
 	}

@@ -156,8 +156,8 @@ func TestPropertyEquivalentConsistent(t *testing.T) {
 		if got, want := must(Equivalent(a, b, nil)), must(Contains(a, b, nil)) && must(Contains(b, a, nil)); got != want {
 			t.Fatalf("case %d: Equivalent(%s, %s) = %v, mutual containment says %v", i, a, b, got, want)
 		}
-		if !must(Equivalent(a, regex.Simplify(a), nil)) {
-			t.Fatalf("case %d: Simplify changed the language of %s (got %s)", i, a, regex.Simplify(a))
+		if !must(Equivalent(a, regex.Simplify(a, nil), nil)) {
+			t.Fatalf("case %d: Simplify changed the language of %s (got %s)", i, a, regex.Simplify(a, nil))
 		}
 	}
 }
@@ -209,7 +209,7 @@ func TestPropertyCanonicalKeySharesDFA(t *testing.T) {
 		// A syntactic variant with the same simplified form: wrap in a
 		// single-item concat (the raw node, which Simplify unwraps).
 		variant := regex.Concat{Items: []regex.Expr{e}}
-		if regex.Key(regex.Simplify(e)) != regex.Key(regex.Simplify(variant)) {
+		if regex.Key(regex.Simplify(e, nil)) != regex.Key(regex.Simplify(variant, nil)) {
 			continue // simplifier normalizes them apart; not this test's concern
 		}
 		shared++

@@ -40,7 +40,7 @@ func Reduce(e regex.Expr, bud *budget.Budget) regex.Expr {
 		// input is returned as-is (equivalent, just less pretty).
 		return e
 	}
-	simplified := regex.Simplify(e)
+	simplified := regex.Simplify(e, bud)
 	if regex.Size(simplified) > reduceSizeLimit {
 		return simplified
 	}
@@ -71,7 +71,7 @@ func Reduce(e regex.Expr, bud *budget.Budget) regex.Expr {
 		// is no rewrite to verify.
 		return simplified
 	}
-	out := regex.Simplify(reduced)
+	out := regex.Simplify(reduced, bud)
 	eq, err := Equivalent(out, e, bud)
 	if err != nil || !eq {
 		// Defensive: never trade correctness for brevity (and never let a

@@ -215,7 +215,7 @@ func runE5(w io.Writer, cfg Config) (*Outcome, error) {
 	out := &Outcome{Pass: true}
 	src := mustDTD(D9)
 	base := src.Types["professor"].Model
-	got := regex.Simplify(infer.RefineName(base, "journal"))
+	got := regex.Simplify(infer.RefineName(base, "journal"), nil)
 	want := regex.MustParse("name, (journal|conference)*, journal, (journal|conference)*")
 	ok, _ := automata.Equivalent(got, want, nil)
 	check(&out.Pass, ok)
@@ -231,8 +231,8 @@ func runE5(w io.Writer, cfg Config) (*Outcome, error) {
 func runE6(w io.Writer, cfg Config) (*Outcome, error) {
 	out := &Outcome{Pass: true}
 	base := mustDTD(D9).Types["professor"].Model
-	r1 := infer.Refine(base, map[string]regex.Name{"journal": regex.T("journal", 1)})
-	r2 := infer.Refine(r1, map[string]regex.Name{"journal": regex.T("journal", 2)})
+	r1 := infer.Refine(base, map[string]regex.Name{"journal": regex.T("journal", 1)}, nil)
+	r2 := infer.Refine(r1, map[string]regex.Name{"journal": regex.T("journal", 2)}, nil)
 	want := regex.MustParse(
 		"(name, (journal|conference)*, journal^1, (journal|conference)*, journal^2, (journal|conference)*) | " +
 			"(name, (journal|conference)*, journal^2, (journal|conference)*, journal^1, (journal|conference)*)")
@@ -240,8 +240,8 @@ func runE6(w io.Writer, cfg Config) (*Outcome, error) {
 	check(&out.Pass, ok)
 	t := &table{header: []string{"step", "expression"}}
 	t.add("input type", base.String())
-	t.add("after refine(…, journal^1)", regex.Simplify(r1).String())
-	t.add("after refine(…, journal^2)", regex.Simplify(r2).String())
+	t.add("after refine(…, journal^1)", regex.Simplify(r1, nil).String())
+	t.add("after refine(…, journal^2)", regex.Simplify(r2, nil).String())
 	t.write(w, "    ")
 	out.Notes = append(out.Notes,
 		fmt.Sprintf("equivalent to Example 4.2's two-order disjunction: %v", ok),

@@ -33,9 +33,9 @@ type Forward struct {
 	// incomplete Forward is served but not cached, so the missing owners
 	// are retried on the next request.
 	complete bool
-	// answers is the picks memo of the document Fetch last returned (see
-	// answer.go); Fetch replaces it when the document changes.
-	answers atomic.Pointer[heldAnswers]
+	// answers is the picks memo of the document Fetch last returned (Answer);
+	// Fetch replaces it when the document changes.
+	answers atomic.Pointer[mediator.AnswerMemo]
 	// slot is the view's, where its lease lives (lease.go).
 	slot *forwardSlot
 }
@@ -153,7 +153,9 @@ func (f *Forward) SchemaText() string { return f.sources[0].SchemaText() }
 // Fetch retrieves the owner-materialized view document. The returned bool
 // reports stale service: every owner was down and the ReplicaSet served
 // its validated last-known-good copy. A document other than the last one
-// returned starts an empty picks memo, and the last one's memo is dropped.
+// returned starts an empty picks memo, and the last one's memo is dropped:
+// the same pointer is how a transport says the owner's document is unchanged
+// (Wrapper), so picks are only reused over the document they were walked from.
 //
 // While a lease on the view runs (lease.go), Fetch asks nobody: it returns
 // the leased document and replays into the context's ForwardInfo the tag
@@ -181,8 +183,8 @@ func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 		return nil, false, err
 	}
 	fetched := "not_modified"
-	if held := f.answers.Load(); held == nil || held.doc != doc {
-		f.answers.Store(&heldAnswers{doc: doc})
+	if held := f.answers.Load(); held == nil || held.Document() != doc {
+		f.answers.Store(mediator.NewAnswerMemo(doc))
 		fetched = "changed"
 	}
 	obs.SetAttr(ctx, obs.String("forward_fetch", fetched))
@@ -193,6 +195,19 @@ func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 		f.slot.install(epoch, &heldLease{doc: doc, captured: fi.Capture(), expires: sent.Add(term)})
 	}
 	return doc, false, nil
+}
+
+// Answer is p's answer over doc, a document Fetch returned, from the memo of
+// the document the transport holds (mediator.AnswerHeld); how says whether doc
+// was walked ("evaluated") and how the answer goes out.
+func (f *Forward) Answer(p *mediator.Plan, doc *xmlmodel.Document) (a mediator.Answer, how string, err error) {
+	a, how, err = mediator.AnswerHeld(p, doc, f.answers.Load())
+	if how == "evaluated" {
+		f.node.answersEvaluated.Add(1)
+	} else if err == nil {
+		f.node.answersReused.Add(1)
+	}
+	return a, how, err
 }
 
 // GetPath passes a sibling endpoint of the view (e.g. "/sdtd") through to
@@ -209,17 +224,6 @@ func (f *Forward) GetPath(ctx context.Context, suffix string) (string, error) {
 	}
 	f.node.forwardErrors.Add(1)
 	return "", lastErr
-}
-
-// Status reports per-owner replica health for replicated forwards (nil
-// for single-owner forwards, which have no health machinery).
-func (f *Forward) Status() []mediator.ReplicaStatus {
-	var rep mediator.SourceReport
-	rep.Collect(f.wrapper)
-	if len(rep.Replicas) == 0 {
-		return nil
-	}
-	return rep.Replicas[0].Replicas
 }
 
 // ForwardedViews returns the sorted views with a cached forward — the

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/mediator"
 )
 
 const fwdDTD = `<!DOCTYPE v [
@@ -72,8 +74,8 @@ func TestForwardSingleOwner(t *testing.T) {
 	if !strings.Contains(f.SourceName(), "/views/v") {
 		t.Errorf("single-owner SourceName should be the view URL: %s", f.SourceName())
 	}
-	if f.Status() != nil {
-		t.Error("single-owner forward has no replica health to report")
+	if _, ok := f.wrapper.(*mediator.HTTPSource); !ok {
+		t.Errorf("single-owner forward fetches through %T, want the owner's HTTPSource alone", f.wrapper)
 	}
 
 	doc, stale, err := f.Fetch(ctx)
@@ -132,8 +134,8 @@ func TestForwardReplicated(t *testing.T) {
 	if f.SourceName() != "cluster:v" {
 		t.Errorf("replicated SourceName = %s, want cluster:v", f.SourceName())
 	}
-	if st := f.Status(); len(st) != 2 {
-		t.Errorf("replica status entries = %d, want 2", len(st))
+	if rs, ok := f.wrapper.(*mediator.ReplicaSet); !ok || len(rs.ReplicaStatus().Replicas) != 2 {
+		t.Errorf("replicated forward fetches through %T, want a ReplicaSet of 2", f.wrapper)
 	}
 	if _, stale, err := f.Fetch(ctx); err != nil || stale {
 		t.Fatalf("fetch both-up: stale=%v err=%v", stale, err)

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/automata/cache"
 	"repro/internal/mediator"
 )
 
@@ -70,10 +69,6 @@ type Node struct {
 	mu    sync.Mutex
 	slots map[string]*forwardSlot
 
-	// plans is the forwarded-query plan memo: a query text → its *Plan (see
-	// answer.go).
-	plans *cache.Cache
-
 	// grants are the leases this node gave as an owner (lease.go), started
 	// when it began to give them. now and sleep are the clock leases are
 	// counted and waited out on.
@@ -85,7 +80,6 @@ type Node struct {
 	forwarded            atomic.Int64
 	forwardErrors        atomic.Int64
 	loopRejected         atomic.Int64
-	planHits             atomic.Int64
 	answersReused        atomic.Int64
 	answersEvaluated     atomic.Int64
 	leaseHits            atomic.Int64
@@ -143,7 +137,7 @@ func NewNode(cfg Config) (*Node, error) {
 		client = &http.Client{Timeout: mediator.DefaultHTTPTimeout}
 	}
 	return &Node{cfg: cfg, ring: ring, client: client, slots: map[string]*forwardSlot{},
-		plans: cache.New(forwardPlanCapacity), grants: grants{views: map[string]*viewGrants{}},
+		grants:  grants{views: map[string]*viewGrants{}},
 		started: time.Now(), now: time.Now, sleep: time.Sleep}, nil
 }
 
@@ -309,7 +303,6 @@ type Metrics struct {
 	NotModified          int64           `json:"forwarded_not_modified" metric:"mix_cluster_forwarded_not_modified_total" help:"Owner fetches of the built forward transports answered 304 Not Modified (the owner's document was unchanged and not shipped)."`
 	ForwardErrors        int64           `json:"forward_errors" metric:"mix_cluster_forward_errors_total" help:"Forwarded requests that failed (builds and fetches)."`
 	LoopRejected         int64           `json:"loop_rejected" metric:"mix_cluster_loop_rejected_total" help:"Requests rejected by the forwarding loop guard (421)."`
-	PlanHits             int64           `json:"forward_plan_hits" metric:"mix_cluster_forward_plan_hits_total" help:"Forwarded queries whose text found its plan (nothing parsed or prepared)."`
 	AnswersReused        int64           `json:"forwarded_answers_reused" metric:"mix_cluster_forwarded_answers_reused_total" help:"Forwarded queries answered with the picks kept beside the unchanged owner document (nothing walked)."`
 	AnswersEvaluated     int64           `json:"forwarded_answers_evaluated" metric:"mix_cluster_forwarded_answers_evaluated_total" help:"Forwarded queries answered by walking the owner document."`
 	LeaseHits            int64           `json:"lease_hits" metric:"mix_cluster_lease_hits_total" help:"Forwarded reads answered from a running lease on the owner's document (no round trip)."`
@@ -343,7 +336,6 @@ func (n *Node) Metrics() Metrics {
 		NotModified:          rep.NotModified,
 		ForwardErrors:        n.forwardErrors.Load(),
 		LoopRejected:         n.loopRejected.Load(),
-		PlanHits:             n.planHits.Load(),
 		AnswersReused:        n.answersReused.Load(),
 		AnswersEvaluated:     n.answersEvaluated.Load(),
 		LeaseHits:            n.leaseHits.Load(),

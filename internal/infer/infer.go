@@ -449,7 +449,7 @@ func (in *inferencer) computeSpec(c *xmas.Cond, children []*xmas.Cond, sels []ch
 				degraded = true
 				break
 			}
-			t = automata.Reduce(Refine(t, cs.sel), in.bud)
+			t = automata.Reduce(Refine(t, cs.sel, in.bud), in.bud)
 			if regex.IsFail(t) {
 				break
 			}
@@ -630,7 +630,7 @@ func refinementIsValid(model regex.Expr, sels []childSel, bud *budget.Budget) bo
 	// Fallback: explicit refinement + containment, bounded.
 	t := model
 	for _, cs := range sels {
-		t = regex.Simplify(Refine(t, cs.sel))
+		t = regex.Simplify(Refine(t, cs.sel, bud), bud)
 		if regex.IsFail(t) {
 			return false
 		}

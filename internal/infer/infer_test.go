@@ -104,7 +104,7 @@ func TestRefineExample41(t *testing.T) {
 		t.Errorf("refine = %s, want ≡ %s", got, want)
 	}
 	// Language check: every word of the result contains a journal.
-	for _, w := range regex.Enumerate(regex.Simplify(got), 4, 200) {
+	for _, w := range regex.Enumerate(regex.Simplify(got, nil), 4, 200) {
 		found := false
 		for _, n := range w {
 			if n.Base == "journal" {
@@ -121,17 +121,17 @@ func TestRefineExample41(t *testing.T) {
 // forcing two distinct journals yields the two-order disjunction.
 func TestRefineExample42(t *testing.T) {
 	base := regex.MustParse("name, (journal|conference)*")
-	r1 := Refine(base, map[string]regex.Name{"journal": regex.T("journal", 1)})
+	r1 := Refine(base, map[string]regex.Name{"journal": regex.T("journal", 1)}, nil)
 	want1 := regex.MustParse("name, (journal|conference)*, journal^1, (journal|conference)*")
 	if !must(automata.Equivalent(r1, want1, nil)) {
 		t.Fatalf("first refinement = %s", r1)
 	}
-	r2 := Refine(r1, map[string]regex.Name{"journal": regex.T("journal", 2)})
+	r2 := Refine(r1, map[string]regex.Name{"journal": regex.T("journal", 2)}, nil)
 	want2 := regex.MustParse(
 		"(name, (journal|conference)*, journal^1, (journal|conference)*, journal^2, (journal|conference)*) | " +
 			"(name, (journal|conference)*, journal^2, (journal|conference)*, journal^1, (journal|conference)*)")
 	if !must(automata.Equivalent(r2, want2, nil)) {
-		t.Errorf("second refinement = %s\nwant ≡ %s", regex.Simplify(r2), want2)
+		t.Errorf("second refinement = %s\nwant ≡ %s", regex.Simplify(r2, nil), want2)
 	}
 }
 

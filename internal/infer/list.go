@@ -85,7 +85,7 @@ func (in *inferencer) inferList(path []*xmas.Cond) regex.Expr {
 			}
 			return project(sp.typ.Model, step, stepSpecs)
 		})
-		l = regex.Simplify(l)
+		l = regex.Simplify(l, in.bud)
 		prevSpecs = stepSpecs
 	}
 	return l

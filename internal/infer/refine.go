@@ -26,6 +26,7 @@ package infer
 import (
 	"fmt"
 
+	"repro/internal/budget"
 	"repro/internal/regex"
 )
 
@@ -42,7 +43,22 @@ import (
 // fail the base case, exactly as in Definition 4.2 — this is what makes
 // sequential refinement with Pub1 != Pub2 force two distinct publications
 // (Example 4.2).
-func Refine(r regex.Expr, sel map[string]regex.Name) regex.Expr {
+//
+// The result of a large model is large, and building it is where a hostile
+// DTD's analysis spends its time, so bud is read as the work goes: once it is
+// exhausted (its deadline passed) the refinement stops, and the result is the
+// Fail constant — a refinement that forces nothing, which every caller takes
+// for a condition it cannot prove, soundly. A nil budget is never exhausted.
+func Refine(r regex.Expr, sel map[string]regex.Name, bud *budget.Budget) regex.Expr {
+	if out := refine(r, sel, bud); bud.Err() == nil {
+		return out
+	}
+	return regex.Bot()
+}
+
+// refine is Refine, abandoned — its result then meaningless — at the first
+// item that finds bud exhausted.
+func refine(r regex.Expr, sel map[string]regex.Name, bud *budget.Budget) regex.Expr {
 	switch v := r.(type) {
 	case regex.Empty, regex.Fail:
 		return regex.Bot()
@@ -56,18 +72,21 @@ func Refine(r regex.Expr, sel map[string]regex.Name) regex.Expr {
 		return regex.Bot()
 	case regex.Opt:
 		// refine(g?) = refine(g) ∥ refine(ε) = refine(g) ∥ fail.
-		return regex.OAlt(Refine(v.Sub, sel), regex.Bot())
+		return regex.OAlt(refine(v.Sub, sel, bud), regex.Bot())
 	case regex.Star:
 		// refine(g*) = g* ⊕ refine(g) ⊕ g*.
-		return regex.OConcat(regex.OConcat(regex.Rep(v.Sub), Refine(v.Sub, sel)), regex.Rep(v.Sub))
+		return regex.OConcat(regex.OConcat(regex.Rep(v.Sub), refine(v.Sub, sel, bud)), regex.Rep(v.Sub))
 	case regex.Plus:
 		// g+ = g, g*.
-		return Refine(regex.Cat(v.Sub, regex.Rep(v.Sub)), sel)
+		return refine(regex.Cat(v.Sub, regex.Rep(v.Sub)), sel, bud)
 	case regex.Concat:
 		// refine(r1,…,rk) = ∥ over positions i of r1 ⊕ … ⊕ refine(ri) ⊕ … ⊕ rk.
 		out := regex.Expr(regex.Fail{})
 		for i := range v.Items {
-			ref := Refine(v.Items[i], sel)
+			if bud.Err() != nil {
+				return regex.Bot()
+			}
+			ref := refine(v.Items[i], sel, bud)
 			if regex.IsFail(ref) {
 				continue
 			}
@@ -80,7 +99,10 @@ func Refine(r regex.Expr, sel map[string]regex.Name) regex.Expr {
 	case regex.Alt:
 		out := regex.Expr(regex.Fail{})
 		for _, it := range v.Items {
-			out = regex.OAlt(out, Refine(it, sel))
+			if bud.Err() != nil {
+				return regex.Bot()
+			}
+			out = regex.OAlt(out, refine(it, sel, bud))
 		}
 		return out
 	}
@@ -90,5 +112,5 @@ func Refine(r regex.Expr, sel map[string]regex.Name) regex.Expr {
 // RefineName is the single-name convenience form of Definition 4.1:
 // refine(r, n) forcing an (untagged) occurrence of n.
 func RefineName(r regex.Expr, name string) regex.Expr {
-	return Refine(r, map[string]regex.Name{name: regex.N(name)})
+	return Refine(r, map[string]regex.Name{name: regex.N(name)}, nil)
 }

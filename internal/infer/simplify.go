@@ -171,7 +171,7 @@ func isPrunable(in *inferencer, parent, child *xmas.Cond) bool {
 		if t.PCDATA {
 			return false
 		}
-		refined := Refine(t.Model, sel)
+		refined := Refine(t.Model, sel, in.bud)
 		if regex.IsFail(refined) {
 			return false
 		}

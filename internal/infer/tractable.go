@@ -284,7 +284,7 @@ func analyzeDTD(d *dtd.DTD) *dtdInfo {
 				return regex.At(m)
 			}
 			return regex.Bot()
-		}))
+		}), nil) // a DTD's own models, analysed once per DTD
 		mi := analyzeModel(restricted)
 		info.models[n] = mi
 		note(mi.class)

@@ -14,7 +14,7 @@ import (
 func refinementIsValidBySpec(model regex.Expr, sels []childSel) bool {
 	t := model
 	for _, cs := range sels {
-		t = regex.Simplify(Refine(t, cs.sel))
+		t = regex.Simplify(Refine(t, cs.sel, nil), nil)
 		if regex.IsFail(t) {
 			return false
 		}

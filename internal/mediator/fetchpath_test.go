@@ -21,7 +21,7 @@ import (
 
 // HTTPSource.Fetch's way from the socket to a document: the body is read
 // once, and the payload's own DOCTYPE subset — checked, never used — is
-// parsed only when its text is not the one that last parsed cleanly.
+// parsed only when its text is not the held body's.
 
 // scriptedRemote serves d1Text as view v's DTD and whatever body returns
 // as the view.
@@ -64,39 +64,73 @@ func TestFetchParsesAnUnchangedSubsetOnce(t *testing.T) {
 	other := strings.Replace(d1Text, "<!ELEMENT teaches (#PCDATA)>", "<!ELEMENT teaches (#PCDATA)> <!ATTLIST teaches x CDATA #IMPLIED>", 1)
 	var body string
 	src := scriptedRemote(t, func() string { return body })
-	fetch := func(doctype string) (*string, error) {
+	fetch := func(doctype string, profs int) (string, error) {
 		t.Helper()
-		body = deptBody(doctype, 2)
+		body = deptBody(doctype, profs)
 		_, err := src.Fetch(context.Background())
-		return src.okSubset.Load(), err
+		return src.kept.Load().subset, err
 	}
-	first, err := fetch(d1Text)
-	if err != nil || first == nil || !strings.Contains(d1Text, "["+*first+"]") {
-		t.Fatalf("first fetch: err %v, remembered subset %v", err, first)
+	first, err := fetch(d1Text, 2)
+	if err != nil || !strings.Contains(d1Text, "["+first+"]") {
+		t.Fatalf("first fetch: err %v, held subset %q", err, first)
 	}
-	// Stored once, not again: the second fetch found its subset's text
-	// remembered and did not parse it.
-	if again, err := fetch(d1Text); err != nil || again != first {
-		t.Fatalf("the same body again: err %v, subset parsed again: %v", err, again != first)
+	// A changed body under the same subset is held with it (and, as
+	// TestFetchOfAnUnchangedSubsetAllocs counts, the subset is not parsed).
+	if again, err := fetch(d1Text, 3); err != nil || again != first {
+		t.Fatalf("a changed body under the same subset: err %v, held subset %q", err, again)
 	}
-	changed, err := fetch(other)
-	if err != nil || changed == first || !strings.Contains(*changed, "ATTLIST") {
-		t.Fatalf("a changed subset: err %v, parsed: %v", err, changed != first)
+	changed, err := fetch(other, 3)
+	if err != nil || changed == first || !strings.Contains(changed, "ATTLIST") {
+		t.Fatalf("a changed subset: err %v, held %q", err, changed)
 	}
-	// The check the memo replaces: a malformed subset fails the fetch, with
-	// the error ParseDocument gave, and is not remembered.
-	after, err := fetch("<!DOCTYPE department [" + badSubset + "]>")
+	// What the held subset spares: a malformed subset fails the fetch, with
+	// the error ParseDocument gave, and is not held.
+	after, err := fetch("<!DOCTYPE department ["+badSubset+"]>", 3)
 	if want := "mediator: remote view unparseable: " + subsetErr.Error(); err == nil || err.Error() != want {
 		t.Fatalf("a malformed subset: err %v, want %q", err, want)
 	}
 	if after != changed {
-		t.Error("the malformed subset was remembered")
+		t.Error("the malformed subset was held")
 	}
-	if _, err := fetch("<!DOCTYPE department [" + badSubset + "]>"); err == nil {
+	if _, err := fetch("<!DOCTYPE department ["+badSubset+"]>", 2); err == nil {
 		t.Error("the malformed subset passed the second time")
 	}
-	if _, err := fetch(d1Text); err != nil {
+	if _, err := fetch(d1Text, 2); err != nil {
 		t.Errorf("a good body after a bad one: %v", err)
+	}
+}
+
+// A changed body under the DOCTYPE subset the source holds does not parse the
+// subset again: fetching bodies that differ under one subset costs at least
+// half a subset parse less than fetching bodies whose subsets differ too.
+func TestFetchOfAnUnchangedSubsetAllocs(t *testing.T) {
+	other := strings.Replace(d1Text, "]>", "<!-- another subset -->]>", 1)
+	subset := d1Text[strings.IndexByte(d1Text, '[')+1 : strings.LastIndexByte(d1Text, ']')]
+	parse := testing.AllocsPerRun(30, func() {
+		if _, err := dtd.ParseSubset("department", subset); err != nil {
+			t.Fatal(err)
+		}
+	})
+	measure := func(second string) float64 {
+		bodies := []string{deptBody(d1Text, 2), deptBody(second, 3)}
+		turn := 0
+		src := scriptedRemote(t, func() string { turn++; return bodies[turn%2] })
+		fetch := func() {
+			if _, err := src.Fetch(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fetch()
+		allocs := math.MaxFloat64
+		for i := 0; i < 3; i++ { // the cheapest of three, as in TestFetchAllocations
+			allocs = min(allocs, testing.AllocsPerRun(30, fetch))
+		}
+		return allocs
+	}
+	same, differing := measure(d1Text), measure(other)
+	t.Logf("a subset parse: %v allocs; fetches under one subset %v, under two %v", parse, same, differing)
+	if parse < 10 || differing-same < parse/2 {
+		t.Errorf("fetches under one subset cost %v allocs, under two %v, a parse %v: the held subset was parsed again", same, differing, parse)
 	}
 }
 
@@ -108,8 +142,8 @@ func TestFetchWithoutDoctypeRemembersNothing(t *testing.T) {
 			t.Fatalf("fetch %d: doc type %q, err %v", i, doc.DocType, err)
 		}
 	}
-	if got := src.okSubset.Load(); got != nil {
-		t.Errorf("a body without a DOCTYPE left the subset %q remembered", *got)
+	if got := src.kept.Load().subset; got != "" {
+		t.Errorf("a body without a DOCTYPE left the subset %q held", got)
 	}
 }
 
@@ -163,7 +197,7 @@ func TestFetchAllocations(t *testing.T) {
 			}
 			last = doc
 		}
-		fetch() // warm: connection, compiled automata, the subset memo
+		fetch() // warm: connection, compiled automata, the held subset
 		// The cheapest of three: under -race sync.Pool drops Puts at random,
 		// and a lost read chunk is not the fetch's to answer for.
 		allocs = math.MaxFloat64

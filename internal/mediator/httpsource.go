@@ -87,9 +87,10 @@ type HTTPSource struct {
 	retries     atomic.Int64
 	// kept is the last body that passed every check of Fetch, with the
 	// document built from it and the tag the remote sent it under ("" when
-	// it sent none): one triple, swapped whole. It is what the next Fetch
-	// revalidates against — a 304 to the tag, or a 200 with the same bytes,
-	// is answered with the document.
+	// it sent none), swapped whole. It is what the next Fetch revalidates
+	// against — a 304 to the tag, or a 200 with the same bytes, is answered
+	// with the document — and a changed body whose DOCTYPE subset is the
+	// kept one's has that subset parsed no more.
 	kept            atomic.Pointer[keptDocument]
 	notModified     atomic.Int64
 	unchangedBodies atomic.Int64
@@ -98,22 +99,18 @@ type HTTPSource struct {
 	// response is bit-identical to the owner's even if a parse/print
 	// round trip of the DTD were ever to normalize formatting.
 	rawDTD string
-	// okSubset is the text of the last payload DOCTYPE internal subset
-	// that dtd.ParseSubset accepted (a private copy: a substring would pin
-	// its payload). Fetch re-parses a payload's subset only when its text
-	// differs: whether a subset parses depends on nothing but that text.
-	okSubset atomic.Pointer[string]
 	// sleep waits between retries (honoring ctx); tests inject a stub to
 	// observe the requested delays without actually waiting.
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
 // keptDocument is a validated document, the body it was built from (which
-// its names and texts alias, so holding it retains nothing more) and the tag
-// the remote last sent that body under. Never written once stored.
+// its names and texts alias, so holding it retains nothing more), the body's
+// DOCTYPE subset ("" for none; a slice of body) and the tag the remote last
+// sent that body under. Never written once stored.
 type keptDocument struct {
-	tag, body string
-	doc       *xmlmodel.Document
+	tag, body, subset string
+	doc               *xmlmodel.Document
 }
 
 // HTTPOption configures an HTTPSource.
@@ -276,41 +273,42 @@ func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	case kept != nil && resp.body == kept.body:
 		s.unchangedBodies.Add(1)
 		if resp.etag != kept.tag {
-			kept = &keptDocument{tag: resp.etag, body: kept.body, doc: kept.doc}
+			kept = &keptDocument{tag: resp.etag, body: kept.body, subset: kept.subset, doc: kept.doc}
 			s.kept.Store(kept)
 		}
 	default:
-		doc, err := s.check(resp.body)
+		doc, subset, err := s.check(resp.body, kept)
 		if err != nil {
 			return nil, err
 		}
-		kept = &keptDocument{tag: resp.etag, body: resp.body, doc: doc}
+		kept = &keptDocument{tag: resp.etag, body: resp.body, subset: subset, doc: doc}
 		s.kept.Store(kept)
 	}
 	ForwardInfoFrom(ctx).noteDocument(kept.tag, resp.lease)
 	return kept.doc, nil
 }
 
-// check is everything a body must pass before its document is handed out.
-func (s *HTTPSource) check(body string) (*xmlmodel.Document, error) {
+// check is everything a body must pass before its document is handed out,
+// and returns the body's DOCTYPE subset. Whether a subset parses depends on
+// its text alone, so the held body's (held, nil for none) is not parsed again.
+func (s *HTTPSource) check(body string, held *keptDocument) (*xmlmodel.Document, string, error) {
 	doc, dt, err := s.schema.ParseValid(body)
 	if err != nil {
 		var verr *dtd.ValidationError
 		if errors.As(err, &verr) {
-			return nil, fmt.Errorf("mediator: remote view violates its own DTD: %w", err)
+			return nil, "", fmt.Errorf("mediator: remote view violates its own DTD: %w", err)
 		}
-		return nil, fmt.Errorf("mediator: remote view unparseable: %w", err)
+		return nil, "", fmt.Errorf("mediator: remote view unparseable: %w", err)
 	}
-	if dt != nil {
-		if ok := s.okSubset.Load(); ok == nil || *ok != dt.Internal {
-			if _, err := dtd.ParseSubset(dt.Root, dt.Internal); err != nil {
-				return nil, fmt.Errorf("mediator: remote view unparseable: %w", err)
-			}
-			subset := strings.Clone(dt.Internal)
-			s.okSubset.Store(&subset)
+	if dt == nil {
+		return doc, "", nil
+	}
+	if held == nil || held.subset != dt.Internal {
+		if _, err := dtd.ParseSubset(dt.Root, dt.Internal); err != nil {
+			return nil, "", fmt.Errorf("mediator: remote view unparseable: %w", err)
 		}
 	}
-	return doc, nil
+	return doc, dt.Internal, nil
 }
 
 // response is what one GET brought back. lease is the term a cluster owner

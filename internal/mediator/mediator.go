@@ -35,7 +35,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -169,7 +168,7 @@ type View struct {
 	tagPrefix string
 	// whole is the plan of the view's own document, every member of every
 	// part: a part slot remembers it like any other answer.
-	whole *queryPlan
+	whole *Plan
 }
 
 // QueryStats reports how a query against a view was executed.
@@ -234,7 +233,8 @@ func (c *partCalc) finished() bool {
 	}
 }
 
-// plannedPart is one kept part of a materialization under way.
+// plannedPart is one kept part of a materialization under way, or the one
+// run of an answer over a held document (AnswerHeld).
 type plannedPart struct {
 	calc      *partCalc
 	lead, hit bool // this call runs calc / calc had finished when planned
@@ -251,8 +251,9 @@ type partResult struct {
 	// children are the elements the part query picks from doc — elements of
 	// doc itself, not copies (documents from Wrapper.Fetch are read-only).
 	children []*xmlmodel.Element
-	doc      *xmlmodel.Document
-	answers  *answerMemo // what queries picked from children: made and handed on with them
+	// answers is what queries picked from children, and the document they
+	// are of: made and handed on with them.
+	answers *AnswerMemo
 	// ver is the content version: the generation of the calc that evaluated
 	// children. It is the calc's own generation unless the fetch returned the
 	// predecessor's document and the result was carried over — then it is an
@@ -390,7 +391,7 @@ func (m *Mediator) DefineUnionView(name string, parts []ViewPart) (*View, error)
 		return nil, fmt.Errorf("mediator: view %s already defined", name)
 	}
 	v := &View{Name: name, tagPrefix: tagPrefixFor(m.nonce, name),
-		whole: &queryPlan{root: &xmlmodel.Element{Name: name}}}
+		whole: &Plan{root: &xmlmodel.Element{Name: name}}}
 	// One budget for the whole view definition: the parts share the limits,
 	// so a pathological source DTD cannot starve its siblings of nothing —
 	// whatever it consumes, the remaining parts degrade soundly too.
@@ -558,25 +559,6 @@ func (m *Mediator) viewAnswer(ctx context.Context, viewName, ifNoneMatch string,
 		m.answerByPart(nil, v, v.whole, parts, true)
 	}
 	return Answer{View: v, root: v.whole.root, parts: parts}, info, nil
-}
-
-// Answer is a query's answer, or a view's document, for a caller that sends
-// it: the shell whose tags enclose it and, part by part, what goes between
-// them — elements, and where the part's slot keeps them, their bytes.
-type Answer struct {
-	View  *View
-	root  *xmlmodel.Element
-	parts []plannedPart
-}
-
-// answerIndent is how deep internal/serve indents, and so a slot's bytes are.
-const answerIndent = 2
-
-func (a *Answer) run(i int) ([]*xmlmodel.Element, []byte) { return a.parts[i].picks, a.parts[i].bytes }
-
-// Write sends the answer as xmlmodel.WriteElement would send its document.
-func (a *Answer) Write(w io.Writer) error {
-	return xmlmodel.WriteRuns(w, a.root, answerIndent, len(a.parts), a.run)
 }
 
 // keepAll is the keep mask of a query's materialization that prunes nothing.
@@ -881,9 +863,9 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res 
 		fspan.End()
 		return partResult{err: fmt.Errorf("mediator: fetching %s: %w", p.Source, err)}
 	}
-	res.doc, res.ver = doc, c.gen
+	res.ver = c.gen
 	// A last-known-good document is not the source's answer: never carried.
-	if prev := c.prev; prev != nil && prev.res.doc == doc && !res.stale {
+	if prev := c.prev; prev != nil && prev.res.answers.Document() == doc && !res.stale {
 		fspan.SetAttr(obs.Bool("unchanged", true))
 		fspan.End()
 		res.children, res.ver, res.answers = prev.res.children, prev.res.ver, prev.res.answers
@@ -892,7 +874,7 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res 
 	fspan.End()
 	_, espan := obs.StartSpan(ctx, "part.eval", obs.String("source", p.Source))
 	res.children, err = p.prepared.EvalElements(doc)
-	res.answers = new(answerMemo)
+	res.answers = NewAnswerMemo(doc)
 	espan.End()
 	if err != nil {
 		return partResult{err: fmt.Errorf("mediator: evaluating view %s over %s: %v", v.Name, p.Source, err)}
@@ -1028,7 +1010,7 @@ func (m *Mediator) answer(ctx context.Context, viewName string, q *xmas.Query, t
 		return Answer{}, nil, err
 	}
 	stats.Provenance = info.Provenance
-	if plan.byPart && !info.Degraded && len(info.StaleSources) == 0 {
+	if plan.remember && !info.Degraded && len(info.StaleSources) == 0 {
 		m.answerByPart(span, v, plan, parts, q == nil)
 		a.parts = parts
 		return a, stats, nil
@@ -1039,93 +1021,6 @@ func (m *Mediator) answer(ctx context.Context, viewName string, q *xmas.Query, t
 	}
 	a.parts = []plannedPart{{picks: picks}} // the walk's picks are not of one part or another
 	return a, stats, nil
-}
-
-// answerByPart gives parts — all complete, live results — what plan picks
-// below each: what the part's memo says, and for the parts whose memo does not
-// know the plan one walk over a root of just their children, which the memos
-// then keep. For a caller that sends bytes, an entry found a second time is
-// rendered — outside m.mu: racing renders make identical bytes and the last
-// store wins — and one found after that brings them.
-func (m *Mediator) answerByPart(span *obs.Span, v *View, plan *queryPlan, parts []plannedPart, bytes bool) {
-	var reused, copied, rendered, copiedBytes, renderedBytes int
-	m.mu.Lock()
-	for i := range parts {
-		p, a := &parts[i], parts[i].res.answers
-		if p.slot = -1; p.calc != nil { // else masked out
-			p.slot = slices.Index(a.plans[:], plan)
-		}
-		if p.slot < 0 {
-			continue
-		}
-		p.picks, reused = a.picks[p.slot], reused+1
-		switch {
-		case !bytes || len(p.picks) == 0:
-		case a.bytes != nil && a.bytes[p.slot] != nil:
-			p.bytes = a.bytes[p.slot]
-			copied, copiedBytes = copied+1, copiedBytes+len(p.bytes)
-		case a.found&(1<<p.slot) != 0:
-			p.render, rendered = true, rendered+1
-		default:
-			a.found |= 1 << p.slot
-		}
-	}
-	m.mu.Unlock()
-	evaluated := len(parts) - len(plan.pruned) - reused
-	if evaluated > 0 && plan.prepared != nil { // a view's own plan picks every member: the run as it is
-		root, ends := &xmlmodel.Element{Name: v.Name}, make([]int, len(parts))
-		for i := range parts {
-			if parts[i].slot < 0 {
-				root.Children = append(root.Children, parts[i].res.children...) // none of a masked-out part
-			}
-			ends[i] = len(root.Children)
-		}
-		picks, cuts := plan.prepared.EvalSplit(root, ends)
-		lo := 0
-		for i, hi := range cuts {
-			if p := &parts[i]; p.calc != nil && p.slot < 0 {
-				p.picks = append([]*xmlmodel.Element(nil), picks[lo:hi]...) // a copy: a memo keeps no other part's elements alive
-			}
-			lo = hi
-		}
-	}
-	for i := range parts {
-		if p := &parts[i]; p.render {
-			p.bytes = xmlmodel.MarshalElements(p.picks, answerIndent, 1)
-			renderedBytes += len(p.bytes)
-		}
-	}
-	if evaluated+rendered > 0 {
-		m.mu.Lock()
-		for i := range parts {
-			switch p, a := &parts[i], parts[i].res.answers; {
-			case p.calc == nil:
-			case p.slot < 0: // evaluated: the oldest entry goes, bytes and all
-				a.plans[a.next], a.picks[a.next], a.found = plan, p.picks, a.found&^(1<<a.next)
-				if a.bytes != nil {
-					a.bytes[a.next] = nil
-				}
-				a.next = (a.next + 1) % answerMemoPlans
-			case p.render && a.plans[p.slot] == plan: // else replaced meanwhile
-				if a.bytes == nil {
-					a.bytes = new([answerMemoPlans][]byte)
-				}
-				a.bytes[p.slot] = p.bytes
-			}
-		}
-		m.mu.Unlock()
-	}
-	if plan.prepared != nil {
-		m.stats.add(&m.stats.AnswerPartsEvaluated, int64(evaluated))
-		m.stats.add(&m.stats.AnswerPartsReused, int64(reused))
-	}
-	span.SetAttr(obs.Int("answer_reused", int64(reused)), obs.Int("answer_evaluated", int64(evaluated)))
-	if bytes { // how the parts are sent; a trace record has room for 13 attributes
-		m.stats.add(&m.stats.AnswerBytesCopied, int64(copiedBytes))
-		m.stats.add(&m.stats.AnswerBytesRendered, int64(renderedBytes))
-		span.SetNonZero(obs.Int("answer_copied", int64(copied)), obs.Int("answer_rendered", int64(rendered)),
-			obs.Int("answer_streamed", int64(len(parts)-len(plan.pruned)-copied-rendered)))
-	}
 }
 
 // QueryUnsimplified evaluates the query against the view without the

@@ -27,7 +27,9 @@ import (
 // text first: a kept plan is also in the memo under "t", the canonical key's
 // prefix (pruning flag, view) and the raw body — put there, not computed, by
 // the request that parsed the text. Two spellings of one query are two
-// aliases of one plan.
+// aliases of one plan. Only texts up to maxPlanText are kept under: a longer
+// one is parsed for every request. A cluster node that does not hold the view
+// a text is sent to plans it the same way, with no view (ParsePlan).
 //
 // Nothing invalidates a plan. Invalidate and InvalidateSource announce that
 // a source's *data* changed, which a plan never looked at; what is refetched
@@ -45,9 +47,15 @@ import (
 // of a serving workload number in the dozens per view.
 const planMemoCapacity = 1024
 
-// queryPlan is the analysis of one query against one view. Once kept it is
-// shared by every request that repeats the query and is never written again.
-type queryPlan struct {
+// maxPlanText bounds the text a plan is kept under: the memo holds at most
+// 16 MiB of query text whatever is posted.
+const maxPlanText = 16 << 10
+
+// Plan is the analysis of one query against one view — or, made by
+// ParsePlan for a node that holds no view, the query alone, parsed and
+// prepared. Once kept it is shared by every request that repeats the query
+// and is never written again.
+type Plan struct {
 	// root is the answer's shell, engine.EmptyResult's: named, childless,
 	// shared by every answer written under the plan and read only.
 	root *xmlmodel.Element
@@ -55,9 +63,11 @@ type queryPlan struct {
 	// request's own when the simplifier failed (simplifierError says how);
 	// nil in a view's own plan (View.whole), which picks every member.
 	prepared *engine.Prepared
-	// byPart: the plan is kept and its query takes the view's members one at
-	// a time (rootChildrenAlone), so the part slots remember its answer.
-	byPart bool
+	// remember: the plan is kept where a later request finds it, so a memo
+	// keeps its answers (answer.go) — a part slot's when its query takes the
+	// view's members one at a time (rootChildrenAlone), a held document's
+	// whatever it picks.
+	remember bool
 	// unsatisfiable: the view DTD refutes the query; the answer is empty and
 	// no part is looked at.
 	unsatisfiable                  bool
@@ -72,26 +82,6 @@ type queryPlan struct {
 	prunedSources []string
 }
 
-// answerMemoPlans bounds an answerMemo: benchmark/'s pools hold 15 to 20
-// distinct queries per view (measured), and a view cycling through more hot
-// plans than this is evaluated per read, as every query was before the memo.
-const answerMemoPlans = 32
-
-// answerMemo is what the last plans that asked picked from the children of
-// one part result alone, the oldest replaced first (answerByPart). It is
-// made with the children and handed on exactly as they are (evalPart), so it
-// dies with their document. bytes[j], made with the array by the first render,
-// is what picks[j] serialize to under an answer's root (answerIndent, depth
-// 1); found has bit j set once entry j was found by a read that sends bytes.
-// Mediator.mu guards it.
-type answerMemo struct {
-	plans [answerMemoPlans]*queryPlan
-	picks [answerMemoPlans][]*xmlmodel.Element
-	bytes *[answerMemoPlans][]byte
-	found uint32
-	next  int
-}
-
 // prunedPart is one part a plan leaves out of the materialization.
 type prunedPart struct {
 	source, reason string
@@ -103,34 +93,41 @@ type prunedPart struct {
 var errPlanNotKept = errors.New("mediator: query plan not kept")
 
 // QueryTextError is xmas.Parse's error for the text given to Mediator.Answer
-// (or forwarded to a cluster node's plan memo): the request's fault, a 400.
+// or ParsePlan: the request's fault, a 400.
 type QueryTextError struct{ Err error }
 
 func (e QueryTextError) Error() string { return e.Err.Error() }
 func (e QueryTextError) Unwrap() error { return e.Err }
 
 // planFor returns the plan of q — when q is nil, of the query text spells —
-// against v, from the memo when the query was analysed before. hit reports
-// that this call ran no analysis (it found the plan resident, or joined the
-// caller computing it), byText that it parsed nothing either. The pruning
-// setting is part of both keys: a plan made with pruning on is not the plan
-// of the same query with pruning off.
-func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, text []byte, pruning bool, limits budget.Limits) (plan *queryPlan, hit, byText bool, err error) {
+// against v (nil: no view, see ParsePlan), from the memo when the query was
+// analysed before. hit reports that this call ran no analysis (it found the
+// plan resident, or joined the caller computing it), byText that it parsed
+// nothing either. The pruning setting is part of both keys: a plan made with
+// pruning on is not the plan of the same query with pruning off.
+func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, text []byte, pruning bool, limits budget.Limits) (plan *Plan, hit, byText bool, err error) {
 	var buf [256]byte
 	key := buf[:0]
-	if pruning {
+	switch {
+	case v == nil:
+		key = append(key, 'f')
+	case pruning:
 		key = append(key, 'p')
-	} else {
+	default:
 		key = append(key, 'n')
 	}
-	key = binary.AppendUvarint(key, uint64(len(v.Name)))
-	key = append(key, v.Name...)
+	if v != nil {
+		key = binary.AppendUvarint(key, uint64(len(v.Name)))
+		key = append(key, v.Name...)
+	}
 	var alias string
 	if q == nil {
-		alias = "t" + string(key) + string(text) // no canonical key begins with t
-		if cached, ok := m.plans.Get(alias); ok {
-			m.stats.add(&m.stats.PlanTextHits, 1)
-			return cached.(*queryPlan), true, true, nil
+		if len(text) <= maxPlanText {
+			alias = "t" + string(key) + string(text) // no canonical key begins with t
+			if cached, ok := m.plans.Get(alias); ok {
+				m.stats.add(&m.stats.PlanTextHits, 1)
+				return cached.(*Plan), true, true, nil
+			}
 		}
 		if q, err = xmas.Parse(string(text)); err != nil {
 			return nil, false, false, QueryTextError{Err: err}
@@ -138,7 +135,7 @@ func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, text []b
 	}
 	key = q.AppendKey(key)
 
-	var fresh *queryPlan // set when this call ran the analysis itself
+	var fresh *Plan // set when this call ran the analysis itself
 	cached, err := m.plans.GetOrCompute(string(key), func() (any, error) {
 		// One budget for the whole analysis, from the mediator's limits (nil
 		// when it sets none); analyse reads it from its context.
@@ -153,7 +150,7 @@ func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, text []b
 			unknown = true
 		}
 		if unknown || fresh.simplifierError != "" {
-			fresh.byPart = false // no slot would be asked for its answer again
+			fresh.remember = false // no slot would be asked for its answer again
 			return nil, errPlanNotKept
 		}
 		return fresh, nil
@@ -164,7 +161,7 @@ func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, text []b
 	case err != nil:
 		return nil, false, false, err // ctx was cancelled, or the analysis this call joined panicked
 	default:
-		plan, hit = cached.(*queryPlan), true
+		plan, hit = cached.(*Plan), true
 	}
 	if alias != "" && err == nil { // the plan is kept
 		m.plans.Put(alias, plan)
@@ -177,8 +174,13 @@ func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, text []b
 // root conditions against each part's DTD — both under the budget ctx
 // carries and only while ctx lives (its cancellation is the one error).
 // unknown reports that some verdict was infer.VerdictUnknown.
-func analyse(ctx context.Context, v *View, q *xmas.Query, pruning bool) (plan *queryPlan, unknown bool, err error) {
-	plan = &queryPlan{root: engine.EmptyResult(q).Root}
+func analyse(ctx context.Context, v *View, q *xmas.Query, pruning bool) (plan *Plan, unknown bool, err error) {
+	plan = &Plan{root: engine.EmptyResult(q).Root}
+	if v == nil { // no view to analyse against: the owner's whole document is walked
+		plan.prepared, err = engine.Prepare(q)
+		plan.remember = true
+		return plan, false, err
+	}
 	sq := q
 	switch simplified, rep, err := infer.SimplifyQueryContext(ctx, q, v.DTD); {
 	case ctx.Err() != nil:
@@ -195,7 +197,7 @@ func analyse(ctx context.Context, v *View, q *xmas.Query, pruning bool) (plan *q
 	if plan.prepared, err = engine.Prepare(sq); err != nil {
 		return nil, false, err
 	}
-	plan.byPart = rootChildrenAlone(sq)
+	plan.remember = rootChildrenAlone(sq)
 	if !pruning {
 		plan.keep = keepAll(v)
 		return plan, false, nil
@@ -203,4 +205,13 @@ func analyse(ctx context.Context, v *View, q *xmas.Query, pruning bool) (plan *q
 	plan.keep, plan.pruned, unknown = pruneParts(ctx, v, sq)
 	plan.prunedSources = prunedSources(v, plan.keep)
 	return plan, unknown, nil
+}
+
+// ParsePlan is the plan of a query text for a cluster node that does not hold
+// the view it was sent to and answers over the owner's document (AnswerHeld):
+// found by its text as Answer's is, or else parsed and prepared — there is no
+// view to analyse it against — and kept.
+func (m *Mediator) ParsePlan(ctx context.Context, text []byte) (*Plan, error) {
+	plan, _, _, err := m.planFor(ctx, nil, nil, text, false, budget.Limits{})
+	return plan, err
 }

@@ -5,6 +5,7 @@ package mediator
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -365,5 +366,64 @@ func TestPlanSingleflight(t *testing.T) {
 	}
 	if got := m.plans.Len(); got != len(children) {
 		t.Errorf("%d plans kept, want one per distinct query (%d)", got, len(children))
+	}
+}
+
+// A text a cluster node forwards for is planned once, by the memo an owner's
+// texts go through: a repeat finds the plan by its text, racing first requests
+// go on with the one kept, a text that does not parse is refused as the
+// request's fault every time and kept never, and a text longer than
+// maxPlanText is parsed for every request — on a forwarder as on an owner —
+// and finds its plan by the parsed query only.
+func TestParsePlanOncePerText(t *testing.T) {
+	ctx := context.Background()
+	m, _, _ := newLibMediator(t)
+	const text = qBooksText
+	p, err := m.ParsePlan(ctx, []byte(text))
+	if err != nil || p.root.Name != "r" || len(p.root.Children) != 0 || !p.remember || p.prepared == nil {
+		t.Fatalf("first plan: %+v, %v", p, err)
+	}
+	before := m.Stats()
+	if again, err := m.ParsePlan(ctx, []byte(strings.Clone(text))); err != nil || again != p {
+		t.Fatalf("the same text again: another plan %v, %v", again != p, err)
+	}
+	if after := m.Stats(); after.PlanTextHits != before.PlanTextHits+1 || after.PlanMisses != before.PlanMisses {
+		t.Errorf("the same text again: %d text hits, %d analyses; want 1 and 0", after.PlanTextHits-before.PlanTextHits, after.PlanMisses-before.PlanMisses)
+	}
+	raced := []byte(`s = SELECT X WHERE <cat> X:<item/> </cat>`)
+	plans := make([]*Plan, 8)
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plans[i], _ = m.ParsePlan(ctx, raced)
+		}()
+	}
+	wg.Wait()
+	for _, q := range plans {
+		if q == nil || q != plans[0] {
+			t.Fatal("racing first requests for one text went on with different plans")
+		}
+	}
+	before = m.Stats()
+	for i := 0; i < 2; i++ {
+		var textErr QueryTextError
+		if _, err := m.ParsePlan(ctx, []byte(`r = SELECT X WHERE <cat> X:<item/>`)); !errors.As(err, &textErr) {
+			t.Fatalf("unparseable text, try %d: %v is no QueryTextError", i, err)
+		}
+	}
+	long := []byte(text + strings.Repeat(" ", maxPlanText))
+	for i := 0; i < 2; i++ {
+		if got, err := m.ParsePlan(ctx, long); err != nil || got != p {
+			t.Fatalf("an over-long spelling of a planned text, ask %d: another plan %v, %v", i, got != p, err)
+		}
+		if _, _, err := m.Answer(ctx, "cat", long); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := m.Stats(); after.PlanTextHits != before.PlanTextHits || after.PlanCacheSize != before.PlanCacheSize+1 {
+		t.Errorf("%d plans found by text and %d entries kept since; want 0 and 1 — the owner's analysis of the over-long text, not the text",
+			after.PlanTextHits-before.PlanTextHits, after.PlanCacheSize-before.PlanCacheSize)
 	}
 }

@@ -294,10 +294,8 @@ func (m *Mediator) Stats() Stats {
 			if c != nil && !c.finished() {
 				c = c.prev // what the slot holds while c runs
 			}
-			if c != nil && c.res.answers != nil && c.res.answers.bytes != nil {
-				for _, b := range c.res.answers.bytes {
-					out.AnswerBytesHeld += int64(len(b))
-				}
+			if c != nil && c.res.answers != nil {
+				out.AnswerBytesHeld += c.res.answers.heldBytes()
 			}
 		}
 	}

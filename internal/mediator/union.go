@@ -59,7 +59,7 @@ func UnionSDTDs(root regex.Name, parts []*sdtd.SDTD, bud *budget.Budget) (*sdtd.
 		}
 		rootModels = append(rootModels, regex.Map(rootType.Model, mapName))
 	}
-	out.Declare(root, dtd.M(regex.Simplify(regex.Cat(rootModels...))))
+	out.Declare(root, dtd.M(regex.Simplify(regex.Cat(rootModels...), bud)))
 	// Reorder so the root is declared first (cosmetic but deterministic).
 	normalized := out.Normalize(bud)
 	if errs := normalized.Check(); len(errs) > 0 {

@@ -102,7 +102,7 @@ func TestCopyOnWriteAgreesWithRebuild(t *testing.T) {
 		if i%2 == 0 {
 			e = randomExpr(r, 5)
 		}
-		if got, want := Simplify(e), simplifyByRebuild(e); !Equal(got, want) {
+		if got, want := Simplify(e, nil), simplifyByRebuild(e); !Equal(got, want) {
 			t.Fatalf("case %d: Simplify(%s) = %s, rebuilt it is %s", i, e, got, want)
 		}
 		if got, want := Image(e), mapByRebuild(e, maps[1]); !Equal(got, want) {
@@ -125,7 +125,7 @@ func TestSimpleExpressionsCostNoAllocation(t *testing.T) {
 		"title, author+, (journal | conference)",
 	} {
 		e := MustParse(src)
-		if allocs := testing.AllocsPerRun(100, func() { Simplify(e) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { Simplify(e, nil) }); allocs != 0 {
 			t.Errorf("Simplify(%s) allocates %.0f times, want 0", src, allocs)
 		}
 		// Image boxes one atom per name it is asked about and nothing else.

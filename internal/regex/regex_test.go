@@ -1,10 +1,14 @@
 package regex
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/budget"
 )
 
 func TestParsePrint(t *testing.T) {
@@ -189,9 +193,66 @@ func TestSimplifyMergeCleanup(t *testing.T) {
 		{"(EMPTY, a+, EMPTY*)?", "a*"},
 	}
 	for _, c := range cases {
-		got := Simplify(MustParse(c.in)).String()
+		got := Simplify(MustParse(c.in), nil).String()
 		if got != c.want {
 			t.Errorf("Simplify(%s) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
+// chargeLog is a budget.Observer writing down the charge stream in order.
+type chargeLog struct {
+	mu  sync.Mutex
+	log []string
+}
+
+func (l *chargeLog) BudgetCharge(resource string, n int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.log = append(l.log, fmt.Sprintf("%s+%d", resource, n))
+}
+
+func (l *chargeLog) BudgetEvent(event string, n int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.log = append(l.log, event)
+}
+
+// Simplify charges the caller's budget, as refinement steps, by the nodes of
+// every round it runs, and a budget that cannot pay for a round stops it there
+// with what the rounds before made: the input itself when it cannot pay for
+// the first. The observer of the budget sees each round's charge and the
+// exhaustion; a nil budget is charged nothing.
+func TestSimplifyChargesTheBudget(t *testing.T) {
+	e := MustParse("publication*, publication, publication*, publication, publication*") // the paper's (D10)
+	once, _ := simplifyOnce.Rewrite(e)
+	if Equal(once, e) || !Equal(Simplify(e, nil), once) {
+		t.Fatalf("vacuous: %s is not simplified by one round to %s", e, once)
+	}
+	size, sizeOnce := int64(Size(e)), int64(Size(once))
+	charge := func(n int64) string { return fmt.Sprintf("%s+%d", budget.ResourceRefine, n) }
+	const exhausted = "budget.exhausted." + budget.ResourceRefine
+	for _, c := range []struct {
+		name  string
+		limit int64
+		want  Expr
+		log   []string
+	}{
+		{"funded", 1000, once, []string{charge(size), charge(sizeOnce)}}, // the second round finds nothing to do
+		{"starved", size - 1, e, []string{exhausted}},
+		{"no round to confirm the first", size + sizeOnce - 1, once, []string{charge(size), exhausted}},
+	} {
+		bud := budget.New(budget.Limits{MaxRefineSteps: c.limit})
+		var log chargeLog
+		bud.SetObserver(&log)
+		if got := Simplify(e, bud); !Equal(got, c.want) {
+			t.Errorf("%s: Simplify = %s, want %s", c.name, got, c.want)
+		}
+		if fmt.Sprint(log.log) != fmt.Sprint(c.log) {
+			t.Errorf("%s: the observer saw %v, want %v", c.name, log.log, c.log)
+		}
+		if (bud.Exhausted() != nil) != (c.name != "funded") {
+			t.Errorf("%s: budget exhausted: %v", c.name, bud.Exhausted())
 		}
 	}
 }
@@ -199,7 +260,7 @@ func TestSimplifyMergeCleanup(t *testing.T) {
 func TestSizeMonotoneUnderSimplify(t *testing.T) {
 	f := func(seed int64) bool {
 		e := randomExpr(rand.New(rand.NewSource(seed)), 5)
-		return Size(Simplify(e)) <= Size(e)
+		return Size(Simplify(e, nil)) <= Size(e)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -307,7 +368,7 @@ func TestQuickDerivMatchesEnumeration(t *testing.T) {
 		}
 		// Random words: compare against a second evaluation via derivatives
 		// of the simplified expression (Simplify must not change answers).
-		s := Simplify(e)
+		s := Simplify(e, nil)
 		for i := 0; i < 12; i++ {
 			n := r.Intn(5)
 			w := make([]Name, n)

@@ -1,6 +1,10 @@
 package regex
 
-import "slices"
+import (
+	"slices"
+
+	"repro/internal/budget"
+)
 
 // Simplify rewrites e into a smaller equivalent expression using algebraic
 // identities. It performs only language-preserving syntactic rewrites (the
@@ -8,8 +12,16 @@ import "slices"
 // the raw output of Merge — e.g. the paper's (D10)
 // "publication*, publication, publication*, publication, publication*" —
 // into the readable "publication, publication+" form.
-func Simplify(e Expr) Expr {
+//
+// Each round of rewrites is charged to bud, as refinement steps, by the
+// nodes it walks; a round the budget cannot pay for is not run, and what the
+// rounds before it made — equivalent to e, less simplified — is returned. A
+// nil budget is charged nothing.
+func Simplify(e Expr, bud *budget.Budget) Expr {
 	for i := 0; i < 16; i++ { // bounded fixpoint; rewrites strictly shrink in practice
+		if bud != nil && bud.ChargeRefine(int64(Size(e))) != nil {
+			return e
+		}
 		next, kept := simplifyOnce.Rewrite(e)
 		if kept || Equal(next, e) {
 			return next

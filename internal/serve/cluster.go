@@ -127,18 +127,18 @@ func (h *Handler) forwardView(w http.ResponseWriter, r *http.Request, fwd *clust
 // the simplifier stat headers (X-Mix-Skipped and friends) are absent,
 // since no simplification ran here; X-Mix-Forwarded marks the difference.
 //
-// The text finds its plan in the node's memo (a repeat parses nothing), and
-// over a document the owner said is unchanged the plan finds its picks beside
-// it (a repeat walks nothing). While the owner's lease on the document runs
-// the fetch asks nobody; the owner takes the lease back before it
-// acknowledges an invalidation, so nothing is served that an owner which
-// acknowledged one would not serve now.
+// The text finds its plan in this node's plan memo, and over a document the
+// owner said is unchanged the plan finds its picks — and their bytes — in the
+// memo an owner's part slot keeps, under the owner's rule (Forward.Answer).
+// While the owner's lease on the document runs the fetch asks nobody; the
+// owner takes the lease back before it acknowledges an invalidation, so
+// nothing is served that an owner which acknowledged one would not serve now.
 func (h *Handler) forwardQuery(w http.ResponseWriter, r *http.Request, fwd *cluster.Forward, ctx context.Context, fi *mediator.ForwardInfo) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	plan, err := h.cluster.Plan(string(body))
+	plan, err := h.m.ParsePlan(ctx, body)
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
 		return
@@ -148,21 +148,15 @@ func (h *Handler) forwardQuery(w http.ResponseWriter, r *http.Request, fwd *clus
 		h.forwardError(w, fwd.View(), err)
 		return
 	}
-	// The fetched document is read-only here, so the answer's root holds
-	// the picked elements themselves, as Mediator.Query's does.
-	root, reused, err := fwd.Answer(plan, doc)
+	a, how, err := fwd.Answer(plan, doc)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	answer := "evaluated"
-	if reused {
-		answer = "reused"
-	}
-	obs.SetAttr(ctx, obs.String("forwarded_answer", answer))
+	obs.SetAttr(ctx, obs.String("forwarded_answer", how))
 	h.setForwardHeaders(w, fi, fwd, stale)
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	writeAnswer(ctx, w, "", func(w io.Writer) error { return xmlmodel.WriteElement(w, root, 2) })
+	writeAnswer(ctx, w, "", a.Write)
 }
 
 // forwardDTD answers GET /views/{name}/dtd with the owner's DTD text

@@ -117,8 +117,8 @@ func TestLeasedForwardFollowsEveryInvalidation(t *testing.T) {
 		t.Errorf("first contact: %d lease hits, %d leases granted; want 1 and 1", m.LeaseHits, p.ownerNode.Metrics().LeasesGranted)
 	}
 	same("unchanged", "leased")
-	if rootAttr(p.fwdH, "forwarded_answer") != "reused" {
-		t.Error("a leased query over the unchanged document walked it again")
+	if how := rootAttr(p.fwdH, "forwarded_answer"); how != "streamed" {
+		t.Errorf("a leased query over the unchanged document, asked a second time: forwarded_answer=%q, want streamed (found, not walked)", how)
 	}
 
 	for _, inv := range []struct {
