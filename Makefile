@@ -27,11 +27,11 @@ lint:
 # package, including internal/automata (compiler singleflight hammer) and
 # internal/automata/cache (LRU hammer) — the tests that only prove
 # anything under -race. internal/mediator, internal/serve, internal/engine
-# and internal/cluster run again at -count=3 -cpu=1,2: the part-slot
-# singleflight, the query-plan memo, the handlers above them and the forward
-# transports (hedged owner fetches, per-view build slots) are
-# scheduling-sensitive, and the repeat keeps every test of the four
-# independent of what ran before it (process-wide caches, shared fixtures).
+# and internal/cluster run again at -count=3 -cpu=1,2: the part slots, the
+# query-plan memo, the handlers above them and the forward transports (hedged
+# owner fetches, one build flight per view) are scheduling-sensitive, and the
+# repeat keeps every test of the four independent of what ran before it
+# (process-wide caches, shared fixtures).
 # internal/xmlmodel rides along: its trees are arrays shared between
 # elements, and the ownership tests (slab_test.go) are what says the sharing
 # stops there. internal/infer too: a kept plan is its analysis run once, and
@@ -43,7 +43,10 @@ lint:
 # request writes, and that /debug/trace reads while they do. The last line
 # repeats the tests of the answer memo — one type on both sides of the cluster
 # hop, shared by readers while documents, leases and renders race — twenty
-# times.
+# times. The line before it repeats, fifty times, every test of the one
+# "compute once, the rest wait" rule (cache.Flight) and of its three holders:
+# the flight's own table, the LRU under the automata compiler and the memos,
+# the part slots, and the forward builds — ≈ 20 s on 2 cores.
 test:
 	go test ./...
 
@@ -51,6 +54,7 @@ race:
 	go vet ./...
 	go test -race ./...
 	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/ ./internal/obs/
+	go test -race -count=50 -cpu=1,2 -run 'TestFlight|TestPurgeFencesTheFlightInFlight|TestJoinerLeavesWithItsContext|TestPanicFailsWaitersAndPropagates|TestErrorIsTheLeadersOwn|TestSingleflightBlocksJoiners|TestConcurrentCompilerSingleflight|TestPlanSingleflight|TestSingleflightMaterialize|TestMaterializeFollowerCancellation|TestFollowerSurvives|TestTagNamesTheCalcTheJoinerEndedOn|TestRacedResultStaysAsPredecessor|TestInvalidateDiscardsInflightResult|TestMetricsSingleflightDedups|TestForwardBuildOncePerBurst|TestForwardJoinerLeavesWithItsContext|TestForwardIncompleteNotCached' ./internal/automata/cache/ ./internal/automata/ ./internal/mediator/ ./internal/cluster/ ./internal/serve/
 	go test -race -count=20 -cpu=1,2 -run 'Answer|Forward|Lease|Memo' ./internal/mediator/ ./internal/cluster/ ./internal/serve/
 
 # Every allocation ratchet in the tree, by one name and without -race: a

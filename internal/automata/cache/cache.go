@@ -1,26 +1,23 @@
-// Package cache provides the concurrency-safe, size-bounded memoization
-// layer under the automata compiler: an LRU keyed by opaque strings with
-// singleflight-deduplicated computation and hit/miss/eviction/dedup
-// counters.
-//
-// The package is deliberately generic — it knows nothing about DFAs or
-// regular expressions — so its invariants can be property-tested in
-// isolation (hammered from many goroutines under -race) and so other
-// compile-once-use-everywhere artifacts can share it later. The automata
-// package layers the canonical-key discipline (regex.Simplify +
-// regex.Key) on top.
+// Package cache holds the one rule by which a costly thing is done once
+// while others wait — Flight: claim, join, land, start over, fence — and the
+// concurrency-safe, size-bounded LRU built on it, keyed by opaque strings,
+// with hit/miss/eviction/dedup counters. It is deliberately generic — it
+// knows nothing about DFAs, plans or documents — so its invariants can be
+// tested in isolation, hammered from many goroutines under -race. The
+// automata compiler, the verdict, DTD-info, plan and /infer memos use the
+// LRU; the part slots and the forward slots hold flights of their own.
 package cache
 
 import (
 	"container/list"
+	"context"
 	"errors"
 	"sync"
 )
 
-// ErrComputePanic is what waiters of a singleflight computation receive
-// when the computing goroutine panicked: the flight is failed and removed
-// (never cached), the panic propagates in the computing goroutine, and a
-// later GetOrCompute for the same key retries cleanly.
+// ErrComputePanic is what the joiners of a Flight receive when its leader
+// panicked: the flight lands failed and is never kept, the panic propagates
+// in the leader, and a later claim of the same place retries cleanly.
 var ErrComputePanic = errors.New("cache: computation panicked")
 
 // Stats is a point-in-time snapshot of a cache's counters. Hits + Misses +
@@ -35,9 +32,8 @@ type Stats struct {
 	Hits int64 `json:"hits" metric:"mix_automata_cache_hits_total" help:"Compiled-automata cache hits."`
 	// Misses counts lookups that ran the compute function.
 	Misses int64 `json:"misses" metric:"mix_automata_cache_misses_total" help:"Compiled-automata cache misses."`
-	// Dedups counts lookups answered by another goroutine's in-flight
-	// computation of the same key instead of their own (singleflight): at
-	// most one compute runs per key at any moment.
+	// Dedups counts lookups that joined another's computation of the same
+	// key (singleflight) instead of running their own.
 	Dedups int64 `json:"dedups" metric:"mix_automata_cache_dedups_total" help:"Compiled-automata cache singleflight joins."`
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions int64 `json:"evictions" metric:"mix_automata_cache_evictions_total" help:"Compiled-automata cache evictions."`
@@ -46,15 +42,14 @@ type Stats struct {
 	Capacity int `json:"capacity"`
 }
 
-// Cache is a size-bounded LRU map with singleflight computation. The zero
-// value is not usable; construct with New. All methods are safe for
-// concurrent use.
+// Cache is a size-bounded LRU map whose misses are Flights. The zero value is
+// not usable; construct with New. All methods are safe for concurrent use.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	entries  map[string]*list.Element // of *entry; front = most recent
 	order    *list.List
-	inflight map[string]*call
+	inflight map[string]*Flight[any]
 
 	hits, misses, dedups, evictions int64
 }
@@ -62,14 +57,6 @@ type Cache struct {
 type entry struct {
 	key string
 	val any
-}
-
-// call is one in-flight computation; joiners wait on wg and read val/err
-// afterwards (the happens-before edge is wg.Done → wg.Wait).
-type call struct {
-	wg  sync.WaitGroup
-	val any
-	err error
 }
 
 // New returns an empty cache bounded to capacity entries. A non-positive
@@ -84,7 +71,7 @@ func New(capacity int) *Cache {
 		capacity: capacity,
 		entries:  map[string]*list.Element{},
 		order:    list.New(),
-		inflight: map[string]*call{},
+		inflight: map[string]*Flight[any]{},
 	}
 }
 
@@ -102,78 +89,60 @@ func (c *Cache) Get(key string) (any, bool) {
 	return el.Value.(*entry).val, true
 }
 
-// GetOrCompute returns the cached value for key, computing and inserting
-// it on a miss. Concurrent calls for the same key run compute once and share
-// a successful result. An error is the leader's own — its budget ran out,
-// its context was cancelled — so it is neither cached nor shared: a joiner
-// whose flight failed starts over and runs its own compute (or joins the
-// next flight), and is counted as the hit, miss or dedup it ends up being.
-// A panicking compute cannot poison the key either: the flight is failed
-// with ErrComputePanic for its waiters, who do return that (the computation
-// itself is broken, not the leader's allowance), removed so future calls
-// retry, and the panic then continues in the computing goroutine.
-func (c *Cache) GetOrCompute(key string, compute func() (any, error)) (any, error) {
+// GetOrCompute returns the value resident under key, or else what a Flight
+// of compute lands: concurrent calls for one key run compute once, and led
+// reports that this call ran it. Only a value compute says to keep, computed
+// while no Purge fenced its flight off, becomes resident. A value not to be
+// kept, and an error (a budget ran out, a context ended), are the leader's
+// own: its joiners start over, each counted as the hit, miss or dedup it ends
+// up being. A joiner whose ctx ends first returns its error, as a dedup.
+func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() (val any, keep bool, err error)) (val any, led bool, err error) {
 	c.mu.Lock()
 	for {
 		if el, ok := c.entries[key]; ok {
 			c.hits++
 			c.order.MoveToFront(el)
-			v := el.Value.(*entry).val
+			val = el.Value.(*entry).val
 			c.mu.Unlock()
-			return v, nil
+			return val, false, nil
 		}
-		f, ok := c.inflight[key]
-		if !ok {
+		f := c.inflight[key]
+		if f == nil {
 			break
 		}
 		c.dedups++
 		c.mu.Unlock()
-		f.wg.Wait()
-		if f.err == nil || f.err == ErrComputePanic {
-			return f.val, f.err
+		val, err, redo := f.Wait(ctx)
+		if !redo {
+			return val, false, err
 		}
 		c.mu.Lock()
 		c.dedups--
 	}
 	c.misses++
-	f := &call{}
-	f.wg.Add(1)
+	f := new(Flight[any]).Start()
 	c.inflight[key] = f
 	c.mu.Unlock()
 
-	completed := false
-	defer func() {
-		if completed {
-			return
-		}
-		// compute panicked before returning: unblock the waiters with an
-		// error and drop the flight, then let the panic unwind.
-		f.err = ErrComputePanic
-		f.wg.Done()
-		c.mu.Lock()
-		if c.inflight[key] == f {
+	keep := false
+	val, err = f.Run(&c.mu, func() (v any, err error) {
+		v, keep, err = compute()
+		return v, err
+	}, func(v any, err error) bool {
+		if c.inflight[key] == f { // else Purge fenced f off
 			delete(c.inflight, key)
+			if keep && err == nil {
+				c.insertLocked(key, v)
+			}
 		}
-		c.mu.Unlock()
-	}()
-	f.val, f.err = compute()
-	completed = true
-
-	// The flight is gone before its waiters wake, so one that starts over
-	// finds the entry or a clean key, never this flight again.
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if f.err == nil {
-		c.insertLocked(key, f.val)
-	}
-	c.mu.Unlock()
-	f.wg.Done()
-	return f.val, f.err
+		return !keep || err != nil
+	})
+	return val, true, err
 }
 
 // insertLocked makes val resident under key unless something already is
-// (a racing Purge and insert may have slipped in while it was computed: one
-// element per key), evicting the least recently used past capacity. It
+// (a Put may have slipped in while it was computed: one element per key),
+// evicting the least recently used past capacity. It
 // reports whether val is what the key now holds.
 func (c *Cache) insertLocked(key string, val any) bool {
 	if el, ok := c.entries[key]; ok {
@@ -214,12 +183,15 @@ func (c *Cache) Values() []any {
 	return out
 }
 
-// Purge drops every resident entry (in-flight computations finish but are
-// written back normally). Counters are not reset; see ResetStats.
+// Purge drops every resident entry and fences off every flight in progress:
+// it still answers its leader and its joiners, but its value is not kept, and
+// a later call for its key computes anew. Counters are not reset; see
+// ResetStats.
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	c.entries = map[string]*list.Element{}
 	c.order.Init()
+	clear(c.inflight)
 	c.mu.Unlock()
 }
 

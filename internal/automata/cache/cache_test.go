@@ -1,17 +1,19 @@
 package cache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func mustGet(t *testing.T, c *Cache, key string, val any) {
 	t.Helper()
-	got, err := c.GetOrCompute(key, func() (any, error) { return val, nil })
+	got, _, err := c.GetOrCompute(context.Background(), key, func() (any, bool, error) { return val, true, nil })
 	if err != nil || got != val {
 		t.Fatalf("GetOrCompute(%q) = %v, %v; want %v", key, got, err, val)
 	}
@@ -62,7 +64,7 @@ func TestRecomputeAfterEviction(t *testing.T) {
 	c := New(1)
 	runs := 0
 	get := func(key string) {
-		if _, err := c.GetOrCompute(key, func() (any, error) { runs++; return runs, nil }); err != nil {
+		if _, _, err := c.GetOrCompute(context.Background(), key, func() (any, bool, error) { runs++; return runs, true, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,20 +82,20 @@ func TestErrorsNotCached(t *testing.T) {
 	c := New(4)
 	boom := errors.New("boom")
 	calls := 0
-	compute := func() (any, error) {
+	compute := func() (any, bool, error) {
 		calls++
 		if calls == 1 {
-			return nil, boom
+			return nil, false, boom
 		}
-		return "ok", nil
+		return "ok", true, nil
 	}
-	if _, err := c.GetOrCompute("k", compute); err != boom {
+	if _, _, err := c.GetOrCompute(context.Background(), "k", compute); err != boom {
 		t.Fatalf("first call: err = %v, want boom", err)
 	}
 	if c.Len() != 0 {
 		t.Fatal("failed computation must not be cached")
 	}
-	v, err := c.GetOrCompute("k", compute)
+	v, _, err := c.GetOrCompute(context.Background(), "k", compute)
 	if err != nil || v != "ok" {
 		t.Fatalf("retry = %v, %v; want ok", v, err)
 	}
@@ -125,11 +127,11 @@ func TestSingleflightBlocksJoiners(t *testing.T) {
 	var computes int32
 
 	go func() {
-		c.GetOrCompute("k", func() (any, error) {
+		c.GetOrCompute(context.Background(), "k", func() (any, bool, error) {
 			atomic.AddInt32(&computes, 1)
 			close(entered)
 			<-release
-			return 42, nil
+			return 42, true, nil
 		})
 	}()
 	<-entered
@@ -140,9 +142,9 @@ func TestSingleflightBlocksJoiners(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := c.GetOrCompute("k", func() (any, error) {
+			v, _, err := c.GetOrCompute(context.Background(), "k", func() (any, bool, error) {
 				atomic.AddInt32(&computes, 1)
-				return -1, nil
+				return -1, true, nil
 			})
 			if err != nil || v != 42 {
 				t.Errorf("joiner got %v, %v; want 42", v, err)
@@ -181,7 +183,7 @@ func TestHammer(t *testing.T) {
 			for i := 0; i < perW; i++ {
 				k := (w*31 + i*17) % keys
 				key := fmt.Sprintf("k%03d", k)
-				v, err := c.GetOrCompute(key, func() (any, error) { return k, nil })
+				v, _, err := c.GetOrCompute(context.Background(), key, func() (any, bool, error) { return k, true, nil })
 				if err != nil || v.(int) != k {
 					atomic.AddInt32(&bad, 1)
 					return
@@ -241,5 +243,107 @@ func TestPutAndValues(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits+st.Misses+st.Dedups != 0 || st.Evictions != 1 || st.Size != 2 {
 		t.Errorf("stats = %+v, want no lookups counted, 1 eviction, size 2", st)
+	}
+}
+
+// TestPurgeFencesTheFlightInFlight: a Purge while a computation runs still
+// lets it answer its leader and its joiners, but fences it off — a caller
+// after the Purge computes anew instead of joining it, and what the old
+// flight computed never becomes resident.
+func TestPurgeFencesTheFlightInFlight(t *testing.T) {
+	c := New(8)
+	ctx := context.Background()
+	entered, release := make(chan struct{}), make(chan struct{})
+	leader, joiner := make(chan any, 1), make(chan any, 1)
+	go func() {
+		v, _, _ := c.GetOrCompute(ctx, "k", func() (any, bool, error) {
+			close(entered)
+			<-release
+			return "before", true, nil
+		})
+		leader <- v
+	}()
+	<-entered
+	go func() {
+		v, _, _ := c.GetOrCompute(ctx, "k", func() (any, bool, error) {
+			t.Error("a joiner from before the Purge must not compute")
+			return nil, false, nil
+		})
+		joiner <- v
+	}()
+	for c.Stats().Dedups < 1 {
+		runtime.Gosched()
+	}
+	c.Purge()
+
+	after := make(chan any, 1)
+	go func() {
+		v, led, _ := c.GetOrCompute(ctx, "k", func() (any, bool, error) { return "after", true, nil })
+		if !led {
+			t.Error("a caller after the Purge joined the flight it fenced off")
+		}
+		after <- v
+	}()
+	select {
+	case v := <-after:
+		if v != "after" {
+			t.Fatalf("a caller after the Purge got %v, want its own computation", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a caller after the Purge waits on the flight it fenced off")
+	}
+	close(release)
+	if l, j := <-leader, <-joiner; l != "before" || j != "before" {
+		t.Fatalf("leader got %v, joiner %v; want the fenced flight's value for both", l, j)
+	}
+	if v, ok := c.Get("k"); !ok || v != "after" {
+		t.Fatalf("resident = %v, %v; want the value computed after the Purge, not the fenced one", v, ok)
+	}
+}
+
+// TestJoinerLeavesWithItsContext: a joiner whose context ends returns its
+// error at once, the leader's value still becomes resident, and every call is
+// still counted exactly once.
+func TestJoinerLeavesWithItsContext(t *testing.T) {
+	c := New(8)
+	entered, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.GetOrCompute(context.Background(), "k", func() (any, bool, error) {
+			close(entered)
+			<-release
+			return "kept", true, nil
+		})
+	}()
+	<-entered
+	ctx, cancel := context.WithCancel(context.Background())
+	left := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrCompute(ctx, "k", func() (any, bool, error) {
+			t.Error("a joiner must not compute")
+			return nil, false, nil
+		})
+		left <- err
+	}()
+	for c.Stats().Dedups < 1 {
+		runtime.Gosched()
+	}
+	cancel()
+	select {
+	case err := <-left:
+		if err != context.Canceled {
+			t.Fatalf("the joiner that left got %v, want its context's error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a joiner whose context ended still waits for the leader")
+	}
+	close(release)
+	<-done
+	if v, ok := c.Get("k"); !ok || v != "kept" {
+		t.Fatalf("resident = %v, %v; want the leader's value", v, ok)
+	}
+	if st := c.Stats(); st.Hits+st.Misses+st.Dedups != 2 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want 2 calls counted, 1 compute", st)
 	}
 }

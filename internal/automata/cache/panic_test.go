@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -20,7 +21,7 @@ func TestPanicFailsWaitersAndPropagates(t *testing.T) {
 	leaderPanicked := make(chan any, 1)
 	go func() {
 		defer func() { leaderPanicked <- recover() }()
-		c.GetOrCompute("k", func() (any, error) {
+		c.GetOrCompute(context.Background(), "k", func() (any, bool, error) {
 			close(entered)
 			<-release
 			panic("compile blew up")
@@ -35,9 +36,9 @@ func TestPanicFailsWaitersAndPropagates(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = c.GetOrCompute("k", func() (any, error) {
+			_, _, errs[i] = c.GetOrCompute(context.Background(), "k", func() (any, bool, error) {
 				t.Error("joiner must not compute while the leader is in flight")
-				return nil, nil
+				return nil, true, nil
 			})
 		}(i)
 	}
@@ -60,7 +61,7 @@ func TestPanicFailsWaitersAndPropagates(t *testing.T) {
 	}
 
 	// The key must be clean: a retry computes and caches normally.
-	v, err := c.GetOrCompute("k", func() (any, error) { return "ok", nil })
+	v, _, err := c.GetOrCompute(context.Background(), "k", func() (any, bool, error) { return "ok", true, nil })
 	if err != nil || v != "ok" {
 		t.Fatalf("retry after panic = %v, %v; want ok", v, err)
 	}
@@ -84,10 +85,10 @@ func TestErrorIsTheLeadersOwn(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, leaderErr = c.GetOrCompute("k", func() (any, error) {
+		_, _, leaderErr = c.GetOrCompute(context.Background(), "k", func() (any, bool, error) {
 			close(entered)
 			<-release
-			return nil, exhausted
+			return nil, false, exhausted
 		})
 	}()
 	<-entered
@@ -99,9 +100,9 @@ func TestErrorIsTheLeadersOwn(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := c.GetOrCompute("k", func() (any, error) {
+			v, _, err := c.GetOrCompute(context.Background(), "k", func() (any, bool, error) {
 				atomic.AddInt32(&computes, 1)
-				return "fresh", nil
+				return "fresh", true, nil
 			})
 			if err != nil || v != "fresh" {
 				atomic.AddInt32(&wrong, 1)

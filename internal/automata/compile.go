@@ -1,6 +1,7 @@
 package automata
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -42,7 +43,8 @@ const DefaultCacheCapacity = 8192
 
 // Compiler memoizes DFA compilation and language decisions. All methods
 // are safe for concurrent use; concurrent requests for the same key compile
-// once (singleflight). The returned DFAs are shared — callers must treat
+// once (singleflight), their callers waiting without a context: a budget
+// carries the deadline. The returned DFAs are shared — callers must treat
 // them as immutable, which every DFA method already respects.
 type Compiler struct {
 	c *cache.Cache
@@ -102,10 +104,10 @@ func (cp *Compiler) Purge() { cp.c.Purge() }
 func (cp *Compiler) DFA(e regex.Expr, bud *budget.Budget) (*DFA, error) {
 	canon := regex.Simplify(e, nil) // the key: a hit costs nothing, a cold compile its states
 	key := string(opDFA) + regex.Key(canon)
-	v, err := cp.c.GetOrCompute(key, func() (any, error) {
+	v, _, err := cp.c.GetOrCompute(context.Background(), key, func() (any, bool, error) {
 		d, err := FromExpr(canon, bud)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		m := d.Minimize()
 		// A cold compile is a budget hot spot worth a trace event: the
@@ -114,7 +116,7 @@ func (cp *Compiler) DFA(e regex.Expr, bud *budget.Budget) (*DFA, error) {
 		// content models were compiled and at what state cost. Cache
 		// hits stay silent — they cost nothing.
 		bud.NoteEvent("automata.compile", int64(len(m.Trans)))
-		return m, nil
+		return m, true, nil
 	})
 	if err != nil {
 		return nil, err
@@ -164,22 +166,22 @@ func (cp *Compiler) Witness(a, b regex.Expr, bud *budget.Budget) ([]regex.Name, 
 func (cp *Compiler) witness(a, b regex.Expr, bud *budget.Budget) ([]regex.Name, error) {
 	var buf [256]byte
 	key := string(AppendKeys(append(buf[:0], opWitness), a, b))
-	v, err := cp.c.GetOrCompute(key, func() (any, error) {
+	v, _, err := cp.c.GetOrCompute(context.Background(), key, func() (any, bool, error) {
 		alpha := unionAlphabet(a, b)
 		da, err := cp.DFA(a, bud)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		db, err := cp.DFA(b, bud)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		diff, err := boolOp(extendTo(da, alpha), extendTo(db, alpha),
 			func(x, y bool) bool { return x && !y }, bud)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return witnessResult{word: diff.ShortestAccepted()}, nil
+		return witnessResult{word: diff.ShortestAccepted()}, true, nil
 	})
 	if err != nil {
 		return nil, err
@@ -271,13 +273,13 @@ func (cp *Compiler) Equivalent(a, b regex.Expr, bud *budget.Budget) (bool, error
 		a, b = b, a
 	}
 	key := string(opEquiv) + ka + kb
-	v, err := cp.c.GetOrCompute(key, func() (any, error) {
+	v, _, err := cp.c.GetOrCompute(context.Background(), key, func() (any, bool, error) {
 		w, err := cp.witness(a, b, bud)
 		if err != nil || w != nil {
-			return false, err
+			return false, true, err
 		}
 		w, err = cp.witness(b, a, bud)
-		return err == nil && w == nil, err
+		return err == nil && w == nil, true, err
 	})
 	if err != nil {
 		return false, err

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/automata/cache"
 	"repro/internal/dtd"
 	"repro/internal/mediator"
 	"repro/internal/obs"
@@ -40,33 +41,42 @@ type Forward struct {
 	slot *forwardSlot
 }
 
-// Forward returns the transport for a view this node does not own,
-// building it on first use. Builds are serialized per view; a build that
-// could not reach every owner is returned (the reachable owners serve)
-// but not cached, so the next request retries the full owner set.
-func (n *Node) Forward(ctx context.Context, view string) (*Forward, error) {
-	n.mu.Lock()
-	slot := n.slots[view]
-	if slot == nil {
-		slot = &forwardSlot{}
-		n.slots[view] = slot
+// Forward returns the transport for a view this node does not own, building
+// it on first use: a burst of first requests shares one build, a
+// cache.Flight, whose failure is theirs too unless the builder's own ctx
+// ended. A build that could not reach every owner is returned (the reachable
+// owners serve) but not kept, so the next request retries the full owner set.
+func (n *Node) Forward(ctx context.Context, view string) (f *Forward, err error) {
+	for redo := true; redo; {
+		n.mu.Lock()
+		slot := n.slots[view]
+		if slot == nil {
+			slot = &forwardSlot{}
+			n.slots[view] = slot
+		}
+		b, lead := slot.build, slot.build == nil
+		if lead {
+			b = new(cache.Flight[*Forward]).Start()
+			slot.build = b
+		}
+		n.mu.Unlock()
+		if !lead {
+			f, err, redo = b.Wait(ctx) // redo: the builder gave up
+			continue
+		}
+		f, err = b.Run(&n.mu, func() (*Forward, error) { return n.buildForward(ctx, view, slot) },
+			func(f *Forward, err error) bool {
+				if err != nil || !f.complete {
+					slot.build = nil
+				}
+				return err != nil && ctx.Err() != nil
+			})
+		break
 	}
-	n.mu.Unlock()
-
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if f := slot.fwd.Load(); f != nil {
-		return f, nil
-	}
-	f, err := n.buildForward(ctx, view, slot)
 	if err != nil {
 		n.forwardErrors.Add(1)
-		return nil, err
 	}
-	if f.complete {
-		slot.fwd.Store(f)
-	}
-	return f, nil
+	return f, err
 }
 
 func (n *Node) buildForward(ctx context.Context, view string, slot *forwardSlot) (*Forward, error) {
@@ -233,7 +243,7 @@ func (n *Node) ForwardedViews() []string {
 	defer n.mu.Unlock()
 	var out []string
 	for v, s := range n.slots {
-		if s.fwd.Load() != nil {
+		if _, ok := s.build.Landed(); ok {
 			out = append(out, v)
 		}
 	}

@@ -2,11 +2,15 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/mediator"
 )
@@ -207,5 +211,132 @@ func TestForwardErrorCounted(t *testing.T) {
 	}
 	if got := n.Metrics().ForwardErrors; got != 1 {
 		t.Errorf("forward_errors = %d, want 1", got)
+	}
+}
+
+// gatedOwner fakes an owner whose view DTD answers with status only once
+// release is closed, and counts the DTD requests it gets.
+func gatedOwner(t *testing.T, status int, release <-chan struct{}) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var gets atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/views/v/dtd", func(w http.ResponseWriter, r *http.Request) {
+		gets.Add(1)
+		<-release
+		w.WriteHeader(status)
+		fmt.Fprint(w, fwdDTD)
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv, &gets
+}
+
+// waitedCtx reports on waiting the first time its Done is asked for: a
+// request that builds asks it in its round trip, one that joins the build
+// in its wait.
+type waitedCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan<- struct{}
+}
+
+func (c *waitedCtx) Done() <-chan struct{} {
+	c.once.Do(func() { c.waiting <- struct{}{} })
+	return c.Context.Done()
+}
+
+// TestForwardBuildOncePerBurst: a burst of first requests for a view runs
+// one build — one DTD request to the owner — and every request gets what it
+// landed: the Forward, or the failure. A failed build is not kept: the next
+// request asks the owner again.
+func TestForwardBuildOncePerBurst(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		status int
+	}{{"built", http.StatusOK}, {"failed", http.StatusNotFound}} {
+		t.Run(tc.name, func(t *testing.T) {
+			release := make(chan struct{})
+			owner, gets := gatedOwner(t, tc.status, release)
+			n := fwdNode(t, []string{"alpha"}, map[string]string{"alpha": owner.URL})
+			const burst = 4
+			waiting := make(chan struct{}, burst)
+			fwds, errs := make([]*Forward, burst), make([]error, burst)
+			var wg sync.WaitGroup
+			for i := range burst {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					fwds[i], errs[i] = n.Forward(&waitedCtx{Context: context.Background(), waiting: waiting}, "v")
+				}()
+			}
+			for i := 0; i < burst; i++ {
+				select {
+				case <-waiting:
+				case <-time.After(time.Second):
+					i = burst // a request that neither builds nor joins the build waits for it to end
+				}
+			}
+			close(release)
+			wg.Wait()
+			if got := gets.Load(); got != 1 {
+				t.Errorf("%d concurrent first requests made %d DTD requests to the owner, want 1", burst, got)
+			}
+			for i := range burst {
+				if fwds[i] != fwds[0] || fmt.Sprint(errs[i]) != fmt.Sprint(errs[0]) {
+					t.Errorf("request %d got %p, %v; request 0 %p, %v", i, fwds[i], errs[i], fwds[0], errs[0])
+				}
+			}
+			if failed := errs[0] != nil; failed != (tc.status != http.StatusOK) {
+				t.Fatalf("build error %v with owner status %d", errs[0], tc.status)
+			}
+			if tc.status == http.StatusOK {
+				return
+			}
+			if got := n.Metrics().ForwardErrors; got != burst {
+				t.Errorf("forward_errors = %d, want one per failed request (%d)", got, burst)
+			}
+			if _, err := n.Forward(context.Background(), "v"); err == nil || gets.Load() != 2 {
+				t.Errorf("after a failed build: %v, %d DTD requests; want the owner asked again", err, gets.Load())
+			}
+		})
+	}
+}
+
+// TestForwardJoinerLeavesWithItsContext: a request that joins a build under
+// way returns as soon as its own context ends, while the build goes on for
+// the request running it.
+func TestForwardJoinerLeavesWithItsContext(t *testing.T) {
+	release := make(chan struct{})
+	owner, gets := gatedOwner(t, http.StatusOK, release)
+	n := fwdNode(t, []string{"alpha"}, map[string]string{"alpha": owner.URL})
+	built := make(chan error, 1)
+	go func() {
+		_, err := n.Forward(context.Background(), "v")
+		built <- err
+	}()
+	for gets.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	left := make(chan error, 1)
+	go func() {
+		_, err := n.Forward(ctx, "v")
+		left <- err
+	}()
+	select {
+	case err := <-left:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("the joiner that left got %v, want its context's error", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("a joiner whose context ended waits for the owner")
+	}
+	close(release)
+	if err := <-built; err != nil {
+		t.Fatalf("the build: %v", err)
+	}
+	if got := n.ForwardedViews(); len(got) != 1 {
+		t.Errorf("forwarded views = %v, want the build kept", got)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/automata/cache"
 	"repro/internal/mediator"
 )
 
@@ -88,15 +89,13 @@ type Node struct {
 	revocationsWaitedOut atomic.Int64
 }
 
-// forwardSlot serializes construction of one view's Forward so a burst of
-// first requests builds the peer transports once, not once per request.
-// The built Forward publishes through an atomic pointer so metrics reads
-// never block behind a slow in-flight build. The slot also holds the view's
-// lease (lease.go), which outlives a Forward that was not cached: epoch moves
-// with every revocation, and lease is written under leaseMu.
+// forwardSlot is one view's place on a forwarding node. build (under n.mu)
+// is the flight of its Forward — landed, the complete Forward every later
+// request uses. The slot also holds the view's lease (lease.go), which
+// outlives a Forward that was not kept: epoch moves with every revocation,
+// and lease is written under leaseMu.
 type forwardSlot struct {
-	mu  sync.Mutex
-	fwd atomic.Pointer[Forward]
+	build *cache.Flight[*Forward]
 
 	leaseMu sync.Mutex
 	epoch   atomic.Uint64
@@ -317,7 +316,7 @@ func (n *Node) Metrics() Metrics {
 	var built []*Forward
 	n.mu.Lock()
 	for _, s := range n.slots {
-		if f := s.fwd.Load(); f != nil {
+		if f, ok := s.build.Landed(); ok {
 			built = append(built, f)
 		}
 	}

@@ -3,7 +3,6 @@ package infer
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"sort"
 
 	"repro/internal/automata/cache"
@@ -255,36 +254,26 @@ const DefaultSatisfiabilityCacheCapacity = 4096
 
 var satCache = cache.New(DefaultSatisfiabilityCacheCapacity)
 
-// errVerdictUnknown keeps Unknown verdicts out of the cache: the cache
-// does not store errored computations, and an Unknown produced under one
-// budget must not shadow a definitive answer a later, larger budget could
-// reach.
-var errVerdictUnknown = errors.New("infer: satisfiability verdict unknown")
-
 // SatisfiabilityCached is Satisfiability through the process-wide verdict
 // cache, keyed on the query's condition skeleton (names, structure, text
 // and qualifier flags — not variables, text values or "!=" constraints,
 // which do not affect the verdict) and the DTD's content (regex.Key of
-// every model). Definitive verdicts are cached; Unknown never is. The
-// second result reports whether the verdict was served from cache.
+// every model). Definitive verdicts are cached; Unknown never is — one
+// budget's opinion must not shadow the answer a later, larger budget
+// reaches, so its joiners ask for themselves. The second result reports
+// whether the verdict was served from cache.
 func SatisfiabilityCached(ctx context.Context, q *xmas.Query, src *dtd.DTD) (Verdict, bool) {
 	if q == nil || q.Root == nil || src == nil {
 		return VerdictUnknown, false
 	}
-	key := satisfiabilityKey(q, src)
-	computed := false
-	v, err := satCache.GetOrCompute(key, func() (any, error) {
-		computed = true
+	v, led, err := satCache.GetOrCompute(ctx, satisfiabilityKey(q, src), func() (any, bool, error) {
 		verdict := Satisfiability(ctx, q, src)
-		if verdict == VerdictUnknown {
-			return nil, errVerdictUnknown
-		}
-		return verdict, nil
+		return verdict, verdict != VerdictUnknown, nil
 	})
 	if err != nil {
 		return VerdictUnknown, false
 	}
-	return v.(Verdict), !computed
+	return v.(Verdict), !led
 }
 
 // SatisfiabilityCacheStats snapshots the verdict cache's counters (the
@@ -306,8 +295,8 @@ var dtdInfoCache = cache.New(128)
 
 func dtdInfoFor(d *dtd.DTD) *dtdInfo {
 	key := string(appendDTDKey(make([]byte, 0, 128), d))
-	v, err := dtdInfoCache.GetOrCompute(key, func() (any, error) {
-		return analyzeDTD(d), nil
+	v, _, err := dtdInfoCache.GetOrCompute(context.Background(), key, func() (any, bool, error) {
+		return analyzeDTD(d), true, nil
 	})
 	if err != nil {
 		return analyzeDTD(d) // unreachable: the compute cannot fail

@@ -26,9 +26,9 @@
 // fetch it forces answers it, and a part whose source hands back the very
 // document its slot was evaluated from keeps its result. Mediator.mu guards
 // the registry and the slots and is never held across a fetch or an
-// evaluation. Concurrent callers needing the same part share one computation
-// (whatever their prune masks), and every data-touching operation takes a
-// context.Context that cancels remote fetches.
+// evaluation. Concurrent callers needing the same part share one computation,
+// a cache.Flight, whatever their prune masks, and every data-touching
+// operation takes a context.Context that cancels remote fetches.
 package mediator
 
 import (
@@ -204,42 +204,25 @@ type MaterializeInfo struct {
 }
 
 // partCalc is one computation of a view part — fetch its source, evaluate
-// its query — in progress or finished. It is what a part's slot holds:
-// while it runs, callers needing the part wait on done; once finished, a
-// calc left in its slot is the part's cached result. res is written
-// exactly once, before done is closed, and res.children is immutable from
-// then on (readers concatenate into a fresh root).
+// its query — as a cache.Flight. Landed and left in its slot, it is the
+// part's cached result; readers concatenate its children into a fresh root.
 type partCalc struct {
-	gen uint64 // the source's generation when the fetch started
-	// prev is the finished — hence complete — calc this one took the slot
-	// from, if any: what the part was before the invalidation that asks
-	// whether it changed. Set by claimLocked, read by the caller running the
-	// calc, and dropped (under m.mu) when the calc finishes, so a slot never
-	// holds more than one result.
-	prev *partCalc
-	done chan struct{}
-	res  partResult
-	// abandoned: the calc failed after the ctx of the caller running it had
-	// ended, so the failure is that caller's, not the source's.
-	abandoned bool
-}
-
-func (c *partCalc) finished() bool {
-	select {
-	case <-c.done:
-		return true
-	default:
-		return false
-	}
+	cache.Flight[partResult]
+	gen uint64 // the source's generation when the fetch started: the fence
+	// prev is the result of the landed, complete calc this one took the slot
+	// from: the part before the invalidation that asks whether it changed.
+	// Dropped (under m.mu) as the calc lands: a slot holds one result.
+	prev partResult
 }
 
 // plannedPart is one kept part of a materialization under way, or the one
 // run of an answer over a held document (AnswerHeld).
 type plannedPart struct {
 	calc      *partCalc
-	lead, hit bool // this call runs calc / calc had finished when planned
+	lead, hit bool // this call runs calc / calc had landed when planned
 	w         Wrapper
 	res       partResult
+	err       error
 	picks     []*xmlmodel.Element // res.children, or what a plan picks below them (answerByPart) …
 	slot      int                 // … from this entry of res.answers, when not negative …
 	bytes     []byte              // … with what they serialize to, when the slot keeps that …
@@ -259,7 +242,6 @@ type partResult struct {
 	// predecessor's document and the result was carried over — then it is an
 	// earlier one — and it is what a tag says.
 	ver     uint64
-	err     error
 	dropped bool // the source's breaker is open: the part is omitted (degraded view)
 	stale   bool // children come from a last-known-good document (ReplicaSet)
 }
@@ -506,11 +488,7 @@ func (m *Mediator) Views() []string {
 
 // Materialize evaluates the view against its sources and returns the view
 // document: a fresh root over the cached part results, which stay valid
-// until their source is invalidated. Concurrent calls share part
-// computations: one caller fetches and evaluates a part, the rest wait for
-// its result (or their own ctx). A result whose source was invalidated
-// while it was being computed is never served again: if complete, it stays
-// in its slot only as what the refetch is compared with (runPart).
+// until their source is invalidated; concurrent calls share them (resolvePart).
 func (m *Mediator) Materialize(ctx context.Context, viewName string) (*xmlmodel.Document, error) {
 	doc, _, err := m.MaterializeInfo(ctx, viewName)
 	return doc, err
@@ -571,14 +549,11 @@ func keepAll(v *View) []bool { return slices.Repeat([]bool{true}, len(v.Parts)) 
 // pruning. A nil keep is the whole view, and only then does the result carry
 // a tag (or come back NotModified, when ifNoneMatch names it): a query's
 // materialization, masked or not, renders none; pruned is the plan's list of
-// the sources it masks out. Under m.mu each kept part is resolved to its
-// slot's calc: a finished one is reused without touching the source (delta
-// maintenance: after InvalidateSource only the parts over that source are
-// stale), a running one is joined, and a stale or empty slot gets a new calc
-// this call runs. The first part failure cancels this call's sibling fetches
-// — except a breaker-open rejection (ErrBreakerOpen), which drops just that
-// part and lets the siblings complete: a dead source degrades the view, it
-// does not take it down.
+// the sources it masks out. Each kept part is resolved to its slot's calc
+// (claimLocked). The first part failure cancels this call's sibling fetches —
+// except a breaker-open rejection (ErrBreakerOpen), which drops just that part
+// and lets the siblings complete: a dead source degrades the view, it does
+// not take it down.
 func (m *Mediator) resolveMasked(ctx context.Context, v *View, keep []bool, pruned []string, ifNoneMatch string) ([]plannedPart, *MaterializeInfo, error) {
 	whole := keep == nil
 	parts := make([]plannedPart, len(v.Parts))
@@ -591,12 +566,9 @@ func (m *Mediator) resolveMasked(ctx context.Context, v *View, keep []bool, prun
 		p := &parts[i]
 		p.calc, p.lead = m.claimLocked(v, i)
 		p.w = m.wrappers[v.Parts[i].Source]
-		switch {
-		case p.lead:
+		if p.lead {
 			leads++
-		case p.calc.finished():
-			p.hit, p.res = true, p.calc.res
-		default:
+		} else if p.res, p.hit = p.calc.Landed(); !p.hit {
 			joins++
 		}
 	}
@@ -705,8 +677,8 @@ func (m *Mediator) resolveParts(ctx context.Context, v *View, parts []plannedPar
 		wg.Add(1)
 		go func(i int, p *plannedPart) {
 			defer wg.Done()
-			p.res = m.resolvePart(pctx, v, i, p.w, p.calc, p.lead)
-			if p.res.err != nil {
+			p.res, p.err = m.resolvePart(pctx, v, i, p.w, p.calc, p.lead)
+			if p.err != nil {
 				cancel() // abandon sibling fetches: the view cannot complete
 			}
 		}(i, &parts[i])
@@ -745,22 +717,20 @@ func (m *Mediator) resolveParts(ctx context.Context, v *View, parts []plannedPar
 func firstPartError(parts []plannedPart) error {
 	var first error
 	for _, p := range parts {
-		if p.res.err != nil && (first == nil ||
-			errors.Is(first, context.Canceled) && !errors.Is(p.res.err, context.Canceled)) {
-			first = p.res.err
+		if p.err != nil && (first == nil ||
+			errors.Is(first, context.Canceled) && !errors.Is(p.err, context.Canceled)) {
+			first = p.err
 		}
 	}
 	return first
 }
 
-// claimLocked resolves part i of v to the calc that answers it. The slot's
-// calc does while it is at the source's current generation — finished, it
-// is the cached result; running, it is joined. Otherwise (empty slot, or a
-// calc that predates an invalidation and must gain no new waiters) a new
-// calc takes the slot and the caller must run it (lead). A finished calc it
-// displaces goes with it as prev: a calc still in its slot when finished is
-// complete (runPart), so that is the part as it was before the invalidation.
-// m.mu must be held.
+// claimLocked resolves part i of v to the calc that answers it: the slot's
+// while it is at the source's current generation (landed, the cached result;
+// in flight, joined), else a new calc this caller leads. A landed calc it
+// displaces leaves its result as prev: a calc still in its slot when landed
+// is complete (resolvePart), the part before the invalidation. m.mu must be
+// held.
 func (m *Mediator) claimLocked(v *View, i int) (c *partCalc, lead bool) {
 	gen := m.srcGen[v.Parts[i].Source]
 	slots := m.slots[v.Name]
@@ -768,35 +738,31 @@ func (m *Mediator) claimLocked(v *View, i int) (c *partCalc, lead bool) {
 	if old != nil && old.gen == gen {
 		return old, false
 	}
-	if old != nil && !old.finished() {
-		old = nil
+	c = &partCalc{gen: gen}
+	if old != nil {
+		c.prev, _ = old.Landed() // one still in flight leaves nothing behind
 	}
-	slots[i] = &partCalc{gen: gen, prev: old, done: make(chan struct{})}
-	return slots[i], true
+	c.Start()
+	slots[i] = c
+	return c, true
 }
 
-// resolvePart returns part i's result for one caller: it runs c when the
-// caller leads it, and otherwise waits for c or for the caller's own ctx —
-// a waiter that gives up does not disturb the calc. A calc that failed
-// because the caller running it gave up (that caller's client left, or a
-// sibling part of its materialization failed) says nothing about the
-// source, so a waiter whose own ctx is alive claims the part again instead
-// of inheriting the cancellation. The result, and so the version in it, is
-// that of the calc the caller ended on, not necessarily the one it was
-// planned with.
-func (m *Mediator) resolvePart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc, lead bool) partResult {
-	for {
-		if lead {
-			m.runPart(ctx, v, i, w, c)
-			return c.res
-		}
-		select {
-		case <-c.done:
-		case <-ctx.Done():
-			return partResult{err: ctx.Err()}
-		}
-		if !c.abandoned || ctx.Err() != nil {
-			return c.res
+// resolvePart returns part i's result for one caller, who joins c unless it
+// leads c. A calc that failed because the caller running it gave up (its
+// client left, or a sibling part of its materialization failed) says nothing
+// about the source: a joiner starts over instead of inheriting the
+// cancellation, and its result, and so its version, is that of the calc it
+// ended on. The leader settles whether its calc stays in its slot: only a
+// complete, live result does — the part's cached result while its source
+// generation is unchanged, and after that what the refetch is compared with.
+// This is the one write-back rule — why degraded parts do not outlive the
+// outage that dropped them, last-known-good parts are retried rather than
+// pinned, and an invalidation is never overwritten by what predates it.
+func (m *Mediator) resolvePart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc, lead bool) (partResult, error) {
+	for !lead {
+		res, err, redo := c.Wait(ctx)
+		if !redo {
+			return res, err
 		}
 		m.mu.Lock()
 		c, lead = m.claimLocked(v, i)
@@ -805,32 +771,20 @@ func (m *Mediator) resolvePart(ctx context.Context, v *View, i int, w Wrapper, c
 			m.stats.add(&m.stats.CacheMisses, 1) // a computation the plan did not foresee
 		}
 	}
-}
-
-// runPart computes c, publishes the result to its waiters and decides
-// whether c stays in its slot: only a complete, live result does — as the
-// part's cached result while its source generation is unchanged since the
-// fetch started, and after that as what the refetch is compared with. This
-// is the one write-back rule — it is why degraded parts do not outlive the
-// outage that dropped them, last-known-good parts are retried rather than
-// pinned, and an invalidation is never overwritten by what predates it.
-func (m *Mediator) runPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) {
-	c.res = evalPart(ctx, v, i, w, c)
-	c.abandoned = c.res.err != nil && ctx.Err() != nil
-	complete := c.res.err == nil && !c.res.dropped && !c.res.stale
-	m.mu.Lock()
-	c.prev = nil
-	current := m.srcGen[v.Parts[i].Source] == c.gen
-	// A later caller may have claimed the slot since an invalidation
-	// detached c: only remove c while the slot is still c's.
-	if slots := m.slots[v.Name]; !complete && slots[i] == c {
-		slots[i] = nil
-	}
-	close(c.done)
-	m.mu.Unlock()
-	if complete && !current {
-		m.stats.add(&m.stats.StaleDiscards, 1)
-	}
+	return c.Run(&m.mu, func() (partResult, error) { return evalPart(ctx, v, i, w, c) },
+		func(res partResult, err error) bool {
+			complete := err == nil && !res.dropped && !res.stale
+			c.prev = partResult{}
+			// A later caller may have claimed the slot since an invalidation
+			// detached c: only remove c while the slot is still c's.
+			if slots := m.slots[v.Name]; !complete && slots[i] == c {
+				slots[i] = nil
+			}
+			if complete && m.srcGen[v.Parts[i].Source] != c.gen {
+				m.stats.add(&m.stats.StaleDiscards, 1)
+			}
+			return err != nil && ctx.Err() != nil
+		})
 }
 
 // evalPart fetches the source of part i for calc c and evaluates the part
@@ -839,7 +793,7 @@ func (m *Mediator) runPart(ctx context.Context, v *View, i int, w Wrapper, c *pa
 // which case c takes over the predecessor's picks, version and answers, and
 // nothing is evaluated or allocated. The picks are elements of the document
 // itself: the slot and the source's validator share one tree.
-func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res partResult) {
+func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res partResult, err error) {
 	p := v.Parts[i]
 	// One span per source fetch: the trace of a slow or degraded request
 	// shows which source stalled (fault injection, retries) or was dropped
@@ -856,20 +810,20 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res 
 	if errors.Is(err, ErrBreakerOpen) {
 		fspan.Event("breaker.open_drop", obs.String("source", p.Source))
 		fspan.End()
-		return partResult{dropped: true}
+		return partResult{dropped: true}, nil
 	}
 	if err != nil {
 		fspan.SetAttr(obs.String("error", err.Error()))
 		fspan.End()
-		return partResult{err: fmt.Errorf("mediator: fetching %s: %w", p.Source, err)}
+		return res, fmt.Errorf("mediator: fetching %s: %w", p.Source, err)
 	}
 	res.ver = c.gen
 	// A last-known-good document is not the source's answer: never carried.
-	if prev := c.prev; prev != nil && prev.res.answers.Document() == doc && !res.stale {
+	if prev := c.prev; prev.answers != nil && prev.answers.Document() == doc && !res.stale {
 		fspan.SetAttr(obs.Bool("unchanged", true))
 		fspan.End()
-		res.children, res.ver, res.answers = prev.res.children, prev.res.ver, prev.res.answers
-		return res
+		res.children, res.ver, res.answers = prev.children, prev.ver, prev.answers
+		return res, nil
 	}
 	fspan.End()
 	_, espan := obs.StartSpan(ctx, "part.eval", obs.String("source", p.Source))
@@ -877,9 +831,9 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res 
 	res.answers = NewAnswerMemo(doc)
 	espan.End()
 	if err != nil {
-		return partResult{err: fmt.Errorf("mediator: evaluating view %s over %s: %v", v.Name, p.Source, err)}
+		return res, fmt.Errorf("mediator: evaluating view %s over %s: %v", v.Name, p.Source, err)
 	}
-	return res
+	return res, nil
 }
 
 // prunedSources lists the source names of masked-out parts, sorted and
@@ -906,9 +860,8 @@ func prunedSources(v *View, keep []bool) []string {
 }
 
 // Invalidate announces a change of unknown extent: every source generation
-// bumps, which is all it takes — the fence detaches every slot's calc. A
-// running one still answers the callers already waiting on it, but gains no
-// new waiters and is not kept; a finished one waits in its slot for the
+// bumps, which is all it takes — the fence detaches every slot's calc. One
+// in flight answers its joiners only; a landed one waits in its slot for the
 // refetch that says whether its part changed at all (evalPart).
 // InvalidateSource (delta.go) is the same for one source and what depends
 // on it.

@@ -3,7 +3,6 @@ package mediator
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 
 	"repro/internal/budget"
 	"repro/internal/engine"
@@ -40,7 +39,9 @@ import (
 // exhausted its budget. A definitive verdict is a proof under any budget; an
 // Unknown, like a simplification cut short, is one budget's opinion, and
 // keeping it would shadow the proof a later, larger budget reaches — the
-// rule, and the not-cached-on-error mechanism, of infer.SatisfiabilityCached.
+// rule of infer.SatisfiabilityCached. Such a plan answers the request that
+// made it, and a request that joined its analysis analyses for itself
+// (cache.Flight's start over).
 
 // planMemoCapacity bounds the plans a mediator keeps. A plan is a simplified
 // copy of its query and a mask over the view's parts; the distinct queries
@@ -87,11 +88,6 @@ type prunedPart struct {
 	source, reason string
 }
 
-// errPlanNotKept is what the memo's compute returns beside a plan that must
-// not stay resident: the cache stores no errored computation, and a joiner
-// of a failed flight starts over with its own analysis.
-var errPlanNotKept = errors.New("mediator: query plan not kept")
-
 // QueryTextError is xmas.Parse's error for the text given to Mediator.Answer
 // or ParsePlan: the request's fault, a 400.
 type QueryTextError struct{ Err error }
@@ -135,38 +131,32 @@ func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, text []b
 	}
 	key = q.AppendKey(key)
 
-	var fresh *Plan // set when this call ran the analysis itself
-	cached, err := m.plans.GetOrCompute(string(key), func() (any, error) {
+	cached, led, err := m.plans.GetOrCompute(ctx, string(key), func() (any, bool, error) {
 		// One budget for the whole analysis, from the mediator's limits (nil
 		// when it sets none); analyse reads it from its context.
 		bud := limits.Budget()
 		plan, unknown, err := analyse(budget.NewContext(ctx, bud), v, q, pruning)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		fresh = plan
 		if bud.Exhausted() != nil {
 			m.stats.add(&m.stats.BudgetExhaustions, 1)
 			unknown = true
 		}
-		if unknown || fresh.simplifierError != "" {
-			fresh.remember = false // no slot would be asked for its answer again
-			return nil, errPlanNotKept
+		keep := !unknown && plan.simplifierError == ""
+		plan.remember = plan.remember && keep // no slot would be asked for its answer again
+		if keep && alias != "" {
+			m.plans.Put(alias, plan)
 		}
-		return fresh, nil
+		return plan, keep, nil
 	})
-	switch {
-	case fresh != nil:
-		plan = fresh
-	case err != nil:
-		return nil, false, false, err // ctx was cancelled, or the analysis this call joined panicked
-	default:
-		plan, hit = cached.(*Plan), true
+	if err != nil {
+		return nil, false, false, err // ctx ended, or the analysis this call joined panicked
 	}
-	if alias != "" && err == nil { // the plan is kept
-		m.plans.Put(alias, plan)
+	if alias != "" && !led { // a kept plan, found or joined
+		m.plans.Put(alias, cached)
 	}
-	return plan, hit, false, nil
+	return cached.(*Plan), !led, false, nil
 }
 
 // analyse is the memo's compute function, the whole static analysis of one

@@ -46,7 +46,7 @@ type Stats struct {
 	// it had to compute at least one part itself, SingleflightDedups when
 	// it computed nothing but waited on a part another call was already
 	// computing — counted when it starts waiting, not when it returns. (A
-	// waiter that takes over a part its computing caller abandoned adds a
+	// joiner that starts over after the caller computing gave up adds a
 	// miss.) StaleDiscards counts part results that completed after an
 	// invalidation of their source: returned to their waiters and kept only
 	// as what the refetch is compared with, never served again.
@@ -291,11 +291,15 @@ func (m *Mediator) Stats() Stats {
 	m.mu.Lock()
 	for _, slots := range m.slots {
 		for _, c := range slots {
-			if c != nil && !c.finished() {
-				c = c.prev // what the slot holds while c runs
+			if c == nil {
+				continue
 			}
-			if c != nil && c.res.answers != nil {
-				out.AnswerBytesHeld += c.res.answers.heldBytes()
+			res, landed := c.Landed()
+			if !landed {
+				res = c.prev // what the slot holds while c runs
+			}
+			if res.answers != nil {
+				out.AnswerBytesHeld += res.answers.heldBytes()
 			}
 		}
 	}

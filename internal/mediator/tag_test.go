@@ -260,7 +260,11 @@ func TestRacedResultStaysAsPredecessor(t *testing.T) {
 	kept := m.slots["v"][0]
 	gen := m.srcGen["held"]
 	m.mu.Unlock()
-	if st := m.Stats(); st.StaleDiscards != 1 || kept == nil || !kept.finished() || kept.gen == gen {
+	landed := false
+	if kept != nil {
+		_, landed = kept.Landed()
+	}
+	if st := m.Stats(); st.StaleDiscards != 1 || kept == nil || !landed || kept.gen == gen {
 		t.Fatalf("%d stale discards, slot %+v at source generation %d; want 1, and the raced calc of generation 0 in its slot", st.StaleDiscards, kept, gen)
 	}
 
