@@ -87,9 +87,11 @@ fault:
 		./internal/automata/... ./internal/sdtd/ ./internal/serve/ \
 		./internal/budget/ ./internal/load/
 
-# Short, bounded runs of every fuzz target against the parsers. Each
-# target gets FUZZTIME (default 10s); crashes land in testdata/fuzz as
-# usual and should be committed as regression seeds.
+# Short, bounded runs of every fuzz target against the parsers, and of
+# FuzzSpliceRuns against the splice of a view document's delta (a cluster
+# member's copy, internal/mediator/splice.go). Each target gets FUZZTIME
+# (default 10s); crashes land in testdata/fuzz as usual and should be
+# committed as regression seeds.
 FUZZTIME ?= 10s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseDocument$$' -fuzztime $(FUZZTIME) ./
@@ -97,6 +99,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME) ./
 	go test -run '^$$' -fuzz '^FuzzParseContentModel$$' -fuzztime $(FUZZTIME) ./
 	go test -run '^$$' -fuzz '^FuzzMarshalRoundTrip$$' -fuzztime $(FUZZTIME) ./
+	go test -run '^$$' -fuzz '^FuzzSpliceRuns$$' -fuzztime $(FUZZTIME) ./internal/mediator/
 
 # Everything a change should pass before review: tier-1 build/vet/test,
 # the allocation ratchets, staticcheck, the -race suite, the -race
@@ -171,8 +174,10 @@ cluster-smoke:
 # Archive the cluster-tier benchmarks (ForwardHop: Cold = first forwarded
 # request, peer transport built from scratch including the owner DTD round
 # trip; Warm = cached transport, one owner round trip that finds the owner's
-# document unchanged (304); Changed = the same with the owner invalidated
-# before every request, so the document is shipped; RingOwner[sRep...]:
+# document unchanged (304); Changed = the same with the owner's source
+# switched and invalidated before every request, so the document crosses the
+# hop; PartChanged = one part of a six-part view switched, so only its run
+# crosses (owner-B/op: what the owner sends); RingOwner[sRep...]:
 # view-to-owner lookups) as JSON with the cold/warm factor. Compare
 # BENCH_cluster.json across commits to track the forward hop's overhead.
 bench-cluster:

@@ -34,9 +34,10 @@ type Forward struct {
 	// incomplete Forward is served but not cached, so the missing owners
 	// are retried on the next request.
 	complete bool
-	// answers is the picks memo of the document Fetch last returned (Answer);
-	// Fetch replaces it when the document changes.
-	answers atomic.Pointer[mediator.AnswerMemo]
+	// answers is the document Fetch last returned, cut into its owner's runs,
+	// each with its picks memo (Answer); Fetch replaces it when the document
+	// changes, and a run that did not change keeps its memo.
+	answers atomic.Pointer[mediator.HeldRuns]
 	// slot is the view's, where its lease lives (lease.go).
 	slot *forwardSlot
 }
@@ -163,9 +164,12 @@ func (f *Forward) SchemaText() string { return f.sources[0].SchemaText() }
 // Fetch retrieves the owner-materialized view document. The returned bool
 // reports stale service: every owner was down and the ReplicaSet served
 // its validated last-known-good copy. A document other than the last one
-// returned starts an empty picks memo, and the last one's memo is dropped:
-// the same pointer is how a transport says the owner's document is unchanged
-// (Wrapper), so picks are only reused over the document they were walked from.
+// returned is held cut into the runs its owner made it of (HTTPSource.Runs):
+// a run whose elements are the last document's run's own keeps its picks memo
+// — the owner's delta shares them, unmoved — and every other run starts an
+// empty one. The same pointer is how a transport says the owner's document is
+// unchanged (Wrapper), so picks are only reused over the elements they were
+// walked from.
 //
 // While a lease on the view runs (lease.go), Fetch asks nobody: it returns
 // the leased document and replays into the context's ForwardInfo the tag
@@ -173,7 +177,7 @@ func (f *Forward) SchemaText() string { return f.sources[0].SchemaText() }
 // the lease a complete, live answer was granted with — for its term counted
 // from before the request went out, unless a revocation arrived meanwhile.
 // The root span says which: forward_fetch=leased, not_modified (the owner's
-// document as held) or changed.
+// document as held), delta (the runs that moved, spliced into it) or changed.
 func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 	n := f.node
 	n.forwarded.Add(1)
@@ -194,8 +198,11 @@ func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 	}
 	fetched := "not_modified"
 	if held := f.answers.Load(); held == nil || held.Document() != doc {
-		f.answers.Store(mediator.NewAnswerMemo(doc))
-		fetched = "changed"
+		counts, spliced := f.runs(doc)
+		f.answers.Store(mediator.HoldRuns(doc, counts, held))
+		if fetched = "changed"; spliced {
+			fetched = "delta"
+		}
 	}
 	obs.SetAttr(ctx, obs.String("forward_fetch", fetched))
 	if isStale := stale.Load(); isStale || fi == nil {
@@ -207,11 +214,22 @@ func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 	return doc, false, nil
 }
 
-// Answer is p's answer over doc, a document Fetch returned, from the memo of
-// the document the transport holds (mediator.AnswerHeld); how says whether doc
-// was walked ("evaluated") and how the answer goes out.
+// runs is how the owner cut doc into its parts' runs, when one of the
+// transports holds doc and was told, and whether doc was spliced from a delta.
+func (f *Forward) runs(doc *xmlmodel.Document) ([]int, bool) {
+	for _, s := range f.sources {
+		if counts, spliced := s.Runs(doc); counts != nil {
+			return counts, spliced
+		}
+	}
+	return nil, false
+}
+
+// Answer is p's answer over doc, a document Fetch returned, from the memos of
+// the runs of the document the transport holds (mediator.HeldRuns); how says
+// whether any of doc was walked ("evaluated") and how the answer goes out.
 func (f *Forward) Answer(p *mediator.Plan, doc *xmlmodel.Document) (a mediator.Answer, how string, err error) {
-	a, how, err = mediator.AnswerHeld(p, doc, f.answers.Load())
+	a, how, err = f.answers.Load().Answer(p, doc)
 	if how == "evaluated" {
 		f.node.answersEvaluated.Add(1)
 	} else if err == nil {

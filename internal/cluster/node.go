@@ -300,6 +300,7 @@ type Metrics struct {
 	ForwardViews         int             `json:"forward_views" metric:"mix_cluster_forward_views" help:"Cluster views with a built peer-forward transport."`
 	Forwarded            int64           `json:"forwarded_requests" metric:"mix_cluster_forwarded_total" help:"Requests forwarded to peer mediator nodes."`
 	NotModified          int64           `json:"forwarded_not_modified" metric:"mix_cluster_forwarded_not_modified_total" help:"Owner fetches of the built forward transports answered 304 Not Modified (the owner's document was unchanged and not shipped)."`
+	Deltas               int64           `json:"forwarded_delta" metric:"mix_cluster_forwarded_delta_total" help:"Owner fetches of the built forward transports answered 226 IM Used (only the runs of the parts that changed were shipped, validated and spliced into the held document)."`
 	ForwardErrors        int64           `json:"forward_errors" metric:"mix_cluster_forward_errors_total" help:"Forwarded requests that failed (builds and fetches)."`
 	LoopRejected         int64           `json:"loop_rejected" metric:"mix_cluster_loop_rejected_total" help:"Requests rejected by the forwarding loop guard (421)."`
 	AnswersReused        int64           `json:"forwarded_answers_reused" metric:"mix_cluster_forwarded_answers_reused_total" help:"Forwarded queries answered with the picks kept beside the unchanged owner document (nothing walked)."`
@@ -333,6 +334,7 @@ func (n *Node) Metrics() Metrics {
 		ForwardViews:         len(built),
 		Forwarded:            n.forwarded.Load(),
 		NotModified:          rep.NotModified,
+		Deltas:               rep.Deltas,
 		ForwardErrors:        n.forwardErrors.Load(),
 		LoopRejected:         n.loopRejected.Load(),
 		AnswersReused:        n.answersReused.Load(),

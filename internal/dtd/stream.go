@@ -45,7 +45,7 @@ func StreamValidationStats() StreamStats {
 // violation in document order while the tree validator reports the first
 // in preorder.
 func (d *DTD) ValidateStream(input string) error {
-	return d.validateScan(xmlmodel.NewScanner(input), len(input))
+	return d.validateScan(xmlmodel.NewScanner(input), len(input), false)
 }
 
 // ParseValid is ValidateStream and xmlmodel.Parse in one pass over input:
@@ -54,18 +54,54 @@ func (d *DTD) ValidateStream(input string) error {
 // is dropped: a rejected document costs what its valid prefix earned.
 func (d *DTD) ParseValid(input string) (*xmlmodel.Document, *xmlmodel.Doctype, error) {
 	sc := xmlmodel.NewTreeScanner(input)
-	if err := d.validateScan(sc, len(input)); err != nil {
+	if err := d.validateScan(sc, len(input), false); err != nil {
 		return nil, nil, err
 	}
 	return sc.Document(), sc.Doctype(), nil
 }
 
+// ParseValidRuns is ParseValid for root children without their root: input
+// is elements one after another (xmlmodel.NewRunsScanner), each validated as
+// a child of the document type's root is — declared, and valid to its
+// leaves. What the root's content model says of the sequence they end up in
+// is ValidateRootChildren's to check, once that sequence is put together.
+func (d *DTD) ParseValidRuns(input string) ([]*xmlmodel.Element, error) {
+	sc := xmlmodel.NewRunsScanner(input)
+	if err := d.validateScan(sc, len(input), true); err != nil {
+		return nil, err
+	}
+	return sc.Elements(), nil
+}
+
+// ValidateRootChildren checks what ParseValidRuns leaves out: that the
+// document type's root may have children, in this order, for children.
+func (d *DTD) ValidateRootChildren(children []*xmlmodel.Element) error {
+	st, declared := d.streamTypeOf(d.Root)
+	if !declared || st.pcdata {
+		return &ValidationError{Path: "/" + d.Root, Msg: fmt.Sprintf("%s has no element content to splice into", d.Root)}
+	}
+	state := st.dfa.Start
+	for i, k := range children {
+		next, ok := st.dfa.Step(state, regex.N(k.Name))
+		if !ok {
+			return &ValidationError{Path: "/" + d.Root,
+				Msg: fmt.Sprintf("child %s (index %d) cannot occur under content model %s", k.Name, i, st.t.Model)}
+		}
+		state = next
+	}
+	if !st.dfa.Accept[state] {
+		return &ValidationError{Path: "/" + d.Root, Msg: fmt.Sprintf("children do not match content model %s", st.t.Model)}
+	}
+	return nil
+}
+
 // validateScan is the one event loop: it runs sc over its size-byte input
-// to the end or to the first event the DTD rejects.
-func (d *DTD) validateScan(sc *xmlmodel.Scanner, size int) error {
+// to the end or to the first event the DTD rejects. runs says sc is a
+// NewRunsScanner.
+func (d *DTD) validateScan(sc *xmlmodel.Scanner, size int, runs bool) error {
 	streamDocuments.Add(1)
 	streamBytes.Add(int64(size))
-	v := streamValidator{d: d, stack: make([]streamFrame, 0, 16)} // deeper documents regrow it
+	v := streamValidator{d: d, stack: make([]streamFrame, 0, 16), runs: runs} // deeper documents regrow it
 	err := v.run(sc)
 	streamEvents.Add(v.events)
 	return err
@@ -116,6 +152,9 @@ type streamValidator struct {
 	d      *DTD
 	stack  []streamFrame
 	events int64
+	// runs: the elements at the bottom of the stack are root children
+	// (ParseValidRuns), not the root.
+	runs bool
 }
 
 // streamTypeOf resolves the validation plan for a name, memoized on the DTD
@@ -159,7 +198,7 @@ func (d *DTD) streamTypeOf(name string) (streamType, bool) {
 }
 
 func (v *streamValidator) open(name string) error {
-	if len(v.stack) == 0 && name != v.d.Root {
+	if len(v.stack) == 0 && name != v.d.Root && !v.runs {
 		return &ValidationError{Path: "/" + name,
 			Msg: fmt.Sprintf("root element is %s, document type requires %s", name, v.d.Root)}
 	}

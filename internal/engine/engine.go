@@ -131,7 +131,10 @@ func (p *Prepared) EvalSplit(root *xmlmodel.Element, ends []int) (picks []*xmlmo
 
 // run is one evaluation; the complexity tests read the matcher's visit count.
 func (p *Prepared) run(root *xmlmodel.Element, ends []int) *matcher {
-	m := &matcher{Prepared: p, ends: ends, cuts: make([]int, 0, len(ends))}
+	m := &matcher{Prepared: p, ends: ends}
+	if m.cuts = m.cutBuf[:0]; len(ends) > len(m.cutBuf) {
+		m.cuts = make([]int, 0, len(ends))
+	}
 	if p.path[0].MatchesName(root.Name) {
 		m.steps = append(m.steps, step{i: 0})
 		m.chain = append(m.chain, link{root, 0})
@@ -169,7 +172,8 @@ type link struct {
 type matcher struct {
 	*Prepared
 	picks      []*xmlmodel.Element
-	ends, cuts []int // EvalSplit's: the root-level loop cuts at each run's end
+	ends, cuts []int  // EvalSplit's: the root-level loop cuts at each run's end
+	cutBuf     [8]int // cuts, for as many runs
 	// steps is a stack of step sets, one per element on the walk's current
 	// branch; chain holds those elements, root first.
 	steps []step

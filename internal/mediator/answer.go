@@ -3,6 +3,7 @@ package mediator
 import (
 	"io"
 	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/obs"
@@ -17,16 +18,18 @@ const answerMemoPlans = 32
 // answerIndent is how deep internal/serve indents, and so a memo's bytes are.
 const answerIndent = 2
 
-// AnswerMemo is what the last plans that asked picked from one document, the
-// oldest replaced first: a part slot's, of the part's children (answerByPart),
-// or a cluster node's, of the owner's document its transport holds
-// (AnswerHeld). It is made with the document and handed on exactly as the
-// document is, so it dies with it. An entry is walked once, streamed on its
-// first find, rendered on its second and copied after: bytes[j], made with the
-// array by the first render, is what picks[j] serialize to under an answer's
-// root (answerIndent, depth 1), and found has bit j set once entry j was found
-// by a read that sends bytes.
+// AnswerMemo is what the last plans that asked picked from one run of
+// elements, the oldest replaced first: a part slot's, of the part's children,
+// or a cluster node's, of one run of the owner's document its transport holds
+// (HeldRuns). It is made with the run and handed on exactly as the run is, so
+// it dies with it. An entry is walked once, streamed on its first find,
+// rendered on its second and copied after: bytes[j], made with the array by
+// the first render, is what picks[j] serialize to under an answer's root
+// (answerIndent, depth 1), and found has bit j set once entry j was found by a
+// read that sends bytes.
 type AnswerMemo struct {
+	// doc is the source document a part slot's run was picked from (evalPart
+	// asks whether a refetch returned it); nil for a held document's run.
 	doc   *xmlmodel.Document
 	mu    sync.Mutex
 	plans [answerMemoPlans]*Plan
@@ -35,12 +38,6 @@ type AnswerMemo struct {
 	found uint32
 	next  int
 }
-
-// NewAnswerMemo is an empty memo of what plans pick from doc.
-func NewAnswerMemo(doc *xmlmodel.Document) *AnswerMemo { return &AnswerMemo{doc: doc} }
-
-// Document is the document the memo's picks are of.
-func (a *AnswerMemo) Document() *xmlmodel.Document { return a.doc }
 
 // find looks plan up for the run p: found, p takes the picks and, for a
 // caller that sends bytes, the bytes or the task to render them (p.render).
@@ -132,7 +129,7 @@ func sendAll(plan *Plan, runs []plannedPart) (rendered, copied, renderedBytes, c
 // it: the shell whose tags enclose it and, run by run, what goes between
 // them — elements, and where a memo keeps them, their bytes.
 type Answer struct {
-	View  *View // nil for an answer over a held document (AnswerHeld)
+	View  *View // nil for an answer over a held document (HeldRuns)
 	root  *xmlmodel.Element
 	parts []plannedPart
 }
@@ -144,65 +141,218 @@ func (a *Answer) Write(w io.Writer) error {
 	return xmlmodel.WriteRuns(w, a.root, answerIndent, len(a.parts), a.run)
 }
 
-// answerByPart gives parts — all complete, live results — what plan picks
-// below each: what the part's memo says, and for the parts whose memo does not
-// know the plan one walk over a root of just their children, which the memos
-// then keep.
-func (m *Mediator) answerByPart(span *obs.Span, v *View, plan *Plan, parts []plannedPart, bytes bool) {
-	reused := findAll(plan, parts, bytes)
-	evaluated := len(parts) - len(plan.pruned) - reused
-	if evaluated > 0 && plan.prepared != nil { // a view's own plan picks every member: the run as it is
-		root, ends := &xmlmodel.Element{Name: v.Name}, make([]int, len(parts))
-		for i := range parts {
-			if parts[i].slot < 0 {
-				root.Children = append(root.Children, parts[i].res.children...) // none of a masked-out part
+// Runs is RunsHeader's value for a view's document: how many root children
+// each part contributes, in part order.
+func (a *Answer) Runs() string {
+	var stack [64]byte // a longer list regrows once
+	buf := stack[:0]
+	for i := range a.parts {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(len(a.parts[i].picks)), 10)
+	}
+	return string(buf)
+}
+
+// WriteDelta sends what a view's document delta sends (RunsHeader): the runs
+// of the parts moved says moved, in part order, each as Write sends it.
+func (a *Answer) WriteDelta(w io.Writer, moved []bool) error {
+	return xmlmodel.WriteRuns(w, nil, answerIndent, len(a.parts), func(i int) ([]*xmlmodel.Element, []byte) {
+		if i >= len(moved) || !moved[i] {
+			return nil, nil
+		}
+		return a.run(i)
+	})
+}
+
+// answerCounts is what answerRuns did with its runs.
+type answerCounts struct {
+	reused, evaluated          int // runs whose memo knew the plan, runs walked
+	rendered, copied           int // runs sent from bytes rendered now, from kept bytes
+	renderedBytes, copiedBytes int
+}
+
+// answerRuns gives runs — a view's kept parts, all complete, live results
+// (answerByPart), or the runs of a held document (HeldRuns.Answer) — what
+// plan picks below each: what the run's memo says, and for the runs whose
+// memo does not know the plan one walk, which the memos then keep. A run with
+// no memo (a masked-out part) is neither and is given nothing. The walk is of
+// the one run's children alone under a root named name, or of more runs'
+// together — whole, when the caller holds all the runs under one root (ends
+// says where each run ends in it) and every one is walked, else a root of
+// just theirs.
+func answerRuns(name string, plan *Plan, runs []plannedPart, bytes bool, whole *xmlmodel.Element, ends []int) (c answerCounts) {
+	c.reused = findAll(plan, runs, bytes)
+	last := -1
+	for i := range runs {
+		if runs[i].res.answers != nil && runs[i].slot < 0 {
+			c.evaluated, last = c.evaluated+1, i
+		}
+	}
+	switch {
+	case c.evaluated == 0 || plan.prepared == nil: // a view's own plan picks every member: the run as it is
+	case c.evaluated == 1: // walked alone, the run's picks are all the walk's
+		p := &runs[last]
+		root := p.res.alone
+		if root == nil {
+			root = &xmlmodel.Element{Name: name, Children: p.res.children}
+		}
+		picks, _ := plan.prepared.EvalSplit(root, nil)
+		p.picks = slices.Clip(picks)
+	default:
+		root := whole
+		if root == nil || c.evaluated < len(runs) {
+			root, ends = &xmlmodel.Element{Name: name}, make([]int, len(runs))
+			for i := range runs {
+				if p := &runs[i]; p.res.answers != nil && p.slot < 0 {
+					root.Children = append(root.Children, p.res.children...)
+				}
+				ends[i] = len(root.Children)
 			}
-			ends[i] = len(root.Children)
 		}
 		picks, cuts := plan.prepared.EvalSplit(root, ends)
-		lo := 0
+		// The walked run with the most picks keeps the walk's array, cleared
+		// around them once the others have copied theirs: a memo keeps no
+		// other run's elements alive.
+		keep, keepLo, keepHi, lo := -1, 0, 0, 0
 		for i, hi := range cuts {
-			if p := &parts[i]; p.res.answers != nil && p.slot < 0 {
-				p.picks = append([]*xmlmodel.Element(nil), picks[lo:hi]...) // a copy: a memo keeps no other part's elements alive
+			if p := &runs[i]; p.res.answers != nil && p.slot < 0 && hi-lo > keepHi-keepLo {
+				keep, keepLo, keepHi = i, lo, hi
 			}
 			lo = hi
 		}
+		lo = 0
+		for i, hi := range cuts {
+			switch p := &runs[i]; {
+			case p.res.answers == nil || p.slot >= 0:
+			case i == keep:
+				p.picks = picks[lo:hi:hi]
+			default:
+				p.picks = append([]*xmlmodel.Element(nil), picks[lo:hi]...)
+			}
+			lo = hi
+		}
+		clear(picks[:keepLo])
+		clear(picks[keepHi:])
 	}
-	rendered, copied, renderedBytes, copiedBytes := sendAll(plan, parts)
+	c.rendered, c.copied, c.renderedBytes, c.copiedBytes = sendAll(plan, runs)
+	return c
+}
+
+// answerByPart is answerRuns over a view's parts, counted and traced as this
+// mediator's.
+func (m *Mediator) answerByPart(span *obs.Span, v *View, plan *Plan, parts []plannedPart, bytes bool) {
+	c := answerRuns(v.Name, plan, parts, bytes, nil, nil)
 	if plan.prepared != nil {
-		m.stats.add(&m.stats.AnswerPartsEvaluated, int64(evaluated))
-		m.stats.add(&m.stats.AnswerPartsReused, int64(reused))
+		m.stats.add(&m.stats.AnswerPartsEvaluated, int64(c.evaluated))
+		m.stats.add(&m.stats.AnswerPartsReused, int64(c.reused))
 	}
-	span.SetAttr(obs.Int("answer_reused", int64(reused)), obs.Int("answer_evaluated", int64(evaluated)))
+	span.SetAttr(obs.Int("answer_reused", int64(c.reused)), obs.Int("answer_evaluated", int64(c.evaluated)))
 	if bytes { // how the parts are sent; a trace record has room for 13 attributes
-		m.stats.add(&m.stats.AnswerBytesCopied, int64(copiedBytes))
-		m.stats.add(&m.stats.AnswerBytesRendered, int64(renderedBytes))
-		span.SetNonZero(obs.Int("answer_copied", int64(copied)), obs.Int("answer_rendered", int64(rendered)),
-			obs.Int("answer_streamed", int64(len(parts)-len(plan.pruned)-copied-rendered)))
+		m.stats.add(&m.stats.AnswerBytesCopied, int64(c.copiedBytes))
+		m.stats.add(&m.stats.AnswerBytesRendered, int64(c.renderedBytes))
+		span.SetNonZero(obs.Int("answer_copied", int64(c.copied)), obs.Int("answer_rendered", int64(c.rendered)),
+			obs.Int("answer_streamed", int64(c.reused+c.evaluated-c.copied-c.rendered)))
 	}
 }
 
-// AnswerHeld is plan's answer over doc, a document a transport handed out, for
-// a caller that sends it: a cluster node's answer to a forwarded query. memo is
-// the one made with the document the transport holds now: when it is doc's and
-// knows the plan the picks come from it, else from one walk of doc that it
-// keeps if it is doc's and the plan is remembered. how says "evaluated", or how
-// a find goes out: "streamed", "rendered" or "copied".
-func AnswerHeld(plan *Plan, doc *xmlmodel.Document, memo *AnswerMemo) (a Answer, how string, err error) {
-	if memo != nil && (memo.doc != doc || !plan.remember) {
-		memo = nil
+// HeldRuns is a document a transport handed out — a cluster member's copy of
+// an owner's view document — cut into the runs the owner made it of, one per
+// view part, each with the memo of what plans picked from it: the member's
+// side of answerRuns. A document whose cut is not known is one run, the
+// root's children. ends says where each run ends among them.
+type HeldRuns struct {
+	doc  *xmlmodel.Document
+	runs []heldRun
+	ends []int
+	// few and fewEnds are runs and ends for a document of as many runs or
+	// fewer, held in the one allocation.
+	few     [4]heldRun
+	fewEnds [4]int
+}
+
+// heldRun is one run of a held document: its elements and memo as a part's
+// result holds them, and the elements under a root of their own (res.alone).
+type heldRun struct {
+	res  partResult
+	root xmlmodel.Element
+}
+
+// HoldRuns cuts doc by counts, the root children of each run in part order
+// (nil, or counts that do not cut the root's children: one run). A run whose
+// elements are, one for one, the very elements of prev's run at its position
+// keeps prev's memo — a remembered plan's picks below a run are a function of
+// the run's elements alone (rootChildrenAlone), and an element is never
+// written again — and every other run starts an empty memo.
+func HoldRuns(doc *xmlmodel.Document, counts []int, prev *HeldRuns) *HeldRuns {
+	children, total := doc.Root.Children, 0
+	for _, n := range counts {
+		if n < 0 {
+			counts = nil
+			break
+		}
+		total += n
 	}
-	a = Answer{root: plan.root, parts: []plannedPart{{res: partResult{answers: memo}}}}
-	if how = "streamed"; findAll(plan, a.parts, true) == 0 {
-		if a.parts[0].picks, err = plan.prepared.EvalElements(doc); err != nil {
+	if len(counts) == 0 || total != len(children) {
+		counts = []int{len(children)}
+	}
+	h := &HeldRuns{doc: doc}
+	if h.runs, h.ends = h.few[:], h.fewEnds[:]; len(counts) > len(h.few) {
+		h.runs, h.ends = make([]heldRun, len(counts)), make([]int, len(counts))
+	}
+	h.runs, h.ends = h.runs[:len(counts)], h.ends[:len(counts)]
+	at := 0
+	for i, n := range counts {
+		run := &h.runs[i]
+		run.root = xmlmodel.Element{Name: doc.Root.Name, Children: children[at : at+n : at+n]}
+		run.res.children, run.res.alone = run.root.Children, &run.root
+		at, h.ends[i] = at+n, at+n
+		if prev != nil && len(prev.runs) == len(h.runs) && slices.Equal(prev.runs[i].res.children, run.res.children) {
+			run.res.answers = prev.runs[i].res.answers
+		} else {
+			run.res.answers = &AnswerMemo{}
+		}
+	}
+	return h
+}
+
+// Document is the held document.
+func (h *HeldRuns) Document() *xmlmodel.Document { return h.doc }
+
+// Answer is plan's answer over doc, a document the transport handed out, for
+// a caller that sends it: a cluster member's answer to a forwarded query.
+// When doc is the held document and the plan is remembered the runs are
+// answered as a view's parts are (answerRuns): each from its memo, or walked
+// — alone, or in one walk with the other runs whose memo does not know the
+// plan — and kept. Otherwise doc is walked whole and the walk kept nowhere: a
+// reader still on a document the transport has moved on from, or a plan
+// whose picks are not a run's own. how says "evaluated" when anything was
+// walked, and else how the runs go out: "rendered" when one was rendered,
+// else "copied" when one was copied, else "streamed".
+func (h *HeldRuns) Answer(plan *Plan, doc *xmlmodel.Document) (a Answer, how string, err error) {
+	a.root = plan.root
+	if h == nil || h.doc != doc || !plan.remember {
+		picks, err := plan.prepared.EvalElements(doc)
+		if err != nil {
 			return Answer{}, "", err
 		}
-		how = "evaluated"
+		a.parts = []plannedPart{{picks: picks}}
+		return a, "evaluated", nil
 	}
-	if rendered, copied, _, _ := sendAll(plan, a.parts); rendered > 0 {
+	a.parts = make([]plannedPart, len(h.runs))
+	for i := range a.parts {
+		a.parts[i].res = h.runs[i].res
+	}
+	switch c := answerRuns(doc.Root.Name, plan, a.parts, true, doc.Root, h.ends); {
+	case c.evaluated > 0:
+		how = "evaluated"
+	case c.rendered > 0:
 		how = "rendered"
-	} else if copied > 0 {
+	case c.copied > 0:
 		how = "copied"
+	default:
+		how = "streamed"
 	}
 	return a, how, nil
 }

@@ -24,6 +24,20 @@ const ForwardHeader = "X-Mix-Forwarded"
 // invalidation of the view before telling that member (internal/cluster).
 const LeaseHeader = "X-Mix-Lease"
 
+// The cluster tier's delta encoding of a view document, in RFC 3229's terms.
+// A member fetching GET /views/{name} asks for it with "A-IM: mix-runs"
+// (RunsIM). An owner then sends, beside a 200's document, RunsHeader: the
+// number of root children each part contributes, in part order ("3,0,5"). To
+// an If-None-Match that names an earlier tag of the same view's document of
+// the same mediator (AppendMoved), it answers "226 IM Used" instead, with
+// "IM: mix-runs", "Delta-Base: <that tag>", the new ETag and RunsHeader, and
+// for body the runs of the parts that moved, in part order, each as it sits
+// in the document (xmlmodel.WriteRuns) — and no DOCTYPE and no root.
+const (
+	RunsHeader = "X-Mix-Runs"
+	RunsIM     = "mix-runs"
+)
+
 // ForwardInfo rides the context through a forwarded fetch. It plays two
 // roles:
 //

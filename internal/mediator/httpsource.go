@@ -94,6 +94,7 @@ type HTTPSource struct {
 	kept            atomic.Pointer[keptDocument]
 	notModified     atomic.Int64
 	unchangedBodies atomic.Int64
+	deltas          atomic.Int64
 	// rawDTD is the remote /dtd response exactly as received. The cluster
 	// tier serves it verbatim on forwarded DTD requests, so a forwarded
 	// response is bit-identical to the owner's even if a parse/print
@@ -107,10 +108,23 @@ type HTTPSource struct {
 // keptDocument is a validated document, the body it was built from (which
 // its names and texts alias, so holding it retains nothing more), the body's
 // DOCTYPE subset ("" for none; a slice of body) and the tag the remote last
-// sent that body under. Never written once stored.
+// sent that body under. A document spliced from a delta (splice.go) has
+// neither body nor subset: its runs say what it retains. Never written once
+// stored.
 type keptDocument struct {
 	tag, body, subset string
 	doc               *xmlmodel.Document
+	// counts cut doc's root children into runs as the remote said it made
+	// them (RunsHeader), nil when it did not: what a delta is spliced into.
+	// runs says what each of those runs keeps alive.
+	counts []int
+	runs   []keptRun
+	// deltas counts the deltas spliced since the last full body.
+	deltas int
+	// fewCounts and fewRuns are counts and runs for a document of as many
+	// runs or fewer, held in the one allocation.
+	fewCounts [4]int
+	fewRuns   [4]keptRun
 }
 
 // HTTPOption configures an HTTPSource.
@@ -239,6 +253,7 @@ func (s *HTTPSource) Report(r *SourceReport) {
 	r.Retries += s.Retries()
 	r.NotModified += s.notModified.Load()
 	r.UnchangedBodies += s.unchangedBodies.Load()
+	r.Deltas += s.deltas.Load()
 }
 
 // Fetch implements Wrapper: it retrieves the materialized remote view and
@@ -260,9 +275,26 @@ func (s *HTTPSource) Report(r *SourceReport) {
 // (Wrapper), and it is safe because what Fetch returns is read-only to
 // everyone. Every Fetch still asks the remote, so nothing is served that the
 // remote would not serve now.
+//
+// A cluster member's fetch asks for deltas too (RunsHeader): a 226 to the
+// held tag brings the runs of the parts that moved alone, which are validated
+// and spliced into a new document beside the held one's unmoved runs
+// (splice). A delta that fails any check is answered by one unconditional
+// fetch of the whole document, so what is handed out has always validated.
 func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	kept := s.kept.Load()
 	resp, err := s.get(ctx, s.viewURL, kept)
+	if err == nil && resp.status == http.StatusIMUsed {
+		spliced, serr := s.splice(kept, resp)
+		if serr == nil {
+			s.deltas.Add(1)
+			s.kept.Store(spliced)
+			ForwardInfoFrom(ctx).noteDocument(spliced.tag, resp.lease)
+			return spliced.doc, nil
+		}
+		obs.AddEvent(ctx, "source.delta_refused", obs.String("error", serr.Error()))
+		resp, err = s.get(ctx, s.viewURL, nil)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("mediator: fetching remote view: %w", err)
 	}
@@ -270,10 +302,11 @@ func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	case resp.status == http.StatusNotModified:
 		s.notModified.Add(1)
 		obs.SetAttr(ctx, obs.Bool("not_modified", true))
-	case kept != nil && resp.body == kept.body:
+	case kept != nil && kept.body != "" && resp.body == kept.body:
 		s.unchangedBodies.Add(1)
 		if resp.etag != kept.tag {
 			kept = &keptDocument{tag: resp.etag, body: kept.body, subset: kept.subset, doc: kept.doc}
+			kept.cutRuns(resp.runs)
 			s.kept.Store(kept)
 		}
 	default:
@@ -282,6 +315,7 @@ func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 			return nil, err
 		}
 		kept = &keptDocument{tag: resp.etag, body: resp.body, subset: subset, doc: doc}
+		kept.cutRuns(resp.runs)
 		s.kept.Store(kept)
 	}
 	ForwardInfoFrom(ctx).noteDocument(kept.tag, resp.lease)
@@ -312,12 +346,14 @@ func (s *HTTPSource) check(body string, held *keptDocument) (*xmlmodel.Document,
 }
 
 // response is what one GET brought back. lease is the term a cluster owner
-// granted with it, read only for a forwarded fetch.
+// granted with it, read only for a forwarded fetch; im, base and runs are a
+// delta's headers (IM, Delta-Base, RunsHeader), runs a full document's too.
 type response struct {
-	status int
-	body   string
-	etag   string
-	lease  time.Duration
+	status         int
+	body           string
+	etag           string
+	lease          time.Duration
+	im, base, runs string
 }
 
 // get performs a GET with bounded retries: transport errors and 5xx
@@ -327,8 +363,9 @@ type response struct {
 // other non-200, and an oversized body (ErrBodyTooLarge), fail
 // immediately with a *StatusError. A held document (nil for none) makes the
 // request conditional (If-None-Match) when it has a tag, and only then is a
-// 304 an answer; one nobody asked for fails like any other unusable status.
-// Its body is what the response's is compared with as it is read (readBody).
+// 304 — or a 226, a delta against it — an answer; one nobody asked for fails
+// like any other unusable status. Its body is what a 200's is compared with as
+// it is read (readBody).
 // Cancellation of ctx cuts both the in-flight request (via the request
 // context) and the backoff sleeps.
 func (s *HTTPSource) get(ctx context.Context, url string, held *keptDocument) (response, error) {
@@ -344,7 +381,8 @@ func (s *HTTPSource) get(ctx context.Context, url string, held *keptDocument) (r
 			return response{}, fmt.Errorf("GET %s: %w", url, err)
 		case err != nil:
 			lastErr = err
-		case resp.status == http.StatusOK, resp.status == http.StatusNotModified && held != nil && held.tag != "":
+		case resp.status == http.StatusOK,
+			(resp.status == http.StatusNotModified || resp.status == http.StatusIMUsed) && held != nil && held.tag != "":
 			return resp, nil
 		case resp.status >= 500:
 			lastErr = &StatusError{URL: url, Status: resp.status, Body: strings.TrimSpace(resp.body)}
@@ -382,6 +420,10 @@ func jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
+// runsIM is the A-IM request header's value, shared by every request: the
+// transport only reads it.
+var runsIM = []string{RunsIM}
+
 func (s *HTTPSource) tryGet(ctx context.Context, url string, held *keptDocument) (response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -390,15 +432,15 @@ func (s *HTTPSource) tryGet(ctx context.Context, url string, held *keptDocument)
 	fi := ForwardInfoFrom(ctx)
 	if fi != nil && len(fi.Hops) > 0 {
 		// A cluster forward announces its hop path so the peer can refuse
-		// loops (421, not retried — the path would be the same next time).
+		// loops (421, not retried — the path would be the same next time),
+		// and asks for the view document's runs, and for deltas.
 		req.Header.Set(ForwardHeader, strings.Join(fi.Hops, ","))
-	}
-	heldBody := ""
-	if held != nil {
-		heldBody = held.body
-		if held.tag != "" {
-			req.Header.Set("If-None-Match", held.tag)
+		if url == s.viewURL {
+			req.Header["A-Im"] = runsIM
 		}
+	}
+	if held != nil && held.tag != "" {
+		req.Header.Set("If-None-Match", held.tag)
 	}
 	if id := obs.TraceID(ctx); id != "" {
 		// The peer adopts it (obs.StartRequest): both ends of the hop file
@@ -410,12 +452,17 @@ func (s *HTTPSource) tryGet(ctx context.Context, url string, held *keptDocument)
 		return response{}, err
 	}
 	defer resp.Body.Close()
+	heldBody := ""
+	if held != nil && resp.StatusCode == http.StatusOK {
+		heldBody = held.body
+	}
 	body, err := readBody(resp.Body, resp.ContentLength, heldBody)
 	if err != nil {
 		return response{status: resp.StatusCode}, err
 	}
-	out := response{status: resp.StatusCode, body: body, etag: resp.Header.Get("ETag")}
-	if fi != nil && (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified) {
+	out := response{status: resp.StatusCode, body: body, etag: resp.Header.Get("ETag"),
+		im: resp.Header.Get("Im"), base: resp.Header.Get("Delta-Base"), runs: resp.Header.Get(RunsHeader)}
+	if fi != nil && (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified || resp.StatusCode == http.StatusIMUsed) {
 		// Capture the peer's pruned/degraded/stale taxonomy so the
 		// forwarding node passes it through instead of erasing it.
 		fi.record(resp.Header)

@@ -215,8 +215,8 @@ type partCalc struct {
 	prev partResult
 }
 
-// plannedPart is one kept part of a materialization under way, or the one
-// run of an answer over a held document (AnswerHeld).
+// plannedPart is one kept part of a materialization under way, or one run of
+// an answer over a held document (HeldRuns).
 type plannedPart struct {
 	calc      *partCalc
 	lead, hit bool // this call runs calc / calc had landed when planned
@@ -234,6 +234,10 @@ type partResult struct {
 	// children are the elements the part query picks from doc — elements of
 	// doc itself, not copies (documents from Wrapper.Fetch are read-only).
 	children []*xmlmodel.Element
+	// alone is children under a root of their own, for a walk of them alone
+	// (answerRuns): a held document's run has one, made with it (HeldRuns);
+	// for a part slot's each such walk makes one.
+	alone *xmlmodel.Element
 	// answers is what queries picked from children, and the document they
 	// are of: made and handed on with them.
 	answers *AnswerMemo
@@ -819,7 +823,7 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res 
 	}
 	res.ver = c.gen
 	// A last-known-good document is not the source's answer: never carried.
-	if prev := c.prev; prev.answers != nil && prev.answers.Document() == doc && !res.stale {
+	if prev := c.prev; prev.answers != nil && prev.answers.doc == doc && !res.stale {
 		fspan.SetAttr(obs.Bool("unchanged", true))
 		fspan.End()
 		res.children, res.ver, res.answers = prev.children, prev.ver, prev.answers
@@ -828,7 +832,7 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res 
 	fspan.End()
 	_, espan := obs.StartSpan(ctx, "part.eval", obs.String("source", p.Source))
 	res.children, err = p.prepared.EvalElements(doc)
-	res.answers = NewAnswerMemo(doc)
+	res.answers = &AnswerMemo{doc: doc}
 	espan.End()
 	if err != nil {
 		return res, fmt.Errorf("mediator: evaluating view %s over %s: %v", v.Name, p.Source, err)

@@ -64,10 +64,10 @@ type Plan struct {
 	// request's own when the simplifier failed (simplifierError says how);
 	// nil in a view's own plan (View.whole), which picks every member.
 	prepared *engine.Prepared
-	// remember: the plan is kept where a later request finds it, so a memo
-	// keeps its answers (answer.go) — a part slot's when its query takes the
-	// view's members one at a time (rootChildrenAlone), a held document's
-	// whatever it picks.
+	// remember: the plan is kept where a later request finds it and its
+	// query takes the view's members one at a time (rootChildrenAlone), so the
+	// memo of each run — a part slot's, or a held document's run (HeldRuns) —
+	// keeps what it picks below that run alone (answer.go).
 	remember bool
 	// unsatisfiable: the view DTD refutes the query; the answer is empty and
 	// no part is looked at.
@@ -166,9 +166,9 @@ func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, text []b
 // unknown reports that some verdict was infer.VerdictUnknown.
 func analyse(ctx context.Context, v *View, q *xmas.Query, pruning bool) (plan *Plan, unknown bool, err error) {
 	plan = &Plan{root: engine.EmptyResult(q).Root}
-	if v == nil { // no view to analyse against: the owner's whole document is walked
+	if v == nil { // no view to analyse against: the owner's document is walked
 		plan.prepared, err = engine.Prepare(q)
-		plan.remember = true
+		plan.remember = rootChildrenAlone(q)
 		return plan, false, err
 	}
 	sq := q
@@ -198,7 +198,7 @@ func analyse(ctx context.Context, v *View, q *xmas.Query, pruning bool) (plan *P
 }
 
 // ParsePlan is the plan of a query text for a cluster node that does not hold
-// the view it was sent to and answers over the owner's document (AnswerHeld):
+// the view it was sent to and answers over the owner's document (HeldRuns):
 // found by its text as Answer's is, or else parsed and prepared — there is no
 // view to analyse it against — and kept.
 func (m *Mediator) ParsePlan(ctx context.Context, text []byte) (*Plan, error) {

@@ -335,6 +335,7 @@ type SourceReport struct {
 	Retries           int64
 	NotModified       int64
 	UnchangedBodies   int64
+	Deltas            int64
 	BreakerTrips      int64
 	BreakerRejections int64
 	// Replicas has one status per ReplicaSet, outermost first.

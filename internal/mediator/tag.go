@@ -75,6 +75,35 @@ func (v *View) tagOf(parts []plannedPart) string {
 	return string(append(buf, '"'))
 }
 
+// AppendMoved compares held, a tag of a document of some view, with tag, the
+// tag of that view's document now, part by part, and appends to moved, which
+// it returns, whether each part's version differs: if so its picks may, and a
+// part whose version is the same holds, by the argument above, the very picks
+// it held then. It returns nil unless both are this package's tags of one
+// view of one mediator — equal but for the versions, held a single tag —
+// with as many parts, and differ.
+func AppendMoved(moved []bool, held, tag string) []bool {
+	cut := strings.LastIndexByte(tag, '-') + 1 // the versions hold no '-'
+	if cut == 0 || held == tag || len(held) <= cut || held[:cut] != tag[:cut] ||
+		!strings.HasSuffix(held, `"`) || !strings.HasSuffix(tag, `"`) {
+		return nil
+	}
+	was, now := held[cut:len(held)-1], tag[cut:len(tag)-1]
+	if strings.Trim(was, "0123456789.") != "" || strings.Trim(now, "0123456789.") != "" ||
+		strings.Count(was, ".") != strings.Count(now, ".") {
+		return nil
+	}
+	for {
+		w, wrest, more := strings.Cut(was, ".")
+		n, nrest, _ := strings.Cut(now, ".")
+		moved = append(moved, w != n)
+		if !more {
+			return moved
+		}
+		was, now = wrest, nrest
+	}
+}
+
 // TagListed reports whether an If-None-Match header value names tag: one of
 // its comma-separated entity tags is tag (compared weakly: a W/ prefix is
 // ignored), or it is "*".

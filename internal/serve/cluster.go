@@ -181,6 +181,51 @@ func (h *Handler) forwardPath(w http.ResponseWriter, fwd *cluster.Forward, ctx c
 	io.WriteString(w, body)
 }
 
+// wantsRuns reports whether a GET /views/{name} asks for the document's runs
+// and deltas of it: "mix-runs" is among the instance manipulations of its
+// A-IM header (RFC 3229). Only a cluster member's fetch does.
+func wantsRuns(r *http.Request) bool {
+	for _, v := range r.Header["A-Im"] {
+		for rest := v; rest != ""; {
+			var im string
+			im, rest, _ = strings.Cut(rest, ",")
+			im, _, _ = strings.Cut(im, ";")
+			if strings.EqualFold(strings.TrimSpace(im), mediator.RunsIM) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// runsIM is the IM response header's value, shared by every delta: the
+// server only reads it.
+var runsIM = []string{mediator.RunsIM}
+
+// sendRuns finishes the answer to a GET /views/{name} that asks for runs
+// (wantsRuns): the document's runs go out as RunsHeader, and when the
+// request's If-None-Match names an earlier tag of this very document
+// (mediator.AppendMoved) the answer is 226 IM Used with the runs of the parts
+// that moved since, all it sends. It reports whether it sent that delta; a
+// full answer is the caller's to send.
+func sendRuns(w http.ResponseWriter, r *http.Request, a mediator.Answer, tag string) bool {
+	h := w.Header()
+	h.Set(mediator.RunsHeader, a.Runs())
+	base := r.Header["If-None-Match"]
+	if len(base) != 1 {
+		return false
+	}
+	var buf [16]bool // a view of more parts makes moved on the heap
+	moved := mediator.AppendMoved(buf[:0], base[0], tag)
+	if moved == nil {
+		return false
+	}
+	h["Im"], h["Delta-Base"] = runsIM, base // the request's own value: both only read it
+	w.WriteHeader(http.StatusIMUsed)
+	writeAnswer(r.Context(), w, "", func(w io.Writer) error { return a.WriteDelta(w, moved) })
+	return true
+}
+
 // grant leases the answered view to the member that asked for it — only a
 // complete, live answer (one with a tag, 200 or 304, over a tightly inferred
 // DTD) and only if no revocation of the view passed since offer was read.

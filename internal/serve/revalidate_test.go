@@ -60,13 +60,14 @@ func (c *hopCounts) wrap(h http.Handler) http.Handler {
 	})
 }
 
-// take returns the counts since the last take.
-func (c *hopCounts) take() (full, notModified int) {
+// take returns the counts since the last take: documents shipped whole, as
+// the runs that moved (226), and not at all (304).
+func (c *hopCounts) take() (full, delta, notModified int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	full, notModified = c.byStatus[http.StatusOK], c.byStatus[http.StatusNotModified]
+	full, delta, notModified = c.byStatus[http.StatusOK], c.byStatus[http.StatusIMUsed], c.byStatus[http.StatusNotModified]
 	c.byStatus = map[int]int{}
-	return full, notModified
+	return full, delta, notModified
 }
 
 // changingOwner is an owner of view members over a changingSource, behind a
@@ -199,10 +200,10 @@ func TestForwardedAnswersFollowTheOwner(t *testing.T) {
 	same("unchanged", true, "streamed")
 	same("a repeat", true, "rendered")
 	same("a third", true, "copied")
-	if full, notModified := owner.counts.take(); full != 3 || notModified != 6 {
+	if full, delta, notModified := owner.counts.take(); full != 3 || delta != 0 || notModified != 6 {
 		// The test's own GETs of the owner are the 200s; the forwarder's
 		// fetches (its GET, its query, three times) found nothing new.
-		t.Errorf("an unchanged owner answered %d × 200 and %d × 304, want 3 and 6", full, notModified)
+		t.Errorf("an unchanged owner answered %d × 200, %d × 226 and %d × 304, want 3, 0 and 6", full, delta, notModified)
 	}
 
 	// Each change: the forwarder's GET brings the new document, and its query
@@ -215,10 +216,11 @@ func TestForwardedAnswersFollowTheOwner(t *testing.T) {
 	owner.src.version.Add(1)
 	owner.med.Invalidate()
 	same("after Invalidate", true, "evaluated")
-	if full, notModified := owner.counts.take(); full != 4 || notModified != 2 {
-		// Per step: the test's GET and the forwarder's first fetch ship the
-		// new document, its second fetch revalidates it.
-		t.Errorf("two changes: %d × 200 and %d × 304, want 4 and 2", full, notModified)
+	if full, delta, notModified := owner.counts.take(); full != 2 || delta != 2 || notModified != 2 {
+		// Per step: the test's GET ships the new document, the forwarder's
+		// first fetch the run that moved, against the tag it holds, and its
+		// second fetch revalidates what it spliced.
+		t.Errorf("two changes: %d × 200, %d × 226 and %d × 304, want 2, 2 and 2", full, delta, notModified)
 	}
 	same("after Invalidate, unchanged", true, "streamed")
 	same("after Invalidate, a repeat", true, "rendered")
@@ -421,10 +423,10 @@ func TestReplicatedForwardKeepsAValidatorPerOwner(t *testing.T) {
 	if code, _ := read("held", tagA); code != http.StatusNotModified {
 		t.Errorf("the client's tag of owner a: %d", code)
 	}
-	if full, notModified := a.counts.take(); full != 1 || notModified != 1 {
+	if full, _, notModified := a.counts.take(); full != 1 || notModified != 1 {
 		t.Errorf("owner a answered %d × 200 and %d × 304, want 1 and 1", full, notModified)
 	}
-	if full, notModified := b.counts.take(); full+notModified != 0 {
+	if full, _, notModified := b.counts.take(); full+notModified != 0 {
 		t.Errorf("owner b was asked %d times while a was healthy", full+notModified)
 	}
 
@@ -438,7 +440,7 @@ func TestReplicatedForwardKeepsAValidatorPerOwner(t *testing.T) {
 	if code, _ := read("held b", tagB); code != http.StatusNotModified {
 		t.Errorf("the client's tag of owner b: %d", code)
 	}
-	if full, notModified := b.counts.take(); full != 1 || notModified != 1 {
+	if full, _, notModified := b.counts.take(); full != 1 || notModified != 1 {
 		t.Errorf("owner b answered %d × 200 and %d × 304, want 1 and 1: it was asked with a tag that is not its own", full, notModified)
 	}
 

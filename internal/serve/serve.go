@@ -267,6 +267,9 @@ func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
+	if wantsRuns(r) && sendRuns(w, r, a, info.Tag) {
+		return
+	}
 	writeAnswer(r.Context(), w, a.View.DTDText, a.Write)
 }
 

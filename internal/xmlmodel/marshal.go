@@ -42,22 +42,32 @@ func WriteElement(w io.Writer, e *Element, indent int) error {
 	return err
 }
 
+// MarshaledSize is len(MarshalElements(es, indent, level)), counted without
+// building it.
+func MarshaledSize(es []*Element, indent, level int) int {
+	n, _ := stream(io.Discard, es, indent, level)
+	return n
+}
+
 // WriteRuns writes what WriteElement writes for root had it the elements of
 // run(0) … run(n-1) for children (its own are not looked at). A run that
 // brings its bytes — kept, when not nil, is MarshalElements(es, indent, 1) —
-// is one Write of them; the rest pass through the buffer.
+// is one Write of them; the rest pass through the buffer. A nil root writes
+// the runs alone, each as it sits between root's tags.
 func WriteRuns(w io.Writer, root *Element, indent, n int, run func(int) (es []*Element, kept []byte)) error {
 	buf := writeBufs.Get().(*[writeBufSize]byte)
 	defer writeBufs.Put(buf)
 	o := emitter{buf: buf[:0], w: w}
-	o.openTag(root)
+	if root != nil {
+		o.openTag(root)
+	}
 	childless := true
 	for i := 0; i < n; i++ {
 		es, kept := run(i)
 		if len(es) == 0 {
 			continue
 		}
-		if childless && indent >= 0 {
+		if childless && indent >= 0 && root != nil {
 			o.str("\n")
 		}
 		childless = false
@@ -67,9 +77,11 @@ func WriteRuns(w io.Writer, root *Element, indent, n int, run func(int) (es []*E
 			_, o.err = w.Write(kept)
 		}
 	}
-	o.closeTag(root)
-	if indent >= 0 {
-		o.str("\n")
+	if root != nil {
+		o.closeTag(root)
+		if indent >= 0 {
+			o.str("\n")
+		}
 	}
 	o.drain()
 	return o.err

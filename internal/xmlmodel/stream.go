@@ -59,17 +59,20 @@ const maxParseDepth = 4096
 // Scanner is the tokenizer of the paper's XML model, the only code that
 // knows its lexical rules: prolog, a single element, attributes beyond id
 // ignored, mixed content rejected (Section 2) when the element closes. It
-// delivers a flat event stream; Parse, ParseElement and NewTreeScanner are
-// the same scan with the tree built along the way, so all of them accept
-// the same documents and fail with the same error at the same offset.
+// delivers a flat event stream; Parse, ParseElement, NewTreeScanner and
+// NewRunsScanner are the same scan with the tree built along the way, so all
+// of them accept the same documents and fail with the same error at the same
+// offset.
 type Scanner struct {
 	src     string
 	pos     int
 	doctype *Doctype
 	stack   []openElem
 	// fragment is ParseElement's scan: no prolog, nothing but whitespace
-	// after the element.
+	// after the element. runs is NewRunsScanner's: a fragment of any number
+	// of elements, whitespace between them.
 	fragment bool
+	runs     bool
 	started  bool
 	done     bool
 	// pendingEnd: the innermost open element was self-closing, and the next
@@ -104,6 +107,24 @@ func NewScanner(input string) *Scanner { return &Scanner{src: input} }
 // consumer that stops at an event it rejects has paid for the tree of the
 // input before that event, and no more.
 func NewTreeScanner(input string) *Scanner { return &Scanner{src: input, build: true} }
+
+// NewRunsScanner returns a scanner of elements one after another with no
+// root around them — what a document's root has for children, as they are
+// written (MarshalElements, WriteRuns) — building their trees: Elements
+// returns them once Next has returned EventEOF. No prolog, nothing but
+// whitespace between and around them; no element at all is a clean scan.
+func NewRunsScanner(input string) *Scanner {
+	return &Scanner{src: input, build: true, fragment: true, runs: true}
+}
+
+// Elements returns the elements a NewRunsScanner scan found, in order, once
+// it has reached EventEOF; nil before that.
+func (s *Scanner) Elements() []*Element {
+	if !s.done || !s.runs {
+		return nil
+	}
+	return s.closed[:len(s.closed):len(s.closed)]
+}
 
 // Doctype returns the DOCTYPE declaration found in the prolog, available
 // after the first Next call; nil when the document has none.
@@ -162,6 +183,13 @@ func (s *Scanner) next() (Event, error) {
 		if s.build {
 			s.left = startTagBound(s.src[s.pos:])
 		}
+		if s.runs { // every element the scan finds at its top waits on closed to its end
+			s.closed = make([]*Element, 0, min(s.left, maxChunk))
+		}
+		if s.runs && s.eof() {
+			s.done = true
+			return Event{Kind: EventEOF}, nil
+		}
 		return s.openTag()
 	}
 	if len(s.stack) == 0 {
@@ -174,6 +202,9 @@ func (s *Scanner) next() (Event, error) {
 			s.skipWS()
 		} else {
 			s.skipMisc()
+		}
+		if s.runs && !s.eof() {
+			return s.openTag()
 		}
 		if !s.eof() {
 			return Event{}, s.errf("trailing content after %s", what)
