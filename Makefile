@@ -42,8 +42,9 @@ lint:
 # because a request's trace is one record that every part goroutine of the
 # request writes, and that /debug/trace reads while they do. The last line
 # repeats the tests of the answer memo — one type on both sides of the cluster
-# hop, shared by readers while documents, leases and renders race — twenty
-# times. The line before it repeats, fifty times, every test of the one
+# hop, shared by readers while documents, leases and renders race — and of the
+# splice, which makes a member's memos with its runs and hands them on to the
+# record that replaces it, twenty times. The line before it repeats, fifty times, every test of the one
 # "compute once, the rest wait" rule (cache.Flight) and of its three holders:
 # the flight's own table, the LRU under the automata compiler and the memos,
 # the part slots, and the forward builds — ≈ 20 s on 2 cores.
@@ -55,7 +56,7 @@ race:
 	go test -race ./...
 	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/ ./internal/obs/
 	go test -race -count=50 -cpu=1,2 -run 'TestFlight|TestPurgeFencesTheFlightInFlight|TestJoinerLeavesWithItsContext|TestPanicFailsWaitersAndPropagates|TestErrorIsTheLeadersOwn|TestSingleflightBlocksJoiners|TestConcurrentCompilerSingleflight|TestPlanSingleflight|TestSingleflightMaterialize|TestMaterializeFollowerCancellation|TestFollowerSurvives|TestTagNamesTheCalcTheJoinerEndedOn|TestRacedResultStaysAsPredecessor|TestInvalidateDiscardsInflightResult|TestMetricsSingleflightDedups|TestForwardBuildOncePerBurst|TestForwardJoinerLeavesWithItsContext|TestForwardIncompleteNotCached' ./internal/automata/cache/ ./internal/automata/ ./internal/mediator/ ./internal/cluster/ ./internal/serve/
-	go test -race -count=20 -cpu=1,2 -run 'Answer|Forward|Lease|Memo' ./internal/mediator/ ./internal/cluster/ ./internal/serve/
+	go test -race -count=20 -cpu=1,2 -run 'Answer|Forward|Lease|Memo|Splice' ./internal/mediator/ ./internal/cluster/ ./internal/serve/
 
 # Every allocation ratchet in the tree, by one name and without -race: a
 # binary built with the race detector allocates differently (escape

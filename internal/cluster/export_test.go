@@ -1,6 +1,10 @@
 package cluster
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/mediator"
+)
 
 // What lease_test.go needs of the node's inside. It is an external test
 // (package cluster_test) because its owners and forwarders are the serve
@@ -38,4 +42,17 @@ func (n *Node) GrantExpiry(view, holder string) time.Time {
 		return g.holders[holder]
 	}
 	return time.Time{}
+}
+
+// Transport is the owner transport of view's landed forward; nil before one
+// landed.
+func (n *Node) Transport(view string) *mediator.HTTPSource {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if slot := n.slots[view]; slot != nil {
+		if f, ok := slot.build.Landed(); ok {
+			return f.sources[0]
+		}
+	}
+	return nil
 }

@@ -3,8 +3,8 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/automata/cache"
 	"repro/internal/dtd"
@@ -34,10 +34,6 @@ type Forward struct {
 	// incomplete Forward is served but not cached, so the missing owners
 	// are retried on the next request.
 	complete bool
-	// answers is the document Fetch last returned, cut into its owner's runs,
-	// each with its picks memo (Answer); Fetch replaces it when the document
-	// changes, and a run that did not change keeps its memo.
-	answers atomic.Pointer[mediator.HeldRuns]
 	// slot is the view's, where its lease lives (lease.go).
 	slot *forwardSlot
 }
@@ -163,31 +159,37 @@ func (f *Forward) SchemaText() string { return f.sources[0].SchemaText() }
 
 // Fetch retrieves the owner-materialized view document. The returned bool
 // reports stale service: every owner was down and the ReplicaSet served
-// its validated last-known-good copy. A document other than the last one
-// returned is held cut into the runs its owner made it of (HTTPSource.Runs):
-// a run whose elements are the last document's run's own keeps its picks memo
-// — the owner's delta shares them, unmoved — and every other run starts an
-// empty one. The same pointer is how a transport says the owner's document is
-// unchanged (Wrapper), so picks are only reused over the elements they were
-// walked from.
+// its validated last-known-good copy. Each transport holds the document it
+// fetched last as its owner's runs, each with its picks memo
+// (mediator.HTTPSource.Answer): the forwarder's one copy of it.
 //
 // While a lease on the view runs (lease.go), Fetch asks nobody: it returns
-// the leased document and replays into the context's ForwardInfo the tag
-// and provenance its fetch captured. Otherwise it asks the owner, and keeps
-// the lease a complete, live answer was granted with — for its term counted
-// from before the request went out, unless a revocation arrived meanwhile.
-// The root span says which: forward_fetch=leased, not_modified (the owner's
-// document as held), delta (the runs that moved, spliced into it) or changed.
+// the document a transport holds under the lease's tag and replays into the
+// context's ForwardInfo the tag and provenance its fetch captured — equal tags
+// mean byte-equal documents, so that is what the lease promised. When no
+// transport holds that tag any more, Fetch asks the owner, and keeps the lease
+// a complete, live answer was granted with — for its term counted from before
+// the request went out, unless a revocation arrived meanwhile. The root span
+// says which: forward_fetch=leased, not_modified (a document a transport
+// held), delta (the runs that moved, spliced into it) or changed.
 func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 	n := f.node
 	n.forwarded.Add(1)
 	fi := mediator.ForwardInfoFrom(ctx)
 	sent := n.now()
 	if l := f.slot.leased(sent); l != nil {
-		n.leaseHits.Add(1)
-		fi.Replay(l.captured)
-		obs.SetAttr(ctx, obs.String("forward_fetch", "leased"))
-		return l.doc, false, nil
+		if doc := f.held(l.captured.Tag()); doc != nil {
+			n.leaseHits.Add(1)
+			fi.Replay(l.captured)
+			obs.SetAttr(ctx, obs.String("forward_fetch", "leased"))
+			return doc, false, nil
+		}
+	}
+	var buf [4]*xmlmodel.Document // a view of more owners makes it on the heap
+	before := buf[:0]
+	for _, s := range f.sources {
+		doc, _, _ := s.Held()
+		before = append(before, doc)
 	}
 	epoch := f.slot.epoch.Load()
 	fetchCtx, stale := mediator.WithStaleNote(ctx)
@@ -197,11 +199,12 @@ func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 		return nil, false, err
 	}
 	fetched := "not_modified"
-	if held := f.answers.Load(); held == nil || held.Document() != doc {
-		counts, spliced := f.runs(doc)
-		f.answers.Store(mediator.HoldRuns(doc, counts, held))
-		if fetched = "changed"; spliced {
-			fetched = "delta"
+	if !slices.Contains(before, doc) {
+		fetched = "changed"
+		for _, s := range f.sources {
+			if held, _, spliced := s.Held(); held == doc && spliced {
+				fetched = "delta"
+			}
 		}
 	}
 	obs.SetAttr(ctx, obs.String("forward_fetch", fetched))
@@ -209,27 +212,33 @@ func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 		return doc, isStale, nil
 	}
 	if term := min(fi.Lease(), LeaseTerm); term > 0 {
-		f.slot.install(epoch, &heldLease{doc: doc, captured: fi.Capture(), expires: sent.Add(term)})
+		f.slot.install(epoch, &heldLease{captured: fi.Capture(), expires: sent.Add(term)})
 	}
 	return doc, false, nil
 }
 
-// runs is how the owner cut doc into its parts' runs, when one of the
-// transports holds doc and was told, and whether doc was spliced from a delta.
-func (f *Forward) runs(doc *xmlmodel.Document) ([]int, bool) {
+// held is the document a transport holds under tag, nil when none does.
+func (f *Forward) held(tag string) *xmlmodel.Document {
 	for _, s := range f.sources {
-		if counts, spliced := s.Runs(doc); counts != nil {
-			return counts, spliced
+		if doc, t, _ := s.Held(); doc != nil && t == tag {
+			return doc
 		}
 	}
-	return nil, false
+	return nil
 }
 
-// Answer is p's answer over doc, a document Fetch returned, from the memos of
-// the runs of the document the transport holds (mediator.HeldRuns); how says
-// whether any of doc was walked ("evaluated") and how the answer goes out.
+// Answer is p's answer over doc, a document Fetch returned, from the runs and
+// memos of the transport that holds it (mediator.HTTPSource.Answer); any
+// other document is walked whole. how says whether any of doc was walked
+// ("evaluated") and how the answer goes out.
 func (f *Forward) Answer(p *mediator.Plan, doc *xmlmodel.Document) (a mediator.Answer, how string, err error) {
-	a, how, err = f.answers.Load().Answer(p, doc)
+	src := f.sources[0]
+	for _, s := range f.sources[1:] {
+		if held, _, _ := s.Held(); held == doc {
+			src = s
+		}
+	}
+	a, how, err = src.Answer(p, doc)
 	if how == "evaluated" {
 		f.node.answersEvaluated.Add(1)
 	} else if err == nil {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/mediator"
-	"repro/internal/xmlmodel"
 )
 
 // An owner lends a member its view document for one term (a lease, Gray &
@@ -85,10 +84,10 @@ type viewGrants struct {
 	holders map[string]time.Time
 }
 
-// heldLease is a forwarder's lease: the document, what its fetch captured,
-// and the end of the term by the forwarder's clock.
+// heldLease is a forwarder's lease, a term on a tag: what its fetch captured
+// — the tag among it, under which a transport holds the document a hit serves
+// (Forward.Fetch) — and the end of the term by the forwarder's clock.
 type heldLease struct {
-	doc      *xmlmodel.Document
 	captured mediator.Captured
 	expires  time.Time
 }

@@ -112,6 +112,7 @@ func urlOf(srv *httptest.Server) string { return "http://" + srv.Listener.Addr()
 // fleet is owner alpha and forwarder beta on one clock.
 type fleet struct {
 	src        *dept
+	med        *mediator.Mediator // the owner's
 	owner, fwd *cluster.Node
 	fwdURL     string
 	// ownerGets counts the GET /views/members the owner was sent; hook, when
@@ -131,6 +132,7 @@ func newFleet(t *testing.T, clock *fakeClock, extra map[string]string) *fleet {
 	f := &fleet{src: &dept{d: d}}
 	f.src.set(t, "ada", "bob")
 	med := mediator.New("alpha-med")
+	f.med = med
 	if err := med.AddSource(f.src); err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +212,65 @@ func TestLeaseAnswersUntilItEnds(t *testing.T) {
 	f.read(t)
 	if f.ownerGets.Load() != 2 || f.fwd.Metrics().LeaseHits != 4 {
 		t.Errorf("the renewed lease: %d owner GETs, %d lease hits; want 2 and 4", f.ownerGets.Load(), f.fwd.Metrics().LeaseHits)
+	}
+}
+
+// A lease is a term on a tag: a hit serves the document a transport holds
+// under it. When a fetch that installs no lease — one without a ForwardInfo,
+// which asks for no runs — has replaced that record, no record holds the
+// lease's tag, and the next forwarded read asks the owner: it is served the
+// document the transport then holds, its query finds that record's runs'
+// memos, and the lease its answer was granted is a term on that document.
+func TestLeaseOfATagNoLongerHeldIsAMiss(t *testing.T) {
+	clock := newClock()
+	f := newFleet(t, clock, nil)
+	ctx := context.Background()
+	member := func() context.Context {
+		return mediator.WithForwardInfo(ctx, &mediator.ForwardInfo{Hops: []string{"beta"}})
+	}
+	fwd, err := f.fwd.Forward(member(), "members")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, err := fwd.Fetch(member())
+	if err != nil || f.fwd.LeaseExpiry("members").IsZero() {
+		t.Fatalf("the first read: %v, lease until %v", err, f.fwd.LeaseExpiry("members"))
+	}
+	// The owner's document changes and no revocation tells beta: the owner's
+	// mediator is invalidated directly. The transport's own fetch brings it.
+	f.src.set(t, "ada", "bob", "cy")
+	if _, err := f.med.InvalidateSource("dept"); err != nil {
+		t.Fatal(err)
+	}
+	src := f.fwd.Transport("members")
+	replaced, err := src.Fetch(ctx)
+	if held, _, _ := src.Held(); err != nil || replaced == first || held != replaced {
+		t.Fatalf("the unleased fetch: %v; a new document %v, held %v", err, replaced != first, held == replaced)
+	}
+
+	plan, err := mediator.New("beta-med").ParsePlan(ctx, []byte(`r = SELECT X WHERE <members> X:<prof/> </members>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := f.fwd.Metrics()
+	doc, _, err := fwd.Fetch(member())
+	after := f.fwd.Metrics()
+	if err != nil || after.LeaseHits != before.LeaseHits || after.NotModified+after.Deltas != before.NotModified+before.Deltas+1 {
+		t.Fatalf("the read after: %v; %d lease hits, %d not modified, %d deltas; want the owner asked once",
+			err, after.LeaseHits-before.LeaseHits, after.NotModified-before.NotModified, after.Deltas-before.Deltas)
+	}
+	if held, _, _ := src.Held(); doc != held || doc != replaced {
+		t.Fatalf("the read after was served a document no record holds (held %v, the replacing one %v)", doc == held, doc == replaced)
+	}
+	for _, want := range []string{"evaluated", "streamed"} {
+		if _, how, err := fwd.Answer(plan, doc); err != nil || how != want {
+			t.Fatalf("the query over it: %s (want %s), %v", how, want, err)
+		}
+	}
+	again, _, err := fwd.Fetch(member())
+	if err != nil || again != doc || f.fwd.Metrics().LeaseHits != after.LeaseHits+1 {
+		t.Errorf("the read after that: %v, the same document %v, %d lease hits; want a hit",
+			err, again == doc, f.fwd.Metrics().LeaseHits-after.LeaseHits)
 	}
 }
 

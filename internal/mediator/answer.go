@@ -20,9 +20,9 @@ const answerIndent = 2
 
 // AnswerMemo is what the last plans that asked picked from one run of
 // elements, the oldest replaced first: a part slot's, of the part's children,
-// or a cluster node's, of one run of the owner's document its transport holds
-// (HeldRuns). It is made with the run and handed on exactly as the run is, so
-// it dies with it. An entry is walked once, streamed on its first find,
+// or a cluster member's, of one run of the owner's document its transport
+// holds (heldRun). It is made with the run and handed on exactly as the run
+// is, so it dies with it. An entry is walked once, streamed on its first find,
 // rendered on its second and copied after: bytes[j], made with the array by
 // the first render, is what picks[j] serialize to under an answer's root
 // (answerIndent, depth 1), and found has bit j set once entry j was found by a
@@ -129,7 +129,7 @@ func sendAll(plan *Plan, runs []plannedPart) (rendered, copied, renderedBytes, c
 // it: the shell whose tags enclose it and, run by run, what goes between
 // them — elements, and where a memo keeps them, their bytes.
 type Answer struct {
-	View  *View // nil for an answer over a held document (HeldRuns)
+	View  *View // nil for an answer over a member's held document (HTTPSource.Answer)
 	root  *xmlmodel.Element
 	parts []plannedPart
 }
@@ -174,14 +174,14 @@ type answerCounts struct {
 }
 
 // answerRuns gives runs — a view's kept parts, all complete, live results
-// (answerByPart), or the runs of a held document (HeldRuns.Answer) — what
-// plan picks below each: what the run's memo says, and for the runs whose
-// memo does not know the plan one walk, which the memos then keep. A run with
-// no memo (a masked-out part) is neither and is given nothing. The walk is of
-// the one run's children alone under a root named name, or of more runs'
-// together — whole, when the caller holds all the runs under one root (ends
-// says where each run ends in it) and every one is walked, else a root of
-// just theirs.
+// (answerByPart), or the runs of a member's held document (HTTPSource.Answer)
+// — what plan picks below each: what the run's memo says, and for the runs
+// whose memo does not know the plan one walk, which the memos then keep. A
+// run with no memo (a masked-out part) is neither and is given nothing. The
+// walk is of the one run's children alone under a root named name, or of more
+// runs' together — whole, when the caller holds all the runs under one root
+// (ends says where each run ends in it) and every one is walked, else a root
+// of just theirs.
 func answerRuns(name string, plan *Plan, runs []plannedPart, bytes bool, whole *xmlmodel.Element, ends []int) (c answerCounts) {
 	c.reused = findAll(plan, runs, bytes)
 	last := -1
@@ -257,82 +257,21 @@ func (m *Mediator) answerByPart(span *obs.Span, v *View, plan *Plan, parts []pla
 	}
 }
 
-// HeldRuns is a document a transport handed out — a cluster member's copy of
-// an owner's view document — cut into the runs the owner made it of, one per
-// view part, each with the memo of what plans picked from it: the member's
-// side of answerRuns. A document whose cut is not known is one run, the
-// root's children. ends says where each run ends among them.
-type HeldRuns struct {
-	doc  *xmlmodel.Document
-	runs []heldRun
-	ends []int
-	// few and fewEnds are runs and ends for a document of as many runs or
-	// fewer, held in the one allocation.
-	few     [4]heldRun
-	fewEnds [4]int
-}
-
-// heldRun is one run of a held document: its elements and memo as a part's
-// result holds them, and the elements under a root of their own (res.alone).
-type heldRun struct {
-	res  partResult
-	root xmlmodel.Element
-}
-
-// HoldRuns cuts doc by counts, the root children of each run in part order
-// (nil, or counts that do not cut the root's children: one run). A run whose
-// elements are, one for one, the very elements of prev's run at its position
-// keeps prev's memo — a remembered plan's picks below a run are a function of
-// the run's elements alone (rootChildrenAlone), and an element is never
-// written again — and every other run starts an empty memo.
-func HoldRuns(doc *xmlmodel.Document, counts []int, prev *HeldRuns) *HeldRuns {
-	children, total := doc.Root.Children, 0
-	for _, n := range counts {
-		if n < 0 {
-			counts = nil
-			break
-		}
-		total += n
-	}
-	if len(counts) == 0 || total != len(children) {
-		counts = []int{len(children)}
-	}
-	h := &HeldRuns{doc: doc}
-	if h.runs, h.ends = h.few[:], h.fewEnds[:]; len(counts) > len(h.few) {
-		h.runs, h.ends = make([]heldRun, len(counts)), make([]int, len(counts))
-	}
-	h.runs, h.ends = h.runs[:len(counts)], h.ends[:len(counts)]
-	at := 0
-	for i, n := range counts {
-		run := &h.runs[i]
-		run.root = xmlmodel.Element{Name: doc.Root.Name, Children: children[at : at+n : at+n]}
-		run.res.children, run.res.alone = run.root.Children, &run.root
-		at, h.ends[i] = at+n, at+n
-		if prev != nil && len(prev.runs) == len(h.runs) && slices.Equal(prev.runs[i].res.children, run.res.children) {
-			run.res.answers = prev.runs[i].res.answers
-		} else {
-			run.res.answers = &AnswerMemo{}
-		}
-	}
-	return h
-}
-
-// Document is the held document.
-func (h *HeldRuns) Document() *xmlmodel.Document { return h.doc }
-
-// Answer is plan's answer over doc, a document the transport handed out, for
-// a caller that sends it: a cluster member's answer to a forwarded query.
-// When doc is the held document and the plan is remembered the runs are
-// answered as a view's parts are (answerRuns): each from its memo, or walked
-// — alone, or in one walk with the other runs whose memo does not know the
-// plan — and kept. Otherwise doc is walked whole and the walk kept nowhere: a
-// reader still on a document the transport has moved on from, or a plan
-// whose picks are not a run's own. how says "evaluated" when anything was
-// walked, and else how the runs go out: "rendered" when one was rendered,
-// else "copied" when one was copied, else "streamed".
-func (h *HeldRuns) Answer(plan *Plan, doc *xmlmodel.Document) (a Answer, how string, err error) {
+// Answer is plan's answer over doc, a document s handed out, for a caller
+// that sends it: a cluster member's answer to a forwarded query. When doc is
+// the document s holds, with the runs a member's fetch holds (Fetch), and the
+// plan is remembered, the runs are answered as a view's parts are
+// (answerRuns): each from its memo, or walked — alone, or in one walk with the
+// other runs whose memo does not know the plan — and kept. Otherwise doc is
+// walked whole and the walk kept nowhere: a reader still on a document s has
+// moved on from, a last-known-good copy, or a plan whose picks are not a
+// run's own. how says "evaluated" when anything was walked, and else how the
+// runs go out: "rendered" when one was rendered, else "copied" when one was
+// copied, else "streamed".
+func (s *HTTPSource) Answer(plan *Plan, doc *xmlmodel.Document) (a Answer, how string, err error) {
 	a.root = plan.root
-	if h == nil || h.doc != doc || !plan.remember {
+	k := s.kept.Load()
+	if k == nil || k.doc != doc || k.runs == nil || !plan.remember {
 		picks, err := plan.prepared.EvalElements(doc)
 		if err != nil {
 			return Answer{}, "", err
@@ -340,11 +279,12 @@ func (h *HeldRuns) Answer(plan *Plan, doc *xmlmodel.Document) (a Answer, how str
 		a.parts = []plannedPart{{picks: picks}}
 		return a, "evaluated", nil
 	}
-	a.parts = make([]plannedPart, len(h.runs))
+	a.parts = make([]plannedPart, len(k.runs))
 	for i := range a.parts {
-		a.parts[i].res = h.runs[i].res
+		r := &k.runs[i]
+		a.parts[i].res = partResult{children: r.root.Children, alone: &r.root, answers: r.answers}
 	}
-	switch c := answerRuns(doc.Root.Name, plan, a.parts, true, doc.Root, h.ends); {
+	switch c := answerRuns(doc.Root.Name, plan, a.parts, true, doc.Root, k.ends); {
 	case c.evaluated > 0:
 		how = "evaluated"
 	case c.rendered > 0:

@@ -213,9 +213,37 @@ func TestFetchAllocations(t *testing.T) {
 		t.Errorf("fetching %d bytes costs %v allocs more than fetching %d (%v, %v): the cost follows the document", largeSize, large-small, smallSize, large, small)
 	}
 	// Measured 100 (109 under -race): one scan validates the body and builds
-	// its tree, and the triple Fetch holds on to is one more object.
+	// its tree, and the record Fetch holds on to is one more object — runs and
+	// memos it holds for a cluster member alone (TestOnlyAMembersFetchHoldsRuns).
 	if small > 115 {
 		t.Errorf("a warm fetch of %d bytes: %v allocs, want ≤ 115", smallSize, small)
+	}
+}
+
+// Only a cluster member's fetch holds its document as runs with memos: a
+// fetch without a ForwardInfo — a leaf source, a refresh, a stacked mediator
+// — holds none, and its record is no larger than the 240 bytes it was when it
+// kept four runs' counts inline. The member's next fetch of the same bytes
+// holds them: one run, as the remote cut nothing, with a memo.
+func TestOnlyAMembersFetchHoldsRuns(t *testing.T) {
+	src := scriptedRemote(t, func() string { return deptBody(d1Text, 3) })
+	if _, err := src.Fetch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if k := src.kept.Load(); k.runs != nil {
+		t.Errorf("a leaf fetch holds %d runs", len(k.runs))
+	}
+	if size := unsafe.Sizeof(keptDocument{}); size > 240 {
+		t.Errorf("a leaf's record is %d bytes, more than 240", size)
+	}
+	member := WithForwardInfo(context.Background(), &ForwardInfo{Hops: []string{"m"}})
+	doc, err := src.Fetch(member)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := src.kept.Load()
+	if k.doc != doc || len(k.runs) != 1 || k.runs[0].answers == nil || len(k.runs[0].root.Children) != len(doc.Root.Children) {
+		t.Errorf("a member's fetch of the held bytes holds the held document %v, %d runs", k.doc == doc, len(k.runs))
 	}
 }
 

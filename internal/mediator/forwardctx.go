@@ -85,6 +85,9 @@ type Captured struct {
 	via  []string
 }
 
+// Tag is the tag c's document was sent under.
+func (c Captured) Tag() string { return c.tag }
+
 // forwardKey is the context key for a *ForwardInfo.
 type forwardKey struct{}
 

@@ -114,17 +114,15 @@ type HTTPSource struct {
 type keptDocument struct {
 	tag, body, subset string
 	doc               *xmlmodel.Document
-	// counts cut doc's root children into runs as the remote said it made
-	// them (RunsHeader), nil when it did not: what a delta is spliced into.
-	// runs says what each of those runs keeps alive.
-	counts []int
-	runs   []keptRun
+	// runs cut doc's root children into the runs the remote made them of, in
+	// part order, each with its picks memo: what a delta is spliced into and
+	// what a cluster member answers from (Answer); ends says where each run
+	// ends among the children, for a walk of them all. Only a member's fetch
+	// holds them (hold); nil for every other.
+	runs []heldRun
+	ends []int
 	// deltas counts the deltas spliced since the last full body.
 	deltas int
-	// fewCounts and fewRuns are counts and runs for a document of as many
-	// runs or fewer, held in the one allocation.
-	fewCounts [4]int
-	fewRuns   [4]keptRun
 }
 
 // HTTPOption configures an HTTPSource.
@@ -276,16 +274,18 @@ func (s *HTTPSource) Report(r *SourceReport) {
 // everyone. Every Fetch still asks the remote, so nothing is served that the
 // remote would not serve now.
 //
-// A cluster member's fetch asks for deltas too (RunsHeader): a 226 to the
-// held tag brings the runs of the parts that moved alone, which are validated
-// and spliced into a new document beside the held one's unmoved runs
-// (splice). A delta that fails any check is answered by one unconditional
-// fetch of the whole document, so what is handed out has always validated.
+// A cluster member's fetch asks for deltas too (RunsHeader), and holds the
+// document as the runs its owner made it of, each with the memo of what the
+// member's queries picked from it (Answer): a 226 to the held tag brings the
+// runs of the parts that moved alone, which are validated and spliced into a
+// new document beside the held one's unmoved runs, memos and all (splice). A
+// delta that fails any check is answered by one unconditional fetch of the
+// whole document, so what is handed out has always validated.
 func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
-	kept := s.kept.Load()
-	resp, err := s.get(ctx, s.viewURL, kept)
+	held := s.kept.Load()
+	resp, err := s.get(ctx, s.viewURL, held)
 	if err == nil && resp.status == http.StatusIMUsed {
-		spliced, serr := s.splice(kept, resp)
+		spliced, serr := s.splice(held, resp)
 		if serr == nil {
 			s.deltas.Add(1)
 			s.kept.Store(spliced)
@@ -298,24 +298,27 @@ func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mediator: fetching remote view: %w", err)
 	}
+	kept := held
 	switch {
 	case resp.status == http.StatusNotModified:
 		s.notModified.Add(1)
 		obs.SetAttr(ctx, obs.Bool("not_modified", true))
-	case kept != nil && kept.body != "" && resp.body == kept.body:
+		if resp.member && held.runs == nil {
+			kept = s.hold(*held, resp, nil)
+		}
+	case held != nil && held.body != "" && resp.body == held.body:
 		s.unchangedBodies.Add(1)
-		if resp.etag != kept.tag {
-			kept = &keptDocument{tag: resp.etag, body: kept.body, subset: kept.subset, doc: kept.doc}
-			kept.cutRuns(resp.runs)
-			s.kept.Store(kept)
+		if resp.etag != held.tag || resp.member && held.runs == nil {
+			kept = s.hold(keptDocument{tag: resp.etag, body: held.body, subset: held.subset, doc: held.doc}, resp, held)
 		}
 	default:
-		doc, subset, err := s.check(resp.body, kept)
+		doc, subset, err := s.check(resp.body, held)
 		if err != nil {
 			return nil, err
 		}
-		kept = &keptDocument{tag: resp.etag, body: resp.body, subset: subset, doc: doc}
-		kept.cutRuns(resp.runs)
+		kept = s.hold(keptDocument{tag: resp.etag, body: resp.body, subset: subset, doc: doc}, resp, nil)
+	}
+	if kept != held {
 		s.kept.Store(kept)
 	}
 	ForwardInfoFrom(ctx).noteDocument(kept.tag, resp.lease)
@@ -347,13 +350,15 @@ func (s *HTTPSource) check(body string, held *keptDocument) (*xmlmodel.Document,
 
 // response is what one GET brought back. lease is the term a cluster owner
 // granted with it, read only for a forwarded fetch; im, base and runs are a
-// delta's headers (IM, Delta-Base, RunsHeader), runs a full document's too.
+// delta's headers (IM, Delta-Base, RunsHeader), runs a full document's too;
+// member says the request asked for runs, as only a cluster member's does.
 type response struct {
 	status         int
 	body           string
 	etag           string
 	lease          time.Duration
 	im, base, runs string
+	member         bool
 }
 
 // get performs a GET with bounded retries: transport errors and 5xx
@@ -430,12 +435,13 @@ func (s *HTTPSource) tryGet(ctx context.Context, url string, held *keptDocument)
 		return response{}, err
 	}
 	fi := ForwardInfoFrom(ctx)
+	member := false
 	if fi != nil && len(fi.Hops) > 0 {
 		// A cluster forward announces its hop path so the peer can refuse
 		// loops (421, not retried — the path would be the same next time),
 		// and asks for the view document's runs, and for deltas.
 		req.Header.Set(ForwardHeader, strings.Join(fi.Hops, ","))
-		if url == s.viewURL {
+		if member = url == s.viewURL; member {
 			req.Header["A-Im"] = runsIM
 		}
 	}
@@ -461,7 +467,7 @@ func (s *HTTPSource) tryGet(ctx context.Context, url string, held *keptDocument)
 		return response{status: resp.StatusCode}, err
 	}
 	out := response{status: resp.StatusCode, body: body, etag: resp.Header.Get("ETag"),
-		im: resp.Header.Get("Im"), base: resp.Header.Get("Delta-Base"), runs: resp.Header.Get(RunsHeader)}
+		im: resp.Header.Get("Im"), base: resp.Header.Get("Delta-Base"), runs: resp.Header.Get(RunsHeader), member: member}
 	if fi != nil && (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified || resp.StatusCode == http.StatusIMUsed) {
 		// Capture the peer's pruned/degraded/stale taxonomy so the
 		// forwarding node passes it through instead of erasing it.

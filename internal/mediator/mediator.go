@@ -216,7 +216,7 @@ type partCalc struct {
 }
 
 // plannedPart is one kept part of a materialization under way, or one run of
-// an answer over a held document (HeldRuns).
+// an answer over a member's held document (HTTPSource.Answer).
 type plannedPart struct {
 	calc      *partCalc
 	lead, hit bool // this call runs calc / calc had landed when planned
@@ -235,7 +235,7 @@ type partResult struct {
 	// doc itself, not copies (documents from Wrapper.Fetch are read-only).
 	children []*xmlmodel.Element
 	// alone is children under a root of their own, for a walk of them alone
-	// (answerRuns): a held document's run has one, made with it (HeldRuns);
+	// (answerRuns): a member's held run has one, made with it (heldRun);
 	// for a part slot's each such walk makes one.
 	alone *xmlmodel.Element
 	// answers is what queries picked from children, and the document they

@@ -66,7 +66,7 @@ type Plan struct {
 	prepared *engine.Prepared
 	// remember: the plan is kept where a later request finds it and its
 	// query takes the view's members one at a time (rootChildrenAlone), so the
-	// memo of each run — a part slot's, or a held document's run (HeldRuns) —
+	// memo of each run — a part slot's, or a member's held run (heldRun) —
 	// keeps what it picks below that run alone (answer.go).
 	remember bool
 	// unsatisfiable: the view DTD refutes the query; the answer is empty and
@@ -198,7 +198,7 @@ func analyse(ctx context.Context, v *View, q *xmas.Query, pruning bool) (plan *P
 }
 
 // ParsePlan is the plan of a query text for a cluster node that does not hold
-// the view it was sent to and answers over the owner's document (HeldRuns):
+// the view it was sent to and answers over the owner's document (HTTPSource.Answer):
 // found by its text as Answer's is, or else parsed and prepared — there is no
 // view to analyse it against — and kept.
 func (m *Mediator) ParsePlan(ctx context.Context, text []byte) (*Plan, error) {

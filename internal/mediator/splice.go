@@ -29,41 +29,77 @@ import (
 // would make that more than twice what a full body would be now, and the
 // full body fetched instead holds only itself.
 
-// keptRun is what one part's run of a kept document keeps alive: the body
-// its elements arrived in (their names and texts are substrings of it) — the
-// last full body (body 0) or the body-th delta spliced since — of bodyLen
-// bytes. The run serializes to size bytes, -1 until retains measures it.
-type keptRun struct {
+// heldRun is one part's run of a member's kept document (keptDocument.runs):
+// its elements under a root of their own (named by the DTD, whose strings are
+// nobody's body's), the memo of what plans picked from them (answerRuns), and
+// what it keeps alive — the body its elements arrived in (their names and
+// texts are substrings of it), the last full body (body 0) or the body-th
+// delta spliced since, of bodyLen bytes. The run serializes to size bytes, -1
+// until retains measures it. A record that carries a run copies it whole: the
+// memo is shared, the root is the new record's own, and its elements are a
+// slice of the new document's — nothing in a record points into the one it
+// replaced, which would keep alive bodies retains no longer counts.
+type heldRun struct {
+	root                xmlmodel.Element
+	answers             *AnswerMemo
 	size, body, bodyLen int
 }
 
-// setCounts reads a RunsHeader value into k.counts and gives k.runs as many
-// zero runs, both in k's own arrays when they fit; it reports whether the
-// value was one.
-func (k *keptDocument) setCounts(header string) bool {
-	k.counts, k.runs = appendCounts(k.fewCounts[:0], header), k.fewRuns[:]
-	if len(k.counts) > len(k.runs) {
-		k.runs = make([]keptRun, len(k.counts))
-	}
-	k.runs = k.runs[:len(k.counts)]
-	return k.counts != nil
+// memberRecord is a member's kept document in one allocation with its first
+// four runs and their ends and, when spliced, its document and root; a view
+// of more parts makes its runs on the heap.
+type memberRecord struct {
+	kept    keptDocument
+	doc     xmlmodel.Document
+	root    xmlmodel.Element
+	few     [4]heldRun
+	fewEnds [4]int
 }
 
-// cutRuns gives k, a full body's document, the cut its response announced
-// (header, a RunsHeader value), every run kept alive by the body; none when
-// the header announces none that cuts k.doc's root children.
-func (k *keptDocument) cutRuns(header string) {
-	if !k.setCounts(header) {
-		return
+// newRecord is a member's record of n zero runs.
+func newRecord(n int) *memberRecord {
+	r := &memberRecord{}
+	if r.kept.runs, r.kept.ends = r.few[:], r.fewEnds[:]; n > len(r.few) {
+		r.kept.runs, r.kept.ends = make([]heldRun, n), make([]int, n)
 	}
-	total := 0
-	for i, n := range k.counts {
-		k.runs[i] = keptRun{size: -1, bodyLen: len(k.body)}
+	r.kept.runs, r.kept.ends = r.kept.runs[:n], r.kept.ends[:n]
+	return r
+}
+
+// hold is k, the record of a document that passed every check — or of the
+// held one, which the response confirmed — as the fetch resp answers keeps
+// it. Only a member's fetch holds runs (response.member): the cut its
+// response announced (RunsHeader), or one run when it announced none that
+// cuts the root's children. A run of held that is the same run of the same
+// document keeps its memo, and every other starts an empty one.
+func (s *HTTPSource) hold(k keptDocument, resp response, held *keptDocument) *keptDocument {
+	if !resp.member {
+		leaf := k // a copy, so that k, copied into a member's record, is not on the heap
+		return &leaf
+	}
+	var buf [16]int // a view of more parts makes its counts on the heap
+	counts, total, children, at := appendCounts(buf[:0], resp.runs), 0, k.doc.Root.Children, 0
+	for _, n := range counts {
 		total += n
 	}
-	if total != len(k.doc.Root.Children) {
-		k.counts, k.runs = nil, nil
+	if len(counts) == 0 || total != len(children) {
+		counts = append(buf[:0], len(children))
 	}
+	r := newRecord(len(counts))
+	k.runs, k.ends = r.kept.runs, r.kept.ends
+	same := held != nil && held.doc == k.doc && len(held.runs) == len(counts)
+	for i, n := range counts {
+		run := heldRun{root: xmlmodel.Element{Name: s.schema.Root, Children: children[at : at+n : at+n]}, size: -1, bodyLen: len(k.body)}
+		if same && len(held.runs[i].root.Children) == n {
+			run.answers, run.size = held.runs[i].answers, held.runs[i].size
+		} else {
+			run.answers = &AnswerMemo{}
+		}
+		at, k.runs[i] = at+n, run
+		k.ends[i] = at
+	}
+	r.kept = k
+	return &r.kept
 }
 
 // appendCounts reads a RunsHeader value — counts of elements,
@@ -85,15 +121,14 @@ func appendCounts(counts []int, header string) []int {
 	return counts
 }
 
-// Runs is how the remote cut doc, when it is the document the source holds,
-// into its parts' runs (RunsHeader): their counts of root children, in part
-// order, read-only; nil when the source holds another document or the remote
-// did not say. spliced says the document was built from a delta.
-func (s *HTTPSource) Runs(doc *xmlmodel.Document) (counts []int, spliced bool) {
-	if kept := s.kept.Load(); kept != nil && kept.doc == doc {
-		return kept.counts, kept.deltas > 0
+// Held is the document the source holds — the last one a fetch handed out,
+// having passed every check — the tag the remote sent it under ("" for none),
+// and whether it was spliced from a delta; a nil document when it holds none.
+func (s *HTTPSource) Held() (doc *xmlmodel.Document, tag string, spliced bool) {
+	if k := s.kept.Load(); k != nil {
+		return k.doc, k.tag, k.deltas > 0
 	}
-	return nil, false
+	return nil, "", false
 }
 
 // splice is the document a delta response makes of held, or why it makes
@@ -105,32 +140,24 @@ func (s *HTTPSource) Runs(doc *xmlmodel.Document) (counts []int, spliced bool) {
 // must accept the spliced children; and the result must not keep more bodies
 // alive than it may (retains).
 func (s *HTTPSource) splice(held *keptDocument, resp response) (*keptDocument, error) {
-	if held == nil || held.counts == nil || resp.base != held.tag || resp.im != RunsIM {
+	if held == nil || held.runs == nil || resp.base != held.tag || resp.im != RunsIM {
 		return nil, errors.New("a delta that is not against the runs held")
 	}
-	// One allocation for the kept document, the document and its root, which
-	// live as long.
-	spliced := &struct {
-		kept keptDocument
-		doc  xmlmodel.Document
-		root xmlmodel.Element
-	}{}
-	next := &spliced.kept
-	next.tag, next.deltas = resp.etag, held.deltas+1
-	var buf [16]bool // a view of more parts makes moved on the heap
-	moved := AppendMoved(buf[:0], held.tag, resp.etag)
-	if !next.setCounts(resp.runs) || len(moved) != len(held.counts) || len(next.counts) != len(held.counts) {
-		return nil, fmt.Errorf("tag %s and runs %q do not cut the %d parts held", resp.etag, resp.runs, len(held.counts))
+	var buf [16]int       // a view of more parts makes its counts …
+	var movedBuf [16]bool // … and moved on the heap
+	counts, moved := appendCounts(buf[:0], resp.runs), AppendMoved(movedBuf[:0], held.tag, resp.etag)
+	if counts == nil || len(moved) != len(held.runs) || len(counts) != len(held.runs) {
+		return nil, fmt.Errorf("tag %s and runs %q do not cut the %d parts held", resp.etag, resp.runs, len(held.runs))
 	}
 	want, total := 0, 0
-	for i, n := range held.counts {
-		switch {
+	for i, n := range counts {
+		switch was := len(held.runs[i].root.Children); {
 		case moved[i]:
-			want += next.counts[i]
-		case next.counts[i] != n:
-			return nil, fmt.Errorf("part %d did not move, but its run is %d elements, not %d", i, next.counts[i], n)
+			want += n
+		case n != was:
+			return nil, fmt.Errorf("part %d did not move, but its run is %d elements, not %d", i, n, was)
 		}
-		total += next.counts[i]
+		total += n
 	}
 	elems, err := s.schema.ParseValidRuns(resp.body)
 	switch {
@@ -141,54 +168,65 @@ func (s *HTTPSource) splice(held *keptDocument, resp response) (*keptDocument, e
 	}
 	// A moved run that brought back elements equal to the held ones — its
 	// source handed the owner a new but equal document — is revalidated by
-	// them, as a 200 with the held body is (Fetch): the held run stays, and
-	// with no run changed so does the held document, and with it every memo.
-	children, from, changed := make([]*xmlmodel.Element, 0, total), held.doc.Root.Children, false
-	for i, n := range held.counts {
-		run, r := from[:n], held.runs[i]
-		if from = from[n:]; moved[i] {
-			arrived := elems[:next.counts[i]]
-			if elems = elems[next.counts[i]:]; !slices.EqualFunc(arrived, run, (*xmlmodel.Element).Equal) {
-				run, r, changed = arrived, keptRun{size: -1, body: next.deltas, bodyLen: len(resp.body)}, true
+	// them, as a 200 with the held body is (Fetch): the held run stays, memo
+	// and all, and with no run changed so does the held document — the one
+	// thing a record shares with the one it replaces, which then keeps alive
+	// no body the new one does not.
+	next, changed, at := newRecord(len(counts)), false, 0
+	next.kept.tag, next.kept.deltas = resp.etag, held.deltas+1
+	for i, n := range counts {
+		r := held.runs[i]
+		at, next.kept.ends[i] = at+n, at+n
+		if moved[i] {
+			arrived := elems[:n]
+			if elems = elems[n:]; !slices.EqualFunc(arrived, r.root.Children, (*xmlmodel.Element).Equal) {
+				r = heldRun{root: xmlmodel.Element{Name: s.schema.Root, Children: arrived}, answers: &AnswerMemo{},
+					size: -1, body: next.kept.deltas, bodyLen: len(resp.body)}
+				changed = true
 			}
 		}
-		children = append(children, run...)
-		next.runs[i] = r
+		next.kept.runs[i] = r
 	}
 	if !changed {
-		return &keptDocument{tag: resp.etag, body: held.body, subset: held.subset, doc: held.doc,
-			counts: held.counts, runs: held.runs, deltas: held.deltas}, nil
+		next.kept.body, next.kept.subset, next.kept.doc, next.kept.deltas = held.body, held.subset, held.doc, held.deltas
+		return &next.kept, nil
+	}
+	children := make([]*xmlmodel.Element, 0, total)
+	for i := range next.kept.runs {
+		r := &next.kept.runs[i]
+		at := len(children)
+		children = append(children, r.root.Children...)
+		r.root.Children = children[at:len(children):len(children)]
 	}
 	if err := s.schema.ValidateRootChildren(children); err != nil {
 		return nil, fmt.Errorf("the spliced document: %w", err)
 	}
-	if err := s.retains(next, children); err != nil {
+	if err := s.retains(&next.kept); err != nil {
 		return nil, err
 	}
 	// The held document's names may be substrings of a body the new one does
 	// not otherwise keep; the DTD's are nobody's.
-	spliced.root = xmlmodel.Element{Name: s.schema.Root, Children: children}
-	spliced.doc = xmlmodel.Document{DocType: s.schema.Root, Root: &spliced.root}
-	next.doc = &spliced.doc
-	return next, nil
+	next.root = xmlmodel.Element{Name: s.schema.Root, Children: children}
+	next.doc = xmlmodel.Document{DocType: s.schema.Root, Root: &next.root}
+	next.kept.doc = &next.doc
+	return &next.kept, nil
 }
 
 // retains checks what the spliced document next keeps alive — each body one
 // of its runs' elements arrived in — against twice what its full body would
 // be: the view's DTD text and its runs' bytes, each run measured once in its
 // life.
-func (s *HTTPSource) retains(next *keptDocument, children []*xmlmodel.Element) error {
+func (s *HTTPSource) retains(next *keptDocument) error {
 	size, kept := len(s.rawDTD), 0
-	for i, n := range next.counts {
+	for i := range next.runs {
 		r := &next.runs[i]
 		if r.size < 0 {
-			r.size = xmlmodel.MarshaledSize(children[:n], answerIndent, 1)
+			r.size = xmlmodel.MarshaledSize(r.root.Children, answerIndent, 1)
 		}
-		children = children[n:]
 		size += r.size
-		counted := n == 0 // an empty run keeps nothing
+		counted := len(r.root.Children) == 0 // an empty run keeps nothing
 		for j := 0; j < i && !counted; j++ {
-			counted = next.counts[j] > 0 && next.runs[j].body == r.body
+			counted = len(next.runs[j].root.Children) > 0 && next.runs[j].body == r.body
 		}
 		if !counted {
 			kept += r.bodyLen

@@ -1,10 +1,16 @@
 package mediator
 
 import (
+	"context"
+	"fmt"
 	"net/http"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"repro/internal/dtd"
 )
@@ -39,9 +45,9 @@ func spliceHeld(tb testing.TB, pad int) (*HTTPSource, *keptDocument) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	held := &keptDocument{tag: spliceTag("1.1.1"), body: body, subset: subset, doc: doc}
-	if held.cutRuns("2,1,1"); held.counts == nil {
-		tb.Fatal("the held document has no runs")
+	held := s.hold(keptDocument{tag: spliceTag("1.1.1"), body: body, subset: subset, doc: doc}, response{runs: "2,1,1", member: true}, nil)
+	if len(held.runs) != 3 {
+		tb.Fatalf("the held document has %d runs, not 3", len(held.runs))
 	}
 	return s, held
 }
@@ -98,14 +104,20 @@ func FuzzSpliceRuns(f *testing.F) {
 			t.Fatalf("spliced %q (runs %q, parts %d to %d): not the document of its full text %q", body, runs, first, last, full)
 		}
 		at, heldAt := 0, 0
-		for i, n := range got.counts {
+		for i := range got.runs {
+			n := len(got.runs[i].root.Children)
 			if (i < first || i > last) && !slices.Equal(got.doc.Root.Children[at:at+n], held.doc.Root.Children[heldAt:heldAt+n]) {
 				t.Fatalf("spliced %q: run %d did not move, but its elements are not the held ones", body, i)
 			}
-			at, heldAt = at+n, heldAt+held.counts[i]
+			at, heldAt = at+n, heldAt+len(held.runs[i].root.Children)
 		}
 		if at != len(got.doc.Root.Children) {
 			t.Fatalf("spliced %q: runs of %d elements for %d children", body, at, len(got.doc.Root.Children))
+		}
+		for i := range got.runs {
+			if (i < first || i > last) && (got.runs[i].answers != held.runs[i].answers || &got.runs[i].root == &held.runs[i].root) {
+				t.Fatalf("spliced %q: run %d did not move, but it is not the held run's memo under a root of the new record's", body, i)
+			}
 		}
 	})
 }
@@ -137,4 +149,147 @@ func TestSpliceKeepsAtMostTwiceTheDocumentAlive(t *testing.T) {
 	if _, err := s.splice(held, delta(held, `<a>q</a><b><a>r</a></b><c><a>s</a></c>`, "1,1,1", "2.2.2")); err != nil {
 		t.Fatalf("a delta of every run into a padded body: %v", err)
 	}
+}
+
+// A record carries its runs' memos itself. splice hands the new record an
+// unmoved run, and a moved one whose elements are Equal to the held ones,
+// with the held run's own memo, and a run that changed with a new, empty
+// one; a 304, and the held body again under a new tag, keep every memo. A
+// carried run is the new record's own: its root is not the held run's, and
+// its elements are a slice of the new record's document, ending where the
+// record's ends say.
+func TestRecordsCarryTheirRunsMemos(t *testing.T) {
+	plan := &Plan{}
+	remember := func(k *keptDocument) {
+		for i := range k.runs {
+			k.runs[i].answers.keep(plan, &plannedPart{slot: -1})
+		}
+	}
+	spliced := func(body, runs, versions string) func(*testing.T) (*keptDocument, *keptDocument) {
+		return func(t *testing.T) (*keptDocument, *keptDocument) {
+			s, held := spliceHeld(t, 0)
+			remember(held)
+			next, err := s.splice(held, delta(held, body, runs, versions))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return held, next
+		}
+	}
+	// fetched is a member's record of a remote's two-run document, and the
+	// record after the remote answers again — with the tag it held (a 304),
+	// or with the same bytes under tag.
+	fetched := func(tag string) func(*testing.T) (*keptDocument, *keptDocument) {
+		return func(t *testing.T) (*keptDocument, *keptDocument) {
+			rm, src := newTaggingRemote(t, WithRetries(0))
+			rm.mu.Lock()
+			rm.tag, rm.body = `"v1"`, membersBody("ana", "bob")
+			rm.before = func(w http.ResponseWriter, r *http.Request) bool {
+				w.Header().Set(RunsHeader, "1,1")
+				return false
+			}
+			rm.mu.Unlock()
+			member := WithForwardInfo(context.Background(), &ForwardInfo{Hops: []string{"m"}})
+			if _, err := src.Fetch(member); err != nil {
+				t.Fatal(err)
+			}
+			held := src.kept.Load()
+			remember(held)
+			rm.set(tag, membersBody("ana", "bob"))
+			if _, err := src.Fetch(member); err != nil {
+				t.Fatal(err)
+			}
+			if rm.notModified.Load()+rm.full.Load() != 2 {
+				t.Fatalf("the remote answered %d times, not twice", rm.notModified.Load()+rm.full.Load())
+			}
+			return held, src.kept.Load()
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		records func(*testing.T) (held, next *keptDocument)
+		changed []bool // per run: the run changed, and starts an empty memo
+	}{
+		{"the last run changed", spliced(`<c><a>w</a></c>`, "2,1,1", "1.1.2"), []bool{false, false, true}},
+		{"the first run changed", spliced(`<a>q</a>`, "1,1,1", "2.1.1"), []bool{true, false, false}},
+		{"the middle run emptied", spliced(``, "2,0,1", "1.2.1"), []bool{false, true, false}},
+		{"every run changed", spliced(`<a>q</a><b><a>r</a></b><c><a>s</a></c>`, "1,1,1", "2.2.2"), []bool{true, true, true}},
+		{"a moved run Equal to the held one", spliced(`<b><a>z</a></b>`, "2,1,1", "1.2.1"), []bool{false, false, false}},
+		{"two moved, one of them Equal", spliced(`<a>x</a><a>y</a><b><a>q</a></b>`, "2,1,1", "2.2.1"), []bool{false, true, false}},
+		{"a 304", fetched(`"v1"`), []bool{false, false}},
+		{"the held body under a new tag", fetched(`"v2"`), []bool{false, false}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			held, next := c.records(t)
+			if len(next.runs) != len(c.changed) {
+				t.Fatalf("%d runs, want %d", len(next.runs), len(c.changed))
+			}
+			at := 0
+			for i, changed := range c.changed {
+				got, was := &next.runs[i], &held.runs[i]
+				switch {
+				case changed && (got.answers == was.answers || got.answers.plans != [answerMemoPlans]*Plan{}):
+					t.Errorf("run %d changed, but its memo is not a new, empty one", i)
+				case !changed && got.answers != was.answers:
+					t.Errorf("run %d did not change, but its memo is not the held run's", i)
+				}
+				n := len(got.root.Children)
+				if next != held && &got.root == &was.root || n > 0 && &got.root.Children[0] != &next.doc.Root.Children[at] {
+					t.Errorf("run %d's root is not the new record's, under its document's elements", i)
+				}
+				if at += n; next.ends[i] != at {
+					t.Errorf("run %d ends at child %d, not %d", i, next.ends[i], at)
+				}
+			}
+			if at != len(next.doc.Root.Children) {
+				t.Errorf("runs of %d elements for %d children", at, len(next.doc.Root.Children))
+			}
+		})
+	}
+}
+
+// No record keeps the one it replaced alive. After deltas of one run each,
+// the first and the last run in turn, the first record and the body of every
+// delta whose run has moved since are garbage: a carried run is copied into
+// the new record, its elements a slice of the new document's, so only the
+// bodies its runs arrived in stay — the first full body (the middle run's)
+// and the last two deltas.
+func TestSplicedRecordsLetTheirPredecessorsGo(t *testing.T) {
+	const deltas = 5
+	var collected atomic.Int32
+	last := func() *keptDocument { // its own frame: nothing of the deltas is left on the test's stack
+		s, held := spliceHeld(t, 0)
+		runtime.SetFinalizer(held, func(*keptDocument) { collected.Add(1) })
+		versions, runs := [3]any{1, 1, 1}, [3]any{2, 1, 1}
+		for i := 0; i < deltas; i++ {
+			part, text := 2, fmt.Sprintf(`<c><a>%d</a></c>`, i)
+			if i%2 == 1 {
+				part, text, runs[0] = 0, fmt.Sprintf(`<a>%d</a>`, i), 1
+			}
+			versions[part] = i + 2
+			buf := new([32]byte) // the delta's body, whose going a finalizer sees
+			n := copy(buf[:], text)
+			if i < deltas-2 { // delta i+2 replaces its run
+				runtime.SetFinalizer(buf, func(*[32]byte) { collected.Add(1) })
+			}
+			next, err := s.splice(held, delta(held, unsafe.String(&buf[0], n), fmt.Sprintf("%d,%d,%d", runs[:]...), fmt.Sprintf("%d.%d.%d", versions[:]...)))
+			if err != nil {
+				t.Fatalf("delta %d: %v", i+1, err)
+			}
+			held = next
+		}
+		return held
+	}()
+	want := int32(1 + deltas - 2)
+	for i := 0; i < 100 && collected.Load() < want; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got != want {
+		t.Errorf("%d of the first record and the %d replaced delta bodies were collected", got, deltas-2)
+	}
+	if a, c := last.runs[0].root.Children[0].Text, last.runs[2].root.Children[0].Children[0].Text; a != fmt.Sprint(deltas-2) || c != fmt.Sprint(deltas-1) {
+		t.Errorf("the last record's runs hold %q and %q", a, c)
+	}
+	runtime.KeepAlive(last)
 }
