@@ -40,7 +40,8 @@ lint:
 # is shared by all three campaigns, and whether a slot is free at an
 # operation's turn — sent or shed — is decided by the scheduler. internal/obs
 # because a request's trace is one record that every part goroutine of the
-# request writes, and that /debug/trace reads while they do. The last line
+# request writes, and that /debug/trace reads while they do. internal/oracle
+# because its subjects fetch from an origin served on other goroutines. The last line
 # repeats the tests of the answer memo — one type on both sides of the cluster
 # hop, shared by readers while documents, leases and renders race — and of the
 # splice, which makes a member's memos with its runs and hands them on to the
@@ -54,7 +55,7 @@ test:
 race:
 	go vet ./...
 	go test -race ./...
-	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/ ./internal/obs/
+	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/ ./internal/obs/ ./internal/oracle/
 	go test -race -count=50 -cpu=1,2 -run 'TestFlight|TestPurgeFencesTheFlightInFlight|TestJoinerLeavesWithItsContext|TestPanicFailsWaitersAndPropagates|TestErrorIsTheLeadersOwn|TestSingleflightBlocksJoiners|TestConcurrentCompilerSingleflight|TestPlanSingleflight|TestSingleflightMaterialize|TestMaterializeFollowerCancellation|TestFollowerSurvives|TestTagNamesTheCalcTheJoinerEndedOn|TestRacedResultStaysAsPredecessor|TestInvalidateDiscardsInflightResult|TestMetricsSingleflightDedups|TestForwardBuildOncePerBurst|TestForwardJoinerLeavesWithItsContext|TestForwardIncompleteNotCached' ./internal/automata/cache/ ./internal/automata/ ./internal/mediator/ ./internal/cluster/ ./internal/serve/
 	go test -race -count=20 -cpu=1,2 -run 'Answer|Forward|Lease|Memo|Splice' ./internal/mediator/ ./internal/cluster/ ./internal/serve/
 

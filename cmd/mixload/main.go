@@ -57,7 +57,7 @@ func main() {
 	faultDelay := flag.Duration("fault-delay", 0, "max injected per-fetch delay for the fault campaign")
 	breakers := flag.Bool("breakers", false, "wrap sources in circuit breakers (degraded serving instead of 500s)")
 	noPrune := flag.Bool("no-prune", false, "disable query-time satisfiability pruning (comparison runs)")
-	pruneCompare := flag.Bool("prune-compare", false, "after the run, verify pruned answers are bit-identical to unpruned")
+	pruneCompare := flag.Bool("prune-compare", false, "after the run, verify the served answers are bit-identical to a naive mediator's (no -faults)")
 	sloP95 := flag.Duration("slo-p95", 0, "per-op p95 latency ceiling; 0 = default (250ms), -1 = unchecked")
 	sloP99 := flag.Duration("slo-p99", 0, "per-op p99 latency ceiling; 0 = default (1s), -1 = unchecked")
 	sloErrRate := flag.Float64("slo-error-rate", 0, "error-rate ceiling; default 0 (strict), -1 = unchecked")

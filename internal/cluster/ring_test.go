@@ -157,25 +157,46 @@ func TestRingOwnersDistinctAndClamped(t *testing.T) {
 	}
 }
 
-// TestRingStatsShares: per-node shares are positive, sum to ~1, and stay
-// within a loose balance envelope at 64 vnodes.
+// chiSquare001 is the χ² critical value at p = 0.001 for 1 … 7 degrees of
+// freedom.
+var chiSquare001 = [...]float64{1: 10.828, 13.816, 16.266, 18.467, 20.515, 22.458, 24.322}
+
+// TestRingStatsShares: for every membership of 2 to 8 nodes at
+// DefaultVirtualNodes, the shares sum to 1 and each lies within
+// (1 ± 3/√vnodes)/n — three standard deviations of an arc sum of vnodes
+// points — and the owners of 20 000 fixed view names fit those shares under
+// χ² at p = 0.001. The ring hashes with FNV, so both checks are deterministic.
 func TestRingStatsShares(t *testing.T) {
-	r, err := NewRing([]string{"a", "b", "c", "d", "e"}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, s := range r.Stats() {
-		if s.Share <= 0 {
-			t.Errorf("node %s share %f <= 0", s.Node, s.Share)
+	names := keys(20000)
+	for n := 2; n <= 8; n++ {
+		var members []string
+		for i := 0; i < n; i++ {
+			members = append(members, fmt.Sprintf("node-%d", i))
 		}
-		if s.Share < 0.2/3 || s.Share > 0.2*3 {
-			t.Errorf("node %s share %.3f badly unbalanced (expected ~0.2)", s.Node, s.Share)
+		r, err := NewRing(members, DefaultVirtualNodes)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sum += s.Share
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("shares sum to %f, want 1", sum)
+		owned := map[string]int{}
+		for _, k := range names {
+			owned[r.Owner(k)]++
+		}
+		slack := 3 / math.Sqrt(DefaultVirtualNodes)
+		sum, chi2 := 0.0, 0.0
+		for _, s := range r.Stats() {
+			if s.Share < (1-slack)/float64(n) || s.Share > (1+slack)/float64(n) {
+				t.Errorf("%d nodes: node %s share %.4f outside (1 ± %.3f)/%d", n, s.Node, s.Share, slack, n)
+			}
+			sum += s.Share
+			want := s.Share * float64(len(names))
+			chi2 += math.Pow(float64(owned[s.Node])-want, 2) / want
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Errorf("%d nodes: shares sum to %f, want 1", n, sum)
+		}
+		if chi2 > chiSquare001[n-1] {
+			t.Errorf("%d nodes: the owners of %d names do not fit the ring's shares: χ² = %.2f > %.2f", n, len(names), chi2, chiSquare001[n-1])
+		}
 	}
 }
 

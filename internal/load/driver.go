@@ -17,9 +17,10 @@ import (
 	"repro/internal/gen"
 	"repro/internal/mediator"
 	"repro/internal/obs"
+	"repro/internal/oracle"
 	"repro/internal/regex"
 	"repro/internal/serve"
-	"repro/internal/xmas"
+	"repro/internal/xmlmodel"
 )
 
 // ErrFaultInjected is the error injected by the harness's fault campaigns
@@ -72,9 +73,9 @@ type Options struct {
 	// BreakerCooldown overrides the breaker cooldown (default 250ms — short
 	// enough that a bounded run sees trips and recoveries).
 	BreakerCooldown time.Duration
-	// PruneCompare re-answers every distinct query of the stream against a
-	// pruning-disabled twin mediator after the run and verifies the answers
-	// are bit-identical (the -no-prune comparison run).
+	// PruneCompare posts every distinct query of the stream to the server
+	// after the run and verifies that the served bytes are internal/oracle's
+	// reference's, the naive mediator's over the same documents.
 	PruneCompare bool
 	// SLO is evaluated against the finished run's report.
 	SLO SLO
@@ -150,6 +151,9 @@ func NewHarness(opts Options) (*Harness, error) {
 			return nil, err
 		}
 		return h, nil
+	}
+	if opts.PruneCompare && opts.FaultRate > 0 {
+		return nil, fmt.Errorf("load: the pruning comparison reads the served answers, which injected faults change")
 	}
 	if err := h.buildFleet(); err != nil {
 		return nil, err
@@ -442,54 +446,38 @@ func (h *Harness) Run(ctx context.Context) (*Report, error) {
 	return rep, ctx.Err()
 }
 
-// pruneCompare answers every distinct query of the pools against two
-// fresh mediators over the same corpora — pruning on and pruning off —
-// and counts answer mismatches (there must be none: pruning is proof-
-// based, not heuristic).
+// pruneCompare posts every distinct query of the pools to the server the run
+// drove and compares each body with internal/oracle's reference over the same
+// documents: pruning is proof-based, not heuristic, so none may differ.
 func (h *Harness) pruneCompare(ctx context.Context) (*PruneCompare, error) {
-	build := func(prune bool) (*mediator.Mediator, error) {
-		m := mediator.New("compare")
-		m.SetPruning(prune)
-		var parts []mediator.ViewPart
-		for _, s := range h.sources {
-			part, err := addStatic(m, s, nil)
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, part)
-		}
-		_, err := m.DefineUnionView(h.opts.View, parts)
-		return m, err
-	}
-	pruned, err := build(true)
-	if err != nil {
-		return nil, err
-	}
-	unpruned, err := build(false)
-	if err != nil {
-		return nil, err
-	}
-	pc := &PruneCompare{}
-	for _, body := range append(append([]string(nil), h.pools.plain...), h.pools.qualified...) {
-		q, err := xmas.Parse(body)
+	ref, versions, pc := oracle.NewReference(OracleFleet(h.opts.View, h.sources)), make([]int, len(h.sources)), &PruneCompare{}
+	for _, body := range slices.Concat(h.pools.plain, h.pools.qualified) {
+		resp, err := send(ctx, http.MethodPost, h.base+"/views/"+h.opts.View+"/query", body)
 		if err != nil {
 			return nil, err
 		}
-		a, astats, err := pruned.Query(ctx, h.opts.View, q)
-		if err != nil {
-			return nil, err
-		}
-		b, _, err := unpruned.Query(ctx, h.opts.View, q)
+		_, want, err := ref.Answer(versions, h.opts.View, body)
 		if err != nil {
 			return nil, err
 		}
 		pc.Queries++
-		if len(astats.PrunedSources) > 0 {
+		if resp.header.Get("X-Mix-Pruned-Sources") != "" {
 			pc.PrunedQueries++
 		}
-		if !a.Root.Equal(b.Root) {
+		if resp.status != http.StatusOK || resp.body != want {
 			pc.Mismatches++
 		}
 	}
 	return pc, nil
+}
+
+// OracleFleet is what internal/oracle checks a mediator over: the sources,
+// each serving its document, under one union view of their entries.
+func OracleFleet(view string, sources []*Source) *oracle.Fleet {
+	f := &oracle.Fleet{Views: []oracle.View{{Name: view}}}
+	for _, s := range sources {
+		f.Sources = append(f.Sources, oracle.Source{Name: s.Name, DTD: s.DTD, Docs: []string{xmlmodel.MarshalElement(s.Doc.Root, -1)}})
+		f.Views[0].Parts = append(f.Views[0].Parts, entryPart(s.Name))
+	}
+	return f
 }

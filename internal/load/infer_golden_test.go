@@ -1,16 +1,19 @@
 package load
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 
-	"repro/internal/dtd"
-	"repro/internal/infer"
+	"repro/internal/mediator"
+	"repro/internal/oracle"
 	"repro/internal/regex"
-	"repro/internal/xmas"
+	"repro/internal/serve"
 )
 
 // updateInferGolden rewrites testdata/infer.golden. The file pins inferred
@@ -102,27 +105,41 @@ func inferGoldenCases(t *testing.T) []inferGoldenCase {
 	return cases
 }
 
-// TestInferGolden compares, byte for byte, what inference answers today —
-// specialized view DTD, plain view DTD, classification, merge warnings —
-// with what the commit that generated testdata/infer.golden answered.
+// TestInferGolden compares, byte for byte, what POST /infer answers today —
+// specialized view DTD, plain view DTD, classification, merge warnings — with
+// what the commit that generated testdata/infer.golden answered. The answers
+// are internal/oracle's /infer check's: every case posted twice, a memo miss
+// and a memo hit, both the bytes a direct inference renders; so each distinct
+// text is kept once and found on its repeat.
 func TestInferGolden(t *testing.T) {
+	cases := inferGoldenCases(t)
+	texts, distinct := make([]string, len(cases)), map[string]bool{}
+	for i, c := range cases {
+		texts[i] = c.dtd + "\n" + c.query
+		distinct[texts[i]] = true // two pairs of cases are one text
+	}
+	h := serve.New(mediator.New("node"))
+	answers, err := oracle.CheckInfer(h, texts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var memo struct {
+		Hits            int64 `json:"infer_memo_hits"`
+		Kept            int64 `json:"infer_memo_kept"`
+		NotKeptDegraded int64 `json:"infer_memo_not_kept_degraded"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &memo); err != nil {
+		t.Fatal(err)
+	}
+	if kept := int64(len(distinct)); memo.Kept != kept || memo.Hits != 2*int64(len(cases))-kept || memo.NotKeptDegraded != 0 {
+		t.Errorf("over %d cases of %d texts posted twice: %+v, want each text kept once and found every time after", len(cases), kept, memo)
+	}
+
 	var b strings.Builder
-	for _, c := range inferGoldenCases(t) {
-		src, err := dtd.Parse(c.dtd)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		res, err := infer.Infer(xmas.MustParse(c.query), src)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		fmt.Fprintf(&b, "==== %s\n-- specialized view DTD\n%s\n-- plain view DTD\n%s\n-- classification: %s\n",
-			c.name, res.SDTD, res.DTD, res.Class)
-		for _, ev := range res.Merges {
-			if ev.Distinct {
-				fmt.Fprintf(&b, "-- warning: %s\n", ev)
-			}
-		}
+	for i, c := range cases {
+		fmt.Fprintf(&b, "==== %s\n%s", c.name, answers[i])
 	}
 	const path = "testdata/infer.golden"
 	if *updateInferGolden {

@@ -1,31 +1,22 @@
 package mediator_test
 
 import (
-	"bytes"
-	"context"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/mediator"
-	"repro/internal/serve"
-	"repro/internal/xmas"
+	"repro/internal/oracle"
 	"repro/internal/xmlmodel"
 )
 
-// The differential test of answers sent as bytes: whatever a request's text
-// finds in the plan memo and whatever bytes the part slots hold, the body
-// internal/serve sends is byte for byte xmlmodel.MarshalElement of what
-// QueryUnsimplified — no plan, no memo, no kept byte — answers on a mediator
-// that is never asked a query; and the three counters say that the bytes are
-// made once per document and part, and copied after. The fleet, the two
-// versions of every source and the queries are answer_diff_test.go's.
+// The counters of answers sent as bytes: rendered once per document and part,
+// copied after. The fleet and its oracle are answer_diff_test.go's.
 
 // sent is one response of a handler, and what the mediator behind it counted
 // while it was made.
@@ -46,9 +37,15 @@ func send(t *testing.T, m *mediator.Mediator, h http.Handler, method, path, body
 	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, r)
-	after := m.Stats()
+	return sentFrom(rec.Code, rec.Body.String(), rec.Header(), before, m.Stats())
+}
+
+// sentOf is a step of the oracle's check as send reports a response.
+func sentOf(s *oracle.Step) sent { return sentFrom(s.Status, s.Body, s.Header, s.Before, s.After) }
+
+func sentFrom(status int, body string, h http.Header, before, after mediator.Stats) sent {
 	return sent{
-		status: rec.Code, body: rec.Body.String(), tag: rec.Header().Get("ETag"), pruned: rec.Header().Get("X-Mix-Pruned-Sources"),
+		status: status, body: body, tag: h.Get("ETag"), pruned: h.Get("X-Mix-Pruned-Sources"),
 		rendered: after.AnswerBytesRendered - before.AnswerBytesRendered, copied: after.AnswerBytesCopied - before.AnswerBytesCopied,
 		reused: after.AnswerPartsReused - before.AnswerPartsReused, textHits: after.PlanTextHits - before.PlanTextHits,
 		entries: after.PlanCacheSize - before.PlanCacheSize, analyses: after.PlanMisses - before.PlanMisses,
@@ -65,101 +62,65 @@ func childBytes(doc string, root string) int64 {
 	return 0
 }
 
-// bytesSubject is one mediator under test and the handler in front of it.
-type bytesSubject struct {
-	name string
-	m    *mediator.Mediator
-	h    http.Handler
-}
-
-func bytesSubjects(t *testing.T, sources []*swapSource) []bytesSubject {
-	var out []bytesSubject
-	for _, pruning := range []bool{true, false} {
-		m := fleetOver(t, sources, pruning)
-		name := "pruning"
-		if !pruning {
-			name = "no pruning"
-		}
-		out = append(out, bytesSubject{name, m, serve.New(m, serve.WithTracer(nil))})
+// alone is what source i contributes to the answer to text ("": the view
+// document) over the versions given: the reference's answer over it alone.
+func alone(t *testing.T, o *oracle.Oracle, versions []int, i int, text, root string) int64 {
+	t.Helper()
+	only := slices.Repeat([]int{-1}, len(versions))
+	only[i] = versions[i]
+	_, body, err := o.Reference().Answer(only, fleetView, text)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return childBytes(body, root)
 }
 
+// The differential test of answers sent as bytes. That every body is the
+// reference's serialization, whatever a request's text finds in the plan memo
+// and whatever bytes the part slots hold, is the oracle's check; here, that
+// the counters say the bytes are made once per document and part — by the
+// second read that finds the picks — and copied after, over repeats, another
+// spelling, a no-op invalidation and a change of each single source.
 func TestAnswerBytesEqualTheNaiveSerialization(t *testing.T) {
-	ctx := context.Background()
-	sources := swapFleet(t)
-	ref := fleetOver(t, sources, false) // never asked a query: no plan, no memo, no bytes
-	// One more reference per source, over that source alone: what the part
-	// contributes to an answer is what it answers by itself.
-	alone := make([]*mediator.Mediator, len(sources))
-	for i := range sources {
-		alone[i] = fleetOver(t, sources[i:i+1], false)
+	o, _ := newOracle(t)
+	subjects := []*oracle.Subject{subject(t, o, true), subject(t, o, false)}
+	var features oracle.Coverage
+	texts, err := o.Queries(rand.New(rand.NewSource(27)), fleetView, 100, &features)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var views []*xmlmodel.Document
-	for version := int32(0); version < 2; version++ {
-		for _, s := range sources {
-			s.cur.Store(version)
+	// The last is answered part by part, so the slots end holding its bytes.
+	texts = append(texts, `v = SELECT X WHERE <fleet> X:<entry/> </fleet>`)
+	var cov struct{ byPart, fallback, notKept, nonEmpty, pruned, rendered, copied, partial int }
+	steps := map[*oracle.Subject][]sent{}
+	err = o.Check(subjects, fleetView, texts, oracle.Tally{}, func(st *oracle.Step) error {
+		s, got := st.Subject, sentOf(st)
+		if st.Inval != oracle.InvalReal && st.Plan == oracle.PlanMiss || st.Inval == oracle.InvalReal && st.Read == oracle.ReadFirst {
+			steps[s] = nil
 		}
-		ref.Invalidate()
-		view, err := ref.Materialize(ctx, fleetView)
-		if err != nil {
-			t.Fatal(err)
-		}
-		views = append(views, view)
-	}
-	subjects := bytesSubjects(t, sources)
-	naive := func(on *mediator.Mediator, q *xmas.Query) string {
-		t.Helper()
-		on.Invalidate()
-		doc, err := on.QueryUnsimplified(ctx, fleetView, q.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return xmlmodel.MarshalElement(doc.Root, 2)
-	}
-
-	var cov struct{ asked, byPart, fallback, notKept, nonEmpty, pruned, rendered, copied, partial int }
-	for _, q := range fleetQueries(t, rand.New(rand.NewSource(27)), views, 160) {
-		text := q.String()
-		if back, err := xmas.Parse(text); err != nil { // a step of any name has no concrete syntax
-			continue
-		} else if !bytes.Equal(back.AppendKey(nil), q.AppendKey(nil)) {
-			t.Fatalf("the generator's query does not survive its own text:\n%s", text)
-		}
-		cov.asked++
-		want := naive(ref, q)
-		kids := childBytes(want, q.Name)
-		if kids > 0 {
-			cov.nonEmpty++
-		}
-		for _, s := range subjects {
-			post := func(when, body string) sent {
-				t.Helper()
-				got := send(t, s.m, s.h, http.MethodPost, "/views/"+fleetView+"/query", body, "")
-				if got.status != http.StatusOK || got.body != want {
-					t.Fatalf("%s, %s: status %d, the body differs from the naive serialization\nquery:\n%s\n got %q\nwant %q", s.name, when, got.status, text, got.body, want)
-				}
-				return got
-			}
-			first := post("the evaluating read", text)
+		steps[s] = append(steps[s], got)
+		kids := childBytes(st.Want, "v")
+		switch reads := steps[s]; {
+		case st.Inval == oracle.InvalNoOp: // the first ask, three repeats, two of another spelling, a no-op invalidation
+			first, second, third, fourth, spelled, again, same := reads[0], reads[1], reads[2], reads[3], reads[4], reads[5], reads[6]
 			if first.textHits != 0 || first.analyses != 1 || first.rendered+first.copied != 0 {
-				t.Fatalf("%s: a text never seen: %+v", s.name, first)
+				return fmt.Errorf("%s: a text never seen: %+v", s, first)
 			}
 			if first.pruned != "" {
 				cov.pruned++
 			}
-			second := post("the first repeat (found once: streamed)", text)
-			third := post("the second repeat (found twice: rendered)", text)
-			fourth := post("the third repeat (copied)", text)
+			if kids > 0 && s.Pruning {
+				cov.nonEmpty++
+			}
 			kept, byPart := second.analyses == 0, second.reused > 0
 			switch {
 			case !kept: // one budget's opinion: no plan, no alias, no memo entry, no bytes
 				cov.notKept++
 				if first.entries != 0 || second.textHits+third.textHits+fourth.textHits != 0 || byPart {
-					t.Fatalf("%s: a plan that is not kept left something behind: %+v then %+v\n%s", s.name, first, second, text)
+					return fmt.Errorf("%s: a plan that is not kept left something behind: %+v then %+v\n%s", s, first, second, st.Query)
 				}
 			case first.entries != 2 || second.textHits != 1 || third.textHits != 1 || fourth.textHits != 1:
-				t.Fatalf("%s: a kept plan is one entry and its text another, found by the text from then on: %+v, %+v, %+v, %+v", s.name, first, second, third, fourth)
+				return fmt.Errorf("%s: a kept plan is one entry and its text another, found by the text from then on: %+v, %+v, %+v, %+v", s, first, second, third, fourth)
 			case byPart:
 				cov.byPart++
 			default:
@@ -172,76 +133,54 @@ func TestAnswerBytesEqualTheNaiveSerialization(t *testing.T) {
 				wantBytes = 0
 			}
 			if second.rendered+second.copied != 0 || third.rendered != wantBytes || third.copied != 0 || fourth.rendered != 0 || fourth.copied != wantBytes {
-				t.Fatalf("%s: %d bytes of children (answered part by part: %v): second %+v, third %+v, fourth %+v\n%s", s.name, kids, byPart, second, third, fourth, text)
+				return fmt.Errorf("%s: %d bytes of children (answered part by part: %v): second %+v, third %+v, fourth %+v\n%s", s, kids, byPart, second, third, fourth, st.Query)
 			}
 			if wantBytes > 0 {
 				cov.rendered++
 			}
-
 			// Another spelling of the query: parsed once, the same plan — no
 			// analysis, the same memo entries, so the same bytes — and one more
 			// name for it.
-			other := "  " + strings.ReplaceAll(text, "\n", " \n ") + "\n"
-			if spelled := post("another spelling", other); kept && (spelled.analyses != 0 || spelled.textHits != 0 || spelled.entries != 1 || spelled.copied != wantBytes || spelled.rendered != 0) {
-				t.Fatalf("%s: another spelling of a kept query: %+v\n%s", s.name, spelled, other)
+			if kept && (spelled.analyses != 0 || spelled.textHits != 0 || spelled.entries != 1 || spelled.copied != wantBytes || spelled.rendered != 0) {
+				return fmt.Errorf("%s: another spelling of a kept query: %+v", s, spelled)
 			}
-			if again := post("the other spelling again", other); kept && (again.textHits != 1 || again.entries != 0 || again.copied != wantBytes) {
-				t.Fatalf("%s: the other spelling again: %+v", s.name, again)
+			if kept && (again.textHits != 1 || again.entries != 0 || again.copied != wantBytes) {
+				return fmt.Errorf("%s: the other spelling again: %+v", s, again)
 			}
-
 			// An invalidation that changes nothing: nothing is rendered again.
-			if s.name == "pruning" {
-				if _, err := s.m.InvalidateSource(sources[cov.byPart%len(sources)].name); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				s.m.Invalidate()
+			if same.rendered != 0 || same.copied != wantBytes {
+				return fmt.Errorf("%s: after a no-op invalidation: %+v, want nothing rendered and %d bytes copied", s, same, wantBytes)
 			}
-			if same := post("after an invalidation that changed nothing", text); same.rendered != 0 || same.copied != wantBytes {
-				t.Fatalf("%s: after a no-op invalidation: %+v, want nothing rendered and %d bytes copied", s.name, same, wantBytes)
+		case st.Inval == oracle.InvalReal && st.Read == oracle.ReadCopied:
+			// The source changed, and stays changed: its bytes, and no other
+			// part's, are made again — by the second read that finds them.
+			if reads[0].reused == 0 && reads[1].reused == 0 {
+				return nil // not answered part by part: no bytes
 			}
-		}
-		// Each single part changes in turn, and stays changed: its bytes, and
-		// no other part's, are made again — by the second read that finds them.
-		for i, src := range sources {
-			src.cur.Store(1 - src.cur.Load())
-			want = naive(ref, q)
-			kids, part := childBytes(want, q.Name), childBytes(naive(alone[i], q), q.Name)
-			for _, s := range subjects {
-				if _, err := s.m.InvalidateSource(src.name); err != nil {
-					t.Fatal(err)
-				}
-				var reads [4]sent
-				for j := range reads {
-					reads[j] = send(t, s.m, s.h, http.MethodPost, "/views/"+fleetView+"/query", text, "")
-					if reads[j].body != want {
-						t.Fatalf("%s, read %d after %s changed: the body differs from the naive serialization\nquery:\n%s\n got %q\nwant %q", s.name, j, src.name, text, reads[j].body, want)
-					}
-				}
-				if reads[0].reused == 0 && reads[1].reused == 0 {
-					continue // not answered part by part: no bytes
-				}
-				if reads[0].pruned != "" && strings.Contains(","+reads[0].pruned+",", ","+src.name+",") {
-					part = 0 // its part is not asked: whatever it holds, it contributes nothing
-				}
-				if reads[0].rendered+reads[1].rendered != 0 || reads[2].rendered != part || reads[3].rendered != 0 ||
-					reads[0].copied != kids-part || reads[2].copied != kids-part || reads[3].copied != kids {
-					t.Fatalf("%s: after %s alone changed (%d of %d bytes of children are its part's): %+v\n%s", s.name, src.name, part, kids, reads, text)
-				}
-				if part > 0 && part < kids {
-					cov.partial++
-				}
-				if reads[3].copied > 0 {
-					cov.copied++
-				}
+			part := alone(t, o, st.Versions, st.Changed, st.Query, "v")
+			if strings.Contains(","+reads[0].pruned+",", ","+s.Source(st.Changed)+",") {
+				part = 0 // its part is not asked: whatever it holds, it contributes nothing
+			}
+			if reads[0].rendered+reads[1].rendered != 0 || reads[2].rendered != part || reads[3].rendered != 0 ||
+				reads[0].copied != kids-part || reads[2].copied != kids-part || reads[3].copied != kids {
+				return fmt.Errorf("%s: after source %d alone changed (%d of %d bytes of children are its part's): %+v\n%s", s, st.Changed, part, kids, reads, st.Query)
+			}
+			if part > 0 && part < kids {
+				cov.partial++
+			}
+			if reads[3].copied > 0 {
+				cov.copied++
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for what, n := range map[string]int{
 		"queries answered part by part": cov.byPart, "kept plans answered over the whole view": cov.fallback, "plans not kept": cov.notKept,
 		"non-empty answers": cov.nonEmpty, "answers with a pruned source": cov.pruned, "answers whose bytes were rendered": cov.rendered,
 		"answers copied after a part changed": cov.copied, "changes that re-rendered one part among several": cov.partial,
-		"queries asked at all": cov.asked - 95,
 	} {
 		if n < 5 {
 			t.Errorf("vacuous: only %d %s (%+v)", n, what, cov)
@@ -249,103 +188,89 @@ func TestAnswerBytesEqualTheNaiveSerialization(t *testing.T) {
 	}
 
 	// Everything the slots hold goes when every document does.
-	for _, src := range sources {
-		src.cur.Store(1 - src.cur.Load())
+	for i := range o.Versions() {
+		o.Serve(i, 1-o.Versions()[i])
 	}
 	for _, s := range subjects {
-		if held := s.m.Stats().AnswerBytesHeld; held == 0 {
-			t.Errorf("%s: vacuous: the slots hold no bytes", s.name)
+		if held := s.Mediator.Stats().AnswerBytesHeld; held == 0 {
+			t.Errorf("%s: vacuous: the slots hold no bytes", s)
 		}
-		s.m.Invalidate()
-		send(t, s.m, s.h, http.MethodGet, "/views/"+fleetView, "", "")
-		if held := s.m.Stats().AnswerBytesHeld; held != 0 {
-			t.Errorf("%s: the slots hold %d bytes of documents no source serves any more", s.name, held)
+		s.Mediator.Invalidate()
+		send(t, s.Mediator, s.Handler, http.MethodGet, "/views/"+fleetView, "", "")
+		if held := s.Mediator.Stats().AnswerBytesHeld; held != 0 {
+			t.Errorf("%s: the slots hold %d bytes of documents no source serves any more", s, held)
 		}
 	}
 }
 
-// The same for GET /views/{name}: DTD prologue, document and ETag, over
-// repeats, a no-op invalidation and a change of each single source.
+// The same for GET /views/{name}: the oracle checks the DTD prologue, the
+// document and that a tag names one body; here, that the tag holds over
+// repeats and a no-op invalidation, moves with each single source's change,
+// and that the part's bytes are rendered once and copied after.
 func TestViewBytesEqualTheNaiveSerialization(t *testing.T) {
-	ctx := context.Background()
-	sources := swapFleet(t)
-	ref := fleetOver(t, sources, false)
-	alone := make([]*mediator.Mediator, len(sources))
-	for i := range sources {
-		alone[i] = fleetOver(t, sources[i:i+1], false)
-	}
-	document := func(on *mediator.Mediator) string {
-		t.Helper()
-		on.Invalidate()
-		doc, err := on.Materialize(ctx, fleetView)
+	o, _ := newOracle(t)
+	subjects := []*oracle.Subject{subject(t, o, true), subject(t, o, false)}
+	steps := map[*oracle.Subject][]sent{}
+	tag := map[*oracle.Subject]string{}
+	err := o.Check(subjects, fleetView, []string{""}, oracle.Tally{}, func(st *oracle.Step) error {
+		s, got := st.Subject, sentOf(st)
+		if st.Inval == oracle.InvalNone && st.Read == oracle.ReadFirst || st.Inval == oracle.InvalReal && st.Read == oracle.ReadFirst {
+			steps[s] = nil
+		}
+		steps[s] = append(steps[s], got)
+		_, doc, err := o.Reference().Answer(st.Versions, fleetView, "")
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		return xmlmodel.MarshalElement(doc.Root, 2)
-	}
-	for _, s := range bytesSubjects(t, sources) {
-		v, err := s.m.View(fleetView)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := document(ref)
-		kids := childBytes(want, fleetView)
-		get := func(when, ifNoneMatch string) sent {
-			t.Helper()
-			got := send(t, s.m, s.h, http.MethodGet, "/views/"+fleetView, "", ifNoneMatch)
-			if ifNoneMatch == "" && (got.status != http.StatusOK || got.body != v.DTDText+want || got.tag == "") {
-				t.Fatalf("%s, %s: status %d, tag %q, the body differs from the DTD and the naive serialization", s.name, when, got.status, got.tag)
+		kids := childBytes(doc, fleetView)
+		switch reads := steps[s]; {
+		case st.Inval == oracle.InvalNoOp: // four reads, a conditional one, a no-op invalidation
+			first, second, third, fourth, nm, same := reads[0], reads[1], reads[2], reads[3], reads[4], reads[5]
+			if first.rendered+first.copied+second.rendered+second.copied != 0 || third.rendered != kids || third.copied != 0 || fourth.rendered != 0 || fourth.copied != kids {
+				return fmt.Errorf("%s: %d bytes of children: %+v, %+v, %+v, %+v", s, kids, first, second, third, fourth)
 			}
-			return got
-		}
-		first, second, third, fourth := get("the evaluating read", ""), get("the first repeat", ""), get("the second repeat", ""), get("the third repeat", "")
-		if first.rendered+first.copied+second.rendered+second.copied != 0 || third.rendered != kids || third.copied != 0 || fourth.rendered != 0 || fourth.copied != kids {
-			t.Fatalf("%s: %d bytes of children: %+v, %+v, %+v, %+v", s.name, kids, first, second, third, fourth)
-		}
-		if second.tag != first.tag || third.tag != first.tag || fourth.tag != first.tag {
-			t.Fatalf("%s: the tag moved over repeats: %q %q %q %q", s.name, first.tag, second.tag, third.tag, fourth.tag)
-		}
-		if nm := get("a conditional read", first.tag); nm.status != http.StatusNotModified || nm.body != "" || nm.copied+nm.rendered != 0 {
-			t.Fatalf("%s: If-None-Match with the current tag: %+v", s.name, nm)
-		}
-		s.m.Invalidate()
-		if same := get("after an invalidation that changed nothing", ""); same.tag != first.tag || same.rendered != 0 || same.copied != kids {
-			t.Fatalf("%s: after a no-op invalidation: %+v, want the tag %q, nothing rendered and %d bytes copied", s.name, same, first.tag, kids)
-		}
-		tag := first.tag
-		for i, src := range sources {
-			src.cur.Store(1 - src.cur.Load())
-			if _, err := s.m.InvalidateSource(src.name); err != nil {
-				t.Fatal(err)
+			if second.tag != first.tag || third.tag != first.tag || fourth.tag != first.tag {
+				return fmt.Errorf("%s: the tag moved over repeats: %q %q %q %q", s, first.tag, second.tag, third.tag, fourth.tag)
 			}
-			want = document(ref)
-			kids, part := childBytes(want, fleetView), childBytes(document(alone[i]), fleetView)
-			var reads [4]sent
-			for j := range reads {
-				reads[j] = get("after "+src.name+" changed", "")
+			if nm.status != http.StatusNotModified || nm.body != "" || nm.copied+nm.rendered != 0 {
+				return fmt.Errorf("%s: If-None-Match with the current tag: %+v", s, nm)
 			}
-			if reads[0].tag == tag || reads[3].tag != reads[0].tag {
-				t.Fatalf("%s: after %s changed the tag went %q -> %q -> %q", s.name, src.name, tag, reads[0].tag, reads[3].tag)
+			if same.tag != first.tag || same.rendered != 0 || same.copied != kids {
+				return fmt.Errorf("%s: after a no-op invalidation: %+v, want the tag %q, nothing rendered and %d bytes copied", s, same, first.tag, kids)
 			}
-			tag = reads[0].tag
+			tag[s] = first.tag
+		case st.Inval == oracle.InvalReal && st.Read == oracle.ReadCopied:
+			if reads[0].tag == tag[s] || reads[3].tag != reads[0].tag {
+				return fmt.Errorf("%s: after source %d changed the tag went %q -> %q -> %q", s, st.Changed, tag[s], reads[0].tag, reads[3].tag)
+			}
+			tag[s] = reads[0].tag
+			part := alone(t, o, st.Versions, st.Changed, "", fleetView)
 			if reads[0].rendered+reads[1].rendered != 0 || reads[2].rendered != part || reads[3].rendered != 0 ||
 				reads[0].copied != kids-part || reads[2].copied != kids-part || reads[3].copied != kids {
-				t.Fatalf("%s: after %s alone changed (%d of %d bytes of children are its part's): %+v", s.name, src.name, part, kids, reads)
+				return fmt.Errorf("%s: after source %d alone changed (%d of %d bytes of children are its part's): %+v", s, st.Changed, part, kids, reads)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
 // A text is a name for a plan made under one pruning setting: the same text
 // under the other setting is another plan's.
 func TestPlanTextIsKeyedByThePruningSetting(t *testing.T) {
-	sources := swapFleet(t)
-	m := fleetOver(t, sources, true)
-	h := serve.New(m, serve.WithTracer(nil))
+	o, fleet := newOracle(t)
+	s := subject(t, o, true)
+	m, h := s.Mediator, s.Handler
 	path := "/views/" + fleetView + "/query"
 	var text string
-	for _, s := range sources { // a child only one family's entries have prunes the others
-		for _, entry := range s.docs[1].Root.Children {
+	for _, src := range fleet.Sources { // a child only one family's entries have prunes the others
+		doc, _, err := xmlmodel.Parse(src.Docs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, entry := range doc.Root.Children {
 			for _, k := range entry.Children {
 				candidate := `r = SELECT N WHERE <fleet> <entry> N:<` + k.Name + `/> </entry> </fleet>`
 				if on := send(t, m, h, http.MethodPost, path, candidate, ""); text == "" && on.status == http.StatusOK && on.pruned != "" {
@@ -373,108 +298,29 @@ func TestPlanTextIsKeyedByThePruningSetting(t *testing.T) {
 // moves any more it is the current version's. (Run under -race: the bytes are
 // stored by whichever reader renders last.)
 func TestConcurrentReadersGetBytesOfOneOfTheTwoVersions(t *testing.T) {
-	ctx := context.Background()
-	sources := swapFleet(t)
-	m := fleetOver(t, sources, true)
-	h := serve.New(m, serve.WithTracer(nil))
-	v, err := m.View(fleetView)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changing := sources[2]
-	queries := []string{
+	o, _ := newOracle(t)
+	s := subject(t, o, true)
+	texts := []string{
 		`r = SELECT X WHERE <fleet> X:<entry/> </fleet>`,
 		`r = SELECT N WHERE <fleet> <entry> N:<name/> </entry> </fleet>`,
 		"", // GET /views/fleet
 	}
-	current := func(i int) string {
-		t.Helper()
-		ref := fleetOver(t, sources, false)
-		if queries[i] == "" {
-			doc, err := ref.Materialize(ctx, fleetView)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return v.DTDText + xmlmodel.MarshalElement(doc.Root, 2)
-		}
-		doc, err := ref.QueryUnsimplified(ctx, fleetView, xmas.MustParse(queries[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return xmlmodel.MarshalElement(doc.Root, 2)
-	}
-	read := func(i int) string {
+	// Paced: a version lives long enough for its bytes to be rendered (the
+	// third read of a kind) and copied (the fourth).
+	reads := raceReaders(t, o, s, texts, 80, 5*len(texts), func(text string) string {
 		method, path := http.MethodPost, "/views/"+fleetView+"/query"
-		if queries[i] == "" {
+		if text == "" {
 			method, path = http.MethodGet, "/views/"+fleetView
 		}
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(queries[i])))
+		s.Handler.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(text)))
 		if rec.Code != http.StatusOK {
 			t.Errorf("%s %s: %d %s", method, path, rec.Code, rec.Body)
 		}
 		return rec.Body.String()
-	}
-	admissible := make([]map[string]bool, len(queries))
-	for i := range queries {
-		admissible[i] = map[string]bool{}
-		for version := int32(0); version < 2; version++ {
-			changing.cur.Store(version)
-			admissible[i][current(i)] = true
-		}
-		if len(admissible[i]) != 2 {
-			t.Fatalf("vacuous: read %d answers the same over both versions", i)
-		}
-	}
-
-	var wg sync.WaitGroup
-	var reads atomic.Int64
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(stop)
-		for i := 0; i < 80; i++ {
-			// Paced: a version lives long enough for its bytes to be rendered
-			// (the third read of a kind) and copied (the fourth).
-			for seen := reads.Load(); reads.Load() < seen+int64(5*len(queries)) && !t.Failed(); {
-				runtime.Gosched()
-			}
-			changing.cur.Store(int32(i % 2))
-			if i%7 == 0 {
-				m.Invalidate()
-			} else if _, err := m.InvalidateSource(changing.name); err != nil {
-				t.Error(err)
-			}
-		}
-	}()
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				which := (r + i) % len(queries)
-				if got := read(which); !admissible[which][got] {
-					t.Errorf("reader %d, read %d: the body of read %d is neither version's", r, i, which)
-					return
-				}
-				reads.Add(1)
-			}
-		}(r)
-	}
-	wg.Wait()
-	for i := range queries {
-		if got := read(i); got != current(i) {
-			t.Errorf("read %d after the last invalidation: not the bytes of the documents now served", i)
-		}
-	}
-	if st := m.Stats(); st.AnswerBytesRendered == 0 || st.AnswerBytesCopied == 0 || st.PlanTextHits == 0 {
-		t.Errorf("vacuous: %d reads, %d bytes rendered, %d copied, %d plans found by text", reads.Load(), st.AnswerBytesRendered, st.AnswerBytesCopied, st.PlanTextHits)
+	})
+	if st := s.Mediator.Stats(); st.AnswerBytesRendered == 0 || st.AnswerBytesCopied == 0 || st.PlanTextHits == 0 {
+		t.Errorf("vacuous: %d reads, %d bytes rendered, %d copied, %d plans found by text", reads, st.AnswerBytesRendered, st.AnswerBytesCopied, st.PlanTextHits)
 	}
 }
 
@@ -482,19 +328,18 @@ func TestConcurrentReadersGetBytesOfOneOfTheTwoVersions(t *testing.T) {
 // and all: the plan that takes the place starts over — streamed, found once,
 // rendered — and never sends what its predecessor's picks serialized to.
 func TestReplacedMemoEntryLosesItsBytes(t *testing.T) {
-	ctx := context.Background()
-	sources := swapFleet(t)
-	m, ref := fleetOver(t, sources, false), fleetOver(t, sources, false)
-	h := serve.New(m, serve.WithTracer(nil))
+	o, _ := newOracle(t)
+	s := subject(t, o, false)
+	m, h := s.Mediator, s.Handler
 	path := "/views/" + fleetView + "/query"
 	ask := func(text string) sent {
 		t.Helper()
-		naive, err := ref.QueryUnsimplified(ctx, fleetView, xmas.MustParse(text))
+		_, want, err := o.Reference().Answer(o.Versions(), fleetView, text)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := send(t, m, h, http.MethodPost, path, text, "")
-		if want := xmlmodel.MarshalElement(naive.Root, 2); got.status != http.StatusOK || got.body != want {
+		if got.status != http.StatusOK || got.body != want {
 			t.Fatalf("%s: status %d\n got %q\nwant %q", text, got.status, got.body, want)
 		}
 		return got

@@ -5,183 +5,80 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/dtd"
 	"repro/internal/gen"
 	"repro/internal/load"
-	"repro/internal/mediator"
+	"repro/internal/oracle"
 	"repro/internal/xmas"
 	"repro/internal/xmlmodel"
 )
 
-// The differential test of answers kept per part: whatever the slots
-// remember, Query answers byte for byte what QueryUnsimplified — the whole
-// view concatenated and walked, no plan, no memo — answers on a mediator that
-// is never asked a query. The fleet is plan_diff_test.go's, one source per
-// load family, except that every source has two documents and can be made to
-// serve the other; the queries are that file's generator's, over chains of
-// both versions of the view, with the shapes that must fall back — a second
-// root child condition, a recursive root step, a pick bound at the root —
-// among them.
+// The fleet the differential tests of this package run over: one source per
+// internal/load schema family, each serving two documents, under one union
+// view of their entries. internal/oracle serves the sources, so a subject
+// mediator reads them over HTTP, and its reference — a fresh naive mediator
+// per vector of versions — says what every answer must be; these tests add
+// what the counters must say.
+const fleetView = "fleet"
 
-// swapSource serves whichever of its documents it was last told to. A
-// document it hands out is never written again: a source changes by serving
-// another one.
-type swapSource struct {
-	name string
-	dtd  *dtd.DTD
-	docs [2]*xmlmodel.Document
-	cur  atomic.Int32
-}
-
-func (s *swapSource) Name() string     { return s.name }
-func (s *swapSource) Schema() *dtd.DTD { return s.dtd }
-func (s *swapSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.docs[s.cur.Load()], nil
-}
-
-// swapFleet builds the sources, one per family, each with two documents.
-func swapFleet(t *testing.T) []*swapSource {
+func newOracle(t *testing.T) (*oracle.Oracle, *oracle.Fleet) {
 	t.Helper()
-	var out []*swapSource
+	opts := gen.Options{AssignIDs: true, MaxDepth: 6, LengthBias: 0.5, TextPool: []string{"x", "y"}}
+	var sources []*load.Source
 	for i, f := range load.Families() {
-		name := string(f)
-		opts := gen.Options{AssignIDs: true, MaxDepth: 6, LengthBias: 0.5, TextPool: []string{"x", "y"}}
-		src, err := load.BuildSource(name, load.SourceOptions{
+		src, err := load.BuildSource(string(f), load.SourceOptions{
 			Schema: load.SchemaOptions{Seed: int64(i + 1), Family: f, Depth: 3, Width: 3}, Gen: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sources = append(sources, src)
+	}
+	fleet := load.OracleFleet(fleetView, sources)
+	for i := range fleet.Sources { // and a second document of each, drawn from its DTD
 		opts.Seed = int64(100 + i)
-		g, err := gen.New(src.DTD, opts)
+		g, err := gen.New(sources[i].DTD, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		other := g.Document()
-		load.LinkRefs(other, opts.Seed)
-		if err := src.DTD.Validate(other); err != nil {
-			t.Fatal(err)
-		}
-		if xmlmodel.MarshalElement(other.Root, -1) == xmlmodel.MarshalElement(src.Doc.Root, -1) {
-			t.Fatalf("family %s: the two versions are the same document", f)
-		}
-		out = append(out, &swapSource{name: name, dtd: src.DTD, docs: [2]*xmlmodel.Document{src.Doc, other}})
+		fleet.Sources[i].Docs = append(fleet.Sources[i].Docs, xmlmodel.MarshalElement(g.Document().Root, -1))
 	}
-	return out
+	o := oracle.New(fleet)
+	t.Cleanup(o.Close)
+	return o, fleet
 }
 
-// fleetOver defines plan_diff_test.go's union view over the given sources.
-func fleetOver(t *testing.T, sources []*swapSource, pruning bool) *mediator.Mediator {
+// subject is a funded subject of the oracle.
+func subject(t *testing.T, o *oracle.Oracle, pruning bool) *oracle.Subject {
 	t.Helper()
-	m := mediator.New("fleet")
-	m.SetPruning(pruning)
-	var parts []mediator.ViewPart
-	for _, s := range sources {
-		if err := m.AddSource(s); err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, mediator.ViewPart{Source: s.name,
-			Query: xmas.MustParse(fmt.Sprintf(`SELECT X WHERE <%s> X:<entry/> </%s>`, s.name, s.name))})
-	}
-	if _, err := m.DefineUnionView(fleetView, parts); err != nil {
+	s, err := o.NewSubject(pruning, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return s
 }
 
-// fleetQueries generates n distinct queries over chains of the view's
-// documents: about one in eight with a recursive root step, one in twelve
-// picking the view root itself.
-func fleetQueries(t *testing.T, r *rand.Rand, views []*xmlmodel.Document, n int) []*xmas.Query {
-	t.Helper()
-	var chains [][]*xmlmodel.Element
-	names := []string{"absent"}
-	for _, view := range views {
-		for _, chain := range elementChains(view.Root, 5) {
-			chains = append(chains, chain)
-			if name := chain[len(chain)-1].Name; !slices.Contains(names, name) {
-				names = append(names, name)
-			}
-		}
-	}
-	var out []*xmas.Query
-	seen := map[string]bool{}
-	for len(out) < n {
-		g := &planQueryGen{r: r, names: names}
-		chain := chains[r.Intn(len(chains))]
-		if r.Intn(12) == 0 {
-			chain = chain[:1]
-		}
-		q := g.query(chain)
-		if q == nil {
-			continue
-		}
-		if q.Root.Recursive = r.Intn(8) == 0; len(q.Validate()) > 0 || seen[q.String()] {
-			continue
-		}
-		seen[q.String()] = true
-		out = append(out, q)
-	}
-	return out
-}
-
+// The differential test of answers kept per part: whatever the slots
+// remember, the answer is the oracle's reference's, on a repeat, after an
+// invalidation that changed nothing and after each single source changed;
+// and a repeat or a read after a no-op invalidation evaluates no part, while
+// the four reads after one source changed evaluate at most its one part. The
+// queries are the oracle's generator's, over both versions of the view, with
+// the shapes that must fall back — a second root child condition, a
+// recursive root step, a pick bound at the root — among them.
 func TestAnswersByPartEqualTheNaiveEvaluation(t *testing.T) {
-	ctx := context.Background()
-	sources := swapFleet(t)
-	ref := fleetOver(t, sources, false) // never asked a query: no plan, no memo
-	var views []*xmlmodel.Document
-	for version := int32(0); version < 2; version++ {
-		for _, s := range sources {
-			s.cur.Store(version)
-		}
-		ref.Invalidate()
-		view, err := ref.Materialize(ctx, fleetView)
-		if err != nil {
-			t.Fatal(err)
-		}
-		views = append(views, view)
+	o, _ := newOracle(t)
+	subjects := []*oracle.Subject{subject(t, o, true), subject(t, o, false)}
+	var features oracle.Coverage
+	texts, err := o.Queries(rand.New(rand.NewSource(26)), fleetView, 250, &features)
+	if err != nil {
+		t.Fatal(err)
 	}
-	subjects := map[string]*mediator.Mediator{"pruning": fleetOver(t, sources, true), "no pruning": fleetOver(t, sources, false)}
-
 	var cov struct{ byPart, twoRootChildren, recursiveRoot, rootPick, nonEmpty, neq, pruned int }
-	check := func(when string, q *xmas.Query) {
-		t.Helper()
-		naive, err := ref.QueryUnsimplified(ctx, fleetView, q.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := xmlmodel.MarshalElement(naive.Root, -1)
-		for which, m := range subjects {
-			got, stats, err := m.Query(ctx, fleetView, q.Clone())
-			if err != nil {
-				t.Fatalf("%s, %s: %v\nquery:\n%s", which, when, err, q)
-			}
-			if text := xmlmodel.MarshalElement(got.Root, -1); text != want {
-				t.Fatalf("%s, %s: the answer differs from the naive evaluation\nquery:\n%s\n got %s\nwant %s", which, when, q, text, want)
-			}
-			if len(stats.PrunedSources) > 0 {
-				cov.pruned++
-			}
-		}
-		if len(naive.Root.Children) > 0 {
-			cov.nonEmpty++
-		}
-	}
-	evaluated := func() (n int64) {
-		for _, m := range subjects {
-			n += m.Stats().AnswerPartsEvaluated
-		}
-		return n
-	}
-	for _, q := range fleetQueries(t, rand.New(rand.NewSource(26)), views, 600) {
-		switch {
+	for _, text := range texts {
+		switch q := xmas.MustParse(text); {
 		case q.Root.Recursive:
 			cov.recursiveRoot++
 		case q.Root.Var == q.PickVar:
@@ -191,34 +88,38 @@ func TestAnswersByPartEqualTheNaiveEvaluation(t *testing.T) {
 		default:
 			cov.byPart++
 		}
-		if len(q.Neq) > 0 {
+		if len(xmas.MustParse(text).Neq) > 0 {
 			cov.neq++
 		}
-		check("on a slot that has not seen the query", q)
-		before := evaluated()
-		check("on a repeat", q)
-		if _, err := subjects["pruning"].InvalidateSource(sources[cov.byPart%len(sources)].name); err != nil {
-			t.Fatal(err)
-		}
-		subjects["no pruning"].Invalidate()
-		check("after an invalidation that changed nothing", q)
-		if after := evaluated(); after != before {
-			t.Fatalf("a repeat and a read after a no-op invalidation evaluated %d parts\nquery:\n%s", after-before, q)
-		}
-		for _, s := range sources { // each single part changes in turn, and stays changed
-			s.cur.Store(1 - s.cur.Load())
-			ref.Invalidate()
-			for _, m := range subjects {
-				if _, err := m.InvalidateSource(s.name); err != nil {
-					t.Fatal(err)
-				}
+	}
+	var total int64
+	sinceChange := map[*oracle.Subject]int64{}
+	err = o.Check(subjects, fleetView, texts, oracle.Tally{}, func(s *oracle.Step) error {
+		evaluated := s.After.AnswerPartsEvaluated - s.Before.AnswerPartsEvaluated
+		total += evaluated
+		switch {
+		case s.Inval == oracle.InvalReal:
+			if s.Read == oracle.ReadFirst {
+				sinceChange[s.Subject] = 0
 			}
-			before := evaluated()
-			check("after "+s.name+" changed", q)
-			if after := evaluated(); after-before > int64(len(subjects)) {
-				t.Fatalf("after %s alone changed, %d parts were evaluated by %d mediators\nquery:\n%s", s.name, after-before, len(subjects), q)
+			if sinceChange[s.Subject] += evaluated; sinceChange[s.Subject] > 1 {
+				return fmt.Errorf("%s: after source %d alone changed, %d parts were evaluated\nquery:\n%s", s.Subject, s.Changed, sinceChange[s.Subject], s.Query)
+			}
+		case s.Read > oracle.ReadFirst && evaluated != 0:
+			return fmt.Errorf("%s: a repeat, or a read after a no-op invalidation, evaluated %d parts\nquery:\n%s", s.Subject, evaluated, s.Query)
+		}
+		if s.Plan == oracle.PlanMiss && s.Subject.Pruning {
+			if s.Header.Get("X-Mix-Pruned-Sources") != "" {
+				cov.pruned++
+			}
+			if childBytes(s.Want, "v") > 0 {
+				cov.nonEmpty++
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for what, n := range map[string]int{
 		"queries answered part by part": cov.byPart, "root conditions with several children": cov.twoRootChildren,
@@ -229,37 +130,37 @@ func TestAnswersByPartEqualTheNaiveEvaluation(t *testing.T) {
 			t.Errorf("vacuous: only %d %s (%+v)", n, what, cov)
 		}
 	}
-	if n := evaluated(); n == 0 {
+	if total == 0 {
 		t.Error("vacuous: no part was ever evaluated for an answer")
 	}
 }
 
-// Readers of one plan race invalidations of a source that alternates between
-// its two documents: every answer is the naive answer over one of the two,
-// whatever the memos held when it was put together. (Run under -race: the
-// memos are written by whichever reader evaluates first.)
-func TestConcurrentReadersGetOneOfTheTwoVersions(t *testing.T) {
-	ctx := context.Background()
-	sources := swapFleet(t)
-	m := fleetOver(t, sources, true)
-	changing := sources[2]
-	queries := []*xmas.Query{
-		xmas.MustParse(`r = SELECT X WHERE <fleet> X:<entry/> </fleet>`),
-		xmas.MustParse(`r = SELECT N WHERE <fleet> <entry> N:<name/> </entry> </fleet>`),
+// raceReaders has four readers send the texts to read in turn while a writer
+// makes source 2 alternate between its two documents, invalidating it — every
+// seventh time, everything — changes times, each once the readers have read
+// pace more times. Every answer must be the reference's over one of the two
+// versions, whatever the memos held when it was put together, and once nothing
+// moves any more, over the version now served. It returns how many reads ran.
+func raceReaders(t *testing.T, o *oracle.Oracle, s *oracle.Subject, texts []string, changes, pace int, read func(text string) string) int64 {
+	const changing = 2
+	answer := func(versions []int, text string) string {
+		t.Helper()
+		prologue, body, err := o.Reference().Answer(versions, fleetView, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prologue + body
 	}
-	admissible := make([]map[string]bool, len(queries))
-	for i, q := range queries {
+	admissible := make([]map[string]bool, len(texts))
+	for i, text := range texts {
 		admissible[i] = map[string]bool{}
-		for version := int32(0); version < 2; version++ {
-			changing.cur.Store(version)
-			naive, err := fleetOver(t, sources, false).QueryUnsimplified(ctx, fleetView, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			admissible[i][xmlmodel.MarshalElement(naive.Root, -1)] = true
+		for version := 0; version < 2; version++ {
+			versions := o.Versions()
+			versions[changing] = version
+			admissible[i][answer(versions, text)] = true
 		}
 		if len(admissible[i]) != 2 {
-			t.Fatalf("vacuous: query %d answers the same over both versions", i)
+			t.Fatalf("vacuous: read %d answers the same over both versions", i)
 		}
 	}
 
@@ -270,14 +171,14 @@ func TestConcurrentReadersGetOneOfTheTwoVersions(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer close(stop)
-		for i := 0; i < 300; i++ {
-			for seen := reads.Load(); reads.Load() < seen+2 && !t.Failed(); { // let a read or two see every version
+		for i := 0; i < changes; i++ {
+			for seen := reads.Load(); reads.Load() < seen+int64(pace) && !t.Failed(); {
 				runtime.Gosched()
 			}
-			changing.cur.Store(int32(i % 2))
+			o.Serve(changing, i%2)
 			if i%7 == 0 {
-				m.Invalidate()
-			} else if _, err := m.InvalidateSource(changing.name); err != nil {
+				s.Mediator.Invalidate()
+			} else if _, err := s.Mediator.InvalidateSource(s.Source(changing)); err != nil {
 				t.Error(err)
 			}
 		}
@@ -292,14 +193,9 @@ func TestConcurrentReadersGetOneOfTheTwoVersions(t *testing.T) {
 					return
 				default:
 				}
-				which := (r + i) % len(queries)
-				got, _, err := m.Query(ctx, fleetView, queries[which].Clone())
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if text := xmlmodel.MarshalElement(got.Root, -1); !admissible[which][text] {
-					t.Errorf("reader %d, read %d: query %d's answer is neither version's", r, i, which)
+				which := (r + i) % len(texts)
+				if got := read(texts[which]); !admissible[which][got] {
+					t.Errorf("reader %d, read %d: the answer to read %d is neither version's", r, i, which)
 					return
 				}
 				reads.Add(1)
@@ -307,17 +203,32 @@ func TestConcurrentReadersGetOneOfTheTwoVersions(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	// And once nothing moves any more, the answer is the current version's.
-	for i, q := range queries {
-		naive, err := fleetOver(t, sources, false).QueryUnsimplified(ctx, fleetView, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, _, err := m.Query(ctx, fleetView, q.Clone()); err != nil || xmlmodel.MarshalElement(got.Root, -1) != xmlmodel.MarshalElement(naive.Root, -1) {
-			t.Errorf("query %d after the last invalidation: not the answer over the documents now served (%v)", i, err)
+	for i, text := range texts {
+		if got := read(text); got != answer(o.Versions(), text) {
+			t.Errorf("read %d after the last invalidation: not the answer over the documents now served", i)
 		}
 	}
-	if st := m.Stats(); st.AnswerPartsEvaluated < 50 || st.AnswerPartsReused < 50 {
-		t.Errorf("vacuous: %d reads, %d parts evaluated, %d reused", reads.Load(), st.AnswerPartsEvaluated, st.AnswerPartsReused)
+	return reads.Load()
+}
+
+// Readers of one plan race invalidations of a source that alternates between
+// its two documents. (Run under -race: the memos are written by whichever
+// reader evaluates first.)
+func TestConcurrentReadersGetOneOfTheTwoVersions(t *testing.T) {
+	o, _ := newOracle(t)
+	s := subject(t, o, true)
+	reads := raceReaders(t, o, s, []string{
+		`r = SELECT X WHERE <fleet> X:<entry/> </fleet>`,
+		`r = SELECT N WHERE <fleet> <entry> N:<name/> </entry> </fleet>`,
+	}, 300, 2, func(text string) string { // let a read or two see every version
+		got, _, err := s.Mediator.Query(context.Background(), fleetView, xmas.MustParse(text))
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		return xmlmodel.MarshalElement(got.Root, 2)
+	})
+	if st := s.Mediator.Stats(); st.AnswerPartsEvaluated < 50 || st.AnswerPartsReused < 50 {
+		t.Errorf("vacuous: %d reads, %d parts evaluated, %d reused", reads, st.AnswerPartsEvaluated, st.AnswerPartsReused)
 	}
 }

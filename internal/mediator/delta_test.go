@@ -146,38 +146,6 @@ func TestInvalidateSourceOnlyRefetchesDependentParts(t *testing.T) {
 	}
 }
 
-// TestInvalidateSourceDifferential replays a mixed invalidate/materialize
-// sequence against a delta-maintained mediator and a twin that only ever
-// invalidates globally, asserting bit-identical answers at every step —
-// the property the per-part cache must never break.
-func TestInvalidateSourceDifferential(t *testing.T) {
-	ctx := context.Background()
-	m, _ := newDeltaMediator(t, 4, "all")
-	twin, _ := newDeltaMediator(t, 4, "all")
-
-	steps := []string{"", "s2", "s0", "", "s3", "s3", "s1", ""}
-	for i, src := range steps {
-		if src != "" {
-			if _, err := m.InvalidateSource(src); err != nil {
-				t.Fatal(err)
-			}
-		}
-		twin.Invalidate()
-		got, err := m.Materialize(ctx, "all")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := twin.Materialize(ctx, "all")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Root.Equal(want.Root) {
-			t.Fatalf("step %d (invalidate %q): delta answer differs from full rematerialization:\n%s\nvs\n%s",
-				i, src, xmlmodel.MarshalElement(got.Root, 1), xmlmodel.MarshalElement(want.Root, 1))
-		}
-	}
-}
-
 func TestInvalidateSourceUnknown(t *testing.T) {
 	m, _ := newDeltaMediator(t, 2, "all")
 	_, err := m.InvalidateSource("nosuch")

@@ -2,7 +2,8 @@
 // union part whose view DTD refutes every root-level condition of the
 // query is never fetched, yet the answer is bit-identical to the unpruned
 // evaluation. FaultSource.Fetches() is the ground truth for "never
-// fetched"; the differential checks pin down "identical answer".
+// fetched"; that pruning never changes an answer is internal/oracle's check,
+// over every query of its generator.
 package mediator
 
 import (
@@ -302,48 +303,6 @@ func TestUnsatFastPathMatchesUnsimplified(t *testing.T) {
 	}
 	if !fast.Root.Equal(slow.Root) {
 		t.Errorf("fast path result differs from raw evaluation:\nfast: %v\nslow: %v", fast.Root, slow.Root)
-	}
-}
-
-// Property: for a spread of user queries, a pruning mediator and a
-// non-pruning mediator over identical sources return equal answers — and
-// the run is non-vacuous (some queries actually pruned).
-func TestPruneEquivalence(t *testing.T) {
-	mOn, _, _ := newLibMediator(t)
-	mOff, _, _ := newLibMediator(t)
-	mOff.SetPruning(false)
-	queries := []string{
-		`r = SELECT X WHERE <cat> X:<item><book/></item> </cat>`,
-		`r = SELECT X WHERE <cat> X:<item><disc/></item> </cat>`,
-		`r = SELECT X WHERE <cat> X:<item/> </cat>`,
-		`r = SELECT X WHERE <cat> X:<item> [<book/>] </item> </cat>`,
-		`r = SELECT X WHERE <cat> X:<item> [<disc/>] </item> </cat>`,
-		`r = SELECT X WHERE <cat> X:<item><shelf/></item> </cat>`,
-		`r = SELECT X WHERE <cat> X:<item><book/><disc/></item> </cat>`,
-		`r = SELECT B WHERE <cat> <item> B:<book/> </item> </cat>`,
-		`r = SELECT B WHERE <cat> <item> B:<disc/> </item> </cat>`,
-		`r = SELECT X WHERE X:<cat> <item/> </cat>`,
-	}
-	ctx := context.Background()
-	for _, text := range queries {
-		q := xmas.MustParse(text)
-		on, _, err := mOn.Query(ctx, "cat", q)
-		if err != nil {
-			t.Fatalf("%s: pruning mediator: %v", text, err)
-		}
-		off, _, err := mOff.Query(ctx, "cat", q)
-		if err != nil {
-			t.Fatalf("%s: baseline mediator: %v", text, err)
-		}
-		if !on.Root.Equal(off.Root) {
-			t.Errorf("%s: answers differ\npruned:   %v\nunpruned: %v", text, on.Root, off.Root)
-		}
-	}
-	if st := mOn.Stats(); st.PartsPruned == 0 {
-		t.Error("vacuous run: no part was ever pruned")
-	}
-	if st := mOff.Stats(); st.PartsPruned != 0 {
-		t.Errorf("non-pruning mediator pruned %d parts", st.PartsPruned)
 	}
 }
 

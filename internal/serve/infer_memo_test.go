@@ -9,20 +9,18 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/budget"
-	"repro/internal/dtd"
 	"repro/internal/infer"
 	"repro/internal/load"
 	"repro/internal/mediator"
+	"repro/internal/oracle"
 	"repro/internal/regex"
 	"repro/internal/serve"
-	"repro/internal/xmas"
 )
 
 // The paper's running examples, as internal/load's infer_golden_test.go
@@ -108,19 +106,6 @@ func familyBodies(t testing.TB) []string {
 	return bodies
 }
 
-// renderInfer is the /infer response of a tight result, written from the
-// result and not by the handler.
-func renderInfer(res *infer.Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "-- specialized view DTD\n%s\n-- plain view DTD\n%s\n-- classification: %s\n", res.SDTD, res.DTD, res.Class)
-	for _, ev := range res.Merges {
-		if ev.Distinct {
-			fmt.Fprintf(&b, "-- warning: %s\n", ev)
-		}
-	}
-	return b.String()
-}
-
 func postInfer(h http.Handler, body string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer", strings.NewReader(body)))
@@ -146,10 +131,10 @@ func memoMetrics(t testing.TB, h http.Handler) inferMemoMetrics {
 	return st
 }
 
-// TestInferMemoDifferential: every case of infer.golden, posted three times —
-// the first is inferred and kept, the next two are found — answers the same
-// bytes under the same headers each time, and they are what a direct
-// InferContext renders and what the golden file holds for the case.
+// TestInferMemoDifferential: every case of infer.golden, rebuilt here, goes
+// through internal/oracle's /infer check — a memo miss and a memo hit, both
+// the bytes a direct InferContext renders under the same headers — and the
+// answer is what the golden file holds for the case.
 func TestInferMemoDifferential(t *testing.T) {
 	file, err := os.ReadFile("../load/testdata/infer.golden")
 	if err != nil {
@@ -160,43 +145,27 @@ func TestInferMemoDifferential(t *testing.T) {
 		name, answer, _ := strings.Cut(section, "\n")
 		golden[name] = answer
 	}
-	h := serve.New(mediator.New("node"))
 	cases := goldenInferCases(t)
 	if len(cases) != len(golden) {
 		t.Errorf("%d cases rebuilt, infer.golden has %d", len(cases), len(golden))
 	}
-	texts := map[string]bool{} // two pairs of cases are one text
-	for _, c := range cases {
-		texts[c.body] = true
-		src, query, err := dtd.ParsePrefix(c.body)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		res, err := infer.InferContext(context.Background(), xmas.MustParse(query), src)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		want := renderInfer(res)
-		if want != golden[c.name] {
-			t.Errorf("%s: a direct inference differs from infer.golden's section", c.name)
-		}
-		var first http.Header
-		for i := 0; i < 3; i++ {
-			rec := postInfer(h, c.body)
-			if rec.Code != http.StatusOK || rec.Body.String() != want {
-				t.Errorf("%s, post %d: status %d, body differs from a direct inference:\n%s\nwant:\n%s", c.name, i, rec.Code, rec.Body, want)
-			}
-			hdr := rec.Header().Clone()
-			hdr.Del(serve.TraceHeader)
-			if first == nil {
-				first = hdr
-			} else if !reflect.DeepEqual(hdr, first) {
-				t.Errorf("%s, post %d: headers %v, the first post's were %v", c.name, i, hdr, first)
-			}
+	texts, distinct := make([]string, len(cases)), map[string]bool{}
+	for i, c := range cases {
+		texts[i] = c.body
+		distinct[c.body] = true // two pairs of cases are one text
+	}
+	h := serve.New(mediator.New("node"))
+	answers, err := oracle.CheckInfer(h, texts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cases {
+		if answers[i] != golden[c.name] {
+			t.Errorf("%s: the answer differs from infer.golden's section", c.name)
 		}
 	}
-	if st, kept := memoMetrics(t, h), int64(len(texts)); st.Kept != kept || st.Hits != 3*int64(len(cases))-kept || st.NotKeptDegraded != 0 {
-		t.Errorf("over %d cases of %d texts posted three times: %+v, want each text kept once and found every time after", len(cases), kept, st)
+	if st, kept := memoMetrics(t, h), int64(len(distinct)); st.Kept != kept || st.Hits != 2*int64(len(cases))-kept || st.NotKeptDegraded != 0 {
+		t.Errorf("over %d cases of %d texts posted twice: %+v, want each text kept once and found every time after", len(cases), kept, st)
 	}
 }
 
