@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet lint race allocs metrics-golden fault fuzz check bench bench-compare bench-prune bench-stream bench-serve bench-cluster load-smoke chaos cluster-smoke experiments cover clean fmt ci
+.PHONY: all build test vet lint race allocs metrics-golden fault fuzz check bench load-smoke chaos cluster-smoke experiments cover clean fmt ci
 
 all: build vet test
 
@@ -115,41 +115,11 @@ check: all allocs lint race fault
 bench:
 	go test -bench=. -benchmem ./
 
-# Archive the compiled-automata cache benchmarks (cold vs warm) as
-# machine-readable JSON, including the cold/warm speedup factors. Compare
-# BENCH_automata.json across commits to track the cache's figure of merit.
-bench-compare:
-	go test -run '^$$' -bench . -benchmem ./internal/automata | go run ./cmd/benchjson | tee BENCH_automata.json
-
-# Archive the query-time pruning benchmarks (Cold = pruning disabled,
-# every source fetched; Warm = pruning enabled, provably-irrelevant
-# sources skipped) as JSON with the cold/warm speedup factor. Compare
-# BENCH_prune.json across commits to track pruning's figure of merit.
-bench-prune:
-	go test -run '^$$' -bench BenchmarkPruneUnionQuery -benchmem ./internal/mediator | go run ./cmd/benchjson | tee BENCH_prune.json
-
-# Archive the streaming-validation and delta-maintenance benchmarks
-# (ValidateDoc: Cold = tree parse + validate, Warm = streaming validator;
-# InvalidateMix: Cold = global invalidate after every source changed,
-# Warm = per-source delta invalidate of the one source that changed,
-# Unchanged = global invalidate after nothing changed: every refetch
-# returns the document held and every part is carried over, unpaired) as
-# JSON with the cold/warm speedup factors. Compare
-# BENCH_stream.json across commits — `benchjson -compare old.json
-# new.json` is the mechanical ratchet.
-bench-stream:
-	go test -run '^$$' -bench 'BenchmarkValidateDoc|BenchmarkInvalidateMix' -benchmem \
-		./internal/dtd ./internal/mediator | go run ./cmd/benchjson | tee BENCH_stream.json
-
-# Sustained-load SLO run (cmd/mixload): a deterministic open-loop mixed
-# operation stream over a synthesized XMark-class fleet, asserted against
-# p95/p99/error-rate/degradation SLOs and archived as BENCH_serve.json.
-# Compare across commits to track the serving path's figure of merit.
-bench-serve:
-	go run ./cmd/mixload -seed 1 -rps 150 -duration 30s -out BENCH_serve.json
-
-# Bounded smoke of the same harness for every push: ~10s of traffic plus a
-# pruning-soundness comparison run, exit nonzero on any SLO violation.
+# Bounded smoke of the sustained-load harness (cmd/mixload: a deterministic
+# open-loop mixed operation stream over a synthesized XMark-class fleet,
+# asserted against p95/p99/error-rate/degradation SLOs) for every push: ~10s
+# of traffic plus a pruning-soundness comparison run, exit nonzero on any
+# SLO violation. The nightly workflow runs the same harness for 30s.
 load-smoke:
 	go run ./cmd/mixload -seed 1 -rps 120 -duration 10s -prune-compare -quiet
 
@@ -172,19 +142,6 @@ chaos:
 # as CLUSTER_report.json. Blocking in CI.
 cluster-smoke:
 	go run ./cmd/mixload -cluster -seed 1 -rps 100 -cluster-phase 2s -out CLUSTER_report.json
-
-# Archive the cluster-tier benchmarks (ForwardHop: Cold = first forwarded
-# request, peer transport built from scratch including the owner DTD round
-# trip; Warm = cached transport, one owner round trip that finds the owner's
-# document unchanged (304); Changed = the same with the owner's source
-# switched and invalidated before every request, so the document crosses the
-# hop; PartChanged = one part of a six-part view switched, so only its run
-# crosses (owner-B/op: what the owner sends); RingOwner[sRep...]:
-# view-to-owner lookups) as JSON with the cold/warm factor. Compare
-# BENCH_cluster.json across commits to track the forward hop's overhead.
-bench-cluster:
-	go test -run '^$$' -bench 'BenchmarkForwardHop|BenchmarkRingOwner' -benchmem \
-		./internal/cluster ./internal/serve | go run ./cmd/benchjson | tee BENCH_cluster.json
 
 # Regenerate every paper artifact (EXPERIMENTS.md).
 experiments:

@@ -6,11 +6,11 @@
 // queries, materializations, inferences, cache invalidations) at a
 // target request rate from a deterministic seed. After the run it
 // scrapes /metrics, asserts the latency/error/degradation SLOs, and
-// archives the whole report as BENCH_serve.json.
+// writes the whole report as JSON to the -out path.
 //
 // Usage:
 //
-//	mixload -seed 1 -rps 100 -duration 10s -sources 6 -out BENCH_serve.json
+//	mixload -seed 1 -rps 100 -duration 10s -sources 6 -out load.json
 //	mixload -target http://localhost:8080 -view published -rps 50 -duration 30s
 //	mixload -faults 0.2 -breakers -slo-error-rate -1 -duration 5s
 //	mixload -chaos -replicas 3 -chaos-phase 2s -out CHAOS_report.json
@@ -62,7 +62,7 @@ func main() {
 	sloP99 := flag.Duration("slo-p99", 0, "per-op p99 latency ceiling; 0 = default (1s), -1 = unchecked")
 	sloErrRate := flag.Float64("slo-error-rate", 0, "error-rate ceiling; default 0 (strict), -1 = unchecked")
 	sloShedRate := flag.Float64("slo-shed-rate", 0, "shed-rate ceiling; 0 = default (0.01), -1 = unchecked")
-	out := flag.String("out", "", "archive the report as JSON to this path (e.g. BENCH_serve.json)")
+	out := flag.String("out", "", "write the report as JSON to this path (e.g. load.json)")
 	quiet := flag.Bool("quiet", false, "suppress the human-readable summary")
 	chaos := flag.Bool("chaos", false, "run the replica chaos campaign (baseline / flap / blackout / recovery) instead of the load stream")
 	replicas := flag.Int("replicas", 3, "replicas per source for the chaos campaign")

@@ -156,6 +156,29 @@ func BenchmarkSetKey(b *testing.B) {
 	}
 }
 
+// raceEnabled says the binary was built with -race (race_test.go).
+var raceEnabled bool
+
+// compileAll, containsAll and equivalentAll are one iteration of the
+// benchmarks below and one run of their ratchet.
+func compileAll(models []regex.Expr) {
+	for _, m := range models {
+		must(Compiled(m, nil))
+	}
+}
+
+func containsAll(models []regex.Expr) {
+	for _, m := range models {
+		must(Contains(m, regex.Rep(m), nil))
+	}
+}
+
+func equivalentAll(pairs [][2]regex.Expr) {
+	for _, p := range pairs {
+		must(Equivalent(p[0], p[1], nil))
+	}
+}
+
 // BenchmarkCompileCold measures the uncached compile path (the cache is
 // purged every iteration, so each iteration pays Thompson + subset +
 // minimization for every model).
@@ -164,9 +187,7 @@ func BenchmarkCompileCold(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		PurgeCache()
-		for _, m := range models {
-			must(Compiled(m, nil))
-		}
+		compileAll(models)
 	}
 }
 
@@ -174,15 +195,11 @@ func BenchmarkCompileCold(b *testing.B) {
 // actually serves: the same content models looked up again and again.
 func BenchmarkCompileWarm(b *testing.B) {
 	models := benchModels()
-	for _, m := range models {
-		must(Compiled(m, nil))
-	}
+	compileAll(models)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, m := range models {
-			must(Compiled(m, nil))
-		}
+		compileAll(models)
 	}
 }
 
@@ -194,23 +211,17 @@ func BenchmarkContainsCold(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		PurgeCache()
-		for _, m := range models {
-			must(Contains(m, regex.Rep(m), nil))
-		}
+		containsAll(models)
 	}
 }
 
 func BenchmarkContainsWarm(b *testing.B) {
 	models := benchModels()
-	for _, m := range models {
-		must(Contains(m, regex.Rep(m), nil))
-	}
+	containsAll(models)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, m := range models {
-			must(Contains(m, regex.Rep(m), nil))
-		}
+		containsAll(models)
 	}
 }
 
@@ -231,42 +242,79 @@ func BenchmarkEquivalentCold(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		PurgeCache()
-		for _, p := range pairs {
-			must(Equivalent(p[0], p[1], nil))
-		}
+		equivalentAll(pairs)
 	}
 }
 
 func BenchmarkEquivalentWarm(b *testing.B) {
 	pairs := equivalentPairs()
-	for _, p := range pairs {
-		must(Equivalent(p[0], p[1], nil))
-	}
+	equivalentAll(pairs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, p := range pairs {
-			must(Equivalent(p[0], p[1], nil))
-		}
+		equivalentAll(pairs)
 	}
+}
+
+// validateWord is a department model and a word it accepts.
+func validateWord() (regex.Expr, []regex.Name) {
+	return must(dtdModel("name, (office|phone)?, (publication|project)*, (gradStudent|postdoc)*")),
+		[]regex.Name{
+			regex.N("name"), regex.N("phone"),
+			regex.N("publication"), regex.N("project"), regex.N("publication"),
+			regex.N("gradStudent"),
+		}
 }
 
 // BenchmarkValidateWarm exercises the full document-validation hot path on
 // a cached DFA (what dtd.Validate does per element).
 func BenchmarkValidateWarm(b *testing.B) {
-	model, err := dtdModel("name, (office|phone)?, (publication|project)*, (gradStudent|postdoc)*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	word := []regex.Name{
-		regex.N("name"), regex.N("phone"),
-		regex.N("publication"), regex.N("project"), regex.N("publication"),
-		regex.N("gradStudent"),
-	}
+	model, word := validateWord()
 	must(MatchExpr(model, word, nil))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		must(MatchExpr(model, word, nil))
+	}
+}
+
+// TestBenchmarkedPathsAllocs pins the allocations of every path the
+// benchmarks above time, one row per benchmark and the same work per run:
+// the warm rows are the cache-hit path the mediator serves, the cold rows
+// purge the cache first and pay the whole compile. A row fails when its path
+// allocates more than it did when measured, plus the one allocation of slack
+// this package's ratchets allow (reduceAllocCeiling). Under -race a cold
+// compile allocates ≈ 16 % more and a few allocations more or less from run
+// to run (sync.Pool drops Puts at random), so the cold rows are checked by
+// `make allocs` and tier-1, which run without it.
+func TestBenchmarkedPathsAllocs(t *testing.T) {
+	models, pairs, sets := benchModels(), equivalentPairs(), benchSets()
+	model, word := validateWord()
+	var keyer setKeyer
+	next := 0
+	for _, c := range []struct {
+		name     string
+		cold     bool
+		run      func()
+		measured float64 // the benchmark's allocs/op at -benchtime 2000x, go1.24 linux/amd64
+	}{
+		{"SetKey", false, func() { _ = keyer.key(sets[next%len(sets)]); next++ }, 1},
+		{"CompileWarm", false, func() { compileAll(models) }, 9},
+		{"ContainsWarm", false, func() { containsAll(models) }, 7},
+		{"EquivalentWarm", false, func() { equivalentAll(pairs) }, 18},
+		{"ValidateWarm", false, func() { must(MatchExpr(model, word, nil)) }, 3},
+		{"CompileCold", true, func() { PurgeCache(); compileAll(models) }, 1739},
+		{"ContainsCold", true, func() { PurgeCache(); containsAll(models) }, 2818},
+		{"EquivalentCold", true, func() { PurgeCache(); equivalentAll(pairs) }, 2045},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.cold && raceEnabled {
+				t.Skip("a cold compile's allocations vary under -race")
+			}
+			c.run()
+			if allocs := testing.AllocsPerRun(50, c.run); allocs > c.measured+1 {
+				t.Errorf("%.0f allocs a run, measured %.0f", allocs, c.measured)
+			}
+		})
 	}
 }

@@ -72,7 +72,7 @@ func TestHarnessDeterministic(t *testing.T) {
 // TestRunPassesSLO is the end-to-end smoke: a short fault-free run over
 // the default heterogeneous fleet must complete every op kind without a
 // single error, prune at least some qualified queries, satisfy the
-// default SLOs, and round-trip through the BENCH_serve.json encoding.
+// default SLOs, and round-trip through the report's JSON encoding (mixload -out).
 func TestRunPassesSLO(t *testing.T) {
 	h, err := NewHarness(short(1))
 	if err != nil {
@@ -110,7 +110,7 @@ func TestRunPassesSLO(t *testing.T) {
 	}
 	var back Report
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("BENCH_serve.json does not round-trip: %v", err)
+		t.Fatalf("the report's JSON does not round-trip: %v", err)
 	}
 	if back.Requests != rep.Requests || back.Pass != rep.Pass || len(back.SLO) != len(rep.SLO) {
 		t.Errorf("round-trip mismatch: %+v vs %+v", back.Requests, rep.Requests)

@@ -12,7 +12,7 @@ import (
 )
 
 // updateReportGolden rewrites testdata/reports.golden. The file pins what
-// the three archived reports (BENCH_serve.json, CHAOS_report.json,
+// the three reports (the load run's, CHAOS_report.json and
 // CLUSTER_report.json) are made of — every JSON key path and every check
 // name — so "the reports did not change" is a test and not a promise.
 // Regenerate it only from a commit whose reports are the reference, and

@@ -3,8 +3,7 @@
 // a mediator with an open-loop mixed operation stream at a target request
 // rate, and asserts latency/error SLOs against the /metrics histograms the
 // serving path already exports. cmd/mixload is the CLI; the nightly CI run
-// archives the resulting BENCH_serve.json next to BENCH_automata.json and
-// BENCH_prune.json.
+// uploads its report as an artifact.
 //
 // The schema synthesizer follows the XMark auction-site generator's
 // recipe (xmlgen's schema.c, see SNIPPETS.md): realistic DTDs are not

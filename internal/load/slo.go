@@ -89,7 +89,7 @@ type PruneCompare struct {
 	Mismatches int `json:"mismatches"`
 }
 
-// Report is one run's archived result (BENCH_serve.json).
+// Report is one run's result, as mixload -out writes it.
 type Report struct {
 	// Echo of the run configuration.
 	Seed            int64    `json:"seed"`
@@ -185,7 +185,7 @@ func (r *Report) Evaluate(slo SLO) {
 // WriteJSON writes the report as indented JSON.
 func (r *Report) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
-// WriteFile archives the report (BENCH_serve.json).
+// WriteFile writes the report to path (mixload -out).
 func (r *Report) WriteFile(path string) error { return writeFile(path, r) }
 
 // Summary renders a short human-readable digest of the run.

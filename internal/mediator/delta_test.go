@@ -477,12 +477,13 @@ func TestStaleServeIsNeverCarried(t *testing.T) {
 // materialization after it, three ways. Cold is the pre-delta refresh story:
 // a global invalidate over sources that all changed, so every part is
 // refetched and evaluated again. Warm invalidates one rotating source, which
-// changed — the traffic InvalidateSource is built for. benchjson pairs the
-// two in BENCH_stream.json (make bench-stream). Unchanged is Cold over
+// changed — the traffic InvalidateSource is built for. Unchanged is Cold over
 // sources that did not change: every refetch returns the document its slot
 // holds and every result is carried over. A source changes by alternating
 // between two parsed copies of its document: what tells a refetch that it
-// must evaluate is the document's identity.
+// must evaluate is the document's identity. The allocations of these paths
+// are pinned by TestNoOpInvalidationAllocations,
+// TestRefreshedPartAllocatesOneTree and TestRefetchOfUnchangedBytesAllocations.
 func benchmarkInvalidateMix(b *testing.B, cycle func(m *Mediator, flip func(src int), i int) error) {
 	ctx := context.Background()
 	m, faults := newDeltaMediator(b, 8, "all")

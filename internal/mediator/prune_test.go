@@ -367,6 +367,6 @@ func benchPruneQuery(b *testing.B, pruning bool) {
 }
 
 // Cold = pruning off (every source fetched each query); Warm = pruning on
-// (five of six sources skipped). cmd/benchjson pairs the two by name.
+// (five of six sources skipped). TestPlanHitAllocs pins Warm's allocations.
 func BenchmarkPruneUnionQueryCold(b *testing.B) { benchPruneQuery(b, false) }
 func BenchmarkPruneUnionQueryWarm(b *testing.B) { benchPruneQuery(b, true) }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -316,7 +317,13 @@ type tagLedger struct {
 	// before[tag] is the least number of invalidations that had begun when a
 	// read returned a document under tag: the tag's generations predate
 	// every invalidation numbered above it.
-	before                                map[string]int64
+	before map[string]int64
+	// issued[tag] is the most invalidations that had returned when a read
+	// that returned a document under tag began, and fresh the most issued[tag]
+	// of a tag a conditional read was told is not modified: the mutator starts
+	// invalidation k+1 only once every mediator's fresh has reached k.
+	issued                                map[string]int64
+	fresh                                 int64
 	tagged, notModified, degraded, staled int
 }
 
@@ -326,7 +333,10 @@ type tagLedger struct {
 // back stale (ReplicaSet): equal tags mean equal bytes; a degraded or stale
 // document has no tag; a read begun after an invalidation returned is never
 // told "not modified" about a tag from before it; and two mediators over the
-// same view, fed the same history, never share a tag.
+// same view, fed the same history, never share a tag. Between two
+// invalidations each mediator answers at least one conditional read "not
+// modified" about a tag it issued after the first of them: the mutator waits
+// for it, so that case is reached by construction, not by the scheduler.
 func TestTagIsSound(t *testing.T) {
 	d, err := dtd.Parse(d1Text)
 	if err != nil {
@@ -368,10 +378,22 @@ func TestTagIsSound(t *testing.T) {
 		}
 		meds := []*Mediator{build("one", 10), build("two", 20)}
 		ledgers := []*tagLedger{
-			{bodies: map[string]string{}, before: map[string]int64{}},
-			{bodies: map[string]string{}, before: map[string]int64{}},
+			{bodies: map[string]string{}, before: map[string]int64{}, issued: map[string]int64{}, fresh: -1},
+			{bodies: map[string]string{}, before: map[string]int64{}, issued: map[string]int64{}, fresh: -1},
 		}
 		var invStarted, invDone atomic.Int64
+		freshened := make(chan struct{}, 1) // a reader raised a ledger's fresh
+		allFresh := func(k int64) bool {
+			for _, led := range ledgers {
+				led.mu.Lock()
+				fresh := led.fresh
+				led.mu.Unlock()
+				if fresh < k {
+					return false
+				}
+			}
+			return true
+		}
 
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
@@ -382,7 +404,20 @@ func TestTagIsSound(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			names := []string{"plain", "guarded", "replicated"}
 			for i := 0; i < 80; i++ {
-				time.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
+				for idle := 0; !allFresh(int64(i)); {
+					select {
+					case <-freshened:
+					case <-time.After(time.Millisecond):
+						// A breaker that opened or replicas that were ejected
+						// since the last invalidation come back only as the
+						// clock moves on.
+						clock.Add(int64(time.Millisecond))
+						if idle++; idle == 30000 {
+							t.Errorf("seed %d: 30 s after invalidation %d, not both mediators have answered \"not modified\" since", seed, i)
+							return
+						}
+					}
+				}
 				clock.Add(int64(time.Millisecond))
 				invStarted.Add(1)
 				if rng.Intn(5) == 0 {
@@ -416,6 +451,9 @@ func TestTagIsSound(t *testing.T) {
 						return
 					default:
 					}
+					// A warm read never blocks: at -cpu=1 the mutator, woken
+					// by a reader, would otherwise wait out the time slice.
+					runtime.Gosched()
 					which := rng.Intn(2)
 					m, led := meds[which], ledgers[which]
 					ctx, cancel := context.WithCancel(context.Background())
@@ -446,6 +484,13 @@ func TestTagIsSound(t *testing.T) {
 							t.Errorf("seed %d: a read begun after invalidation %d was told %s, a tag from before invalidation %d, still holds",
 								seed, begun, ask, limit+1)
 						}
+						if issued := led.issued[ask]; issued > led.fresh {
+							led.fresh = issued
+							select {
+							case freshened <- struct{}{}:
+							default:
+							}
+						}
 					case info.Degraded || len(info.StaleSources) > 0:
 						if info.Degraded {
 							led.degraded++
@@ -467,6 +512,7 @@ func TestTagIsSound(t *testing.T) {
 						if limit, known := led.before[info.Tag]; !known || ended < limit {
 							led.before[info.Tag] = ended
 						}
+						led.issued[info.Tag] = max(led.issued[info.Tag], begun)
 						held[which] = info.Tag
 					}
 					led.mu.Unlock()

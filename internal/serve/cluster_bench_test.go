@@ -50,10 +50,10 @@ func benchForwarder(b *testing.B, ownerURL string) *cluster.Node {
 
 // BenchmarkForwardHopCold measures the full cost of a first forwarded
 // request: transport build (owner DTD round trip) plus the materialized
-// view fetch, streaming validation and re-serve. Pairs with
-// BenchmarkForwardHopWarm via benchjson to report the transport cache's
-// speedup — the forward-hop figure of merit archived in
-// BENCH_cluster.json.
+// view fetch, streaming validation and re-serve. Beside
+// BenchmarkForwardHopWarm it is the transport cache's speedup. The warm
+// hops' allocations are pinned by TestForwardHopNotModifiedAllocs and
+// TestForwardHopPartChangedAllocs.
 func BenchmarkForwardHopCold(b *testing.B) {
 	owner, _ := newServerAndMediator(b)
 	late := &swapHandler{}
