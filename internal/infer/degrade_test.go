@@ -26,8 +26,12 @@ import (
 // unbudgeted subset construction would build all of them. m is optional
 // under the root and its children are declared-but-unrealizable
 // (self-recursive), so no finite document ever contains an m: document
-// generation and validation never touch the blowup, only inference's
-// occurrence analysis does.
+// generation and validation never touch the blowup, only inference does.
+// Which part of inference meets it depends on the query: the occurrence
+// count behind blowupQuery's validity is read off the model's syntax and
+// never compiles it, while blowupOverlapQuery's overlapping selections
+// take the containment fallback, which compiles the model while the pair
+// is under the fallback's size limit (k = 12 is; k = 26 is not).
 func blowupDTD(k int) *dtd.DTD {
 	d := dtd.New("site")
 	tower := regex.Cat(regex.Rep(regex.Or(regex.Nm("x"), regex.Nm("y"))), regex.Nm("x"))
@@ -42,21 +46,32 @@ func blowupDTD(k int) *dtd.DTD {
 	return d
 }
 
+// blowupQuery selects two distinct x children of m: identical selections,
+// whose validity is a count of x positions.
 const blowupQuery = `blow =
 SELECT M
 WHERE <site> M:<m> <x id=A/> <x id=B/> </m> </site>
 AND A != B`
 
+// blowupOverlapQuery selects an x and an x-or-y child of m: overlapping,
+// non-identical selections, whose validity is decided by refinement and
+// language containment on the compiled model.
+const blowupOverlapQuery = `blow =
+SELECT M
+WHERE <site> M:<m> <x id=A/> <x|y id=B/> </m> </site>
+AND A != B`
+
 // TestBlowupDTDDegradesWithinBudget is the tentpole acceptance check: a
-// source DTD engineered to explode the occurrence analysis must, under a
-// resource budget, return promptly with a Degraded result whose view DTDs
-// are consistent and sound — not hang, not error, not produce garbage.
+// source DTD engineered to explode the validity check's containment
+// fallback (2^13 DFA states at k = 12, over the 4096 allowed) must, under
+// a resource budget, return promptly with a Degraded result whose view
+// DTDs are consistent and sound — not hang, not error, not produce garbage.
 func TestBlowupDTDDegradesWithinBudget(t *testing.T) {
-	d := blowupDTD(26)
+	d := blowupDTD(12)
 	if errs := d.Check(); len(errs) > 0 {
 		t.Fatalf("crafted DTD inconsistent: %v", errs)
 	}
-	q := xmas.MustParse(blowupQuery)
+	q := xmas.MustParse(blowupOverlapQuery)
 
 	bud := budget.New(budget.Limits{Deadline: 5 * time.Second, MaxStates: 4096})
 	start := time.Now()
@@ -89,6 +104,38 @@ func TestBlowupDTDDegradesWithinBudget(t *testing.T) {
 	}
 	if rep.Violations != 0 {
 		t.Fatalf("degraded view DTD is unsound: %d violations; first: %s", rep.Violations, rep.First)
+	}
+}
+
+// TestBlowupDTDAnsweredExactlyByTheFold pins what reading the occurrence
+// count off the syntax bought: the original blow-up, 2^27 DFA states at
+// k = 26 with identical selections, is inferred exactly under a budget of
+// 512 states — no compile, no degradation — and its answer is the
+// unbudgeted one.
+func TestBlowupDTDAnsweredExactlyByTheFold(t *testing.T) {
+	d := blowupDTD(26)
+	q := xmas.MustParse(blowupQuery)
+	full, err := infer.Infer(q, d)
+	if err != nil {
+		t.Fatalf("unbudgeted inference: %v", err)
+	}
+	bud := budget.New(budget.Limits{MaxStates: 512})
+	start := time.Now()
+	res, err := infer.InferContext(budget.NewContext(context.Background(), bud), q, d)
+	if elapsed := time.Since(start); elapsed > 30*time.Second {
+		t.Fatalf("budgeted inference took %v", elapsed)
+	}
+	if err != nil {
+		t.Fatalf("budgeted inference: %v", err)
+	}
+	if res.Degraded {
+		t.Fatalf("result degraded (%s); the occurrence count must not need the budget", res.DegradedReason)
+	}
+	if got, want := res.DTD.String(), full.DTD.String(); got != want {
+		t.Errorf("view DTD under the budget differs from the unbudgeted one:\n%s\nwant:\n%s", got, want)
+	}
+	if got, want := res.SDTD.String(), full.SDTD.String(); got != want {
+		t.Errorf("view s-DTD under the budget differs from the unbudgeted one:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -574,44 +573,39 @@ func (in *inferencer) fanOut(n int, label func(i int) string, f func(i int)) {
 // When the selections' base-name sets are pairwise identical or disjoint
 // (the overwhelmingly common shape), this reduces exactly to an occurrence
 // count per group — every accepted word must carry at least `count`
-// positions drawn from the group's names — decided on the model's DFA with
-// a capped counter in O(states × alphabet × count). This avoids
-// compiling the refined expression, whose "which position hosts the
-// occurrence" alternation makes subset construction blow up on union-view
-// scale models. Overlapping, non-identical selections fall back to the
+// positions drawn from the group's names — read off the model's syntax by
+// atLeastOccurrences, a min-plus fold in O(size of the model) per group
+// that builds no automaton and allocates nothing. This avoids compiling
+// the refined expression, whose "which position hosts the occurrence"
+// alternation makes subset construction blow up on union-view scale
+// models. Overlapping, non-identical selections fall back to the
 // language-containment check, size-limited (too large ⇒ conservatively
 // not valid; sound, merely less tight).
 func refinementIsValid(model regex.Expr, sels []childSel, bud *budget.Budget) bool {
+	// A group is the first selection with a given base-name set and the
+	// number of selections that share that set.
 	type group struct {
-		bases map[string]bool
-		key   string
+		sel   map[string]regex.Name
 		count int
 	}
-	var groups []group
+	var buf [8]group
+	groups := buf[:0]
+next:
 	for _, cs := range sels {
-		bases := map[string]bool{}
-		for b := range cs.sel {
-			bases[b] = true
-		}
-		key := strings.Join(sortedKeys(bases), "\x00")
-		found := false
 		for i := range groups {
-			if groups[i].key == key {
+			if sameBases(groups[i].sel, cs.sel) {
 				groups[i].count++
-				found = true
-				break
+				continue next
 			}
 		}
-		if !found {
-			groups = append(groups, group{bases: bases, key: key, count: 1})
-		}
+		groups = append(groups, group{sel: cs.sel, count: 1})
 	}
 	// Pairwise disjointness between distinct groups.
 	disjoint := true
 	for i := 0; i < len(groups) && disjoint; i++ {
 		for j := i + 1; j < len(groups) && disjoint; j++ {
-			for b := range groups[i].bases {
-				if groups[j].bases[b] {
+			for b := range groups[i].sel {
+				if _, ok := groups[j].sel[b]; ok {
 					disjoint = false
 					break
 				}
@@ -620,8 +614,7 @@ func refinementIsValid(model regex.Expr, sels []childSel, bud *budget.Budget) bo
 	}
 	if disjoint {
 		for _, g := range groups {
-			ok, err := atLeastOccurrences(model, g.bases, g.count, bud)
-			if err != nil || !ok {
+			if !atLeastOccurrences(model, g.sel, g.count) {
 				return false
 			}
 		}
@@ -643,42 +636,67 @@ func refinementIsValid(model regex.Expr, sels []childSel, bud *budget.Budget) bo
 	return err == nil && contained
 }
 
+// sameBases reports whether two selections admit the same base names.
+func sameBases(a, b map[string]regex.Name) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for base := range a {
+		if _, ok := b[base]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // atLeastOccurrences reports whether every word of L(model) contains at
-// least k positions whose (untagged) name lies in bases. The DFA
-// compilation is the expensive part, so it is budgeted; an exhausted
-// budget returns an error and the caller answers conservatively.
-func atLeastOccurrences(model regex.Expr, bases map[string]bool, k int, bud *budget.Budget) (bool, error) {
-	d, err := automata.Compiled(model, bud)
-	if err != nil {
-		return false, err
-	}
-	counting := make([]bool, len(d.Alphabet))
-	for ai, n := range d.Alphabet {
-		counting[ai] = n.Tag == 0 && bases[n.Base]
-	}
-	// BFS over (state, min(count, k)).
-	type ps struct{ s, c int }
-	seen := map[ps]bool{{d.Start, 0}: true}
-	queue := []ps{{d.Start, 0}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if d.Accept[cur.s] && cur.c < k {
-			return false, nil
+// least k counted positions: positions whose name is untagged and has its
+// base in bases. That is fewest(model) ≥ k, where fewest is the least
+// number of counted positions over the words of the language — a min-plus
+// fold over the syntax: an atom counts 1 or 0, a sequence sums its items,
+// a union takes its least item, a star, option or ε counts 0 and a plus
+// counts its operand. The empty language has no word that falls short, so
+// it counts as ∞: it drops out of a union and makes a sequence — and, at
+// the top, the whole question — vacuously true. The fold is linear in the
+// size of the model, allocates nothing and needs no budget.
+func atLeastOccurrences(model regex.Expr, bases map[string]regex.Name, k int) bool {
+	return fewest(model, bases, k) >= k
+}
+
+// fewest is the least number of counted positions over the words of L(e),
+// capped at k; ∞ (the empty language) is k too. Capping keeps the sums
+// bounded and changes no answer to "≥ k".
+func fewest(e regex.Expr, bases map[string]regex.Name, k int) int {
+	switch v := e.(type) {
+	case regex.Empty, regex.Star, regex.Opt:
+		return 0
+	case regex.Fail:
+		return k
+	case regex.Atom:
+		if _, ok := bases[v.Name.Base]; ok && v.Name.Tag == 0 {
+			return min(1, k)
 		}
-		for ai := range d.Alphabet {
-			nc := cur.c
-			if counting[ai] && nc < k {
-				nc++
-			}
-			np := ps{d.Trans[cur.s][ai], nc}
-			if !seen[np] {
-				seen[np] = true
-				queue = append(queue, np)
+		return 0
+	case regex.Concat:
+		n := 0
+		for _, it := range v.Items {
+			if n += fewest(it, bases, k); n >= k {
+				return k
 			}
 		}
+		return n
+	case regex.Alt:
+		n := k
+		for _, it := range v.Items {
+			if n = min(n, fewest(it, bases, k)); n == 0 {
+				return 0
+			}
+		}
+		return n
+	case regex.Plus:
+		return fewest(v.Sub, bases, k)
 	}
-	return true, nil
+	panic(fmt.Sprintf("infer: unknown regex node %T", e))
 }
 
 // queryClass classifies the whole condition against the source document

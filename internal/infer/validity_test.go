@@ -119,31 +119,50 @@ func TestRefinementIsValidDifferential(t *testing.T) {
 }
 
 func TestAtLeastOccurrences(t *testing.T) {
+	a := regex.Nm("a")
 	cases := []struct {
 		model string
+		expr  regex.Expr // when set, the raw model the text stands for
 		bases []string
 		k     int
 		want  bool
 	}{
-		{"a, a", []string{"a"}, 2, true},
-		{"a, a", []string{"a"}, 3, false},
-		{"a+", []string{"a"}, 1, true},
-		{"a+", []string{"a"}, 2, false},
-		{"(a|b)+, (a|b)", []string{"a", "b"}, 2, true},
-		{"b*", []string{"a"}, 0, true},
-		{"b*", []string{"a"}, 1, false},
+		{"a, a", nil, []string{"a"}, 2, true},
+		{"a, a", nil, []string{"a"}, 3, false},
+		{"a+", nil, []string{"a"}, 1, true},
+		{"a+", nil, []string{"a"}, 2, false},
+		{"(a|b)+, (a|b)", nil, []string{"a", "b"}, 2, true},
+		{"b*", nil, []string{"a"}, 0, true},
+		{"b*", nil, []string{"a"}, 1, false},
+		// The empty language has no word that falls short.
+		{"FAIL", nil, []string{"a"}, 3, true},
+		{"EMPTY", nil, []string{"a"}, 0, true},
+		{"EMPTY", nil, []string{"a"}, 1, false},
+		// ∅ drops out of a union and empties a sequence.
+		{"(a | FAIL), a", regex.Concat{Items: []regex.Expr{regex.Alt{Items: []regex.Expr{a, regex.Fail{}}}, a}}, []string{"a"}, 2, true},
+		{"(a | FAIL), a", regex.Concat{Items: []regex.Expr{regex.Alt{Items: []regex.Expr{a, regex.Fail{}}}, a}}, []string{"a"}, 3, false},
+		{"(FAIL, a)*", regex.Star{Sub: regex.Concat{Items: []regex.Expr{regex.Fail{}, a}}}, []string{"a"}, 1, false},
+		{"(FAIL, a)*", regex.Star{Sub: regex.Concat{Items: []regex.Expr{regex.Fail{}, a}}}, []string{"a"}, 0, true},
+		{"FAIL, a", regex.Concat{Items: []regex.Expr{regex.Fail{}, a}}, []string{"a"}, 4, true},
+		// A tagged name is a refined occurrence, never a counted one.
+		{"a^1", nil, []string{"a"}, 1, false},
+		{"a^1, a", nil, []string{"a"}, 1, true},
+		{"a^1, a", nil, []string{"a"}, 2, false},
 	}
 	for _, c := range cases {
-		bases := map[string]bool{}
+		bases := map[string]regex.Name{}
 		for _, b := range c.bases {
-			bases[b] = true
+			bases[b] = regex.N(b)
 		}
-		got, err := atLeastOccurrences(regex.MustParse(c.model), bases, c.k, nil)
-		if err != nil {
-			t.Fatalf("atLeastOccurrences(%s, %v, %d): %v", c.model, c.bases, c.k, err)
+		model := c.expr
+		if model == nil {
+			model = regex.MustParse(c.model)
 		}
-		if got != c.want {
+		if got := atLeastOccurrences(model, bases, c.k); got != c.want {
 			t.Errorf("atLeastOccurrences(%s, %v, %d) = %v, want %v", c.model, c.bases, c.k, got, c.want)
+		}
+		if ref, err := refAtLeastOccurrences(model, bases, c.k); err != nil || ref != c.want {
+			t.Errorf("reference on (%s, %v, %d) = %v, %v; want %v", c.model, c.bases, c.k, ref, err, c.want)
 		}
 	}
 }

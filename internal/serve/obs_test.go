@@ -476,14 +476,16 @@ func TestEndToEndObservability(t *testing.T) {
 
 	// 3. Inference-as-a-service under the budget. The posted DTD's element
 	// names are unique to this test so its content models are cold in the
-	// process-wide automata cache and the compile charges the budget.
+	// process-wide automata cache, and the two overlapping selections under
+	// e2eObsItem send its validity check to the containment fallback, whose
+	// compile charges the budget.
 	inferBody := `<!DOCTYPE e2eObsRoot [
   <!ELEMENT e2eObsRoot (e2eObsItem*)>
   <!ELEMENT e2eObsItem (e2eObsName, e2eObsNote?)>
   <!ELEMENT e2eObsName (#PCDATA)>
   <!ELEMENT e2eObsNote (#PCDATA)>
 ]>
-picked = SELECT X WHERE <e2eObsRoot> X:<e2eObsItem><e2eObsName></e2eObsName></> </e2eObsRoot>`
+picked = SELECT X WHERE <e2eObsRoot> X:<e2eObsItem><e2eObsName id=A/><e2eObsName|e2eObsNote id=B/></> </e2eObsRoot> AND A != B`
 	req, err := http.NewRequest(http.MethodPost, srv.URL+"/infer", strings.NewReader(inferBody))
 	if err != nil {
 		t.Fatal(err)
