@@ -52,7 +52,9 @@ lint:
 # gives the rest room. The line before it repeats, fifty times, every test of the one
 # "compute once, the rest wait" rule (cache.Flight) and of its three holders:
 # the flight's own table, the LRU under the automata compiler and the memos,
-# the part slots, and the forward builds — ≈ 20 s on 2 cores.
+# the part slots, and the forward builds — ≈ 20 s on 2 cores — and the
+# refinement fan-out, whose workers write one slab of specializations at
+# distinct indices (internal/infer, ≈ 9 s more).
 test:
 	go test ./...
 
@@ -60,7 +62,7 @@ race:
 	go vet ./...
 	go test -race ./...
 	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/ ./internal/obs/ ./internal/oracle/
-	go test -race -count=50 -cpu=1,2 -run 'TestFlight|TestPurgeFencesTheFlightInFlight|TestJoinerLeavesWithItsContext|TestPanicFailsWaitersAndPropagates|TestErrorIsTheLeadersOwn|TestSingleflightBlocksJoiners|TestConcurrentCompilerSingleflight|TestPlanSingleflight|TestSingleflightMaterialize|TestMaterializeFollowerCancellation|TestFollowerSurvives|TestTagNamesTheCalcTheJoinerEndedOn|TestRacedResultStaysAsPredecessor|TestInvalidateDiscardsInflightResult|TestMetricsSingleflightDedups|TestForwardBuildOncePerBurst|TestForwardJoinerLeavesWithItsContext|TestForwardIncompleteNotCached' ./internal/automata/cache/ ./internal/automata/ ./internal/mediator/ ./internal/cluster/ ./internal/serve/
+	go test -race -count=50 -cpu=1,2 -run 'TestFlight|TestPurgeFencesTheFlightInFlight|TestJoinerLeavesWithItsContext|TestPanicFailsWaitersAndPropagates|TestErrorIsTheLeadersOwn|TestSingleflightBlocksJoiners|TestConcurrentCompilerSingleflight|TestPlanSingleflight|TestSingleflightMaterialize|TestMaterializeFollowerCancellation|TestFollowerSurvives|TestTagNamesTheCalcTheJoinerEndedOn|TestRacedResultStaysAsPredecessor|TestInvalidateDiscardsInflightResult|TestMetricsSingleflightDedups|TestForwardBuildOncePerBurst|TestForwardJoinerLeavesWithItsContext|TestForwardIncompleteNotCached|TestFanOut|TestSimplifyReturnsWorkerPanic' ./internal/automata/cache/ ./internal/automata/ ./internal/mediator/ ./internal/cluster/ ./internal/serve/ ./internal/infer/
 	go test -race -count=20 -cpu=1,2 -timeout 15m -run 'Answer|Forward|Lease|Memo|Splice' -skip 'TestAnswersByPartEqualTheNaiveEvaluation|TestAnswerBytesEqualTheNaiveSerialization|TestPlanHitEqualsMissEqualsColdMemo|TestInferMemoDifferential' ./internal/mediator/ ./internal/cluster/ ./internal/serve/
 
 # Every allocation ratchet in the tree, by one name and without -race: a

@@ -90,7 +90,12 @@ const reduceSizeLimit = 512
 // Contains's syntactic front door; only a pair the trees leave open
 // costs a cache key, and a compile when it is cold.
 func absorb(items []regex.Expr, bud *budget.Budget) ([]regex.Expr, error) {
-	keep := make([]bool, len(items))
+	var buf [32]bool // the flags of a union of up to 32 alternatives stay on the stack
+	keep := buf[:0]
+	if len(items) > len(buf) {
+		keep = make([]bool, len(items))
+	}
+	keep = keep[:len(items)]
 	for i := range keep {
 		keep[i] = true
 	}

@@ -101,10 +101,12 @@ func (d *DTD) Declare(name string, t Type) {
 // Names returns the declared names in declaration order. Mutating the
 // result does not affect the DTD. When the order must be rebuilt (Types
 // populated directly), the document type sorts first, then alphabetically.
-func (d *DTD) Names() []string { return append([]string(nil), d.names()...) }
+func (d *DTD) Names() []string { return append([]string(nil), d.Declared()...) }
 
-// names is Names without the copy, for the package's own loops.
-func (d *DTD) names() []string {
+// Declared is Names without the copy, for loops that only read: the slice
+// is the DTD's own, so the caller must not modify it, and a later Declare
+// may grow or reorder it.
+func (d *DTD) Declared() []string {
 	if len(d.order) != len(d.Types) {
 		d.order = d.order[:0]
 		for n := range d.Types {
@@ -142,7 +144,7 @@ func (d *DTD) String() string {
 // dst has the room.
 func (d *DTD) AppendText(dst []byte) []byte {
 	dst = append(append(append(dst, "<!DOCTYPE "...), d.Root...), " [\n"...)
-	for _, n := range d.names() {
+	for _, n := range d.Declared() {
 		dst = AppendElementDecl(dst, regex.N(n), d.Types[n])
 	}
 	return append(dst, "]>"...)
@@ -380,7 +382,7 @@ func (d *DTD) Check() []error {
 		errs = append(errs, fmt.Errorf("dtd: document type %s is not declared", d.Root))
 	}
 	refs := make([]regex.Name, 0, 16)
-	for _, n := range d.names() {
+	for _, n := range d.Declared() {
 		t := d.Types[n]
 		if t.PCDATA {
 			continue

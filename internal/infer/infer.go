@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -105,6 +106,22 @@ type spec struct {
 	class Class      // valid / satisfiable / unsatisfiable for this name
 }
 
+// specs holds one condition's specializations, one per name it can match,
+// sorted by base name: ranging over it visits the names alphabetically.
+type specs []spec
+
+// get returns the specialization of base, or nil when the condition cannot
+// match it.
+func (s specs) get(base string) *spec {
+	i, ok := slices.BinarySearchFunc(s, base, func(sp spec, base string) int {
+		return strings.Compare(sp.name.Base, base)
+	})
+	if !ok {
+		return nil
+	}
+	return &s[i]
+}
+
 type inferencer struct {
 	ctx     context.Context
 	bud     *budget.Budget
@@ -112,7 +129,7 @@ type inferencer struct {
 	q       *xmas.Query
 	nextTag map[string]int
 	// full memoizes tightenCond results (full refinement, all children).
-	full map[*xmas.Cond]map[string]*spec
+	full map[*xmas.Cond]specs
 
 	// mu guards the two fields below, which fan-out workers write.
 	mu sync.Mutex
@@ -165,10 +182,11 @@ func Infer(q *xmas.Query, src *dtd.DTD) (*Result, error) {
 }
 
 // InferContext is Infer with cancellation and budgeting: the per-name
-// refinement fan-out (the hot loop of the tightening pass, which compiles
-// and checks automata for every element name a condition can match) runs
-// on up to GOMAXPROCS goroutines and stops early when the context is
-// cancelled, in which case the context's error is returned. A panic in a
+// refinement fan-out (the hot loop of the tightening pass, which refines,
+// reduces and classifies the type of every element name a condition can
+// match; validity is read off the content model, no automaton is built for
+// it) runs on up to GOMAXPROCS goroutines and stops early when the context
+// is cancelled, in which case the context's error is returned. A panic in a
 // worker is recovered and returned as an error naming the offending
 // element, never crashing the process.
 //
@@ -257,7 +275,7 @@ func newInferencer(ctx context.Context, q *xmas.Query, src *dtd.DTD) *inferencer
 		src:      src,
 		q:        q,
 		nextTag:  map[string]int{},
-		full:     map[*xmas.Cond]map[string]*spec{},
+		full:     map[*xmas.Cond]specs{},
 		degraded: map[string]bool{},
 	}
 }
@@ -296,13 +314,14 @@ func (in *inferencer) specialized() (*sdtd.SDTD, error) {
 
 // effNames returns the names the condition can match among the DTD's
 // declared names, in DTD declaration order (wildcard = all names, the
-// paper's preprocessing of name variables).
+// paper's preprocessing of name variables). The caller must not modify the
+// result: for a wildcard it is the DTD's own list.
 func (in *inferencer) effNames(c *xmas.Cond) []string {
 	if len(c.Names) == 0 {
-		return in.src.Names()
+		return in.src.Declared()
 	}
-	var out []string
-	for _, n := range in.src.Names() {
+	out := make([]string, 0, len(c.Names)) // the DTD declares each name once
+	for _, n := range in.src.Declared() {
 		if c.MatchesName(n) {
 			out = append(out, n)
 		}
@@ -319,7 +338,7 @@ func (in *inferencer) allocTag(base string) regex.Name {
 // specialization obtained by refining the name's source type with all of
 // the condition's subconditions (Figure 2). Results are memoized per
 // condition node.
-func (in *inferencer) tightenCond(c *xmas.Cond) map[string]*spec {
+func (in *inferencer) tightenCond(c *xmas.Cond) specs {
 	if m, ok := in.full[c]; ok {
 		return m
 	}
@@ -343,20 +362,19 @@ type childSel struct {
 // refineWith computes the per-name specializations of condition c using the
 // given subset of its children (the full set for ordinary tightening; all
 // but the path child when computing the side-refined types that feed list
-// inference).
-func (in *inferencer) refineWith(c *xmas.Cond, children []*xmas.Cond) map[string]*spec {
-	out := map[string]*spec{}
+// inference). It returns them sorted by base name, with their tags minted in
+// the DTD's declaration order.
+func (in *inferencer) refineWith(c *xmas.Cond, children []*xmas.Cond) specs {
 	// Recurse into children once; shared across this condition's names.
-	var sels []childSel
+	sels := make([]childSel, 0, len(children))
 	for _, cc := range children {
-		specs := in.tightenCond(cc)
-		cs := childSel{sel: map[string]regex.Name{}, class: Valid, qualifier: cc.Qualifier}
-		for _, base := range sortedKeys(specs) {
-			sp := specs[base]
+		ccSpecs := in.tightenCond(cc)
+		cs := childSel{sel: make(map[string]regex.Name, len(ccSpecs)), class: Valid, qualifier: cc.Qualifier}
+		for _, sp := range ccSpecs {
 			if sp.class == Unsatisfiable {
 				continue
 			}
-			cs.sel[base] = sp.name
+			cs.sel[sp.name.Base] = sp.name
 			if sp.class != Valid {
 				cs.class = Satisfiable
 			}
@@ -371,27 +389,29 @@ func (in *inferencer) refineWith(c *xmas.Cond, children []*xmas.Cond) map[string
 	// with them the entire inferred s-DTD — stay deterministic regardless
 	// of how the refinement work below is scheduled.
 	names := in.effNames(c)
-	for _, n := range names {
-		out[n] = &spec{name: in.allocTag(n)}
+	out := make(specs, len(names))
+	for i, n := range names {
+		out[i].name = in.allocTag(n)
 	}
 	// The per-name refinements are independent (they read only the source
-	// DTD and the shared sels) and each one compiles and checks automata,
-	// so they fan out across goroutines.
-	in.fanOut(len(names), func(i int) string { return names[i] }, func(i int) {
-		in.computeSpec(c, children, sels, names[i], out[names[i]])
+	// DTD and the shared sels, and each writes its own element of out), and
+	// each one refines, reduces and classifies a content model, so they fan
+	// out across goroutines.
+	in.fanOut(len(out), func(i int) string { return out[i].name.Base }, func(i int) {
+		in.computeSpec(c, children, sels, out[i].name.Base, &out[i])
 	})
 	// An interrupted fan-out (cancellation or a worker panic) leaves some
 	// specs half-built: typ zero-valued (nil Model, not PCDATA). Later
 	// phases would feed that nil into regex.Map and panic on the main
 	// goroutine, so patch them into inert Unsatisfiable specs; the
 	// interrupt itself is surfaced by the phase checks on in.err().
-	for _, n := range names {
-		sp := out[n]
-		if sp.typ.Model == nil && !sp.typ.PCDATA {
+	for i := range out {
+		if sp := &out[i]; sp.typ.Model == nil && !sp.typ.PCDATA {
 			sp.typ = dtd.M(regex.Bot())
 			sp.class = Unsatisfiable
 		}
 	}
+	slices.SortFunc(out, func(a, b spec) int { return strings.Compare(a.name.Base, b.name.Base) })
 	return out
 }
 
@@ -518,33 +538,16 @@ func (in *inferencer) computeSpec(c *xmas.Cond, children []*xmas.Cond, sels []ch
 // With a single processor — or a single item — it degrades to the plain
 // serial loop, paying no goroutine overhead.
 func (in *inferencer) fanOut(n int, label func(i int) string, f func(i int)) {
-	run := func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				in.recordPanic(fmt.Errorf("%w refining element %q: %v", ErrWorkerPanic, label(i), r))
-			}
-		}()
-		f(i)
-	}
-	stopped := func() bool {
-		if in.ctx.Err() != nil {
-			return true
-		}
-		in.mu.Lock()
-		p := in.panicErr
-		in.mu.Unlock()
-		return p != nil
-	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if stopped() {
+			if in.stopped() {
 				return
 			}
-			run(i)
+			in.runItem(i, label, f)
 		}
 		return
 	}
@@ -556,14 +559,37 @@ func (in *inferencer) fanOut(n int, label func(i int) string, f func(i int)) {
 			defer wg.Done()
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n || stopped() {
+				if i >= n || in.stopped() {
 					return
 				}
-				run(i)
+				in.runItem(i, label, f)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// runItem is one fan-out item: f(i), with a panic recorded as an error
+// naming the item.
+func (in *inferencer) runItem(i int, label func(i int) string, f func(i int)) {
+	defer func() {
+		if r := recover(); r != nil {
+			in.recordPanic(fmt.Errorf("%w refining element %q: %v", ErrWorkerPanic, label(i), r))
+		}
+	}()
+	f(i)
+}
+
+// stopped reports whether the fan-out should start no more items: the
+// context is done or a worker has panicked.
+func (in *inferencer) stopped() bool {
+	if in.ctx.Err() != nil {
+		return true
+	}
+	in.mu.Lock()
+	p := in.panicErr
+	in.mu.Unlock()
+	return p != nil
 }
 
 // refinementIsValid decides whether every word of the model admits an
@@ -706,8 +732,8 @@ func (in *inferencer) queryClass() Class {
 	if !root.MatchesName(in.src.Root) {
 		return Unsatisfiable
 	}
-	sp, ok := in.tightenCond(root)[in.src.Root]
-	if !ok {
+	sp := in.tightenCond(root).get(in.src.Root)
+	if sp == nil {
 		return Unsatisfiable
 	}
 	return sp.class
@@ -717,8 +743,7 @@ func (in *inferencer) queryClass() Class {
 // pick condition and of all conditions below it — the types of the
 // elements that can appear in the view.
 func (in *inferencer) declareSubtree(view *sdtd.SDTD, c *xmas.Cond) {
-	for _, base := range sortedKeys(in.tightenCond(c)) {
-		sp := in.tightenCond(c)[base]
+	for _, sp := range in.tightenCond(c) {
 		if sp.class == Unsatisfiable {
 			continue
 		}
@@ -737,7 +762,7 @@ func (in *inferencer) pull(view *sdtd.SDTD) {
 	refs := make([]regex.Name, 0, 16)
 	for {
 		missing = missing[:0]
-		for _, n := range view.Names() {
+		for _, n := range view.Declared() {
 			t := view.Types[n]
 			if t.PCDATA || t.Model == nil {
 				continue
@@ -771,7 +796,8 @@ func (in *inferencer) pull(view *sdtd.SDTD) {
 // the paper's first tightening step: keep "only the types for the names
 // that may appear in the view documents".
 func pruneUnreachable(view *sdtd.SDTD) {
-	reach := map[regex.Name]bool{view.Root: true}
+	reach := make(map[regex.Name]bool, len(view.Types))
+	reach[view.Root] = true
 	work := []regex.Name{view.Root}
 	refs := make([]regex.Name, 0, 16)
 	for len(work) > 0 {
@@ -789,7 +815,7 @@ func pruneUnreachable(view *sdtd.SDTD) {
 			}
 		}
 	}
-	for _, n := range view.Names() {
+	for _, n := range view.Declared() {
 		if !reach[n] {
 			delete(view.Types, n)
 		}

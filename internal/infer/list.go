@@ -47,14 +47,13 @@ func (in *inferencer) inferList(path []*xmas.Cond) regex.Expr {
 	// L₀ from the root step.
 	if len(path) == 1 {
 		// The pick variable is on the root condition itself.
-		sp := in.tightenCond(root)[in.src.Root]
-		return stepAtom(sp)
+		return stepAtom(in.tightenCond(root).get(in.src.Root))
 	}
 	// prevSpecs holds the specializations whose tagged names are the
 	// placeholders currently appearing in l; they are carried forward
 	// because every refineWith call mints fresh tags.
 	prevSpecs := in.sideSpecs(root, path[1])
-	l := stepAtom(prevSpecs[in.src.Root])
+	l := stepAtom(prevSpecs.get(in.src.Root))
 
 	for i := 1; i < len(path); i++ {
 		step := path[i]
@@ -65,19 +64,15 @@ func (in *inferencer) inferList(path []*xmas.Cond) regex.Expr {
 		// Qualification of the step's names: the pick step uses the full
 		// specializations (its subconditions are all side conditions); an
 		// intermediate step uses side-refined specializations.
-		var stepSpecs map[string]*spec
+		var stepSpecs specs
 		if exclude == nil {
 			stepSpecs = in.tightenCond(step)
 		} else {
 			stepSpecs = in.sideSpecs(step, exclude)
 		}
-		byName := map[regex.Name]*spec{}
-		for _, sp := range prevSpecs {
-			byName[sp.name] = sp
-		}
 		l = regex.Map(l, func(n regex.Name) regex.Expr {
-			sp, ok := byName[n]
-			if !ok || sp.class == Unsatisfiable {
+			sp := prevSpecs.get(n.Base)
+			if sp == nil || sp.name != n || sp.class == Unsatisfiable {
 				return regex.Eps()
 			}
 			if sp.typ.PCDATA {
@@ -95,8 +90,8 @@ func (in *inferencer) inferList(path []*xmas.Cond) regex.Expr {
 // except the excluded path child. Results are memoized per (cond, exclude)
 // via the slice identity of the filtered children — cheap enough to just
 // recompute, so we do.
-func (in *inferencer) sideSpecs(c *xmas.Cond, exclude *xmas.Cond) map[string]*spec {
-	var side []*xmas.Cond
+func (in *inferencer) sideSpecs(c *xmas.Cond, exclude *xmas.Cond) specs {
+	side := make([]*xmas.Cond, 0, len(c.Children))
 	for _, cc := range c.Children {
 		if cc != exclude {
 			side = append(side, cc)
@@ -137,13 +132,13 @@ func stepAtom(sp *spec) regex.Expr {
 // always projects as optional. This resolves the "could match semantics"
 // case of Appendix B's pseudo-code; TestFuzzInferenceSoundness found the
 // exact counterexample for the once-tempting "exact when valid" rule.
-func project(t regex.Expr, step *xmas.Cond, stepSpecs map[string]*spec) regex.Expr {
+func project(t regex.Expr, step *xmas.Cond, stepSpecs specs) regex.Expr {
 	return regex.Map(t, func(n regex.Name) regex.Expr {
 		if !step.MatchesName(n.Base) {
 			return regex.Eps()
 		}
-		sp, ok := stepSpecs[n.Base]
-		if !ok {
+		sp := stepSpecs.get(n.Base)
+		if sp == nil {
 			return regex.Eps()
 		}
 		a := stepAtom(sp)

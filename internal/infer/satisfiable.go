@@ -363,7 +363,7 @@ func appendDTDKey(b []byte, d *dtd.DTD) []byte {
 	b = append(b, 'D')
 	b = binary.AppendUvarint(b, uint64(len(d.Root)))
 	b = append(b, d.Root...)
-	names := append([]string(nil), d.Names()...)
+	names := d.Names() // a copy: sorting must not reorder the DTD's own
 	sort.Strings(names)
 	b = binary.AppendUvarint(b, uint64(len(names)))
 	for _, n := range names {

@@ -91,8 +91,7 @@ func simplifyCond(in *inferencer, orig, clone *xmas.Cond, src *dtd.DTD, rep *Sim
 		specs := in.tightenCond(orig)
 		var kept []string
 		for _, n := range clone.Names {
-			sp, ok := specs[n]
-			if ok && sp.class != Unsatisfiable {
+			if sp := specs.get(n); sp != nil && sp.class != Unsatisfiable {
 				kept = append(kept, n)
 			} else {
 				rep.DroppedNames++
@@ -152,15 +151,15 @@ func isPrunable(in *inferencer, parent, child *xmas.Cond) bool {
 		return false
 	}
 	specs := in.tightenCond(child)
-	sel := map[string]regex.Name{}
-	for base, sp := range specs {
+	sel := make(map[string]regex.Name, len(specs))
+	for _, sp := range specs {
 		if sp.class == Unsatisfiable {
 			continue
 		}
 		if sp.class != Valid {
 			return false // some matched element might fail the subconditions
 		}
-		sel[base] = sp.name
+		sel[sp.name.Base] = sp.name
 	}
 	if len(sel) == 0 {
 		return false

@@ -18,24 +18,36 @@ import (
 // the pick variable are upper-case.
 var elementName = regexp.MustCompile(`[a-z][A-Za-z0-9_]*`)
 
-// firstSightAllocs is what one never-seen POST /infer allocated when
-// TestInferFirstSightAllocs was written, per family/size/condition. When
-// validity compiled the model's DFA through the automata cache, a plain
-// condition paid one lookup and 10 more allocations per request on award
-// and two lookups and 17–18 more on name (more while the cache's map grew:
+// firstSightAllocs is what one never-seen POST /infer allocates, per
+// family/size/condition: 5 351 over the 30 rows, a mean of 178.4 (ParsePrefix
+// 75, xmas.Parse 9, InferContext 94.4 of it).
+//
+// While infer kept each condition's specializations in a map keyed by name
+// and Merge grouped them in a map of slices, the rows summed to 7 610, a
+// mean of 253.7 (InferContext 169.7); each row is 22–33 % below its count
+// then:
+//
+//	recursive   237 238 231 / 255 256 249    optional 215 219 215 / 236 239 236
+//	disjunctive 236 237 235 / 258 259 257    idref    169 170 166 / 169 170 166
+//	mixed       361 362 357 / 405 406 401
+//
+// (Width/Depth 6 / 8, each as <name/> <award/> [<award/>].) When validity
+// compiled the model's DFA through the automata cache, a plain condition
+// paid one lookup and 10 more allocations per request on award and two
+// lookups and 17–18 more on name (more while the cache's map grew:
 // recursive/6/<name/> was 454); the qualifier, whose validity is never
-// asked, paid the same as now.
+// asked, paid the same as then.
 var firstSightAllocs = map[string]float64{
-	"recursive/6/<name/>": 237, "recursive/6/<award/>": 238, "recursive/6/[<award/>]": 231,
-	"recursive/8/<name/>": 255, "recursive/8/<award/>": 256, "recursive/8/[<award/>]": 249,
-	"optional/6/<name/>": 215, "optional/6/<award/>": 219, "optional/6/[<award/>]": 215,
-	"optional/8/<name/>": 236, "optional/8/<award/>": 239, "optional/8/[<award/>]": 236,
-	"disjunctive/6/<name/>": 236, "disjunctive/6/<award/>": 237, "disjunctive/6/[<award/>]": 235,
-	"disjunctive/8/<name/>": 258, "disjunctive/8/<award/>": 259, "disjunctive/8/[<award/>]": 257,
-	"idref/6/<name/>": 169, "idref/6/<award/>": 170, "idref/6/[<award/>]": 166,
-	"idref/8/<name/>": 169, "idref/8/<award/>": 170, "idref/8/[<award/>]": 166,
-	"mixed/6/<name/>": 361, "mixed/6/<award/>": 362, "mixed/6/[<award/>]": 357,
-	"mixed/8/<name/>": 405, "mixed/8/<award/>": 406, "mixed/8/[<award/>]": 401,
+	"recursive/6/<name/>": 164, "recursive/6/<award/>": 165, "recursive/6/[<award/>]": 158,
+	"recursive/8/<name/>": 175, "recursive/8/<award/>": 176, "recursive/8/[<award/>]": 169,
+	"optional/6/<name/>": 155, "optional/6/<award/>": 159, "optional/6/[<award/>]": 155,
+	"optional/8/<name/>": 169, "optional/8/<award/>": 172, "optional/8/[<award/>]": 169,
+	"disjunctive/6/<name/>": 163, "disjunctive/6/<award/>": 164, "disjunctive/6/[<award/>]": 162,
+	"disjunctive/8/<name/>": 177, "disjunctive/8/<award/>": 178, "disjunctive/8/[<award/>]": 176,
+	"idref/6/<name/>": 132, "idref/6/<award/>": 133, "idref/6/[<award/>]": 129,
+	"idref/8/<name/>": 132, "idref/8/<award/>": 133, "idref/8/[<award/>]": 129,
+	"mixed/6/<name/>": 247, "mixed/6/<award/>": 248, "mixed/6/[<award/>]": 243,
+	"mixed/8/<name/>": 274, "mixed/8/<award/>": 275, "mixed/8/[<award/>]": 270,
 }
 
 // TestInferFirstSightAllocs is the ratchet on a POST /infer no cache has

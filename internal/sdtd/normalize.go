@@ -111,7 +111,7 @@ func (s *SDTD) Normalize(bud *budget.Budget) *SDTD {
 	// type.
 	out := NewSized(target(s.Root), len(names))
 	declared := make([]bool, len(names))
-	for _, n := range s.names() {
+	for _, n := range s.Declared() {
 		i, _ := index(n)
 		if declared[rep[i]] {
 			continue

@@ -20,7 +20,9 @@ package sdtd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/automata"
 	"repro/internal/budget"
@@ -64,10 +66,12 @@ func (s *SDTD) Declare(n Name, t dtd.Type) {
 // Names returns the declared tagged names in declaration order. When the
 // order must be rebuilt (after deletions) it is recomputed with the
 // document type first, then alphabetically.
-func (s *SDTD) Names() []Name { return append([]Name(nil), s.names()...) }
+func (s *SDTD) Names() []Name { return append([]Name(nil), s.Declared()...) }
 
-// names is Names without the copy, for the package's own loops.
-func (s *SDTD) names() []Name {
+// Declared is Names without the copy, for loops that only read: the slice
+// is the s-DTD's own, so the caller must not modify it, and a later Declare
+// may grow or reorder it. Deleting from Types while ranging over it is safe.
+func (s *SDTD) Declared() []Name {
 	if len(s.order) != len(s.Types) {
 		s.order = s.order[:0]
 		for n := range s.Types {
@@ -120,7 +124,7 @@ func (s *SDTD) String() string {
 // dst has the room.
 func (s *SDTD) AppendText(dst []byte) []byte {
 	dst = append(regex.AppendName(append(dst, "<!DOCTYPE "...), s.Root), " [\n"...)
-	for _, n := range s.names() {
+	for _, n := range s.Declared() {
 		dst = dtd.AppendElementDecl(dst, n, s.Types[n])
 	}
 	return append(dst, "]>"...)
@@ -133,7 +137,7 @@ func (s *SDTD) Check() []error {
 		errs = append(errs, fmt.Errorf("sdtd: document type %s is not declared", s.Root))
 	}
 	refs := make([]Name, 0, 16)
-	for _, n := range s.names() {
+	for _, n := range s.Declared() {
 		t := s.Types[n]
 		if t.PCDATA {
 			continue
@@ -192,20 +196,37 @@ func (e MergeEvent) String() string {
 // merge as Distinct — claiming information *may* have been lost is sound,
 // the reverse is not.
 func (s *SDTD) Merge(bud *budget.Budget) (*dtd.DTD, []MergeEvent, error) {
-	out := dtd.NewSized(s.Root.Base, len(s.Types)) // one declaration a base: no more
-	var events []MergeEvent
-	byBase := map[string][]Name{}
-	var bases []string
-	for _, n := range s.Names() {
-		if _, seen := byBase[n.Base]; !seen {
-			bases = append(bases, n.Base)
-		}
-		byBase[n.Base] = append(byBase[n.Base], n)
+	names := s.Declared()
+	out := dtd.NewSized(s.Root.Base, len(names)) // one declaration a base: no more
+	// byBase holds the positions of names sorted by base, then position: the
+	// specializations of a base are one run of it in declaration order, and
+	// the run's first entry is where the base first appears.
+	byBase := make([]int32, len(names))
+	for i := range byBase {
+		byBase[i] = int32(i)
 	}
-	for _, base := range bases {
-		specs := byBase[base]
+	slices.SortFunc(byBase, func(a, b int32) int {
+		if c := strings.Compare(names[a].Base, names[b].Base); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	var events []MergeEvent
+	for i, n := range names {
+		lo, _ := slices.BinarySearchFunc(byBase, n.Base, func(p int32, base string) int {
+			return strings.Compare(names[p].Base, base)
+		})
+		if byBase[lo] != int32(i) {
+			continue // declared with the first specialization of its base
+		}
+		hi := lo + 1
+		for hi < len(byBase) && names[byBase[hi]].Base == n.Base {
+			hi++
+		}
+		specs := byBase[lo:hi]
+		base := n.Base
 		if len(specs) == 1 {
-			t := s.Types[specs[0]]
+			t := s.Types[n]
 			if t.PCDATA {
 				out.Declare(base, dtd.PC())
 			} else {
@@ -214,11 +235,11 @@ func (s *SDTD) Merge(bud *budget.Budget) (*dtd.DTD, []MergeEvent, error) {
 			continue
 		}
 		pcdata := 0
-		var images []regex.Expr
-		var tags []int
-		for _, n := range specs {
-			tags = append(tags, n.Tag)
-			t := s.Types[n]
+		images := make([]regex.Expr, 0, len(specs))
+		tags := make([]int, 0, len(specs))
+		for _, p := range specs {
+			tags = append(tags, names[p].Tag)
+			t := s.Types[names[p]]
 			if t.PCDATA {
 				pcdata++
 				continue
