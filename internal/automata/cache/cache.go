@@ -81,8 +81,20 @@ func New(capacity int) *Cache {
 func (c *Cache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
+	return c.touchLocked(c.entries[key])
+}
+
+// GetBytes is Get for a key the caller holds as bytes: the lookup makes no
+// string of them.
+func (c *Cache) GetBytes(key []byte) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.touchLocked(c.entries[string(key)])
+}
+
+// touchLocked is Get's answer for what the lookup found, el (nil: nothing).
+func (c *Cache) touchLocked(el *list.Element) (any, bool) {
+	if el == nil {
 		return nil, false
 	}
 	c.order.MoveToFront(el)

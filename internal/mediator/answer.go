@@ -141,6 +141,14 @@ func (a *Answer) Write(w io.Writer) error {
 	return xmlmodel.WriteRuns(w, a.root, answerIndent, len(a.parts), a.run)
 }
 
+// Size is the number of bytes Write sends, known before the first when every
+// run with elements brings its bytes (xmlmodel.RunsSize): a view's document or
+// a query's answer whose parts all come from their memos' bytes, or one with
+// no elements at all. A run streamed on this read makes it unknown.
+func (a *Answer) Size() (int, bool) {
+	return xmlmodel.RunsSize(a.root, answerIndent, len(a.parts), a.run)
+}
+
 // Runs is RunsHeader's value for a view's document: how many root children
 // each part contributes, in part order.
 func (a *Answer) Runs() string {

@@ -516,22 +516,25 @@ func (m *Mediator) MaterializeInfo(ctx context.Context, viewName string) (*xmlmo
 // sources unchanged, and is the miss it was.
 func (m *Mediator) MaterializeIfChanged(ctx context.Context, viewName, ifNoneMatch string) (*xmlmodel.Document, *MaterializeInfo, error) {
 	a, info, err := m.viewAnswer(ctx, viewName, ifNoneMatch, false)
-	if a.parts == nil { // an error, or NotModified
-		return nil, info, err
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case info.NotModified:
+		return nil, &info, nil
 	}
-	return viewDocument(viewName, a.parts), info, nil
+	return viewDocument(viewName, a.parts), &info, nil
 }
 
 // ViewAnswer is MaterializeIfChanged for a caller that sends the document: no
 // root is built, and a part sent twice before brings its bytes.
-func (m *Mediator) ViewAnswer(ctx context.Context, viewName, ifNoneMatch string) (Answer, *MaterializeInfo, error) {
+func (m *Mediator) ViewAnswer(ctx context.Context, viewName, ifNoneMatch string) (Answer, MaterializeInfo, error) {
 	return m.viewAnswer(ctx, viewName, ifNoneMatch, true)
 }
 
-func (m *Mediator) viewAnswer(ctx context.Context, viewName, ifNoneMatch string, bytes bool) (Answer, *MaterializeInfo, error) {
+func (m *Mediator) viewAnswer(ctx context.Context, viewName, ifNoneMatch string, bytes bool) (Answer, MaterializeInfo, error) {
 	v, err := m.View(viewName)
 	if err != nil {
-		return Answer{}, nil, err
+		return Answer{}, MaterializeInfo{}, err
 	}
 	parts, info, err := m.resolveMasked(ctx, v, nil, nil, ifNoneMatch)
 	if err != nil || info.NotModified {
@@ -558,7 +561,7 @@ func keepAll(v *View) []bool { return slices.Repeat([]bool{true}, len(v.Parts)) 
 // except a breaker-open rejection (ErrBreakerOpen), which drops just that part
 // and lets the siblings complete: a dead source degrades the view, it does
 // not take it down.
-func (m *Mediator) resolveMasked(ctx context.Context, v *View, keep []bool, pruned []string, ifNoneMatch string) ([]plannedPart, *MaterializeInfo, error) {
+func (m *Mediator) resolveMasked(ctx context.Context, v *View, keep []bool, pruned []string, ifNoneMatch string) ([]plannedPart, MaterializeInfo, error) {
 	whole := keep == nil
 	parts := make([]plannedPart, len(v.Parts))
 	var leads, joins int
@@ -603,11 +606,11 @@ func (m *Mediator) resolveMasked(ctx context.Context, v *View, keep []bool, prun
 			if span != nil {
 				span.SetAttr(obs.String("error", err.Error()))
 			}
-			return nil, nil, err
+			return nil, MaterializeInfo{}, err
 		}
 	}
 
-	info := &MaterializeInfo{Provenance: Provenance{PrunedSources: pruned}}
+	info := MaterializeInfo{Provenance: Provenance{PrunedSources: pruned}}
 	for i, p := range parts {
 		if !whole && !keep[i] {
 			continue
@@ -899,25 +902,25 @@ func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*
 	}
 	res := engine.EmptyResult(q)
 	res.Root.Children = concat(a.parts)
-	return res, stats, nil
+	return res, &stats, nil
 }
 
 // Answer is Query for a caller that holds the query as the text it arrived in
 // and sends the answer: a text seen before is not parsed (plan.go), no root and
 // no pick list are built, and a part asked twice before brings its bytes.
-func (m *Mediator) Answer(ctx context.Context, viewName string, text []byte) (Answer, *QueryStats, error) {
+func (m *Mediator) Answer(ctx context.Context, viewName string, text []byte) (Answer, QueryStats, error) {
 	return m.answer(ctx, viewName, nil, text)
 }
 
 // answer is Query and Answer: q, or when q is nil the query text spells.
-func (m *Mediator) answer(ctx context.Context, viewName string, q *xmas.Query, text []byte) (Answer, *QueryStats, error) {
+func (m *Mediator) answer(ctx context.Context, viewName string, q *xmas.Query, text []byte) (Answer, QueryStats, error) {
 	// One critical section reads everything the query depends on.
 	m.mu.Lock()
 	v, ok := m.views[viewName]
 	pruning, limits := !m.noPrune, m.inferLimits
 	m.mu.Unlock()
 	if !ok {
-		return Answer{}, nil, fmt.Errorf("mediator: %w %s", ErrUnknownView, viewName)
+		return Answer{}, QueryStats{}, fmt.Errorf("mediator: %w %s", ErrUnknownView, viewName)
 	}
 	ctx, span := obs.StartSpan(ctx, "query", obs.String("view", viewName))
 	defer span.End()
@@ -925,13 +928,13 @@ func (m *Mediator) answer(ctx context.Context, viewName string, q *xmas.Query, t
 	defer func() { m.stats.recordQuery(viewName, time.Since(start)) }()
 	plan, hit, byText, err := m.planFor(ctx, v, q, text, pruning, limits)
 	if err != nil {
-		return Answer{}, nil, err
+		return Answer{}, QueryStats{}, err
 	}
 	// The plan says what the analysis concluded; counting it, and telling
 	// the trace, is this request's.
 	span.SetAttr(obs.Bool("plan_hit", hit), obs.Bool("plan_text_hit", byText))
 	a := Answer{View: v, root: plan.root}
-	stats := &QueryStats{
+	stats := QueryStats{
 		PrunedConditions: plan.prunedConditions,
 		DroppedNames:     plan.droppedNames,
 		SimplifierError:  plan.simplifierError,
@@ -964,7 +967,7 @@ func (m *Mediator) answer(ctx context.Context, viewName string, q *xmas.Query, t
 	}
 	parts, info, err := m.resolveMasked(ctx, v, plan.keep, plan.prunedSources, "")
 	if err != nil {
-		return Answer{}, nil, err
+		return Answer{}, QueryStats{}, err
 	}
 	stats.Provenance = info.Provenance
 	if plan.remember && !info.Degraded && len(info.StaleSources) == 0 {
@@ -974,7 +977,7 @@ func (m *Mediator) answer(ctx context.Context, viewName string, q *xmas.Query, t
 	}
 	picks, err := plan.prepared.EvalElements(viewDocument(v.Name, parts))
 	if err != nil {
-		return Answer{}, nil, err
+		return Answer{}, QueryStats{}, err
 	}
 	a.parts = []plannedPart{{picks: picks}} // the walk's picks are not of one part or another
 	return a, stats, nil

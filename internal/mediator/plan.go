@@ -116,11 +116,12 @@ func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, text []b
 		key = binary.AppendUvarint(key, uint64(len(v.Name)))
 		key = append(key, v.Name...)
 	}
-	var alias string
+	var aliasBuf [512]byte // a longer text's alias is built on the heap
+	var alias []byte
 	if q == nil {
 		if len(text) <= maxPlanText {
-			alias = "t" + string(key) + string(text) // no canonical key begins with t
-			if cached, ok := m.plans.Get(alias); ok {
+			alias = append(append(append(aliasBuf[:0], 't'), key...), text...) // no canonical key begins with t
+			if cached, ok := m.plans.GetBytes(alias); ok {
 				m.stats.add(&m.stats.PlanTextHits, 1)
 				return cached.(*Plan), true, true, nil
 			}
@@ -145,16 +146,16 @@ func (m *Mediator) planFor(ctx context.Context, v *View, q *xmas.Query, text []b
 		}
 		keep := !unknown && plan.simplifierError == ""
 		plan.remember = plan.remember && keep // no slot would be asked for its answer again
-		if keep && alias != "" {
-			m.plans.Put(alias, plan)
+		if keep && alias != nil {
+			m.plans.Put(string(alias), plan)
 		}
 		return plan, keep, nil
 	})
 	if err != nil {
 		return nil, false, false, err // ctx ended, or the analysis this call joined panicked
 	}
-	if alias != "" && !led { // a kept plan, found or joined
-		m.plans.Put(alias, cached)
+	if alias != nil && !led { // a kept plan, found or joined
+		m.plans.Put(string(alias), cached)
 	}
 	return cached.(*Plan), !led, false, nil
 }

@@ -38,18 +38,22 @@ type Provenance struct {
 // SetHeaders advertises p on a response: X-Mix-Degraded ("true") with
 // X-Mix-Degraded-Sources, X-Mix-Pruned-Sources and X-Mix-Stale-Sources,
 // each only when it has something to say.
-func (p Provenance) SetHeaders(h http.Header) {
+func (p Provenance) SetHeaders(h http.Header) { p.EachHeader(h.Set) }
+
+// EachHeader is SetHeaders for a caller that sets headers its own way: set
+// is called once per header SetHeaders would set, in the same order.
+func (p Provenance) EachHeader(set func(name, value string)) {
 	if p.Degraded {
-		h.Set("X-Mix-Degraded", "true")
+		set("X-Mix-Degraded", "true")
 	}
-	setCSV(h, "X-Mix-Degraded-Sources", p.DegradedSources)
-	setCSV(h, "X-Mix-Pruned-Sources", p.PrunedSources)
-	setCSV(h, "X-Mix-Stale-Sources", p.StaleSources)
+	setCSV(set, "X-Mix-Degraded-Sources", p.DegradedSources)
+	setCSV(set, "X-Mix-Pruned-Sources", p.PrunedSources)
+	setCSV(set, "X-Mix-Stale-Sources", p.StaleSources)
 }
 
-func setCSV(h http.Header, name string, sources []string) {
+func setCSV(set func(name, value string), name string, sources []string) {
 	if len(sources) > 0 {
-		h.Set(name, strings.Join(sources, ","))
+		set(name, strings.Join(sources, ","))
 	}
 }
 

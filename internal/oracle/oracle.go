@@ -20,6 +20,8 @@
 //   - every GET /views/{name} body validates against the DTD in its own
 //     prologue (Definition 3.1);
 //   - equal ETags carry equal bytes;
+//   - a 200 declares a Content-Length exactly when no run of it was streamed
+//     on the read, and then the body's length; a 304 declares none;
 //   - a starved analysis or view definition compiles nothing, and an analysis
 //     that exhausted its budget is not kept;
 //   - a funded view's s-DTD is Canonical.
@@ -361,7 +363,7 @@ var axes = []string{"pruning=true", "pruning=false", "starved=true", "starved=fa
 	"plan=" + PlanNone, "plan=" + PlanMiss, "plan=" + PlanKey, "plan=" + PlanText,
 	"read=first", "read=found-once", "read=rendered", "read=copied",
 	"invalidation=" + InvalNone, "invalidation=" + InvalNoOp, "invalidation=" + InvalReal,
-	"conditional reads", "starved analyses not kept"}
+	"conditional reads", "starved analyses not kept", "declared lengths", "chunked answers"}
 
 // Vacuous names every value exercised fewer than min times.
 func (t Tally) Vacuous(min int) error {
@@ -506,6 +508,23 @@ func (o *Oracle) do(st *Step, body, ifNoneMatch string, tally Tally) error {
 			return fail("the body does not validate against the DTD in its own prologue (Definition 3.1)")
 		}
 	}
+	switch declared, ok := st.Header["Content-Length"]; {
+	case st.Status == http.StatusNotModified:
+		if ok {
+			return fail("a 304 declares Content-Length %s", declared[0])
+		}
+	case streamed(st, doc):
+		if ok {
+			return fail("Content-Length %s on an answer that streamed a run", declared[0])
+		}
+		tally["chunked answers"]++
+	case !ok:
+		return fail("no Content-Length on an answer whose every run came from bytes")
+	case declared[0] != strconv.Itoa(len(st.Body)):
+		return fail("Content-Length %s on a body of %d bytes", declared[0], len(st.Body))
+	default:
+		tally["declared lengths"]++
+	}
 	if held, ok := s.tags[st.Tag]; ok && held != st.Want {
 		return fail("the ETag %s was sent with other bytes before", st.Tag)
 	} else if st.Tag != "" {
@@ -526,6 +545,19 @@ func (o *Oracle) do(st *Step, body, ifNoneMatch string, tally Tally) error {
 		}
 	}
 	return nil
+}
+
+// streamed reports whether the subject streamed a run of the answer doc
+// (indented by 2, the body without its prologue) on the read st: whether less
+// of what doc holds between its root's tags came from bytes a memo kept or
+// rendered on the read than is there. An answer whose every run did has a
+// length known before its first byte, and only such an answer declares it.
+func streamed(st *Step, doc string) bool {
+	open, close := strings.IndexByte(doc, '>')+1, strings.LastIndex(doc, "</")
+	runs := max(close-open-1, 0) // less the newline after the open tag
+	fromBytes := st.After.AnswerBytesCopied - st.Before.AnswerBytesCopied +
+		st.After.AnswerBytesRendered - st.Before.AnswerBytesRendered
+	return fromBytes < int64(runs)
 }
 
 // Canonical reports whether Normalize's result on an s-DTD does not depend

@@ -3,9 +3,11 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"maps"
 	"net/http"
+	"net/textproto"
 	"slices"
 	"sort"
 	"strconv"
@@ -25,12 +27,45 @@ const TraceHeader = obs.TraceHeader
 
 // statusWriter captures the status code and body size for the access log
 // and the per-route metrics. WriteHeader/Write keep http.ResponseWriter
-// semantics (implicit 200 on first Write).
+// semantics (implicit 200 on first Write). It is also the response's header
+// block (setHeader).
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+	// vals holds the header values setHeader sets, each the one-element
+	// slice a header value is: the response's values are allocated once,
+	// with the writer, not one slice per header.
+	vals  [headerBlock]string
+	nvals int
 }
+
+// headerBlock is room for every value one answer sets: the trace ID, a
+// query's four X-Mix-* values, provenance (six at most) and Content-Length;
+// a view's document sets its ETag in place of the four.
+const headerBlock = 12
+
+// setHeader is w.Header().Set(name, value) for a handler behind ServeHTTP:
+// while the response's block has room the value goes there, and costs no
+// allocation of its own.
+func setHeader(w http.ResponseWriter, name, value string) {
+	sw, ok := w.(*statusWriter)
+	if !ok || sw.nvals == len(sw.vals) {
+		w.Header().Set(name, value)
+		return
+	}
+	i := sw.nvals
+	sw.vals[i], sw.nvals = value, i+1
+	w.Header()[textproto.CanonicalMIMEHeaderKey(name)] = sw.vals[i : i+1 : i+1]
+}
+
+// The Content-Type values of this server's answers, shared by every response
+// that sends one: net/http only reads a header's values, and Header.Set and
+// Header.Add replace or reallocate them.
+var (
+	xmlType  = []string{"application/xml; charset=utf-8"}
+	textType = []string{"text/plain; charset=utf-8"}
+)
 
 func (sw *statusWriter) WriteHeader(code int) {
 	if sw.status == 0 {
@@ -44,6 +79,17 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 		sw.status = http.StatusOK
 	}
 	n, err := sw.ResponseWriter.Write(p)
+	sw.bytes += int64(n)
+	return n, err
+}
+
+// WriteString hands s to the underlying writer as it is (io.WriteString),
+// where a Write would have to copy it into a []byte first.
+func (sw *statusWriter) WriteString(s string) (int, error) {
+	if sw.status == 0 {
+		sw.status = http.StatusOK
+	}
+	n, err := io.WriteString(sw.ResponseWriter, s)
 	sw.bytes += int64(n)
 	return n, err
 }
@@ -69,10 +115,10 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		name = "http " + r.Method
 	}
 	ctx, span := h.tracer.StartRequest(r.Context(), name, r.Header.Get(TraceHeader))
-	if id := span.TraceID(); id != "" {
-		w.Header().Set(TraceHeader, id)
-	}
 	sw := &statusWriter{ResponseWriter: w}
+	if id := span.TraceID(); id != "" {
+		setHeader(sw, TraceHeader, id)
+	}
 	r2 := r.WithContext(ctx)
 
 	start := time.Now()

@@ -261,16 +261,16 @@ func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
 	}
 	setProvenanceHeaders(w, a.View, info.Provenance)
 	if leasable {
-		h.grant(w, offer, a.View, info)
+		h.grant(w, offer, a.View, &info)
 	}
 	if notModified(w, info.Tag, info.NotModified) {
 		return
 	}
-	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
+	w.Header()["Content-Type"] = xmlType
 	if wantsRuns(r) && sendRuns(w, r, a, info.Tag) {
 		return
 	}
-	writeAnswer(r.Context(), w, a.View.DTDText, a.Write)
+	sendAnswer(r.Context(), w, a.View.DTDText, &a)
 }
 
 // notModified finishes the validator's part of a GET /views/{name} answer,
@@ -279,7 +279,7 @@ func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
 // answered 304 — the headers set so far, no body. It reports whether it did.
 func notModified(w http.ResponseWriter, tag string, matched bool) bool {
 	if tag != "" {
-		w.Header().Set("ETag", tag)
+		setHeader(w, "ETag", tag)
 	}
 	if matched {
 		w.WriteHeader(http.StatusNotModified)
@@ -301,12 +301,23 @@ func notModified(w http.ResponseWriter, tag string, matched bool) bool {
 // gets a well-formed, DTD-sound document.
 func setProvenanceHeaders(w http.ResponseWriter, v *mediator.View, p mediator.Provenance) {
 	if v.Degraded {
-		w.Header().Set("X-Mix-Degraded", "true")
+		setHeader(w, "X-Mix-Degraded", "true")
 		if v.DegradedReason != "" {
-			w.Header().Set("X-Mix-Degraded-Reason", v.DegradedReason)
+			setHeader(w, "X-Mix-Degraded-Reason", v.DegradedReason)
 		}
 	}
-	p.SetHeaders(w.Header())
+	p.EachHeader(func(name, value string) { setHeader(w, name, value) })
+}
+
+// sendAnswer sends a view's document or a query's answer as writeAnswer does,
+// declaring its length, the schema's included, when it is known before the
+// first byte (mediator.Answer.Size): when a run is streamed on this read the
+// answer goes out chunked.
+func sendAnswer(ctx context.Context, w http.ResponseWriter, schema string, a *mediator.Answer) {
+	if n, ok := a.Size(); ok {
+		setHeader(w, "Content-Length", strconv.Itoa(len(schema)+n))
+	}
+	writeAnswer(ctx, w, schema, a.Write)
 }
 
 // writeAnswer sends an XML answer: the text of the DTD the document is
@@ -479,15 +490,15 @@ func (h *Handler) postQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	w.Header().Set("X-Mix-Skipped", strconv.FormatBool(stats.SkippedUnsatisfiable))
-	w.Header().Set("X-Mix-Pruned", strconv.Itoa(stats.PrunedConditions))
-	w.Header().Set("X-Mix-Dropped-Names", strconv.Itoa(stats.DroppedNames))
+	w.Header()["Content-Type"] = xmlType
+	setHeader(w, "X-Mix-Skipped", strconv.FormatBool(stats.SkippedUnsatisfiable))
+	setHeader(w, "X-Mix-Pruned", strconv.Itoa(stats.PrunedConditions))
+	setHeader(w, "X-Mix-Dropped-Names", strconv.Itoa(stats.DroppedNames))
 	if stats.SimplifierError != "" {
-		w.Header().Set("X-Mix-Simplifier-Error", stats.SimplifierError)
+		setHeader(w, "X-Mix-Simplifier-Error", stats.SimplifierError)
 	}
 	setProvenanceHeaders(w, a.View, stats.Provenance)
-	writeAnswer(r.Context(), w, "", a.Write)
+	sendAnswer(r.Context(), w, "", &a)
 }
 
 // postInfer is inference as a service: the request body is a DOCTYPE
@@ -511,8 +522,10 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 	if kept, ok := h.inferred.Get(text); ok {
 		h.inferHits.Add(1)
 		obs.SetAttr(r.Context(), obs.String("infer_memo", "hit"))
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(kept.(*keptInference).out)
+		k := kept.(*keptInference)
+		w.Header()["Content-Type"] = textType
+		setHeader(w, "Content-Length", k.length)
+		w.Write(k.out)
 		return
 	}
 	src, query, err := dtd.ParsePrefix(text)
@@ -534,10 +547,10 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if res.Degraded {
-		w.Header().Set("X-Mix-Degraded", "true")
-		w.Header().Set("X-Mix-Degraded-Reason", res.DegradedReason)
+		setHeader(w, "X-Mix-Degraded", "true")
+		setHeader(w, "X-Mix-Degraded-Reason", res.DegradedReason)
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Header()["Content-Type"] = textType
 	// One buffer, one write. Two view DTDs seldom outgrow twice the request.
 	out := make([]byte, 0, 256+2*len(body))
 	out = append(out, "-- specialized view DTD\n"...)
@@ -553,6 +566,7 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 			out = fmt.Appendf(out, "-- warning: %s\n", ev)
 		}
 	}
+	setHeader(w, "Content-Length", strconv.Itoa(len(out)))
 	w.Write(out)
 
 	memo := "not_kept"
@@ -560,7 +574,7 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 	case res.Degraded:
 		h.inferNotKeptDegraded.Add(1)
 	case size > maxInferMemoEntry:
-	case h.inferred.Put(text, &keptInference{out: out, size: size}):
+	case h.inferred.Put(text, &keptInference{out: out, length: strconv.Itoa(len(out)), size: size}):
 		h.inferKept.Add(1)
 		memo = "kept"
 	}
@@ -568,11 +582,12 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 }
 
 // keptInference is an entry of the inference memo: the response written for
-// the request text it is kept under, never written again, and the bytes the
-// two take together.
+// the request text it is kept under, never written again, its Content-Length,
+// and the bytes the two take together.
 type keptInference struct {
-	out  []byte
-	size int
+	out    []byte
+	length string
+	size   int
 }
 
 // inferMemoStats is the inference memo's part of /metrics, JSON keys and

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -380,5 +382,84 @@ func TestAnswersAreTheSerializersBytes(t *testing.T) {
 	}
 	if string(body) != dtd.MarshalDocument(want, nil, 2) {
 		t.Errorf("POST query body:\n%s\nwant:\n%s", body, dtd.MarshalDocument(want, nil, 2))
+	}
+}
+
+// TestWarmAnswersDeclareTheirLength: over a real connection, a query's answer
+// and a view's document go out chunked while a run is streamed (the first two
+// reads) and with a Content-Length once every run brings its bytes (the
+// third, which renders them, and the fourth, which copies them); the bodies
+// are the same bytes and the headers the same set, but for that one. A 304
+// declares no length; an inference, found in the memo or not, declares its.
+func TestWarmAnswersDeclareTheirLength(t *testing.T) {
+	srv := httptest.NewServer(New(benchmarkSizedNode(t)))
+	defer srv.Close()
+	send := func(method, path, body string, header ...string) (*http.Response, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(header); i += 2 {
+			req.Header.Set(header[i], header[i+1])
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, string(b)
+	}
+	// what a response says beyond its length and the values that differ per
+	// response
+	said := func(h http.Header) http.Header {
+		h = h.Clone()
+		for _, k := range []string{"Content-Length", "Date", TraceHeader} {
+			delete(h, k)
+		}
+		return h
+	}
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodPost, "/views/w/query", benchmarkSizedQuery},
+		{http.MethodGet, "/views/w", ""},
+	} {
+		first, want := send(c.method, c.path, c.body)
+		for read := 1; read <= 4; read++ {
+			resp, body := first, want
+			if read > 1 {
+				resp, body = send(c.method, c.path, c.body)
+			}
+			chunked := len(resp.TransferEncoding) == 1 && resp.TransferEncoding[0] == "chunked"
+			switch {
+			case resp.StatusCode != http.StatusOK || body != want:
+				t.Fatalf("%s %s, read %d: %d, %d bytes, want the first read's %d", c.method, c.path, read, resp.StatusCode, len(body), len(want))
+			case read <= 2 && (!chunked || resp.ContentLength != -1):
+				t.Errorf("%s %s, read %d streams a run: Transfer-Encoding %v, Content-Length %d, want chunked", c.method, c.path, read, resp.TransferEncoding, resp.ContentLength)
+			case read > 2 && (chunked || resp.ContentLength != int64(len(want))):
+				t.Errorf("%s %s, read %d: Transfer-Encoding %v, Content-Length %d, want the body's length %d", c.method, c.path, read, resp.TransferEncoding, resp.ContentLength, len(want))
+			}
+			if got, first := said(resp.Header), said(first.Header); !reflect.DeepEqual(got, first) {
+				t.Errorf("%s %s, read %d: headers %v, want the first read's %v", c.method, c.path, read, got, first)
+			}
+		}
+		if tag := first.Header.Get("ETag"); tag != "" {
+			resp, body := send(c.method, c.path, c.body, "If-None-Match", tag)
+			if resp.StatusCode != http.StatusNotModified || body != "" || resp.Header["Content-Length"] != nil {
+				t.Errorf("conditional GET: %d, %d bytes, Content-Length %q", resp.StatusCode, len(body), resp.Header["Content-Length"])
+			}
+		} else if c.method == http.MethodGet {
+			t.Errorf("GET %s carries no ETag", c.path)
+		}
+	}
+	infer := d1Text + "\nv = SELECT P WHERE <department> P:<professor/> </department>"
+	for _, memo := range []string{"miss", "hit"} {
+		resp, body := send(http.MethodPost, "/infer", infer)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Length") != strconv.Itoa(len(body)) {
+			t.Errorf("inference, memo %s: %d, Content-Length %q on %d bytes", memo, resp.StatusCode, resp.Header.Get("Content-Length"), len(body))
+		}
 	}
 }

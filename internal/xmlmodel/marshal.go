@@ -87,6 +87,57 @@ func WriteRuns(w io.Writer, root *Element, indent, n int, run func(int) (es []*E
 	return o.err
 }
 
+// RunsSize is the number of bytes WriteRuns writes for the same arguments
+// when every run that has elements brings its kept bytes; ok is false, and
+// the size unknown, when one does not. It is the rule an answer's declared
+// length is taken from, so it counts the shell exactly as WriteRuns emits it:
+// root's tags, a newline after the open tag when some run has elements and
+// one after the close tag, both only when indented.
+func RunsSize(root *Element, indent, n int, run func(int) (es []*Element, kept []byte)) (size int, ok bool) {
+	childless := true
+	for i := 0; i < n; i++ {
+		es, kept := run(i)
+		if len(es) == 0 {
+			continue
+		}
+		if kept == nil {
+			return 0, false
+		}
+		size, childless = size+len(kept), false
+	}
+	if root == nil {
+		return size, true
+	}
+	size += tagsSize(root)
+	if indent >= 0 {
+		size++
+		if !childless {
+			size++
+		}
+	}
+	return size, true
+}
+
+// tagsSize is what openTag and closeTag emit for e together.
+func tagsSize(e *Element) int {
+	n := 2*len(e.Name) + len("<></>")
+	if e.ID != "" {
+		n += len(` id=""`) + escapedSize(e.ID, true)
+	}
+	return n
+}
+
+// escapedSize is what escaped emits for s.
+func escapedSize(s string, attr bool) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		if ref := entity(s[i], attr); ref != "" {
+			n += len(ref) - 1
+		}
+	}
+	return n
+}
+
 // writeBufSize is large enough that a 200 KB answer reaches the socket in
 // a handful of writes and small enough to hold one per response in flight.
 const writeBufSize = 32 << 10
@@ -154,25 +205,30 @@ func (o *emitter) overflow(s string) {
 	o.buf = append(o.buf, s...)
 }
 
-// escaped copies s with the markup characters replaced by entity
-// references: & < > in text, and " too inside an attribute value.
+// entity is the reference that stands for c — & < > in text, and " too
+// inside an attribute value — or "" for a byte that stands for itself.
+func entity(c byte, attr bool) string {
+	switch c {
+	case '&':
+		return "&amp;"
+	case '<':
+		return "&lt;"
+	case '>':
+		return "&gt;"
+	case '"':
+		if attr {
+			return "&quot;"
+		}
+	}
+	return ""
+}
+
+// escaped copies s with each markup character replaced by its entity.
 func (o *emitter) escaped(s string, attr bool) {
 	from := 0
 	for i := 0; i < len(s); i++ {
-		var ref string
-		switch s[i] {
-		case '&':
-			ref = "&amp;"
-		case '<':
-			ref = "&lt;"
-		case '>':
-			ref = "&gt;"
-		case '"':
-			if !attr {
-				continue
-			}
-			ref = "&quot;"
-		default:
+		ref := entity(s[i], attr)
+		if ref == "" {
 			continue
 		}
 		o.str(s[from:i])
