@@ -125,16 +125,27 @@ func sendAll(plan *Plan, runs []plannedPart) (rendered, copied, renderedBytes, c
 	return rendered, copied, renderedBytes, copiedBytes
 }
 
-// Answer is a query's answer, or a view's document, for a caller that sends
-// it: the shell whose tags enclose it and, run by run, what goes between
-// them — elements, and where a memo keeps them, their bytes.
+// Answer is a query's answer, or a view's document: the shell whose tags
+// enclose it and, run by run, what goes between them — elements, and where a
+// memo keeps them, their bytes. A caller sends it (Write) or reads it as a
+// tree (Document).
 type Answer struct {
-	View  *View // nil for an answer over a member's held document (HTTPSource.Answer)
-	root  *xmlmodel.Element
+	View  *View             // nil for an answer over a member's held document (HTTPSource.Answer)
+	root  *xmlmodel.Element // nil for a read that came back NotModified
 	parts []plannedPart
 }
 
 func (a *Answer) run(i int) ([]*xmlmodel.Element, []byte) { return a.parts[i].picks, a.parts[i].bytes }
+
+// Document is the answer as a tree: a fresh root over the runs' elements —
+// the cached parts' own, which the caller must not modify — or nil for a read
+// that came back NotModified.
+func (a *Answer) Document() *xmlmodel.Document {
+	if a.root == nil {
+		return nil
+	}
+	return viewDocument(a.root.Name, a.parts)
+}
 
 // Write sends the answer as xmlmodel.WriteElement would send its document.
 func (a *Answer) Write(w io.Writer) error {

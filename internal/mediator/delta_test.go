@@ -457,7 +457,7 @@ func TestStaleServeIsNeverCarried(t *testing.T) {
 		t.Fatalf("live read: %+v, %v", live, err)
 	}
 	m.Invalidate()
-	_, stale, err := m.MaterializeIfChanged(ctx, "v", live.Tag)
+	_, stale, err := readDocument(ctx, m, "v", live.Tag)
 	if err != nil || len(stale.StaleSources) != 1 || stale.Tag != "" || stale.NotModified {
 		t.Fatalf("read while the replica fails: %+v, %v; want a stale, untagged document", stale, err)
 	}

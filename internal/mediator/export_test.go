@@ -6,7 +6,7 @@ import "context"
 // import internal/load where this package's own tests may not) need of the
 // package's insides.
 
-// PlanText plans a query text against the named view as Answer does, with
+// PlanText plans a query text against the named view as Read does, with
 // pruning on. It reports whether the plan was found rather than made, and
 // how many of the view's parts the plan leaves out.
 func (m *Mediator) PlanText(ctx context.Context, viewName string, text []byte) (hit bool, pruned int, err error) {

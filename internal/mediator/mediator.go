@@ -171,7 +171,21 @@ type View struct {
 	whole *Plan
 }
 
-// QueryStats reports how a query against a view was executed.
+// Request is one read of a view: of its document, or of a query's answer
+// over it. The query comes parsed (Query) or as the text it arrived in (Text;
+// a text seen before is not parsed again, plan.go); with neither — a nil Text,
+// not an empty one — the read is of the view's own document, and only then
+// does IfNoneMatch, the value of an If-None-Match header (TagListed), count:
+// when it names the tag the document carries now, nothing is built and the
+// read reports NotModified.
+type Request struct {
+	View        string
+	Query       *xmas.Query
+	Text        []byte
+	IfNoneMatch string
+}
+
+// QueryStats reports how a read of a view went beyond its answer.
 type QueryStats struct {
 	// SkippedUnsatisfiable is set when the DTD classifier proved the query
 	// empty and the data was never touched.
@@ -184,22 +198,17 @@ type QueryStats struct {
 	// mistake a broken simplifier (zero pruning, zero skips) for a fast
 	// one; internal/serve surfaces this as X-Mix-Simplifier-Error.
 	SimplifierError string
-	// Provenance is that of the materialization the query ran against (or,
+	// Provenance is that of the materialization the read ran against (or,
 	// when every part was pruned, just the pruned sources); internal/serve
 	// surfaces it as the X-Mix-Degraded/-Pruned-Sources/-Stale-Sources
 	// headers.
 	Provenance
-}
-
-// MaterializeInfo reports how a materialization went beyond its document.
-type MaterializeInfo struct {
-	Provenance
-	// Tag identifies the document's content (tag.go). Only a complete
-	// materialization has one: every part of the view, none dropped, none
-	// stale. Equal tags mean byte-equal documents.
+	// Tag identifies the document's content (tag.go). Only a read of the
+	// view's own document that is complete has one: every part of the view,
+	// none dropped, none stale. Equal tags mean byte-equal documents.
 	Tag string
-	// NotModified: the caller's tag (MaterializeIfChanged) is still the
-	// view's, so no document was built; Tag is that tag.
+	// NotModified: the request's IfNoneMatch names Tag, so no document was
+	// built.
 	NotModified bool
 }
 
@@ -494,56 +503,21 @@ func (m *Mediator) Views() []string {
 // document: a fresh root over the cached part results, which stay valid
 // until their source is invalidated; concurrent calls share them (resolvePart).
 func (m *Mediator) Materialize(ctx context.Context, viewName string) (*xmlmodel.Document, error) {
-	doc, _, err := m.MaterializeInfo(ctx, viewName)
-	return doc, err
+	a, _, err := m.read(ctx, Request{View: viewName}, false)
+	return a.Document(), err
 }
 
 // MaterializeInfo is Materialize plus a report of how the materialization
 // went: a view over a breaker-open source (see BreakerSource) is served
 // without that source's parts — degraded availability instead of a failed
-// view — and the info says so. A dropped part is never cached, so the
+// view — and the report says so. A dropped part is never cached, so the
 // first materialization after the breaker closes is complete again.
-func (m *Mediator) MaterializeInfo(ctx context.Context, viewName string) (*xmlmodel.Document, *MaterializeInfo, error) {
-	return m.MaterializeIfChanged(ctx, viewName, "")
-}
-
-// MaterializeIfChanged is MaterializeInfo for a caller that may already hold
-// the document: ifNoneMatch is the value of an If-None-Match header (see
-// TagListed). When it names the tag the view's materialization carries now
-// no document is built: the result is a nil document and an info saying
-// NotModified. With every part cached that is a cache hit, and counted and
-// traced as one; after an invalidation it costs the refetches that find the
-// sources unchanged, and is the miss it was.
-func (m *Mediator) MaterializeIfChanged(ctx context.Context, viewName, ifNoneMatch string) (*xmlmodel.Document, *MaterializeInfo, error) {
-	a, info, err := m.viewAnswer(ctx, viewName, ifNoneMatch, false)
-	switch {
-	case err != nil:
-		return nil, nil, err
-	case info.NotModified:
-		return nil, &info, nil
-	}
-	return viewDocument(viewName, a.parts), &info, nil
-}
-
-// ViewAnswer is MaterializeIfChanged for a caller that sends the document: no
-// root is built, and a part sent twice before brings its bytes.
-func (m *Mediator) ViewAnswer(ctx context.Context, viewName, ifNoneMatch string) (Answer, MaterializeInfo, error) {
-	return m.viewAnswer(ctx, viewName, ifNoneMatch, true)
-}
-
-func (m *Mediator) viewAnswer(ctx context.Context, viewName, ifNoneMatch string, bytes bool) (Answer, MaterializeInfo, error) {
-	v, err := m.View(viewName)
+func (m *Mediator) MaterializeInfo(ctx context.Context, viewName string) (*xmlmodel.Document, *QueryStats, error) {
+	a, stats, err := m.read(ctx, Request{View: viewName}, false)
 	if err != nil {
-		return Answer{}, MaterializeInfo{}, err
+		return nil, nil, err
 	}
-	parts, info, err := m.resolveMasked(ctx, v, nil, nil, ifNoneMatch)
-	if err != nil || info.NotModified {
-		return Answer{View: v}, info, err
-	}
-	if bytes && info.Tag != "" { // else a part is dropped or stale, and no slot remembers this
-		m.answerByPart(nil, v, v.whole, parts, true)
-	}
-	return Answer{View: v, root: v.whole.root, parts: parts}, info, nil
+	return a.Document(), &stats, nil
 }
 
 // keepAll is the keep mask of a query's materialization that prunes nothing.
@@ -551,17 +525,18 @@ func keepAll(v *View) []bool { return slices.Repeat([]bool{true}, len(v.Parts)) 
 
 // resolveMasked gives the parts of v selected by keep their results, which
 // a view document or a query's answer is then put together from in part
-// order, whatever the scheduling. Masked-out parts are never fetched — no
-// goroutine, no breaker interaction, no retry; that is the point of
-// pruning. A nil keep is the whole view, and only then does the result carry
-// a tag (or come back NotModified, when ifNoneMatch names it): a query's
-// materialization, masked or not, renders none; pruned is the plan's list of
-// the sources it masks out. Each kept part is resolved to its slot's calc
-// (claimLocked). The first part failure cancels this call's sibling fetches —
-// except a breaker-open rejection (ErrBreakerOpen), which drops just that part
-// and lets the siblings complete: a dead source degrades the view, it does
-// not take it down.
-func (m *Mediator) resolveMasked(ctx context.Context, v *View, keep []bool, pruned []string, ifNoneMatch string) ([]plannedPart, MaterializeInfo, error) {
+// order, whatever the scheduling, and reports where they came from.
+// Masked-out parts are never fetched — no goroutine, no breaker interaction,
+// no retry; that is the point of pruning. A nil keep is the whole view
+// (View.whole), and only then does the result carry a tag (or come back
+// NotModified, when ifNoneMatch names it): a query's materialization, masked
+// or not, renders none; pruned is the plan's list of the sources it masks
+// out. Each kept part is resolved to its slot's calc (claimLocked). The first
+// part failure cancels this call's sibling fetches — except a breaker-open
+// rejection (ErrBreakerOpen), which drops just that part and lets the
+// siblings complete: a dead source degrades the view, it does not take it
+// down.
+func (m *Mediator) resolveMasked(ctx context.Context, v *View, keep []bool, pruned []string, ifNoneMatch string) ([]plannedPart, QueryStats, error) {
 	whole := keep == nil
 	parts := make([]plannedPart, len(v.Parts))
 	var leads, joins int
@@ -606,11 +581,11 @@ func (m *Mediator) resolveMasked(ctx context.Context, v *View, keep []bool, prun
 			if span != nil {
 				span.SetAttr(obs.String("error", err.Error()))
 			}
-			return nil, MaterializeInfo{}, err
+			return nil, QueryStats{}, err
 		}
 	}
 
-	info := MaterializeInfo{Provenance: Provenance{PrunedSources: pruned}}
+	stats := QueryStats{Provenance: Provenance{PrunedSources: pruned}}
 	for i, p := range parts {
 		if !whole && !keep[i] {
 			continue
@@ -618,32 +593,32 @@ func (m *Mediator) resolveMasked(ctx context.Context, v *View, keep []bool, prun
 		src := v.Parts[i].Source
 		parts[i].picks = p.res.children
 		if p.res.dropped {
-			info.Degraded = true
-			info.DegradedSources = append(info.DegradedSources, src)
-		} else if p.res.stale && !slices.Contains(info.StaleSources, src) {
-			info.StaleSources = append(info.StaleSources, src)
+			stats.Degraded = true
+			stats.DegradedSources = append(stats.DegradedSources, src)
+		} else if p.res.stale && !slices.Contains(stats.StaleSources, src) {
+			stats.StaleSources = append(stats.StaleSources, src)
 		}
 	}
-	sort.Strings(info.DegradedSources)
-	sort.Strings(info.StaleSources)
-	if info.Degraded {
+	sort.Strings(stats.DegradedSources)
+	sort.Strings(stats.StaleSources)
+	if stats.Degraded {
 		m.stats.add(&m.stats.DegradedMaterializations, 1)
 		obs.AddEvent(ctx, "materialize.degraded",
-			obs.String("dropped_sources", strings.Join(info.DegradedSources, ",")))
+			obs.String("dropped_sources", strings.Join(stats.DegradedSources, ",")))
 	}
-	if len(info.StaleSources) > 0 {
+	if len(stats.StaleSources) > 0 {
 		m.stats.add(&m.stats.StaleMaterializations, 1)
 		obs.AddEvent(ctx, "materialize.stale",
-			obs.String("stale_sources", strings.Join(info.StaleSources, ",")))
+			obs.String("stale_sources", strings.Join(stats.StaleSources, ",")))
 	}
-	if whole && !info.Degraded && len(info.StaleSources) == 0 {
+	if whole && !stats.Degraded && len(stats.StaleSources) == 0 {
 		// Every part a complete, live result — cached, joined, evaluated or
 		// carried over: what the document is has been established, and a
 		// caller that already holds it is not built another.
-		info.Tag = v.tagOf(parts)
-		info.NotModified = TagListed(ifNoneMatch, info.Tag)
+		stats.Tag = v.tagOf(parts)
+		stats.NotModified = TagListed(ifNoneMatch, stats.Tag)
 	}
-	return parts, info, nil
+	return parts, stats, nil
 }
 
 // viewDocument concatenates the resolved parts under a fresh root.
@@ -896,90 +871,104 @@ func (m *Mediator) Invalidate() {
 // read and serialize the result and must not modify anything below its
 // root.
 func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*xmlmodel.Document, *QueryStats, error) {
-	a, stats, err := m.answer(ctx, viewName, q, nil)
+	a, stats, err := m.read(ctx, Request{View: viewName, Query: q}, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	res := engine.EmptyResult(q)
-	res.Root.Children = concat(a.parts)
-	return res, &stats, nil
+	return a.Document(), &stats, nil
 }
 
-// Answer is Query for a caller that holds the query as the text it arrived in
-// and sends the answer: a text seen before is not parsed (plan.go), no root and
-// no pick list are built, and a part asked twice before brings its bytes.
-func (m *Mediator) Answer(ctx context.Context, viewName string, text []byte) (Answer, QueryStats, error) {
-	return m.answer(ctx, viewName, nil, text)
+// Read is the read of a view, its document or a query's answer (Request),
+// for a caller that sends it: no root and no pick list are built, and a part
+// sent twice before under the same plan brings its bytes (answer.go).
+// Materialize, MaterializeInfo and Query are the same read for a caller that
+// wants a tree (Answer.Document).
+func (m *Mediator) Read(ctx context.Context, req Request) (Answer, QueryStats, error) {
+	return m.read(ctx, req, true)
 }
 
-// answer is Query and Answer: q, or when q is nil the query text spells.
-func (m *Mediator) answer(ctx context.Context, viewName string, q *xmas.Query, text []byte) (Answer, QueryStats, error) {
-	// One critical section reads everything the query depends on.
+// read is every read of a view. A query is planned (planFor), counted and
+// traced in a query span, and touches no source when the plan refutes it; a
+// view's document is read under View.whole. A complete result is answered
+// from the kept parts' memos (answerByPart) when the plan picks below each
+// part alone, else by one walk of the view's document kept nowhere. bytes
+// says the caller sends the answer: only then is a memo entry marked found,
+// rendered or copied, or a view's document put through its memos at all.
+func (m *Mediator) read(ctx context.Context, req Request, bytes bool) (Answer, QueryStats, error) {
+	// One critical section reads everything the read depends on.
 	m.mu.Lock()
-	v, ok := m.views[viewName]
+	v, ok := m.views[req.View]
 	pruning, limits := !m.noPrune, m.inferLimits
 	m.mu.Unlock()
 	if !ok {
-		return Answer{}, QueryStats{}, fmt.Errorf("mediator: %w %s", ErrUnknownView, viewName)
+		return Answer{}, QueryStats{}, fmt.Errorf("mediator: %w %s", ErrUnknownView, req.View)
 	}
-	ctx, span := obs.StartSpan(ctx, "query", obs.String("view", viewName))
-	defer span.End()
-	start := time.Now()
-	defer func() { m.stats.recordQuery(viewName, time.Since(start)) }()
-	plan, hit, byText, err := m.planFor(ctx, v, q, text, pruning, limits)
-	if err != nil {
+	a, plan := Answer{View: v}, v.whole
+	var stats QueryStats
+	var span *obs.Span
+	if req.Query != nil || req.Text != nil {
+		ctx, span = obs.StartSpan(ctx, "query", obs.String("view", v.Name))
+		defer span.End()
+		start := time.Now()
+		defer func() { m.stats.recordQuery(v.Name, time.Since(start)) }()
+		var hit, byText bool
+		var err error
+		if plan, hit, byText, err = m.planFor(ctx, v, req.Query, req.Text, pruning, limits); err != nil {
+			return Answer{}, QueryStats{}, err
+		}
+		// The plan says what the analysis concluded; counting it, and telling
+		// the trace, is this request's.
+		span.SetAttr(obs.Bool("plan_hit", hit), obs.Bool("plan_text_hit", byText))
+		a.root = plan.root
+		stats = QueryStats{PrunedConditions: plan.prunedConditions, DroppedNames: plan.droppedNames, SimplifierError: plan.simplifierError}
+		if plan.simplifierError != "" {
+			m.stats.add(&m.stats.SimplifierErrors, 1)
+			span.Event("query.simplifier_error", obs.String("error", plan.simplifierError))
+		} else {
+			m.stats.recordSimplify(plan.prunedConditions, plan.droppedNames, plan.unsatisfiable)
+			span.SetAttr(obs.Int("pruned", int64(plan.prunedConditions)), obs.Int("dropped", int64(plan.droppedNames)))
+			if plan.unsatisfiable {
+				stats.SkippedUnsatisfiable = true
+				span.Event("query.skipped_unsatisfiable")
+				return a, stats, nil
+			}
+		}
+		if pruned := len(plan.pruned); pruned > 0 {
+			m.stats.add(&m.stats.PartsPruned, int64(pruned))
+			span.SetAttr(obs.Int("parts_pruned", int64(pruned)))
+			for _, p := range plan.pruned {
+				span.Event("query.part_pruned", obs.String("source", p.source), obs.String("reason", p.reason))
+			}
+			if pruned == len(v.Parts) {
+				// Every part refuted: the answer is empty without touching any
+				// source — same shape as the unsatisfiable fast path above.
+				stats.PrunedSources = plan.prunedSources
+				span.Event("query.all_parts_pruned")
+				return a, stats, nil
+			}
+		}
+	}
+	parts, got, err := m.resolveMasked(ctx, v, plan.keep, plan.prunedSources, req.IfNoneMatch)
+	stats.Provenance, stats.Tag, stats.NotModified = got.Provenance, got.Tag, got.NotModified
+	switch complete := !stats.Degraded && len(stats.StaleSources) == 0; {
+	case err != nil:
 		return Answer{}, QueryStats{}, err
-	}
-	// The plan says what the analysis concluded; counting it, and telling
-	// the trace, is this request's.
-	span.SetAttr(obs.Bool("plan_hit", hit), obs.Bool("plan_text_hit", byText))
-	a := Answer{View: v, root: plan.root}
-	stats := QueryStats{
-		PrunedConditions: plan.prunedConditions,
-		DroppedNames:     plan.droppedNames,
-		SimplifierError:  plan.simplifierError,
-	}
-	if plan.simplifierError != "" {
-		m.stats.add(&m.stats.SimplifierErrors, 1)
-		span.Event("query.simplifier_error", obs.String("error", plan.simplifierError))
-	} else {
-		m.stats.recordSimplify(plan.prunedConditions, plan.droppedNames, plan.unsatisfiable)
-		span.SetAttr(obs.Int("pruned", int64(plan.prunedConditions)), obs.Int("dropped", int64(plan.droppedNames)))
-		if plan.unsatisfiable {
-			stats.SkippedUnsatisfiable = true
-			span.Event("query.skipped_unsatisfiable")
-			return a, stats, nil
-		}
-	}
-	if pruned := len(plan.pruned); pruned > 0 {
-		m.stats.add(&m.stats.PartsPruned, int64(pruned))
-		span.SetAttr(obs.Int("parts_pruned", int64(pruned)))
-		for _, p := range plan.pruned {
-			span.Event("query.part_pruned", obs.String("source", p.source), obs.String("reason", p.reason))
-		}
-		if pruned == len(v.Parts) {
-			// Every part refuted: the answer is empty without touching any
-			// source — same shape as the unsatisfiable fast path above.
-			stats.PrunedSources = plan.prunedSources
-			span.Event("query.all_parts_pruned")
-			return a, stats, nil
-		}
-	}
-	parts, info, err := m.resolveMasked(ctx, v, plan.keep, plan.prunedSources, "")
-	if err != nil {
-		return Answer{}, QueryStats{}, err
-	}
-	stats.Provenance = info.Provenance
-	if plan.remember && !info.Degraded && len(info.StaleSources) == 0 {
-		m.answerByPart(span, v, plan, parts, q == nil)
-		a.parts = parts
+	case stats.NotModified: // no root: nothing to send, no document (Answer.Document)
 		return a, stats, nil
+	case plan == v.whole: // every member of every part: the runs as they are
+		if bytes && complete { // else a part is dropped or stale, and no slot remembers this
+			m.answerByPart(span, v, plan, parts, true)
+		}
+	case plan.remember && complete:
+		m.answerByPart(span, v, plan, parts, bytes)
+	default:
+		picks, err := plan.prepared.EvalElements(viewDocument(v.Name, parts))
+		if err != nil {
+			return Answer{}, QueryStats{}, err
+		}
+		parts = []plannedPart{{picks: picks}} // the walk's picks are not of one part or another
 	}
-	picks, err := plan.prepared.EvalElements(viewDocument(v.Name, parts))
-	if err != nil {
-		return Answer{}, QueryStats{}, err
-	}
-	a.parts = []plannedPart{{picks: picks}} // the walk's picks are not of one part or another
+	a.root, a.parts = plan.root, parts
 	return a, stats, nil
 }
 
@@ -1018,14 +1007,16 @@ func (s *viewSource) Name() string { return s.m.name + "/" + s.v.Name }
 
 func (s *viewSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	held := s.held.Load()
-	doc, info, err := s.m.MaterializeIfChanged(ctx, s.v.Name, held.tag)
+	a, stats, err := s.m.read(ctx, Request{View: s.v.Name, IfNoneMatch: held.tag}, false)
 	switch {
 	case err != nil:
 		return nil, err
-	case info.NotModified:
+	case stats.NotModified:
 		return held.doc, nil
-	case info.Tag != "": // a degraded or stale document has none and is never held
-		s.held.Store(&keptDocument{tag: info.Tag, doc: doc})
+	}
+	doc := a.Document()
+	if stats.Tag != "" { // a degraded or stale document has none and is never held
+		s.held.Store(&keptDocument{tag: stats.Tag, doc: doc})
 	}
 	return doc, nil
 }

@@ -22,7 +22,7 @@ import (
 // LRU bound, its singleflight) owned by the mediator, and the analysis is its
 // compute function — there is no second path beside it and no switch.
 //
-// A request that arrives as text (Mediator.Answer) looks its plan up by that
+// A request that arrives as text (Mediator.Read) looks its plan up by that
 // text first: a kept plan is also in the memo under "t", the canonical key's
 // prefix (pruning flag, view) and the raw body — put there, not computed, by
 // the request that parsed the text. Two spellings of one query are two
@@ -88,7 +88,7 @@ type prunedPart struct {
 	source, reason string
 }
 
-// QueryTextError is xmas.Parse's error for the text given to Mediator.Answer
+// QueryTextError is xmas.Parse's error for the text given to Mediator.Read
 // or ParsePlan: the request's fault, a 400.
 type QueryTextError struct{ Err error }
 
@@ -200,7 +200,7 @@ func analyse(ctx context.Context, v *View, q *xmas.Query, pruning bool) (plan *P
 
 // ParsePlan is the plan of a query text for a cluster node that does not hold
 // the view it was sent to and answers over the owner's document (HTTPSource.Answer):
-// found by its text as Answer's is, or else parsed and prepared — there is no
+// found by its text as Read's is, or else parsed and prepared — there is no
 // view to analyse it against — and kept.
 func (m *Mediator) ParsePlan(ctx context.Context, text []byte) (*Plan, error) {
 	plan, _, _, err := m.planFor(ctx, nil, nil, text, false, budget.Limits{})

@@ -418,7 +418,7 @@ func TestParsePlanOncePerText(t *testing.T) {
 		if got, err := m.ParsePlan(ctx, long); err != nil || got != p {
 			t.Fatalf("an over-long spelling of a planned text, ask %d: another plan %v, %v", i, got != p, err)
 		}
-		if _, _, err := m.Answer(ctx, "cat", long); err != nil {
+		if _, _, err := m.Read(ctx, Request{View: "cat", Text: long}); err != nil {
 			t.Fatal(err)
 		}
 	}

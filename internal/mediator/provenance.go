@@ -7,10 +7,10 @@ import (
 )
 
 // Provenance reports how an answer departs from a complete, live evaluation
-// of every part of its view. It is the one such record: MaterializeInfo and
-// QueryStats embed it, ForwardInfo accumulates the owner's across a cluster
-// hop, and internal/serve turns it into the X-Mix-* response headers and
-// back. The three source lists are sorted and pairwise disjoint.
+// of every part of its view. It is the one such record: QueryStats embeds
+// it, ForwardInfo accumulates the owner's across a cluster hop, and
+// internal/serve turns it into the X-Mix-* response headers and back. The
+// three source lists are sorted and pairwise disjoint.
 type Provenance struct {
 	// Degraded is true when at least one part was dropped because its
 	// source's circuit breaker was open. The document then misses that
@@ -35,13 +35,10 @@ type Provenance struct {
 	StaleSources []string
 }
 
-// SetHeaders advertises p on a response: X-Mix-Degraded ("true") with
-// X-Mix-Degraded-Sources, X-Mix-Pruned-Sources and X-Mix-Stale-Sources,
-// each only when it has something to say.
-func (p Provenance) SetHeaders(h http.Header) { p.EachHeader(h.Set) }
-
-// EachHeader is SetHeaders for a caller that sets headers its own way: set
-// is called once per header SetHeaders would set, in the same order.
+// EachHeader advertises p on a response through set, called once per header
+// in this order: X-Mix-Degraded ("true") with X-Mix-Degraded-Sources,
+// X-Mix-Pruned-Sources and X-Mix-Stale-Sources, each only when it has
+// something to say.
 func (p Provenance) EachHeader(set func(name, value string)) {
 	if p.Degraded {
 		set("X-Mix-Degraded", "true")
@@ -57,7 +54,7 @@ func setCSV(set func(name, value string), name string, sources []string) {
 	}
 }
 
-// FromHeaders merges what SetHeaders wrote on a response into p: the
+// FromHeaders merges what EachHeader set on a response into p: the
 // degraded flag is sticky, the lists become duplicate-free unions.
 func (p *Provenance) FromHeaders(h http.Header) {
 	if h.Get("X-Mix-Degraded") == "true" {

@@ -420,7 +420,7 @@ func TestReplicaSetCheckReplicas(t *testing.T) {
 
 // TestReplicaSetMediatorStaleFlow: end-to-end through the mediator — a
 // total replica outage turns into a complete, DTD-valid answer marked in
-// MaterializeInfo.StaleSources and QueryStats.StaleSources (disjoint from
+// QueryStats.StaleSources, of the view read and of a query alike (disjoint from
 // Degraded), the stale materialization is never cached, and live serving
 // (plus caching) resumes once a replica heals. All of it holds wherever the
 // ReplicaSet sits in the source's decorator stack: the stale note and the

@@ -141,7 +141,7 @@ type Stats struct {
 	// already running is neither. On a workload of repeated queries the
 	// verdict cache above goes quiet: no lookup is made at all.
 	// PlanTextHits counts, among PlanHits, the queries that found their plan
-	// by their text (Mediator.Answer); the texts are entries of PlanCacheSize.
+	// by their text (Mediator.Read); the texts are entries of PlanCacheSize.
 	PlanHits      int64 `json:"plan_hits" metric:"mix_query_plan_hits_total" help:"Queries answered from a kept query plan (no simplification, no verdict lookup)."`
 	PlanTextHits  int64 `json:"plan_text_hits" metric:"mix_query_plan_text_hits_total" help:"Queries whose kept plan was found by the request's own text (not parsed either)."`
 	PlanMisses    int64 `json:"plan_misses" metric:"mix_query_plan_misses_total" help:"Query analyses run (includes plans not kept: simplifier errors, Unknown verdicts)."`

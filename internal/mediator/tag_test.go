@@ -40,6 +40,13 @@ func TestTagListed(t *testing.T) {
 	}
 }
 
+// readDocument reads the view's document as a tree under If-None-Match, as
+// viewSource.Fetch does: nil for a read that comes back NotModified.
+func readDocument(ctx context.Context, m *Mediator, view, ifNoneMatch string) (*xmlmodel.Document, *QueryStats, error) {
+	a, stats, err := m.read(ctx, Request{View: view, IfNoneMatch: ifNoneMatch}, false)
+	return a.Document(), &stats, err
+}
+
 // A tag follows the generations of what was evaluated, not of what was
 // asked: it holds while nothing is invalidated, a caller that names it gets
 // no document (and is counted as the cache hit it is), an invalidation of a
@@ -63,7 +70,7 @@ func TestTagFollowsGenerations(t *testing.T) {
 	}
 
 	before := m.Stats()
-	doc, info, err = m.MaterializeIfChanged(ctx, "u", `"stale", W/`+first)
+	doc, info, err = readDocument(ctx, m, "u", `"stale", W/`+first)
 	if err != nil || doc != nil || !info.NotModified || info.Tag != first {
 		t.Fatalf("a caller holding the tag: doc %v, info %+v, err %v", doc != nil, info, err)
 	}
@@ -78,7 +85,7 @@ func TestTagFollowsGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	fetched := fetchCounts(faults)
-	doc, info, err = m.MaterializeIfChanged(ctx, "u", first)
+	doc, info, err = readDocument(ctx, m, "u", first)
 	if err != nil || doc == nil || info.NotModified || !strings.HasSuffix(info.Tag, `0.1.0"`) {
 		t.Fatalf("after InvalidateSource(s1): doc %v, info %+v, err %v", doc != nil, info, err)
 	}
@@ -89,7 +96,7 @@ func TestTagFollowsGenerations(t *testing.T) {
 		setDeltaDoc(t, faults, i, 10+i)
 	}
 	m.Invalidate()
-	if _, info, _ = m.MaterializeIfChanged(ctx, "u", info.Tag); info.NotModified || !strings.HasSuffix(info.Tag, `1.2.1"`) {
+	if _, info, _ = readDocument(ctx, m, "u", info.Tag); info.NotModified || !strings.HasSuffix(info.Tag, `1.2.1"`) {
 		t.Errorf("after Invalidate over changed sources: %+v", info)
 	}
 
@@ -101,7 +108,7 @@ func TestTagFollowsGenerations(t *testing.T) {
 	if _, err := m.InvalidateSource("s2"); err != nil {
 		t.Fatal(err)
 	}
-	doc, info, err = m.MaterializeIfChanged(ctx, "u", held)
+	doc, info, err = readDocument(ctx, m, "u", held)
 	if err != nil || doc != nil || !info.NotModified || info.Tag != held {
 		t.Errorf("after a no-op InvalidateSource(s2): doc %v, info %+v, err %v", doc != nil, info, err)
 	}
@@ -110,7 +117,7 @@ func TestTagFollowsGenerations(t *testing.T) {
 	if err != nil || doc == nil || info.NotModified || info.Tag != held {
 		t.Errorf("after a no-op Invalidate: doc %v, info %+v, err %v; want a document under %s", doc != nil, info, err, held)
 	}
-	if _, info, _ = m.MaterializeIfChanged(ctx, "u", held); !info.NotModified {
+	if _, info, _ = readDocument(ctx, m, "u", held); !info.NotModified {
 		t.Errorf("the tag a no-op Invalidate left alone is not honoured: %+v", info)
 	}
 	if now := fetchCounts(faults); now[0] != fetched[0]+1 || now[1] != fetched[1]+1 || now[2] != fetched[2]+2 {
@@ -136,7 +143,7 @@ func TestTagFollowsGenerations(t *testing.T) {
 	if _, theirs, _ := other.MaterializeInfo(ctx, "u"); theirs.Tag == "" || theirs.Tag == first {
 		t.Errorf("a second mediator over the same view: tag %q, ours %q", theirs.Tag, first)
 	}
-	if _, info, _ := other.MaterializeIfChanged(ctx, "u", first); info.NotModified {
+	if _, info, _ := readDocument(ctx, other, "u", first); info.NotModified {
 		t.Error("a second mediator honoured the first one's tag")
 	}
 }
@@ -168,7 +175,7 @@ func TestTagNamesTheCalcTheJoinerEndedOn(t *testing.T) {
 	}()
 	<-src.entered
 	type result struct {
-		info *MaterializeInfo
+		info *QueryStats
 		err  error
 	}
 	followerDone := make(chan result, 1)
@@ -465,7 +472,7 @@ func TestTagIsSound(t *testing.T) {
 						ask = held[which]
 					}
 					begun := invDone.Load()
-					doc, info, err := m.MaterializeIfChanged(ctx, "u", ask)
+					doc, info, err := readDocument(ctx, m, "u", ask)
 					ended := invStarted.Load()
 					cancel()
 					if err != nil {

@@ -88,12 +88,12 @@ func (h *Handler) setForwardHeaders(w http.ResponseWriter, fi *mediator.ForwardI
 	if len(path) == 0 {
 		path = fi.Hops
 	}
-	w.Header().Set(mediator.ForwardHeader, strings.Join(path, ","))
+	setHeader(w, mediator.ForwardHeader, strings.Join(path, ","))
 	p := fi.Provenance()
 	if stale {
 		p.StaleSources = append(p.StaleSources, fwd.SourceName())
 	}
-	p.SetHeaders(w.Header())
+	p.EachHeader(func(name, value string) { setHeader(w, name, value) })
 }
 
 // forwardView answers GET /views/{name} for a non-owned view: fetch the
@@ -116,7 +116,7 @@ func (h *Handler) forwardView(w http.ResponseWriter, r *http.Request, fwd *clust
 	if notModified(w, tag, tag != "" && mediator.TagListed(r.Header.Get("If-None-Match"), tag)) {
 		return
 	}
-	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
+	w.Header()["Content-Type"] = xmlType
 	writeAnswer(ctx, w, fwd.SchemaText(), func(w io.Writer) error { return xmlmodel.WriteElement(w, doc.Root, 2) })
 }
 
@@ -155,7 +155,7 @@ func (h *Handler) forwardQuery(w http.ResponseWriter, r *http.Request, fwd *clus
 	}
 	obs.SetAttr(ctx, obs.String("forwarded_answer", how))
 	h.setForwardHeaders(w, fi, fwd, stale)
-	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
+	w.Header()["Content-Type"] = xmlType
 	writeAnswer(ctx, w, "", a.Write)
 }
 
@@ -229,8 +229,8 @@ func sendRuns(w http.ResponseWriter, r *http.Request, a mediator.Answer, tag str
 // grant leases the answered view to the member that asked for it — only a
 // complete, live answer (one with a tag, 200 or 304, over a tightly inferred
 // DTD) and only if no revocation of the view passed since offer was read.
-func (h *Handler) grant(w http.ResponseWriter, offer cluster.Offer, v *mediator.View, info *mediator.MaterializeInfo) {
-	if info.Tag != "" && !v.Degraded && h.cluster.Grant(offer) {
+func (h *Handler) grant(w http.ResponseWriter, offer cluster.Offer, v *mediator.View, stats *mediator.QueryStats) {
+	if stats.Tag != "" && !v.Degraded && h.cluster.Grant(offer) {
 		w.Header().Set(mediator.LeaseHeader, leaseTermMillis)
 	}
 }

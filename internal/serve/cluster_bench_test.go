@@ -311,13 +311,14 @@ func BenchmarkForwardHopPartChanged(b *testing.B) {
 // process, so its 304 and its trace are in the count too). The lease is taken
 // away by a revocation before each of those reads, which costs what its end
 // by expiry costs. The query finds its plan by its text and its picks beside
-// the unchanged document either way. Measured 35, 36, 135 and 136 (37, 37,
-// 144 and 143 under -race, which `make race` runs this with), ceilings
-// + 10 % of the first figures, 35, 34, 133 and 132: the forwarder's fetch now
-// asks for deltas (A-IM), two allocations more at the owner, which reads the
-// header; a warm forwarded read was 129 and 128 while every one asked the
-// owner, 135 and 150 while the forwarder parsed and walked every query, 165
-// and 180 while a trace was an object per span and a copy per End.
+// the unchanged document either way. Measured 30, 32, 127 and 129 (32, 33,
+// 136 and 136 under -race, which `make race` runs this with); the ceilings
+// are the -race figures + 3 %, rounded up: 33, 34, 141 and 141. The forwarder
+// sets its provenance headers and Content-Type in the response's header
+// block, two allocations fewer than through http.Header.Set (32, 34, 129 and
+// 131 before); a warm forwarded read was 129 and 128 while every one asked
+// the owner, 135 and 150 while the forwarder parsed and walked every query,
+// 165 and 180 while a trace was an object per span and a copy per End.
 func TestForwardHopNotModifiedAllocs(t *testing.T) {
 	p := newLeasedPair(t, 0)
 	const q = `r = SELECT P WHERE <members> P:<professor/> </members>`
@@ -326,10 +327,10 @@ func TestForwardHopNotModifiedAllocs(t *testing.T) {
 		leased                   bool
 		ceiling                  float64
 	}{
-		{"leased GET", http.MethodGet, "/views/members", "", true, 39},
-		{"leased query", http.MethodPost, "/views/members/query", q, true, 38},
-		{"GET after the lease", http.MethodGet, "/views/members", "", false, 147},
-		{"query after the lease", http.MethodPost, "/views/members/query", q, false, 146},
+		{"leased GET", http.MethodGet, "/views/members", "", true, 33},
+		{"leased query", http.MethodPost, "/views/members/query", q, true, 34},
+		{"GET after the lease", http.MethodGet, "/views/members", "", false, 141},
+		{"query after the lease", http.MethodPost, "/views/members/query", q, false, 141},
 	} {
 		do := func() {
 			if !c.leased {
@@ -365,17 +366,19 @@ func TestForwardHopNotModifiedAllocs(t *testing.T) {
 // whose plan the forwarder holds. Before each read the third source switches
 // to its other document, and every read is answered by a delta (226) of that
 // part's run alone, spliced into the held document; the query walks that run
-// and finds the other five's picks in their memos. Measured 205 and 216 (214
-// and 225 under -race), ceilings + 10 %; 212 and 223 while the owner shipped
-// the whole document and the forwarder parsed it and walked all of it.
+// and finds the other five's picks in their memos. Measured 193 and 205 (202
+// and 214 under -race); the ceilings are the -race figures + 3 %, rounded up:
+// 209 and 221. It was 195 and 207 while the forwarder set its provenance
+// headers through http.Header.Set, 212 and 223 while the owner shipped the
+// whole document and the forwarder parsed it and walked all of it.
 func TestForwardHopPartChangedAllocs(t *testing.T) {
 	p := newSixParts(t)
 	for _, c := range []struct {
 		name, method, path, body string
 		ceiling                  float64
 	}{
-		{"GET after a one-part change", http.MethodGet, "/views/six", "", 226},
-		{"query after a one-part change", http.MethodPost, "/views/six/query", `r = SELECT X WHERE <six> X:<x2|x4/> </six>`, 238},
+		{"GET after a one-part change", http.MethodGet, "/views/six", "", 209},
+		{"query after a one-part change", http.MethodPost, "/views/six/query", `r = SELECT X WHERE <six> X:<x2|x4/> </six>`, 221},
 	} {
 		v := 0
 		do := func() {

@@ -254,20 +254,20 @@ func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
 	if h.cluster != nil {
 		offer, leasable = h.cluster.Offer(name, r.Header.Get(mediator.ForwardHeader))
 	}
-	a, info, err := h.m.ViewAnswer(r.Context(), name, r.Header.Get("If-None-Match"))
+	a, stats, err := h.m.Read(r.Context(), mediator.Request{View: name, IfNoneMatch: r.Header.Get("If-None-Match")})
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	setProvenanceHeaders(w, a.View, info.Provenance)
+	setProvenanceHeaders(w, a.View, stats.Provenance)
 	if leasable {
-		h.grant(w, offer, a.View, &info)
+		h.grant(w, offer, a.View, &stats)
 	}
-	if notModified(w, info.Tag, info.NotModified) {
+	if notModified(w, stats.Tag, stats.NotModified) {
 		return
 	}
 	w.Header()["Content-Type"] = xmlType
-	if wantsRuns(r) && sendRuns(w, r, a, info.Tag) {
+	if wantsRuns(r) && sendRuns(w, r, a, stats.Tag) {
 		return
 	}
 	sendAnswer(r.Context(), w, a.View.DTDText, &a)
@@ -485,7 +485,7 @@ func (h *Handler) postQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	a, stats, err := h.m.Answer(r.Context(), name, body)
+	a, stats, err := h.m.Read(r.Context(), mediator.Request{View: name, Text: body})
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
 		return
