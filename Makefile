@@ -35,8 +35,10 @@ lint:
 # internal/xmlmodel rides along: its trees are arrays shared between
 # elements, and the ownership tests (slab_test.go) are what says the sharing
 # stops there. internal/infer too: a kept plan is its analysis run once, and
-# the refinement fan-out under it takes the serial path at -cpu=1 and the
-# goroutine path at -cpu=2. internal/load last: its one open-loop dispatcher
+# under it a condition that matches several names is refined on the calling
+# goroutine at -cpu=1 and fanned out to goroutines at -cpu=2 (one that
+# matches a single name is refined on the calling goroutine at both).
+# internal/load last: its one open-loop dispatcher
 # is shared by all three campaigns, and whether a slot is free at an
 # operation's turn — sent or shed — is decided by the scheduler. internal/obs
 # because a request's trace is one record that every part goroutine of the

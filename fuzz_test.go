@@ -2,10 +2,12 @@ package mix_test
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 
 	mix "repro"
+	"repro/internal/regex"
 	"repro/internal/xmlmodel"
 )
 
@@ -71,6 +73,12 @@ func FuzzParseDTD(f *testing.F) {
 		`<!DOCTYPE r SYSTEM "a[1]>.dtd" [ <!ELEMENT r (#PCDATA)> ] >`,
 		`<!DOCTYPE r [ <!ELEMENT r (#PCDATA)> ]> trailing`,
 		`<!DOCTYPE r [ <!ELEMENT r (#PCDATA)> ]`,
+		// Repeated models: a declaration spelled like an earlier one shares
+		// its model, whitespace that differs does not.
+		`<!DOCTYPE r [ <!ELEMENT r (a, b)*> <!ELEMENT a (a | b)*> <!ELEMENT b (a | b)*> <!ELEMENT c (a|b)*> ]>`,
+		`<!DOCTYPE r [ <!ELEMENT r (s, (t, u))> <!ELEMENT s (s, (t, u))> <!ELEMENT t ANY> <!ELEMENT u ANY> ]>`,
+		`<!DOCTYPE r [ <!-- <!ELEMENT r (x)> --> <!ELEMENT r (r | r)?> <!ELEMENT s (r | r)?> <!ELEMENT t (r | r)? > ]>`,
+		`<!DOCTYPE r [ <!ELEMENT r (r,)> <!ELEMENT s (r,)> ]>`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -80,6 +88,7 @@ func FuzzParseDTD(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkModelsParseAlone(t, input, d)
 		// Every content model reads the same to the reference parser and
 		// renders the same through the reference renderer.
 		for _, n := range d.Names() {
@@ -95,6 +104,52 @@ func FuzzParseDTD(f *testing.F) {
 			t.Fatalf("round trip changed the DTD\noriginal: %q", input)
 		}
 	})
+}
+
+// elementDecl matches an element declaration. On a text that parses, every
+// declaration matches; so may text inside a comment or a literal, which is
+// why checkModelsParseAlone skips a name matched twice.
+var elementDecl = regexp.MustCompile(`<!ELEMENT[ \t\r\n]+([^ \t\r\n>]+)[ \t\r\n]+([^>]*)>`)
+
+// checkModelsParseAlone: every type d, parsed from input, declares is what
+// its own spec text reads alone, whether or not the parse shared the model
+// with an earlier declaration spelled the same.
+func checkModelsParseAlone(t *testing.T, input string, d *mix.DTD) {
+	t.Helper()
+	specs := map[string][]string{}
+	for _, m := range elementDecl.FindAllStringSubmatch(input, -1) {
+		specs[m[1]] = append(specs[m[1]], strings.TrimSpace(m[2]))
+	}
+	var names []regex.Expr
+	for _, n := range d.Declared() {
+		names = append(names, regex.Nm(n))
+	}
+	for _, n := range d.Declared() {
+		if len(specs[n]) != 1 {
+			continue // a declaration in a comment or a literal as well
+		}
+		spec, got := specs[n][0], d.Types[n]
+		var want regex.Expr
+		switch {
+		case strings.HasPrefix(spec, "(") && strings.Contains(spec, "#PCDATA"):
+			if !got.PCDATA {
+				t.Fatalf("%s: declared %q, parsed %s", n, spec, got)
+			}
+			continue
+		case spec == "EMPTY":
+			want = regex.Eps()
+		case spec == "ANY":
+			want = regex.Rep(regex.Or(names...))
+		default:
+			var err error
+			if want, err = regex.Parse(spec); err != nil {
+				t.Fatalf("%s: the DTD parsed, its spec %q alone does not: %v", n, spec, err)
+			}
+		}
+		if got.PCDATA || !regex.Equal(got.Model, want) {
+			t.Fatalf("%s: declared %q, parsed %s, alone %s", n, spec, got, want)
+		}
+	}
 }
 
 func FuzzParseQuery(f *testing.F) {

@@ -78,11 +78,17 @@ func ParseSubset(root, subset string) (*DTD, error) {
 // Being the parser, it is also the only scanner that knows where a subset
 // ends.
 func parseSubset(root, s string) (*DTD, string, error) {
-	// Counting the keyword sizes the tables; it is a hint, a comment may
-	// hold one too.
-	decls := strings.Count(s, "<!ELEMENT")
+	// Counting the keyword sizes the tables. It is a hint, and a bounded
+	// one: the count runs over comments and whatever follows the subset,
+	// so a text full of the keyword must not presize for declarations it
+	// does not make. A larger DTD grows its tables past the bound.
+	decls := min(strings.Count(s, "<!ELEMENT"), maxDeclsHint)
 	d := NewSized(root, decls)
 	var models regex.Parser // one for the document: its atoms are shared
+	models.Grow(decls)
+	// A model spelled as an earlier declaration's is that declaration's
+	// model: expressions are immutable, so no code can tell.
+	parsed := make(map[string]regex.Expr)
 	var anyNames []string
 	for {
 		s = skipSubsetMisc(s)
@@ -112,7 +118,7 @@ func parseSubset(root, s string) (*DTD, string, error) {
 			if _, dup := d.Types[name]; dup {
 				return nil, "", fmt.Errorf("dtd: element %s declared twice", name)
 			}
-			t, isAny, err := parseSpec(&models, name, strings.TrimSpace(spec))
+			t, isAny, err := parseSpec(&models, parsed, name, strings.TrimSpace(spec))
 			if err != nil {
 				return nil, "", err
 			}
@@ -171,8 +177,13 @@ func indexUnquoted(s, stops string) int {
 	return -1
 }
 
-// parseSpec parses the content specification of an ELEMENT declaration.
-func parseSpec(models *regex.Parser, name, spec string) (Type, bool, error) {
+// maxDeclsHint bounds the declaration count parseSubset presizes for.
+const maxDeclsHint = 128
+
+// parseSpec parses the content specification of an ELEMENT declaration. A
+// content model found in parsed, under its text, is not parsed again; one
+// parsed here is added.
+func parseSpec(models *regex.Parser, parsed map[string]regex.Expr, name, spec string) (Type, bool, error) {
 	switch spec {
 	case "EMPTY":
 		// The paper excludes EMPTY elements (Section 2, requirement 3); we
@@ -189,6 +200,9 @@ func parseSpec(models *regex.Parser, name, spec string) (Type, bool, error) {
 		}
 		return Type{}, false, fmt.Errorf("dtd: element %s: mixed content %q is outside the model (Section 2)", name, spec)
 	}
+	if e, ok := parsed[spec]; ok {
+		return M(e), false, nil
+	}
 	if strings.Contains(spec, "^") { // in a model that parses, a caret is a tag
 		return Type{}, false, fmt.Errorf("dtd: element %s: tagged names are not allowed in a plain DTD: %s", name, spec)
 	}
@@ -196,6 +210,7 @@ func parseSpec(models *regex.Parser, name, spec string) (Type, bool, error) {
 	if err != nil {
 		return Type{}, false, fmt.Errorf("dtd: element %s: %v", name, err)
 	}
+	parsed[spec] = e
 	return M(e), false, nil
 }
 

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/dtd"
+	"repro/internal/regex"
 	"repro/internal/xmas"
 )
 
@@ -55,8 +57,8 @@ func TestFanOutFirstPanicWins(t *testing.T) {
 	}
 }
 
-// TestFanOutStopsOnCancel: a cancelled context stops the serial fallback
-// (and starves the parallel workers) rather than running every item.
+// TestFanOutStopsOnCancel: a cancelled context starves the workers rather
+// than letting them run every item.
 func TestFanOutStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -108,5 +110,48 @@ func TestFanOutFillsOneSlab(t *testing.T) {
 		if fmt.Sprint(parallel) != fmt.Sprint(serial) {
 			t.Fatalf("round %d: the parallel fan-out gave\n%v\nthe serial one\n%v", round, parallel, serial)
 		}
+	}
+}
+
+// TestFanOutOneNameRunsInline: a condition that matches one name — and,
+// under one processor, every condition — is refined on the calling
+// goroutine, without fanOut, and keeps what fanOut guarantees its workers.
+// A panic is an ErrWorkerPanic naming the element, and the name's
+// specialization is left inert (Unsatisfiable); a cancelled context refines
+// nothing. The content model of r panics regex's tree walks on its nil item.
+func TestFanOutOneNameRunsInline(t *testing.T) {
+	panicky := mustDTD(t, `<!DOCTYPE r [ <!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)> ]>`)
+	panicky.Types["r"] = dtd.M(regex.Concat{Items: []regex.Expr{regex.Atom{Name: regex.N("a")}, nil}})
+	onR := xmas.MustParse(`v = SELECT X WHERE <r> X:<a/> </r>`)
+	d1 := mustDTD(t, d1Text)
+	onDepartment := xmas.MustParse(`v = SELECT X WHERE <department> X:<professor/> </department>`)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+
+			in := newInferencer(context.Background(), onR, panicky)
+			got := in.tightenCond(onR.Root)
+			err := in.err()
+			if !errors.Is(err, ErrWorkerPanic) || !strings.Contains(err.Error(), `panic refining element "r"`) {
+				t.Errorf("GOMAXPROCS %d: a panic refining r gave %v, want an ErrWorkerPanic naming r", procs, err)
+			}
+			if len(got) != 1 || got[0].class != Unsatisfiable || !regex.IsFail(got[0].typ.Model) {
+				t.Errorf("GOMAXPROCS %d: after the panic r's specializations are %v, want one inert Unsatisfiable", procs, got)
+			}
+
+			in = newInferencer(cancelled, onDepartment, d1)
+			got = in.tightenCond(onDepartment.Root)
+			if err := in.err(); !errors.Is(err, context.Canceled) {
+				t.Errorf("GOMAXPROCS %d: cancelled refinement reports %v, want context.Canceled", procs, err)
+			}
+			if len(got) != 1 || got[0].class != Unsatisfiable {
+				t.Errorf("GOMAXPROCS %d: cancelled refinement of department gave %v, want it not refined", procs, got)
+			}
+			if got := newInferencer(context.Background(), onDepartment, d1).tightenCond(onDepartment.Root); got[0].class == Unsatisfiable {
+				t.Fatalf("fixture: department under <professor/> is %v uncancelled; the cancelled check reads nothing", got)
+			}
+		}()
 	}
 }

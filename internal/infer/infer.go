@@ -395,11 +395,21 @@ func (in *inferencer) refineWith(c *xmas.Cond, children []*xmas.Cond) specs {
 	}
 	// The per-name refinements are independent (they read only the source
 	// DTD and the shared sels, and each writes its own element of out), and
-	// each one refines, reduces and classifies a content model, so they fan
-	// out across goroutines.
-	in.fanOut(len(out), func(i int) string { return out[i].name.Base }, func(i int) {
-		in.computeSpec(c, children, sels, out[i].name.Base, &out[i])
-	})
+	// each one refines, reduces and classifies a content model, so several
+	// fan out across goroutines. One name (or none), or one processor, is
+	// refined on this goroutine: no closure, no goroutine, no WaitGroup.
+	if len(out) <= 1 || runtime.GOMAXPROCS(0) == 1 {
+		for i := range out {
+			if in.stopped() {
+				break
+			}
+			in.refine(c, children, sels, &out[i])
+		}
+	} else {
+		in.fanOut(len(out), func(i int) string { return out[i].name.Base }, func(i int) {
+			in.computeSpec(c, children, sels, out[i].name.Base, &out[i])
+		})
+	}
 	// An interrupted fan-out (cancellation or a worker panic) leaves some
 	// specs half-built: typ zero-valued (nil Model, not PCDATA). Later
 	// phases would feed that nil into regex.Map and panic on the main
@@ -530,27 +540,32 @@ func (in *inferencer) computeSpec(c *xmas.Cond, children []*xmas.Cond, sels []ch
 	}
 }
 
+// refine is computeSpec on the calling goroutine, with a panic recorded as
+// fanOut records a worker's.
+func (in *inferencer) refine(c *xmas.Cond, children []*xmas.Cond, sels []childSel, sp *spec) {
+	defer func() {
+		if r := recover(); r != nil {
+			in.recordPanic(workerPanic(sp.name.Base, r))
+		}
+	}()
+	in.computeSpec(c, children, sels, sp.name.Base, sp)
+}
+
+// workerPanic is the error a panic recovered while refining element name
+// is recorded as.
+func workerPanic(name string, r any) error {
+	return fmt.Errorf("%w refining element %q: %v", ErrWorkerPanic, name, r)
+}
+
 // fanOut runs f(0..n-1) on up to GOMAXPROCS goroutines, stopping early
 // (without starting new items) when the inferencer's context is cancelled
 // or a worker has panicked. A panic inside f is recovered and recorded as
 // an error naming the offending item (via label), so one pathological
 // element name fails the inference call instead of crashing the process.
-// With a single processor — or a single item — it degrades to the plain
-// serial loop, paying no goroutine overhead.
+// refineWith calls it for several items on several processors only, and
+// refines one item, or on one processor, without it.
 func (in *inferencer) fanOut(n int, label func(i int) string, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if in.stopped() {
-				return
-			}
-			in.runItem(i, label, f)
-		}
-		return
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var next int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -574,7 +589,7 @@ func (in *inferencer) fanOut(n int, label func(i int) string, f func(i int)) {
 func (in *inferencer) runItem(i int, label func(i int) string, f func(i int)) {
 	defer func() {
 		if r := recover(); r != nil {
-			in.recordPanic(fmt.Errorf("%w refining element %q: %v", ErrWorkerPanic, label(i), r))
+			in.recordPanic(workerPanic(label(i), r))
 		}
 	}()
 	f(i)

@@ -19,35 +19,40 @@ import (
 var elementName = regexp.MustCompile(`[a-z][A-Za-z0-9_]*`)
 
 // firstSightAllocs is what one never-seen POST /infer allocates, per
-// family/size/condition: 5 351 over the 30 rows, a mean of 178.4 (ParsePrefix
-// 75, xmas.Parse 9, InferContext 94.4 of it).
+// family/size/condition: 4 319 over the 30 rows, a mean of 144.0 (ParsePrefix
+// 48.6, xmas.Parse 9, InferContext 86.4 of it).
 //
-// While infer kept each condition's specializations in a map keyed by name
-// and Merge grouped them in a map of slices, the rows summed to 7 610, a
-// mean of 253.7 (InferContext 169.7); each row is 22–33 % below its count
-// then:
+// While every declaration parsed its own content model into exactly sized
+// copies over an atom table grown from empty, and refineWith handed a
+// one-name condition to the fan-out in two closures, the rows summed to
+// 5 351, a mean of 178.4 (ParsePrefix 75, InferContext 94.4); no row rose
+// (before / after):
 //
-//	recursive   237 238 231 / 255 256 249    optional 215 219 215 / 236 239 236
-//	disjunctive 236 237 235 / 258 259 257    idref    169 170 166 / 169 170 166
-//	mixed       361 362 357 / 405 406 401
+//	recursive/6   164 165 158 / 132 133 126    recursive/8   175 176 169 / 135 136 129
+//	optional/6    155 159 155 / 137 141 137    optional/8    169 172 169 / 152 155 152
+//	disjunctive/6 163 164 162 / 128 129 127    disjunctive/8 177 178 176 / 134 135 133
+//	idref/6       132 133 129 / 120 121 117    idref/8       132 133 129 / 120 121 117
+//	mixed/6       247 248 243 / 187 188 183    mixed/8       274 275 270 / 199 200 195
 //
-// (Width/Depth 6 / 8, each as <name/> <award/> [<award/>].) When validity
-// compiled the model's DFA through the automata cache, a plain condition
-// paid one lookup and 10 more allocations per request on award and two
-// lookups and 17–18 more on name (more while the cache's map grew:
-// recursive/6/<name/> was 454); the qualifier, whose validity is never
-// asked, paid the same as then.
+// (each as <name/> <award/> [<award/>]). Before that, while infer kept each
+// condition's specializations in a map keyed by name and Merge grouped them
+// in a map of slices, the rows summed to 7 610, a mean of 253.7
+// (InferContext 169.7). When validity compiled the model's DFA through the
+// automata cache, a plain condition paid one lookup and 10 more allocations
+// per request on award and two lookups and 17–18 more on name (more while
+// the cache's map grew: recursive/6/<name/> was 454); the qualifier, whose
+// validity is never asked, paid the same as then.
 var firstSightAllocs = map[string]float64{
-	"recursive/6/<name/>": 164, "recursive/6/<award/>": 165, "recursive/6/[<award/>]": 158,
-	"recursive/8/<name/>": 175, "recursive/8/<award/>": 176, "recursive/8/[<award/>]": 169,
-	"optional/6/<name/>": 155, "optional/6/<award/>": 159, "optional/6/[<award/>]": 155,
-	"optional/8/<name/>": 169, "optional/8/<award/>": 172, "optional/8/[<award/>]": 169,
-	"disjunctive/6/<name/>": 163, "disjunctive/6/<award/>": 164, "disjunctive/6/[<award/>]": 162,
-	"disjunctive/8/<name/>": 177, "disjunctive/8/<award/>": 178, "disjunctive/8/[<award/>]": 176,
-	"idref/6/<name/>": 132, "idref/6/<award/>": 133, "idref/6/[<award/>]": 129,
-	"idref/8/<name/>": 132, "idref/8/<award/>": 133, "idref/8/[<award/>]": 129,
-	"mixed/6/<name/>": 247, "mixed/6/<award/>": 248, "mixed/6/[<award/>]": 243,
-	"mixed/8/<name/>": 274, "mixed/8/<award/>": 275, "mixed/8/[<award/>]": 270,
+	"recursive/6/<name/>": 132, "recursive/6/<award/>": 133, "recursive/6/[<award/>]": 126,
+	"recursive/8/<name/>": 135, "recursive/8/<award/>": 136, "recursive/8/[<award/>]": 129,
+	"optional/6/<name/>": 137, "optional/6/<award/>": 141, "optional/6/[<award/>]": 137,
+	"optional/8/<name/>": 152, "optional/8/<award/>": 155, "optional/8/[<award/>]": 152,
+	"disjunctive/6/<name/>": 128, "disjunctive/6/<award/>": 129, "disjunctive/6/[<award/>]": 127,
+	"disjunctive/8/<name/>": 134, "disjunctive/8/<award/>": 135, "disjunctive/8/[<award/>]": 133,
+	"idref/6/<name/>": 120, "idref/6/<award/>": 121, "idref/6/[<award/>]": 117,
+	"idref/8/<name/>": 120, "idref/8/<award/>": 121, "idref/8/[<award/>]": 117,
+	"mixed/6/<name/>": 187, "mixed/6/<award/>": 188, "mixed/6/[<award/>]": 183,
+	"mixed/8/<name/>": 199, "mixed/8/<award/>": 200, "mixed/8/[<award/>]": 195,
 }
 
 // TestInferFirstSightAllocs is the ratchet on a POST /infer no cache has

@@ -37,16 +37,31 @@ const maxNesting = 2048
 // Parser parses content models; the zero value is ready. One Parser serves
 // all the models of a document, one Parse at a time, and what it keeps
 // between calls is why a document costs per declaration and not per token:
-// operands wait on one stack and are copied out, exactly sized, only into a
-// sequence or alternation that has at least two of them, and every distinct
-// name is boxed into an Atom once, all its occurrences sharing the box —
-// expressions are immutable, so they cannot tell.
+// operands wait on one stack and are copied out only into a sequence or
+// alternation that has at least two of them, each copy carved, exactly
+// sized, from one slab; and every distinct name is boxed into an Atom once,
+// all its occurrences sharing the box — expressions are immutable, so they
+// cannot tell.
 type Parser struct {
 	src   string
 	pos   int
 	depth int
 	stack []Expr
 	atoms map[Name]Expr
+	// slab is where the items of sequences and alternations are carved
+	// from: a carved slice has cap == len, so an append to one model's
+	// items moves it and never writes into another's. A full slab is left
+	// to the models carved from it and replaced by one twice its size.
+	slab []Expr
+}
+
+// Grow sizes the atom table for n distinct names, for a caller that knows
+// about how many are coming, so that it is not grown from empty. Called
+// once the table exists — after the first name — it does nothing.
+func (p *Parser) Grow(n int) {
+	if p.atoms == nil {
+		p.atoms = make(map[Name]Expr, n)
+	}
 }
 
 // Parse parses one expression, as the package's Parse does.
@@ -63,6 +78,19 @@ func (p *Parser) Parse(input string) (Expr, error) {
 		return nil, p.errf("unexpected %q", p.src[p.pos:])
 	}
 	return p.stack[0], nil
+}
+
+// minSlab is the size of a parser's first slab, in items.
+const minSlab = 32
+
+// carve returns a copy of items from the slab, with cap == len.
+func (p *Parser) carve(items []Expr) []Expr {
+	n := len(p.slab)
+	if cap(p.slab)-n < len(items) {
+		p.slab, n = make([]Expr, 0, max(minSlab, 2*cap(p.slab), len(items))), 0
+	}
+	p.slab = append(p.slab, items...)
+	return p.slab[n:len(p.slab):len(p.slab)]
 }
 
 func (p *Parser) errf(format string, args ...any) error {
@@ -89,15 +117,24 @@ func (p *Parser) peek() byte {
 
 // Each parse function leaves its result on top of the stack.
 
-func (p *Parser) parseAlt() error { return p.parseList('|', (*Parser).parseCat, Or) }
-func (p *Parser) parseCat() error { return p.parseList(',', (*Parser).parseUnary, Cat) }
+func (p *Parser) parseAlt() error { return p.parseList('|') }
+func (p *Parser) parseCat() error { return p.parseList(',') }
 
-// parseList parses item { sep item } and replaces the items it stacked, when
-// they are two or more, by build over a copy of exactly them.
-func (p *Parser) parseList(sep byte, item func(*Parser) error, build func(...Expr) Expr) error {
+// parseList parses item { sep item } — an alternation of sequences for '|',
+// a sequence of unary expressions for ',' — and replaces the items it
+// stacked, when they are two or more, by Or or Cat over a copy of exactly
+// them carved from the slab. It calls no function value, which would make
+// the parser escape to the heap.
+func (p *Parser) parseList(sep byte) error {
 	base := len(p.stack)
 	for {
-		if err := item(p); err != nil {
+		var err error
+		if sep == '|' {
+			err = p.parseCat()
+		} else {
+			err = p.parseUnary()
+		}
+		if err != nil {
 			return err
 		}
 		p.ws()
@@ -107,7 +144,13 @@ func (p *Parser) parseList(sep byte, item func(*Parser) error, build func(...Exp
 		p.pos++
 	}
 	if items := p.stack[base:]; len(items) > 1 {
-		p.stack = append(p.stack[:base], build(copyUpTo(items, len(items))...))
+		var e Expr
+		if sep == '|' {
+			e = Or(p.carve(items)...)
+		} else {
+			e = Cat(p.carve(items)...)
+		}
+		p.stack = append(p.stack[:base], e)
 	}
 	return nil
 }

@@ -191,7 +191,8 @@ func At(n Name) Expr { return Atom{Name: n} }
 // concatenations, dropping ε items, and collapsing to Fail when any item is
 // Fail (concatenation with the empty language is empty). When nothing needs
 // flattening or dropping the node is built over items itself, which the
-// caller must then leave alone, like any other part of an expression.
+// caller must then leave alone, like any other part of an expression. The
+// node's items have no spare capacity: an append to them moves them.
 func Cat(items ...Expr) Expr {
 	out, own := items, false // until own, the result so far is items[:i]
 	for i, it := range items {
@@ -221,7 +222,7 @@ func Cat(items ...Expr) Expr {
 	case 1:
 		return out[0]
 	}
-	return Concat{Items: out}
+	return Concat{Items: slices.Clip(out)}
 }
 
 // Or builds the union of the given expressions, flattening nested unions
@@ -229,7 +230,7 @@ func Cat(items ...Expr) Expr {
 // alternatives Equal to an earlier one. A nested union's items differ among
 // themselves (see Alt) and are compared with what came before it only, which
 // keeps a union accumulated one alternative at a time quadratic. Like Cat,
-// Or builds the node over items itself when it can.
+// Or builds the node over items itself when it can, with no spare capacity.
 func Or(items ...Expr) Expr {
 	out, own := items, false // until own, the result so far is items[:i]
 	for i, it := range items {
@@ -259,7 +260,7 @@ func Or(items ...Expr) Expr {
 	case 1:
 		return out[0]
 	}
-	return Alt{Items: out}
+	return Alt{Items: slices.Clip(out)}
 }
 
 func copyUpTo(items []Expr, i int) []Expr {

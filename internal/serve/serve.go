@@ -508,18 +508,18 @@ func (h *Handler) postQuery(w http.ResponseWriter, r *http.Request) {
 // (the format of cmd/mixinfer).
 //
 // Inference is a function of that text alone, so a text seen before is
-// answered with the bytes written the first time: nothing is parsed and no
-// algorithm runs. What is kept is a complete, tight answer — never a degraded
-// one (one budget's opinion, as in Mediator.planFor), never an error, and not
-// an entry over maxInferMemoEntry. Two first requests for one text may both
+// answered with the bytes written the first time: it is found by the body's
+// bytes, nothing is copied, nothing is parsed and no algorithm runs. What is
+// kept is a complete, tight answer — never a degraded one (one budget's
+// opinion, as in Mediator.planFor), never an error, and not an entry over
+// maxInferMemoEntry. Two first requests for one text may both
 // compute; their bytes are equal and the first Put stays.
 func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	text := string(body)
-	if kept, ok := h.inferred.Get(text); ok {
+	if kept, ok := h.inferred.GetBytes(body); ok {
 		h.inferHits.Add(1)
 		obs.SetAttr(r.Context(), obs.String("infer_memo", "hit"))
 		k := kept.(*keptInference)
@@ -528,6 +528,7 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 		w.Write(k.out)
 		return
 	}
+	text := string(body)
 	src, query, err := dtd.ParsePrefix(text)
 	if err != nil {
 		http.Error(w, "body must be a DOCTYPE declaration followed by a XMAS query: "+err.Error(), http.StatusBadRequest)
