@@ -45,19 +45,26 @@ func StreamValidationStats() StreamStats {
 // violation in document order while the tree validator reports the first
 // in preorder.
 func (d *DTD) ValidateStream(input string) error {
-	return d.validateScan(xmlmodel.NewScanner(input), len(input), false)
+	_, err := d.validateScan(xmlmodel.NewScanner(input), len(input), false)
+	return err
 }
 
 // ParseValid is ValidateStream and xmlmodel.Parse in one pass over input:
 // the same scan, with the tree built along the way. It fails where, and
 // as, ValidateStream fails, and the tree of the input before that point
 // is dropped: a rejected document costs what its valid prefix earned.
-func (d *DTD) ParseValid(input string) (*xmlmodel.Document, *xmlmodel.Doctype, error) {
-	sc := xmlmodel.NewTreeScanner(input)
-	if err := d.validateScan(sc, len(input), false); err != nil {
-		return nil, nil, err
+//
+// sized is the element count of a document the caller has already seen pass
+// (the last one from the same source), or 0: the tree is carved from chunks
+// of that size first (xmlmodel.NewTreeScanner), so a rejected document costs
+// at most that tree on top of what its valid prefix earned. elems is the
+// count of this one, for the caller's next call.
+func (d *DTD) ParseValid(input string, sized int) (doc *xmlmodel.Document, dt *xmlmodel.Doctype, elems int, err error) {
+	sc := xmlmodel.NewTreeScanner(input, sized)
+	if elems, err = d.validateScan(sc, len(input), false); err != nil {
+		return nil, nil, 0, err
 	}
-	return sc.Document(), sc.Doctype(), nil
+	return sc.Document(), sc.Doctype(), elems, nil
 }
 
 // ParseValidRuns is ParseValid for root children without their root: input
@@ -67,7 +74,7 @@ func (d *DTD) ParseValid(input string) (*xmlmodel.Document, *xmlmodel.Doctype, e
 // is ValidateRootChildren's to check, once that sequence is put together.
 func (d *DTD) ParseValidRuns(input string) ([]*xmlmodel.Element, error) {
 	sc := xmlmodel.NewRunsScanner(input)
-	if err := d.validateScan(sc, len(input), true); err != nil {
+	if _, err := d.validateScan(sc, len(input), true); err != nil {
 		return nil, err
 	}
 	return sc.Elements(), nil
@@ -96,15 +103,15 @@ func (d *DTD) ValidateRootChildren(children []*xmlmodel.Element) error {
 }
 
 // validateScan is the one event loop: it runs sc over its size-byte input
-// to the end or to the first event the DTD rejects. runs says sc is a
-// NewRunsScanner.
-func (d *DTD) validateScan(sc *xmlmodel.Scanner, size int, runs bool) error {
+// to the end or to the first event the DTD rejects, and counts the elements
+// it opened. runs says sc is a NewRunsScanner.
+func (d *DTD) validateScan(sc *xmlmodel.Scanner, size int, runs bool) (elems int, err error) {
 	streamDocuments.Add(1)
 	streamBytes.Add(int64(size))
 	v := streamValidator{d: d, stack: make([]streamFrame, 0, 16), runs: runs} // deeper documents regrow it
-	err := v.run(sc)
+	err = v.run(sc)
 	streamEvents.Add(v.events)
-	return err
+	return v.elems, err
 }
 
 func (v *streamValidator) run(sc *xmlmodel.Scanner) error {
@@ -116,6 +123,7 @@ func (v *streamValidator) run(sc *xmlmodel.Scanner) error {
 		v.events++
 		switch ev.Kind {
 		case xmlmodel.EventStart:
+			v.elems++
 			err = v.open(ev.Name)
 		case xmlmodel.EventText:
 			err = v.text()
@@ -152,6 +160,7 @@ type streamValidator struct {
 	d      *DTD
 	stack  []streamFrame
 	events int64
+	elems  int // EventStarts
 	// runs: the elements at the bottom of the stack are root children
 	// (ParseValidRuns), not the root.
 	runs bool

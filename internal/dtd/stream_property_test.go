@@ -60,11 +60,13 @@ func treeVerdict(d *dtd.DTD, src string) error {
 
 // checkFused holds ParseValid to the two passes it fuses, on one input: it
 // fails exactly when ValidateStream fails, with an equal error and no tree,
-// and otherwise returns the tree and the DOCTYPE Parse returns.
+// and otherwise returns the tree and the DOCTYPE Parse returns, and the
+// tree's size. Sized by that count, or by half of it (a first chunk that
+// overflows), it returns the same tree.
 func checkFused(t *testing.T, d *dtd.DTD, src string) {
 	t.Helper()
 	serr := d.ValidateStream(src)
-	doc, dt, ferr := d.ParseValid(src)
+	doc, dt, n, ferr := d.ParseValid(src, 0)
 	if !reflect.DeepEqual(ferr, serr) {
 		t.Errorf("ParseValid fails with %#v, ValidateStream with %#v, on %.80q", ferr, serr, src)
 	}
@@ -81,6 +83,14 @@ func checkFused(t *testing.T, d *dtd.DTD, src string) {
 	if !doc.Root.Equal(pdoc.Root) || doc.DocType != pdoc.DocType || !reflect.DeepEqual(dt, pdt) {
 		t.Errorf("ParseValid's document differs from Parse's on %.80q\n got %s %+v\nwant %s %+v",
 			src, xmlmodel.Marshal(doc, -1), dt, xmlmodel.Marshal(pdoc, -1), pdt)
+	}
+	if size := doc.Root.Size(); n != size {
+		t.Errorf("ParseValid counts %d elements in a tree of %d, on %.80q", n, size, src)
+	}
+	for _, sized := range []int{n, n/2 + 1} {
+		if sdoc, _, _, err := d.ParseValid(src, sized); err != nil || !sdoc.Root.Equal(doc.Root) {
+			t.Errorf("ParseValid sized by %d (of %d elements): %v, a different tree, on %.80q", sized, n, err, src)
+		}
 	}
 }
 

@@ -32,6 +32,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/xmas"
 	"repro/internal/xmlmodel"
@@ -114,7 +115,8 @@ func (p *Prepared) EvalElements(doc *xmlmodel.Document) ([]*xmlmodel.Element, er
 	if doc == nil || doc.Root == nil {
 		return nil, fmt.Errorf("engine: empty document")
 	}
-	return p.run(doc.Root, nil).picks, nil
+	picks, _ := p.run(doc.Root, nil).done()
+	return picks, nil
 }
 
 // EvalSplit evaluates over root, whose children are several runs one after
@@ -126,21 +128,56 @@ func (p *Prepared) EvalSplit(root *xmlmodel.Element, ends []int) (picks []*xmlmo
 	for len(m.cuts) < len(ends) { // the runs the root-level loop never reached
 		m.cuts = append(m.cuts, len(m.picks))
 	}
-	return m.picks, m.cuts
+	return m.done()
 }
 
-// run is one evaluation; the complexity tests read the matcher's visit count.
+// matchers pools the walk's scratch — every stack of a matcher, its memo and
+// its growing pick list — so an evaluation allocates what it hands out and
+// nothing else. What it hands out is copied out of the pool (done): nothing a
+// caller holds points into it.
+var matchers = sync.Pool{New: func() any { return new(matcher) }}
+
+// maxPooled bounds what a pooled matcher may hold, in entries of any one of
+// its stacks or of its memo: one that grew past it is dropped, not pooled, so
+// one huge document does not keep its size in the pool.
+const maxPooled = 1 << 14
+
+// run is one evaluation, on a matcher from the pool that done gives back; the
+// complexity tests read its visit count and let the collector have it.
 func (p *Prepared) run(root *xmlmodel.Element, ends []int) *matcher {
-	m := &matcher{Prepared: p, ends: ends}
-	if m.cuts = m.cutBuf[:0]; len(ends) > len(m.cutBuf) {
-		m.cuts = make([]int, 0, len(ends))
-	}
+	m := matchers.Get().(*matcher)
+	m.Prepared, m.ends = p, ends
 	if p.path[0].MatchesName(root.Name) {
 		m.steps = append(m.steps, step{i: 0})
 		m.chain = append(m.chain, link{root, 0})
 		m.visit(root, 0)
 	}
 	return m
+}
+
+// done returns m's picks and cuts, each copied into a slice of exactly its
+// length (nil for none), and gives m back to the pool, cleared.
+func (m *matcher) done() (picks []*xmlmodel.Element, cuts []int) {
+	if len(m.picks) > 0 {
+		picks = append(make([]*xmlmodel.Element, 0, len(m.picks)), m.picks...)
+	}
+	if len(m.cuts) > 0 {
+		cuts = append(make([]int, 0, len(m.cuts)), m.cuts...)
+	}
+	if max(cap(m.picks), cap(m.cuts), cap(m.steps), cap(m.chain), cap(m.used), cap(m.env), cap(m.frames), cap(m.claims), len(m.feasible)) > maxPooled {
+		return picks, cuts
+	}
+	// Whatever holds a pointer is cleared to its capacity, popped entries
+	// too, so the pool keeps no document and no query alive.
+	clear(m.picks)
+	clear(m.chain[:cap(m.chain)])
+	clear(m.env[:cap(m.env)])
+	clear(m.frames[:cap(m.frames)])
+	clear(m.feasible)
+	*m = matcher{picks: m.picks[:0], cuts: m.cuts[:0], steps: m.steps[:0], chain: m.chain[:0], used: m.used[:0],
+		feasible: m.feasible, env: m.env[:0], frames: m.frames[:0], claims: m.claims[:0]}
+	matchers.Put(m)
+	return picks, cuts
 }
 
 // Matches reports whether the query's condition embeds into the document at
@@ -172,8 +209,7 @@ type link struct {
 type matcher struct {
 	*Prepared
 	picks      []*xmlmodel.Element
-	ends, cuts []int  // EvalSplit's: the root-level loop cuts at each run's end
-	cutBuf     [8]int // cuts, for as many runs
+	ends, cuts []int // EvalSplit's: the root-level loop cuts at each run's end
 	// steps is a stack of step sets, one per element on the walk's current
 	// branch; chain holds those elements, root first.
 	steps []step
@@ -181,7 +217,8 @@ type matcher struct {
 	// used is the scratch stack of child indexes claimed by assign.
 	used []int
 	// feasible memoizes structuralOK for conditions that have children; it
-	// is made when first needed, sized by the root's fan-out.
+	// is made when first needed, sized by the root's fan-out, and kept with
+	// the matcher in the pool.
 	feasible map[feasKey]bool
 	// env holds an anchored embedding's bindings so far, frames and claims
 	// its suspended sibling assignments.

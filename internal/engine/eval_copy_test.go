@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/xmas"
@@ -49,18 +50,26 @@ func TestEvalSharesNoElementWithItsInput(t *testing.T) {
 }
 
 // The copy is the view document and Clone's two arrays: three allocations
-// on top of finding the picks, whatever their number. The walk's own
-// allocations (the path, the matcher's stacks, the pick list doubling as it
-// grows) are EvalElements' and are held by the ceiling only.
+// on top of finding the picks, whatever their number. Finding them is
+// EvalElements' (Prepare, and the pick list it hands out; the walk's
+// scratch is pooled), held by the ceiling only. Each count is the cheapest
+// of ten single calls, as in TestEvalElementsAllocations.
 func TestEvalAllocations(t *testing.T) {
+	cheapestAllocs := func(f func()) float64 {
+		least := math.MaxFloat64
+		for i := 0; i < 10; i++ {
+			least = min(least, testing.AllocsPerRun(1, f))
+		}
+		return least
+	}
 	measure := func(n int) (eval, find float64) {
 		doc := entriesDoc(n)
-		eval = testing.AllocsPerRun(20, func() {
+		eval = cheapestAllocs(func() {
 			if _, err := Eval(allEntries, doc); err != nil {
 				t.Fatal(err)
 			}
 		})
-		find = testing.AllocsPerRun(20, func() {
+		find = cheapestAllocs(func() {
 			if _, err := EvalElements(allEntries, doc); err != nil {
 				t.Fatal(err)
 			}
@@ -69,13 +78,15 @@ func TestEvalAllocations(t *testing.T) {
 	}
 	small, smallFind := measure(280) // about 16 KiB serialized
 	large, largeFind := measure(560)
+	t.Logf("280 entries: Eval %v, EvalElements %v; 560: %v, %v", small, smallFind, large, largeFind)
 	if small-smallFind > 3 || large-largeFind > 3 {
 		t.Errorf("copying the picks costs %v allocs for 280 entries and %v for 560, want ≤ 3", small-smallFind, large-largeFind)
 	}
 	if large-small >= 4 {
 		t.Errorf("Eval picking 560 entries costs %v allocs more than picking 280 (%v, %v)", large-small, large, small)
 	}
-	if small > 24 {
-		t.Errorf("Eval picking 280 entries: %v allocs, want ≤ 24", small)
+	// Measured 8.
+	if small > 10 {
+		t.Errorf("Eval picking 280 entries: %v allocs, want ≤ 10", small)
 	}
 }

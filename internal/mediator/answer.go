@@ -218,7 +218,7 @@ func answerRuns(name string, plan *Plan, runs []plannedPart, bytes bool, whole *
 			root = &xmlmodel.Element{Name: name, Children: p.res.children}
 		}
 		picks, _ := plan.prepared.EvalSplit(root, nil)
-		p.picks = slices.Clip(picks)
+		p.picks = picks
 	default:
 		root := whole
 		if root == nil || c.evaluated < len(runs) {

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/dtd"
@@ -212,11 +213,46 @@ func TestFetchAllocations(t *testing.T) {
 	if large-small > 40 {
 		t.Errorf("fetching %d bytes costs %v allocs more than fetching %d (%v, %v): the cost follows the document", largeSize, large-small, smallSize, large, small)
 	}
-	// Measured 100 (109 under -race): one scan validates the body and builds
-	// its tree, and the record Fetch holds on to is one more object — runs and
-	// memos it holds for a cluster member alone (TestOnlyAMembersFetchHoldsRuns).
-	if small > 115 {
-		t.Errorf("a warm fetch of %d bytes: %v allocs, want ≤ 115", smallSize, small)
+	// Measured 79 (88 to 91 under -race): one scan validates the body and
+	// builds its tree in two arrays, sized by the held document's count, and
+	// the record Fetch holds on to is one more object — runs and memos it
+	// holds for a cluster member alone (TestOnlyAMembersFetchHoldsRuns).
+	if small > 97 {
+		t.Errorf("a warm fetch of %d bytes: %v allocs, want ≤ 97", smallSize, small)
+	}
+}
+
+// BenchmarkFetchChanged is a refetch of a body that changed, as the refresh
+// workload's sources make one: an HTTPSource over a loopback server, its
+// client bounded by a Timeout as the benchmark's is (net/http then arms a
+// timer per request), fetching two 16 KiB bodies in turn — the round trip,
+// the body, the one scan that validates it and builds its tree, and the
+// record the source keeps.
+func BenchmarkFetchChanged(b *testing.B) {
+	bodies := []string{deptBodyOfSize(16<<10, "a"), deptBodyOfSize(16<<10, "b")}
+	var turn atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /views/v/dtd", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, d1Text) })
+	mux.HandleFunc("GET /views/v", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, bodies[turn.Add(1)%2]) })
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	src, err := NewHTTPSource(&http.Client{Timeout: 30 * time.Second}, srv.URL, "v", WithRetries(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	last, err := src.Fetch(ctx) // warm: connection, compiled automata, the held subset and count
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		doc, err := src.Fetch(ctx)
+		if err != nil || doc == last {
+			b.Fatalf("fetch of a changed body: err %v, the held document again: %v", err, doc == last)
+		}
+		last = doc
 	}
 }
 
@@ -257,24 +293,32 @@ func (c cannedRemote) RoundTrip(r *http.Request) (*http.Response, error) {
 		Body: io.NopCloser(strings.NewReader(body)), ContentLength: int64(len(body))}, nil
 }
 
+// violatingBody is a body of about size bytes that violates the DTD at its
+// first child: a name its parent's content model does not mention (one the
+// model mentions elsewhere is only found out when the parent closes).
+func violatingBody(size int) string {
+	var b strings.Builder
+	b.WriteString(d1Text + "\n<department><title>no department has one</title>")
+	for b.Len() < size {
+		b.WriteString("<course>c</course>")
+	}
+	b.WriteString("</department>")
+	return b.String()
+}
+
 // A body that fails costs what its valid prefix earned: one that violates
-// the DTD at its first child — a name its parent's content model does not
-// mention; one the model mentions elsewhere is only found out when the
-// parent closes — is dropped there, and what follows that child is read
-// off the socket and never scanned.
+// the DTD at its first child is dropped there, and what follows that child
+// is read off the socket and never scanned.
+//
+// After a valid body of n elements the source sizes the next tree by it
+// (dtd.ParseValid), so a failing body may also have carved that tree before
+// it failed, and no more: 16 MiB of '<', and a body that fails at its first
+// child, each allocate beyond their own bytes at most n × (80 + 8) bytes —
+// an element and its place in a child list — and a page more than at a
+// source that holds nothing, whatever their length.
 func TestFetchOfAViolatingBodyAllocationsIgnoreItsSize(t *testing.T) {
 	measure := func(size int) float64 {
-		var b strings.Builder
-		b.WriteString(d1Text + "\n<department><title>no department has one</title>")
-		for b.Len() < size {
-			b.WriteString("<course>c</course>")
-		}
-		b.WriteString("</department>")
-		client := &http.Client{Transport: cannedRemote{"/views/v/dtd": d1Text, "/views/v": b.String()}}
-		src, err := NewHTTPSource(client, "http://remote", "v", WithRetries(0))
-		if err != nil {
-			t.Fatal(err)
-		}
+		src, _ := cannedSource(t, violatingBody(size))
 		return testing.AllocsPerRun(30, func() {
 			if _, err := src.Fetch(context.Background()); err == nil || !strings.Contains(err.Error(), "violates its own DTD") {
 				t.Fatalf("fetch of a violating body: %v", err)
@@ -288,6 +332,42 @@ func TestFetchOfAViolatingBodyAllocationsIgnoreItsSize(t *testing.T) {
 	// tree of the 1 MiB would be some 90 allocations.
 	if large > small+10 {
 		t.Errorf("a violating body of 1 MiB costs %v allocs, one of 16 KiB %v: the cost follows the body", large, small)
+	}
+
+	beyondBody := func(body string, held bool) (bytes float64, elems int) {
+		src, remote := cannedSource(t, deptBodyOfSize(16<<10, "a"))
+		if held {
+			mustFetch(t, src)
+			elems = src.kept.Load().elems
+		}
+		remote["/views/v"] = body
+		bytes = leastBytesPerRun(10, func() {
+			if _, err := src.Fetch(context.Background()); err == nil {
+				t.Fatal("a hostile body was fetched")
+			}
+		})
+		return bytes - float64(len(body)), elems
+	}
+	for _, c := range []struct{ name, body string }{
+		{"<<<<", strings.Repeat("<", maxResponseBytes)},
+		{"fails at its first child, 16 KiB", violatingBody(16 << 10)},
+		{"fails at its first child, 1 MiB", violatingBody(1 << 20)},
+	} {
+		unsized, _ := beyondBody(c.body, false)
+		sized, n := beyondBody(c.body, true)
+		t.Logf("%s: %.0f bytes beyond the body's; %.0f after %d elements", c.name, unsized, sized, n)
+		if n == 0 {
+			t.Fatal("the valid body's element count was not kept")
+		}
+		// The allocator rounds an array past 32 KiB up to whole 8 KiB pages.
+		if ceiling := unsized + float64(n*(80+8)+8<<10); sized > ceiling {
+			t.Errorf("%s after a body of %d elements: %.0f bytes beyond the body's, want ≤ %.0f", c.name, n, sized, ceiling)
+		}
+		// Measured 2.7 kB to 12 kB: the round trip, the scan, the error, and
+		// a large body's array rounded up to a page.
+		if unsized > 16<<10 {
+			t.Errorf("%s: %.0f bytes beyond the body's, want ≤ %d", c.name, unsized, 16<<10)
+		}
 	}
 }
 
@@ -486,7 +566,7 @@ func TestRefreshedPartAllocatesOneTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	parse := bytesPerRun(30, func() {
-		if _, _, err := d.ParseValid(bodies[0]); err != nil {
+		if _, _, _, err := d.ParseValid(bodies[0], 0); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -114,6 +114,9 @@ type HTTPSource struct {
 type keptDocument struct {
 	tag, body, subset string
 	doc               *xmlmodel.Document
+	// elems counts doc's elements when a full body built it (0 for a
+	// splice): the next changed body's tree is sized by it (dtd.ParseValid).
+	elems int
 	// runs cut doc's root children into the runs the remote made them of, in
 	// part order, each with its picks memo: what a delta is spliced into and
 	// what a cluster member answers from (Answer); ends says where each run
@@ -309,14 +312,14 @@ func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	case held != nil && held.body != "" && resp.body == held.body:
 		s.unchangedBodies.Add(1)
 		if resp.etag != held.tag || resp.member && held.runs == nil {
-			kept = s.hold(keptDocument{tag: resp.etag, body: held.body, subset: held.subset, doc: held.doc}, resp, held)
+			kept = s.hold(keptDocument{tag: resp.etag, body: held.body, subset: held.subset, doc: held.doc, elems: held.elems}, resp, held)
 		}
 	default:
-		doc, subset, err := s.check(resp.body, held)
+		doc, subset, elems, err := s.check(resp.body, held)
 		if err != nil {
 			return nil, err
 		}
-		kept = s.hold(keptDocument{tag: resp.etag, body: resp.body, subset: subset, doc: doc}, resp, nil)
+		kept = s.hold(keptDocument{tag: resp.etag, body: resp.body, subset: subset, doc: doc, elems: elems}, resp, nil)
 	}
 	if kept != held {
 		s.kept.Store(kept)
@@ -326,26 +329,32 @@ func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 }
 
 // check is everything a body must pass before its document is handed out,
-// and returns the body's DOCTYPE subset. Whether a subset parses depends on
-// its text alone, so the held body's (held, nil for none) is not parsed again.
-func (s *HTTPSource) check(body string, held *keptDocument) (*xmlmodel.Document, string, error) {
-	doc, dt, err := s.schema.ParseValid(body)
+// and returns the body's DOCTYPE subset and the document's element count.
+// Whether a subset parses depends on its text alone, so the held body's
+// (held, nil for none) is not parsed again; the held document's count sizes
+// the tree.
+func (s *HTTPSource) check(body string, held *keptDocument) (*xmlmodel.Document, string, int, error) {
+	sized := 0
+	if held != nil {
+		sized = held.elems
+	}
+	doc, dt, elems, err := s.schema.ParseValid(body, sized)
 	if err != nil {
 		var verr *dtd.ValidationError
 		if errors.As(err, &verr) {
-			return nil, "", fmt.Errorf("mediator: remote view violates its own DTD: %w", err)
+			return nil, "", 0, fmt.Errorf("mediator: remote view violates its own DTD: %w", err)
 		}
-		return nil, "", fmt.Errorf("mediator: remote view unparseable: %w", err)
+		return nil, "", 0, fmt.Errorf("mediator: remote view unparseable: %w", err)
 	}
 	if dt == nil {
-		return doc, "", nil
+		return doc, "", elems, nil
 	}
 	if held == nil || held.subset != dt.Internal {
 		if _, err := dtd.ParseSubset(dt.Root, dt.Internal); err != nil {
-			return nil, "", fmt.Errorf("mediator: remote view unparseable: %w", err)
+			return nil, "", 0, fmt.Errorf("mediator: remote view unparseable: %w", err)
 		}
 	}
-	return doc, dt.Internal, nil
+	return doc, dt.Internal, elems, nil
 }
 
 // response is what one GET brought back. lease is the term a cluster owner

@@ -41,11 +41,11 @@ func spliceHeld(tb testing.TB, pad int) (*HTTPSource, *keptDocument) {
 	}
 	s := &HTTPSource{schema: d, rawDTD: spliceDTDText}
 	body := spliceDTDText + "\n<u>" + strings.Repeat(" ", pad) + strings.Join(spliceRuns[:], "") + "</u>\n"
-	doc, subset, err := s.check(body, nil)
+	doc, subset, elems, err := s.check(body, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	held := s.hold(keptDocument{tag: spliceTag("1.1.1"), body: body, subset: subset, doc: doc}, response{runs: "2,1,1", member: true}, nil)
+	held := s.hold(keptDocument{tag: spliceTag("1.1.1"), body: body, subset: subset, doc: doc, elems: elems}, response{runs: "2,1,1", member: true}, nil)
 	if len(held.runs) != 3 {
 		tb.Fatalf("the held document has %d runs, not 3", len(held.runs))
 	}
@@ -93,7 +93,7 @@ func FuzzSpliceRuns(f *testing.F) {
 			return
 		}
 		full := spliceDTDText + "\n<u>" + strings.Join(spliceRuns[:first], "") + body + strings.Join(spliceRuns[last+1:], "") + "</u>\n"
-		want, _, err := s.schema.ParseValid(full)
+		want, _, _, err := s.schema.ParseValid(full, 0)
 		if err != nil {
 			t.Fatalf("spliced %q (runs %q, parts %d to %d), whose full text does not validate: %v", body, runs, first, last, err)
 		}

@@ -33,7 +33,7 @@ type Doctype struct {
 // and elements interleaved under one parent — is rejected, per Section 2.
 // It is a Scanner run to its end with the tree built along the way.
 func Parse(input string) (*Document, *Doctype, error) {
-	s := NewTreeScanner(input)
+	s := NewTreeScanner(input, 0)
 	if err := s.drain(); err != nil {
 		return nil, nil, err
 	}
@@ -46,7 +46,7 @@ func ParseElement(input string) (*Element, error) {
 	if err := s.drain(); err != nil {
 		return nil, err
 	}
-	return s.closed[0], nil
+	return s.root, nil
 }
 
 // Slab chunks double from minChunk to maxChunk, so the chunk being filled
@@ -62,6 +62,10 @@ const (
 type slab[T any] struct {
 	free []T
 	next int
+	// first, when set, is the size of the first chunk in place of the
+	// doubling rule's (NewTreeScanner's elems); the chunks after it double
+	// from minChunk.
+	first int
 }
 
 // take returns n fresh zeroed Ts with cap == len, so that an append to
@@ -69,8 +73,13 @@ type slab[T any] struct {
 // caps a new chunk (but never below n).
 func (s *slab[T]) take(n, bound int) []T {
 	if n > len(s.free) {
-		s.next = min(max(2*s.next, minChunk), maxChunk)
-		s.free = make([]T, max(n, min(s.next, bound)))
+		size := s.first
+		if size == 0 {
+			s.next = min(max(2*s.next, minChunk), maxChunk)
+			size = s.next
+		}
+		s.first = 0
+		s.free = make([]T, max(n, min(size, bound)))
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]

@@ -2,8 +2,11 @@ package xmlmodel_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
+	"repro/internal/dtd"
+	"repro/internal/gen"
 	"repro/internal/load"
 	"repro/internal/xmlmodel"
 )
@@ -63,6 +66,64 @@ func TestAppendToAChildListStaysLocal(t *testing.T) {
 			checkAppendStaysLocal(t, doc.Root.Clone(), want.Root)
 		})
 	}
+}
+
+// A tree scan gives its stacks back to a pool when it ends, and the tree it
+// handed out shares nothing with them: built by dtd.ParseValid, sized by its
+// own count, a document stays equal to a copy made apart while many more
+// scans — of other documents, sized and not, on several goroutines — run on
+// the pooled stacks, and appending to any of its child lists stays local.
+func TestScanPoolAliasesNothing(t *testing.T) {
+	type source struct {
+		d    *dtd.DTD
+		body string
+	}
+	var sources []source
+	for _, f := range load.Families() {
+		for seed := int64(1); seed <= 2; seed++ {
+			src, err := load.BuildSource("site", load.SourceOptions{
+				Schema: load.SchemaOptions{Seed: seed, Family: f},
+				Gen:    gen.Options{MaxDepth: 6, LengthBias: 0.3, AssignIDs: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sources = append(sources, source{src.DTD, dtd.MarshalDocument(src.Doc, src.DTD, 2)})
+		}
+	}
+	kept := sources[len(sources)-1]
+	_, _, n, err := kept.d.ParseValid(kept.body, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _, err := kept.d.ParseValid(kept.body, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, text := doc.Root.Clone(), xmlmodel.MarshalElement(doc.Root, -1)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				s := sources[(g*7+i)%len(sources)]
+				if _, _, _, err := s.d.ParseValid(s.body, i%3*n/2); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, err := xmlmodel.Parse(s.body); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := xmlmodel.MarshalElement(doc.Root, -1); got != text || !doc.Root.Equal(want) {
+		t.Fatalf("a tree changed while other scans ran%s", firstDiff(got, text))
+	}
+	checkAppendStaysLocal(t, doc.Root, want)
 }
 
 // scramble changes everything an Element owns, in place: names, IDs, text,

@@ -3,6 +3,7 @@ package xmlmodel
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -88,6 +89,10 @@ type Scanner struct {
 	elems  slab[Element]
 	kids   slab[*Element]
 	closed []*Element
+	// scratch is where a tree scan's stack and closed come from and go back
+	// to (scanScratches); root is its element once the scan has ended.
+	scratch *scanScratch
+	root    *Element
 	// left is an upper bound on the start tags in the unread input (see
 	// startTagBound), counted once and decremented per element: no chunk
 	// is sized past it, so a well-formed document's slabs end full.
@@ -106,7 +111,49 @@ func NewScanner(input string) *Scanner { return &Scanner{src: input} }
 // as Parse does: Document returns it once Next has returned EventEOF. A
 // consumer that stops at an event it rejects has paid for the tree of the
 // input before that event, and no more.
-func NewTreeScanner(input string) *Scanner { return &Scanner{src: input, build: true} }
+//
+// elems is how many elements the caller expects the input to hold — the
+// count of a document like it that passed every check — or 0 for unknown.
+// The tree's first element chunk and first child-list chunk are that size
+// (capped by the start tags in the input), so a document of no more
+// elements is two arrays; past them, chunks double as for an unsized scan.
+func NewTreeScanner(input string, elems int) *Scanner {
+	s := &Scanner{src: input, build: true}
+	s.elems.first, s.kids.first = elems, elems
+	return s
+}
+
+// scanScratch is a tree scan's working stacks: the open elements and the
+// closed ones waiting for their parent. Nothing the tree keeps is carved
+// from them, so they go back to scanScratches, cleared, when the scan ends
+// cleanly, and the next tree scan starts with their capacity.
+type scanScratch struct {
+	stack  []openElem
+	closed []*Element
+}
+
+var scanScratches = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// maxPooledScratch bounds either stack of a pooled scanScratch, in entries:
+// one that grew past it is dropped, so one huge document does not keep its
+// size in the pool.
+const maxPooledScratch = 1 << 12
+
+// release keeps the element of a tree scan that has ended cleanly as root
+// and hands the scan's stacks back to the pool, cleared.
+func (s *Scanner) release() {
+	sc := s.scratch
+	s.root = s.closed[0]
+	stack, closed := s.stack[:cap(s.stack)], s.closed[:cap(s.closed)]
+	s.scratch, s.stack, s.closed = nil, nil, nil
+	if len(stack) > maxPooledScratch || len(closed) > maxPooledScratch {
+		return
+	}
+	clear(stack)
+	clear(closed)
+	sc.stack, sc.closed = stack[:0], closed[:0]
+	scanScratches.Put(sc)
+}
 
 // NewRunsScanner returns a scanner of elements one after another with no
 // root around them — what a document's root has for children, as they are
@@ -131,12 +178,12 @@ func (s *Scanner) Elements() []*Element {
 func (s *Scanner) Doctype() *Doctype { return s.doctype }
 
 // Document returns the tree of a NewTreeScanner scan that has reached
-// EventEOF, and nil before that or when the scan builds nothing.
+// EventEOF, and nil before that or when the scan builds no document.
 func (s *Scanner) Document() *Document {
-	if !s.done || !s.build {
+	if s.root == nil {
 		return nil
 	}
-	doc := &Document{Root: s.closed[0]}
+	doc := &Document{Root: s.root}
 	if s.doctype != nil {
 		doc.DocType = s.doctype.Root
 	}
@@ -183,8 +230,12 @@ func (s *Scanner) next() (Event, error) {
 		if s.build {
 			s.left = startTagBound(s.src[s.pos:])
 		}
-		if s.runs { // every element the scan finds at its top waits on closed to its end
+		switch {
+		case s.runs: // every element the scan finds at its top waits on closed to its end
 			s.closed = make([]*Element, 0, min(s.left, maxChunk))
+		case s.build:
+			s.scratch = scanScratches.Get().(*scanScratch)
+			s.stack, s.closed = s.scratch.stack, s.scratch.closed
 		}
 		if s.runs && s.eof() {
 			s.done = true
@@ -210,6 +261,9 @@ func (s *Scanner) next() (Event, error) {
 			return Event{}, s.errf("trailing content after %s", what)
 		}
 		s.done = true
+		if s.scratch != nil {
+			s.release()
+		}
 		return Event{Kind: EventEOF}, nil
 	}
 	// Content: element content or character content, never mixed.
