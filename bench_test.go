@@ -498,8 +498,7 @@ func BenchmarkDataguidePruning(b *testing.B) {
 		more := g.Document().Root
 		root.Children = append(root.Children, more.Children...)
 	}
-	obj := mix.OEMFromXML(root)
-	dg, err := mix.BuildDataGuide(obj)
+	dg, err := mix.BuildDataGuide(root)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -510,7 +509,7 @@ func BenchmarkDataguidePruning(b *testing.B) {
 	b.Run("no-guide", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if got := dead.Eval(obj); len(got) != 0 {
+			if got := dead.Eval(root); len(got) != 0 {
 				b.Fatal("dead path matched")
 			}
 		}
@@ -518,7 +517,7 @@ func BenchmarkDataguidePruning(b *testing.B) {
 	b.Run("guide-pruned", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if got := dead.EvalWithGuide(obj, dg); got != nil {
+			if got := dead.EvalWithGuide(root, dg); got != nil {
 				b.Fatal("dead path matched")
 			}
 		}

@@ -32,18 +32,18 @@ func main() {
 	}
 
 	// Summarize a corpus of documents with one dataguide.
-	var objs []*mix.OEMObject
+	var roots []*mix.Element
 	elems := 0
 	for i := 0; i < 25; i++ {
 		doc := g.Document()
 		elems += doc.Root.Size()
-		objs = append(objs, mix.OEMFromXML(doc.Root))
+		roots = append(roots, doc.Root)
 	}
-	dg, err := mix.BuildDataGuide(objs...)
+	dg, err := mix.BuildDataGuide(roots...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("dataguide over %d documents (%d elements), %d label paths:\n", len(objs), elems, len(dg.Paths()))
+	fmt.Printf("dataguide over %d documents (%d elements), %d label paths:\n", len(roots), elems, len(dg.Paths()))
 	for _, p := range dg.Paths() {
 		fmt.Println("  ", p)
 	}

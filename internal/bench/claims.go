@@ -326,7 +326,7 @@ func runE11(w io.Writer, cfg Config) (*Outcome, error) {
 	// Dataguide comparison (Section 5): summarize the materialized union
 	// view with a dataguide and compare schema precision against the
 	// inferred view DTD.
-	dg, err := oem.Build(oem.FromXML(doc.Root))
+	dg, err := oem.Build(doc.Root)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,6 @@ package dtd
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/automata"
@@ -65,17 +64,17 @@ type DTD struct {
 	// element of any document valid under this DTD.
 	Root string
 	// Types maps each declared name to its type. Once the DTD validates
-	// documents, change a declaration with Declare, not in place:
-	// ValidateStream remembers what it resolved for a name, and Declare is
-	// what makes it forget.
+	// documents, change a declaration with Declare, not in place: the
+	// validators remember what a name resolves to, and Declare is what
+	// makes them forget.
 	Types map[string]Type
 
 	// order preserves declaration order for deterministic serialization.
 	order []string
-	// streamTypes is ValidateStream's memo (stream.go): the validation plan
-	// of every name a validated document has used so far, in a map that is
-	// never written once published.
-	streamTypes atomic.Pointer[map[string]streamType]
+	// streamTypes is the validators' plan table (stream.go): one row per
+	// declared name, built on the first validation and never written once
+	// published.
+	streamTypes atomic.Pointer[map[string]*streamEntry]
 }
 
 // New returns an empty DTD with the given document type.
@@ -150,17 +149,6 @@ func (d *DTD) AppendText(dst []byte) []byte {
 	return append(dst, "]>"...)
 }
 
-// dfa returns the compiled automaton for name's content model, backed by
-// the process-wide compiled-automata cache. Unlike the per-DTD map it
-// replaced, the shared cache is concurrency-safe, so concurrent validation
-// against the same DTD value needs no cloning; it also survives Declare
-// (keys are content models, not names). Validation has no budget to spend:
-// the compile is lazy, once per model, and unlimited.
-func (d *DTD) dfa(name string) *automata.DFA {
-	m, _ := automata.Compiled(d.Types[name].Model, nil) // a nil budget cannot fail
-	return m
-}
-
 // ValidationError reports why an element fails Definition 2.3.
 type ValidationError struct {
 	Path string // slash path of element names from the root
@@ -173,63 +161,21 @@ func (e *ValidationError) Error() string {
 
 // Validate checks the document against the DTD: the root element must bear
 // the document type name, and every element must satisfy its declaration
-// (Definitions 2.3 and 2.4). The first violation found (preorder) is
-// returned; nil means the document is valid.
+// (Definitions 2.3 and 2.4). The tree is replayed through ValidateStream's
+// frames, so the violation returned is the one ValidateStream returns for
+// the document's text: the first in document order. nil means the document
+// is valid.
 func (d *DTD) Validate(doc *Document) error {
 	if doc == nil || doc.Root == nil {
 		return &ValidationError{Path: "/", Msg: "empty document"}
 	}
-	if doc.Root.Name != d.Root {
-		return &ValidationError{Path: "/" + doc.Root.Name,
-			Msg: fmt.Sprintf("root element is %s, document type requires %s", doc.Root.Name, d.Root)}
-	}
-	return d.ValidateElement(doc.Root)
+	return d.validateTree(doc.Root, false)
 }
 
 // ValidateElement checks the subtree rooted at e against the DTD without
 // constraining e to be the document type.
 func (d *DTD) ValidateElement(e *Element) error {
-	return d.validate(e, "/"+e.Name)
-}
-
-func (d *DTD) validate(e *Element, path string) error {
-	t, declared := d.Types[e.Name]
-	if !declared {
-		return &ValidationError{Path: path, Msg: fmt.Sprintf("element name %s is not declared", e.Name)}
-	}
-	if t.PCDATA {
-		if !e.IsText {
-			return &ValidationError{Path: path,
-				Msg: fmt.Sprintf("%s is declared (#PCDATA) but has element content", e.Name)}
-		}
-		return nil
-	}
-	if e.IsText {
-		return &ValidationError{Path: path,
-			Msg: fmt.Sprintf("%s has character content but is declared %s", e.Name, t)}
-	}
-	word := make([]regex.Name, len(e.Children))
-	for i, k := range e.Children {
-		word[i] = regex.N(k.Name)
-	}
-	if !d.dfa(e.Name).Match(word) {
-		return &ValidationError{Path: path,
-			Msg: fmt.Sprintf("children %v do not match content model %s", wordString(word), t.Model)}
-	}
-	for i, k := range e.Children {
-		if err := d.validate(k, fmt.Sprintf("%s/%s[%d]", path, k.Name, i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func wordString(w []regex.Name) string {
-	parts := make([]string, len(w))
-	for i, n := range w {
-		parts[i] = n.String()
-	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return d.validateTree(e, true)
 }
 
 // Equivalent reports whether two DTDs describe the same document

@@ -153,8 +153,8 @@ func TestValidateViolations(t *testing.T) {
 	}{
 		{"wrong root", `<professor><firstName>x</firstName><lastName>y</lastName><publication><title>t</title><author>a</author><journal>j</journal></publication><teaches>z</teaches></professor>`, "document type requires"},
 		{"missing gradStudent", `<department><name>CS</name><professor><firstName>x</firstName><lastName>y</lastName><publication><title>t</title><author>a</author><journal>j</journal></publication><teaches>z</teaches></professor></department>`, "do not match content model"},
-		{"undeclared element", `<department><name>CS</name><dean>who</dean></department>`, "do not match content model"},
-		{"pcdata has children", `<department><name><x/></name></department>`, "do not match content model"},
+		{"undeclared element", `<department><name>CS</name><dean>who</dean></department>`, "element name dean is not declared"},
+		{"pcdata has children", `<department><name><x/></name></department>`, "element name x is not declared"},
 		{"element content has text", `<department>just text</department>`, "has character content"},
 	}
 	for _, c := range cases {

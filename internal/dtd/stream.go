@@ -39,11 +39,9 @@ func StreamValidationStats() StreamStats {
 // is paid per DTD, not per document — so arbitrarily large source payloads
 // validate without being materialized.
 //
-// It accepts exactly the documents that Parse plus Validate accept, and
-// rejects exactly the ones they reject (property-tested); only error
-// positions and messages may differ, because the scan reports the first
-// violation in document order while the tree validator reports the first
-// in preorder.
+// It accepts exactly the documents that Parse plus Validate accept, and on a
+// document Parse accepts it fails with the error Validate returns for the
+// tree (property-tested): Validate replays the tree through the same frames.
 func (d *DTD) ValidateStream(input string) error {
 	_, err := d.validateScan(xmlmodel.NewScanner(input), len(input), false)
 	return err
@@ -138,11 +136,45 @@ func (v *streamValidator) run(sc *xmlmodel.Scanner) error {
 	}
 }
 
+// validateTree replays the tree rooted at e through the frames validateScan
+// drives, in document order: a text element is one text event, and any
+// other element is its children. runs skips the root-name check, as for a
+// NewRunsScanner. The stream counters count scans, not trees.
+func (d *DTD) validateTree(e *xmlmodel.Element, runs bool) error {
+	v := streamValidator{d: d, stack: make([]streamFrame, 0, 16), runs: runs}
+	return v.walk(e)
+}
+
+func (v *streamValidator) walk(e *xmlmodel.Element) error {
+	if err := v.open(e.Name); err != nil {
+		return err
+	}
+	if e.IsText {
+		if err := v.text(); err != nil {
+			return err
+		}
+	} else {
+		for _, k := range e.Children {
+			if err := v.walk(k); err != nil {
+				return err
+			}
+		}
+	}
+	return v.close()
+}
+
 // streamType is the per-name validation plan: PCDATA or a compiled DFA.
 type streamType struct {
 	pcdata bool
 	dfa    *automata.DFA
 	t      Type
+}
+
+// streamEntry is a declared name's row of the DTD's plan table: its type,
+// and its DFA once a document has used the name.
+type streamEntry struct {
+	t   Type
+	dfa atomic.Pointer[automata.DFA]
 }
 
 // streamFrame is the state of one open element: its DFA state advances as
@@ -166,44 +198,50 @@ type streamValidator struct {
 	runs bool
 }
 
-// streamTypeOf resolves the validation plan for a name, memoized on the DTD
-// so the hot loop never re-derives an automata-cache key: the first
-// occurrence of a name in any document validated against d costs one
-// (process-wide cached) Compiled lookup, every later one, in this document
-// or the next, is a map read. Compilation stays lazy — a declared-but-unused
-// pathological content model costs nothing, exactly as in tree validation —
-// and an undeclared name is not remembered, so documents cannot grow the
-// memo past the declarations. Concurrent validators share it without a lock:
-// a published map is never written; adding a name publishes a copy, and a
-// copy that loses the race is built again from the winner's.
+// streamTypeOf resolves the validation plan for a name from the DTD's plan
+// table, so the hot loop never re-derives an automata-cache key. The table
+// is built once, on the first validation against d, with one row per
+// declared name, and published with one CompareAndSwap; Declare drops it. A
+// row compiles its DFA the first time a document uses the name (one
+// process-wide cached Compiled lookup), so a declared-but-unused
+// pathological content model costs nothing. An undeclared name has no row,
+// and documents cannot grow the table past the declarations. Concurrent
+// validators share it without a lock: rows are never added, and two that
+// compile one DFA at once store equal automata.
 func (d *DTD) streamTypeOf(name string) (streamType, bool) {
-	known := d.streamTypes.Load()
-	if known != nil {
-		if st, ok := (*known)[name]; ok {
-			return st, true
-		}
-	}
-	t, ok := d.Types[name]
+	e, ok := d.streamTable()[name]
 	if !ok {
 		return streamType{}, false
 	}
-	st := streamType{pcdata: t.PCDATA, t: t}
-	if !t.PCDATA {
-		st.dfa, _ = automata.Compiled(t.Model, nil) // unlimited, as in dfa: cannot fail
-	}
-	for {
-		next := make(map[string]streamType, len(d.Types))
-		if known != nil {
-			for n, k := range *known {
-				next[n] = k
-			}
+	st := streamType{pcdata: e.t.PCDATA, t: e.t}
+	if !st.pcdata {
+		if st.dfa = e.dfa.Load(); st.dfa == nil {
+			st.dfa, _ = automata.Compiled(e.t.Model, nil) // validation has no budget: a nil one cannot fail
+			e.dfa.Store(st.dfa)
 		}
-		next[strings.Clone(name)] = st // name is a slice of the input: a key must not pin it
-		if d.streamTypes.CompareAndSwap(known, &next) {
-			return st, true
-		}
-		known = d.streamTypes.Load()
 	}
+	return st, true
+}
+
+// streamTable returns the DTD's plan table, building it on first use.
+func (d *DTD) streamTable() map[string]*streamEntry {
+	if known := d.streamTypes.Load(); known != nil {
+		return *known
+	}
+	rows := make([]streamEntry, len(d.Types))
+	table := make(map[string]*streamEntry, len(d.Types))
+	i := 0
+	for n, t := range d.Types {
+		rows[i].t = t
+		table[n] = &rows[i]
+		i++
+	}
+	if !d.streamTypes.CompareAndSwap(nil, &table) {
+		if known := d.streamTypes.Load(); known != nil {
+			return *known // the winner's rows share their compiled DFAs
+		}
+	}
+	return table
 }
 
 func (v *streamValidator) open(name string) error {
@@ -270,8 +308,8 @@ func (v *streamValidator) close() error {
 	return nil
 }
 
-// path renders the slash path of the current top frame in the tree
-// validator's style (/root/child[0]/grand[2]); only error paths pay for it.
+// path renders the slash path of the current top frame
+// (/department/professor[1]/publication[2]); only error paths pay for it.
 func (v *streamValidator) path() string {
 	var b strings.Builder
 	for i, f := range v.stack {

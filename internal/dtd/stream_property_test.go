@@ -1,12 +1,13 @@
 // Corpus-scale properties of the streaming validator, in an external test
 // package because they draw documents from internal/gen (which imports
 // dtd). The property under test is the contract ValidateStream documents:
-// it accepts exactly the documents the tree pipeline (Parse + Validate)
-// accepts — over generated valid corpora, over seeded byte-level
-// mutations of them, and over documents an order of magnitude larger than
-// anything the unit tests touch — with an allocation count independent of
-// document size. ParseValid, the same scan with the tree built along the
-// way, is held on the same inputs to the two passes it fuses.
+// on every text Parse accepts it returns the error Validate returns for the
+// tree, or nil when both accept, and it rejects every text Parse rejects —
+// over generated valid corpora, over seeded byte-level mutations of them,
+// and over documents an order of magnitude larger than anything the unit
+// tests touch — with an allocation count independent of document size.
+// ParseValid, the same scan with the tree built along the way, is held on
+// the same inputs to the two passes it fuses.
 package dtd_test
 
 import (
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/dtd"
 	"repro/internal/gen"
+	"repro/internal/load"
 	"repro/internal/xmlmodel"
 )
 
@@ -49,13 +51,22 @@ var propertyDTDs = []struct {
 	]>`},
 }
 
-// treeVerdict runs the tree pipeline on a document text.
-func treeVerdict(d *dtd.DTD, src string) error {
-	doc, _, err := xmlmodel.Parse(src)
-	if err != nil {
-		return err
+// checkVerdict holds ValidateStream to the tree pipeline on one text: where
+// Parse accepts it, Validate and ValidateStream return the same error (path
+// and message) or both nil; where Parse rejects it, so does the stream.
+func checkVerdict(t *testing.T, d *dtd.DTD, src string) {
+	t.Helper()
+	serr := d.ValidateStream(src)
+	doc, _, perr := xmlmodel.Parse(src)
+	if perr != nil {
+		if serr == nil {
+			t.Errorf("the stream accepts what Parse rejects (%v): %.80q", perr, src)
+		}
+		return
 	}
-	return d.Validate(doc)
+	if terr := d.Validate(doc); !reflect.DeepEqual(terr, serr) {
+		t.Errorf("tree and stream differ on %.80q: tree=%v stream=%v", src, terr, serr)
+	}
 }
 
 // checkFused holds ParseValid to the two passes it fuses, on one input: it
@@ -108,12 +119,10 @@ func TestStreamTreeAgreementOnCorpora(t *testing.T) {
 		}
 		for i, doc := range g.Corpus(150) {
 			src := xmlmodel.MarshalElement(doc.Root, 1)
-			if terr := treeVerdict(d, src); terr != nil {
-				t.Fatalf("%s doc %d: tree pipeline rejected a generated document: %v", pd.name, i, terr)
+			if err := d.Validate(doc); err != nil {
+				t.Fatalf("%s doc %d: tree pipeline rejected a generated document: %v", pd.name, i, err)
 			}
-			if serr := d.ValidateStream(src); serr != nil {
-				t.Errorf("%s doc %d: stream rejected what tree accepts: %v", pd.name, i, serr)
-			}
+			checkVerdict(t, d, src)
 			checkFused(t, d, src)
 			checkFused(t, d, pd.text+"\n"+src)
 		}
@@ -123,9 +132,7 @@ func TestStreamTreeAgreementOnCorpora(t *testing.T) {
 // TestStreamTreeAgreementUnderMutation checks the whole accept/reject
 // frontier: seeded byte substitutions, deletions and truncations of valid
 // documents produce a mix of still-valid, invalid and malformed texts,
-// and on every one the two pipelines must agree on the verdict (not the
-// message — the scan reports the first violation in document order, the
-// tree walk the first in preorder).
+// and on every one the two pipelines must agree, to the error.
 func TestStreamTreeAgreementUnderMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	alphabet := "abcdefghij<>/& ;#x01"
@@ -138,24 +145,13 @@ func TestStreamTreeAgreementUnderMutation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pd.name, err)
 		}
-		disagreements := 0
 		for _, doc := range g.Corpus(40) {
 			src := xmlmodel.MarshalElement(doc.Root, 0)
 			for m := 0; m < 25; m++ {
 				mut := mutate(rng, src, alphabet)
 				checkFused(t, d, mut)
-				terr := treeVerdict(d, mut)
-				serr := d.ValidateStream(mut)
-				if (terr == nil) != (serr == nil) {
-					disagreements++
-					if disagreements <= 5 {
-						t.Errorf("%s: disagreement on %.80q...: tree=%v stream=%v", pd.name, mut, terr, serr)
-					}
-				}
+				checkVerdict(t, d, mut)
 			}
-		}
-		if disagreements > 5 {
-			t.Errorf("%s: %d disagreements total", pd.name, disagreements)
 		}
 	}
 }
@@ -197,6 +193,30 @@ func largeDoc(n int) string {
 	}
 	b.WriteString("</department>")
 	return b.String()
+}
+
+// TestStreamTreeAgreementOnLargeDocuments: the same agreement on a document
+// of hundreds of kilobytes, valid, with a violation near its end (deep under
+// the last gradStudent, or in the root's own content model), and without
+// its first child.
+func TestStreamTreeAgreementOnLargeDocuments(t *testing.T) {
+	d, err := dtd.Parse(propertyDTDs[0].text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := largeDoc(2000)
+	checkVerdict(t, d, big)
+	for _, src := range []string{
+		strings.Replace(big, "<conference>c</conference></publication></gradStudent></department>",
+			"<conference><x/></conference></publication></gradStudent></department>", 1),
+		strings.Replace(big, "</department>", "<course>c</course><name>n</name></department>", 1),
+		strings.Replace(big, "<name>CS</name>", "", 1),
+	} {
+		if d.ValidateStream(src) == nil {
+			t.Fatalf("a violation passed: %.80q", src[len(src)-80:])
+		}
+		checkVerdict(t, d, src)
+	}
 }
 
 // TestValidateStreamAllocsIndependentOfSize is the O(depth) memory claim
@@ -273,5 +293,53 @@ func BenchmarkValidateDocWarm(b *testing.B) {
 		if err := d.ValidateStream(src); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkValidateTree is Validate alone on a parsed tree: the largest of
+// the synthesized family documents (idref, 128 KiB), replayed through the
+// stream's frames. TestValidateTreeAllocs pins its allocations.
+func BenchmarkValidateTree(b *testing.B) {
+	d, body := familyBody(b, load.FamilyIDRef, 128<<10)
+	doc, _, err := xmlmodel.Parse(body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.Validate(doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestValidateTreeAllocs: validating a tree costs its frame stack, whatever
+// the tree's size — a 16 KiB and a 128 KiB document of each family cost the
+// same allocations, once the DTD's plan table is built.
+func TestValidateTreeAllocs(t *testing.T) {
+	for _, f := range load.Families() {
+		if f == load.FamilyRecursive {
+			continue // one entry is 400 KiB
+		}
+		t.Run(string(f), func(t *testing.T) {
+			var counts [2]float64
+			for i, size := range []int{16 << 10, 128 << 10} {
+				d, body := familyBody(t, f, size)
+				doc, _, err := xmlmodel.Parse(body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				counts[i] = testing.AllocsPerRun(10, func() {
+					if err := d.Validate(doc); err != nil {
+						t.Fatal(err)
+					}
+				})
+				t.Logf("%d bytes, %d elements: %v allocs", len(body), doc.Root.Size(), counts[i])
+			}
+			if counts[0] != counts[1] || counts[1] > 3 {
+				t.Errorf("tree validation: %v allocs at 16 KiB, %v at 128 KiB, want the same ≤ 3 (1 measured on go 1.24)", counts[0], counts[1])
+			}
+		})
 	}
 }

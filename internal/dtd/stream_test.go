@@ -1,6 +1,7 @@
 package dtd
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -45,10 +46,11 @@ func TestValidateStreamViolations(t *testing.T) {
 	}
 }
 
-// TestValidateStreamAgreesWithTree pins accept/reject parity with the
-// tree pipeline (Parse + Validate) on the shapes where the two paths take
-// different code: early DFA rejection vs dead-state transit, wrong-root,
-// whitespace handling, malformed input. The exhaustive version of this
+// TestValidateStreamAgreesWithTree pins the stream to the tree pipeline
+// (Parse + Validate) on the shapes where the two take different code: early
+// DFA rejection vs dead-state transit, wrong-root, whitespace handling,
+// malformed input. On a text Parse accepts, both return the same error, or
+// both nil; on one it rejects, the stream rejects it too. The exhaustive version of this
 // check is the corpus property test in stream_property_test.go.
 func TestValidateStreamAgreesWithTree(t *testing.T) {
 	d := parseD1(t)
@@ -63,17 +65,38 @@ func TestValidateStreamAgreesWithTree(t *testing.T) {
 		`<department><name>&#67;&#83;</name></department>`, // entity text
 		strings.ReplaceAll(validDoc, "</department>", ""),  // truncated
 	}
-	for _, src := range docs {
-		var treeErr error
+	for _, src := range append(docs, deepBeforeParent) {
+		streamErr := d.ValidateStream(src)
 		doc, _, perr := xmlmodel.Parse(src)
 		if perr != nil {
-			treeErr = perr
-		} else {
-			treeErr = d.Validate(doc)
+			if streamErr == nil {
+				t.Errorf("the stream accepts what Parse rejects (%v): %.60q", perr, src)
+			}
+			continue
 		}
-		streamErr := d.ValidateStream(src)
-		if (treeErr == nil) != (streamErr == nil) {
+		if treeErr := d.Validate(doc); !reflect.DeepEqual(treeErr, streamErr) {
 			t.Errorf("disagreement on %.60q: tree=%v stream=%v", src, treeErr, streamErr)
+		}
+	}
+}
+
+// deepBeforeParent has a violation deep in its first professor (an
+// undeclared element under a journal) and, after it, a department missing
+// its gradStudents: the first violation in document order is the deep one,
+// though the department's content-model failure is nearer the root.
+const deepBeforeParent = `<department><name>CS</name><professor><firstName>x</firstName><lastName>y</lastName>` +
+	`<publication><title>t</title><author>a</author><journal><deep/></journal></publication><teaches>z</teaches></professor></department>`
+
+func TestValidateReportsTheFirstViolationInDocumentOrder(t *testing.T) {
+	d := parseD1(t)
+	doc, _, err := xmlmodel.Parse(deepBeforeParent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &ValidationError{Path: "/department/professor[1]/publication[2]/journal[2]/deep[0]", Msg: "element name deep is not declared"}
+	for _, got := range []error{d.Validate(doc), d.ValidateStream(deepBeforeParent)} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("got %v, want %v", got, want)
 		}
 	}
 }
@@ -96,12 +119,14 @@ func TestStreamValidationStatsAdvance(t *testing.T) {
 	}
 }
 
-// What a name resolves to is remembered on the DTD, not per document: only
-// the names documents have used are resolved (a declared-but-unused model is
-// never compiled), an undeclared name is not remembered, and Declare makes
-// the DTD forget.
+// What a name resolves to is remembered on the DTD, not per document: the
+// first validation builds one row per declared name, later ones publish
+// nothing, only the names documents have used compile their DFA (a
+// declared-but-unused model is never compiled), an undeclared name has no
+// row, and Declare makes the DTD forget.
 func TestStreamTypesAreTheDTDs(t *testing.T) {
 	d := parseD1(t)
+	d.Declare("office", M(regex.Nm("name"))) // declared, used by no document below
 	if d.streamTypes.Load() != nil {
 		t.Fatal("a DTD that validated nothing resolved something")
 	}
@@ -109,14 +134,17 @@ func TestStreamTypesAreTheDTDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	known := d.streamTypes.Load()
-	if known == nil || len(*known) == 0 {
-		t.Fatal("nothing was remembered")
+	if known == nil || len(*known) != len(d.Types) {
+		t.Fatalf("the plan table is not one row per declared name: %v", known)
 	}
-	if _, resolved := (*known)["course"]; resolved || len(*known) >= len(d.Types) {
-		t.Errorf("%d of %d names resolved, course among them: %v — the document uses no course", len(*known), len(d.Types), resolved)
+	if (*known)["professor"].dfa.Load() == nil {
+		t.Error("a name the document used compiled no DFA")
+	}
+	if (*known)["office"].dfa.Load() != nil {
+		t.Error("a declared-but-unused content model was compiled")
 	}
 	if err := d.ValidateStream(validDoc); err != nil || d.streamTypes.Load() != known {
-		t.Errorf("the same document again: err %v, memo republished: %v", err, d.streamTypes.Load() != known)
+		t.Errorf("the same document again: err %v, table republished: %v", err, d.streamTypes.Load() != known)
 	}
 	if err := d.ValidateStream(`<department><name>CS</name><dean>who</dean></department>`); err == nil {
 		t.Error("an undeclared element passed")
@@ -125,21 +153,24 @@ func TestStreamTypesAreTheDTDs(t *testing.T) {
 		t.Error("an undeclared name was remembered")
 	}
 
-	// A name met first in a document is remembered by a copy: a key that
-	// were a slice of the input would keep the whole input alive (an
-	// HTTPSource body, up to 16 MiB) as long as the DTD.
+	// A name met first in a document, or in a tree, finds its row in the
+	// same table: a key that were a slice of the input would keep the whole
+	// input alive (an HTTPSource body, up to 16 MiB) as long as the DTD.
 	input := strings.Replace(validDoc, "</department>", "<course>c</course></department>", 1)
 	if err := d.ValidateStream(input); err != nil {
 		t.Fatal(err)
 	}
-	known = d.streamTypes.Load()
-	if _, resolved := (*known)["course"]; !resolved {
-		t.Fatal("a name met first in the input was not remembered")
+	doc, _, err := xmlmodel.Parse(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Validate(doc); err != nil || d.streamTypes.Load() != known {
+		t.Errorf("a tree: err %v, table republished: %v", err, d.streamTypes.Load() != known)
 	}
 	lo := uintptr(unsafe.Pointer(unsafe.StringData(input)))
 	for name := range *known {
 		if p := uintptr(unsafe.Pointer(unsafe.StringData(name))); lo <= p && p < lo+uintptr(len(input)) {
-			t.Errorf("the memo key %q lies inside the input it was met in", name)
+			t.Errorf("the table key %q lies inside the input it was met in", name)
 		}
 	}
 

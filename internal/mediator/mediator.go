@@ -808,7 +808,7 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res 
 		return res, nil
 	}
 	fspan.End()
-	_, espan := obs.StartSpan(ctx, "part.eval", obs.String("source", p.Source))
+	espan := obs.StartLeaf(ctx, "part.eval", obs.String("source", p.Source))
 	res.children, err = p.prepared.EvalElements(doc)
 	res.answers = &AnswerMemo{doc: doc}
 	espan.End()

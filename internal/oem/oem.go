@@ -1,11 +1,13 @@
-// Package oem implements the Object Exchange Model — the semistructured
-// data model of TSIMMIS, the mediator the paper contrasts MIX against
-// (Section 1) — together with strong dataguides (Goldman & Widom, cited as
-// [GW97] in Section 5). It exists to make the paper's comparison concrete
-// and measurable:
+// Package oem implements strong dataguides (Goldman & Widom, cited as
+// [GW97] in Section 5) and Lorel-style path queries: the tools of TSIMMIS,
+// the mediator the paper contrasts MIX against (Section 1), whose Object
+// Exchange Model carries no schema at all. Appendix A maps OEM onto the
+// paper's element trees — an element with character content is an atomic
+// object, one with element content a list object — so the package works on
+// xmlmodel trees and has no object model of its own. It exists to make the
+// paper's comparison concrete and measurable:
 //
-//   - OEM carries no schema at all ("living without structure"): the
-//     benchmarks run queries with no metadata as the TSIMMIS baseline;
+//   - queries run with no metadata are the TSIMMIS baseline;
 //   - dataguides summarize label paths but "do not capture constraints on
 //     order and cardinality and they do not capture constraints on the
 //     siblings" (Section 5) — converting a dataguide to a DTD-like
@@ -19,79 +21,12 @@ package oem
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/dtd"
 	"repro/internal/regex"
 	"repro/internal/sdtd"
 	"repro/internal/xmlmodel"
 )
-
-// Object is an OEM object: a label and either an atomic value or a list of
-// subobjects. (Appendix A: an XML element with character content maps to
-// an atomic object; element content maps to a list object.)
-type Object struct {
-	Label    string
-	Atomic   bool
-	Value    string
-	Children []*Object
-}
-
-// FromXML converts an element tree into an OEM object tree.
-func FromXML(e *xmlmodel.Element) *Object {
-	if e.IsText {
-		return &Object{Label: e.Name, Atomic: true, Value: e.Text}
-	}
-	o := &Object{Label: e.Name}
-	for _, k := range e.Children {
-		o.Children = append(o.Children, FromXML(k))
-	}
-	return o
-}
-
-// ToXML converts an OEM object tree back into an element tree.
-func (o *Object) ToXML() *xmlmodel.Element {
-	if o.Atomic {
-		return xmlmodel.NewText(o.Label, o.Value)
-	}
-	e := xmlmodel.NewElement(o.Label)
-	for _, k := range o.Children {
-		e.Children = append(e.Children, k.ToXML())
-	}
-	return e
-}
-
-// Size counts objects in the tree.
-func (o *Object) Size() int {
-	n := 1
-	for _, k := range o.Children {
-		n += k.Size()
-	}
-	return n
-}
-
-// String renders the object in the braces notation of the OEM literature.
-func (o *Object) String() string {
-	var b strings.Builder
-	o.write(&b)
-	return b.String()
-}
-
-func (o *Object) write(b *strings.Builder) {
-	b.WriteString(o.Label)
-	if o.Atomic {
-		fmt.Fprintf(b, " %q", o.Value)
-		return
-	}
-	b.WriteString(" {")
-	for i, k := range o.Children {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		k.write(b)
-	}
-	b.WriteString("}")
-}
 
 // GuideNode is a node of a strong dataguide: it summarizes the set of
 // objects reachable by one label path.
@@ -131,40 +66,47 @@ type DataGuide struct {
 	Root *GuideNode
 }
 
-// Build constructs the strong dataguide of the given objects, which must
-// share a root label. For trees the construction is a simple simultaneous
-// grouping of object sets by child label (the subset construction of
-// [GW97] never meets a cycle).
-func Build(roots ...*Object) (*DataGuide, error) {
+// Build constructs the strong dataguide of the given element trees, which
+// must share a root label. Each element folds into the guide node of its
+// label path: the node counts it, notes it atomic (character content) or a
+// list (element content), and passes each child to the child node of its
+// label. For trees that one pass is the whole construction: the subset
+// construction of [GW97] never meets a cycle.
+func Build(roots ...*xmlmodel.Element) (*DataGuide, error) {
 	if len(roots) == 0 {
 		return nil, fmt.Errorf("oem: no objects to summarize")
 	}
-	label := roots[0].Label
+	label := roots[0].Name
 	for _, r := range roots[1:] {
-		if r.Label != label {
-			return nil, fmt.Errorf("oem: root labels differ: %s vs %s", label, r.Label)
+		if r.Name != label {
+			return nil, fmt.Errorf("oem: root labels differ: %s vs %s", label, r.Name)
 		}
 	}
-	return &DataGuide{Root: buildNode(label, roots)}, nil
+	root := &GuideNode{Label: label}
+	for _, r := range roots {
+		root.add(r)
+	}
+	return &DataGuide{Root: root}, nil
 }
 
-func buildNode(label string, objs []*Object) *GuideNode {
-	n := &GuideNode{Label: label, Count: len(objs), children: map[string]*GuideNode{}}
-	groups := map[string][]*Object{}
-	for _, o := range objs {
-		if o.Atomic {
-			n.Atomic = true
-			continue
-		}
-		n.HasList = true
-		for _, k := range o.Children {
-			groups[k.Label] = append(groups[k.Label], k)
-		}
+func (n *GuideNode) add(e *xmlmodel.Element) {
+	n.Count++
+	if e.IsText {
+		n.Atomic = true
+		return
 	}
-	for l, g := range groups {
-		n.children[l] = buildNode(l, g)
+	n.HasList = true
+	for _, k := range e.Children {
+		c := n.children[k.Name]
+		if c == nil {
+			if n.children == nil {
+				n.children = map[string]*GuideNode{}
+			}
+			c = &GuideNode{Label: k.Name}
+			n.children[k.Name] = c
+		}
+		c.add(k)
 	}
-	return n
 }
 
 // Paths returns every label path of the guide as "a.b.c" strings, sorted.

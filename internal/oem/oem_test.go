@@ -24,40 +24,17 @@ const deptDoc = `<department>
   </gradStudent>
 </department>`
 
-func parseObj(t *testing.T, s string) *Object {
+func parseElem(t *testing.T, s string) *xmlmodel.Element {
 	t.Helper()
 	e, err := xmlmodel.ParseElement(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return FromXML(e)
-}
-
-func TestFromXMLToXMLRoundTrip(t *testing.T) {
-	e, err := xmlmodel.ParseElement(deptDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := FromXML(e)
-	back := o.ToXML()
-	if !back.Equal(e) {
-		t.Error("OEM round trip lost information")
-	}
-	if o.Size() != e.Size() {
-		t.Errorf("sizes differ: %d vs %d", o.Size(), e.Size())
-	}
-}
-
-func TestObjectString(t *testing.T) {
-	o := parseObj(t, `<a><b>x</b><c/></a>`)
-	s := o.String()
-	if !strings.Contains(s, `b "x"`) || !strings.Contains(s, "c {}") {
-		t.Errorf("rendering: %s", s)
-	}
+	return e
 }
 
 func TestDataGuidePaths(t *testing.T) {
-	o := parseObj(t, deptDoc)
+	o := parseElem(t, deptDoc)
 	dg, err := Build(o)
 	if err != nil {
 		t.Fatal(err)
@@ -88,9 +65,9 @@ func TestDataGuidePaths(t *testing.T) {
 }
 
 func TestDataGuideGroupsAcrossObjects(t *testing.T) {
-	// The guide node for a path summarizes ALL objects on it: professor
+	// The guide node for a path summarizes ALL elements on it: professor
 	// children union across professors (strong dataguide).
-	a := parseObj(t, `<r><p><x>1</x></p><p><y>2</y></p></r>`)
+	a := parseElem(t, `<r><p><x>1</x></p><p><y>2</y></p></r>`)
 	dg, err := Build(a)
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +85,8 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(); err == nil {
 		t.Error("empty build must fail")
 	}
-	a := parseObj(t, `<a/>`)
-	b := parseObj(t, `<b/>`)
+	a := parseElem(t, `<a/>`)
+	b := parseElem(t, `<b/>`)
 	if _, err := Build(a, b); err == nil {
 		t.Error("mismatched roots must fail")
 	}
@@ -120,7 +97,7 @@ func TestDataGuideSDTDAcceptsItsData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dg, err := Build(FromXML(e))
+	dg, err := Build(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +120,7 @@ func TestDataGuideSDTDAcceptsItsData(t *testing.T) {
 func TestMixedAtomicAndListNode(t *testing.T) {
 	// A label that is atomic in one place and a list in another: the guide
 	// node records both and the s-DTD gets two specializations.
-	a := parseObj(t, `<r><m>text</m><m><x>1</x></m></r>`)
+	a := parseElem(t, `<r><m>text</m><m><x>1</x></m></r>`)
 	dg, err := Build(a)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +180,7 @@ func TestDataguideLosesOrderAndCardinality(t *testing.T) {
 	if err := d1.Validate(&xmlmodel.Document{DocType: "department", Root: e}); err != nil {
 		t.Fatalf("setup: %v", err)
 	}
-	dg, err := Build(FromXML(e))
+	dg, err := Build(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,14 +3,17 @@ package oem
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/xmlmodel"
 )
 
-// Path queries over OEM — the Lorel-style access pattern of the TSIMMIS
-// world, included to make the paper's Section 5 comparison executable:
-// Goldman & Widom's dataguides exist to answer and optimize exactly these
-// queries. A path is a sequence of steps, each a label, a disjunction
-// "a|b", or the wildcard "%"; a step with a trailing "*" is recursive
-// (any chain of matching labels), mirroring the XMAS <name*> step.
+// Path queries over element trees read as OEM — the Lorel-style access
+// pattern of the TSIMMIS world, included to make the paper's Section 5
+// comparison executable: Goldman & Widom's dataguides exist to answer and
+// optimize exactly these queries. A path is a sequence of steps, each a
+// label, a disjunction "a|b", or the wildcard "%"; a step with a trailing
+// "*" is recursive (any chain of matching labels), mirroring the XMAS
+// <name*> step.
 //
 // PathQuery.Eval walks the data; Eval with a DataGuide first checks the
 // path against the guide and prunes impossible paths without touching the
@@ -37,7 +40,7 @@ func (s PathStep) matches(label string) bool {
 	return false
 }
 
-// PathQuery selects every object reachable from the root by the steps.
+// PathQuery selects every element reachable from the root by the steps.
 type PathQuery struct {
 	Steps []PathStep
 }
@@ -92,18 +95,18 @@ func (q *PathQuery) String() string {
 	return strings.Join(parts, ".")
 }
 
-// Eval returns the objects selected by the path, in document order. The
-// first step matches the root object itself.
-func (q *PathQuery) Eval(root *Object) []*Object {
-	cur := []*Object{}
-	if len(q.Steps) > 0 && q.Steps[0].matches(root.Label) {
+// Eval returns the elements selected by the path, in document order. The
+// first step matches the root element itself.
+func (q *PathQuery) Eval(root *xmlmodel.Element) []*xmlmodel.Element {
+	cur := []*xmlmodel.Element{}
+	if len(q.Steps) > 0 && q.Steps[0].matches(root.Name) {
 		cur = expandStep(q.Steps[0], root)
 	}
 	for _, step := range q.Steps[1:] {
-		var next []*Object
-		for _, o := range cur {
-			for _, k := range o.Children {
-				if step.matches(k.Label) {
+		var next []*xmlmodel.Element
+		for _, e := range cur {
+			for _, k := range e.Children {
+				if step.matches(k.Name) {
 					next = append(next, expandStep(step, k)...)
 				}
 			}
@@ -113,31 +116,32 @@ func (q *PathQuery) Eval(root *Object) []*Object {
 	return cur
 }
 
-func expandStep(step PathStep, o *Object) []*Object {
+func expandStep(step PathStep, e *xmlmodel.Element) []*xmlmodel.Element {
 	if !step.Recursive {
-		return []*Object{o}
+		return []*xmlmodel.Element{e}
 	}
-	var out []*Object
-	var walk func(x *Object)
-	walk = func(x *Object) {
+	var out []*xmlmodel.Element
+	var walk func(x *xmlmodel.Element)
+	walk = func(x *xmlmodel.Element) {
 		out = append(out, x)
 		for _, k := range x.Children {
-			if step.matches(k.Label) {
+			if step.matches(k.Name) {
 				walk(k)
 			}
 		}
 	}
-	walk(o)
+	walk(e)
 	return out
 }
 
-func dedupe(objs []*Object) []*Object {
-	seen := map[*Object]bool{}
-	out := objs[:0:0]
-	for _, o := range objs {
-		if !seen[o] {
-			seen[o] = true
-			out = append(out, o)
+// dedupe drops the repeats of xs, keeping first occurrences in order.
+func dedupe[T comparable](xs []T) []T {
+	seen := map[T]bool{}
+	out := xs[:0:0]
+	for _, x := range xs {
+		if !seen[x] {
+			seen[x] = true
+			out = append(out, x)
 		}
 	}
 	return out
@@ -166,7 +170,7 @@ func (dg *DataGuide) Satisfiable(q *PathQuery) bool {
 		if len(next) == 0 {
 			return false
 		}
-		cur = dedupeGuide(next)
+		cur = dedupe(next)
 	}
 	return true
 }
@@ -194,21 +198,9 @@ func expandGuideStep(step PathStep, n *GuideNode) []*GuideNode {
 	return out
 }
 
-func dedupeGuide(ns []*GuideNode) []*GuideNode {
-	seen := map[*GuideNode]bool{}
-	out := ns[:0:0]
-	for _, n := range ns {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // EvalWithGuide evaluates the path, first consulting the dataguide: an
 // unsatisfiable path returns nil without touching the data.
-func (q *PathQuery) EvalWithGuide(root *Object, dg *DataGuide) []*Object {
+func (q *PathQuery) EvalWithGuide(root *xmlmodel.Element, dg *DataGuide) []*xmlmodel.Element {
 	if dg != nil && !dg.Satisfiable(q) {
 		return nil
 	}

@@ -24,7 +24,7 @@ func TestParsePath(t *testing.T) {
 }
 
 func TestPathEval(t *testing.T) {
-	root := parseObj(t, `<r>
+	root := parseElem(t, `<r>
 	  <g><m>1</m><m>2</m></g>
 	  <h><m>3</m></h>
 	  <g><x><m>4</m></x></g>
@@ -48,13 +48,13 @@ func TestPathEval(t *testing.T) {
 		}
 		got := q.Eval(root)
 		if len(got) != c.want {
-			t.Errorf("Eval(%s) = %d objects, want %d", c.path, len(got), c.want)
+			t.Errorf("Eval(%s) = %d elements, want %d", c.path, len(got), c.want)
 		}
 	}
 }
 
 func TestPathEvalRecursive(t *testing.T) {
-	root := parseObj(t, `<s>
+	root := parseElem(t, `<s>
 	  <p>1</p>
 	  <s><p>2</p><s><p>3</p></s></s>
 	</s>`)
@@ -68,7 +68,7 @@ func TestPathEvalRecursive(t *testing.T) {
 	}
 	vals := []string{}
 	for _, o := range got {
-		vals = append(vals, o.Value)
+		vals = append(vals, o.Text)
 	}
 	if strings.Join(vals, ",") != "1,2,3" {
 		t.Errorf("order: %v", vals)
@@ -76,7 +76,7 @@ func TestPathEvalRecursive(t *testing.T) {
 }
 
 func TestGuideSatisfiable(t *testing.T) {
-	root := parseObj(t, `<r><g><m>1</m></g><h><n>2</n></h></r>`)
+	root := parseElem(t, `<r><g><m>1</m></g><h><n>2</n></h></r>`)
 	dg, err := Build(root)
 	if err != nil {
 		t.Fatal(err)
@@ -98,10 +98,10 @@ func TestGuideSatisfiable(t *testing.T) {
 }
 
 // TestGuideAgreesWithEval: guide-satisfiability is exact over the
-// summarized data for non-recursive paths — a path returns objects iff the
+// summarized data for non-recursive paths — a path returns elements iff the
 // guide says it can.
 func TestGuideAgreesWithEval(t *testing.T) {
-	root := parseObj(t, `<r>
+	root := parseElem(t, `<r>
 	  <a><b><c>1</c></b></a>
 	  <a><d>2</d></a>
 	  <e>3</e>
@@ -133,7 +133,7 @@ func TestGuideAgreesWithEval(t *testing.T) {
 }
 
 func TestEvalWithGuideSkips(t *testing.T) {
-	root := parseObj(t, `<r><a>1</a></r>`)
+	root := parseElem(t, `<r><a>1</a></r>`)
 	dg, _ := Build(root)
 	q, _ := ParsePath("r.b.c")
 	if got := q.EvalWithGuide(root, dg); got != nil {

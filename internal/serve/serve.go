@@ -357,7 +357,11 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	case n > maxBody:
 	case n >= 0:
 		body = make([]byte, n)
-		_, err = io.ReadFull(r.Body, body)
+		if _, err = io.ReadFull(r.Body, body); err == nil {
+			// A body read to its end is closed: net/http then skips the copy
+			// to io.Discard it otherwise runs before the response header.
+			r.Body.Close()
+		}
 	default:
 		body, err = io.ReadAll(io.LimitReader(r.Body, maxBody+1)) // one past tells
 	}

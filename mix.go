@@ -99,10 +99,9 @@ type (
 	PrecisionReport = tightness.PrecisionReport
 	// TightnessWitness explains why one DTD is not tighter than another.
 	TightnessWitness = tightness.Witness
-	// DataGuide is a strong dataguide over OEM data (Section 5's [GW97]).
+	// DataGuide is a strong dataguide (Section 5's [GW97]) over element
+	// trees read as OEM data (Appendix A).
 	DataGuide = oem.DataGuide
-	// OEMObject is an Object Exchange Model object (the TSIMMIS model).
-	OEMObject = oem.Object
 	// BudgetLimits bounds inference-side automata work (wall-clock
 	// deadline, DFA states, enumeration classes, refine steps); zero
 	// fields are unlimited. Exhaustion degrades inference to a
@@ -457,11 +456,10 @@ func WithRetryBudget(b *RetryBudget) HTTPOption { return mediator.WithRetryBudge
 // QueryBuilder is re-exported from the browse package.
 type QueryBuilder = browse.Builder
 
-// OEMFromXML converts an element tree to the Object Exchange Model.
-func OEMFromXML(e *Element) *OEMObject { return oem.FromXML(e) }
-
-// BuildDataGuide constructs the strong dataguide of OEM objects.
-func BuildDataGuide(objs ...*OEMObject) (*DataGuide, error) { return oem.Build(objs...) }
+// BuildDataGuide constructs the strong dataguide of element trees that
+// share a root label, each element read as an OEM object (Appendix A: one
+// with character content is atomic, one with element content a list).
+func BuildDataGuide(roots ...*Element) (*DataGuide, error) { return oem.Build(roots...) }
 
 // ParsePath parses an OEM path query ("department.professor|gradStudent",
 // "%" wildcard, trailing "*" recursive) — the TSIMMIS-style access pattern

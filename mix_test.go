@@ -123,7 +123,7 @@ func TestFacadeDataGuide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dg, err := mix.BuildDataGuide(mix.OEMFromXML(e))
+	dg, err := mix.BuildDataGuide(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,15 +204,14 @@ func TestFacadePathQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := mix.OEMFromXML(e)
 	q, err := mix.ParsePath("r.a.b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Eval(obj); len(got) != 2 {
+	if got := q.Eval(e); len(got) != 2 {
 		t.Errorf("path eval = %d", len(got))
 	}
-	dg, err := mix.BuildDataGuide(obj)
+	dg, err := mix.BuildDataGuide(e)
 	if err != nil {
 		t.Fatal(err)
 	}
