@@ -61,7 +61,11 @@ lint:
 # evaluation and of a tree scan in a sync.Pool for whichever goroutine runs
 # the next one, and what they hand out must share nothing with it — picks,
 # cuts and trees that stay as they were while other goroutines evaluate and
-# scan on the same scratch (≈ 8 s more for each package on 2 cores).
+# scan on the same scratch (≈ 8 s more for each package on 2 cores). It
+# repeats the read's own fan-out too — one part on the reading goroutine,
+# several on goroutines of their own, a panicking wrapper failing the read on
+# either — and the trace record those goroutines write into past its inline
+# room (internal/obs).
 test:
 	go test ./...
 
@@ -69,7 +73,7 @@ race:
 	go vet ./...
 	go test -race ./...
 	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/ ./internal/obs/ ./internal/oracle/
-	go test -race -count=50 -cpu=1,2 -run 'TestFlight|TestPurgeFencesTheFlightInFlight|TestJoinerLeavesWithItsContext|TestPanicFailsWaitersAndPropagates|TestErrorIsTheLeadersOwn|TestSingleflightBlocksJoiners|TestConcurrentCompilerSingleflight|TestPlanSingleflight|TestSingleflightMaterialize|TestMaterializeFollowerCancellation|TestFollowerSurvives|TestTagNamesTheCalcTheJoinerEndedOn|TestRacedResultStaysAsPredecessor|TestInvalidateDiscardsInflightResult|TestMetricsSingleflightDedups|TestForwardBuildOncePerBurst|TestForwardJoinerLeavesWithItsContext|TestForwardIncompleteNotCached|TestFanOut|TestSimplifyReturnsWorkerPanic|TestEvalPoolAliasesNothing|TestScanPoolAliasesNothing' ./internal/automata/cache/ ./internal/automata/ ./internal/mediator/ ./internal/cluster/ ./internal/serve/ ./internal/infer/ ./internal/engine/ ./internal/xmlmodel/
+	go test -race -count=50 -cpu=1,2 -run 'TestFlight|TestPurgeFencesTheFlightInFlight|TestJoinerLeavesWithItsContext|TestPanicFailsWaitersAndPropagates|TestErrorIsTheLeadersOwn|TestSingleflightBlocksJoiners|TestConcurrentCompilerSingleflight|TestPlanSingleflight|TestSingleflightMaterialize|TestMaterializeFollowerCancellation|TestFollowerSurvives|TestTagNamesTheCalcTheJoinerEndedOn|TestRacedResultStaysAsPredecessor|TestInvalidateDiscardsInflightResult|TestMetricsSingleflightDedups|TestForwardBuildOncePerBurst|TestForwardJoinerLeavesWithItsContext|TestForwardIncompleteNotCached|TestFanOut|TestSimplifyReturnsWorkerPanic|TestEvalPoolAliasesNothing|TestScanPoolAliasesNothing|TestLonePartLeaderJoinersAndACancelledReader|TestPanickingWrapperFailsTheRead|TestOverflowKeepsEverything' ./internal/automata/cache/ ./internal/automata/ ./internal/mediator/ ./internal/cluster/ ./internal/serve/ ./internal/infer/ ./internal/engine/ ./internal/xmlmodel/ ./internal/obs/
 	go test -race -count=20 -cpu=1,2 -timeout 15m -run 'Answer|Forward|Lease|Memo|Splice' -skip 'TestAnswersByPartEqualTheNaiveEvaluation|TestAnswerBytesEqualTheNaiveSerialization|TestPlanHitEqualsMissEqualsColdMemo|TestInferMemoDifferential' ./internal/mediator/ ./internal/cluster/ ./internal/serve/
 
 # Every allocation ratchet in the tree, by one name and without -race: a
@@ -102,9 +106,11 @@ fault:
 		./internal/automata/... ./internal/sdtd/ ./internal/serve/ \
 		./internal/budget/ ./internal/load/
 
-# Short, bounded runs of every fuzz target against the parsers, and of
+# Short, bounded runs of every fuzz target against the parsers, of
 # FuzzSpliceRuns against the splice of a view document's delta (a cluster
-# member's copy, internal/mediator/splice.go). Each target gets FUZZTIME
+# member's copy, internal/mediator/splice.go), and of FuzzInvalidateReply
+# against the hand-written POST /invalidate reply, which must be
+# encoding/json's byte for byte. Each target gets FUZZTIME
 # (default 10s); crashes land in testdata/fuzz as usual and should be
 # committed as regression seeds.
 FUZZTIME ?= 10s
@@ -115,6 +121,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseContentModel$$' -fuzztime $(FUZZTIME) ./
 	go test -run '^$$' -fuzz '^FuzzMarshalRoundTrip$$' -fuzztime $(FUZZTIME) ./
 	go test -run '^$$' -fuzz '^FuzzSpliceRuns$$' -fuzztime $(FUZZTIME) ./internal/mediator/
+	go test -run '^$$' -fuzz '^FuzzInvalidateReply$$' -fuzztime $(FUZZTIME) ./internal/serve/
 
 # Everything a change should pass before review: tier-1 build/vet/test,
 # the allocation ratchets, staticcheck, the -race suite, the -race

@@ -222,7 +222,13 @@ func answerRuns(name string, plan *Plan, runs []plannedPart, bytes bool, whole *
 	default:
 		root := whole
 		if root == nil || c.evaluated < len(runs) {
-			root, ends = &xmlmodel.Element{Name: name}, make([]int, len(runs))
+			n := 0
+			for i := range runs {
+				if p := &runs[i]; p.res.answers != nil && p.slot < 0 {
+					n += len(p.res.children)
+				}
+			}
+			root, ends = &xmlmodel.Element{Name: name, Children: make([]*xmlmodel.Element, 0, n)}, make([]int, len(runs))
 			for i := range runs {
 				if p := &runs[i]; p.res.answers != nil && p.slot < 0 {
 					root.Children = append(root.Children, p.res.children...)

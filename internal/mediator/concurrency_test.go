@@ -120,6 +120,59 @@ func TestSingleflightMaterialize(t *testing.T) {
 	}
 }
 
+// TestLonePartLeaderJoinersAndACancelledReader: a read that leads the one
+// part it resolves runs it on its own goroutine, under its own context, and
+// the rule is the fan-out's: readers that join it wait for its result under
+// their own contexts, one of them cancelled mid-fetch leaves with its
+// cancellation and takes nothing from the others, and the rest share the one
+// fetch.
+func TestLonePartLeaderJoinersAndACancelledReader(t *testing.T) {
+	m, src := newGatedMediator(t)
+	bg := context.Background()
+	const joiners = 3
+	docs := make([]*xmlmodel.Document, joiners+1)
+	errs := make([]error, joiners+1)
+	var wg sync.WaitGroup
+	read := func(i int) {
+		wg.Add(1)
+		go func() { defer wg.Done(); docs[i], errs[i] = m.Materialize(bg, "members") }()
+	}
+	read(0)
+	<-src.entered // the leader is inside Fetch
+	for i := 1; i <= joiners; i++ {
+		read(i)
+	}
+	ctx, cancel := context.WithCancel(bg)
+	cancelled := make(chan error, 1)
+	go func() {
+		_, err := m.Materialize(ctx, "members")
+		cancelled <- err
+	}()
+	waitJoined(t, m, joiners+1)
+	cancel()
+	select {
+	case err := <-cancelled:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled reader: err = %v, want its cancellation", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("cancelled reader still waits for the fetch")
+	}
+	close(src.gate)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("reader %d: %v", i, err)
+		}
+		if !sameChildren(docs[i], docs[0]) {
+			t.Fatalf("reader %d got other part results than the leader's", i)
+		}
+	}
+	if got := src.fetches.Load(); got != 1 {
+		t.Errorf("fetches = %d, want the leader's one", got)
+	}
+}
+
 // TestInvalidateDiscardsInflightResult is the stale-write-back regression
 // test: an Invalidate that lands while a materialization is in flight must
 // prevent that (now stale) result from populating the cache — the next

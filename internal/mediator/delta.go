@@ -13,6 +13,7 @@ package mediator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -28,35 +29,32 @@ func (m *Mediator) InvalidateSource(source string) ([]string, error) {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("mediator: %w %s", ErrUnknownSource, source)
 	}
-	affected := map[string]bool{}
-	seen := map[string]bool{source: true}
-	work := []string{source}
-	for len(work) > 0 {
-		src := work[len(work)-1]
-		work = work[:len(work)-1]
-		m.srcGen[src]++
-		for vn := range m.deps[src] {
-			if affected[vn] {
+	// srcs is the sources bumped, in the order they are reached (each walked
+	// once, at its index), and affected the views over them: both lists on
+	// the stack while short, a view mediator's few.
+	var srcBuf, viewBuf [8]string
+	srcs, affected := append(srcBuf[:0], source), viewBuf[:0]
+	for i := 0; i < len(srcs); i++ {
+		m.srcGen[srcs[i]]++
+		for vn := range m.deps[srcs[i]] {
+			if slices.Contains(affected, vn) {
 				continue
 			}
-			affected[vn] = true
+			affected = append(affected, vn)
 			// Transitive closure through stacked mediators: a view exposed
 			// with AsSource is itself a source of this mediator, so views
 			// over it inherit the staleness.
 			for wname, w := range m.wrappers {
-				if vs, ok := w.(*viewSource); ok && vs.m == m && vs.v.Name == vn && !seen[wname] {
-					seen[wname] = true
-					work = append(work, wname)
+				if vs, ok := w.(*viewSource); ok && vs.m == m && vs.v.Name == vn && !slices.Contains(srcs, wname) {
+					srcs = append(srcs, wname)
 				}
 			}
 		}
 	}
 	m.mu.Unlock()
 	m.stats.add(&m.stats.SourceInvalidations, 1)
-	views := make([]string, 0, len(affected))
-	for vn := range affected {
-		views = append(views, vn)
-	}
+	views := make([]string, len(affected))
+	copy(views, affected)
 	sort.Strings(views)
 	return views, nil
 }

@@ -213,7 +213,7 @@ func TestFetchAllocations(t *testing.T) {
 	if large-small > 40 {
 		t.Errorf("fetching %d bytes costs %v allocs more than fetching %d (%v, %v): the cost follows the document", largeSize, large-small, smallSize, large, small)
 	}
-	// Measured 79 (88 to 91 under -race): one scan validates the body and
+	// Measured 78 (88 to 91 under -race): one scan validates the body and
 	// builds its tree in two arrays, sized by the held document's count, and
 	// the record Fetch holds on to is one more object — runs and memos it
 	// holds for a cluster member alone (TestOnlyAMembersFetchHoldsRuns).
@@ -459,6 +459,42 @@ func TestReadBodyOfTheHeldBodyAllocs(t *testing.T) {
 	}
 }
 
+// chunkedReader hands out its body n bytes a Read, as a chunked response
+// arrives.
+type chunkedReader struct {
+	strings.Reader
+	n int
+}
+
+func (r *chunkedReader) Read(p []byte) (int, error) { return r.Reader.Read(p[:min(len(p), r.n)]) }
+
+// A changed body of unknown length is copied into one buffer the held body's
+// length, not grown from its first chunk: a 17 KiB body that arrives in
+// 2 KiB chunks and differs from the held one in its first costs that buffer
+// alone (seven allocations while it grew from the first chunk's size).
+func TestReadBodyOfAChangedChunkedBodyAllocs(t *testing.T) {
+	held := deptBodyOfSize(16<<10, "a")
+	body := deptBodyOfSize(16<<10, "b")
+	if len(body) != len(held) || body == held {
+		t.Fatal("the two bodies are to differ at one length")
+	}
+	r := &chunkedReader{n: 2 << 10}
+	var got string
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Reset(body)
+		var err error
+		if got, err = readBody(r, -1, held); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != body {
+		t.Fatalf("%d bytes read, not the %d sent", len(got), len(body))
+	}
+	if allocs != 1 {
+		t.Errorf("a changed chunked body of %d bytes: %v allocs, want 1 (one buffer)", len(body), allocs)
+	}
+}
+
 // deptBodyOfSize is deptBody grown to at least size bytes; salt tells two
 // bodies of one size apart.
 func deptBodyOfSize(size int, salt string) string {
@@ -525,7 +561,7 @@ func TestRefetchOfUnchangedBytesAllocations(t *testing.T) {
 	small, smallBytes := measure(16 << 10)
 	large, largeBytes := measure(1 << 20)
 	t.Logf("16 KiB: %v allocs, %.0f bytes; 1 MiB: %v allocs, %.0f bytes", small, smallBytes, large, largeBytes)
-	// Measured 10 and 10; a collection the 1 MiB bodies bring on may empty
+	// Measured 9 and 9; a collection the 1 MiB bodies bring on may empty
 	// the pool readBody's chunk comes from.
 	if large > small+3 {
 		t.Errorf("refetching 1 MiB of held bytes costs %v allocs, 16 KiB %v: the cost follows the body", large, small)

@@ -78,6 +78,9 @@ type HTTPSource struct {
 	name    string
 	client  *http.Client
 	viewURL string
+	// viewReq is a GET of viewURL, its URL parsed once: a fetch of the view
+	// is a copy of it under the fetch's context, with headers of its own.
+	viewReq *http.Request
 	schema  *dtd.DTD
 
 	maxRetries  int
@@ -220,6 +223,10 @@ func NewHTTPSourceContext(ctx context.Context, client *http.Client, baseURL, vie
 	}
 	if errs := d.Check(); len(errs) > 0 {
 		return nil, fmt.Errorf("mediator: remote view DTD inconsistent: %v", errs[0])
+	}
+	// viewURL+"/dtd" parsed, so viewURL does too.
+	if s.viewReq, err = http.NewRequest(http.MethodGet, s.viewURL, nil); err != nil {
+		return nil, fmt.Errorf("mediator: remote view URL: %w", err)
 	}
 	s.schema = d
 	s.rawDTD = body
@@ -439,9 +446,16 @@ func jitter(d time.Duration) time.Duration {
 var runsIM = []string{RunsIM}
 
 func (s *HTTPSource) tryGet(ctx context.Context, url string, held *keptDocument) (response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return response{}, err
+	view := url == s.viewURL
+	var req *http.Request
+	if view {
+		req = s.viewReq.WithContext(ctx)
+		req.Header = make(http.Header)
+	} else {
+		var err error
+		if req, err = http.NewRequestWithContext(ctx, http.MethodGet, url, nil); err != nil {
+			return response{}, err
+		}
 	}
 	fi := ForwardInfoFrom(ctx)
 	member := false
@@ -450,7 +464,7 @@ func (s *HTTPSource) tryGet(ctx context.Context, url string, held *keptDocument)
 		// loops (421, not retried — the path would be the same next time),
 		// and asks for the view document's runs, and for deltas.
 		req.Header.Set(ForwardHeader, strings.Join(fi.Hops, ","))
-		if member = url == s.viewURL; member {
+		if member = view; member {
 			req.Header["A-Im"] = runsIM
 		}
 	}
@@ -501,7 +515,8 @@ var readBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
 // held's prefix — a declared length other than held's rules that out at once
 // — it is compared, not copied: a body equal to held is returned as held
 // itself, and only the first differing byte copies the prefix read so far
-// and goes on as above.
+// and goes on as above, in a buffer held's length at least: a changed body
+// of unknown length is most likely about as long as the one it replaces.
 func readBody(r io.Reader, contentLength int64, held string) (string, error) {
 	var b strings.Builder
 	size := 0 // the declared length, when it is within the limit
@@ -527,7 +542,7 @@ func readBody(r io.Reader, contentLength int64, held string) (string, error) {
 		case n <= len(held)-same && held[same:same+n] == string(chunk):
 			same += n
 		default:
-			b.Grow(max(size, same+n))
+			b.Grow(max(size, same+n, len(held)))
 			b.WriteString(held[:same])
 			b.Write(chunk)
 			same = -1

@@ -641,38 +641,52 @@ func concat(parts []plannedPart) []*xmlmodel.Element {
 }
 
 // resolveParts gives every planned part that is not a hit its result: the
-// ones this call leads are run, the others waited for, side by side. The
-// error is the first root-cause failure (a sibling's induced cancellation
-// only when there is no other). led says this call leads at least one part:
-// it is then the materialization that missed, timed and accounted for as
-// one — which parts it reused, which it refetched, and which of those came
-// back unchanged.
+// ones this call leads are run, the others waited for, side by side — one
+// part on the calling goroutine under ctx, several on goroutines of their
+// own but the last, which runs on the calling one, under a context the first
+// failure cancels. The error is the first root-cause failure (a sibling's
+// induced cancellation only when there is no other). led says this call
+// leads at least one part: it is then the materialization that missed,
+// timed and accounted for as one — which parts it reused, which it
+// refetched, and which of those came back unchanged.
 func (m *Mediator) resolveParts(ctx context.Context, v *View, parts []plannedPart, led bool) error {
 	start := time.Now()
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
+	n, last := 0, -1
 	for i := range parts {
-		if parts[i].calc == nil || parts[i].hit {
-			continue
+		if parts[i].calc != nil && !parts[i].hit {
+			n, last = n+1, i
 		}
-		wg.Add(1)
-		go func(i int, p *plannedPart) {
-			defer wg.Done()
-			p.res, p.err = m.resolvePart(pctx, v, i, p.w, p.calc, p.lead)
-			if p.err != nil {
-				cancel() // abandon sibling fetches: the view cannot complete
-			}
-		}(i, &parts[i])
 	}
-	wg.Wait()
+	switch {
+	case n == 1:
+		m.runPart(ctx, v, last, &parts[last], nil)
+	case n > 1:
+		pctx, cancel := context.WithCancel(ctx)
+		var wg sync.WaitGroup
+		for i := range parts[:last] {
+			if parts[i].calc == nil || parts[i].hit {
+				continue
+			}
+			wg.Add(1)
+			go func(i int, p *plannedPart) {
+				defer wg.Done()
+				m.runPart(pctx, v, i, p, cancel)
+			}(i, &parts[i])
+		}
+		m.runPart(pctx, v, last, &parts[last], cancel)
+		wg.Wait()
+		cancel()
+	}
 	if led {
 		m.stats.recordMaterialize(v.Name, time.Since(start))
 	}
 	if err := firstPartError(parts); err != nil || !led {
 		return err
 	}
-	var reused, recomputed, revalidated []string
+	// The lists the delta event names, on the stack for views of up to
+	// eight parts.
+	var reusedBuf, recomputedBuf, revalidatedBuf [8]string
+	reused, recomputed, revalidated := reusedBuf[:0], recomputedBuf[:0], revalidatedBuf[:0]
 	for i, p := range parts {
 		switch {
 		case p.hit:
@@ -692,6 +706,23 @@ func (m *Mediator) resolveParts(ctx context.Context, v *View, parts []plannedPar
 		obs.String("recomputed", strings.Join(recomputed, ",")),
 		obs.String("revalidated", strings.Join(revalidated, ",")))
 	return nil
+}
+
+// runPart resolves part i into p, and cancels the sibling fetches (cancel,
+// nil when p has none) when it fails. A panic — a wrapper's, or the part
+// query's — is the part's error, whichever goroutine runs it: the read fails,
+// the calc has already landed its joiners an error and left its slot
+// (cache.Flight.Run), and the process goes on.
+func (m *Mediator) runPart(ctx context.Context, v *View, i int, p *plannedPart, cancel context.CancelFunc) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.err = fmt.Errorf("mediator: view %s over %s: %w: %v", v.Name, v.Parts[i].Source, cache.ErrComputePanic, r)
+		}
+		if p.err != nil && cancel != nil {
+			cancel() // abandon sibling fetches: the view cannot complete
+		}
+	}()
+	p.res, p.err = m.resolvePart(ctx, v, i, p.w, p.calc, p.lead)
 }
 
 // firstPartError prefers a root-cause error over a sibling's induced

@@ -45,8 +45,22 @@ type staleNoteKey struct{}
 // the mediator reads it into Provenance.StaleSources (and from there the
 // X-Mix-Stale-Sources response header) and does not cache the part.
 func WithStaleNote(ctx context.Context) (context.Context, *atomic.Bool) {
-	note := new(atomic.Bool)
-	return context.WithValue(ctx, staleNoteKey{}, note), note
+	c := &staleNoteCtx{Context: ctx}
+	return c, &c.note
+}
+
+// staleNoteCtx is a fetch's context and its stale note in one allocation: it
+// answers Value(staleNoteKey{}) with the note, as context.WithValue would.
+type staleNoteCtx struct {
+	context.Context
+	note atomic.Bool
+}
+
+func (c *staleNoteCtx) Value(key any) any {
+	if key == (staleNoteKey{}) {
+		return &c.note
+	}
+	return c.Context.Value(key)
 }
 
 // ReplicaStatus is the health snapshot of one replica.

@@ -29,6 +29,13 @@ const (
 	inlineAttrs  = 13
 	chunkSpans   = 8  // spans per overflow chunk
 	maxSpanNames = 64 // duration histograms: a fixed set but for "http <method>", which a client chooses
+
+	// What the overflow block holds inline: a read that refetches a few parts
+	// (a source.fetch and a part.eval span each) writes some events and
+	// attributes past the record, and costs the block alone.
+	overEvents = 4
+	overAttrs  = 12
+	overChunks = 4
 )
 
 // Event is a discrete timestamped occurrence within a span.
@@ -76,12 +83,18 @@ type trace struct {
 	attrs        [inlineAttrs]Attr
 }
 
-// overflow is where a trace wider than its record continues. Spans are
-// handed out by pointer, so theirs are chunks that never move.
+// overflow is where a trace wider than its record continues: one block,
+// whose slices start in its own arrays and grow onto the heap only past
+// them. Spans are handed out by pointer, so theirs are chunks that never
+// move.
 type overflow struct {
 	spans  []*[chunkSpans]Span
 	events []event
 	attrs  []Attr
+
+	chunks   [overChunks]*[chunkSpans]Span
+	evInline [overEvents]event
+	atInline [overAttrs]Attr
 }
 
 // event is an Event as recorded; its attributes are in the trace's attrs,
@@ -241,7 +254,9 @@ func (tr *trace) span(i int32) *Span {
 
 func (tr *trace) overflow() *overflow {
 	if tr.over == nil {
-		tr.over = new(overflow)
+		o := new(overflow)
+		o.spans, o.events, o.attrs = o.chunks[:0], o.evInline[:0], o.atInline[:0]
+		tr.over = o
 	}
 	return tr.over
 }

@@ -181,6 +181,10 @@ func TestTraceRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(trace{}); got > 1024 {
 		t.Errorf("trace record is %d bytes, want ≤ 1024: shrink a field or an inline capacity", got)
 	}
+	// The overflow block is paid by wide traces only, and by them once.
+	if got := unsafe.Sizeof(overflow{}); got > 1024 {
+		t.Errorf("overflow block is %d bytes, want ≤ 1024: shrink an inline capacity", got)
+	}
 }
 
 // TestTraceWriteAllocations: a trace is its record, the root's context and —
@@ -216,6 +220,39 @@ func TestTraceWriteAllocations(t *testing.T) {
 	})
 	if got != 3 {
 		t.Errorf("a child span adds %v allocations to the trace's 2, want 1 (its context)", got-2)
+	}
+	// A trace wider than its record costs one overflow block, which holds the
+	// first events and attributes past the record's, plus one chunk per
+	// chunkSpans spans past the inline ones; only past the block's do its
+	// events and attributes grow a slice of their own.
+	for _, c := range []struct {
+		spans, events, attrs int
+		want                 float64
+	}{
+		{inlineSpans, inlineEvents, inlineAttrs, 2},
+		{inlineSpans, inlineEvents + 1, inlineAttrs, 3},
+		{inlineSpans + 1, inlineEvents + overEvents, inlineAttrs + overAttrs, 4},
+		{inlineSpans + chunkSpans, inlineEvents + overEvents, inlineAttrs + overAttrs, 4},
+		{inlineSpans + chunkSpans + 1, inlineEvents + overEvents, inlineAttrs + overAttrs, 5},
+		{inlineSpans + 2*chunkSpans + 1, inlineEvents + overEvents, inlineAttrs + overAttrs, 6},
+		{inlineSpans + 1, inlineEvents + overEvents, inlineAttrs + overAttrs + 1, 5},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			ctx, root := tr.StartRequest(bg, "req", "caller-1")
+			for i := 1; i < c.spans; i++ {
+				StartLeaf(ctx, "leaf").End()
+			}
+			for i := 0; i < c.events; i++ {
+				root.Event("e")
+			}
+			for i := 0; i < c.attrs; i++ {
+				root.SetAttr(Int("i", int64(i)))
+			}
+			root.End()
+		})
+		if got != c.want {
+			t.Errorf("%d spans, %d events, %d attributes: %v allocations, want %v", c.spans, c.events, c.attrs, got, c.want)
+		}
 	}
 }
 

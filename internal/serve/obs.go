@@ -65,6 +65,7 @@ func setHeader(w http.ResponseWriter, name, value string) {
 var (
 	xmlType  = []string{"application/xml; charset=utf-8"}
 	textType = []string{"text/plain; charset=utf-8"}
+	jsonType = []string{"application/json; charset=utf-8"}
 )
 
 func (sw *statusWriter) WriteHeader(code int) {

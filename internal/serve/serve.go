@@ -48,6 +48,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -174,7 +175,7 @@ func (h *Handler) postInvalidate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if strings.TrimSpace(string(body)) == "" {
+	if len(bytes.TrimSpace(body)) == 0 {
 		h.m.Invalidate()
 		if h.cluster != nil {
 			h.cluster.RevokeAll(r.Context())
@@ -201,11 +202,60 @@ func (h *Handler) postInvalidate(w http.ResponseWriter, r *http.Request) {
 	if h.cluster != nil {
 		h.cluster.Revoke(r.Context(), views...)
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = json.NewEncoder(w).Encode(struct {
-		Source           string   `json:"source"`
-		InvalidatedViews []string `json:"invalidated_views"`
-	}{Source: req.Source, InvalidatedViews: views})
+	w.Header()["Content-Type"] = jsonType
+	_ = writeInvalidateReply(w, req.Source, views)
+}
+
+// invalidateReply is the body of a scoped invalidation's answer.
+type invalidateReply struct {
+	Source           string   `json:"source"`
+	InvalidatedViews []string `json:"invalidated_views"`
+}
+
+// writeInvalidateReply writes what json.NewEncoder(w).Encode writes of
+// invalidateReply{source, views}. Names made of characters that encoding/json
+// writes as they are — printable ASCII but for `"`, `\`, `<`, `>` and `&` —
+// are written by hand, nothing allocated; any other name is encoding/json's to
+// escape.
+func writeInvalidateReply(w io.Writer, source string, views []string) error {
+	plain := views != nil && jsonPlain(source)
+	for _, v := range views {
+		plain = plain && jsonPlain(v)
+	}
+	if !plain {
+		return json.NewEncoder(w).Encode(invalidateReply{Source: source, InvalidatedViews: views})
+	}
+	var err error
+	write := func(s string) {
+		if err == nil {
+			_, err = io.WriteString(w, s)
+		}
+	}
+	write(`{"source":"`)
+	write(source)
+	write(`","invalidated_views":[`)
+	for i, v := range views {
+		if i > 0 {
+			write(",")
+		}
+		write(`"`)
+		write(v)
+		write(`"`)
+	}
+	write("]}\n")
+	return err
+}
+
+// jsonPlain reports whether encoding/json writes s between its quotes as it
+// is.
+func jsonPlain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // Tracer returns the handler's request tracer (the /debug/trace source).
