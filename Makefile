@@ -43,15 +43,18 @@ lint:
 # operation's turn — sent or shed — is decided by the scheduler. internal/obs
 # because a request's trace is one record that every part goroutine of the
 # request writes, and that /debug/trace reads while they do. internal/oracle
-# because its subjects fetch from an origin served on other goroutines. The last line
+# because its subjects fetch from an origin served on other goroutines, and
+# its hop subjects' owner and forwarder talk across an in-memory transport
+# whose owner revokes leases on goroutines of its own. The last line
 # repeats the tests of the answer memo — one type on both sides of the cluster
-# hop, shared by readers while documents, leases and renders race — and of the
+# hop, shared by readers while documents, leases and renders race — of the
 # splice, which makes a member's memos with its runs and hands them on to the
-# record that replaces it, twenty times. It skips the four of them that check
-# against internal/oracle's naive mediator: the line above runs them at
-# -count=3 -cpu=1,2 already, and here they were ≈ 38 s of each pass's 45 s on
-# 2 cores, 1 121 s at -count=20, over go test's 10-minute default; -timeout
-# gives the rest room. The line before it repeats, fifty times, every test of the one
+# record that replaces it, and internal/oracle's check across the hop
+# (TestOracleAcrossTheHop, ≈ 5 s a pass), twenty times. It skips the five
+# others that check against internal/oracle's naive mediator: the line above
+# runs them at -count=3 -cpu=1,2 already, and here they were ≈ 38 s of each
+# pass's 45 s on 2 cores, 1 121 s at -count=20, over go test's 10-minute
+# default; -timeout gives the rest room. The line before it repeats, fifty times, every test of the one
 # "compute once, the rest wait" rule (cache.Flight) and of its three holders:
 # the flight's own table, the LRU under the automata compiler and the memos,
 # the part slots, and the forward builds — ≈ 20 s on 2 cores — and the
@@ -74,7 +77,7 @@ race:
 	go test -race ./...
 	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/ ./internal/obs/ ./internal/oracle/
 	go test -race -count=50 -cpu=1,2 -run 'TestFlight|TestPurgeFencesTheFlightInFlight|TestJoinerLeavesWithItsContext|TestPanicFailsWaitersAndPropagates|TestErrorIsTheLeadersOwn|TestSingleflightBlocksJoiners|TestConcurrentCompilerSingleflight|TestPlanSingleflight|TestSingleflightMaterialize|TestMaterializeFollowerCancellation|TestFollowerSurvives|TestTagNamesTheCalcTheJoinerEndedOn|TestRacedResultStaysAsPredecessor|TestInvalidateDiscardsInflightResult|TestMetricsSingleflightDedups|TestForwardBuildOncePerBurst|TestForwardJoinerLeavesWithItsContext|TestForwardIncompleteNotCached|TestFanOut|TestSimplifyReturnsWorkerPanic|TestEvalPoolAliasesNothing|TestScanPoolAliasesNothing|TestLonePartLeaderJoinersAndACancelledReader|TestPanickingWrapperFailsTheRead|TestOverflowKeepsEverything' ./internal/automata/cache/ ./internal/automata/ ./internal/mediator/ ./internal/cluster/ ./internal/serve/ ./internal/infer/ ./internal/engine/ ./internal/xmlmodel/ ./internal/obs/
-	go test -race -count=20 -cpu=1,2 -timeout 15m -run 'Answer|Forward|Lease|Memo|Splice' -skip 'TestAnswersByPartEqualTheNaiveEvaluation|TestAnswerBytesEqualTheNaiveSerialization|TestPlanHitEqualsMissEqualsColdMemo|TestInferMemoDifferential' ./internal/mediator/ ./internal/cluster/ ./internal/serve/
+	go test -race -count=20 -cpu=1,2 -timeout 15m -run 'Answer|Forward|Lease|Memo|Splice|TestOracleAcrossTheHop' -skip 'TestAnswersByPartEqualTheNaiveEvaluation|TestAnswerBytesEqualTheNaiveSerialization|TestPlanHitEqualsMissEqualsColdMemo|TestInferMemoDifferential|TestOracleWorkerPanicIsNoEmptyAnswer' ./internal/mediator/ ./internal/cluster/ ./internal/serve/ ./internal/oracle/
 
 # Every allocation ratchet in the tree, by one name and without -race: a
 # binary built with the race detector allocates differently (escape

@@ -812,6 +812,16 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res 
 	// shows which source stalled (fault injection, retries) or was dropped
 	// by its breaker.
 	fctx, fspan := obs.StartSpan(ctx, "source.fetch", obs.String("source", p.Source))
+	// A panic — the wrapper's, or the part query's — ends the span it leaves
+	// open, with the panic as its error, and goes on to runPart's recover.
+	open := fspan
+	defer func() {
+		if r := recover(); r != nil {
+			open.SetAttr(obs.String("error", fmt.Sprint("panic: ", r)))
+			open.End()
+			panic(r)
+		}
+	}()
 	// A last-known-good answer, from a ReplicaSet anywhere in w's stack,
 	// comes back with its note instead of being indistinguishable from a
 	// live one.
@@ -840,6 +850,7 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res 
 	}
 	fspan.End()
 	espan := obs.StartLeaf(ctx, "part.eval", obs.String("source", p.Source))
+	open = espan
 	res.children, err = p.prepared.EvalElements(doc)
 	res.answers = &AnswerMemo{doc: doc}
 	espan.End()

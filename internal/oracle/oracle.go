@@ -1,6 +1,7 @@
-// Package oracle is the differential oracle of a single node: it checks that
-// every read path of the mediator behind internal/serve answers what a naive
-// mediator answers over the same documents.
+// Package oracle is the differential oracle of the serving tier: it checks
+// that every read path of the mediator behind internal/serve — on one node,
+// and across the cluster hop — answers what a naive mediator answers over the
+// same documents.
 //
 // The reference is a fresh mediator per vector of source versions, built on
 // first use and never invalidated (a reused mediator carries what it computed
@@ -9,22 +10,28 @@
 // answers QueryUnsimplified's — the whole view walked, no plan, no memo, no
 // kept byte.
 //
-// The subject is a serve.Handler over a mediator whose sources are
+// A subject is a serve.Handler over a mediator whose sources are
 // HTTPSources reading an httptest origin that serves each source's current
 // version, so every fetch is the streaming ParseValid and every refetch a
-// conditional request. Check drives subjects — pruning on or off, budget
-// funded or starved — through plan misses, plan hits by canonical key and by
-// text, first, found-once, rendered and copied reads, and no, no-op and real
-// invalidations, and asserts that
+// conditional request; a hop subject is a forwarder in front of such an
+// owner (HopSubjects). Check drives subjects — pruning on or off, budget
+// funded or starved, on one node or across the hop — through plan misses,
+// plan hits by canonical key and by text, first, found-once, rendered and
+// copied reads, and no, no-op, real and wholesale invalidations, and asserts
+// that
 //   - every body is byte-equal to the reference's serialization;
 //   - every GET /views/{name} body validates against the DTD in its own
 //     prologue (Definition 3.1);
 //   - equal ETags carry equal bytes;
-//   - a 200 declares a Content-Length exactly when no run of it was streamed
-//     on the read, and then the body's length; a 304 declares none;
+//   - a single node's 200 declares a Content-Length exactly when no run of
+//     it was streamed on the read, a forwarder's at most; either is the
+//     body's length, and a 304 declares none;
 //   - a starved analysis or view definition compiles nothing, and an analysis
 //     that exhausted its budget is not kept;
-//   - a funded view's s-DTD is Canonical.
+//   - a funded view's s-DTD is Canonical;
+//   - across the hop, each read is the one fetch the view's history calls
+//     for, under the owner's tag, and its plan and answer are found as the
+//     read's ordinal says (hop.check).
 //
 // CheckInfer does the same for POST /infer: a memo miss, a memo hit and a
 // direct InferContext render are the same bytes.
@@ -43,6 +50,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/budget"
+	"repro/internal/cluster"
 	"repro/internal/dtd"
 	"repro/internal/infer"
 	"repro/internal/mediator"
@@ -231,19 +239,27 @@ func (o *Oracle) Versions() []int {
 // Serve makes source i serve version v from now on. Nothing is invalidated.
 func (o *Oracle) Serve(i, v int) { o.versions[i].Store(int32(v)) }
 
-// Subject is a mediator under test and the handler in front of it.
+// Subject is a mediator under test and the handler in front of it: the one
+// Check asks. On a hop subject they are the forwarder's, and the owner is
+// another handler over another mediator (HopSubjects).
 type Subject struct {
 	Pruning, Starved bool
 	Mediator         *mediator.Mediator
 	Handler          *serve.Handler
-	// sources are the names the mediator knows the fleet's sources by, in
-	// fleet order.
+	// owner is the handler whose POST /invalidate invalidates the subject's
+	// sources: Handler, or a hop subject's owner.
+	owner *serve.Handler
+	hop   *hop
+	// sources are the names the owner's mediator knows the fleet's sources
+	// by, in fleet order.
 	sources []string
 	// tags maps every ETag the handler sent to the body it sent with it.
 	tags map[string]string
 }
 
-func (s *Subject) String() string { return fmt.Sprintf("pruning %v, starved %v", s.Pruning, s.Starved) }
+func (s *Subject) String() string {
+	return fmt.Sprintf("pruning %v, starved %v, across the hop %v", s.Pruning, s.Starved, s.hop != nil)
+}
 
 // Source is the name the subject's mediator knows source i of the fleet by.
 func (s *Subject) Source(i int) string { return s.sources[i] }
@@ -291,7 +307,25 @@ func (o *Oracle) NewSubject(pruning, starved bool) (*Subject, error) {
 		}
 	}
 	s.Handler = serve.New(m, serve.WithTracer(nil))
+	s.owner = s.Handler
 	return s, nil
+}
+
+// invalidate posts to the owner's /invalidate: by source, or wholesale for
+// source "". real says whether some source serves another document since
+// the subject last fetched it.
+func (s *Subject) invalidate(source string, real bool) error {
+	body, want := "", http.StatusNoContent
+	if source != "" {
+		body, want = fmt.Sprintf(`{"source": %q}`, source), http.StatusOK
+	}
+	if rec := send(s.owner, http.MethodPost, "/invalidate", body, ""); rec.Code != want {
+		return fmt.Errorf("oracle: %s: POST /invalidate %s: %d %s", s, body, rec.Code, rec.Body)
+	}
+	if s.hop != nil && real && s.hop.want == "" {
+		s.hop.want = "226"
+	}
+	return nil
 }
 
 // Subjects are the four subjects of the pruning and budget axes, the starved
@@ -336,6 +370,7 @@ const (
 	InvalNone = "none"
 	InvalNoOp = "no-op" // the sources were asked again and serve what they served
 	InvalReal = "real"  // one source serves its next document
+	InvalAll  = "all"   // every source serves its next document
 )
 
 // Step is one request of a Check: what it was sent under and what came back.
@@ -345,7 +380,7 @@ type Step struct {
 	Plan        string
 	Read        int
 	Inval       string
-	Changed     int   // the source a real invalidation moved; -1 for none
+	Changed     int   // the source a real invalidation moved; -1 for none, or all
 	Versions    []int // what the sources served
 	Status      int
 	Body, Tag   string
@@ -355,20 +390,35 @@ type Step struct {
 	Before, After mediator.Stats
 }
 
-// Tally counts the requests of each value of each axis, the conditional
-// reads, and the starved analyses that were not kept.
+// Tally counts the requests of each value of each axis — whether the subject
+// is across the hop and, if it is, the forwarder's fetch among them — the
+// conditional reads, and the starved analyses that were not kept.
 type Tally map[string]int
 
-var axes = []string{"pruning=true", "pruning=false", "starved=true", "starved=false",
-	"plan=" + PlanNone, "plan=" + PlanMiss, "plan=" + PlanKey, "plan=" + PlanText,
-	"read=first", "read=found-once", "read=rendered", "read=copied",
-	"invalidation=" + InvalNone, "invalidation=" + InvalNoOp, "invalidation=" + InvalReal,
-	"conditional reads", "starved analyses not kept", "declared lengths", "chunked answers"}
+// axes are the values every subject exercises, nodeAxes those a subject on
+// one node adds, and hopAxes the forwarder's fetches a hop subject adds.
+var (
+	axes = []string{"pruning=true", "pruning=false", "starved=false",
+		"plan=" + PlanNone, "plan=" + PlanMiss, "plan=" + PlanKey, "plan=" + PlanText,
+		"read=first", "read=found-once", "read=rendered", "read=copied",
+		"invalidation=" + InvalNone, "invalidation=" + InvalNoOp, "invalidation=" + InvalReal, "invalidation=" + InvalAll,
+		"conditional reads"}
+	nodeAxes = []string{"starved=true", "starved analyses not kept", "declared lengths", "chunked answers"}
+	hopAxes  = []string{"hop=lease", "hop=304", "hop=226", "hop=200", "hop=restart"}
+)
 
-// Vacuous names every value exercised fewer than min times.
+// Vacuous names every value exercised fewer than min times: of the axes
+// every subject exercises, and of those of the kinds of subject checked.
 func (t Tally) Vacuous(min int) error {
+	want := slices.Clone(axes)
+	if t["across the hop=false"] > 0 {
+		want = append(want, nodeAxes...)
+	}
+	if t["across the hop=true"] > 0 {
+		want = append(want, hopAxes...)
+	}
 	var weak []string
-	for _, k := range axes {
+	for _, k := range want {
 		if t[k] < min {
 			weak = append(weak, fmt.Sprintf("%s (%d)", k, t[k]))
 		}
@@ -383,34 +433,73 @@ func (t Tally) Vacuous(min int) error {
 // subject: four times, then twice in another spelling (a view document: once
 // with If-None-Match), once more after an invalidation that changes nothing,
 // and then, each source in turn made to serve its next version, four times
-// after that source's invalidation. Before each query it empties the
-// process-wide automata and satisfiability caches: a resident automaton is
-// free, and a starved subject must pay for what it compiles. Each request is
-// checked as the package comment says, counted in tally and handed to
+// after that source's invalidation. Then it asks the last text (one whose
+// picks are a root child's is answered from a forwarder's memos, which a
+// restart must not carry) four times after each of three more changes: of
+// the first source with two documents, every hop subject's owner restarted
+// first; of it again; and of every source at once, invalidated wholesale;
+// and checks each subject's endpoints (checkEndpoints). Every invalidation
+// is a POST /invalidate to the subject's owner. Before each query it empties
+// the process-wide automata and satisfiability caches: a resident automaton
+// is free, and a starved subject must pay for what it compiles. Each request
+// is checked as the package comment says, counted in tally and handed to
 // observe, whose error ends the check. The sources stay where the last change
 // left them.
 func (o *Oracle) Check(subjects []*Subject, view string, queries []string, tally Tally, observe func(*Step) error) error {
+	ask := func(s *Subject, text, body, plan string, read int, inval string, changed int, ifNoneMatch string) (*Step, error) {
+		if text == "" {
+			plan = PlanNone
+		}
+		st := &Step{Subject: s, View: view, Query: text, Plan: plan, Read: read, Inval: inval, Changed: changed, Versions: o.Versions()}
+		if err := o.do(st, body, ifNoneMatch, tally); err != nil {
+			return nil, err
+		}
+		tally["across the hop="+strconv.FormatBool(s.hop != nil)]++
+		tally["pruning="+strconv.FormatBool(s.Pruning)]++
+		tally["starved="+strconv.FormatBool(s.Starved)]++
+		tally["plan="+plan]++
+		tally["read="+readNames[read]]++
+		tally["invalidation="+inval]++
+		if observe != nil {
+			return st, observe(st)
+		}
+		return st, nil
+	}
+	// change moves source i, if it has two documents, to its next one — and
+	// for InvalAll every other source that has two — and on every subject
+	// invalidates what moved, one source by name or all wholesale, restarts
+	// its owner then if restart is set and it is across the hop, and asks
+	// text four times.
+	change := func(text, inval string, i int, restart bool) error {
+		if len(o.fleet.Sources[i].Docs) < 2 {
+			return nil
+		}
+		for j, src := range o.fleet.Sources {
+			if j == i || inval == InvalAll && len(src.Docs) > 1 {
+				o.Serve(j, (o.Versions()[j]+1)%len(src.Docs))
+			}
+		}
+		for _, s := range subjects {
+			changed, source := i, s.sources[i]
+			if inval == InvalAll {
+				changed, source = -1, ""
+			}
+			err := s.invalidate(source, true)
+			if err == nil && restart && s.hop != nil {
+				s.hop.want, err = "restart", s.hop.restart()
+			}
+			for read := ReadFirst; read <= ReadCopied && err == nil; read++ {
+				_, err = ask(s, text, text, PlanText, read, inval, changed, "")
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for qi, text := range queries {
 		automata.PurgeCache()
 		infer.PurgeSatisfiabilityCache()
-		ask := func(s *Subject, body, plan string, read int, inval string, changed int, ifNoneMatch string) (*Step, error) {
-			if text == "" {
-				plan = PlanNone
-			}
-			st := &Step{Subject: s, View: view, Query: text, Plan: plan, Read: read, Inval: inval, Changed: changed, Versions: o.Versions()}
-			if err := o.do(st, body, ifNoneMatch, tally); err != nil {
-				return nil, err
-			}
-			tally["pruning="+strconv.FormatBool(s.Pruning)]++
-			tally["starved="+strconv.FormatBool(s.Starved)]++
-			tally["plan="+plan]++
-			tally["read="+readNames[read]]++
-			tally["invalidation="+inval]++
-			if observe != nil {
-				return st, observe(st)
-			}
-			return st, nil
-		}
 		for _, s := range subjects {
 			var last *Step
 			var err error
@@ -419,60 +508,101 @@ func (o *Oracle) Check(subjects []*Subject, view string, queries []string, tally
 				if read == ReadFirst {
 					plan = PlanMiss
 				}
-				last, err = ask(s, text, plan, read, InvalNone, -1, "")
+				last, err = ask(s, text, text, plan, read, InvalNone, -1, "")
 			}
 			if err == nil && text == "" {
-				_, err = ask(s, text, PlanNone, ReadCopied, InvalNone, -1, last.Tag)
+				_, err = ask(s, text, text, PlanNone, ReadCopied, InvalNone, -1, last.Tag)
 			}
 			for _, plan := range []string{PlanKey, PlanText} {
 				if err == nil && text != "" {
-					_, err = ask(s, "  "+strings.ReplaceAll(text, "\n", " \n ")+"\n", plan, ReadCopied, InvalNone, -1, "")
+					_, err = ask(s, text, "  "+strings.ReplaceAll(text, "\n", " \n ")+"\n", plan, ReadCopied, InvalNone, -1, "")
 				}
 			}
 			if err == nil && s.Pruning {
-				_, err = s.Mediator.InvalidateSource(s.sources[qi%len(s.sources)])
+				err = s.invalidate(s.sources[qi%len(s.sources)], false)
 			} else if err == nil {
-				s.Mediator.Invalidate()
+				err = s.invalidate("", false)
 			}
 			if err == nil {
-				_, err = ask(s, text, PlanText, ReadCopied, InvalNoOp, -1, "")
+				_, err = ask(s, text, text, PlanText, ReadCopied, InvalNoOp, -1, "")
 			}
 			if err != nil {
 				return err
 			}
 		}
-		for i, src := range o.fleet.Sources {
-			if len(src.Docs) < 2 {
-				continue
-			}
-			o.Serve(i, (o.Versions()[i]+1)%len(src.Docs))
-			for _, s := range subjects {
-				_, err := s.Mediator.InvalidateSource(s.sources[i])
-				for read := ReadFirst; read <= ReadCopied && err == nil; read++ {
-					_, err = ask(s, text, PlanText, read, InvalReal, i, "")
-				}
-				if err != nil {
-					return err
-				}
+		for i := range o.fleet.Sources {
+			if err := change(text, InvalReal, i, false); err != nil {
+				return err
 			}
 		}
 	}
+	var err error
+	first := slices.IndexFunc(o.fleet.Sources, func(s Source) bool { return len(s.Docs) > 1 })
+	for row, inval := range []string{InvalReal, InvalReal, InvalAll} {
+		if err == nil && first >= 0 {
+			err = change(queries[len(queries)-1], inval, first, row == 0)
+		}
+	}
+	for _, s := range subjects {
+		if err == nil {
+			err = s.checkEndpoints(view)
+		}
+	}
+	return err
+}
+
+// checkEndpoints sends s a text that does not parse, twice: a 400 each time,
+// a hop subject's the same bytes as its owner's, and no plan is kept or
+// found. A hop subject's forwarder must also send the owner's DTD, s-DTD and
+// outline of view, under the hop path, and refuse a revocation it cannot
+// read.
+func (s *Subject) checkEndpoints(view string) error {
+	before := s.Mediator.Stats()
+	for try := 0; try < 2; try++ {
+		got, own := send(s.Handler, http.MethodPost, "/views/"+view+"/query", "r = SELECT", ""), send(s.owner, http.MethodPost, "/views/"+view+"/query", "r = SELECT", "")
+		if got.Code != http.StatusBadRequest || got.Code != own.Code || got.Body.String() != own.Body.String() {
+			return fmt.Errorf("oracle: %s: a text that does not parse: %d %q, the owner %d %q", s, got.Code, got.Body, own.Code, own.Body)
+		}
+	}
+	if after := s.Mediator.Stats(); after.PlanCacheSize != before.PlanCacheSize || after.PlanTextHits+after.PlanHits != before.PlanTextHits+before.PlanHits {
+		return fmt.Errorf("oracle: %s: a text that does not parse left or found a plan", s)
+	}
+	if s.hop == nil {
+		return nil
+	}
+	for _, suffix := range []string{"/dtd", "/sdtd", "/outline"} {
+		own, fwd := send(s.owner, http.MethodGet, "/views/"+view+suffix, "", ""), send(s.Handler, http.MethodGet, "/views/"+view+suffix, "", "")
+		if own.Code != http.StatusOK || fwd.Code != own.Code || fwd.Body.String() != own.Body.String() || fwd.Header().Get(mediator.ForwardHeader) != forwarder {
+			return fmt.Errorf("oracle: %s: GET /views/%s%s: the owner answered %d, the forwarder %d under %s %q, the same bytes %v", s, view, suffix,
+				own.Code, fwd.Code, mediator.ForwardHeader, fwd.Header().Get(mediator.ForwardHeader), fwd.Body.String() == own.Body.String())
+		}
+	}
+	if rec := send(s.Handler, http.MethodPost, cluster.RevokePath, "{", ""); rec.Code != http.StatusBadRequest {
+		return fmt.Errorf("oracle: %s: a revocation the forwarder cannot read: %d", s, rec.Code)
+	}
 	return nil
+}
+
+// send sends h a request, with If-None-Match ifNoneMatch unless it is "".
+func send(h http.Handler, method, path, body, ifNoneMatch string) *httptest.ResponseRecorder {
+	req, rec := httptest.NewRequest(method, path, strings.NewReader(body)), httptest.NewRecorder()
+	if ifNoneMatch != "" {
+		req.Header.Set("If-None-Match", ifNoneMatch)
+	}
+	h.ServeHTTP(rec, req)
+	return rec
 }
 
 // do sends st's request and checks what came back.
 func (o *Oracle) do(st *Step, body, ifNoneMatch string, tally Tally) error {
 	s := st.Subject
-	req := httptest.NewRequest(http.MethodPost, "/views/"+st.View+"/query", strings.NewReader(body))
+	method, path := http.MethodPost, "/views/"+st.View+"/query"
 	if st.Query == "" {
-		req = httptest.NewRequest(http.MethodGet, "/views/"+st.View, nil)
-		if ifNoneMatch != "" {
-			req.Header.Set("If-None-Match", ifNoneMatch)
-		}
+		method, path = http.MethodGet, "/views/"+st.View
 	}
-	rec, cached := httptest.NewRecorder(), automata.CacheStats().Size
+	cached := automata.CacheStats().Size
 	st.Before = s.Mediator.Stats()
-	s.Handler.ServeHTTP(rec, req)
+	rec := send(s.Handler, method, path, body, ifNoneMatch)
 	st.After = s.Mediator.Stats()
 	compiled := automata.CacheStats().Size - cached
 	st.Status, st.Body, st.Header, st.Tag = rec.Code, rec.Body.String(), rec.Header(), rec.Header().Get("ETag")
@@ -513,7 +643,8 @@ func (o *Oracle) do(st *Step, body, ifNoneMatch string, tally Tally) error {
 		if ok {
 			return fail("a 304 declares Content-Length %s", declared[0])
 		}
-	case streamed(st, doc):
+	case s.hop != nil && !ok: // a forwarder's memos are the owner's type, not its mediator's: no counter says what streamed
+	case s.hop == nil && streamed(st, doc):
 		if ok {
 			return fail("Content-Length %s on an answer that streamed a run", declared[0])
 		}
@@ -542,6 +673,11 @@ func (o *Oracle) do(st *Step, body, ifNoneMatch string, tally Tally) error {
 				return fail("an analysis that exhausted its budget was kept: plan_cache_size %d -> %d", st.Before.PlanCacheSize, st.After.PlanCacheSize)
 			}
 			tally["starved analyses not kept"]++
+		}
+	}
+	if s.hop != nil {
+		if err := s.hop.check(st, s.owner, tally); err != nil {
+			return fail("%v", err)
 		}
 	}
 	return nil

@@ -112,7 +112,17 @@ func blowupFleet(t *testing.T) *oracle.Fleet {
 	return f
 }
 
-func TestOracle(t *testing.T) {
+func TestOracle(t *testing.T) { checkFleets(t, (*oracle.Oracle).Subjects, 1) }
+
+// TestOracleAcrossTheHop: the same fleets and a third as many queries, asked
+// of forwarders whose owners are funded single-node subjects
+// (oracle.HopSubjects). `make race` repeats it.
+func TestOracleAcrossTheHop(t *testing.T) { checkFleets(t, (*oracle.Oracle).HopSubjects, 3) }
+
+// checkFleets checks the subjects made by subjects over each of the four
+// fleets, asking 1/share of TestOracle's queries, and fails when anything
+// was exercised too rarely to count.
+func checkFleets(t *testing.T, subjects func(*oracle.Oracle) ([]*oracle.Subject, error), share int) {
 	tally := oracle.Tally{}
 	var cov oracle.Coverage
 	nonEmpty := 0
@@ -121,16 +131,18 @@ func TestOracle(t *testing.T) {
 		n     int
 	}{{familyFleet(t), 150}, {enumeratedFleet(t, 9, 6), 100}, {tinyFleet(t, 7, 8), 120}, {blowupFleet(t), 20}} {
 		o := oracle.New(c.fleet)
-		subjects, err := o.Subjects()
+		subjects, err := subjects(o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		view := c.fleet.Views[0].Name
-		texts, err := o.Queries(rand.New(rand.NewSource(36)), view, c.n, &cov)
+		texts, err := o.Queries(rand.New(rand.NewSource(36)), view, c.n/share, &cov)
 		if err != nil {
 			t.Fatal(err)
 		}
-		texts = append([]string{""}, texts...)
+		// Last, for Check's closing rows: every member of the view, the
+		// picks a root child's.
+		texts = append(append([]string{""}, texts...), fmt.Sprintf(`r = SELECT X WHERE <%s> X:<*/> </%s>`, view, view))
 		err = o.Check(subjects, view, texts, tally, func(s *oracle.Step) error {
 			if s.Query != "" && s.Read == oracle.ReadFirst && s.Inval == oracle.InvalNone && s.Subject == subjects[0] && len(s.Want) > len("<v></v>\n") {
 				nonEmpty++

@@ -124,15 +124,14 @@ func BenchmarkForwardHopChanged(b *testing.B) {
 // sixParts is an owner of view six — a union of six parts, part i over
 // source s<i> (sixSource) — and a forwarder of it: the part-granular hop. The
 // owner is not in cluster mode, so it grants no lease and every forwarded
-// read asks it. ownerH is the owner's handler, of med (restart replaces
-// both). ownerSent counts the body bytes of its answers to GET /views/six,
-// and sent how many of them went out whole (200), as a delta (226) and not at
-// all (304); tamper, when set, rewrites the headers and body of every delta
-// the owner sends.
+// read asks it. ownerH is the owner's handler, of med. ownerSent counts the
+// body bytes of its answers to GET /views/six, and sent how many of them went
+// out whole (200), as a delta (226) and not at all (304); tamper, when set,
+// rewrites the headers and body of every delta the owner sends.
 type sixParts struct {
 	sources   [6]*sixSource
 	med       *mediator.Mediator
-	ownerH    atomic.Pointer[Handler]
+	ownerH    *Handler
 	owner     *httptest.Server
 	ownerSent atomic.Int64
 	sent      [3]atomic.Int64 // whole, delta, not modified
@@ -206,9 +205,21 @@ func newSixParts(tb testing.TB) *sixParts {
 		}
 		p.sources[i] = s
 	}
-	p.restart(tb)
+	p.med = mediator.New("campus")
+	var parts []mediator.ViewPart
+	for i, s := range p.sources {
+		if err := p.med.AddSource(s); err != nil {
+			tb.Fatal(err)
+		}
+		parts = append(parts, mediator.ViewPart{Source: s.name,
+			Query: xmas.MustParse(fmt.Sprintf(`SELECT X WHERE <src%[1]d> X:<x%[1]d/> </src%[1]d>`, i))})
+	}
+	if _, err := p.med.DefineUnionView("six", parts); err != nil {
+		tb.Fatal(err)
+	}
+	p.ownerH = New(p.med)
 	p.owner = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h := p.ownerH.Load()
+		h := p.ownerH
 		if r.Method != http.MethodGet || r.URL.Path != "/views/six" {
 			h.ServeHTTP(w, r)
 			return
@@ -255,26 +266,6 @@ func newSixParts(tb testing.TB) *sixParts {
 	return p
 }
 
-// restart puts a new owner mediator over the six sources where the last one
-// was: another mediator, so another nonce in its tags.
-func (p *sixParts) restart(tb testing.TB) {
-	tb.Helper()
-	med := mediator.New("campus")
-	var parts []mediator.ViewPart
-	for i, s := range p.sources {
-		if err := med.AddSource(s); err != nil {
-			tb.Fatal(err)
-		}
-		parts = append(parts, mediator.ViewPart{Source: s.name,
-			Query: xmas.MustParse(fmt.Sprintf(`SELECT X WHERE <src%[1]d> X:<x%[1]d/> </src%[1]d>`, i))})
-	}
-	if _, err := med.DefineUnionView("six", parts); err != nil {
-		tb.Fatal(err)
-	}
-	p.med = med
-	p.ownerH.Store(New(med))
-}
-
 // set switches source i to document v and tells the owner.
 func (p *sixParts) set(tb testing.TB, i, v int) {
 	tb.Helper()
@@ -311,16 +302,16 @@ func BenchmarkForwardHopPartChanged(b *testing.B) {
 // process, so its 304 and its trace are in the count too). The lease is taken
 // away by a revocation before each of those reads, which costs what its end
 // by expiry costs. The query finds its plan by its text and its picks beside
-// the unchanged document either way. Measured 30, 32, 127 and 129 (32, 33,
-// 136 and 136 under -race, which `make race` runs this with); the ceilings
-// are the -race figures + 3 %, rounded up: 33, 34, 141 and 141. The forwarder
-// sets its provenance headers and Content-Type in the response's header
-// block, two allocations fewer than through http.Header.Set (32, 34, 129 and
-// 131 before); a warm forwarded read was 129 and 128 while every one asked
-// the owner, 135 and 150 while the forwarder parsed and walked every query,
-// 165 and 180 while a trace was an object per span and a copy per End.
+// the unchanged document either way. Measured 30, 32, 125 and 127 (32, 33,
+// 134 and 134 at most under -race -cpu=1,2, which `make race` runs this
+// with); the ceilings are the -race figures + 3 %, rounded up: 33, 34, 139
+// and 139. It was 32, 34, 129 and 131 while the forwarder set its provenance
+// headers and Content-Type through http.Header.Set; a warm forwarded read was
+// 129 and 128 while every one asked the owner, 135 and 150 while the
+// forwarder parsed and walked every query, 165 and 180 while a trace was an
+// object per span and a copy per End.
 func TestForwardHopNotModifiedAllocs(t *testing.T) {
-	p := newLeasedPair(t, 0)
+	p := newLeasedPair(t)
 	const q = `r = SELECT P WHERE <members> P:<professor/> </members>`
 	for _, c := range []struct {
 		name, method, path, body string
@@ -329,8 +320,8 @@ func TestForwardHopNotModifiedAllocs(t *testing.T) {
 	}{
 		{"leased GET", http.MethodGet, "/views/members", "", true, 33},
 		{"leased query", http.MethodPost, "/views/members/query", q, true, 34},
-		{"GET after the lease", http.MethodGet, "/views/members", "", false, 141},
-		{"query after the lease", http.MethodPost, "/views/members/query", q, false, 141},
+		{"GET after the lease", http.MethodGet, "/views/members", "", false, 139},
+		{"query after the lease", http.MethodPost, "/views/members/query", q, false, 139},
 	} {
 		do := func() {
 			if !c.leased {
@@ -366,19 +357,19 @@ func TestForwardHopNotModifiedAllocs(t *testing.T) {
 // whose plan the forwarder holds. Before each read the third source switches
 // to its other document, and every read is answered by a delta (226) of that
 // part's run alone, spliced into the held document; the query walks that run
-// and finds the other five's picks in their memos. Measured 193 and 205 (202
-// and 214 under -race); the ceilings are the -race figures + 3 %, rounded up:
-// 209 and 221. It was 195 and 207 while the forwarder set its provenance
-// headers through http.Header.Set, 212 and 223 while the owner shipped the
-// whole document and the forwarder parsed it and walked all of it.
+// and finds the other five's picks in their memos. Measured 166 and 169 (178
+// and 184 at most under -race -cpu=1,2); the ceilings are the -race figures
+// + 3 %, rounded up: 184 and 190. It was 195 and 207 while the forwarder set
+// its provenance headers through http.Header.Set, 212 and 223 while the owner
+// shipped the whole document and the forwarder parsed it and walked all of it.
 func TestForwardHopPartChangedAllocs(t *testing.T) {
 	p := newSixParts(t)
 	for _, c := range []struct {
 		name, method, path, body string
 		ceiling                  float64
 	}{
-		{"GET after a one-part change", http.MethodGet, "/views/six", "", 209},
-		{"query after a one-part change", http.MethodPost, "/views/six/query", `r = SELECT X WHERE <six> X:<x2|x4/> </six>`, 221},
+		{"GET after a one-part change", http.MethodGet, "/views/six", "", 184},
+		{"query after a one-part change", http.MethodPost, "/views/six/query", `r = SELECT X WHERE <six> X:<x2|x4/> </six>`, 190},
 	} {
 		v := 0
 		do := func() {

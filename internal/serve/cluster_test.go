@@ -55,37 +55,15 @@ func forwarderNode(t *testing.T, ownerURL, view string) (*httptest.Server, *clus
 	return srv, node, h
 }
 
-// TestClusterForwardBitIdentical: every view endpoint of a non-owner
-// answers byte-for-byte what the owner answers, with the hop path stamped
-// in X-Mix-Forwarded.
-func TestClusterForwardBitIdentical(t *testing.T) {
+// TestClusterForwarderListsTheView: a non-owner lists the cluster view it
+// forwards although it defines nothing, and its /cluster topology reports
+// the pinned assignment and the built forward. That what it forwards is the
+// owner's, byte for byte, is internal/oracle's hop axis.
+func TestClusterForwarderListsTheView(t *testing.T) {
 	owner := newServer(t)
 	fwd := forwarderFor(t, owner.URL, "members")
-
-	for _, path := range []string{
-		"/views/members",
-		"/views/members/dtd",
-		"/views/members/sdtd",
-		"/views/members/outline",
-	} {
-		ownCode, ownBody, _ := get(t, owner.URL+path)
-		fwdCode, fwdBody, hdr := get(t, fwd.URL+path)
-		if ownCode != 200 || fwdCode != 200 {
-			t.Fatalf("%s: owner %d, forwarder %d: %s", path, ownCode, fwdCode, fwdBody)
-		}
-		if ownBody != fwdBody {
-			t.Errorf("%s: forwarded body differs from owner's", path)
-		}
-		if via := hdr.Get(mediator.ForwardHeader); via != "beta" {
-			t.Errorf("%s: X-Mix-Forwarded = %q, want beta", path, via)
-		}
-	}
-
-	q := `r = SELECT P WHERE <members> P:<professor/> </members>`
-	ownCode, ownBody := postBody(t, owner.URL+"/views/members/query", q)
-	fwdCode, fwdBody := postBody(t, fwd.URL+"/views/members/query", q)
-	if ownCode != 200 || fwdCode != 200 || ownBody != fwdBody {
-		t.Errorf("query: owner %d vs forwarder %d, identical=%v", ownCode, fwdCode, ownBody == fwdBody)
+	if code, _, _ := get(t, fwd.URL+"/views/members"); code != 200 {
+		t.Fatalf("GET /views/members on the forwarder: %d", code)
 	}
 
 	// The forwarder lists the cluster view even though it defines nothing.

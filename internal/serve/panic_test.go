@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/mediator"
+	"repro/internal/obs"
 	"repro/internal/xmlmodel"
 )
 
@@ -94,7 +96,16 @@ func TestPanickingWrapperFailsTheRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		bad.panics.Store(true)
+		fetches := func() int64 { return srv.Tracer().SpanDurations()["source.fetch"].Count }
+		before := fetches()
 		read(t, srv, http.StatusInternalServerError)
+		// The panic ends the fetch's span, with the panic as its error.
+		sp := srv.Tracer().Traces(1)[0].Span("source.fetch")
+		if n := fetches() - before; n != 1 || sp == nil || sp.DurationNanos == 0 || !slices.ContainsFunc(sp.Attrs, func(a obs.Attr) bool {
+			return a.Key == "error" && strings.Contains(a.Value, "wrapper blew up")
+		}) {
+			t.Errorf("%d source.fetch spans ended; the panicking one: %+v", n, sp)
+		}
 		recovers(t, srv, bad)
 	})
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -60,23 +61,22 @@ func (c *hopCounts) wrap(h http.Handler) http.Handler {
 	})
 }
 
-// take returns the counts since the last take: documents shipped whole, as
-// the runs that moved (226), and not at all (304).
-func (c *hopCounts) take() (full, delta, notModified int) {
+// take returns the counts since the last take: documents shipped whole, and
+// not at all (304).
+func (c *hopCounts) take() (full, notModified int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	full, delta, notModified = c.byStatus[http.StatusOK], c.byStatus[http.StatusIMUsed], c.byStatus[http.StatusNotModified]
+	full, notModified = c.byStatus[http.StatusOK], c.byStatus[http.StatusNotModified]
 	c.byStatus = map[int]int{}
-	return full, delta, notModified
+	return full, notModified
 }
 
-// changingOwner is an owner of view members over a changingSource, behind a
-// URL that outlives its mediator (restart swaps in a new one).
+// changingOwner is an owner of view members over a changingSource, its
+// answers to GET /views/members counted.
 type changingOwner struct {
 	src    *changingSource
 	med    *mediator.Mediator
 	srv    *httptest.Server
-	swap   *swapHandler
 	counts *hopCounts
 }
 
@@ -86,18 +86,7 @@ func newChangingOwner(t *testing.T) *changingOwner {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := &changingOwner{src: &changingSource{dtd: d}, swap: &swapHandler{}, counts: &hopCounts{byStatus: map[int]int{}}}
-	o.srv = httptest.NewServer(o.swap)
-	t.Cleanup(o.srv.Close)
-	o.restart(t)
-	return o
-}
-
-// restart replaces the owner's mediator, as a restarted process would: new
-// nonce, generations back at zero, nothing cached.
-func (o *changingOwner) restart(t *testing.T) {
-	t.Helper()
-	o.med = mediator.New("campus")
+	o := &changingOwner{src: &changingSource{dtd: d}, med: mediator.New("campus"), counts: &hopCounts{byStatus: map[int]int{}}}
 	if err := o.med.AddSource(o.src); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +94,9 @@ func (o *changingOwner) restart(t *testing.T) {
 		`members = SELECT X WHERE <department> X:<professor|gradStudent/> </department>`)); err != nil {
 		t.Fatal(err)
 	}
-	o.swap.set(o.counts.wrap(New(o.med)))
+	o.srv = httptest.NewServer(o.counts.wrap(New(o.med)))
+	t.Cleanup(o.srv.Close)
+	return o
 }
 
 // condGet is a GET with an If-None-Match header ("" for none).
@@ -130,140 +121,45 @@ func condGet(t *testing.T, url, ifNoneMatch string) (int, string, http.Header) {
 	return resp.StatusCode, string(body), resp.Header
 }
 
-// Forwarded GETs and query answers stay byte-identical to the owner's while
-// the owner's document changes under it — by source, wholesale, and across a
-// restart that resets every generation — and an unchanged document is not
-// shipped again. The forwarder plans the query's text once and keeps what it
-// picks from each document it is handed in the owner's memo type, under the
-// owner's rule: the first query over a document walks it, and a repeat over
-// the unchanged document is streamed from the kept picks, then rendered once,
-// then copied — and an answer that is copied is still the owner's, byte for
-// byte.
-func TestForwardedAnswersFollowTheOwner(t *testing.T) {
-	owner := newChangingOwner(t)
-	fwd, node, h := forwarderNode(t, owner.srv.URL, "members")
-	const q = `r = SELECT P WHERE <members> P:<professor/> </members>`
-	// same reads the view and asks q on both nodes. The forwarder's one query
-	// must find its plan by its text when hit, and be sent how says: walked
-	// ("evaluated"), or found and "streamed", "rendered" or "copied".
-	same := func(step string, hit bool, how string) {
-		t.Helper()
-		before, beforeHits := node.Metrics(), h.m.Stats().PlanTextHits
-		ownCode, ownBody, ownHdr := get(t, owner.srv.URL+"/views/members")
-		fwdCode, fwdBody, fwdHdr := get(t, fwd.URL+"/views/members")
-		if ownCode != 200 || fwdCode != 200 || ownBody != fwdBody {
-			t.Fatalf("%s: GET owner %d, forwarder %d, identical %v", step, ownCode, fwdCode, ownBody == fwdBody)
-		}
-		if !strings.Contains(ownBody, fmt.Sprintf(`id="v%d"`, owner.src.version.Load())) {
-			t.Fatalf("%s: the owner does not serve version %d", step, owner.src.version.Load())
-		}
-		if tag := ownHdr.Get("ETag"); tag == "" || fwdHdr.Get("ETag") != tag {
-			t.Errorf("%s: ETag owner %q, forwarder %q", step, tag, fwdHdr.Get("ETag"))
-		}
-		ownCode, ownBody = postBody(t, owner.srv.URL+"/views/members/query", q)
-		fwdCode, fwdBody = postBody(t, fwd.URL+"/views/members/query", q)
-		if ownCode != 200 || fwdCode != 200 || ownBody != fwdBody {
-			t.Fatalf("%s: query owner %d, forwarder %d, identical %v\nowner:\n%s\nforwarder:\n%s", step, ownCode, fwdCode, ownBody == fwdBody, ownBody, fwdBody)
-		}
-		after, afterHits := node.Metrics(), h.m.Stats().PlanTextHits
-		var wantHits, walked, found, rendered, copied int64
-		if hit {
-			wantHits = 1
-		}
-		switch how {
-		case "evaluated":
-			walked = 1
-		case "rendered":
-			found, rendered = 1, 1
-		case "copied":
-			found, copied = 1, 1
-		default:
-			found = 1
-		}
-		got := [5]int64{afterHits - beforeHits, after.AnswersEvaluated - before.AnswersEvaluated,
-			after.AnswersReused - before.AnswersReused}
-		switch rootAttr(h, "forwarded_answer") {
-		case "rendered":
-			got[3] = 1
-		case "copied":
-			got[4] = 1
-		}
-		if want := [5]int64{wantHits, walked, found, rendered, copied}; got != want {
-			t.Errorf("%s: plan hits, answers walked, found, rendered, copied: %v, want %v", step, got, want)
-		}
-		if attr := rootAttr(h, "forwarded_answer"); attr != how {
-			t.Errorf("%s: the forwarder's request span says forwarded_answer=%q, want %q", step, attr, how)
+// answersByVersion is the owner's answer to each query at each of versions
+// versions, asked before a race (a version's document depends on nothing
+// else): set(v) puts the owner at url on version v. It leaves it on 0.
+func answersByVersion(t *testing.T, url string, queries []string, versions int, set func(v int64)) [][]string {
+	t.Helper()
+	want := make([][]string, versions)
+	for v := range want {
+		set(int64(v))
+		for _, q := range queries {
+			code, body := postBody(t, url+"/views/members/query", q)
+			if code != 200 {
+				t.Fatalf("owner, version %d: %d %s", v, code, body)
+			}
+			want[v] = append(want[v], body)
 		}
 	}
-	same("first contact", false, "evaluated")
-	owner.counts.take()
-	same("unchanged", true, "streamed")
-	same("a repeat", true, "rendered")
-	same("a third", true, "copied")
-	if full, delta, notModified := owner.counts.take(); full != 3 || delta != 0 || notModified != 6 {
-		// The test's own GETs of the owner are the 200s; the forwarder's
-		// fetches (its GET, its query, three times) found nothing new.
-		t.Errorf("an unchanged owner answered %d × 200, %d × 226 and %d × 304, want 3, 0 and 6", full, delta, notModified)
-	}
-
-	// Each change: the forwarder's GET brings the new document, and its query
-	// — revalidated, the same document — walks it once.
-	owner.src.version.Add(1)
-	if _, err := owner.med.InvalidateSource("cs-dept"); err != nil {
-		t.Fatal(err)
-	}
-	same("after InvalidateSource", true, "evaluated")
-	owner.src.version.Add(1)
-	owner.med.Invalidate()
-	same("after Invalidate", true, "evaluated")
-	if full, delta, notModified := owner.counts.take(); full != 2 || delta != 2 || notModified != 2 {
-		// Per step: the test's GET ships the new document, the forwarder's
-		// first fetch the run that moved, against the tag it holds, and its
-		// second fetch revalidates what it spliced.
-		t.Errorf("two changes: %d × 200, %d × 226 and %d × 304, want 2, 2 and 2", full, delta, notModified)
-	}
-	same("after Invalidate, unchanged", true, "streamed")
-	same("after Invalidate, a repeat", true, "rendered")
-	same("after Invalidate, a third", true, "copied")
-	// An invalidation that changed nothing leaves the owner's tag, the
-	// forwarder's document and so its memo as they were.
-	owner.med.Invalidate()
-	same("after a no-op Invalidate", true, "copied")
-
-	// A restarted owner counts its generations from zero again, over a
-	// changed source: the tag the forwarder holds must not match by accident.
-	owner.src.version.Add(1)
-	owner.restart(t)
-	same("after a restart", true, "evaluated")
-	same("after a restart, unchanged", true, "streamed")
-	same("after a restart, a repeat", true, "rendered")
-	same("after a restart, a third", true, "copied")
-
-	// A text that does not parse is the client's fault, on both nodes alike,
-	// and leaves no plan behind to be found.
-	before, beforeHits := node.Metrics(), h.m.Stats().PlanTextHits
-	for i := 0; i < 2; i++ {
-		ownCode, ownBody := postBody(t, owner.srv.URL+"/views/members/query", "r = SELECT")
-		fwdCode, fwdBody := postBody(t, fwd.URL+"/views/members/query", "r = SELECT")
-		if ownCode != http.StatusBadRequest || fwdCode != ownCode || fwdBody != ownBody {
-			t.Errorf("an unparseable text, try %d: owner %d %q, forwarder %d %q", i, ownCode, ownBody, fwdCode, fwdBody)
-		}
-	}
-	if after, hits := node.Metrics(), h.m.Stats().PlanTextHits-beforeHits; hits != 0 || after.AnswersReused+after.AnswersEvaluated != before.AnswersReused+before.AnswersEvaluated {
-		t.Errorf("an unparseable text found a plan (%d hits) or was answered", hits)
-	}
+	set(0)
+	return want
 }
 
-// rootAttr is the value of key on the root span of h's newest trace.
-func rootAttr(h *Handler, key string) string {
-	for _, tr := range h.Tracer().Traces(1) {
-		for _, a := range tr.Spans[0].Attrs {
-			if a.Key == key {
-				return a.Value
-			}
+// forwardedReader is reader g of a race: it posts the queries to url in
+// turn, from the g-th on, while more(i) holds for its i-th read, and fails t
+// at the first answer that is not the owner's of some version
+// (answersByVersion).
+func forwardedReader(t *testing.T, url string, queries []string, want [][]string, g int, more func(i int) bool) {
+	for i := 0; more(i); i++ {
+		qi := (g + i) % len(queries)
+		resp, err := http.Post(url+"/views/members/query", "text/plain", strings.NewReader(queries[qi]))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 || !slices.ContainsFunc(want, func(answers []string) bool { return answers[qi] == string(body) }) {
+			t.Errorf("reader %d, read %d: %d, not the owner's answer of any version:\n%s", g, i, resp.StatusCode, body)
+			return
 		}
 	}
-	return ""
 }
 
 // Meaningful under -race: forwarded readers share the plan memo and the
@@ -278,46 +174,17 @@ func TestForwardedReadersDuringOwnerChanges(t *testing.T) {
 		`r = SELECT P WHERE <members> <professor> P:<publication/> </professor> </members>`,
 	}
 	const versions = 4
-	// The owner's answers per version, asked before the race: a version's
-	// document depends on nothing else.
-	var want [versions][]string
-	for v := range want {
-		owner.src.version.Store(int64(v))
+	want := answersByVersion(t, owner.srv.URL, queries, versions, func(v int64) {
+		owner.src.version.Store(v)
 		owner.med.Invalidate()
-		for _, q := range queries {
-			code, body := postBody(t, owner.srv.URL+"/views/members/query", q)
-			if code != 200 {
-				t.Fatalf("owner, version %d: %d %s", v, code, body)
-			}
-			want[v] = append(want[v], body)
-		}
-	}
-	owner.src.version.Store(0)
-	owner.med.Invalidate()
+	})
 	const readers, reads = 4, 24
 	var wg sync.WaitGroup
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < reads; i++ {
-				qi := (g + i) % len(queries)
-				resp, err := http.Post(fwd.URL+"/views/members/query", "text/plain", strings.NewReader(queries[qi]))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				known := false
-				for v := range want {
-					known = known || string(body) == want[v][qi]
-				}
-				if resp.StatusCode != 200 || !known {
-					t.Errorf("reader %d, read %d: %d, not the owner's answer of any version:\n%s", g, i, resp.StatusCode, body)
-					return
-				}
-			}
+			forwardedReader(t, fwd.URL, queries, want, g, func(i int) bool { return i < reads })
 		}(g)
 	}
 	for v := 1; v < versions; v++ {
@@ -423,10 +290,10 @@ func TestReplicatedForwardKeepsAValidatorPerOwner(t *testing.T) {
 	if code, _ := read("held", tagA); code != http.StatusNotModified {
 		t.Errorf("the client's tag of owner a: %d", code)
 	}
-	if full, _, notModified := a.counts.take(); full != 1 || notModified != 1 {
+	if full, notModified := a.counts.take(); full != 1 || notModified != 1 {
 		t.Errorf("owner a answered %d × 200 and %d × 304, want 1 and 1", full, notModified)
 	}
-	if full, _, notModified := b.counts.take(); full+notModified != 0 {
+	if full, notModified := b.counts.take(); full+notModified != 0 {
 		t.Errorf("owner b was asked %d times while a was healthy", full+notModified)
 	}
 
@@ -440,7 +307,7 @@ func TestReplicatedForwardKeepsAValidatorPerOwner(t *testing.T) {
 	if code, _ := read("held b", tagB); code != http.StatusNotModified {
 		t.Errorf("the client's tag of owner b: %d", code)
 	}
-	if full, _, notModified := b.counts.take(); full != 1 || notModified != 1 {
+	if full, notModified := b.counts.take(); full != 1 || notModified != 1 {
 		t.Errorf("owner b answered %d × 200 and %d × 304, want 1 and 1: it was asked with a tag that is not its own", full, notModified)
 	}
 

@@ -47,58 +47,6 @@ func (p *sixParts) sameAsOwner(t *testing.T, step string) {
 	}
 }
 
-// A forwarder that holds the view's document is sent, after a change, the
-// runs of the parts that moved alone (226), and what it serves from the
-// document it splices them into — the document, its tag, and every query's
-// answer, each run's picks from the run's memo or a walk of the run — is the
-// owner's, byte for byte, whichever parts moved: none, the first, the last,
-// one in the middle, two apart, all, and a part whose run empties or fills
-// from empty.
-func TestForwardSpliceMatchesTheOwner(t *testing.T) {
-	p := newSixParts(t)
-	p.sameAsOwner(t, "first read")
-	p.takeSent()
-	for _, c := range []struct {
-		name  string
-		parts []int
-		to    int // the document the parts switch to; -1 for the other of 0 and 1
-	}{
-		{"no part", nil, -1},
-		{"the first part", []int{0}, -1},
-		{"the last part", []int{5}, -1},
-		{"a middle part", []int{3}, -1},
-		{"two parts", []int{1, 4}, -1},
-		{"every part", []int{0, 1, 2, 3, 4, 5}, -1},
-		{"a part emptied", []int{2}, 2},
-		{"a part filled from empty", []int{2}, 0},
-		{"the first and the last emptied", []int{0, 5}, 2},
-		{"the first and the last filled", []int{0, 5}, 1},
-	} {
-		for _, i := range c.parts {
-			v := c.to
-			if v < 0 {
-				v = 1 - min(int(p.sources[i].at.Load()), 1)
-			}
-			p.set(t, i, v)
-		}
-		p.sameAsOwner(t, c.name)
-		full, delta, notModified := p.takeSent()
-		// The owner's own GET is the one 200; the forwarder's GET fetched, and
-		// its queries revalidated what it fetched.
-		wantDelta, wantNotModified := int64(1), int64(len(spliceQueries))
-		if len(c.parts) == 0 {
-			wantDelta, wantNotModified = 0, wantNotModified+1
-		}
-		if full != 1 || delta != wantDelta || notModified != wantNotModified {
-			t.Errorf("%s: the owner answered %d × 200, %d × 226, %d × 304; want 1, %d, %d",
-				c.name, full, delta, notModified, wantDelta, wantNotModified)
-		}
-	}
-	if m := p.fwdNode.Metrics(); m.Deltas != 9 {
-		t.Errorf("the forwarder spliced %d deltas, want 9", m.Deltas)
-	}
-}
-
 // Nothing that crosses the hop is trusted: a delta that lies about its runs,
 // brings an element its type rejects or a sequence the view's root model
 // rejects, is against another tag, or comes from another mediator, is
@@ -165,25 +113,6 @@ func TestForwardSpliceRefusesHostileDeltas(t *testing.T) {
 	}
 }
 
-// An owner that restarted has another nonce: the forwarder's tag is none of
-// its tags, so it answers the whole document (200), not a delta.
-func TestForwardSpliceAfterAnOwnerRestart(t *testing.T) {
-	p := newSixParts(t)
-	p.sameAsOwner(t, "first read")
-	p.restart(t)
-	p.set(t, 2, 1)
-	p.takeSent()
-	p.sameAsOwner(t, "after the restart")
-	if full, delta, _ := p.takeSent(); full != 2 || delta != 0 {
-		t.Errorf("the restarted owner answered %d × 200 and %d × 226; want 2 and 0", full, delta)
-	}
-	p.set(t, 3, 1)
-	p.sameAsOwner(t, "a change after the restart")
-	if full, delta, _ := p.takeSent(); full != 1 || delta != 1 {
-		t.Errorf("after the restart a change was sent as %d × 200 and %d × 226; want 1 and 1", full, delta)
-	}
-}
-
 // Only a cluster member's fetch asks for runs (A-IM), and only such a request
 // is answered with them: the owner answers any other GET — a conditional one
 // naming an earlier tag included — exactly as it would have, and answers one
@@ -203,7 +132,7 @@ func TestForwardSpliceOnlyForMembersThatAsk(t *testing.T) {
 			r.Header.Set("If-None-Match", inm)
 		}
 		rec := httptest.NewRecorder()
-		p.ownerH.Load().ServeHTTP(rec, r)
+		p.ownerH.ServeHTTP(rec, r)
 		return rec
 	}
 	for _, c := range []struct {
