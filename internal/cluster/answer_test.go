@@ -68,7 +68,7 @@ func TestForwardAnswersFollowTheDocument(t *testing.T) {
 	// A member's fetch, as every forwarded one is: only it holds runs.
 	fetch := func() *xmlmodel.Document {
 		t.Helper()
-		doc, _, err := f.Fetch(mediator.WithForwardInfo(ctx, &mediator.ForwardInfo{Hops: []string{"self"}}))
+		doc, _, err := f.Fetch(mediator.NewForwardNote(ctx, []string{"self"}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -164,23 +164,29 @@ func (f *Forward) SchemaText() string { return f.sources[0].SchemaText() }
 // (mediator.HTTPSource.Answer): the forwarder's one copy of it.
 //
 // While a lease on the view runs (lease.go), Fetch asks nobody: it returns
-// the document a transport holds under the lease's tag and replays into the
-// context's ForwardInfo the tag and provenance its fetch captured — equal tags
-// mean byte-equal documents, so that is what the lease promised. When no
-// transport holds that tag any more, Fetch asks the owner, and keeps the lease
-// a complete, live answer was granted with — for its term counted from before
-// the request went out, unless a revocation arrived meanwhile. The root span
-// says which: forward_fetch=leased, not_modified (a document a transport
-// held), delta (the runs that moved, spliced into it) or changed.
+// the document a transport holds under the lease's tag and notes that tag on
+// the fetch's note (mediator.FetchNote) — equal tags mean byte-equal
+// documents, so that is what the lease promised, and an answer a lease was
+// granted on has nothing else to relay. When no transport holds that tag any
+// more, Fetch asks the owner, and keeps the lease its note says a complete,
+// live answer was granted with — for its term counted from before the request
+// went out, unless a revocation arrived meanwhile. The root span says which:
+// forward_fetch=leased, not_modified (a document a transport held), delta (the
+// runs that moved, spliced into it) or changed. A fetch under a context with
+// no note is noted on a note of its own, which keeps no lease.
 func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 	n := f.node
 	n.forwarded.Add(1)
-	fi := mediator.ForwardInfoFrom(ctx)
+	note := mediator.NoteFrom(ctx)
+	if note == nil {
+		note = mediator.NewFetchNote(ctx)
+		ctx = note
+	}
 	sent := n.now()
 	if l := f.slot.leased(sent); l != nil {
-		if doc := f.held(l.captured.Tag()); doc != nil {
+		if doc := f.held(l.tag); doc != nil {
 			n.leaseHits.Add(1)
-			fi.Replay(l.captured)
+			note.Fetched(l.tag, 0)
 			obs.SetAttr(ctx, obs.String("forward_fetch", "leased"))
 			return doc, false, nil
 		}
@@ -192,8 +198,7 @@ func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 		before = append(before, doc)
 	}
 	epoch := f.slot.epoch.Load()
-	fetchCtx, stale := mediator.WithStaleNote(ctx)
-	doc, err := f.wrapper.Fetch(fetchCtx)
+	doc, err := f.wrapper.Fetch(ctx)
 	if err != nil {
 		n.forwardErrors.Add(1)
 		return nil, false, err
@@ -208,11 +213,11 @@ func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 		}
 	}
 	obs.SetAttr(ctx, obs.String("forward_fetch", fetched))
-	if isStale := stale.Load(); isStale || fi == nil {
-		return doc, isStale, nil
+	if note.Stale() {
+		return doc, true, nil
 	}
-	if term := min(fi.Lease(), LeaseTerm); term > 0 {
-		f.slot.install(epoch, &heldLease{captured: fi.Capture(), expires: sent.Add(term)})
+	if tag, term := note.Lease(); term > 0 {
+		f.slot.install(epoch, &heldLease{tag: tag, expires: sent.Add(min(term, LeaseTerm))})
 	}
 	return doc, false, nil
 }

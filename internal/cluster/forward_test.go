@@ -340,3 +340,45 @@ func TestForwardJoinerLeavesWithItsContext(t *testing.T) {
 		t.Errorf("forwarded views = %v, want the build kept", got)
 	}
 }
+
+// A lease hit relays the owner's tag and nothing else, so the forwarder keeps
+// a granted lease only from an answer with nothing else to relay: one that
+// names a source pruned, stale or degraded, or relays another node's hop
+// path, installs none, whatever the owner granted.
+func TestForwardLeasesOnlyAnAnswerWithNothingButItsTag(t *testing.T) {
+	for _, c := range []struct {
+		header, value string
+	}{
+		{"", ""},
+		{"X-Mix-Pruned-Sources", "archive"},
+		{"X-Mix-Stale-Sources", "mirror"},
+		{"X-Mix-Degraded", "true"},
+		{"X-Mix-Degraded-Sources", "cs"},
+		{mediator.ForwardHeader, "self,gamma"},
+	} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/views/v/dtd", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, fwdDTD) })
+		mux.HandleFunc("/views/v", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("ETag", `"t1"`)
+			w.Header().Set(mediator.LeaseHeader, "1000")
+			if c.header != "" {
+				w.Header().Set(c.header, c.value)
+			}
+			fmt.Fprint(w, fwdDTD+"\n<v>hello</v>")
+		})
+		owner := httptest.NewServer(mux)
+		n := fwdNode(t, []string{"alpha"}, map[string]string{"alpha": owner.URL})
+		note := mediator.NewForwardNote(context.Background(), []string{"self"})
+		f, err := n.Forward(note, "v")
+		if err == nil {
+			_, _, err = f.Fetch(note)
+		}
+		owner.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", c.header, err)
+		}
+		if leased := !n.LeaseExpiry("v").IsZero(); leased != (c.header == "") || note.Tag() != `"t1"` {
+			t.Errorf("an answer with %s %q: leased %v, relayed tag %q", c.header, c.value, leased, note.Tag())
+		}
+	}
+}

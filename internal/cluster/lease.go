@@ -12,8 +12,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/mediator"
 )
 
 // An owner lends a member its view document for one term (a lease, Gray &
@@ -84,12 +82,12 @@ type viewGrants struct {
 	holders map[string]time.Time
 }
 
-// heldLease is a forwarder's lease, a term on a tag: what its fetch captured
-// — the tag among it, under which a transport holds the document a hit serves
-// (Forward.Fetch) — and the end of the term by the forwarder's clock.
+// heldLease is a forwarder's lease, a term on a tag: the owner's tag, under
+// which a transport holds the document a hit serves (Forward.Fetch), and the
+// end of the term by the forwarder's clock.
 type heldLease struct {
-	captured mediator.Captured
-	expires  time.Time
+	tag     string
+	expires time.Time
 }
 
 // leased returns the slot's lease if it runs at now, else nil.

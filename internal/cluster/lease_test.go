@@ -216,7 +216,7 @@ func TestLeaseAnswersUntilItEnds(t *testing.T) {
 }
 
 // A lease is a term on a tag: a hit serves the document a transport holds
-// under it. When a fetch that installs no lease — one without a ForwardInfo,
+// under it. When a fetch that installs no lease — one without a forward's note,
 // which asks for no runs — has replaced that record, no record holds the
 // lease's tag, and the next forwarded read asks the owner: it is served the
 // document the transport then holds, its query finds that record's runs'
@@ -226,7 +226,7 @@ func TestLeaseOfATagNoLongerHeldIsAMiss(t *testing.T) {
 	f := newFleet(t, clock, nil)
 	ctx := context.Background()
 	member := func() context.Context {
-		return mediator.WithForwardInfo(ctx, &mediator.ForwardInfo{Hops: []string{"beta"}})
+		return mediator.NewForwardNote(ctx, []string{"beta"})
 	}
 	fwd, err := f.fwd.Forward(member(), "members")
 	if err != nil {

@@ -38,26 +38,29 @@ type ChaosOptions struct {
 	RPS float64
 	// Phase is the duration of each of the four phases (default 2s).
 	Phase time.Duration
-	// FlapInterval is how often the flapping replica toggles between up
-	// and down during the flap phase (default 250ms).
-	FlapInterval time.Duration
-	// HedgeDelay is the ReplicaSet hedge delay (default 20ms; the p95
-	// estimate needs more warmup than a short campaign provides).
-	HedgeDelay time.Duration
-	// EjectCooldown is how long an ejected replica is skipped before a
-	// recovery probe (default 150ms — scaled to the campaign, not
-	// production).
-	EjectCooldown time.Duration
-	// HealthInterval is the active health-check cadence (default 100ms).
-	HealthInterval time.Duration
-	// BudgetCapacity / BudgetRefill shape the shared retry budget
-	// (defaults 20 tokens, 5 tokens/s).
-	BudgetCapacity float64
-	BudgetRefill   float64
-	// P99Factor is the allowed tail-latency inflation during the flap
-	// phase relative to the baseline p99 (default 2).
-	P99Factor float64
 }
+
+// The campaign's replica machinery, scaled to the campaign, not production.
+const (
+	// chaosFlapInterval is how often the flapping replica toggles between up
+	// and down during the flap phase.
+	chaosFlapInterval = 250 * time.Millisecond
+	// chaosHedgeDelay is the ReplicaSet hedge delay: the p95 estimate needs
+	// more warmup than a short campaign provides.
+	chaosHedgeDelay = 20 * time.Millisecond
+	// chaosEjectCooldown is how long an ejected replica is skipped before a
+	// recovery probe.
+	chaosEjectCooldown = 150 * time.Millisecond
+	// chaosHealthInterval is the active health-check cadence.
+	chaosHealthInterval = 100 * time.Millisecond
+	// chaosBudgetCapacity and chaosBudgetRefill shape the shared retry
+	// budget: tokens, and tokens per second.
+	chaosBudgetCapacity = 20
+	chaosBudgetRefill   = 5
+	// chaosP99Factor is the allowed tail-latency inflation during the flap
+	// phase relative to the baseline p99.
+	chaosP99Factor = 2
+)
 
 func (o ChaosOptions) withDefaults() ChaosOptions {
 	if o.Sources <= 0 {
@@ -71,27 +74,6 @@ func (o ChaosOptions) withDefaults() ChaosOptions {
 	}
 	if o.Phase <= 0 {
 		o.Phase = 2 * time.Second
-	}
-	if o.FlapInterval <= 0 {
-		o.FlapInterval = 250 * time.Millisecond
-	}
-	if o.HedgeDelay == 0 {
-		o.HedgeDelay = 20 * time.Millisecond
-	}
-	if o.EjectCooldown <= 0 {
-		o.EjectCooldown = 150 * time.Millisecond
-	}
-	if o.HealthInterval <= 0 {
-		o.HealthInterval = 100 * time.Millisecond
-	}
-	if o.BudgetCapacity <= 0 {
-		o.BudgetCapacity = 20
-	}
-	if o.BudgetRefill <= 0 {
-		o.BudgetRefill = 5
-	}
-	if o.P99Factor <= 0 {
-		o.P99Factor = 2
 	}
 	return o
 }
@@ -249,7 +231,7 @@ func newChaosFixture(o ChaosOptions) (_ *chaosFixture, err error) {
 			if _, err := leaf.DefineUnionView(view, []mediator.ViewPart{part}); err != nil {
 				return nil, err
 			}
-			cr := &chaosReplica{inner: serve.New(leaf), flapEvery: o.FlapInterval}
+			cr := &chaosReplica{inner: serve.New(leaf), flapEvery: chaosFlapInterval}
 			srv := httptest.NewServer(cr)
 			c.servers = append(c.servers, srv)
 			if i == 0 {
@@ -263,11 +245,11 @@ func newChaosFixture(o ChaosOptions) (_ *chaosFixture, err error) {
 			wrappers = append(wrappers, hs)
 		}
 		rs, err := mediator.NewReplicaSet(view, wrappers, mediator.ReplicaSetOptions{
-			Health:     mediator.HealthOptions{EjectCooldown: o.EjectCooldown},
-			HedgeDelay: o.HedgeDelay,
+			Health:     mediator.HealthOptions{EjectCooldown: chaosEjectCooldown},
+			HedgeDelay: chaosHedgeDelay,
 			Budget: mediator.NewRetryBudget(mediator.RetryBudgetOptions{
-				Capacity:        o.BudgetCapacity,
-				RefillPerSecond: o.BudgetRefill,
+				Capacity:        chaosBudgetCapacity,
+				RefillPerSecond: chaosBudgetRefill,
 			}),
 		})
 		if err != nil {
@@ -370,7 +352,7 @@ func RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosReport, error) {
 	hctx, hstop := context.WithCancel(ctx)
 	defer hstop()
 	for _, rs := range c.sets {
-		go rs.RunHealthChecks(hctx, o.HealthInterval, o.HealthInterval)
+		go rs.RunHealthChecks(hctx, chaosHealthInterval, chaosHealthInterval)
 	}
 
 	rep := &ChaosReport{
@@ -379,8 +361,8 @@ func RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosReport, error) {
 		Replicas:       o.Replicas,
 		TargetRPS:      o.RPS,
 		PhaseSeconds:   o.Phase.Seconds(),
-		BudgetCapacity: o.BudgetCapacity,
-		BudgetRefill:   o.BudgetRefill,
+		BudgetCapacity: chaosBudgetCapacity,
+		BudgetRefill:   chaosBudgetRefill,
 		Phases:         map[string]ChaosPhase{},
 	}
 
@@ -411,7 +393,7 @@ func RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosReport, error) {
 	v := newVerdict(&rep.Checks, &rep.Pass)
 	v.atMost("baseline.errors", 0, float64(base.Errors))
 	v.atMost("flap.errors", 0, float64(flap.Errors))
-	v.atMost("flap.p99_seconds", o.P99Factor*base.Latency.P99+slack, flap.Latency.P99)
+	v.atMost("flap.p99_seconds", chaosP99Factor*base.Latency.P99+slack, flap.Latency.P99)
 	v.atMost("blackout.errors", 0, float64(blackout.Errors))
 	v.atLeast("blackout.stale_responses", 1, float64(blackout.StaleResponses))
 	// The stale-serving guarantee is "schema-valid but possibly outdated".
@@ -420,7 +402,7 @@ func RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosReport, error) {
 	// request, every upstream hit is either budget-funded (capacity plus
 	// refill over the phase) or an active health probe.
 	v.atMost("blackout.upstream_hits",
-		float64(blackout.Requests)+o.BudgetCapacity+o.BudgetRefill*blackout.seconds+float64(blackout.probes)+8,
+		float64(blackout.Requests)+chaosBudgetCapacity+chaosBudgetRefill*blackout.seconds+float64(blackout.probes)+8,
 		float64(blackout.UpstreamHits))
 	v.atMost("recovery.errors", 0, float64(rec.Errors))
 	v.atMost("recovery.final_not_stale", 0, boolF(rec.FinalStale))

@@ -41,9 +41,6 @@ type ClusterOptions struct {
 	// factor 2 (default 1); the ring yields two owners and the forwarding
 	// path wraps them in a ReplicaSet.
 	Replicated int
-	// VirtualNodes is the ring's per-node virtual-node count (default
-	// cluster.DefaultVirtualNodes).
-	VirtualNodes int
 	// RPS is the open-loop request rate of the load phase (default 100).
 	RPS float64
 	// Phase is the duration of each load phase (default 2s).
@@ -260,11 +257,10 @@ func newClusterFixture(o ClusterOptions) (_ *clusterFixture, err error) {
 	}
 	for _, n := range f.nodes {
 		n.node, err = cluster.NewNode(cluster.Config{
-			Self:         n.name,
-			Nodes:        urls,
-			VirtualNodes: o.VirtualNodes,
-			Views:        viewsCfg,
-			Budget:       mediator.NewRetryBudget(mediator.RetryBudgetOptions{Capacity: 50, RefillPerSecond: 25}),
+			Self:   n.name,
+			Nodes:  urls,
+			Views:  viewsCfg,
+			Budget: mediator.NewRetryBudget(mediator.RetryBudgetOptions{Capacity: 50, RefillPerSecond: 25}),
 		})
 		if err != nil {
 			return nil, err

@@ -70,9 +70,6 @@ type Options struct {
 	// Breakers wraps every source in a circuit breaker, so fault campaigns
 	// exercise degraded serving instead of hard 500s.
 	Breakers bool
-	// BreakerCooldown overrides the breaker cooldown (default 250ms — short
-	// enough that a bounded run sees trips and recoveries).
-	BreakerCooldown time.Duration
 	// PruneCompare posts every distinct query of the stream to the server
 	// after the run and verifies that the served bytes are internal/oracle's
 	// reference's, the naive mediator's over the same documents.
@@ -83,6 +80,10 @@ type Options struct {
 	// mediator (for explicit -no-prune comparison runs).
 	NoPrune bool
 }
+
+// breakerCooldown is a breaker's cooldown under Options.Breakers: short
+// enough that a bounded run sees trips and recoveries.
+const breakerCooldown = 250 * time.Millisecond
 
 func (o Options) withDefaults() Options {
 	if o.Sources <= 0 {
@@ -111,9 +112,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.View == "" {
 		o.View = "load"
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 250 * time.Millisecond
 	}
 	return o
 }
@@ -213,7 +211,7 @@ func (h *Harness) buildFleet() error {
 					o.Seed+int64(i), scriptLen, o.FaultRate, o.FaultMaxDelay, ErrFaultInjected)...)
 			}
 			if o.Breakers {
-				w = mediator.NewBreakerSource(w, mediator.BreakerOptions{Cooldown: o.BreakerCooldown})
+				w = mediator.NewBreakerSource(w, mediator.BreakerOptions{Cooldown: breakerCooldown})
 			}
 			return w
 		})

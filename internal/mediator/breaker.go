@@ -63,7 +63,7 @@ type Breaker struct {
 func NewBreaker(opts BreakerOptions) *Breaker {
 	o := opts.withDefaults()
 	return &Breaker{h: &health{opts: HealthOptions{
-		SuspectAfter: 1, EjectAfter: o.Threshold, EjectCooldown: o.Cooldown, Clock: o.Clock,
+		EjectAfter: o.Threshold, EjectCooldown: o.Cooldown, Clock: o.Clock,
 	}}}
 }
 

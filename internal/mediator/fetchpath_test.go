@@ -257,7 +257,7 @@ func BenchmarkFetchChanged(b *testing.B) {
 }
 
 // Only a cluster member's fetch holds its document as runs with memos: a
-// fetch without a ForwardInfo — a leaf source, a refresh, a stacked mediator
+// fetch without a forward's note — a leaf source, a refresh, a stacked mediator
 // — holds none, and its record is no larger than the 240 bytes it was when it
 // kept four runs' counts inline. The member's next fetch of the same bytes
 // holds them: one run, as the remote cut nothing, with a memo.
@@ -272,7 +272,7 @@ func TestOnlyAMembersFetchHoldsRuns(t *testing.T) {
 	if size := unsafe.Sizeof(keptDocument{}); size > 240 {
 		t.Errorf("a leaf's record is %d bytes, more than 240", size)
 	}
-	member := WithForwardInfo(context.Background(), &ForwardInfo{Hops: []string{"m"}})
+	member := NewForwardNote(context.Background(), []string{"m"})
 	doc, err := src.Fetch(member)
 	if err != nil {
 		t.Fatal(err)

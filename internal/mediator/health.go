@@ -50,11 +50,12 @@ func (s ReplicaState) String() string {
 	return "unknown"
 }
 
+// suspectAfter is the number of consecutive failures that demotes a healthy
+// replica to suspect: the first.
+const suspectAfter = 1
+
 // HealthOptions configures the per-replica health state machine.
 type HealthOptions struct {
-	// SuspectAfter is the number of consecutive failures that demotes a
-	// healthy replica to suspect (default 1).
-	SuspectAfter int
 	// EjectAfter is the number of consecutive failures that ejects a
 	// replica (default 3).
 	EjectAfter int
@@ -67,11 +68,8 @@ type HealthOptions struct {
 }
 
 func (o HealthOptions) withDefaults() HealthOptions {
-	if o.SuspectAfter <= 0 {
-		o.SuspectAfter = 1
-	}
-	if o.EjectAfter <= o.SuspectAfter {
-		o.EjectAfter = o.SuspectAfter + 2
+	if o.EjectAfter <= suspectAfter {
+		o.EjectAfter = suspectAfter + 2
 	}
 	if o.EjectCooldown <= 0 {
 		o.EjectCooldown = 5 * time.Second
@@ -141,7 +139,7 @@ func (h *health) record(failed bool) (ejected bool) {
 		h.failures++
 		if h.failures >= h.opts.EjectAfter {
 			ejected = true
-		} else if h.failures >= h.opts.SuspectAfter {
+		} else if h.failures >= suspectAfter {
 			h.state = ReplicaSuspect
 		}
 	}

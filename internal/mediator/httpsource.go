@@ -186,8 +186,8 @@ func NewHTTPSource(client *http.Client, baseURL, view string, opts ...HTTPOption
 // NewHTTPSourceContext is NewHTTPSource with a caller-supplied context for
 // the eager view-DTD fetch. The cluster tier needs it: when a forward is
 // built lazily inside a request, the DTD fetch must carry that request's
-// deadline and ForwardInfo hop path, or the loop guard would not see the
-// very first round trip.
+// deadline and its forward's note (FetchNote), whose hop path the loop guard
+// must see on the very first round trip.
 func NewHTTPSourceContext(ctx context.Context, client *http.Client, baseURL, view string, opts ...HTTPOption) (*HTTPSource, error) {
 	if client == nil {
 		client = &http.Client{Timeout: DefaultHTTPTimeout}
@@ -299,7 +299,7 @@ func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 		if serr == nil {
 			s.deltas.Add(1)
 			s.kept.Store(spliced)
-			ForwardInfoFrom(ctx).noteDocument(spliced.tag, resp.lease)
+			NoteFrom(ctx).Fetched(spliced.tag, resp.lease)
 			return spliced.doc, nil
 		}
 		obs.AddEvent(ctx, "source.delta_refused", obs.String("error", serr.Error()))
@@ -331,7 +331,7 @@ func (s *HTTPSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	if kept != held {
 		s.kept.Store(kept)
 	}
-	ForwardInfoFrom(ctx).noteDocument(kept.tag, resp.lease)
+	NoteFrom(ctx).Fetched(kept.tag, resp.lease)
 	return kept.doc, nil
 }
 
@@ -457,13 +457,13 @@ func (s *HTTPSource) tryGet(ctx context.Context, url string, held *keptDocument)
 			return response{}, err
 		}
 	}
-	fi := ForwardInfoFrom(ctx)
+	fwd := NoteFrom(ctx).forward()
 	member := false
-	if fi != nil && len(fi.Hops) > 0 {
+	if fwd != nil {
 		// A cluster forward announces its hop path so the peer can refuse
 		// loops (421, not retried — the path would be the same next time),
 		// and asks for the view document's runs, and for deltas.
-		req.Header.Set(ForwardHeader, strings.Join(fi.Hops, ","))
+		req.Header.Set(ForwardHeader, strings.Join(fwd.hops, ","))
 		if member = view; member {
 			req.Header["A-Im"] = runsIM
 		}
@@ -491,10 +491,10 @@ func (s *HTTPSource) tryGet(ctx context.Context, url string, held *keptDocument)
 	}
 	out := response{status: resp.StatusCode, body: body, etag: resp.Header.Get("ETag"),
 		im: resp.Header.Get("Im"), base: resp.Header.Get("Delta-Base"), runs: resp.Header.Get(RunsHeader), member: member}
-	if fi != nil && (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified || resp.StatusCode == http.StatusIMUsed) {
+	if fwd != nil && (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified || resp.StatusCode == http.StatusIMUsed) {
 		// Capture the peer's pruned/degraded/stale taxonomy so the
 		// forwarding node passes it through instead of erasing it.
-		fi.record(resp.Header)
+		fwd.record(resp.Header)
 		out.lease = leaseOf(resp.Header)
 	}
 	return out, nil

@@ -68,7 +68,7 @@ var (
 // than TSIMMIS's OEM). That is the whole contract. What a wrapper counts
 // (retries, breaker trips, replica health) travels through the one optional
 // interface Reporter, and a ReplicaSet serving its last known good document
-// says so on the fetch context (WithStaleNote) — both pass through any stack
+// says so on the fetch's note (FetchNote) — both pass through any stack
 // of decorators.
 type Wrapper interface {
 	// Name identifies the source within the mediator.
@@ -822,12 +822,13 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res 
 			panic(r)
 		}
 	}()
-	// A last-known-good answer, from a ReplicaSet anywhere in w's stack,
-	// comes back with its note instead of being indistinguishable from a
-	// live one.
-	fctx, stale := WithStaleNote(fctx)
-	doc, err := w.Fetch(fctx)
-	if res.stale = err == nil && stale.Load(); res.stale {
+	// The fetch's own note: a last-known-good answer, from a ReplicaSet
+	// anywhere in w's stack, comes back marked on it instead of being
+	// indistinguishable from a live one, and the note of any fetch this read
+	// serves (a forward answered in the same process) stays out of w's reach.
+	note := NewFetchNote(fctx)
+	doc, err := w.Fetch(note)
+	if res.stale = err == nil && note.Stale(); res.stale {
 		fspan.Event("source.stale_serve", obs.String("source", p.Source))
 	}
 	if errors.Is(err, ErrBreakerOpen) {

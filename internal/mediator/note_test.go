@@ -6,24 +6,57 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 )
 
+// A fetch's note is found under its context and any context made under it,
+// and a note made under another fetch's context — a part fetch a forward's
+// owner makes in the same process — hides the outer one: its fetches carry no
+// hop path and record nothing into the forward's note. A part fetch's note is
+// one allocation, no larger than a context and one word.
 func TestForwardInfoContextRoundTrip(t *testing.T) {
-	if ForwardInfoFrom(context.Background()) != nil {
-		t.Error("empty context should carry no ForwardInfo")
+	if NoteFrom(context.Background()) != nil {
+		t.Error("empty context should carry no note")
 	}
-	fi := &ForwardInfo{Hops: []string{"a", "b"}}
-	ctx := WithForwardInfo(context.Background(), fi)
-	if got := ForwardInfoFrom(ctx); got != fi {
-		t.Errorf("round trip lost the ForwardInfo: %v", got)
+	fwd := NewForwardNote(context.Background(), []string{"a", "b"})
+	type key struct{}
+	if got := NoteFrom(context.WithValue(fwd, key{}, 1)); got != fwd || fmt.Sprint(got.Path()) != "[a b]" {
+		t.Errorf("round trip lost the forward's note: %v", got)
 	}
+	part := NewFetchNote(fwd)
+	if NoteFrom(part) != part || part.Path() != nil || part.forward() != nil {
+		t.Error("a part fetch's note does not hide the forward's")
+	}
+	part.Fetched(`"leaf"`, time.Second)
+	part.markStale()
+	if !part.Stale() || fwd.Stale() || fwd.Tag() != "" || part.Tag() != "" {
+		t.Errorf("a part fetch's note reached the forward's: stale %v, tag %q", fwd.Stale(), fwd.Tag())
+	}
+	var none *FetchNote
+	none.Fetched(`"x"`, time.Second) // a fetch no one noted
+	none.markStale()
+}
+
+// A part fetch makes its note in one allocation, no larger than a context and
+// one word: the forward's record is behind a pointer only a forward fills.
+func TestPartFetchNoteAllocs(t *testing.T) {
+	if size := unsafe.Sizeof(FetchNote{}); size > 24 {
+		t.Errorf("a part fetch's note is %d bytes, more than 24", size)
+	}
+	ctx := context.Background()
+	var sink *FetchNote
+	if n := testing.AllocsPerRun(100, func() { sink = NewFetchNote(ctx) }); n != 1 {
+		t.Errorf("a part fetch's note: %v allocs, want 1", n)
+	}
+	_ = sink
 }
 
 // TestForwardInfoRecord: taxonomy headers from peer responses accumulate
 // as duplicate-free unions, the degraded flag is sticky, and the peer's
 // echoed hop path replaces (not merges) the previous one.
 func TestForwardInfoRecord(t *testing.T) {
-	fi := &ForwardInfo{Hops: []string{"me"}}
+	note := NewForwardNote(context.Background(), []string{"me"})
 
 	h := http.Header{}
 	h.Set("X-Mix-Degraded", "true")
@@ -31,14 +64,14 @@ func TestForwardInfoRecord(t *testing.T) {
 	h.Set("X-Mix-Pruned-Sources", "p1")
 	h.Set("X-Mix-Stale-Sources", "st1")
 	h.Set(ForwardHeader, "a,b")
-	fi.record(h)
+	note.forward().record(h)
 
 	h2 := http.Header{}
 	h2.Set("X-Mix-Degraded-Sources", "s2,s3") // s2 already recorded
 	h2.Set(ForwardHeader, " a , b , c ")
-	fi.record(h2)
+	note.forward().record(h2)
 
-	p := fi.Provenance()
+	p := note.Provenance()
 	if !p.Degraded {
 		t.Error("degraded flag should be sticky after the first response")
 	}
@@ -51,7 +84,7 @@ func TestForwardInfoRecord(t *testing.T) {
 	if got := fmt.Sprint(p.StaleSources); got != "[st1]" {
 		t.Errorf("stale sources = %s", got)
 	}
-	if got := fmt.Sprint(fi.Via()); got != "[a b c]" {
+	if got := fmt.Sprint(note.Path()); got != "[a b c]" {
 		t.Errorf("via = %s, want the latest echoed path [a b c]", got)
 	}
 }
@@ -59,7 +92,7 @@ func TestForwardInfoRecord(t *testing.T) {
 // TestForwardInfoRecordConcurrent: hedged reads record two responses at
 // once; the capture must be race-free (run under -race).
 func TestForwardInfoRecordConcurrent(t *testing.T) {
-	fi := &ForwardInfo{}
+	note := NewForwardNote(context.Background(), []string{"me"})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -68,13 +101,16 @@ func TestForwardInfoRecordConcurrent(t *testing.T) {
 			h := http.Header{}
 			h.Set("X-Mix-Degraded", "true")
 			h.Set("X-Mix-Stale-Sources", fmt.Sprintf("r%d", i%2))
-			fi.record(h)
-			_ = fi.Provenance()
+			note.forward().record(h)
+			_ = note.Provenance()
+			if i%4 == 0 {
+				note.markStale()
+			}
 		}(i)
 	}
 	wg.Wait()
-	if got := len(fi.Provenance().StaleSources); got != 2 {
-		t.Errorf("stale union has %d entries, want 2 (r0, r1)", got)
+	if got := len(note.Provenance().StaleSources); got != 2 || !note.Stale() {
+		t.Errorf("stale union has %d entries, want 2 (r0, r1); stale %v", got, note.Stale())
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // Provenance reports how an answer departs from a complete, live evaluation
 // of every part of its view. It is the one such record: QueryStats embeds
-// it, ForwardInfo accumulates the owner's across a cluster hop, and
+// it, a forward's FetchNote gathers the owner's across a cluster hop, and
 // internal/serve turns it into the X-Mix-* response headers and back. The
 // three source lists are sorted and pairwise disjoint.
 type Provenance struct {

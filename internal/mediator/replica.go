@@ -34,35 +34,6 @@ const (
 	hedgeSampleFloor = 20
 )
 
-// staleNoteKey is the context key of a fetch's stale note.
-type staleNoteKey struct{}
-
-// WithStaleNote returns a context for one source fetch and the note a
-// ReplicaSet sets when, every replica having failed, it answers that fetch
-// with its last known good document: still valid under the source's DTD,
-// but possibly outdated. The note rides the context, not the result, so it
-// survives whatever decorators sit between the caller and the ReplicaSet;
-// the mediator reads it into Provenance.StaleSources (and from there the
-// X-Mix-Stale-Sources response header) and does not cache the part.
-func WithStaleNote(ctx context.Context) (context.Context, *atomic.Bool) {
-	c := &staleNoteCtx{Context: ctx}
-	return c, &c.note
-}
-
-// staleNoteCtx is a fetch's context and its stale note in one allocation: it
-// answers Value(staleNoteKey{}) with the note, as context.WithValue would.
-type staleNoteCtx struct {
-	context.Context
-	note atomic.Bool
-}
-
-func (c *staleNoteCtx) Value(key any) any {
-	if key == (staleNoteKey{}) {
-		return &c.note
-	}
-	return c.Context.Value(key)
-}
-
 // ReplicaStatus is the health snapshot of one replica.
 type ReplicaStatus struct {
 	Name     string `json:"name"`
@@ -102,14 +73,10 @@ type ReplicaSetOptions struct {
 	// Health configures the per-replica health state machine.
 	Health HealthOptions
 	// HedgeDelay fixes the hedge delay; 0 derives it from the observed
-	// fetch-latency p95 (clamped to [MinHedgeDelay, MaxHedgeDelay], with
-	// DefaultHedgeDelay until enough samples exist). Negative disables
-	// hedging.
+	// fetch-latency p95 (clamped to [DefaultMinHedgeDelay,
+	// DefaultMaxHedgeDelay], with DefaultHedgeDelay until enough samples
+	// exist). Negative disables hedging.
 	HedgeDelay time.Duration
-	// MinHedgeDelay / MaxHedgeDelay clamp the p95-derived delay
-	// (defaults DefaultMinHedgeDelay / DefaultMaxHedgeDelay).
-	MinHedgeDelay time.Duration
-	MaxHedgeDelay time.Duration
 	// Budget is the token bucket that hedges and failovers draw from; nil
 	// gets a default bucket. Pass the same bucket to the replicas'
 	// HTTPSources (WithRetryBudget) to cap the source's total retry
@@ -124,12 +91,6 @@ type ReplicaSetOptions struct {
 }
 
 func (o ReplicaSetOptions) withDefaults() ReplicaSetOptions {
-	if o.MinHedgeDelay <= 0 {
-		o.MinHedgeDelay = DefaultMinHedgeDelay
-	}
-	if o.MaxHedgeDelay <= 0 {
-		o.MaxHedgeDelay = DefaultMaxHedgeDelay
-	}
 	if o.Clock != nil && o.Health.Clock == nil {
 		o.Health.Clock = o.Clock
 	}
@@ -153,7 +114,7 @@ func (o ReplicaSetOptions) withDefaults() ReplicaSetOptions {
 // dry they are denied (counted, never blocking the primary), so a
 // brownout cannot be amplified into a retry storm. When every reachable
 // replica fails, the last known good document (DTD-validated at store
-// time) is served and the fetch's stale note set (WithStaleNote).
+// time) is served and the fetch's note marked stale (FetchNote).
 type ReplicaSet struct {
 	name     string
 	schema   *dtd.DTD
@@ -232,7 +193,7 @@ type attemptResult struct {
 }
 
 // Fetch implements Wrapper: it fetches from the healthiest replica with
-// hedging and failover, and sets the context's stale note when the returned
+// hedging and failover, and marks the fetch's note stale when the returned
 // document is the last known good rather than a live answer.
 func (r *ReplicaSet) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	actx, cancel := context.WithCancel(ctx)
@@ -371,14 +332,7 @@ func (r *ReplicaSet) hedgeDelay() time.Duration {
 	}
 	snap := r.latency.Snapshot()
 	if snap.Count >= hedgeSampleFloor {
-		d := time.Duration(snap.P95 * float64(time.Second))
-		if d < r.opts.MinHedgeDelay {
-			d = r.opts.MinHedgeDelay
-		}
-		if d > r.opts.MaxHedgeDelay {
-			d = r.opts.MaxHedgeDelay
-		}
-		return d
+		return min(max(time.Duration(snap.P95*float64(time.Second)), DefaultMinHedgeDelay), DefaultMaxHedgeDelay)
 	}
 	return DefaultHedgeDelay
 }
@@ -415,9 +369,7 @@ func (r *ReplicaSet) staleOrErr(ctx context.Context, cause error) (*xmlmodel.Doc
 		if doc != nil {
 			r.staleServes.Add(1)
 			obs.AddEvent(ctx, "replica.stale_serve", obs.String("source", r.name))
-			if note, _ := ctx.Value(staleNoteKey{}).(*atomic.Bool); note != nil {
-				note.Store(true)
-			}
+			NoteFrom(ctx).markStale()
 			return doc, nil
 		}
 	}

@@ -65,12 +65,12 @@ func (s *replicaStub) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
 	return s.inner.Fetch(ctx)
 }
 
-// fetchNoted fetches from w as the mediator does — under a stale note — and
-// returns the note beside the result.
+// fetchNoted fetches from w as the mediator does — under a note of its own —
+// and returns whether the note says stale beside the result.
 func fetchNoted(ctx context.Context, w Wrapper) (*xmlmodel.Document, bool, error) {
-	ctx, stale := WithStaleNote(ctx)
-	doc, err := w.Fetch(ctx)
-	return doc, stale.Load(), err
+	note := NewFetchNote(ctx)
+	doc, err := w.Fetch(note)
+	return doc, note.Stale(), err
 }
 
 // TestReplicaSetRejectsMismatchedDTD: replicas must be interchangeable —
@@ -325,7 +325,7 @@ func TestReplicaSetEjectionAndRecovery(t *testing.T) {
 	if _, _, err := fetchNoted(ctx, rs); err == nil {
 		t.Fatal("failing replica must fail the fetch")
 	}
-	wantState("suspect") // SuspectAfter default 1
+	wantState("suspect") // suspect after the first failure
 	for i := 0; i < 2; i++ {
 		if _, _, err := fetchNoted(ctx, rs); err == nil {
 			t.Fatal("failing replica must fail the fetch")

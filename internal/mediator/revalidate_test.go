@@ -357,80 +357,92 @@ func TestHTTPSourceRacingFetchesConverge(t *testing.T) {
 // documents under different tags (hedged owners) leave none to relay.
 func TestForwardInfoRelaysOneTag(t *testing.T) {
 	rm, src := newTaggingRemote(t, WithRetries(0))
-	fetchUnder := func(fi *ForwardInfo) {
+	fetchUnder := func(note *FetchNote) {
 		t.Helper()
-		if _, err := src.Fetch(WithForwardInfo(context.Background(), fi)); err != nil {
+		if _, err := src.Fetch(note); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fi := &ForwardInfo{Hops: []string{"me"}}
-	fetchUnder(fi) // 200
-	if fi.Tag() != `"v1"` {
-		t.Errorf("after a 200: tag %q", fi.Tag())
+	note := NewForwardNote(context.Background(), []string{"me"})
+	fetchUnder(note) // 200
+	if note.Tag() != `"v1"` {
+		t.Errorf("after a 200: tag %q", note.Tag())
 	}
-	fi = &ForwardInfo{Hops: []string{"me"}}
-	fetchUnder(fi) // 304
-	if fi.Tag() != `"v1"` || rm.notModified.Load() != 1 {
-		t.Errorf("after a 304: tag %q, %d not modified", fi.Tag(), rm.notModified.Load())
+	note = NewForwardNote(context.Background(), []string{"me"})
+	fetchUnder(note) // 304
+	if note.Tag() != `"v1"` || rm.notModified.Load() != 1 {
+		t.Errorf("after a 304: tag %q, %d not modified", note.Tag(), rm.notModified.Load())
 	}
 	rm.set(`"v2"`, membersBody("bo"))
-	fetchUnder(fi) // a second document, another tag, under the same info
-	if fi.Tag() != "" {
-		t.Errorf("two documents, two tags: relayed %q", fi.Tag())
+	fetchUnder(note) // a second document, another tag, under the same note
+	if note.Tag() != "" {
+		t.Errorf("two documents, two tags: relayed %q", note.Tag())
 	}
-	fetchUnder(fi)
-	if fi.Tag() != "" {
-		t.Errorf("the conflict did not stick: %q", fi.Tag())
+	fetchUnder(note)
+	if note.Tag() != "" {
+		t.Errorf("the conflict did not stick: %q", note.Tag())
 	}
-	var none *ForwardInfo
-	none.noteDocument(`"x"`, time.Second) // a fetch outside any forward
+	part := NewFetchNote(context.Background())
+	fetchUnder(part) // a part fetch's note relays nothing
+	if part.Tag() != "" {
+		t.Errorf("a part fetch's note relays %q", part.Tag())
+	}
 }
 
 // A lease travels with the document it was granted with, on a 200 and on a
-// 304 alike, and goes where the tag goes when two documents disagree; what a
-// fetch captured replays as if the fetch had happened again.
+// 304 alike, and goes where the tag goes when two documents disagree. A lease
+// hit relays the tag alone, so an answer that says anything more — a source
+// pruned, stale or degraded, or a relayed hop path — leaves no lease to keep,
+// though its tag is relayed.
 func TestForwardInfoCarriesTheLease(t *testing.T) {
 	rm, src := newTaggingRemote(t, WithRetries(0))
+	var extra http.Header
 	rm.before = func(w http.ResponseWriter, r *http.Request) bool {
 		w.Header().Set(LeaseHeader, "1000")
-		w.Header().Set("X-Mix-Pruned-Sources", "archive")
-		w.Header().Set(ForwardHeader, "me,owner")
+		for k, v := range extra {
+			w.Header()[k] = v
+		}
 		return false
 	}
-	fetchUnder := func(fi *ForwardInfo) {
+	fetchUnder := func(note *FetchNote) {
 		t.Helper()
-		if _, err := src.Fetch(WithForwardInfo(context.Background(), fi)); err != nil {
+		if _, err := src.Fetch(note); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, step := range []string{"a 200", "a 304"} {
-		fi := &ForwardInfo{Hops: []string{"me"}}
-		fetchUnder(fi)
-		if fi.Lease() != time.Second || fi.Tag() != `"v1"` {
-			t.Errorf("after %s: lease %v under %q", step, fi.Lease(), fi.Tag())
+		note := NewForwardNote(context.Background(), []string{"me"})
+		fetchUnder(note)
+		if tag, term := note.Lease(); term != time.Second || tag != `"v1"` {
+			t.Errorf("after %s: lease %v under %q", step, term, tag)
 		}
 	}
 	if rm.notModified.Load() != 1 {
 		t.Fatalf("%d not modified, want 1", rm.notModified.Load())
 	}
+	for _, h := range []http.Header{
+		{"X-Mix-Pruned-Sources": {"archive"}},
+		{"X-Mix-Stale-Sources": {"mirror"}},
+		{"X-Mix-Degraded": {"true"}},
+		{"X-Mix-Degraded-Sources": {"cs"}},
+		{ForwardHeader: {"me,owner"}},
+	} {
+		extra = h
+		note := NewForwardNote(context.Background(), []string{"me"})
+		fetchUnder(note)
+		if tag, term := note.Lease(); term != 0 || note.Tag() != `"v1"` {
+			t.Errorf("an answer with %v: lease %v under %q, relayed tag %q", h, term, tag, note.Tag())
+		}
+	}
+	extra = nil
 
-	fi := &ForwardInfo{Hops: []string{"me"}}
-	fetchUnder(fi)
-	c := fi.Capture()
+	note := NewForwardNote(context.Background(), []string{"me"})
+	fetchUnder(note)
 	rm.set(`"v2"`, membersBody("bo"))
-	fetchUnder(fi)
-	if fi.Lease() != 0 || fi.Tag() != "" {
-		t.Errorf("two documents, two tags: lease %v under %q", fi.Lease(), fi.Tag())
+	fetchUnder(note)
+	if tag, term := note.Lease(); term != 0 || tag != "" {
+		t.Errorf("two documents, two tags: lease %v under %q", term, tag)
 	}
-
-	replayed := &ForwardInfo{Hops: []string{"me"}}
-	replayed.Replay(c)
-	if replayed.Tag() != `"v1"` || replayed.Lease() != 0 ||
-		fmt.Sprint(replayed.Provenance().PrunedSources, replayed.Via()) != "[archive] [me owner]" {
-		t.Errorf("replayed: tag %q, lease %v, provenance %+v, via %v", replayed.Tag(), replayed.Lease(), replayed.Provenance(), replayed.Via())
-	}
-	var none *ForwardInfo
-	none.Replay(c) // a read outside any forward
 }
 
 // A fetch carries its trace across the hop, and says on its span when the

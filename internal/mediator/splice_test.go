@@ -189,7 +189,7 @@ func TestRecordsCarryTheirRunsMemos(t *testing.T) {
 				return false
 			}
 			rm.mu.Unlock()
-			member := WithForwardInfo(context.Background(), &ForwardInfo{Hops: []string{"m"}})
+			member := NewForwardNote(context.Background(), []string{"m"})
 			if _, err := src.Fetch(member); err != nil {
 				t.Fatal(err)
 			}

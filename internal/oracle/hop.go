@@ -20,7 +20,9 @@ const owner, forwarder = "alpha", "beta"
 
 // network is a hop subject's transport: a request to http://{member}/… is
 // served by the handler behind that name, on the calling goroutine, under a
-// context of the member's own that ends with the request's. A restarted
+// context of the member's own that ends with the request's, as over a socket:
+// the caller's trace spans stay the caller's. (What a fetch notes needs no
+// such care: every fetch makes its own mediator.FetchNote.) A restarted
 // member is another handler behind the name. network notes the status of
 // every GET of a view document.
 type network struct {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,33 +32,32 @@ func WithCluster(n *cluster.Node) Option { return func(h *Handler) { h.cluster =
 //     local, or the cluster does not know the view).
 //   - done == true: the response (421 loop rejection or 502 build
 //     failure) has been written.
-//   - fwd != nil: forward using fwd under ctx, which carries the
-//     ForwardInfo fi (hop path out, taxonomy capture back).
-func (h *Handler) forwarded(w http.ResponseWriter, r *http.Request, name string) (fwd *cluster.Forward, ctx context.Context, fi *mediator.ForwardInfo, done bool) {
+//   - fwd != nil: forward using fwd under note, the forwarded fetch's note
+//     and context (hop path out, the owner's taxonomy, tag and lease back).
+func (h *Handler) forwarded(w http.ResponseWriter, r *http.Request, name string) (fwd *cluster.Forward, note *mediator.FetchNote, done bool) {
 	if h.cluster == nil {
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
 	if h.m.HasView(name) {
-		return nil, nil, nil, false // locally defined: serve it here
+		return nil, nil, false // locally defined: serve it here
 	}
 	if !h.cluster.Knows(name) {
-		return nil, nil, nil, false // truly unknown: local 404 taxonomy
+		return nil, nil, false // truly unknown: local 404 taxonomy
 	}
 	hops, err := h.cluster.CheckHops(r.Header.Get(mediator.ForwardHeader))
 	if err != nil {
 		// 421 Misdirected Request: a 4xx on purpose, so the peer's
 		// HTTPSource fails fast instead of retrying a deterministic loop.
 		http.Error(w, err.Error(), http.StatusMisdirectedRequest)
-		return nil, nil, nil, true
+		return nil, nil, true
 	}
-	fi = &mediator.ForwardInfo{Hops: append(hops, h.cluster.Self())}
-	ctx = mediator.WithForwardInfo(r.Context(), fi)
-	fwd, err = h.cluster.Forward(ctx, name)
+	note = mediator.NewForwardNote(r.Context(), append(hops, h.cluster.Self()))
+	fwd, err = h.cluster.Forward(note, name)
 	if err != nil {
 		h.forwardError(w, name, err)
-		return nil, nil, nil, true
+		return nil, nil, true
 	}
-	return fwd, ctx, fi, false
+	return fwd, note, false
 }
 
 // forwardError maps a failed forward to the client: 502 Bad Gateway for
@@ -83,13 +81,9 @@ func (h *Handler) forwardError(w http.ResponseWriter, name string, err error) {
 // this node reports verbatim; a stale serve by the forward's own
 // ReplicaSet (every owner down) adds the forward transport itself to the
 // stale list, because from here the peer tier is just another source.
-func (h *Handler) setForwardHeaders(w http.ResponseWriter, fi *mediator.ForwardInfo, fwd *cluster.Forward, stale bool) {
-	path := fi.Via()
-	if len(path) == 0 {
-		path = fi.Hops
-	}
-	setHeader(w, mediator.ForwardHeader, strings.Join(path, ","))
-	p := fi.Provenance()
+func (h *Handler) setForwardHeaders(w http.ResponseWriter, note *mediator.FetchNote, fwd *cluster.Forward, stale bool) {
+	setHeader(w, mediator.ForwardHeader, strings.Join(note.Path(), ","))
+	p := note.Provenance()
 	if stale {
 		p.StaleSources = append(p.StaleSources, fwd.SourceName())
 	}
@@ -102,14 +96,14 @@ func (h *Handler) setForwardHeaders(w http.ResponseWriter, fi *mediator.ForwardI
 // what the owner itself would have served — under the owner's ETag too, so
 // a client's If-None-Match gets the 304 here that it would get there. A
 // last-known-good serve relays no tag: no owner vouched for it.
-func (h *Handler) forwardView(w http.ResponseWriter, r *http.Request, fwd *cluster.Forward, ctx context.Context, fi *mediator.ForwardInfo) {
-	doc, stale, err := fwd.Fetch(ctx)
+func (h *Handler) forwardView(w http.ResponseWriter, r *http.Request, fwd *cluster.Forward, note *mediator.FetchNote) {
+	doc, stale, err := fwd.Fetch(note)
 	if err != nil {
 		h.forwardError(w, fwd.View(), err)
 		return
 	}
-	h.setForwardHeaders(w, fi, fwd, stale)
-	tag := fi.Tag()
+	h.setForwardHeaders(w, note, fwd, stale)
+	tag := note.Tag()
 	if stale {
 		tag = ""
 	}
@@ -117,7 +111,7 @@ func (h *Handler) forwardView(w http.ResponseWriter, r *http.Request, fwd *clust
 		return
 	}
 	w.Header()["Content-Type"] = xmlType
-	writeAnswer(ctx, w, fwd.SchemaText(), func(w io.Writer) error { return xmlmodel.WriteElement(w, doc.Root, 2) })
+	writeAnswer(note, w, fwd.SchemaText(), func(w io.Writer) error { return xmlmodel.WriteElement(w, doc.Root, 2) })
 }
 
 // forwardQuery answers POST /views/{name}/query for a non-owned view:
@@ -133,17 +127,17 @@ func (h *Handler) forwardView(w http.ResponseWriter, r *http.Request, fwd *clust
 // While the owner's lease on the document runs the fetch asks nobody; the
 // owner takes the lease back before it acknowledges an invalidation, so
 // nothing is served that an owner which acknowledged one would not serve now.
-func (h *Handler) forwardQuery(w http.ResponseWriter, r *http.Request, fwd *cluster.Forward, ctx context.Context, fi *mediator.ForwardInfo) {
+func (h *Handler) forwardQuery(w http.ResponseWriter, r *http.Request, fwd *cluster.Forward, note *mediator.FetchNote) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	plan, err := h.m.ParsePlan(ctx, body)
+	plan, err := h.m.ParsePlan(note, body)
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	doc, stale, err := fwd.Fetch(ctx)
+	doc, stale, err := fwd.Fetch(note)
 	if err != nil {
 		h.forwardError(w, fwd.View(), err)
 		return
@@ -153,16 +147,16 @@ func (h *Handler) forwardQuery(w http.ResponseWriter, r *http.Request, fwd *clus
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	obs.SetAttr(ctx, obs.String("forwarded_answer", how))
-	h.setForwardHeaders(w, fi, fwd, stale)
+	obs.SetAttr(note, obs.String("forwarded_answer", how))
+	h.setForwardHeaders(w, note, fwd, stale)
 	w.Header()["Content-Type"] = xmlType
-	writeAnswer(ctx, w, "", a.Write)
+	writeAnswer(note, w, "", a.Write)
 }
 
 // forwardDTD answers GET /views/{name}/dtd with the owner's DTD text
 // verbatim (captured at transport build time — no extra round trip).
-func (h *Handler) forwardDTD(w http.ResponseWriter, fwd *cluster.Forward, fi *mediator.ForwardInfo) {
-	h.setForwardHeaders(w, fi, fwd, false)
+func (h *Handler) forwardDTD(w http.ResponseWriter, fwd *cluster.Forward, note *mediator.FetchNote) {
+	h.setForwardHeaders(w, note, fwd, false)
 	w.Header().Set("Content-Type", "application/xml-dtd; charset=utf-8")
 	io.WriteString(w, fwd.SchemaText())
 }
@@ -170,13 +164,13 @@ func (h *Handler) forwardDTD(w http.ResponseWriter, fwd *cluster.Forward, fi *me
 // forwardPath answers sibling view endpoints (/sdtd, /outline) by raw
 // pass-through: their payloads carry owner-side detail (s-DTD tightness
 // notes) this node cannot reconstruct from the plain DTD alone.
-func (h *Handler) forwardPath(w http.ResponseWriter, fwd *cluster.Forward, ctx context.Context, fi *mediator.ForwardInfo, suffix string) {
-	body, err := fwd.GetPath(ctx, suffix)
+func (h *Handler) forwardPath(w http.ResponseWriter, fwd *cluster.Forward, note *mediator.FetchNote, suffix string) {
+	body, err := fwd.GetPath(note, suffix)
 	if err != nil {
 		h.forwardError(w, fwd.View(), err)
 		return
 	}
-	h.setForwardHeaders(w, fi, fwd, false)
+	h.setForwardHeaders(w, note, fwd, false)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, body)
 }

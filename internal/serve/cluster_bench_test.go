@@ -302,10 +302,13 @@ func BenchmarkForwardHopPartChanged(b *testing.B) {
 // process, so its 304 and its trace are in the count too). The lease is taken
 // away by a revocation before each of those reads, which costs what its end
 // by expiry costs. The query finds its plan by its text and its picks beside
-// the unchanged document either way. Measured 30, 32, 125 and 127 (32, 33,
-// 134 and 134 at most under -race -cpu=1,2, which `make race` runs this
-// with); the ceilings are the -race figures + 3 %, rounded up: 33, 34, 139
-// and 139. It was 32, 34, 129 and 131 while the forwarder set its provenance
+// the unchanged document either way. Measured 29, 31, 123 and 125 (31, 32,
+// 131 and 133 at most under -race -cpu=1,2, which `make race` runs this
+// with, in four runs); the ceilings are the -race figures + 3 %, rounded up:
+// 32, 33, 135 and 137. It was 30, 32, 125 and 127 while a forwarded read made
+// a ForwardInfo, a context.WithValue to carry it and, on a miss, a stale note
+// of its own, where it now makes one note; 32, 34, 129 and 131 while the
+// forwarder set its provenance
 // headers and Content-Type through http.Header.Set; a warm forwarded read was
 // 129 and 128 while every one asked the owner, 135 and 150 while the
 // forwarder parsed and walked every query, 165 and 180 while a trace was an
@@ -318,10 +321,10 @@ func TestForwardHopNotModifiedAllocs(t *testing.T) {
 		leased                   bool
 		ceiling                  float64
 	}{
-		{"leased GET", http.MethodGet, "/views/members", "", true, 33},
-		{"leased query", http.MethodPost, "/views/members/query", q, true, 34},
-		{"GET after the lease", http.MethodGet, "/views/members", "", false, 139},
-		{"query after the lease", http.MethodPost, "/views/members/query", q, false, 139},
+		{"leased GET", http.MethodGet, "/views/members", "", true, 32},
+		{"leased query", http.MethodPost, "/views/members/query", q, true, 33},
+		{"GET after the lease", http.MethodGet, "/views/members", "", false, 135},
+		{"query after the lease", http.MethodPost, "/views/members/query", q, false, 137},
 	} {
 		do := func() {
 			if !c.leased {
@@ -357,9 +360,11 @@ func TestForwardHopNotModifiedAllocs(t *testing.T) {
 // whose plan the forwarder holds. Before each read the third source switches
 // to its other document, and every read is answered by a delta (226) of that
 // part's run alone, spliced into the held document; the query walks that run
-// and finds the other five's picks in their memos. Measured 166 and 169 (178
-// and 184 at most under -race -cpu=1,2); the ceilings are the -race figures
-// + 3 %, rounded up: 184 and 190. It was 195 and 207 while the forwarder set
+// and finds the other five's picks in their memos. Measured 164 and 167 (176
+// and 182 at most under -race -cpu=1,2, in four runs); the ceilings are the
+// -race figures + 3 %, rounded up: 182 and 188. It was 166 and 169 while a
+// forwarded read made a ForwardInfo, a context.WithValue and a stale note
+// where it now makes one note; 195 and 207 while the forwarder set
 // its provenance headers through http.Header.Set, 212 and 223 while the owner
 // shipped the whole document and the forwarder parsed it and walked all of it.
 func TestForwardHopPartChangedAllocs(t *testing.T) {
@@ -368,8 +373,8 @@ func TestForwardHopPartChangedAllocs(t *testing.T) {
 		name, method, path, body string
 		ceiling                  float64
 	}{
-		{"GET after a one-part change", http.MethodGet, "/views/six", "", 184},
-		{"query after a one-part change", http.MethodPost, "/views/six/query", `r = SELECT X WHERE <six> X:<x2|x4/> </six>`, 190},
+		{"GET after a one-part change", http.MethodGet, "/views/six", "", 182},
+		{"query after a one-part change", http.MethodPost, "/views/six/query", `r = SELECT X WHERE <six> X:<x2|x4/> </six>`, 188},
 	} {
 		v := 0
 		do := func() {

@@ -131,7 +131,7 @@ func TestReadyzReplicaOutage(t *testing.T) {
 }
 
 func testReadyzReplicaOutage(t *testing.T, wrap func(mediator.Wrapper) mediator.Wrapper) {
-	health := mediator.HealthOptions{SuspectAfter: 1, EjectAfter: 2}
+	health := mediator.HealthOptions{EjectAfter: 2}
 
 	// No stale fallback: ejecting every replica flips readiness.
 	srv, _, flakies := replicaFixture(t, mediator.ReplicaSetOptions{

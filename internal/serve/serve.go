@@ -293,10 +293,10 @@ func (h *Handler) listSources(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if fwd, ctx, fi, done := h.forwarded(w, r, name); done {
+	if fwd, note, done := h.forwarded(w, r, name); done {
 		return
 	} else if fwd != nil {
-		h.forwardView(w, r, fwd, ctx, fi)
+		h.forwardView(w, r, fwd, note)
 		return
 	}
 	var offer cluster.Offer
@@ -427,10 +427,10 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 }
 
 func (h *Handler) getViewDTD(w http.ResponseWriter, r *http.Request) {
-	if fwd, _, fi, done := h.forwarded(w, r, r.PathValue("name")); done {
+	if fwd, note, done := h.forwarded(w, r, r.PathValue("name")); done {
 		return
 	} else if fwd != nil {
-		h.forwardDTD(w, fwd, fi)
+		h.forwardDTD(w, fwd, note)
 		return
 	}
 	v, err := h.m.View(r.PathValue("name"))
@@ -443,10 +443,10 @@ func (h *Handler) getViewDTD(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) getViewSDTD(w http.ResponseWriter, r *http.Request) {
-	if fwd, ctx, fi, done := h.forwarded(w, r, r.PathValue("name")); done {
+	if fwd, note, done := h.forwarded(w, r, r.PathValue("name")); done {
 		return
 	} else if fwd != nil {
-		h.forwardPath(w, fwd, ctx, fi, "/sdtd")
+		h.forwardPath(w, fwd, note, "/sdtd")
 		return
 	}
 	v, err := h.m.View(r.PathValue("name"))
@@ -501,10 +501,10 @@ func (h *Handler) getMetrics(w http.ResponseWriter, r *http.Request) {
 // getViewOutline serves the structure display of the DTD-based query
 // interface for a view's inferred DTD.
 func (h *Handler) getViewOutline(w http.ResponseWriter, r *http.Request) {
-	if fwd, ctx, fi, done := h.forwarded(w, r, r.PathValue("name")); done {
+	if fwd, note, done := h.forwarded(w, r, r.PathValue("name")); done {
 		return
 	} else if fwd != nil {
-		h.forwardPath(w, fwd, ctx, fi, "/outline")
+		h.forwardPath(w, fwd, note, "/outline")
 		return
 	}
 	v, err := h.m.View(r.PathValue("name"))
@@ -529,10 +529,10 @@ func (h *Handler) getSourceOutline(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) postQuery(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if fwd, ctx, fi, done := h.forwarded(w, r, name); done {
+	if fwd, note, done := h.forwarded(w, r, name); done {
 		return
 	} else if fwd != nil {
-		h.forwardQuery(w, r, fwd, ctx, fi)
+		h.forwardQuery(w, r, fwd, note)
 		return
 	}
 	body, ok := readBody(w, r)
