@@ -68,7 +68,9 @@ lint:
 # repeats the read's own fan-out too — one part on the reading goroutine,
 # several on goroutines of their own, a panicking wrapper failing the read on
 # either — and the trace record those goroutines write into past its inline
-# room (internal/obs).
+# room (internal/obs), and the root span's context a request keeps in its
+# response writer, read by a goroutine that outlives the request
+# (internal/serve).
 test:
 	go test ./...
 
@@ -76,7 +78,7 @@ race:
 	go vet ./...
 	go test -race ./...
 	go test -race -count=3 -cpu=1,2 ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/ ./internal/obs/ ./internal/oracle/
-	go test -race -count=50 -cpu=1,2 -run 'TestFlight|TestPurgeFencesTheFlightInFlight|TestJoinerLeavesWithItsContext|TestPanicFailsWaitersAndPropagates|TestErrorIsTheLeadersOwn|TestSingleflightBlocksJoiners|TestConcurrentCompilerSingleflight|TestPlanSingleflight|TestSingleflightMaterialize|TestMaterializeFollowerCancellation|TestFollowerSurvives|TestTagNamesTheCalcTheJoinerEndedOn|TestRacedResultStaysAsPredecessor|TestInvalidateDiscardsInflightResult|TestMetricsSingleflightDedups|TestForwardBuildOncePerBurst|TestForwardJoinerLeavesWithItsContext|TestForwardIncompleteNotCached|TestFanOut|TestSimplifyReturnsWorkerPanic|TestEvalPoolAliasesNothing|TestScanPoolAliasesNothing|TestLonePartLeaderJoinersAndACancelledReader|TestPanickingWrapperFailsTheRead|TestOverflowKeepsEverything' ./internal/automata/cache/ ./internal/automata/ ./internal/mediator/ ./internal/cluster/ ./internal/serve/ ./internal/infer/ ./internal/engine/ ./internal/xmlmodel/ ./internal/obs/
+	go test -race -count=50 -cpu=1,2 -run 'TestFlight|TestPurgeFencesTheFlightInFlight|TestJoinerLeavesWithItsContext|TestPanicFailsWaitersAndPropagates|TestErrorIsTheLeadersOwn|TestSingleflightBlocksJoiners|TestConcurrentCompilerSingleflight|TestPlanSingleflight|TestSingleflightMaterialize|TestMaterializeFollowerCancellation|TestFollowerSurvives|TestTagNamesTheCalcTheJoinerEndedOn|TestRacedResultStaysAsPredecessor|TestInvalidateDiscardsInflightResult|TestMetricsSingleflightDedups|TestForwardBuildOncePerBurst|TestForwardJoinerLeavesWithItsContext|TestForwardIncompleteNotCached|TestFanOut|TestSimplifyReturnsWorkerPanic|TestEvalPoolAliasesNothing|TestScanPoolAliasesNothing|TestLonePartLeaderJoinersAndACancelledReader|TestPanickingWrapperFailsTheRead|TestOverflowKeepsEverything|TestRootContextOutlivesItsRequest' ./internal/automata/cache/ ./internal/automata/ ./internal/mediator/ ./internal/cluster/ ./internal/serve/ ./internal/infer/ ./internal/engine/ ./internal/xmlmodel/ ./internal/obs/
 	go test -race -count=20 -cpu=1,2 -timeout 15m -run 'Answer|Forward|Lease|Memo|Splice|TestOracleAcrossTheHop' -skip 'TestAnswersByPartEqualTheNaiveEvaluation|TestAnswerBytesEqualTheNaiveSerialization|TestPlanHitEqualsMissEqualsColdMemo|TestInferMemoDifferential|TestOracleWorkerPanicIsNoEmptyAnswer' ./internal/mediator/ ./internal/cluster/ ./internal/serve/ ./internal/oracle/
 
 # Every allocation ratchet in the tree, by one name and without -race: a

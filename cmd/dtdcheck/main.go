@@ -80,7 +80,7 @@ func main() {
 				bud = mix.NewBudget(mix.BudgetLimits{})
 			}
 			tracer := obs.NewTracer(1)
-			_, root := tracer.StartRequest(context.Background(), "dtdcheck.tighter", "")
+			_, root := tracer.StartRequest(context.Background(), new(obs.RequestContext), "dtdcheck.tighter", "")
 			bud.SetObserver(root)
 			dump := func() {
 				root.End()

@@ -57,7 +57,7 @@ func main() {
 	var root *obs.Span
 	if *traceRun {
 		tracer = obs.NewTracer(1)
-		ctx, root = tracer.StartRequest(ctx, "mixinfer", "")
+		ctx, root = tracer.StartRequest(ctx, new(obs.RequestContext), "mixinfer", "")
 	}
 	res, err := mix.InferContext(ctx, q, src)
 	if root != nil {

@@ -121,7 +121,7 @@ func main() {
 	var root *obs.Span
 	if *traceRun {
 		tracer = obs.NewTracer(1)
-		ctx, root = tracer.StartRequest(ctx, "mixquery", "")
+		ctx, root = tracer.StartRequest(ctx, new(obs.RequestContext), "mixquery", "")
 	}
 	defer func() {
 		if root == nil {

@@ -24,7 +24,7 @@ const teachersQuery = `r = SELECT P WHERE <all> P:<professor><teaches/></profess
 func askTraced(t *testing.T, m *Mediator, q string) (answer, reused, evaluated string) {
 	t.Helper()
 	tracer := obs.NewTracer(1)
-	ctx, root := tracer.StartRequest(context.Background(), "test", "")
+	ctx, root := tracer.StartRequest(context.Background(), new(obs.RequestContext), "test", "")
 	res, _, err := m.Query(ctx, "all", xmas.MustParse(q))
 	root.End()
 	if err != nil {

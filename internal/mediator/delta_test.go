@@ -342,7 +342,7 @@ func TestRevalidatedPartIsTracedAndCounted(t *testing.T) {
 	setDeltaDoc(t, faults, 1, 5)
 	m.Invalidate()
 	tracer := obs.NewTracer(2)
-	tctx, root := tracer.StartRequest(ctx, "test", "")
+	tctx, root := tracer.StartRequest(ctx, new(obs.RequestContext), "test", "")
 	second, err := m.Materialize(tctx, "all")
 	root.End()
 	if err != nil {
@@ -394,7 +394,7 @@ func TestWideViewTraceIsCapped(t *testing.T) {
 	const parts = 300
 	m, _ := newDeltaMediator(t, parts, "wide")
 	tracer := obs.NewTracer(1)
-	ctx, root := tracer.StartRequest(context.Background(), "test", "")
+	ctx, root := tracer.StartRequest(context.Background(), new(obs.RequestContext), "test", "")
 	doc, err := m.Materialize(ctx, "wide")
 	root.End()
 	if err != nil || len(doc.Root.Children) != parts {
@@ -576,7 +576,7 @@ func TestStackedInvalidationEvaluatesOnlyWhatChanged(t *testing.T) {
 	ask := func(i int) (string, []string) {
 		t.Helper()
 		tracer := obs.NewTracer(1)
-		ctx, root := tracer.StartRequest(context.Background(), "test", "")
+		ctx, root := tracer.StartRequest(context.Background(), new(obs.RequestContext), "test", "")
 		q := fmt.Sprintf(`r = SELECT P WHERE <%s> P:<professor><teaches/></professor> </%s>`, views[i], views[i])
 		res, _, err := levels[i].Query(ctx, views[i], xmas.MustParse(q))
 		root.End()

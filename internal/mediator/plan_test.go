@@ -63,7 +63,7 @@ func TestPlanHitKeepsPruneEvents(t *testing.T) {
 	tracer := obs.NewTracer(4)
 	ask := func() *obs.SpanSnapshot {
 		t.Helper()
-		ctx, root := tracer.StartRequest(context.Background(), "req", "")
+		ctx, root := tracer.StartRequest(context.Background(), new(obs.RequestContext), "req", "")
 		if _, _, err := m.Query(ctx, "cat", xmas.MustParse(qBooksText)); err != nil {
 			t.Fatal(err)
 		}

@@ -469,7 +469,7 @@ func TestHTTPSourceTracesTheHop(t *testing.T) {
 	mustFetch(t, src) // untraced
 	tracer := obs.NewTracer(4)
 	for i := 0; i < 2; i++ {
-		ctx, root := tracer.StartRequest(context.Background(), "test", fmt.Sprintf("trace-%d", i))
+		ctx, root := tracer.StartRequest(context.Background(), new(obs.RequestContext), "test", fmt.Sprintf("trace-%d", i))
 		if _, err := m.Materialize(ctx, "people"); err != nil {
 			t.Fatal(err)
 		}

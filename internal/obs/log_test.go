@@ -12,7 +12,7 @@ func TestLoggerInjectsTraceID(t *testing.T) {
 	var buf strings.Builder
 	logger := NewLogger(&buf, slog.LevelInfo)
 	tr := NewTracer(2)
-	ctx, sp := tr.StartRequest(context.Background(), "req", "trace-abc")
+	ctx, sp := tr.StartRequest(context.Background(), new(RequestContext), "req", "trace-abc")
 	logger.InfoContext(ctx, "request", slog.String("method", "GET"))
 	sp.End()
 

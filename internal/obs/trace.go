@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // maxEventsPerSpan caps the discrete event list of one span; further
@@ -64,13 +65,16 @@ func NewTracer(capacity int) *Tracer {
 // every span of the request under its one mutex, published to the ring by
 // pointer when the root span ends, and copied only when somebody reads it
 // (snapshot). Spans, events and attributes past the inline arrays go to
-// over. Times are nanoseconds since start. A record is never reused: a span
-// pointer or a context may outlive the request (a hedge's losing attempt,
-// an abandoned part leader), and what it writes late must land here.
+// over. Times are nanoseconds since start, and start is nanoseconds since
+// clock. A record is never reused: a span pointer or a context may outlive
+// the request (a hedge's losing attempt, an abandoned part leader), and what
+// it writes late must land here. So a minted ID is written once into minted
+// and id reads it there, costing no string of its own.
 type trace struct {
 	tracer *Tracer
 	id     string
-	start  time.Time
+	start  int64
+	minted [16]byte
 
 	mu           sync.Mutex
 	nspans       int32 // spans opened; IDs are 1..nspans, the root is 1
@@ -136,16 +140,28 @@ const TraceHeader = "X-Mix-Trace-Id"
 // request is untraced.
 func TraceID(ctx context.Context) string { return spanFromContext(ctx).TraceID() }
 
-// newTraceID returns a fresh 16-hex-digit trace ID. It names a trace in a
-// ring and a log, nothing more, so the runtime's generator will do.
-func newTraceID() string {
-	var b [16]byte
+// clock is the origin of every record's times: a record keeps its start as
+// the monotonic nanoseconds since clock, 8 bytes where a time.Time is 24, and
+// a reader gets clock plus that back — a wall time that moves with the
+// monotonic clock, not with a step of the system's.
+var clock = time.Now()
+
+// elapsed returns the nanoseconds since tr started.
+func (tr *trace) elapsed() int64 { return int64(time.Since(clock)) - tr.start }
+
+// wall returns the time at ns nanoseconds into tr.
+func (tr *trace) wall(ns int64) time.Time { return clock.Add(time.Duration(tr.start + ns)) }
+
+// mintID gives tr a fresh 16-hex-digit trace ID, written into the record
+// itself. It names a trace in a ring and a log, nothing more, so the
+// runtime's generator will do.
+func (tr *trace) mintID() {
 	v := rand.Uint64()
-	for i := range b {
-		b[len(b)-1-i] = "0123456789abcdef"[v&15]
+	for i := range tr.minted {
+		tr.minted[len(tr.minted)-1-i] = "0123456789abcdef"[v&15]
 		v >>= 4
 	}
-	return string(b[:])
+	tr.id = unsafe.String(&tr.minted[0], len(tr.minted))
 }
 
 // ValidTraceID reports whether an externally supplied trace ID is safe to
@@ -167,21 +183,43 @@ func ValidTraceID(id string) bool {
 	return true
 }
 
-// StartRequest opens the root span of a new trace. traceID is honored
-// when valid (propagation from an upstream mediator via X-Mix-Trace-Id);
-// otherwise a fresh ID is minted. The trace is pushed to the tracer's
-// ring buffer when the returned span Ends. On a nil tracer both returns
-// are inert (ctx unchanged, nil span).
-func (t *Tracer) StartRequest(ctx context.Context, name, traceID string) (context.Context, *Span) {
+// RequestContext is the context of a request's root span, kept where the
+// caller keeps the rest of the request (internal/serve's response writer, a
+// command's stack): StartRequest fills it in, and it answers the span key
+// with the root span and every other question from the context it embeds.
+// It points at the record, never the other way round. One serves one
+// request: a context that outlives the request (a hedge's losing attempt)
+// still reads it, so it is never filled in again.
+type RequestContext struct {
+	context.Context
+	root *Span
+}
+
+// Value implements context.Context.
+func (c *RequestContext) Value(key any) any {
+	if _, ok := key.(ctxKey); ok {
+		return c.root
+	}
+	return c.Context.Value(key)
+}
+
+// StartRequest opens the root span of a new trace, carried by into, which
+// embeds ctx and is what the returned context is. traceID is honored when
+// valid (propagation from an upstream mediator via X-Mix-Trace-Id);
+// otherwise a fresh ID is minted. The trace is pushed to the tracer's ring
+// buffer when the returned span Ends. On a nil tracer both returns are
+// inert (ctx unchanged, into untouched, nil span).
+func (t *Tracer) StartRequest(ctx context.Context, into *RequestContext, name, traceID string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
 	}
+	tr := &trace{tracer: t, id: traceID, start: int64(time.Since(clock))}
 	if !ValidTraceID(traceID) {
-		traceID = newTraceID()
+		tr.mintID()
 	}
-	tr := &trace{tracer: t, id: traceID, start: time.Now()}
 	sp := tr.newSpan(name, 0, nil)
-	return context.WithValue(ctx, ctxKey{}, sp), sp
+	*into = RequestContext{Context: ctx, root: sp}
+	return into, sp
 }
 
 // StartSpan opens a child span of the context's current span. Without a
@@ -238,7 +276,7 @@ func (tr *trace) newSpan(name string, parent int32, attrs []Attr) *Span {
 	}
 	sp := tr.span(tr.nspans)
 	tr.nspans++
-	*sp = Span{tr: tr, name: name, id: tr.nspans, parent: parent, start: int64(time.Since(tr.start))}
+	*sp = Span{tr: tr, name: name, id: tr.nspans, parent: parent, start: tr.elapsed()}
 	tr.addAttrs(sp.id, attrs)
 	return sp
 }
@@ -327,7 +365,7 @@ func (s *Span) Event(name string, attrs ...Attr) {
 		return
 	}
 	s.events++
-	e := event{name: name, at: int64(time.Since(tr.start)), span: s.id}
+	e := event{name: name, at: tr.elapsed(), span: s.id}
 	if tr.nevents < inlineEvents {
 		tr.events[tr.nevents] = e
 	} else {
@@ -377,7 +415,7 @@ func (s *Span) End() {
 		tr.mu.Unlock()
 		return
 	}
-	s.ended, s.end = true, int64(time.Since(tr.start))
+	s.ended, s.end = true, tr.elapsed()
 	d := time.Duration(s.end - s.start)
 	tr.mu.Unlock()
 	tr.tracer.durations.Get(s.name).Observe(d)
@@ -442,7 +480,7 @@ func (tr *trace) snapshot() *TraceSnapshot {
 	for i := range out.Spans {
 		sp, ss := tr.span(int32(i)), &out.Spans[i]
 		*ss = SpanSnapshot{SpanID: int64(sp.id), ParentID: int64(sp.parent), Name: sp.name,
-			Start: tr.start.Add(time.Duration(sp.start)), DroppedEvents: int64(sp.dropped)}
+			Start: tr.wall(sp.start), DroppedEvents: int64(sp.dropped)}
 		if sp.ended {
 			ss.DurationNanos = sp.end - sp.start
 		}
@@ -459,7 +497,7 @@ func (tr *trace) snapshot() *TraceSnapshot {
 	}
 	rendered := make([]Event, len(events))
 	for i, e := range events {
-		rendered[i] = Event{Name: e.name, Time: tr.start.Add(time.Duration(e.at))}
+		rendered[i] = Event{Name: e.name, Time: tr.wall(e.at)}
 	}
 	for _, a := range attrs {
 		var to *[]Attr

@@ -13,7 +13,7 @@ import (
 
 func TestStartRequestHonorsValidTraceID(t *testing.T) {
 	tr := NewTracer(4)
-	ctx, sp := tr.StartRequest(context.Background(), "req", "client-id_1.x")
+	ctx, sp := tr.StartRequest(context.Background(), new(RequestContext), "req", "client-id_1.x")
 	if got := TraceID(ctx); got != "client-id_1.x" {
 		t.Errorf("TraceID = %q, want the honored client id", got)
 	}
@@ -27,7 +27,7 @@ func TestStartRequestHonorsValidTraceID(t *testing.T) {
 func TestStartRequestRejectsInvalidTraceID(t *testing.T) {
 	tr := NewTracer(4)
 	for _, bad := range []string{"", "has space", "new\nline", "quote\"x", string(make([]byte, 65))} {
-		ctx, sp := tr.StartRequest(context.Background(), "req", bad)
+		ctx, sp := tr.StartRequest(context.Background(), new(RequestContext), "req", bad)
 		id := TraceID(ctx)
 		if id == bad || !ValidTraceID(id) {
 			t.Errorf("invalid id %q must be replaced by a fresh valid one, got %q", bad, id)
@@ -38,7 +38,7 @@ func TestStartRequestRejectsInvalidTraceID(t *testing.T) {
 
 func TestSpanNestingAndSnapshot(t *testing.T) {
 	tr := NewTracer(4)
-	ctx, root := tr.StartRequest(context.Background(), "req", "")
+	ctx, root := tr.StartRequest(context.Background(), new(RequestContext), "req", "")
 	ctx2, child := StartSpan(ctx, "child", String("source", "cs"))
 	_, grand := StartSpan(ctx2, "grandchild")
 	grand.AddCount("budget.dfa-states", 7)
@@ -97,7 +97,7 @@ func TestNilSpanAndUntracedContextAreNoops(t *testing.T) {
 	AddEvent(ctx, "e")
 	AddCount(ctx, "c", 1)
 	var tr *Tracer
-	if c2, s2 := tr.StartRequest(ctx, "r", ""); s2 != nil || c2 != ctx {
+	if c2, s2 := tr.StartRequest(ctx, new(RequestContext), "r", ""); s2 != nil || c2 != ctx {
 		t.Error("nil tracer StartRequest must be inert")
 	}
 	if tr.Traces(0) != nil || tr.Recorded() != 0 || tr.Capacity() != 0 {
@@ -107,7 +107,7 @@ func TestNilSpanAndUntracedContextAreNoops(t *testing.T) {
 
 func TestEventCap(t *testing.T) {
 	tr := NewTracer(1)
-	_, sp := tr.StartRequest(context.Background(), "req", "")
+	_, sp := tr.StartRequest(context.Background(), new(RequestContext), "req", "")
 	for i := 0; i < maxEventsPerSpan+25; i++ {
 		sp.Event("e")
 	}
@@ -133,7 +133,7 @@ func TestRingEvictionConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				ctx, root := tr.StartRequest(context.Background(), "req", fmt.Sprintf("w%d-i%d", w, i))
+				ctx, root := tr.StartRequest(context.Background(), new(RequestContext), "req", fmt.Sprintf("w%d-i%d", w, i))
 				_, c := StartSpan(ctx, "child")
 				c.End()
 				root.End()
@@ -165,7 +165,7 @@ func TestRingEvictionConcurrent(t *testing.T) {
 
 func TestDoubleEndIsIdempotent(t *testing.T) {
 	tr := NewTracer(4)
-	_, sp := tr.StartRequest(context.Background(), "req", "")
+	_, sp := tr.StartRequest(context.Background(), new(RequestContext), "req", "")
 	sp.End()
 	sp.End()
 	if got := tr.Recorded(); got != 1 {
@@ -187,10 +187,12 @@ func TestTraceRecordSize(t *testing.T) {
 	}
 }
 
-// TestTraceWriteAllocations: a trace is its record, the root's context and —
-// when the caller brought no ID — the minted ID; a child span is its context;
-// attributes, events, integers and Ends are written into the record and cost
-// nothing while they fit.
+// TestTraceWriteAllocations: a trace is its record and the caller's
+// RequestContext, here one of its own (internal/serve's lives in the response
+// writer it allocates anyway); a minted ID is written into the record and
+// costs nothing (3 while it was a string of its own); a child span is its
+// context; attributes, events, integers and Ends are written into the record
+// and cost nothing while they fit.
 func TestTraceWriteAllocations(t *testing.T) {
 	tr := NewTracer(4)
 	bg := context.Background()
@@ -198,9 +200,9 @@ func TestTraceWriteAllocations(t *testing.T) {
 		name string
 		id   string
 		want float64
-	}{{"caller's ID", "caller-1", 2}, {"minted ID", "", 3}} {
+	}{{"caller's ID", "caller-1", 2}, {"minted ID", "", 2}} {
 		got := testing.AllocsPerRun(100, func() {
-			ctx, root := tr.StartRequest(bg, "req", c.id)
+			ctx, root := tr.StartRequest(bg, new(RequestContext), "req", c.id)
 			root.SetAttr(String("pattern", "GET /x"), Int("status", 200), Int("bytes", 123456))
 			AddEvent(ctx, "hit", String("view", "v"))
 			root.Event("big", Int("n", 1<<40))
@@ -211,7 +213,7 @@ func TestTraceWriteAllocations(t *testing.T) {
 		}
 	}
 	got := testing.AllocsPerRun(100, func() {
-		ctx, root := tr.StartRequest(bg, "req", "caller-1")
+		ctx, root := tr.StartRequest(bg, new(RequestContext), "req", "caller-1")
 		ctx2, child := StartSpan(ctx, "child", String("source", "s"), Int("parts", 300))
 		child.SetAttr(Bool("hit", true), Int("pruned", 1000))
 		AddEvent(ctx2, "e", String("k", "v"))
@@ -238,7 +240,7 @@ func TestTraceWriteAllocations(t *testing.T) {
 		{inlineSpans + 1, inlineEvents + overEvents, inlineAttrs + overAttrs + 1, 5},
 	} {
 		got := testing.AllocsPerRun(100, func() {
-			ctx, root := tr.StartRequest(bg, "req", "caller-1")
+			ctx, root := tr.StartRequest(bg, new(RequestContext), "req", "caller-1")
 			for i := 1; i < c.spans; i++ {
 				StartLeaf(ctx, "leaf").End()
 			}
@@ -262,7 +264,7 @@ func TestTraceWriteAllocations(t *testing.T) {
 func TestOverflowKeepsEverything(t *testing.T) {
 	const spans, perSpan = 3*chunkSpans + inlineSpans + 3, 5
 	tr := NewTracer(1)
-	ctx, root := tr.StartRequest(context.Background(), "req", "wide")
+	ctx, root := tr.StartRequest(context.Background(), new(RequestContext), "req", "wide")
 	open := []*Span{root}
 	for i := 1; i < spans; i++ {
 		_, sp := StartSpan(ctx, fmt.Sprintf("s%d", i), Int("i", int64(i)))
@@ -313,7 +315,7 @@ func TestOverflowKeepsEverything(t *testing.T) {
 // parent that is not there.
 func TestSpanCap(t *testing.T) {
 	tr := NewTracer(1)
-	ctx, root := tr.StartRequest(context.Background(), "req", "")
+	ctx, root := tr.StartRequest(context.Background(), new(RequestContext), "req", "")
 	const extra = 40
 	var lastCtx context.Context
 	var last *Span
@@ -423,7 +425,7 @@ func TestLateWritersStayInTheirOwnTrace(t *testing.T) {
 	var kept []leftover
 	for i := 0; i < requests; i++ {
 		id := fmt.Sprintf("req-%d", i)
-		ctx, root := tr.StartRequest(context.Background(), "req", id)
+		ctx, root := tr.StartRequest(context.Background(), new(RequestContext), "req", id)
 		cctx, child := StartSpan(ctx, "child", String("trace", id))
 		root.End() // the request is over; child is still open, cctx still live
 		l := leftover{cctx, child, id}
@@ -453,7 +455,7 @@ func TestLateWritersStayInTheirOwnTrace(t *testing.T) {
 func TestSpanDurationsAllocateOncePerName(t *testing.T) {
 	tr := NewTracer(1)
 	run := func() {
-		ctx, root := tr.StartRequest(context.Background(), "http GET", "id")
+		ctx, root := tr.StartRequest(context.Background(), new(RequestContext), "http GET", "id")
 		_, q := StartSpan(ctx, "query")
 		_, open := StartSpan(ctx, "never ended")
 		_ = open
@@ -469,7 +471,7 @@ func TestSpanDurationsAllocateOncePerName(t *testing.T) {
 		t.Errorf("span durations = %+v, want 52 each of http GET and query", d)
 	}
 	for i := 0; i < 2*maxSpanNames; i++ {
-		_, sp := tr.StartRequest(context.Background(), fmt.Sprintf("http M%d", i), "id")
+		_, sp := tr.StartRequest(context.Background(), new(RequestContext), fmt.Sprintf("http M%d", i), "id")
 		sp.End()
 	}
 	d = tr.SpanDurations()

@@ -302,10 +302,12 @@ func BenchmarkForwardHopPartChanged(b *testing.B) {
 // process, so its 304 and its trace are in the count too). The lease is taken
 // away by a revocation before each of those reads, which costs what its end
 // by expiry costs. The query finds its plan by its text and its picks beside
-// the unchanged document either way. Measured 29, 31, 123 and 125 (31, 32,
-// 131 and 133 at most under -race -cpu=1,2, which `make race` runs this
+// the unchanged document either way. Measured 27, 29, 120 and 122 (29, 30,
+// 129 and 129 at most under -race -cpu=1,2, which `make race` runs this
 // with, in four runs); the ceilings are the -race figures + 3 %, rounded up:
-// 32, 33, 135 and 137. It was 30, 32, 125 and 127 while a forwarded read made
+// 30, 31, 133 and 133. It was 29, 31, 123 and 125 while a request's root span
+// had a context of its own, a minted trace ID was a string and an answer's
+// Content-Length another; 30, 32, 125 and 127 while a forwarded read made
 // a ForwardInfo, a context.WithValue to carry it and, on a miss, a stale note
 // of its own, where it now makes one note; 32, 34, 129 and 131 while the
 // forwarder set its provenance
@@ -321,10 +323,10 @@ func TestForwardHopNotModifiedAllocs(t *testing.T) {
 		leased                   bool
 		ceiling                  float64
 	}{
-		{"leased GET", http.MethodGet, "/views/members", "", true, 32},
-		{"leased query", http.MethodPost, "/views/members/query", q, true, 33},
-		{"GET after the lease", http.MethodGet, "/views/members", "", false, 135},
-		{"query after the lease", http.MethodPost, "/views/members/query", q, false, 137},
+		{"leased GET", http.MethodGet, "/views/members", "", true, 30},
+		{"leased query", http.MethodPost, "/views/members/query", q, true, 31},
+		{"GET after the lease", http.MethodGet, "/views/members", "", false, 133},
+		{"query after the lease", http.MethodPost, "/views/members/query", q, false, 133},
 	} {
 		do := func() {
 			if !c.leased {
@@ -360,9 +362,11 @@ func TestForwardHopNotModifiedAllocs(t *testing.T) {
 // whose plan the forwarder holds. Before each read the third source switches
 // to its other document, and every read is answered by a delta (226) of that
 // part's run alone, spliced into the held document; the query walks that run
-// and finds the other five's picks in their memos. Measured 164 and 167 (176
-// and 182 at most under -race -cpu=1,2, in four runs); the ceilings are the
-// -race figures + 3 %, rounded up: 182 and 188. It was 166 and 169 while a
+// and finds the other five's picks in their memos. Measured 161 and 164 (175
+// and 178 at most under -race -cpu=1,2, in four runs); the ceilings are the
+// -race figures + 3 %, rounded up: 181 and 184. It was 164 and 167 while a
+// request's root span had a context of its own, a minted trace ID was a
+// string and an answer's Content-Length another; 166 and 169 while a
 // forwarded read made a ForwardInfo, a context.WithValue and a stale note
 // where it now makes one note; 195 and 207 while the forwarder set
 // its provenance headers through http.Header.Set, 212 and 223 while the owner
@@ -373,8 +377,8 @@ func TestForwardHopPartChangedAllocs(t *testing.T) {
 		name, method, path, body string
 		ceiling                  float64
 	}{
-		{"GET after a one-part change", http.MethodGet, "/views/six", "", 182},
-		{"query after a one-part change", http.MethodPost, "/views/six/query", `r = SELECT X WHERE <six> X:<x2|x4/> </six>`, 188},
+		{"GET after a one-part change", http.MethodGet, "/views/six", "", 181},
+		{"query after a one-part change", http.MethodPost, "/views/six/query", `r = SELECT X WHERE <six> X:<x2|x4/> </six>`, 184},
 	} {
 		v := 0
 		do := func() {

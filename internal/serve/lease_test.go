@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -175,6 +176,77 @@ func TestLeasedReadersDuringInvalidations(t *testing.T) {
 	wg.Wait()
 	if p.leased.Load() == 0 {
 		t.Error("the owner leased none of its answers")
+	}
+}
+
+// TestOwnerTakesTheLeaseBackBeforeItAcknowledges holds an owner's
+// invalidation to the order the lease contract needs — the holder has given
+// its lease back before the owner answers — without racing for it: on one
+// processor, the owner's handler runs on this goroutine with a recorder, and
+// the holder is served in memory on whichever goroutine sends the
+// revocation. An owner that acknowledged first and revoked on a goroutine of
+// its own would return with the holder still leased, every time.
+func TestOwnerTakesTheLeaseBackBeforeItAcknowledges(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	d, err := dtd.Parse(d1Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &changingSource{dtd: d}
+	med := mediator.New("campus")
+	if err := med.AddSource(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := med.DefineView(src.Name(), xmas.MustParse(
+		`members = SELECT X WHERE <department> X:<professor|gradStudent/> </department>`)); err != nil {
+		t.Fatal(err)
+	}
+	var ownerH, holderH *Handler
+	var acked atomic.Int64 // revocations the holder has answered
+	holder := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		holderH.ServeHTTP(w, r)
+		if r.URL.Path == cluster.RevokePath {
+			acked.Add(1)
+		}
+	})
+	nodes, pinned := map[string]string{"alpha": "http://alpha", "beta": "http://beta"}, map[string][]string{"members": {"alpha"}}
+	ownerNode, err := cluster.NewNode(cluster.Config{Self: "alpha", Nodes: nodes, Pinned: pinned,
+		Client: &http.Client{Transport: handlerTransport{holder}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holderNode, err := cluster.NewNode(cluster.Config{Self: "beta", Nodes: nodes, Pinned: pinned,
+		Client: &http.Client{Transport: handlerTransport{http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { ownerH.ServeHTTP(w, r) })}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownerH, holderH = New(med, WithCluster(ownerNode)), New(mediator.New("beta-med"), WithCluster(holderNode))
+	read := func() string {
+		rec := serveOnce(holderH, http.MethodGet, "/views/members", "", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("forwarded GET: %d %s", rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	for i, body := range []string{`{"source": "cs-dept"}`, ""} {
+		read() // asks the owner, which grants a lease
+		hits := holderNode.Metrics().LeaseHits
+		before := read()
+		if holderNode.Metrics().LeaseHits != hits+1 {
+			t.Fatalf("invalidation %d: the holder's second read was no lease hit", i)
+		}
+		src.version.Add(1)
+		was := acked.Load()
+		rec := httptest.NewRecorder()
+		ownerH.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/invalidate", strings.NewReader(body)))
+		if got := acked.Load() - was; got != 1 || rec.Code/100 != 2 {
+			t.Fatalf("invalidation %d answered %d with %d revocations acknowledged, want 2xx after 1", i, rec.Code, got)
+		}
+		hits = holderNode.Metrics().LeaseHits
+		if after := read(); after == before || holderNode.Metrics().LeaseHits != hits {
+			t.Errorf("invalidation %d: the holder's next read was a lease hit (%v) or the old document (%v)",
+				i, holderNode.Metrics().LeaseHits != hits, after == before)
+		}
 	}
 }
 

@@ -202,9 +202,10 @@ func TestSimplifierErrorHeader(t *testing.T) {
 	if resp.Header.Get("X-Mix-Simplifier-Error") == "" {
 		t.Error("X-Mix-Simplifier-Error header must flag the fallback")
 	}
-	if resp.Header.Get("X-Mix-Pruned") != "0" || resp.Header.Get("X-Mix-Skipped") != "false" {
-		t.Errorf("fallback stats must be zeroed: pruned=%q skipped=%q",
-			resp.Header.Get("X-Mix-Pruned"), resp.Header.Get("X-Mix-Skipped"))
+	for _, name := range []string{"X-Mix-Pruned", "X-Mix-Skipped", "X-Mix-Dropped-Names"} {
+		if vals, ok := resp.Header[name]; ok {
+			t.Errorf("fallback stats must be zero, so absent: %s %q", name, vals)
+		}
 	}
 	if getMetrics(t, srv.URL).SimplifierErrors != 1 {
 		t.Error("metrics must count the simplifier failure")

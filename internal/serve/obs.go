@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -27,22 +28,28 @@ const TraceHeader = obs.TraceHeader
 
 // statusWriter captures the status code and body size for the access log
 // and the per-route metrics. WriteHeader/Write keep http.ResponseWriter
-// semantics (implicit 200 on first Write). It is also the response's header
-// block (setHeader).
+// semantics (implicit 200 on first Write). It is the one allocation
+// ServeHTTP makes for a request, so it is also where the request keeps what
+// it needs once: its root span's context (root), its header block
+// (setHeader) and its Content-Length digits (setLength). It serves one
+// request and is never reused, so a context that outlives the request still
+// reads the root it was given, and a header value points into it safely.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+	root   obs.RequestContext
 	// vals holds the header values setHeader sets, each the one-element
 	// slice a header value is: the response's values are allocated once,
 	// with the writer, not one slice per header.
-	vals  [headerBlock]string
-	nvals int
+	vals   [headerBlock]string
+	nvals  int
+	length [20]byte // the decimal digits of Content-Length, once set
 }
 
 // headerBlock is room for every value one answer sets: the trace ID, a
-// query's four X-Mix-* values, provenance (six at most) and Content-Length;
-// a view's document sets its ETag in place of the four.
+// query's four X-Mix-* values at most, provenance (six at most) and
+// Content-Length; a view's document sets its ETag in place of the four.
 const headerBlock = 12
 
 // setHeader is w.Header().Set(name, value) for a handler behind ServeHTTP:
@@ -57,6 +64,19 @@ func setHeader(w http.ResponseWriter, name, value string) {
 	i := sw.nvals
 	sw.vals[i], sw.nvals = value, i+1
 	w.Header()[textproto.CanonicalMIMEHeaderKey(name)] = sw.vals[i : i+1 : i+1]
+}
+
+// setLength declares the body's length, n bytes. Behind ServeHTTP the
+// digits are written into the response's own writer, once, and the header
+// value is read from there: no string is allocated for it.
+func setLength(w http.ResponseWriter, n int) {
+	sw, ok := w.(*statusWriter)
+	if !ok || sw.length[0] != 0 {
+		setHeader(w, "Content-Length", strconv.Itoa(n))
+		return
+	}
+	digits := strconv.AppendInt(sw.length[:0], int64(n), 10)
+	setHeader(w, "Content-Length", unsafe.String(&digits[0], len(digits)))
 }
 
 // The Content-Type values of this server's answers, shared by every response
@@ -115,8 +135,8 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		name = "http " + r.Method
 	}
-	ctx, span := h.tracer.StartRequest(r.Context(), name, r.Header.Get(TraceHeader))
 	sw := &statusWriter{ResponseWriter: w}
+	ctx, span := h.tracer.StartRequest(r.Context(), &sw.root, name, r.Header.Get(TraceHeader))
 	if id := span.TraceID(); id != "" {
 		setHeader(sw, TraceHeader, id)
 	}

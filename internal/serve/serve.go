@@ -31,8 +31,9 @@
 //	                                on those views, acknowledged with 204
 //
 // Queries posted to a view are answered through the mediator's
-// DTD-simplifying path; the X-Mix-Skipped/X-Mix-Pruned response headers
-// report what the simplifier did, X-Mix-Pruned-Sources lists sources
+// DTD-simplifying path; the X-Mix-Skipped/X-Mix-Pruned/X-Mix-Dropped-Names
+// response headers report what the simplifier did, each only when it did
+// something (absent means false or 0), X-Mix-Pruned-Sources lists sources
 // skipped by per-part satisfiability pruning (proven unable to contribute
 // — the answer is unchanged), and X-Mix-Simplifier-Error flags a query
 // that fell back to the unsimplified path because the simplifier failed.
@@ -365,7 +366,7 @@ func setProvenanceHeaders(w http.ResponseWriter, v *mediator.View, p mediator.Pr
 // answer goes out chunked.
 func sendAnswer(ctx context.Context, w http.ResponseWriter, schema string, a *mediator.Answer) {
 	if n, ok := a.Size(); ok {
-		setHeader(w, "Content-Length", strconv.Itoa(len(schema)+n))
+		setLength(w, len(schema)+n)
 	}
 	writeAnswer(ctx, w, schema, a.Write)
 }
@@ -545,9 +546,15 @@ func (h *Handler) postQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header()["Content-Type"] = xmlType
-	setHeader(w, "X-Mix-Skipped", strconv.FormatBool(stats.SkippedUnsatisfiable))
-	setHeader(w, "X-Mix-Pruned", strconv.Itoa(stats.PrunedConditions))
-	setHeader(w, "X-Mix-Dropped-Names", strconv.Itoa(stats.DroppedNames))
+	if stats.SkippedUnsatisfiable {
+		setHeader(w, "X-Mix-Skipped", "true")
+	}
+	if n := stats.PrunedConditions; n != 0 {
+		setHeader(w, "X-Mix-Pruned", strconv.Itoa(n))
+	}
+	if n := stats.DroppedNames; n != 0 {
+		setHeader(w, "X-Mix-Dropped-Names", strconv.Itoa(n))
+	}
 	if stats.SimplifierError != "" {
 		setHeader(w, "X-Mix-Simplifier-Error", stats.SimplifierError)
 	}
@@ -578,7 +585,7 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 		obs.SetAttr(r.Context(), obs.String("infer_memo", "hit"))
 		k := kept.(*keptInference)
 		w.Header()["Content-Type"] = textType
-		setHeader(w, "Content-Length", k.length)
+		setLength(w, len(k.out))
 		w.Write(k.out)
 		return
 	}
@@ -621,7 +628,7 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 			out = fmt.Appendf(out, "-- warning: %s\n", ev)
 		}
 	}
-	setHeader(w, "Content-Length", strconv.Itoa(len(out)))
+	setLength(w, len(out))
 	w.Write(out)
 
 	memo := "not_kept"
@@ -629,7 +636,7 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 	case res.Degraded:
 		h.inferNotKeptDegraded.Add(1)
 	case size > maxInferMemoEntry:
-	case h.inferred.Put(text, &keptInference{out: out, length: strconv.Itoa(len(out)), size: size}):
+	case h.inferred.Put(text, &keptInference{out: out, size: size}):
 		h.inferKept.Add(1)
 		memo = "kept"
 	}
@@ -637,12 +644,11 @@ func (h *Handler) postInfer(w http.ResponseWriter, r *http.Request) {
 }
 
 // keptInference is an entry of the inference memo: the response written for
-// the request text it is kept under, never written again, its Content-Length,
-// and the bytes the two take together.
+// the request text it is kept under, never written again, and the bytes the
+// two take together.
 type keptInference struct {
-	out    []byte
-	length string
-	size   int
+	out  []byte
+	size int
 }
 
 // inferMemoStats is the inference memo's part of /metrics, JSON keys and
