@@ -45,7 +45,9 @@ lint:
 # request writes, and that /debug/trace reads while they do. internal/oracle
 # because its subjects fetch from an origin served on other goroutines, and
 # its hop subjects' owner and forwarder talk across an in-memory transport
-# whose owner revokes leases on goroutines of its own. The last line
+# whose owner revokes leases on goroutines of its own, and because the
+# untagged, stacked and guarded subjects are read by concurrent readers,
+# some cancelled mid-read, after every invalidation. The last line
 # repeats the tests of the answer memo — one type on both sides of the cluster
 # hop, shared by readers while documents, leases and renders race — of the
 # splice, which makes a member's memos with its runs and hands them on to the
@@ -160,8 +162,9 @@ chaos:
 # Multi-node cluster smoke (cmd/mixload -cluster): an in-process 3-node
 # mediator fleet sharing one consistent-hash ring over 4 sharded views
 # (one replicated), asserted against the distribution contract — every
-# endpoint of every node answers bit-identical to a single-node mediator
-# over the same sources, zero errors under load, and killing one node
+# endpoint of every node answers bit-identical to the view's first owner
+# (internal/oracle checks that an owner answers what a naive mediator
+# does), zero errors under load, and killing one node
 # leaves non-owned views serving with zero errors, fails replicated views
 # over, and turns orphaned views into clean 502s (never hangs). Archived
 # as CLUSTER_report.json. Blocking in CI.

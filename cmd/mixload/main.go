@@ -67,7 +67,7 @@ func main() {
 	chaos := flag.Bool("chaos", false, "run the replica chaos campaign (baseline / flap / blackout / recovery) instead of the load stream")
 	replicas := flag.Int("replicas", 3, "replicas per source for the chaos campaign")
 	chaosPhase := flag.Duration("chaos-phase", 2*time.Second, "duration of each chaos campaign phase")
-	clusterMode := flag.Bool("cluster", false, "run the cluster smoke campaign (3-node fleet, single-node bit-equivalence, kill-one-node) instead of the load stream")
+	clusterMode := flag.Bool("cluster", false, "run the cluster smoke campaign (3-node fleet, bit-equivalence with each view's owner, kill-one-node) instead of the load stream")
 	clusterNodes := flag.Int("cluster-nodes", 3, "fleet size for the cluster campaign")
 	clusterViews := flag.Int("cluster-views", 4, "sharded views for the cluster campaign")
 	clusterReplicated := flag.Int("cluster-replicated", 1, "how many cluster views are replicated (factor 2)")

@@ -64,8 +64,9 @@ func (f *Flight[T]) Wait(ctx context.Context) (val T, err error, redo bool) {
 			return val, ctx.Err(), false
 		}
 	}
-	if f.redo {
-		return val, ctx.Err(), ctx.Err() == nil
+	if f.redo { // ctx is read once: one that ends in between would say neither
+		err = ctx.Err()
+		return val, err, err == nil
 	}
 	return f.val, f.err, false
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -110,5 +111,33 @@ func TestFlight(t *testing.T) {
 				t.Fatal("a joiner after the landing still waits")
 			}
 		})
+	}
+}
+
+// endingContext ends while it is read: its Err is nil at the first look and
+// context.Canceled after.
+type endingContext struct {
+	context.Context
+	looks atomic.Int32
+}
+
+func (c *endingContext) Err() error {
+	if c.looks.Add(1) == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestWaitLooksAtItsContextOnce: a joiner of a flight that landed the
+// leader's own failure, whose context ends while Wait reads it, starts over
+// or leaves with the context's error — never with neither, which hands its
+// caller the zero value as a result (internal/oracle's concurrent readers
+// met it as a nil query plan behind a nil error).
+func TestWaitLooksAtItsContextOnce(t *testing.T) {
+	var mu sync.Mutex
+	f := new(Flight[*int]).Start()
+	f.Run(&mu, func() (*int, error) { return nil, errors.New("the leader's own") }, func(*int, error) bool { return true })
+	if val, err, redo := f.Wait(&endingContext{Context: context.Background()}); val == nil && err == nil && !redo {
+		t.Fatal("Wait gave no value, no error and no redo")
 	}
 }

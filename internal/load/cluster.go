@@ -18,17 +18,19 @@ import (
 
 // ClusterOptions configures a cluster smoke campaign (RunCluster): an
 // in-process fleet of mediator nodes sharding synthesized views over a
-// consistent-hash ring, checked against a single-node mediator serving
-// the identical sources and views. The campaign asserts the distributed
-// tier's contract: every response from every node is bit-identical to
-// the single node's; sustained mixed traffic across the fleet sees zero
-// errors, and its forwarders answer the owners' unchanged documents without
-// downloading them again (a lease hit or a 304); a source that changes under
-// an owner-side invalidation shows its new version on every forwarder's very
-// next read; and killing one node leaves views it does not own serving with
-// zero errors, fails replicated views over to the surviving owner, and —
-// once the dead owner's leases have run out — turns its unreplicated views
-// into fast, clearly-attributed 502s: the error taxonomy, not hangs.
+// consistent-hash ring. The reference of a view is its first owner: that a
+// cluster-mode owner answers what a naive mediator answers is
+// internal/oracle's to check (HopSubjects), so the campaign keeps no second
+// mediator. It asserts the distributed tier's contract: every response from
+// every node is bit-identical to the view's first owner's; sustained mixed
+// traffic across the fleet sees zero errors, and its forwarders answer the
+// owners' unchanged documents without downloading them again (a lease hit or
+// a 304); a source that changes under an owner-side invalidation shows its
+// new version on every forwarder's very next read; and killing one node
+// leaves views it does not own serving with zero errors, fails replicated
+// views over to the surviving owner, and — once the dead owner's leases have
+// run out — turns its unreplicated views into fast, clearly-attributed 502s:
+// the error taxonomy, not hangs.
 type ClusterOptions struct {
 	// Seed fixes the synthesized views and corpora.
 	Seed int64
@@ -107,8 +109,8 @@ type ClusterReport struct {
 	Victim string `json:"victim"`
 
 	// EquivalenceChecks counts (node × view × endpoint) comparisons
-	// against the single-node reference; Mismatches counts the failures
-	// and FirstMismatch describes the first one.
+	// against the view's first owner's answer; Mismatches counts the
+	// failures and FirstMismatch describes the first one.
 	EquivalenceChecks int64  `json:"equivalence_checks"`
 	Mismatches        int64  `json:"mismatches"`
 	FirstMismatch     string `json:"first_mismatch,omitempty"`
@@ -121,7 +123,7 @@ type ClusterReport struct {
 	// RevalidationReads / StaleReads cover the moment between the two: every
 	// source flips to its second version and is invalidated on every node,
 	// then every non-owner is read, document and query. A read that is not
-	// byte-for-byte the reference's answer over the new version is stale.
+	// byte-for-byte the first owner's answer over the new version is stale.
 	RevalidationReads int64 `json:"revalidation_reads"`
 	StaleReads        int64 `json:"stale_reads"`
 
@@ -163,8 +165,7 @@ type clusterNodeFix struct {
 	srv  *httptest.Server
 }
 
-// clusterFixture owns the fleet, the single-node reference, and the
-// synthesized views.
+// clusterFixture owns the fleet and the synthesized views.
 type clusterFixture struct {
 	servers
 	views   []string  // view names, index-aligned with sources
@@ -175,7 +176,6 @@ type clusterFixture struct {
 	seconds []*xmlmodel.Document
 	queries map[string][]string
 	nodes   []*clusterNodeFix
-	single  *httptest.Server // the reference mediator
 	// second makes every mediator's copy of every source serve its second
 	// version.
 	second atomic.Bool
@@ -236,14 +236,6 @@ func newClusterFixture(o ClusterOptions) (_ *clusterFixture, err error) {
 		}
 	}
 
-	// The single-node reference: every source, every view, no cluster.
-	single := mediator.New("single")
-	if err := f.defineAll(single, nil); err != nil {
-		return nil, err
-	}
-	f.single = httptest.NewServer(serve.New(single))
-	f.servers = append(f.servers, f.single)
-
 	// Fleet: bind every node's listener first (the ring configuration needs
 	// all the URLs), then give each node the identical configuration, a
 	// mediator with its owned views only and forwarding for the rest — and
@@ -275,9 +267,7 @@ func newClusterFixture(o ClusterOptions) (_ *clusterFixture, err error) {
 	return f, nil
 }
 
-// defineAll adds every source to m and defines each view — all of them
-// when node is nil (the single-node reference), only the owned ones in
-// cluster mode.
+// defineAll adds every source to m and defines the views node owns.
 func (f *clusterFixture) defineAll(m *mediator.Mediator, node *cluster.Node) error {
 	for i, src := range f.sources {
 		alt, err := mediator.NewStaticSource(src.Name, f.seconds[i], src.DTD)
@@ -290,7 +280,7 @@ func (f *clusterFixture) defineAll(m *mediator.Mediator, node *cluster.Node) err
 		if err != nil {
 			return err
 		}
-		if node != nil && !node.Owns(f.views[i]) {
+		if !node.Owns(f.views[i]) {
 			continue
 		}
 		if _, err := m.DefineUnionView(f.views[i], []mediator.ViewPart{part}); err != nil {
@@ -316,10 +306,21 @@ func (f *clusterFixture) probes() []Op {
 	return append(out, Op{Method: http.MethodGet, Path: "/views"})
 }
 
-// equivalence asks every node for every probe and counts the answers that
-// are not byte-for-byte the single-node reference's. It also eagerly builds
-// every forward, so the kill phase exercises failover on warm transports,
-// as a fleet that has been serving traffic would.
+// reference is the node whose answer to path is the reference: the first
+// owner of the view it reads, or for the node listing (/views) the first node.
+func (f *clusterFixture) reference(path string) *clusterNodeFix {
+	view, _, _ := strings.Cut(strings.TrimPrefix(path, "/views/"), "/")
+	if view == "" {
+		return f.nodes[0]
+	}
+	first := f.nodes[0].node.Owners(view)[0]
+	return f.nodes[slices.IndexFunc(f.nodes, func(n *clusterNodeFix) bool { return n.name == first })]
+}
+
+// equivalence asks every node for every probe, after the probe's reference
+// node, and counts the answers that are not byte-for-byte the reference's.
+// It also eagerly builds every forward, so the kill phase exercises failover
+// on warm transports, as a fleet that has been serving traffic would.
 func (f *clusterFixture) equivalence(ctx context.Context, rep *ClusterReport) {
 	mismatch := func(p Op, where, format string, args ...any) {
 		rep.Mismatches++
@@ -328,9 +329,10 @@ func (f *clusterFixture) equivalence(ctx context.Context, rep *ClusterReport) {
 		}
 	}
 	for _, p := range f.probes() {
-		ref, err := send(ctx, p.Method, f.single.URL+p.Path, p.Body)
+		owner := f.reference(p.Path)
+		ref, err := send(ctx, p.Method, owner.srv.URL+p.Path, p.Body)
 		if err != nil {
-			mismatch(p, "the single-node reference", "%v", err)
+			mismatch(p, owner.name+", the reference", "%v", err)
 			continue
 		}
 		for _, n := range f.nodes {
@@ -402,24 +404,24 @@ func sumMetrics(nodes []*clusterNodeFix) (sum cluster.Metrics) {
 
 // revalidation changes every source under the fleet's feet and reads every
 // view through every node that does not own it, at once: each source flips
-// to its second version and is invalidated on every node (and on the
-// reference), then each forwarder is asked for the document and for a query
-// answer. The forwarders hold the owners' previous documents, the tags
+// to its second version and is invalidated on every node, then each view's
+// first owner and then each forwarder is asked for the document and for a
+// query answer. The forwarders hold the owners' previous documents, the tags
 // they came under and, most of them, running leases on them; an answer that
-// is not the reference's over the new version — or a reference that did not
-// change — is a stale read.
+// is not the first owner's over the new version — or a first owner's that
+// did not change — is a stale read.
 func (f *clusterFixture) revalidation(ctx context.Context, rep *ClusterReport) {
 	before := map[string]string{}
 	for _, view := range f.views {
-		if ref, err := send(ctx, http.MethodGet, f.single.URL+"/views/"+view, ""); err == nil {
+		if ref, err := send(ctx, http.MethodGet, f.reference("/views/"+view).srv.URL+"/views/"+view, ""); err == nil {
 			before[view] = ref.body
 		}
 	}
 	f.second.Store(true)
 	for i := range f.sources {
 		body := fmt.Sprintf(`{"source": %q}`, f.sources[i].Name)
-		for _, srv := range f.servers { // the reference and every node
-			if resp, err := send(ctx, http.MethodPost, srv.URL+"/invalidate", body); err != nil || resp.status != http.StatusOK {
+		for _, n := range f.nodes {
+			if resp, err := send(ctx, http.MethodPost, n.srv.URL+"/invalidate", body); err != nil || resp.status != http.StatusOK {
 				rep.StaleReads++ // an invalidation that did not land leaves every read of it stale
 			}
 		}
@@ -429,7 +431,7 @@ func (f *clusterFixture) revalidation(ctx context.Context, rep *ClusterReport) {
 			{Method: http.MethodGet, Path: "/views/" + view},
 			{Method: http.MethodPost, Path: "/views/" + view + "/query", Body: f.queries[view][0]},
 		} {
-			ref, err := send(ctx, p.Method, f.single.URL+p.Path, p.Body)
+			ref, err := send(ctx, p.Method, f.reference(p.Path).srv.URL+p.Path, p.Body)
 			if err != nil || ref.status != http.StatusOK || p.Method == http.MethodGet && ref.body == before[view] {
 				rep.StaleReads++
 				continue

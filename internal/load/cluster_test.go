@@ -13,7 +13,7 @@ import (
 // TestRunClusterSmoke is a bounded end-to-end run of the cluster smoke
 // campaign — the same harness `make cluster-smoke` gates CI on, with
 // phases short enough for a unit test. The checks inside the report ARE
-// the assertions (bit-equivalence with the single-node mediator, zero
+// the assertions (bit-equivalence with each view's first owner, zero
 // errors fleet-wide, forwarded reads that ship no body and fresh reads
 // after a change, kill-one-node survival, orphan error taxonomy once the
 // dead owner's leases ran out);

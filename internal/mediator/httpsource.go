@@ -85,7 +85,6 @@ type HTTPSource struct {
 
 	maxRetries  int
 	backoff     time.Duration
-	maxBackoff  time.Duration
 	retryBudget *RetryBudget
 	retries     atomic.Int64
 	// kept is the last body that passed every check of Fetch, with the
@@ -145,20 +144,11 @@ func WithRetries(n int) HTTPOption {
 }
 
 // WithBackoff sets the delay before the first retry (doubled per retry,
-// capped by WithMaxBackoff).
+// capped at DefaultHTTPMaxBackoff).
 func WithBackoff(d time.Duration) HTTPOption {
 	return func(s *HTTPSource) {
 		if d > 0 {
 			s.backoff = d
-		}
-	}
-}
-
-// WithMaxBackoff caps the exponential retry backoff.
-func WithMaxBackoff(d time.Duration) HTTPOption {
-	return func(s *HTTPSource) {
-		if d > 0 {
-			s.maxBackoff = d
 		}
 	}
 }
@@ -199,7 +189,6 @@ func NewHTTPSourceContext(ctx context.Context, client *http.Client, baseURL, vie
 		viewURL:    base + "/views/" + view,
 		maxRetries: DefaultHTTPRetries,
 		backoff:    DefaultHTTPBackoff,
-		maxBackoff: DefaultHTTPMaxBackoff,
 	}
 	s.sleep = func(ctx context.Context, d time.Duration) error {
 		select {
@@ -378,7 +367,7 @@ type response struct {
 }
 
 // get performs a GET with bounded retries: transport errors and 5xx
-// responses back off exponentially (doubling up to maxBackoff, with
+// responses back off exponentially (doubling up to DefaultHTTPMaxBackoff, with
 // equal-jitter randomization so a fleet of sources retrying the same dead
 // remote does not synchronize) and retry up to maxRetries times; any
 // other non-200, and an oversized body (ErrBodyTooLarge), fail
@@ -392,8 +381,8 @@ type response struct {
 func (s *HTTPSource) get(ctx context.Context, url string, held *keptDocument) (response, error) {
 	var lastErr error
 	backoff := s.backoff
-	if backoff > s.maxBackoff {
-		backoff = s.maxBackoff
+	if backoff > DefaultHTTPMaxBackoff {
+		backoff = DefaultHTTPMaxBackoff
 	}
 	for attempt := 0; ; attempt++ {
 		resp, err := s.tryGet(ctx, url, held)
@@ -423,10 +412,10 @@ func (s *HTTPSource) get(ctx context.Context, url string, held *keptDocument) (r
 		if s.sleep(ctx, jitter(backoff)) != nil {
 			return response{}, lastErr
 		}
-		if backoff <= s.maxBackoff/2 {
-			backoff *= 2 // doubling past maxBackoff/2 would exceed the cap
+		if backoff <= DefaultHTTPMaxBackoff/2 {
+			backoff *= 2 // doubling past half the cap would exceed it
 		} else {
-			backoff = s.maxBackoff
+			backoff = DefaultHTTPMaxBackoff
 		}
 		s.retries.Add(1)
 	}

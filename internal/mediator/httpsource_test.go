@@ -230,7 +230,7 @@ func TestHTTPSourceBodyAtLimit(t *testing.T) {
 
 // TestHTTPSourceBackoffCapAndJitter: against a persistently failing
 // remote, the requested sleeps double from the base, stay within the
-// equal-jitter envelope [d/2, d], and never exceed the configured cap.
+// equal-jitter envelope [d/2, d], and never exceed DefaultHTTPMaxBackoff.
 // A stub sleeper observes the delays without actually waiting.
 func TestHTTPSourceBackoffCapAndJitter(t *testing.T) {
 	srv := remoteView(func(w http.ResponseWriter, r *http.Request) {
@@ -238,9 +238,8 @@ func TestHTTPSourceBackoffCapAndJitter(t *testing.T) {
 	})
 	defer srv.Close()
 
-	const base, cap = 4 * time.Second, 10 * time.Second
-	src, err := NewHTTPSource(nil, srv.URL, "v",
-		WithRetries(5), WithBackoff(base), WithMaxBackoff(cap))
+	const base, cap = 12 * time.Second, DefaultHTTPMaxBackoff
+	src, err := NewHTTPSource(nil, srv.URL, "v", WithRetries(5), WithBackoff(base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +254,7 @@ func TestHTTPSourceBackoffCapAndJitter(t *testing.T) {
 	if len(delays) != 5 {
 		t.Fatalf("slept %d times, want 5 (one per retry)", len(delays))
 	}
-	// Raw backoff sequence: 4s, 8s, 10s, 10s, 10s (doubling, then capped);
+	// Raw backoff sequence: 12s, 24s, 30s, 30s, 30s (doubling, then capped);
 	// jitter keeps each sleep within [raw/2, raw].
 	want := []time.Duration{base, 2 * base, cap, cap, cap}
 	for i, d := range delays {

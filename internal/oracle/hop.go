@@ -85,7 +85,7 @@ func (o *Oracle) HopSubjects() ([]*Subject, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := &Subject{Pruning: pruning, Mediator: mediator.New(forwarder), tags: map[string]string{}, hop: &hop{net: net, node: node, want: "200"}}
+		s := &Subject{Kind: KindTagged, Pruning: pruning, Mediator: mediator.New(forwarder), tags: map[string]string{}, hop: &hop{net: net, node: node, want: "200"}}
 		s.Handler = serve.New(s.Mediator, serve.WithTracer(nil), serve.WithCluster(node))
 		net.members[forwarder] = s.Handler
 		// A restart is a new mediator, so another nonce in the owner's tags,

@@ -3,7 +3,6 @@ package oracle
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 
@@ -54,8 +53,7 @@ func CheckInfer(h http.Handler, texts []string) ([]string, error) {
 		want := render(res)
 		var first http.Header
 		for _, post := range []string{"the memo miss", "the memo hit"} {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer", strings.NewReader(text)))
+			rec := send(h, http.MethodPost, "/infer", text, "")
 			if rec.Code != http.StatusOK || rec.Body.String() != want {
 				return nil, fmt.Errorf("oracle: POST /infer, %s: status %d, the body differs from a direct inference:\n%s\nwant:\n%s\ntext:\n%s", post, rec.Code, rec.Body, want, text)
 			}

@@ -10,19 +10,24 @@
 // answers QueryUnsimplified's — the whole view walked, no plan, no memo, no
 // kept byte.
 //
-// A subject is a serve.Handler over a mediator whose sources are
-// HTTPSources reading an httptest origin that serves each source's current
-// version, so every fetch is the streaming ParseValid and every refetch a
-// conditional request; a hop subject is a forwarder in front of such an
-// owner (HopSubjects). Check drives subjects — pruning on or off, budget
-// funded or starved, on one node or across the hop — through plan misses,
+// A subject is a serve.Handler over a mediator whose sources say "unchanged"
+// in one of four ways (Subject.Kind): tagged HTTPSources reading an httptest
+// origin that serves each source's current version, so every fetch is the
+// streaming ParseValid and every refetch a conditional request; untagged
+// ones, revalidated by their bytes; ones reading a lower mediator's views of
+// the origin; or in-memory wrappers behind a breaker and in a replica set. A
+// hop subject is a forwarder in front of a tagged owner (HopSubjects). Check
+// drives subjects — of every kind, pruning on or off, budget funded or
+// starved, on one node or across the hop — through plan misses,
 // plan hits by canonical key and by text, first, found-once, rendered and
 // copied reads, and no, no-op, real and wholesale invalidations, and asserts
 // that
-//   - every body is byte-equal to the reference's serialization;
+//   - every body is byte-equal to the reference's serialization (a starved
+//     or stacked subject's view document under its own, looser DTD);
 //   - every GET /views/{name} body validates against the DTD in its own
 //     prologue (Definition 3.1);
-//   - equal ETags carry equal bytes;
+//   - equal ETags carry equal bytes, and only a real invalidation moves a
+//     view document's tag;
 //   - a single node's 200 declares a Content-Length exactly when no run of
 //     it was streamed on the read, a forwarder's at most; either is the
 //     body's length, and a 304 declares none;
@@ -31,7 +36,11 @@
 //   - a funded view's s-DTD is Canonical;
 //   - across the hop, each read is the one fetch the view's history calls
 //     for, under the owner's tag, and its plan and answer are found as the
-//     read's ordinal says (hop.check).
+//     read's ordinal says (hop.check);
+//   - after every invalidation of an untagged, stacked or guarded subject,
+//     concurrent readers, some cancelled, are held to the same, and in a
+//     guarded subject's fault phase a partial answer names its sources and
+//     carries no ETag (burst, faults).
 //
 // CheckInfer does the same for POST /infer: a memo miss, a memo hit and a
 // direct InferContext render are the same bytes.
@@ -40,6 +49,7 @@ package oracle
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -192,19 +202,24 @@ type Oracle struct {
 	fleet    *Fleet
 	ref      *Reference
 	srv      *httptest.Server
+	mem      *http.Client // the origin at http://origin, in memory (network)
 	versions []atomic.Int32
 }
 
 // New starts the fleet's origin: GET /views/{source}/dtd is the source's DTD
 // and GET /views/{source} its current version under that DOCTYPE, tagged with
-// the version and answered 304 to that tag.
+// the version and answered 304 to that tag; under /untagged the same, with
+// no tag.
 func New(f *Fleet) *Oracle {
 	o := &Oracle{fleet: f, ref: NewReference(f), versions: make([]atomic.Int32, len(f.Sources))}
 	mux := http.NewServeMux()
 	for i, s := range f.Sources {
 		prologue := s.DTD.String() + "\n"
-		mux.HandleFunc("GET /views/"+s.Name+"/dtd", func(w http.ResponseWriter, r *http.Request) {
-			w.Write([]byte(prologue))
+		schema := func(w http.ResponseWriter, r *http.Request) { w.Write([]byte(prologue)) }
+		mux.HandleFunc("GET /views/"+s.Name+"/dtd", schema)
+		mux.HandleFunc("GET /untagged/views/"+s.Name+"/dtd", schema)
+		mux.HandleFunc("GET /untagged/views/"+s.Name, func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte(prologue + s.Docs[o.versions[i].Load()]))
 		})
 		mux.HandleFunc("GET /views/"+s.Name, func(w http.ResponseWriter, r *http.Request) {
 			v := o.versions[i].Load()
@@ -218,6 +233,7 @@ func New(f *Fleet) *Oracle {
 		})
 	}
 	o.srv = httptest.NewServer(mux)
+	o.mem = &http.Client{Transport: &network{members: map[string]http.Handler{"origin": mux}}}
 	return o
 }
 
@@ -243,22 +259,29 @@ func (o *Oracle) Serve(i, v int) { o.versions[i].Store(int32(v)) }
 // Check asks. On a hop subject they are the forwarder's, and the owner is
 // another handler over another mediator (HopSubjects).
 type Subject struct {
+	Kind             string
 	Pruning, Starved bool
 	Mediator         *mediator.Mediator
 	Handler          *serve.Handler
 	// owner is the handler whose POST /invalidate invalidates the subject's
 	// sources: Handler, or a hop subject's owner.
 	owner *serve.Handler
+	// below is a stacked subject's lower handler, and lower the names its
+	// mediator knows the fleet's sources by.
+	below *serve.Handler
+	lower []string
 	hop   *hop
 	// sources are the names the owner's mediator knows the fleet's sources
 	// by, in fleet order.
 	sources []string
-	// tags maps every ETag the handler sent to the body it sent with it.
+	// tags maps every ETag the handler sent to the body it sent with it, and
+	// held is the view document's since the last real invalidation.
 	tags map[string]string
+	held string
 }
 
 func (s *Subject) String() string {
-	return fmt.Sprintf("pruning %v, starved %v, across the hop %v", s.Pruning, s.Starved, s.hop != nil)
+	return fmt.Sprintf("%s, pruning %v, starved %v, across the hop %v", s.Kind, s.Pruning, s.Starved, s.hop != nil)
 }
 
 // Source is the name the subject's mediator knows source i of the fleet by.
@@ -268,17 +291,22 @@ func (s *Subject) Source(i int) string { return s.sources[i] }
 // the fleet's views on it — under a one-state budget when starved is set —
 // and puts a handler in front of it.
 func (o *Oracle) NewSubject(pruning, starved bool) (*Subject, error) {
+	return o.newSubject(KindTagged, pruning, starved, 0)
+}
+
+// newSubject is NewSubject over the sources of a kind (wrappers).
+func (o *Oracle) newSubject(kind string, pruning, starved bool, seed int64) (*Subject, error) {
 	m := mediator.New("subject")
 	m.SetPruning(pruning)
 	if starved {
 		m.SetInferenceBudget(starvedBudget)
 	}
-	s := &Subject{Pruning: pruning, Starved: starved, Mediator: m, tags: map[string]string{}}
-	for _, src := range o.fleet.Sources {
-		w, err := mediator.NewHTTPSource(o.srv.Client(), o.srv.URL, src.Name)
-		if err != nil {
-			return nil, err
-		}
+	s := &Subject{Kind: kind, Pruning: pruning, Starved: starved, Mediator: m, tags: map[string]string{}}
+	wrappers, err := o.wrappers(s, seed)
+	if err != nil {
+		return nil, err
+	}
+	for _, w := range wrappers {
 		if err := m.AddSource(w); err != nil {
 			return nil, err
 		}
@@ -287,7 +315,13 @@ func (o *Oracle) NewSubject(pruning, starved bool) (*Subject, error) {
 	for _, v := range o.fleet.Views {
 		parts := slices.Clone(v.Parts)
 		for i := range parts {
-			parts[i].Source = s.sources[o.ref.sourceIndex(parts[i].Source)]
+			src := o.ref.sourceIndex(parts[i].Source)
+			parts[i].Source = s.sources[src]
+			if kind == KindStacked { // the source's root is under the lower view's
+				q := *parts[i].Query
+				q.Root = &xmas.Cond{Names: []string{stackedView(src)}, Children: []*xmas.Cond{q.Root}}
+				parts[i].Query = &q
+			}
 		}
 		if starved {
 			automata.PurgeCache() // a resident automaton is free
@@ -311,16 +345,23 @@ func (o *Oracle) NewSubject(pruning, starved bool) (*Subject, error) {
 	return s, nil
 }
 
-// invalidate posts to the owner's /invalidate: by source, or wholesale for
-// source "". real says whether some source serves another document since
-// the subject last fetched it.
-func (s *Subject) invalidate(source string, real bool) error {
-	body, want := "", http.StatusNoContent
-	if source != "" {
-		body, want = fmt.Sprintf(`{"source": %q}`, source), http.StatusOK
+// invalidate posts to /invalidate of a stacked subject's lower mediator and
+// then of the owner: source i, or wholesale for i < 0. real says whether
+// some source serves another document since the subject last fetched it.
+func (s *Subject) invalidate(i int, real bool) error {
+	for level, h := range []*serve.Handler{s.below, s.owner} {
+		body, want := "", http.StatusNoContent
+		if h == nil {
+			continue
+		} else if i >= 0 {
+			body, want = fmt.Sprintf(`{"source": %q}`, [][]string{s.lower, s.sources}[level][i]), http.StatusOK
+		}
+		if rec := send(h, http.MethodPost, "/invalidate", body, ""); rec.Code != want {
+			return fmt.Errorf("oracle: %s: POST /invalidate %s: %d %s", s, body, rec.Code, rec.Body)
+		}
 	}
-	if rec := send(s.owner, http.MethodPost, "/invalidate", body, ""); rec.Code != want {
-		return fmt.Errorf("oracle: %s: POST /invalidate %s: %d %s", s, body, rec.Code, rec.Body)
+	if real {
+		s.held = ""
 	}
 	if s.hop != nil && real && s.hop.want == "" {
 		s.hop.want = "226"
@@ -328,17 +369,28 @@ func (s *Subject) invalidate(source string, real bool) error {
 	return nil
 }
 
-// Subjects are the four subjects of the pruning and budget axes, the starved
-// ones first: a query's first analysis on them finds no automaton resident.
-func (o *Oracle) Subjects() ([]*Subject, error) {
+// Subjects are the four tagged subjects of the pruning and budget axes, the
+// starved ones first: a query's first analysis on them finds no automaton
+// resident.
+func (o *Oracle) Subjects() ([]*Subject, error) { return o.subjects([]bool{true, false}, KindTagged) }
+
+// KindSubjects are the funded subjects of the untagged, stacked and guarded
+// kinds, pruning on and off.
+func (o *Oracle) KindSubjects() ([]*Subject, error) {
+	return o.subjects([]bool{false}, KindUntagged, KindStacked, KindGuarded)
+}
+
+func (o *Oracle) subjects(starved []bool, kinds ...string) ([]*Subject, error) {
 	var out []*Subject
-	for _, starved := range []bool{true, false} {
-		for _, pruning := range []bool{true, false} {
-			s, err := o.NewSubject(pruning, starved)
-			if err != nil {
-				return nil, err
+	for _, kind := range kinds {
+		for _, starved := range starved {
+			for _, pruning := range []bool{true, false} {
+				s, err := o.newSubject(kind, pruning, starved, 0)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, s)
 			}
-			out = append(out, s)
 		}
 	}
 	return out, nil
@@ -351,6 +403,8 @@ const (
 	PlanMiss = "miss" // a text the subject has not seen
 	PlanKey  = "key"  // another spelling of one it has: found by the canonical key
 	PlanText = "text" // a text it has seen: found by the text
+
+	planConcurrent = "concurrent" // a burst's read, among others (burst)
 )
 
 // A read's ordinal since its query was first asked or its document last
@@ -390,21 +444,29 @@ type Step struct {
 	Before, After mediator.Stats
 }
 
-// Tally counts the requests of each value of each axis — whether the subject
-// is across the hop and, if it is, the forwarder's fetch among them — the
-// conditional reads, and the starved analyses that were not kept.
+// Tally counts the requests of each value of each axis — the subject's kind,
+// whether it is across the hop and, if it is, the forwarder's fetch among
+// them — the conditional reads, the starved analyses that were not kept, and
+// what each kind is for (kindAxes).
 type Tally map[string]int
 
 // axes are the values every subject exercises, nodeAxes those a subject on
-// one node adds, and hopAxes the forwarder's fetches a hop subject adds.
+// one node adds, hopAxes the forwarder's fetches a hop subject adds, and
+// kindAxes those of each kind (the tagged kind's on one node).
 var (
 	axes = []string{"pruning=true", "pruning=false", "starved=false",
 		"plan=" + PlanNone, "plan=" + PlanMiss, "plan=" + PlanKey, "plan=" + PlanText,
 		"read=first", "read=found-once", "read=rendered", "read=copied",
 		"invalidation=" + InvalNone, "invalidation=" + InvalNoOp, "invalidation=" + InvalReal, "invalidation=" + InvalAll,
 		"conditional reads"}
-	nodeAxes = []string{"starved=true", "starved analyses not kept", "declared lengths", "chunked answers"}
+	nodeAxes = []string{"declared lengths", "chunked answers"}
 	hopAxes  = []string{"hop=lease", "hop=304", "hop=226", "hop=200", "hop=restart"}
+	kindAxes = map[string][]string{
+		KindTagged:   {"starved=true", "starved analyses not kept"},
+		KindUntagged: {"untagged refetches of bodies held", "cancelled readers"},
+		KindStacked:  {"stacked refetches answered 304", "cancelled readers"},
+		KindGuarded:  {"dropped parts", "stale parts", "cancelled readers"},
+	}
 )
 
 // Vacuous names every value exercised fewer than min times: of the axes
@@ -417,8 +479,14 @@ func (t Tally) Vacuous(min int) error {
 	if t["across the hop=true"] > 0 {
 		want = append(want, hopAxes...)
 	}
+	for kind, extra := range kindAxes {
+		if kind == KindTagged && t["kind="+kind] > t["across the hop=true"] || kind != KindTagged && t["kind="+kind] > 0 {
+			want = append(want, extra...)
+		}
+	}
+	slices.Sort(want)
 	var weak []string
-	for _, k := range want {
+	for _, k := range slices.Compact(want) {
 		if t[k] < min {
 			weak = append(weak, fmt.Sprintf("%s (%d)", k, t[k]))
 		}
@@ -439,13 +507,23 @@ func (t Tally) Vacuous(min int) error {
 // the first source with two documents, every hop subject's owner restarted
 // first; of it again; and of every source at once, invalidated wholesale;
 // and checks each subject's endpoints (checkEndpoints). Every invalidation
-// is a POST /invalidate to the subject's owner. Before each query it empties
-// the process-wide automata and satisfiability caches: a resident automaton
-// is free, and a starved subject must pay for what it compiles. Each request
-// is checked as the package comment says, counted in tally and handed to
+// is a POST /invalidate to the subject's owner, followed on an untagged,
+// stacked or guarded subject by a burst of concurrent readers; each guarded
+// subject then runs its fault phase. Before each query it empties the
+// process-wide automata and satisfiability caches: a resident automaton is
+// free, and a starved subject must pay for what it compiles. Each request is
+// checked as the package comment says, counted in tally and handed to
 // observe, whose error ends the check. The sources stay where the last change
 // left them.
 func (o *Oracle) Check(subjects []*Subject, view string, queries []string, tally Tally, observe func(*Step) error) error {
+	rng := rand.New(rand.NewSource(int64(len(queries))))
+	invalidate := func(s *Subject, i int, inval, text string) error {
+		err := s.invalidate(i, inval != InvalNoOp)
+		if err == nil && s.Kind != KindTagged {
+			err = o.burst(s, view, inval, []string{"", text}, rng, false, tally)
+		}
+		return err
+	}
 	ask := func(s *Subject, text, body, plan string, read int, inval string, changed int, ifNoneMatch string) (*Step, error) {
 		if text == "" {
 			plan = PlanNone
@@ -454,6 +532,7 @@ func (o *Oracle) Check(subjects []*Subject, view string, queries []string, tally
 		if err := o.do(st, body, ifNoneMatch, tally); err != nil {
 			return nil, err
 		}
+		tally["kind="+s.Kind]++
 		tally["across the hop="+strconv.FormatBool(s.hop != nil)]++
 		tally["pruning="+strconv.FormatBool(s.Pruning)]++
 		tally["starved="+strconv.FormatBool(s.Starved)]++
@@ -479,12 +558,12 @@ func (o *Oracle) Check(subjects []*Subject, view string, queries []string, tally
 				o.Serve(j, (o.Versions()[j]+1)%len(src.Docs))
 			}
 		}
+		changed := i
+		if inval == InvalAll {
+			changed = -1
+		}
 		for _, s := range subjects {
-			changed, source := i, s.sources[i]
-			if inval == InvalAll {
-				changed, source = -1, ""
-			}
-			err := s.invalidate(source, true)
+			err := invalidate(s, changed, inval, text)
 			if err == nil && restart && s.hop != nil {
 				s.hop.want, err = "restart", s.hop.restart()
 			}
@@ -518,10 +597,11 @@ func (o *Oracle) Check(subjects []*Subject, view string, queries []string, tally
 					_, err = ask(s, text, "  "+strings.ReplaceAll(text, "\n", " \n ")+"\n", plan, ReadCopied, InvalNone, -1, "")
 				}
 			}
-			if err == nil && s.Pruning {
-				err = s.invalidate(s.sources[qi%len(s.sources)], false)
-			} else if err == nil {
-				err = s.invalidate("", false)
+			if i := -1; err == nil {
+				if s.Pruning {
+					i = qi % len(s.sources)
+				}
+				err = invalidate(s, i, InvalNoOp, text)
 			}
 			if err == nil {
 				_, err = ask(s, text, text, PlanText, ReadCopied, InvalNoOp, -1, "")
@@ -547,6 +627,12 @@ func (o *Oracle) Check(subjects []*Subject, view string, queries []string, tally
 		if err == nil {
 			err = s.checkEndpoints(view)
 		}
+		if err == nil && s.Kind == KindGuarded {
+			err = o.faults(s, view, queries, tally)
+		}
+		stats := s.Mediator.Stats()
+		tally[s.Kind+" refetches of bodies held"] += int(stats.UnchangedBodies)
+		tally[s.Kind+" refetches answered 304"] += int(stats.NotModified)
 	}
 	return err
 }
@@ -583,29 +669,52 @@ func (s *Subject) checkEndpoints(view string) error {
 	return nil
 }
 
+// target is where text goes over view: a query, or for "" the document.
+func target(view, text string) (method, path string) {
+	if text == "" {
+		return http.MethodGet, "/views/" + view
+	}
+	return http.MethodPost, "/views/" + view + "/query"
+}
+
 // send sends h a request, with If-None-Match ifNoneMatch unless it is "".
 func send(h http.Handler, method, path, body, ifNoneMatch string) *httptest.ResponseRecorder {
-	req, rec := httptest.NewRequest(method, path, strings.NewReader(body)), httptest.NewRecorder()
-	if ifNoneMatch != "" {
-		req.Header.Set("If-None-Match", ifNoneMatch)
+	return sendContext(background, h, method, path, body, ifNoneMatch)
+}
+
+// sendContext is send under ctx. The request is built: httptest.NewRequest
+// parses one, at many times the cost.
+func sendContext(ctx context.Context, h http.Handler, method, path, body, ifNoneMatch string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	r, err := http.NewRequestWithContext(ctx, method, path, strings.NewReader(body))
+	if err != nil {
+		panic(err)
 	}
-	h.ServeHTTP(rec, req)
+	r.RequestURI = path
+	if ifNoneMatch != "" {
+		r.Header.Set("If-None-Match", ifNoneMatch)
+	}
+	h.ServeHTTP(rec, r)
 	return rec
 }
 
 // do sends st's request and checks what came back.
 func (o *Oracle) do(st *Step, body, ifNoneMatch string, tally Tally) error {
 	s := st.Subject
-	method, path := http.MethodPost, "/views/"+st.View+"/query"
-	if st.Query == "" {
-		method, path = http.MethodGet, "/views/"+st.View
-	}
 	cached := automata.CacheStats().Size
 	st.Before = s.Mediator.Stats()
+	method, path := target(st.View, st.Query)
 	rec := send(s.Handler, method, path, body, ifNoneMatch)
 	st.After = s.Mediator.Stats()
-	compiled := automata.CacheStats().Size - cached
 	st.Status, st.Body, st.Header, st.Tag = rec.Code, rec.Body.String(), rec.Header(), rec.Header().Get("ETag")
+	return o.verify(st, ifNoneMatch, automata.CacheStats().Size-cached, tally)
+}
+
+// verify checks what came back for st, compiled the automata its read left
+// resident. A concurrent read's Content-Length is only checked for the
+// body's length: what the subject's stats say of it is every reader's.
+func (o *Oracle) verify(st *Step, ifNoneMatch string, compiled int, tally Tally) error {
+	s := st.Subject
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("oracle: %s, view %s, plan %s, read %s, invalidation %s, versions %v: %s\nquery:\n%s",
 			s, st.View, st.Plan, readNames[st.Read], st.Inval, st.Versions, fmt.Sprintf(format, args...), st.Query)
@@ -615,14 +724,19 @@ func (o *Oracle) do(st *Step, body, ifNoneMatch string, tally Tally) error {
 	if err != nil {
 		return err
 	}
-	if s.Starved && st.Query == "" { // a starved definition is sound but looser: its own DTD heads the body
+	// A starved definition, and one across a level, is sound but looser: its
+	// own DTD heads the body.
+	if (s.Starved || s.Kind == KindStacked) && st.Query == "" {
 		v, err := s.Mediator.View(st.View)
 		if err != nil {
 			return err
 		}
 		prologue = v.DTDText
 	}
-	st.Want = prologue + doc
+	st.Want = st.Body // when it is the reference's: no concatenation per request
+	if len(st.Body) != len(prologue)+len(doc) || st.Body[:len(prologue)] != prologue || st.Body[len(prologue):] != doc {
+		st.Want = prologue + doc
+	}
 	switch {
 	case ifNoneMatch != "" && ifNoneMatch == st.Tag:
 		if st.Status != http.StatusNotModified || st.Body != "" || s.tags[st.Tag] != st.Want {
@@ -631,9 +745,22 @@ func (o *Oracle) do(st *Step, body, ifNoneMatch string, tally Tally) error {
 		tally["conditional reads"]++
 	case st.Status != http.StatusOK || st.Body != st.Want:
 		return fail("status %d, the body differs from the reference's serialization\n got %q\nwant %q", st.Status, st.Body, st.Want)
+	case st.Query != "" && st.Tag != "":
+		return fail("a query's answer carries the ETag %s", st.Tag)
 	case st.Query == "" && st.Tag == "":
 		return fail("the view document carries no ETag")
 	case st.Query == "":
+		// Only a real invalidation moves the tag s holds (a burst's failed
+		// read clears it). A tag sent before came with these bytes, which
+		// were validated then.
+		held, seen := s.tags[st.Tag]
+		if seen && held != st.Want || s.held != "" && st.Tag != s.held {
+			return fail("the ETag %s was sent with other bytes before, or moved from %s with no source changed", st.Tag, s.held)
+		}
+		s.tags[st.Tag], s.held = st.Want, st.Tag
+		if seen {
+			break
+		}
 		if _, d, err := dtd.ParseDocument(st.Body); err != nil || d == nil || d.ValidateStream(st.Body) != nil {
 			return fail("the body does not validate against the DTD in its own prologue (Definition 3.1)")
 		}
@@ -643,8 +770,8 @@ func (o *Oracle) do(st *Step, body, ifNoneMatch string, tally Tally) error {
 		if ok {
 			return fail("a 304 declares Content-Length %s", declared[0])
 		}
-	case s.hop != nil && !ok: // a forwarder's memos are the owner's type, not its mediator's: no counter says what streamed
-	case s.hop == nil && streamed(st, doc):
+	case (s.hop != nil || st.Plan == planConcurrent) && !ok: // a forwarder's memos are the owner's type, not its mediator's, and a burst's stats are every reader's: no counter says what streamed
+	case s.hop == nil && st.Plan != planConcurrent && streamed(st, doc):
 		if ok {
 			return fail("Content-Length %s on an answer that streamed a run", declared[0])
 		}
@@ -655,11 +782,6 @@ func (o *Oracle) do(st *Step, body, ifNoneMatch string, tally Tally) error {
 		return fail("Content-Length %s on a body of %d bytes", declared[0], len(st.Body))
 	default:
 		tally["declared lengths"]++
-	}
-	if held, ok := s.tags[st.Tag]; ok && held != st.Want {
-		return fail("the ETag %s was sent with other bytes before", st.Tag)
-	} else if st.Tag != "" {
-		s.tags[st.Tag] = st.Want
 	}
 	if s.Starved && st.After.PlanMisses > st.Before.PlanMisses {
 		// Nothing is compiled behind the budget's back (a read that computes a

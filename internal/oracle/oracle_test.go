@@ -119,6 +119,12 @@ func TestOracle(t *testing.T) { checkFleets(t, (*oracle.Oracle).Subjects, 1) }
 // (oracle.HopSubjects). `make race` repeats it.
 func TestOracleAcrossTheHop(t *testing.T) { checkFleets(t, (*oracle.Oracle).HopSubjects, 3) }
 
+// TestOracleAcrossSourceKinds: the same fleets and a quarter as many queries,
+// asked of subjects whose sources say "unchanged" by their bytes, by a lower
+// mediator's 304 and by their document (oracle.KindSubjects), with
+// concurrent readers after every invalidation and a fault phase.
+func TestOracleAcrossSourceKinds(t *testing.T) { checkFleets(t, (*oracle.Oracle).KindSubjects, 4) }
+
 // checkFleets checks the subjects made by subjects over each of the four
 // fleets, asking 1/share of TestOracle's queries, and fails when anything
 // was exercised too rarely to count.

@@ -52,7 +52,10 @@ func TestStatHeadersSayOnlyWhatHappened(t *testing.T) {
 // view's owner and the same read answered by a forwarder carry the same
 // X-Mix-* names but the hop's own X-Mix-Forwarded — for a query nothing was
 // simplified in, where the forwarder, which simplifies nothing, used to lack
-// the owner's zero-valued stat headers, and for the view's document.
+// the owner's zero-valued stat headers, and for the view's document — except
+// the stat headers: the forwarder simplifies nothing, so its answer to a text
+// the owner pruned carries none of them (forwardQuery), and absence there
+// means "not reported", not 0.
 func TestOwnerAndForwardedAnswersCarryTheSameHeaders(t *testing.T) {
 	p := newLeasedPair(t)
 	names := func(h http.Header) []string {
@@ -65,9 +68,14 @@ func TestOwnerAndForwardedAnswersCarryTheSameHeaders(t *testing.T) {
 		slices.Sort(out)
 		return out
 	}
-	for _, c := range []struct{ name, method, path, body string }{
-		{"query", http.MethodPost, "/views/members/query", `r = SELECT P WHERE <members> P:<professor/> </members>`},
-		{"GET", http.MethodGet, "/views/members", ""},
+	for _, c := range []struct {
+		name, method, path, body string
+		ownStats                 map[string]string // the owner's stat headers, which the forwarder does not send
+	}{
+		{"query", http.MethodPost, "/views/members/query", `r = SELECT P WHERE <members> P:<professor/> </members>`, nil},
+		{"pruned query", http.MethodPost, "/views/members/query", `r = SELECT P WHERE <members> P:<professor><publication/></professor> </members>`,
+			map[string]string{"X-Mix-Pruned": "1"}},
+		{"GET", http.MethodGet, "/views/members", "", nil},
 	} {
 		send := func(base string) http.Header {
 			req, err := http.NewRequest(c.method, base+c.path, strings.NewReader(c.body))
@@ -88,8 +96,17 @@ func TestOwnerAndForwardedAnswersCarryTheSameHeaders(t *testing.T) {
 		if fwd.Get(mediator.ForwardHeader) == "" {
 			t.Fatalf("%s: the forwarder's answer was not forwarded", c.name)
 		}
-		if o, f := names(own), names(fwd); !slices.Equal(o, f) {
-			t.Errorf("%s: the owner's answer carries %v, the forwarded one %v", c.name, o, f)
+		for _, name := range statHeaders {
+			if want, got := c.ownStats[name], own.Get(name); got != want {
+				t.Errorf("%s: the owner's %s is %q, want %q", c.name, name, got, want)
+			}
+			if vals, sent := fwd[name]; sent {
+				t.Errorf("%s: the forwarded answer carries %s %q", c.name, name, vals)
+			}
+		}
+		o := slices.DeleteFunc(names(own), func(k string) bool { _, stat := c.ownStats[k]; return stat })
+		if f := names(fwd); !slices.Equal(o, f) {
+			t.Errorf("%s: the owner's answer carries %v besides its stat headers, the forwarded one %v", c.name, o, f)
 		}
 	}
 }

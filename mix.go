@@ -445,8 +445,12 @@ func NewHTTPSource(client *http.Client, baseURL, view string, opts ...HTTPOption
 func WithRetries(n int) HTTPOption { return mediator.WithRetries(n) }
 
 // WithBackoff sets the initial retry backoff of an HTTP source; it doubles
-// on each successive retry.
+// on each successive retry, up to a 30s cap.
 func WithBackoff(d time.Duration) HTTPOption { return mediator.WithBackoff(d) }
+
+// ErrBodyTooLarge reports a remote response larger than 16 MiB: an HTTP
+// source fails with it, for errors.Is, instead of parsing a truncated body.
+var ErrBodyTooLarge = mediator.ErrBodyTooLarge
 
 // WithRetryBudget makes an HTTP source's retries spend tokens from the
 // given budget: when the bucket is dry the fetch fails immediately
