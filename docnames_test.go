@@ -20,7 +20,7 @@ type declarations struct {
 	members map[string]map[string]bool
 }
 
-func add(m map[string]map[string]bool, key, name string) {
+func declare(m map[string]map[string]bool, key, name string) {
 	if m[key] == nil {
 		m[key] = map[string]bool{}
 	}
@@ -64,19 +64,19 @@ func parseTree(t *testing.T) *declarations {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
 				if decl.Recv == nil {
-					add(d.pkgs, pkg, decl.Name.Name)
+					declare(d.pkgs, pkg, decl.Name.Name)
 				} else {
-					add(d.members, receiverType(decl.Recv.List[0].Type), decl.Name.Name)
+					declare(d.members, receiverType(decl.Recv.List[0].Type), decl.Name.Name)
 				}
 			case *ast.GenDecl:
 				for _, spec := range decl.Specs {
 					switch spec := spec.(type) {
 					case *ast.ValueSpec:
 						for _, n := range spec.Names {
-							add(d.pkgs, pkg, n.Name)
+							declare(d.pkgs, pkg, n.Name)
 						}
 					case *ast.TypeSpec:
-						add(d.pkgs, pkg, spec.Name.Name)
+						declare(d.pkgs, pkg, spec.Name.Name)
 						d.typeMembers(spec)
 					}
 				}
@@ -103,13 +103,13 @@ func (d *declarations) typeMembers(spec *ast.TypeSpec) {
 	}
 	for _, f := range fields.List {
 		for _, n := range f.Names {
-			add(d.members, spec.Name.Name, n.Name)
+			declare(d.members, spec.Name.Name, n.Name)
 		}
 		if len(f.Names) == 0 { // embedded: named by its type
 			if n := receiverType(f.Type); n != "" {
-				add(d.members, spec.Name.Name, n)
+				declare(d.members, spec.Name.Name, n)
 			} else if sel, ok := f.Type.(*ast.SelectorExpr); ok {
-				add(d.members, spec.Name.Name, sel.Sel.Name)
+				declare(d.members, spec.Name.Name, sel.Sel.Name)
 			}
 		}
 	}

@@ -163,26 +163,27 @@ func (o *Oracle) burst(s *Subject, view, inval string, texts []string, rng *rand
 	// A read that failed or left a part out takes the part's predecessor
 	// with it if it led the part's refetch: the next read evaluates the part
 	// again, under a new version, so the tag moves.
-	lost := slices.ContainsFunc(steps, func(st *Step) bool {
-		return st.Status != http.StatusOK && st.Status != http.StatusNotModified || st.Header.Get("X-Mix-Degraded") != "" || st.Header.Get("X-Mix-Stale-Sources") != ""
-	})
+	partial, lost := make([][]string, len(steps)), false
 	for i, st := range steps {
 		var prov mediator.Provenance
 		prov.FromHeaders(st.Header)
-		partial := slices.Concat(prov.DegradedSources, prov.StaleSources)
+		partial[i] = slices.Concat(prov.DegradedSources, prov.StaleSources)
 		tally["dropped parts"] += len(prov.DegradedSources)
 		tally["stale parts"] += len(prov.StaleSources)
 		if cancelled[i] {
 			tally["cancelled readers"]++
 		}
+		lost = lost || len(partial[i]) > 0 || st.Status != http.StatusOK && st.Status != http.StatusNotModified
+	}
+	for i, st := range steps {
 		if lost {
 			s.held = ""
 		}
 		var err error
 		switch {
-		case len(partial) > 0:
-			if !faults || st.Status != http.StatusOK || st.Tag != "" || slices.ContainsFunc(partial, func(n string) bool { return !slices.Contains(s.sources, n) }) {
-				err = fmt.Errorf("oracle: %s: a partial answer of %v, status %d, ETag %q, faults injected %v", s, partial, st.Status, st.Tag, faults)
+		case len(partial[i]) > 0:
+			if !faults || st.Status != http.StatusOK || st.Tag != "" || slices.ContainsFunc(partial[i], func(n string) bool { return !slices.Contains(s.sources, n) }) {
+				err = fmt.Errorf("oracle: %s: a partial answer of %v, status %d, ETag %q, faults injected %v", s, partial[i], st.Status, st.Tag, faults)
 			}
 		case st.Status != http.StatusOK && st.Status != http.StatusNotModified:
 			if !cancelled[i] && !faults {
