@@ -15,20 +15,18 @@ import (
 // n serves anything.
 func (n *Node) SetClock(now func() time.Time, sleep func(time.Duration)) {
 	n.now, n.sleep = now, sleep
-	n.started = now()
+	n.lease.started = now()
 }
 
 // LeaseExpiry is when this node's lease on view ends by its clock; zero when
 // it holds none.
 func (n *Node) LeaseExpiry(view string) time.Time {
-	n.mu.Lock()
-	slot := n.slots[view]
-	n.mu.Unlock()
-	if slot == nil {
-		return time.Time{}
-	}
-	if l := slot.lease.Load(); l != nil {
-		return l.expires
+	n.leaseMu.Lock()
+	defer n.leaseMu.Unlock()
+	if s := n.lease.slots[view]; s != nil {
+		if l := s.lease.Load(); l != nil {
+			return l.expires
+		}
 	}
 	return time.Time{}
 }
@@ -36,12 +34,20 @@ func (n *Node) LeaseExpiry(view string) time.Time {
 // GrantExpiry is when the lease this node granted holder on view ends by its
 // clock; zero when it granted none.
 func (n *Node) GrantExpiry(view, holder string) time.Time {
-	n.grants.mu.Lock()
-	defer n.grants.mu.Unlock()
-	if g := n.grants.views[view]; g != nil {
-		return g.holders[holder]
+	n.leaseMu.Lock()
+	defer n.leaseMu.Unlock()
+	if l := n.lease.views[view]; l != nil {
+		return l.holders[holder]
 	}
 	return time.Time{}
+}
+
+// Revocations are how many revocations this node has begun as an owner, and
+// how many it has acknowledged.
+func (n *Node) Revocations() (begun, acked uint64) {
+	n.leaseMu.Lock()
+	defer n.leaseMu.Unlock()
+	return n.lease.begun, n.lease.acked
 }
 
 // Transport is the owner transport of view's landed forward; nil before one

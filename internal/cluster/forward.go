@@ -34,8 +34,8 @@ type Forward struct {
 	// incomplete Forward is served but not cached, so the missing owners
 	// are retried on the next request.
 	complete bool
-	// slot is the view's, where its lease lives (lease.go).
-	slot *forwardSlot
+	// lease is the view's lease slot (protocol.go).
+	lease *leaseSlot
 }
 
 // Forward returns the transport for a view this node does not own, building
@@ -48,7 +48,9 @@ func (n *Node) Forward(ctx context.Context, view string) (f *Forward, err error)
 		n.mu.Lock()
 		slot := n.slots[view]
 		if slot == nil {
-			slot = &forwardSlot{}
+			n.leaseMu.Lock()
+			slot = &forwardSlot{lease: n.lease.slot(view)}
+			n.leaseMu.Unlock()
 			n.slots[view] = slot
 		}
 		b, lead := slot.build, slot.build == nil
@@ -117,7 +119,7 @@ func (n *Node) buildForward(ctx context.Context, view string, slot *forwardSlot)
 		owners:   owners,
 		sources:  sources,
 		complete: len(sources) == len(peers),
-		slot:     slot,
+		lease:    slot.lease,
 	}
 	if len(sources) == 1 {
 		f.wrapper = sources[0]
@@ -163,17 +165,14 @@ func (f *Forward) SchemaText() string { return f.sources[0].SchemaText() }
 // fetched last as its owner's runs, each with its picks memo
 // (mediator.HTTPSource.Answer): the forwarder's one copy of it.
 //
-// While a lease on the view runs (lease.go), Fetch asks nobody: it returns
-// the document a transport holds under the lease's tag and notes that tag on
-// the fetch's note (mediator.FetchNote) — equal tags mean byte-equal
-// documents, so that is what the lease promised, and an answer a lease was
-// granted on has nothing else to relay. When no transport holds that tag any
-// more, Fetch asks the owner, and keeps the lease its note says a complete,
-// live answer was granted with — for its term counted from before the request
-// went out, unless a revocation arrived meanwhile. The root span says which:
-// forward_fetch=leased, not_modified (a document a transport held), delta (the
-// runs that moved, spliced into it) or changed. A fetch under a context with
-// no note is noted on a note of its own, which keeps no lease.
+// A lease hit (leaseSlot.hit) asks nobody: it returns the document a
+// transport holds under the lease's tag and notes that tag on the fetch's
+// note (mediator.FetchNote) — equal tags mean byte-equal documents. Otherwise
+// Fetch asks the owner and installs the lease its note says the answer was
+// granted. The root span says which: forward_fetch=leased, not_modified (a
+// document a transport held), delta (the runs that moved, spliced into it) or
+// changed. A fetch under a context with no note is noted on a note of its
+// own, which keeps no lease.
 func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 	n := f.node
 	n.forwarded.Add(1)
@@ -182,22 +181,20 @@ func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 		note = mediator.NewFetchNote(ctx)
 		ctx = note
 	}
-	sent := n.now()
-	if l := f.slot.leased(sent); l != nil {
-		if doc := f.held(l.tag); doc != nil {
-			n.leaseHits.Add(1)
-			note.Fetched(l.tag, 0)
-			obs.SetAttr(ctx, obs.String("forward_fetch", "leased"))
-			return doc, false, nil
-		}
-	}
+	now := n.now()
 	var buf [4]*xmlmodel.Document // a view of more owners makes it on the heap
 	before := buf[:0]
 	for _, s := range f.sources {
-		doc, _, _ := s.Held()
+		doc, tag, _ := s.Held()
+		if doc != nil && f.lease.hit(now, tag) {
+			n.leaseHits.Add(1)
+			note.Fetched(tag, 0)
+			obs.SetAttr(ctx, obs.String("forward_fetch", "leased"))
+			return doc, false, nil
+		}
 		before = append(before, doc)
 	}
-	epoch := f.slot.epoch.Load()
+	asked := f.lease.ask(now)
 	doc, err := f.wrapper.Fetch(ctx)
 	if err != nil {
 		n.forwardErrors.Add(1)
@@ -217,19 +214,11 @@ func (f *Forward) Fetch(ctx context.Context) (*xmlmodel.Document, bool, error) {
 		return doc, true, nil
 	}
 	if tag, term := note.Lease(); term > 0 {
-		f.slot.install(epoch, &heldLease{tag: tag, expires: sent.Add(min(term, LeaseTerm))})
+		n.leaseMu.Lock()
+		f.lease.install(asked, tag, term, n.now())
+		n.leaseMu.Unlock()
 	}
 	return doc, false, nil
-}
-
-// held is the document a transport holds under tag, nil when none does.
-func (f *Forward) held(tag string) *xmlmodel.Document {
-	for _, s := range f.sources {
-		if doc, t, _ := s.Held(); doc != nil && t == tag {
-			return doc
-		}
-	}
-	return nil
 }
 
 // Answer is p's answer over doc, a document Fetch returned, from the runs and

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -291,7 +292,7 @@ func TestRevocationBeforeTheGrantLeasesNothing(t *testing.T) {
 			t.Fatal("beta was offered no lease")
 		}
 		revoke()
-		if f.owner.Grant(o) {
+		if f.owner.Grant(o, `"t"`, false) {
 			t.Error("a lease was granted against an epoch a revocation had moved")
 		}
 	}
@@ -300,7 +301,7 @@ func TestRevocationBeforeTheGrantLeasesNothing(t *testing.T) {
 	}
 	o, _ := f.owner.Offer("members", "beta")
 	f.owner.Revoke(ctx, "other") // another view's revocation fences nothing here
-	if !f.owner.Grant(o) || f.owner.GrantExpiry("members", "beta") != clock.reading().Add(cluster.LeaseTerm) {
+	if !f.owner.Grant(o, `"t"`, false) || f.owner.GrantExpiry("members", "beta") != clock.reading().Add(cluster.LeaseTerm) {
 		t.Error("a grant with no revocation of its view since its offer was refused, or not for one term")
 	}
 	for _, c := range []struct{ view, hops string }{
@@ -365,7 +366,7 @@ func TestUnreachableHolderIsWaitedOut(t *testing.T) {
 	n := newNode(t, "alpha", map[string]string{"alpha": "http://unused", "beta": gone.URL}, clock)
 	clock.advance(cluster.LeaseTerm)
 	o, _ := n.Offer("members", "beta")
-	if !n.Grant(o) {
+	if !n.Grant(o, `"t"`, false) {
 		t.Fatal("no grant")
 	}
 	expires := n.GrantExpiry("members", "beta")
@@ -381,7 +382,7 @@ func TestUnreachableHolderIsWaitedOut(t *testing.T) {
 	}
 
 	o, _ = n.Offer("members", "beta")
-	n.Grant(o)
+	n.Grant(o, `"t"`, false)
 	clock.advance(cluster.LeaseTerm)
 	n.Revoke(ctx, "members")
 	if m := n.Metrics(); m.RevocationsSent != 1 || len(clock.slept) != 1 {
@@ -433,7 +434,8 @@ func (r *recorder) take() []string {
 }
 
 // Two revocations of one view: the second — which finds no holder left to
-// tell — returns only once the first has told its holder.
+// tell — is not acknowledged while the first is still telling its holder,
+// and returns only once that holder has answered.
 func TestRevocationsOfOneViewAreOrdered(t *testing.T) {
 	ctx := context.Background()
 	beta, url := newRecorder(t)
@@ -442,23 +444,26 @@ func TestRevocationsOfOneViewAreOrdered(t *testing.T) {
 	n := newNode(t, "alpha", map[string]string{"alpha": "http://unused", "beta": url}, clock)
 	clock.advance(cluster.LeaseTerm)
 	o, _ := n.Offer("members", "beta")
-	n.Grant(o)
+	n.Grant(o, `"t"`, false)
 
 	first, second := make(chan struct{}), make(chan struct{})
 	go func() { n.Revoke(ctx, "members"); close(first) }()
 	<-beta.arrived // the first is telling beta, who does not answer yet
 	go func() { n.Revoke(ctx, "members"); close(second) }()
-	select {
-	case <-second:
-		t.Error("the second revocation returned while the first was still telling its holder")
-	case <-time.After(100 * time.Millisecond):
+	for begun, _ := n.Revocations(); begun < 2; begun, _ = n.Revocations() {
+		runtime.Gosched()
+	}
+	// The second has begun, found nobody to tell, and waits on the first:
+	// neither is acknowledged.
+	if _, acked := n.Revocations(); acked != 0 {
+		t.Errorf("%d revocations acknowledged while the first was still telling its holder", acked)
 	}
 	close(beta.hold)
-	<-first
 	<-second
 	if got := beta.take(); fmt.Sprint(got) != "[members]" {
-		t.Errorf("beta was told %v, want [members] once", got)
+		t.Errorf("when the second revocation returned beta had been told %v, want [members] once", got)
 	}
+	<-first
 }
 
 // For one term after it starts a node tells every member about every view it
@@ -484,7 +489,7 @@ func TestStartGraceTellsEveryMember(t *testing.T) {
 
 	clock.advance(cluster.LeaseTerm / 2)
 	o, _ := n.Offer("members", "gamma")
-	n.Grant(o)
+	n.Grant(o, `"t"`, false)
 	n.Revoke(ctx, "members")
 	if b, g := beta.take(), gamma.take(); len(b) != 0 || fmt.Sprint(g) != "[members]" {
 		t.Errorf("after the grace term: beta told %v, gamma %v; want nothing and [members]", b, g)

@@ -70,13 +70,15 @@ type Node struct {
 	mu    sync.Mutex
 	slots map[string]*forwardSlot
 
-	// grants are the leases this node gave as an owner (lease.go), started
-	// when it began to give them. now and sleep are the clock leases are
-	// counted and waited out on.
-	grants  grants
-	started time.Time
-	now     func() time.Time
-	sleep   func(time.Duration)
+	// lease is the lease protocol's state, as an owner and as a forwarder
+	// (protocol.go), under leaseMu; revoking is signalled as a holder answers
+	// a revocation or one is acknowledged. now and sleep are the clock leases
+	// are counted and waited out on.
+	leaseMu  sync.Mutex
+	lease    *protocol
+	revoking sync.Cond
+	now      func() time.Time
+	sleep    func(time.Duration)
 
 	forwarded            atomic.Int64
 	forwardErrors        atomic.Int64
@@ -91,15 +93,10 @@ type Node struct {
 
 // forwardSlot is one view's place on a forwarding node. build (under n.mu)
 // is the flight of its Forward — landed, the complete Forward every later
-// request uses. The slot also holds the view's lease (lease.go), which
-// outlives a Forward that was not kept: epoch moves with every revocation,
-// and lease is written under leaseMu.
+// request uses — and lease the view's lease slot in the node's protocol.
 type forwardSlot struct {
 	build *cache.Flight[*Forward]
-
-	leaseMu sync.Mutex
-	epoch   atomic.Uint64
-	lease   atomic.Pointer[heldLease]
+	lease *leaseSlot
 }
 
 // NewNode validates the configuration and builds the ring.
@@ -135,9 +132,10 @@ func NewNode(cfg Config) (*Node, error) {
 	if client == nil {
 		client = &http.Client{Timeout: mediator.DefaultHTTPTimeout}
 	}
-	return &Node{cfg: cfg, ring: ring, client: client, slots: map[string]*forwardSlot{},
-		grants:  grants{views: map[string]*viewGrants{}},
-		started: time.Now(), now: time.Now, sleep: time.Sleep}, nil
+	n := &Node{cfg: cfg, ring: ring, client: client, slots: map[string]*forwardSlot{}, now: time.Now, sleep: time.Sleep}
+	n.lease = newProtocol(cfg, n.Views(), n.Owns, n.now())
+	n.revoking.L = &n.leaseMu
+	return n, nil
 }
 
 // Self returns this node's name.

@@ -1,0 +1,221 @@
+package cluster
+
+import (
+	"slices"
+	"sync/atomic"
+	"time"
+)
+
+// protocol is the lease protocol (Gray & Cheriton, SOSP 1989; DESIGN §5p):
+// every decision of it, on the state they are made on, with no transport, no
+// clock, no lock and no goroutine. Each method is one event, told the time it
+// happens at, and returns what to do; a Node calls it under leaseMu and does
+// the I/O (lease.go, forward.go). protocol_test.go explores it exhaustively,
+// up to a bound. An owner lends a member its view for one term and takes the
+// lease back before it acknowledges an invalidation of the view; a forwarder
+// answers from the record it holds while a lease on that record's tag runs.
+type protocol struct {
+	self    string
+	members map[string]string // every member of the fleet, self included
+	views   map[string]*viewLeases
+	names   []string  // the keys of views, sorted
+	all     uint64    // the wholesale epoch
+	started time.Time // the grace term runs LeaseTerm from here
+	// begun counts the revocations begun, acked those acknowledged: in the
+	// order they began.
+	begun, acked uint64
+	// slots are this node's leases on the views it forwards.
+	slots map[string]*leaseSlot
+}
+
+// viewLeases is what an owner granted of one cluster view.
+type viewLeases struct {
+	owned   bool
+	epoch   uint64
+	holders map[string]time.Time // member → the end of its lease
+}
+
+func newProtocol(cfg Config, views []string, owns func(string) bool, now time.Time) *protocol {
+	p := &protocol{self: cfg.Self, members: cfg.Nodes, views: map[string]*viewLeases{}, names: views,
+		started: now, slots: map[string]*leaseSlot{}}
+	for _, v := range views {
+		p.views[v] = &viewLeases{owned: owns(v), holders: map[string]time.Time{}}
+	}
+	return p
+}
+
+// Offer is what an owner reads before it answers a member's GET
+// /views/{name}: who would hold the lease, and the epochs it would be granted
+// against.
+type Offer struct {
+	view, holder string
+	all, epoch   uint64
+}
+
+// offer is a member's GET of view arriving: ok is false when no lease can be
+// granted — the view is not a cluster view, or holder is no other member.
+func (p *protocol) offer(view, holder string) (o Offer, ok bool) {
+	l := p.views[view]
+	if _, member := p.members[holder]; !member || holder == p.self || l == nil {
+		return Offer{}, false
+	}
+	return Offer{view: view, holder: holder, all: p.all, epoch: l.epoch}, true
+}
+
+// grant is the answer to o's GET going out under tag ("" for none; degraded
+// when its view's inference was): it reports whether the answer carries a
+// lease, which it records for LeaseTerm from now.
+func (p *protocol) grant(o Offer, tag string, degraded bool, now time.Time) bool {
+	l := p.views[o.view]
+	if tag == "" || degraded || o.all != p.all || o.epoch != l.epoch {
+		return false
+	}
+	l.holders[o.holder] = now.Add(LeaseTerm)
+	return true
+}
+
+// revocation is one revocation under way: whom to tell, and how many of them
+// have not yet answered.
+type revocation struct {
+	seq     uint64
+	tell    []told
+	pending int
+}
+
+// told is what one holder is told: the views, and the latest end of its
+// leases on them — how long a holder that does not answer is waited out.
+type told struct {
+	holder string
+	views  []string
+	until  time.Time
+}
+
+func (r *revocation) add(holder, view string, until time.Time) {
+	i := slices.IndexFunc(r.tell, func(t told) bool { return t.holder == holder })
+	if i < 0 {
+		r.tell = append(r.tell, told{holder: holder})
+		i = len(r.tell) - 1
+	}
+	t := &r.tell[i]
+	if !slices.Contains(t.views, view) {
+		t.views = append(t.views, view)
+	}
+	if until.After(t.until) {
+		t.until = until
+	}
+}
+
+// revoke is an invalidation of views, or of all of them, at now: it moves
+// their epochs, forgets their holders and returns whom to tell. Views the
+// cluster does not shard were never leased.
+func (p *protocol) revoke(all bool, views []string, now time.Time) *revocation {
+	r := &revocation{seq: p.begun}
+	p.begun++
+	if all {
+		p.all++
+		views = p.names
+	}
+	grace := p.started.Add(LeaseTerm)
+	for _, v := range views {
+		l := p.views[v]
+		if l == nil {
+			continue
+		}
+		l.epoch++
+		for holder, until := range l.holders {
+			if until.After(now) {
+				r.add(holder, v, until)
+			}
+		}
+		clear(l.holders)
+		if now.Before(grace) && (l.owned || !all) {
+			for member := range p.members {
+				if member != p.self {
+					r.add(member, v, grace)
+				}
+			}
+		}
+	}
+	r.pending = len(r.tell)
+	return r
+}
+
+// answered is one holder of r having acknowledged, or been waited out to
+// the end of its lease.
+func (p *protocol) answered(r *revocation) { r.pending-- }
+
+// acknowledged reports whether r's invalidation may be acknowledged — every
+// holder it told answered, and every revocation begun before it was
+// acknowledged — and if so counts it acknowledged.
+func (p *protocol) acknowledged(r *revocation) bool {
+	if r.pending > 0 || r.seq != p.acked {
+		return false
+	}
+	p.acked++
+	return true
+}
+
+// slot is this node's lease slot for view, made on first use.
+func (p *protocol) slot(view string) *leaseSlot {
+	s := p.slots[view]
+	if s == nil {
+		s = &leaseSlot{}
+		p.slots[view] = s
+	}
+	return s
+}
+
+// revoked is an owner's revocation of views arriving: their leases go, and
+// every fetch of them in flight is fenced off. A view with no slot has no
+// lease and no fetch in flight.
+func (p *protocol) revoked(views ...string) {
+	for _, v := range views {
+		if s := p.slots[v]; s != nil {
+			s.epoch.Add(1)
+			s.lease.Store(nil)
+		}
+	}
+}
+
+// leaseSlot is a forwarder's lease on one view. It outlives a Forward that
+// was not kept, so a revocation finds it whether or not a transport is built.
+// hit and ask read it without a lock; install and revoked write it under the
+// node's leaseMu.
+type leaseSlot struct {
+	epoch atomic.Uint64 // moves with every revocation
+	lease atomic.Pointer[heldLease]
+}
+
+// heldLease is a term on a tag: the owner's tag, under which a transport holds
+// the document a hit serves, and the end of the term by the forwarder's clock.
+type heldLease struct {
+	tag     string
+	expires time.Time
+}
+
+// hit decides a forwarded read at now, where the forwarder holds a record
+// under tag: it is answered from that record only while a lease on that very
+// tag runs. One atomic load, no lock, no allocation.
+func (s *leaseSlot) hit(now time.Time, tag string) bool {
+	l := s.lease.Load()
+	return l != nil && l.tag == tag && now.Before(l.expires)
+}
+
+// asked is what a fetch that asks the owner read before it sent.
+type asked struct {
+	epoch uint64
+	sent  time.Time
+}
+
+// ask is a read that was no hit going to the owner at now.
+func (s *leaseSlot) ask(now time.Time) asked { return asked{s.epoch.Load(), now} }
+
+// install is the answer to a arriving at now, granted a lease on tag for
+// term: the lease runs for the term counted from before a was sent, never
+// longer than LeaseTerm, and is kept unless a revocation arrived since or it
+// has run out already.
+func (s *leaseSlot) install(a asked, tag string, term time.Duration, now time.Time) {
+	if expires := a.sent.Add(min(term, LeaseTerm)); s.epoch.Load() == a.epoch && now.Before(expires) {
+		s.lease.Store(&heldLease{tag: tag, expires: expires})
+	}
+}

@@ -424,7 +424,9 @@ func TestWideViewTraceIsCapped(t *testing.T) {
 // A last-known-good document is not the source's answer. When it is the very
 // document the slot was evaluated from — a ReplicaSet keeps the one it last
 // handed out — the part is still not carried over: it is served stale,
-// untagged and uncounted, and is not kept.
+// untagged and uncounted, and is not kept. The predecessor it was compared
+// with is: once the replica hands out that document again, live, the part is
+// carried over and the tag is the one before the invalidation.
 func TestStaleServeIsNeverCarried(t *testing.T) {
 	d, err := dtd.Parse(d1Text)
 	if err != nil {
@@ -465,11 +467,14 @@ func TestStaleServeIsNeverCarried(t *testing.T) {
 		t.Errorf("%d parts revalidated, %d stale serves; want 0 and 1", st.PartsRevalidated, st.StaleServes)
 	}
 	// The replica is back with the same document: the stale result was not
-	// kept, so there is nothing to carry — the part is evaluated, at the
-	// invalidation's generation.
+	// kept, but the predecessor was — the part is carried over, nothing
+	// changed.
 	_, back, err := m.MaterializeInfo(ctx, "v")
-	if err != nil || len(back.StaleSources) != 0 || !strings.HasSuffix(back.Tag, `-1"`) {
-		t.Errorf("read after the replica came back: %+v, %v", back, err)
+	if err != nil || len(back.StaleSources) != 0 || back.Tag != live.Tag {
+		t.Errorf("read after the replica came back: %+v, %v; want the tag %s", back, err, live.Tag)
+	}
+	if st := m.Stats(); st.PartsRevalidated != 1 {
+		t.Errorf("%d parts revalidated; want 1", st.PartsRevalidated)
 	}
 }
 

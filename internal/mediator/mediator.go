@@ -222,6 +222,11 @@ type partCalc struct {
 	// from: the part before the invalidation that asks whether it changed.
 	// Dropped (under m.mu) as the calc lands: a slot holds one result.
 	prev partResult
+	// lost marks a calc that never runs: one whose result was not complete
+	// leaves it in its slot holding its prev, so that the next refetch is
+	// compared with what this one would have been. It is never joined, and
+	// never landed.
+	lost bool
 }
 
 // plannedPart is one kept part of a materialization under way, or one run of
@@ -742,17 +747,19 @@ func firstPartError(parts []plannedPart) error {
 // while it is at the source's current generation (landed, the cached result;
 // in flight, joined), else a new calc this caller leads. A landed calc it
 // displaces leaves its result as prev: a calc still in its slot when landed
-// is complete (resolvePart), the part before the invalidation. m.mu must be
-// held.
+// is complete (resolvePart), the part before the invalidation; a lost one
+// leaves the prev it holds. m.mu must be held.
 func (m *Mediator) claimLocked(v *View, i int) (c *partCalc, lead bool) {
 	gen := m.srcGen[v.Parts[i].Source]
 	slots := m.slots[v.Name]
 	old := slots[i]
-	if old != nil && old.gen == gen {
+	if old != nil && old.gen == gen && !old.lost {
 		return old, false
 	}
 	c = &partCalc{gen: gen}
-	if old != nil {
+	if old != nil && old.lost {
+		c.prev = old.prev
+	} else if old != nil {
 		c.prev, _ = old.Landed() // one still in flight leaves nothing behind
 	}
 	c.Start()
@@ -770,7 +777,10 @@ func (m *Mediator) claimLocked(v *View, i int) (c *partCalc, lead bool) {
 // generation is unchanged, and after that what the refetch is compared with.
 // This is the one write-back rule — why degraded parts do not outlive the
 // outage that dropped them, last-known-good parts are retried rather than
-// pinned, and an invalidation is never overwritten by what predates it.
+// pinned, and an invalidation is never overwritten by what predates it. An
+// incomplete result leaves in its place a lost calc holding the predecessor
+// it was compared with, so a read that failed or was cancelled does not make
+// the next one evaluate an unchanged part again under a new version.
 func (m *Mediator) resolvePart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc, lead bool) (partResult, error) {
 	for !lead {
 		res, err, redo := c.Wait(ctx)
@@ -787,12 +797,12 @@ func (m *Mediator) resolvePart(ctx context.Context, v *View, i int, w Wrapper, c
 	return c.Run(&m.mu, func() (partResult, error) { return evalPart(ctx, v, i, w, c) },
 		func(res partResult, err error) bool {
 			complete := err == nil && !res.dropped && !res.stale
-			c.prev = partResult{}
 			// A later caller may have claimed the slot since an invalidation
-			// detached c: only remove c while the slot is still c's.
+			// detached c: only replace c while the slot is still c's.
 			if slots := m.slots[v.Name]; !complete && slots[i] == c {
-				slots[i] = nil
+				slots[i] = &partCalc{gen: c.gen, prev: c.prev, lost: true}
 			}
+			c.prev = partResult{}
 			if complete && m.srcGen[v.Parts[i].Source] != c.gen {
 				m.stats.add(&m.stats.StaleDiscards, 1)
 			}

@@ -293,6 +293,79 @@ func TestRacedResultStaysAsPredecessor(t *testing.T) {
 	}
 }
 
+// stallingSource is a static source whose fetch, while stall is set, says it
+// has begun on entered and then waits for its context to end.
+type stallingSource struct {
+	*StaticSource
+	stall   atomic.Bool
+	entered chan struct{}
+}
+
+func (s *stallingSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
+	if s.stall.Load() {
+		s.entered <- struct{}{}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	return s.StaticSource.Fetch(ctx)
+}
+
+// A read that leads a part's refetch and is cancelled mid-fetch keeps no
+// result, but it leaves the predecessor the refetch was to be compared with:
+// the next read, after a no-op invalidation or none, fetches the very
+// document the part was evaluated from, carries it over, and the view's tag
+// does not move.
+func TestCancelledRefetchKeepsThePredecessor(t *testing.T) {
+	d, err := dtd.Parse(d1Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, err := xmlmodel.Parse(deptDocN(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, err := NewStaticSource("held", doc, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &stallingSource{StaticSource: static, entered: make(chan struct{})}
+	m := New("m")
+	if err := m.AddSource(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DefineView("held", xmas.MustParse(`v = SELECT X WHERE <department> X:<professor|gradStudent/> </department>`)); err != nil {
+		t.Fatal(err)
+	}
+	read := func() string {
+		t.Helper()
+		_, stats, err := m.Read(context.Background(), Request{View: "v"})
+		if err != nil || stats.Tag == "" {
+			t.Fatalf("read: tag %q, %v", stats.Tag, err)
+		}
+		return stats.Tag
+	}
+	tag := read()
+	for i := 0; i < 2; i++ {
+		m.Invalidate() // nothing changed
+		src.stall.Store(true)
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() { <-src.entered; cancel() }()
+		if _, _, err := m.Read(ctx, Request{View: "v"}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("the cancelled refetch: %v", err)
+		}
+		src.stall.Store(false)
+		if i == 1 {
+			m.Invalidate() // and nothing changed again
+		}
+		if got := read(); got != tag {
+			t.Fatalf("round %d: the tag moved from %s to %s with no source changed", i, tag, got)
+		}
+	}
+	if st := m.Stats(); st.PartsRevalidated != 2 {
+		t.Errorf("%d parts revalidated; want 2: each refetch carried the part over", st.PartsRevalidated)
+	}
+}
+
 // versionedSource serves a department whose every text says which version
 // of the source it is.
 type versionedSource struct {

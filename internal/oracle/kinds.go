@@ -160,10 +160,7 @@ func (o *Oracle) burst(s *Subject, view, inval string, texts []string, rng *rand
 		}()
 	}
 	wg.Wait()
-	// A read that failed or left a part out takes the part's predecessor
-	// with it if it led the part's refetch: the next read evaluates the part
-	// again, under a new version, so the tag moves.
-	partial, lost := make([][]string, len(steps)), false
+	partial := make([][]string, len(steps))
 	for i, st := range steps {
 		var prov mediator.Provenance
 		prov.FromHeaders(st.Header)
@@ -173,12 +170,8 @@ func (o *Oracle) burst(s *Subject, view, inval string, texts []string, rng *rand
 		if cancelled[i] {
 			tally["cancelled readers"]++
 		}
-		lost = lost || len(partial[i]) > 0 || st.Status != http.StatusOK && st.Status != http.StatusNotModified
 	}
 	for i, st := range steps {
-		if lost {
-			s.held = ""
-		}
 		var err error
 		switch {
 		case len(partial[i]) > 0:
@@ -195,9 +188,6 @@ func (o *Oracle) burst(s *Subject, view, inval string, texts []string, rng *rand
 		if err != nil {
 			return err
 		}
-	}
-	if lost {
-		s.held = ""
 	}
 	return nil
 }

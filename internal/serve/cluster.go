@@ -220,15 +220,6 @@ func sendRuns(w http.ResponseWriter, r *http.Request, a mediator.Answer, tag str
 	return true
 }
 
-// grant leases the answered view to the member that asked for it — only a
-// complete, live answer (one with a tag, 200 or 304, over a tightly inferred
-// DTD) and only if no revocation of the view passed since offer was read.
-func (h *Handler) grant(w http.ResponseWriter, offer cluster.Offer, v *mediator.View, stats *mediator.QueryStats) {
-	if stats.Tag != "" && !v.Degraded && h.cluster.Grant(offer) {
-		w.Header().Set(mediator.LeaseHeader, leaseTermMillis)
-	}
-}
-
 // leaseTermMillis is the LeaseHeader value: the term, in milliseconds.
 var leaseTermMillis = strconv.FormatInt(cluster.LeaseTerm.Milliseconds(), 10)
 

@@ -311,8 +311,8 @@ func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	setProvenanceHeaders(w, a.View, stats.Provenance)
-	if leasable {
-		h.grant(w, offer, a.View, &stats)
+	if leasable && h.cluster.Grant(offer, stats.Tag, a.View.Degraded) {
+		w.Header().Set(mediator.LeaseHeader, leaseTermMillis)
 	}
 	if notModified(w, stats.Tag, stats.NotModified) {
 		return
