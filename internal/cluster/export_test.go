@@ -37,7 +37,7 @@ func (n *Node) GrantExpiry(view, holder string) time.Time {
 	n.leaseMu.Lock()
 	defer n.leaseMu.Unlock()
 	if l := n.lease.views[view]; l != nil {
-		return l.holders[holder]
+		return l.holders[holder].until
 	}
 	return time.Time{}
 }
@@ -53,12 +53,8 @@ func (n *Node) Revocations() (begun, acked uint64) {
 // Transport is the owner transport of view's landed forward; nil before one
 // landed.
 func (n *Node) Transport(view string) *mediator.HTTPSource {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if slot := n.slots[view]; slot != nil {
-		if f, ok := slot.build.Landed(); ok {
-			return f.sources[0]
-		}
+	if f := n.landed(view); f != nil {
+		return f.sources[0]
 	}
 	return nil
 }

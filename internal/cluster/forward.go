@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"slices"
 	"sort"
 
@@ -255,6 +256,30 @@ func (f *Forward) GetPath(ctx context.Context, suffix string) (string, error) {
 	}
 	f.node.forwardErrors.Add(1)
 	return "", lastErr
+}
+
+// landed is view's landed forward, nil before one landed.
+func (n *Node) landed(view string) *Forward {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if slot := n.slots[view]; slot != nil {
+		if f, ok := slot.build.Landed(); ok {
+			return f
+		}
+	}
+	return nil
+}
+
+// splice splices a renewal's delta, with headers h, into the record of the
+// transport that holds the document tagged base (mediator.HTTPSource.Renew),
+// and reports whether it did.
+func (f *Forward) splice(base string, h http.Header, body string) bool {
+	for _, s := range f.sources {
+		if _, tag, _ := s.Held(); tag == base {
+			return s.Renew(h, body) == nil
+		}
+	}
+	return false
 }
 
 // ForwardedViews returns the sorted views with a cached forward — the

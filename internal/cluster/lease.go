@@ -3,12 +3,16 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/mediator"
 )
 
 // LeaseTerm is how long a lease lasts. Not an option: a fleet's members must
@@ -17,12 +21,31 @@ import (
 const LeaseTerm = time.Second
 
 // RevokePath is the route a lease holder acknowledges revocations on.
+//
+// A revocation is one wire format: POST RevokePath?view=v&view=w names the
+// views whose leases the owner takes back. It may renew the lease on its one
+// view in the same message (Renewal): then its body is the delta a 226 would
+// bring a fetch of the view against the tag the lease was granted on — the
+// runs of the parts that moved — under that answer's headers, ETag,
+// Delta-Base, IM and mediator.RunsHeader, and mediator.LeaseHeader says, in
+// milliseconds, how much later than the lease taken back the renewed one
+// ends. A revocation with no view, or a body with no renewal, is refused.
 const RevokePath = "/cluster/revoke"
 
-// Revocation is the body of a POST /cluster/revoke: the views whose leases
-// the owner takes back.
-type Revocation struct {
-	Views []string `json:"views"`
+// RevocationViews reads the views a revocation's query (?view=v&view=w)
+// names.
+func RevocationViews(rawQuery string) []string {
+	var views []string
+	for rest := rawQuery; rest != ""; {
+		var field string
+		field, rest, _ = strings.Cut(rest, "&")
+		if v, ok := strings.CutPrefix(field, "view="); ok {
+			if v, err := url.QueryUnescape(v); err == nil {
+				views = append(views, v)
+			}
+		}
+	}
+	return views
 }
 
 // Revoked takes back this node's leases on views, as an owner asked; the
@@ -31,6 +54,50 @@ func (n *Node) Revoked(views ...string) {
 	n.leaseMu.Lock()
 	n.lease.revoked(views...)
 	n.leaseMu.Unlock()
+}
+
+// Renewed takes back this node's lease on view, as a revocation that renews
+// it asked, and then applies the renewal, whose headers are h and whose body
+// is body: the delta is spliced into the transport record held under the
+// lease's tag — every check a 226 passes, and swapped only if the record is
+// still the one spliced into — and the lease installed on the new tag unless
+// a later revocation arrived meanwhile. Any check that fails leaves it a
+// plain revocation. It reports whether the renewal was applied; the caller
+// acknowledges once it returns.
+func (n *Node) Renewed(view string, h http.Header, body string) bool {
+	n.leaseMu.Lock()
+	t := n.lease.revoked(view)
+	n.leaseMu.Unlock()
+	rn, ok := renewalOf(view, h)
+	if ok {
+		f := n.landed(view)
+		ok = f != nil && f.splice(rn.Base, h, body)
+	}
+	if ok {
+		now := n.now()
+		n.leaseMu.Lock()
+		ok = t.renewed(rn, now)
+		n.leaseMu.Unlock()
+	}
+	if ok {
+		n.renewalsApplied.Add(1)
+	} else {
+		n.renewalsRefused.Add(1)
+	}
+	return ok
+}
+
+// IsRenewal reports whether a revocation's headers carry a renewal.
+func IsRenewal(h http.Header) bool { return h.Get("Delta-Base") != "" }
+
+// renewalOf reads the renewal of view a revocation's headers carry.
+func renewalOf(view string, h http.Header) (Renewal, bool) {
+	base, tag := h.Get("Delta-Base"), h.Get("ETag")
+	ms, err := strconv.ParseInt(h.Get(mediator.LeaseHeader), 10, 64)
+	if base == "" || tag == "" || err != nil || ms < 0 || ms > LeaseTerm.Milliseconds() {
+		return Renewal{}, false
+	}
+	return Renewal{View: view, Base: base, Tag: tag, Extend: time.Duration(ms) * time.Millisecond}, true
 }
 
 // Offer reads what a lease on view would be granted against, for a request
@@ -58,25 +125,44 @@ func (n *Node) Grant(o Offer, tag string, degraded bool) bool {
 	return ok
 }
 
+// A Reader is an owner's read of a view after an invalidation, to renew its
+// holders' leases with: the view's document and its tag; ok only for a
+// complete, live, tagged document under an inference that did not degrade —
+// what a grant asks of an answer.
+type Reader func(ctx context.Context, view string) (a mediator.Answer, tag string, ok bool)
+
 // Revoke takes back every lease on views and returns once each holder has
 // acknowledged or its lease has run out, and every revocation begun before it
 // has returned: an owner answers an invalidation of views only after Revoke
-// returned. It runs to its end whatever becomes of ctx — later revocations
+// returned. A holder of one of the views alone is granted a lease on its new
+// document in the same message, when read (nil for none) reads it: the
+// revocation carries the delta from the document the holder's lease was
+// granted on. It runs to its end whatever becomes of ctx — later revocations
 // wait on it.
-func (n *Node) Revoke(ctx context.Context, views ...string) { n.revoke(ctx, false, views) }
+func (n *Node) Revoke(ctx context.Context, read Reader, views ...string) {
+	n.revoke(ctx, false, read, views)
+}
 
-// RevokeAll is Revoke of every view, for a wholesale invalidation.
-func (n *Node) RevokeAll(ctx context.Context) { n.revoke(ctx, true, nil) }
+// RevokeAll is Revoke of every view, for a wholesale invalidation: it renews
+// nothing.
+func (n *Node) RevokeAll(ctx context.Context) { n.revoke(ctx, true, nil, nil) }
 
-func (n *Node) revoke(ctx context.Context, all bool, views []string) {
+func (n *Node) revoke(ctx context.Context, all bool, read Reader, views []string) {
 	ctx = context.WithoutCancel(ctx)
 	n.leaseMu.Lock()
-	defer n.leaseMu.Unlock()
 	r := n.lease.revoke(all, views, n.now())
-	for _, t := range r.tell {
+	n.leaseMu.Unlock()
+	deltas := n.renew(ctx, r, read)
+	n.leaseMu.Lock()
+	defer n.leaseMu.Unlock()
+	for i := range r.tell {
+		t, d := &r.tell[i], delta{}
+		if deltas != nil {
+			d = deltas[i]
+		}
 		go func() {
 			n.revocationsSent.Add(1)
-			if n.sendRevocation(ctx, &t) != nil {
+			if n.sendRevocation(ctx, t, d) != nil {
 				n.revocationsWaitedOut.Add(1)
 				if d := t.until.Sub(n.now()); d > 0 {
 					n.sleep(d)
@@ -94,18 +180,87 @@ func (n *Node) revoke(ctx context.Context, all bool, views []string) {
 	n.revoking.Broadcast()
 }
 
-// sendRevocation tells t.holder its leases on t.views are taken back. It
-// gives up when the leases would have run out anyway.
-func (n *Node) sendRevocation(ctx context.Context, t *told) error {
+// delta is the body and runs a renewing revocation carries.
+type delta struct {
+	body []byte
+	runs string
+}
+
+// renew reads, with read, each view r could renew a holder's lease on, and
+// renews what the read allows (protocol.renew): a complete, tagged document
+// that is a later version of the one the holder's lease was granted on. It
+// returns the delta each holder r tells is sent, by its place in r.tell (nil
+// when it renews none); holders granted on one tag share one body.
+func (n *Node) renew(ctx context.Context, r *revocation, read Reader) []delta {
+	if read == nil {
+		return nil
+	}
+	var deltas []delta
+	var seen [4]string // an invalidation of more views makes its list on the heap
+	readViews := seen[:0]
+	var movedBuf [16]bool // a view of more parts makes moved on the heap
+	for i := range r.tell {
+		if r.tell[i].base == "" || slices.Contains(readViews, r.tell[i].views[0]) {
+			continue
+		}
+		view := r.tell[i].views[0]
+		readViews = append(readViews, view)
+		readAt := n.now()
+		a, tag, ok := read(ctx, view)
+		if !ok {
+			continue
+		}
+		for j := i; j < len(r.tell); j++ {
+			if t := &r.tell[j]; t.base != "" && t.views[0] == view && mediator.AppendMoved(movedBuf[:0], t.base, tag) == nil {
+				t.base = "" // not an earlier version of the same document: no delta from it
+			}
+		}
+		n.leaseMu.Lock()
+		n.lease.renew(r, view, tag, readAt)
+		n.leaseMu.Unlock()
+		runs := ""
+		for j := i; j < len(r.tell); j++ {
+			t := &r.tell[j]
+			if t.renewal.View != view {
+				continue
+			}
+			if deltas == nil {
+				deltas, runs = make([]delta, len(r.tell)), a.Runs()
+			}
+			if k := slices.IndexFunc(r.tell[:j], func(u told) bool { return u.renewal.View == view && u.base == t.base }); k >= 0 {
+				deltas[j] = deltas[k]
+				continue
+			}
+			var b bytes.Buffer
+			if a.WriteDelta(&b, mediator.AppendMoved(movedBuf[:0], t.base, tag)) != nil {
+				t.renewal = Renewal{} // sent as a plain revocation
+				continue
+			}
+			deltas[j] = delta{body: b.Bytes(), runs: runs}
+		}
+	}
+	return deltas
+}
+
+// sendRevocation tells t.holder its leases on t.views are taken back, and
+// renews the one t.renewal names with d. It gives up when the leases would
+// have run out anyway.
+func (n *Node) sendRevocation(ctx context.Context, t *told, d delta) error {
 	ctx, cancel := context.WithTimeout(ctx, t.until.Sub(n.now()))
 	defer cancel()
-	body, err := json.Marshal(Revocation{Views: t.views})
+	target := n.cfg.Nodes[t.holder] + RevokePath + "?view=" + url.QueryEscape(t.views[0])
+	for _, v := range t.views[1:] {
+		target += "&view=" + url.QueryEscape(v)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(d.body))
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.cfg.Nodes[t.holder]+RevokePath, bytes.NewReader(body))
-	if err != nil {
-		return err
+	if rn := t.renewal; rn.Tag != "" {
+		// The keys canonical, the values sliced from one array.
+		v := &[5]string{rn.Tag, rn.Base, mediator.RunsIM, d.runs, strconv.FormatInt(rn.Extend.Milliseconds(), 10)}
+		h := req.Header
+		h["Etag"], h["Delta-Base"], h["Im"], h[mediator.RunsHeader], h[mediator.LeaseHeader] = v[0:1:1], v[1:2:2], v[2:3:3], v[3:4:4], v[4:5:5]
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {

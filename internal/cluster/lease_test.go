@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -114,8 +113,8 @@ func urlOf(srv *httptest.Server) string { return "http://" + srv.Listener.Addr()
 type fleet struct {
 	src        *dept
 	med        *mediator.Mediator // the owner's
-	owner, fwd *cluster.Node
-	fwdURL     string
+	owner, fwd       *cluster.Node
+	ownerURL, fwdURL string
 	// ownerGets counts the GET /views/members the owner was sent; hook, when
 	// set, runs at the start of each.
 	ownerGets atomic.Int64
@@ -162,9 +161,24 @@ func newFleet(t *testing.T, clock *fakeClock, extra map[string]string) *fleet {
 		srv.Start()
 		t.Cleanup(srv.Close)
 	}
-	f.fwdURL = urlOf(fwdSrv)
+	f.ownerURL, f.fwdURL = urlOf(ownerSrv), urlOf(fwdSrv)
 	clock.advance(cluster.LeaseTerm)
 	return f
+}
+
+// invalidate announces a change of the owner's source: a scoped POST
+// /invalidate, which renews the leases it takes back.
+func (f *fleet) invalidate(t *testing.T) {
+	t.Helper()
+	resp, err := http.Post(f.ownerURL+"/invalidate", "application/json", strings.NewReader(`{"source": "dept"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /invalidate: %d", resp.StatusCode)
+	}
 }
 
 // read is a forwarded GET /views/members: the body and the ETag.
@@ -284,7 +298,7 @@ func TestRevocationBeforeTheGrantLeasesNothing(t *testing.T) {
 	clock := newClock()
 	f := newFleet(t, clock, nil)
 	for _, revoke := range []func(){
-		func() { f.owner.Revoke(ctx, "members") },
+		func() { f.owner.Revoke(ctx, nil, "members") },
 		func() { f.owner.RevokeAll(ctx) },
 	} {
 		o, ok := f.owner.Offer("members", "beta")
@@ -300,7 +314,7 @@ func TestRevocationBeforeTheGrantLeasesNothing(t *testing.T) {
 		t.Fatal("a fenced grant was recorded")
 	}
 	o, _ := f.owner.Offer("members", "beta")
-	f.owner.Revoke(ctx, "other") // another view's revocation fences nothing here
+	f.owner.Revoke(ctx, nil, "other") // another view's revocation fences nothing here
 	if !f.owner.Grant(o, `"t"`, false) || f.owner.GrantExpiry("members", "beta") != clock.reading().Add(cluster.LeaseTerm) {
 		t.Error("a grant with no revocation of its view since its offer was refused, or not for one term")
 	}
@@ -370,7 +384,7 @@ func TestUnreachableHolderIsWaitedOut(t *testing.T) {
 		t.Fatal("no grant")
 	}
 	expires := n.GrantExpiry("members", "beta")
-	n.Revoke(ctx, "members")
+	n.Revoke(ctx, nil, "members")
 	if at := clock.reading(); !at.Equal(expires) || fmt.Sprint(clock.slept) != fmt.Sprint([]time.Duration{cluster.LeaseTerm}) {
 		t.Errorf("the revocation returned at %v having slept %v; the lease ended at %v", at, clock.slept, expires)
 	}
@@ -384,7 +398,7 @@ func TestUnreachableHolderIsWaitedOut(t *testing.T) {
 	o, _ = n.Offer("members", "beta")
 	n.Grant(o, `"t"`, false)
 	clock.advance(cluster.LeaseTerm)
-	n.Revoke(ctx, "members")
+	n.Revoke(ctx, nil, "members")
 	if m := n.Metrics(); m.RevocationsSent != 1 || len(clock.slept) != 1 {
 		t.Errorf("a lease that had ended was revoked: %d sent, slept %v", m.RevocationsSent, clock.slept)
 	}
@@ -407,9 +421,9 @@ func newRecorder(t *testing.T) (*recorder, string) {
 			http.NotFound(w, req)
 			return
 		}
-		var rev cluster.Revocation
-		if err := json.NewDecoder(req.Body).Decode(&rev); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		views := cluster.RevocationViews(req.URL.RawQuery)
+		if len(views) == 0 {
+			http.Error(w, "no views", http.StatusBadRequest)
 			return
 		}
 		r.arrived <- struct{}{}
@@ -417,7 +431,7 @@ func newRecorder(t *testing.T) (*recorder, string) {
 			<-r.hold
 		}
 		r.mu.Lock()
-		r.got = append(r.got, strings.Join(rev.Views, ","))
+		r.got = append(r.got, strings.Join(views, ","))
 		r.mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 	}))
@@ -447,9 +461,9 @@ func TestRevocationsOfOneViewAreOrdered(t *testing.T) {
 	n.Grant(o, `"t"`, false)
 
 	first, second := make(chan struct{}), make(chan struct{})
-	go func() { n.Revoke(ctx, "members"); close(first) }()
+	go func() { n.Revoke(ctx, nil, "members"); close(first) }()
 	<-beta.arrived // the first is telling beta, who does not answer yet
-	go func() { n.Revoke(ctx, "members"); close(second) }()
+	go func() { n.Revoke(ctx, nil, "members"); close(second) }()
 	for begun, _ := n.Revocations(); begun < 2; begun, _ = n.Revocations() {
 		runtime.Gosched()
 	}
@@ -476,7 +490,7 @@ func TestStartGraceTellsEveryMember(t *testing.T) {
 	clock := newClock()
 	n := newNode(t, "alpha", map[string]string{"alpha": "http://unused", "beta": betaURL, "gamma": gammaURL}, clock)
 	clock.advance(cluster.LeaseTerm / 2)
-	n.Revoke(ctx, "members")
+	n.Revoke(ctx, nil, "members")
 	n.RevokeAll(ctx)
 	for name, r := range map[string]*recorder{"beta": beta, "gamma": gamma} {
 		if got := r.take(); fmt.Sprint(got) != "[members members]" {
@@ -490,8 +504,190 @@ func TestStartGraceTellsEveryMember(t *testing.T) {
 	clock.advance(cluster.LeaseTerm / 2)
 	o, _ := n.Offer("members", "gamma")
 	n.Grant(o, `"t"`, false)
-	n.Revoke(ctx, "members")
+	n.Revoke(ctx, nil, "members")
 	if b, g := beta.take(), gamma.take(); len(b) != 0 || fmt.Sprint(g) != "[members]" {
 		t.Errorf("after the grace term: beta told %v, gamma %v; want nothing and [members]", b, g)
+	}
+}
+
+// A revocation renews the lease it takes back: it brings the parts that
+// changed and a lease on the owner's new document, so the forwarder's next
+// read is a hit that serves the new document, under the owner's new tag, and
+// asks nobody.
+func TestRenewalKeepsTheNextReadLocal(t *testing.T) {
+	clock := newClock()
+	f := newFleet(t, clock, nil)
+	body, tag := f.read(t)
+	f.src.set(t, "ada", "bob", "cy")
+	f.invalidate(t)
+	gets := f.ownerGets.Load()
+	renewed, newTag := f.read(t)
+	if m := f.fwd.Metrics(); f.ownerGets.Load() != gets || m.LeaseHits != 1 || m.RenewalsApplied != 1 || m.Deltas != 0 {
+		t.Fatalf("the read after the renewal: %d owner GETs, %d lease hits, %d renewals applied, %d deltas; want 0, 1, 1, 0",
+			f.ownerGets.Load()-gets, m.LeaseHits, m.RenewalsApplied, m.Deltas)
+	}
+	if renewed == body || newTag == tag || !strings.Contains(renewed, "cy") {
+		t.Fatalf("the renewed lease served the old document (ETag %q, was %q):\n%s", newTag, tag, renewed)
+	}
+	resp, err := http.Get(f.ownerURL + "/views/members")
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if string(own) != renewed || resp.Header.Get("ETag") != newTag {
+		t.Errorf("the renewed document is not the owner's: ETag %q, the owner's %q", newTag, resp.Header.Get("ETag"))
+	}
+}
+
+// The renewed lease ends no later than the owner's record of it, though the
+// revocation reached the forwarder after the owner read the view: its term
+// runs from the start of the lease it replaces, not from its arrival. Every
+// reading of the clock moves it on.
+func TestRenewedLeaseEndsNoLaterThanItsGrant(t *testing.T) {
+	clock := newClock()
+	f := newFleet(t, clock, nil)
+	f.read(t)
+	clock.advance(cluster.LeaseTerm / 2)
+	clock.mu.Lock()
+	clock.step = time.Millisecond
+	clock.mu.Unlock()
+	f.src.set(t, "ada", "bob", "cy")
+	f.invalidate(t)
+	held, granted := f.fwd.LeaseExpiry("members"), f.owner.GrantExpiry("members", "beta")
+	if held.IsZero() || f.fwd.Metrics().RenewalsApplied != 1 {
+		t.Fatal("the revocation renewed no lease")
+	}
+	if held.After(granted) {
+		t.Errorf("the forwarder's renewed lease ends %v after the owner's record of it", held.Sub(granted))
+	}
+}
+
+// The forwarder's fence: a revocation of the view that arrives while a renewal
+// is being applied — after its own revocation took the lease back, before
+// the renewed one is installed — means no lease, and the next read asks the
+// owner.
+func TestRevocationDuringARenewalInstallsNothing(t *testing.T) {
+	clock := newClock()
+	f := newFleet(t, clock, nil)
+	var armed atomic.Bool
+	f.fwd.SetClock(func() time.Time {
+		if armed.CompareAndSwap(true, false) {
+			f.fwd.Revoked("members")
+		}
+		return clock.now()
+	}, clock.sleep)
+	f.read(t)
+	f.src.set(t, "ada", "bob", "cy")
+	armed.Store(true)
+	f.invalidate(t)
+	if m := f.fwd.Metrics(); !f.fwd.LeaseExpiry("members").IsZero() || m.RenewalsRefused != 1 || armed.Load() {
+		t.Fatalf("a renewal a later revocation overtook was installed (until %v; %d refused)", f.fwd.LeaseExpiry("members"), m.RenewalsRefused)
+	}
+	gets := f.ownerGets.Load()
+	if body, _ := f.read(t); f.ownerGets.Load() != gets+1 || !strings.Contains(body, "cy") {
+		t.Errorf("the read after: %d owner GETs, the new document %v; want it asked", f.ownerGets.Load()-gets, strings.Contains(body, "cy"))
+	}
+}
+
+// The owner's fence: a revocation of the view begun while the owner was
+// reading it for a renewal — after the first revocation took the leases back,
+// before it renewed them — means the first renews nothing: the second, which
+// found no holder to tell, would otherwise be acknowledged with the
+// forwarder leased on the document it replaced.
+func TestRenewalAfterALaterRevocationGrantsNothing(t *testing.T) {
+	ctx := context.Background()
+	clock := newClock()
+	f := newFleet(t, clock, nil)
+	f.read(t)
+	f.src.set(t, "ada", "bob", "cy")
+	if _, err := f.med.InvalidateSource("dept"); err != nil {
+		t.Fatal(err)
+	}
+	second := make(chan struct{})
+	read := func(ctx context.Context, view string) (mediator.Answer, string, bool) {
+		a, stats, err := f.med.Read(ctx, mediator.Request{View: view})
+		f.src.set(t, "ada")
+		if _, err := f.med.InvalidateSource("dept"); err != nil {
+			t.Error(err)
+		}
+		go func() { f.owner.Revoke(ctx, nil, "members"); close(second) }()
+		for begun, _ := f.owner.Revocations(); begun < 2; begun, _ = f.owner.Revocations() {
+			runtime.Gosched()
+		}
+		return a, stats.Tag, err == nil && stats.Tag != ""
+	}
+	f.owner.Revoke(ctx, read, "members")
+	<-second
+	if exp := f.fwd.LeaseExpiry("members"); !exp.IsZero() {
+		t.Fatalf("a renewal granted after a later revocation was installed, until %v", exp)
+	}
+	if body, _ := f.read(t); strings.Contains(body, "bob") {
+		t.Errorf("after both revocations returned the forwarder served a replaced document:\n%s", body)
+	}
+}
+
+// A renewal is a grant: the owner's next invalidation tells the forwarder
+// again, and renews it again.
+func TestRenewedLeaseIsRevokedLikeAGrant(t *testing.T) {
+	clock := newClock()
+	f := newFleet(t, clock, nil)
+	f.read(t)
+	f.src.set(t, "ada", "bob", "cy")
+	f.invalidate(t)
+	sent := f.owner.Metrics().RevocationsSent
+	f.src.set(t, "ada")
+	f.invalidate(t)
+	if m := f.owner.Metrics(); m.RevocationsSent != sent+1 {
+		t.Fatalf("the invalidation after a renewal told %d holders, want 1", m.RevocationsSent-sent)
+	}
+	if body, _ := f.read(t); strings.Contains(body, "bob") || f.fwd.Metrics().RenewalsApplied != 2 {
+		t.Errorf("after the second invalidation: %d renewals applied; the replaced document served: %v",
+			f.fwd.Metrics().RenewalsApplied, strings.Contains(body, "bob"))
+	}
+}
+
+// Meaningful under -race: a forwarder's transport fetch of the view is in
+// flight — held at the owner — while the owner's renewing revocation splices
+// into the same record, and both land in either order. What the forwarder
+// reads after the invalidation's 2xx is the new document, and it holds it
+// under the owner's tag.
+func TestRenewalRacesAForwardedFetch(t *testing.T) {
+	clock := newClock()
+	f := newFleet(t, clock, nil)
+	f.read(t)
+	release, held := make(chan struct{}), make(chan struct{})
+	hook := func() {
+		select {
+		case held <- struct{}{}:
+			<-release
+		default:
+		}
+	}
+	f.hook.Store(&hook)
+	fetched := make(chan error)
+	go func() {
+		_, err := f.fwd.Transport("members").Fetch(mediator.NewForwardNote(context.Background(), []string{"beta"}))
+		fetched <- err
+	}()
+	<-held
+	f.hook.Store(nil)
+	f.src.set(t, "ada", "bob", "cy")
+	go close(release)
+	f.invalidate(t)
+	if err := <-fetched; err != nil {
+		t.Fatal(err)
+	}
+	body, tag := f.read(t)
+	if !strings.Contains(body, "cy") {
+		t.Fatalf("the read after the invalidation's 2xx served the replaced document:\n%s", body)
+	}
+	resp, err := http.Get(f.ownerURL + "/views/members")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if _, got, _ := f.fwd.Transport("members").Held(); tag != resp.Header.Get("ETag") || got != tag {
+		t.Errorf("the forwarder answered under %q and holds %q; the owner's tag is %q", tag, got, resp.Header.Get("ETag"))
 	}
 }

@@ -89,6 +89,8 @@ type Node struct {
 	leasesGranted        atomic.Int64
 	revocationsSent      atomic.Int64
 	revocationsWaitedOut atomic.Int64
+	renewalsApplied      atomic.Int64
+	renewalsRefused      atomic.Int64
 }
 
 // forwardSlot is one view's place on a forwarding node. build (under n.mu)
@@ -307,6 +309,8 @@ type Metrics struct {
 	LeasesGranted        int64           `json:"leases_granted" metric:"mix_cluster_leases_granted_total" help:"Leases this node granted as an owner: a member's view GET answered with a complete, live document."`
 	RevocationsSent      int64           `json:"revocations_sent" metric:"mix_cluster_revocations_sent_total" help:"Lease revocations this node sent to holders before acknowledging an invalidation."`
 	RevocationsWaitedOut int64           `json:"revocations_waited_out" metric:"mix_cluster_revocations_waited_out_total" help:"Sent revocations the holder did not acknowledge, waited out to the end of its lease."`
+	RenewalsApplied      int64           `json:"lease_renewals_applied" metric:"mix_cluster_lease_renewals_applied_total" help:"Revocations that renewed this node's lease, applied: the changed parts spliced into the held document and the lease installed on its new tag."`
+	RenewalsRefused      int64           `json:"lease_renewals_refused" metric:"mix_cluster_lease_renewals_refused_total" help:"Revocations that renewed this node's lease, refused by a check (a stale base, a later revocation, a delta that did not splice): taken as plain revocations."`
 	Ring                 []NodeRingStats `json:"ring"`
 }
 
@@ -341,6 +345,8 @@ func (n *Node) Metrics() Metrics {
 		LeasesGranted:        n.leasesGranted.Load(),
 		RevocationsSent:      n.revocationsSent.Load(),
 		RevocationsWaitedOut: n.revocationsWaitedOut.Load(),
+		RenewalsApplied:      n.renewalsApplied.Load(),
+		RenewalsRefused:      n.renewalsRefused.Load(),
 		Ring:                 n.ring.Stats(),
 	}
 }

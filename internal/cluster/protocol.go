@@ -12,8 +12,9 @@ import (
 // happens at, and returns what to do; a Node calls it under leaseMu and does
 // the I/O (lease.go, forward.go). protocol_test.go explores it exhaustively,
 // up to a bound. An owner lends a member its view for one term and takes the
-// lease back before it acknowledges an invalidation of the view; a forwarder
-// answers from the record it holds while a lease on that record's tag runs.
+// lease back before it acknowledges an invalidation of the view — renewing it,
+// on the view's new tag, in the same message when it can; a forwarder answers
+// from the record it holds while a lease on that record's tag runs.
 type protocol struct {
 	self    string
 	members map[string]string // every member of the fleet, self included
@@ -32,14 +33,21 @@ type protocol struct {
 type viewLeases struct {
 	owned   bool
 	epoch   uint64
-	holders map[string]time.Time // member → the end of its lease
+	holders map[string]granted // member → its lease
+}
+
+// granted is a lease an owner granted: the end of its term by the owner's
+// clock, and the tag of the document it was granted on.
+type granted struct {
+	until time.Time
+	tag   string
 }
 
 func newProtocol(cfg Config, views []string, owns func(string) bool, now time.Time) *protocol {
 	p := &protocol{self: cfg.Self, members: cfg.Nodes, views: map[string]*viewLeases{}, names: views,
 		started: now, slots: map[string]*leaseSlot{}}
 	for _, v := range views {
-		p.views[v] = &viewLeases{owned: owns(v), holders: map[string]time.Time{}}
+		p.views[v] = &viewLeases{owned: owns(v), holders: map[string]granted{}}
 	}
 	return p
 }
@@ -70,35 +78,61 @@ func (p *protocol) grant(o Offer, tag string, degraded bool, now time.Time) bool
 	if tag == "" || degraded || o.all != p.all || o.epoch != l.epoch {
 		return false
 	}
-	l.holders[o.holder] = now.Add(LeaseTerm)
+	l.holders[o.holder] = granted{until: now.Add(LeaseTerm), tag: tag}
 	return true
 }
 
-// revocation is one revocation under way: whom to tell, and how many of them
-// have not yet answered.
+// revocation is one revocation under way: whom to tell, how many of them
+// have not yet answered, and the epochs it moved the wholesale one and each
+// of its views to — a renewal is granted only while no later revocation
+// moved them again.
 type revocation struct {
 	seq     uint64
 	tell    []told
 	pending int
+	all     uint64
+	views   []string
+	epochs  []uint64
 }
 
 // told is what one holder is told: the views, and the latest end of its
-// leases on them — how long a holder that does not answer is waited out.
+// leases on them — how long a holder that does not answer is waited out. base
+// is the tag its lease was granted on when it is told of one view alone, on
+// a lease it was granted ("" otherwise: it is told more, or told for the
+// start grace alone); renewal is the lease renew grants it with the
+// revocation, if any.
 type told struct {
-	holder string
-	views  []string
-	until  time.Time
+	holder  string
+	views   []string
+	until   time.Time
+	base    string
+	renewal Renewal
 }
 
-func (r *revocation) add(holder, view string, until time.Time) {
+// Renewal is a lease an owner grants inside a revocation of one view: the tag
+// the holder's lease was granted on, the view's tag now, and how much later
+// than the lease it takes back the new one ends. The holder's lease ended no
+// later than the owner's record of it, so the new one ends no later than the
+// owner's record of the renewal, now + LeaseTerm, whatever the message's
+// delay: the term runs on the holder's clock from the start of the lease it
+// replaces, which began before the owner granted it.
+type Renewal struct {
+	View, Base, Tag string
+	Extend          time.Duration
+}
+
+func (r *revocation) add(holder, view string, until time.Time, base string) {
 	i := slices.IndexFunc(r.tell, func(t told) bool { return t.holder == holder })
 	if i < 0 {
-		r.tell = append(r.tell, told{holder: holder})
+		r.tell = append(r.tell, told{holder: holder, base: base})
 		i = len(r.tell) - 1
 	}
 	t := &r.tell[i]
 	if !slices.Contains(t.views, view) {
 		t.views = append(t.views, view)
+	}
+	if len(t.views) > 1 {
+		t.base = ""
 	}
 	if until.After(t.until) {
 		t.until = until
@@ -115,6 +149,7 @@ func (p *protocol) revoke(all bool, views []string, now time.Time) *revocation {
 		p.all++
 		views = p.names
 	}
+	r.all = p.all
 	grace := p.started.Add(LeaseTerm)
 	for _, v := range views {
 		l := p.views[v]
@@ -122,22 +157,46 @@ func (p *protocol) revoke(all bool, views []string, now time.Time) *revocation {
 			continue
 		}
 		l.epoch++
-		for holder, until := range l.holders {
-			if until.After(now) {
-				r.add(holder, v, until)
+		r.views, r.epochs = append(r.views, v), append(r.epochs, l.epoch)
+		for holder, g := range l.holders {
+			if g.until.After(now) {
+				r.add(holder, v, g.until, g.tag)
 			}
 		}
 		clear(l.holders)
 		if now.Before(grace) && (l.owned || !all) {
 			for member := range p.members {
 				if member != p.self {
-					r.add(member, v, grace)
+					r.add(member, v, grace, "")
 				}
 			}
 		}
 	}
 	r.pending = len(r.tell)
 	return r
+}
+
+// renew is the owner's read of view after r revoked it, under tag, arriving
+// at now: each holder r tells of view alone, on a lease granted on another
+// tag, is granted a lease on tag in the same message — recorded as a grant at
+// now, whose renewal extends the lease the holder had by the time between
+// the two grants — unless a revocation begun after r moved view's epoch or
+// the wholesale one. Nothing is renewed by a wholesale revocation.
+func (p *protocol) renew(r *revocation, view, tag string, now time.Time) {
+	i := slices.Index(r.views, view)
+	l := p.views[view]
+	if i < 0 || l == nil || r.epochs[i] != l.epoch || r.all != p.all || tag == "" {
+		return
+	}
+	until := now.Add(LeaseTerm)
+	for j := range r.tell {
+		t := &r.tell[j]
+		if t.base == "" || t.base == tag || t.views[0] != view {
+			continue
+		}
+		l.holders[t.holder] = granted{until: until, tag: tag}
+		t.renewal = Renewal{View: view, Base: t.base, Tag: tag, Extend: until.Sub(t.until)}
+	}
 }
 
 // answered is one holder of r having acknowledged, or been waited out to
@@ -167,14 +226,41 @@ func (p *protocol) slot(view string) *leaseSlot {
 
 // revoked is an owner's revocation of views arriving: their leases go, and
 // every fetch of them in flight is fenced off. A view with no slot has no
-// lease and no fetch in flight.
-func (p *protocol) revoked(views ...string) {
+// lease and no fetch in flight. What it returns is what a renewal the
+// revocation carries for its one view is installed against (leaseSlot.renewed).
+func (p *protocol) revoked(views ...string) (t taken) {
 	for _, v := range views {
 		if s := p.slots[v]; s != nil {
-			s.epoch.Add(1)
-			s.lease.Store(nil)
+			t = taken{slot: s, epoch: s.epoch.Add(1), lease: s.lease.Swap(nil)}
 		}
 	}
+	return t
+}
+
+// taken is the lease a revocation took from a slot, and the epoch it moved the
+// slot to.
+type taken struct {
+	slot  *leaseSlot
+	epoch uint64
+	lease *heldLease
+}
+
+// renewed is the renewal rn, carried by the revocation that took t, arriving
+// at now with the record it renews spliced in: it installs a lease on rn.Tag
+// unless a later revocation of the view arrived since, or the lease taken was
+// not on rn.Base — then the renewal is not the one the owner granted against
+// that lease — and reports whether it did. The new lease ends rn.Extend after
+// the one taken, and is not kept if that has passed.
+func (t taken) renewed(rn Renewal, now time.Time) bool {
+	if t.slot == nil || t.lease == nil || t.lease.tag != rn.Base || t.slot.epoch.Load() != t.epoch {
+		return false
+	}
+	expires := t.lease.expires.Add(rn.Extend)
+	if !now.Before(expires) {
+		return false
+	}
+	t.slot.lease.Store(&heldLease{tag: rn.Tag, expires: expires})
+	return true
 }
 
 // leaseSlot is a forwarder's lease on one view. It outlives a Forward that

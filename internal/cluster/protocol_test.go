@@ -12,7 +12,9 @@ import (
 // of each kind, of what one owner, two forwarders and two views can see —
 // reads, the owner's answers, their grants and their arrival, changes
 // announced by an invalidation or by nobody, revocations acknowledged or
-// waited out, the clock, the owner's crash and its restart — each decided by
+// waited out, the renewals they carry granted, applied or refused, a renewal
+// arriving after the owner stopped waiting for it or died, the clock, the
+// owner's crash and its restart — each decided by
 // the very protocol a Node runs (protocol.go), the network and the documents
 // around it modelled here. After every event the properties of DESIGN §5p
 // are checked; a violation fails the test with the shortest trace that
@@ -106,12 +108,42 @@ const (
 	answered
 )
 
-// pending is an invalidation the owner has not yet acknowledged.
+// pending is an invalidation the owner has not yet acknowledged. The owner
+// reads the view of an invalidation of one view at once, at readAt — tag is
+// what the read returned, "" when its views' inference degraded and it renews
+// nothing — and renews (decided) when the renew event comes; it tells nobody
+// before.
 type pending struct {
-	r     *revocation
-	floor [2]int // per view, the version it makes the floor; -1 for none
-	done  []bool // per holder told: acknowledged, or waited out
+	r       *revocation
+	floor   [2]int    // per view, the version it makes the floor; -1 for none
+	msgs    []message // per holder told
+	view    int       // the one view it invalidates; -1 for all
+	tag     string
+	readAt  time.Time
+	decided bool
 }
+
+// message is a revocation on its way to holder f. One that renews rn (its
+// Tag set) reaches the holder in two steps: the holder takes the lease back
+// (taken: the slot's epoch and the lease it took, slotted when the view had a
+// slot), then splices the delta and installs the renewed lease, and is heard.
+// One the owner no longer waits for — waited out, or sent before the owner
+// died — may still arrive (world.orphans).
+type message struct {
+	f       int
+	stage   int8
+	rn      Renewal
+	slotted bool
+	epoch   uint64
+	lease   *heldLease
+}
+
+// message stages.
+const (
+	unsent = iota
+	taking
+	heard
+)
 
 type world struct {
 	now   time.Time
@@ -131,7 +163,8 @@ type world struct {
 	held    [2][2]record
 	fetches [2][2][]fetch
 	revs    []pending
-	acked   []uint64 // the invalidations the last event let the owner acknowledge
+	orphans []message // renewals on their way that nobody waits for
+	acked   []uint64  // the invalidations the last event let the owner acknowledge
 }
 
 func member(f int) string { return forwarder[f] }
@@ -153,7 +186,7 @@ func (p *protocol) clone() *protocol {
 	c.views = make(map[string]*viewLeases, len(p.views))
 	for v, l := range p.views {
 		cl := *l
-		cl.holders = make(map[string]time.Time, len(l.holders))
+		cl.holders = make(map[string]granted, len(l.holders))
 		for h, t := range l.holders {
 			cl.holders[h] = t
 		}
@@ -184,8 +217,11 @@ func (w *world) clone() *world {
 	c.revs = make([]pending, len(w.revs))
 	for i, p := range w.revs {
 		r := *p.r
-		c.revs[i] = pending{r: &r, floor: p.floor, done: slices.Clone(p.done)}
+		r.tell = slices.Clone(p.r.tell)
+		c.revs[i] = p
+		c.revs[i].r, c.revs[i].msgs = &r, slices.Clone(p.msgs)
 	}
+	c.orphans = slices.Clone(w.orphans)
 	return &c
 }
 
@@ -237,22 +273,50 @@ func (w *world) keyUnder(sf, sv int) string {
 		b = append(b, 'u', w.rel(w.owner.started.Add(LeaseTerm)))
 		for vi := range xviews {
 			for fi := range forwarder {
-				b = append(b, w.rel(w.owner.views[xviews[vi^sv]].holders[forwarder[fi^sf]]))
+				g := w.owner.views[xviews[vi^sv]].holders[forwarder[fi^sf]]
+				b = append(b, w.rel(g.until), tag(g.tag))
 			}
 		}
 	}
-	var scratch [32]byte
+	// msg appends message m's bytes: msgBytes of them.
+	msg := func(items []byte, m message) []byte {
+		moved, lease, expires := byte(0), byte(0), byte(0)
+		if s := w.fwd[m.f].slots[m.rn.View]; m.slotted && s != nil {
+			moved = byte(1 + bit(s.epoch.Load() != m.epoch))
+		}
+		if m.lease != nil {
+			lease, expires = tag(m.lease.tag), w.rel(m.lease.expires)
+		}
+		return append(items, byte(m.f^sf), byte(m.stage), tag(m.rn.Base), tag(m.rn.Tag), byte(m.rn.Extend/tick), moved, lease, expires)
+	}
+	const msgBytes = 8
+	var scratch [64]byte
 	for _, p := range w.revs {
-		b = append(b, 'r', byte(p.r.seq-w.owner.acked), byte(p.r.pending), byte(p.floor[sv]+1), byte(p.floor[1^sv]+1))
+		view := byte(255)
+		if p.view >= 0 {
+			view = byte(p.view ^ sv)
+		}
+		b = append(b, 'r', byte(p.r.seq-w.owner.acked), byte(p.r.pending), byte(p.floor[sv]+1), byte(p.floor[1^sv]+1),
+			view, tag(p.tag), w.rel(p.readAt), byte(bit(p.decided)))
 		tells := scratch[:0]
 		for j, t := range p.r.tell {
 			views := 0
 			for _, v := range t.views {
 				views |= 1 << (slices.Index(xviews, v) ^ sv)
 			}
-			tells = append(tells, byte(slices.Index(forwarder, t.holder)^sf), byte(views), w.rel(t.until), byte(bit(p.done[j])))
+			tells = append(tells, byte(views), w.rel(t.until), tag(t.base))
+			tells = msg(tells, p.msgs[j])
 		}
-		entries(tells, 4)
+		entries(tells, 3+msgBytes)
+	}
+	orphans := scratch[:0]
+	for _, m := range w.orphans {
+		orphans = msg(orphans, m)
+	}
+	if len(orphans) > 2*msgBytes { // entries sorts two: more, in the order they came
+		b = append(b, orphans...)
+	} else {
+		entries(orphans, msgBytes)
 	}
 	for fi := range w.fwd {
 		for vi := range xviews {
@@ -263,7 +327,8 @@ func (w *world) keyUnder(sf, sv int) string {
 			if s == nil {
 				continue
 			}
-			if l := s.lease.Load(); l != nil && l.expires.After(w.now) {
+			// An expired lease counts too: a renewal extends it.
+			if l := s.lease.Load(); l != nil {
 				b = append(b, 'l', tag(l.tag), w.rel(l.expires))
 			}
 			fs := scratch[:0]
@@ -320,10 +385,21 @@ func (e event) String() string {
 		return fmt.Sprintf("%s changes, and a is invalidated over it", xviews[e.v])
 	case "change":
 		return fmt.Sprintf("%s changes, unannounced", xviews[e.v])
+	case "renew":
+		return fmt.Sprintf("a renews the leases invalidation #%d took back", e.i)
 	case "tell":
+		if e.flag {
+			return fmt.Sprintf("%s receives the renewing revocation of invalidation #%d and takes its lease back", e.holder, e.i)
+		}
 		return fmt.Sprintf("%s revokes for invalidation #%d and a hears it", e.holder, e.i)
+	case "install":
+		return fmt.Sprintf("%s applies the renewal of invalidation #%d and a hears it", e.holder, e.i)
 	case "waitout":
 		return fmt.Sprintf("a has waited out %s for invalidation #%d", e.holder, e.i)
+	case "late":
+		return fmt.Sprintf("%s receives an unheard renewing revocation (#%d) and takes its lease back", member(e.f), e.i)
+	case "lateinstall":
+		return fmt.Sprintf("%s applies that unheard renewal (#%d)", member(e.f), e.i)
 	case "acknowledge":
 		return fmt.Sprintf("  and a acknowledges invalidation #%d", e.i)
 	case "refetch":
@@ -380,14 +456,28 @@ func (w *world) events() []event {
 		}
 	}
 	for i, p := range w.revs {
+		if !p.decided {
+			es = append(es, event{kind: "renew", i: i})
+			continue
+		}
 		for j, t := range p.r.tell {
-			if !p.done[j] {
-				es = append(es, event{kind: "tell", i: i, j: j, holder: t.holder})
-				if !w.now.Before(t.until) {
-					es = append(es, event{kind: "waitout", i: i, j: j, holder: t.holder})
-				}
+			switch m := p.msgs[j]; m.stage {
+			case unsent:
+				es = append(es, event{kind: "tell", i: i, j: j, holder: t.holder, flag: m.rn.Tag != ""})
+			case taking:
+				es = append(es, event{kind: "install", i: i, j: j, holder: t.holder})
+			}
+			if p.msgs[j].stage != heard && !w.now.Before(t.until) {
+				es = append(es, event{kind: "waitout", i: i, j: j, holder: t.holder})
 			}
 		}
+	}
+	for k, m := range w.orphans {
+		kind := "late"
+		if m.stage == taking {
+			kind = "lateinstall"
+		}
+		es = append(es, event{kind: kind, i: k, f: m.f})
 	}
 	if w.owner != nil && w.left.faults > 0 {
 		es = append(es, event{kind: "crash"})
@@ -452,7 +542,7 @@ func (w *world) apply(e event) (ok bool, err error) {
 		}
 	case "invalidate":
 		w.left.changes--
-		p := pending{floor: [2]int{-1, -1}}
+		p := pending{floor: [2]int{-1, -1}, view: e.v, decided: e.v < 0}
 		var views []string
 		for v := range xviews {
 			if e.v < 0 || e.v == v {
@@ -465,20 +555,67 @@ func (w *world) apply(e event) (ok bool, err error) {
 			views = nil
 		}
 		p.r = w.owner.revoke(e.v < 0, views, w.now)
-		p.done = make([]bool, len(p.r.tell))
+		p.msgs = make([]message, len(p.r.tell))
+		for j, t := range p.r.tell {
+			p.msgs[j].f = slices.Index(forwarder, t.holder)
+		}
+		if e.v >= 0 && !w.degraded {
+			p.tag, p.readAt = w.tag(e.v), w.now
+		}
 		w.revs = append(w.revs, p)
+	case "renew":
+		p := &w.revs[e.i]
+		if p.tag != "" {
+			for j := range p.r.tell {
+				if t := &p.r.tell[j]; t.base != "" && t.base[0] != p.tag[0] {
+					t.base = "" // another incarnation's tag: no delta from it
+				}
+			}
+			w.owner.renew(p.r, xviews[p.view], p.tag, p.readAt)
+		}
+		for j := range p.msgs {
+			p.msgs[j].rn = p.r.tell[j].renewal
+		}
+		p.decided = true
 	case "change":
 		w.left.changes--
 		w.bump(e.v)
-	case "tell", "waitout":
+	case "tell":
 		p := &w.revs[e.i]
-		if t := p.r.tell[e.j]; e.kind == "tell" {
-			w.fwd[slices.Index(forwarder, t.holder)].revoked(t.views...)
+		m := &p.msgs[e.j]
+		if m.rn.Tag != "" {
+			w.take(m)
+			break
+		}
+		w.fwd[m.f].revoked(p.r.tell[e.j].views...)
+		w.owner.answered(p.r)
+		m.stage = heard
+	case "install":
+		p := &w.revs[e.i]
+		w.renewAt(p.msgs[e.j])
+		w.owner.answered(p.r)
+		p.msgs[e.j].stage = heard
+	case "waitout":
+		p := &w.revs[e.i]
+		if m := p.msgs[e.j]; m.rn.Tag != "" {
+			w.orphans = append(w.orphans, m)
 		}
 		w.owner.answered(p.r)
-		p.done[e.j] = true
+		p.msgs[e.j].stage = heard
+	case "late":
+		w.take(&w.orphans[e.i])
+	case "lateinstall":
+		w.renewAt(w.orphans[e.i])
+		w.orphans = slices.Delete(w.orphans, e.i, e.i+1)
 	case "crash":
 		w.left.faults--
+		for _, p := range w.revs {
+			for _, m := range p.msgs {
+				if p.decided && m.rn.Tag != "" && m.stage != heard {
+					w.orphans = append(w.orphans, m)
+				}
+			}
+		}
 		w.owner, w.deadAt, w.revs = nil, w.now, nil
 		for f := range w.fetches {
 			for v := range w.fetches[f] {
@@ -490,6 +627,26 @@ func (w *world) apply(e event) (ok bool, err error) {
 		w.owner = newProtocol(fleet, xviews, func(string) bool { return true }, w.now)
 	}
 	return true, w.acknowledge()
+}
+
+// take is renewing revocation m reaching its holder: the lease goes, as the
+// protocol says, and what it took is kept for the renewal.
+func (w *world) take(m *message) {
+	t := w.fwd[m.f].revoked(m.rn.View)
+	m.stage, m.slotted, m.epoch, m.lease = taking, t.slot != nil, t.epoch, t.lease
+}
+
+// renewAt is the holder of m, which took its lease back, applying the renewal:
+// the delta splices only into a record held under the renewal's base (the
+// transport's check), and the lease is the protocol's to install.
+func (w *world) renewAt(m message) {
+	v := slices.Index(xviews, m.rn.View)
+	rec := &w.held[m.f][v]
+	if !m.slotted || !rec.has || rec.tag != m.rn.Base {
+		return
+	}
+	*rec = record{has: true, ver: int(m.rn.Tag[2] - '0'), tag: m.rn.Tag, complete: true}
+	taken{slot: w.fwd[m.f].slots[m.rn.View], epoch: m.epoch, lease: m.lease}.renewed(m.rn, w.now)
 }
 
 // acknowledge answers every invalidation the protocol lets the owner

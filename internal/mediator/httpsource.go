@@ -366,6 +366,12 @@ type response struct {
 	member         bool
 }
 
+// responseOf is what a response with status, headers h and body brings back.
+func responseOf(status int, h http.Header, body string, member bool) response {
+	return response{status: status, body: body, etag: h.Get("ETag"),
+		im: h.Get("Im"), base: h.Get("Delta-Base"), runs: h.Get(RunsHeader), member: member}
+}
+
 // get performs a GET with bounded retries: transport errors and 5xx
 // responses back off exponentially (doubling up to DefaultHTTPMaxBackoff, with
 // equal-jitter randomization so a fleet of sources retrying the same dead
@@ -478,8 +484,7 @@ func (s *HTTPSource) tryGet(ctx context.Context, url string, held *keptDocument)
 	if err != nil {
 		return response{status: resp.StatusCode}, err
 	}
-	out := response{status: resp.StatusCode, body: body, etag: resp.Header.Get("ETag"),
-		im: resp.Header.Get("Im"), base: resp.Header.Get("Delta-Base"), runs: resp.Header.Get(RunsHeader), member: member}
+	out := responseOf(resp.StatusCode, resp.Header, body, member)
 	if fwd != nil && (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified || resp.StatusCode == http.StatusIMUsed) {
 		// Capture the peer's pruned/degraded/stale taxonomy so the
 		// forwarding node passes it through instead of erasing it.

@@ -3,6 +3,7 @@ package mediator
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"slices"
 	"strconv"
 	"strings"
@@ -210,6 +211,23 @@ func (s *HTTPSource) splice(held *keptDocument, resp response) (*keptDocument, e
 	next.doc = xmlmodel.Document{DocType: s.schema.Root, Root: &next.root}
 	next.kept.doc = &next.doc
 	return &next.kept, nil
+}
+
+// Renew splices a delta a cluster owner pushed inside a revocation — body, and
+// the headers h of the 226 it would have answered a fetch with — into the
+// record held: every check splice makes of a 226, against the tag the record
+// is held under, and the record is swapped only if it is still the one
+// spliced into. It counts as no fetch.
+func (s *HTTPSource) Renew(h http.Header, body string) error {
+	held := s.kept.Load()
+	next, err := s.splice(held, responseOf(http.StatusIMUsed, h, body, true))
+	if err != nil {
+		return err
+	}
+	if !s.kept.CompareAndSwap(held, next) {
+		return errors.New("the record moved while the delta was spliced")
+	}
+	return nil
 }
 
 // retains checks what the spliced document next keeps alive — each body one

@@ -268,19 +268,30 @@ func (s *statsCounters) recordSimplify(pruned, dropped int, skipped bool) {
 
 // Stats returns a consistent snapshot of the serving counters, plus the
 // process-wide cache and validation counters and what the registered
-// sources' wrappers report.
-func (m *Mediator) Stats() Stats {
+// sources' wrappers report: what a /metrics scrape reads, with every view's
+// latency histograms and the bytes the part slots hold.
+func (m *Mediator) Stats() Stats { return m.snapshot(true) }
+
+// Counters is Stats without the per-view entries: Views is nil, and no
+// latency histogram is copied — most of what a snapshot used to allocate. A
+// caller that compares counters around a request reads these.
+func (m *Mediator) Counters() Stats { return m.snapshot(false) }
+
+// snapshot is Stats when scrape is set, else Counters.
+func (m *Mediator) snapshot(scrape bool) Stats {
 	s := &m.stats
 	s.mu.Lock()
 	out := s.Stats
-	out.Views = make(map[string]ViewStats, len(s.views))
-	for name, vs := range s.views {
-		snap := *vs
-		if vh, ok := s.hists[name]; ok {
-			snap.QueryLatency = vh.query.Snapshot()
-			snap.MaterializeLatency = vh.materialize.Snapshot()
+	if scrape {
+		out.Views = make(map[string]ViewStats, len(s.views))
+		for name, vs := range s.views {
+			snap := *vs
+			if vh, ok := s.hists[name]; ok {
+				snap.QueryLatency = vh.query.Snapshot()
+				snap.MaterializeLatency = vh.materialize.Snapshot()
+			}
+			out.Views[name] = snap
 		}
-		out.Views[name] = snap
 	}
 	s.mu.Unlock()
 	out.StreamValidation = dtd.StreamValidationStats()

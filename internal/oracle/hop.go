@@ -56,8 +56,11 @@ func (n *network) RoundTrip(req *http.Request) (*http.Response, error) {
 // hop is what a hop subject adds to a subject: its network, the forwarder's
 // node and its metrics after the last read checked, the owner's restart, and
 // want, the fetch the forwarder's next read of the view must make — "" for a
-// lease hit or a 304, when nothing changed since its last read; else "226",
-// "200" or "restart" (a whole document under the restarted owner's nonce).
+// lease hit or a 304, when nothing changed since its last read; "renewed"
+// after an invalidation whose revocation renewed the lease, for a hit on the
+// changed parts the revocation brought (or a 304, should the renewed lease
+// have run out); else "226", "200" or "restart" (a whole document under the
+// restarted owner's nonce).
 type hop struct {
 	net     *network
 	node    *cluster.Node
@@ -136,8 +139,9 @@ func (h *hop) check(st *Step, owner http.Handler, tally Tally) error {
 		"[200] 0 0 0": "200"}[fetch]
 	switch {
 	case h.want == "" && (got == "lease" || got == "304"), got != "" && got == h.want:
-	case h.want == "restart" && got == "200":
+	case h.want == "restart" && got == "200", h.want == "renewed" && got == "lease":
 		got = h.want
+	case h.want == "renewed" && got == "304":
 	default:
 		return fmt.Errorf("the owner's answers, lease hits, 304s and 226s spliced are %s: not the fetch %q calls for", fetch, h.want)
 	}

@@ -348,7 +348,14 @@ func (o *Oracle) newSubject(kind string, pruning, starved bool, seed int64) (*Su
 // invalidate posts to /invalidate of a stacked subject's lower mediator and
 // then of the owner: source i, or wholesale for i < 0. real says whether
 // some source serves another document since the subject last fetched it.
+// Across the hop, a real invalidation whose revocation renewed the
+// forwarder's lease calls for a hit on the renewed lease, and any other for
+// the delta (hop.check).
 func (s *Subject) invalidate(i int, real bool) error {
+	var renewed int64
+	if s.hop != nil {
+		renewed = s.hop.node.Metrics().RenewalsApplied
+	}
 	for level, h := range []*serve.Handler{s.below, s.owner} {
 		body, want := "", http.StatusNoContent
 		if h == nil {
@@ -365,6 +372,9 @@ func (s *Subject) invalidate(i int, real bool) error {
 	}
 	if s.hop != nil && real && s.hop.want == "" {
 		s.hop.want = "226"
+		if s.hop.node.Metrics().RenewalsApplied > renewed {
+			s.hop.want = "renewed"
+		}
 	}
 	return nil
 }
@@ -460,7 +470,7 @@ var (
 		"invalidation=" + InvalNone, "invalidation=" + InvalNoOp, "invalidation=" + InvalReal, "invalidation=" + InvalAll,
 		"conditional reads"}
 	nodeAxes = []string{"declared lengths", "chunked answers"}
-	hopAxes  = []string{"hop=lease", "hop=304", "hop=226", "hop=200", "hop=restart"}
+	hopAxes  = []string{"hop=lease", "hop=renewed", "hop=304", "hop=226", "hop=200", "hop=restart"}
 	kindAxes = map[string][]string{
 		KindTagged:   {"starved=true", "starved analyses not kept"},
 		KindUntagged: {"untagged refetches of bodies held", "cancelled readers"},
@@ -546,9 +556,10 @@ func (o *Oracle) Check(subjects []*Subject, view string, queries []string, tally
 	}
 	// change moves source i, if it has two documents, to its next one — and
 	// for InvalAll every other source that has two — and on every subject
-	// invalidates what moved, one source by name or all wholesale, restarts
-	// its owner then if restart is set and it is across the hop, and asks
-	// text four times.
+	// restarts its owner if restart is set and it is across the hop, then
+	// invalidates what moved, one source by name or all wholesale, and asks
+	// text four times. The restarted owner tells its forwarder of the
+	// invalidation in its start grace, renewing nothing: it granted nothing.
 	change := func(text, inval string, i int, restart bool) error {
 		if len(o.fleet.Sources[i].Docs) < 2 {
 			return nil
@@ -563,9 +574,12 @@ func (o *Oracle) Check(subjects []*Subject, view string, queries []string, tally
 			changed = -1
 		}
 		for _, s := range subjects {
-			err := invalidate(s, changed, inval, text)
-			if err == nil && restart && s.hop != nil {
+			var err error
+			if restart && s.hop != nil {
 				s.hop.want, err = "restart", s.hop.restart()
+			}
+			if err == nil {
+				err = invalidate(s, changed, inval, text)
 			}
 			for read := ReadFirst; read <= ReadCopied && err == nil; read++ {
 				_, err = ask(s, text, text, PlanText, read, inval, changed, "")
@@ -630,7 +644,7 @@ func (o *Oracle) Check(subjects []*Subject, view string, queries []string, tally
 		if err == nil && s.Kind == KindGuarded {
 			err = o.faults(s, view, queries, tally)
 		}
-		stats := s.Mediator.Stats()
+		stats := s.Mediator.Counters()
 		tally[s.Kind+" refetches of bodies held"] += int(stats.UnchangedBodies)
 		tally[s.Kind+" refetches answered 304"] += int(stats.NotModified)
 	}
@@ -643,14 +657,14 @@ func (o *Oracle) Check(subjects []*Subject, view string, queries []string, tally
 // outline of view, under the hop path, and refuse a revocation it cannot
 // read.
 func (s *Subject) checkEndpoints(view string) error {
-	before := s.Mediator.Stats()
+	before := s.Mediator.Counters()
 	for try := 0; try < 2; try++ {
 		got, own := send(s.Handler, http.MethodPost, "/views/"+view+"/query", "r = SELECT", ""), send(s.owner, http.MethodPost, "/views/"+view+"/query", "r = SELECT", "")
 		if got.Code != http.StatusBadRequest || got.Code != own.Code || got.Body.String() != own.Body.String() {
 			return fmt.Errorf("oracle: %s: a text that does not parse: %d %q, the owner %d %q", s, got.Code, got.Body, own.Code, own.Body)
 		}
 	}
-	if after := s.Mediator.Stats(); after.PlanCacheSize != before.PlanCacheSize || after.PlanTextHits+after.PlanHits != before.PlanTextHits+before.PlanHits {
+	if after := s.Mediator.Counters(); after.PlanCacheSize != before.PlanCacheSize || after.PlanTextHits+after.PlanHits != before.PlanTextHits+before.PlanHits {
 		return fmt.Errorf("oracle: %s: a text that does not parse left or found a plan", s)
 	}
 	if s.hop == nil {
@@ -702,10 +716,10 @@ func sendContext(ctx context.Context, h http.Handler, method, path, body, ifNone
 func (o *Oracle) do(st *Step, body, ifNoneMatch string, tally Tally) error {
 	s := st.Subject
 	cached := automata.CacheStats().Size
-	st.Before = s.Mediator.Stats()
+	st.Before = s.Mediator.Counters()
 	method, path := target(st.View, st.Query)
 	rec := send(s.Handler, method, path, body, ifNoneMatch)
-	st.After = s.Mediator.Stats()
+	st.After = s.Mediator.Counters()
 	st.Status, st.Body, st.Header, st.Tag = rec.Code, rec.Body.String(), rec.Header(), rec.Header().Get("ETag")
 	return o.verify(st, ifNoneMatch, automata.CacheStats().Size-cached, tally)
 }

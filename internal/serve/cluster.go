@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/mediator"
@@ -225,19 +227,47 @@ var leaseTermMillis = strconv.FormatInt(cluster.LeaseTerm.Milliseconds(), 10)
 
 // postRevoke is the lease holder's side of an owner's revocation: the leases
 // on the named views are dropped, and every fetch of them in flight is fenced
-// off, before the 204 that acknowledges it.
+// off, before the 204 that acknowledges it. A revocation that renews its one
+// view's lease has the delta it carries spliced and the lease installed
+// first (cluster.Node.Renewed); a renewal any check refuses leaves a plain
+// revocation, acknowledged all the same.
 func (h *Handler) postRevoke(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	var rev cluster.Revocation
-	if err := json.Unmarshal(body, &rev); err != nil {
-		http.Error(w, fmt.Sprintf("invalid revocation body: %v", err), http.StatusBadRequest)
+	views := cluster.RevocationViews(r.URL.RawQuery)
+	renewing := cluster.IsRenewal(r.Header)
+	switch {
+	case len(views) == 0:
+		http.Error(w, "a revocation names its views: ?view=", http.StatusBadRequest)
 		return
+	case renewing && len(views) != 1, !renewing && len(body) > 0:
+		http.Error(w, "a revocation's body renews the lease on its one view, under Delta-Base", http.StatusBadRequest)
+		return
+	case renewing:
+		outcome := "refused"
+		// The body is this request's own, never written again: the record
+		// it is spliced into may keep it as it is.
+		if h.cluster.Renewed(views[0], r.Header, unsafe.String(unsafe.SliceData(body), len(body))) {
+			outcome = "applied"
+		}
+		obs.SetAttr(r.Context(), obs.String("renewal", outcome))
+	default:
+		h.cluster.Revoked(views...)
 	}
-	h.cluster.Revoked(rev.Views...)
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// renewal is the owner's read of view after an invalidation, which renews its
+// holders' leases (cluster.Reader): a complete, live, tagged document under an
+// inference that did not degrade, as a grant asks.
+func (h *Handler) renewal(ctx context.Context, view string) (mediator.Answer, string, bool) {
+	a, stats, err := h.m.Read(ctx, mediator.Request{View: view})
+	if err != nil || stats.Tag == "" || a.View.Degraded {
+		return mediator.Answer{}, "", false
+	}
+	return a, stats.Tag, true
 }
 
 // getCluster serves the topology: the static cluster view (members, per-

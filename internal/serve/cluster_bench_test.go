@@ -7,6 +7,7 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -357,12 +358,17 @@ func TestForwardHopNotModifiedAllocs(t *testing.T) {
 }
 
 // TestForwardHopPartChangedAllocs ratchets the forwarded read after one part
-// of six changed, counted from the forwarder's handler in, the owner's
-// invalidation and its answer over loopback included: a GET, and a query
-// whose plan the forwarder holds. Before each read the third source switches
-// to its other document, and every read is answered by a delta (226) of that
-// part's run alone, spliced into the held document; the query walks that run
-// and finds the other five's picks in their memos. Measured 161 and 164 (175
+// of six changed unannounced — the owner's mediator invalidated directly, no
+// POST /invalidate, so no revocation renews anything: the path a change takes
+// to a forwarder once its lease has run out (the owner here grants none, so
+// every read is that one). Counted from the forwarder's handler in, the
+// owner's invalidation and its answer over loopback included: a GET, and a
+// query whose plan the forwarder holds. Before each read the third source
+// switches to its other document, and every read is answered by a delta (226)
+// of that part's run alone, spliced into the held document; the query walks
+// that run and finds the other five's picks in their memos. An announced
+// change is renewed with its revocation instead
+// (TestForwardHopRenewedAllocs). Measured 161 and 164 (175
 // and 178 at most under -race -cpu=1,2, in four runs); the ceilings are the
 // -race figures + 3 %, rounded up: 181 and 184. It was 164 and 167 while a
 // request's root span had a context of its own, a minted trace ID was a
@@ -405,4 +411,120 @@ func TestForwardHopPartChangedAllocs(t *testing.T) {
 			t.Errorf("forwarded %s: %v allocs, want ≤ %v", c.name, n, c.ceiling)
 		}
 	}
+}
+
+// TestForwardHopRenewedAllocs ratchets the renewed path: a one-part change
+// announced by POST /invalidate at a cluster owner, whose revocation brings
+// the forwarder the changed part's run and a lease on the new document. Three
+// figures, each counted in its own window of the process's allocations: the
+// holder's handling of the renewing revocation (its handler, the splice and
+// the install; the owner's invalidation, read and sending are not in it), and
+// the forwarded GET and query after it, which are lease hits on the renewed
+// document — within TestForwardHopNotModifiedAllocs' leased ceilings, 30 and
+// 31, without -race, though the first read of a renewed document streams
+// (GET) or walks (query) the run that moved where a read of an unchanged one
+// copies it. Owner and holder are served in memory. Measured 24, 28 and 30
+// (24.4, 30.6 and 34.1 at most under -race -cpu=1,2, in ten runs); the
+// ceilings are the -race figures + 3 %, rounded up: 26, 32 and 36.
+func TestForwardHopRenewedAllocs(t *testing.T) {
+	d, err := dtd.Parse(d1Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &changingSource{dtd: d}
+	med := mediator.New("campus")
+	if err := med.AddSource(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := med.DefineView(src.Name(), xmas.MustParse(
+		`members = SELECT X WHERE <department> X:<professor|gradStudent/> </department>`)); err != nil {
+		t.Fatal(err)
+	}
+	var ownerH, holderH *Handler
+	var revoking, revocations atomic.Uint64 // allocations in the holder's handling of revocations, and how many
+	holder := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != cluster.RevokePath {
+			holderH.ServeHTTP(w, r)
+			return
+		}
+		revoking.Add(mallocs(func() { holderH.ServeHTTP(w, r) }))
+		revocations.Add(1)
+	})
+	nodes, pinned := map[string]string{"alpha": "http://alpha", "beta": "http://beta"}, map[string][]string{"members": {"alpha"}}
+	ownerNode, err := cluster.NewNode(cluster.Config{Self: "alpha", Nodes: nodes, Pinned: pinned,
+		Client: &http.Client{Transport: handlerTransport{holder}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holderNode, err := cluster.NewNode(cluster.Config{Self: "beta", Nodes: nodes, Pinned: pinned,
+		Client: &http.Client{Transport: handlerTransport{http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { ownerH.ServeHTTP(w, r) })}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownerH, holderH = New(med, WithCluster(ownerNode)), New(mediator.New("beta-med"), WithCluster(holderNode))
+	const q = `r = SELECT P WHERE <members> P:<professor/> </members>`
+	const runs = 50
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct {
+		name, method, path, body string
+		ceiling                  float64
+	}{
+		{"GET", http.MethodGet, "/views/members", "", 32},
+		{"query", http.MethodPost, "/views/members/query", q, 36},
+	} {
+		read := func() string {
+			rec := serveOnce(holderH, c.method, c.path, c.body, "")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("forwarded %s: %d %s", c.name, rec.Code, rec.Body)
+			}
+			return rec.Body.String()
+		}
+		// change announces the source's next version to the owner: the
+		// holder is renewed on it.
+		change := func() {
+			src.version.Add(1)
+			rec := serveOnce(ownerH, http.MethodPost, "/invalidate", `{"source": "cs-dept"}`, "")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("POST /invalidate: %d %s", rec.Code, rec.Body)
+			}
+		}
+		read() // builds the transport, holds the document, is leased
+		read() // plans the query
+		change()
+		read()
+		before := holderNode.Metrics()
+		revoking.Store(0)
+		revocations.Store(0)
+		var reading uint64
+		for i := 0; i < runs; i++ {
+			change()
+			var body string
+			reading += mallocs(func() { body = read() })
+			if !strings.Contains(body, fmt.Sprintf(`"v%d"`, src.version.Load())) {
+				t.Fatalf("forwarded %s after renewal %d does not serve the new version", c.name, i)
+			}
+		}
+		after := holderNode.Metrics()
+		if applied, hits := after.RenewalsApplied-before.RenewalsApplied, after.LeaseHits-before.LeaseHits; applied != runs || hits != runs || revocations.Load() != runs {
+			t.Fatalf("%s: %d renewals applied and %d lease hits in %d revocations of %d changes", c.name, applied, hits, revocations.Load(), runs)
+		}
+		n, rev := float64(reading)/runs, float64(revoking.Load())/runs
+		t.Logf("forwarded %s after a renewal: %v allocs; the renewing revocation: %v", c.name, n, rev)
+		if n > c.ceiling {
+			t.Errorf("forwarded %s after a renewal: %v allocs, want ≤ %v", c.name, n, c.ceiling)
+		}
+		if rev > 26 {
+			t.Errorf("the holder's handling of a renewing revocation: %v allocs, want ≤ 26", rev)
+		}
+	}
+}
+
+// mallocs is how many allocations the process made while f ran.
+func mallocs(f func()) uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.Mallocs
+	f()
+	runtime.ReadMemStats(&m)
+	return m.Mallocs - before
 }

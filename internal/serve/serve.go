@@ -26,9 +26,10 @@
 //	POST /invalidate                have every cached view part ask its
 //	                                source again; with a {"source": name}
 //	                                JSON body, just that source's parts
-//	POST /cluster/revoke            (cluster mode) body: {"views": [...]};
-//	                                an owner takes back this node's leases
-//	                                on those views, acknowledged with 204
+//	POST /cluster/revoke?view=…     (cluster mode) an owner takes back this
+//	                                node's leases on the named views, and
+//	                                may renew one with the delta in the
+//	                                body; acknowledged with 204
 //
 // Queries posted to a view are answered through the mediator's
 // DTD-simplifying path; the X-Mix-Skipped/X-Mix-Pruned/X-Mix-Dropped-Names
@@ -170,7 +171,10 @@ func New(m *mediator.Mediator, opts ...Option) *Handler {
 // the affected views. An unknown source is a 404. In cluster mode the
 // answer waits until every member holding a lease on an affected view has
 // given it back or run out of it (cluster.Node.Revoke): after a 2xx no
-// forwarder serves the document the invalidation replaced.
+// forwarder serves the document the invalidation replaced. A scoped
+// invalidation first reads each affected view a member holds a lease on
+// (renewal), so that its revocation carries the parts that changed and a
+// lease on the new document; the 2xx waits for that read too.
 func (h *Handler) postInvalidate(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
@@ -201,7 +205,7 @@ func (h *Handler) postInvalidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if h.cluster != nil {
-		h.cluster.Revoke(r.Context(), views...)
+		h.cluster.Revoke(r.Context(), h.renewal, views...)
 	}
 	w.Header()["Content-Type"] = jsonType
 	_ = writeInvalidateReply(w, req.Source, views)
