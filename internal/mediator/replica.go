@@ -469,11 +469,19 @@ func (r *ReplicaSet) ReplicaStatus() ReplicaSetStatus {
 	return st
 }
 
-// Report implements Reporter: the set's status, then what its replicas
-// report (a ReplicaSet of HTTPSources keeps feeding Stats.Retries, one of
-// BreakerSources the breaker counters).
+// Report implements Reporter: the set's counters, and its status when the
+// report asks for statuses, then what its replicas report (a ReplicaSet of
+// HTTPSources keeps feeding Stats.Retries, one of BreakerSources the breaker
+// counters).
 func (r *ReplicaSet) Report(rep *SourceReport) {
-	rep.Replicas = append(rep.Replicas, r.ReplicaStatus())
+	rep.HedgedFetches += r.hedged.Load()
+	rep.HedgeWins += r.hedgeWins.Load()
+	rep.HedgesDenied += r.hedgesDenied.Load()
+	rep.Failovers += r.failovers.Load()
+	rep.StaleServes += r.staleServes.Load()
+	if rep.statuses {
+		rep.Replicas = append(rep.Replicas, r.ReplicaStatus())
+	}
 	for _, w := range r.replicas {
 		rep.Collect(w)
 	}

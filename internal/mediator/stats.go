@@ -272,9 +272,10 @@ func (s *statsCounters) recordSimplify(pruned, dropped int, skipped bool) {
 // latency histograms and the bytes the part slots hold.
 func (m *Mediator) Stats() Stats { return m.snapshot(true) }
 
-// Counters is Stats without the per-view entries: Views is nil, and no
-// latency histogram is copied — most of what a snapshot used to allocate. A
-// caller that compares counters around a request reads these.
+// Counters is Stats without the per-view entries and the replica statuses:
+// Views and Replicas are nil, and no latency histogram or replica health is
+// copied — most of what a snapshot used to allocate. A caller that compares
+// counters around a request reads these.
 func (m *Mediator) Counters() Stats { return m.snapshot(false) }
 
 // snapshot is Stats when scrape is set, else Counters.
@@ -316,19 +317,18 @@ func (m *Mediator) snapshot(scrape bool) Stats {
 	}
 	m.mu.Unlock()
 
-	rep := m.sourceReport()
+	rep := SourceReport{statuses: scrape}
+	m.collect(&rep)
 	out.Retries = rep.Retries
 	out.NotModified = rep.NotModified
 	out.UnchangedBodies = rep.UnchangedBodies
 	out.BreakerTrips = rep.BreakerTrips
 	out.BreakerRejections = rep.BreakerRejections
-	for _, rs := range rep.Replicas {
-		out.HedgedFetches += rs.HedgedFetches
-		out.HedgeWins += rs.HedgeWins
-		out.HedgesDenied += rs.HedgesDenied
-		out.Failovers += rs.Failovers
-		out.StaleServes += rs.StaleServes
-	}
+	out.HedgedFetches = rep.HedgedFetches
+	out.HedgeWins = rep.HedgeWins
+	out.HedgesDenied = rep.HedgesDenied
+	out.Failovers = rep.Failovers
+	out.StaleServes = rep.StaleServes
 	out.Replicas = rep.replicasBySource()
 	return out
 }
@@ -336,7 +336,9 @@ func (m *Mediator) snapshot(scrape bool) Stats {
 // ReplicaStatuses snapshots every replica set among the registered sources,
 // keyed by source name (the /readyz readiness probe evaluates these).
 func (m *Mediator) ReplicaStatuses() map[string]ReplicaSetStatus {
-	return m.sourceReport().replicasBySource()
+	rep := SourceReport{statuses: true}
+	m.collect(&rep)
+	return rep.replicasBySource()
 }
 
 // SourceReport is what the wrappers of a source count, summed over a
@@ -349,8 +351,12 @@ type SourceReport struct {
 	Deltas            int64
 	BreakerTrips      int64
 	BreakerRejections int64
-	// Replicas has one status per ReplicaSet, outermost first.
+	// The replica sets' counters, summed.
+	HedgedFetches, HedgeWins, HedgesDenied, Failovers, StaleServes int64
+	// Replicas has one status per ReplicaSet, outermost first, when the
+	// report was asked for them (statuses); nil otherwise.
 	Replicas []ReplicaSetStatus
+	statuses bool
 }
 
 // Reporter is the one optional interface beside Wrapper. Report adds the
@@ -378,17 +384,16 @@ func (r *SourceReport) replicasBySource() map[string]ReplicaSetStatus {
 	return out
 }
 
-// sourceReport collects the reports of every registered source.
-func (m *Mediator) sourceReport() *SourceReport {
+// collect adds the reports of every registered source to rep.
+func (m *Mediator) collect(rep *SourceReport) {
+	var buf [16]Wrapper // more sources make the list on the heap
 	m.mu.Lock()
-	wrappers := make([]Wrapper, 0, len(m.wrappers))
+	wrappers := buf[:0]
 	for _, w := range m.wrappers {
 		wrappers = append(wrappers, w)
 	}
 	m.mu.Unlock()
-	rep := &SourceReport{}
 	for _, w := range wrappers {
 		rep.Collect(w)
 	}
-	return rep
 }
