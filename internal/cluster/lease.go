@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,7 +25,7 @@ const LeaseTerm = time.Second
 //
 // A revocation is one wire format: POST RevokePath?view=v&view=w names the
 // views whose leases the owner takes back. It may renew the lease on its one
-// view in the same message (Renewal): then its body is the delta a 226 would
+// view in the same message (renewal): then its body is the delta a 226 would
 // bring a fetch of the view against the tag the lease was granted on — the
 // runs of the parts that moved — under that answer's headers, ETag,
 // Delta-Base, IM and mediator.RunsHeader, and mediator.LeaseHeader says, in
@@ -32,9 +33,32 @@ const LeaseTerm = time.Second
 // ends. A revocation with no view, or a body with no renewal, is refused.
 const RevokePath = "/cluster/revoke"
 
-// RevocationViews reads the views a revocation's query (?view=v&view=w)
+// Revocation is an owner's POST RevokePath arriving, its query rawQuery, its
+// headers h and its body body: this node's leases on the views it names are
+// taken back (Revoked), and a renewal it carries is applied (renewed). It
+// reports how the renewal went — "applied", "refused" or "" for none — and
+// fails, taking nothing back, on a revocation that names no view or whose body
+// renews nothing. The caller acknowledges once it returns.
+func (n *Node) Revocation(rawQuery string, h http.Header, body string) (renewal string, err error) {
+	views := revocationViews(rawQuery)
+	renewing := h.Get("Delta-Base") != ""
+	switch {
+	case len(views) == 0:
+		return "", errors.New("a revocation names its views: ?view=")
+	case renewing && len(views) != 1, !renewing && body != "":
+		return "", errors.New("a revocation's body renews the lease on its one view, under Delta-Base")
+	case !renewing:
+		n.Revoked(views...)
+		return "", nil
+	case n.renewed(views[0], h, body):
+		return "applied", nil
+	}
+	return "refused", nil
+}
+
+// revocationViews reads the views a revocation's query (?view=v&view=w)
 // names.
-func RevocationViews(rawQuery string) []string {
+func revocationViews(rawQuery string) []string {
 	var views []string
 	for rest := rawQuery; rest != ""; {
 		var field string
@@ -56,22 +80,21 @@ func (n *Node) Revoked(views ...string) {
 	n.leaseMu.Unlock()
 }
 
-// Renewed takes back this node's lease on view, as a revocation that renews
+// renewed takes back this node's lease on view, as a revocation that renews
 // it asked, and then applies the renewal, whose headers are h and whose body
 // is body: the delta is spliced into the transport record held under the
 // lease's tag — every check a 226 passes, and swapped only if the record is
 // still the one spliced into — and the lease installed on the new tag unless
 // a later revocation arrived meanwhile. Any check that fails leaves it a
-// plain revocation. It reports whether the renewal was applied; the caller
-// acknowledges once it returns.
-func (n *Node) Renewed(view string, h http.Header, body string) bool {
+// plain revocation. It reports whether the renewal was applied.
+func (n *Node) renewed(view string, h http.Header, body string) bool {
 	n.leaseMu.Lock()
 	t := n.lease.revoked(view)
 	n.leaseMu.Unlock()
 	rn, ok := renewalOf(view, h)
 	if ok {
 		f := n.landed(view)
-		ok = f != nil && f.splice(rn.Base, h, body)
+		ok = f != nil && f.splice(rn.base, h, body)
 	}
 	if ok {
 		now := n.now()
@@ -87,17 +110,14 @@ func (n *Node) Renewed(view string, h http.Header, body string) bool {
 	return ok
 }
 
-// IsRenewal reports whether a revocation's headers carry a renewal.
-func IsRenewal(h http.Header) bool { return h.Get("Delta-Base") != "" }
-
 // renewalOf reads the renewal of view a revocation's headers carry.
-func renewalOf(view string, h http.Header) (Renewal, bool) {
+func renewalOf(view string, h http.Header) (renewal, bool) {
 	base, tag := h.Get("Delta-Base"), h.Get("ETag")
 	ms, err := strconv.ParseInt(h.Get(mediator.LeaseHeader), 10, 64)
 	if base == "" || tag == "" || err != nil || ms < 0 || ms > LeaseTerm.Milliseconds() {
-		return Renewal{}, false
+		return renewal{}, false
 	}
-	return Renewal{View: view, Base: base, Tag: tag, Extend: time.Duration(ms) * time.Millisecond}, true
+	return renewal{view: view, base: base, tag: tag, extend: time.Duration(ms) * time.Millisecond}, true
 }
 
 // Offer reads what a lease on view would be granted against, for a request
@@ -221,19 +241,19 @@ func (n *Node) renew(ctx context.Context, r *revocation, read Reader) []delta {
 		runs := ""
 		for j := i; j < len(r.tell); j++ {
 			t := &r.tell[j]
-			if t.renewal.View != view {
+			if t.renewal.view != view {
 				continue
 			}
 			if deltas == nil {
 				deltas, runs = make([]delta, len(r.tell)), a.Runs()
 			}
-			if k := slices.IndexFunc(r.tell[:j], func(u told) bool { return u.renewal.View == view && u.base == t.base }); k >= 0 {
+			if k := slices.IndexFunc(r.tell[:j], func(u told) bool { return u.renewal.view == view && u.base == t.base }); k >= 0 {
 				deltas[j] = deltas[k]
 				continue
 			}
 			var b bytes.Buffer
 			if a.WriteDelta(&b, mediator.AppendMoved(movedBuf[:0], t.base, tag)) != nil {
-				t.renewal = Renewal{} // sent as a plain revocation
+				t.renewal = renewal{} // sent as a plain revocation
 				continue
 			}
 			deltas[j] = delta{body: b.Bytes(), runs: runs}
@@ -256,9 +276,9 @@ func (n *Node) sendRevocation(ctx context.Context, t *told, d delta) error {
 	if err != nil {
 		return err
 	}
-	if rn := t.renewal; rn.Tag != "" {
+	if rn := t.renewal; rn.tag != "" {
 		// The keys canonical, the values sliced from one array.
-		v := &[5]string{rn.Tag, rn.Base, mediator.RunsIM, d.runs, strconv.FormatInt(rn.Extend.Milliseconds(), 10)}
+		v := &[5]string{rn.tag, rn.base, mediator.RunsIM, d.runs, strconv.FormatInt(rn.extend.Milliseconds(), 10)}
 		h := req.Header
 		h["Etag"], h["Delta-Base"], h["Im"], h[mediator.RunsHeader], h[mediator.LeaseHeader] = v[0:1:1], v[1:2:2], v[2:3:3], v[3:4:4], v[4:5:5]
 	}

@@ -111,8 +111,8 @@ func urlOf(srv *httptest.Server) string { return "http://" + srv.Listener.Addr()
 
 // fleet is owner alpha and forwarder beta on one clock.
 type fleet struct {
-	src        *dept
-	med        *mediator.Mediator // the owner's
+	src              *dept
+	med              *mediator.Mediator // the owner's
 	owner, fwd       *cluster.Node
 	ownerURL, fwdURL string
 	// ownerGets counts the GET /views/members the owner was sent; hook, when
@@ -421,7 +421,7 @@ func newRecorder(t *testing.T) (*recorder, string) {
 			http.NotFound(w, req)
 			return
 		}
-		views := cluster.RevocationViews(req.URL.RawQuery)
+		views := req.URL.Query()["view"]
 		if len(views) == 0 {
 			http.Error(w, "no views", http.StatusBadRequest)
 			return

@@ -106,19 +106,19 @@ type told struct {
 	views   []string
 	until   time.Time
 	base    string
-	renewal Renewal
+	renewal renewal
 }
 
-// Renewal is a lease an owner grants inside a revocation of one view: the tag
+// renewal is a lease an owner grants inside a revocation of one view: the tag
 // the holder's lease was granted on, the view's tag now, and how much later
 // than the lease it takes back the new one ends. The holder's lease ended no
 // later than the owner's record of it, so the new one ends no later than the
 // owner's record of the renewal, now + LeaseTerm, whatever the message's
 // delay: the term runs on the holder's clock from the start of the lease it
 // replaces, which began before the owner granted it.
-type Renewal struct {
-	View, Base, Tag string
-	Extend          time.Duration
+type renewal struct {
+	view, base, tag string
+	extend          time.Duration
 }
 
 func (r *revocation) add(holder, view string, until time.Time, base string) {
@@ -195,7 +195,7 @@ func (p *protocol) renew(r *revocation, view, tag string, now time.Time) {
 			continue
 		}
 		l.holders[t.holder] = granted{until: until, tag: tag}
-		t.renewal = Renewal{View: view, Base: t.base, Tag: tag, Extend: until.Sub(t.until)}
+		t.renewal = renewal{view: view, base: t.base, tag: tag, extend: until.Sub(t.until)}
 	}
 }
 
@@ -246,20 +246,20 @@ type taken struct {
 }
 
 // renewed is the renewal rn, carried by the revocation that took t, arriving
-// at now with the record it renews spliced in: it installs a lease on rn.Tag
+// at now with the record it renews spliced in: it installs a lease on rn.tag
 // unless a later revocation of the view arrived since, or the lease taken was
-// not on rn.Base — then the renewal is not the one the owner granted against
-// that lease — and reports whether it did. The new lease ends rn.Extend after
+// not on rn.base — then the renewal is not the one the owner granted against
+// that lease — and reports whether it did. The new lease ends rn.extend after
 // the one taken, and is not kept if that has passed.
-func (t taken) renewed(rn Renewal, now time.Time) bool {
-	if t.slot == nil || t.lease == nil || t.lease.tag != rn.Base || t.slot.epoch.Load() != t.epoch {
+func (t taken) renewed(rn renewal, now time.Time) bool {
+	if t.slot == nil || t.lease == nil || t.lease.tag != rn.base || t.slot.epoch.Load() != t.epoch {
 		return false
 	}
-	expires := t.lease.expires.Add(rn.Extend)
+	expires := t.lease.expires.Add(rn.extend)
 	if !now.Before(expires) {
 		return false
 	}
-	t.slot.lease.Store(&heldLease{tag: rn.Tag, expires: expires})
+	t.slot.lease.Store(&heldLease{tag: rn.tag, expires: expires})
 	return true
 }
 

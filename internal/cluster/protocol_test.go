@@ -132,7 +132,7 @@ type pending struct {
 type message struct {
 	f       int
 	stage   int8
-	rn      Renewal
+	rn      renewal
 	slotted bool
 	epoch   uint64
 	lease   *heldLease
@@ -281,13 +281,13 @@ func (w *world) keyUnder(sf, sv int) string {
 	// msg appends message m's bytes: msgBytes of them.
 	msg := func(items []byte, m message) []byte {
 		moved, lease, expires := byte(0), byte(0), byte(0)
-		if s := w.fwd[m.f].slots[m.rn.View]; m.slotted && s != nil {
+		if s := w.fwd[m.f].slots[m.rn.view]; m.slotted && s != nil {
 			moved = byte(1 + bit(s.epoch.Load() != m.epoch))
 		}
 		if m.lease != nil {
 			lease, expires = tag(m.lease.tag), w.rel(m.lease.expires)
 		}
-		return append(items, byte(m.f^sf), byte(m.stage), tag(m.rn.Base), tag(m.rn.Tag), byte(m.rn.Extend/tick), moved, lease, expires)
+		return append(items, byte(m.f^sf), byte(m.stage), tag(m.rn.base), tag(m.rn.tag), byte(m.rn.extend/tick), moved, lease, expires)
 	}
 	const msgBytes = 8
 	var scratch [64]byte
@@ -463,7 +463,7 @@ func (w *world) events() []event {
 		for j, t := range p.r.tell {
 			switch m := p.msgs[j]; m.stage {
 			case unsent:
-				es = append(es, event{kind: "tell", i: i, j: j, holder: t.holder, flag: m.rn.Tag != ""})
+				es = append(es, event{kind: "tell", i: i, j: j, holder: t.holder, flag: m.rn.tag != ""})
 			case taking:
 				es = append(es, event{kind: "install", i: i, j: j, holder: t.holder})
 			}
@@ -583,7 +583,7 @@ func (w *world) apply(e event) (ok bool, err error) {
 	case "tell":
 		p := &w.revs[e.i]
 		m := &p.msgs[e.j]
-		if m.rn.Tag != "" {
+		if m.rn.tag != "" {
 			w.take(m)
 			break
 		}
@@ -597,7 +597,7 @@ func (w *world) apply(e event) (ok bool, err error) {
 		p.msgs[e.j].stage = heard
 	case "waitout":
 		p := &w.revs[e.i]
-		if m := p.msgs[e.j]; m.rn.Tag != "" {
+		if m := p.msgs[e.j]; m.rn.tag != "" {
 			w.orphans = append(w.orphans, m)
 		}
 		w.owner.answered(p.r)
@@ -611,7 +611,7 @@ func (w *world) apply(e event) (ok bool, err error) {
 		w.left.faults--
 		for _, p := range w.revs {
 			for _, m := range p.msgs {
-				if p.decided && m.rn.Tag != "" && m.stage != heard {
+				if p.decided && m.rn.tag != "" && m.stage != heard {
 					w.orphans = append(w.orphans, m)
 				}
 			}
@@ -632,7 +632,7 @@ func (w *world) apply(e event) (ok bool, err error) {
 // take is renewing revocation m reaching its holder: the lease goes, as the
 // protocol says, and what it took is kept for the renewal.
 func (w *world) take(m *message) {
-	t := w.fwd[m.f].revoked(m.rn.View)
+	t := w.fwd[m.f].revoked(m.rn.view)
 	m.stage, m.slotted, m.epoch, m.lease = taking, t.slot != nil, t.epoch, t.lease
 }
 
@@ -640,13 +640,13 @@ func (w *world) take(m *message) {
 // the delta splices only into a record held under the renewal's base (the
 // transport's check), and the lease is the protocol's to install.
 func (w *world) renewAt(m message) {
-	v := slices.Index(xviews, m.rn.View)
+	v := slices.Index(xviews, m.rn.view)
 	rec := &w.held[m.f][v]
-	if !m.slotted || !rec.has || rec.tag != m.rn.Base {
+	if !m.slotted || !rec.has || rec.tag != m.rn.base {
 		return
 	}
-	*rec = record{has: true, ver: int(m.rn.Tag[2] - '0'), tag: m.rn.Tag, complete: true}
-	taken{slot: w.fwd[m.f].slots[m.rn.View], epoch: m.epoch, lease: m.lease}.renewed(m.rn, w.now)
+	*rec = record{has: true, ver: int(m.rn.tag[2] - '0'), tag: m.rn.tag, complete: true}
+	taken{slot: w.fwd[m.f].slots[m.rn.view], epoch: m.epoch, lease: m.lease}.renewed(m.rn, w.now)
 }
 
 // acknowledge answers every invalidation the protocol lets the owner

@@ -229,32 +229,22 @@ var leaseTermMillis = strconv.FormatInt(cluster.LeaseTerm.Milliseconds(), 10)
 // on the named views are dropped, and every fetch of them in flight is fenced
 // off, before the 204 that acknowledges it. A revocation that renews its one
 // view's lease has the delta it carries spliced and the lease installed
-// first (cluster.Node.Renewed); a renewal any check refuses leaves a plain
-// revocation, acknowledged all the same.
+// first; a renewal any check refuses leaves a plain revocation, acknowledged
+// all the same (cluster.Node.Revocation).
 func (h *Handler) postRevoke(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	views := cluster.RevocationViews(r.URL.RawQuery)
-	renewing := cluster.IsRenewal(r.Header)
-	switch {
-	case len(views) == 0:
-		http.Error(w, "a revocation names its views: ?view=", http.StatusBadRequest)
+	// The body is this request's own, never written again: the record a
+	// renewal splices it into may keep it as it is.
+	renewal, err := h.cluster.Revocation(r.URL.RawQuery, r.Header, unsafe.String(unsafe.SliceData(body), len(body)))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	case renewing && len(views) != 1, !renewing && len(body) > 0:
-		http.Error(w, "a revocation's body renews the lease on its one view, under Delta-Base", http.StatusBadRequest)
-		return
-	case renewing:
-		outcome := "refused"
-		// The body is this request's own, never written again: the record
-		// it is spliced into may keep it as it is.
-		if h.cluster.Renewed(views[0], r.Header, unsafe.String(unsafe.SliceData(body), len(body))) {
-			outcome = "applied"
-		}
-		obs.SetAttr(r.Context(), obs.String("renewal", outcome))
-	default:
-		h.cluster.Revoked(views...)
+	}
+	if renewal != "" {
+		obs.SetAttr(r.Context(), obs.String("renewal", renewal))
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
