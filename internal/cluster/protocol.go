@@ -113,9 +113,9 @@ type told struct {
 // the holder's lease was granted on, the view's tag now, and how much later
 // than the lease it takes back the new one ends. The holder's lease ended no
 // later than the owner's record of it, so the new one ends no later than the
-// owner's record of the renewal, now + LeaseTerm, whatever the message's
-// delay: the term runs on the holder's clock from the start of the lease it
-// replaces, which began before the owner granted it.
+// owner's record of the renewal, a term from the start of its read, whatever
+// the message's delay: the term runs on the holder's clock from the start of
+// the lease it replaces, which began before the owner granted it.
 type renewal struct {
 	view, base, tag string
 	extend          time.Duration
@@ -176,19 +176,21 @@ func (p *protocol) revoke(all bool, views []string, now time.Time) *revocation {
 	return r
 }
 
-// renew is the owner's read of view after r revoked it, under tag, arriving
-// at now: each holder r tells of view alone, on a lease granted on another
-// tag, is granted a lease on tag in the same message — recorded as a grant at
-// now, whose renewal extends the lease the holder had by the time between
-// the two grants — unless a revocation begun after r moved view's epoch or
-// the wholesale one. Nothing is renewed by a wholesale revocation.
-func (p *protocol) renew(r *revocation, view, tag string, now time.Time) {
+// renew is the owner's read of view after r revoked it, begun at read,
+// returning the document tag: each holder r tells of view alone, on a lease
+// granted on another tag, is granted a lease on tag in the same message —
+// recorded as a grant at read (a change the read did not see is then visible
+// within a term of it), whose renewal extends the lease the holder had by the
+// time between the two grants — unless a revocation begun after r moved
+// view's epoch or the wholesale one. Nothing is renewed by a wholesale
+// revocation.
+func (p *protocol) renew(r *revocation, view, tag string, read time.Time) {
 	i := slices.Index(r.views, view)
 	l := p.views[view]
 	if i < 0 || l == nil || r.epochs[i] != l.epoch || r.all != p.all || tag == "" {
 		return
 	}
-	until := now.Add(LeaseTerm)
+	until := read.Add(LeaseTerm)
 	for j := range r.tell {
 		t := &r.tell[j]
 		if t.base == "" || t.base == tag || t.views[0] != view {
@@ -227,7 +229,7 @@ func (p *protocol) slot(view string) *leaseSlot {
 // revoked is an owner's revocation of views arriving: their leases go, and
 // every fetch of them in flight is fenced off. A view with no slot has no
 // lease and no fetch in flight. What it returns is what a renewal the
-// revocation carries for its one view is installed against (leaseSlot.renewed).
+// revocation carries for its one view is installed against (taken.renewed).
 func (p *protocol) revoked(views ...string) (t taken) {
 	for _, v := range views {
 		if s := p.slots[v]; s != nil {
