@@ -165,6 +165,24 @@ type world struct {
 	revs    []pending
 	orphans []message // renewals on their way that nobody waits for
 	acked   []uint64  // the invalidations the last event let the owner acknowledge
+	// shared says which of the owner's and the forwarders' protocols this
+	// world still shares with the one it was cloned from: a protocol is
+	// copied before its first change (own, ownFwd).
+	shared [3]bool
+}
+
+// own makes the owner's protocol this world's own before it changes.
+func (w *world) own() {
+	if w.shared[2] && w.owner != nil {
+		w.owner, w.shared[2] = w.owner.clone(), false
+	}
+}
+
+// ownFwd makes forwarder f's protocol this world's own before it changes.
+func (w *world) ownFwd(f int) {
+	if w.shared[f] {
+		w.fwd[f], w.shared[f] = w.fwd[f].clone(), false
+	}
 }
 
 func member(f int) string { return forwarder[f] }
@@ -205,11 +223,8 @@ func (p *protocol) clone() *protocol {
 func (w *world) clone() *world {
 	c := *w
 	c.acked = nil
-	if w.owner != nil {
-		c.owner = w.owner.clone()
-	}
+	c.shared = [3]bool{true, true, true}
 	for f := range w.fwd {
-		c.fwd[f] = w.fwd[f].clone()
 		for v := range w.fetches[f] {
 			c.fetches[f][v] = slices.Clone(w.fetches[f][v])
 		}
@@ -504,6 +519,7 @@ func (w *world) apply(e event) (ok bool, err error) {
 		w.left.ticks--
 	case "read":
 		w.left.reads--
+		w.ownFwd(e.f)
 		slot, rec := w.fwd[e.f].slot(xviews[e.v]), w.held[e.f][e.v]
 		if rec.has && slot.hit(w.now, rec.tag) {
 			return true, w.hit(e.f, e.v, slot, rec)
@@ -526,6 +542,7 @@ func (w *world) apply(e event) (ok bool, err error) {
 		w.held[e.f][e.v] = record{has: true, ver: w.ver[e.v], tag: tag, complete: kind == complete}
 	case "respond":
 		fe := &w.fetches[e.f][e.v][e.i]
+		w.own()
 		if fe.leasable && w.owner.grant(fe.offer, fe.tag, fe.kind == degraded, w.now) {
 			fe.term = LeaseTerm
 		}
@@ -535,6 +552,7 @@ func (w *world) apply(e event) (ok bool, err error) {
 		w.fetches[e.f][e.v] = slices.Delete(w.fetches[e.f][e.v], e.i, e.i+1)
 		w.held[e.f][e.v] = record{has: true, ver: fe.ver, tag: fe.tag, complete: fe.kind == complete}
 		if fe.term > 0 {
+			w.ownFwd(e.f)
 			w.fwd[e.f].slot(xviews[e.v]).install(fe.asked, fe.tag, fe.term, w.now)
 		}
 		if fe.ver < fe.floor {
@@ -554,6 +572,7 @@ func (w *world) apply(e event) (ok bool, err error) {
 		if e.v < 0 {
 			views = nil
 		}
+		w.own()
 		p.r = w.owner.revoke(e.v < 0, views, w.now)
 		p.msgs = make([]message, len(p.r.tell))
 		for j, t := range p.r.tell {
@@ -571,6 +590,7 @@ func (w *world) apply(e event) (ok bool, err error) {
 					t.base = "" // another incarnation's tag: no delta from it
 				}
 			}
+			w.own()
 			w.owner.renew(p.r, xviews[p.view], p.tag, p.readAt)
 		}
 		for j := range p.msgs {
@@ -587,6 +607,7 @@ func (w *world) apply(e event) (ok bool, err error) {
 			w.take(m)
 			break
 		}
+		w.ownFwd(m.f)
 		w.fwd[m.f].revoked(p.r.tell[e.j].views...)
 		w.owner.answered(p.r)
 		m.stage = heard
@@ -624,7 +645,7 @@ func (w *world) apply(e event) (ok bool, err error) {
 		}
 	case "restart":
 		w.nonce, w.degraded = w.nonce+1, e.flag
-		w.owner = newProtocol(fleet, xviews, func(string) bool { return true }, w.now)
+		w.owner, w.shared[2] = newProtocol(fleet, xviews, func(string) bool { return true }, w.now), false
 	}
 	return true, w.acknowledge()
 }
@@ -632,6 +653,7 @@ func (w *world) apply(e event) (ok bool, err error) {
 // take is renewing revocation m reaching its holder: the lease goes, as the
 // protocol says, and what it took is kept for the renewal.
 func (w *world) take(m *message) {
+	w.ownFwd(m.f)
 	t := w.fwd[m.f].revoked(m.rn.view)
 	m.stage, m.slotted, m.epoch, m.lease = taking, t.slot != nil, t.epoch, t.lease
 }
@@ -646,6 +668,7 @@ func (w *world) renewAt(m message) {
 		return
 	}
 	*rec = record{has: true, ver: int(m.rn.tag[2] - '0'), tag: m.rn.tag, complete: true}
+	w.ownFwd(m.f)
 	taken{slot: w.fwd[m.f].slots[m.rn.view], epoch: m.epoch, lease: m.lease}.renewed(m.rn, w.now)
 }
 
@@ -653,6 +676,9 @@ func (w *world) renewAt(m message) {
 // acknowledge, as soon as it does — the floor of what later reads may return
 // rises at the earliest moment — and notes them in acked.
 func (w *world) acknowledge() error {
+	if len(w.revs) > 0 {
+		w.own()
+	}
 	for i := 0; i < len(w.revs); i++ {
 		p := w.revs[i]
 		if !w.owner.acknowledged(p.r) {
