@@ -75,7 +75,7 @@ lint:
 # room (internal/obs), and the root span's context a request keeps in its
 # response writer, read by a goroutine that outlives the request
 # (internal/serve). The exploration of the lease protocol
-# (TestLeaseProtocolExplored, ≈ 35 s under -race) starts no goroutine: it runs
+# (TestLeaseProtocolExplored, ≈ 55 s under -race) starts no goroutine: it runs
 # once, in `go test -race ./...`, and both repeating lines skip it.
 test:
 	go test ./...
