@@ -627,6 +627,66 @@ func TestRenewalAfterALaterRevocationGrantsNothing(t *testing.T) {
 	}
 }
 
+// A holder granted a lease while the owner read the view to renew it — it
+// asked again, restarted or with its own lease run out — holds the later
+// grant, and the renewal does not shorten the owner's record of it. The
+// holder answers no revocation, so the next invalidation must wait it out to
+// the end of that later grant: with the record shortened it would be
+// acknowledged while the holder still served the replaced document.
+func TestRenewalLeavesALaterGrantStanding(t *testing.T) {
+	ctx := context.Background()
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	d, err := dtd.Parse(deptDTD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &dept{d: d}
+	src.set(t, "ada", "bob")
+	med := mediator.New("alpha-med")
+	if err := med.AddSource(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := med.DefineView("dept", xmas.MustParse(`members = SELECT X WHERE <dept> X:<prof/> </dept>`)); err != nil {
+		t.Fatal(err)
+	}
+	clock := newClock()
+	n := newNode(t, "alpha", map[string]string{"alpha": "http://unused", "beta": gone.URL}, clock)
+	clock.advance(cluster.LeaseTerm)
+	_, stats, err := med.Read(ctx, mediator.Request{View: "members"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o, _ := n.Offer("members", "beta"); !n.Grant(o, stats.Tag, false) {
+		t.Fatal("no grant")
+	}
+	src.set(t, "ada", "bob", "cy")
+	if _, err := med.InvalidateSource("dept"); err != nil {
+		t.Fatal(err)
+	}
+	var later time.Time
+	read := func(ctx context.Context, view string) (mediator.Answer, string, bool) {
+		a, stats, err := med.Read(ctx, mediator.Request{View: view})
+		clock.advance(cluster.LeaseTerm / 2)
+		if o, _ := n.Offer(view, "beta"); !n.Grant(o, stats.Tag, false) {
+			t.Error("beta's GET during the read was granted no lease")
+		}
+		later = n.GrantExpiry(view, "beta")
+		return a, stats.Tag, err == nil && stats.Tag != ""
+	}
+	n.Revoke(ctx, read, "members")
+	if got := n.GrantExpiry("members", "beta"); !got.Equal(later) {
+		t.Fatalf("the renewal moved the grant made during its read from %v to %v", later, got)
+	}
+	n.Revoke(ctx, nil, "members")
+	if at := clock.reading(); !at.Equal(later) {
+		t.Errorf("the next invalidation returned at %v; beta's later grant ends at %v", at, later)
+	}
+	if m := n.Metrics(); m.RevocationsSent != 2 || m.RevocationsWaitedOut != 2 {
+		t.Errorf("%d revocations sent, %d waited out; want 2 and 2", m.RevocationsSent, m.RevocationsWaitedOut)
+	}
+}
+
 // A renewal is a grant: the owner's next invalidation tells the forwarder
 // again, and renews it again.
 func TestRenewedLeaseIsRevokedLikeAGrant(t *testing.T) {
@@ -657,11 +717,11 @@ func TestRenewalRacesAForwardedFetch(t *testing.T) {
 	f := newFleet(t, clock, nil)
 	f.read(t)
 	release, held := make(chan struct{}), make(chan struct{})
-	hook := func() {
-		select {
-		case held <- struct{}{}:
+	var first atomic.Bool
+	hook := func() { // holds the first GET, whenever it comes
+		if first.CompareAndSwap(false, true) {
+			close(held)
 			<-release
-		default:
 		}
 	}
 	f.hook.Store(&hook)

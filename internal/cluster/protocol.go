@@ -100,13 +100,14 @@ type revocation struct {
 // is the tag its lease was granted on when it is told of one view alone, on
 // a lease it was granted ("" otherwise: it is told more, or told for the
 // start grace alone); renewal is the lease renew grants it with the
-// revocation, if any.
+// revocation, if any, and delta the body that carries it (Node.renew).
 type told struct {
 	holder  string
 	views   []string
 	until   time.Time
 	base    string
 	renewal renewal
+	delta   delta
 }
 
 // renewal is a lease an owner grants inside a revocation of one view: the tag
@@ -177,14 +178,17 @@ func (p *protocol) revoke(all bool, views []string, now time.Time) *revocation {
 }
 
 // renew is the owner's read of view after r revoked it, begun at read,
-// returning the document tag: each holder r tells of view alone, on a lease
-// granted on another tag, is granted a lease on tag in the same message —
-// recorded as a grant at read (a change the read did not see is then visible
-// within a term of it), whose renewal extends the lease the holder had by the
-// time between the two grants — unless a revocation begun after r moved
-// view's epoch or the wholesale one. Nothing is renewed by a wholesale
-// revocation.
-func (p *protocol) renew(r *revocation, view, tag string, read time.Time) {
+// returning the document tag: each holder r tells of view alone, whose lease
+// was granted on another version of the document (moved(base, tag): a delta
+// leads from the one tag to the other), is granted a lease on tag in the same
+// message — recorded as a grant at read (a change the read did not see is
+// then visible within a term of it), whose renewal extends the lease the
+// holder had by the time between the two grants — unless a revocation begun
+// after r moved view's epoch or the wholesale one. A holder granted a lease
+// since r revoked it — its GET came while the owner read — holds one r did
+// not take: it is not renewed, and its record stands. Nothing is renewed by a
+// wholesale revocation.
+func (p *protocol) renew(r *revocation, view, tag string, read time.Time, moved func(base, tag string) bool) {
 	i := slices.Index(r.views, view)
 	l := p.views[view]
 	if i < 0 || l == nil || r.epochs[i] != l.epoch || r.all != p.all || tag == "" {
@@ -193,7 +197,10 @@ func (p *protocol) renew(r *revocation, view, tag string, read time.Time) {
 	until := read.Add(LeaseTerm)
 	for j := range r.tell {
 		t := &r.tell[j]
-		if t.base == "" || t.base == tag || t.views[0] != view {
+		if t.base == "" || t.views[0] != view || !moved(t.base, tag) {
+			continue
+		}
+		if _, ok := l.holders[t.holder]; ok {
 			continue
 		}
 		l.holders[t.holder] = granted{until: until, tag: tag}
@@ -247,14 +254,20 @@ type taken struct {
 	lease *heldLease
 }
 
+// applies reports whether the renewal rn, carried by the revocation that took
+// t, is still the one the owner granted against the lease taken: that lease
+// was on rn.base, and no later revocation of the view arrived since. Only
+// then is its delta spliced into the record; renewed asks again once it is.
+func (t taken) applies(rn renewal) bool {
+	return t.slot != nil && t.lease != nil && t.lease.tag == rn.base && t.slot.epoch.Load() == t.epoch
+}
+
 // renewed is the renewal rn, carried by the revocation that took t, arriving
 // at now with the record it renews spliced in: it installs a lease on rn.tag
-// unless a later revocation of the view arrived since, or the lease taken was
-// not on rn.base — then the renewal is not the one the owner granted against
-// that lease — and reports whether it did. The new lease ends rn.extend after
-// the one taken, and is not kept if that has passed.
+// unless it no longer applies, and reports whether it did. The new lease ends
+// rn.extend after the one taken, and is not kept if that has passed.
 func (t taken) renewed(rn renewal, now time.Time) bool {
-	if t.slot == nil || t.lease == nil || t.lease.tag != rn.base || t.slot.epoch.Load() != t.epoch {
+	if !t.applies(rn) {
 		return false
 	}
 	expires := t.lease.expires.Add(rn.extend)

@@ -505,6 +505,10 @@ func (w *world) events() []event {
 // tag is view v's tag now: the owner's incarnation, the view, the version.
 func (w *world) tag(v int) string { return fmt.Sprintf("%d%s%d", w.nonce, xviews[v], w.ver[v]) }
 
+// movedTag reports whether tag is another version of the document base
+// tagged — of the same incarnation and view — as protocol.renew asks.
+func movedTag(base, tag string) bool { return base != tag && base[:2] == tag[:2] }
+
 func (w *world) bump(v int) {
 	w.since[v][w.ver[v]] = w.now
 	w.ver[v]++
@@ -585,13 +589,8 @@ func (w *world) apply(e event) (ok bool, err error) {
 	case "renew":
 		p := &w.revs[e.i]
 		if p.tag != "" {
-			for j := range p.r.tell {
-				if t := &p.r.tell[j]; t.base != "" && t.base[0] != p.tag[0] {
-					t.base = "" // another incarnation's tag: no delta from it
-				}
-			}
 			w.own()
-			w.owner.renew(p.r, xviews[p.view], p.tag, p.readAt)
+			w.owner.renew(p.r, xviews[p.view], p.tag, p.readAt, movedTag)
 		}
 		for j := range p.msgs {
 			p.msgs[j].rn = p.r.tell[j].renewal
@@ -647,7 +646,49 @@ func (w *world) apply(e event) (ok bool, err error) {
 		w.nonce, w.degraded = w.nonce+1, e.flag
 		w.owner, w.shared[2] = newProtocol(fleet, xviews, func(string) bool { return true }, w.now), false
 	}
-	return true, w.acknowledge()
+	if err := w.acknowledge(); err != nil {
+		return true, err
+	}
+	return true, w.bounded()
+}
+
+// bounded checks (f): a lease a forwarder holds, while it runs, ends no later
+// than what the owner knows of it — its record of the holder's lease, the
+// lease a revocation took from that record and still waits to hear about, or
+// its start grace, which covers every lease its previous incarnation granted
+// — and, while the owner is down, a term after it died. (a) and (c) stand on
+// it: a holder the owner did not wait for holds no running lease.
+func (w *world) bounded() error {
+	for f := range w.fwd {
+		for _, view := range xviews {
+			s := w.fwd[f].slots[view]
+			if s == nil {
+				continue
+			}
+			l := s.lease.Load()
+			if l == nil || !w.now.Before(l.expires) {
+				continue
+			}
+			bound := w.deadAt.Add(LeaseTerm)
+			if w.owner != nil {
+				bound = w.owner.started.Add(LeaseTerm)
+				if g := w.owner.views[view].holders[member(f)]; g.until.After(bound) {
+					bound = g.until
+				}
+				for _, p := range w.revs {
+					for j, t := range p.r.tell {
+						if t.holder == member(f) && p.msgs[j].stage != heard && slices.Contains(t.views, view) && t.until.After(bound) {
+							bound = t.until
+						}
+					}
+				}
+			}
+			if l.expires.After(bound) {
+				return fmt.Errorf("(f) %s's lease on %s ends %v after the owner's record of it", member(f), view, l.expires.Sub(bound))
+			}
+		}
+	}
+	return nil
 }
 
 // take is renewing revocation m reaching its holder: the lease goes, as the
@@ -660,16 +701,21 @@ func (w *world) take(m *message) {
 
 // renewAt is the holder of m, which took its lease back, applying the renewal:
 // the delta splices only into a record held under the renewal's base (the
-// transport's check), and the lease is the protocol's to install.
+// transport's check) while the renewal applies to the lease taken, and the
+// lease is the protocol's to install.
 func (w *world) renewAt(m message) {
 	v := slices.Index(xviews, m.rn.view)
 	rec := &w.held[m.f][v]
 	if !m.slotted || !rec.has || rec.tag != m.rn.base {
 		return
 	}
-	*rec = record{has: true, ver: int(m.rn.tag[2] - '0'), tag: m.rn.tag, complete: true}
 	w.ownFwd(m.f)
-	taken{slot: w.fwd[m.f].slots[m.rn.view], epoch: m.epoch, lease: m.lease}.renewed(m.rn, w.now)
+	t := taken{slot: w.fwd[m.f].slots[m.rn.view], epoch: m.epoch, lease: m.lease}
+	if !t.applies(m.rn) {
+		return
+	}
+	*rec = record{has: true, ver: int(m.rn.tag[2] - '0'), tag: m.rn.tag, complete: true}
+	t.renewed(m.rn, w.now)
 }
 
 // acknowledge answers every invalidation the protocol lets the owner
