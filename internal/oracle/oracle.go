@@ -350,11 +350,12 @@ func (o *Oracle) newSubject(kind string, pruning, starved bool, seed int64) (*Su
 // some source serves another document since the subject last fetched it.
 // Across the hop, a real invalidation whose revocation renewed the
 // forwarder's lease calls for a hit on the renewed lease, and any other for
-// the delta (hop.check).
+// the delta (hop.check), which counts it after a renewal the forwarder
+// refused.
 func (s *Subject) invalidate(i int, real bool) error {
-	var renewed int64
+	var before cluster.Metrics
 	if s.hop != nil {
-		renewed = s.hop.node.Metrics().RenewalsApplied
+		before = s.hop.node.Metrics()
 	}
 	for level, h := range []*serve.Handler{s.below, s.owner} {
 		body, want := "", http.StatusNoContent
@@ -371,8 +372,9 @@ func (s *Subject) invalidate(i int, real bool) error {
 		s.held = ""
 	}
 	if s.hop != nil && real && s.hop.want == "" {
-		s.hop.want = "226"
-		if s.hop.node.Metrics().RenewalsApplied > renewed {
+		after := s.hop.node.Metrics()
+		s.hop.want, s.hop.refused = "226", after.RenewalsRefused > before.RenewalsRefused
+		if after.RenewalsApplied > before.RenewalsApplied {
 			s.hop.want = "renewed"
 		}
 	}
@@ -470,7 +472,7 @@ var (
 		"invalidation=" + InvalNone, "invalidation=" + InvalNoOp, "invalidation=" + InvalReal, "invalidation=" + InvalAll,
 		"conditional reads"}
 	nodeAxes = []string{"declared lengths", "chunked answers"}
-	hopAxes  = []string{"hop=lease", "hop=renewed", "hop=304", "hop=226", "hop=200", "hop=restart"}
+	hopAxes  = []string{"hop=lease", "hop=renewed", "hop=304", "hop=226", "hop=200", "hop=restart", "renewals refused"}
 	kindAxes = map[string][]string{
 		KindTagged:   {"starved=true", "starved analyses not kept"},
 		KindUntagged: {"untagged refetches of bodies held", "cancelled readers"},
@@ -513,10 +515,12 @@ func (t Tally) Vacuous(min int) error {
 // and then, each source in turn made to serve its next version, four times
 // after that source's invalidation. Then it asks the last text (one whose
 // picks are a root child's is answered from a forwarder's memos, which a
-// restart must not carry) four times after each of three more changes: of
-// the first source with two documents, every hop subject's owner restarted
-// first; of it again; and of every source at once, invalidated wholesale;
-// and checks each subject's endpoints (checkEndpoints). Every invalidation
+// restart must not carry) four times after each of four more changes
+// (closingRows): of the first source with two documents three times — every
+// hop subject's owner restarted after the invalidation, then before it, then
+// its renewal overtaken by a wholesale invalidation — and of every source at
+// once, invalidated wholesale; and checks each subject's endpoints
+// (checkEndpoints). Every invalidation
 // is a POST /invalidate to the subject's owner, followed on an untagged,
 // stacked or guarded subject by a burst of concurrent readers; each guarded
 // subject then runs its fault phase. Before each query it empties the
@@ -556,11 +560,11 @@ func (o *Oracle) Check(subjects []*Subject, view string, queries []string, tally
 	}
 	// change moves source i, if it has two documents, to its next one — and
 	// for InvalAll every other source that has two — and on every subject
-	// restarts its owner if restart is set and it is across the hop, then
 	// invalidates what moved, one source by name or all wholesale, and asks
-	// text four times. The restarted owner tells its forwarder of the
-	// invalidation in its start grace, renewing nothing: it granted nothing.
-	change := func(text, inval string, i int, restart bool) error {
+	// text four times. Across the hop, twist may restart the owner before
+	// the invalidation or after it, or have a wholesale invalidation
+	// overtake its renewal (closingRows).
+	change := func(text, inval string, i int, twist string) error {
 		if len(o.fleet.Sources[i].Docs) < 2 {
 			return nil
 		}
@@ -575,11 +579,22 @@ func (o *Oracle) Check(subjects []*Subject, view string, queries []string, tally
 		}
 		for _, s := range subjects {
 			var err error
-			if restart && s.hop != nil {
-				s.hop.want, err = "restart", s.hop.restart()
-			}
-			if err == nil {
+			switch {
+			case s.hop == nil || twist == "":
 				err = invalidate(s, changed, inval, text)
+			case twist == twistRestartBefore:
+				if s.hop.want, err = "restart", s.hop.restart(); err == nil {
+					err = invalidate(s, changed, inval, text)
+				}
+			case twist == twistRestartAfter:
+				if err = invalidate(s, changed, inval, text); err == nil {
+					if s.hop.want != "renewed" {
+						s.hop.want = "restart"
+					}
+					err = s.hop.restart()
+				}
+			case twist == twistOvertaken:
+				err = s.overtaken(func() error { return invalidate(s, changed, inval, text) })
 			}
 			for read := ReadFirst; read <= ReadCopied && err == nil; read++ {
 				_, err = ask(s, text, text, PlanText, read, inval, changed, "")
@@ -625,16 +640,16 @@ func (o *Oracle) Check(subjects []*Subject, view string, queries []string, tally
 			}
 		}
 		for i := range o.fleet.Sources {
-			if err := change(text, InvalReal, i, false); err != nil {
+			if err := change(text, InvalReal, i, ""); err != nil {
 				return err
 			}
 		}
 	}
 	var err error
 	first := slices.IndexFunc(o.fleet.Sources, func(s Source) bool { return len(s.Docs) > 1 })
-	for row, inval := range []string{InvalReal, InvalReal, InvalAll} {
+	for _, row := range closingRows {
 		if err == nil && first >= 0 {
-			err = change(queries[len(queries)-1], inval, first, row == 0)
+			err = change(queries[len(queries)-1], row.inval, first, row.twist)
 		}
 	}
 	for _, s := range subjects {
@@ -647,6 +662,82 @@ func (o *Oracle) Check(subjects []*Subject, view string, queries []string, tally
 		stats := s.Mediator.Counters()
 		tally[s.Kind+" refetches of bodies held"] += int(stats.UnchangedBodies)
 		tally[s.Kind+" refetches answered 304"] += int(stats.NotModified)
+	}
+	return err
+}
+
+// What a closing row of Check does across the hop besides its invalidation
+// (Check's change).
+const (
+	// twistRestartAfter restarts the owner after the invalidation: the lease
+	// its revocation renewed outlives the restart, so the forwarder's next
+	// read is a hit on the renewed document under the former owner's tag,
+	// and its first fetch of the new owner a whole document.
+	twistRestartAfter = "restart after"
+	// twistRestartBefore restarts the owner before the invalidation: the
+	// new owner tells the forwarder in its start grace and renews nothing —
+	// it granted nothing — so the next read is a whole document.
+	twistRestartBefore = "restart before"
+	// twistOvertaken has a wholesale invalidation's revocation reach the
+	// forwarder before the renewing one (Subject.overtaken): the renewal is
+	// refused, and the next read asks for the delta.
+	twistOvertaken = "overtaken"
+)
+
+// closingRows are Check's rows after the queries: each an invalidation of
+// the first source with two documents, or of every source, and its twist.
+var closingRows = []struct{ inval, twist string }{
+	{InvalReal, twistRestartAfter},
+	{InvalReal, twistRestartBefore},
+	{InvalReal, twistOvertaken},
+	{InvalAll, ""},
+}
+
+// overtaken runs invalidate, a scoped invalidation of a hop subject's owner,
+// with its renewing revocation held back until a wholesale invalidation of
+// the owner, begun meanwhile, has delivered its own revocation: the renewal
+// then finds the lease taken by a later revocation and must be refused. An
+// invalidation that renews nothing — the forwarder's lease had run out — is
+// left as it is.
+func (s *Subject) overtaken(invalidate func() error) error {
+	started, plain, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var werr error
+	s.hop.net.mu.Lock()
+	s.hop.net.intercept = func(req *http.Request, deliver func()) {
+		if req.Header.Get("Delta-Base") == "" {
+			deliver()
+			once.Do(func() { close(plain) })
+			return
+		}
+		close(started)
+		go func() {
+			if rec := send(s.owner, http.MethodPost, "/invalidate", "", ""); rec.Code != http.StatusNoContent {
+				werr = fmt.Errorf("oracle: %s: the overtaking POST /invalidate: %d %s", s, rec.Code, rec.Body)
+			}
+			close(done)
+		}()
+		select {
+		case <-plain:
+		case <-done: // it told nobody: the renewal goes as it is
+		}
+		deliver()
+	}
+	s.hop.net.mu.Unlock()
+	err := invalidate()
+	s.hop.net.mu.Lock()
+	s.hop.net.intercept = nil
+	s.hop.net.mu.Unlock()
+	select {
+	case <-started:
+	default:
+		return err
+	}
+	if <-done; err == nil {
+		err = werr
+	}
+	if err == nil && !s.hop.refused {
+		err = fmt.Errorf("oracle: %s: a renewal overtaken by a wholesale revocation was not refused", s)
 	}
 	return err
 }
