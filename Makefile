@@ -53,7 +53,10 @@ lint:
 # splice, which makes a member's memos with its runs and hands them on to the
 # record that replaces it, of the lease renewals a revocation carries, one of
 # which splices into a record while a forwarded fetch of it is in flight
-# (TestRenewalRacesAForwardedFetch), and internal/oracle's check across the hop
+# (TestRenewalRacesAForwardedFetch), of the revocation stream each owner holds
+# to each holder — frames written under its lock, acknowledgements credited by
+# its reader, a stream failed by a deadline while a write or a read is under
+# way (-run Revocation|Stream) — and internal/oracle's check across the hop
 # (TestOracleAcrossTheHop, ≈ 5 s a pass), twenty times. It skips the five
 # others that check against internal/oracle's naive mediator: the line above
 # runs them at -count=3 -cpu=1,2 already, and here they were ≈ 38 s of each
@@ -75,7 +78,7 @@ lint:
 # room (internal/obs), and the root span's context a request keeps in its
 # response writer, read by a goroutine that outlives the request
 # (internal/serve). The exploration of the lease protocol
-# (TestLeaseProtocolExplored, ≈ 55 s under -race) starts no goroutine: it runs
+# (TestLeaseProtocolExplored, ≈ 100 s under -race) starts no goroutine: it runs
 # once, in `go test -race ./...`, and both repeating lines skip it.
 test:
 	go test ./...
@@ -85,7 +88,7 @@ race:
 	go test -race ./...
 	go test -race -count=3 -cpu=1,2 -skip '^TestLeaseProtocolExplored$$' ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/ ./internal/obs/ ./internal/oracle/
 	go test -race -count=50 -cpu=1,2 -run 'TestFlight|TestPurgeFencesTheFlightInFlight|TestJoinerLeavesWithItsContext|TestPanicFailsWaitersAndPropagates|TestErrorIsTheLeadersOwn|TestSingleflightBlocksJoiners|TestConcurrentCompilerSingleflight|TestPlanSingleflight|TestSingleflightMaterialize|TestMaterializeFollowerCancellation|TestFollowerSurvives|TestTagNamesTheCalcTheJoinerEndedOn|TestRacedResultStaysAsPredecessor|TestInvalidateDiscardsInflightResult|TestMetricsSingleflightDedups|TestForwardBuildOncePerBurst|TestForwardJoinerLeavesWithItsContext|TestForwardIncompleteNotCached|TestFanOut|TestSimplifyReturnsWorkerPanic|TestEvalPoolAliasesNothing|TestScanPoolAliasesNothing|TestLonePartLeaderJoinersAndACancelledReader|TestPanickingWrapperFailsTheRead|TestOverflowKeepsEverything|TestRootContextOutlivesItsRequest' ./internal/automata/cache/ ./internal/automata/ ./internal/mediator/ ./internal/cluster/ ./internal/serve/ ./internal/infer/ ./internal/engine/ ./internal/xmlmodel/ ./internal/obs/
-	go test -race -count=20 -cpu=1,2 -timeout 15m -run 'Answer|Forward|Lease|Memo|Splice|Renew|TestOracleAcrossTheHop' -skip 'TestAnswersByPartEqualTheNaiveEvaluation|TestAnswerBytesEqualTheNaiveSerialization|TestPlanHitEqualsMissEqualsColdMemo|TestInferMemoDifferential|TestOracleWorkerPanicIsNoEmptyAnswer|TestLeaseProtocolExplored' ./internal/mediator/ ./internal/cluster/ ./internal/serve/ ./internal/oracle/
+	go test -race -count=20 -cpu=1,2 -timeout 15m -run 'Answer|Forward|Lease|Memo|Splice|Renew|Revocation|Stream|TestOracleAcrossTheHop' -skip 'TestAnswersByPartEqualTheNaiveEvaluation|TestAnswerBytesEqualTheNaiveSerialization|TestPlanHitEqualsMissEqualsColdMemo|TestInferMemoDifferential|TestOracleWorkerPanicIsNoEmptyAnswer|TestLeaseProtocolExplored' ./internal/mediator/ ./internal/cluster/ ./internal/serve/ ./internal/oracle/
 
 # Every allocation ratchet in the tree, by one name and without -race: a
 # binary built with the race detector allocates differently (escape

@@ -293,6 +293,12 @@ func main() {
 		IdleTimeout:       120 * time.Second,
 	}
 
+	if clusterNode != nil {
+		// A revocation stream lasts as long as its owner does: a draining
+		// server ends the ones it serves, and closes the ones it holds.
+		srv.RegisterOnShutdown(clusterNode.Close)
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *healthInterval > 0 {

@@ -18,6 +18,13 @@ func (n *Node) SetClock(now func() time.Time, sleep func(time.Duration)) {
 	n.lease.started = now()
 }
 
+// SetDeadline makes n notice a revocation not acknowledged by the end of its
+// lease with deadline, which runs f once the lease has run out unless the
+// function it returns stops it first.
+func (n *Node) SetDeadline(deadline func(d time.Duration, f func()) (stop func() bool)) {
+	n.deadline = deadline
+}
+
 // LeaseExpiry is when this node's lease on view ends by its clock; zero when
 // it holds none.
 func (n *Node) LeaseExpiry(view string) time.Time {

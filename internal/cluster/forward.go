@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"slices"
 	"sort"
 
@@ -270,13 +269,13 @@ func (n *Node) landed(view string) *Forward {
 	return nil
 }
 
-// splice splices a renewal's delta, with headers h, into the record of the
-// transport that holds the document tagged base (mediator.HTTPSource.Renew),
-// and reports whether it did.
-func (f *Forward) splice(base string, h http.Header, body string) bool {
+// splice splices the delta of a renewal fr into the record of the transport
+// that holds the document tagged base (mediator.HTTPSource.Renew), and
+// reports whether it did.
+func (f *Forward) splice(base string, fr *Frame) bool {
 	for _, s := range f.sources {
 		if _, tag, _ := s.Held(); tag == base {
-			return s.Renew(h, body) == nil
+			return s.Renew(fr.Tag, fr.Base, fr.Runs, fr.Delta) == nil
 		}
 	}
 	return false

@@ -4,12 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"io"
-	"net/http"
 	"net/url"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -23,43 +19,46 @@ const LeaseTerm = time.Second
 
 // RevokePath is the route a lease holder acknowledges revocations on.
 //
-// A revocation is one wire format: POST RevokePath?view=v&view=w names the
-// views whose leases the owner takes back. It may renew the lease on its one
-// view in the same message (renewal): then its body is the delta a 226 would
-// bring a fetch of the view against the tag the lease was granted on — the
-// runs of the parts that moved — under that answer's headers, ETag,
-// Delta-Base, IM and mediator.RunsHeader, and mediator.LeaseHeader says, in
-// milliseconds, how much later than the lease taken back the renewed one
-// ends. A revocation with no view, or a body with no renewal, is refused.
+// A revocation is one wire format: a Frame on the stream its owner holds open
+// to the holder, a POST RevokePath whose request body carries the owner's
+// frames and whose response body the holder's acknowledgements, one per
+// frame, each naming its frame's sequence number. A frame names the views
+// whose leases the owner takes back. It may renew the lease on its one view
+// in the same message (renewal): then it carries the delta a 226 would bring
+// a fetch of the view against the tag the lease was granted on — the runs of
+// the parts that moved — with that answer's ETag, Delta-Base and
+// mediator.RunsHeader, and, in milliseconds, how much later than the lease
+// taken back the renewed one ends. A frame with no view, or with a delta and
+// no renewal, is refused, and ends the stream.
 const RevokePath = "/cluster/revoke"
 
-// Revocation is an owner's POST RevokePath arriving, its query rawQuery, its
-// headers h and its body body: this node's leases on the views it names are
-// taken back (Revoked), and a renewal it carries is applied (renewed). It
-// reports how the renewal went — "applied", "refused" or "" for none — and
-// fails, taking nothing back, on a revocation that names no view or whose body
-// renews nothing. The caller acknowledges once it returns.
-func (n *Node) Revocation(rawQuery string, h http.Header, body string) (renewal string, err error) {
-	views := revocationViews(rawQuery)
-	renewing := h.Get("Delta-Base") != ""
+// Revocation is an owner's revocation f arriving: this node's leases on the
+// views it names are taken back (Revoked), and a renewal it carries is
+// applied (renewed). It reports how the renewal went — "applied", "refused"
+// or "" for none — and fails, taking nothing back, on a revocation that names
+// no view or whose delta renews nothing. The caller acknowledges once it
+// returns.
+func (n *Node) Revocation(f *Frame) (renewal string, err error) {
+	var buf [4]string
+	views := revocationViews(buf[:0], f.Views)
+	renewing := f.Base != ""
 	switch {
 	case len(views) == 0:
-		return "", errors.New("a revocation names its views: ?view=")
-	case renewing && len(views) != 1, !renewing && body != "":
-		return "", errors.New("a revocation's body renews the lease on its one view, under Delta-Base")
+		return "", errors.New("cluster: a revocation names its views: view=")
+	case renewing && len(views) != 1, !renewing && (f.Delta != "" || f.Tag != ""):
+		return "", errors.New("cluster: a revocation's delta renews the lease on its one view, under Delta-Base")
 	case !renewing:
 		n.Revoked(views...)
 		return "", nil
-	case n.renewed(views[0], h, body):
+	case n.renewed(views[0], f):
 		return "applied", nil
 	}
 	return "refused", nil
 }
 
-// revocationViews reads the views a revocation's query (?view=v&view=w)
-// names.
-func revocationViews(rawQuery string) []string {
-	var views []string
+// revocationViews appends the views a revocation's query (view=v&view=w)
+// names to views.
+func revocationViews(views []string, rawQuery string) []string {
 	for rest := rawQuery; rest != ""; {
 		var field string
 		field, rest, _ = strings.Cut(rest, "&")
@@ -80,22 +79,23 @@ func (n *Node) Revoked(views ...string) {
 	n.leaseMu.Unlock()
 }
 
-// renewed takes back this node's lease on view, as a revocation that renews
-// it asked, and then applies the renewal, whose headers are h and whose body
-// is body: if the renewal applies to the lease taken (taken.applies), the
-// delta is spliced into the transport record held under the lease's tag —
-// every check a 226 passes, and swapped only if the record is still the one
-// spliced into — and the lease installed on the new tag unless a later
-// revocation arrived meanwhile. Any check that fails leaves it a plain
-// revocation. It reports whether the renewal was applied.
-func (n *Node) renewed(view string, h http.Header, body string) bool {
+// renewed takes back this node's lease on view, as a revocation f that renews
+// it asked, and then applies the renewal: if the renewal applies to the lease
+// taken (taken.applies), the delta is spliced into the transport record held
+// under the lease's tag — every check a 226 passes, and swapped only if the
+// record is still the one spliced into; a renewal on the very tag the lease
+// was granted on has no delta, and nothing is spliced — and the lease
+// installed on its tag unless a later revocation arrived meanwhile. Any
+// check that fails leaves it a plain revocation. It reports whether the
+// renewal was applied.
+func (n *Node) renewed(view string, f *Frame) bool {
 	n.leaseMu.Lock()
 	t := n.lease.revoked(view)
 	n.leaseMu.Unlock()
-	rn, ok := renewalOf(view, h)
-	if ok = ok && t.applies(rn); ok {
-		f := n.landed(view)
-		ok = f != nil && f.splice(rn.base, h, body)
+	rn, ok := renewalOf(view, f)
+	if ok = ok && t.applies(rn); ok && rn.base != rn.tag {
+		fw := n.landed(view)
+		ok = fw != nil && fw.splice(rn.base, f)
 	}
 	if ok {
 		now := n.now()
@@ -111,14 +111,14 @@ func (n *Node) renewed(view string, h http.Header, body string) bool {
 	return ok
 }
 
-// renewalOf reads the renewal of view a revocation's headers carry.
-func renewalOf(view string, h http.Header) (renewal, bool) {
-	base, tag := h.Get("Delta-Base"), h.Get("ETag")
-	ms, err := strconv.ParseInt(h.Get(mediator.LeaseHeader), 10, 64)
-	if base == "" || tag == "" || err != nil || ms < 0 || ms > LeaseTerm.Milliseconds() {
+// renewalOf reads the renewal of view a revocation f carries. One on the
+// very tag its lease was granted on keeps that lease as it is: it has no
+// delta and extends nothing (protocol.renew).
+func renewalOf(view string, f *Frame) (renewal, bool) {
+	if f.Base == "" || f.Tag == "" || f.Extend < 0 || f.Extend > LeaseTerm.Milliseconds() || (f.Base == f.Tag && (f.Delta != "" || f.Extend != 0)) {
 		return renewal{}, false
 	}
-	return renewal{view: view, base: base, tag: tag, extend: time.Duration(ms) * time.Millisecond}, true
+	return renewal{view: view, base: f.Base, tag: f.Tag, extend: time.Duration(f.Extend) * time.Millisecond}, true
 }
 
 // Offer reads what a lease on view would be granted against, for a request
@@ -180,7 +180,7 @@ func (n *Node) revoke(ctx context.Context, all bool, read Reader, views []string
 		t := &r.tell[i]
 		go func() {
 			n.revocationsSent.Add(1)
-			if n.sendRevocation(ctx, t) != nil {
+			if n.sendRevocation(t) != nil {
 				n.revocationsWaitedOut.Add(1)
 				if d := t.until.Sub(n.now()); d > 0 {
 					n.sleep(d)
@@ -207,7 +207,8 @@ type delta struct {
 // renew reads, with read, each view r could renew a holder's lease on,
 // renews what the read allows (protocol.renew) and gives each holder it
 // renewed the delta from the tag its lease was granted on: one body per such
-// tag. A delta that cannot be written leaves a plain revocation.
+// tag, and none for a holder whose lease was granted on the tag read. A delta
+// that cannot be written leaves a plain revocation.
 func (n *Node) renew(ctx context.Context, r *revocation, read Reader) {
 	if read == nil {
 		return
@@ -230,7 +231,7 @@ func (n *Node) renew(ctx context.Context, r *revocation, read Reader) {
 		bodies := map[string]*delta{}
 		for j := range r.tell {
 			t := &r.tell[j]
-			if t.renewal.view != view {
+			if t.renewal.view != view || t.base == tag {
 				continue
 			}
 			d, written := bodies[t.base]
@@ -259,36 +260,26 @@ func moved(base, tag string) bool {
 }
 
 // sendRevocation tells t.holder its leases on t.views are taken back, and
-// renews the one t.renewal names with t.delta. It gives up when the leases
-// would have run out anyway.
-func (n *Node) sendRevocation(ctx context.Context, t *told) error {
-	ctx, cancel := context.WithTimeout(ctx, t.until.Sub(n.now()))
-	defer cancel()
-	target := n.cfg.Nodes[t.holder] + RevokePath + "?view=" + url.QueryEscape(t.views[0])
-	for _, v := range t.views[1:] {
-		target += "&view=" + url.QueryEscape(v)
+// renews the one t.renewal names with t.delta: a frame on the node's stream
+// to the holder. It fails when the holder has not acknowledged it by the end
+// of the leases, which would have run out by then anyway: the stream is
+// closed, and every other revocation pending on it fails too.
+func (n *Node) sendRevocation(t *told) error {
+	d := t.until.Sub(n.now())
+	if d <= 0 {
+		return errLate
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(t.delta.body))
+	s, err := n.stream(t.holder)
 	if err != nil {
 		return err
 	}
-	if rn := t.renewal; rn.tag != "" {
-		// The keys canonical, the values sliced from one array: one
-		// allocation where Header.Set makes seven. With the stack buffers
-		// of moved and renew it is ≈ 0.9 allocations per op of the
-		// cluster-forward benchmark, whose renewals are frequent.
-		v := &[5]string{rn.tag, rn.base, mediator.RunsIM, t.delta.runs, strconv.FormatInt(rn.extend.Milliseconds(), 10)}
-		h := req.Header
-		h["Etag"], h["Delta-Base"], h["Im"], h[mediator.RunsHeader], h[mediator.LeaseHeader] = v[0:1:1], v[1:2:2], v[2:3:3], v[3:4:4], v[4:5:5]
+	ack := make(chan error, 1)
+	stop := n.deadline(d, func() { s.fail(errLate) })
+	if err = s.send(t, ack); err == nil {
+		err = <-ack
+	} else {
+		s.fail(err)
 	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("cluster: %s did not acknowledge the revocation: %s", t.holder, resp.Status)
-	}
-	return nil
+	stop()
+	return err
 }

@@ -1,11 +1,13 @@
 package cluster_test
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dtd"
 	"repro/internal/mediator"
+	"repro/internal/pipehttp"
 	"repro/internal/serve"
 	"repro/internal/xmas"
 	"repro/internal/xmlmodel"
@@ -99,11 +102,20 @@ func (c *fakeClock) reading() time.Time {
 
 func newNode(t *testing.T, self string, urls map[string]string, clock *fakeClock) *cluster.Node {
 	t.Helper()
-	n, err := cluster.NewNode(cluster.Config{Self: self, Nodes: urls, Pinned: map[string][]string{"members": {"alpha"}}})
+	return newNodeOver(t, self, urls, nil, clock)
+}
+
+// newNodeOver is newNode, reaching its peers through client (nil for the
+// default). The node is closed when the test ends, before any server it
+// holds a revocation stream to.
+func newNodeOver(t *testing.T, self string, urls map[string]string, client *http.Client, clock *fakeClock) *cluster.Node {
+	t.Helper()
+	n, err := cluster.NewNode(cluster.Config{Self: self, Nodes: urls, Pinned: map[string][]string{"members": {"alpha"}}, Client: client})
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.SetClock(clock.now, clock.sleep)
+	t.Cleanup(n.Close)
 	return n
 }
 
@@ -140,6 +152,8 @@ func newFleet(t *testing.T, clock *fakeClock, extra map[string]string) *fleet {
 		t.Fatal(err)
 	}
 	ownerSrv, fwdSrv := httptest.NewUnstartedServer(nil), httptest.NewUnstartedServer(nil)
+	t.Cleanup(ownerSrv.Close)
+	t.Cleanup(fwdSrv.Close)
 	urls := map[string]string{"alpha": urlOf(ownerSrv), "beta": urlOf(fwdSrv)}
 	for name, url := range extra {
 		urls[name] = url
@@ -159,7 +173,6 @@ func newFleet(t *testing.T, clock *fakeClock, extra map[string]string) *fleet {
 	fwdSrv.Config.Handler = serve.New(mediator.New("beta-med"), serve.WithCluster(f.fwd))
 	for _, srv := range []*httptest.Server{ownerSrv, fwdSrv} {
 		srv.Start()
-		t.Cleanup(srv.Close)
 	}
 	f.ownerURL, f.fwdURL = urlOf(ownerSrv), urlOf(fwdSrv)
 	clock.advance(cluster.LeaseTerm)
@@ -404,8 +417,9 @@ func TestUnreachableHolderIsWaitedOut(t *testing.T) {
 	}
 }
 
-// recorder is a member that acknowledges revocations and keeps them; when
-// hold is set, each one waits for it to close first.
+// recorder is a member that acknowledges revocations and keeps them, served
+// in memory over pipes; when hold is set, each one waits for it to close
+// first.
 type recorder struct {
 	mu      sync.Mutex
 	got     []string
@@ -413,30 +427,42 @@ type recorder struct {
 	hold    chan struct{}
 }
 
-func newRecorder(t *testing.T) (*recorder, string) {
+// newRecorder is a recorder and the transport that reaches it.
+func newRecorder(t *testing.T) (*recorder, http.RoundTripper) {
 	t.Helper()
 	r := &recorder{arrived: make(chan struct{}, 8)}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	return r, pipehttp.Transport{Handler: http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost || req.URL.Path != cluster.RevokePath {
 			http.NotFound(w, req)
 			return
 		}
-		views := req.URL.Query()["view"]
-		if len(views) == 0 {
-			http.Error(w, "no views", http.StatusBadRequest)
-			return
+		frames := bufio.NewReader(req.Body)
+		for {
+			f, err := cluster.ReadFrame(frames)
+			if err != nil {
+				return
+			}
+			views, _ := url.ParseQuery(f.Views)
+			r.arrived <- struct{}{}
+			if r.hold != nil {
+				<-r.hold
+			}
+			r.mu.Lock()
+			r.got = append(r.got, strings.Join(views["view"], ","))
+			r.mu.Unlock()
+			if _, err := w.Write(cluster.AppendAck(nil, f.Seq)); err != nil {
+				return
+			}
+			w.(http.Flusher).Flush()
 		}
-		r.arrived <- struct{}{}
-		if r.hold != nil {
-			<-r.hold
-		}
-		r.mu.Lock()
-		r.got = append(r.got, strings.Join(views, ","))
-		r.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	t.Cleanup(srv.Close)
-	return r, srv.URL
+	})}
+}
+
+// members is a transport to each member named, by its host.
+type members map[string]http.RoundTripper
+
+func (m members) RoundTrip(req *http.Request) (*http.Response, error) {
+	return m[req.URL.Host].RoundTrip(req)
 }
 
 func (r *recorder) take() []string {
@@ -452,10 +478,10 @@ func (r *recorder) take() []string {
 // and returns only once that holder has answered.
 func TestRevocationsOfOneViewAreOrdered(t *testing.T) {
 	ctx := context.Background()
-	beta, url := newRecorder(t)
+	beta, rt := newRecorder(t)
 	beta.hold = make(chan struct{})
 	clock := newClock()
-	n := newNode(t, "alpha", map[string]string{"alpha": "http://unused", "beta": url}, clock)
+	n := newNodeOver(t, "alpha", map[string]string{"alpha": "http://alpha", "beta": "http://beta"}, &http.Client{Transport: rt}, clock)
 	clock.advance(cluster.LeaseTerm)
 	o, _ := n.Offer("members", "beta")
 	n.Grant(o, `"t"`, false)
@@ -485,10 +511,11 @@ func TestRevocationsOfOneViewAreOrdered(t *testing.T) {
 // the term only the holders it granted.
 func TestStartGraceTellsEveryMember(t *testing.T) {
 	ctx := context.Background()
-	beta, betaURL := newRecorder(t)
-	gamma, gammaURL := newRecorder(t)
+	beta, betaRT := newRecorder(t)
+	gamma, gammaRT := newRecorder(t)
 	clock := newClock()
-	n := newNode(t, "alpha", map[string]string{"alpha": "http://unused", "beta": betaURL, "gamma": gammaURL}, clock)
+	n := newNodeOver(t, "alpha", map[string]string{"alpha": "http://alpha", "beta": "http://beta", "gamma": "http://gamma"},
+		&http.Client{Transport: members{"beta": betaRT, "gamma": gammaRT}}, clock)
 	clock.advance(cluster.LeaseTerm / 2)
 	n.Revoke(ctx, nil, "members")
 	n.RevokeAll(ctx)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -79,6 +80,17 @@ type Node struct {
 	revoking sync.Cond
 	now      func() time.Time
 	sleep    func(time.Duration)
+	// deadline runs f after d unless the function it returns stops it first:
+	// how a revocation not acknowledged by the end of its lease is noticed.
+	deadline func(d time.Duration, f func()) (stop func() bool)
+
+	// streams are the revocation streams this node holds open to the
+	// holders of its leases, by holder (stream.go); held ends with Close,
+	// and with it the streams its owners hold open to it.
+	streamsMu sync.Mutex
+	streams   map[string]*stream
+	held      context.Context
+	closeHeld context.CancelFunc
 
 	forwarded            atomic.Int64
 	forwardErrors        atomic.Int64
@@ -89,6 +101,7 @@ type Node struct {
 	leasesGranted        atomic.Int64
 	revocationsSent      atomic.Int64
 	revocationsWaitedOut atomic.Int64
+	streamsOpened        atomic.Int64
 	renewalsApplied      atomic.Int64
 	renewalsRefused      atomic.Int64
 }
@@ -134,11 +147,16 @@ func NewNode(cfg Config) (*Node, error) {
 	if client == nil {
 		client = &http.Client{Timeout: mediator.DefaultHTTPTimeout}
 	}
-	n := &Node{cfg: cfg, ring: ring, client: client, slots: map[string]*forwardSlot{}, now: time.Now, sleep: time.Sleep}
+	n := &Node{cfg: cfg, ring: ring, client: client, slots: map[string]*forwardSlot{}, now: time.Now, sleep: time.Sleep,
+		deadline: afterFunc, streams: map[string]*stream{}}
+	n.held, n.closeHeld = context.WithCancel(context.Background())
 	n.lease = newProtocol(cfg, n.Views(), n.Owns, n.now())
 	n.revoking.L = &n.leaseMu
 	return n, nil
 }
+
+// afterFunc is time.AfterFunc, as a Node's deadline.
+func afterFunc(d time.Duration, f func()) func() bool { return time.AfterFunc(d, f).Stop }
 
 // Self returns this node's name.
 func (n *Node) Self() string { return n.cfg.Self }
@@ -309,6 +327,7 @@ type Metrics struct {
 	LeasesGranted        int64           `json:"leases_granted" metric:"mix_cluster_leases_granted_total" help:"Leases this node granted as an owner: a member's view GET answered with a complete, live document."`
 	RevocationsSent      int64           `json:"revocations_sent" metric:"mix_cluster_revocations_sent_total" help:"Lease revocations this node sent to holders before acknowledging an invalidation."`
 	RevocationsWaitedOut int64           `json:"revocations_waited_out" metric:"mix_cluster_revocations_waited_out_total" help:"Sent revocations the holder did not acknowledge, waited out to the end of its lease."`
+	StreamsOpened        int64           `json:"revocation_streams_opened" metric:"mix_cluster_revocation_streams_opened_total" help:"Revocation streams this node opened to lease holders: one held full-duplex POST /cluster/revoke per holder, opened at its first revocation and again after a failure."`
 	RenewalsApplied      int64           `json:"lease_renewals_applied" metric:"mix_cluster_lease_renewals_applied_total" help:"Revocations that renewed this node's lease, applied: the changed parts spliced into the held document and the lease installed on its new tag."`
 	RenewalsRefused      int64           `json:"lease_renewals_refused" metric:"mix_cluster_lease_renewals_refused_total" help:"Revocations that renewed this node's lease, refused by a check (a stale base, a later revocation, a delta that did not splice): taken as plain revocations."`
 	Ring                 []NodeRingStats `json:"ring"`
@@ -345,6 +364,7 @@ func (n *Node) Metrics() Metrics {
 		LeasesGranted:        n.leasesGranted.Load(),
 		RevocationsSent:      n.revocationsSent.Load(),
 		RevocationsWaitedOut: n.revocationsWaitedOut.Load(),
+		StreamsOpened:        n.streamsOpened.Load(),
 		RenewalsApplied:      n.renewalsApplied.Load(),
 		RenewalsRefused:      n.renewalsRefused.Load(),
 		Ring:                 n.ring.Stats(),

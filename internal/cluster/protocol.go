@@ -184,7 +184,11 @@ func (p *protocol) revoke(all bool, views []string, now time.Time) *revocation {
 // message — recorded as a grant at read (a change the read did not see is
 // then visible within a term of it), whose renewal extends the lease the
 // holder had by the time between the two grants — unless a revocation begun
-// after r moved view's epoch or the wholesale one. A holder granted a lease
+// after r moved view's epoch or the wholesale one. A holder whose lease was
+// granted on tag itself (a no-op invalidation) keeps it, extended by nothing:
+// the renewal has no delta, and the holder may hold a later lease on the same
+// tag by the time it arrives — granted after this renewal was decided — which
+// any extension would carry past the owner's record of it. A holder granted a lease
 // since r revoked it — its GET came while the owner read — holds one r did
 // not take: it is not renewed, and its record stands. Nothing is renewed by a
 // wholesale revocation.
@@ -194,14 +198,17 @@ func (p *protocol) renew(r *revocation, view, tag string, read time.Time, moved 
 	if i < 0 || l == nil || r.epochs[i] != l.epoch || r.all != p.all || tag == "" {
 		return
 	}
-	until := read.Add(LeaseTerm)
 	for j := range r.tell {
 		t := &r.tell[j]
-		if t.base == "" || t.views[0] != view || !moved(t.base, tag) {
+		if t.base == "" || t.views[0] != view || (t.base != tag && !moved(t.base, tag)) {
 			continue
 		}
 		if _, ok := l.holders[t.holder]; ok {
 			continue
+		}
+		until := read.Add(LeaseTerm)
+		if t.base == tag {
+			until = t.until
 		}
 		l.holders[t.holder] = granted{until: until, tag: tag}
 		t.renewal = renewal{view: view, base: t.base, tag: tag, extend: until.Sub(t.until)}

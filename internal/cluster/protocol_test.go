@@ -394,8 +394,11 @@ func (e event) String() string {
 	case "arrive":
 		return fmt.Sprintf("%s receives the answer to its fetch #%d of %s", member(e.f), e.i, xviews[e.v])
 	case "invalidate":
-		if e.v < 0 {
+		switch {
+		case e.v < 0:
 			return "every view changes, and a is invalidated wholesale"
+		case e.flag:
+			return fmt.Sprintf("a is invalidated over %s, which did not change", xviews[e.v])
 		}
 		return fmt.Sprintf("%s changes, and a is invalidated over it", xviews[e.v])
 	case "change":
@@ -464,6 +467,9 @@ func (w *world) events() []event {
 		for v := -1; v < len(xviews); v++ {
 			if w.owner != nil {
 				es = append(es, event{kind: "invalidate", v: v})
+				if v >= 0 {
+					es = append(es, event{kind: "invalidate", v: v, flag: true})
+				}
 			}
 			if v >= 0 {
 				es = append(es, event{kind: "change", v: v})
@@ -568,7 +574,9 @@ func (w *world) apply(e event) (ok bool, err error) {
 		var views []string
 		for v := range xviews {
 			if e.v < 0 || e.v == v {
-				w.bump(v)
+				if !e.flag {
+					w.bump(v)
+				}
 				views = append(views, xviews[v])
 				p.floor[v] = w.ver[v]
 			}

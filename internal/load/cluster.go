@@ -267,6 +267,17 @@ func newClusterFixture(o ClusterOptions) (_ *clusterFixture, err error) {
 	return f, nil
 }
 
+// close stops the fleet: every node's revocation streams first — a server
+// waits for the exchanges it serves to end — and then its servers.
+func (f *clusterFixture) close() {
+	for _, n := range f.nodes {
+		if n.node != nil {
+			n.node.Close()
+		}
+	}
+	f.servers.close()
+}
+
 // defineAll adds every source to m and defines the views node owns.
 func (f *clusterFixture) defineAll(m *mediator.Mediator, node *cluster.Node) error {
 	for i, src := range f.sources {

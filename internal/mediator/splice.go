@@ -213,14 +213,14 @@ func (s *HTTPSource) splice(held *keptDocument, resp response) (*keptDocument, e
 	return &next.kept, nil
 }
 
-// Renew splices a delta a cluster owner pushed inside a revocation — body, and
-// the headers h of the 226 it would have answered a fetch with — into the
-// record held: every check splice makes of a 226, against the tag the record
-// is held under, and the record is swapped only if it is still the one
-// spliced into. It counts as no fetch.
-func (s *HTTPSource) Renew(h http.Header, body string) error {
+// Renew splices a delta a cluster owner pushed inside a revocation — body,
+// and the ETag (tag), Delta-Base (base) and RunsHeader (runs) of the 226 it
+// would have answered a fetch with — into the record held: every check splice
+// makes of a 226, against the tag the record is held under, and the record is
+// swapped only if it is still the one spliced into. It counts as no fetch.
+func (s *HTTPSource) Renew(tag, base, runs, body string) error {
 	held := s.kept.Load()
-	next, err := s.splice(held, responseOf(http.StatusIMUsed, h, body, true))
+	next, err := s.splice(held, response{status: http.StatusIMUsed, body: body, etag: tag, im: RunsIM, base: base, runs: runs, member: true})
 	if err != nil {
 		return err
 	}

@@ -1,15 +1,17 @@
 package oracle
 
 import (
+	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/mediator"
+	"repro/internal/pipehttp"
 	"repro/internal/serve"
 	"repro/internal/xmas"
 )
@@ -19,45 +21,74 @@ import (
 const owner, forwarder = "alpha", "beta"
 
 // network is a hop subject's transport: a request to http://{member}/… is
-// served by the handler behind that name, on the calling goroutine, under a
-// context of the member's own that ends with the request's, as over a socket:
-// the caller's trace spans stay the caller's. (What a fetch notes needs no
-// such care: every fetch makes its own mediator.FetchNote.) A restarted
-// member is another handler behind the name. network notes the status of
-// every GET of a view document, and hands every revocation to intercept, when
-// it is set, to deliver when it will.
+// served by the handler behind that name over pipes (internal/pipehttp),
+// under a context of the member's own that ends with the request's, as over
+// a socket: the caller's trace spans stay the caller's. (What a fetch notes
+// needs no such care: every fetch makes its own mediator.FetchNote.) A
+// restarted member is another handler behind the name. network notes the
+// status of every GET of a view document, and relays every revocation stream
+// frame by frame, handing each frame to intercept, when it is set, to deliver
+// when it will: it may hold one back and deliver later ones first.
 type network struct {
 	mu        sync.Mutex
 	members   map[string]http.Handler
 	statuses  []int
-	intercept func(req *http.Request, deliver func())
+	intercept func(f cluster.Frame, deliver func())
 }
 
 func (n *network) RoundTrip(req *http.Request) (*http.Response, error) {
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	defer context.AfterFunc(req.Context(), cancel)()
+	stop := context.AfterFunc(req.Context(), cancel)
 	n.mu.Lock()
-	h, intercept := n.members[req.URL.Host], n.intercept
+	h := n.members[req.URL.Host]
 	n.mu.Unlock()
-	in := req.Clone(ctx)
-	in.RequestURI = req.URL.RequestURI()
-	rec := httptest.NewRecorder()
-	deliver := func() { h.ServeHTTP(rec, in) }
-	if intercept != nil && req.URL.Path == cluster.RevokePath {
-		intercept(req, deliver)
-	} else {
-		deliver()
+	served := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer cancel()
+		defer stop()
+		h.ServeHTTP(w, r)
+	})
+	if req.URL.Path == cluster.RevokePath && req.Body != nil {
+		frames, relayed := io.Pipe()
+		go n.relay(bufio.NewReader(req.Body), relayed)
+		req = req.WithContext(req.Context())
+		req.Body = frames
 	}
-	if err := req.Context().Err(); err != nil {
+	resp, err := pipehttp.Serve(ctx, served, req)
+	if err != nil {
 		return nil, err
 	}
 	if req.Method == http.MethodGet && strings.HasPrefix(req.URL.Path, "/views/") && strings.Count(req.URL.Path, "/") == 2 {
 		n.mu.Lock()
-		n.statuses = append(n.statuses, rec.Code)
+		n.statuses = append(n.statuses, resp.StatusCode)
 		n.mu.Unlock()
 	}
-	return rec.Result(), nil
+	return resp, nil
+}
+
+// relay carries a revocation stream's frames from the owner to the holder,
+// each through intercept when it is set.
+func (n *network) relay(from *bufio.Reader, to *io.PipeWriter) {
+	var mu sync.Mutex
+	for {
+		f, err := cluster.ReadFrame(from)
+		if err != nil {
+			to.CloseWithError(err)
+			return
+		}
+		deliver := func() {
+			mu.Lock()
+			defer mu.Unlock()
+			_, _ = to.Write(cluster.AppendFrame(nil, &f))
+		}
+		n.mu.Lock()
+		intercept := n.intercept
+		n.mu.Unlock()
+		if intercept != nil {
+			intercept(f, deliver)
+		} else {
+			deliver()
+		}
+	}
 }
 
 // hop is what a hop subject adds to a subject: its network, the forwarder's
@@ -77,9 +108,11 @@ type hop struct {
 	node    *cluster.Node
 	seen    cluster.Metrics
 	restart func() error
-	want    string
-	refused bool
-	former  http.Handler
+	// ownerNode is the owner's node, closed when a restart replaces it.
+	ownerNode *cluster.Node
+	want      string
+	refused   bool
+	former    http.Handler
 }
 
 // HopSubjects are the funded subjects across the cluster hop, pruning on and
@@ -120,6 +153,10 @@ func (o *Oracle) HopSubjects() ([]*Subject, error) {
 			if err != nil {
 				return err
 			}
+			if s.hop.ownerNode != nil {
+				s.hop.ownerNode.Close() // its streams die with it
+			}
+			s.hop.ownerNode = node
 			s.owner, s.sources = serve.New(alpha.Mediator, serve.WithTracer(nil), serve.WithCluster(node)), alpha.sources
 			net.mu.Lock()
 			net.members[owner] = s.owner

@@ -348,10 +348,11 @@ func (o *Oracle) newSubject(kind string, pruning, starved bool, seed int64) (*Su
 // invalidate posts to /invalidate of a stacked subject's lower mediator and
 // then of the owner: source i, or wholesale for i < 0. real says whether
 // some source serves another document since the subject last fetched it.
-// Across the hop, a real invalidation whose revocation renewed the
-// forwarder's lease calls for a hit on the renewed lease, and any other for
-// the delta (hop.check), which counts it after a renewal the forwarder
-// refused.
+// Across the hop, an invalidation whose revocation renewed the forwarder's
+// lease — a real one with the parts that moved, a no-op one on the tag the
+// lease was granted on — calls for a hit on the renewed lease, and any other
+// real one for the delta (hop.check), which counts it after a renewal the
+// forwarder refused.
 func (s *Subject) invalidate(i int, real bool) error {
 	var before cluster.Metrics
 	if s.hop != nil {
@@ -371,11 +372,12 @@ func (s *Subject) invalidate(i int, real bool) error {
 	if real {
 		s.held = ""
 	}
-	if s.hop != nil && real && s.hop.want == "" {
-		after := s.hop.node.Metrics()
-		s.hop.want, s.hop.refused = "226", after.RenewalsRefused > before.RenewalsRefused
-		if after.RenewalsApplied > before.RenewalsApplied {
+	if s.hop != nil && s.hop.want == "" {
+		switch after := s.hop.node.Metrics(); {
+		case after.RenewalsApplied > before.RenewalsApplied:
 			s.hop.want = "renewed"
+		case real:
+			s.hop.want, s.hop.refused = "226", after.RenewalsRefused > before.RenewalsRefused
 		}
 	}
 	return nil
@@ -704,8 +706,8 @@ func (s *Subject) overtaken(invalidate func() error) error {
 	var once sync.Once
 	var werr error
 	s.hop.net.mu.Lock()
-	s.hop.net.intercept = func(req *http.Request, deliver func()) {
-		if req.Header.Get("Delta-Base") == "" {
+	s.hop.net.intercept = func(f cluster.Frame, deliver func()) {
+		if f.Base == "" {
 			deliver()
 			once.Do(func() { close(plain) })
 			return
@@ -717,11 +719,13 @@ func (s *Subject) overtaken(invalidate func() error) error {
 			}
 			close(done)
 		}()
-		select {
-		case <-plain:
-		case <-done: // it told nobody: the renewal goes as it is
-		}
-		deliver()
+		go func() {
+			select {
+			case <-plain:
+			case <-done: // it told nobody: the renewal goes as it is
+			}
+			deliver()
+		}()
 	}
 	s.hop.net.mu.Unlock()
 	err := invalidate()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"unsafe"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/mediator"
@@ -225,28 +226,47 @@ func sendRuns(w http.ResponseWriter, r *http.Request, a mediator.Answer, tag str
 // leaseTermMillis is the LeaseHeader value: the term, in milliseconds.
 var leaseTermMillis = strconv.FormatInt(cluster.LeaseTerm.Milliseconds(), 10)
 
-// postRevoke is the lease holder's side of an owner's revocation: the leases
-// on the named views are dropped, and every fetch of them in flight is fenced
-// off, before the 204 that acknowledges it. A revocation that renews its one
-// view's lease has the delta it carries spliced and the lease installed
-// first; a renewal any check refuses leaves a plain revocation, acknowledged
-// all the same (cluster.Node.Revocation).
+// postRevoke is the lease holder's side of an owner's revocation stream
+// (cluster.RevokePath): it reads the owner's frames as they come and, for
+// each, drops the leases on the views it names and fences off every fetch of
+// them in flight — having spliced the delta of a renewal it carries and
+// installed the renewed lease first; a renewal any check refuses leaves a
+// plain revocation (cluster.Node.Revocation) — and then acknowledges it with
+// its sequence number, flushed at once. The exchange is full duplex and has
+// no deadline: it lasts until the owner ends it, a read or a write fails, or
+// the node is closed. A first frame that cannot be read or that names no
+// view is answered 400; a later one ends the stream, and the owner waits out
+// whatever it had pending on it.
+//
+// The stream is one request: one root span, one access-log line and one
+// latency observation when it ends. What its frames did is counted by the
+// node (lease_renewals_applied, lease_renewals_refused).
 func (h *Handler) postRevoke(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
+	rc := http.NewResponseController(w)
+	for _, err := range []error{rc.EnableFullDuplex(), rc.SetReadDeadline(time.Time{}), rc.SetWriteDeadline(time.Time{})} {
+		if err != nil && !errors.Is(err, http.ErrNotSupported) {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 	}
-	// The body is this request's own, never written again: the record a
-	// renewal splices it into may keep it as it is.
-	renewal, err := h.cluster.Revocation(r.URL.RawQuery, r.Header, unsafe.String(unsafe.SliceData(body), len(body)))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	defer context.AfterFunc(h.cluster.Closed(), func() { _ = rc.SetReadDeadline(time.Unix(1, 0)) })()
+	frames := bufio.NewReader(r.Body)
+	var ack [24]byte
+	for first := true; ; first = false {
+		f, err := cluster.ReadFrame(frames)
+		if err == nil {
+			_, err = h.cluster.Revocation(&f)
+		}
+		if err != nil {
+			if first {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+			}
+			return
+		}
+		if _, err := w.Write(cluster.AppendAck(ack[:0], f.Seq)); err != nil || rc.Flush() != nil {
+			return
+		}
 	}
-	if renewal != "" {
-		obs.SetAttr(r.Context(), obs.String("renewal", renewal))
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // renewal is the owner's read of view after an invalidation, which renews its

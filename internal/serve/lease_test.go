@@ -15,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dtd"
 	"repro/internal/mediator"
+	"repro/internal/pipehttp"
 	"repro/internal/xmas"
 	"repro/internal/xmlmodel"
 )
@@ -100,6 +101,8 @@ func newLeasedPair(t *testing.T) *leasedPair {
 		srv.Start()
 		t.Cleanup(srv.Close)
 	}
+	// Before the servers close: a revocation stream would hold them open.
+	t.Cleanup(ownerNode.Close)
 	return p
 }
 
@@ -182,11 +185,11 @@ func TestLeasedReadersDuringInvalidations(t *testing.T) {
 // TestOwnerTakesTheLeaseBackBeforeItAcknowledges holds an owner's
 // invalidation to the order the lease contract needs — the holder has given
 // its lease back, or had it renewed on the new document, before the owner
-// answers — without racing for it: on one
-// processor, the owner's handler runs on this goroutine with a recorder, and
-// the holder is served in memory on whichever goroutine sends the
-// revocation. An owner that acknowledged first and revoked on a goroutine of
-// its own would return with the holder still leased, every time.
+// answers — without racing for it: on one processor, the owner's handler
+// runs on this goroutine with a recorder, and the holder serves the owner's
+// revocation stream in memory, on a goroutine of its own. An owner that
+// acknowledged first and revoked on a goroutine of its own would return with
+// the holder still leased, every time.
 func TestOwnerTakesTheLeaseBackBeforeItAcknowledges(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	d, err := dtd.Parse(d1Text)
@@ -205,19 +208,19 @@ func TestOwnerTakesTheLeaseBackBeforeItAcknowledges(t *testing.T) {
 	var ownerH, holderH *Handler
 	var acked atomic.Int64 // revocations the holder has answered
 	holder := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		holderH.ServeHTTP(w, r)
 		if r.URL.Path == cluster.RevokePath {
-			acked.Add(1)
+			w = ackCounter{w, &acked}
 		}
+		holderH.ServeHTTP(w, r)
 	})
 	nodes, pinned := map[string]string{"alpha": "http://alpha", "beta": "http://beta"}, map[string][]string{"members": {"alpha"}}
 	ownerNode, err := cluster.NewNode(cluster.Config{Self: "alpha", Nodes: nodes, Pinned: pinned,
-		Client: &http.Client{Transport: handlerTransport{holder}}})
+		Client: &http.Client{Transport: pipehttp.Transport{Handler: holder}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	holderNode, err := cluster.NewNode(cluster.Config{Self: "beta", Nodes: nodes, Pinned: pinned,
-		Client: &http.Client{Transport: handlerTransport{http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { ownerH.ServeHTTP(w, r) })}}})
+		Client: &http.Client{Transport: pipehttp.Transport{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { ownerH.ServeHTTP(w, r) })}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,6 +256,20 @@ func TestOwnerTakesTheLeaseBackBeforeItAcknowledges(t *testing.T) {
 	}
 }
 
+// ackCounter counts what a holder writes on a revocation stream: one write
+// per acknowledgement.
+type ackCounter struct {
+	http.ResponseWriter
+	n *atomic.Int64
+}
+
+func (a ackCounter) Write(p []byte) (int, error) {
+	a.n.Add(1)
+	return a.ResponseWriter.Write(p)
+}
+
+func (a ackCounter) Unwrap() http.ResponseWriter { return a.ResponseWriter }
+
 // seenTransport is rt, keeping the headers of every request it was asked.
 type seenTransport struct {
 	rt   http.RoundTripper
@@ -283,7 +300,7 @@ func (t *seenTransport) take() []http.Header {
 // forwarder relays the owner's ETag, and its next read is a lease hit.
 func TestForwardInProcessNotesOnlyItsOwnFetch(t *testing.T) {
 	leafSrv, _ := newServerAndMediator(t)
-	leaf := &seenTransport{rt: handlerTransport{leafSrv.Config.Handler}}
+	leaf := &seenTransport{rt: pipehttp.Transport{Handler: leafSrv.Config.Handler}}
 	src, err := mediator.NewHTTPSource(&http.Client{Transport: leaf}, "http://leaf", "members", mediator.WithRetries(0))
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +319,7 @@ func TestForwardInProcessNotesOnlyItsOwnFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ownerH := New(med, WithCluster(ownerNode))
-	owner := &seenTransport{rt: handlerTransport{ownerH}}
+	owner := &seenTransport{rt: pipehttp.Transport{Handler: ownerH}}
 	fwdNode, err := cluster.NewNode(cluster.Config{Self: "beta", Nodes: nodes, Pinned: pinned, Client: &http.Client{Transport: owner}})
 	if err != nil {
 		t.Fatal(err)

@@ -120,10 +120,12 @@ func (sw *statusWriter) WriteString(s string) (int, error) {
 func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
 // Flush forwards to the underlying writer when it supports streaming.
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
+func (sw *statusWriter) Flush() { _ = sw.FlushError() }
+
+// FlushError is Flush, through whatever wraps the underlying writer, and
+// reports a client that no longer reads.
+func (sw *statusWriter) FlushError() error {
+	return http.NewResponseController(sw.ResponseWriter).Flush()
 }
 
 // ServeHTTP implements http.Handler. It is the observability middleware

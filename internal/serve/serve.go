@@ -26,10 +26,12 @@
 //	POST /invalidate                have every cached view part ask its
 //	                                source again; with a {"source": name}
 //	                                JSON body, just that source's parts
-//	POST /cluster/revoke?view=…     (cluster mode) an owner takes back this
-//	                                node's leases on the named views, and
-//	                                may renew one with the delta in the
-//	                                body; acknowledged with 204
+//	POST /cluster/revoke            (cluster mode) an owner's revocation
+//	                                stream to this node, held open: each
+//	                                frame of the body takes back its leases
+//	                                on the views it names, and may renew one
+//	                                with a delta; each is acknowledged on
+//	                                the response body by its sequence number
 //
 // Queries posted to a view are answered through the mediator's
 // DTD-simplifying path; the X-Mix-Skipped/X-Mix-Pruned/X-Mix-Dropped-Names

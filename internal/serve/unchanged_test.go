@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dtd"
 	"repro/internal/mediator"
+	"repro/internal/pipehttp"
 	"repro/internal/xmas"
 	"repro/internal/xmlmodel"
 )
@@ -20,20 +21,6 @@ import (
 // *Document from an in-memory wrapper — is the naive mediator's is
 // internal/oracle's to check (KindSubjects); the test here counts what a
 // no-op invalidation costs each level of a stack.
-
-// handlerTransport answers a client's requests from a handler, in memory.
-type handlerTransport struct{ h http.Handler }
-
-func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	rec := httptest.NewRecorder()
-	t.h.ServeHTTP(rec, r)
-	if err := r.Context().Err(); err != nil {
-		return nil, err
-	}
-	resp := rec.Result()
-	resp.Request = r
-	return resp, nil
-}
 
 // versionedDept is department i at version ver; the version shows in the
 // professor's name, so no two versions serialize alike.
@@ -104,7 +91,7 @@ func newStackFixture(t *testing.T) *stackFixture {
 	srcs, set := staticDepartments(t)
 	low, m := mediator.New("low"), mediator.New("node")
 	fx := &stackFixture{upper: m, levels: [2]http.Handler{New(low), New(m)}, set: set}
-	client := &http.Client{Transport: handlerTransport{fx.levels[0]}}
+	client := &http.Client{Transport: pipehttp.Transport{Handler: fx.levels[0]}}
 	for i, src := range srcs {
 		view := fmt.Sprintf("d%d", i)
 		if err := low.AddSource(src); err != nil {
