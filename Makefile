@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet lint race allocs metrics-golden fault fuzz check bench load-smoke chaos cluster-smoke experiments cover clean fmt ci
+.PHONY: all build test vet lint race allocs metrics-golden fault fuzz mutants check bench load-smoke chaos cluster-smoke experiments cover clean fmt ci
 
 all: build vet test
 
@@ -137,13 +137,21 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzSpliceRuns$$' -fuzztime $(FUZZTIME) ./internal/mediator/
 	go test -run '^$$' -fuzz '^FuzzInvalidateReply$$' -fuzztime $(FUZZTIME) ./internal/serve/
 
+# Every mutant of testdata/mutants.txt, each laid over the tree with go test
+# -overlay (the tree is never edited) and run against the tests its row
+# names, all of which must fail (mutants_run_test.go; ≈ 3.5 min for 51
+# rows on 2 cores). Tier 1 checks the table without running it
+# (TestMutantsTableMatchesTheTree).
+mutants:
+	go test -tags mutants -count=1 -timeout 60m -run '^TestMutantsAreKilled$$' .
+
 # Everything a change should pass before review: tier-1 build/vet/test,
-# the allocation ratchets, staticcheck, the -race suite, the -race
-# robustness battery, and bounded fuzzing of the parsers — the same gates
-# the CI workflow's blocking jobs run (ci.yml: test, lint, race, fault), so
-# a green `make check` predicts a green CI run up to the long campaigns
-# (cover/load-smoke/chaos/cluster-smoke, which `make ci` adds).
-check: all allocs lint race fault
+# the allocation ratchets, the mutants, staticcheck, the -race suite, the
+# -race robustness battery, and bounded fuzzing of the parsers — the same
+# gates the CI workflow's blocking jobs run (ci.yml: test, mutants, lint,
+# race, fault), so a green `make check` predicts a green CI run up to the
+# long campaigns (cover/load-smoke/chaos/cluster-smoke, which `make ci` adds).
+check: all allocs mutants lint race fault
 	$(MAKE) fuzz FUZZTIME=5s
 
 bench:
@@ -202,15 +210,16 @@ fmt:
 	gofmt -l -w .
 
 # What the CI workflow runs, invocable locally before pushing: the gofmt
-# gate, tier-1 build/vet/test, the -race suite, the fault-injection
-# battery, the coverage floor, the bounded load smoke, the replica chaos
-# campaign, and the multi-node cluster smoke.
+# gate, tier-1 build/vet/test, the mutants, the -race suite, the
+# fault-injection battery, the coverage floor, the bounded load smoke, the
+# replica chaos campaign, and the multi-node cluster smoke.
 ci:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(MAKE) all
+	$(MAKE) mutants
 	$(MAKE) race
 	$(MAKE) fault
 	$(MAKE) cover

@@ -14,10 +14,12 @@ import (
 
 // declarations are the names the tree declares: per package name (an
 // external test package counts as the package it tests), its top-level
-// names; per type name, in whichever package, its methods and fields.
+// names; per type name, in whichever package, its methods and fields; per
+// directory, its top-level functions.
 type declarations struct {
 	pkgs    map[string]map[string]bool
 	members map[string]map[string]bool
+	funcs   map[string]map[string]bool
 }
 
 func declare(m map[string]map[string]bool, key, name string) {
@@ -45,7 +47,7 @@ func receiverType(e ast.Expr) string {
 // parseTree reads every Go file of the module.
 func parseTree(t *testing.T) *declarations {
 	t.Helper()
-	d := &declarations{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}}
+	d := &declarations{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}, funcs: map[string]map[string]bool{}}
 	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -65,6 +67,7 @@ func parseTree(t *testing.T) *declarations {
 			case *ast.FuncDecl:
 				if decl.Recv == nil {
 					declare(d.pkgs, pkg, decl.Name.Name)
+					declare(d.funcs, filepath.Dir(path), decl.Name.Name)
 				} else {
 					declare(d.members, receiverType(decl.Recv.List[0].Type), decl.Name.Name)
 				}
@@ -156,23 +159,30 @@ var (
 
 // TestDocumentedNamesExist: every Go name README.md and PAPER_MAP.md put in
 // backticks — mix.ErrBodyTooLarge, oracle.Subject, Tally.Vacuous,
-// TestOracle — names a declaration of the tree as it is, so a rename or a
-// deletion that leaves the documents behind fails here.
+// TestOracle — and every Test*, Benchmark* and Fuzz* name DESIGN.md and the
+// verify skill put in backticks names a declaration of the tree as it is, so
+// a rename or a deletion that leaves the documents behind fails here.
 func TestDocumentedNamesExist(t *testing.T) {
 	d := parseTree(t)
 	checked := 0
-	for _, doc := range []string{"README.md", "PAPER_MAP.md"} {
-		text, err := os.ReadFile(doc)
+	for _, doc := range []struct {
+		path      string
+		testsOnly bool
+	}{{"README.md", false}, {"PAPER_MAP.md", false}, {"DESIGN.md", true}, {".claude/skills/verify/SKILL.md", true}} {
+		text, err := os.ReadFile(doc.path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range backticked.FindAllStringSubmatch(string(text), -1) {
+			if doc.testsOnly && !testFunc.MatchString(m[1]) {
+				continue
+			}
 			ok, counted := d.resolves(m[1])
 			if counted {
 				checked++
 			}
 			if counted && !ok {
-				t.Errorf("%s names `%s`, which the tree does not declare", doc, m[1])
+				t.Errorf("%s names `%s`, which the tree does not declare", doc.path, m[1])
 			}
 		}
 	}
@@ -180,4 +190,52 @@ func TestDocumentedNamesExist(t *testing.T) {
 	if checked < 50 {
 		t.Errorf("vacuous: only %d names checked", checked)
 	}
+}
+
+// runPattern is a -run or -skip flag's pattern in a Makefile recipe or a
+// workflow step, quoted or not.
+var runPattern = regexp.MustCompile(`-(?:run|skip) +(?:'([^']*)'|"([^"]*)"|([^ \t\n]+))`)
+
+// TestTestSelectorsSelect: every Test*, Benchmark* or Fuzz* alternative of
+// a -run or -skip pattern in the Makefile and the CI workflow is the prefix
+// of a test the tree declares, so deleting or renaming a test cannot
+// silently empty a line of make race or make fault.
+func TestTestSelectorsSelect(t *testing.T) {
+	d := parseTree(t)
+	checked := 0
+	for _, path := range []string{"Makefile", ".github/workflows/ci.yml"} {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range runPattern.FindAllStringSubmatch(string(text), -1) {
+			for _, alt := range strings.Split(m[1]+m[2]+m[3], "|") {
+				alt = strings.TrimRight(strings.TrimLeft(alt, "^("), "$)")
+				if !testFunc.MatchString(alt) {
+					continue
+				}
+				checked++
+				if !d.declaresPrefix(alt) {
+					t.Errorf("%s selects %q, which no declared test starts with", path, alt)
+				}
+			}
+		}
+	}
+	t.Logf("%d selectors checked", checked)
+	if checked < 30 {
+		t.Errorf("vacuous: only %d selectors checked", checked)
+	}
+}
+
+// declaresPrefix reports whether some top-level function of the tree is
+// named prefix or starts with it.
+func (d *declarations) declaresPrefix(prefix string) bool {
+	for _, names := range d.pkgs {
+		for name := range names {
+			if strings.HasPrefix(name, prefix) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -34,26 +34,24 @@ const RevokePath = "/cluster/revoke"
 
 // Revocation is an owner's revocation f arriving: this node's leases on the
 // views it names are taken back (Revoked), and a renewal it carries is
-// applied (renewed). It reports how the renewal went — "applied", "refused"
-// or "" for none — and fails, taking nothing back, on a revocation that names
-// no view or whose delta renews nothing. The caller acknowledges once it
-// returns.
-func (n *Node) Revocation(f *Frame) (renewal string, err error) {
+// applied (renewed). It fails, taking nothing back, on a revocation that
+// names no view or whose delta renews nothing. The caller acknowledges once
+// it returns.
+func (n *Node) Revocation(f *Frame) error {
 	var buf [4]string
 	views := revocationViews(buf[:0], f.Views)
 	renewing := f.Base != ""
 	switch {
 	case len(views) == 0:
-		return "", errors.New("cluster: a revocation names its views: view=")
+		return errors.New("cluster: a revocation names its views: view=")
 	case renewing && len(views) != 1, !renewing && (f.Delta != "" || f.Tag != ""):
-		return "", errors.New("cluster: a revocation's delta renews the lease on its one view, under Delta-Base")
-	case !renewing:
+		return errors.New("cluster: a revocation's delta renews the lease on its one view, under Delta-Base")
+	case renewing:
+		n.renewed(views[0], f)
+	default:
 		n.Revoked(views...)
-		return "", nil
-	case n.renewed(views[0], f):
-		return "applied", nil
 	}
-	return "refused", nil
+	return nil
 }
 
 // revocationViews appends the views a revocation's query (view=v&view=w)
@@ -86,9 +84,8 @@ func (n *Node) Revoked(views ...string) {
 // record is still the one spliced into; a renewal on the very tag the lease
 // was granted on has no delta, and nothing is spliced — and the lease
 // installed on its tag unless a later revocation arrived meanwhile. Any
-// check that fails leaves it a plain revocation. It reports whether the
-// renewal was applied.
-func (n *Node) renewed(view string, f *Frame) bool {
+// check that fails leaves it a plain revocation, counted as refused.
+func (n *Node) renewed(view string, f *Frame) {
 	n.leaseMu.Lock()
 	t := n.lease.revoked(view)
 	n.leaseMu.Unlock()
@@ -108,7 +105,6 @@ func (n *Node) renewed(view string, f *Frame) bool {
 	} else {
 		n.renewalsRefused.Add(1)
 	}
-	return ok
 }
 
 // renewalOf reads the renewal of view a revocation f carries. One on the

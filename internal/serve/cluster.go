@@ -239,8 +239,8 @@ var leaseTermMillis = strconv.FormatInt(cluster.LeaseTerm.Milliseconds(), 10)
 // whatever it had pending on it.
 //
 // The stream is one request: one root span, one access-log line and one
-// latency observation when it ends. What its frames did is counted by the
-// node (lease_renewals_applied, lease_renewals_refused).
+// status count when it ends, and no latency (recordRequest). What its frames
+// did is counted by the node (lease_renewals_applied, lease_renewals_refused).
 func (h *Handler) postRevoke(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	for _, err := range []error{rc.EnableFullDuplex(), rc.SetReadDeadline(time.Time{}), rc.SetWriteDeadline(time.Time{})} {
@@ -255,7 +255,7 @@ func (h *Handler) postRevoke(w http.ResponseWriter, r *http.Request) {
 	for first := true; ; first = false {
 		f, err := cluster.ReadFrame(frames)
 		if err == nil {
-			_, err = h.cluster.Revocation(&f)
+			err = h.cluster.Revocation(&f)
 		}
 		if err != nil {
 			if first {

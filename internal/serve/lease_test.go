@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net/http"
@@ -269,6 +270,40 @@ func (a ackCounter) Write(p []byte) (int, error) {
 }
 
 func (a ackCounter) Unwrap() http.ResponseWriter { return a.ResponseWriter }
+
+// A revocation stream is one request that lasts as long as its owner holds
+// it: the holder counts it under its route and status when it ends, and
+// observes no latency for it.
+func TestRevocationStreamIsCountedNotTimed(t *testing.T) {
+	node, err := cluster.NewNode(cluster.Config{Self: "beta", Nodes: map[string]string{"alpha": "http://alpha", "beta": "http://beta"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(mediator.New("beta-med"), WithCluster(node)))
+	t.Cleanup(srv.Close)
+	t.Cleanup(node.Close)
+	frames := cluster.AppendFrame(nil, &cluster.Frame{Seq: 1, Views: "view=members"})
+	frames = cluster.AppendFrame(frames, &cluster.Frame{Seq: 2, Views: "view=staff"})
+	resp, err := http.Post(srv.URL+cluster.RevokePath, "application/octet-stream", bytes.NewReader(frames))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acks, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := cluster.AppendAck(cluster.AppendAck(nil, 1), 2); err != nil || !bytes.Equal(acks, want) {
+		t.Fatalf("the stream acknowledged %q (%v), want %q", acks, err, want)
+	}
+	_, body, _ := get(t, srv.URL+"/metrics?format=prometheus")
+	metrics := parseProm(t, body)
+	if got := metrics[`mix_http_requests_total{pattern="POST /cluster/revoke",status="200"}`]; got != 1 {
+		t.Errorf("revocation streams counted: %v, want 1", got)
+	}
+	for series := range metrics {
+		if strings.HasPrefix(series, "mix_http_request_duration_seconds") && strings.Contains(series, `pattern="POST /cluster/revoke"`) {
+			t.Errorf("a revocation stream's lifetime is observed: %s", series)
+		}
+	}
+}
 
 // seenTransport is rt, keeping the headers of every request it was asked.
 type seenTransport struct {

@@ -15,6 +15,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
 )
 
@@ -196,11 +197,14 @@ func slogLevelFor(status int) slog.Level {
 	}
 }
 
+// recordRequest counts a response and times it; a revocation stream is untimed.
 func (h *Handler) recordRequest(pattern string, status int, d time.Duration) {
 	h.reqMu.Lock()
 	h.reqCodes[reqCode{pattern, status}]++
 	h.reqMu.Unlock()
-	h.reqHists.Get(pattern).Observe(d)
+	if pattern != "POST "+cluster.RevokePath {
+		h.reqHists.Get(pattern).Observe(d)
+	}
 }
 
 // getDebugTrace serves the tracer's ring of recent traces as JSON,
