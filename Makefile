@@ -77,17 +77,18 @@ lint:
 # either — and the trace record those goroutines write into past its inline
 # room (internal/obs), and the root span's context a request keeps in its
 # response writer, read by a goroutine that outlives the request
-# (internal/serve). The exploration of the lease protocol
-# (TestLeaseProtocolExplored, ≈ 100 s under -race) starts no goroutine: it runs
-# once, in `go test -race ./...`, and both repeating lines skip it.
+# (internal/serve). The explorations of the lease protocol
+# (TestLeaseProtocolExplored, ≈ 100 s under -race) and of the part slot
+# (TestPartSlotExplored, ≈ 10 s) start no goroutine: each runs once, in
+# `go test -race ./...`, and the repeating lines skip them or do not select them.
 test:
 	go test ./...
 
 race:
 	go vet ./...
 	go test -race ./...
-	go test -race -count=3 -cpu=1,2 -skip '^TestLeaseProtocolExplored$$' ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/ ./internal/obs/ ./internal/oracle/
-	go test -race -count=50 -cpu=1,2 -run 'TestFlight|TestPurgeFencesTheFlightInFlight|TestJoinerLeavesWithItsContext|TestPanicFailsWaitersAndPropagates|TestErrorIsTheLeadersOwn|TestSingleflightBlocksJoiners|TestConcurrentCompilerSingleflight|TestPlanSingleflight|TestSingleflightMaterialize|TestMaterializeFollowerCancellation|TestFollowerSurvives|TestTagNamesTheCalcTheJoinerEndedOn|TestRacedResultStaysAsPredecessor|TestInvalidateDiscardsInflightResult|TestMetricsSingleflightDedups|TestForwardBuildOncePerBurst|TestForwardJoinerLeavesWithItsContext|TestForwardIncompleteNotCached|TestFanOut|TestSimplifyReturnsWorkerPanic|TestEvalPoolAliasesNothing|TestScanPoolAliasesNothing|TestLonePartLeaderJoinersAndACancelledReader|TestPanickingWrapperFailsTheRead|TestOverflowKeepsEverything|TestRootContextOutlivesItsRequest' ./internal/automata/cache/ ./internal/automata/ ./internal/mediator/ ./internal/cluster/ ./internal/serve/ ./internal/infer/ ./internal/engine/ ./internal/xmlmodel/ ./internal/obs/
+	go test -race -count=3 -cpu=1,2 -skip '^(TestLeaseProtocolExplored|TestPartSlotExplored)$$' ./internal/mediator/ ./internal/engine/ ./internal/serve/ ./internal/cluster/ ./internal/xmlmodel/ ./internal/infer/ ./internal/automata/... ./internal/load/ ./internal/obs/ ./internal/oracle/
+	go test -race -count=50 -cpu=1,2 -run 'TestFlight|TestPurgeFencesTheFlightInFlight|TestJoinerLeavesWithItsContext|TestPanicFailsWaitersAndPropagates|TestErrorIsTheLeadersOwn|TestSingleflightBlocksJoiners|TestConcurrentCompilerSingleflight|TestPlanSingleflight|TestInvalidateDiscardsInflightResult|TestMetricsSingleflightDedups|TestForwardBuildOncePerBurst|TestForwardJoinerLeavesWithItsContext|TestForwardIncompleteNotCached|TestFanOut|TestSimplifyReturnsWorkerPanic|TestEvalPoolAliasesNothing|TestScanPoolAliasesNothing|TestLonePartLeaderJoinersAndACancelledReader|TestPanickingWrapperFailsTheRead|TestOverflowKeepsEverything|TestRootContextOutlivesItsRequest' ./internal/automata/cache/ ./internal/automata/ ./internal/mediator/ ./internal/cluster/ ./internal/serve/ ./internal/infer/ ./internal/engine/ ./internal/xmlmodel/ ./internal/obs/
 	go test -race -count=20 -cpu=1,2 -timeout 15m -run 'Answer|Forward|Lease|Memo|Splice|Renew|Revocation|Stream|TestOracleAcrossTheHop' -skip 'TestAnswersByPartEqualTheNaiveEvaluation|TestAnswerBytesEqualTheNaiveSerialization|TestPlanHitEqualsMissEqualsColdMemo|TestInferMemoDifferential|TestOracleWorkerPanicIsNoEmptyAnswer|TestLeaseProtocolExplored' ./internal/mediator/ ./internal/cluster/ ./internal/serve/ ./internal/oracle/
 
 # Every allocation ratchet in the tree, by one name and without -race: a

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	mix "repro"
+	"repro/internal/engine"
 	"repro/internal/regex"
 	"repro/internal/xmlmodel"
 )
@@ -168,6 +169,12 @@ func FuzzParseQuery(f *testing.F) {
 		q, err := mix.ParseQuery(input)
 		if err != nil {
 			return
+		}
+		// A query that parses was validated, and a valid query prepares:
+		// ParsePlan's Prepare (plan.go analyse, with no view) never fails on
+		// a text.
+		if _, err := engine.Prepare(q); err != nil {
+			t.Fatalf("parsed but does not prepare: %v\ninput: %q", err, input)
 		}
 		back, err := mix.ParseQuery(q.String())
 		if err != nil {

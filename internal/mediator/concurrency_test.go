@@ -69,57 +69,6 @@ func newGatedMediator(t *testing.T) (*Mediator, *gatedSource) {
 	return m, src
 }
 
-// TestSingleflightMaterialize asserts that N concurrent cache misses
-// evaluate the view exactly once per generation: one leader fetches, the
-// followers join its in-flight call, and a second generation (after
-// Invalidate) evaluates exactly once more.
-func TestSingleflightMaterialize(t *testing.T) {
-	m, src := newGatedMediator(t)
-	ctx := context.Background()
-
-	const followers = 15
-	docs := make([]*xmlmodel.Document, followers+1)
-	errs := make([]error, followers+1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); docs[0], errs[0] = m.Materialize(ctx, "members") }()
-	<-src.entered // the leader is inside Fetch, its in-flight entry registered
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go func(i int) { defer wg.Done(); docs[i], errs[i] = m.Materialize(ctx, "members") }(i)
-	}
-	close(src.gate)
-	wg.Wait()
-
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", i, err)
-		}
-		if !sameChildren(docs[i], docs[0]) {
-			t.Fatalf("caller %d got different part results: dedup failed", i)
-		}
-	}
-	if got := src.fetches.Load(); got != 1 {
-		t.Fatalf("fetches = %d, want 1 (N concurrent misses must evaluate once)", got)
-	}
-	st := m.Stats()
-	if st.CacheMisses != 1 {
-		t.Errorf("cache misses = %d, want 1", st.CacheMisses)
-	}
-	if st.SingleflightDedups+st.CacheHits != followers {
-		t.Errorf("dedups(%d) + hits(%d) != %d followers", st.SingleflightDedups, st.CacheHits, followers)
-	}
-
-	// Generation two: the cache is dropped, the next miss evaluates once.
-	m.Invalidate()
-	if _, err := m.Materialize(ctx, "members"); err != nil {
-		t.Fatal(err)
-	}
-	if got := src.fetches.Load(); got != 2 {
-		t.Fatalf("fetches after Invalidate = %d, want 2 (once per generation)", got)
-	}
-}
-
 // TestLonePartLeaderJoinersAndACancelledReader: a read that leads the one
 // part it resolves runs it on its own goroutine, under its own context, and
 // the rule is the fan-out's: readers that join it wait for its result under
@@ -205,47 +154,6 @@ func TestInvalidateDiscardsInflightResult(t *testing.T) {
 	}
 }
 
-// TestMaterializeFollowerCancellation: a follower whose own context dies
-// while the leader is still evaluating gets its context error; the leader
-// is unaffected.
-func TestMaterializeFollowerCancellation(t *testing.T) {
-	m, src := newGatedMediator(t)
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := m.Materialize(context.Background(), "members")
-		done <- err
-	}()
-	<-src.entered
-
-	ctx, cancel := context.WithCancel(context.Background())
-	followerDone := make(chan error, 1)
-	go func() {
-		_, err := m.Materialize(ctx, "members")
-		followerDone <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the follower join the in-flight call
-	cancel()
-	select {
-	case err := <-followerDone:
-		if err == nil {
-			t.Fatal("canceled follower must fail")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("canceled follower still blocked on the leader")
-	}
-	close(src.gate)
-	if err := <-done; err != nil {
-		t.Fatalf("leader: %v", err)
-	}
-}
-
-// matResult carries one materialization's outcome out of its goroutine.
-type matResult struct {
-	doc *xmlmodel.Document
-	err error
-}
-
 // waitJoined blocks until n materialization calls have joined a running
 // part computation (joins are counted when they happen, not on return).
 func waitJoined(t *testing.T, m *Mediator, n int64) {
@@ -256,179 +164,6 @@ func waitJoined(t *testing.T, m *Mediator, n int64) {
 			t.Fatalf("joins = %d, want %d", m.Stats().SingleflightDedups, n)
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestFollowerSurvivesLeaderCancellation: a caller that joined a part
-// computation must not inherit the cancellation of the caller running it
-// (a hedged request whose other leg won, a client that hung up). The
-// leader gets its own cancellation; the follower, whose context is alive,
-// computes the part itself.
-func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
-	m, src := newGatedMediator(t)
-
-	lctx, lcancel := context.WithCancel(context.Background())
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, err := m.Materialize(lctx, "members")
-		leaderDone <- err
-	}()
-	<-src.entered
-	followerDone := make(chan matResult, 1)
-	go func() {
-		doc, err := m.Materialize(context.Background(), "members")
-		followerDone <- matResult{doc, err}
-	}()
-	waitJoined(t, m, 1)
-
-	lcancel()
-	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("leader: err = %v, want its own cancellation", err)
-	}
-	close(src.gate)
-	got := <-followerDone
-	if got.err != nil {
-		t.Fatalf("follower inherited the leader's failure: %v", got.err)
-	}
-	if n := len(got.doc.Root.Children); n != 2 {
-		t.Errorf("follower document has %d members, want the complete 2", n)
-	}
-	if n := src.fetches.Load(); n != 2 {
-		t.Errorf("fetches = %d, want 2 (the leader's abandoned one, the follower's own)", n)
-	}
-}
-
-// failOnRelease is a wrapper whose Fetch blocks until released and then
-// fails hard.
-type failOnRelease struct {
-	dtd     *dtd.DTD
-	release chan struct{}
-}
-
-func (f *failOnRelease) Name() string { return "failing" }
-
-func (f *failOnRelease) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
-	select {
-	case <-f.release:
-		return nil, errFetch
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-func (f *failOnRelease) Schema() *dtd.DTD { return f.dtd }
-
-// TestFollowerSurvivesSiblingInducedCancellation is the same defect reached
-// without any client going away: caller A's part 1 fails hard, which
-// cancels A's own fetch of part 0 — while caller B, whose mask drops part
-// 1, is waiting on that very fetch. A fails with the root cause; B's view
-// of the world has no failing part and must succeed.
-func TestFollowerSurvivesSiblingInducedCancellation(t *testing.T) {
-	m, src := newGatedMediator(t)
-	failing := &failOnRelease{dtd: src.dtd, release: make(chan struct{})}
-	if err := m.AddSource(failing); err != nil {
-		t.Fatal(err)
-	}
-	part := xmas.MustParse(`v = SELECT X WHERE <department> X:<professor|gradStudent/> </department>`)
-	v, err := m.DefineUnionView("both", []ViewPart{
-		{Source: "gated", Query: part}, {Source: "failing", Query: part},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	aDone := make(chan error, 1)
-	go func() {
-		_, err := m.Materialize(ctx, "both")
-		aDone <- err
-	}()
-	<-src.entered
-	bDone := make(chan matResult, 1)
-	go func() {
-		parts, _, err := m.resolveMasked(ctx, v, []bool{true, false}, nil, "")
-		bDone <- matResult{viewDocument(v.Name, parts), err}
-	}()
-	waitJoined(t, m, 1)
-
-	close(failing.release)
-	if err := <-aDone; !errors.Is(err, errFetch) {
-		t.Fatalf("A: err = %v, want the root cause %v", err, errFetch)
-	}
-	close(src.gate)
-	got := <-bDone
-	if got.err != nil {
-		t.Fatalf("B inherited A's sibling-induced cancellation: %v", got.err)
-	}
-	if n := len(got.doc.Root.Children); n != 2 {
-		t.Errorf("B's document has %d members, want part 0's 2", n)
-	}
-	if n := src.fetches.Load(); n != 2 {
-		t.Errorf("gated fetches = %d, want 2 (A's cancelled one, B's own)", n)
-	}
-}
-
-// TestParallelMaterializeQueryInvalidate hammers a shared mediator from
-// many goroutines mixing Query, Materialize, QueryUnsimplified and
-// Invalidate — primarily a race-detector workload, with answer-correctness
-// asserted throughout.
-func TestParallelMaterializeQueryInvalidate(t *testing.T) {
-	m := newDeptMediator(t)
-	if _, err := m.DefineView("cs-dept", xmas.MustParse(q2Text)); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	q := xmas.MustParse(`profs = SELECT X WHERE <withJournals> X:<professor><publication/></professor> </withJournals>`)
-
-	const workers, iters = 8, 50
-	var wg sync.WaitGroup
-	errc := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				switch w % 4 {
-				case 0:
-					doc, err := m.Materialize(ctx, "withJournals")
-					if err != nil {
-						errc <- err
-						return
-					}
-					if n := len(doc.Root.Children); n != 2 {
-						errc <- errFetch
-						return
-					}
-				case 1:
-					res, _, err := m.Query(ctx, "withJournals", q)
-					if err != nil {
-						errc <- err
-						return
-					}
-					if n := len(res.Root.Children); n != 1 {
-						errc <- errFetch
-						return
-					}
-				case 2:
-					if _, err := m.QueryUnsimplified(ctx, "withJournals", q); err != nil {
-						errc <- err
-						return
-					}
-				case 3:
-					m.Invalidate()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		t.Fatal(err)
-	default:
-	}
-	st := m.Stats()
-	if st.CacheMisses == 0 || st.Views["withJournals"].Queries == 0 {
-		t.Errorf("stats not recorded under load: %+v", st)
 	}
 }
 

@@ -14,21 +14,14 @@
 // the per-source inferred s-DTDs.
 //
 // The serving path is built for concurrent use on one cache, one fence and
-// one lock rule. The only cached data are per-part results — a part's picks
-// and what the last queries picked from them: every part of a defined view
-// owns one slot (Mediator.slots), so the cache is bounded by the view
-// definitions, and a view document or an answer is always a fresh
+// one lock rule. The only cached data are the part slots (slot.go), one per
+// part of a defined view, and a view document or an answer is always a fresh
 // concatenation, in part order, of its kept parts' slots. The only fence is
-// the source generation (Mediator.srcGen): a part result is usable exactly
-// while its source's generation is the one its fetch started under, so a
-// result that raced an invalidation answers the callers already waiting on
-// it and nothing else. An invalidation is a question, not a change: the
-// fetch it forces answers it, and a part whose source hands back the very
-// document its slot was evaluated from keeps its result. Mediator.mu guards
-// the registry and the slots and is never held across a fetch or an
-// evaluation. Concurrent callers needing the same part share one computation,
-// a cache.Flight, whatever their prune masks, and every data-touching
-// operation takes a context.Context that cancels remote fetches.
+// the source generation (Mediator.srcGen); an invalidation is a question,
+// not a change: the fetch it forces answers it. Mediator.mu guards the
+// registry and the slots and is never held across a fetch or an evaluation,
+// and every data-touching operation takes a context.Context that cancels
+// remote fetches.
 package mediator
 
 import (
@@ -212,56 +205,18 @@ type QueryStats struct {
 	NotModified bool
 }
 
-// partCalc is one computation of a view part — fetch its source, evaluate
-// its query — as a cache.Flight. Landed and left in its slot, it is the
-// part's cached result; readers concatenate its children into a fresh root.
-type partCalc struct {
-	cache.Flight[partResult]
-	gen uint64 // the source's generation when the fetch started: the fence
-	// prev is the result of the landed, complete calc this one took the slot
-	// from: the part before the invalidation that asks whether it changed.
-	// Dropped (under m.mu) as the calc lands: a slot holds one result.
-	prev partResult
-	// lost marks a calc that never runs: one whose result was not complete
-	// leaves it in its slot holding its prev, so that the next refetch is
-	// compared with what this one would have been. It is never joined, and
-	// never landed.
-	lost bool
-}
-
 // plannedPart is one kept part of a materialization under way, or one run of
 // an answer over a member's held document (HTTPSource.Answer).
 type plannedPart struct {
 	calc      *partCalc
 	lead, hit bool // this call runs calc / calc had landed when planned
 	w         Wrapper
-	res       partResult
+	res       partResult // a leader's predecessor (partSlot.claim) until it lands
 	err       error
 	picks     []*xmlmodel.Element // res.children, or what a plan picks below them (answerByPart) …
 	slot      int                 // … from this entry of res.answers, when not negative …
 	bytes     []byte              // … with what they serialize to, when the slot keeps that …
 	render    bool                // … or this read is to make it
-}
-
-// partResult is what one part contributes to a materialization.
-type partResult struct {
-	// children are the elements the part query picks from doc — elements of
-	// doc itself, not copies (documents from Wrapper.Fetch are read-only).
-	children []*xmlmodel.Element
-	// alone is children under a root of their own, for a walk of them alone
-	// (answerRuns): a member's held run has one, made with it (heldRun);
-	// for a part slot's each such walk makes one.
-	alone *xmlmodel.Element
-	// answers is what queries picked from children, and the document they
-	// are of: made and handed on with them.
-	answers *AnswerMemo
-	// ver is the content version: the generation of the calc that evaluated
-	// children. It is the calc's own generation unless the fetch returned the
-	// predecessor's document and the result was carried over — then it is an
-	// earlier one — and it is what a tag says.
-	ver     uint64
-	dropped bool // the source's breaker is open: the part is omitted (degraded view)
-	stale   bool // children come from a last-known-good document (ReplicaSet)
 }
 
 // Mediator hosts wrappers and views.
@@ -275,13 +230,9 @@ type Mediator struct {
 	// source; InvalidateSource bumps one source and, transitively, the views
 	// re-exported as sources that depend on it.
 	srcGen map[string]uint64
-	// slots holds, per view, one slot per part (created in DefineUnionView):
-	// the part's latest calc, usable — as a cached result once finished, as
-	// a computation to wait on until then — while calc.gen equals the
-	// source's generation, and after that only as what the refetch is
-	// compared with (partCalc.prev). It is the only evaluated data the
-	// mediator keeps.
-	slots map[string][]*partCalc
+	// slots holds, per view, one slot per part (slot.go), made in
+	// DefineUnionView.
+	slots map[string][]partSlot
 	// deps is the static view→source dependency index, inverted: for each
 	// source name, the set of views with at least one part over it. Built
 	// at view-definition time; InvalidateSource walks it (transitively,
@@ -309,7 +260,7 @@ func New(name string) *Mediator {
 		wrappers: map[string]Wrapper{},
 		views:    map[string]*View{},
 		srcGen:   map[string]uint64{},
-		slots:    map[string][]*partCalc{},
+		slots:    map[string][]partSlot{},
 		deps:     map[string]map[string]bool{},
 		plans:    cache.New(planMemoCapacity),
 		nonce:    newNonce(),
@@ -458,7 +409,7 @@ func (m *Mediator) DefineUnionView(name string, parts []ViewPart) (*View, error)
 		v.DegradedReason = ex.Error()
 	}
 	m.views[name] = v
-	m.slots[name] = make([]*partCalc, len(v.Parts))
+	m.slots[name] = make([]partSlot, len(v.Parts))
 	for _, p := range v.Parts {
 		if m.deps[p.Source] == nil {
 			m.deps[p.Source] = map[string]bool{}
@@ -514,9 +465,7 @@ func (m *Mediator) Materialize(ctx context.Context, viewName string) (*xmlmodel.
 
 // MaterializeInfo is Materialize plus a report of how the materialization
 // went: a view over a breaker-open source (see BreakerSource) is served
-// without that source's parts — degraded availability instead of a failed
-// view — and the report says so. A dropped part is never cached, so the
-// first materialization after the breaker closes is complete again.
+// without that source's parts, and the report says so.
 func (m *Mediator) MaterializeInfo(ctx context.Context, viewName string) (*xmlmodel.Document, *QueryStats, error) {
 	a, stats, err := m.read(ctx, Request{View: viewName}, false)
 	if err != nil {
@@ -528,34 +477,29 @@ func (m *Mediator) MaterializeInfo(ctx context.Context, viewName string) (*xmlmo
 // keepAll is the keep mask of a query's materialization that prunes nothing.
 func keepAll(v *View) []bool { return slices.Repeat([]bool{true}, len(v.Parts)) }
 
-// resolveMasked gives the parts of v selected by keep their results, which
-// a view document or a query's answer is then put together from in part
-// order, whatever the scheduling, and reports where they came from.
-// Masked-out parts are never fetched — no goroutine, no breaker interaction,
-// no retry; that is the point of pruning. A nil keep is the whole view
-// (View.whole), and only then does the result carry a tag (or come back
-// NotModified, when ifNoneMatch names it): a query's materialization, masked
-// or not, renders none; pruned is the plan's list of the sources it masks
-// out. Each kept part is resolved to its slot's calc (claimLocked). The first
-// part failure cancels this call's sibling fetches — except a breaker-open
-// rejection (ErrBreakerOpen), which drops just that part and lets the
-// siblings complete: a dead source degrades the view, it does not take it
-// down.
+// resolveMasked gives the parts of v selected by keep their results, in part
+// order, and reports where they came from. Each kept part claims its slot
+// (partSlot.claim); masked-out parts are never fetched. A nil keep is the
+// whole view (View.whole), and only then does the result carry a tag (or
+// come back NotModified, when ifNoneMatch names it); pruned is the plan's
+// list of the sources it masks out. A breaker-open source (ErrBreakerOpen)
+// drops its part and degrades the view; any other failure fails it.
 func (m *Mediator) resolveMasked(ctx context.Context, v *View, keep []bool, pruned []string, ifNoneMatch string) ([]plannedPart, QueryStats, error) {
 	whole := keep == nil
 	parts := make([]plannedPart, len(v.Parts))
 	var leads, joins int
 	m.mu.Lock()
-	for i := range v.Parts {
+	slots := m.slots[v.Name]
+	for i, vp := range v.Parts {
 		if !whole && !keep[i] {
 			continue
 		}
 		p := &parts[i]
-		p.calc, p.lead = m.claimLocked(v, i)
-		p.w = m.wrappers[v.Parts[i].Source]
+		p.calc, p.res, p.lead, p.hit = slots[i].claim(m.srcGen[vp.Source])
+		p.w = m.wrappers[vp.Source]
 		if p.lead {
 			leads++
-		} else if p.res, p.hit = p.calc.Landed(); !p.hit {
+		} else if !p.hit {
 			joins++
 		}
 	}
@@ -645,15 +589,11 @@ func concat(parts []plannedPart) []*xmlmodel.Element {
 	return out
 }
 
-// resolveParts gives every planned part that is not a hit its result: the
-// ones this call leads are run, the others waited for, side by side — one
-// part on the calling goroutine under ctx, several on goroutines of their
-// own but the last, which runs on the calling one, under a context the first
-// failure cancels. The error is the first root-cause failure (a sibling's
-// induced cancellation only when there is no other). led says this call
-// leads at least one part: it is then the materialization that missed,
-// timed and accounted for as one — which parts it reused, which it
-// refetched, and which of those came back unchanged.
+// resolveParts gives every planned part that is not a hit its result, side by
+// side — one part on the calling goroutine under ctx, several on goroutines
+// of their own but the last, under a context the first failure cancels — and
+// returns the first root-cause failure. led says this call leads a part: it
+// is then the materialization that missed, timed and accounted for as one.
 func (m *Mediator) resolveParts(ctx context.Context, v *View, parts []plannedPart, led bool) error {
 	start := time.Now()
 	n, last := 0, -1
@@ -688,8 +628,7 @@ func (m *Mediator) resolveParts(ctx context.Context, v *View, parts []plannedPar
 	if err := firstPartError(parts); err != nil || !led {
 		return err
 	}
-	// The lists the delta event names, on the stack for views of up to
-	// eight parts.
+	// The delta event's lists, on the stack for views of up to eight parts.
 	var reusedBuf, recomputedBuf, revalidatedBuf [8]string
 	reused, recomputed, revalidated := reusedBuf[:0], recomputedBuf[:0], revalidatedBuf[:0]
 	for i, p := range parts {
@@ -714,10 +653,8 @@ func (m *Mediator) resolveParts(ctx context.Context, v *View, parts []plannedPar
 }
 
 // runPart resolves part i into p, and cancels the sibling fetches (cancel,
-// nil when p has none) when it fails. A panic — a wrapper's, or the part
-// query's — is the part's error, whichever goroutine runs it: the read fails,
-// the calc has already landed its joiners an error and left its slot
-// (cache.Flight.Run), and the process goes on.
+// nil when p has none) when it fails. A panic is the part's error: its calc
+// has landed its joiners an error (cache.Flight.Run), and the process goes on.
 func (m *Mediator) runPart(ctx context.Context, v *View, i int, p *plannedPart, cancel context.CancelFunc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -727,7 +664,7 @@ func (m *Mediator) runPart(ctx context.Context, v *View, i int, p *plannedPart, 
 			cancel() // abandon sibling fetches: the view cannot complete
 		}
 	}()
-	p.res, p.err = m.resolvePart(ctx, v, i, p.w, p.calc, p.lead)
+	p.res, p.err = m.resolvePart(ctx, v, i, p.w, p.calc, p.res, p.lead)
 }
 
 // firstPartError prefers a root-cause error over a sibling's induced
@@ -743,84 +680,44 @@ func firstPartError(parts []plannedPart) error {
 	return first
 }
 
-// claimLocked resolves part i of v to the calc that answers it: the slot's
-// while it is at the source's current generation (landed, the cached result;
-// in flight, joined), else a new calc this caller leads. A landed calc it
-// displaces leaves its result as prev: a calc still in its slot when landed
-// is complete (resolvePart), the part before the invalidation; a lost one
-// leaves the prev it holds. m.mu must be held.
-func (m *Mediator) claimLocked(v *View, i int) (c *partCalc, lead bool) {
-	gen := m.srcGen[v.Parts[i].Source]
-	slots := m.slots[v.Name]
-	old := slots[i]
-	if old != nil && old.gen == gen && !old.lost {
-		return old, false
-	}
-	c = &partCalc{gen: gen}
-	if old != nil && old.lost {
-		c.prev = old.prev
-	} else if old != nil {
-		c.prev, _ = old.Landed() // one still in flight leaves nothing behind
-	}
-	c.Start()
-	slots[i] = c
-	return c, true
-}
-
 // resolvePart returns part i's result for one caller, who joins c unless it
-// leads c. A calc that failed because the caller running it gave up (its
-// client left, or a sibling part of its materialization failed) says nothing
-// about the source: a joiner starts over instead of inheriting the
-// cancellation, and its result, and so its version, is that of the calc it
-// ended on. The leader settles whether its calc stays in its slot: only a
-// complete, live result does — the part's cached result while its source
-// generation is unchanged, and after that what the refetch is compared with.
-// This is the one write-back rule — why degraded parts do not outlive the
-// outage that dropped them, last-known-good parts are retried rather than
-// pinned, and an invalidation is never overwritten by what predates it. An
-// incomplete result leaves in its place a lost calc holding the predecessor
-// it was compared with, so a read that failed or was cancelled does not make
-// the next one evaluate an unchanged part again under a new version.
-func (m *Mediator) resolvePart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc, lead bool) (partResult, error) {
+// leads c, handed the predecessor prev. A joiner whose leader's failure was
+// the leader's own claims the slot again, and its result, and so its
+// version, is that of the calc it ended on. The leader runs evalPart and
+// tells the slot how it landed (partSlot.land).
+func (m *Mediator) resolvePart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc, prev partResult, lead bool) (partResult, error) {
+	src := v.Parts[i].Source
 	for !lead {
 		res, err, redo := c.Wait(ctx)
 		if !redo {
 			return res, err
 		}
 		m.mu.Lock()
-		c, lead = m.claimLocked(v, i)
+		c, prev, lead, _ = m.slots[v.Name][i].claim(m.srcGen[src])
 		m.mu.Unlock()
 		if lead {
 			m.stats.add(&m.stats.CacheMisses, 1) // a computation the plan did not foresee
 		}
 	}
-	return c.Run(&m.mu, func() (partResult, error) { return evalPart(ctx, v, i, w, c) },
+	return c.Run(&m.mu, func() (partResult, error) { return evalPart(ctx, v, i, w, c.gen, &prev) },
 		func(res partResult, err error) bool {
-			complete := err == nil && !res.dropped && !res.stale
-			// A later caller may have claimed the slot since an invalidation
-			// detached c: only replace c while the slot is still c's.
-			if slots := m.slots[v.Name]; !complete && slots[i] == c {
-				slots[i] = &partCalc{gen: c.gen, prev: c.prev, lost: true}
-			}
-			c.prev = partResult{}
-			if complete && m.srcGen[v.Parts[i].Source] != c.gen {
+			redo, raced := m.slots[v.Name][i].land(c, m.srcGen[src], res, err, ctx.Err() != nil)
+			if raced {
 				m.stats.add(&m.stats.StaleDiscards, 1)
 			}
-			return err != nil && ctx.Err() != nil
+			return redo
 		})
 }
 
-// evalPart fetches the source of part i for calc c and evaluates the part
-// query over the document — unless that is the very document c's predecessor
-// was evaluated from (Wrapper.Fetch: the same document says "unchanged"), in
-// which case c takes over the predecessor's picks, version and answers, and
-// nothing is evaluated or allocated. The picks are elements of the document
-// itself: the slot and the source's validator share one tree.
-func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res partResult, err error) {
+// evalPart fetches the source of part i for a calc of generation gen and
+// evaluates the part query over the document, unless prev, the predecessor,
+// carries it (partResult.carries): nothing is then evaluated or allocated.
+// The picks are elements of the document itself: the slot and the source's
+// validator share one tree.
+func evalPart(ctx context.Context, v *View, i int, w Wrapper, gen uint64, prev *partResult) (res partResult, err error) {
 	p := v.Parts[i]
-	// One span per source fetch: the trace of a slow or degraded request
-	// shows which source stalled (fault injection, retries) or was dropped
-	// by its breaker.
+	// One span per source fetch: a trace shows which source stalled or was
+	// dropped by its breaker.
 	fctx, fspan := obs.StartSpan(ctx, "source.fetch", obs.String("source", p.Source))
 	// A panic — the wrapper's, or the part query's — ends the span it leaves
 	// open, with the panic as its error, and goes on to runPart's recover.
@@ -833,9 +730,8 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res 
 		}
 	}()
 	// The fetch's own note: a last-known-good answer, from a ReplicaSet
-	// anywhere in w's stack, comes back marked on it instead of being
-	// indistinguishable from a live one, and the note of any fetch this read
-	// serves (a forward answered in the same process) stays out of w's reach.
+	// anywhere in w's stack, comes back marked on it, and the note of any
+	// fetch this read serves (a forward in the same process) is out of reach.
 	note := NewFetchNote(fctx)
 	doc, err := w.Fetch(note)
 	if res.stale = err == nil && note.Stale(); res.stale {
@@ -851,9 +747,8 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res 
 		fspan.End()
 		return res, fmt.Errorf("mediator: fetching %s: %w", p.Source, err)
 	}
-	res.ver = c.gen
-	// A last-known-good document is not the source's answer: never carried.
-	if prev := c.prev; prev.answers != nil && prev.answers.doc == doc && !res.stale {
+	res.ver = gen
+	if prev.carries(doc, res.stale) {
 		fspan.SetAttr(obs.Bool("unchanged", true))
 		fspan.End()
 		res.children, res.ver, res.answers = prev.children, prev.ver, prev.answers
@@ -871,35 +766,9 @@ func evalPart(ctx context.Context, v *View, i int, w Wrapper, c *partCalc) (res 
 	return res, nil
 }
 
-// prunedSources lists the source names of masked-out parts, sorted and
-// deduplicated (a source is pruned only if every one of its parts is).
-func prunedSources(v *View, keep []bool) []string {
-	if keep == nil {
-		return nil // the whole view
-	}
-	var out []string
-	for i, p := range v.Parts {
-		if keep[i] || slices.Contains(out, p.Source) {
-			continue
-		}
-		kept := false
-		for j, q := range v.Parts {
-			kept = kept || keep[j] && q.Source == p.Source
-		}
-		if !kept {
-			out = append(out, p.Source)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Invalidate announces a change of unknown extent: every source generation
-// bumps, which is all it takes — the fence detaches every slot's calc. One
-// in flight answers its joiners only; a landed one waits in its slot for the
-// refetch that says whether its part changed at all (evalPart).
-// InvalidateSource (delta.go) is the same for one source and what depends
-// on it.
+// bumps, which fences off every slot's calc (slot.go). InvalidateSource
+// (delta.go) is the same for one source and what depends on it.
 func (m *Mediator) Invalidate() {
 	m.mu.Lock()
 	for s := range m.wrappers {
@@ -910,19 +779,15 @@ func (m *Mediator) Invalidate() {
 }
 
 // Query runs a pick-element query against a view. The query is first
-// simplified against the inferred view DTD: unsatisfiable queries return
-// the empty result without materializing the view, and valid side
-// conditions are pruned before evaluation. A simplifier failure is not
-// fatal — the unsimplified query is evaluated instead — but it is recorded
-// in QueryStats.SimplifierError and the mediator stats. That analysis runs
-// once per distinct query (plan.go); a repeated query looks its plan up, and
-// asks the engine only about the kept parts it has not asked (answerByPart).
+// simplified against the inferred view DTD, once per distinct query
+// (plan.go): unsatisfiable queries return the empty result without touching
+// a source, and valid side conditions are pruned. A simplifier failure is
+// not fatal — the unsimplified query is evaluated instead — but it is
+// recorded in QueryStats.SimplifierError and the mediator stats.
 //
-// The result's root is new; the elements under it are the picked elements
-// of the cached view parts themselves, not copies — as the documents
-// Materialize returns share them. Cached elements are immutable: callers
-// read and serialize the result and must not modify anything below its
-// root.
+// The result's root is new; the elements under it are the cached parts'
+// own, as in the documents Materialize returns: callers must not modify
+// anything below the root.
 func (m *Mediator) Query(ctx context.Context, viewName string, q *xmas.Query) (*xmlmodel.Document, *QueryStats, error) {
 	a, stats, err := m.read(ctx, Request{View: viewName, Query: q}, false)
 	if err != nil {

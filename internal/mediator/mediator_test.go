@@ -298,36 +298,6 @@ func TestViewDTDIsTighterThanNaive(t *testing.T) {
 	}
 }
 
-func TestMaterializeCacheAndInvalidate(t *testing.T) {
-	m := New("campus")
-	d, _ := dtd.Parse(d1Text)
-	doc, _, _ := xmlmodel.Parse(deptDoc)
-	src, err := NewStaticSource("cs-dept", doc, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := NewFaultSource(src) // empty script: counts fetches, injects nothing
-	if err := m.AddSource(fs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.DefineView("cs-dept", xmas.MustParse(q2Text)); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := m.Materialize(context.Background(), "withJournals")
-	b, _ := m.Materialize(context.Background(), "withJournals")
-	if !sameChildren(a, b) || fs.Fetches() != 1 {
-		t.Errorf("materialization must be cached (fetches = %d, want 1)", fs.Fetches())
-	}
-	m.Invalidate()
-	c, _ := m.Materialize(context.Background(), "withJournals")
-	if fs.Fetches() != 2 {
-		t.Errorf("Invalidate must drop the cache (fetches = %d, want 2)", fs.Fetches())
-	}
-	if !a.Root.Equal(c.Root) {
-		t.Error("recomputed view differs")
-	}
-}
-
 func TestSourcesAndViewsListing(t *testing.T) {
 	m := newDeptMediator(t)
 	if got := strings.Join(m.Sources(), ","); got != "cs-dept" {

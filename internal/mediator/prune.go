@@ -2,6 +2,8 @@ package mediator
 
 import (
 	"context"
+	"slices"
+	"sort"
 
 	"repro/internal/infer"
 	"repro/internal/xmas"
@@ -146,4 +148,27 @@ func stripBindings(c *xmas.Cond) {
 	for _, k := range c.Children {
 		stripBindings(k)
 	}
+}
+
+// prunedSources lists the source names of masked-out parts, sorted and
+// deduplicated (a source is pruned only if every one of its parts is).
+func prunedSources(v *View, keep []bool) []string {
+	if keep == nil {
+		return nil // the whole view
+	}
+	var out []string
+	for i, p := range v.Parts {
+		if keep[i] || slices.Contains(out, p.Source) {
+			continue
+		}
+		kept := false
+		for j, q := range v.Parts {
+			kept = kept || keep[j] && q.Source == p.Source
+		}
+		if !kept {
+			out = append(out, p.Source)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

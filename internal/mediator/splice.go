@@ -71,8 +71,8 @@ func newRecord(n int) *memberRecord {
 // held one, which the response confirmed — as the fetch resp answers keeps
 // it. Only a member's fetch holds runs (response.member): the cut its
 // response announced (RunsHeader), or one run when it announced none that
-// cuts the root's children. A run of held that is the same run of the same
-// document keeps its memo, and every other starts an empty one.
+// cuts the root's children. held, passed only for k's very document, lends
+// each run that is the same run its memo; every other starts an empty one.
 func (s *HTTPSource) hold(k keptDocument, resp response, held *keptDocument) *keptDocument {
 	if !resp.member {
 		leaf := k // a copy, so that k, copied into a member's record, is not on the heap
@@ -88,7 +88,7 @@ func (s *HTTPSource) hold(k keptDocument, resp response, held *keptDocument) *ke
 	}
 	r := newRecord(len(counts))
 	k.runs, k.ends = r.kept.runs, r.kept.ends
-	same := held != nil && held.doc == k.doc && len(held.runs) == len(counts)
+	same := held != nil && len(held.runs) == len(counts)
 	for i, n := range counts {
 		run := heldRun{root: xmlmodel.Element{Name: s.schema.Root, Children: children[at : at+n : at+n]}, size: -1, bodyLen: len(k.body)}
 		if same && len(held.runs[i].root.Children) == n {

@@ -302,16 +302,9 @@ func (m *Mediator) snapshot(scrape bool) Stats {
 	out.PlanHits, out.PlanMisses, out.PlanCacheSize = plans.Hits+out.PlanTextHits, plans.Misses, int64(plans.Size)
 	m.mu.Lock()
 	for _, slots := range m.slots {
-		for _, c := range slots {
-			if c == nil {
-				continue
-			}
-			res, landed := c.Landed()
-			if !landed {
-				res = c.prev // what the slot holds while c runs
-			}
-			if res.answers != nil {
-				out.AnswerBytesHeld += res.answers.heldBytes()
+		for i := range slots {
+			if a := slots[i].holds().answers; a != nil {
+				out.AnswerBytesHeld += a.heldBytes()
 			}
 		}
 	}

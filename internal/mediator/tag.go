@@ -25,11 +25,12 @@ import (
 // generation) ever evaluates: a complete calc keeps its slot, and so keeps
 // every later claim from making another, until its source's generation moves
 // on, after which no calc of the old generation is claimed again (one that
-// failed, was dropped or came back stale is replaced at the same generation,
-// but reaches no tagged document and is nobody's predecessor). So, by
-// induction along the chain of predecessors, every complete result of a part
-// that says version g holds the very picks the one calc that evaluated at
-// generation g made: equal tags mean the same elements in the same order.
+// failed, was dropped or came back stale leaves the slot to another calc of
+// its generation, but reaches no tagged document and is nobody's
+// predecessor; slot.go). So, by induction along the chain of predecessors,
+// every complete result of a part that says version g holds the very picks
+// the one calc that evaluated at generation g made: equal tags mean the same
+// elements in the same order.
 //
 // The other direction is the sources' to keep. A tag outlives an
 // invalidation exactly when every refetch the invalidation forced returned

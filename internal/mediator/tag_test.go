@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -157,212 +156,6 @@ func TestTagEscapesTheViewName(t *testing.T) {
 	}
 	if tagPrefixFor("00ff", "a-1") == tagPrefixFor("00ff", "a") {
 		t.Error("two view names share a prefix")
-	}
-}
-
-// The generation in a tag is that of the calc the result came from. A
-// follower planned on a calc of generation 0, whose leader gave up after the
-// source was invalidated, ends on its own calc of generation 1 — and must
-// say so: its document is the one every later reader is served under the
-// generation-1 tag.
-func TestTagNamesTheCalcTheJoinerEndedOn(t *testing.T) {
-	m, src := newGatedMediator(t)
-	lctx, lcancel := context.WithCancel(context.Background())
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, err := m.Materialize(lctx, "members")
-		leaderDone <- err
-	}()
-	<-src.entered
-	type result struct {
-		info *QueryStats
-		err  error
-	}
-	followerDone := make(chan result, 1)
-	go func() {
-		_, info, err := m.MaterializeInfo(context.Background(), "members")
-		followerDone <- result{info, err}
-	}()
-	waitJoined(t, m, 1)
-
-	m.Invalidate()
-	lcancel()
-	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("leader: %v", err)
-	}
-	close(src.gate)
-	got := <-followerDone
-	if got.err != nil {
-		t.Fatal(got.err)
-	}
-	_, later, err := m.MaterializeInfo(context.Background(), "members")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(later.Tag, `-1"`) || got.info.Tag != later.Tag {
-		t.Errorf("the follower's tag is %s, the tag of the calc it ran is %s", got.info.Tag, later.Tag)
-	}
-}
-
-// heldGatedSource is a static source whose first Fetch waits at a gate.
-type heldGatedSource struct {
-	*StaticSource
-	entered, gate chan struct{}
-	fetches       atomic.Int64
-}
-
-func (s *heldGatedSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
-	if s.fetches.Add(1) == 1 {
-		close(s.entered)
-		<-s.gate
-	}
-	return s.StaticSource.Fetch(ctx)
-}
-
-// A complete result that raced an invalidation answers the callers waiting
-// on it and stays in its slot as predecessor material only. It is never a
-// hit — the next read fetches — but when that fetch brings back the document
-// the raced result was evaluated from, its picks, its version and its answers
-// are carried over: nothing is evaluated twice, and the tag says the
-// generation that did evaluate.
-func TestRacedResultStaysAsPredecessor(t *testing.T) {
-	d, err := dtd.Parse(d1Text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, _, err := xmlmodel.Parse(deptDocN(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	static, err := NewStaticSource("held", doc, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &heldGatedSource{StaticSource: static, entered: make(chan struct{}), gate: make(chan struct{})}
-	m := New("m")
-	if err := m.AddSource(src); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.DefineView("held", xmas.MustParse(`v = SELECT X WHERE <department> X:<professor|gradStudent/> </department>`)); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	q := xmas.MustParse(`r = SELECT P WHERE <v> P:<professor/> </v>`)
-	type answer struct {
-		doc *xmlmodel.Document
-		err error
-	}
-	raced := make(chan answer, 1)
-	go func() {
-		res, _, err := m.Query(ctx, "v", q)
-		raced <- answer{res, err}
-	}()
-	<-src.entered
-	m.Invalidate() // the fetch under way now predates an invalidation
-	close(src.gate)
-	first := <-raced
-	if first.err != nil || len(first.doc.Root.Children) != 1 {
-		t.Fatalf("the read that raced: %+v", first)
-	}
-	m.mu.Lock()
-	kept := m.slots["v"][0]
-	gen := m.srcGen["held"]
-	m.mu.Unlock()
-	landed := false
-	if kept != nil {
-		_, landed = kept.Landed()
-	}
-	if st := m.Stats(); st.StaleDiscards != 1 || kept == nil || !landed || kept.gen == gen {
-		t.Fatalf("%d stale discards, slot %+v at source generation %d; want 1, and the raced calc of generation 0 in its slot", st.StaleDiscards, kept, gen)
-	}
-
-	again, _, err := m.Query(ctx, "v", q)
-	if err != nil || !slices.Equal(again.Root.Children, first.doc.Root.Children) {
-		t.Fatalf("the read after it: %v, %v; want the very picks of the raced read", again, err)
-	}
-	st := m.Stats()
-	if src.fetches.Load() != 2 || st.CacheHits != 0 {
-		t.Errorf("%d fetches, %d cache hits; want 2 and 0: a raced result is never served again", src.fetches.Load(), st.CacheHits)
-	}
-	if st.PartsRevalidated != 1 || st.AnswerPartsEvaluated != 1 || st.AnswerPartsReused != 1 {
-		t.Errorf("%d parts revalidated, %d answers evaluated, %d reused; want 1, 1, 1: the refetch found the raced result's document",
-			st.PartsRevalidated, st.AnswerPartsEvaluated, st.AnswerPartsReused)
-	}
-	if _, info, err := m.MaterializeInfo(ctx, "v"); err != nil || !strings.HasSuffix(info.Tag, `-0"`) {
-		t.Errorf("tag %v (%v): want the generation the picks were evaluated at, 0", info, err)
-	}
-}
-
-// stallingSource is a static source whose fetch, while stall is set, says it
-// has begun on entered and then waits for its context to end.
-type stallingSource struct {
-	*StaticSource
-	stall   atomic.Bool
-	entered chan struct{}
-}
-
-func (s *stallingSource) Fetch(ctx context.Context) (*xmlmodel.Document, error) {
-	if s.stall.Load() {
-		s.entered <- struct{}{}
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-	return s.StaticSource.Fetch(ctx)
-}
-
-// A read that leads a part's refetch and is cancelled mid-fetch keeps no
-// result, but it leaves the predecessor the refetch was to be compared with:
-// the next read, after a no-op invalidation or none, fetches the very
-// document the part was evaluated from, carries it over, and the view's tag
-// does not move.
-func TestCancelledRefetchKeepsThePredecessor(t *testing.T) {
-	d, err := dtd.Parse(d1Text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, _, err := xmlmodel.Parse(deptDocN(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	static, err := NewStaticSource("held", doc, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &stallingSource{StaticSource: static, entered: make(chan struct{})}
-	m := New("m")
-	if err := m.AddSource(src); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.DefineView("held", xmas.MustParse(`v = SELECT X WHERE <department> X:<professor|gradStudent/> </department>`)); err != nil {
-		t.Fatal(err)
-	}
-	read := func() string {
-		t.Helper()
-		_, stats, err := m.Read(context.Background(), Request{View: "v"})
-		if err != nil || stats.Tag == "" {
-			t.Fatalf("read: tag %q, %v", stats.Tag, err)
-		}
-		return stats.Tag
-	}
-	tag := read()
-	for i := 0; i < 2; i++ {
-		m.Invalidate() // nothing changed
-		src.stall.Store(true)
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() { <-src.entered; cancel() }()
-		if _, _, err := m.Read(ctx, Request{View: "v"}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("the cancelled refetch: %v", err)
-		}
-		src.stall.Store(false)
-		if i == 1 {
-			m.Invalidate() // and nothing changed again
-		}
-		if got := read(); got != tag {
-			t.Fatalf("round %d: the tag moved from %s to %s with no source changed", i, tag, got)
-		}
-	}
-	if st := m.Stats(); st.PartsRevalidated != 2 {
-		t.Errorf("%d parts revalidated; want 2: each refetch carried the part over", st.PartsRevalidated)
 	}
 }
 
